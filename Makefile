@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race fault lint verify bench bench-check \
+.PHONY: all build test vet race fault lint verify bench \
 	analysis-report analysis-check trace-demo fuzz fuzz-smoke fuzz-native \
 	clean
 
@@ -15,11 +15,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The executor and interpreter are the concurrency-heavy packages, and
-# core's list regions run interpreter clones that share the session's
-# Stats, breaker ledger, and tracer; all three must stay race-clean.
+# The pipe is the edge both the executor and the interpreter run their
+# stages on; those two are the concurrency-heavy packages, and core's
+# list regions run interpreter clones that share the session's Stats,
+# breaker ledger, and tracer. All of them must stay race-clean.
 race:
-	$(GO) test -race ./internal/exec/... ./internal/interp/... ./internal/core/... ./internal/trace/...
+	$(GO) test -race ./internal/pipe/... ./internal/exec/... ./internal/interp/... ./internal/core/... ./internal/trace/...
 
 # The fault suite: injected failures, panics, stalls, and cancellations
 # at every plan position must tear down cleanly, heal via supervised
@@ -79,18 +80,10 @@ analysis-check:
 		-min-concretized 30 -baseline ANALYSIS_baseline.json \
 		examples/*/script.sh
 
-# bench regenerates the committed throughput baseline alongside the
-# paper's experiment tables. Run it on a quiet machine after perf work
-# and commit the refreshed BENCH_throughput.json.
+# bench prints the paper's experiment tables (modelled time). Measured
+# performance is `go run ./bench` (see BENCHMARK.json and bench/README.md).
 bench:
-	$(GO) run ./cmd/jashbench throughput -json BENCH_throughput.json
 	$(GO) run ./cmd/jashbench all
-
-# bench-check fails if sustained throughput regressed more than 15%
-# against the committed baseline (the CI perf gate).
-bench-check:
-	$(GO) run ./cmd/jashbench throughput -json BENCH_current.json \
-		-baseline BENCH_throughput.json -max-regress 0.15
 
 # trace-demo exercises the observability stack end to end: two example
 # scripts run under the JIT with -trace (a single optimized pipeline,

@@ -4,21 +4,16 @@
 // Usage:
 //
 //	jashbench [experiment]
-//	jashbench throughput [-json FILE] [-baseline FILE] [-max-regress FRAC]
 //
 // where experiment is one of: fig1, temperature, spell, noregression,
 // scaling, incremental, distribution, jitoverhead, datamovement, lint,
 // infer, or all (the default).
 //
-// The throughput subcommand runs the sustained-throughput suite (loop
-// dispatch rate compiled vs tree-walk, streaming pipeline MB/s, pooled
-// filter-chain MB/s and allocations). -json writes the machine-readable
-// report; -baseline compares against a committed report and exits 1 if
-// any primary metric regressed by more than -max-regress (default 0.15).
+// Measured performance — wall clock, allocation, per-layer timings — is
+// not here: `go run ./bench` is the repository's benchmark.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
@@ -41,41 +36,10 @@ var experiments = map[string]func() ([]bench.Row, error){
 	"all":          bench.All,
 }
 
-func runThroughput(args []string) {
-	fs := flag.NewFlagSet("throughput", flag.ExitOnError)
-	jsonPath := fs.String("json", "", "write the JSON report to this file")
-	baseline := fs.String("baseline", "", "compare against this committed JSON report")
-	maxRegress := fs.Float64("max-regress", 0.15, "tolerated fractional drop per metric")
-	fs.Parse(args)
-	rep, err := bench.Throughput(200000, 8<<20)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jashbench: throughput: %v\n", err)
-		os.Exit(1)
-	}
-	bench.Print(os.Stdout, rep.Rows())
-	if *jsonPath != "" {
-		if err := rep.WriteJSON(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "jashbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *baseline != "" {
-		if err := rep.CheckRegression(*baseline, *maxRegress); err != nil {
-			fmt.Fprintf(os.Stderr, "jashbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("throughput within %.0f%% of baseline %s\n", *maxRegress*100, *baseline)
-	}
-}
-
 func main() {
 	name := "all"
 	if len(os.Args) > 1 {
 		name = os.Args[1]
-	}
-	if name == "throughput" {
-		runThroughput(os.Args[2:])
-		return
 	}
 	run, ok := experiments[name]
 	if !ok {

@@ -188,7 +188,7 @@ func TestTimeoutDoesNotFallBack(t *testing.T) {
 
 // TestTimeoutBoundsInterpretedPipeline: the deadline must also stop
 // pipelines the JIT never optimized — interpreted coreutils poll
-// Interp.Cancel — so an infinite producer can't outlive -timeout.
+// Interp.Ctx — so an infinite producer can't outlive -timeout.
 func TestTimeoutBoundsInterpretedPipeline(t *testing.T) {
 	s, _, _ := newShell(vfs.New(), cost.IOOptEC2(), ModeBash)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)

@@ -289,8 +289,8 @@ func New(fs *vfs.FS, profile *cost.Profile, mode Mode) *Shell {
 func (s *Shell) Run(src string) (int, error) {
 	if s.Ctx != nil {
 		// Interpreted commands honor the session deadline too: coreutils
-		// compute loops poll this channel.
-		s.Interp.Cancel = s.Ctx.Done()
+		// compute loops poll it.
+		s.Interp.Ctx = s.Ctx
 	}
 	rest := src
 	status := 0
@@ -332,7 +332,7 @@ func (s *Shell) Run(src string) (int, error) {
 			return status, err
 		}
 		// A deadline that expired while the command ran (its compute
-		// loops unwound via Interp.Cancel) also reports the timeout —
+		// loops unwound via Interp.Ctx) also reports the timeout —
 		// again running pending INT/TERM/EXIT traps first.
 		if s.Ctx != nil && s.Ctx.Err() != nil {
 			s.runDeadlineTraps()
@@ -354,13 +354,13 @@ func (s *Shell) Run(src string) (int, error) {
 // runDeadlineTraps fires pending INT/TERM/EXIT trap actions before the
 // session exits on the timeout convention. The bodies run interpreted
 // and unbounded: the deadline has already expired, and re-entering the
-// JIT (or honouring the dead cancel channel) would kill the very
+// JIT (or honouring the expired context) would kill the very
 // handlers the user installed for this moment.
 func (s *Shell) runDeadlineTraps() {
-	savedObs, savedCancel := s.Interp.Observer, s.Interp.Cancel
-	s.Interp.Observer, s.Interp.Cancel = nil, nil
+	savedObs, savedCtx := s.Interp.Observer, s.Interp.Ctx
+	s.Interp.Observer, s.Interp.Ctx = nil, nil
 	s.Interp.RunPendingTraps("INT", "TERM", "EXIT")
-	s.Interp.Observer, s.Interp.Cancel = savedObs, savedCancel
+	s.Interp.Observer, s.Interp.Ctx = savedObs, savedCtx
 }
 
 // observe is the interposition hook: the interpreter offers every
@@ -447,6 +447,10 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 		tr.Metrics().Counter(trace.MetricPlansInterp).Add(1)
 		return 0, false
 	}
+	// Planning runs outside the lock on a snapshot: its what-if estimates
+	// read the devices' burst credits, which a concurrent list-region
+	// worker settles (under the lock) when it charges its own plan.
+	profile := s.Profile.Clone()
 	s.mu.Unlock()
 	psp := root.Child("plan")
 	var chosen *dfg.Graph
@@ -454,9 +458,9 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	var err error
 	switch s.Mode {
 	case ModePaSh:
-		chosen, dec, err = rewrite.PaShPlan(graph, s.Profile.Cores)
+		chosen, dec, err = rewrite.PaShPlan(graph, profile.Cores)
 	default:
-		chosen, dec, err = rewrite.JashPlan(graph, facts, s.Profile)
+		chosen, dec, err = rewrite.JashPlan(graph, facts, profile)
 	}
 	if err != nil {
 		psp.SetStr("verdict", "declined").SetStr("reason", err.Error())

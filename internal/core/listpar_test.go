@@ -188,3 +188,26 @@ func findDecision(s *Shell, strategy string) (Decision, bool) {
 	}
 	return Decision{}, false
 }
+
+// TestListParallelPlanningIsRaceFree is the -race regression for planning
+// against live device state: every worker of a region plans its own
+// pipeline, and the what-if estimates read the burst credits that a
+// sibling's charged estimate settles under the session lock.
+func TestListParallelPlanningIsRaceFree(t *testing.T) {
+	sh, out, _ := newShell(seedListFS(), cost.StandardEC2(), ModeJash)
+	var script, want strings.Builder
+	for round := 0; round < 25; round++ {
+		script.WriteString("cat /w0 | tr a-z A-Z | grep -c ALPHA; cat /w1 | tr a-z A-Z | grep -c BETA; " +
+			"cat /w2 | tr a-z A-Z | grep -c GAMMA; cat /w3 | tr a-z A-Z | grep -c DELTA\n")
+		want.WriteString("200\n250\n300\n350\n")
+	}
+	if st, err := sh.Run(script.String()); st != 0 || err != nil {
+		t.Fatalf("st=%d err=%v", st, err)
+	}
+	if out.String() != want.String() {
+		t.Fatalf("out=%q", out.String())
+	}
+	if sh.Stats.ListParallel != 100 || sh.Stats.Optimized != 100 {
+		t.Fatalf("ListParallel=%d Optimized=%d, want 100 each", sh.Stats.ListParallel, sh.Stats.Optimized)
+	}
+}

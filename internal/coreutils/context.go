@@ -10,6 +10,7 @@
 package coreutils
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"path"
@@ -30,17 +31,18 @@ type Context struct {
 	Getenv func(string) string
 	// Environ lists NAME=VALUE pairs for `env`; nil means none.
 	Environ func() []string
-	// Cancel, when non-nil, is closed if the surrounding plan is torn
-	// down. Compute-heavy loops (yes, seq) poll it so they stop even
+	// Ctx, when non-nil, is done once the surrounding plan or session is
+	// torn down. Compute-heavy loops (yes, seq) poll it so they stop even
 	// when they are between pipe operations; nil means never cancelled.
-	Cancel <-chan struct{}
-	// Abort, when non-nil, reports a defect that invalidates the whole
-	// surrounding plan rather than just this invocation. A parallelized
-	// executor sets it for lane utilities: a lane hitting the line-length
-	// limit must tear the plan down (so the caller falls back to the
-	// sequential path) instead of failing quietly while sibling lanes
-	// keep producing output the sequential run would never emit.
-	Abort func(error)
+	Ctx context.Context
+	// Abort, when non-nil, cancels the surrounding plan's context with
+	// the given cause: it reports a defect that invalidates the whole
+	// plan rather than just this invocation. A parallelized executor sets
+	// it for lane utilities: a lane hitting the line-length limit must
+	// tear the plan down (so the caller falls back to the sequential
+	// path) instead of failing quietly while sibling lanes keep producing
+	// output the sequential run would never emit.
+	Abort context.CancelCauseFunc
 }
 
 // escalate routes a line-limit violation to the plan-abort hook, if any.
@@ -52,11 +54,13 @@ func (c *Context) escalate(err error) {
 
 // Cancelled reports whether the surrounding plan has been torn down.
 func (c *Context) Cancelled() bool {
-	if c.Cancel == nil {
+	if c.Ctx == nil {
 		return false
 	}
+	// Done is lock-free once made; Err would take the context's mutex,
+	// which every stage of a plan polling the same context shares.
 	select {
-	case <-c.Cancel:
+	case <-c.Ctx.Done():
 		return true
 	default:
 		return false
@@ -64,17 +68,17 @@ func (c *Context) Cancelled() bool {
 }
 
 // cancelPollLines is how many lines a streaming loop processes between
-// Cancel polls: frequent enough that a torn-down plan stops a
+// Ctx polls: frequent enough that a torn-down plan stops a
 // compute-heavy filter promptly, rare enough to stay off the hot path.
 const cancelPollLines = 1024
 
 // forEachLine is the cancel-aware line iterator every streaming utility
 // loop uses: it behaves like the package-level forEachLine but polls
-// Cancel periodically, stopping early (silently, like a consumer hangup)
+// Ctx periodically, stopping early (silently, like a consumer hangup)
 // when the surrounding plan has been torn down.
 func (c *Context) forEachLine(r io.Reader, fn func(line []byte) error) error {
 	var err error
-	if c.Cancel == nil {
+	if c.Ctx == nil {
 		err = forEachLine(r, fn)
 	} else {
 		n := 0

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"jash/internal/pipe"
 )
 
 func init() {
@@ -289,11 +291,11 @@ func trCmd(c *Context, args []string) int {
 	out := newLineWriter(c.Stdout)
 	defer out.Release()
 	var lastOut int = -1
-	buf := getBlock()[:blockSize]
-	outBuf := getBlock()
+	buf := pipe.GetBlock()[:pipe.BlockSize]
+	outBuf := pipe.GetBlock()
 	defer func() {
-		putBlock(buf)
-		putBlock(outBuf)
+		pipe.PutBlock(buf)
+		pipe.PutBlock(outBuf)
 	}()
 	for {
 		// tr streams chunks, not lines, so it polls cancellation per chunk.
@@ -425,8 +427,8 @@ func cutCmd(c *Context, args []string) int {
 	}
 	lw := newLineWriter(c.Stdout)
 	defer lw.Release()
-	scratch := getBlock()
-	defer func() { putBlock(scratch) }()
+	scratch := pipe.GetBlock()
+	defer func() { pipe.PutBlock(scratch) }()
 	switch {
 	case has(flags, 'c'):
 		// List errors exit 1 with the GNU diagnostic, not the generic
@@ -692,7 +694,7 @@ type lineCursor struct {
 
 func newLineCursor(r io.Reader) *lineCursor {
 	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 64<<10), maxLine)
+	s.Buffer(make([]byte, pipe.BlockSize), maxLine)
 	cu := &lineCursor{s: s}
 	cu.advance()
 	return cu

@@ -5,51 +5,20 @@ import (
 	"io"
 	"strings"
 	"sync"
+
+	"jash/internal/pipe"
 )
 
 // maxLine is the largest line the utilities accept (16 MiB), far above the
 // POSIX LINE_MAX minimum.
 const maxLine = 16 << 20
 
-// blockSize is the unit of pooled line/IO buffers. One block backs a
-// bufio reader or writer, a pending-line accumulator, or an ownership-
-// handoff chunk; blocks recycle through blockPool instead of being
-// reallocated per utility invocation.
-const blockSize = 64 << 10
-
-// blockPool holds zero-length 64 KiB-capacity byte slices. Ownership rule:
-// whoever takes a block with getBlock owns it until it either hands the
-// block off (transferring ownership) or returns it with putBlock; a block
-// must never be read or written after being put back. Blocks that grew
-// past blockSize (pending lines longer than one block) are dropped rather
-// than pooled, so the pool never accumulates oversized buffers.
-var blockPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, blockSize)
-		return &b
-	},
-}
-
-// getBlock takes an empty pooled block.
-func getBlock() []byte {
-	return (*blockPool.Get().(*[]byte))[:0]
-}
-
-// putBlock returns a block to the pool. Safe to call with a grown or
-// foreign slice — only standard-capacity blocks are recycled.
-func putBlock(b []byte) {
-	if cap(b) != blockSize {
-		return
-	}
-	b = b[:0]
-	blockPool.Put(&b)
-}
-
-// readerPool recycles the 64 KiB bufio.Reader each line-oriented utility
-// needs, so a pipeline of N filters does not allocate N fresh buffers per
-// run.
+// readerPool recycles the one-block bufio.Reader each line-oriented
+// utility needs, so a pipeline of N filters does not allocate N fresh
+// buffers per run. Scratch and pending-line buffers come from the shared
+// block pool in package pipe.
 var readerPool = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(nil, blockSize) },
+	New: func() any { return bufio.NewReaderSize(nil, pipe.BlockSize) },
 }
 
 func getReader(r io.Reader) *bufio.Reader {
@@ -65,7 +34,7 @@ func putReader(br *bufio.Reader) {
 
 // writerPool does the same for output buffers.
 var writerPool = sync.Pool{
-	New: func() any { return bufio.NewWriterSize(io.Discard, blockSize) },
+	New: func() any { return bufio.NewWriterSize(io.Discard, pipe.BlockSize) },
 }
 
 // forEachLine calls fn for every line of r, without the trailing newline.
@@ -75,10 +44,10 @@ var writerPool = sync.Pool{
 // the shared pool when iteration finishes.
 func forEachLine(r io.Reader, fn func(line []byte) error) error {
 	br := getReader(r)
-	pending := getBlock()
+	pending := pipe.GetBlock()
 	defer func() {
 		putReader(br)
-		putBlock(pending)
+		pipe.PutBlock(pending)
 	}()
 	for {
 		chunk, err := br.ReadSlice('\n')

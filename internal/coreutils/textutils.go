@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"jash/internal/pipe"
 )
 
 func init() {
@@ -587,8 +589,8 @@ func wcCmd(c *Context, args []string) int {
 		}
 		fmt.Fprintln(c.Stdout, strings.Join(parts, " "))
 	}
-	buf := getBlock()[:blockSize]
-	defer putBlock(buf)
+	buf := pipe.GetBlock()[:pipe.BlockSize]
+	defer pipe.PutBlock(buf)
 	var total wcCounts
 	for i, r := range rs {
 		n, e := wcTally(r, buf, showW)

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"jash/internal/dfg"
+	"jash/internal/pipe"
 	"jash/internal/spec"
 	"jash/internal/storage"
 )
@@ -35,13 +36,13 @@ import (
 // constants here (the lower layer both import) is what lets `jash -stats`
 // put measured data movement next to predicted data movement.
 const (
-	// PipeBufferBytes is the capacity of one bounded executor pipe (one
-	// dataflow edge). Backpressure engages when a consumer falls this far
-	// behind its producer.
-	PipeBufferBytes = 64 << 10
+	// PipeBufferBytes is the capacity of one bounded pipe — a dataflow
+	// edge or an interpreted `|` — which is one pooled block. Backpressure
+	// engages when a consumer falls this far behind its producer.
+	PipeBufferBytes = pipe.BlockSize
 	// SplitChunkBytes is the block size the streaming splitter forwards:
 	// it reads at most this much before handing complete lines to a lane.
-	SplitChunkBytes = 64 << 10
+	SplitChunkBytes = pipe.BlockSize
 	// SplitLaneFallbackBytes is the per-lane quota the consecutive
 	// splitter uses when the input volume is unknown (terminal stdin):
 	// lanes 0..n-2 receive this much each and the last lane the rest.

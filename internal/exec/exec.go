@@ -39,6 +39,7 @@ import (
 	"jash/internal/cost"
 	"jash/internal/dfg"
 	"jash/internal/exec/faultinject"
+	"jash/internal/pipe"
 	"jash/internal/spec"
 	"jash/internal/trace"
 	"jash/internal/vfs"
@@ -82,14 +83,16 @@ type Env struct {
 
 	// tmpDir is the per-run scratch directory, set by Run.
 	tmpDir string
-	// cancel is closed when the plan is torn down, set by Run; coreutils
-	// contexts observe it to stop compute loops that outlive their pipes.
-	cancel <-chan struct{}
-	// abort tears the plan down with the given error, set by Run. Node
-	// helpers use it for failures that must cancel the whole run (a side
-	// input that cannot be materialized), as opposed to ordinary non-zero
-	// statuses, which never abort.
-	abort func(error)
+	// ctx is the run's teardown signal, set by Run: it is done once the
+	// plan is torn down, with the first error as its cause. Coreutils
+	// contexts carry it to stop compute loops that outlive their pipes.
+	ctx context.Context
+	// abort tears the plan down with the given cause, set by Run (the
+	// node's supervisor interposes on it per attempt). Node helpers use it
+	// for failures that must cancel the whole run (a side input that
+	// cannot be materialized), as opposed to ordinary non-zero statuses,
+	// which never abort.
+	abort context.CancelCauseFunc
 	// laneStrict marks a command running inside a split lane. Lane
 	// utilities must abort the plan on a line-length violation: the lane's
 	// non-zero status is otherwise discarded (only the sink-feeding node's
@@ -101,67 +104,45 @@ type Env struct {
 
 var tmpSeq atomic.Int64
 
-// lockedWriter serializes writes from concurrent node goroutines.
-type lockedWriter struct {
-	mu *sync.Mutex
-	w  io.Writer
-}
-
-func (l *lockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Write(p)
-}
-
 // errPlanTornDown is the error broken pipes deliver once the plan is
 // cancelled: every blocked read and write in the graph fails with it so
 // no goroutine outlives the teardown.
 var errPlanTornDown = errors.New("plan torn down")
 
-// runState is the per-run teardown machinery: the first node error (or an
-// external context cancel) aborts the whole plan, breaking every bounded
-// pipe so blocked nodes unwind promptly instead of deadlocking against
-// goroutines that will never drain them.
+// runState is the per-run teardown machinery: one context whose cause is
+// the first node error (or the caller's cancel or deadline, which ctx
+// inherits), and the pipes to break when it ends, so blocked nodes unwind
+// promptly instead of deadlocking against goroutines that will never
+// drain them.
 type runState struct {
-	mu       sync.Mutex
-	firstErr error
-	aborted  bool
-	done     chan struct{} // closed on abort; coreutils loops observe it
-	pipes    []*boundedPipe
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	pipes  []*pipe.Reader
 }
 
-func newRunState() *runState {
-	return &runState{done: make(chan struct{})}
-}
-
-// abort records the first failure and tears the plan down exactly once.
+// abort tears the plan down with err as the cause; the first cause wins.
+// The pipes are broken before abort returns, so a node that aborts and
+// then closes its outputs cannot hand its consumers a clean EOF.
 func (rs *runState) abort(err error) {
-	rs.mu.Lock()
-	if rs.firstErr == nil && err != nil {
-		rs.firstErr = err
-	}
-	if rs.aborted {
-		rs.mu.Unlock()
-		return
-	}
-	rs.aborted = true
-	rs.mu.Unlock()
-	close(rs.done)
+	rs.cancel(err)
 	for _, p := range rs.pipes {
-		p.breakPipe(errPlanTornDown)
+		p.Break(errPlanTornDown)
 	}
 }
 
-func (rs *runState) isAborted() bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.aborted
-}
+func (rs *runState) isAborted() bool { return rs.ctx.Err() != nil }
 
-func (rs *runState) err() error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.firstErr
+// err is the run's error: the cause of the teardown, nil if none happened.
+func (rs *runState) err() error { return context.Cause(rs.ctx) }
+
+// checkFault consults the fault-injection harness (a nil set injects
+// nothing). Stalled operations block until the plan tears down, so an
+// aborted run always unblocks them.
+func (rs *runState) checkFault(set *faultinject.Set, label string, op faultinject.Op) error {
+	if set == nil {
+		return nil
+	}
+	return set.CheckRelease(label, op, rs.ctx.Done())
 }
 
 // gatedWriter suppresses node diagnostics once the plan is torn down:
@@ -192,7 +173,7 @@ type faultReader struct {
 }
 
 func (f *faultReader) Read(p []byte) (int, error) {
-	if err := f.set.CheckRelease(f.label, faultinject.OpRead, f.sup.rs.done); err != nil {
+	if err := f.sup.rs.checkFault(f.set, f.label, faultinject.OpRead); err != nil {
 		f.sup.noteFault(err)
 		return 0, err
 	}
@@ -208,7 +189,7 @@ type faultWriter struct {
 }
 
 func (f *faultWriter) Write(p []byte) (int, error) {
-	if err := f.set.CheckRelease(f.label, faultinject.OpWrite, f.sup.rs.done); err != nil {
+	if err := f.sup.rs.checkFault(f.set, f.label, faultinject.OpWrite); err != nil {
 		f.sup.noteFault(err)
 		return 0, err
 	}
@@ -346,7 +327,7 @@ func (sup *nodeSup) backoff(attempt int) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
-	case <-sup.rs.done:
+	case <-sup.rs.ctx.Done():
 		return false
 	case <-t.C:
 		return true
@@ -481,23 +462,31 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 	runEnv := *env
 	metrics := env.Metrics
 	runEnv.tmpDir = fmt.Sprintf("/.jash-tmp/run-%d", tmpSeq.Add(1))
-	rs := newRunState()
-	runEnv.cancel = rs.done
+	// One context carries the teardown: a node failure cancels it with
+	// its error as the cause, and the caller's cancel or deadline reaches
+	// it by inheritance (the cause is then the caller's, ctx.Err() unless
+	// the caller set one).
+	rs := &runState{}
+	rs.ctx, rs.cancel = context.WithCancelCause(ctx)
+	defer rs.cancel(nil)
+	runEnv.ctx = rs.ctx
 	runEnv.abort = rs.abort
-	// Stalled (ModeStall) fault operations block until the plan tears
-	// down; pointing the release channel at rs.done guarantees an aborted
-	// run always unblocks them.
-	env.Faults.Bind(rs.done)
+	if env.Faults != nil {
+		// Stalled (ModeStall) fault operations block until the plan tears
+		// down; pointing the release channel at the run's context
+		// guarantees an aborted run always unblocks them.
+		env.Faults.Bind(rs.ctx.Done())
+	}
 	// Node goroutines write Stdout (sink) and Stderr (diagnostics)
 	// concurrently; a caller may pass the same writer for both, so route
 	// them through one lock. Stderr additionally gates on teardown so
 	// collateral failures stay quiet.
 	var outMu sync.Mutex
 	if runEnv.Stdout != nil {
-		runEnv.Stdout = &lockedWriter{mu: &outMu, w: runEnv.Stdout}
+		runEnv.Stdout = &pipe.LockedWriter{Mu: &outMu, W: runEnv.Stdout}
 	}
 	if runEnv.Stderr != nil {
-		runEnv.Stderr = &gatedWriter{rs: rs, w: &lockedWriter{mu: &outMu, w: runEnv.Stderr}}
+		runEnv.Stderr = &gatedWriter{rs: rs, w: &pipe.LockedWriter{Mu: &outMu, W: runEnv.Stderr}}
 	}
 	env = &runEnv
 	defer func() {
@@ -510,34 +499,24 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 	}
 	// Build one bounded pipe per edge and register it for teardown.
 	type pipeEnds struct {
-		r *bpReader
-		w *bpWriter
+		r *pipe.Reader
+		w *pipe.Writer
 	}
 	pipes := map[*dfg.Edge]*pipeEnds{}
 	for _, e := range g.Edges {
-		r, w := newBoundedPipe(cost.PipeBufferBytes)
+		r, w := pipe.New(cost.PipeBufferBytes)
 		pipes[e] = &pipeEnds{r, w}
-		rs.pipes = append(rs.pipes, r.p)
-	}
-	// Traced runs clock every pipe's blocked time; set before any node
-	// goroutine starts so the flag is never written concurrently.
-	if env.Span != nil {
-		for _, p := range rs.pipes {
-			p.timed = true
+		rs.pipes = append(rs.pipes, r)
+		// Traced runs clock every pipe's blocked time.
+		if env.Span != nil {
+			r.EnableTiming()
 		}
 	}
-	// Surface external cancellation as a plan abort. The watcher exits
-	// when the run finishes (watchDone) so it never outlives Run.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			rs.abort(ctx.Err())
-		case <-watchDone:
-		case <-rs.done:
-		}
-	}()
+	// The caller's cancel or deadline ends rs.ctx by inheritance; what is
+	// left is breaking the pipes. (abort is handed the cause because this
+	// callback can run before the cancellation has reached rs.ctx.)
+	stop := context.AfterFunc(ctx, func() { rs.abort(context.Cause(ctx)) })
+	defer stop()
 	counters := map[int]*nodeCounters{}
 	sups := map[int]*nodeSup{}
 	for _, n := range order {
@@ -575,9 +554,7 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 			last, lastMove := progress(), time.Now()
 			for {
 				select {
-				case <-watchDone:
-					return
-				case <-rs.done:
+				case <-rs.ctx.Done(): // torn down, or the run returned
 					return
 				case <-ticker.C:
 					if cur := progress(); cur != last {
@@ -648,14 +625,14 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 					var peak int64
 					var blockedW time.Duration
 					for _, e := range g.Out(n.ID) {
-						p := pipes[e].r.p
-						peak += int64(p.peakBuffered())
-						_, w := p.blockedTimes()
+						p := pipes[e].r
+						peak += int64(p.PeakBuffered())
+						_, w := p.BlockedTimes()
 						blockedW += w
 					}
 					var blockedR time.Duration
 					for _, e := range g.In(n.ID) {
-						r, _ := pipes[e].r.p.blockedTimes()
+						r, _ := pipes[e].r.BlockedTimes()
 						blockedR += r
 					}
 					ns.SetInt("bytes_in", ctr.in.Load())
@@ -724,7 +701,7 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 								src = strings.NewReader("")
 							}
 						} else {
-							if err := env.Faults.CheckRelease(label, faultinject.OpOpen, rs.done); err != nil {
+							if err := rs.checkFault(env.Faults, label, faultinject.OpOpen); err != nil {
 								sup.noteFault(err)
 								return 1
 							}
@@ -748,7 +725,7 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 						}
 						var fileOut io.WriteCloser
 						if n.Path != "" {
-							if err := env.Faults.CheckRelease(label, faultinject.OpOpen, rs.done); err != nil {
+							if err := rs.checkFault(env.Faults, label, faultinject.OpOpen); err != nil {
 								sup.noteFault(err)
 								return 1
 							}
@@ -851,13 +828,13 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 				Retries:  sups[n.ID].retries,
 			}
 			for _, e := range g.Out(n.ID) {
-				p := pipes[e].r.p
-				nm.PeakBufferedBytes += int64(p.peakBuffered())
-				_, w := p.blockedTimes()
+				p := pipes[e].r
+				nm.PeakBufferedBytes += int64(p.PeakBuffered())
+				_, w := p.BlockedTimes()
 				nm.BlockedWrite += w
 			}
 			for _, e := range g.In(n.ID) {
-				r, _ := pipes[e].r.p.blockedTimes()
+				r, _ := pipes[e].r.BlockedTimes()
 				nm.BlockedRead += r
 			}
 			metrics.Nodes = append(metrics.Nodes, nm)
@@ -968,15 +945,15 @@ func splitLaneTarget(g *dfg.Graph, n *dfg.Node, env *Env) int64 {
 // (ownership transfer, no copy) when the writer supports it.
 type splitLane struct {
 	w     io.Writer
-	ow    ownedWriter // non-nil when w accepts block ownership
-	blk   []byte      // pooled accumulation block
+	ow    pipe.OwnedWriter // non-nil when w accepts block ownership
+	blk   []byte           // pooled accumulation block
 	close func()
 	dead  bool
 }
 
 func newSplitLane(w io.Writer, closeLane func()) *splitLane {
-	l := &splitLane{w: w, blk: getPipeBlock(), close: closeLane}
-	if ow, ok := w.(ownedWriter); ok {
+	l := &splitLane{w: w, blk: pipe.GetBlock(), close: closeLane}
+	if ow, ok := w.(pipe.OwnedWriter); ok {
 		l.ow = ow
 	}
 	return l
@@ -1007,7 +984,7 @@ func (l *splitLane) flush() error {
 	}
 	if l.ow != nil {
 		blk := l.blk
-		l.blk = getPipeBlock()
+		l.blk = pipe.GetBlock()
 		_, err := l.ow.WriteOwned(blk)
 		return err
 	}
@@ -1018,7 +995,7 @@ func (l *splitLane) flush() error {
 
 // release returns the lane's accumulation block to the pool.
 func (l *splitLane) release() {
-	putPipeBlock(l.blk)
+	pipe.PutBlock(l.blk)
 	l.blk = nil
 }
 
@@ -1142,7 +1119,7 @@ func runMerge(n *dfg.Node, ins []io.Reader, out io.Writer, env *Env) int {
 			Stdout: out,
 			Stderr: errWriter(env),
 			Getenv: env.Getenv,
-			Cancel: env.cancel,
+			Ctx:    env.ctx,
 		}
 		return coreutils.MergeSortedStreams(ctx, n.Argv, ins)
 	case spec.AggSum:
@@ -1162,7 +1139,7 @@ func sumStreams(ins []io.Reader, out io.Writer, env *Env) int {
 	var sums []int64
 	for _, r := range ins {
 		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 64<<10), 16<<20)
+		sc.Buffer(make([]byte, pipe.BlockSize), 16<<20)
 		for sc.Scan() {
 			for i, f := range strings.Fields(sc.Text()) {
 				v, err := strconv.ParseInt(f, 10, 64)
@@ -1197,7 +1174,8 @@ func sumStreams(ins []io.Reader, out io.Writer, env *Env) int {
 func runTee(in io.Reader, outs []io.Writer) int {
 	dead := make([]bool, len(outs))
 	deadCount := 0
-	buf := make([]byte, 64<<10)
+	buf := pipe.GetBlock()[:pipe.BlockSize]
+	defer pipe.PutBlock(buf)
 	for {
 		nr, err := in.Read(buf)
 		if nr > 0 {
@@ -1236,7 +1214,7 @@ func runAgg(n *dfg.Node, ins []io.Reader, out io.Writer, env *Env) int {
 		var total int64
 		for _, r := range ins {
 			sc := bufio.NewScanner(r)
-			sc.Buffer(make([]byte, 64<<10), 16<<20)
+			sc.Buffer(make([]byte, pipe.BlockSize), 16<<20)
 			for sc.Scan() {
 				total++
 			}
@@ -1250,7 +1228,7 @@ func runAgg(n *dfg.Node, ins []io.Reader, out io.Writer, env *Env) int {
 		seen := map[string]bool{}
 		for _, r := range ins {
 			sc := bufio.NewScanner(r)
-			sc.Buffer(make([]byte, 64<<10), 16<<20)
+			sc.Buffer(make([]byte, pipe.BlockSize), 16<<20)
 			for sc.Scan() {
 				seen[sc.Text()] = true
 			}
@@ -1341,7 +1319,7 @@ func dispatch(argv []string, stdin io.Reader, out io.Writer, env *Env) int {
 		Stdout: out,
 		Stderr: errWriter(env),
 		Getenv: env.Getenv,
-		Cancel: env.cancel,
+		Ctx:    env.ctx,
 	}
 	if env.laneStrict {
 		ctx.Abort = env.abort

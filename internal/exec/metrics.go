@@ -4,6 +4,8 @@ import (
 	"io"
 	"sync/atomic"
 	"time"
+
+	"jash/internal/pipe"
 )
 
 // NodeMetrics are the measured runtime counters of one graph node: the
@@ -127,8 +129,8 @@ func (c *countingReader) WriteTo(w io.Writer) (int64, error) {
 		return n, err
 	}
 	// Fall back to a pooled-block copy loop; io.Copy would allocate.
-	blk := getPipeBlock()[:pipeBlockSize]
-	defer putPipeBlock(blk)
+	blk := pipe.GetBlock()[:pipe.BlockSize]
+	defer pipe.PutBlock(blk)
 	var total int64
 	for {
 		n, err := c.r.Read(blk)
@@ -165,14 +167,14 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // writer when it supports one (a bounded-pipe end), else falls back to a
 // plain write and recycles the block itself.
 func (c *countingWriter) WriteOwned(p []byte) (int, error) {
-	if ow, ok := c.w.(ownedWriter); ok {
+	if ow, ok := c.w.(pipe.OwnedWriter); ok {
 		n, err := ow.WriteOwned(p)
 		c.n.Add(int64(n))
 		return n, err
 	}
 	n, err := c.w.Write(p)
 	c.n.Add(int64(n))
-	putPipeBlock(p)
+	pipe.PutBlock(p)
 	return n, err
 }
 
@@ -184,8 +186,8 @@ func (c *countingWriter) ReadFrom(r io.Reader) (int64, error) {
 		c.n.Add(n)
 		return n, err
 	}
-	blk := getPipeBlock()[:pipeBlockSize]
-	defer putPipeBlock(blk)
+	blk := pipe.GetBlock()[:pipe.BlockSize]
+	defer pipe.PutBlock(blk)
 	var total int64
 	for {
 		n, err := r.Read(blk)

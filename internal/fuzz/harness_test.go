@@ -21,7 +21,7 @@ func plantedOracle(src string, fs *vfs.FS, ctx context.Context,
 	in := interp.New(fs)
 	in.Stdout, in.Stderr = &inner, stderr
 	in.NoCompile = true
-	in.Cancel = ctx.Done()
+	in.Ctx = ctx
 	status, err := in.RunScript(src)
 	stdout.WriteString(strings.ReplaceAll(inner.String(), "unix", "UNIX"))
 	if err != nil {

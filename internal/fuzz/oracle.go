@@ -155,7 +155,7 @@ func runShell(name, src string, fs *vfs.FS, ctx context.Context,
 		in := interp.New(fs)
 		in.Stdout, in.Stderr = stdout, stderr
 		in.NoCompile = name == "walk"
-		in.Cancel = ctx.Done()
+		in.Ctx = ctx
 		if opts.InterpFaults != nil {
 			in.Faults = opts.InterpFaults()
 		}

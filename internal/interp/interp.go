@@ -8,6 +8,7 @@ package interp
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"jash/internal/exec/faultinject"
 	"jash/internal/expand"
 	"jash/internal/pattern"
+	"jash/internal/pipe"
 	"jash/internal/syntax"
 	"jash/internal/trace"
 	"jash/internal/vfs"
@@ -78,11 +80,12 @@ type Interp struct {
 	// consulting the filesystem.
 	Umask uint32
 
-	// Cancel, when non-nil, asks long-running commands to stop: it is
-	// handed to every coreutils invocation (their compute loops poll it),
-	// so an external deadline bounds interpreted pipelines too, not just
+	// Ctx, when non-nil, asks long-running commands to stop once it is
+	// done: it is handed to every coreutils invocation (their compute
+	// loops poll it) and breaks the pipes of interpreted pipelines, so an
+	// external deadline bounds interpreted pipelines too, not just
 	// optimized plans.
-	Cancel <-chan struct{}
+	Ctx context.Context
 
 	// Faults, when non-nil, arms seeded fault injection at the
 	// interpreter's own boundaries — command dispatch and redirection
@@ -155,19 +158,6 @@ func New(fs *vfs.FS) *Interp {
 		PID:    1000,
 		cache:  &progCache{},
 	}
-}
-
-// lockedWriter serializes concurrent pipeline-stage writes to a shared
-// stream.
-type lockedWriter struct {
-	mu *sync.Mutex
-	w  io.Writer
-}
-
-func (l *lockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Write(p)
 }
 
 // control-flow signals, delivered as errors through the evaluator.
@@ -328,7 +318,7 @@ func (in *Interp) subshell() *Interp {
 		// POSIX resets subshell traps to their defaults; the umask carries
 		// over.
 		Traps: map[string]string{}, Umask: in.Umask,
-		Observer: in.Observer, Cancel: in.Cancel, Tracer: in.Tracer,
+		Observer: in.Observer, Ctx: in.Ctx, Tracer: in.Tracer,
 		Faults: in.Faults,
 		// The cache pointer is copied as-is: in compiled mode it is always
 		// non-nil by the time a clone is made (stmt() forces it), and lazy
@@ -474,10 +464,11 @@ func (in *Interp) runPipes(cmds []syntax.Command) {
 	in.runPipeStages(stages)
 }
 
-// runPipeStages wires the stages with in-memory pipes and runs each stage
-// in a subshell goroutine. The pipeline's status is the last stage's
-// status. Stage goroutines share the pipeline's stderr (and the last stage
-// its stdout), so both go through one lock.
+// runPipeStages wires the stages with bounded pipes — the same edge the
+// dataflow executor runs on — and runs each stage in a subshell goroutine.
+// The pipeline's status is the last stage's status. Stage goroutines share
+// the pipeline's stderr (and the last stage its stdout), so both go
+// through one lock.
 func (in *Interp) runPipeStages(stages []func(*Interp)) {
 	n := len(stages)
 	sp := in.Tracer.Start(nil, "interpret:pipeline")
@@ -487,25 +478,40 @@ func (in *Interp) runPipeStages(stages []func(*Interp)) {
 		sp.End()
 	}()
 	var outMu sync.Mutex
-	sharedErr := &lockedWriter{mu: &outMu, w: in.Stderr}
-	sharedOut := &lockedWriter{mu: &outMu, w: in.Stdout}
-	readers := make([]io.Reader, n)
-	writers := make([]io.WriteCloser, n)
-	readers[0] = in.Stdin
-	for i := 0; i < n-1; i++ {
-		pr, pw := io.Pipe()
-		writers[i] = pw
-		readers[i+1] = pr
+	sharedErr := &pipe.LockedWriter{Mu: &outMu, W: in.Stderr}
+	sharedOut := &pipe.LockedWriter{Mu: &outMu, W: in.Stdout}
+	// Edge i carries stage i's stdout to stage i+1's stdin.
+	readers := make([]*pipe.Reader, n-1)
+	writers := make([]*pipe.Writer, n-1)
+	for i := range readers {
+		readers[i], writers[i] = pipe.New(pipe.BlockSize)
+	}
+	if in.Ctx != nil {
+		// A session torn down mid-pipeline breaks every edge, so a stage
+		// parked on a pipe stops as promptly as a polling compute loop.
+		stop := context.AfterFunc(in.Ctx, func() {
+			for _, r := range readers {
+				r.Break(context.Cause(in.Ctx))
+			}
+		})
+		defer stop()
 	}
 	var wg sync.WaitGroup
 	var lastStatus int
+	// A stage that panics with anything but a control-flow signal must not
+	// take the process down from its own goroutine, where no caller's
+	// recover can see it: the first such value is re-raised below.
+	var crashOnce sync.Once
+	var crash any
 	for i, stage := range stages {
 		wg.Add(1)
 		go func(i int, stage func(*Interp)) {
 			defer wg.Done()
 			sub := in.subshell()
-			sub.Stdin = readers[i]
 			sub.Stderr = sharedErr
+			if i > 0 {
+				sub.Stdin = readers[i-1]
+			}
 			if i < n-1 {
 				sub.Stdout = writers[i]
 			} else {
@@ -513,12 +519,13 @@ func (in *Interp) runPipeStages(stages []func(*Interp)) {
 			}
 			defer func() {
 				if r := recover(); r != nil {
-					if sig, ok := r.(exitSignal); ok {
+					switch sig := r.(type) {
+					case exitSignal:
 						sub.Status = sig.status
-					} else if _, ok := r.(fatalError); ok {
+					case fatalError:
 						sub.Status = 2
-					} else {
-						panic(r)
+					default:
+						crashOnce.Do(func() { crash = r })
 					}
 				}
 				if i < n-1 {
@@ -526,9 +533,7 @@ func (in *Interp) runPipeStages(stages []func(*Interp)) {
 				}
 				if i > 0 {
 					// Signal upstream we are done reading.
-					if pr, ok := readers[i].(*io.PipeReader); ok {
-						pr.Close()
-					}
+					readers[i-1].Close()
 				}
 				if i == n-1 {
 					lastStatus = sub.Status
@@ -538,6 +543,9 @@ func (in *Interp) runPipeStages(stages []func(*Interp)) {
 		}(i, stage)
 	}
 	wg.Wait()
+	if crash != nil {
+		panic(crash)
+	}
 	in.Status = lastStatus
 }
 
@@ -845,7 +853,7 @@ func (in *Interp) coreutilsContext() *coreutils.Context {
 		Stderr:  in.Stderr,
 		Getenv:  in.cuGetenv,
 		Environ: in.cuEnviron,
-		Cancel:  in.Cancel,
+		Ctx:     in.Ctx,
 	}
 }
 
@@ -908,12 +916,6 @@ func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
 		in.Stdin, in.Stdout, in.Stderr = savedIn, savedOut, savedErr
 	}
 	x := in.expander()
-	fdWriter := func(fd int) io.Writer {
-		if fd == 2 {
-			return in.Stderr
-		}
-		return in.Stdout
-	}
 	setWriter := func(fd int, w io.Writer) {
 		if fd == 2 {
 			in.Stderr = w
@@ -995,9 +997,13 @@ func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
 				cleanup()
 				return nil, false
 			}
-			_ = fdWriter
 		case syntax.RedirDupIn:
-			target, _ := x.ExpandString(r.Target)
+			target, err := x.ExpandString(r.Target)
+			if err != nil {
+				in.expandFail(err)
+				cleanup()
+				return nil, false
+			}
 			if target == "-" {
 				in.Stdin = strings.NewReader("")
 			}

@@ -383,6 +383,14 @@ func TestNoUnset(t *testing.T) {
 	if !strings.Contains(errs, "MISSING") {
 		t.Errorf("stderr=%q", errs)
 	}
+	// An unset word in a redirection target is the same error whichever
+	// redirection it is, <& included.
+	for _, redir := range []string{"<$MISSING", ">$MISSING", ">&$MISSING", "<&$MISSING"} {
+		out, errs, status := runScript(t, nil, "set -u; echo hi "+redir+"; echo unreachable")
+		if status == 0 || out != "" || !strings.Contains(errs, "MISSING") {
+			t.Errorf("set -u with %s: out=%q status=%d errs=%q", redir, out, status, errs)
+		}
+	}
 	// Defaults still work under -u.
 	wantOut(t, "set -u; echo ${MISSING:-ok}", "ok\n")
 	// Set variables are fine.

@@ -1,0 +1,101 @@
+package interp
+
+import (
+	"bytes"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"jash/internal/pipe"
+	"jash/internal/vfs"
+)
+
+// underBothEvaluators runs the subtest through the closure-compiled path
+// and the tree walker: the pipeline machinery is shared, its callers are
+// not.
+func underBothEvaluators(t *testing.T, fn func(t *testing.T, in *Interp, out *bytes.Buffer)) {
+	for _, noCompile := range []bool{false, true} {
+		t.Run("NoCompile="+strconv.FormatBool(noCompile), func(t *testing.T) {
+			in := New(vfs.New())
+			in.NoCompile = noCompile
+			var out bytes.Buffer
+			in.Stdout = &out
+			fn(t, in, &out)
+		})
+	}
+}
+
+// noStageOutlives fails the test if pipeline-stage goroutines are still
+// around once the pipeline has returned.
+func noStageOutlives(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("goroutine leak: %d before, %d after\n%s", before, after, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// An early-exiting consumer must terminate a producer that has run ahead
+// of it into the pipe's buffer, not just one parked on a rendezvous.
+func TestPipelineEarlyExitStopsTheProducer(t *testing.T) {
+	cases := []struct{ script, want string }{
+		{"yes | head -n1", "y\n"},
+		{"seq 1 1000000 | while read x; do break; done; echo $?", "0\n"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.script, func(t *testing.T) {
+			underBothEvaluators(t, func(t *testing.T, in *Interp, out *bytes.Buffer) {
+				before := runtime.NumGoroutine()
+				if st, err := in.RunScript(tc.script); st != 0 || err != nil {
+					t.Fatalf("status %d, err %v", st, err)
+				}
+				if out.String() != tc.want {
+					t.Fatalf("stdout %q, want %q", out.String(), tc.want)
+				}
+				noStageOutlives(t, before)
+			})
+		})
+	}
+}
+
+// A line longer than the pipe's capacity crosses two edges in pieces and
+// arrives whole.
+func TestPipelineCarriesALineLongerThanThePipe(t *testing.T) {
+	const lineLen = 3*pipe.BlockSize + 17
+	underBothEvaluators(t, func(t *testing.T, in *Interp, out *bytes.Buffer) {
+		in.FS.WriteFile("/long", []byte(strings.Repeat("x", lineLen)+"\n"))
+		if st, err := in.RunScript("cat /long | cat | cat | wc -c"); st != 0 || err != nil {
+			t.Fatalf("status %d, err %v", st, err)
+		}
+		if got := strings.TrimSpace(out.String()); got != strconv.Itoa(lineLen+1) {
+			t.Fatalf("wc -c = %q, want %d", got, lineLen+1)
+		}
+	})
+}
+
+// A stage that panics with something other than a control-flow signal is
+// re-raised where the caller can recover it, after the stage's pipe ends
+// are closed — the infinite producer upstream of it would otherwise park
+// on a full pipe forever.
+func TestPipelineStagePanicReachesTheCaller(t *testing.T) {
+	builtins["testpanic"] = func(*Interp, []string) int { panic("stage blew up") }
+	defer delete(builtins, "testpanic")
+	underBothEvaluators(t, func(t *testing.T, in *Interp, out *bytes.Buffer) {
+		before := runtime.NumGoroutine()
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			in.RunScript("yes | testpanic | cat")
+		}()
+		if got != "stage blew up" {
+			t.Fatalf("recovered %v, want the stage's panic value", got)
+		}
+		noStageOutlives(t, before)
+	})
+}

@@ -1,4 +1,12 @@
-package exec
+// Package pipe is the one stream substrate of the shell: the bounded,
+// backpressured, breakable byte pipe that is every edge of an optimized
+// dataflow plan (package exec) and every `|` of an interpreted pipeline
+// (package interp), together with the pool of 64 KiB blocks those pipes,
+// the executor's split lanes and the coreutils line buffers all draw
+// from. It is a leaf: it imports nothing from this module, so the cost
+// model, the utilities, the interpreter and the executor can all share
+// its one block size.
+package pipe
 
 import (
 	"io"
@@ -6,53 +14,72 @@ import (
 	"time"
 )
 
-// pipeBlockSize is the unit of pooled pipe chunks, matching the
-// coreutils line-buffer block size so blocks hand off across layers
-// without re-slicing.
-const pipeBlockSize = 64 << 10
+// BlockSize is the unit of pooled blocks and the capacity of one pipe
+// (cost.PipeBufferBytes is defined from it): one size backs a pipe chunk,
+// a bufio reader or writer, a pending-line accumulator and a split-lane
+// batch, so blocks hand off across layers without re-slicing.
+const BlockSize = 64 << 10
 
-// pipeBlockPool recycles chunk blocks across all pipes. Ownership rule:
-// a block obtained from getPipeBlock is owned by exactly one party at a
-// time; passing it to WriteOwned transfers ownership to the pipe, which
-// recycles it once the reader consumes it. Only standard-capacity blocks
-// are recycled; foreign or re-sliced blocks fall to the GC.
-var pipeBlockPool = sync.Pool{
+// blockPool recycles blocks across every pipe and utility invocation.
+// Ownership rule: a block obtained from GetBlock is owned by exactly one
+// party at a time; passing it to WriteOwned transfers ownership to the
+// pipe, which recycles it once the reader consumes it; otherwise the
+// owner returns it with PutBlock and must not touch it afterwards. Only
+// standard-capacity blocks are recycled; grown, foreign or re-sliced
+// blocks fall to the GC, so the pool never accumulates oversized buffers.
+var blockPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, 0, pipeBlockSize)
+		b := make([]byte, 0, BlockSize)
 		return &b
 	},
 }
 
-func getPipeBlock() []byte {
-	return (*pipeBlockPool.Get().(*[]byte))[:0]
+// GetBlock takes an empty pooled block of capacity BlockSize.
+func GetBlock() []byte {
+	return (*blockPool.Get().(*[]byte))[:0]
 }
 
-func putPipeBlock(b []byte) {
-	if cap(b) != pipeBlockSize {
+// PutBlock returns a block to the pool. Safe to call with a grown or
+// foreign slice, which is simply dropped.
+func PutBlock(b []byte) {
+	if cap(b) != BlockSize {
 		return
 	}
 	b = b[:0]
-	pipeBlockPool.Put(&b)
+	blockPool.Put(&b)
 }
 
-// ownedWriter is implemented by writers that accept ownership of a
-// pooled block instead of copying it (bpWriter, and countingWriter by
-// delegation).
-type ownedWriter interface {
+// LockedWriter serializes writes from concurrent stage or node goroutines
+// onto a stream they share (a pipeline's stderr, a plan's stdout).
+type LockedWriter struct {
+	Mu *sync.Mutex
+	W  io.Writer
+}
+
+func (l *LockedWriter) Write(p []byte) (int, error) {
+	l.Mu.Lock()
+	defer l.Mu.Unlock()
+	return l.W.Write(p)
+}
+
+// OwnedWriter is implemented by writers that accept ownership of a
+// pooled block instead of copying it (Writer, and the executor's
+// counting wrapper by delegation).
+type OwnedWriter interface {
 	WriteOwned([]byte) (int, error)
 }
 
-// boundedPipe is a fixed-capacity, backpressured byte pipe: the edge
-// primitive of the streaming executor. Unlike io.Pipe it buffers up to
-// its capacity in bytes, so producer and consumer overlap without either
-// side being able to accumulate unbounded data — a writer that outruns
-// its reader blocks once the pipe is full. It tracks the high-water mark
-// of resident bytes for the per-node runtime counters.
+// pipe is a fixed-capacity, backpressured byte pipe: the edge primitive
+// of both the streaming executor and the interpreter. Unlike io.Pipe it
+// buffers up to its capacity in bytes, so producer and consumer overlap
+// without either side being able to accumulate unbounded data — a writer
+// that outruns its reader blocks once the pipe is full. It tracks the
+// high-water mark of resident bytes for the per-node runtime counters.
 //
 // Internally the pipe is a queue of pooled chunks rather than a ring
 // buffer: ordinary writes copy into pooled blocks (coalescing small
 // writes into the tail block), while WriteOwned enqueues a caller-owned
-// block with no copy at all. Chunks recycle to pipeBlockPool as the
+// block with no copy at all. Chunks recycle to blockPool as the
 // reader consumes them. An owned chunk is admitted whole once the pipe
 // has any free space, so residency can transiently exceed the capacity
 // by less than one chunk.
@@ -61,7 +88,7 @@ type ownedWriter interface {
 // the reader after the buffered bytes drain; closing the read end makes
 // every subsequent (or blocked) write fail with io.ErrClosedPipe, which
 // is how early-exiting consumers (head) terminate their upstreams.
-type boundedPipe struct {
+type pipe struct {
 	mu       sync.Mutex
 	cond     sync.Cond
 	chunks   [][]byte // FIFO of chunks; chunks[0][rOff:] is next to read
@@ -74,9 +101,8 @@ type boundedPipe struct {
 	werr error // non-nil once the write end closed (io.EOF = clean)
 	rerr error // non-nil once the read end closed
 
-	// timed enables blocked-time accounting (set once, before the run's
-	// goroutines start, when tracing is on). Untraced pipes skip the
-	// clock reads entirely so the hot path stays unchanged.
+	// timed enables blocked-time accounting (EnableTiming). Untimed pipes
+	// skip the clock reads entirely so the hot path stays unchanged.
 	timed bool
 	waitR time.Duration // reader-side time parked waiting for data
 	waitW time.Duration // writer-side time parked on backpressure
@@ -84,7 +110,7 @@ type boundedPipe struct {
 
 // waitLocked parks on the condition variable, charging the blocked
 // interval to dst when timing is enabled.
-func (p *boundedPipe) waitLocked(dst *time.Duration) {
+func (p *pipe) waitLocked(dst *time.Duration) {
 	if !p.timed {
 		p.cond.Wait()
 		return
@@ -94,26 +120,18 @@ func (p *boundedPipe) waitLocked(dst *time.Duration) {
 	*dst += time.Since(start)
 }
 
-// blockedTimes reports the cumulative reader- and writer-side blocked
-// durations (zero unless timing was enabled).
-func (p *boundedPipe) blockedTimes() (r, w time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.waitR, p.waitW
-}
-
-// newBoundedPipe returns the two ends of a pipe with the given capacity.
-func newBoundedPipe(capacity int) (*bpReader, *bpWriter) {
+// New returns the two ends of a pipe with the given capacity in bytes.
+func New(capacity int) (*Reader, *Writer) {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	p := &boundedPipe{capacity: capacity}
+	p := &pipe{capacity: capacity}
 	p.cond.L = &p.mu
-	return &bpReader{p}, &bpWriter{p}
+	return &Reader{p}, &Writer{p}
 }
 
 // pushLocked appends a chunk the pipe owns, updating residency counters.
-func (p *boundedPipe) pushLocked(blk []byte, own bool) {
+func (p *pipe) pushLocked(blk []byte, own bool) {
 	p.chunks = append(p.chunks, blk)
 	p.tailOwn = own
 	p.n += len(blk)
@@ -123,7 +141,7 @@ func (p *boundedPipe) pushLocked(blk []byte, own bool) {
 }
 
 // popHeadLocked retires the fully-consumed head chunk and recycles it.
-func (p *boundedPipe) popHeadLocked() {
+func (p *pipe) popHeadLocked() {
 	head := p.chunks[0]
 	copy(p.chunks, p.chunks[1:])
 	p.chunks[len(p.chunks)-1] = nil
@@ -133,15 +151,15 @@ func (p *boundedPipe) popHeadLocked() {
 		// The tail is gone; a writer must not extend a recycled block.
 		p.tailOwn = false
 	}
-	putPipeBlock(head)
+	PutBlock(head)
 }
 
 // discardLocked drops all resident chunks (read end hung up or the plan
 // was torn down) and recycles their blocks.
-func (p *boundedPipe) discardLocked() {
+func (p *pipe) discardLocked() {
 	for i, c := range p.chunks {
 		p.chunks[i] = nil
-		putPipeBlock(c)
+		PutBlock(c)
 	}
 	p.chunks = p.chunks[:0]
 	p.rOff = 0
@@ -149,7 +167,7 @@ func (p *boundedPipe) discardLocked() {
 	p.tailOwn = false
 }
 
-func (p *boundedPipe) read(b []byte) (int, error) {
+func (p *pipe) read(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.n == 0 {
@@ -176,7 +194,7 @@ func (p *boundedPipe) read(b []byte) (int, error) {
 	return total, nil
 }
 
-func (p *boundedPipe) write(b []byte) (int, error) {
+func (p *pipe) write(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	total := 0
@@ -215,10 +233,10 @@ func (p *boundedPipe) write(b []byte) (int, error) {
 				continue
 			}
 		}
-		if want > pipeBlockSize {
-			want = pipeBlockSize
+		if want > BlockSize {
+			want = BlockSize
 		}
-		blk := getPipeBlock()[:want]
+		blk := GetBlock()[:want]
 		copy(blk, b[total:total+want])
 		p.pushLocked(blk, true)
 		total += want
@@ -229,20 +247,20 @@ func (p *boundedPipe) write(b []byte) (int, error) {
 
 // writeOwned enqueues b without copying; ownership of b transfers to the
 // pipe. Standard-size blocks recycle once consumed (or on failure).
-func (p *boundedPipe) writeOwned(b []byte) (int, error) {
+func (p *pipe) writeOwned(b []byte) (int, error) {
 	if len(b) == 0 {
-		putPipeBlock(b)
+		PutBlock(b)
 		return 0, nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		if p.rerr != nil {
-			putPipeBlock(b)
+			PutBlock(b)
 			return 0, p.rerr
 		}
 		if p.werr != nil {
-			putPipeBlock(b)
+			PutBlock(b)
 			return 0, io.ErrClosedPipe
 		}
 		if p.n < p.capacity {
@@ -258,7 +276,7 @@ func (p *boundedPipe) writeOwned(b []byte) (int, error) {
 // takeChunk pops the head chunk whole, transferring ownership to the
 // caller: data is the unread portion, base the underlying block to
 // recycle after use. Blocks until data is available or the pipe ends.
-func (p *boundedPipe) takeChunk() (data, base []byte, err error) {
+func (p *pipe) takeChunk() (data, base []byte, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.n == 0 {
@@ -287,7 +305,7 @@ func (p *boundedPipe) takeChunk() (data, base []byte, err error) {
 // handoffTo moves chunks from src to dst with no byte copying: the
 // zero-copy fast path for pipe-to-pipe edges (io.Copy between two
 // bounded-pipe ends resolves here via WriteTo/ReadFrom).
-func (src *boundedPipe) handoffTo(dst *boundedPipe) (int64, error) {
+func (src *pipe) handoffTo(dst *pipe) (int64, error) {
 	var total int64
 	for {
 		data, base, err := src.takeChunk()
@@ -311,7 +329,7 @@ func (src *boundedPipe) handoffTo(dst *boundedPipe) (int64, error) {
 	}
 }
 
-func (p *boundedPipe) closeWrite(err error) {
+func (p *pipe) closeWrite(err error) {
 	if err == nil {
 		err = io.EOF
 	}
@@ -323,7 +341,7 @@ func (p *boundedPipe) closeWrite(err error) {
 	p.mu.Unlock()
 }
 
-func (p *boundedPipe) closeRead() {
+func (p *pipe) closeRead() {
 	p.mu.Lock()
 	if p.rerr == nil {
 		p.rerr = io.ErrClosedPipe
@@ -335,12 +353,13 @@ func (p *boundedPipe) closeRead() {
 	p.mu.Unlock()
 }
 
-// breakPipe tears the pipe down for plan-wide cancellation: both ends
+// Break tears the pipe down for plan-wide cancellation: both ends
 // observe err immediately — blocked readers wake with err instead of
 // draining, blocked writers fail, and resident bytes are discarded so no
-// node keeps processing data the plan has abandoned. Ends that already
+// stage keeps processing data the plan has abandoned. Ends that already
 // closed keep their original error.
-func (p *boundedPipe) breakPipe(err error) {
+func (r *Reader) Break(err error) {
+	p := r.p
 	if err == nil {
 		err = io.ErrClosedPipe
 	}
@@ -358,23 +377,37 @@ func (p *boundedPipe) breakPipe(err error) {
 	p.mu.Unlock()
 }
 
-// peakBuffered reports the pipe's high-water mark of resident bytes.
-func (p *boundedPipe) peakBuffered() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peak
+// Reader is the read end of a bounded pipe. It also carries the
+// whole-pipe operations (Break, the counters): a pipe has exactly one
+// Reader, so whoever built the pipe addresses it through that end.
+type Reader struct{ p *pipe }
+
+// PeakBuffered reports the pipe's high-water mark of resident bytes.
+func (r *Reader) PeakBuffered() int {
+	r.p.mu.Lock()
+	defer r.p.mu.Unlock()
+	return r.p.peak
 }
 
-// bpReader is the read end of a bounded pipe.
-type bpReader struct{ p *boundedPipe }
+// EnableTiming turns on blocked-time accounting. Call it before any
+// goroutine uses the pipe.
+func (r *Reader) EnableTiming() { r.p.timed = true }
 
-func (r *bpReader) Read(b []byte) (int, error) { return r.p.read(b) }
+// BlockedTimes reports the cumulative reader- and writer-side blocked
+// durations (zero unless EnableTiming was called).
+func (r *Reader) BlockedTimes() (rd, wr time.Duration) {
+	r.p.mu.Lock()
+	defer r.p.mu.Unlock()
+	return r.p.waitR, r.p.waitW
+}
+
+func (r *Reader) Read(b []byte) (int, error) { return r.p.read(b) }
 
 // WriteTo drains the pipe into w chunk-by-chunk without an intermediate
 // copy buffer. When w is the write end of another bounded pipe the
 // chunks hand off wholesale (zero copies).
-func (r *bpReader) WriteTo(w io.Writer) (int64, error) {
-	if bw, ok := w.(*bpWriter); ok {
+func (r *Reader) WriteTo(w io.Writer) (int64, error) {
+	if bw, ok := w.(*Writer); ok {
 		return r.p.handoffTo(bw.p)
 	}
 	var total int64
@@ -387,7 +420,7 @@ func (r *bpReader) WriteTo(w io.Writer) (int64, error) {
 			return total, err
 		}
 		n, werr := w.Write(data)
-		putPipeBlock(base)
+		PutBlock(base)
 		total += int64(n)
 		if werr != nil {
 			return total, werr
@@ -396,36 +429,36 @@ func (r *bpReader) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Close hangs up the read end; blocked and future writes fail.
-func (r *bpReader) Close() error { r.p.closeRead(); return nil }
+func (r *Reader) Close() error { r.p.closeRead(); return nil }
 
-// bpWriter is the write end of a bounded pipe.
-type bpWriter struct{ p *boundedPipe }
+// Writer is the write end of a bounded pipe.
+type Writer struct{ p *pipe }
 
-func (w *bpWriter) Write(b []byte) (int, error) { return w.p.write(b) }
+func (w *Writer) Write(b []byte) (int, error) { return w.p.write(b) }
 
 // WriteOwned enqueues b without copying; ownership of b transfers to the
 // pipe (the caller must not touch it afterwards). Intended for pooled
 // blocks filled by the producer; standard-size blocks recycle once the
 // reader consumes them.
-func (w *bpWriter) WriteOwned(b []byte) (int, error) { return w.p.writeOwned(b) }
+func (w *Writer) WriteOwned(b []byte) (int, error) { return w.p.writeOwned(b) }
 
 // ReadFrom fills pooled blocks straight from r and hands them to the
 // pipe, avoiding the copy an io.Copy fallback loop would make. A
 // bounded-pipe source short-circuits to wholesale chunk handoff.
-func (w *bpWriter) ReadFrom(r io.Reader) (int64, error) {
-	if br, ok := r.(*bpReader); ok {
+func (w *Writer) ReadFrom(r io.Reader) (int64, error) {
+	if br, ok := r.(*Reader); ok {
 		return br.p.handoffTo(w.p)
 	}
 	var total int64
 	for {
-		blk := getPipeBlock()[:pipeBlockSize]
+		blk := GetBlock()[:BlockSize]
 		n, err := r.Read(blk)
 		if n > 0 {
 			// Tiny reads would waste a whole pooled block each; copy
 			// them through the coalescing path instead.
-			if n < pipeBlockSize/8 {
+			if n < BlockSize/8 {
 				_, werr := w.p.write(blk[:n])
-				putPipeBlock(blk)
+				PutBlock(blk)
 				if werr != nil {
 					return total, werr
 				}
@@ -434,7 +467,7 @@ func (w *bpWriter) ReadFrom(r io.Reader) (int64, error) {
 			}
 			total += int64(n)
 		} else {
-			putPipeBlock(blk)
+			PutBlock(blk)
 		}
 		if err == io.EOF {
 			return total, nil
@@ -446,7 +479,7 @@ func (w *bpWriter) ReadFrom(r io.Reader) (int64, error) {
 }
 
 // Close marks the stream complete; the reader sees EOF after draining.
-func (w *bpWriter) Close() error { w.p.closeWrite(nil); return nil }
+func (w *Writer) Close() error { w.p.closeWrite(nil); return nil }
 
 // CloseWithError marks the stream failed with err.
-func (w *bpWriter) CloseWithError(err error) error { w.p.closeWrite(err); return nil }
+func (w *Writer) CloseWithError(err error) error { w.p.closeWrite(err); return nil }
