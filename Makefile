@@ -25,10 +25,12 @@ race:
 # The fault suite: injected failures, panics, stalls, and cancellations
 # at every plan position must tear down cleanly, heal via supervised
 # retries where safe, and fall back byte-identically; the seeded chaos
-# sweep runs the whole self-healing stack differentially.
+# sweep runs the whole self-healing stack differentially. The Argv
+# differentials ride along so the parallel lanes they force run under the
+# race detector.
 fault: fuzz-smoke
 	$(GO) test -race -count=2 \
-		-run 'Fault|Panic|Cancel|Timeout|Fallback|Hangup|FailingLane|Chaos|Retry|Stall|Journal|Quarantine|Trap|Degrad|Trace' \
+		-run 'Fault|Panic|Cancel|Timeout|Fallback|Hangup|FailingLane|Chaos|Retry|Stall|Journal|Quarantine|Trap|Degrad|Trace|Argv' \
 		./internal/exec/... ./internal/core/... ./internal/cluster/...
 
 # fuzz-smoke is the deterministic differential gate (~30s): a fixed seed

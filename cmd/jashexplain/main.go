@@ -84,17 +84,11 @@ func run() int {
 			} else {
 				fmt.Printf("  unknown command: no specification; the optimizer must assume arbitrary behaviour (B1)\n")
 			}
-			for _, f := range fields[1:] {
-				if !strings.HasPrefix(f, "-") || f == "-" || f == "--" {
-					break
-				}
-				for i := 1; i < len(f); i++ {
-					flag := "-" + string(f[i])
+			if cl, err := e.Scan(fields); err == nil {
+				for _, f := range cl.Flags {
+					flag := "-" + string(f.Letter)
 					if doc, ok := e.FlagDocs[flag]; ok {
 						fmt.Printf("    %s  %s\n", flag, doc)
-					}
-					if strings.IndexByte(e.ValueFlags, f[i]) >= 0 {
-						break
 					}
 				}
 			}

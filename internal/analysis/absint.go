@@ -9,6 +9,7 @@
 package analysis
 
 import (
+	"sort"
 	"strings"
 
 	"jash/internal/syntax"
@@ -61,13 +62,25 @@ func AssignedNames(st *syntax.Stmt) map[string]bool {
 // interpBuiltins are the names the interpreter dispatches as special
 // builtins before consulting the function table: a function with one of
 // these names never runs, so value flow must not treat a call to it as a
-// function call. (Mirrors interp's builtin registry.)
+// function call. It mirrors interp's builtin registry, which this package
+// does not import; core's TestAnalysisKnowsEveryInterpreterBuiltin holds
+// the two equal.
 var interpBuiltins = map[string]bool{
 	":": true, "cd": true, "pwd": true, "export": true, "readonly": true,
 	"unset": true, "set": true, "shift": true, "exit": true, "return": true,
 	"break": true, "continue": true, "eval": true, "read": true, "type": true,
 	"wait": true, "umask": true, "trap": true, "getopts": true, "exec": true,
 	"local": true,
+}
+
+// InterpBuiltins lists interpBuiltins, sorted.
+func InterpBuiltins() []string {
+	names := make([]string, 0, len(interpBuiltins))
+	for n := range interpBuiltins {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 type vwalker struct {

@@ -239,105 +239,71 @@ func (s *Summary) String() string {
 }
 
 // mutators maps commands with filesystem write effects that the spec
-// library's dataflow classes don't localize: which argv positions they
-// mutate and how. Commands absent from both this table and the spec
-// library get the conservative ⊤ read+write.
-var mutators = map[string]func(s *Summary, args []string){
-	"tee": func(s *Summary, args []string) {
+// library's dataflow classes don't localize: which operands they mutate
+// and how, given the command line as the one scanner (spec.Parse) cuts
+// it. Commands absent from both this table and the spec library get the
+// conservative ⊤ read+write.
+var mutators = map[string]func(s *Summary, cl *spec.Parsed){
+	"tee": func(s *Summary, cl *spec.Parsed) {
 		op := OpWrite | OpCreate
-		if hasFlag(args[1:], "-a") {
+		if cl.Has('a') {
 			// Appending depends on the file's prior contents.
 			op |= OpStateful
 		}
 		s.ReadsStdin, s.WritesStdout = true, true
-		for _, a := range operandsOf(args[1:], "") {
-			s.Touch(a, op)
-		}
+		touchAll(s, cl.Operands, op)
 	},
-	"rm": func(s *Summary, args []string) {
-		for _, a := range operandsOf(args[1:], "") {
-			s.Touch(a, OpRemove)
-		}
-	},
-	"rmdir": func(s *Summary, args []string) {
-		for _, a := range operandsOf(args[1:], "") {
-			s.Touch(a, OpRemove)
-		}
-	},
-	"mkdir": func(s *Summary, args []string) {
+	"rm":    func(s *Summary, cl *spec.Parsed) { touchAll(s, cl.Operands, OpRemove) },
+	"rmdir": func(s *Summary, cl *spec.Parsed) { touchAll(s, cl.Operands, OpRemove) },
+	"mkdir": func(s *Summary, cl *spec.Parsed) {
 		op := OpCreate
-		if !hasFlag(args[1:], "-p") {
+		if !cl.Has('p') {
 			// Without -p the command fails when the directory already
 			// exists, so a retry after partial success does not converge.
 			op |= OpStateful
 		}
-		for _, a := range operandsOf(args[1:], "") {
-			s.Touch(a, op)
-		}
+		touchAll(s, cl.Operands, op)
 	},
-	"touch": func(s *Summary, args []string) {
-		for _, a := range operandsOf(args[1:], "") {
-			s.Touch(a, OpCreate|OpWrite)
-		}
+	"touch": func(s *Summary, cl *spec.Parsed) { touchAll(s, cl.Operands, OpCreate|OpWrite) },
+	"mv": func(s *Summary, cl *spec.Parsed) {
+		touchSourcesAndTarget(s, cl.Operands, OpRead|OpRemove, OpWrite|OpCreate)
 	},
-	"mv": func(s *Summary, args []string) {
-		ops := operandsOf(args[1:], "")
-		for i, a := range ops {
-			if i == len(ops)-1 && len(ops) > 1 {
-				s.Touch(a, OpWrite|OpCreate)
-			} else {
-				s.Touch(a, OpRead|OpRemove)
-			}
-		}
-	},
-	"cp": func(s *Summary, args []string) {
-		ops := operandsOf(args[1:], "")
-		for i, a := range ops {
-			if i == len(ops)-1 && len(ops) > 1 {
-				s.Touch(a, OpWrite|OpCreate)
-			} else {
-				s.Touch(a, OpRead)
-			}
-		}
-	},
-	"xargs": func(s *Summary, args []string) {
+	"cp": func(s *Summary, cl *spec.Parsed) { touchSourcesAndTarget(s, cl.Operands, OpRead, OpWrite|OpCreate) },
+	"xargs": func(s *Summary, cl *spec.Parsed) {
 		// Builds and runs arbitrary command lines: ⊤.
 		s.ReadsStdin = true
 		s.Unknown |= OpRead | OpWrite | OpCreate | OpRemove
 	},
-	"eval": func(s *Summary, args []string) {
+	"eval": func(s *Summary, cl *spec.Parsed) {
 		s.Unknown |= OpRead | OpWrite | OpCreate | OpRemove
 	},
-	"ln": func(s *Summary, args []string) {
+	"ln": func(s *Summary, cl *spec.Parsed) {
 		op := OpCreate
-		if hasFlag(args[1:], "-f") {
+		if cl.Has('f') {
 			op |= OpWrite
 		} else {
 			// Without -f, ln fails when the target exists: a retry after
 			// a partially-successful run does not converge.
 			op |= OpStateful
 		}
-		ops := operandsOf(args[1:], "")
-		for i, a := range ops {
-			if i == len(ops)-1 && len(ops) > 1 {
-				s.Touch(a, op)
-			} else if !hasFlag(args[1:], "-s") {
-				// Hard links pin the source inode; symlinks only name it.
-				s.Touch(a, OpRead)
-			}
+		var src Op
+		if !cl.Has('s') {
+			// Hard links pin the source inode; symlinks only name it.
+			src = OpRead
 		}
+		touchSourcesAndTarget(s, cl.Operands, src, op)
 	},
-	"dd": func(s *Summary, args []string) {
+	"dd": func(s *Summary, cl *spec.Parsed) {
 		wrote := false
 		op := OpWrite | OpCreate
-		for _, a := range args[1:] {
+		for _, a := range cl.Operands {
 			if strings.HasPrefix(a, "seek=") || strings.HasPrefix(a, "oflag=append") ||
 				a == "conv=notrunc" {
 				// Writing at an offset or appending preserves prior bytes.
 				op |= OpStateful
 			}
 		}
-		for _, a := range args[1:] {
+		for _, a := range cl.Operands {
 			switch {
 			case strings.HasPrefix(a, "if="):
 				if f := a[len("if="):]; f != "" {
@@ -353,46 +319,34 @@ var mutators = map[string]func(s *Summary, args []string){
 		if !wrote {
 			s.WritesStdout = true
 		}
-		if !hasKVArg(args[1:], "if=") {
+		if !hasKVArg(cl.Operands, "if=") {
 			s.ReadsStdin = true
 		}
 	},
-	"truncate": func(s *Summary, args []string) {
+	"truncate": func(s *Summary, cl *spec.Parsed) {
 		op := OpWrite
-		if !hasFlag(args[1:], "-c") {
+		if !cl.Has('c') {
 			op |= OpCreate
 		}
-		if sz := flagValue(args[1:], "-s"); sz != "" && strings.ContainsAny(sz[:1], "+-%<>/") {
+		if sz, _ := cl.Value('s'); sz != "" && strings.ContainsAny(sz[:1], "+-%<>/") {
 			// Relative sizes (-s +1K, -s -512, -s %4) depend on the
 			// file's current length.
 			op |= OpStateful
 		}
-		for _, a := range operandsOf(args[1:], "s") {
-			s.Touch(a, op)
-		}
+		touchAll(s, cl.Operands, op)
 	},
-	"install": func(s *Summary, args []string) {
-		ops := operandsOf(args[1:], "mog")
-		if hasFlag(args[1:], "-d") {
+	"install": func(s *Summary, cl *spec.Parsed) {
+		if cl.Has('d') {
 			// install -d: every operand is a directory to create.
-			for _, a := range ops {
-				s.Touch(a, OpCreate)
-			}
+			touchAll(s, cl.Operands, OpCreate)
 			return
 		}
-		for i, a := range ops {
-			if i == len(ops)-1 && len(ops) > 1 {
-				s.Touch(a, OpWrite|OpCreate)
-			} else {
-				s.Touch(a, OpRead)
-			}
-		}
+		touchSourcesAndTarget(s, cl.Operands, OpRead, OpWrite|OpCreate)
 	},
-	"split": func(s *Summary, args []string) {
+	"split": func(s *Summary, cl *spec.Parsed) {
 		// Output chunk names (xaa, xab, ...) depend on the input size,
 		// so the writes stay ⊤ even though the read side is precise.
-		ops := operandsOf(args[1:], "bl")
-		if len(ops) > 0 && ops[0] != "-" {
+		if ops := cl.Operands; len(ops) > 0 && ops[0] != "-" {
 			s.Touch(ops[0], OpRead)
 		} else {
 			s.ReadsStdin = true
@@ -401,38 +355,37 @@ var mutators = map[string]func(s *Summary, args []string){
 	},
 }
 
-// hasFlag reports whether a short flag appears before "--", either alone
-// or folded into a flag cluster (`-sf` contains -s and -f).
-func hasFlag(args []string, flag string) bool {
-	for _, a := range args {
-		if a == "--" {
-			return false
-		}
-		if a == flag {
-			return true
-		}
-		if len(flag) == 2 && strings.HasPrefix(a, "-") && !strings.HasPrefix(a, "--") &&
-			strings.IndexByte(a[1:], flag[1]) >= 0 {
-			return true
-		}
+func touchAll(s *Summary, paths []string, op Op) {
+	for _, p := range paths {
+		s.Touch(p, op)
 	}
-	return false
 }
 
-// flagValue returns the value of a `-s value` or `-svalue` style flag.
-func flagValue(args []string, flag string) string {
-	for i, a := range args {
-		if a == "--" {
-			return ""
+// touchSourcesAndTarget applies target to the last of two or more
+// operands and source to the rest (cp, mv, ln, install). A zero op
+// touches nothing.
+func touchSourcesAndTarget(s *Summary, ops []string, source, target Op) {
+	for i, a := range ops {
+		op := source
+		if i == len(ops)-1 && len(ops) > 1 {
+			op = target
 		}
-		if a == flag && i+1 < len(args) {
-			return args[i+1]
-		}
-		if strings.HasPrefix(a, flag) && len(a) > len(flag) {
-			return a[len(flag):]
+		if op != 0 {
+			s.Touch(a, op)
 		}
 	}
-	return ""
+}
+
+// applyMutator runs a mutator over args as the scanner cuts them. An argv
+// the scanner rejects is one the utility rejects too, but which one cannot
+// be told from here: ⊤.
+func applyMutator(s *Summary, m func(*Summary, *spec.Parsed), args []string) {
+	cl, err := spec.Parse(args)
+	if err != nil {
+		s.Unknown |= OpRead | OpWrite | OpCreate | OpRemove
+		return
+	}
+	m(s, &cl)
 }
 
 // hasKVArg reports whether any argument starts with the given key= prefix.
@@ -443,18 +396,6 @@ func hasKVArg(args []string, prefix string) bool {
 		}
 	}
 	return false
-}
-
-// sort -o FILE writes FILE; handled separately because sort is otherwise
-// a pure spec-library command.
-func sortOutputFlag(s *Summary, args []string) {
-	for i := 1; i < len(args); i++ {
-		if args[i] == "-o" && i+1 < len(args) {
-			s.Touch(args[i+1], OpWrite|OpCreate)
-		} else if strings.HasPrefix(args[i], "-o") && len(args[i]) > 2 {
-			s.Touch(args[i][2:], OpWrite|OpCreate)
-		}
-	}
 }
 
 // pureBuiltins are shell builtins and utilities with no filesystem
@@ -470,31 +411,6 @@ var pureBuiltins = map[string]bool{
 	"sleep": true, "env": true, "type": true,
 }
 
-// operandsOf extracts non-flag operands (shared with spec's scanner
-// shape, duplicated here to keep the dependency one-way).
-func operandsOf(args []string, valueFlags string) []string {
-	var ops []string
-	seenDashDash := false
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case seenDashDash:
-			ops = append(ops, a)
-		case a == "--":
-			seenDashDash = true
-		case a == "-":
-			ops = append(ops, a)
-		case strings.HasPrefix(a, "-") && len(a) > 1:
-			if last := a[len(a)-1]; strings.IndexByte(valueFlags, last) >= 0 {
-				i++
-			}
-		default:
-			ops = append(ops, a)
-		}
-	}
-	return ops
-}
-
 // SummarizeArgv computes the effect summary of a fully-expanded command
 // invocation resolved against the spec library. This is the runtime-side
 // entry point (core preflight, rewrite replication guard): every word is
@@ -507,14 +423,16 @@ func SummarizeArgv(lib *spec.Library, args []string) *Summary {
 	}
 	name := args[0]
 	if m, ok := mutators[name]; ok {
-		m(s, args)
+		applyMutator(s, m, args)
 		return s
-	}
-	if name == "sort" {
-		sortOutputFlag(s, args)
 	}
 	if cs, ok := lib.Lookup(name); ok {
 		e := lib.Resolve(args)
+		if name == "sort" {
+			if out, ok := e.Parsed.Value('o'); ok {
+				s.Touch(out, OpWrite|OpCreate)
+			}
+		}
 		for _, f := range e.InputFiles {
 			if f == "-" {
 				s.ReadsStdin = true

@@ -198,10 +198,7 @@ func ReplicationHazard(e *spec.Effective) error {
 	}
 	s := NewSummary()
 	if m, ok := mutators[e.Name]; ok {
-		m(s, e.Args)
-	}
-	if e.Name == "sort" {
-		sortOutputFlag(s, e.Args)
+		applyMutator(s, m, e.Args)
 	}
 	if e.Class == spec.SideEffectful && !e.Generator && e.Name != "tee" {
 		s.Unknown |= OpWrite | OpCreate | OpRemove

@@ -203,13 +203,17 @@ func (c *Cluster) RunCentral(job Job) (Report, error) {
 }
 
 // splitJob partitions the stages into the distributable prefix (stateless
-// stages plus at most one trailing Parallelizable stage) and the suffix
-// that must run centrally, with the aggregation discipline between them.
+// stages plus at most one trailing Parallelizable stage, none naming a
+// file of its own) and the suffix that must run centrally, with the
+// aggregation discipline between them.
 func (c *Cluster) splitJob(stages [][]string) (prefix, suffix [][]string, agg spec.AggKind, mergeArgv []string) {
 	agg = spec.AggConcat
 	i := 0
 	for ; i < len(stages); i++ {
 		e := c.Lib.Resolve(stages[i])
+		if readsNamedFile(e) {
+			break // every node would read the file again: run it once, centrally
+		}
 		if e.Class == spec.Stateless {
 			prefix = append(prefix, stages[i])
 			continue
@@ -226,6 +230,17 @@ func (c *Cluster) splitJob(stages [][]string) (prefix, suffix [][]string, agg sp
 	}
 	suffix = stages[i:]
 	return prefix, suffix, agg, mergeArgv
+}
+
+// readsNamedFile reports whether a stage has a file operand of its own
+// besides the stream ("-").
+func readsNamedFile(e *spec.Effective) bool {
+	for _, f := range e.InputFiles {
+		if f != "-" {
+			return true
+		}
+	}
+	return false
 }
 
 // RunPlacement runs the splittable prefix on the data's home nodes and
@@ -413,7 +428,7 @@ func (c *Cluster) mergeGraph(partials []string, agg spec.AggKind, mergeArgv []st
 	prev := merge
 	for _, argv := range suffix {
 		e := c.Lib.Resolve(argv)
-		node := g.AddNode(&dfg.Node{Kind: dfg.KindCommand, Argv: stripInputs(argv, e, g), Spec: e})
+		node := g.AddNode(&dfg.Node{Kind: dfg.KindCommand, Argv: e.ArgvWithoutInputs(), Spec: e})
 		// Side inputs (e.g. comm's dictionary) become extra sources.
 		port := 0
 		usedUpstream := false
@@ -442,27 +457,6 @@ func (c *Cluster) mergeGraph(partials []string, agg spec.AggKind, mergeArgv []st
 		return nil, err
 	}
 	return g, nil
-}
-
-// stripInputs removes file operands from a suffix argv (mirrors the dfg
-// translator's normalization).
-func stripInputs(argv []string, e *spec.Effective, _ *dfg.Graph) []string {
-	if len(e.InputFiles) == 0 {
-		return append([]string(nil), argv...)
-	}
-	remaining := map[string]int{}
-	for _, f := range e.InputFiles {
-		remaining[f]++
-	}
-	out := []string{argv[0]}
-	for _, a := range argv[1:] {
-		if remaining[a] > 0 && (a == "-" || !strings.HasPrefix(a, "-")) {
-			remaining[a]--
-			continue
-		}
-		out = append(out, a)
-	}
-	return out
 }
 
 func (c *Cluster) execEnv(n *Node, out io.Writer) *exec.Env {

@@ -135,6 +135,38 @@ func TestDistributedSpell(t *testing.T) {
 	}
 }
 
+// TestArgvSuffixPatternNamedLikeAFile: a central suffix stage whose
+// pattern operand equals one of its file operands. Inputs are stripped by
+// argv position, so the pattern stays and both "-" (the merged stream)
+// and the coordinator's file are read, in operand order.
+func TestArgvSuffixPatternNamedLikeAFile(t *testing.T) {
+	run := func(placement bool) string {
+		c := testCluster(2)
+		c.Place("coord", "/shell", []byte("a shell of its own\nnot this line\n"))
+		c.Place("node1", "/d1", []byte("the shell\npipeline\n"))
+		c.Place("node2", "/d2", []byte("a seashell\ndata\n"))
+		job := Job{
+			Stages: [][]string{{"tr", "A-Z", "a-z"}, {"grep", "shell", "-", "shell"}},
+			Inputs: []Input{{"node1", "/d1"}, {"node2", "/d2"}},
+		}
+		rep, err := c.RunCentral(job)
+		if placement {
+			rep, err = c.RunPlacement(job)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(rep.Output)
+	}
+	const want = "the shell\na seashell\na shell of its own\n"
+	if got := run(true); got != want {
+		t.Errorf("placement output %q, want %q", got, want)
+	}
+	if got := run(false); got != want {
+		t.Errorf("central output %q, want %q", got, want)
+	}
+}
+
 func TestDegenerateJobFallsBackToCentral(t *testing.T) {
 	c := testCluster(2)
 	c.Place("node1", "/f", []byte("3\n1\n2\n"))

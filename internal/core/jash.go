@@ -167,17 +167,13 @@ type Shell struct {
 	// StallTimeout arms the executor's stall watchdog
 	// (`jash -stall-timeout`); zero disables it.
 	StallTimeout time.Duration
-	// BreakerThreshold and BreakerDecay configure the JIT circuit
-	// breaker: a pipeline that fails BreakerThreshold times is quarantined
-	// (interpreted directly) until BreakerDecay has passed, after which
-	// one half-open probe may re-admit it. Zero values take the cost
-	// package defaults.
-	BreakerThreshold int
-	BreakerDecay     time.Duration
 	// NoListParallel disables command-list parallelism (`jash
 	// -no-list-parallel`): every statement list runs in program order.
 	NoListParallel bool
-	// breakers is the per-region failure ledger, keyed by pipeline text.
+	// breakers is the JIT circuit breaker's per-region failure ledger,
+	// keyed by pipeline text: a pipeline that fails cost.BreakerThreshold
+	// times is quarantined (interpreted directly) until cost.BreakerDecay
+	// has passed, after which one half-open probe may re-admit it.
 	breakers map[string]*breakerState
 	// now is the breaker's clock; tests override it to step time.
 	now func() time.Time
@@ -203,17 +199,6 @@ type breakerState struct {
 	openUntil time.Time
 }
 
-func (s *Shell) breakerLimits() (int, time.Duration) {
-	k, decay := s.BreakerThreshold, s.BreakerDecay
-	if k <= 0 {
-		k = cost.BreakerThreshold
-	}
-	if decay <= 0 {
-		decay = cost.BreakerDecay
-	}
-	return k, decay
-}
-
 func (s *Shell) clock() time.Time {
 	if s.now != nil {
 		return s.now()
@@ -226,8 +211,7 @@ func (s *Shell) clock() time.Time {
 // half-open probe through: success closes it, failure re-opens it.
 func (s *Shell) quarantined(region string) bool {
 	b := s.breakers[region]
-	k, _ := s.breakerLimits()
-	if b == nil || b.failures < k {
+	if b == nil || b.failures < cost.BreakerThreshold {
 		return false
 	}
 	return s.clock().Before(b.openUntil)
@@ -245,8 +229,8 @@ func (s *Shell) breakerFailure(region string) {
 		s.breakers[region] = b
 	}
 	b.failures++
-	if k, decay := s.breakerLimits(); b.failures >= k {
-		b.openUntil = s.clock().Add(decay)
+	if b.failures >= cost.BreakerThreshold {
+		b.openUntil = s.clock().Add(cost.BreakerDecay)
 	}
 }
 
@@ -434,12 +418,11 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	// half-open probe.
 	s.mu.Lock()
 	if s.quarantined(text) {
-		_, decay := s.breakerLimits()
 		failures := s.breakers[text].failures
 		s.Stats.Interpreted++
 		s.Stats.Quarantined++
 		s.recordLocked(Decision{Pipeline: text, Strategy: "quarantine",
-			Reason: fmt.Sprintf("region failed %d times; interpreting (half-open probe after %v)", failures, decay)})
+			Reason: fmt.Sprintf("region failed %d times; interpreting (half-open probe after %v)", failures, cost.BreakerDecay)})
 		s.mu.Unlock()
 		root.SetStr("outcome", "quarantine")
 		root.EventInt("quarantine", "failures", int64(failures))

@@ -5,6 +5,8 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+
+	"jash/internal/spec"
 )
 
 func init() {
@@ -19,53 +21,24 @@ func init() {
 // unmodified. User functions, arrays, and getline are out of scope
 // (documented in DESIGN.md).
 func awkCmd(c *Context, args []string) int {
-	rest := args[1:]
-	fs := ""
-	var progText string
-	var operands []string
-	presets := map[string]string{}
-	i := 0
-	for i < len(rest) {
-		switch {
-		case rest[i] == "-F":
-			i++
-			if i >= len(rest) {
-				return c.Errorf(2, "awk: -F needs a separator")
-			}
-			fs = rest[i]
-		case rest[i] == "-v":
-			i++
-			if i >= len(rest) || !strings.Contains(rest[i], "=") {
-				return c.Errorf(2, "awk: -v needs name=value")
-			}
-			name, value, _ := strings.Cut(rest[i], "=")
-			presets[name] = value
-		case strings.HasPrefix(rest[i], "-F"):
-			fs = rest[i][2:]
-		case rest[i] == "--":
-			i++
-			for ; i < len(rest); i++ {
-				if progText == "" {
-					progText = rest[i]
-				} else {
-					operands = append(operands, rest[i])
-				}
-			}
-		case progText == "":
-			progText = rest[i]
-		default:
-			operands = append(operands, rest[i])
-		}
-		i++
-	}
-	if progText == "" {
-		return c.Errorf(2, "awk: missing program")
-	}
-	prog, err := parseAwk(progText)
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "awk: %v", err)
 	}
-	rs, st := openInputs(c, operands)
+	fs, _ := cl.Value('F')
+	presets := map[string]string{}
+	for _, kv := range cl.Values('v') {
+		name, value, ok := strings.Cut(kv, "=")
+		if !ok {
+			return c.Errorf(2, "awk: -v needs name=value")
+		}
+		presets[name] = value
+	}
+	prog, err := parseAwk(cl.Scripts()[0])
+	if err != nil {
+		return c.Errorf(2, "awk: %v", err)
+	}
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}

@@ -98,6 +98,12 @@ func TestTail(t *testing.T) {
 	if out != "only\n" {
 		t.Errorf("default out=%q", out)
 	}
+	// -c is not implemented: reject it rather than print lines, and never
+	// take its value for a file.
+	out, errs, st := run(t, vfs.New(), in, "tail", "-c", "3")
+	if st != 2 || out != "" || !strings.Contains(errs, "-c is not supported") {
+		t.Errorf("-c: out=%q errs=%q st=%d", out, errs, st)
+	}
 }
 
 func TestTee(t *testing.T) {
@@ -369,6 +375,21 @@ func TestSort(t *testing.T) {
 	_, _, st = run(t, vfs.New(), "b\na\n", "sort", "-c")
 	if st != 1 {
 		t.Errorf("-c unsorted st=%d", st)
+	}
+	// -o FILE writes FILE instead of stdout, and FILE may be an input.
+	fs := newFS(t, map[string]string{"/in": "b\na\nc\n"})
+	out, errs, st := run(t, fs, "", "sort", "-o", "/out", "/in")
+	if data, _ := fs.ReadFile("/out"); st != 0 || out != "" || string(data) != "a\nb\nc\n" {
+		t.Errorf("-o: out=%q errs=%q st=%d file=%q", out, errs, st, data)
+	}
+	_, errs, st = run(t, fs, "", "sort", "-ro/in", "/in")
+	if data, _ := fs.ReadFile("/in"); st != 0 || string(data) != "c\nb\na\n" {
+		t.Errorf("-o onto its input: errs=%q st=%d file=%q", errs, st, data)
+	}
+	fs.MkdirAll("/dir")
+	_, errs, st = run(t, fs, "", "sort", "-o", "/dir", "/in")
+	if st != 2 || errs == "" {
+		t.Errorf("-o unwritable: errs=%q st=%d", errs, st)
 	}
 }
 
@@ -942,6 +963,36 @@ func TestGrepExplicitE(t *testing.T) {
 	out, _, st := run(t, vfs.New(), "abc\nxyz\n", "grep", "-e", "x.z")
 	if st != 0 || out != "xyz\n" {
 		t.Errorf("grep -e: out=%q st=%d", out, st)
+	}
+}
+
+// TestScriptOperandSplit: grep, sed and awk cut their argv with the
+// planner's scanner — a script flag at the end of a cluster frees the
+// first operand to be a file, repeated -e/-v accumulate, options do not
+// permute past an operand, and options the utility lacks are rejected.
+func TestScriptOperandSplit(t *testing.T) {
+	fs := newFS(t, map[string]string{"/f": "alpha\nbeta\nAlpha\n", "/foo": "foo\nbar\n"})
+	cases := []struct {
+		argv []string
+		want string
+		st   int
+	}{
+		{[]string{"grep", "-ie", "alpha", "/f"}, "alpha\nAlpha\n", 0},
+		{[]string{"grep", "foo", "/foo"}, "foo\n", 0},
+		{[]string{"sed", "-ne", "/a$/p", "/f"}, "alpha\nbeta\nAlpha\n", 0},
+		{[]string{"sed", "-e", "s/a/A/", "-e", "s/b/B/", "/f"}, "Alpha\nBetA\nAlphA\n", 0},
+		{[]string{"sed", "s/a/A/", "/f"}, "Alpha\nbetA\nAlphA\n", 0},
+		{[]string{"sed", "p", "-n"}, "", 1}, // -n after the script is a file operand
+		{[]string{"sed", "-i", "p", "/f"}, "", 2},
+		{[]string{"awk", "-F", "l", "-vx=1", "-v", "y=2", "{print $1 x y}", "/f"}, "a12\nbeta12\nA12\n", 0},
+		{[]string{"awk", "-f", "prog", "/f"}, "", 2},
+		{[]string{"awk"}, "", 2},
+	}
+	for _, c := range cases {
+		out, errs, st := run(t, fs, "stdin\n", c.argv...)
+		if out != c.want || st != c.st || (st != 0) != (errs != "") {
+			t.Errorf("%q: out=%q errs=%q st=%d, want out=%q st=%d", c.argv, out, errs, st, c.want, c.st)
+		}
 	}
 }
 

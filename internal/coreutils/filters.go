@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"jash/internal/pipe"
+	"jash/internal/spec"
 )
 
 func init() {
@@ -34,22 +35,16 @@ func init() {
 // which covers POSIX BREs used in practice). Exit status 0 if any line
 // matched, 1 if none, 2 on error.
 func grepCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "e")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "grep: %v", err)
 	}
-	pat, ok := flags['e']
-	if !ok {
-		if len(operands) == 0 {
-			return c.Errorf(2, "grep: missing pattern")
-		}
-		pat = operands[0]
-		operands = operands[1:]
-	}
+	pats := cl.Scripts()
+	pat := pats[len(pats)-1]
 	var matchLine func([]byte) bool
-	if has(flags, 'F') {
+	if cl.Has('F') {
 		needle := pat
-		if has(flags, 'i') {
+		if cl.Has('i') {
 			needle = strings.ToLower(needle)
 			matchLine = func(line []byte) bool {
 				return strings.Contains(strings.ToLower(string(line)), needle)
@@ -59,7 +54,7 @@ func grepCmd(c *Context, args []string) int {
 		}
 	} else {
 		expr := pat
-		if has(flags, 'i') {
+		if cl.Has('i') {
 			expr = "(?i)" + expr
 		}
 		re, rerr := regexp.Compile(expr)
@@ -68,16 +63,16 @@ func grepCmd(c *Context, args []string) int {
 		}
 		matchLine = re.Match
 	}
-	invert := has(flags, 'v')
-	rs, st := openInputs(c, operands)
+	invert := cl.Has('v')
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
 	lw := newLineWriter(c.Stdout)
 	defer lw.Release()
-	quiet := has(flags, 'q')
-	countOnly := has(flags, 'c')
-	number := has(flags, 'n')
+	quiet := cl.Has('q')
+	countOnly := cl.Has('c')
+	number := cl.Has('n')
 	var count, lineNo int64
 	var scratch []byte // reused number prefix for -n
 	matched := false
@@ -214,23 +209,23 @@ func charClass(name string) ([]byte, bool) {
 // trCmd translates, squeezes, or deletes characters: tr SET1 SET2,
 // tr -d SET1, tr -s SET1 [SET2], tr -cs SET1 SET2 (the spell-script form).
 func trCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "tr: %v", err)
 	}
-	complement := has(flags, 'c') || has(flags, 'C')
-	squeeze := has(flags, 's')
-	del := has(flags, 'd')
-	if len(operands) < 1 {
+	complement := cl.Has('c') || cl.Has('C')
+	squeeze := cl.Has('s')
+	del := cl.Has('d')
+	if len(cl.Operands) < 1 {
 		return c.Errorf(2, "tr: missing operand")
 	}
-	set1, err := trSet(operands[0])
+	set1, err := trSet(cl.Operands[0])
 	if err != nil {
 		return c.Errorf(2, "tr: %v", err)
 	}
 	var set2 []byte
-	if len(operands) > 1 {
-		set2, err = trSet(operands[1])
+	if len(cl.Operands) > 1 {
+		set2, err = trSet(cl.Operands[1])
 		if err != nil {
 			return c.Errorf(2, "tr: %v", err)
 		}
@@ -287,7 +282,6 @@ func trCmd(c *Context, args []string) int {
 	// A pure 1:1 translation (no delete, no squeeze) can rewrite the chunk
 	// in place and skip the output-accumulation pass entirely.
 	passthrough := !del && !squeeze
-	in := bufReader(c.Stdin)
 	out := newLineWriter(c.Stdout)
 	defer out.Release()
 	var lastOut int = -1
@@ -302,7 +296,7 @@ func trCmd(c *Context, args []string) int {
 		if c.Cancelled() {
 			break
 		}
-		n, e := in.Read(buf)
+		n, e := c.Stdin.Read(buf)
 		chunk := buf[:n]
 		if passthrough {
 			for i, b := range chunk {
@@ -345,8 +339,6 @@ func trCmd(c *Context, args []string) int {
 	out.Flush()
 	return 0
 }
-
-func bufReader(r io.Reader) io.Reader { return r }
 
 // cutRange is a half-open [lo, hi] 1-based inclusive range.
 type cutRange struct{ lo, hi int }
@@ -417,11 +409,11 @@ func parseCutList(spec, what string) ([]cutRange, error) {
 // cutCmd selects character positions (-c LIST) or fields (-f LIST with -d
 // delimiter, default tab) from each line.
 func cutCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "cfd")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "cut: %v", err)
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
@@ -429,11 +421,13 @@ func cutCmd(c *Context, args []string) int {
 	defer lw.Release()
 	scratch := pipe.GetBlock()
 	defer func() { pipe.PutBlock(scratch) }()
+	cList, byChar := cl.Value('c')
+	fList, byField := cl.Value('f')
 	switch {
-	case has(flags, 'c'):
+	case byChar:
 		// List errors exit 1 with the GNU diagnostic, not the generic
 		// usage status.
-		ranges, err := parseCutList(flags['c'], "byte/character position")
+		ranges, err := parseCutList(cList, "byte/character position")
 		if err != nil {
 			return c.Errorf(1, "cut: %v", err)
 		}
@@ -455,13 +449,13 @@ func cutCmd(c *Context, args []string) int {
 		if e != nil {
 			return c.Errorf(1, "cut: %v", e)
 		}
-	case has(flags, 'f'):
-		ranges, err := parseCutList(flags['f'], "field")
+	case byField:
+		ranges, err := parseCutList(fList, "field")
 		if err != nil {
 			return c.Errorf(1, "cut: %v", err)
 		}
 		delim := byte('\t')
-		if v, ok := flags['d']; ok && v != "" {
+		if v, ok := cl.Value('d'); ok && v != "" {
 			delim = v[0]
 		}
 		// Field boundaries are recomputed per line into a reused index
@@ -587,20 +581,20 @@ func leadingNumber(s string) float64 {
 	return f
 }
 
-// parseSortArgs parses sort's flag vector into the comparison config, shared
-// by sortCmd and the executor's streaming merge entry point.
-func parseSortArgs(args []string) (map[byte]string, sortConfig, []string, error) {
-	flags, operands, err := parseCombinedFlags(args, "kt")
+// parseSortArgs parses sort's argv into the comparison config, shared by
+// sortCmd and the executor's streaming merge entry point.
+func parseSortArgs(argv []string) (spec.Parsed, sortConfig, error) {
+	cl, err := spec.Parse(argv)
 	if err != nil {
-		return nil, sortConfig{}, nil, err
+		return cl, sortConfig{}, err
 	}
 	cfg := sortConfig{
-		numeric: has(flags, 'n'),
-		reverse: has(flags, 'r'),
-		unique:  has(flags, 'u'),
-		sep:     flags['t'],
+		numeric: cl.Has('n'),
+		reverse: cl.Has('r'),
+		unique:  cl.Has('u'),
 	}
-	if v, ok := flags['k']; ok {
+	cfg.sep, _ = cl.Value('t')
+	if v, ok := cl.Value('k'); ok {
 		// Accept "N" and "N,M"; we honour the start field.
 		numPart := v
 		if comma := strings.IndexByte(v, ','); comma >= 0 {
@@ -611,25 +605,26 @@ func parseSortArgs(args []string) (map[byte]string, sortConfig, []string, error)
 		}
 		cfg.field, err = strconv.Atoi(numPart)
 		if err != nil || cfg.field < 1 {
-			return nil, sortConfig{}, nil, errLine("invalid key " + v)
+			return cl, sortConfig{}, errLine("invalid key " + v)
 		}
 	}
-	return flags, cfg, operands, nil
+	return cl, cfg, nil
 }
 
 // sortCmd sorts lines. Flags: -n numeric, -r reverse, -u unique, -m merge
 // already-sorted inputs (the aggregator PaSh relies on), -k FIELD,
-// -t SEP, -c check (exit 1 if unsorted).
+// -t SEP, -c check (exit 1 if unsorted), -o FILE write the result to FILE
+// instead of standard output.
 func sortCmd(c *Context, args []string) int {
-	flags, cfg, operands, err := parseSortArgs(args[1:])
+	cl, cfg, err := parseSortArgs(args)
 	if err != nil {
 		return c.Errorf(2, "sort: %v", err)
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
-	if has(flags, 'c') {
+	if cl.Has('c') {
 		var prev string
 		first := true
 		bad := false
@@ -650,35 +645,54 @@ func sortCmd(c *Context, args []string) int {
 		}
 		return 0
 	}
-	lw := newLineWriter(c.Stdout)
+	// -o FILE may name one of the inputs (sort -o f f), so the result is
+	// held back and FILE is created only once every input has been read.
+	out := c.Stdout
+	outFile, toFile := cl.Value('o')
+	var held bytes.Buffer
+	if toFile {
+		out = &held
+	}
+	lw := newLineWriter(out)
 	defer lw.Release()
-	if has(flags, 'm') {
+	if cl.Has('m') {
 		// k-way merge of pre-sorted inputs.
 		if st := mergeSorted(c, rs, cfg, lw); st != 0 {
 			return st
 		}
-		lw.Flush()
-		return 0
-	}
-	var lines []string
-	for _, r := range rs {
-		ls, e := c.readLines(r)
-		if e != nil {
-			return c.Errorf(2, "sort: %v", e)
+	} else {
+		var lines []string
+		for _, r := range rs {
+			ls, e := c.readLines(r)
+			if e != nil {
+				return c.Errorf(2, "sort: %v", e)
+			}
+			lines = append(lines, ls...)
 		}
-		lines = append(lines, ls...)
-	}
-	sort.SliceStable(lines, func(i, j int) bool { return cfg.less(lines[i], lines[j]) })
-	var prev string
-	first := true
-	for _, line := range lines {
-		if cfg.unique && !first && line == prev {
-			continue
+		sort.SliceStable(lines, func(i, j int) bool { return cfg.less(lines[i], lines[j]) })
+		var prev string
+		first := true
+		for _, line := range lines {
+			if cfg.unique && !first && line == prev {
+				continue
+			}
+			lw.WriteLine([]byte(line))
+			prev, first = line, false
 		}
-		lw.WriteLine([]byte(line))
-		prev, first = line, false
 	}
 	lw.Flush()
+	if toFile {
+		w, e := c.FS.Create(c.Lookup(outFile))
+		if e == nil {
+			_, e = w.Write(held.Bytes())
+			if ce := w.Close(); e == nil {
+				e = ce
+			}
+		}
+		if e != nil {
+			return c.Errorf(2, "sort: %s: %v", outFile, e)
+		}
+	}
 	return 0
 }
 
@@ -759,11 +773,11 @@ func mergeSorted(c *Context, rs []io.Reader, cfg sortConfig, lw *lineWriter) int
 // merge command vector (e.g. ["sort", "-m", "-n"]); any file operands in
 // it are ignored in favour of ins.
 func MergeSortedStreams(c *Context, argv []string, ins []io.Reader) int {
-	flags, cfg, _, err := parseSortArgs(argv[1:])
+	cl, cfg, err := parseSortArgs(argv)
 	if err != nil {
 		return c.Errorf(2, "sort: %v", err)
 	}
-	if !has(flags, 'm') {
+	if !cl.Has('m') {
 		return c.Errorf(2, "sort: MergeSortedStreams requires -m")
 	}
 	lw := newLineWriter(c.Stdout)
@@ -778,11 +792,11 @@ func MergeSortedStreams(c *Context, argv []string, ins []io.Reader) int {
 // uniqCmd filters adjacent duplicate lines: -c prefixes counts, -d prints
 // only duplicated lines, -u prints only unique lines.
 func uniqCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "uniq: %v", err)
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
@@ -795,14 +809,14 @@ func uniqCmd(c *Context, args []string) int {
 			return
 		}
 		switch {
-		case has(flags, 'c'):
+		case cl.Has('c'):
 			lw.WriteString(fmt.Sprintf("%7d ", count))
 			lw.WriteLine(cur)
-		case has(flags, 'd'):
+		case cl.Has('d'):
 			if count > 1 {
 				lw.WriteLine(cur)
 			}
-		case has(flags, 'u'):
+		case cl.Has('u'):
 			if count == 1 {
 				lw.WriteLine(cur)
 			}
@@ -833,14 +847,14 @@ func uniqCmd(c *Context, args []string) int {
 // -1 -2 -3 suppress the corresponding column (so `comm -13 a b` prints
 // lines unique to file2 — the spell script's usage).
 func commCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "comm: %v", err)
 	}
-	if len(operands) != 2 {
+	if len(cl.Operands) != 2 {
 		return c.Errorf(2, "comm: need exactly two files")
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
@@ -852,7 +866,7 @@ func commCmd(c *Context, args []string) int {
 	if e2 != nil {
 		return c.Errorf(1, "comm: %v", e2)
 	}
-	show1, show2, show3 := !has(flags, '1'), !has(flags, '2'), !has(flags, '3')
+	show1, show2, show3 := !cl.Has('1'), !cl.Has('2'), !cl.Has('3')
 	// Column indentation depends on which earlier columns are shown.
 	indent2 := ""
 	if show1 {
@@ -892,11 +906,11 @@ func commCmd(c *Context, args []string) int {
 // shufCmd outputs a random permutation of its input lines, seeded by the
 // JASH_SEED environment variable for determinism (default seed 1).
 func shufCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "n")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "shuf: %v", err)
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
@@ -923,7 +937,7 @@ func shufCmd(c *Context, args []string) int {
 		lines[i], lines[j] = lines[j], lines[i]
 	}
 	limit := len(lines)
-	if v, ok := flags['n']; ok {
+	if v, ok := cl.Value('n'); ok {
 		limit, err = strconv.Atoi(v)
 		if err != nil || limit < 0 {
 			return c.Errorf(2, "shuf: invalid count %q", v)
@@ -944,12 +958,15 @@ func shufCmd(c *Context, args []string) int {
 // splitCmd splits input into fixed-size pieces: -l LINES per piece
 // (default 1000), writing PREFIXaa, PREFIXab, ... (default prefix "x").
 func splitCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "l")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "split: %v", err)
 	}
+	if cl.Has('b') {
+		return c.Errorf(2, "split: -b is not supported")
+	}
 	per := 1000
-	if v, ok := flags['l']; ok {
+	if v, ok := cl.Value('l'); ok {
 		per, err = strconv.Atoi(v)
 		if err != nil || per <= 0 {
 			return c.Errorf(2, "split: invalid line count %q", v)
@@ -957,15 +974,15 @@ func splitCmd(c *Context, args []string) int {
 	}
 	var in io.Reader = c.Stdin
 	prefix := "x"
-	if len(operands) > 0 && operands[0] != "-" {
-		r, e := c.FS.Open(c.Lookup(operands[0]))
+	if len(cl.Operands) > 0 && cl.Operands[0] != "-" {
+		r, e := c.FS.Open(c.Lookup(cl.Operands[0]))
 		if e != nil {
 			return c.Errorf(1, "split: %v", e)
 		}
 		in = r
 	}
-	if len(operands) > 1 {
-		prefix = operands[1]
+	if len(cl.Operands) > 1 {
+		prefix = cl.Operands[1]
 	}
 	suffix := func(n int) string {
 		return string([]byte{byte('a' + n/26), byte('a' + n%26)})
@@ -1005,18 +1022,18 @@ func splitCmd(c *Context, args []string) int {
 // separated). -n N limits items per invocation. The constructed command
 // runs via the registry, so xargs composes with every other utility.
 func xargsCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "n")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "xargs: %v", err)
 	}
 	perCall := 0
-	if v, ok := flags['n']; ok {
+	if v, ok := cl.Value('n'); ok {
 		perCall, err = strconv.Atoi(v)
 		if err != nil || perCall <= 0 {
 			return c.Errorf(2, "xargs: invalid -n %q", v)
 		}
 	}
-	cmdv := operands
+	cmdv := cl.Operands
 	if len(cmdv) == 0 {
 		cmdv = []string{"echo"}
 	}
@@ -1062,11 +1079,11 @@ func xargsCmd(c *Context, args []string) int {
 
 // odCmd dumps input bytes; only the -c (character) format is supported.
 func odCmd(c *Context, args []string) int {
-	_, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "od: %v", err)
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
@@ -1108,14 +1125,14 @@ func odCmd(c *Context, args []string) int {
 
 // joinCmd joins two sorted files on their first fields (the POSIX default).
 func joinCmd(c *Context, args []string) int {
-	_, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "join: %v", err)
 	}
-	if len(operands) != 2 {
+	if len(cl.Operands) != 2 {
 		return c.Errorf(2, "join: need exactly two files")
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}

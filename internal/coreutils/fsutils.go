@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"jash/internal/spec"
 	"jash/internal/vfs"
 )
 
@@ -32,17 +33,17 @@ func init() {
 // only sensible format for pipelines). -a includes dotfiles, -d lists the
 // directory itself, -l adds sizes.
 func lsCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "ls: %v", err)
 	}
-	if len(operands) == 0 {
-		operands = []string{"."}
+	if len(cl.Operands) == 0 {
+		cl.Operands = []string{"."}
 	}
 	lw := newLineWriter(c.Stdout)
 	defer lw.Release()
 	status := 0
-	for _, op := range operands {
+	for _, op := range cl.Operands {
 		p := c.Lookup(op)
 		info, err := c.FS.Stat(p)
 		if err != nil {
@@ -50,7 +51,7 @@ func lsCmd(c *Context, args []string) int {
 			continue
 		}
 		emit := func(fi vfs.FileInfo) {
-			if has(flags, 'l') {
+			if cl.Has('l') {
 				kind := "-"
 				if fi.IsDir {
 					kind = "d"
@@ -60,7 +61,7 @@ func lsCmd(c *Context, args []string) int {
 				lw.WriteLine([]byte(fi.Name))
 			}
 		}
-		if !info.IsDir || has(flags, 'd') {
+		if !info.IsDir || cl.Has('d') {
 			emit(info)
 			continue
 		}
@@ -70,7 +71,7 @@ func lsCmd(c *Context, args []string) int {
 			continue
 		}
 		for _, e := range entries {
-			if strings.HasPrefix(e.Name, ".") && !has(flags, 'a') {
+			if strings.HasPrefix(e.Name, ".") && !cl.Has('a') {
 				continue
 			}
 			emit(e)
@@ -82,18 +83,18 @@ func lsCmd(c *Context, args []string) int {
 
 // mkdirCmd creates directories; -p creates parents and ignores existing.
 func mkdirCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "mkdir: %v", err)
 	}
-	if len(operands) == 0 {
+	if len(cl.Operands) == 0 {
 		return c.Errorf(2, "mkdir: missing operand")
 	}
 	status := 0
-	for _, op := range operands {
+	for _, op := range cl.Operands {
 		p := c.Lookup(op)
 		var e error
-		if has(flags, 'p') {
+		if cl.Has('p') {
 			e = c.FS.MkdirAll(p)
 		} else {
 			e = c.FS.Mkdir(p)
@@ -108,29 +109,29 @@ func mkdirCmd(c *Context, args []string) int {
 // rmCmd removes files; -r recurses into directories, -f ignores missing
 // operands.
 func rmCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "rm: %v", err)
 	}
-	if len(operands) == 0 && !has(flags, 'f') {
+	if len(cl.Operands) == 0 && !cl.Has('f') {
 		return c.Errorf(2, "rm: missing operand")
 	}
 	status := 0
-	for _, op := range operands {
+	for _, op := range cl.Operands {
 		p := c.Lookup(op)
 		if !c.FS.Exists(p) {
-			if !has(flags, 'f') {
+			if !cl.Has('f') {
 				status = c.Errorf(1, "rm: %s: no such file or directory", op)
 			}
 			continue
 		}
 		var e error
-		if has(flags, 'r') || has(flags, 'R') {
+		if cl.Has('r') || cl.Has('R') {
 			e = c.FS.RemoveAll(p)
 		} else {
 			e = c.FS.Remove(p)
 		}
-		if e != nil && !has(flags, 'f') {
+		if e != nil && !cl.Has('f') {
 			status = c.Errorf(1, "rm: %v", e)
 		}
 	}
@@ -139,19 +140,19 @@ func rmCmd(c *Context, args []string) int {
 
 // cpCmd copies files. cp SRC DST, or cp SRC... DIR.
 func cpCmd(c *Context, args []string) int {
-	_, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "cp: %v", err)
 	}
-	if len(operands) < 2 {
+	if len(cl.Operands) < 2 {
 		return c.Errorf(2, "cp: missing operand")
 	}
-	dst := c.Lookup(operands[len(operands)-1])
-	srcs := operands[:len(operands)-1]
+	dst := c.Lookup(cl.Operands[len(cl.Operands)-1])
+	srcs := cl.Operands[:len(cl.Operands)-1]
 	dstInfo, dstErr := c.FS.Stat(dst)
 	dstIsDir := dstErr == nil && dstInfo.IsDir
 	if len(srcs) > 1 && !dstIsDir {
-		return c.Errorf(1, "cp: target %q is not a directory", operands[len(operands)-1])
+		return c.Errorf(1, "cp: target %q is not a directory", cl.Operands[len(cl.Operands)-1])
 	}
 	status := 0
 	for _, src := range srcs {
@@ -173,19 +174,19 @@ func cpCmd(c *Context, args []string) int {
 
 // mvCmd renames files. mv SRC DST, or mv SRC... DIR.
 func mvCmd(c *Context, args []string) int {
-	_, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "mv: %v", err)
 	}
-	if len(operands) < 2 {
+	if len(cl.Operands) < 2 {
 		return c.Errorf(2, "mv: missing operand")
 	}
-	dst := c.Lookup(operands[len(operands)-1])
-	srcs := operands[:len(operands)-1]
+	dst := c.Lookup(cl.Operands[len(cl.Operands)-1])
+	srcs := cl.Operands[:len(cl.Operands)-1]
 	dstInfo, dstErr := c.FS.Stat(dst)
 	dstIsDir := dstErr == nil && dstInfo.IsDir
 	if len(srcs) > 1 && !dstIsDir {
-		return c.Errorf(1, "mv: target %q is not a directory", operands[len(operands)-1])
+		return c.Errorf(1, "mv: target %q is not a directory", cl.Operands[len(cl.Operands)-1])
 	}
 	status := 0
 	for _, src := range srcs {
@@ -202,12 +203,12 @@ func mvCmd(c *Context, args []string) int {
 
 // touchCmd creates empty files or bumps their modification stamp.
 func touchCmd(c *Context, args []string) int {
-	_, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "touch: %v", err)
 	}
 	status := 0
-	for _, op := range operands {
+	for _, op := range cl.Operands {
 		p := c.Lookup(op)
 		if c.FS.Exists(p) {
 			data, e := c.FS.ReadFile(p)
@@ -612,17 +613,17 @@ func envCmd(c *Context, args []string) int {
 
 // duCmd reports file sizes in bytes (one per operand; -s only totals).
 func duCmd(c *Context, args []string) int {
-	_, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "du: %v", err)
 	}
-	if len(operands) == 0 {
-		operands = []string{"."}
+	if len(cl.Operands) == 0 {
+		cl.Operands = []string{"."}
 	}
 	lw := newLineWriter(c.Stdout)
 	defer lw.Release()
 	status := 0
-	for _, op := range operands {
+	for _, op := range cl.Operands {
 		var total int64
 		var walk func(p string)
 		walk = func(p string) {
@@ -649,12 +650,12 @@ func duCmd(c *Context, args []string) int {
 // statCmd prints size, kind, and device for each operand, exposing the
 // metadata the JIT probes.
 func statCmd(c *Context, args []string) int {
-	_, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "stat: %v", err)
 	}
 	status := 0
-	for _, op := range operands {
+	for _, op := range cl.Operands {
 		fi, e := c.FS.Stat(c.Lookup(op))
 		if e != nil {
 			status = c.Errorf(1, "stat: %v", e)

@@ -194,52 +194,6 @@ func splitFields(line string) []string {
 	return strings.Fields(line)
 }
 
-// parseCombinedFlags separates leading -abc style flags from operands.
-// Flags listed in takesValue consume the following argument (or the rest
-// of the cluster) as their value. Parsing stops at "--" or the first
-// non-flag operand. A lone "-" is an operand (stdin).
-func parseCombinedFlags(args []string, takesValue string) (flags map[byte]string, operands []string, err error) {
-	flags = map[byte]string{}
-	i := 0
-	for i < len(args) {
-		a := args[i]
-		if a == "--" {
-			i++
-			break
-		}
-		if len(a) < 2 || a[0] != '-' {
-			break
-		}
-		j := 1
-		for j < len(a) {
-			f := a[j]
-			if strings.IndexByte(takesValue, f) >= 0 {
-				if j+1 < len(a) {
-					flags[f] = a[j+1:]
-				} else {
-					i++
-					if i >= len(args) {
-						return nil, nil, errLine("option -" + string(f) + " requires an argument")
-					}
-					flags[f] = args[i]
-				}
-				j = len(a)
-			} else {
-				flags[f] = ""
-				j++
-			}
-		}
-		i++
-	}
-	return flags, args[i:], nil
-}
-
-// has reports whether a parsed flag set contains the flag.
-func has(flags map[byte]string, f byte) bool {
-	_, ok := flags[f]
-	return ok
-}
-
 // countTrailingContext is a tiny helper for tail: keep the last n lines.
 type lastN struct {
 	n     int

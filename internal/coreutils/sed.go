@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"jash/internal/spec"
 )
 
 func init() {
@@ -19,42 +21,13 @@ func init() {
 // majority of sed usage in shell pipelines; the full POSIX command set
 // (hold space, branching) is out of scope and documented in DESIGN.md.
 func sedCmd(c *Context, args []string) int {
-	rest := args[1:]
-	autoPrint := true
-	var scripts []string
-	var operands []string
-	i := 0
-	for i < len(rest) {
-		switch {
-		case rest[i] == "-n":
-			autoPrint = false
-		case rest[i] == "-e":
-			i++
-			if i >= len(rest) {
-				return c.Errorf(2, "sed: -e needs a script")
-			}
-			scripts = append(scripts, rest[i])
-		case rest[i] == "--":
-			i++
-			operands = append(operands, rest[i:]...)
-			i = len(rest)
-			continue
-		case strings.HasPrefix(rest[i], "-") && len(rest[i]) > 1:
-			return c.Errorf(2, "sed: unknown option %q", rest[i])
-		default:
-			if len(scripts) == 0 {
-				scripts = append(scripts, rest[i])
-			} else {
-				operands = append(operands, rest[i])
-			}
-		}
-		i++
+	cl, err := spec.Parse(args)
+	if err != nil {
+		return c.Errorf(2, "sed: %v", err)
 	}
-	if len(scripts) == 0 {
-		return c.Errorf(2, "sed: missing script")
-	}
+	autoPrint := !cl.Has('n')
 	var cmds []sedCommand
-	for _, script := range scripts {
+	for _, script := range cl.Scripts() {
 		for _, part := range splitSedScript(script) {
 			cmd, err := parseSedCommand(part)
 			if err != nil {
@@ -63,7 +36,7 @@ func sedCmd(c *Context, args []string) int {
 			cmds = append(cmds, cmd)
 		}
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"jash/internal/pipe"
+	"jash/internal/spec"
 )
 
 func init() {
@@ -31,15 +32,15 @@ func init() {
 // catCmd concatenates files (or stdin) to stdout. Supports -n (number
 // lines) and treats "-" as stdin.
 func catCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "cat: %v", err)
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
-	if has(flags, 'n') {
+	if cl.Has('n') {
 		lw := newLineWriter(c.Stdout)
 		defer lw.Release()
 		n := 0
@@ -67,15 +68,15 @@ func catCmd(c *Context, args []string) int {
 
 // headCmd prints the first N lines (-n N, default 10) or bytes (-c N).
 func headCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "nc")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "head: %v", err)
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
-	if v, ok := flags['c']; ok {
+	if v, ok := cl.Value('c'); ok {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || n < 0 {
 			return c.Errorf(2, "head: invalid byte count %q", v)
@@ -84,7 +85,7 @@ func headCmd(c *Context, args []string) int {
 		return 0
 	}
 	n := int64(10)
-	if v, ok := flags['n']; ok {
+	if v, ok := cl.Value('n'); ok {
 		n, err = strconv.ParseInt(v, 10, 64)
 		if err != nil || n < 0 {
 			return c.Errorf(2, "head: invalid line count %q", v)
@@ -108,18 +109,22 @@ func headCmd(c *Context, args []string) int {
 	return 0
 }
 
-// tailCmd prints the last N lines (-n N, default 10).
+// tailCmd prints the last N lines (-n N, default 10). -c is parsed (so
+// its value is never taken for a file) and rejected.
 func tailCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "nc")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "tail: %v", err)
 	}
-	rs, st := openInputs(c, operands)
+	if cl.Has('c') {
+		return c.Errorf(2, "tail: -c is not supported")
+	}
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
 	n := 10
-	if v, ok := flags['n']; ok {
+	if v, ok := cl.Value('n'); ok {
 		v = strings.TrimPrefix(v, "-")
 		n, err = strconv.Atoi(v)
 		if err != nil || n < 0 {
@@ -144,16 +149,16 @@ func tailCmd(c *Context, args []string) int {
 
 // teeCmd copies stdin to stdout and to each named file (-a appends).
 func teeCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "tee: %v", err)
 	}
 	writers := []io.Writer{c.Stdout}
 	var closers []io.Closer
-	for _, op := range operands {
+	for _, op := range cl.Operands {
 		var w io.WriteCloser
 		var e error
-		if has(flags, 'a') {
+		if cl.Has('a') {
 			w, e = c.FS.Append(c.Lookup(op))
 		} else {
 			w, e = c.FS.Create(c.Lookup(op))
@@ -357,11 +362,11 @@ func seqCmd(c *Context, args []string) int {
 
 // revCmd reverses the bytes of each line.
 func revCmd(c *Context, args []string) int {
-	_, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "rev: %v", err)
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
@@ -384,18 +389,18 @@ func revCmd(c *Context, args []string) int {
 
 // foldCmd wraps lines at -w WIDTH columns (default 80).
 func foldCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "w")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "fold: %v", err)
 	}
 	width := 80
-	if v, ok := flags['w']; ok {
+	if v, ok := cl.Value('w'); ok {
 		width, err = strconv.Atoi(v)
 		if err != nil || width <= 0 {
 			return c.Errorf(2, "fold: invalid width %q", v)
 		}
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
@@ -418,11 +423,11 @@ func foldCmd(c *Context, args []string) int {
 
 // nlCmd numbers non-empty lines (body numbering style t, the default).
 func nlCmd(c *Context, args []string) int {
-	_, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "nl: %v", err)
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
@@ -449,15 +454,15 @@ func nlCmd(c *Context, args []string) int {
 // pasteCmd merges corresponding lines of its input files with tab (or the
 // -d delimiter).
 func pasteCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "d")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "paste: %v", err)
 	}
 	delim := "\t"
-	if v, ok := flags['d']; ok && v != "" {
+	if v, ok := cl.Value('d'); ok && v != "" {
 		delim = v[:1]
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
@@ -561,15 +566,15 @@ func wcTally(r io.Reader, buf []byte, needWords bool) (wcCounts, error) {
 // stdin alone keeps the bare numeric format (which the parallel sum
 // aggregator depends on).
 func wcCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "wc: %v", err)
 	}
-	showL, showW, showC := has(flags, 'l'), has(flags, 'w'), has(flags, 'c')
+	showL, showW, showC := cl.Has('l'), cl.Has('w'), cl.Has('c')
 	if !showL && !showW && !showC {
 		showL, showW, showC = true, true, true
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
@@ -597,14 +602,14 @@ func wcCmd(c *Context, args []string) int {
 		if e != nil {
 			return c.Errorf(1, "wc: %v", e)
 		}
-		if len(operands) == 0 {
+		if len(cl.Operands) == 0 {
 			row(n, "")
 			return 0
 		}
-		row(n, operands[i])
+		row(n, cl.Operands[i])
 		total.add(n)
 	}
-	if len(operands) > 1 {
+	if len(cl.Operands) > 1 {
 		row(total, "total")
 	}
 	return 0

@@ -2,6 +2,8 @@ package coreutils
 
 import (
 	"strings"
+
+	"jash/internal/spec"
 )
 
 func init() {
@@ -13,11 +15,11 @@ func init() {
 
 // tacCmd prints lines in reverse order (a whole-input operation).
 func tacCmd(c *Context, args []string) int {
-	_, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "tac: %v", err)
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
@@ -36,18 +38,18 @@ func tacCmd(c *Context, args []string) int {
 
 // expandCmd converts tabs to spaces at -t N stops (default 8).
 func expandCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "t")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "expand: %v", err)
 	}
 	stop := 8
-	if v, ok := flags['t']; ok {
+	if v, ok := cl.Value('t'); ok {
 		stop, err = atoiPositive(v)
 		if err != nil {
 			return c.Errorf(2, "expand: invalid tab stop %q", v)
 		}
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
@@ -78,18 +80,18 @@ func expandCmd(c *Context, args []string) int {
 
 // unexpandCmd converts leading runs of spaces back to tabs (-t N stops).
 func unexpandCmd(c *Context, args []string) int {
-	flags, operands, err := parseCombinedFlags(args[1:], "t")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "unexpand: %v", err)
 	}
 	stop := 8
-	if v, ok := flags['t']; ok {
+	if v, ok := cl.Value('t'); ok {
 		stop, err = atoiPositive(v)
 		if err != nil {
 			return c.Errorf(2, "unexpand: invalid tab stop %q", v)
 		}
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
@@ -118,11 +120,11 @@ func unexpandCmd(c *Context, args []string) int {
 
 // tsortCmd topologically sorts a partial order given as pairs of tokens.
 func tsortCmd(c *Context, args []string) int {
-	_, operands, err := parseCombinedFlags(args[1:], "")
+	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "tsort: %v", err)
 	}
-	rs, st := openInputs(c, operands)
+	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}

@@ -63,10 +63,10 @@ const (
 	// counters: stall-timeout / divisor per sample, so a stall is detected
 	// within (1 + 1/divisor) × the configured timeout.
 	StallPollDivisor = 4
-	// BreakerThreshold is the default number of consecutive plan failures
+	// BreakerThreshold is the number of consecutive plan failures
 	// after which the JIT quarantines a region (interprets it directly).
 	BreakerThreshold = 3
-	// BreakerDecay is the default quarantine duration; after it elapses
+	// BreakerDecay is the quarantine duration; after it elapses
 	// one half-open probe compilation is allowed through.
 	BreakerDecay = 30 * time.Second
 )
@@ -241,20 +241,6 @@ func EstimateGraph(g *dfg.Graph, in Inputs, prof *Profile, ephemeral bool) (Esti
 				edgeVol[e] = input / float64(len(outs))
 			}
 			continue
-		case dfg.KindTee:
-			// Fan-out copies the whole stream to every consumer.
-			for _, e := range outs {
-				edgeVol[e] = input
-			}
-			continue
-		case dfg.KindAgg:
-			// Sum and count reduce to a single line; unordered-unique can
-			// in the worst case pass every distinct input line through.
-			if n.AggOp == dfg.AggOpUnique {
-				output = input
-			} else {
-				output = 0
-			}
 		case dfg.KindMerge, dfg.KindSink:
 			output = input
 		}
@@ -326,17 +312,13 @@ func EstimateGraph(g *dfg.Graph, in Inputs, prof *Profile, ephemeral bool) (Esti
 				if n.Path != "" {
 					addIO(in.device(n.Path), nodeIn[n.ID])
 				}
-			case dfg.KindCommand, dfg.KindMerge, dfg.KindAgg, dfg.KindTee:
-				factor := 2.0 // merge/agg default: comparable to a cheap filter
+			case dfg.KindCommand, dfg.KindMerge:
+				factor := 2.0 // merge default: comparable to a cheap filter
 				if n.Kind == dfg.KindCommand && n.Spec != nil {
 					factor = n.Spec.CPUFactor
 				}
 				if n.Kind == dfg.KindMerge && n.Agg == spec.AggConcat {
 					factor = 0.5 // concatenation is nearly free
-				}
-				if n.Kind == dfg.KindTee {
-					// A tee is a copy per consumer.
-					factor = 0.5 * float64(len(g.Out(n.ID)))
 				}
 				t := nodeIn[n.ID] * factor / prof.BaseRate
 				cpuWork += t

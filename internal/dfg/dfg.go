@@ -30,38 +30,11 @@ const (
 	KindSplit
 	// KindMerge recombines N partial streams per its aggregator.
 	KindMerge
-	// KindTee copies its whole input stream to each of its N outputs, so
-	// N consumers can fan out from one read of the data (the ODFM
-	// generalization beyond linear pipelines: a DAG, not a chain).
-	KindTee
-	// KindAgg folds N input streams with a commutative operator (sum,
-	// count, unordered-unique). Unlike KindMerge, whose concat/sort -m
-	// disciplines are order-aware, an aggregator's result is independent
-	// of lane arrival order, so its inputs need no ordering guarantee.
-	KindAgg
 )
 
-var kindNames = [...]string{"command", "source", "sink", "split", "merge", "tee", "agg"}
+var kindNames = [...]string{"command", "source", "sink", "split", "merge"}
 
 func (k NodeKind) String() string { return kindNames[k] }
-
-// AggOp selects a KindAgg node's commutative fold.
-type AggOp int
-
-const (
-	// AggOpSum adds whitespace-separated numeric columns across lanes
-	// (the reduction behind parallel `wc` and `grep -c`).
-	AggOpSum AggOp = iota
-	// AggOpCount emits the total number of input lines across lanes.
-	AggOpCount
-	// AggOpUnique emits the set union of input lines, sorted — the
-	// commutative completion of `sort -u`'s contract.
-	AggOpUnique
-)
-
-var aggOpNames = [...]string{"sum", "count", "unique"}
-
-func (o AggOp) String() string { return aggOpNames[o] }
 
 // SplitDist selects a splitter's distribution discipline.
 type SplitDist int
@@ -97,10 +70,7 @@ type Node struct {
 	Append bool
 	// Agg is the merge discipline (KindMerge).
 	Agg spec.AggKind
-	// AggOp is the commutative fold (KindAgg).
-	AggOp AggOp
-	// Width is the fan-out (KindSplit, KindTee) or fan-in (KindMerge,
-	// KindAgg).
+	// Width is the fan-out (KindSplit) or fan-in (KindMerge).
 	Width int
 	// Dist is the splitter's distribution discipline (KindSplit), chosen
 	// by the rewriter from the matching merge's aggregator.
@@ -135,10 +105,6 @@ func (n *Node) Label() string {
 		return fmt.Sprintf("split×%d", n.Width)
 	case KindMerge:
 		return fmt.Sprintf("merge[%s]×%d", n.Agg, n.Width)
-	case KindTee:
-		return fmt.Sprintf("tee×%d", n.Width)
-	case KindAgg:
-		return fmt.Sprintf("agg[%s]×%d", n.AggOp, n.Width)
 	}
 	return "?"
 }
@@ -315,16 +281,6 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("dfg: merge %d has %d in / %d out (width %d)",
 					n.ID, len(in), len(out), n.Width)
 			}
-		case KindTee:
-			if len(in) != 1 || len(out) != n.Width {
-				return fmt.Errorf("dfg: tee %d has %d in / %d out (width %d)",
-					n.ID, len(in), len(out), n.Width)
-			}
-		case KindAgg:
-			if len(in) != n.Width || len(out) != 1 {
-				return fmt.Errorf("dfg: agg %d has %d in / %d out (width %d)",
-					n.ID, len(in), len(out), n.Width)
-			}
 		case KindCommand:
 			if len(in) == 0 || len(out) == 0 {
 				return fmt.Errorf("dfg: command %d (%s) is disconnected", n.ID, n.Label())
@@ -388,7 +344,6 @@ type jsonNode struct {
 	Argv  []string `json:"argv,omitempty"`
 	Path  string   `json:"path,omitempty"`
 	Agg   string   `json:"agg,omitempty"`
-	AggOp string   `json:"aggop,omitempty"`
 	Width int      `json:"width,omitempty"`
 	Dist  string   `json:"dist,omitempty"`
 }
@@ -405,9 +360,6 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 		jn := jsonNode{ID: n.ID, Kind: n.Kind.String(), Argv: n.Argv, Path: n.Path, Width: n.Width}
 		if n.Kind == KindMerge {
 			jn.Agg = n.Agg.String()
-		}
-		if n.Kind == KindAgg {
-			jn.AggOp = n.AggOp.String()
 		}
 		if n.Kind == KindSplit && n.Dist != DistConsecutive {
 			jn.Dist = n.Dist.String()

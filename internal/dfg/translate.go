@@ -3,7 +3,6 @@ package dfg
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"jash/internal/spec"
 )
@@ -24,9 +23,9 @@ type Binding struct {
 // FromPipeline translates a pipeline of fully-expanded argument vectors
 // into a dataflow graph, resolving each stage against the specification
 // library. File operands become Source nodes and are stripped from the
-// node's argv (the executor feeds streams); grep-style pattern operands
-// stay. The translation is conservative: anything the spec library cannot
-// vouch for aborts with ErrNotDataflow.
+// node's argv by position (the executor feeds streams); grep-style pattern
+// operands stay. The translation is conservative: anything the spec
+// library cannot vouch for aborts with ErrNotDataflow.
 func FromPipeline(argvs [][]string, lib *spec.Library, b Binding) (*Graph, error) {
 	if len(argvs) == 0 {
 		return nil, fmt.Errorf("%w: empty pipeline", ErrNotDataflow)
@@ -37,10 +36,10 @@ func FromPipeline(argvs [][]string, lib *spec.Library, b Binding) (*Graph, error
 		if len(argv) == 0 {
 			return nil, fmt.Errorf("%w: empty stage", ErrNotDataflow)
 		}
-		e := lib.Resolve(argv)
 		if _, known := lib.Lookup(argv[0]); !known {
 			return nil, fmt.Errorf("%w: unknown command %q", ErrNotDataflow, argv[0])
 		}
+		e := lib.Resolve(argv)
 		if e.Class == spec.SideEffectful && i > 0 {
 			return nil, fmt.Errorf("%w: side-effectful stage %q", ErrNotDataflow, argv[0])
 		}
@@ -53,7 +52,7 @@ func FromPipeline(argvs [][]string, lib *spec.Library, b Binding) (*Graph, error
 		}
 		node := g.AddNode(&Node{
 			Kind: KindCommand,
-			Argv: argvWithoutInputs(argv, e),
+			Argv: e.ArgvWithoutInputs(),
 			Spec: e,
 		})
 		// Wire the stage's inputs in operand order. The first "-" operand
@@ -95,68 +94,4 @@ func FromPipeline(argvs [][]string, lib *spec.Library, b Binding) (*Graph, error
 		return nil, err
 	}
 	return g, nil
-}
-
-// argvWithoutInputs removes the operands identified as input files,
-// leaving flags (and non-file operands like grep's pattern) in place.
-func argvWithoutInputs(argv []string, e *spec.Effective) []string {
-	if len(e.InputFiles) == 0 {
-		return append([]string(nil), argv...)
-	}
-	remaining := map[string]int{}
-	for _, f := range e.InputFiles {
-		remaining[f]++
-	}
-	out := []string{argv[0]}
-	i := 1
-	// Walk like the operand scanner: flags pass through, operands that
-	// match pending input files are dropped (right to left of the multiset).
-	seenDashDash := false
-	// grep's pattern operand was excluded from InputFiles by the refine
-	// hook; since it is an operand too, only drop operands while the
-	// multiset has entries, scanning from the end so the pattern (first
-	// operand) survives.
-	type slot struct {
-		idx     int
-		operand bool
-	}
-	var slots []slot
-	for ; i < len(argv); i++ {
-		a := argv[i]
-		switch {
-		case seenDashDash:
-			slots = append(slots, slot{i, true})
-		case a == "--":
-			slots = append(slots, slot{i, false})
-			seenDashDash = true
-		case a == "-":
-			slots = append(slots, slot{i, true})
-		case strings.HasPrefix(a, "-") && len(a) > 1:
-			slots = append(slots, slot{i, false})
-			last := a[len(a)-1]
-			if strings.IndexByte(e.ValueFlags, last) >= 0 && i+1 < len(argv) {
-				i++
-				slots = append(slots, slot{i, false})
-			}
-		default:
-			slots = append(slots, slot{i, true})
-		}
-	}
-	drop := map[int]bool{}
-	for j := len(slots) - 1; j >= 0; j-- {
-		s := slots[j]
-		if !s.operand {
-			continue
-		}
-		if remaining[argv[s.idx]] > 0 {
-			remaining[argv[s.idx]]--
-			drop[s.idx] = true
-		}
-	}
-	for _, s := range slots {
-		if !drop[s.idx] {
-			out = append(out, argv[s.idx])
-		}
-	}
-	return out
 }

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -249,7 +248,7 @@ func retryEligible(n *dfg.Node, lib *spec.Library) bool {
 	switch n.Kind {
 	case dfg.KindSource:
 		return n.Path != "" // live stdin does not replay
-	case dfg.KindSplit, dfg.KindMerge, dfg.KindTee, dfg.KindAgg:
+	case dfg.KindSplit, dfg.KindMerge:
 		return true
 	case dfg.KindCommand:
 		return lib != nil && analysis.SummarizeArgv(lib, n.Argv).RetryIdempotent()
@@ -783,10 +782,6 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 						return runSplit(n, inReaders[0], outWriters, closers, splitLaneTarget(g, n, env))
 					case dfg.KindMerge:
 						return runMerge(n, inReaders, outWriters[0], env)
-					case dfg.KindTee:
-						return runTee(inReaders[0], outWriters)
-					case dfg.KindAgg:
-						return runAgg(n, inReaders, outWriters[0], env)
 					case dfg.KindCommand:
 						cmdEnv := env
 						if laneNodes[n.ID] {
@@ -855,7 +850,7 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 			return 0
 		}
 		seen[id] = true
-		// Relay nodes (merge, agg, split, tee) run as supervised nodes too
+		// Relay nodes (merge, split) run as supervised nodes too
 		// and record their own — vacuously zero — status; the lanes they
 		// recombine carry the real one, so resolve through them first.
 		// Lane statuses combine by the sequential command's semantics: a
@@ -864,7 +859,7 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 		// and only stands when every lane reports non-zero.
 		if n := g.Nodes[id]; n != nil {
 			switch n.Kind {
-			case dfg.KindMerge, dfg.KindAgg, dfg.KindSplit, dfg.KindTee:
+			case dfg.KindMerge, dfg.KindSplit:
 				in := g.In(id)
 				soft := len(in) > 0
 				for _, e := range in {
@@ -1165,88 +1160,6 @@ func sumStreams(ins []io.Reader, out io.Writer, env *Env) int {
 	}
 	fmt.Fprintln(out, strings.Join(parts, " "))
 	return 0
-}
-
-// runTee copies its one input stream to every output lane, so N consumers
-// share a single read of the data instead of re-reading it N times. A
-// consumer that hangs up stops receiving (its lane goes dead) without
-// disturbing the rest; the tee itself only fails when the input errors.
-func runTee(in io.Reader, outs []io.Writer) int {
-	dead := make([]bool, len(outs))
-	deadCount := 0
-	buf := pipe.GetBlock()[:pipe.BlockSize]
-	defer pipe.PutBlock(buf)
-	for {
-		nr, err := in.Read(buf)
-		if nr > 0 {
-			for i, w := range outs {
-				if dead[i] {
-					continue
-				}
-				if _, werr := w.Write(buf[:nr]); werr != nil {
-					dead[i] = true
-					deadCount++
-					if deadCount == len(outs) {
-						return 0 // every consumer hung up
-					}
-				}
-			}
-		}
-		switch err {
-		case nil:
-		case io.EOF:
-			return 0
-		default:
-			return 1
-		}
-	}
-}
-
-// runAgg folds lane streams with a commutative operator. Sum shares the
-// merge aggregator's column arithmetic; count and unordered-unique are the
-// other two reductions whose result is independent of lane arrival order —
-// which is exactly why a tee/agg region needs no ordering machinery.
-func runAgg(n *dfg.Node, ins []io.Reader, out io.Writer, env *Env) int {
-	switch n.AggOp {
-	case dfg.AggOpSum:
-		return sumStreams(ins, out, env)
-	case dfg.AggOpCount:
-		var total int64
-		for _, r := range ins {
-			sc := bufio.NewScanner(r)
-			sc.Buffer(make([]byte, pipe.BlockSize), 16<<20)
-			for sc.Scan() {
-				total++
-			}
-			if sc.Err() != nil {
-				return 1
-			}
-		}
-		fmt.Fprintln(out, total)
-		return 0
-	case dfg.AggOpUnique:
-		seen := map[string]bool{}
-		for _, r := range ins {
-			sc := bufio.NewScanner(r)
-			sc.Buffer(make([]byte, pipe.BlockSize), 16<<20)
-			for sc.Scan() {
-				seen[sc.Text()] = true
-			}
-			if sc.Err() != nil {
-				return 1
-			}
-		}
-		lines := make([]string, 0, len(seen))
-		for l := range seen {
-			lines = append(lines, l)
-		}
-		sort.Strings(lines)
-		for _, l := range lines {
-			fmt.Fprintln(out, l)
-		}
-		return 0
-	}
-	return 1
 }
 
 // runCommand executes a command node. Single-input nodes stream via

@@ -291,11 +291,11 @@ func (g *gen) sourceCmd(depth int) *syntax.SimpleCommand {
 	case 1:
 		return argv("cat", g.file())
 	case 2:
-		return argv("grep", g.grepPattern(), g.file())
+		return g.withFile(g.grepCmd())
 	case 3:
-		return argv("sort", g.file())
+		return g.withFile(g.sortCmd())
 	case 4:
-		return argv("head", "-n", fmt.Sprintf("%d", 1+g.rng.Intn(9)), g.file())
+		return g.withFile(g.headCmd())
 	case 5:
 		return argv("wc", "-l", g.file())
 	case 6:
@@ -318,24 +318,65 @@ func (g *gen) grepPattern() string {
 	return pats[g.rng.Intn(len(pats))]
 }
 
+// grepCmd, sortCmd, headCmd and cutCmd spell their flags detached,
+// clustered (a value flag ending the cluster) and attached (-n3), so every
+// shape of the argv grammar reaches the planner and the utilities.
+func (g *gen) grepCmd() *syntax.SimpleCommand {
+	switch g.rng.Intn(5) {
+	case 0:
+		return argv("grep", "-v", g.grepPattern())
+	case 1:
+		return argv("grep", "-ie", g.grepPattern())
+	}
+	return argv("grep", g.grepPattern())
+}
+
+func (g *gen) sortCmd() *syntax.SimpleCommand {
+	switch g.rng.Intn(6) {
+	case 0:
+		return argv("sort", "-r")
+	case 1:
+		return argv("sort", "-rk1")
+	case 2:
+		return argv("sort", "-t:", "-k2")
+	}
+	return argv("sort")
+}
+
+func (g *gen) headCmd() *syntax.SimpleCommand {
+	n := 1 + g.rng.Intn(9)
+	if g.rng.Intn(3) == 0 {
+		return argv("head", fmt.Sprintf("-n%d", n))
+	}
+	return argv("head", "-n", fmt.Sprintf("%d", n))
+}
+
+func (g *gen) cutCmd() *syntax.SimpleCommand {
+	if g.rng.Intn(3) == 0 {
+		return argv("cut", "-sd,", "-f1")
+	}
+	return argv("cut", "-c", "1-3")
+}
+
+// withFile appends a fixture file operand to a filter, which then reads
+// the file and not its stdin.
+func (g *gen) withFile(c *syntax.SimpleCommand) *syntax.SimpleCommand {
+	c.Args = append(c.Args, lit(g.file()))
+	return c
+}
+
 // stageCmd generates a stdin→stdout filter suitable as a pipeline stage.
 func (g *gen) stageCmd() *syntax.SimpleCommand {
-	switch g.pick(4, 4, 3, 3, 3, 3, 2, 2, 2, 2, 1) {
+	switch g.pick(4, 4, 3, 3, 3, 3, 2, 2, 2, 2, 1, 1) {
 	case 0:
 		if g.rng.Intn(2) == 0 {
 			return argv("tr", "a-z", "A-Z")
 		}
 		return argv("tr", "-d", "aeiou")
 	case 1:
-		if g.rng.Intn(3) == 0 {
-			return argv("grep", "-v", g.grepPattern())
-		}
-		return argv("grep", g.grepPattern())
+		return g.grepCmd()
 	case 2:
-		if g.rng.Intn(3) == 0 {
-			return argv("sort", "-r")
-		}
-		return argv("sort")
+		return g.sortCmd()
 	case 3:
 		if g.rng.Intn(2) == 0 {
 			return argv("uniq")
@@ -345,17 +386,29 @@ func (g *gen) stageCmd() *syntax.SimpleCommand {
 		flags := []string{"-l", "-w", "-c"}
 		return argv("wc", flags[g.rng.Intn(len(flags))])
 	case 5:
-		return argv("head", "-n", fmt.Sprintf("%d", 1+g.rng.Intn(9)))
+		return g.headCmd()
 	case 6:
-		return argv("cut", "-c", "1-3")
+		return g.cutCmd()
 	case 7:
 		return argv("rev")
 	case 8:
 		return argv("cat", "-n")
 	case 9:
 		return argv("sed", fmt.Sprintf("s/%s/%s/", g.literal(), g.literal()))
-	default:
+	case 10:
 		return argv("fold", "-w", "8")
+	default:
+		// A later stage that names a file ignores its pipe: a planner
+		// that misreads which word is the file replicates it per lane.
+		switch g.rng.Intn(4) {
+		case 0:
+			return g.withFile(g.grepCmd())
+		case 1:
+			return g.withFile(argv("sed", fmt.Sprintf("s/%s/%s/", g.literal(), g.literal())))
+		case 2:
+			return g.withFile(simple(lit("awk"), word(&syntax.SglQuoted{Value: "{print $1}"})))
+		}
+		return g.withFile(g.sortCmd())
 	}
 }
 

@@ -43,6 +43,16 @@ func init() {
 	}
 }
 
+// BuiltinNames lists the builtin registry's names, sorted.
+func BuiltinNames() []string {
+	names := make([]string, 0, len(builtins))
+	for n := range builtins {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
 func builtinColon(*Interp, []string) int { return 0 }
 
 func builtinCd(in *Interp, args []string) int {

@@ -257,23 +257,14 @@ func (l *Linter) checkSimple(sc *syntax.SimpleCommand, add func(Finding)) {
 	}
 	// JSH205: unknown flags, per the specification library's FlagDocs.
 	if s, ok := l.Lib.Lookup(name); ok && len(s.FlagDocs) > 0 {
-		for _, w := range sc.Args[1:] {
-			lit := w.Lit()
-			if !strings.HasPrefix(lit, "-") || lit == "-" || lit == "--" {
-				break // flags precede operands
-			}
-			for i := 1; i < len(lit); i++ {
-				flag := "-" + string(lit[i])
-				if _, known := s.FlagDocs[flag]; !known {
-					add(Finding{
-						Code: "JSH205", Severity: Warning, Pos: w.Pos(),
-						Message: fmt.Sprintf("%s: flag %s is not in the command's specification (v%s)",
-							name, flag, s.Version),
-					})
-				}
-				if strings.IndexByte(s.ValueFlags, lit[i]) >= 0 {
-					break // rest of the cluster is this flag's value
-				}
+		for _, f := range flagsOf(sc, s) {
+			flag := "-" + string(f.Letter)
+			if _, known := s.FlagDocs[flag]; !known {
+				add(Finding{
+					Code: "JSH205", Severity: Warning, Pos: sc.Args[f.Arg].Pos(),
+					Message: fmt.Sprintf("%s: flag %s is not in the command's specification (v%s)",
+						name, flag, s.Version),
+				})
 			}
 		}
 	}
@@ -419,6 +410,40 @@ func (l *Linter) checkFor(fc *syntax.ForClause, add func(Finding)) {
 			}
 		}
 	}
+}
+
+// flagsOf lists a command's option letters for JSH205. When every word is
+// static the argv is known and the spec's scanner cuts it. Otherwise the
+// words have no values yet and it falls back to a conservative walk over
+// the leading literal words that look like options, which stops at the
+// first word it cannot classify (a detached flag value included).
+func flagsOf(sc *syntax.SimpleCommand, s *spec.Spec) []spec.Flag {
+	argv := make([]string, 0, len(sc.Args))
+	for _, w := range sc.Args {
+		if !w.IsStatic() {
+			break
+		}
+		argv = append(argv, w.StaticValue())
+	}
+	if len(argv) == len(sc.Args) {
+		if p, err := s.Scan(argv); err == nil {
+			return p.Flags
+		}
+	}
+	var flags []spec.Flag
+	for i, w := range sc.Args[1:] {
+		lit := w.Lit()
+		if !strings.HasPrefix(lit, "-") || lit == "-" || lit == "--" {
+			break // flags precede operands
+		}
+		for j := 1; j < len(lit); j++ {
+			flags = append(flags, spec.Flag{Letter: lit[j], Arg: i + 1})
+			if strings.IndexByte(s.ValueFlags, lit[j]) >= 0 {
+				break // rest of the cluster is this flag's value
+			}
+		}
+	}
+	return flags
 }
 
 // isBareParam reports whether the word is an unquoted expansion (possibly

@@ -4,10 +4,12 @@ import "strings"
 
 // Builtin returns the ground-truth specification library for the hermetic
 // coreutils, the equivalent of PaSh's shipped annotation files. CPU
-// factors are relative to a plain byte copy (cat = 1).
+// factors are relative to a plain byte copy (cat = 1). Each spec's argv
+// grammar comes from the grammars table, not from its literal here.
 func Builtin() *Library {
 	l := NewLibrary()
 	for _, s := range builtinSpecs() {
+		s.Grammar = grammars[s.Name]
 		l.Add(s)
 	}
 	return l
@@ -17,7 +19,7 @@ func builtinSpecs() []*Spec {
 	return []*Spec{
 		{
 			Name: "cat", Version: "1.0", Class: Stateless, Agg: AggConcat,
-			OperandsAreInputs: true, CPUFactor: 1, OutputRatio: 1,
+			CPUFactor: 1, OutputRatio: 1,
 			Summary: "concatenate files to standard output",
 			FlagDocs: map[string]string{
 				"-n": "number output lines",
@@ -34,17 +36,18 @@ func builtinSpecs() []*Spec {
 		},
 		{
 			Name: "grep", Version: "1.0", Class: Stateless, Agg: AggConcat,
-			ValueFlags: "e", OperandsAreInputs: true, CPUFactor: 3, OutputRatio: 0.5,
+			CPUFactor: 3, OutputRatio: 0.5,
 			Summary: "print lines matching a pattern",
 			FlagDocs: map[string]string{
 				"-v": "invert match", "-i": "ignore case", "-c": "count matches",
 				"-q": "quiet: status only", "-n": "prefix line numbers", "-F": "fixed-string match",
+				"-e": "the pattern, so every operand is a file",
 			},
 			refine: refineGrep,
 		},
 		{
 			Name: "cut", Version: "1.0", Class: Stateless, Agg: AggConcat,
-			ValueFlags: "cfd", OperandsAreInputs: true, CPUFactor: 2, OutputRatio: 0.3,
+			CPUFactor: 2, OutputRatio: 0.3,
 			Summary: "select character or field columns from each line",
 			FlagDocs: map[string]string{
 				"-c": "select character positions", "-f": "select fields", "-d": "field delimiter",
@@ -53,18 +56,18 @@ func builtinSpecs() []*Spec {
 		},
 		{
 			Name: "sort", Version: "1.0", Class: Parallelizable, Agg: AggMergeSort,
-			ValueFlags: "kt", OperandsAreInputs: true, CPUFactor: 12, OutputRatio: 1,
+			CPUFactor: 12, OutputRatio: 1,
 			Summary: "sort lines of text",
 			FlagDocs: map[string]string{
 				"-n": "numeric comparison", "-r": "reverse", "-u": "unique output",
 				"-m": "merge already-sorted inputs", "-k": "sort key field", "-t": "field separator",
-				"-c": "check sortedness",
+				"-c": "check sortedness", "-o": "write the result to a file",
 			},
 			refine: refineSort,
 		},
 		{
 			Name: "uniq", Version: "1.0", Class: Blocking, Agg: AggNone,
-			OperandsAreInputs: true, CPUFactor: 2, OutputRatio: 0.8,
+			CPUFactor: 2, OutputRatio: 0.8,
 			Summary: "filter adjacent duplicate lines (boundary-crossing: not splittable)",
 			FlagDocs: map[string]string{
 				"-c": "prefix repetition counts", "-d": "only duplicated lines", "-u": "only unique lines",
@@ -72,7 +75,7 @@ func builtinSpecs() []*Spec {
 		},
 		{
 			Name: "wc", Version: "1.0", Class: Parallelizable, Agg: AggSum,
-			OperandsAreInputs: true, CPUFactor: 2, OutputRatio: 0.000001,
+			CPUFactor: 2, OutputRatio: 0.000001,
 			Summary: "count lines, words, and bytes",
 			FlagDocs: map[string]string{
 				"-l": "lines only", "-w": "words only", "-c": "bytes only",
@@ -81,7 +84,7 @@ func builtinSpecs() []*Spec {
 		},
 		{
 			Name: "head", Version: "1.0", Class: Blocking, Agg: AggNone,
-			ValueFlags: "nc", OperandsAreInputs: true, CPUFactor: 1, OutputRatio: 0.01,
+			CPUFactor: 1, OutputRatio: 0.01,
 			Summary: "output the first lines (a global prefix: not splittable)",
 			FlagDocs: map[string]string{
 				"-n": "line count", "-c": "byte count",
@@ -89,24 +92,24 @@ func builtinSpecs() []*Spec {
 		},
 		{
 			Name: "tail", Version: "1.0", Class: Blocking, Agg: AggNone,
-			ValueFlags: "nc", OperandsAreInputs: true, CPUFactor: 1, OutputRatio: 0.01,
+			CPUFactor: 1, OutputRatio: 0.01,
 			Summary: "output the last lines (a global suffix: not splittable)",
 		},
 		{
 			Name: "sed", Version: "1.0", Class: Stateless, Agg: AggConcat,
-			OperandsAreInputs: false, CPUFactor: 4, OutputRatio: 1,
+			CPUFactor: 4, OutputRatio: 1,
 			Summary: "stream editor (s///, d, p, q subset)",
 			refine:  refineSed,
 		},
 		{
 			Name: "awk", Version: "1.0", Class: Stateless, Agg: AggConcat,
-			OperandsAreInputs: false, CPUFactor: 5, OutputRatio: 0.8,
+			CPUFactor: 5, OutputRatio: 0.8,
 			Summary: "pattern scanning and processing",
 			refine:  refineAwk,
 		},
 		{
 			Name: "comm", Version: "1.0", Class: Blocking, Agg: AggNone,
-			OperandsAreInputs: true, CPUFactor: 2, OutputRatio: 0.5,
+			CPUFactor: 2, OutputRatio: 0.5,
 			Summary: "compare two sorted files line by line",
 			FlagDocs: map[string]string{
 				"-1": "suppress column 1", "-2": "suppress column 2", "-3": "suppress column 3",
@@ -114,32 +117,32 @@ func builtinSpecs() []*Spec {
 		},
 		{
 			Name: "join", Version: "1.0", Class: Blocking, Agg: AggNone,
-			OperandsAreInputs: true, CPUFactor: 3, OutputRatio: 1,
+			CPUFactor: 3, OutputRatio: 1,
 			Summary: "relational join of two sorted files",
 		},
 		{
 			Name: "shuf", Version: "1.0", Class: Blocking, Agg: AggNone,
-			ValueFlags: "n", OperandsAreInputs: true, CPUFactor: 3, OutputRatio: 1,
+			CPUFactor: 3, OutputRatio: 1,
 			Summary: "random permutation of input lines",
 		},
 		{
 			Name: "paste", Version: "1.0", Class: Blocking, Agg: AggNone,
-			ValueFlags: "d", OperandsAreInputs: true, CPUFactor: 2, OutputRatio: 1,
+			CPUFactor: 2, OutputRatio: 1,
 			Summary: "merge corresponding lines of files",
 		},
 		{
 			Name: "rev", Version: "1.0", Class: Stateless, Agg: AggConcat,
-			OperandsAreInputs: true, CPUFactor: 2, OutputRatio: 1,
+			CPUFactor: 2, OutputRatio: 1,
 			Summary: "reverse each line",
 		},
 		{
 			Name: "fold", Version: "1.0", Class: Stateless, Agg: AggConcat,
-			ValueFlags: "w", OperandsAreInputs: true, CPUFactor: 1.5, OutputRatio: 1.05,
+			CPUFactor: 1.5, OutputRatio: 1.05,
 			Summary: "wrap lines to a width",
 		},
 		{
 			Name: "nl", Version: "1.0", Class: Blocking, Agg: AggNone,
-			OperandsAreInputs: true, CPUFactor: 1.5, OutputRatio: 1.1,
+			CPUFactor: 1.5, OutputRatio: 1.1,
 			Summary: "number lines (global counter: not splittable)",
 		},
 		{
@@ -149,7 +152,7 @@ func builtinSpecs() []*Spec {
 		},
 		{
 			Name: "xargs", Version: "1.0", Class: SideEffectful, Agg: AggNone,
-			ValueFlags: "n", CPUFactor: 2, OutputRatio: 1,
+			CPUFactor: 2, OutputRatio: 1,
 			Summary: "build and run command lines (arbitrary side effects)",
 		},
 		{
@@ -169,109 +172,71 @@ func builtinSpecs() []*Spec {
 		},
 		{
 			Name: "tac", Version: "1.0", Class: Blocking, Agg: AggNone,
-			OperandsAreInputs: true, CPUFactor: 2, OutputRatio: 1,
+			CPUFactor: 2, OutputRatio: 1,
 			Summary: "print lines in reverse order (whole-input)",
 		},
 		{
 			Name: "expand", Version: "1.0", Class: Stateless, Agg: AggConcat,
-			ValueFlags: "t", OperandsAreInputs: true, CPUFactor: 1.5, OutputRatio: 1.1,
+			CPUFactor: 1.5, OutputRatio: 1.1,
 			Summary: "convert tabs to spaces",
 		},
 		{
 			Name: "unexpand", Version: "1.0", Class: Stateless, Agg: AggConcat,
-			ValueFlags: "t", OperandsAreInputs: true, CPUFactor: 1.5, OutputRatio: 0.95,
+			CPUFactor: 1.5, OutputRatio: 0.95,
 			Summary: "convert leading spaces to tabs",
 		},
 		{
 			Name: "tsort", Version: "1.0", Class: Blocking, Agg: AggNone,
-			OperandsAreInputs: true, CPUFactor: 3, OutputRatio: 0.5,
+			CPUFactor: 3, OutputRatio: 0.5,
 			Summary: "topological sort of a partial order",
 		},
 	}
 }
 
-// refineCat: -n numbers lines with a single counter across the whole
-// input, so a chunked run restarts the count per chunk. Found by the
-// differential fuzzer (walk↔aot stdout divergence).
-func refineCat(e *Effective, args []string) {
-	for _, a := range args[1:] {
-		if !strings.HasPrefix(a, "-") || a == "-" || a == "--" {
-			break
-		}
-		if strings.ContainsRune(a[1:], 'n') {
-			e.Class = Blocking // global line numbers
-			e.Agg = AggNone
-			return
-		}
-	}
+// demote marks an invocation that needs its whole input in order.
+func demote(e *Effective) {
+	e.Class = Blocking
+	e.Agg = AggNone
 }
 
-// refineCut: an invocation with neither -c nor -f is invalid (cut needs a
-// selection mode); like grep-without-pattern it must stay sequential so
-// the diagnostic appears once and the failure is not masked by the merge.
-func refineCut(e *Effective, args []string) {
-	rest := args[1:]
-	for i := 0; i < len(rest); i++ {
-		a := rest[i]
-		if !strings.HasPrefix(a, "-") || a == "-" || a == "--" {
-			break
-		}
-		if strings.ContainsAny(a[1:], "cf") {
-			return
-		}
-		if a == "-d" {
-			i++ // detached delimiter value; don't mistake it for an operand
-		}
-	}
+// exclude keeps an invocation out of dataflow translation altogether.
+func exclude(e *Effective) {
 	e.Class = SideEffectful
 	e.Agg = AggNone
 }
 
+// refineCat: -n numbers lines with a single counter across the whole
+// input, so a chunked run restarts the count per chunk. Found by the
+// differential fuzzer (walk↔aot stdout divergence).
+func refineCat(e *Effective) {
+	if e.Parsed.Has('n') {
+		demote(e) // global line numbers
+	}
+}
+
+// refineCut: an invocation with neither -c nor -f is invalid (cut needs a
+// selection mode); like an argv the scanner rejects it must stay
+// sequential so the diagnostic appears once and the failure is not masked
+// by the merge.
+func refineCut(e *Effective) {
+	if !e.Parsed.Has('c') && !e.Parsed.Has('f') {
+		exclude(e)
+	}
+}
+
 // refineGrep adjusts grep's classification for flags: -c becomes
-// Parallelizable with a sum aggregator; -q/-n need global context. It also
-// drops the pattern operand from the input-file list unless -e was used.
-// An invocation with no pattern at all is invalid and must not be
-// parallelized: the sequential run diagnoses it once, while N lanes would
-// each repeat the diagnostic and the merge would mask the failure. (Found
-// by the differential fuzzer.)
-func refineGrep(e *Effective, args []string) {
-	hasE := false
-	for _, a := range args[1:] {
-		if strings.HasPrefix(a, "-e") && len(a) >= 2 {
-			hasE = true
-		}
-	}
-	if !hasE && len(e.InputFiles) == 0 {
-		e.Class = SideEffectful // missing pattern: leave it to the interpreter
-		e.Agg = AggNone
-		return
-	}
-	if !hasE && len(e.InputFiles) > 0 {
-		e.InputFiles = e.InputFiles[1:]
-		e.ReadsStdin = len(e.InputFiles) == 0
-		for _, f := range e.InputFiles {
-			if f == "-" {
-				e.ReadsStdin = true
-			}
-		}
-	}
-	for _, a := range args[1:] {
-		if !strings.HasPrefix(a, "-") || a == "-" || a == "--" {
-			break
-		}
-		for _, f := range a[1:] {
-			switch f {
-			case 'c':
-				e.Class = Parallelizable
-				e.Agg = AggSum
-				e.OutputRatio = 0.000001
-			case 'q':
-				e.Class = Blocking // early-exit semantics
-				e.Agg = AggNone
-			case 'n':
-				e.Class = Blocking // global line numbers
-				e.Agg = AggNone
-			}
+// Parallelizable with a sum aggregator; -q/-n need global context.
+func refineGrep(e *Effective) {
+	for _, f := range e.Parsed.Flags {
+		switch f.Letter {
+		case 'c':
+			e.Class = Parallelizable
+			e.Agg = AggSum
+			e.OutputRatio = 0.000001
+		case 'q': // early-exit semantics
+			demote(e)
+		case 'n': // global line numbers
+			demote(e)
 		}
 	}
 }
@@ -283,92 +248,59 @@ func refineGrep(e *Effective, args []string) {
 // SideEffectful aborts dataflow translation entirely (a Blocking node
 // would still enter the graph and get temp-named ports); stdin-only wc
 // stays a parallel sum.
-func refineWc(e *Effective, args []string) {
+func refineWc(e *Effective) {
 	if len(e.InputFiles) > 0 {
-		e.Class = SideEffectful
-		e.Agg = AggNone
+		exclude(e)
 	}
 }
 
-// refineSort: -m is already a merge (stateless pass, cheap); -c checks.
-func refineSort(e *Effective, args []string) {
-	for _, a := range args[1:] {
-		if !strings.HasPrefix(a, "-") || a == "-" || a == "--" {
-			break
+// refineSort: -m is already a merge (stateless pass, cheap); -c checks;
+// -o writes a named file, which nothing may replicate or reorder.
+func refineSort(e *Effective) {
+	for _, f := range e.Parsed.Flags {
+		switch f.Letter {
+		case 'm': // merging is already the aggregation step
+			demote(e)
+			e.CPUFactor = 2
+		case 'c':
+			demote(e)
 		}
-		for _, f := range a[1:] {
-			switch f {
-			case 'm':
-				e.Class = Blocking // merging is already the aggregation step
-				e.Agg = AggNone
-				e.CPUFactor = 2
-			case 'c':
-				e.Class = Blocking
-				e.Agg = AggNone
-			}
-		}
+	}
+	if e.Parsed.Has('o') {
+		exclude(e)
 	}
 }
 
 // refineSed demotes scripts with line-number or last-line addresses (2d,
-// $p): those depend on global positions.
-func refineSed(e *Effective, args []string) {
-	for _, a := range args[1:] {
-		if strings.HasPrefix(a, "-") {
-			continue
-		}
-		// First non-flag argument is the script.
-		for _, cmd := range strings.Split(a, ";") {
+// $p) and q: those depend on global positions.
+func refineSed(e *Effective) {
+	for _, script := range e.Parsed.Scripts() {
+		for _, cmd := range strings.Split(script, ";") {
 			cmd = strings.TrimSpace(cmd)
 			if cmd == "" {
 				continue
 			}
-			if cmd[0] >= '0' && cmd[0] <= '9' || cmd[0] == '$' {
-				e.Class = Blocking
-				e.Agg = AggNone
-				return
-			}
-			if strings.Contains(cmd, "q") && !strings.HasPrefix(cmd, "s") {
-				e.Class = Blocking
-				e.Agg = AggNone
+			if cmd[0] >= '0' && cmd[0] <= '9' || cmd[0] == '$' ||
+				strings.Contains(cmd, "q") && !strings.HasPrefix(cmd, "s") {
+				demote(e)
 				return
 			}
 		}
-		return
 	}
 }
 
 // refineAwk demotes programs that use cross-line state: NR, BEGIN/END
-// accumulation, variable assignment, or next.
-func refineAwk(e *Effective, args []string) {
-	prog := ""
-	for i := 1; i < len(args); i++ {
-		a := args[i]
-		if a == "-F" {
-			i++
-			continue
-		}
-		if strings.HasPrefix(a, "-") {
-			continue
-		}
-		prog = a
-		break
-	}
-	if prog == "" {
-		return
-	}
-	stateful := []string{"NR", "BEGIN", "END", "next", "+=", "-=", "*=", "/="}
-	for _, marker := range stateful {
+// accumulation, variable assignment (x = ...), or next.
+func refineAwk(e *Effective) {
+	prog := e.Parsed.Scripts()[0]
+	for _, marker := range []string{"NR", "BEGIN", "END", "next", "+=", "-=", "*=", "/="} {
 		if strings.Contains(prog, marker) {
-			e.Class = Blocking
-			e.Agg = AggNone
+			demote(e)
 			return
 		}
 	}
-	// Plain assignment (x = ...) also carries state across lines.
 	if containsAssignment(prog) {
-		e.Class = Blocking
-		e.Agg = AggNone
+		demote(e)
 	}
 }
 

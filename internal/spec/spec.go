@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -115,12 +114,9 @@ type Spec struct {
 	Class Class `json:"class"`
 	// Agg is the default aggregator for Parallelizable commands.
 	Agg AggKind `json:"aggregator"`
-	// ValueFlags lists single-letter flags that consume a value, needed to
-	// separate flags from file operands when scanning argv.
-	ValueFlags string `json:"value_flags,omitempty"`
-	// OperandsAreInputs marks commands whose non-flag operands name input
-	// files (cat, grep, sort, ...), with "-"/absence meaning stdin.
-	OperandsAreInputs bool `json:"operands_are_inputs,omitempty"`
+	// Grammar is how the command's argv is cut up (see Scan). Builtin
+	// specs take it from the one table the utilities also parse with.
+	Grammar
 	// Generator marks commands that read no input at all (seq, echo).
 	Generator bool `json:"generator,omitempty"`
 	// CPUFactor is the relative per-byte CPU cost (1.0 = pass-through
@@ -133,8 +129,9 @@ type Spec struct {
 	// FlagDocs maps flags to their meaning, used by jashexplain.
 	FlagDocs map[string]string `json:"flag_docs,omitempty"`
 
-	// refine, when non-nil, adjusts the effective spec for an argv.
-	refine func(e *Effective, args []string) `json:"-"`
+	// refine, when non-nil, adjusts the effective spec for the scanned
+	// argv (e.Parsed).
+	refine func(e *Effective)
 }
 
 // Effective is a Spec resolved against a concrete argument vector.
@@ -142,10 +139,27 @@ type Effective struct {
 	Spec
 	// Args is the argv the spec was resolved against (args[0] = name).
 	Args []string
-	// InputFiles are the file operands discovered in argv ("-" = stdin).
+	// Parsed is Args as the command's grammar scans it; zero for commands
+	// whose operands are not inputs and for an argv the scanner rejects.
+	Parsed Parsed
+	// InputFiles are the operands that name input files ("-" = stdin).
+	// Because options precede operands they are always the tail of Args:
+	// Args[Parsed.First:].
 	InputFiles []string
 	// ReadsStdin reports whether the invocation reads standard input.
 	ReadsStdin bool
+}
+
+// ArgvWithoutInputs returns a copy of Args with the input-file operands
+// removed — what a dataflow node runs, since the executor feeds it
+// streams — keeping options and a script operand (grep's pattern) in
+// place.
+func (e *Effective) ArgvWithoutInputs() []string {
+	n := len(e.Args)
+	if len(e.InputFiles) > 0 {
+		n = e.Parsed.First
+	}
+	return append([]string(nil), e.Args[:n]...)
 }
 
 // Parallelizable reports whether the effective command can be split.
@@ -206,50 +220,29 @@ func (l *Library) Resolve(args []string) *Effective {
 		}
 	}
 	e := &Effective{Spec: *s, Args: args}
-	if s.OperandsAreInputs {
-		e.InputFiles = scanOperands(args[1:], s.ValueFlags)
-		e.ReadsStdin = len(e.InputFiles) == 0
-		for _, f := range e.InputFiles {
-			if f == "-" {
-				e.ReadsStdin = true
-			}
-		}
-	} else {
+	if !s.OperandsAreInputs {
 		e.ReadsStdin = !s.Generator
+		return e
+	}
+	p, err := s.Scan(args)
+	if err != nil {
+		// What the planner cannot read it may not parallelize: the
+		// sequential path prints the utility's one diagnostic.
+		exclude(e)
+		e.ReadsStdin = true
+		return e
+	}
+	e.Parsed, e.InputFiles = p, p.Operands
+	e.ReadsStdin = len(e.InputFiles) == 0
+	for _, f := range e.InputFiles {
+		if f == "-" {
+			e.ReadsStdin = true
+		}
 	}
 	if s.refine != nil {
-		s.refine(e, args)
+		s.refine(e)
 	}
 	return e
-}
-
-// scanOperands extracts the non-flag operands from an argument list.
-func scanOperands(args []string, valueFlags string) []string {
-	var ops []string
-	i := 0
-	seenDashDash := false
-	for i < len(args) {
-		a := args[i]
-		switch {
-		case seenDashDash:
-			ops = append(ops, a)
-		case a == "--":
-			seenDashDash = true
-		case a == "-":
-			ops = append(ops, a)
-		case strings.HasPrefix(a, "-") && len(a) > 1:
-			// Does the flag cluster end in a value-taking flag with no
-			// inline value?
-			last := a[len(a)-1]
-			if strings.IndexByte(valueFlags, last) >= 0 {
-				i++ // skip the value
-			}
-		default:
-			ops = append(ops, a)
-		}
-		i++
-	}
-	return ops
 }
 
 // MarshalJSON serializes the whole library.
