@@ -20,7 +20,7 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	binDir = dir
-	for _, name := range []string{"jash", "jashc", "jashlint", "jashexplain", "jashinfer", "jashbench"} {
+	for _, name := range []string{"jash", "jashc", "jashlint", "jashexplain", "jashinfer", "jashbench", "jashtrace"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./"+name)
 		cmd.Dir = mustSelfDir()
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -276,6 +276,31 @@ func TestJashStatsHazardReject(t *testing.T) {
 	}
 	if !strings.Contains(errs, "hazard-reject") {
 		t.Errorf("-stats missing hazard-reject:\n%s", errs)
+	}
+}
+
+// TestJashtraceCheckGatesOnDrift: -check recounts the registry's outcome
+// counters from the spans of a real run, and fails when they disagree.
+func TestJashtraceCheckGatesOnDrift(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	if _, errs, code := runBin(t, "jash", "", "-words", "/d/f=100000", "-trace", path,
+		"-c", "cat /d/f | tr a-z A-Z | sort >/o; grep -c a /d/f | sort -rn >>/d/f"); code != 0 {
+		t.Fatalf("jash: code=%d errs=%q", code, errs)
+	}
+	if out, errs, code := runBin(t, "jashtrace", "", "-check", path); code != 0 {
+		t.Fatalf("a real trace failed its own cross-check: code=%d %s%s", code, out, errs)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted := strings.Replace(string(data), `"name":"hazard_rejects","value":1`, `"name":"hazard_rejects","value":2`, 1)
+	if drifted == string(data) {
+		t.Fatalf("trace has no hazard_rejects=1 counter to tamper with:\n%s", data)
+	}
+	_, errs, code := runBin(t, "jashtrace", drifted, "-check")
+	if code != 1 || !strings.Contains(errs, "hazard_rejects=2, the spans say 1") {
+		t.Errorf("drifted trace: code=%d errs=%q, want exit 1 naming hazard_rejects", code, errs)
 	}
 }
 

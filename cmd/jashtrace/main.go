@@ -2,8 +2,9 @@
 // out.jsonl`) for humans: the span tree of every top-level command with
 // durations, attributes, and events; the critical path through each
 // tree; and the session's metrics registry. With -check it only parses
-// and validates the file — the CI gate that keeps the trace format
-// honest.
+// and validates the file, and recounts the registry's outcome counters
+// from the spans — the CI gate that keeps the trace format honest and the
+// two views of a run from drifting apart.
 //
 // Usage:
 //
@@ -63,6 +64,13 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "jashtrace: trace contains no spans")
 			return 1
 		}
+		drift := crossCheck(data)
+		for _, msg := range drift {
+			fmt.Fprintf(os.Stderr, "jashtrace: %s\n", msg)
+		}
+		if len(drift) > 0 {
+			return 1
+		}
 		return 0
 	}
 	if !*metricOnly {
@@ -70,6 +78,43 @@ func run() int {
 	}
 	renderMetrics(os.Stdout, data.Metrics)
 	return 0
+}
+
+// crossCheck recounts from the spans what the registry counted as the
+// session ran. Both are written from the same records (core's settled
+// decisions, the executor's node metrics), so a difference is drift.
+func crossCheck(d *trace.Data) []string {
+	want := map[string]float64{}
+	for _, s := range d.Spans {
+		switch outcome, _ := s.Attrs["outcome"].(string); {
+		case strings.HasPrefix(s.Name, "node:"):
+			want[trace.MetricNodesTotal]++
+		case s.Name != "pipeline":
+		case strings.HasSuffix(outcome, "-df"), outcome == "fallback-interpret", outcome == "cancelled":
+			want[trace.MetricPlansOptimized]++
+		case outcome == "hazard-reject":
+			want[trace.MetricHazardRejects]++
+		case outcome == "quarantine":
+			want[trace.MetricQuarantined]++
+		}
+		for _, ev := range s.Events {
+			if ev.Name == "fallback" {
+				want[trace.MetricFallbacks]++
+			}
+		}
+	}
+	got := map[string]float64{}
+	for _, m := range d.Metrics {
+		got[m.Name] = m.Value
+	}
+	var drift []string
+	for _, name := range []string{trace.MetricPlansOptimized, trace.MetricFallbacks,
+		trace.MetricHazardRejects, trace.MetricQuarantined, trace.MetricNodesTotal} {
+		if got[name] != want[name] {
+			drift = append(drift, fmt.Sprintf("registry says %s=%.0f, the spans say %.0f", name, got[name], want[name]))
+		}
+	}
+	return drift
 }
 
 func spanIndex(spans []trace.SpanRecord) map[uint64]trace.SpanRecord {

@@ -66,68 +66,196 @@ var modeNames = [...]string{"bash", "pash", "jash"}
 
 func (m Mode) String() string { return modeNames[m] }
 
-// Decision records one interposition outcome, for telemetry, tests, and
-// the benchmark harness.
+// Decision is the record of one interposition: what the JIT saw, chose
+// and measured for one pipeline or one statement list. Shell.settle is its
+// only writer; Stats, the -log-decisions line, the span attributes, the
+// registry counters and the JSON stats are each a function of it.
 type Decision struct {
-	Pipeline string // the pipeline as the user wrote it (unparsed)
-	Strategy string // "interpret", "sequential-df", "parallel-df"
-	Width    int
-	Reason   string
+	Pipeline string `json:"pipeline"` // the pipeline as the user wrote it (unparsed)
+	// Strategy names the outcome: "interpret" (bash mode, which only
+	// charges modelled time, or the planner declined), "hazard-reject",
+	// "quarantine", "sequential-df" / "parallel-df" (ran on the dataflow
+	// executor at width 1 / Width), "fallback-interpret" (the plan failed
+	// and re-ran via the interpreter), "cancelled" (the session's context
+	// tore the plan down), and for statement lists "sequential-list" /
+	// "parallel-list". An offer the eligibility analysis declines is the
+	// zero Decision: counted as interpreted, never listed.
+	Strategy string `json:"strategy"`
+	Width    int    `json:"width,omitempty"`
+	Reason   string `json:"reason,omitempty"`
 	// EstimatedSeconds is the cost model's prediction for the chosen
 	// plan; SequentialSeconds for the unoptimized graph. Zero when the
 	// pipeline was interpreted without estimation.
-	EstimatedSeconds   float64
-	SequentialSeconds  float64
-	PlanningWall       time.Duration // real time spent deciding (JIT overhead)
-	InputBytes         int64
-	BurstCreditsBefore float64
+	EstimatedSeconds  float64       `json:"estimated_seconds,omitempty"`
+	SequentialSeconds float64       `json:"sequential_seconds,omitempty"`
+	PlanningWall      time.Duration `json:"-"` // real time spent deciding (JIT overhead)
+	InputBytes        int64         `json:"input_bytes,omitempty"`
 	// Nodes holds the executor's measured per-node counters for the run
 	// (bytes moved, peak buffered bytes, wall time) — the ground truth
 	// `jash -stats` shows next to the model's predictions. Empty when the
 	// pipeline was interpreted rather than executed as dataflow.
-	Nodes []exec.NodeMetrics
+	Nodes []exec.NodeMetrics `json:"nodes,omitempty"`
 	// Witnesses lists the value-flow concretizations that helped admit
 	// this decision, one `$f ⇒ /tmp/a.txt` line per dynamic word the
 	// abstract interpreter proved — shown by jashexplain.
-	Witnesses []string
+	Witnesses []string `json:"witnesses,omitempty"`
+
+	// Facts the views need that have no column of their own.
+	statements  int    // parallel-list: statements placed in concurrent regions
+	concretized int    // ⊤ words resolved (a list deduplicates Witnesses, so ≥ their count)
+	failures    int    // quarantine: the region's failure count
+	sinkBytes   int64  // line-aligned bytes the plan committed to its sink
+	breakerOpen bool   // fallback-interpret: this failure opened the breaker
+	incremental string // the incremental cache's verdict, when one is attached
+}
+
+// tallies is the one strategy→counter table: what a record of each
+// strategy adds to the session totals and, under the names Stats.counters
+// pairs them with, to the registry.
+var tallies = map[string]Stats{
+	"":                   {Interpreted: 1},
+	"interpret":          {Interpreted: 1},
+	"hazard-reject":      {Interpreted: 1, HazardRejects: 1},
+	"quarantine":         {Interpreted: 1, Quarantined: 1},
+	"sequential-df":      {Optimized: 1},
+	"parallel-df":        {Optimized: 1},
+	"fallback-interpret": {Optimized: 1, Fallbacks: 1},
+	"cancelled":          {Optimized: 1},
+}
+
+// logLine is the -log-decisions view of the record.
+func (d *Decision) logLine() string {
+	line := fmt.Sprintf("%s -> %s width=%d est=%.3fs (%s)",
+		d.Pipeline, d.Strategy, d.Width, d.EstimatedSeconds, d.Reason)
+	if d.incremental != "" {
+		line += " incremental cache: " + d.incremental
+	}
+	return line
+}
+
+// annotatePlan stamps the planner's verdict on the plan span and ends it.
+func (d *Decision) annotatePlan(psp *trace.Span) {
+	if d.Strategy == "interpret" {
+		psp.SetStr("verdict", "declined").SetStr("reason", d.Reason)
+	} else {
+		psp.SetStr("verdict", "compiled").SetStr("strategy", d.Strategy)
+		psp.SetInt("width", int64(d.Width)).SetStr("reason", d.Reason)
+		psp.SetFloat("est_seconds", d.EstimatedSeconds)
+		psp.SetFloat("seq_seconds", d.SequentialSeconds)
+		psp.SetInt("input_bytes", d.InputBytes)
+		psp.SetInt("witnesses", int64(len(d.Witnesses)))
+		if psp != nil && len(d.Witnesses) > 0 {
+			psp.SetStr("witness_list", strings.Join(d.Witnesses, "; "))
+		}
+	}
+	psp.End()
+}
+
+// annotate is the span view of a settled record: the pipeline span's
+// outcome and the events of the self-healing machinery.
+func (d *Decision) annotate(sp *trace.Span) {
+	if sp == nil {
+		return
+	}
+	sp.SetStr("outcome", d.Strategy)
+	switch d.Strategy {
+	case "quarantine":
+		sp.EventInt("quarantine", "failures", int64(d.failures))
+	case "fallback-interpret":
+		if d.breakerOpen {
+			sp.EventStr("breaker-open", "region", d.Pipeline)
+		}
+		if d.sinkBytes == 0 {
+			sp.EventStr("fallback", "kind", "pristine")
+		} else {
+			sp.EventKV("fallback", map[string]any{
+				"kind": "journaled", "committed_bytes": d.sinkBytes,
+			})
+		}
+	}
 }
 
 // Stats accumulates a session's decisions and modelled execution time.
 type Stats struct {
-	Decisions []Decision
 	// VirtualSeconds is the cost model's predicted wall time for the
 	// session's dataflow work — the number the Figure 1 harness reports.
-	VirtualSeconds float64
-	Optimized      int
-	Interpreted    int
+	VirtualSeconds float64 `json:"virtual_seconds"`
+	Optimized      int     `json:"optimized"`
+	Interpreted    int     `json:"interpreted"`
 	// Fallbacks counts optimized plans that failed and were transparently
 	// re-run through the interpreter — the paper's no-regression rule
 	// extended to faults. A plan that died before its first output byte
 	// re-runs from pristine state; one that died mid-stream re-runs
 	// against the sink's line-aligned journal, skipping the committed
 	// prefix.
-	Fallbacks int
+	Fallbacks int `json:"fallbacks,omitempty"`
 	// HazardRejects counts pipelines the static preflight refused to
 	// compile: their nodes would race on a file if run concurrently
 	// (write-write or read-after-write), so they interpret instead.
-	HazardRejects int
+	HazardRejects int `json:"hazard_rejects,omitempty"`
 	// Retries totals the executor's supervised node re-runs across the
 	// session's optimized executions.
-	Retries int
+	Retries int `json:"retries,omitempty"`
 	// Quarantined counts executions the JIT circuit breaker refused to
 	// compile: the region failed BreakerThreshold times, so it runs
 	// interpreted until a half-open probe re-admits it after BreakerDecay.
-	Quarantined int
+	Quarantined int `json:"quarantined,omitempty"`
 	// ListParallel counts statements executed inside concurrent list
 	// regions: runs of a `cmd1; cmd2; ...` list (or an unrolled static for
 	// loop) proven pairwise non-interfering and run on worker clones, with
 	// outputs replayed in program order.
-	ListParallel int
+	ListParallel int `json:"list_parallel,omitempty"`
 	// Concretized counts dynamic words — $f operands, variable redirect
 	// targets — the abstract interpreter resolved to concrete values
 	// while admitting an optimization: each one is a ⊤ effect the
 	// purely-syntactic analysis would have charged.
-	Concretized int
+	Concretized int `json:"concretized,omitempty"`
+	// Decisions lists every settled record, in the order they settled.
+	Decisions []Decision `json:"decisions"`
+}
+
+// counters pairs each session total with the registry counter of the same
+// quantity; add moves both by the same amount.
+func (st *Stats) counters() ([8]*int, [8]string) {
+	return [8]*int{&st.Optimized, &st.Interpreted, &st.Fallbacks, &st.HazardRejects,
+			&st.Retries, &st.Quarantined, &st.ListParallel, &st.Concretized},
+		[8]string{trace.MetricPlansOptimized, trace.MetricPlansInterp, trace.MetricFallbacks, trace.MetricHazardRejects,
+			trace.MetricRetries, trace.MetricQuarantined, trace.MetricListParallel, trace.MetricConcretized}
+}
+
+// add is the counters' view of a settled record: it goes to the session
+// totals and to the registry (nil when untraced) in one step, and joins
+// Decisions unless it is a declined offer, reported as false.
+func (st *Stats) add(d *Decision, reg *trace.Registry) bool {
+	inc := tallies[d.Strategy]
+	inc.ListParallel, inc.Concretized = d.statements, d.concretized
+	var moved int64
+	for _, n := range d.Nodes {
+		inc.Retries += n.Retries
+		moved += n.BytesOut
+	}
+	totals, names := st.counters()
+	incs, _ := inc.counters()
+	for i, n := range incs {
+		if *n != 0 {
+			*totals[i] += *n
+			reg.Counter(names[i]).Add(int64(*n))
+		}
+	}
+	if d.Strategy == "" {
+		return false
+	}
+	// plans_total: every listed pipeline record is one or the other.
+	reg.Counter(trace.MetricPlansTotal).Add(int64(inc.Optimized + inc.Interpreted))
+	reg.Counter(trace.MetricBytesMoved).Add(moved)
+	reg.Counter(trace.MetricSinkBytes).Add(d.sinkBytes)
+	if d.PlanningWall > 0 {
+		// Dispatch latency: interposition start to plan hand-off.
+		reg.Histogram(trace.MetricDispatchLatency).Observe(d.PlanningWall)
+	}
+	st.VirtualSeconds += d.EstimatedSeconds
+	st.Decisions = append(st.Decisions, *d)
+	return true
 }
 
 // Shell is a Jash session.
@@ -137,15 +265,16 @@ type Shell struct {
 	Lib     *spec.Library
 	Profile *cost.Profile
 	Mode    Mode
-	// Trace, when non-nil, receives one line per JIT decision.
+	// Trace, when non-nil, receives one line per settled decision.
 	Trace io.Writer
 	// Tracer, when non-nil, records structured telemetry for the session
 	// (internal/trace): a span tree per top-level command — parse, then
 	// per pipeline the expansion, analysis preflight (hazard verdicts),
 	// JIT decision, and per-node execution — plus fallback, breaker, and
 	// list-parallel events, and a registry of counters and latency
-	// histograms mirroring Stats. Attach with EnableTracing so the
-	// interpreter side is wired too. A nil Tracer costs nothing.
+	// histograms that settle bumps together with Stats. Attach with
+	// EnableTracing so the interpreter side is wired too. A nil Tracer
+	// costs nothing.
 	Tracer *trace.Tracer
 	// Incremental, when non-nil, routes stdout-bound dataflow regions
 	// through the memoizing runner (§4's incremental computation built on
@@ -347,67 +476,77 @@ func (s *Shell) runDeadlineTraps() {
 	s.Interp.Observer, s.Interp.Ctx = savedObs, savedCtx
 }
 
+// settle publishes one interposition's record, complete: nothing is
+// amended afterwards. It is the only code in this package that adds to
+// Stats, prints the -log-decisions line, sets a span's outcome or bumps a
+// registry counter, and it computes each of those views from d alone. sp is
+// the span the outcome belongs on (nil when untraced and for list
+// decisions). A declined offer — almost every offer of a script — costs a
+// counter, no span and no allocation.
+func (s *Shell) settle(sp *trace.Span, d Decision) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.Stats.add(&d, s.Tracer.Metrics()) {
+		return
+	}
+	if s.Trace != nil {
+		fmt.Fprintf(s.Trace, "jash[%s]: %s\n", s.Mode, d.logLine())
+	}
+	d.annotate(sp)
+}
+
 // observe is the interposition hook: the interpreter offers every
 // pipeline here before running it. `in` is the invoking interpreter —
 // possibly a subshell or command-substitution clone — whose state and
-// streams this decision must use.
+// streams this decision must use. It is a straight line — region,
+// preflight, plan, run — that fills in one Decision; wherever it returns,
+// that record is settled once.
 func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	if s.Mode == ModeBash {
 		// Baseline still charges modelled time for eligible pipelines so
 		// the harness can compare systems on equal footing.
-		if plan, facts, text, ok := s.analyze(in, st, false); ok {
-			seq := plan.Clone()
+		if graph, facts, text, ok := s.analyze(in, st, false); ok {
+			seq := graph.Clone()
 			rewrite.RemoveUselessCat(seq)
 			s.mu.Lock()
-			if est, err := cost.EstimateGraph(seq, facts, s.Profile, false); err == nil {
-				s.Stats.VirtualSeconds += est.Seconds
-				s.recordLocked(Decision{Pipeline: text, Strategy: "interpret",
-					Reason: "bash mode", EstimatedSeconds: est.Seconds,
-					SequentialSeconds: est.Seconds, InputBytes: totalInput(plan, facts)})
-			}
+			est, err := cost.EstimateGraph(seq, facts, s.Profile, false)
 			s.mu.Unlock()
+			if err == nil {
+				s.settle(nil, Decision{Pipeline: text, Strategy: "interpret",
+					Reason: "bash mode", EstimatedSeconds: est.Seconds,
+					SequentialSeconds: est.Seconds, InputBytes: totalInput(graph, facts)})
+			}
 		}
 		return 0, false
 	}
-	start := time.Now()
-	tr := s.Tracer
-	root := tr.Start(s.cmdSpan, "pipeline")
-	defer func() {
-		tr.Metrics().Histogram(trace.MetricPlanWall).Observe(time.Since(start))
-		root.End()
-	}()
-	tr.Metrics().Counter(trace.MetricPlansTotal).Add(1)
 	// PaSh is ahead-of-time: it sees the script text, not the shell state,
 	// so any word that needs expansion hides the dataflow from it (§3.2:
 	// "neither PaSh nor POSH optimize this script"). Jash expands first.
-	staticOnly := s.Mode == ModePaSh
-	xsp := root.Child("expand")
-	graph, facts, text, ok := s.analyze(in, st, staticOnly)
-	xsp.End()
+	start := time.Now()
+	graph, facts, text, ok := s.analyze(in, st, s.Mode == ModePaSh)
 	if !ok {
-		root.SetStr("outcome", "interpret").SetStr("reason", "ineligible")
-		s.bumpInterpreted()
+		s.settle(nil, Decision{})
 		return 0, false
 	}
+	// Only a region analyze accepts gets a span, backdated to the offer so
+	// the expand child still covers the analysis.
+	root := s.Tracer.StartAt(s.cmdSpan, "pipeline", start)
 	root.SetStr("text", text)
+	s.Tracer.StartAt(root, "expand", start).End()
+	d := Decision{Pipeline: text}
+	defer func() {
+		s.settle(root, d)
+		root.End()
+	}()
 	// Static preflight: a dataflow plan runs every node concurrently, so
 	// any pair of nodes whose effect summaries conflict on a file would
 	// race. Such a region is never compiled — the interpreter's
 	// left-to-right, stage-by-stage semantics are the only safe ones.
 	pre := root.Child("preflight")
-	hz := analysis.GraphHazards(graph, s.Lib, in.Dir)
-	if len(hz) > 0 {
+	if hz := analysis.GraphHazards(graph, s.Lib, in.Dir); len(hz) > 0 {
 		pre.SetStr("verdict", "hazard").SetStr("hazard", hz[0].String())
 		pre.End()
-		root.SetStr("outcome", "hazard-reject")
-		tr.Metrics().Counter(trace.MetricHazardRejects).Add(1)
-		tr.Metrics().Counter(trace.MetricPlansInterp).Add(1)
-		s.mu.Lock()
-		s.Stats.Interpreted++
-		s.Stats.HazardRejects++
-		s.recordLocked(Decision{Pipeline: text, Strategy: "hazard-reject",
-			Reason: hz[0].String()})
-		s.mu.Unlock()
+		d.Strategy, d.Reason = "hazard-reject", hz[0].String()
 		return 0, false
 	}
 	pre.SetStr("verdict", "clear")
@@ -418,16 +557,10 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	// half-open probe.
 	s.mu.Lock()
 	if s.quarantined(text) {
-		failures := s.breakers[text].failures
-		s.Stats.Interpreted++
-		s.Stats.Quarantined++
-		s.recordLocked(Decision{Pipeline: text, Strategy: "quarantine",
-			Reason: fmt.Sprintf("region failed %d times; interpreting (half-open probe after %v)", failures, cost.BreakerDecay)})
+		d.failures = s.breakers[text].failures
 		s.mu.Unlock()
-		root.SetStr("outcome", "quarantine")
-		root.EventInt("quarantine", "failures", int64(failures))
-		tr.Metrics().Counter(trace.MetricQuarantined).Add(1)
-		tr.Metrics().Counter(trace.MetricPlansInterp).Add(1)
+		d.Strategy = "quarantine"
+		d.Reason = fmt.Sprintf("region failed %d times; interpreting (half-open probe after %v)", d.failures, cost.BreakerDecay)
 		return 0, false
 	}
 	// Planning runs outside the lock on a snapshot: its what-if estimates
@@ -445,72 +578,37 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	default:
 		chosen, dec, err = rewrite.JashPlan(graph, facts, profile)
 	}
+	d.PlanningWall = time.Since(start)
+	var est cost.Estimate
+	if err == nil {
+		// Charge the model for the chosen plan, consuming burst credits.
+		s.mu.Lock()
+		est, err = cost.EstimateGraph(chosen, facts, s.Profile, false)
+		s.mu.Unlock()
+	}
 	if err != nil {
-		psp.SetStr("verdict", "declined").SetStr("reason", err.Error())
-		psp.End()
-		root.SetStr("outcome", "interpret")
-		s.bumpInterpreted()
+		d.Strategy, d.Reason = "interpret", err.Error()
+		d.annotatePlan(psp)
 		return 0, false
 	}
-	planning := time.Since(start)
+	d.Strategy = "sequential-df"
+	if dec.Width > 1 {
+		d.Strategy = "parallel-df"
+	}
+	d.Width, d.Reason = dec.Width, dec.Reason
+	d.EstimatedSeconds, d.SequentialSeconds = est.Seconds, dec.SequentialEstimate.Seconds
+	d.InputBytes = totalInput(graph, facts)
 	// Value-flow witnesses: which dynamic words this pipeline needed the
 	// runtime state to resolve. Each is a ⊤ the static analysis would
 	// have charged — the precision the JIT (and now the abstract
 	// interpreter) buys, surfaced via Stats.Concretized and jashexplain.
-	wits := concretizeWitnesses(in, st.AndOr.First)
-	// Charge the model for the chosen plan, consuming burst credits.
-	s.mu.Lock()
-	est, err := cost.EstimateGraph(chosen, facts, s.Profile, false)
-	if err != nil {
-		s.Stats.Interpreted++
-		s.mu.Unlock()
-		psp.SetStr("verdict", "declined").SetStr("reason", err.Error())
-		psp.End()
-		root.SetStr("outcome", "interpret")
-		tr.Metrics().Counter(trace.MetricPlansInterp).Add(1)
-		return 0, false
-	}
-	s.Stats.VirtualSeconds += est.Seconds
-	strategy := "sequential-df"
-	if dec.Width > 1 {
-		strategy = "parallel-df"
-	}
-	d := Decision{
-		Pipeline:          text,
-		Strategy:          strategy,
-		Width:             dec.Width,
-		Reason:            dec.Reason,
-		EstimatedSeconds:  est.Seconds,
-		SequentialSeconds: dec.SequentialEstimate.Seconds,
-		PlanningWall:      planning,
-		InputBytes:        totalInput(graph, facts),
-		Witnesses:         wits,
-	}
-	if dev, okd := s.Profile.Devices["default"]; okd {
-		d.BurstCreditsBefore = dev.Credits
-	}
-	di := s.recordLocked(d)
-	s.Stats.Optimized++
-	s.Stats.Concretized += len(wits)
-	s.mu.Unlock()
-	psp.SetStr("verdict", "compiled").SetStr("strategy", strategy)
-	psp.SetInt("width", int64(dec.Width)).SetStr("reason", dec.Reason)
-	psp.SetFloat("est_seconds", est.Seconds)
-	psp.SetFloat("seq_seconds", dec.SequentialEstimate.Seconds)
-	psp.SetInt("input_bytes", d.InputBytes)
-	psp.SetInt("witnesses", int64(len(wits)))
-	if root != nil && len(wits) > 0 {
-		psp.SetStr("witness_list", strings.Join(wits, "; "))
-	}
-	psp.End()
-	tr.Metrics().Counter(trace.MetricPlansOptimized).Add(1)
-	tr.Metrics().Counter(trace.MetricConcretized).Add(int64(len(wits)))
-	// Dispatch latency: interposition start to plan hand-off.
-	tr.Metrics().Histogram(trace.MetricDispatchLatency).Observe(planning)
+	d.Witnesses = concretizeWitnesses(in, st.AndOr.First)
+	d.concretized = len(d.Witnesses)
+	d.annotatePlan(psp)
 	// Execute the plan for real over the VFS, through the incremental
 	// cache when one is attached.
 	esp := root.Child("execute")
-	esp.SetStr("strategy", strategy)
+	esp.SetStr("strategy", d.Strategy)
 	metrics := &exec.RunMetrics{}
 	env := &exec.Env{
 		FS:           s.FS,
@@ -536,16 +634,13 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 		var kind string
 		status, kind, runErr = s.Incremental.RunContext(ctx, chosen, env)
 		if runErr == nil {
+			d.incremental = kind
 			esp.SetStr("incremental", kind)
-			if s.Trace != nil {
-				s.mu.Lock()
-				fmt.Fprintf(s.Trace, "jash[%s]: incremental cache: %s\n", s.Mode, kind)
-				s.mu.Unlock()
-			}
 		}
 	} else {
 		status, runErr = exec.RunContext(ctx, chosen, env)
 	}
+	d.Nodes, d.sinkBytes = metrics.Nodes, metrics.SinkBytes
 	esp.SetInt("status", int64(status))
 	esp.SetInt("sink_bytes", metrics.SinkBytes)
 	esp.SetInt("bytes_moved", metrics.TotalBytesMoved())
@@ -554,78 +649,41 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 		esp.SetStr("error", runErr.Error())
 	}
 	esp.End()
-	tr.Metrics().Counter(trace.MetricSinkBytes).Add(metrics.SinkBytes)
-	tr.Metrics().Counter(trace.MetricBytesMoved).Add(metrics.TotalBytesMoved())
-	tr.Metrics().Counter(trace.MetricRetries).Add(int64(metrics.Retries))
-	// Attach the measured counters to the decision recorded above.
-	s.mu.Lock()
-	s.Stats.Decisions[di].Nodes = metrics.Nodes
-	s.Stats.Retries += metrics.Retries
-	s.mu.Unlock()
-	if runErr != nil {
+	if runErr == nil {
+		s.mu.Lock()
+		s.breakerSuccess(text)
+		s.mu.Unlock()
+		return status, true
+	}
+	if errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
 		// External cancellation is a user-imposed bound, not a plan defect:
 		// surface it (timeout convention, status 124) instead of re-running
 		// the region — a fallback would evade the user's deadline. No
 		// diagnostic here: Run's deadline check reports it once. The
 		// breaker ignores it too.
-		if errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
-			root.SetStr("outcome", "cancelled")
-			return 124, true
-		}
-		s.mu.Lock()
-		s.breakerFailure(text)
-		breakerOpen := s.quarantined(text)
-		s.Stats.Fallbacks++
-		d := &s.Stats.Decisions[di]
-		d.Strategy = "fallback-interpret"
-		root.SetStr("outcome", "fallback-interpret")
-		tr.Metrics().Counter(trace.MetricFallbacks).Add(1)
-		if breakerOpen {
-			root.EventStr("breaker-open", "region", text)
-		}
+		d.Strategy, d.Reason = "cancelled", runErr.Error()
+		return 124, true
+	}
+	s.mu.Lock()
+	s.breakerFailure(text)
+	d.breakerOpen = s.quarantined(text)
+	s.mu.Unlock()
+	d.Strategy = "fallback-interpret"
+	if d.sinkBytes == 0 {
 		// Fallback-before-first-byte: if the failed plan emitted nothing,
 		// the interpreter can re-run the pipeline from pristine state —
 		// the paper's no-regression rule extended to faults. Analyze
 		// already guaranteed every source is a regular file (never live
 		// stdin), so the re-run reads the same inputs.
-		if metrics.SinkBytes == 0 {
-			d.Reason = fmt.Sprintf("plan failed before first output byte (%v); re-run via interpreter", runErr)
-			if s.Trace != nil {
-				fmt.Fprintf(s.Trace, "jash[%s]: plan failed (%v); falling back to interpreter\n", s.Mode, runErr)
-			}
-			s.mu.Unlock()
-			root.EventStr("fallback", "kind", "pristine")
-			return 0, false
-		}
-		// Journaled mid-stream fallback: the sink committed a line-aligned
-		// prefix (SinkBytes is its exact length), so the interpreter can
-		// re-run the pipeline and skip the committed bytes instead of
-		// giving up — no duplicated and no missing lines.
-		d.Reason = fmt.Sprintf("plan failed mid-stream (%v) after %d committed bytes; journaled re-run via interpreter", runErr, metrics.SinkBytes)
-		if s.Trace != nil {
-			fmt.Fprintf(s.Trace, "jash[%s]: plan failed mid-stream (%v); journaled fallback skipping %d bytes\n", s.Mode, runErr, metrics.SinkBytes)
-		}
-		s.mu.Unlock()
-		if root != nil {
-			root.EventKV("fallback", map[string]any{
-				"kind": "journaled", "committed_bytes": metrics.SinkBytes,
-			})
-		}
-		return s.replayJournaled(in, st, chosen, metrics.SinkBytes)
+		d.Reason = fmt.Sprintf("plan failed before first output byte (%v); re-run via interpreter", runErr)
+		return 0, false
 	}
-	s.mu.Lock()
-	s.breakerSuccess(text)
-	s.mu.Unlock()
-	root.SetStr("outcome", strategy)
-	return status, true
-}
-
-// bumpInterpreted counts one pipeline left to the interpreter.
-func (s *Shell) bumpInterpreted() {
-	s.mu.Lock()
-	s.Stats.Interpreted++
-	s.mu.Unlock()
-	s.Tracer.Metrics().Counter(trace.MetricPlansInterp).Add(1)
+	// Journaled mid-stream fallback: the sink committed a line-aligned
+	// prefix (sinkBytes is its exact length), so the interpreter can
+	// re-run the pipeline and skip the committed bytes instead of
+	// giving up — no duplicated and no missing lines.
+	d.Reason = fmt.Sprintf("plan failed mid-stream (%v) after %d committed bytes; journaled re-run via interpreter", runErr, d.sinkBytes)
+	return s.replayJournaled(in, st, chosen, d.sinkBytes)
 }
 
 // skipWriter discards the first skip bytes it is handed and passes the
@@ -722,25 +780,6 @@ func stripStdoutRedir(st *syntax.Stmt) *syntax.Stmt {
 	ao.First = &pl
 	stCopy.AndOr = &ao
 	return &stCopy
-}
-
-// record appends a decision under the session lock and returns its index,
-// so callers can attach measured counters later without racing other
-// region workers' appends.
-func (s *Shell) record(d Decision) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recordLocked(d)
-}
-
-// recordLocked is record for callers already holding s.mu.
-func (s *Shell) recordLocked(d Decision) int {
-	s.Stats.Decisions = append(s.Stats.Decisions, d)
-	if s.Trace != nil {
-		fmt.Fprintf(s.Trace, "jash[%s]: %s -> %s width=%d est=%.3fs (%s)\n",
-			s.Mode, d.Pipeline, d.Strategy, d.Width, d.EstimatedSeconds, d.Reason)
-	}
-	return len(s.Stats.Decisions) - 1
 }
 
 // analyze checks eligibility and, if the pipeline qualifies, expands it

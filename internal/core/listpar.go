@@ -58,7 +58,6 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 		Lib:   s.Lib,
 		Dir:   in.Dir,
 		Cores: s.Profile.Cores,
-		Span:  lsp,
 		IsFunc: func(name string) bool {
 			_, ok := in.Funcs[name]
 			return ok
@@ -73,24 +72,18 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 		},
 		FuncBody: func(name string) syntax.Command { return in.Funcs[name] },
 	})
-	lsp.SetBool("parallel", dec.Parallel)
-	lsp.SetStr("reason", dec.Reason)
-	lsp.End()
+	annotateList(lsp, dec)
+	// The list's record settles when the list has run: a region that
+	// aborts says so in it. Refusals are recorded too, for jashexplain and
+	// -stats; the list then runs exactly as before.
+	d := Decision{Pipeline: listLabel(cand), Strategy: "sequential-list",
+		Reason: dec.Reason, Witnesses: dec.Witnesses}
+	defer func() { s.settle(nil, d) }()
 	if !dec.Parallel {
-		// Refusals of multi-statement lists are recorded for jashexplain
-		// and -stats; the list then runs exactly as before.
-		s.record(Decision{Pipeline: listLabel(cand), Strategy: "sequential-list",
-			Reason: dec.Reason, Witnesses: dec.Witnesses})
 		return in.RunStmts(stmts)
 	}
-	di := s.record(Decision{Pipeline: listLabel(cand), Strategy: "parallel-list",
-		Width: dec.Width, Reason: dec.Reason, Witnesses: dec.Witnesses})
-	s.mu.Lock()
-	s.Stats.ListParallel += dec.Statements
-	s.Stats.Concretized += dec.Concretized
-	s.mu.Unlock()
-	s.Tracer.Metrics().Counter(trace.MetricListParallel).Add(int64(dec.Statements))
-	s.Tracer.Metrics().Counter(trace.MetricConcretized).Add(int64(dec.Concretized))
+	d.Strategy, d.Width = "parallel-list", dec.Width
+	d.statements, d.concretized = dec.Statements, dec.Concretized
 	rsp := s.cmdSpan.Child("list-region")
 	rsp.SetInt("width", int64(dec.Width))
 	rsp.SetInt("statements", int64(dec.Statements))
@@ -110,6 +103,7 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 		if err != nil || in.Exited {
 			if err != nil {
 				rsp.EventStr("region-abort", "cause", err.Error())
+				d.Reason += fmt.Sprintf(" (region aborted: %v)", err)
 			}
 			break
 		}
@@ -118,12 +112,28 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 		// POSIX leaves the loop variable bound to the last item.
 		in.Setenv(loopVar, loopLast)
 	}
-	if err != nil {
-		s.mu.Lock()
-		s.Stats.Decisions[di].Reason += fmt.Sprintf(" (region aborted: %v)", err)
-		s.mu.Unlock()
-	}
 	return status, err
+}
+
+// annotateList stamps the list planner's returned decision on the
+// list-plan span — its verdict, and one pinned event per statement the
+// effect system could not prove commutative — and ends it.
+func annotateList(lsp *trace.Span, dec rewrite.ListDecision) {
+	if lsp == nil {
+		return
+	}
+	for i, blocker := range dec.Pinned {
+		if blocker != "" {
+			lsp.EventKV("pinned", map[string]any{"stmt": i + 1, "blocker": blocker})
+		}
+	}
+	lsp.EventKV("verdict", map[string]any{
+		"parallel": dec.Parallel, "width": dec.Width,
+		"statements": dec.Statements, "reason": dec.Reason,
+	})
+	lsp.SetBool("parallel", dec.Parallel)
+	lsp.SetStr("reason", dec.Reason)
+	lsp.End()
 }
 
 // listWorker is one statement's execution state inside a parallel group.

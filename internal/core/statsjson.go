@@ -3,100 +3,32 @@ package core
 import (
 	"encoding/json"
 	"io"
-	"time"
 )
 
-// statsJSON is the stable wire shape of `jash -stats -stats-format json`.
-// Field names are snake_case and durations are microseconds, matching the
-// trace exporter's conventions so one set of downstream tooling reads both.
-type statsJSON struct {
-	Optimized      int            `json:"optimized"`
-	Interpreted    int            `json:"interpreted"`
-	VirtualSeconds float64        `json:"virtual_seconds"`
-	HazardRejects  int            `json:"hazard_rejects,omitempty"`
-	Fallbacks      int            `json:"fallbacks,omitempty"`
-	Retries        int            `json:"retries,omitempty"`
-	Quarantined    int            `json:"quarantined,omitempty"`
-	ListParallel   int            `json:"list_parallel,omitempty"`
-	Concretized    int            `json:"concretized,omitempty"`
-	Decisions      []decisionJSON `json:"decisions"`
-}
-
-type decisionJSON struct {
-	Pipeline          string     `json:"pipeline"`
-	Strategy          string     `json:"strategy"`
-	Width             int        `json:"width,omitempty"`
-	Reason            string     `json:"reason,omitempty"`
-	EstimatedSeconds  float64    `json:"estimated_seconds,omitempty"`
-	SequentialSeconds float64    `json:"sequential_seconds,omitempty"`
-	PlanningWallUS    int64      `json:"planning_wall_us"`
-	InputBytes        int64      `json:"input_bytes,omitempty"`
-	Witnesses         []string   `json:"witnesses,omitempty"`
-	Nodes             []nodeJSON `json:"nodes,omitempty"`
-}
-
-type nodeJSON struct {
-	ID                int    `json:"id"`
-	Kind              string `json:"kind,omitempty"`
-	Label             string `json:"label"`
-	BytesIn           int64  `json:"bytes_in"`
-	BytesOut          int64  `json:"bytes_out"`
-	PeakBufferedBytes int64  `json:"peak_buffered_bytes"`
-	WallUS            int64  `json:"wall_us"`
-	Retries           int    `json:"retries,omitempty"`
-	BlockedReadUS     int64  `json:"blocked_read_us,omitempty"`
-	BlockedWriteUS    int64  `json:"blocked_write_us,omitempty"`
-}
-
 // WriteStatsJSON encodes the session statistics as one indented JSON
-// object. It takes the session lock, so it is safe to call while list
-// regions are still completing.
+// object, the wire shape of `jash -stats -stats-format json`: the json tags
+// of Stats, Decision and exec.NodeMetrics — snake_case, durations in
+// microseconds, matching the trace exporter's conventions so one set of
+// downstream tooling reads both. It takes the session lock, so it is safe
+// to call while list regions are still completing.
 func (s *Shell) WriteStatsJSON(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := statsJSON{
-		Optimized:      s.Stats.Optimized,
-		Interpreted:    s.Stats.Interpreted,
-		VirtualSeconds: s.Stats.VirtualSeconds,
-		HazardRejects:  s.Stats.HazardRejects,
-		Fallbacks:      s.Stats.Fallbacks,
-		Retries:        s.Stats.Retries,
-		Quarantined:    s.Stats.Quarantined,
-		ListParallel:   s.Stats.ListParallel,
-		Concretized:    s.Stats.Concretized,
-		Decisions:      make([]decisionJSON, 0, len(s.Stats.Decisions)),
-	}
-	for _, d := range s.Stats.Decisions {
-		dj := decisionJSON{
-			Pipeline:          d.Pipeline,
-			Strategy:          d.Strategy,
-			Width:             d.Width,
-			Reason:            d.Reason,
-			EstimatedSeconds:  d.EstimatedSeconds,
-			SequentialSeconds: d.SequentialSeconds,
-			PlanningWallUS:    d.PlanningWall.Microseconds(),
-			InputBytes:        d.InputBytes,
-			Witnesses:         d.Witnesses,
-		}
-		for _, nm := range d.Nodes {
-			dj.Nodes = append(dj.Nodes, nodeJSON{
-				ID:                nm.ID,
-				Kind:              nm.Kind,
-				Label:             nm.Label,
-				BytesIn:           nm.BytesIn,
-				BytesOut:          nm.BytesOut,
-				PeakBufferedBytes: nm.PeakBufferedBytes,
-				WallUS:            nm.Wall.Microseconds(),
-				Retries:           nm.Retries,
-				BlockedReadUS:     durUS(nm.BlockedRead),
-				BlockedWriteUS:    durUS(nm.BlockedWrite),
-			})
-		}
-		out.Decisions = append(out.Decisions, dj)
+	out := s.Stats
+	if out.Decisions == nil {
+		out.Decisions = []Decision{}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
 
-func durUS(d time.Duration) int64 { return d.Microseconds() }
+// MarshalJSON adds the one field the tags cannot express: the planning
+// wall time in microseconds.
+func (d Decision) MarshalJSON() ([]byte, error) {
+	type tagged Decision // the tags without this method
+	return json.Marshal(struct {
+		tagged
+		PlanningWallUS int64 `json:"planning_wall_us"`
+	}{tagged(d), d.PlanningWall.Microseconds()})
+}

@@ -286,3 +286,182 @@ func (l lockedWriter) Write(p []byte) (int, error) {
 	defer l.mu.Unlock()
 	return l.w.Write(p)
 }
+
+// TestEveryOutcomeTellsOneStory drives each outcome an interposition can
+// settle as, once, in a traced session of its own, and checks that the four
+// views of the record agree: the listed Decision's Strategy, the pipeline
+// span's outcome, the Stats counters and the registry counters.
+func TestEveryOutcomeTellsOneStory(t *testing.T) {
+	fault := func(r faultinject.Rule) func(*testing.T, *Shell) {
+		return func(_ *testing.T, s *Shell) { s.Faults = faultinject.NewSet(r) }
+	}
+	for _, tc := range []struct {
+		name   string
+		bash   bool // ModeBash, not ModeJash
+		fs     func() *vfs.FS
+		lines  int // /big's size when fs is nil
+		arm    func(*testing.T, *Shell)
+		script string
+		// strategy is the last listed Decision's ("" = nothing listed);
+		// outcome the only pipeline span's ("" = no pipeline span).
+		strategy, outcome string
+		want              Stats
+	}{
+		{name: "bash-mode charge", bash: true, script: fig1Script,
+			strategy: "interpret", want: Stats{Interpreted: 1}},
+		{name: "ineligible", script: "echo hi\n",
+			want: Stats{Interpreted: 1}},
+		{name: "hazard-reject", fs: hazardFS, script: hazardScript,
+			strategy: "hazard-reject", outcome: "hazard-reject",
+			want: Stats{Interpreted: 1, HazardRejects: 1}},
+		{name: "quarantine", script: fig1Script,
+			arm: func(t *testing.T, s *Shell) {
+				// The ledger is full and the clock has not reached the decay.
+				s.now = func() time.Time { return time.Unix(1000, 0) }
+				for i := 0; i < cost.BreakerThreshold; i++ {
+					s.breakerFailure(fig1Script[:len(fig1Script)-1])
+				}
+			},
+			strategy: "quarantine", outcome: "quarantine",
+			want: Stats{Interpreted: 1, Quarantined: 1}},
+		{name: "planner declined",
+			// Neither planner can fail on a graph FromPipeline built (only a
+			// cycle makes the estimator return an error), so this row hands
+			// settle the record observe would.
+			arm: func(t *testing.T, s *Shell) {
+				root := s.Tracer.Start(nil, "pipeline")
+				s.settle(root, Decision{Pipeline: "x | y", Strategy: "interpret", Reason: "graph has a cycle"})
+				root.End()
+			},
+			strategy: "interpret", outcome: "interpret", want: Stats{Interpreted: 1}},
+		{name: "executed sequential", lines: 50, script: fig1Script,
+			strategy: "sequential-df", outcome: "sequential-df", want: Stats{Optimized: 1}},
+		{name: "executed parallel", script: "cat /big | tr A-Z a-z | grep -c apple\n",
+			fs: func() *vfs.FS { // 20 MB: enough for the planner to go wide
+				fs := vfs.New()
+				fs.WriteFile("/big", bytes.Repeat([]byte("Apple banana CHERRY\n"), 1<<20))
+				return fs
+			},
+			strategy: "parallel-df", outcome: "parallel-df", want: Stats{Optimized: 1}},
+		{name: "cancelled", script: fig1Script,
+			arm: func(t *testing.T, s *Shell) {
+				ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+				t.Cleanup(cancel)
+				s.Ctx = ctx
+				s.Faults = faultinject.NewSet(faultinject.Rule{
+					Node: "tr", Op: faultinject.OpRead, Nth: 2, Mode: faultinject.ModeStall,
+				})
+			},
+			strategy: "cancelled", outcome: "cancelled", want: Stats{Optimized: 1}},
+		{name: "pristine fallback", script: fig1Script,
+			arm:      fault(faultinject.Rule{Node: "src:", Op: faultinject.OpRead, Nth: 1}),
+			strategy: "fallback-interpret", outcome: "fallback-interpret",
+			want: Stats{Optimized: 1, Fallbacks: 1}},
+		{name: "journaled fallback", lines: 80000, script: "cat /big | tr A-Z a-z\n",
+			arm:      fault(faultinject.Rule{Node: "tr", Op: faultinject.OpWrite, Nth: 8}),
+			strategy: "fallback-interpret", outcome: "fallback-interpret",
+			want: Stats{Optimized: 1, Fallbacks: 1}},
+		// The statements of the list rows are builtins, so the list's own
+		// record is the only one listed.
+		{name: "sequential-list", script: "echo a >/o; echo b >>/o\n",
+			strategy: "sequential-list", want: Stats{Interpreted: 2}},
+		{name: "parallel-list", script: "echo a >/o0; echo b >/o1; echo c >/o2\n",
+			strategy: "parallel-list", want: Stats{Interpreted: 3, ListParallel: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := vfs.New()
+			if tc.fs != nil {
+				fs = tc.fs()
+			} else if tc.lines > 0 {
+				wordsFile(fs, "/big", tc.lines)
+			} else {
+				wordsFile(fs, "/big", 2000)
+			}
+			mode := ModeJash
+			if tc.bash {
+				mode = ModeBash
+			}
+			s, _, _ := newShell(fs, cost.IOOptEC2(), mode)
+			var buf bytes.Buffer
+			s.EnableTracing(trace.New(trace.Options{Writer: &buf}))
+			if tc.arm != nil {
+				tc.arm(t, s)
+			}
+			s.Run(tc.script)
+			if s.Faults != nil && s.Faults.Fired() == 0 {
+				t.Skip("fault did not fire (plan shape changed)")
+			}
+			d := readTrace(t, s, &buf)
+
+			last, _ := s.LastDecision()
+			if last.Strategy != tc.strategy {
+				t.Errorf("Decision.Strategy = %q, want %q (%+v)", last.Strategy, tc.strategy, s.Stats.Decisions)
+			}
+			sp, traced := findSpan(d, "pipeline")
+			if got, _ := sp.Attrs["outcome"].(string); got != tc.outcome || traced != (tc.outcome != "") {
+				t.Errorf("pipeline span outcome = %q (span present: %v), want %q", got, traced, tc.outcome)
+			}
+			got := s.Stats
+			for _, c := range []struct {
+				metric    string
+				got, want int
+			}{
+				{trace.MetricPlansOptimized, got.Optimized, tc.want.Optimized},
+				{trace.MetricPlansInterp, got.Interpreted, tc.want.Interpreted},
+				{trace.MetricFallbacks, got.Fallbacks, tc.want.Fallbacks},
+				{trace.MetricHazardRejects, got.HazardRejects, tc.want.HazardRejects},
+				{trace.MetricQuarantined, got.Quarantined, tc.want.Quarantined},
+				{trace.MetricListParallel, got.ListParallel, tc.want.ListParallel},
+			} {
+				if c.got != c.want {
+					t.Errorf("Stats %s = %d, want %d", c.metric, c.got, c.want)
+				}
+				if v := metricValue(d, c.metric); v != float64(c.got) {
+					t.Errorf("registry %s = %v, Stats says %d", c.metric, v, c.got)
+				}
+			}
+			if v := metricValue(d, trace.MetricRetries); v != float64(got.Retries) {
+				t.Errorf("registry retries = %v, Stats says %d", v, got.Retries)
+			}
+			if v := metricValue(d, trace.MetricConcretized); v != float64(got.Concretized) {
+				t.Errorf("registry concretized_words = %v, Stats says %d", v, got.Concretized)
+			}
+		})
+	}
+}
+
+// TestSettlingADeclinedOfferAllocatesNothing: almost every offer of a
+// script is one analyze declines, so with no tracer its record must cost a
+// counter and no memory.
+func TestSettlingADeclinedOfferAllocatesNothing(t *testing.T) {
+	s, _, _ := newShell(vfs.New(), cost.Laptop(), ModeJash)
+	if n := testing.AllocsPerRun(200, func() { s.settle(nil, Decision{}) }); n != 0 {
+		t.Fatalf("settling a declined offer allocates: %v allocs/op", n)
+	}
+	if s.Stats.Interpreted == 0 || len(s.Stats.Decisions) != 0 {
+		t.Fatalf("declined offers: interpreted=%d listed=%d, want counted and never listed",
+			s.Stats.Interpreted, len(s.Stats.Decisions))
+	}
+}
+
+// TestTraceListPlanProofTrail: the list planner returns its proof trail and
+// core stamps it on the list-plan span — one pinned event per statement the
+// effect system could not prove commutative, then the verdict.
+func TestTraceListPlanProofTrail(t *testing.T) {
+	s, _, buf := tracedShell(t, 10)
+	if _, err := s.Run("echo a >/o0; cd /; echo b >/o1\n"); err != nil {
+		t.Fatal(err)
+	}
+	d := readTrace(t, s, buf)
+	sp, ok := findSpan(d, "list-plan")
+	if !ok || len(sp.Events) != 2 {
+		t.Fatalf("list-plan span events = %+v, want one pinned and one verdict", sp.Events)
+	}
+	pinned, verdict := sp.Events[0], sp.Events[1]
+	if pinned.Name != "pinned" || pinned.Attrs["stmt"] != float64(2) || pinned.Attrs["blocker"] == "" {
+		t.Errorf("pinned event = %+v, want statement 2 with its blocker", pinned)
+	}
+	if verdict.Name != "verdict" || verdict.Attrs["parallel"] != false || verdict.Attrs["reason"] != sp.Attrs["reason"] {
+		t.Errorf("verdict event = %+v, want the span's own refusal (%v)", verdict, sp.Attrs)
+	}
+}

@@ -224,10 +224,12 @@ var ErrStalled = errors.New("plan stalled")
 // fault is recorded (noteFault), preserving the fail-fast teardown
 // behaviour of a zero-retry run exactly.
 type nodeSup struct {
-	rs       *runState
-	ctr      *nodeCounters
-	nodeID   int
-	label    string
+	rs  *runState
+	ctr nodeCounters
+	// m is the node's record: its identity from the start, a completed
+	// re-run counted as it happens, the measurements filled in once when
+	// the node's goroutine finishes (RunContext's measure).
+	m        NodeMetrics
 	replayIn bool // file source: inputs replay by re-opening
 	eligible bool // static effect/structure gate
 	budget   int  // attempts remaining beyond the first
@@ -236,7 +238,9 @@ type nodeSup struct {
 	fault    error
 	panicked bool
 
-	retries int // completed re-runs, reported via NodeMetrics.Retries
+	// status is the node's exit status, written by its goroutine and read
+	// once the run's WaitGroup has settled.
+	status int
 
 	// span is the node's trace span (nil when untraced); retry decisions
 	// are stamped on it as events.
@@ -297,7 +301,7 @@ func (sup *nodeSup) canRetryNow() bool {
 func (sup *nodeSup) runAttempt(fn func() int) (st int) {
 	defer func() {
 		if r := recover(); r != nil {
-			err := fmt.Errorf("node %d (%s): panic: %v", sup.nodeID, sup.label, r)
+			err := fmt.Errorf("node %d (%s): panic: %v", sup.m.ID, sup.m.Label, r)
 			sup.mu.Lock()
 			sup.panicked = true
 			if sup.fault == nil {
@@ -337,7 +341,7 @@ func (sup *nodeSup) backoff(attempt int) bool {
 // stderr buffer so a healed attempt's diagnostics never reach the
 // session — only the attempt that stands (success, or the final failure)
 // speaks, and final failures speak through the run error.
-func (sup *nodeSup) supervise(env *Env, body func(*Env) int, setStatus func(int)) {
+func (sup *nodeSup) supervise(env *Env, body func(*Env) int) {
 	for attempt := 0; ; attempt++ {
 		sup.mu.Lock()
 		sup.fault, sup.panicked = nil, false
@@ -354,12 +358,12 @@ func (sup *nodeSup) supervise(env *Env, body func(*Env) int, setStatus func(int)
 			if errBuf.Len() > 0 && env.Stderr != nil {
 				env.Stderr.Write(errBuf.Bytes())
 			}
-			setStatus(st)
+			sup.status = st
 			return
 		}
 		if sup.canRetryNow() {
 			sup.budget--
-			sup.retries++
+			sup.m.Retries++
 			sup.span.EventStr("retry", "cause", fault.Error())
 			if sup.backoff(attempt) {
 				continue
@@ -371,7 +375,7 @@ func (sup *nodeSup) supervise(env *Env, body func(*Env) int, setStatus func(int)
 		} else if st == 0 {
 			st = 1
 		}
-		setStatus(st)
+		sup.status = st
 		return
 	}
 }
@@ -516,30 +520,28 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 	// callback can run before the cancellation has reached rs.ctx.)
 	stop := context.AfterFunc(ctx, func() { rs.abort(context.Cause(ctx)) })
 	defer stop()
-	counters := map[int]*nodeCounters{}
-	sups := map[int]*nodeSup{}
+	// One struct per node holds everything the run learns about it — byte
+	// counters, supervision state, exit status — so the watchdog, the
+	// metrics and the pipeline status all read the same place.
+	sups := make(map[int]*nodeSup, len(order))
 	for _, n := range order {
-		ctr := &nodeCounters{}
-		counters[n.ID] = ctr
 		sups[n.ID] = &nodeSup{
 			rs:       rs,
-			ctr:      ctr,
-			nodeID:   n.ID,
-			label:    n.Label(),
+			m:        NodeMetrics{ID: n.ID, Kind: n.Kind.String(), Label: n.Label()},
 			replayIn: n.Kind == dfg.KindSource && n.Path != "",
 			eligible: env.Retries > 0 && retryEligible(n, env.Lib),
 			budget:   env.Retries,
 		}
 	}
 	// Stall watchdog: progress is the sum of every node's byte counters;
-	// if it freezes for StallTimeout the plan is aborted. The counters
-	// map is read-only by now and its values are atomics, so the watchdog
+	// if it freezes for StallTimeout the plan is aborted. The map is
+	// read-only by now and the counters are atomics, so the watchdog
 	// samples lock-free.
 	if env.StallTimeout > 0 {
 		progress := func() int64 {
 			var total int64
-			for _, c := range counters {
-				total += c.in.Load() + c.out.Load()
+			for _, sup := range sups {
+				total += sup.ctr.in.Load() + sup.ctr.out.Load()
 			}
 			return total
 		}
@@ -567,13 +569,22 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 			}
 		}()
 	}
-	statuses := map[int]*int{}
-	walls := map[int]time.Duration{}
-	var mu sync.Mutex
-	setStatus := func(id, st int) {
-		mu.Lock()
-		statuses[id] = &st
-		mu.Unlock()
+	// measure completes a node's record when its goroutine finishes: the
+	// one place its bytes, peak buffering, blocked time and wall are read.
+	// The node's span attributes and Env.Metrics are both copies of it.
+	measure := func(sup *nodeSup, wall time.Duration) {
+		nm := &sup.m
+		nm.BytesIn, nm.BytesOut, nm.Wall = sup.ctr.in.Load(), sup.ctr.out.Load(), wall
+		for _, e := range g.Out(nm.ID) {
+			p := pipes[e].r
+			nm.PeakBufferedBytes += int64(p.PeakBuffered())
+			_, w := p.BlockedTimes()
+			nm.BlockedWrite += w
+		}
+		for _, e := range g.In(nm.ID) {
+			r, _ := pipes[e].r.BlockedTimes()
+			nm.BlockedRead += r
+		}
 	}
 	// laneNodes marks every node downstream of a split: commands there run
 	// lane-strict (see Env.laneStrict) so a line-limit violation tears the
@@ -603,47 +614,19 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 		go func(n *dfg.Node) {
 			defer wg.Done()
 			start := time.Now()
-			ctr := counters[n.ID]
 			sup := sups[n.ID]
-			label := n.Label()
+			ctr := &sup.ctr
+			label := sup.m.Label
 			// Per-node trace span: opened before the attempt loop so retry
 			// events land inside it, closed after supervision with the
-			// final counters attached. sup.span is written before any
+			// node's metrics attached. sup.span is written before any
 			// other goroutine can observe the sup (the fault paths run on
 			// this goroutine).
 			ns := env.Span.Child("node:" + label)
-			ns.SetStr("kind", n.Kind.String())
-			ns.SetInt("node_id", int64(n.ID))
 			sup.span = ns
 			defer func() {
-				wall := time.Since(start)
-				mu.Lock()
-				walls[n.ID] = wall
-				mu.Unlock()
-				if ns != nil {
-					var peak int64
-					var blockedW time.Duration
-					for _, e := range g.Out(n.ID) {
-						p := pipes[e].r
-						peak += int64(p.PeakBuffered())
-						_, w := p.BlockedTimes()
-						blockedW += w
-					}
-					var blockedR time.Duration
-					for _, e := range g.In(n.ID) {
-						r, _ := pipes[e].r.BlockedTimes()
-						blockedR += r
-					}
-					ns.SetInt("bytes_in", ctr.in.Load())
-					ns.SetInt("bytes_out", ctr.out.Load())
-					ns.SetInt("peak_buffered_bytes", peak)
-					ns.SetInt("retries", int64(sup.retries))
-					ns.SetInt("blocked_read_us", blockedR.Microseconds())
-					ns.SetInt("blocked_write_us", blockedW.Microseconds())
-					ns.Tracer().Metrics().Histogram(trace.MetricNodeWall).Observe(wall)
-					ns.Tracer().Metrics().Counter(trace.MetricNodesTotal).Add(1)
-					ns.End()
-				}
+				measure(sup, time.Since(start))
+				sup.m.annotate(ns)
 			}()
 			runNode := func() {
 				// Last-resort panic containment for the supervision
@@ -652,7 +635,7 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 				// injected panics.
 				defer func() {
 					if r := recover(); r != nil {
-						setStatus(n.ID, 2)
+						sup.status = 2
 						rs.abort(fmt.Errorf("node %d (%s): panic: %v", n.ID, label, r))
 					}
 				}()
@@ -793,7 +776,7 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 					}
 					return 0
 				}
-				sup.supervise(env, body, func(st int) { setStatus(n.ID, st) })
+				sup.supervise(env, body)
 			}
 			if ns != nil {
 				// Traced runs label the node's goroutine for CPU profiles,
@@ -806,36 +789,14 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 	}
 	wg.Wait()
 	sink := g.Sink()
-	var sinkBytes int64
-	if sink != nil {
-		sinkBytes = counters[sink.ID].out.Load()
-	}
 	if metrics != nil {
 		for _, n := range order {
-			ctr := counters[n.ID]
-			nm := NodeMetrics{
-				ID:       n.ID,
-				Kind:     n.Kind.String(),
-				Label:    n.Label(),
-				BytesIn:  ctr.in.Load(),
-				BytesOut: ctr.out.Load(),
-				Wall:     walls[n.ID],
-				Retries:  sups[n.ID].retries,
-			}
-			for _, e := range g.Out(n.ID) {
-				p := pipes[e].r
-				nm.PeakBufferedBytes += int64(p.PeakBuffered())
-				_, w := p.BlockedTimes()
-				nm.BlockedWrite += w
-			}
-			for _, e := range g.In(n.ID) {
-				r, _ := pipes[e].r.BlockedTimes()
-				nm.BlockedRead += r
-			}
-			metrics.Nodes = append(metrics.Nodes, nm)
-			metrics.Retries += nm.Retries
+			metrics.Nodes = append(metrics.Nodes, sups[n.ID].m)
+			metrics.Retries += sups[n.ID].m.Retries
 		}
-		metrics.SinkBytes = sinkBytes
+		if sink != nil {
+			metrics.SinkBytes = sups[sink.ID].ctr.out.Load()
+		}
 	}
 	// Pipeline status: the node feeding the sink. A parallelized final
 	// stage feeds the sink through a merge/agg relay whose own status is
@@ -877,10 +838,7 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 				return 0
 			}
 		}
-		if st := statuses[id]; st != nil {
-			return *st
-		}
-		return 0
+		return sups[id].status
 	}
 	final := 0
 	if sink != nil {

@@ -1,41 +1,73 @@
 package exec
 
 import (
+	"encoding/json"
 	"io"
 	"sync/atomic"
 	"time"
 
 	"jash/internal/pipe"
+	"jash/internal/trace"
 )
 
 // NodeMetrics are the measured runtime counters of one graph node: the
 // ground truth `jash -stats` and the benchmark harness put next to the
 // cost model's predictions.
 type NodeMetrics struct {
-	ID    int
-	Kind  string
-	Label string
+	ID    int    `json:"id"`
+	Kind  string `json:"kind,omitempty"`
+	Label string `json:"label"`
 	// BytesIn / BytesOut count the bytes the node consumed from its
 	// input edges and produced onto its output edges (for sinks, the
 	// bytes written to the final destination).
-	BytesIn  int64
-	BytesOut int64
+	BytesIn  int64 `json:"bytes_in"`
+	BytesOut int64 `json:"bytes_out"`
 	// PeakBufferedBytes is the high-water mark of bytes resident in the
 	// node's outgoing bounded pipes — bounded by width × the pipe
 	// capacity regardless of input size.
-	PeakBufferedBytes int64
+	PeakBufferedBytes int64 `json:"peak_buffered_bytes"`
 	// Wall is the node goroutine's lifetime (overlapped across nodes, so
 	// the per-node walls do not sum to the run's wall time).
-	Wall time.Duration
+	Wall time.Duration `json:"-"`
 	// Retries counts the node's supervised re-runs: failed attempts that
 	// the effect gate deemed safe to repeat.
-	Retries int
+	Retries int `json:"retries,omitempty"`
 	// BlockedRead / BlockedWrite are the cumulative durations the node's
 	// pipe operations spent parked — reads waiting for upstream data,
 	// writes waiting on downstream backpressure. Measured only when the
 	// run is traced (Env.Span non-nil); zero otherwise.
-	BlockedRead  time.Duration
-	BlockedWrite time.Duration
+	BlockedRead  time.Duration `json:"-"`
+	BlockedWrite time.Duration `json:"-"`
+}
+
+// MarshalJSON is how `jash -stats-format json` lists a node: the tags
+// above, plus the durations in microseconds.
+func (nm NodeMetrics) MarshalJSON() ([]byte, error) {
+	type tagged NodeMetrics // the tags without this method
+	return json.Marshal(struct {
+		tagged
+		WallUS         int64 `json:"wall_us"`
+		BlockedReadUS  int64 `json:"blocked_read_us,omitempty"`
+		BlockedWriteUS int64 `json:"blocked_write_us,omitempty"`
+	}{tagged(nm), nm.Wall.Microseconds(), nm.BlockedRead.Microseconds(), nm.BlockedWrite.Microseconds()})
+}
+
+// annotate copies the metrics onto the node's span and closes it, so a
+// trace and `jash -stats` cannot disagree about a node. A nil span (an
+// untraced run) accepts every call.
+func (nm *NodeMetrics) annotate(ns *trace.Span) {
+	ns.SetStr("kind", nm.Kind)
+	ns.SetInt("node_id", int64(nm.ID))
+	ns.SetInt("bytes_in", nm.BytesIn)
+	ns.SetInt("bytes_out", nm.BytesOut)
+	ns.SetInt("peak_buffered_bytes", nm.PeakBufferedBytes)
+	ns.SetInt("retries", int64(nm.Retries))
+	ns.SetInt("blocked_read_us", nm.BlockedRead.Microseconds())
+	ns.SetInt("blocked_write_us", nm.BlockedWrite.Microseconds())
+	reg := ns.Tracer().Metrics()
+	reg.Histogram(trace.MetricNodeWall).Observe(nm.Wall)
+	reg.Counter(trace.MetricNodesTotal).Add(1)
+	ns.End()
 }
 
 // RunMetrics collects per-node counters for one graph execution. Attach

@@ -9,6 +9,7 @@ import (
 	"jash/internal/cost"
 	"jash/internal/dfg"
 	"jash/internal/rewrite"
+	"jash/internal/trace"
 	"jash/internal/vfs"
 	"jash/internal/workload"
 )
@@ -137,6 +138,66 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 	if got := m.TotalBytesMoved(); got < int64(len(input)) {
 		t.Errorf("TotalBytesMoved=%d, want >= %d", got, len(input))
+	}
+}
+
+// TestNodeSpansCarryTheNodeMetrics: a traced width-4 run reports each node
+// twice, as a NodeMetrics and as a node:* span; every attribute of the span
+// must be the corresponding field of the metrics, blocked time included.
+func TestNodeSpansCarryTheNodeMetrics(t *testing.T) {
+	fs := vfs.New()
+	fs.WriteFile("/big", workload.Words(13, 4*cost.PipeBufferBytes))
+	g, err := dfg.FromPipeline([][]string{{"tr", "a-z", "A-Z"}, {"sort"}}, lib,
+		dfg.Binding{StdinFile: "/big"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := rewrite.Parallelize(g, rewrite.Options{Width: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	tr := trace.New(trace.Options{Writer: &buf})
+	root := tr.Start(nil, "execute")
+	m := &RunMetrics{}
+	if st, err := Run(par, &Env{FS: fs, Dir: "/", Stdout: &bytes.Buffer{}, Stderr: &bytes.Buffer{},
+		Metrics: m, Span: root}); err != nil || st != 0 {
+		t.Fatalf("Run: status %d err %v", st, err)
+	}
+	root.End()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := trace.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[float64]trace.SpanRecord{}
+	for _, sp := range d.Spans {
+		if strings.HasPrefix(sp.Name, "node:") {
+			spans[sp.Attrs["node_id"].(float64)] = sp
+		}
+	}
+	if len(m.Nodes) != len(par.Nodes) || len(spans) != len(m.Nodes) {
+		t.Fatalf("%d plan nodes, %d metrics, %d node spans", len(par.Nodes), len(m.Nodes), len(spans))
+	}
+	var blocked int64
+	for _, nm := range m.Nodes {
+		sp := spans[float64(nm.ID)]
+		want := map[string]any{
+			"kind": nm.Kind, "node_id": float64(nm.ID),
+			"bytes_in": float64(nm.BytesIn), "bytes_out": float64(nm.BytesOut),
+			"peak_buffered_bytes": float64(nm.PeakBufferedBytes), "retries": float64(nm.Retries),
+			"blocked_read_us":  float64(nm.BlockedRead.Microseconds()),
+			"blocked_write_us": float64(nm.BlockedWrite.Microseconds()),
+		}
+		if sp.Name != "node:"+nm.Label || fmt.Sprint(sp.Attrs) != fmt.Sprint(want) {
+			t.Errorf("node %d (%s): span %q says %v, metrics say %v", nm.ID, nm.Label, sp.Name, sp.Attrs, want)
+		}
+		blocked += nm.BlockedRead.Microseconds() + nm.BlockedWrite.Microseconds()
+	}
+	if blocked == 0 {
+		t.Error("a traced run clocked no blocked time on any pipe")
 	}
 }
 

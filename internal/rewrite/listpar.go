@@ -9,7 +9,6 @@ import (
 	"jash/internal/cost"
 	"jash/internal/spec"
 	"jash/internal/syntax"
-	"jash/internal/trace"
 )
 
 // ListGroup is one run of statements in a planned command list: either a
@@ -67,6 +66,10 @@ type ListDecision struct {
 	// Witnesses holds one line per concretization (`$f ⇒ /tmp/a`),
 	// deduplicated and sorted, for jashexplain.
 	Witnesses []string
+	// Pinned is the planner's proof trail, one entry per statement: the
+	// first blocker of a statement the effect system could not prove
+	// commutative, "" for one it could.
+	Pinned []string
 }
 
 // ListOptions parameterizes list planning with the interpreter state the
@@ -92,11 +95,6 @@ type ListOptions struct {
 	// When set, calls to known functions are summarized through
 	// analysis.FuncSummarizer instead of pinning the statement.
 	FuncBody func(string) syntax.Command
-	// Span, when non-nil, receives the planner's proof trail as trace
-	// events: one "pinned" event per statement the effect system could
-	// not prove commutative (naming its first blocker) and a final
-	// "verdict" event with the decision. A nil Span records nothing.
-	Span *trace.Span
 }
 
 // ParallelizeList plans a `cmd1; cmd2; ...` command list: it summarizes
@@ -158,7 +156,11 @@ func ParallelizeList(stmts []*syntax.Stmt, opts ListOptions) (*ListPlan, ListDec
 	}
 	plan, dec := buildListPlan(stmts, sums, opts)
 	seen := map[string]bool{}
-	for _, ss := range sums {
+	dec.Pinned = make([]string, len(sums))
+	for i, ss := range sums {
+		if len(ss.Blockers) > 0 {
+			dec.Pinned[i] = ss.Blockers[0]
+		}
 		dec.Concretized += ss.FS.Concretized
 		for _, wit := range ss.FS.Witnesses {
 			if !seen[wit] {
@@ -173,19 +175,6 @@ func ParallelizeList(stmts []*syntax.Stmt, opts ListOptions) (*ListPlan, ListDec
 		if dec.CdBlockedOnly {
 			dec.Reason = "parallel but for cd: absolute-path statements blocked only by a removable cd"
 		}
-	}
-	if opts.Span != nil {
-		for i, ss := range sums {
-			if len(ss.Blockers) > 0 {
-				opts.Span.EventKV("pinned", map[string]any{
-					"stmt": i + 1, "blocker": ss.Blockers[0],
-				})
-			}
-		}
-		opts.Span.EventKV("verdict", map[string]any{
-			"parallel": dec.Parallel, "width": dec.Width,
-			"statements": dec.Statements, "reason": dec.Reason,
-		})
 	}
 	return plan, dec
 }

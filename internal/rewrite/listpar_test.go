@@ -69,6 +69,16 @@ func TestParallelizeListMixedRegions(t *testing.T) {
 	if len(plan.Groups) != 3 || !plan.Groups[0].Parallel || plan.Groups[1].Parallel || !plan.Groups[2].Parallel {
 		t.Fatalf("unexpected grouping: %+v", plan.Groups)
 	}
+	// The proof trail names exactly the statement that was pinned, with
+	// the blocker that pinned it.
+	if len(dec.Pinned) != 5 || !strings.Contains(dec.Pinned[2], "cd") {
+		t.Fatalf("Pinned = %q, want 5 entries with statement 3 blocked by cd", dec.Pinned)
+	}
+	for i, blocker := range dec.Pinned {
+		if i != 2 && blocker != "" {
+			t.Errorf("statement %d pinned (%s), want proven commutative", i+1, blocker)
+		}
+	}
 }
 
 func TestParallelizeListSingletonDemotes(t *testing.T) {

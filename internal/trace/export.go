@@ -34,9 +34,9 @@ type EventRecord struct {
 // MetricRecord is the exported form of one registry instrument.
 type MetricRecord struct {
 	Type   string  `json:"type"`
-	Metric string  `json:"metric"` // "counter", "gauge", "histogram"
+	Metric string  `json:"metric"` // "counter", "histogram"
 	Name   string  `json:"name"`
-	Value  float64 `json:"value,omitempty"` // counters and gauges
+	Value  float64 `json:"value,omitempty"` // counters
 	// Histogram fields.
 	Count   int64         `json:"count,omitempty"`
 	SumUS   int64         `json:"sum_us,omitempty"`

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Registry is a process-local metrics store: named counters, gauges, and
+// Registry is a process-local metrics store: named counters and
 // duration histograms, all atomics so hot-path updates never contend on
 // a lock. A nil *Registry (the disabled tracer's) accepts every call:
 // lookups return nil and the instruments' own methods are nil-safe, so
@@ -17,7 +17,6 @@ import (
 type Registry struct {
 	mu     sync.Mutex
 	ctrs   map[string]*Counter
-	gauges map[string]*Gauge
 	histos map[string]*Histogram
 }
 
@@ -25,7 +24,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		ctrs:   map[string]*Counter{},
-		gauges: map[string]*Gauge{},
 		histos: map[string]*Histogram{},
 	}
 }
@@ -43,21 +41,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.ctrs[name] = c
 	}
 	return c
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns (creating if needed) the named duration histogram.
@@ -92,25 +75,6 @@ func (c *Counter) Load() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a last-value-wins atomic gauge.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the gauge value (no-op on nil).
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Load returns the current value (0 on nil).
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // histoBuckets is the bucket count of a Histogram: exponential,
@@ -217,9 +181,6 @@ func (r *Registry) snapshot() []MetricRecord {
 	for name, c := range r.ctrs {
 		out = append(out, MetricRecord{Type: "metric", Metric: "counter", Name: name, Value: float64(c.Load())})
 	}
-	for name, g := range r.gauges {
-		out = append(out, MetricRecord{Type: "metric", Metric: "gauge", Name: name, Value: float64(g.Load())})
-	}
 	for name, h := range r.histos {
 		rec := MetricRecord{
 			Type: "metric", Metric: "histogram", Name: name,
@@ -259,5 +220,4 @@ const (
 	MetricSinkBytes       = "sink_bytes"
 	MetricDispatchLatency = "dispatch_latency_us"
 	MetricNodeWall        = "node_wall_us"
-	MetricPlanWall        = "plan_wall_us"
 )

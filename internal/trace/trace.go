@@ -2,8 +2,8 @@
 // run of the shell can produce a span tree — parse → expand → analysis
 // preflight → JIT decision → per-node execution — plus point events for
 // the runtime's self-healing machinery (retries, fallbacks, circuit
-// breaker trips, list-parallel regions) and a registry of counters,
-// gauges, and latency histograms.
+// breaker trips, list-parallel regions) and a registry of counters
+// and latency histograms.
 //
 // The paper's thesis is that the shell should stop being a black box:
 // Smoosh made shell *semantics* observable step by step, and a JIT
@@ -122,11 +122,20 @@ func (t *Tracer) Start(parent *Span, name string) *Span {
 	if t == nil {
 		return nil
 	}
+	return t.StartAt(parent, name, t.clock())
+}
+
+// StartAt is Start with the span's start backdated to at: for work that
+// is only known to deserve a span once part of it is already done.
+func (t *Tracer) StartAt(parent *Span, name string, at time.Time) *Span {
+	if t == nil {
+		return nil
+	}
 	s := &Span{
 		tr:    t,
 		id:    t.nextID.Add(1),
 		name:  name,
-		start: t.clock(),
+		start: at,
 	}
 	if parent != nil {
 		s.parent = parent.id
