@@ -162,6 +162,24 @@ func TestJashc(t *testing.T) {
 	if !strings.Contains(out, `"nodes"`) {
 		t.Errorf("json output: %q", out)
 	}
+	// Ahead of time there is no shell state, no filesystem and no shell to
+	// hand the rest of a statement to: what is not wholly a static dataflow
+	// region is refused with the region former's reason, never compiled as
+	// if the awkward part were not there.
+	for src, reason := range map[string]string{
+		"cat /in | sort 2>/err":    "a redirection other than",
+		"cat $F | sort":            "depends on shell state",
+		"cat /in | sort >\"$out\"": "depends on shell state",
+		"X=1 cat /in | sort":       "assignment prefix",
+		"cat /in | sort &":         "background job",
+		"cat /logs/*.log | sort":   "no filesystem",
+		"cat /in | frobnicate":     "not in the specification library",
+	} {
+		out, errs, code := runBin(t, "jashc", "", "-c", src)
+		if code == 0 || out != "" || !strings.Contains(errs, reason) {
+			t.Errorf("jashc -c %q: code=%d stdout=%q stderr=%q, want a refusal naming %q", src, code, out, errs, reason)
+		}
+	}
 }
 
 func TestJashlint(t *testing.T) {
@@ -245,6 +263,12 @@ func TestJashexplain(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q in %q", want, out)
 		}
+	}
+	// A stage with one dynamic word is dynamic, even though the rest of it
+	// expands to something without any shell state.
+	out, _, _ = runBin(t, "jashexplain", "", "cat $F /x | sort")
+	if !strings.Contains(out, "cat $F /x\n  depends on dynamic state (vars: F") {
+		t.Errorf("explain dropped the dynamic operand: %q", out)
 	}
 	out, _, code = runBin(t, "jashexplain", "", "-tutor", "sort")
 	if code != 0 || !strings.Contains(out, "merge-sort") {

@@ -17,7 +17,6 @@ import (
 
 	"jash/internal/cost"
 	"jash/internal/dfg"
-	"jash/internal/expand"
 	"jash/internal/rewrite"
 	"jash/internal/spec"
 	"jash/internal/syntax"
@@ -54,35 +53,9 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "jashc: expected exactly one pipeline, got %d statements\n", len(script.Stmts))
 		return 2
 	}
-	pl := script.Stmts[0].AndOr.First
-	var binding dfg.Binding
-	var argvs [][]string
-	x := &expand.Expander{} // static expansion only: no variables, no FS
-	for i, cmd := range pl.Cmds {
-		sc, ok := cmd.(*syntax.SimpleCommand)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "jashc: stage %d is not a simple command\n", i+1)
-			return 2
-		}
-		for _, r := range sc.Redirections {
-			target, _ := x.ExpandString(r.Target)
-			switch {
-			case i == 0 && r.Op == syntax.RedirIn:
-				binding.StdinFile = target
-			case i == len(pl.Cmds)-1 && (r.Op == syntax.RedirOut || r.Op == syntax.RedirAppend):
-				binding.StdoutFile = target
-				binding.StdoutAppend = r.Op == syntax.RedirAppend
-			}
-		}
-		fields, err := x.ExpandWords(sc.Args)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jashc: %v (use concrete words; jashc has no shell state)\n", err)
-			return 2
-		}
-		argvs = append(argvs, fields)
-	}
-	lib := spec.Builtin()
-	g, err := dfg.FromPipeline(argvs, lib, binding)
+	// Ahead of time there is no shell state and no filesystem: the region
+	// former admits static words only and refuses the rest with its reason.
+	g, err := dfg.FromStmt(script.Stmts[0], spec.Builtin(), nil, true)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jashc: %v\n", err)
 		return 1

@@ -64,8 +64,12 @@ func run() int {
 			sum := analysis.SummarizeCommandEnv(sc, lib, env)
 			stageSums = append(stageSums, sum)
 			stageLabels = append(stageLabels, sc.Name())
+			static := true
+			for _, w := range sc.Args {
+				static = static && w.IsStatic()
+			}
 			fields, err := x.ExpandWords(sc.Args)
-			if err != nil || len(fields) == 0 {
+			if !static || err != nil || len(fields) == 0 {
 				deps := expand.AnalyzeWords(sc.Args)
 				fmt.Printf("%s\n  depends on dynamic state (vars: %s) — the JIT expands it at dispatch time\n",
 					syntax.PrintCommand(sc), strings.Join(deps.Vars, ", "))

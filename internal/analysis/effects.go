@@ -126,20 +126,6 @@ func (s *Summary) Union(o *Summary) {
 	s.Witnesses = append(s.Witnesses, o.Witnesses...)
 }
 
-// WritesAnything reports whether the summary mutates any path, known or
-// unknown.
-func (s *Summary) WritesAnything() bool {
-	if s.Unknown.Writes() {
-		return true
-	}
-	for _, op := range s.Paths {
-		if op.Writes() {
-			return true
-		}
-	}
-	return false
-}
-
 // RetryIdempotent reports whether re-running the command after a partial
 // failure converges to the same state a clean run would have produced.
 // Truncate-style writes and creates qualify (the retry simply rewrites);

@@ -39,7 +39,6 @@ import (
 	"jash/internal/dfg"
 	"jash/internal/exec"
 	"jash/internal/exec/faultinject"
-	"jash/internal/expand"
 	"jash/internal/incr"
 	"jash/internal/interp"
 	"jash/internal/rewrite"
@@ -782,133 +781,37 @@ func stripStdoutRedir(st *syntax.Stmt) *syntax.Stmt {
 	return &stCopy
 }
 
-// analyze checks eligibility and, if the pipeline qualifies, expands it
-// (with the invoking interpreter's state) and translates it to a dataflow
-// graph with runtime input facts. staticOnly models an AOT optimizer:
-// words that depend on any shell state disqualify the pipeline.
-func (s *Shell) analyze(in *interp.Interp, st *syntax.Stmt, staticOnly bool) (*dfg.Graph, cost.Inputs, string, bool) {
-	pl := st.AndOr.First
-	if st.Background || pl.Negated || len(st.AndOr.Rest) > 0 {
-		return nil, cost.Inputs{}, "", false
-	}
-	text := syntax.PrintStmts([]*syntax.Stmt{st})
-	var binding dfg.Binding
-	var argvs [][]string
-	x := safeExpander(in)
-	for i, cmd := range pl.Cmds {
-		sc, ok := cmd.(*syntax.SimpleCommand)
-		if !ok {
-			return nil, cost.Inputs{}, "", false
-		}
-		if len(sc.Assigns) > 0 || len(sc.Args) == 0 {
-			return nil, cost.Inputs{}, "", false
-		}
-		// Redirections: stdin on the first stage, stdout on the last.
-		for _, r := range sc.Redirections {
-			switch {
-			case i == 0 && r.Op == syntax.RedirIn && r.DefaultFD() == 0:
-				target, ok := safeString(x, r.Target)
-				if !ok {
-					return nil, cost.Inputs{}, "", false
-				}
-				binding.StdinFile = absPath(in.Dir, target)
-			case i == len(pl.Cmds)-1 && (r.Op == syntax.RedirOut || r.Op == syntax.RedirAppend) && r.DefaultFD() == 1:
-				target, ok := safeString(x, r.Target)
-				if !ok {
-					return nil, cost.Inputs{}, "", false
-				}
-				binding.StdoutFile = absPath(in.Dir, target)
-				binding.StdoutAppend = r.Op == syntax.RedirAppend
-			default:
-				return nil, cost.Inputs{}, "", false
-			}
-		}
-		// Every word must be safe to expand ahead of execution (B2).
-		if !expand.AnalyzeWords(sc.Args).SafeToExpandEarly() {
-			return nil, cost.Inputs{}, "", false
-		}
-		if staticOnly {
-			for _, w := range sc.Args {
-				if !w.IsStatic() {
-					return nil, cost.Inputs{}, "", false
-				}
-			}
-		}
-		fields, err := x.ExpandWords(sc.Args)
-		if err != nil || len(fields) == 0 {
-			return nil, cost.Inputs{}, "", false
-		}
-		argvs = append(argvs, fields)
-	}
-	graph, err := dfg.FromPipeline(argvs, s.Lib, binding)
+// analyze asks the region former (dfg.FromStmt, expanding through the
+// invoking interpreter's EarlyExpander) whether the statement is a dataflow
+// region, then adds what only the running shell knows: every source is a
+// file that exists, and how big it is and where it lives. aheadOfTime models
+// an AOT optimizer, which has no shell state to expand with. The text is
+// printed only for a region it accepts.
+func (s *Shell) analyze(in *interp.Interp, st *syntax.Stmt, aheadOfTime bool) (*dfg.Graph, cost.Inputs, string, bool) {
+	graph, err := dfg.FromStmt(st, s.Lib, in.EarlyExpander(), aheadOfTime)
 	if err != nil {
 		return nil, cost.Inputs{}, "", false
 	}
-	// Runtime probing: every file source must exist and have a known
-	// size; a terminal-stdin source has unknown volume, so fall back.
+	// A terminal-stdin source has unknown volume, so fall back.
 	dir := in.Dir
 	for _, src := range graph.Sources() {
-		if src.Path == "" {
-			return nil, cost.Inputs{}, "", false
-		}
-		if !s.FS.Exists(absPath(dir, src.Path)) {
+		if src.Path == "" || !s.FS.Exists(analysis.NormalizePath(dir, src.Path)) {
 			return nil, cost.Inputs{}, "", false
 		}
 	}
 	facts := cost.Inputs{
 		Size: func(p string) int64 {
-			fi, err := s.FS.Stat(absPath(dir, p))
+			fi, err := s.FS.Stat(analysis.NormalizePath(dir, p))
 			if err != nil {
 				return 0
 			}
 			return fi.Size
 		},
 		DeviceOf: func(p string) string {
-			return s.FS.DeviceFor(absPath(dir, p))
+			return s.FS.DeviceFor(analysis.NormalizePath(dir, p))
 		},
 	}
-	return graph, facts, text, true
-}
-
-// safeExpander returns the invoking interpreter's expander with command
-// substitution disabled: the analysis already rejected words containing
-// it, and this guarantees planning can never run commands.
-func safeExpander(in *interp.Interp) *expand.Expander {
-	return &expand.Expander{
-		Lookup: func(name string) (string, bool) {
-			v, ok := in.Vars[name]
-			return v.Value, ok
-		},
-		// No Set: planning must not mutate shell state.
-		Params: in.Params,
-		Name0:  in.Name0,
-		Status: in.Status,
-		PID:    in.PID,
-		FS:     in.FS,
-		Dir:    in.Dir,
-		NoGlob: in.NoGlob,
-	}
-}
-
-func safeString(x *expand.Expander, w *syntax.Word) (string, bool) {
-	if !expand.AnalyzeWord(w).SafeToExpandEarly() {
-		return "", false
-	}
-	v, err := x.ExpandString(w)
-	if err != nil {
-		return "", false
-	}
-	return v, true
-}
-
-func absPath(dir, p string) string {
-	if p == "" || p[0] == '/' {
-		return p
-	}
-	if dir == "" || dir == "/" {
-		return "/" + p
-	}
-	return dir + "/" + p
+	return graph, facts, syntax.PrintStmts([]*syntax.Stmt{st}), true
 }
 
 func totalInput(g *dfg.Graph, in cost.Inputs) int64 {

@@ -11,6 +11,7 @@ import (
 
 	"jash/internal/cost"
 	"jash/internal/exec/faultinject"
+	"jash/internal/syntax"
 	"jash/internal/trace"
 	"jash/internal/vfs"
 )
@@ -437,6 +438,17 @@ func TestSettlingADeclinedOfferAllocatesNothing(t *testing.T) {
 	s, _, _ := newShell(vfs.New(), cost.Laptop(), ModeJash)
 	if n := testing.AllocsPerRun(200, func() { s.settle(nil, Decision{}) }); n != 0 {
 		t.Fatalf("settling a declined offer allocates: %v allocs/op", n)
+	}
+	// Nor may the offer itself, when the region former rules it out by
+	// shape: no printed statement, no expander.
+	for _, src := range []string{"i=$((i+1))", `[ "$i" -lt 100 ]`, `report "$f" $n`} {
+		script, err := syntax.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(200, func() { s.observe(s.Interp, script.Stmts[0]) }); n != 0 {
+			t.Errorf("offering %q allocates: %v allocs/op", src, n)
+		}
 	}
 	if s.Stats.Interpreted == 0 || len(s.Stats.Decisions) != 0 {
 		t.Fatalf("declined offers: interpreted=%d listed=%d, want counted and never listed",

@@ -1,11 +1,5 @@
 package cost
 
-import (
-	"sort"
-
-	"jash/internal/dfg"
-)
-
 // Command-list region sizing. The list parallelizer (rewrite.ParallelizeList)
 // and the shell's region runner (package core) share these knobs so the
 // `jash -stats` explanation of a region decision matches what actually ran.
@@ -31,49 +25,4 @@ func ListRegionWidth(statements, cores int) int {
 		w = 1
 	}
 	return w
-}
-
-// EstimateListRegion predicts a command-list region both ways: running the
-// statement graphs back-to-back (the sequential baseline: the sum of the
-// per-statement estimates) and running them on width workers. The parallel
-// makespan schedules statements longest-first onto the least-loaded worker
-// (LPT), the same greedy discipline the region runner's semaphore
-// approximates, so the model's speedup tracks what an adequately-provisioned
-// machine would observe. Both estimates are what-if (ephemeral): sizing a
-// region must not drain live burst credits.
-func EstimateListRegion(graphs []*dfg.Graph, in Inputs, prof *Profile, width int) (seq, par Estimate, err error) {
-	if width < 1 {
-		width = 1
-	}
-	secs := make([]float64, len(graphs))
-	for i, g := range graphs {
-		est, gerr := EstimateGraph(g, in, prof, true)
-		if gerr != nil {
-			return Estimate{}, Estimate{}, gerr
-		}
-		secs[i] = est.Seconds
-		seq.Seconds += est.Seconds
-		seq.Phases = append(seq.Phases, est.Phases...)
-	}
-	order := make([]int, len(secs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return secs[order[a]] > secs[order[b]] })
-	load := make([]float64, width)
-	for _, i := range order {
-		min := 0
-		for w := 1; w < width; w++ {
-			if load[w] < load[min] {
-				min = w
-			}
-		}
-		load[min] += secs[i]
-	}
-	for _, l := range load {
-		if l > par.Seconds {
-			par.Seconds = l
-		}
-	}
-	return seq, par, nil
 }

@@ -87,6 +87,15 @@ func Generate(cfg Config) Program {
 	g.fixture()
 	n := 2 + g.rng.Intn(cfg.MaxStmts-1)
 	var stmts []*syntax.Stmt
+	// Now and then a shell option first: set -u and set -f change what every
+	// later word expands to, for the interpreter and for the planner's
+	// early expansion alike.
+	switch g.rng.Intn(16) {
+	case 0:
+		stmts = append(stmts, stmtOf(argv("set", "-u")))
+	case 1:
+		stmts = append(stmts, stmtOf(argv("set", "-f")))
+	}
 	for len(stmts) < n {
 		stmts = append(stmts, g.stmt(0)...)
 	}

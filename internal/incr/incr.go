@@ -306,6 +306,3 @@ func (r *Runner) runSuffix(ctx context.Context, g *dfg.Graph, env *exec.Env, ent
 	r.Cache.mu.Unlock()
 	return st, "incremental", nil
 }
-
-// CopyStats returns a snapshot of the statistics.
-func (r *Runner) CopyStats() Stats { return r.Stats }

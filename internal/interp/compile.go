@@ -163,7 +163,7 @@ func compileCommand(cmd syntax.Command) compiled {
 		// Subshell bodies run through RunStmts on a clone, whose stmt()
 		// dispatch hits the shared cache; the clone machinery (state copy,
 		// trap reset) dominates, so the walk path is reused as-is.
-		return func(in *Interp) { in.command(c, nil) }
+		return func(in *Interp) { in.command(c) }
 	case *syntax.BraceGroup:
 		return withCompiledRedirs(c.Redirections, compileList(c.Body))
 	case *syntax.IfClause:
@@ -781,6 +781,9 @@ func compileDispatch(c *syntax.SimpleCommand) func(*Interp, []string) {
 				in.dispatch(fields)
 				return
 			}
+			if in.dispatchFault(name) {
+				return
+			}
 			in.Status = fn(in, fields)
 		}
 	}
@@ -788,6 +791,9 @@ func compileDispatch(c *syntax.SimpleCommand) func(*Interp, []string) {
 	return func(in *Interp, fields []string) {
 		if fields[0] != name {
 			in.dispatch(fields)
+			return
+		}
+		if in.dispatchFault(name) {
 			return
 		}
 		if body, ok := in.Funcs[name]; ok {

@@ -117,13 +117,16 @@ type Interp struct {
 	// they are built once instead of per command (they dominate the
 	// allocation profile of tight loops otherwise). Subshell clones start
 	// empty — a clone must not call back into its parent.
-	xLookup    func(string) (string, bool)
-	xSet       func(string, string)
-	xCmdSubst  func([]*syntax.Stmt) (string, error)
-	cuGetenv   func(string) string
-	cuEnviron  func() []string
-	arLookup   func(string) string
-	arAssign   func(string, string)
+	xLookup   func(string) (string, bool)
+	xSet      func(string, string)
+	xCmdSubst func([]*syntax.Stmt) (string, error)
+	cuGetenv  func(string) string
+	cuEnviron func() []string
+	arLookup  func(string) string
+	arAssign  func(string, string)
+	// early is EarlyExpander's storage: planning asks for one per offered
+	// pipeline and is done with it before the next.
+	early expand.Expander
 
 	loopDepth int
 
@@ -266,6 +269,16 @@ func (in *Interp) expander() *expand.Expander {
 		CmdSubst: in.xCmdSubst,
 		Faults:   in.Faults,
 	}
+}
+
+// EarlyExpander is the expander planning uses to expand a statement's words
+// before the statement runs: the interpreter's own expander — same options,
+// same $?, same positional parameters — that can neither assign a variable
+// nor run a command substitution. It is valid until the next call.
+func (in *Interp) EarlyExpander() *expand.Expander {
+	in.early = *in.expander()
+	in.early.Set, in.early.CmdSubst = nil, nil
+	return &in.early
 }
 
 // arithFns returns the cached lookup/assign pair handed to pre-compiled
@@ -433,7 +446,7 @@ func (in *Interp) pipeline(pl *syntax.Pipeline, guarded bool) {
 		}
 	}
 	if len(pl.Cmds) == 1 {
-		in.command(pl.Cmds[0], nil)
+		in.command(pl.Cmds[0])
 	} else {
 		in.runPipes(pl.Cmds)
 	}
@@ -459,7 +472,7 @@ func (in *Interp) runPipes(cmds []syntax.Command) {
 	stages := make([]func(*Interp), len(cmds))
 	for i, cmd := range cmds {
 		cmd := cmd
-		stages[i] = func(sub *Interp) { sub.command(cmd, nil) }
+		stages[i] = func(sub *Interp) { sub.command(cmd) }
 	}
 	in.runPipeStages(stages)
 }
@@ -549,9 +562,9 @@ func (in *Interp) runPipeStages(stages []func(*Interp)) {
 	in.Status = lastStatus
 }
 
-// command dispatches any command node with optional extra redirections.
-func (in *Interp) command(cmd syntax.Command, extraRedirs []*syntax.Redirect) {
-	redirs := append(append([]*syntax.Redirect(nil), cmd.Redirs()...), extraRedirs...)
+// command dispatches any command node.
+func (in *Interp) command(cmd syntax.Command) {
+	redirs := cmd.Redirs()
 	switch c := cmd.(type) {
 	case *syntax.SimpleCommand:
 		in.simpleCommand(c)
@@ -813,13 +826,7 @@ func (in *Interp) simpleCommand(c *syntax.SimpleCommand) {
 // the coreutils registry.
 func (in *Interp) dispatch(fields []string) {
 	name := fields[0]
-	// Chaos reaches the interpreter here: an injected dispatch fault makes
-	// the command fail like any runtime error would — diagnostic plus
-	// status 1 — so the soak can drive the fallback path's error handling
-	// without crashing the session.
-	if err := in.Faults.CheckContained("interp:dispatch:"+name, faultinject.OpRead); err != nil {
-		fmt.Fprintf(in.Stderr, "jash: %s: %v\n", name, err)
-		in.Status = 1
+	if in.dispatchFault(name) {
 		return
 	}
 	if fn, ok := builtins[name]; ok {
@@ -836,6 +843,24 @@ func (in *Interp) dispatch(fields []string) {
 	}
 	fmt.Fprintf(in.Stderr, "jash: %s: command not found\n", name)
 	in.Status = 127
+}
+
+// dispatchFault is where chaos reaches the interpreter, on the walked and
+// the compiled path alike: an injected dispatch fault makes the command fail
+// like any runtime error would — diagnostic plus status 1 — so the soak can
+// drive the fallback path's error handling without crashing the session.
+// Unarmed, it costs a nil check and builds no label.
+func (in *Interp) dispatchFault(name string) bool {
+	if in.Faults == nil {
+		return false
+	}
+	err := in.Faults.CheckContained("interp:dispatch:"+name, faultinject.OpRead)
+	if err == nil {
+		return false
+	}
+	fmt.Fprintf(in.Stderr, "jash: %s: %v\n", name, err)
+	in.Status = 1
+	return true
 }
 
 // coreutilsContext builds the invocation context handed to a registry
@@ -883,7 +908,7 @@ func (in *Interp) callFunction(body syntax.Command, fields []string) {
 		}
 	}()
 	if in.NoCompile {
-		in.command(body, nil)
+		in.command(body)
 	} else {
 		in.compiledCommand(body)(in)
 	}

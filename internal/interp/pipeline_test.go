@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"jash/internal/exec/faultinject"
 	"jash/internal/pipe"
 	"jash/internal/vfs"
 )
@@ -98,4 +99,29 @@ func TestPipelineStagePanicReachesTheCaller(t *testing.T) {
 		}
 		noStageOutlives(t, before)
 	})
+}
+
+// Interp-layer chaos arms a command by name, so a statically named command —
+// which the compiled engine resolves ahead of dispatch — must pass the same
+// hook a dynamically named one does: a builtin, a utility and a function.
+func TestDispatchFaultReachesEveryNamedCommand(t *testing.T) {
+	for _, name := range []string{"echo", "basename", "greet"} {
+		t.Run(name, func(t *testing.T) {
+			underBothEvaluators(t, func(t *testing.T, in *Interp, out *bytes.Buffer) {
+				var errs bytes.Buffer
+				in.Stderr = &errs
+				in.Faults = faultinject.NewSet(faultinject.Rule{Node: "interp:dispatch:" + name, Op: faultinject.OpRead, Nth: 2})
+				status, err := in.RunScript("greet() { printf '%s\\n' $1; }\n" + name + " 1\n" + name + " 2\necho $?\n" + name + " 3\n")
+				if err != nil || status != 0 {
+					t.Fatalf("status %d, err %v", status, err)
+				}
+				if in.Faults.Fired() != 1 || !strings.Contains(errs.String(), "jash: "+name+": ") {
+					t.Errorf("fired %d, stderr %q: the second call never reached the hook", in.Faults.Fired(), errs.String())
+				}
+				if out.String() != "1\n1\n3\n" {
+					t.Errorf("stdout %q, want the first and third call's output around a status 1", out.String())
+				}
+			})
+		})
+	}
 }

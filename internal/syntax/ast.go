@@ -24,9 +24,6 @@ type Pos struct {
 // String renders the position as "line:col".
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// IsValid reports whether the position was set by the parser.
-func (p Pos) IsValid() bool { return p.Line > 0 }
-
 // Node is implemented by every syntax tree node.
 type Node interface {
 	Pos() Pos

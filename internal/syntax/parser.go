@@ -356,15 +356,6 @@ func (p *parser) litTok() string {
 	return l.Value
 }
 
-func isReserved(s string) bool {
-	switch s {
-	case "if", "then", "else", "elif", "fi", "do", "done",
-		"case", "esac", "while", "until", "for", "in", "{", "}", "!":
-		return true
-	}
-	return false
-}
-
 // --- grammar ---
 
 func (p *parser) skipNewlines() {
