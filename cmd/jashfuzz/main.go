@@ -1,14 +1,15 @@
 // Command jashfuzz is the differential fuzzing and crash-triage driver:
 // it generates seeded random shell programs, executes each under every
-// engine (tree-walk, compiled closures, JIT plans, list-parallel, AOT),
-// diffs the observable behaviour, soaks the stack under chaotic fault
-// injection, and triages whatever disagrees — bucketed by signature,
-// delta-debugged to a minimal reproducer, and persisted for replay.
+// engine (the interpreter with its fast paths off and on, JIT plans,
+// list-parallel, AOT), diffs the observable behaviour, soaks the stack
+// under chaotic fault injection, and triages whatever disagrees —
+// bucketed by signature, delta-debugged to a minimal reproducer, and
+// persisted for replay.
 //
 // Usage:
 //
 //	jashfuzz [-n N] [-start SEED] [-chaos N] [-chaos-layers exec,interp]
-//	         [-oracles walk,compile,jit,listpar,aot] [-minimize TRIALS]
+//	         [-oracles plain,compile,jit,listpar,aot] [-minimize TRIALS]
 //	         [-timeout D] [-out DIR] [-replay FILE] [-q]
 //
 // Exit status: 0 — every episode clean; 1 — divergences or invariant
@@ -60,10 +61,13 @@ func run() int {
 
 	// Replay the persisted corpus first: past divergences are the
 	// cheapest place to find regressions.
-	saved, err := corpus.LoadCorpus()
+	saved, skipped, err := corpus.LoadCorpus()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jashfuzz: corpus: %v\n", err)
 		return 2
+	}
+	for _, err := range skipped {
+		fmt.Fprintf(os.Stderr, "jashfuzz: corpus: skipped %v\n", err)
 	}
 	fixture := fuzz.Generate(fuzz.DefaultConfig(1)).Fixture
 	for _, p := range saved {

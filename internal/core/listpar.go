@@ -178,11 +178,12 @@ func (s *Shell) runParallelGroup(in *interp.Interp, g rewrite.ListGroup) (int, e
 		}(workers[i], st)
 	}
 	wg.Wait()
-	// Replay in program order. A fatal error in statement k reproduces the
-	// sequential prefix: statements before k replay fully, k's own output
-	// and diagnostic replay, and later statements' output is suppressed
-	// (their side effects were proven disjoint, so dropping the bytes is
-	// the closest match to "never ran").
+	// Replay in program order. A fatal error or a shell exit (explicit, or
+	// implicit: a set -u miss, ${x?}, a readonly assignment) in statement k
+	// reproduces the sequential prefix: statements before k replay fully,
+	// k's own output and diagnostic replay, and later statements' output is
+	// suppressed (their side effects were proven disjoint, so dropping the
+	// bytes is the closest match to "never ran").
 	status := 0
 	for i, w := range workers {
 		in.Stdout.Write(w.stdout.Bytes())
@@ -193,8 +194,8 @@ func (s *Shell) runParallelGroup(in *interp.Interp, g rewrite.ListGroup) (int, e
 				in.Vars[name] = v
 			}
 		}
-		if w.err != nil {
-			in.Status = w.status
+		if w.err != nil || w.clone.Exited {
+			in.Status, in.Exited = w.status, w.clone.Exited
 			return w.status, w.err
 		}
 	}

@@ -211,3 +211,49 @@ func TestListParallelPlanningIsRaceFree(t *testing.T) {
 		t.Fatalf("ListParallel=%d Optimized=%d, want 100 each", sh.Stats.ListParallel, sh.Stats.Optimized)
 	}
 }
+
+// TestListParallelImplicitExitStopsTheShell pins the replay loop's handling
+// of a worker that ends the shell without a fatal error: a set -u miss
+// inside a region exits the clone with err == nil (the planner keeps
+// ${x?} and readonly assignments out of regions, but not this), and the
+// session must stop there exactly as the sequential run does — earlier
+// statements' output, that statement's diagnostic, nothing after it, the
+// non-zero status (jashfuzz seeds 13232 and 18264).
+func TestListParallelImplicitExitStopsTheShell(t *testing.T) {
+	cases := []struct {
+		name, script, stdout, stderr string
+	}{
+		{"set-u-in-unrolled-for",
+			"set -u\nfor v1 in A-Z; do v2=\"$v2.0\"; echo; done\necho after\n",
+			"", "jash: v2: parameter not set\n"},
+		{"set-u-in-brace-group",
+			"set -u\n{ v1=\"$v1.42\"; v2=shell; }\necho after $v2\n",
+			"", "jash: v1: parameter not set\n"},
+		{"set-u-mid-list",
+			"set -u\necho first; y=$nope; echo third\necho after\n",
+			"first\n", "jash: nope: parameter not set\n"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, cfg := range []struct {
+				name   string
+				mode   Mode
+				noList bool
+			}{{"bash", ModeBash, false}, {"jash", ModeJash, false}, {"no-list-parallel", ModeJash, true}} {
+				sh, out, errb := newShell(vfs.New(), cost.StandardEC2(), cfg.mode)
+				sh.NoListParallel = cfg.noList
+				st, err := sh.Run(tc.script)
+				if err != nil {
+					t.Fatalf("%s: err=%v", cfg.name, err)
+				}
+				if st != 1 || out.String() != tc.stdout || errb.String() != tc.stderr {
+					t.Errorf("%s: status=%d stdout=%q stderr=%q, want 1 %q %q",
+						cfg.name, st, out.String(), errb.String(), tc.stdout, tc.stderr)
+				}
+				if cfg.mode == ModeJash && !cfg.noList && sh.Stats.ListParallel == 0 {
+					t.Errorf("script never entered a list region: %+v", sh.Stats.Decisions)
+				}
+			}
+		})
+	}
+}

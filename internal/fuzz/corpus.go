@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"jash/internal/syntax"
 )
 
 // Corpus persists fuzzing artifacts on the host filesystem:
@@ -74,17 +76,20 @@ func (c Corpus) SaveBuckets(t *Triage) error {
 
 // LoadCorpus returns the persisted corpus programs, sorted by filename,
 // so a soak run can replay past divergences before exploring new seeds.
-func (c Corpus) LoadCorpus() ([]Program, error) {
+// Each program is parsed on load — triage and the minimizer work on the
+// tree, not the text. An entry that no longer parses (the grammar moved
+// under it) is returned in skipped, one error per file, and is not fatal.
+func (c Corpus) LoadCorpus() (progs []Program, skipped []error, err error) {
 	if c.Dir == "" {
-		return nil, nil
+		return nil, nil, nil
 	}
 	dir := filepath.Join(c.Dir, "corpus")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return nil, nil, nil
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	names := []string{}
 	for _, e := range entries {
@@ -93,19 +98,23 @@ func (c Corpus) LoadCorpus() ([]Program, error) {
 		}
 	}
 	sort.Strings(names)
-	var out []Program
 	for _, name := range names {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		src := stripComments(string(data))
 		if strings.TrimSpace(src) == "" {
 			continue
 		}
-		out = append(out, Program{Source: src})
+		sc, err := syntax.Parse(src)
+		if err != nil {
+			skipped = append(skipped, fmt.Errorf("%s: %w", name, err))
+			continue
+		}
+		progs = append(progs, Program{Script: sc, Source: src})
 	}
-	return out, nil
+	return progs, skipped, nil
 }
 
 // stripComments removes full-line comments (the corpus header); the shell

@@ -1,12 +1,12 @@
 // Package fuzz is the differential fuzzing and crash-triage subsystem:
 // a seeded grammar-based generator of shell programs over the syntax
 // package's AST, a multi-oracle harness that executes each program under
-// every evaluation path of the stack (tree-walk, compiled closures, JIT
-// dataflow, effect-proven list parallelism, and the jashc-style AOT
-// planner) inside a sandboxed VFS, a chaos mode replaying programs under
-// seeded fault injection, and a triage pipeline — signature bucketing plus
-// a delta-debugging minimizer — that turns every divergence, panic, hang,
-// or goroutine leak into a minimal reproducer.
+// every evaluation path of the stack (the interpreter with its fast paths
+// off and on, JIT dataflow, effect-proven list parallelism, and the
+// jashc-style AOT planner) inside a sandboxed VFS, a chaos mode replaying
+// programs under seeded fault injection, and a triage pipeline — signature
+// bucketing plus a delta-debugging minimizer — that turns every divergence,
+// panic, hang, or goroutine leak into a minimal reproducer.
 //
 // The ShellFuzzer insight applied to Jash: hand-written suites test the
 // scenarios we thought of; the generator tests the ones we did not, and

@@ -3,6 +3,8 @@ package fuzz
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,10 +12,10 @@ import (
 	"jash/internal/vfs"
 )
 
-// plantedOracle is a deliberately broken engine: a tree-walk run whose
-// stdout silently uppercases every "unix". The harness's acceptance bar
-// is that its own pipeline catches exactly this kind of subtle data bug —
-// finds it, buckets it under a stable signature, and shrinks the
+// plantedOracle is a deliberately broken engine: a reference (`plain`) run
+// whose stdout silently uppercases every "unix". The harness's acceptance
+// bar is that its own pipeline catches exactly this kind of subtle data
+// bug — finds it, buckets it under a stable signature, and shrinks the
 // triggering program to a tiny reproducer.
 func plantedOracle(src string, fs *vfs.FS, ctx context.Context,
 	stdout, stderr *bytes.Buffer) (int, string) {
@@ -34,7 +36,7 @@ func plantedOracle(src string, fs *vfs.FS, ctx context.Context,
 // harness must convict the broken engine on its own.
 func plantedOpts() RunOpts {
 	return RunOpts{
-		Oracles: []string{"walk", "planted"},
+		Oracles: []string{"plain", "planted"},
 		Extra:   map[string]OracleFunc{"planted": plantedOracle},
 	}
 }
@@ -104,5 +106,52 @@ func TestPlantedOracleBugMinimized(t *testing.T) {
 	}
 	if !still {
 		t.Errorf("minimized program no longer reproduces %s:\n%s", target.Class(), min1.Source)
+	}
+}
+
+// A saved corpus entry that is still dirty must survive the trip the
+// driver's second run takes it on: load, re-run, bucket, minimize. The
+// loaded program used to carry its text but no tree, and triage (which
+// sizes reproducers by AST nodes) dereferenced nil. An entry that no
+// longer parses is skipped and named, not fatal.
+func TestCorpusReloadedDirtyEntryIsReported(t *testing.T) {
+	ep := findPlanted(t)
+	c := Corpus{Dir: t.TempDir()}
+	if err := c.SaveEpisode(ep); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(c.Dir, "corpus", "seed-stale.sh")
+	if err := os.WriteFile(stale, []byte("# seed 0\nif then fi (\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	progs, skipped, err := c.LoadCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(skipped) != 1 || !strings.Contains(skipped[0].Error(), "seed-stale.sh") {
+		t.Errorf("skipped = %v, want the one stale entry", skipped)
+	}
+	if len(progs) != 1 {
+		t.Fatalf("loaded %d programs, want 1", len(progs))
+	}
+	p := progs[0]
+	p.Fixture = ep.Fixture
+	re := RunEpisode(p, plantedOpts())
+	if re.Clean() {
+		t.Fatalf("reloaded entry no longer diverges:\n%s", p.Source)
+	}
+	tr := NewTriage()
+	if fresh := tr.Add(re); fresh == 0 {
+		t.Fatal("reloaded divergence opened no bucket")
+	}
+	for _, b := range tr.Buckets() {
+		if b.ReproNodes != CountNodes(ep.Script) {
+			t.Errorf("bucket %s sized the reloaded program at %d nodes, the original has %d",
+				b.Sig, b.ReproNodes, CountNodes(ep.Script))
+		}
+	}
+	min := MinimizeDivergence(re, re.Divergences[0], plantedOpts(), 200)
+	if n := CountNodes(min.Script); n == 0 || n > CountNodes(ep.Script) {
+		t.Errorf("minimized reloaded program has %d nodes (original %d)", n, CountNodes(ep.Script))
 	}
 }

@@ -47,12 +47,14 @@ func (o Outcome) Crashed() bool { return o.Panic != "" || o.Hung || o.Leaked > 0
 // OracleNames is the oracle matrix, in comparison order. The first entry
 // is the reference the others are diffed against:
 //
-//	walk     tree-walking interpreter (NoCompile; the Smoosh-style spec)
-//	compile  closure-compiled interpreter
+//	plain    the interpreter with its fast paths off (NoCompile): every
+//	         word through the full expander, every command through the
+//	         run-time dispatch chain — the Smoosh-style spec
+//	compile  the same interpreter with word plans and pre-resolved dispatch
 //	jit      Jash JIT dataflow plans, list parallelism off
 //	listpar  Jash JIT plus effect-proven command-list parallelism
 //	aot      the jashc-style ahead-of-time static planner (ModePaSh)
-var OracleNames = []string{"walk", "compile", "jit", "listpar", "aot"}
+var OracleNames = []string{"plain", "compile", "jit", "listpar", "aot"}
 
 // RunOpts configures one episode's oracle runs.
 type RunOpts struct {
@@ -151,10 +153,10 @@ func runShell(name, src string, fs *vfs.FS, ctx context.Context,
 		return fn(src, fs, ctx, stdout, stderr)
 	}
 	switch name {
-	case "walk", "compile":
+	case "plain", "compile":
 		in := interp.New(fs)
 		in.Stdout, in.Stderr = stdout, stderr
-		in.NoCompile = name == "walk"
+		in.NoCompile = name == "plain"
 		in.Ctx = ctx
 		if opts.InterpFaults != nil {
 			in.Faults = opts.InterpFaults()

@@ -7,7 +7,7 @@ import (
 
 // Minimized reproducers of real divergences found (and fixed) by the
 // differential fuzzer. Each case once made an oracle disagree with the
-// tree-walk reference; they are pinned here so the bugs stay dead.
+// `plain` reference; they are pinned here so the bugs stay dead.
 //
 //	cat -n   was classified Stateless and data-parallelized, restarting
 //	         its line counter at every chunk boundary (seed 169).
@@ -18,6 +18,9 @@ import (
 //	         masked status plus multiplied stderr — and the masked `&&`
 //	         let the sink's parent directory appear only under AOT
 //	         (seed 145, fs divergence).
+//	set -u   miss inside a list region: the worker clone exited with no
+//	         error, the replay loop carried on, and the script ran past
+//	         the diagnostic to exit 0 (seeds 13232 and 18264).
 func TestRegressionMinimizedReproducers(t *testing.T) {
 	fixture := Generate(DefaultConfig(1)).Fixture
 	cases := []struct {
@@ -27,6 +30,8 @@ func TestRegressionMinimizedReproducers(t *testing.T) {
 		{"grep-no-pattern-status", "grep </data/nums.txt && cat /data/b.txt\n"},
 		{"cut-no-selector-fs", "grep </data/nums.txt && cut >>/tmp/out1.txt\n"},
 		{"grep-c-chunk-status", "grep -c socket </data/nums.txt && echo found\n"},
+		{"set-u-exit-in-unrolled-for", "set -u\nfor v1 in A-Z; do v2=\"$v2.0\"; echo; done\ntee /tmp/out1.txt\n"},
+		{"set-u-exit-in-brace-group", "set -u\n{ v1=\"$v1.42\"; v2=shell; }\ncat <<EOF\nline 0 has $v1\nEOF\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

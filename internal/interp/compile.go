@@ -7,11 +7,15 @@
 // one compiled program serves every subshell and pipeline-stage clone
 // sharing the cache.
 //
-// Semantics are identical to the tree-walking path (stmtWalk and friends),
-// which remains available via Interp.NoCompile both as the differential
-// oracle for tests and as the baseline the throughput benchmark measures
-// against. Control-flow signals (break/continue/exit/return), set -e,
-// traps, and redirections all flow through the same shared helpers.
+// This is the only evaluator: control flow, set -e, traps, redirections and
+// the break/continue/exit/return signals have one implementation. What is
+// faster than re-deriving everything per run is confined to two places —
+// the word plans (planStatic/planVar/planArith and the precomputed field
+// list) and compileDispatch's pre-resolved builtin/utility pointers — and
+// Interp.NoCompile turns exactly those off: every word goes through the
+// full expand.Expander and every command through in.dispatch. That run is
+// the reference the differential tests, the fuzzer's `plain` oracle and the
+// benchmark's interp.walk_script_ms compare the optimised run against.
 package interp
 
 import (
@@ -114,8 +118,7 @@ func compileAndOr(ao *syntax.AndOr) compiled {
 }
 
 // compilePipeline lowers a pipeline: the observer-offer statement is built
-// once (the tree-walker allocates it per run), stages compile once, and
-// the set -e guard is a precomputed constant.
+// once, stages compile once, and the set -e guard is a precomputed constant.
 func compilePipeline(pl *syntax.Pipeline, guarded bool) compiled {
 	errGuard := guarded || pl.Negated
 	negated := pl.Negated
@@ -160,10 +163,7 @@ func compileCommand(cmd syntax.Command) compiled {
 	case *syntax.SimpleCommand:
 		return compileSimple(c)
 	case *syntax.Subshell:
-		// Subshell bodies run through RunStmts on a clone, whose stmt()
-		// dispatch hits the shared cache; the clone machinery (state copy,
-		// trap reset) dominates, so the walk path is reused as-is.
-		return func(in *Interp) { in.command(c) }
+		return func(in *Interp) { in.runSubshell(c) }
 	case *syntax.BraceGroup:
 		return withCompiledRedirs(c.Redirections, compileList(c.Body))
 	case *syntax.IfClause:
@@ -195,8 +195,7 @@ func withCompiledRedirs(redirs []*syntax.Redirect, body compiled) compiled {
 	}
 }
 
-// compileList lowers a statement list with runList semantics (an empty
-// list resets $? to 0).
+// compileList lowers a statement list; an empty list resets $? to 0.
 func compileList(stmts []*syntax.Stmt) compiled {
 	if len(stmts) == 0 {
 		return func(in *Interp) { in.Status = 0 }
@@ -215,8 +214,8 @@ func compileList(stmts []*syntax.Stmt) compiled {
 	}
 }
 
-// compileCond lowers a condition list with runCond semantics (set -e
-// suppressed while the condition runs).
+// compileCond lowers a loop/if condition list: set -e is suppressed while
+// the condition runs.
 func compileCond(stmts []*syntax.Stmt) compiled {
 	body := compileList(stmts)
 	return func(in *Interp) {
@@ -511,18 +510,22 @@ func compileWordList(ws []*syntax.Word) *wordListPlan {
 }
 
 // expand produces the list's fields. The caller threads one lazily built
-// expander through every dynamic expansion in a simple command, matching
-// the tree-walker's single-expander-per-command behavior (it captures $?
-// once).
+// expander through every dynamic expansion in a simple command, so the
+// command sees one snapshot of $? however many of its words need the
+// expander. Under NoCompile every word is planDynamic.
 func (p *wordListPlan) expand(in *Interp, xp **expand.Expander) ([]string, error) {
 	defIFS := in.defaultIFS()
-	if p.allStatic && (!p.needIFS || defIFS) {
+	if p.allStatic && !in.NoCompile && (!p.needIFS || defIFS) {
 		return p.fields, nil
 	}
 	out := make([]string, 0, len(p.plans))
 	for i := range p.plans {
 		wp := &p.plans[i]
-		switch wp.kind {
+		kind := wp.kind
+		if in.NoCompile {
+			kind = planDynamic
+		}
+		switch kind {
 		case planStatic:
 			if !wp.ifsSafe || defIFS {
 				if !wp.zero {
@@ -632,11 +635,17 @@ func compileStringWord(w *syntax.Word) stringPlan {
 			return stringPlan{w: w}
 		}
 	}
-	return stringPlan{kind: planStatic, value: b.String()}
+	return stringPlan{kind: planStatic, value: b.String(), w: w}
 }
 
+// expand produces the word's string; under NoCompile every word is
+// planDynamic.
 func (sp *stringPlan) expand(in *Interp, xp **expand.Expander) (string, error) {
-	switch sp.kind {
+	kind := sp.kind
+	if in.NoCompile {
+		kind = planDynamic
+	}
+	switch kind {
 	case planStatic:
 		return sp.value, nil
 	case planVar:
@@ -769,42 +778,43 @@ func compileSimple(c *syntax.SimpleCommand) compiled {
 // table is immutable and always shadows functions), and registry utilities
 // resolve to their Func with only the function-shadowing check left
 // dynamic. If the expanded name diverges from the literal (exotic IFS, a
-// glob match), the full dispatch chain runs instead.
+// glob match), or NoCompile is set, the full dispatch chain runs instead.
 func compileDispatch(c *syntax.SimpleCommand) func(*Interp, []string) {
 	name := c.Name()
 	if name == "" {
-		return func(in *Interp, fields []string) { in.dispatch(fields) }
+		return (*Interp).dispatch
 	}
+	var resolved func(*Interp, []string)
 	if fn, ok := builtins[name]; ok {
-		return func(in *Interp, fields []string) {
-			if fields[0] != name {
-				in.dispatch(fields)
-				return
-			}
+		resolved = func(in *Interp, fields []string) {
 			if in.dispatchFault(name) {
 				return
 			}
 			in.Status = fn(in, fields)
 		}
+	} else {
+		util, haveUtil := coreutils.Lookup(name)
+		resolved = func(in *Interp, fields []string) {
+			if in.dispatchFault(name) {
+				return
+			}
+			if body, ok := in.Funcs[name]; ok {
+				in.callFunction(body, fields)
+				return
+			}
+			if haveUtil {
+				in.Status = util(in.coreutilsContext(), fields)
+				return
+			}
+			fmt.Fprintf(in.Stderr, "jash: %s: command not found\n", name)
+			in.Status = 127
+		}
 	}
-	util, haveUtil := coreutils.Lookup(name)
 	return func(in *Interp, fields []string) {
-		if fields[0] != name {
+		if fields[0] != name || in.NoCompile {
 			in.dispatch(fields)
 			return
 		}
-		if in.dispatchFault(name) {
-			return
-		}
-		if body, ok := in.Funcs[name]; ok {
-			in.callFunction(body, fields)
-			return
-		}
-		if haveUtil {
-			in.Status = util(in.coreutilsContext(), fields)
-			return
-		}
-		fmt.Fprintf(in.Stderr, "jash: %s: command not found\n", name)
-		in.Status = 127
+		resolved(in, fields)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"jash/internal/coreutils"
 	"jash/internal/exec/faultinject"
 	"jash/internal/expand"
-	"jash/internal/pattern"
 	"jash/internal/pipe"
 	"jash/internal/syntax"
 	"jash/internal/trace"
@@ -95,10 +94,15 @@ type Interp struct {
 	// a diagnostic on stderr and a non-zero status, never a crash.
 	Faults *faultinject.Set
 
-	// NoCompile forces the tree-walking evaluation path, bypassing the
-	// closure-compilation cache. It exists for differential testing (the
-	// walker is the oracle the compiled path is checked against) and as
-	// the baseline configuration of the throughput benchmark.
+	// NoCompile turns the evaluator's fast paths off: the same cached
+	// closures run, but every word goes through the full expander (no
+	// precomputed fields, no bare-$name or $((expr)) shortcut) and every
+	// simple command through dispatch's run-time lookup chain (no
+	// pre-resolved builtin or utility). It is the reference run of the
+	// differential tests and the fuzzer's `plain` oracle — optimisation off
+	// against optimisation on is the only place two runs of the one
+	// evaluator can differ — and the baseline the benchmark's
+	// interp.compile_speedup divides by.
 	NoCompile bool
 
 	// Tracer, when non-nil, records spans for interpreted multi-stage
@@ -333,9 +337,9 @@ func (in *Interp) subshell() *Interp {
 		Traps: map[string]string{}, Umask: in.Umask,
 		Observer: in.Observer, Ctx: in.Ctx, Tracer: in.Tracer,
 		Faults: in.Faults,
-		// The cache pointer is copied as-is: in compiled mode it is always
-		// non-nil by the time a clone is made (stmt() forces it), and lazy
-		// creation here would race among pipeline-stage goroutines.
+		// The cache pointer is copied as-is: it is always non-nil by the
+		// time a clone is made (stmt() forces it), and lazy creation here
+		// would race among pipeline-stage goroutines.
 		NoCompile: in.NoCompile, cache: in.cache,
 	}
 }
@@ -396,85 +400,15 @@ func (in *Interp) fatalf(format string, args ...any) {
 	panic(fatalError{fmt.Errorf(format, args...)})
 }
 
-// stmt runs one statement, through the closure-compilation cache by
-// default or the tree-walking path under NoCompile.
+// stmt runs one statement through its cached closure.
 func (in *Interp) stmt(st *syntax.Stmt) {
-	if in.NoCompile {
-		in.stmtWalk(st)
-		return
-	}
 	in.compiledStmt(st)(in)
-}
-
-// stmtWalk runs one statement by walking the tree. Background statements
-// run to completion too — the interpreter is deterministic and has no job
-// control — but their status does not become $?.
-func (in *Interp) stmtWalk(st *syntax.Stmt) {
-	if st.Background {
-		saved := in.Status
-		in.andOr(st.AndOr)
-		in.Status = saved
-		return
-	}
-	in.andOr(st.AndOr)
-}
-
-func (in *Interp) andOr(ao *syntax.AndOr) {
-	in.pipeline(ao.First, len(ao.Rest) > 0)
-	for i, part := range ao.Rest {
-		if part.Op == syntax.AndOp && in.Status != 0 {
-			continue
-		}
-		if part.Op == syntax.OrOp && in.Status == 0 {
-			continue
-		}
-		guarded := i < len(ao.Rest)-1
-		in.pipeline(part.Pipe, guarded)
-	}
-}
-
-// pipeline runs a (possibly negated, possibly multi-stage) pipeline.
-// guarded suppresses set -e (the pipeline feeds && / ||).
-func (in *Interp) pipeline(pl *syntax.Pipeline, guarded bool) {
-	if in.Observer != nil && !pl.Negated && len(pl.Cmds) >= 1 {
-		// Offer whole pipelines to the observer (the JIT) first.
-		st := &syntax.Stmt{AndOr: &syntax.AndOr{First: pl}, Position: pl.Position}
-		if status, handled := in.Observer(in, st); handled {
-			in.Status = status
-			in.maybeErrExit(guarded || pl.Negated)
-			return
-		}
-	}
-	if len(pl.Cmds) == 1 {
-		in.command(pl.Cmds[0])
-	} else {
-		in.runPipes(pl.Cmds)
-	}
-	if pl.Negated {
-		if in.Status == 0 {
-			in.Status = 1
-		} else {
-			in.Status = 0
-		}
-	}
-	in.maybeErrExit(guarded || pl.Negated)
 }
 
 func (in *Interp) maybeErrExit(guarded bool) {
 	if in.ErrExit && !guarded && in.Status != 0 {
 		panic(exitSignal{in.Status})
 	}
-}
-
-// runPipes wires command nodes into a pipeline via the tree-walking
-// dispatcher.
-func (in *Interp) runPipes(cmds []syntax.Command) {
-	stages := make([]func(*Interp), len(cmds))
-	for i, cmd := range cmds {
-		cmd := cmd
-		stages[i] = func(sub *Interp) { sub.command(cmd) }
-	}
-	in.runPipeStages(stages)
 }
 
 // runPipeStages wires the stages with bounded pipes — the same edge the
@@ -562,111 +496,28 @@ func (in *Interp) runPipeStages(stages []func(*Interp)) {
 	in.Status = lastStatus
 }
 
-// command dispatches any command node.
-func (in *Interp) command(cmd syntax.Command) {
-	redirs := cmd.Redirs()
-	switch c := cmd.(type) {
-	case *syntax.SimpleCommand:
-		in.simpleCommand(c)
-	case *syntax.Subshell:
-		sub := in.subshell()
-		cleanup, ok := sub.applyRedirs(redirs)
-		if !ok {
-			in.Status = 1
-			return
-		}
-		status, err := sub.RunStmts(c.Body)
-		cleanup()
-		if err != nil {
-			panic(fatalError{err})
-		}
-		in.Status = status
-	case *syntax.BraceGroup:
-		in.withRedirs(redirs, func() {
-			for _, st := range c.Body {
-				in.stmt(st)
-			}
-		})
-	case *syntax.IfClause:
-		in.withRedirs(redirs, func() { in.ifClause(c) })
-	case *syntax.WhileClause:
-		in.withRedirs(redirs, func() { in.whileClause(c) })
-	case *syntax.ForClause:
-		in.withRedirs(redirs, func() { in.forClause(c) })
-	case *syntax.CaseClause:
-		in.withRedirs(redirs, func() { in.caseClause(c) })
-	case *syntax.FuncDecl:
-		in.Funcs[c.Name] = c.Body
-		in.Status = 0
-	default:
-		in.fatalf("unknown command node %T", cmd)
-	}
-}
-
-func (in *Interp) ifClause(c *syntax.IfClause) {
-	in.runCond(c.Cond)
-	if in.Status == 0 {
-		in.runList(c.Then)
+// runSubshell runs a ( ... ) command on a clone of the interpreter: state
+// copy and trap reset dominate its cost, so there is nothing to precompute
+// beyond the body's statements, which hit the shared cache.
+func (in *Interp) runSubshell(c *syntax.Subshell) {
+	sub := in.subshell()
+	cleanup, ok := sub.applyRedirs(c.Redirections)
+	if !ok {
+		in.Status = 1
 		return
 	}
-	if len(c.Else) > 0 {
-		in.runList(c.Else)
-		return
+	status, err := sub.RunStmts(c.Body)
+	cleanup()
+	if err != nil {
+		panic(fatalError{err})
 	}
-	in.Status = 0
-}
-
-func (in *Interp) runList(stmts []*syntax.Stmt) {
-	for _, st := range stmts {
-		in.stmt(st)
-	}
-	if len(stmts) == 0 {
-		in.Status = 0
-	}
-}
-
-// runCond runs a loop/if condition list without tripping set -e.
-func (in *Interp) runCond(stmts []*syntax.Stmt) {
-	saved := in.ErrExit
-	in.ErrExit = false
-	in.runList(stmts)
-	in.ErrExit = saved
+	in.Status = status
 }
 
 const maxLoopIterations = 10_000_000 // guard against runaway scripts in tests
 
-func (in *Interp) whileClause(c *syntax.WhileClause) {
-	in.loopDepth++
-	defer func() { in.loopDepth-- }()
-	iterations := 0
-	for {
-		in.runCond(c.Cond)
-		ok := in.Status == 0
-		if c.Until {
-			ok = !ok
-		}
-		if !ok {
-			in.Status = 0
-			return
-		}
-		if stop := in.loopBody(c.Body); stop {
-			return
-		}
-		iterations++
-		if iterations > maxLoopIterations {
-			in.fatalf("loop exceeded %d iterations", maxLoopIterations)
-		}
-	}
-}
-
-// loopBody runs a loop body, translating break/continue signals.
+// loopBodyFn runs one loop iteration, translating break/continue signals.
 // It returns true when the loop should stop.
-func (in *Interp) loopBody(body []*syntax.Stmt) (stop bool) {
-	return in.loopBodyFn(func() { in.runList(body) })
-}
-
-// loopBodyFn runs one loop iteration, translating break/continue signals
-// whichever evaluation path produced them.
 func (in *Interp) loopBodyFn(run func()) (stop bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -689,54 +540,6 @@ func (in *Interp) loopBodyFn(run func()) (stop bool) {
 	return false
 }
 
-func (in *Interp) forClause(c *syntax.ForClause) {
-	var items []string
-	if c.InPresent {
-		fields, err := in.expander().ExpandWords(c.Words)
-		if err != nil {
-			in.expandFail(err)
-			return
-		}
-		items = fields
-	} else {
-		items = append([]string(nil), in.Params...)
-	}
-	in.loopDepth++
-	defer func() { in.loopDepth-- }()
-	for _, item := range items {
-		in.Setenv(c.Name, item)
-		if stop := in.loopBody(c.Body); stop {
-			return
-		}
-	}
-	if len(items) == 0 {
-		in.Status = 0
-	}
-}
-
-func (in *Interp) caseClause(c *syntax.CaseClause) {
-	x := in.expander()
-	word, err := x.ExpandString(c.Word)
-	if err != nil {
-		in.expandFail(err)
-		return
-	}
-	in.Status = 0
-	for _, item := range c.Items {
-		for _, patWord := range item.Patterns {
-			pat, err := x.ExpandPattern(patWord)
-			if err != nil {
-				in.expandFail(err)
-				return
-			}
-			if pattern.Match(pat, word) {
-				in.runList(item.Body)
-				return
-			}
-		}
-	}
-}
-
 // expandFail reports an expansion error; fatal ones abort the script.
 func (in *Interp) expandFail(err error) {
 	fmt.Fprintf(in.Stderr, "jash: %v\n", err)
@@ -745,81 +548,6 @@ func (in *Interp) expandFail(err error) {
 		panic(exitSignal{1})
 	}
 	in.Status = 1
-}
-
-// simpleCommand: expand, apply assignments and redirections, dispatch.
-func (in *Interp) simpleCommand(c *syntax.SimpleCommand) {
-	x := in.expander()
-	// Assignment-only command: assignments persist.
-	if len(c.Args) == 0 {
-		for _, a := range c.Assigns {
-			val, err := x.ExpandString(a.Value)
-			if err != nil {
-				in.expandFail(err)
-				return
-			}
-			if v := in.Vars[a.Name]; v.ReadOnly {
-				// POSIX: assigning to a readonly variable is an error that
-				// aborts a non-interactive shell.
-				fmt.Fprintf(in.Stderr, "jash: %s: readonly variable\n", a.Name)
-				panic(exitSignal{1})
-			}
-			in.Setenv(a.Name, val)
-		}
-		// Redirections still apply (for their side effects, e.g. >file).
-		cleanup, ok := in.applyRedirs(c.Redirections)
-		if ok {
-			cleanup()
-		}
-		if len(c.Assigns) > 0 || ok {
-			in.Status = 0
-		}
-		return
-	}
-	fields, err := x.ExpandWords(c.Args)
-	if err != nil {
-		in.expandFail(err)
-		return
-	}
-	if len(fields) == 0 {
-		in.Status = 0
-		return
-	}
-	if in.XTrace {
-		fmt.Fprintf(in.Stderr, "+ %s\n", strings.Join(fields, " "))
-	}
-	// Temporary assignments for the command's duration.
-	var savedVars map[string]*Variable
-	if len(c.Assigns) > 0 {
-		savedVars = map[string]*Variable{}
-		for _, a := range c.Assigns {
-			val, err := x.ExpandString(a.Value)
-			if err != nil {
-				in.expandFail(err)
-				return
-			}
-			if old, ok := in.Vars[a.Name]; ok {
-				saved := old
-				savedVars[a.Name] = &saved
-			} else {
-				savedVars[a.Name] = nil
-			}
-			in.Vars[a.Name] = Variable{Value: val, Exported: true}
-		}
-	}
-	restoreVars := func() {
-		for name, old := range savedVars {
-			if old == nil {
-				delete(in.Vars, name)
-			} else {
-				in.Vars[name] = *old
-			}
-		}
-	}
-	in.withRedirs(c.Redirections, func() {
-		in.dispatch(fields)
-	})
-	restoreVars()
 }
 
 // dispatch runs an expanded command: special builtins, functions, then
@@ -845,8 +573,8 @@ func (in *Interp) dispatch(fields []string) {
 	in.Status = 127
 }
 
-// dispatchFault is where chaos reaches the interpreter, on the walked and
-// the compiled path alike: an injected dispatch fault makes the command fail
+// dispatchFault is where chaos reaches the interpreter, with the fast paths
+// on or off: an injected dispatch fault makes the command fail
 // like any runtime error would — diagnostic plus status 1 — so the soak can
 // drive the fallback path's error handling without crashing the session.
 // Unarmed, it costs a nil check and builds no label.
@@ -907,11 +635,7 @@ func (in *Interp) callFunction(body syntax.Command, fields []string) {
 			panic(r)
 		}
 	}()
-	if in.NoCompile {
-		in.command(body)
-	} else {
-		in.compiledCommand(body)(in)
-	}
+	in.compiledCommand(body)(in)
 }
 
 // withRedirs applies redirections around f, restoring streams afterwards.

@@ -13,9 +13,9 @@ import (
 	"jash/internal/vfs"
 )
 
-// underBothEvaluators runs the subtest through the closure-compiled path
-// and the tree walker: the pipeline machinery is shared, its callers are
-// not.
+// underBothEvaluators runs the subtest with the evaluator's fast paths on
+// and off: the stages of a pipeline expand and dispatch differently in the
+// two, and the pipeline machinery must tear both down alike.
 func underBothEvaluators(t *testing.T, fn func(t *testing.T, in *Interp, out *bytes.Buffer)) {
 	for _, noCompile := range []bool{false, true} {
 		t.Run("NoCompile="+strconv.FormatBool(noCompile), func(t *testing.T) {
