@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build test vet race fault lint verify bench \
 	analysis-report analysis-check trace-demo fuzz fuzz-smoke fuzz-native \
-	clean
+	dash-check clean
 
 all: verify
 
@@ -66,8 +66,24 @@ lint:
 	$(GO) run ./cmd/jashlint -severity warning examples/*/script.sh
 	$(GO) vet ./...
 
+# dash-check: the AgreesWithDash tests compare arithmetic and control flow
+# with an implementation this tree did not write, but only where /bin/sh is
+# dash — elsewhere they skip and prove nothing. Where it is dash
+# (ubuntu-latest), a skip fails the build; elsewhere say so in one line.
+dash-check:
+	@if [ "$$(basename "$$(readlink /bin/sh)")" != dash ]; then \
+		echo "dash-check: /bin/sh is not dash; the dash-agreement tests skip on this host"; \
+	else \
+		out=$$($(GO) test -count=1 -run 'AgreesWithDash' -v ./internal/expand/ ./internal/interp/); st=$$?; \
+		echo "$$out"; \
+		if [ $$st -ne 0 ]; then exit $$st; fi; \
+		if echo "$$out" | grep -q SKIP; then \
+			echo "dash-check: /bin/sh is dash, yet a dash-agreement test skipped"; exit 1; \
+		fi; \
+	fi
+
 # verify is the tier-1 gate: everything a change must pass before merge.
-verify: vet build test race fault lint
+verify: vet build test race fault lint dash-check
 
 # analysis-report measures effect-system precision over the example
 # scripts: how many command summaries fall to ⊤ syntactically and how

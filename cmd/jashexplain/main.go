@@ -1,7 +1,10 @@
 // Command jashexplain answers "what does this pipeline do?" from the
 // specification library — an explainshell built on formal, symbolic man
 // pages (§4 "Heuristic support"): per-stage summaries, flag meanings,
-// dataflow classes, and the parallelization consequences.
+// dataflow classes, and the parallelization consequences. A `value flow:
+// $x ⇒ /path` line appears only while abstract interpretation still knows
+// the value: any expansion that may assign x — `${x=w}`, `$((x=1))`,
+// arithmetic text that is not an expression until expanded — makes it ⊤.
 //
 // Usage:
 //

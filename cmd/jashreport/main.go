@@ -2,8 +2,9 @@
 // set of shell scripts: for every simple command it compares the purely
 // syntactic effect summary (what the planner knew before value-flow
 // analysis) against the abstract-interpretation summary (constants
-// propagated through assignments, concatenation, and quote removal),
-// and reports how many ⊤ summaries — commands with unknown effects —
+// propagated through assignments, concatenation, and quote removal; a
+// variable that `${x=w}` or `$((x=1))` may assign goes back to ⊤), and
+// reports how many ⊤ summaries — commands with unknown effects —
 // the value-flow layer eliminates.
 //
 // Usage:

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"jash/internal/expand"
 	"jash/internal/syntax"
 )
 
@@ -383,8 +384,8 @@ func staticName(w *syntax.Word) string {
 	return w.StaticValue()
 }
 
-// widenWordAssigns widens every ${x=w} target inside a word to ⊤ and
-// walks command-substitution bodies on discarded environment copies.
+// widenWordAssigns widens every ${x=w} and $((x=1)) target inside a word
+// to ⊤ and walks command-substitution bodies on discarded environment copies.
 func (w *vwalker) widenWordAssigns(env *Env, word *syntax.Word) {
 	if word == nil {
 		return
@@ -394,6 +395,16 @@ func (w *vwalker) widenWordAssigns(env *Env, word *syntax.Word) {
 		case *syntax.ParamExp:
 			if p.Op == syntax.ParamAssign && isVarName(p.Name) {
 				env.Bind(p.Name, Top())
+			}
+		case *syntax.ArithExp:
+			a, err := expand.CompileArithExpr(p.Expr)
+			if err != nil {
+				env.WidenAll() // what it assigns is unknown until expanded
+				break
+			}
+			_, assigns := a.Names()
+			for _, name := range assigns {
+				env.Bind(name, Top())
 			}
 		case *syntax.CmdSubst:
 			sub := env.Clone()

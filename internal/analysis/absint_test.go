@@ -91,6 +91,11 @@ func TestWalkValuesStates(t *testing.T) {
 		{"function-call-widens", "f() { x=2; }\nx=1\nf\n", "x", Top()},
 		{"local-default", "x=${HOME:-/root}\n", "x", Top()}, // HOME unknown statically
 		{"trim-suffix", "f=a.tmp\ng=${f%.tmp}\n", "g", Const("a")},
+		{"arith-assign-widens", "x=/a\n: $((x=5))\ncat $x\n", "x", Top()},
+		{"arith-compound-widens", "y=1\n: $((y+=1))\n", "y", Top()},
+		{"arith-read-keeps", "x=/a\necho $((x+1))\n", "x", Const("/a")},
+		{"arith-unexpanded-widens-all", "x=/a\n: $((${z}))\n", "x", Top()},
+		{"arith-loop-carried-widen", "x=/a\nwhile c; do : $((x+=1)); done\n", "x", Top()},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package analysis
 import (
 	"strings"
 
+	"jash/internal/expand"
 	"jash/internal/syntax"
 )
 
@@ -557,9 +558,18 @@ func (w *duWalker) wordUsesAssignTo(ctx *duCtx, word *syntax.Word, assignTo stri
 				sub.frame = w.newFrame()
 				w.stmts(sub, p.Stmts)
 			case *syntax.ArithExp:
-				for _, name := range arithIdents(p.Expr) {
-					g := guardedArith || name == assignTo
-					w.useName(ctx, name, p.Pos(), g)
+				a, err := expand.CompileArithExpr(p.Expr)
+				if err != nil {
+					// Not an expression until expanded: it may read any
+					// visible binding, so none of them is a dead store.
+					for _, d := range ctx.bindings {
+						d.Uses++
+					}
+					continue
+				}
+				reads, _ := a.Names()
+				for _, name := range reads {
+					w.useName(ctx, name, p.Pos(), guardedArith)
 				}
 			}
 		}
@@ -598,6 +608,13 @@ func collectNode(n syntax.Node, set map[string]bool) {
 	switch x := n.(type) {
 	case *syntax.Assign:
 		set[x.Name] = true
+	case *syntax.ArithExp:
+		if a, err := expand.CompileArithExpr(x.Expr); err == nil {
+			_, assigns := a.Names()
+			for _, name := range assigns {
+				set[name] = true
+			}
+		}
 	case *syntax.ForClause:
 		set[x.Name] = true
 	case *syntax.SimpleCommand:
@@ -648,28 +665,6 @@ func heredocVars(body string) []string {
 			out = append(out, body[start:j])
 		}
 		i = j - 1
-	}
-	return out
-}
-
-// arithIdents extracts identifier references from an arithmetic
-// expression.
-func arithIdents(expr string) []string {
-	var out []string
-	for i := 0; i < len(expr); i++ {
-		c := expr[i]
-		if c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') {
-			start := i
-			for i < len(expr) && (expr[i] == '_' ||
-				(expr[i] >= 'a' && expr[i] <= 'z') || (expr[i] >= 'A' && expr[i] <= 'Z') ||
-				(expr[i] >= '0' && expr[i] <= '9')) {
-				i++
-			}
-			out = append(out, expr[start:i])
-			i--
-		} else if c == '$' {
-			continue // $x inside arith: the ident scan above catches x
-		}
 	}
 	return out
 }

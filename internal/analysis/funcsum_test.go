@@ -199,3 +199,16 @@ func TestAbsCallArgs(t *testing.T) {
 		t.Error("nil env must refuse")
 	}
 }
+
+// TestCallSeesArithmeticAssignment: `: $((p=7))` rebinds p, so the cat
+// that follows reads a path the summary cannot name — not /data/a.txt.
+func TestCallSeesArithmeticAssignment(t *testing.T) {
+	fs := summarizer(t, "f() { p=/data/a.txt; : $((p=7)); cat $p > /o; }\n")
+	ss := fs.Call("f", nil, true)
+	if ss.FS.Unknown&OpRead == 0 || ss.FS.Paths["/data/a.txt"] != 0 {
+		t.Errorf("summary = %v, want a ⊤ read and no /data/a.txt", ss.FS)
+	}
+	if !ss.Defs["p"] {
+		t.Errorf("p not among the defs: %v", ss.Defs)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"jash/internal/expand"
 	"jash/internal/spec"
 	"jash/internal/syntax"
 )
@@ -227,11 +228,17 @@ func stmtWordUses(ss *StmtSummary, w *syntax.Word, block func(string, ...interfa
 				block("${%s?...} may abort the shell", p.Name)
 			}
 		case *syntax.ArithExp:
-			// The expression text may both read and assign (x=1, x++):
-			// treat every identifier as a potential def and use.
-			for _, id := range arithIdents(p.Expr) {
-				ss.Uses[id] = true
-				ss.Defs[id] = true
+			a, err := expand.CompileArithExpr(p.Expr)
+			if err != nil {
+				block("$((%s)) is not an expression until it is expanded", p.Expr)
+				break
+			}
+			reads, assigns := a.Names()
+			for _, name := range reads {
+				ss.Uses[name] = true
+			}
+			for _, name := range assigns {
+				ss.Defs[name] = true
 			}
 		case *syntax.CmdSubst:
 			block("command substitution runs arbitrary commands")

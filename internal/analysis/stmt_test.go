@@ -38,22 +38,22 @@ func TestSummarizeStmtEligible(t *testing.T) {
 
 func TestSummarizeStmtBlockers(t *testing.T) {
 	cases := map[string]string{
-		"cd /tmp":                 "cd",
-		"grep x /a && echo ok":    "&&",
-		"x=$(date)":               "substitution",
-		"echo $?":                 "$?",
-		"echo $$":                 "$$",
-		"read line </in; echo":    "", // parsed as two stmts; see below
-		"wc -l":                   "stdin",
-		"frobnicate /a":           "⊤",
-		"if true; then echo; fi":  "compound",
-		"echo ${x?unset}":         "abort",
-		"export PATH=/bin":        "export",
-		"eval \"$cmd\"":           "eval",
-		"grep x /a & ":            "background",
-		"trap 'echo' EXIT":        "trap",
-		"getopts ab opt":          "getopts",
-		"local v=1":               "local",
+		"cd /tmp":                "cd",
+		"grep x /a && echo ok":   "&&",
+		"x=$(date)":              "substitution",
+		"echo $?":                "$?",
+		"echo $$":                "$$",
+		"read line </in; echo":   "", // parsed as two stmts; see below
+		"wc -l":                  "stdin",
+		"frobnicate /a":          "⊤",
+		"if true; then echo; fi": "compound",
+		"echo ${x?unset}":        "abort",
+		"export PATH=/bin":       "export",
+		"eval \"$cmd\"":          "eval",
+		"grep x /a & ":           "background",
+		"trap 'echo' EXIT":       "trap",
+		"getopts ab opt":         "getopts",
+		"local v=1":              "local",
 	}
 	for src, want := range cases {
 		if want == "" {
@@ -97,10 +97,19 @@ func TestSummarizeStmtDefsAndUses(t *testing.T) {
 	if ss.Defs["FOO"] || !ss.Uses["bar"] {
 		t.Fatalf("temp-env: defs=%v uses=%v", ss.Defs, ss.Uses)
 	}
-	// Arithmetic can assign: identifiers count as defs and uses.
+	// Arithmetic reads what it names and defines only what it assigns.
 	ss = summarize(t, "echo $((n+1)) >/o")
-	if !ss.Defs["n"] || !ss.Uses["n"] {
-		t.Fatalf("arith: defs=%v uses=%v", ss.Defs, ss.Uses)
+	if ss.Defs["n"] || !ss.Uses["n"] || len(ss.Blockers) != 0 {
+		t.Fatalf("arith read: defs=%v uses=%v blockers=%v", ss.Defs, ss.Uses, ss.Blockers)
+	}
+	ss = summarize(t, "echo $((n+=m)) >/o")
+	if !ss.Defs["n"] || ss.Defs["m"] || !ss.Uses["n"] || !ss.Uses["m"] {
+		t.Fatalf("arith assign: defs=%v uses=%v", ss.Defs, ss.Uses)
+	}
+	// Text that is not an expression until expanded could assign anything.
+	ss = summarize(t, "echo $((${n}+1)) >/o")
+	if len(ss.Blockers) == 0 {
+		t.Fatalf("unexpanded arith: no blocker (defs=%v uses=%v)", ss.Defs, ss.Uses)
 	}
 	// ${x=w} assigns persistently.
 	ss = summarize(t, "echo ${x=5} >/o")

@@ -11,6 +11,7 @@ import (
 
 	"jash/internal/cost"
 	"jash/internal/exec/faultinject"
+	"jash/internal/vfs"
 )
 
 func TestListParallelVariableOperandsDifferential(t *testing.T) {
@@ -103,5 +104,32 @@ func TestListRegionChaosConcretizedLane(t *testing.T) {
 	}
 	if errb.String() != oerr.String() {
 		t.Errorf("stderr diverged: %q vs %q", errb.String(), oerr.String())
+	}
+}
+
+// TestListRegionSeesArithmeticAssignment: `: $((p=7))` rebinds p, so f
+// reads ./7 — the file the next statement of the list rewrites. Value flow
+// that misses the assignment proves the two independent ("f reads
+// /data/a.txt") and /o receives whichever of `old` and `new` wins the race.
+func TestListRegionSeesArithmeticAssignment(t *testing.T) {
+	const script = "f() { p=/data/a.txt; : $((p=7)); cat $p > /o; }\n" +
+		"cd /\necho old > /7\nf; echo new > 7\n"
+	for _, cfg := range []struct {
+		name   string
+		mode   Mode
+		noList bool
+	}{{"bash", ModeBash, false}, {"jash", ModeJash, false}, {"no-list-parallel", ModeJash, true}} {
+		fs := vfs.New()
+		sh, _, errb := newShell(fs, cost.StandardEC2(), cfg.mode)
+		sh.NoListParallel = cfg.noList
+		if st, err := sh.Run(script); err != nil || st != 0 {
+			t.Fatalf("%s: status=%d err=%v stderr=%q", cfg.name, st, err, errb.String())
+		}
+		if got, _ := fs.ReadFile("/o"); string(got) != "old\n" {
+			t.Errorf("%s: /o holds %q, want %q", cfg.name, got, "old\n")
+		}
+		if d, ok := findDecision(sh, "parallel-list"); ok {
+			t.Errorf("%s: the list ran as a parallel region: %+v", cfg.name, d)
+		}
 	}
 }

@@ -125,15 +125,21 @@ func analyzeParts(parts []syntax.WordPart, quoted bool, d *Deps) {
 			})
 		case *syntax.ArithExp:
 			d.HasArith = true
-			vars, assigns := arithVars(p.Expr)
-			d.Vars = append(d.Vars, vars...)
-			if assigns {
-				d.SideEffects = true
-			}
 			// Command substitution hiding inside the arithmetic text runs
 			// commands when the expression is pre-expanded.
 			if strings.Contains(p.Expr, "$(") || strings.ContainsRune(p.Expr, '`') {
 				d.HasCmdSubst = true
+			}
+			// Text the arithmetic parser cannot read — at all, or until
+			// ${...} and $(...) have been expanded — may assign anything.
+			a, err := CompileArithExpr(p.Expr)
+			if err != nil {
+				d.SideEffects = true
+				continue
+			}
+			reads, assigns := a.Names()
+			d.Vars = append(append(d.Vars, reads...), assigns...)
+			if len(assigns) > 0 {
 				d.SideEffects = true
 			}
 		}
@@ -150,43 +156,4 @@ func hasGlobMeta(s string) bool {
 		}
 	}
 	return false
-}
-
-// arithVars extracts the variable names an arithmetic expression reads and
-// whether it contains assignment operators.
-func arithVars(expr string) (vars []string, assigns bool) {
-	i := 0
-	for i < len(expr) {
-		c := expr[i]
-		if c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') {
-			start := i
-			for i < len(expr) {
-				ch := expr[i]
-				if ch == '_' || (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') ||
-					(ch >= '0' && ch <= '9') {
-					i++
-					continue
-				}
-				break
-			}
-			vars = append(vars, expr[start:i])
-			// Peek for an assignment operator.
-			j := i
-			for j < len(expr) && (expr[j] == ' ' || expr[j] == '\t') {
-				j++
-			}
-			if j < len(expr) {
-				switch {
-				case expr[j] == '=' && (j+1 >= len(expr) || expr[j+1] != '='):
-					assigns = true
-				case j+1 < len(expr) && expr[j+1] == '=' &&
-					(expr[j] == '+' || expr[j] == '-' || expr[j] == '*' || expr[j] == '/' || expr[j] == '%'):
-					assigns = true
-				}
-			}
-			continue
-		}
-		i++
-	}
-	return vars, assigns
 }

@@ -33,8 +33,9 @@ func (e *ExpandError) Error() string { return e.Msg }
 type Expander struct {
 	// Lookup resolves a variable; ok=false means unset.
 	Lookup func(name string) (value string, ok bool)
-	// Set assigns a variable, for ${x=word} and arithmetic assignment.
-	Set func(name, value string)
+	// Set assigns a variable, for ${x=word} and arithmetic assignment. Its
+	// error (a readonly target) is fatal to the expansion.
+	Set func(name, value string) error
 	// Params are the positional parameters $1..$N.
 	Params []string
 	// Name0 is $0.
@@ -288,23 +289,17 @@ func (x *Expander) evalArithText(expr string) (int64, error) {
 		}
 		expr = expanded
 	}
+	// The text is compiled once and cached: loop counters re-evaluate the
+	// same expression millions of times.
+	a, err := CompileArithExpr(expr)
+	if err != nil {
+		return 0, err
+	}
 	lookup := func(name string) string {
 		v, _ := x.paramValue(name)
 		return v
 	}
-	assign := func(name, value string) {
-		if x.Set != nil {
-			x.Set(name, value)
-		}
-	}
-	// Hot path: compile the expression text once and reuse the closure on
-	// every later evaluation (loop counters re-evaluate the same text
-	// millions of times). EvalArith stays as the uncached oracle.
-	fn, err := compileArithCached(expr)
-	if err != nil {
-		return 0, err
-	}
-	return fn(&arithEnv{lookup: lookup, assign: assign})
+	return a.Eval(lookup, x.Set)
 }
 
 // expandArithParams runs the $-expansions inside an arithmetic expression
@@ -397,7 +392,9 @@ func (x *Expander) expandParam(pe *syntax.ParamExp, inDquote bool) ([]frag, erro
 			if x.Set == nil {
 				return nil, &ExpandError{Msg: "cannot assign " + pe.Name + " in this context"}
 			}
-			x.Set(pe.Name, w)
+			if err := x.Set(pe.Name, w); err != nil {
+				return nil, &ExpandError{Msg: err.Error(), Fatal: true}
+			}
 			val = w
 		}
 	case syntax.ParamError:

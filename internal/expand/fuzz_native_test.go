@@ -18,7 +18,7 @@ func fuzzExpander() *Expander {
 	vars := map[string]string{"x": "one two", "y": "/a*", "empty": ""}
 	return &Expander{
 		Lookup: func(name string) (string, bool) { v, ok := vars[name]; return v, ok },
-		Set:    func(name, value string) { vars[name] = value },
+		Set:    func(name, value string) error { vars[name] = value; return nil },
 		Params: []string{"p1", "p2"},
 		Name0:  "fuzz",
 		Status: 3,

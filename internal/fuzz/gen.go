@@ -83,7 +83,7 @@ type Program struct {
 // optimizing paths interpose on.
 func Generate(cfg Config) Program {
 	cfg = cfg.withDefaults()
-	g := &gen{cfg: cfg, rng: workload.NewRNG(cfg.Seed)}
+	g := &gen{cfg: cfg, rng: workload.NewRNG(cfg.Seed), counters: map[string]bool{}}
 	g.fixture()
 	n := 2 + g.rng.Intn(cfg.MaxStmts-1)
 	var stmts []*syntax.Stmt
@@ -105,15 +105,18 @@ func Generate(cfg Config) Program {
 
 // gen is the generator state for one program.
 type gen struct {
-	cfg   Config
-	rng   *workload.RNG
-	fx    Fixture
-	vars  []string // shell variables assigned so far
-	funcs []string // functions declared so far
-	files []string // fixture input files
-	nVar  int
-	nFunc int
-	nOut  int
+	cfg  Config
+	rng  *workload.RNG
+	fx   Fixture
+	vars []string // shell variables assigned so far
+	// counters are the while-loop counters among vars: arithmetic never
+	// assigns them, so every loop still ends.
+	counters map[string]bool
+	funcs    []string // functions declared so far
+	files    []string // fixture input files
+	nVar     int
+	nFunc    int
+	nOut     int
 }
 
 // fixture seeds the input files the program's commands read. Contents are
@@ -255,9 +258,12 @@ func (g *gen) paramOpWord() *syntax.Word {
 	return word(pe)
 }
 
+// arithExpr covers the arithmetic grammar: the binary operators, && || and
+// ?: with an assignment or a division in the operand that may not run, and
+// plain and compound assignment to a variable of the program.
 func (g *gen) arithExpr() string {
 	a, b := g.rng.Intn(20), 1+g.rng.Intn(9)
-	switch g.pick(3, 2, 2, 1, 1) {
+	switch g.pick(3, 2, 2, 1, 1, 2, 2, 2, 2, 2) {
 	case 0:
 		return fmt.Sprintf("%d + %d", a, b)
 	case 1:
@@ -266,12 +272,35 @@ func (g *gen) arithExpr() string {
 		return fmt.Sprintf("%d %% %d", a, b)
 	case 3:
 		return fmt.Sprintf("(%d - %d) / %d", a*3, b, b)
-	default:
+	case 4:
 		if len(g.vars) > 0 {
 			return fmt.Sprintf("%s + %d", g.varName(), b)
 		}
 		return fmt.Sprintf("%d - %d", a, b)
+	case 5:
+		return fmt.Sprintf("%d && (%s)", a%2, g.arithAssign())
+	case 6:
+		return fmt.Sprintf("%d || (%s)", a%2, g.arithAssign())
+	case 7:
+		return fmt.Sprintf("%s > %d ? (%s) : (%s)", g.varName(), b, g.arithAssign(), g.arithAssign())
+	case 8:
+		return fmt.Sprintf("(%s)", g.arithAssign())
+	default:
+		// The divisor is 0 whenever the variable is unset or holds a word.
+		v := g.varName()
+		return fmt.Sprintf("%s && %d / %s", v, a, v)
 	}
+}
+
+// arithAssign is a plain or compound arithmetic assignment to a variable
+// assigned earlier (possibly to a file path: see fileVarStmt).
+func (g *gen) arithAssign() string {
+	ops := []string{"=", "=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", "&=", "|=", "^="}
+	name := g.varName()
+	if g.counters[name] {
+		name = "unset0"
+	}
+	return fmt.Sprintf("%s %s %d", name, ops[g.rng.Intn(len(ops))], 1+g.rng.Intn(9))
 }
 
 // ---- command grammar ----
@@ -533,20 +562,21 @@ func (g *gen) stmtList(depth, max int) []*syntax.Stmt {
 func (g *gen) stmt(depth int) []*syntax.Stmt {
 	deep := depth >= g.cfg.MaxDepth
 	choice := g.pick(
-		14, // 0 pipeline
-		5,  // 1 assignment
-		3,  // 2 and-or list
-		boolW(!deep, 3), // 3 if
-		boolW(!deep, 3), // 4 for
-		boolW(!deep, 2), // 5 while (bounded)
-		boolW(!deep, 2), // 6 case
-		boolW(!deep, 2), // 7 function decl + call
-		boolW(!deep, 2), // 8 subshell
-		boolW(!deep, 2), // 9 brace group
-		2,               // 10 heredoc
+		14,                       // 0 pipeline
+		5,                        // 1 assignment
+		3,                        // 2 and-or list
+		boolW(!deep, 3),          // 3 if
+		boolW(!deep, 3),          // 4 for
+		boolW(!deep, 2),          // 5 while (bounded)
+		boolW(!deep, 2),          // 6 case
+		boolW(!deep, 2),          // 7 function decl + call
+		boolW(!deep, 2),          // 8 subshell
+		boolW(!deep, 2),          // 9 brace group
+		2,                        // 10 heredoc
 		boolW(g.cfg.Mutating, 3), // 11 mutator
-		1, // 12 trap
-		1, // 13 background
+		1,                        // 12 trap
+		1,                        // 13 background
+		boolW(g.cfg.Mutating, 2), // 14 file operand behind a variable
 	)
 	switch choice {
 	case 0:
@@ -576,11 +606,34 @@ func (g *gen) stmt(depth int) []*syntax.Stmt {
 	case 12:
 		return []*syntax.Stmt{stmtOf(simple(lit("trap"),
 			word(&syntax.SglQuoted{Value: "echo trapped"}), lit("EXIT")))}
-	default:
+	case 13:
 		st := stmtOfPipe(g.pipelineCmd(depth))
 		st.Background = true
 		return []*syntax.Stmt{st}
+	default:
+		return []*syntax.Stmt{g.fileVarStmt()}
 	}
+}
+
+// fileVarStmt emits the list where value flow decides the order: a
+// variable holding a fixture path, an arithmetic word that may rebind it to
+// a small number, a read through the variable, and a write to the file that
+// number names. The last two commute only if the variable still holds the
+// path, so a list planner that misses the arithmetic assignment races them.
+func (g *gen) fileVarStmt() *syntax.Stmt {
+	name := g.newVar()
+	n := 1 + g.rng.Intn(9)
+	forms := []string{"%s = %d", "%s |= %d", "0 || (%s = %d)", "1 && (%s += %d)",
+		"1 || (%s = %d)", "0 ? 0 : (%s = %d)"}
+	rebind := fmt.Sprintf(forms[g.rng.Intn(len(forms))], name, n)
+	write := simple(lit("echo"), lit(g.literal()))
+	write.Redirections = []*syntax.Redirect{{N: -1, Op: syntax.RedirOut, Target: lit(fmt.Sprintf("/%d", n))}}
+	return stmtOf(&syntax.BraceGroup{Body: []*syntax.Stmt{
+		stmtOf(&syntax.SimpleCommand{Assigns: []*syntax.Assign{{Name: name, Value: lit(g.file())}}}),
+		stmtOf(simple(lit(":"), word(&syntax.ArithExp{Expr: rebind}))),
+		stmtOf(simple(lit("cat"), word(&syntax.ParamExp{Name: name}))),
+		stmtOf(write),
+	}})
 }
 
 func boolW(ok bool, w int) int {
@@ -658,6 +711,7 @@ func (g *gen) forStmt(depth int) *syntax.Stmt {
 // so every program terminates.
 func (g *gen) whileStmts(depth int) []*syntax.Stmt {
 	name := g.newVar()
+	g.counters[name] = true
 	limit := 2 + g.rng.Intn(3)
 	init := stmtOf(&syntax.SimpleCommand{Assigns: []*syntax.Assign{{Name: name, Value: lit("0")}}})
 	cond := stmtOf(simple(lit("test"), word(&syntax.ParamExp{Name: name}),

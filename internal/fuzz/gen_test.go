@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"strings"
 	"testing"
 
 	"jash/internal/syntax"
@@ -70,12 +71,18 @@ func TestGenerateCoverage(t *testing.T) {
 				saw["param"] = true
 			case *syntax.ArithExp:
 				saw["arith"] = true
+				for _, op := range []string{"&&", "||", "?", "+=", "<<=", " = ", " / v"} {
+					if strings.Contains(x.Expr, op) {
+						saw["arith "+op] = true
+					}
+				}
 			}
 			return true
 		})
 	}
 	for _, want := range []string{"pipeline", "while", "for", "if", "case",
-		"func", "subshell", "redirect", "cmdsubst", "param", "arith"} {
+		"func", "subshell", "redirect", "cmdsubst", "param", "arith",
+		"arith &&", "arith ||", "arith ?", "arith +=", "arith <<=", "arith  = ", "arith  / v"} {
 		if !saw[want] {
 			t.Errorf("100 seeds never produced a %s", want)
 		}

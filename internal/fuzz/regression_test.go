@@ -21,6 +21,10 @@ import (
 //	set -u   miss inside a list region: the worker clone exited with no
 //	         error, the replay loop carried on, and the script ran past
 //	         the diagnostic to exit 0 (seeds 13232 and 18264).
+//	$((p=7)) was invisible to value flow: a list region was planned
+//	         around "f reads /data/a.txt" while f read ./7, the file
+//	         the next statement rewrites (written by hand from the
+//	         analysis; the generator could not spell it then).
 func TestRegressionMinimizedReproducers(t *testing.T) {
 	fixture := Generate(DefaultConfig(1)).Fixture
 	cases := []struct {
@@ -31,6 +35,7 @@ func TestRegressionMinimizedReproducers(t *testing.T) {
 		{"cut-no-selector-fs", "grep </data/nums.txt && cut >>/tmp/out1.txt\n"},
 		{"grep-c-chunk-status", "grep -c socket </data/nums.txt && echo found\n"},
 		{"set-u-exit-in-unrolled-for", "set -u\nfor v1 in A-Z; do v2=\"$v2.0\"; echo; done\ntee /tmp/out1.txt\n"},
+		{"arith-assign-rebinds-file-operand", "f() { p=/data/a.txt; : $((p=7)); cat $p >/tmp/o; }\necho old >/7\nf; echo new >7\n"},
 		{"set-u-exit-in-brace-group", "set -u\n{ v1=\"$v1.42\"; v2=shell; }\ncat <<EOF\nline 0 has $v1\nEOF\n"},
 	}
 	for _, tc := range cases {

@@ -307,10 +307,13 @@ func builtinRead(in *Interp, args []string) int {
 	}
 	fields := splitForRead(text, ifs, len(names))
 	for i, name := range names {
+		value := ""
 		if i < len(fields) {
-			in.Setenv(name, fields[i])
-		} else {
-			in.Setenv(name, "")
+			value = fields[i]
+		}
+		if err := in.assign(name, value); err != nil {
+			fmt.Fprintf(in.Stderr, "read: %v\n", err)
+			return 2
 		}
 	}
 	return 0

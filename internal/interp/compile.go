@@ -299,7 +299,7 @@ func compileFor(c *syntax.ForClause) compiled {
 		in.loopDepth++
 		defer func() { in.loopDepth-- }()
 		for _, item := range items {
-			in.Setenv(name, item)
+			in.mustAssign(name, item)
 			if stop := in.loopBodyFn(func() { body(in) }); stop {
 				return
 			}
@@ -375,14 +375,13 @@ const varFastUnsafe = "\\*?[ \t\n"
 
 // wordPlan is one argument word's lowering.
 type wordPlan struct {
-	kind     planKind
-	ifsSafe  bool   // static field valid only under default IFS
-	field    string // planStatic: the single precomputed field
-	zero     bool   // planStatic with no resulting fields (empty unquoted word)
-	varName  string // planVar
-	arith    *expand.ArithExpr
-	arithErr error
-	w        *syntax.Word
+	kind    planKind
+	ifsSafe bool   // static field valid only under default IFS
+	field   string // planStatic: the single precomputed field
+	zero    bool   // planStatic with no resulting fields (empty unquoted word)
+	varName string // planVar
+	arith   *expand.ArithExpr
+	w       *syntax.Word
 }
 
 // litNeedsExpander reports whether an unquoted literal requires the full
@@ -410,10 +409,10 @@ func compileWord(w *syntax.Word) wordPlan {
 				return wordPlan{kind: planVar, varName: p.Name, w: w}
 			}
 		case *syntax.ArithExp:
-			// Texts with $ or ` need parameter pre-expansion each time.
-			if !strings.ContainsAny(p.Expr, "$`") {
-				fn, err := expand.CompileArithExpr(p.Expr)
-				return wordPlan{kind: planArith, arith: fn, arithErr: err, w: w}
+			// Texts with $ or ` need parameter pre-expansion each time; one
+			// that does not compile reports its error from the expander.
+			if a, err := expand.CompileArithExpr(p.Expr); err == nil && !strings.ContainsAny(p.Expr, "$`") {
+				return wordPlan{kind: planArith, arith: a, w: w}
 			}
 		}
 	}
@@ -548,7 +547,7 @@ func (p *wordListPlan) expand(in *Interp, xp **expand.Expander) ([]string, error
 			}
 		case planArith:
 			if defIFS {
-				v, err := wp.evalArith(in)
+				v, err := in.evalArith(wp.arith)
 				if err != nil {
 					return nil, err
 				}
@@ -568,14 +567,15 @@ func (p *wordListPlan) expand(in *Interp, xp **expand.Expander) ([]string, error
 	return out, nil
 }
 
-// evalArith runs a pre-compiled $((...)); errors carry the same fatal
-// ExpandError wrapping the expander applies.
-func (wp *wordPlan) evalArith(in *Interp) (int64, error) {
-	if wp.arithErr != nil {
-		return 0, &expand.ExpandError{Msg: wp.arithErr.Error(), Fatal: true}
+// evalArith runs a word plan's pre-compiled $((...)) against the variable
+// table; errors carry the same fatal ExpandError wrapping the expander
+// applies.
+func (in *Interp) evalArith(a *expand.ArithExpr) (int64, error) {
+	if in.arLookup == nil {
+		in.arLookup = func(name string) string { return in.Vars[name].Value }
+		in.arAssign = in.assign
 	}
-	lookup, assign := in.arithFns()
-	v, err := wp.arith.Eval(lookup, assign)
+	v, err := a.Eval(in.arLookup, in.arAssign)
 	if err != nil {
 		return 0, &expand.ExpandError{Msg: err.Error(), Fatal: true}
 	}
@@ -587,12 +587,11 @@ func (wp *wordPlan) evalArith(in *Interp) (int64, error) {
 // regardless of IFS, bare variables need only an escape check, and
 // arithmetic results are always literal digits.
 type stringPlan struct {
-	kind     planKind
-	value    string // planStatic
-	varName  string // planVar
-	arith    *expand.ArithExpr
-	arithErr error
-	w        *syntax.Word
+	kind    planKind
+	value   string // planStatic
+	varName string // planVar
+	arith   *expand.ArithExpr
+	w       *syntax.Word
 }
 
 func compileStringWord(w *syntax.Word) stringPlan {
@@ -606,9 +605,8 @@ func compileStringWord(w *syntax.Word) stringPlan {
 				return stringPlan{kind: planVar, varName: p.Name, w: w}
 			}
 		case *syntax.ArithExp:
-			if !strings.ContainsAny(p.Expr, "$`") {
-				fn, err := expand.CompileArithExpr(p.Expr)
-				return stringPlan{kind: planArith, arith: fn, arithErr: err, w: w}
+			if a, err := expand.CompileArithExpr(p.Expr); err == nil && !strings.ContainsAny(p.Expr, "$`") {
+				return stringPlan{kind: planArith, arith: a, w: w}
 			}
 		}
 	}
@@ -658,13 +656,9 @@ func (sp *stringPlan) expand(in *Interp, xp **expand.Expander) (string, error) {
 			}
 		}
 	case planArith:
-		if sp.arithErr != nil {
-			return "", &expand.ExpandError{Msg: sp.arithErr.Error(), Fatal: true}
-		}
-		lookup, assign := in.arithFns()
-		v, err := sp.arith.Eval(lookup, assign)
+		v, err := in.evalArith(sp.arith)
 		if err != nil {
-			return "", &expand.ExpandError{Msg: err.Error(), Fatal: true}
+			return "", err
 		}
 		return strconv.FormatInt(v, 10), nil
 	}
@@ -703,11 +697,7 @@ func compileSimple(c *syntax.SimpleCommand) compiled {
 					in.expandFail(err)
 					return
 				}
-				if v := in.Vars[a.name]; v.ReadOnly {
-					fmt.Fprintf(in.Stderr, "jash: %s: readonly variable\n", a.name)
-					panic(exitSignal{1})
-				}
-				in.Setenv(a.name, val)
+				in.mustAssign(a.name, val)
 			}
 			cleanup, ok := in.applyRedirs(redirs)
 			if ok {

@@ -146,11 +146,11 @@ func TestCompiledDifferentialExpansionEdges(t *testing.T) {
 		{"false; a=$?; echo $a", "1\n", 0},
 		{"a=$(false)$?; echo $a", "0\n", 0},
 		{"false; echo $? $?", "1 1\n", 0},
-		// Arithmetic (eager ternary/logical, assignment operators).
+		// Arithmetic (only the taken ternary arm runs; assignment operators).
 		{"echo $((2+3*4))", "14\n", 0},
 		{"echo $((1 ? 10 : 20))", "10\n", 0},
 		{"echo $((0 ? 10 : 20))", "20\n", 0},
-		{"x=0; echo $((1 ? x+=5 : (x+=7) )) $x", "5 12\n", 0},
+		{"x=0; echo $((1 ? x+=5 : (x+=7) )) $x", "5 5\n", 0},
 		{"x=1; echo $(( x && 0 || 2 ))", "1\n", 0},
 		{"echo $(( 1 << 5, 0 ))2>/dev/null || echo arith-err", "", 1},
 		{"echo $((x=7)) $x", "7 7\n", 0},
@@ -158,6 +158,13 @@ func TestCompiledDifferentialExpansionEdges(t *testing.T) {
 		{"echo $((0x1f)) $((010))", "31 8\n", 0},
 		// Readonly violation inside compiled assignment.
 		{"readonly R=1; R=2; echo unreached", "", 1},
+		// ... and inside the expansions that assign, the for variable and read.
+		{"readonly r=1; : $((r=2)); echo $r", "", 1},
+		{"readonly r=1; echo $((r+=0)); echo unreached", "", 1},
+		{"readonly r; : ${r:=2}; echo $r", "", 1},
+		{"readonly r=1; echo $((0 && (r=2))) ${r:=3}", "0 1\n", 0},
+		{"readonly r=1; for r in a b; do echo $r; done; echo unreached", "", 1},
+		{"readonly r=1; echo x | read r || echo refused; echo $r", "refused\n1\n", 0},
 		// Tilde.
 		{"HOME=/home/u; echo ~", "/home/u\n", 0},
 		{"HOME=/home/u; echo ~/sub", "/home/u/sub\n", 0},
@@ -455,6 +462,20 @@ func TestControlFlowAgreesWithDash(t *testing.T) {
 		"{ echo a; false; }; echo $?",
 		"while false; do :; done; echo $?",
 		"echo $((2+3*4)) $((10/3)) $((10%3)) $((1 ? 10 : 20))",
+		"x=0; echo $((0 && (x=5))) $x",
+		"x=0; echo $((1 || (x=5))) $x",
+		"x=0; echo $((1 ? x+=5 : (x+=7))) $x",
+		"x=1; : $((x && (y=2))) $((x || (z=3))); echo ${y-unset} ${z-unset}",
+		"echo $((1 || 1/0)) $((0 && 1/0)) $((0 ? 1/0 : 3))",
+		"echo $((1/0)); echo unreached",
+		"i=0; while [ $((i+=1)) -lt 4 ]; do echo $i; done",
+		"i=8; while [ $((i>>=1)) -gt 0 ]; do echo $i; done; echo $i",
+		"x=6; echo $((x<<=2)) $((x|=1)) $((x&=12)) $((x^=5)) $((x>>=1)) $x",
+		"readonly r=1; : $((r=2)); echo $r",
+		"readonly r; : ${r:=2}; echo $r",
+		"readonly r=1; echo $((0 && (r=2))) ${r:=3}",
+		"readonly r=1; for r in a b; do echo $r; done; echo unreached",
+		"readonly r=1; echo x | read r || echo refused; echo $r",
 		"set -e; false; echo unreached",
 		"set -e; false || echo guarded; echo after",
 		"set -e; if false; then echo t; fi; echo survived",

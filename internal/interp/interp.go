@@ -122,12 +122,12 @@ type Interp struct {
 	// allocation profile of tight loops otherwise). Subshell clones start
 	// empty — a clone must not call back into its parent.
 	xLookup   func(string) (string, bool)
-	xSet      func(string, string)
+	xSet      func(string, string) error
 	xCmdSubst func([]*syntax.Stmt) (string, error)
 	cuGetenv  func(string) string
 	cuEnviron func() []string
 	arLookup  func(string) string
-	arAssign  func(string, string)
+	arAssign  func(string, string) error
 	// early is EarlyExpander's storage: planning asks for one per offered
 	// pipeline and is done with it before the next.
 	early expand.Expander
@@ -235,6 +235,25 @@ func (in *Interp) Setenv(name, value string) {
 	in.Vars[name] = v
 }
 
+// assign is Setenv behind the readonly check: the setter the expansions
+// that assign (${x=w}, $((x=1))) and the read builtin go through.
+func (in *Interp) assign(name, value string) error {
+	if in.Vars[name].ReadOnly {
+		return fmt.Errorf("%s: readonly variable", name)
+	}
+	in.Setenv(name, value)
+	return nil
+}
+
+// mustAssign is assign for the statement forms (NAME=value, for NAME in):
+// a readonly target ends a non-interactive shell.
+func (in *Interp) mustAssign(name, value string) {
+	if err := in.assign(name, value); err != nil {
+		fmt.Fprintf(in.Stderr, "jash: %v\n", err)
+		panic(exitSignal{1})
+	}
+}
+
 // Environ lists exported NAME=VALUE pairs.
 func (in *Interp) Environ() []string {
 	var out []string
@@ -256,7 +275,7 @@ func (in *Interp) expander() *expand.Expander {
 			v, ok := in.Vars[name]
 			return v.Value, ok
 		}
-		in.xSet = in.Setenv
+		in.xSet = in.assign
 		in.xCmdSubst = in.cmdSubst
 	}
 	return &expand.Expander{
@@ -283,16 +302,6 @@ func (in *Interp) EarlyExpander() *expand.Expander {
 	in.early = *in.expander()
 	in.early.Set, in.early.CmdSubst = nil, nil
 	return &in.early
-}
-
-// arithFns returns the cached lookup/assign pair handed to pre-compiled
-// arithmetic expressions; it mirrors the expander's arithmetic callbacks.
-func (in *Interp) arithFns() (func(string) string, func(string, string)) {
-	if in.arLookup == nil {
-		in.arLookup = func(name string) string { return in.Vars[name].Value }
-		in.arAssign = in.Setenv
-	}
-	return in.arLookup, in.arAssign
 }
 
 // cmdSubst runs a command substitution body in a subshell, capturing its

@@ -3,6 +3,7 @@ package rewrite
 import (
 	"strings"
 
+	"jash/internal/expand"
 	"jash/internal/syntax"
 )
 
@@ -97,11 +98,19 @@ func substitutable(body []*syntax.Stmt, name string) bool {
 					ok = false
 				}
 			case *syntax.ArithExp:
-				for _, id := range strings.FieldsFunc(x.Expr, func(r rune) bool {
-					return !(r == '_' || r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9')
-				}) {
-					if id == name {
-						ok = false
+				// Arithmetic names the variable bare; text that is not an
+				// expression until expanded may name anything.
+				a, err := expand.CompileArithExpr(x.Expr)
+				if err != nil {
+					ok = false
+					break
+				}
+				reads, assigns := a.Names()
+				for _, ids := range [][]string{reads, assigns} {
+					for _, id := range ids {
+						if id == name {
+							ok = false
+						}
 					}
 				}
 			case *syntax.CmdSubst:
