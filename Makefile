@@ -18,9 +18,13 @@ vet:
 # The pipe is the edge both the executor and the interpreter run their
 # stages on; those two are the concurrency-heavy packages, and core's
 # list regions run interpreter clones that share the session's Stats,
-# breaker ledger, and tracer. All of them must stay race-clean.
+# breaker ledger, and tracer. All of them must stay race-clean. The model
+# property test and the list planner's own tests ride along: the first
+# drives interpreter clones (every `&` is one), the second plans the regions
+# those clones run.
 race:
 	$(GO) test -race ./internal/pipe/... ./internal/exec/... ./internal/interp/... ./internal/core/... ./internal/trace/...
+	$(GO) test -race -run 'OverApproximates|ListParallel|ParallelizeList|AssignedBy' ./internal/analysis/... ./internal/rewrite/... ./internal/fuzz/...
 
 # The fault suite: injected failures, panics, stalls, and cancellations
 # at every plan position must tear down cleanly, heal via supervised
@@ -46,9 +50,12 @@ fuzz-smoke:
 # coverage-guided parser/expander fuzzers, each under a wall budget.
 # The sweep covers seeds 1-20,000 through all five oracles (1 m 46 s on
 # a 2-core host): the list-region exit bug sat at seeds 13232 and 18264,
-# past fuzz-smoke's 500 and the 2,000 this target used to sweep.
+# past fuzz-smoke's 500 and the 2,000 this target used to sweep. The same
+# 20,000 programs then check the variable-effect model against the
+# interpreter, statement by statement (10 s; tier-1 runs the first 2,000).
 fuzz:
 	$(GO) run ./cmd/jashfuzz -n 20000 -chaos 500 -q -out artifacts/fuzz
+	$(GO) test ./internal/fuzz/ -run OverApproximates -fuzz.model=20000
 	$(GO) test -timeout 30m ./internal/fuzz/ -run TestChaosInvariants -fuzz.chaos=3334
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime 5m -run '^$$' ./internal/syntax/
 	$(GO) test -fuzz='^FuzzParseCommand$$' -fuzztime 2m -run '^$$' ./internal/syntax/

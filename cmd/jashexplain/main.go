@@ -3,8 +3,10 @@
 // pages (§4 "Heuristic support"): per-stage summaries, flag meanings,
 // dataflow classes, and the parallelization consequences. A `value flow:
 // $x ⇒ /path` line appears only while abstract interpretation still knows
-// the value: any expansion that may assign x — `${x=w}`, `$((x=1))`,
-// arithmetic text that is not an expression until expanded — makes it ⊤.
+// the value: whatever may assign x — an expansion (`${x=w}`, `$((x=1))`,
+// a `$n` pasted into arithmetic), a builtin's operand, eval, a function the
+// script declares and the statement calls, under any control flow — makes
+// it ⊤ (one model decides: expand.AnalyzeWord, analysis.AssignedBy).
 //
 // Usage:
 //
@@ -54,6 +56,16 @@ func run() int {
 	// later `grep x $f` explains with the witness `$f ⇒ /tmp/a` instead
 	// of "depends on dynamic state".
 	env := analysis.NewEnv(nil)
+	// The script's own declarations are the function table, for the value
+	// flow here and for the list verdict below.
+	funcs := map[string]syntax.Command{}
+	syntax.Walk(script, func(n syntax.Node) bool {
+		if fd, ok := n.(*syntax.FuncDecl); ok {
+			funcs[fd.Name] = fd.Body
+		}
+		return true
+	})
+	funcBody := func(name string) syntax.Command { return funcs[name] }
 	for _, st := range script.Stmts {
 		var stageSums []*analysis.Summary
 		var stageLabels []string
@@ -143,23 +155,16 @@ func run() int {
 				cost.BreakerThreshold)
 			fmt.Printf("  a half-open probe after %v — see `jash -stats`\n", cost.BreakerDecay)
 		}
-		analysis.ApplyStmt(env, st)
+		analysis.ApplyStmt(env, st, funcBody)
 	}
 	// List-level verdict: across statements, can whole commands leave
 	// program order? Mirrors the shell's own planner (core.runStmtsTop),
 	// including function summaries for functions the script declares.
 	if len(script.Stmts) >= 2 {
-		funcs := map[string]syntax.Command{}
-		syntax.Walk(script, func(n syntax.Node) bool {
-			if fd, ok := n.(*syntax.FuncDecl); ok {
-				funcs[fd.Name] = fd.Body
-			}
-			return true
-		})
 		_, dec := rewrite.ParallelizeList(script.Stmts, rewrite.ListOptions{
 			Lib: lib, Dir: "/", Cores: cost.StandardEC2().Cores,
 			IsFunc:   func(name string) bool { _, ok := funcs[name]; return ok },
-			FuncBody: func(name string) syntax.Command { return funcs[name] },
+			FuncBody: funcBody,
 		})
 		for _, wit := range dec.Witnesses {
 			fmt.Printf("value flow: %s\n", wit)

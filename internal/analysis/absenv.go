@@ -130,15 +130,24 @@ func (e *Env) Clone() *Env {
 		params: append([]AbsVal(nil), e.params...), paramsKnown: e.paramsKnown}
 }
 
-// JoinWith folds a branch environment back into this one: every name the
-// branch touched joins with the value it has here, since the branch may
-// or may not have executed.
+// JoinWith folds a branch environment back into this one, since the branch
+// may or may not have executed: every name either side binds joins the two
+// sides' values, and a side that forgot everything (WidenAll) leaves the
+// names neither binds ⊤ as well.
 func (e *Env) JoinWith(o *Env) {
 	if o == nil {
 		return
 	}
 	for name, ov := range o.vals {
 		e.Bind(name, Join(e.Resolve(name), ov))
+	}
+	for name, ev := range e.vals {
+		if _, both := o.vals[name]; !both {
+			e.Bind(name, Join(ev, o.Resolve(name)))
+		}
+	}
+	if o.lookup == nil {
+		e.lookup = nil
 	}
 	e.ifsDefault = e.ifsDefault && o.ifsDefault
 	if e.paramsKnown != o.paramsKnown {

@@ -9,7 +9,6 @@
 package analysis
 
 import (
-	"sort"
 	"strings"
 
 	"jash/internal/expand"
@@ -36,59 +35,47 @@ func WalkValues(script *syntax.Script, env *Env, vis *ValueVisitor) *Env {
 	if env == nil {
 		env = NewEnv(nil)
 	}
-	w := &vwalker{vis: vis, funcAssigns: map[string][]string{}}
+	w := &vwalker{vis: vis}
 	w.stmts(env, script.Stmts)
 	return env
 }
 
 // ApplyStmt is the transfer function for one statement: it updates env
 // with the statement's variable effects, binding bare assignments
-// precisely and widening everything else it may assign to ⊤. Callers that
-// know about additional defs the syntax does not show (function calls
-// resolved through effect summaries) must widen those themselves — see
-// AssignedNames.
-func ApplyStmt(env *Env, st *syntax.Stmt) {
-	w := &vwalker{funcAssigns: map[string][]string{}}
+// precisely and widening everything else it may assign — in its own words
+// and builtins, and in the bodies of the functions it calls, which funcBody
+// resolves (nil: no function is known) — to ⊤.
+func ApplyStmt(env *Env, st *syntax.Stmt, funcBody func(string) syntax.Command) {
+	w := &vwalker{outer: funcBody}
 	w.stmt(env, st)
-}
-
-// AssignedNames returns the variables a statement syntactically assigns
-// anywhere in its subtree (the set ApplyStmt accounts for).
-func AssignedNames(st *syntax.Stmt) map[string]bool {
-	set := map[string]bool{}
-	collectAssignedInto(st, set)
-	return set
-}
-
-// interpBuiltins are the names the interpreter dispatches as special
-// builtins before consulting the function table: a function with one of
-// these names never runs, so value flow must not treat a call to it as a
-// function call. It mirrors interp's builtin registry, which this package
-// does not import; core's TestAnalysisKnowsEveryInterpreterBuiltin holds
-// the two equal.
-var interpBuiltins = map[string]bool{
-	":": true, "cd": true, "pwd": true, "export": true, "readonly": true,
-	"unset": true, "set": true, "shift": true, "exit": true, "return": true,
-	"break": true, "continue": true, "eval": true, "read": true, "type": true,
-	"wait": true, "umask": true, "trap": true, "getopts": true, "exec": true,
-	"local": true,
-}
-
-// InterpBuiltins lists interpBuiltins, sorted.
-func InterpBuiltins() []string {
-	names := make([]string, 0, len(interpBuiltins))
-	for n := range interpBuiltins {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 type vwalker struct {
 	vis *ValueVisitor
-	// funcAssigns: function name -> variables its body may assign, so a
-	// later call site widens them.
-	funcAssigns map[string][]string
+	// funcs are the functions declared so far in this walk; outer resolves
+	// the ones declared before it began.
+	funcs map[string]syntax.Command
+	outer func(string) syntax.Command
+}
+
+// funcBody resolves a function name as of the walk's current point.
+func (w *vwalker) funcBody(name string) syntax.Command {
+	if body := w.funcs[name]; body != nil || w.outer == nil {
+		return body
+	}
+	return w.outer(name)
+}
+
+// widen forgets what AssignedBy says node may assign.
+func (w *vwalker) widen(env *Env, node syntax.Node) (names map[string]bool, any bool) {
+	names, any = AssignedBy(node, w.funcBody)
+	if any {
+		env.WidenAll()
+	}
+	for name := range names {
+		env.Bind(name, Top())
+	}
+	return names, any
 }
 
 func (w *vwalker) stmts(env *Env, stmts []*syntax.Stmt) {
@@ -165,16 +152,7 @@ func (w *vwalker) command(env *Env, cmd syntax.Command) {
 		// Loop-carried values: widen every name the condition or body can
 		// assign to ⊤ before walking, so iteration N's bindings never leak
 		// a previous iteration's constant.
-		set := map[string]bool{}
-		for _, st := range c.Cond {
-			collectAssignedInto(st, set)
-		}
-		for _, st := range c.Body {
-			collectAssignedInto(st, set)
-		}
-		for name := range set {
-			env.Bind(name, Top())
-		}
+		w.widen(env, c)
 		body := env.Clone()
 		w.stmts(body, c.Cond)
 		w.stmts(body, c.Body)
@@ -182,41 +160,38 @@ func (w *vwalker) command(env *Env, cmd syntax.Command) {
 	case *syntax.ForClause:
 		// Items expand once, in the pre-loop environment.
 		items, itemsExact := w.forItems(env, c)
-		set := map[string]bool{}
-		for _, st := range c.Body {
-			collectAssignedInto(st, set)
-		}
-		for name := range set {
-			env.Bind(name, Top())
+		names, any := w.widen(env, &syntax.BraceGroup{Body: c.Body})
+		// item is what the variable holds when an iteration starts.
+		item := Top()
+		if itemsExact && len(items) > 0 {
+			item = items[0]
+			for _, it := range items[1:] {
+				item = Join(item, it)
+			}
 		}
 		body := env.Clone()
-		if itemsExact && len(items) > 0 {
-			j := items[0]
-			for _, it := range items[1:] {
-				j = Join(j, it)
-			}
-			body.Bind(c.Name, j)
-		} else {
-			body.Bind(c.Name, Top())
-		}
+		body.Bind(c.Name, item)
 		w.stmts(body, c.Body)
 		// POSIX leaves the variable bound to the last item (or any item,
-		// at a break); joining all items covers every exit point. An
-		// empty literal list never touches the variable.
-		if itemsExact {
-			if len(items) > 0 {
-				j := items[0]
-				for _, it := range items[1:] {
-					j = Join(j, it)
-				}
-				env.Bind(c.Name, j)
-			}
-		} else {
+		// at a break); joining all items covers every exit point. A body
+		// that assigns the variable leaves what it assigned, and an empty
+		// literal list never touches it.
+		switch {
+		case any || names[c.Name]:
 			env.Bind(c.Name, Top())
+		case !itemsExact || len(items) > 0:
+			env.Bind(c.Name, item)
 		}
 		w.widenRedirs(env, c.Redirections)
 	case *syntax.CaseClause:
-		w.widenWordAssigns(env, c.Word)
+		w.word(env, c.Word)
+		// Patterns expand until one matches; a word's effects only widen,
+		// which covers the ones that never were.
+		for _, item := range c.Items {
+			for _, pat := range item.Patterns {
+				w.word(env, pat)
+			}
+		}
 		var branches []*Env
 		for _, item := range c.Items {
 			br := env.Clone()
@@ -228,7 +203,10 @@ func (w *vwalker) command(env *Env, cmd syntax.Command) {
 		}
 		w.widenRedirs(env, c.Redirections)
 	case *syntax.FuncDecl:
-		w.funcAssigns[c.Name] = collectAssignedNames(c.Body)
+		if w.funcs == nil {
+			w.funcs = map[string]syntax.Command{}
+		}
+		w.funcs[c.Name] = c.Body
 		// The body runs later, with unknown globals and positionals.
 		fe := NewEnv(nil)
 		w.command(fe, c.Body)
@@ -242,7 +220,7 @@ func (w *vwalker) forItems(env *Env, c *syntax.ForClause) ([]AbsVal, bool) {
 	}
 	var items []AbsVal
 	for _, word := range c.Words {
-		w.widenWordAssigns(env, word)
+		w.word(env, word)
 		fs, exact := FieldsOf(word, env)
 		if !exact {
 			return nil, false
@@ -261,17 +239,15 @@ func (w *vwalker) simple(env *Env, sc *syntax.SimpleCommand) {
 	if w.vis != nil && w.vis.Simple != nil {
 		w.vis.Simple(sc, env)
 	}
-	// ${x=w} expansions anywhere in the command assign; command
+	// Assigning expansions anywhere in the command assign; command
 	// substitution bodies run on environment copies.
 	for _, a := range sc.Assigns {
-		w.widenWordAssigns(env, a.Value)
+		w.word(env, a.Value)
 	}
 	for _, arg := range sc.Args {
-		w.widenWordAssigns(env, arg)
+		w.word(env, arg)
 	}
-	for _, r := range sc.Redirections {
-		w.widenWordAssigns(env, r.Target)
-	}
+	w.widenRedirs(env, sc.Redirections)
 	if len(sc.Args) == 0 {
 		// Bare assignments bind precisely, left to right, each value
 		// evaluated in the environment the previous ones produced.
@@ -285,138 +261,87 @@ func (w *vwalker) simple(env *Env, sc *syntax.SimpleCommand) {
 		return
 	}
 	// `FOO=1 cmd` scopes the assignment to cmd: no persistent binding.
-	name := sc.Name()
-	switch name {
-	case "unset":
-		for _, arg := range sc.Args[1:] {
-			lit := staticName(arg)
-			if lit == "" {
-				env.WidenAll() // dynamic name: could unset anything
-				return
-			}
-			if strings.HasPrefix(lit, "-") {
-				continue
-			}
-			env.UnsetVar(lit)
-		}
-	case "export", "readonly", "local":
-		for _, arg := range sc.Args[1:] {
-			w.exportArg(env, arg)
-		}
-	case "read":
-		for _, arg := range sc.Args[1:] {
-			lit := staticName(arg)
-			if lit == "" {
-				env.WidenAll()
-				return
-			}
-			if isVarName(lit) {
-				env.Bind(lit, Top())
-			}
-		}
-	case "getopts":
-		if len(sc.Args) >= 3 {
-			if lit := staticName(sc.Args[2]); isVarName(lit) {
-				env.Bind(lit, Top())
-			} else {
-				env.WidenAll()
-				return
-			}
-		}
-		env.Bind("OPTARG", Top())
-		env.Bind("OPTIND", Top())
-	case "shift", "set":
-		env.ClearParams()
-	case "eval", ".", "source":
+	row, name, builtin := builtinOf(sc)
+	ops, exact := row.operands(sc)
+	switch {
+	case row.anything:
 		env.WidenAll()
-	default:
-		// A call to a user-defined function may assign its recorded
-		// names. Builtins shadow functions, so skip those names.
-		if !interpBuiltins[name] {
-			if names, ok := w.funcAssigns[name]; ok {
-				for _, n := range names {
-					env.Bind(n, Top())
-				}
-			}
+	case row.names == declOperands:
+		// Evaluated, not just read for their names: name=value binds.
+		for _, arg := range sc.Args[1:] {
+			w.declOperand(env, arg)
 		}
+	case !exact:
+		env.WidenAll() // a dynamic name: it could be any variable
+	}
+	for _, op := range ops {
+		switch {
+		case row.unsets:
+			env.UnsetVar(op.name)
+		case row.names != declOperands || row.def == DefLocal && !op.hasValue:
+			// (A bare `local x` is empty in a function, unchanged outside.)
+			env.Bind(op.name, Top())
+		}
+	}
+	for _, n := range row.implicit {
+		env.Bind(n, Top())
+	}
+	if row.params {
+		env.ClearParams()
+	}
+	if body := w.funcBody(name); !builtin && body != nil {
+		w.widen(env, body)
 	}
 }
 
-// exportArg models one export/readonly/local argument: name=value binds
-// abstractly when the single expanded field is decipherable, a bare name
-// changes no value, and anything dynamic widens conservatively.
-func (w *vwalker) exportArg(env *Env, arg *syntax.Word) {
-	if lit := arg.Lit(); lit != "" {
-		if strings.HasPrefix(lit, "-") {
-			return
-		}
-		if !strings.Contains(lit, "=") {
-			return // flag-only declaration: value unchanged
-		}
-	}
+// declOperand models one export/readonly/local argument: name=value binds
+// abstractly when the single expanded field is decipherable, a flag or a
+// bare name changes no value, and anything dynamic widens conservatively.
+func (w *vwalker) declOperand(env *Env, arg *syntax.Word) {
 	fs, exact := FieldsOf(arg, env)
-	if exact && len(fs) == 1 && !fs[0].Globbable {
+	if exact && len(fs) == 1 && !fs[0].Globbable && !fs[0].Val.IsTop() {
 		v := fs[0].Val
-		if v.Kind == AbsConst || v.Kind == AbsPrefix {
-			if n, rest, found := strings.Cut(v.Str, "="); found && isVarName(n) {
-				if v.Kind == AbsConst {
-					env.Bind(n, Const(rest))
-				} else {
-					env.Bind(n, Prefix(rest))
-				}
-				return
-			}
-			if v.Kind == AbsConst {
-				return // bare name or junk: no value change
-			}
+		n, rest, found := strings.Cut(v.Str, "=")
+		switch {
+		case found && isVarName(n) && v.IsConst():
+			env.Bind(n, Const(rest))
+			return
+		case found && isVarName(n):
+			env.Bind(n, Prefix(rest))
+			return
+		case v.IsConst():
+			return
 		}
 	}
 	// The assigned name itself is unknown: anything may have changed.
 	env.WidenAll()
 }
 
-// staticName returns the statically-known expansion of a word, or ""
-// when the word is dynamic.
-func staticName(w *syntax.Word) string {
-	if w == nil || !w.IsStatic() {
-		return ""
-	}
-	return w.StaticValue()
-}
-
-// widenWordAssigns widens every ${x=w} and $((x=1)) target inside a word
-// to ⊤ and walks command-substitution bodies on discarded environment copies.
-func (w *vwalker) widenWordAssigns(env *Env, word *syntax.Word) {
+// word applies what expanding one word does to the environment: assigning
+// expansions widen their target to ⊤, arithmetic that may assign anything
+// widens everything, and command-substitution bodies walk on discarded
+// copies.
+func (w *vwalker) word(env *Env, word *syntax.Word) {
 	if word == nil {
 		return
 	}
-	syntax.Walk(word, func(n syntax.Node) bool {
-		switch p := n.(type) {
-		case *syntax.ParamExp:
-			if p.Op == syntax.ParamAssign && isVarName(p.Name) {
-				env.Bind(p.Name, Top())
-			}
-		case *syntax.ArithExp:
-			a, err := expand.CompileArithExpr(p.Expr)
-			if err != nil {
-				env.WidenAll() // what it assigns is unknown until expanded
-				break
-			}
-			_, assigns := a.Names()
-			for _, name := range assigns {
-				env.Bind(name, Top())
-			}
-		case *syntax.CmdSubst:
-			sub := env.Clone()
-			w.stmts(sub, p.Stmts)
-			return false
+	d := expand.AnalyzeWord(word)
+	if opaque(d, env) {
+		env.WidenAll()
+	}
+	for _, e := range d.Effects {
+		switch e.Kind {
+		case expand.EffectAssign:
+			env.Bind(e.Name, Top())
+		case expand.EffectSubst:
+			w.stmts(env.Clone(), e.Body)
 		}
-		return true
-	})
+	}
 }
 
 func (w *vwalker) widenRedirs(env *Env, rs []*syntax.Redirect) {
 	for _, r := range rs {
-		w.widenWordAssigns(env, r.Target)
+		w.word(env, r.Target)
+		w.word(env, r.Body)
 	}
 }

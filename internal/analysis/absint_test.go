@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"jash/internal/syntax"
@@ -96,6 +97,28 @@ func TestWalkValuesStates(t *testing.T) {
 		{"arith-read-keeps", "x=/a\necho $((x+1))\n", "x", Const("/a")},
 		{"arith-unexpanded-widens-all", "x=/a\n: $((${z}))\n", "x", Top()},
 		{"arith-loop-carried-widen", "x=/a\nwhile c; do : $((x+=1)); done\n", "x", Top()},
+		// Assignments no name set shows: a branch or loop that ran eval (or
+		// unset and re-assigned through ${f=w}) leaves f unknown on the way
+		// out, as does a call whose body hides the assignment in a compound,
+		// a $name pasted into arithmetic, and a here-document body.
+		{"eval-in-if", "f=/a\nif true; then eval 'f=/b'; fi\n", "f", Top()},
+		{"eval-in-for", "f=/a\nfor i in 1; do eval 'f=/b'; done\n", "f", Top()},
+		{"unset-reassign-in-while", "f=/a\nn=1\nwhile [ $n = 1 ]; do n=2; unset f; : ${f=/b}; done\n", "f", Top()},
+		{"eval-after-and", "f=/a\ntrue && eval 'f=/b'\n", "f", Top()},
+		{"eval-in-case", "f=/a\ncase x in x) eval 'f=/b';; esac\n", "f", Top()},
+		{"call-with-compound-body", "g() { if true; then f=/b; fi; }\nf=/a\ng\n", "f", Top()},
+		{"call-through-call", "h() { f=/b; }\ng() { h; }\nf=/a\ng\n", "f", Top()},
+		{"arith-spliced-text", "f=a\nn='f=1'\n: $(($n))\n", "f", Top()},
+		{"arith-spliced-integer-keeps", "f=a\nn=41\nm=$(($n+1))\n", "f", Const("a")},
+		{"heredoc-assigns", "f=/a\ncat <<E\n${f:=/b}\nE\n", "f", Top()},
+		{"heredoc-quoted-is-text", "f=/a\ncat <<'E'\n${f:=/b}\nE\n", "f", Const("/a")},
+		{"dynamic-command-word", "f=/a\nc=eval\n$c 'f=/b'\n", "f", Top()},
+		{"quoted-builtin-name", "f=/a\n\"eval\" 'f=/b'\n", "f", Top()},
+		{"branch-widen-joins-unbound-names", "if c; then eval x; fi\ny=1\n", "HOME", Top()},
+		{"export-value-binds", "d=/tmp\nexport OUT=\"$d/x\"\n", "OUT", Const("/tmp/x")},
+		{"read-dynamic-name-widens", "f=/a\nread $v\n", "f", Top()},
+		{"getopts-binds-its-names", "o=x\nOPTIND=9\ngetopts ab o\n", "OPTIND", Top()},
+		{"for-body-assigns-its-variable", "for v in a b; do : $((v = 5)); done\n", "v", Top()},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -105,6 +128,85 @@ func TestWalkValuesStates(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestJoinWithIsARealJoin: a name only the receiver binds joins with what
+// the branch resolves it to, and a branch that forgot everything takes the
+// receiver's lookup with it.
+func TestJoinWithIsARealJoin(t *testing.T) {
+	live := func(name string) (string, bool) { return "live", name == "v" }
+	e := NewEnv(live)
+	e.Bind("x", Const("/a"))
+	br := e.Clone()
+	br.WidenAll()
+	e.JoinWith(br)
+	for _, name := range []string{"x", "v", "unbound"} {
+		if got := e.Resolve(name); got != Top() {
+			t.Errorf("after joining a widened branch $%s = %v, want ⊤", name, got)
+		}
+	}
+	e = NewEnv(live)
+	e.Bind("x", Const("/d/a"))
+	br = e.Clone()
+	br.Bind("x", Const("/d/b"))
+	br.Bind("y", Const("1"))
+	e.JoinWith(br)
+	if got := e.Resolve("x"); got != Prefix("/d/") {
+		t.Errorf("$x = %v, want /d/*", got)
+	}
+	if got := e.Resolve("y"); got != Top() { // unset here, 1 there
+		t.Errorf("$y = %v, want ⊤", got)
+	}
+	if got := e.Resolve("v"); got != Const("live") {
+		t.Errorf("$v = %v: an ordinary join must keep the live lookup", got)
+	}
+}
+
+func TestAssignedBy(t *testing.T) {
+	funcs := map[string]syntax.Command{}
+	decls := mustParseScript(t, "g() { if c; then p=1; fi; h; }\nh() { q=2; g; }\n")
+	for _, st := range decls.Stmts {
+		fd := st.AndOr.First.Cmds[0].(*syntax.FuncDecl)
+		funcs[fd.Name] = fd.Body
+	}
+	body := func(name string) syntax.Command { return funcs[name] }
+	cases := []struct {
+		src   string
+		names string
+		any   bool
+	}{
+		{"x=1; y=2 cmd; for z in a; do :; done", "x y z", false},
+		{": ${a=1} ${b:=2} ${c:-3} $((d=4)) $((e+=1)) $((f+1))", "a b d e", false},
+		{"read -r l m; export E=1 F; readonly R; local L=2; unset -v U; getopts ab o", "E F L OPTARG OPTIND R U l m o", false},
+		{"cat <<E\n${hd=1}\nE", "hd", false},
+		{"echo $(inner=1)", "", false},
+		{"g", "p q", false}, // g calls h calls g: each body once
+		{"eval \"$x\"", "", true},
+		{". /lib.sh", "", true},
+		{"$cmd a", "", true},
+		{"read \"$name\"", "", true},
+		{"export \"$kv\"", "", true},
+		{"export K=$v", "", true}, // may split into more operands
+		{"read", "REPLY", false},
+		{": $(($n + 1))", "", true},
+		{": $((${n}))", "", true},
+		{"set -- a b; shift; cd /; trap : EXIT", "OLDPWD PWD", false},
+	}
+	for _, c := range cases {
+		names, any := AssignedBy(mustParseScript(t, c.src+"\n"), body)
+		if got := strings.Join(sortedNames(names), " "); got != c.names || any != c.any {
+			t.Errorf("%q: assigns %q any=%v, want %q any=%v", c.src, got, any, c.names, c.any)
+		}
+	}
+}
+
+func mustParseScript(t *testing.T, src string) *syntax.Script {
+	t.Helper()
+	script, err := syntax.Parse(src)
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	return script
 }
 
 func TestUnsetResetsIFS(t *testing.T) {

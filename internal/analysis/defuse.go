@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"strings"
-
 	"jash/internal/expand"
 	"jash/internal/syntax"
 )
@@ -118,10 +116,12 @@ type duCtx struct {
 	subshell    bool
 	inFunc      bool
 	frame       int
-	// loopNames holds the variables assigned anywhere in the innermost
-	// enclosing loop body: a textual use-before-def inside the loop may
-	// be fed by a previous iteration, so it is suppressed.
+	// loopNames holds the variables assigned anywhere in the enclosing
+	// loop bodies (loopAny: possibly all of them): a textual use-before-def
+	// inside the loop may be fed by a previous iteration, so it is
+	// suppressed.
 	loopNames map[string]bool
+	loopAny   bool
 }
 
 func (c *duCtx) clone() *duCtx {
@@ -147,20 +147,20 @@ type duWalker struct {
 	rootDefs map[string]*Def
 	// lost tracks subshell assignments awaiting a parent use.
 	lost map[string]*lostEntry
-	// funcAssigns: user-defined function name -> variables it assigns.
-	funcAssigns map[string][]string
-	nextFrame   int
+	// funcs are the functions declared so far.
+	funcs     map[string]syntax.Command
+	nextFrame int
 }
 
 // AnalyzeDefUse computes def-use chains with scope tracking for a parsed
 // script.
 func AnalyzeDefUse(script *syntax.Script) *DefUse {
 	w := &duWalker{
-		res:         &DefUse{},
-		pending:     map[string][]syntax.Pos{},
-		rootDefs:    map[string]*Def{},
-		lost:        map[string]*lostEntry{},
-		funcAssigns: map[string][]string{},
+		res:      &DefUse{},
+		pending:  map[string][]syntax.Pos{},
+		rootDefs: map[string]*Def{},
+		lost:     map[string]*lostEntry{},
+		funcs:    map[string]syntax.Command{},
 	}
 	ctx := &duCtx{bindings: map[string]*Def{}}
 	w.stmts(ctx, script.Stmts)
@@ -282,21 +282,21 @@ func (w *duWalker) command(ctx *duCtx, cmd syntax.Command) {
 		w.mergeConditional(ctx, then, els)
 		w.redirs(ctx, c.Redirections)
 	case *syntax.WhileClause:
-		w.loop(ctx, c.Cond, c.Body)
+		w.loop(ctx, c, c.Cond, c.Body)
 		w.redirs(ctx, c.Redirections)
 	case *syntax.ForClause:
 		for _, word := range c.Words {
-			w.wordUses(ctx, word, false)
+			w.wordUses(ctx, word, "")
 		}
 		w.define(ctx, &Def{Name: c.Name, Pos: c.Pos(), Kind: DefFor, Conditional: true})
-		w.loop(ctx, nil, c.Body)
+		w.loop(ctx, c, nil, c.Body)
 		w.redirs(ctx, c.Redirections)
 	case *syntax.CaseClause:
-		w.wordUses(ctx, c.Word, false)
+		w.wordUses(ctx, c.Word, "")
 		var branches []*duCtx
 		for _, item := range c.Items {
 			for _, pat := range item.Patterns {
-				w.wordUses(ctx, pat, false)
+				w.wordUses(ctx, pat, "")
 			}
 			b := ctx.clone()
 			b.conditional = true
@@ -306,7 +306,7 @@ func (w *duWalker) command(ctx *duCtx, cmd syntax.Command) {
 		w.mergeConditional(ctx, branches...)
 		w.redirs(ctx, c.Redirections)
 	case *syntax.FuncDecl:
-		w.funcAssigns[c.Name] = collectAssignedNames(c.Body)
+		w.funcs[c.Name] = c.Body
 		fn := ctx.clone()
 		fn.inFunc = true
 		fn.frame = w.newFrame()
@@ -319,25 +319,27 @@ func (w *duWalker) command(ctx *duCtx, cmd syntax.Command) {
 // iterations possible) and textual use-before-def inside the body is
 // suppressed for names the body itself assigns (the value may flow from
 // a previous iteration).
-func (w *duWalker) loop(ctx *duCtx, cond, body []*syntax.Stmt) {
-	assigned := map[string]bool{}
-	for _, st := range cond {
-		collectAssignedInto(st, assigned)
-	}
-	for _, st := range body {
-		collectAssignedInto(st, assigned)
-	}
+func (w *duWalker) loop(ctx *duCtx, clause syntax.Command, cond, body []*syntax.Stmt) {
+	assigned, any := AssignedBy(clause, w.funcBody)
 	lc := ctx.clone()
 	lc.conditional = true
-	lc.loopNames = assigned
-	if ctx.loopNames != nil {
-		for k := range ctx.loopNames {
-			lc.loopNames[k] = true
-		}
+	lc.loopNames, lc.loopAny = assigned, any || ctx.loopAny
+	for k := range ctx.loopNames {
+		lc.loopNames[k] = true
 	}
 	w.stmts(lc, cond)
 	w.stmts(lc, body)
 	w.mergeConditional(ctx, lc)
+}
+
+func (w *duWalker) funcBody(name string) syntax.Command { return w.funcs[name] }
+
+// useAll counts every visible binding as used: something ran that may read
+// (or overwrite) any of them, so none is provably a dead store.
+func (w *duWalker) useAll(ctx *duCtx) {
+	for _, d := range ctx.bindings {
+		d.Uses++
+	}
 }
 
 // mergeConditional folds branch bindings back into the parent: a name
@@ -359,18 +361,15 @@ func (w *duWalker) mergeConditional(ctx *duCtx, branches ...*duCtx) {
 func (w *duWalker) simple(ctx *duCtx, sc *syntax.SimpleCommand) {
 	// Assignment values expand before the variables bind.
 	for _, a := range sc.Assigns {
-		if a.Value != nil {
-			w.wordUsesAssignTo(ctx, a.Value, a.Name)
-		}
+		w.wordUses(ctx, a.Value, a.Name)
 	}
-	name := sc.Name()
 	// `x=1 cmd` binds only for cmd's environment.
 	tempEnv := len(sc.Args) > 0
 	for _, a := range sc.Assigns {
 		d := &Def{
 			Name: a.Name, Pos: a.Pos(), Kind: DefAssign,
 			Conditional: ctx.conditional, Subshell: ctx.subshell,
-			HasCmdSubst: a.Value != nil && wordHasCmdSubst(a.Value),
+			HasCmdSubst: a.Value != nil && expand.AnalyzeWord(a.Value).HasCmdSubst,
 		}
 		if tempEnv {
 			d.Kind = DefTempEnv
@@ -381,81 +380,52 @@ func (w *duWalker) simple(ctx *duCtx, sc *syntax.SimpleCommand) {
 	}
 	// Argument and redirection-target uses.
 	for _, arg := range sc.Args {
-		w.wordUses(ctx, arg, false)
+		w.wordUses(ctx, arg, "")
 	}
 	w.redirs(ctx, sc.Redirections)
+	if len(sc.Args) == 0 {
+		return
+	}
 	// Builtins that define or consume variables by name.
-	switch name {
-	case "read":
-		for _, arg := range sc.Args[1:] {
-			lit := arg.Lit()
-			if lit == "" || strings.HasPrefix(lit, "-") || !isVarName(lit) {
-				continue
-			}
-			w.define(ctx, &Def{Name: lit, Pos: arg.Pos(), Kind: DefRead,
-				Conditional: ctx.conditional, Subshell: ctx.subshell})
+	row, name, builtin := builtinOf(sc)
+	ops, exact := row.operands(sc)
+	if !exact || row.anything {
+		w.useAll(ctx)
+	}
+	for _, op := range ops {
+		switch {
+		case row.unsets:
+			delete(ctx.bindings, op.name)
+		case row.def == DefExport && !op.hasValue:
+			w.useName(ctx, op.name, op.word.Pos(), true)
+		default:
+			// Bare `local x` declares without a meaningful value; the
+			// conditional flag keeps it out of dead-store reports.
+			w.define(ctx, &Def{Name: op.name, Pos: op.word.Pos(), Kind: row.def, Subshell: ctx.subshell,
+				Conditional: ctx.conditional || row.def == DefGetopts || row.def == DefLocal && !op.hasValue})
 		}
-	case "export", "readonly":
-		for _, arg := range sc.Args[1:] {
-			lit := arg.Lit()
-			if n, _, ok := strings.Cut(lit, "="); ok && isVarName(n) {
-				w.define(ctx, &Def{Name: n, Pos: arg.Pos(), Kind: DefExport,
-					Conditional: ctx.conditional, Subshell: ctx.subshell})
-			} else if isVarName(lit) {
-				w.useName(ctx, lit, arg.Pos(), true)
-			}
+	}
+	for _, n := range row.implicit {
+		w.define(ctx, &Def{Name: n, Pos: sc.Pos(), Kind: row.def,
+			Conditional: true, Subshell: ctx.subshell})
+	}
+	// Calling a user-defined function may assign what its body assigns.
+	if body := w.funcs[name]; !builtin && body != nil {
+		names, any := AssignedBy(body, w.funcBody)
+		if any {
+			w.useAll(ctx)
 		}
-	case "local":
-		for _, arg := range sc.Args[1:] {
-			lit := arg.Lit()
-			if n, _, ok := strings.Cut(lit, "="); ok && isVarName(n) {
-				w.define(ctx, &Def{Name: n, Pos: arg.Pos(), Kind: DefLocal,
-					Conditional: ctx.conditional, Subshell: ctx.subshell})
-			} else if isVarName(lit) {
-				// Bare `local x` declares without a meaningful value; the
-				// conditional flag keeps it out of dead-store reports.
-				w.define(ctx, &Def{Name: lit, Pos: arg.Pos(), Kind: DefLocal,
-					Conditional: true, Subshell: ctx.subshell})
-			}
-		}
-	case "getopts":
-		if len(sc.Args) >= 3 {
-			if lit := sc.Args[2].Lit(); isVarName(lit) {
-				w.define(ctx, &Def{Name: lit, Pos: sc.Args[2].Pos(), Kind: DefGetopts,
-					Conditional: true, Subshell: ctx.subshell})
-			}
-		}
-		for _, implicit := range []string{"OPTARG", "OPTIND"} {
-			w.define(ctx, &Def{Name: implicit, Pos: sc.Pos(), Kind: DefGetopts,
+		for _, n := range sortedNames(names) {
+			w.define(ctx, &Def{Name: n, Pos: sc.Pos(), Kind: DefAssign,
 				Conditional: true, Subshell: ctx.subshell})
-		}
-	case "unset":
-		for _, arg := range sc.Args[1:] {
-			if lit := arg.Lit(); isVarName(lit) {
-				delete(ctx.bindings, lit)
-			}
-		}
-	default:
-		// Calling a user-defined function may assign its recorded names.
-		if names, ok := w.funcAssigns[name]; ok {
-			for _, n := range names {
-				w.define(ctx, &Def{Name: n, Pos: sc.Pos(), Kind: DefAssign,
-					Conditional: true, Subshell: ctx.subshell})
-			}
 		}
 	}
 }
 
 func (w *duWalker) redirs(ctx *duCtx, rs []*syntax.Redirect) {
 	for _, r := range rs {
-		if r.Target != nil {
-			w.wordUses(ctx, r.Target, false)
-		}
-		if r.Heredoc != "" && !r.Quoted {
-			for _, name := range heredocVars(r.Heredoc) {
-				w.useName(ctx, name, r.Pos(), false)
-			}
-		}
+		w.wordUses(ctx, r.Target, "")
+		w.wordUses(ctx, r.Body, "")
 	}
 }
 
@@ -510,7 +480,7 @@ func (w *duWalker) useName(ctx *duCtx, name string, pos syntax.Pos, guarded bool
 	if guarded || ctx.subshell || ctx.inFunc || ctx.conditional {
 		return
 	}
-	if ctx.loopNames != nil && ctx.loopNames[name] {
+	if ctx.loopAny || ctx.loopNames[name] {
 		return // previous iteration may have defined it
 	}
 	if ambientVars[name] {
@@ -519,168 +489,37 @@ func (w *duWalker) useName(ctx *duCtx, name string, pos syntax.Pos, guarded bool
 	w.pending[name] = append(w.pending[name], pos)
 }
 
-// wordUses walks a word's expansions, recording variable reads.
-func (w *duWalker) wordUses(ctx *duCtx, word *syntax.Word, guarded bool) {
-	w.wordUsesAssignTo(ctx, word, "")
-}
-
-// wordUsesAssignTo is wordUses with self-reference exemption: in
-// `PATH=$PATH:/x` the use of PATH on the right never reports
-// use-before-assign (appending to a possibly-ambient value is idiomatic).
-func (w *duWalker) wordUsesAssignTo(ctx *duCtx, word *syntax.Word, assignTo string) {
+// wordUses records what expanding a word reads and defines. assignTo names
+// the variable the word is being assigned to, if any: in `PATH=$PATH:/x` the
+// use of PATH on the right never reports use-before-assign (appending to a
+// possibly-ambient value is idiomatic). Arithmetic reads arrive guarded —
+// unset variables evaluate as 0 inside $((...)), so counters initialized
+// implicitly (`n=$((n+1))`) are idiomatic too.
+func (w *duWalker) wordUses(ctx *duCtx, word *syntax.Word, assignTo string) {
 	if word == nil {
 		return
 	}
-	var walkParts func(parts []syntax.WordPart)
-	walkParts = func(parts []syntax.WordPart) {
-		for _, part := range parts {
-			switch p := part.(type) {
-			case *syntax.DblQuoted:
-				walkParts(p.Parts)
-			case *syntax.ParamExp:
-				guarded := p.Op == syntax.ParamDefault || p.Op == syntax.ParamAlt ||
-					p.Op == syntax.ParamAssign || p.Op == syntax.ParamError
-				if p.Name == assignTo {
-					guarded = true
-				}
-				w.useName(ctx, p.Name, p.Pos(), guarded)
-				if p.Op == syntax.ParamAssign && isVarName(p.Name) && ctx.bindings[p.Name] == nil {
-					w.define(ctx, &Def{Name: p.Name, Pos: p.Pos(), Kind: DefParam,
-						Conditional: true, Subshell: ctx.subshell})
-				}
-				if p.Word != nil {
-					walkParts(p.Word.Parts)
-				}
-			case *syntax.CmdSubst:
-				// Substitution bodies run in a subshell copy.
-				sub := ctx.clone()
-				sub.subshell = true
-				sub.frame = w.newFrame()
-				w.stmts(sub, p.Stmts)
-			case *syntax.ArithExp:
-				a, err := expand.CompileArithExpr(p.Expr)
-				if err != nil {
-					// Not an expression until expanded: it may read any
-					// visible binding, so none of them is a dead store.
-					for _, d := range ctx.bindings {
-						d.Uses++
-					}
-					continue
-				}
-				reads, _ := a.Names()
-				for _, name := range reads {
-					w.useName(ctx, name, p.Pos(), guardedArith)
-				}
+	d := expand.AnalyzeWord(word)
+	if opaque(d, nil) {
+		w.useAll(ctx)
+	}
+	for _, e := range d.Effects {
+		switch e.Kind {
+		case expand.EffectRead:
+			w.useName(ctx, e.Name, e.Pos, e.Guarded || e.Name == assignTo)
+		case expand.EffectAssign:
+			if isVarName(e.Name) && ctx.bindings[e.Name] == nil {
+				w.define(ctx, &Def{Name: e.Name, Pos: e.Pos, Kind: DefParam,
+					Conditional: true, Subshell: ctx.subshell})
 			}
+		case expand.EffectSubst:
+			// Substitution bodies run in a subshell copy.
+			sub := ctx.clone()
+			sub.subshell = true
+			sub.frame = w.newFrame()
+			w.stmts(sub, e.Body)
 		}
 	}
-	walkParts(word.Parts)
-}
-
-// guardedArith: unset variables evaluate as 0 inside $((...)), so an
-// arithmetic read alone is a weak use-before-assign witness; counters
-// initialized implicitly (`n=$((n+1))`) are idiomatic. Treat arithmetic
-// uses as guarded.
-const guardedArith = true
-
-// collectAssignedNames lists the variables a command subtree assigns.
-func collectAssignedNames(cmd syntax.Command) []string {
-	set := map[string]bool{}
-	syntax.Walk(cmd, func(n syntax.Node) bool {
-		collectNode(n, set)
-		return true
-	})
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	return out
-}
-
-func collectAssignedInto(st *syntax.Stmt, set map[string]bool) {
-	syntax.Walk(st, func(n syntax.Node) bool {
-		collectNode(n, set)
-		return true
-	})
-}
-
-func collectNode(n syntax.Node, set map[string]bool) {
-	switch x := n.(type) {
-	case *syntax.Assign:
-		set[x.Name] = true
-	case *syntax.ArithExp:
-		if a, err := expand.CompileArithExpr(x.Expr); err == nil {
-			_, assigns := a.Names()
-			for _, name := range assigns {
-				set[name] = true
-			}
-		}
-	case *syntax.ForClause:
-		set[x.Name] = true
-	case *syntax.SimpleCommand:
-		switch x.Name() {
-		case "read", "export", "local", "readonly":
-			for _, arg := range x.Args[1:] {
-				lit := arg.Lit()
-				if n, _, ok := strings.Cut(lit, "="); ok {
-					lit = n
-				}
-				if isVarName(lit) && !strings.HasPrefix(lit, "-") {
-					set[lit] = true
-				}
-			}
-		case "getopts":
-			if len(x.Args) >= 3 {
-				if lit := x.Args[2].Lit(); isVarName(lit) {
-					set[lit] = true
-				}
-			}
-		}
-	}
-}
-
-// heredocVars scans an unquoted here-document body for $name / ${name}
-// references.
-func heredocVars(body string) []string {
-	var out []string
-	for i := 0; i < len(body); i++ {
-		if body[i] == '\\' {
-			i++
-			continue
-		}
-		if body[i] != '$' || i+1 >= len(body) {
-			continue
-		}
-		j := i + 1
-		if body[j] == '{' {
-			j++
-		}
-		start := j
-		for j < len(body) && (body[j] == '_' ||
-			(body[j] >= 'a' && body[j] <= 'z') || (body[j] >= 'A' && body[j] <= 'Z') ||
-			(j > start && body[j] >= '0' && body[j] <= '9')) {
-			j++
-		}
-		if j > start {
-			out = append(out, body[start:j])
-		}
-		i = j - 1
-	}
-	return out
-}
-
-// wordHasCmdSubst reports whether a word contains a command
-// substitution anywhere in its parts.
-func wordHasCmdSubst(w *syntax.Word) bool {
-	found := false
-	syntax.Walk(w, func(n syntax.Node) bool {
-		if _, ok := n.(*syntax.CmdSubst); ok {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // isVarName reports whether s is a valid shell variable name (not a

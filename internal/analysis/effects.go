@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 
+	"jash/internal/expand"
 	"jash/internal/spec"
 	"jash/internal/syntax"
 )
@@ -260,9 +261,6 @@ var mutators = map[string]func(s *Summary, cl *spec.Parsed){
 		s.ReadsStdin = true
 		s.Unknown |= OpRead | OpWrite | OpCreate | OpRemove
 	},
-	"eval": func(s *Summary, cl *spec.Parsed) {
-		s.Unknown |= OpRead | OpWrite | OpCreate | OpRemove
-	},
 	"ln": func(s *Summary, cl *spec.Parsed) {
 		op := OpCreate
 		if cl.Has('f') {
@@ -384,17 +382,20 @@ func hasKVArg(args []string, prefix string) bool {
 	return false
 }
 
-// pureBuiltins are shell builtins and utilities with no filesystem
-// effects beyond their redirections (cd's cwd effect is tracked by the
-// JSH404 lint rule, not as a path effect).
-var pureBuiltins = map[string]bool{
+// pureUtilities have no filesystem effects beyond their redirections.
+var pureUtilities = map[string]bool{
 	"echo": true, "printf": true, "test": true, "[": true, "true": true,
-	"false": true, ":": true, "set": true, "export": true, "readonly": true,
-	"local": true, "unset": true, "shift": true, "cd": true, "pwd": true,
-	"exit": true, "return": true, "break": true, "continue": true,
-	"trap": true, "getopts": true, "umask": true, "wait": true, "read": true,
-	"seq": true, "date": true, "basename": true, "dirname": true, "expr": true,
-	"sleep": true, "env": true, "type": true,
+	"false": true, "seq": true, "date": true, "basename": true, "dirname": true,
+	"expr": true, "sleep": true, "env": true,
+}
+
+// pureCommand reports whether a command touches no file its redirections
+// do not name: the utilities above and every builtin that runs no code of
+// its own (cd's cwd effect is tracked by the JSH404 lint rule, not as a
+// path effect).
+func pureCommand(name string) bool {
+	row, builtin := builtinTable[name]
+	return pureUtilities[name] || builtin && !row.runs
 }
 
 // SummarizeArgv computes the effect summary of a fully-expanded command
@@ -437,11 +438,9 @@ func SummarizeArgv(lib *spec.Library, args []string) *Summary {
 		}
 		return s
 	}
-	if pureBuiltins[name] {
+	if pureCommand(name) {
 		s.WritesStdout = true
-		if name == "read" {
-			s.ReadsStdin = true
-		}
+		s.ReadsStdin = builtinTable[name].stdin
 		return s
 	}
 	// Unknown command: arbitrary behaviour (the paper's B1) — ⊤.
@@ -471,13 +470,8 @@ func SummarizeCommandEnv(sc *syntax.SimpleCommand, lib *spec.Library, env *Env) 
 		return s
 	}
 	// Command substitutions anywhere in the words run arbitrary commands.
-	for _, w := range sc.Args {
-		syntax.Walk(w, func(n syntax.Node) bool {
-			if _, ok := n.(*syntax.CmdSubst); ok {
-				s.Unknown |= OpRead | OpWrite | OpCreate | OpRemove
-			}
-			return true
-		})
+	if expand.AnalyzeWords(sc.Args).HasCmdSubst {
+		s.Unknown |= OpRead | OpWrite | OpCreate | OpRemove
 	}
 	name := sc.Name()
 	allStatic := true
@@ -529,7 +523,7 @@ func SummarizeCommandEnv(sc *syntax.SimpleCommand, lib *spec.Library, env *Env) 
 			if cs.Class == spec.SideEffectful && !cs.Generator {
 				s.Unknown |= OpWrite | OpCreate | OpRemove
 			}
-		} else if !pureBuiltins[name] && mutatorOp(name) == 0 {
+		} else if !pureCommand(name) && mutatorOp(name) == 0 {
 			s.Unknown |= OpRead | OpWrite | OpCreate | OpRemove
 		}
 		// Static operands among the dynamic ones still name real paths.
@@ -629,7 +623,7 @@ func mutatorOp(name string) Op {
 		return OpRead | OpWrite | OpCreate
 	case "truncate":
 		return OpWrite | OpCreate
-	case "xargs", "eval":
+	case "xargs":
 		return OpRead | OpWrite | OpCreate | OpRemove
 	}
 	return 0

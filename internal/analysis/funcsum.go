@@ -219,24 +219,21 @@ func (w *fnWalker) pipeline(pl *syntax.Pipeline) {
 }
 
 func (w *fnWalker) simple(sc *syntax.SimpleCommand, ci int, multi bool) {
-	name := sc.Name()
-
-	// Variable uses and ${x=w} defs, with the order-sensitive special
-	// parameters blocked, then filtered through the local frame.
+	// Variable uses and expansion-time defs, with the order-sensitive
+	// special parameters blocked, then filtered through the local frame.
 	tmp := &StmtSummary{FS: NewSummary(), Defs: map[string]bool{}, Uses: map[string]bool{}}
-	summarizeStmtVars(tmp, sc, w.block)
+	summarizeStmtVars(tmp, sc, w.env, w.block)
 	for n := range tmp.Uses {
 		if !w.locals[n] {
 			w.ss.Uses[n] = true
 		}
 	}
 	for n := range tmp.Defs {
-		if !w.locals[n] && !multi {
-			w.ss.Defs[n] = true
-		}
+		w.def(n, multi)
 	}
 
-	defer (&vwalker{}).simple(w.env, sc) // env transfer after effects, pre-state reads
+	// env transfer after effects, pre-state reads
+	defer (&vwalker{outer: w.f.Body}).simple(w.env, sc)
 
 	if len(sc.Args) == 0 {
 		// Bare assignment: defs recorded above; only redirections touch
@@ -245,11 +242,13 @@ func (w *fnWalker) simple(sc *syntax.SimpleCommand, ci int, multi bool) {
 		return
 	}
 
-	if interpBuiltins[name] {
-		w.builtin(sc, name, ci, multi)
+	row, name, builtin := builtinOf(sc)
+	if builtin {
+		w.builtin(sc, row, name, ci, multi)
 		return
 	}
-	if name != "" && w.f.Known(name) {
+	var sum *Summary
+	if w.f.Known(name) {
 		// Nested call: summarize the callee under this site's abstract
 		// arguments and fold its summary in.
 		args, known := AbsCallArgs(sc, w.env)
@@ -257,122 +256,59 @@ func (w *fnWalker) simple(sc *syntax.SimpleCommand, ci int, multi bool) {
 		for _, b := range sub.Blockers {
 			w.block("%s: %s", name, b)
 		}
-		fs := NewSummary()
-		fs.Union(sub.FS)
-		if ci > 0 || redirectsFD(sc.Redirections, 0) {
-			fs.ReadsStdin = false
-		}
-		w.ss.FS.Union(fs)
-		foldRedirs(w.ss.FS, sc.Redirections, w.env)
+		sum = NewSummary()
+		sum.Union(sub.FS)
+		foldRedirs(sum, sc.Redirections, w.env)
 		for n := range sub.Defs {
-			if !multi {
-				w.ss.Defs[n] = true
-			}
-			w.env.Bind(n, Top())
+			w.def(n, multi)
 		}
 		for n := range sub.Uses {
 			if !w.locals[n] {
 				w.ss.Uses[n] = true
 			}
 		}
-		return
+	} else {
+		sum = SummarizeCommandEnv(sc, w.f.Lib, w.env)
 	}
-
-	sum := SummarizeCommandEnv(sc, w.f.Lib, w.env)
 	if ci > 0 || redirectsFD(sc.Redirections, 0) {
 		sum.ReadsStdin = false
 	}
 	w.ss.FS.Union(sum)
 }
 
-// builtin handles the interpreter builtins that are legitimate inside a
-// summarizable function body; the rest block the call site.
-func (w *fnWalker) builtin(sc *syntax.SimpleCommand, name string, ci int, multi bool) {
-	switch name {
-	case ":", "pwd", "type", "umask":
-		// Pure, or (umask with no args) read-only queries. umask with an
-		// argument mutates shared state:
-		if name == "umask" && len(sc.Args) > 1 {
-			w.block("umask mutates the file mode mask")
-		}
-	case "local":
-		if w.conditional || multi {
-			w.block("conditionally-scoped local")
-			return
-		}
-		names, ok := declNames(sc, w.env)
-		if !ok {
-			w.block("dynamic local name")
-			return
-		}
-		for _, n := range names {
-			w.locals[n] = true
-		}
-	case "return":
-		// Ends the call early; effects after it are over-approximated,
-		// which is sound for a union summary.
-	case "shift":
-		// Function-local: Params are saved/restored around the call.
-	case "read":
-		if ci == 0 && !redirectsFD(sc.Redirections, 0) {
-			w.ss.FS.ReadsStdin = true
-		}
-		names, ok := declNames(sc, w.env)
-		if !ok {
-			w.block("dynamic read target")
-			return
-		}
-		for _, n := range names {
-			if !w.locals[n] && !multi {
-				w.ss.Defs[n] = true
-			}
-		}
-	case "export", "readonly":
-		names, ok := declNames(sc, w.env)
-		if !ok {
-			w.block("dynamic %s name", name)
-			return
-		}
-		for _, n := range names {
-			if !w.locals[n] && !multi {
-				w.ss.Defs[n] = true
-			}
-		}
-	default:
-		why := blockerBuiltins[name]
-		if why == "" {
-			why = "mutates interpreter state"
-		}
-		w.block("%s %s", name, why)
+// def records a definition that outlives the call: not a local, and not
+// made in a pipeline stage's subshell.
+func (w *fnWalker) def(name string, multi bool) {
+	if !w.locals[name] && !multi {
+		w.ss.Defs[name] = true
 	}
-	foldRedirs(w.ss.FS, sc.Redirections, w.env)
 }
 
-// declNames resolves the variable names a local/export/readonly/read
-// names, through the abstract environment. ok=false when any name is
-// dynamic.
-func declNames(sc *syntax.SimpleCommand, env *Env) (names []string, ok bool) {
-	for _, wrd := range sc.Args[1:] {
-		fields, exact := FieldsOf(wrd, env)
-		if !exact {
-			return nil, false
-		}
-		for _, fld := range fields {
-			if !fld.Val.IsConst() {
-				return nil, false
-			}
-			v := fld.Val.Str
-			if v == "" || strings.HasPrefix(v, "-") {
-				continue
-			}
-			if i := strings.IndexByte(v, '='); i >= 0 {
-				v = v[:i]
-			}
-			if !isVarName(v) {
-				return nil, false
-			}
-			names = append(names, v)
+// builtin folds in a builtin the table allows inside a summarizable
+// function body; the rest block the call site.
+func (w *fnWalker) builtin(sc *syntax.SimpleCommand, row builtinRow, name string, ci int, multi bool) {
+	foldRedirs(w.ss.FS, sc.Redirections, w.env)
+	if row.blocker != "" && !row.inCall {
+		w.block("%s %s", name, row.blocker)
+		return
+	}
+	if row.stdin && ci == 0 && !redirectsFD(sc.Redirections, 0) {
+		w.ss.FS.ReadsStdin = true
+	}
+	ops, exact := row.operands(sc)
+	if !exact {
+		w.block("dynamic %s name", name)
+		return
+	}
+	if row.def == DefLocal && (w.conditional || multi) {
+		w.block("conditionally-scoped local")
+		return
+	}
+	for _, op := range ops {
+		if row.def == DefLocal {
+			w.locals[op.name] = true
+		} else {
+			w.def(op.name, multi)
 		}
 	}
-	return names, true
 }

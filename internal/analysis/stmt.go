@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"jash/internal/expand"
 	"jash/internal/spec"
@@ -39,22 +38,6 @@ type StmtSummary struct {
 
 // Eligible reports whether the statement may leave program order.
 func (ss *StmtSummary) Eligible() bool { return len(ss.Blockers) == 0 }
-
-// blockerBuiltins mutate interpreter state (cwd, options, traps,
-// positionals, variables-by-name, functions) in ways the effect lattice
-// does not track, or transfer control. Any occurrence pins the statement.
-var blockerBuiltins = map[string]string{
-	"cd": "changes the working directory", "exit": "exits the shell",
-	"return": "returns from a function", "break": "breaks a loop",
-	"continue": "continues a loop", "shift": "shifts positional parameters",
-	"set": "mutates shell options/positionals", "trap": "installs a trap",
-	"eval": "evaluates dynamic code", "exec": "replaces the shell",
-	"unset": "unsets variables by name", "export": "mutates the environment",
-	"readonly": "marks variables readonly", "local": "declares locals",
-	"getopts": "advances OPTIND state", "read": "reads shared stdin into variables",
-	"wait": "synchronizes on background jobs", "umask": "mutates the file mode mask",
-	".": "sources a script", "source": "sources a script",
-}
 
 // StmtOptions parameterizes SummarizeStmtOpts with the abstract-
 // interpretation context. The zero value (nil Env, nil Funcs) reproduces
@@ -106,22 +89,23 @@ func SummarizeStmtOpts(st *syntax.Stmt, opts StmtOptions) *StmtSummary {
 			block("compound command in pipeline")
 			continue
 		}
-		name := sc.Name()
-		if why, bad := blockerBuiltins[name]; bad {
-			block("%s %s", name, why)
+		if len(sc.Args) == 0 {
+			// A bare assignment runs no command: only its redirections (and
+			// value-word expansions, folded below) touch the world.
+			foldRedirs(ss.FS, sc.Redirections, opts.Env)
+			summarizeStmtVars(ss, sc, opts.Env, block)
+			continue
+		}
+		row, name, builtin := builtinOf(sc)
+		if row.blocker != "" {
+			block("%s %s", name, row.blocker)
 			if name == "cd" && len(pl.Cmds) == 1 && !st.Background &&
 				len(st.AndOr.Rest) == 0 && len(sc.Redirections) == 0 && len(sc.Assigns) == 0 {
 				ss.CdOnly = true
 			}
 		}
-		if len(sc.Args) == 0 {
-			// A bare assignment runs no command: only its redirections (and
-			// value-word expansions, folded below) touch the world.
-			foldRedirs(ss.FS, sc.Redirections, opts.Env)
-			summarizeStmtVars(ss, sc, block)
-			continue
-		}
-		if opts.Funcs.Known(name) && !interpBuiltins[name] && name != "" {
+		var sum *Summary
+		if !builtin && opts.Funcs.Known(name) {
 			// Call to a user-defined function (builtins shadow functions,
 			// functions shadow coreutils — same order as the interpreter's
 			// dispatch): fold in the callee's parameterized summary.
@@ -130,24 +114,18 @@ func SummarizeStmtOpts(st *syntax.Stmt, opts StmtOptions) *StmtSummary {
 			for _, b := range fsum.Blockers {
 				block("function %s: %s", name, b)
 			}
-			// The cached summary is shared — copy before the stdin fixup.
-			sum := NewSummary()
+			sum = NewSummary() // the cached summary is shared: copy
 			sum.Union(fsum.FS)
-			if ci > 0 || redirectsFD(sc.Redirections, 0) {
-				sum.ReadsStdin = false
-			}
-			ss.FS.Union(sum)
-			foldRedirs(ss.FS, sc.Redirections, opts.Env)
+			foldRedirs(sum, sc.Redirections, opts.Env)
 			for n := range fsum.Defs {
 				ss.Defs[n] = true
 			}
 			for n := range fsum.Uses {
 				ss.Uses[n] = true
 			}
-			summarizeStmtVars(ss, sc, block)
-			continue
+		} else {
+			sum = SummarizeCommandEnv(sc, lib, opts.Env)
 		}
-		sum := SummarizeCommandEnv(sc, lib, opts.Env)
 		// Inner pipeline stages read the pipe, not the terminal: only the
 		// first command's stdin appetite matters, and a redirection over
 		// fd 0 satisfies it from a file instead.
@@ -155,7 +133,7 @@ func SummarizeStmtOpts(st *syntax.Stmt, opts StmtOptions) *StmtSummary {
 			sum.ReadsStdin = false
 		}
 		ss.FS.Union(sum)
-		summarizeStmtVars(ss, sc, block)
+		summarizeStmtVars(ss, sc, opts.Env, block)
 	}
 	if ss.FS.Unknown != 0 {
 		block("⊤ effect: %s", ss.FS.Unknown)
@@ -167,44 +145,42 @@ func SummarizeStmtOpts(st *syntax.Stmt, opts StmtOptions) *StmtSummary {
 }
 
 // summarizeStmtVars folds one simple command's variable defs and uses
-// (assignments, expansions, here-documents, arithmetic) into the summary.
-func summarizeStmtVars(ss *StmtSummary, sc *syntax.SimpleCommand, block func(string, ...interface{})) {
+// (assignments and every word it expands, here-document bodies included)
+// into the summary.
+func summarizeStmtVars(ss *StmtSummary, sc *syntax.SimpleCommand, env *Env, block func(string, ...interface{})) {
 	for _, a := range sc.Assigns {
 		if len(sc.Args) == 0 {
 			// A bare assignment persists in the parent shell.
 			ss.Defs[a.Name] = true
 		}
 		// `FOO=1 cmd` scopes FOO to cmd: only the value word's reads leak.
-		if a.Value != nil {
-			stmtWordUses(ss, a.Value, block)
-		}
+		stmtWordUses(ss, a.Value, env, block)
 	}
 	for _, w := range sc.Args {
-		stmtWordUses(ss, w, block)
+		stmtWordUses(ss, w, env, block)
 	}
 	for _, r := range sc.Redirections {
-		if r.Target != nil {
-			stmtWordUses(ss, r.Target, block)
-		}
-		if (r.Op == syntax.RedirHeredoc || r.Op == syntax.RedirHeredocDash) && !r.Quoted {
-			if strings.Contains(r.Heredoc, "$(") || strings.Contains(r.Heredoc, "`") {
-				block("command substitution in here-document")
-			}
-			for _, name := range heredocVars(r.Heredoc) {
-				ss.Uses[name] = true
-			}
-		}
+		stmtWordUses(ss, r.Target, env, block)
+		stmtWordUses(ss, r.Body, env, block)
 	}
 }
 
-// stmtWordUses records the variables a word's expansion reads (and, for
-// ${x=w}, writes), blocking on the order-sensitive special parameters and
-// on expansions that can abort the statement from inside a worker.
-func stmtWordUses(ss *StmtSummary, w *syntax.Word, block func(string, ...interface{})) {
-	syntax.Walk(w, func(n syntax.Node) bool {
-		switch p := n.(type) {
-		case *syntax.ParamExp:
-			switch p.Name {
+// stmtWordUses records the variables a word's expansion reads and assigns,
+// blocking on the order-sensitive special parameters and on expansions
+// that can abort the statement from inside a worker, run commands, or
+// assign variables the summary cannot name.
+func stmtWordUses(ss *StmtSummary, w *syntax.Word, env *Env, block func(string, ...interface{})) {
+	if w == nil {
+		return
+	}
+	d := expand.AnalyzeWord(w)
+	if opaque(d, env) {
+		block("$((...)) in %s is not an expression until it is expanded", syntax.PrintWord(w))
+	}
+	for _, e := range d.Effects {
+		switch e.Kind {
+		case expand.EffectRead:
+			switch e.Name {
 			case "?":
 				block("$? depends on the preceding statement's status")
 			case "!":
@@ -212,40 +188,21 @@ func stmtWordUses(ss *StmtSummary, w *syntax.Word, block func(string, ...interfa
 			case "$":
 				block("$$ differs between worker and parent shells")
 			default:
-				if isVarName(p.Name) {
-					ss.Uses[p.Name] = true
-				}
 				// Positional and the remaining special parameters ($1, $@,
 				// $#...) are read-only here: mutating them takes set/shift,
 				// which block the mutating statement itself.
-			}
-			switch p.Op {
-			case syntax.ParamAssign:
-				if isVarName(p.Name) {
-					ss.Defs[p.Name] = true
+				if isVarName(e.Name) {
+					ss.Uses[e.Name] = true
 				}
-			case syntax.ParamError:
-				block("${%s?...} may abort the shell", p.Name)
 			}
-		case *syntax.ArithExp:
-			a, err := expand.CompileArithExpr(p.Expr)
-			if err != nil {
-				block("$((%s)) is not an expression until it is expanded", p.Expr)
-				break
-			}
-			reads, assigns := a.Names()
-			for _, name := range reads {
-				ss.Uses[name] = true
-			}
-			for _, name := range assigns {
-				ss.Defs[name] = true
-			}
-		case *syntax.CmdSubst:
+		case expand.EffectAssign:
+			ss.Defs[e.Name] = true
+		case expand.EffectAbort:
+			block("${%s?...} may abort the shell", e.Name)
+		case expand.EffectSubst:
 			block("command substitution runs arbitrary commands")
-			return false
 		}
-		return true
-	})
+	}
 }
 
 // redirectsFD reports whether any redirection covers the descriptor.

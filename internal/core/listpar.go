@@ -24,30 +24,28 @@ import (
 //
 // The gates mirror the paper's sound-by-construction posture: anything the
 // effect system cannot prove stays in program order. A whole unit also
-// stays sequential when the interpreter state makes reordering visible at
-// all — set -e (a failing statement must suppress its successors), any
-// installed trap (handlers observe $? mid-list), or incremental mode
-// (the memoizer keys on sequential replay).
+// stays sequential in incremental mode (the memoizer keys on sequential
+// replay) and when the interpreter state makes reordering visible at all
+// (orderVisible) — which a statement of the unit itself can bring about, so
+// that gate is asked again before every concurrent group.
 func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 	in := s.Interp
-	if s.Mode != ModeJash || s.NoListParallel || s.Incremental != nil ||
-		in.ErrExit || len(in.Traps) > 0 {
+	if s.Mode != ModeJash || s.NoListParallel || s.Incremental != nil || orderVisible(in) {
 		return in.RunStmts(stmts)
 	}
 	// A single compound statement may still hide a list the planner can
 	// partition: `{ a; b; c; }` flattens, and a static `for` loop over
 	// literal words unrolls into one statement per item (the classic
 	// per-file loop, §3.2's "most common parallelization opportunity").
+	funcBody := func(name string) syntax.Command { return in.Funcs[name] }
 	cand := stmts
 	loopVar, loopLast := "", ""
 	if len(stmts) == 1 {
 		if body, ok := rewrite.FlattenBrace(stmts[0]); ok {
 			cand = body
-		} else if fc := soleForClause(stmts[0]); fc != nil {
-			if un, last, ok := rewrite.UnrollFor(fc); ok {
-				cand = un
-				loopVar, loopLast = fc.Name, last
-			}
+		} else if un, name, last, ok := rewrite.UnrollFor(stmts[0], funcBody); ok {
+			cand = un
+			loopVar, loopLast = name, last
 		}
 	}
 	if len(cand) < 2 {
@@ -63,14 +61,8 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 			return ok
 		},
 		IsReadonly: func(name string) bool { return in.Vars[name].ReadOnly },
-		Lookup: func(name string) (string, bool) {
-			v, ok := in.Vars[name]
-			if !ok {
-				return "", false
-			}
-			return v.Value, true
-		},
-		FuncBody: func(name string) syntax.Command { return in.Funcs[name] },
+		Lookup:     lookupVar(in),
+		FuncBody:   funcBody,
 	})
 	annotateList(lsp, dec)
 	// The list's record settles when the list has run: a region that
@@ -90,6 +82,10 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 	defer rsp.End()
 	status, err := 0, error(nil)
 	for _, g := range plan.Groups {
+		if g.Parallel && orderVisible(in) {
+			g.Parallel = false
+			d.Reason += " (a group kept program order: set -e, set -u or a trap took effect mid-list)"
+		}
 		if !g.Parallel {
 			status, err = in.RunStmts(g.Stmts)
 		} else {
@@ -113,6 +109,13 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 		in.Setenv(loopVar, loopLast)
 	}
 	return status, err
+}
+
+// orderVisible reports interpreter state under which a statement that ends
+// the shell must keep its successors from ever starting, as a concurrent
+// group cannot: set -e, set -u, or a trap (handlers observe $? mid-list).
+func orderVisible(in *interp.Interp) bool {
+	return in.ErrExit || in.NoUnset || len(in.Traps) > 0
 }
 
 // annotateList stamps the list planner's returned decision on the
@@ -203,18 +206,20 @@ func (s *Shell) runParallelGroup(in *interp.Interp, g rewrite.ListGroup) (int, e
 	return status, nil
 }
 
+// lookupVar resolves a variable against the interpreter's table.
+func lookupVar(in *interp.Interp) func(string) (string, bool) {
+	return func(name string) (string, bool) {
+		v, ok := in.Vars[name]
+		return v.Value, ok
+	}
+}
+
 // interpEnv builds an abstract environment backed by the live
 // interpreter state: every variable resolves to its current value and
 // the positional parameters are exactly known. Lookup misses are
 // provably-unset (Const "") because in.Vars is the whole table.
 func interpEnv(in *interp.Interp) *analysis.Env {
-	env := analysis.NewEnv(func(name string) (string, bool) {
-		v, ok := in.Vars[name]
-		if !ok {
-			return "", false
-		}
-		return v.Value, true
-	})
+	env := analysis.NewEnv(lookupVar(in))
 	params := make([]analysis.AbsVal, len(in.Params))
 	for i, p := range in.Params {
 		params[i] = analysis.Const(p)
@@ -268,19 +273,6 @@ func concretizeWitnesses(in *interp.Interp, pl *syntax.Pipeline) []string {
 		}
 	}
 	return wits
-}
-
-// soleForClause unwraps a statement that is exactly one for loop.
-func soleForClause(st *syntax.Stmt) *syntax.ForClause {
-	if st == nil || st.Background || st.AndOr == nil || len(st.AndOr.Rest) > 0 {
-		return nil
-	}
-	pl := st.AndOr.First
-	if pl == nil || pl.Negated || len(pl.Cmds) != 1 {
-		return nil
-	}
-	fc, _ := pl.Cmds[0].(*syntax.ForClause)
-	return fc
 }
 
 // listLabel abbreviates a statement list for decision records.

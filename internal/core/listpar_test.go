@@ -212,26 +212,32 @@ func TestListParallelPlanningIsRaceFree(t *testing.T) {
 	}
 }
 
-// TestListParallelImplicitExitStopsTheShell pins the replay loop's handling
-// of a worker that ends the shell without a fatal error: a set -u miss
-// inside a region exits the clone with err == nil (the planner keeps
-// ${x?} and readonly assignments out of regions, but not this), and the
-// session must stop there exactly as the sequential run does — earlier
-// statements' output, that statement's diagnostic, nothing after it, the
-// non-zero status (jashfuzz seeds 13232 and 18264).
+// TestListParallelImplicitExitStopsTheShell pins what happens when a
+// statement of a list ends the shell without a fatal error, and the session
+// must stop there exactly as the sequential run does — earlier statements'
+// output, that statement's diagnostic, nothing after it, the non-zero
+// status. Under set -u (jashfuzz seeds 13232 and 18264) no region forms at
+// all, because the statements after the miss must never start; an
+// arithmetic error can still end a worker inside a region (the planner
+// keeps ${x?} and readonly assignments out), and the replay loop stops
+// there.
 func TestListParallelImplicitExitStopsTheShell(t *testing.T) {
 	cases := []struct {
 		name, script, stdout, stderr string
+		region                       bool
 	}{
 		{"set-u-in-unrolled-for",
 			"set -u\nfor v1 in A-Z; do v2=\"$v2.0\"; echo; done\necho after\n",
-			"", "jash: v2: parameter not set\n"},
+			"", "jash: v2: parameter not set\n", false},
 		{"set-u-in-brace-group",
 			"set -u\n{ v1=\"$v1.42\"; v2=shell; }\necho after $v2\n",
-			"", "jash: v1: parameter not set\n"},
+			"", "jash: v1: parameter not set\n", false},
 		{"set-u-mid-list",
 			"set -u\necho first; y=$nope; echo third\necho after\n",
-			"first\n", "jash: nope: parameter not set\n"},
+			"first\n", "jash: nope: parameter not set\n", false},
+		{"division-by-zero-mid-list",
+			"echo first; y=$((1/0)); echo third\necho after\n",
+			"first\n", "jash: arithmetic: division by zero\n", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -250,8 +256,9 @@ func TestListParallelImplicitExitStopsTheShell(t *testing.T) {
 					t.Errorf("%s: status=%d stdout=%q stderr=%q, want 1 %q %q",
 						cfg.name, st, out.String(), errb.String(), tc.stdout, tc.stderr)
 				}
-				if cfg.mode == ModeJash && !cfg.noList && sh.Stats.ListParallel == 0 {
-					t.Errorf("script never entered a list region: %+v", sh.Stats.Decisions)
+				if cfg.mode == ModeJash && !cfg.noList && (sh.Stats.ListParallel > 0) != tc.region {
+					t.Errorf("list regions entered = %d, want one: %v: %+v",
+						sh.Stats.ListParallel, tc.region, sh.Stats.Decisions)
 				}
 			}
 		})

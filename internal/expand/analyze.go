@@ -1,7 +1,7 @@
 package expand
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"jash/internal/syntax"
@@ -11,20 +11,62 @@ import (
 // performing it early could change observable shell state. It answers the
 // paper's B2 question — "what dynamic components does this word read?" —
 // so the JIT can expand words ahead of execution only when doing so is
-// provably side-effect free.
+// provably side-effect free. AnalyzeWord, which computes it, is the one
+// reader of word parts that asks about variables: every analysis of what a
+// word may read or assign loops over Effects.
 type Deps struct {
 	// Vars are the variable names read (positional and special parameters
 	// appear by their spelling: "1", "@", "?", ...).
 	Vars []string
 	// Reads of dynamic state beyond plain variables.
 	HasCmdSubst bool // $(...) or `...`: runs arbitrary commands
-	HasArith    bool // $((...)): reads/writes variables
 	HasGlob     bool // unquoted metacharacters: reads the filesystem
-	HasTilde    bool // leading ~: reads HOME
 	// SideEffects is true when expanding the word can mutate state:
-	// ${x=w} assigns, ${x?w} can abort, $((x=1)) assigns, and any command
-	// substitution may do anything at all.
+	// ${x=w} assigns, ${x?w} can abort, $((x=1)) assigns, $(($x)) evaluates
+	// whatever text x holds, and any command substitution may do anything.
 	SideEffects bool
+	// Effects lists, in source order, what expanding the word does with
+	// shell variables, nested operand words included; a command
+	// substitution's body is handed back unread (it runs in a subshell).
+	Effects []VarEffect
+	// Opaque marks arithmetic whose text is not an expression until it has
+	// been expanded (${...}, $(...), a positional): what it reads and
+	// assigns is unknown, so it may assign anything.
+	Opaque bool
+}
+
+// EffectKind classifies one VarEffect.
+type EffectKind uint8
+
+const (
+	// EffectRead expands the parameter Name (specials and positionals too).
+	EffectRead EffectKind = iota
+	// EffectAssign may assign the variable Name: ${x=w}, ${x:=w}, $((x=1)).
+	EffectAssign
+	// EffectAbort may end the shell when Name is unset: ${x?w}, ${x:?w}.
+	EffectAbort
+	// EffectSubst runs Body, a command substitution, in a subshell.
+	EffectSubst
+)
+
+// VarEffect is one thing a word's expansion does with a shell variable.
+type VarEffect struct {
+	Kind EffectKind
+	Name string
+	Pos  syntax.Pos
+	// Plain, on a read, says it is a $x or ${x} outside arithmetic: the
+	// reference a literal value could stand in for.
+	Plain bool
+	// Guarded, on a read, says an unset variable is provided for: the
+	// ${x-w} ${x=w} ${x+w} ${x?w} forms and arithmetic operands, which
+	// read unset as 0.
+	Guarded bool
+	// Spliced, on a read, says the variable is written $x inside $((...)):
+	// its value is pasted into the expression text, so unless that value
+	// is an integer literal the expression may assign anything.
+	Spliced bool
+	// Body is the substituted command list of an EffectSubst.
+	Body []*syntax.Stmt
 }
 
 // SafeToExpandEarly reports whether the JIT may expand this word before
@@ -34,49 +76,20 @@ type Deps struct {
 // operators, and command substitutions are not.
 func (d Deps) SafeToExpandEarly() bool { return !d.SideEffects }
 
-// Merge folds another dependency summary into this one.
-func (d *Deps) Merge(o Deps) {
-	d.Vars = append(d.Vars, o.Vars...)
-	d.HasCmdSubst = d.HasCmdSubst || o.HasCmdSubst
-	d.HasArith = d.HasArith || o.HasArith
-	d.HasGlob = d.HasGlob || o.HasGlob
-	d.HasTilde = d.HasTilde || o.HasTilde
-	d.SideEffects = d.SideEffects || o.SideEffects
-}
-
-// normalize sorts and dedups the variable list.
-func (d *Deps) normalize() {
-	sort.Strings(d.Vars)
-	out := d.Vars[:0]
-	var prev string
-	for i, v := range d.Vars {
-		if i > 0 && v == prev {
-			continue
-		}
-		out = append(out, v)
-		prev = v
-	}
-	d.Vars = out
-}
-
 // AnalyzeWord computes the dependency summary of one word.
-func AnalyzeWord(w *syntax.Word) Deps {
-	var d Deps
-	if w == nil {
-		return d
-	}
-	analyzeParts(w.Parts, false, &d)
-	d.normalize()
-	return d
-}
+func AnalyzeWord(w *syntax.Word) Deps { return AnalyzeWords([]*syntax.Word{w}) }
 
-// AnalyzeWords merges the summaries of a word list.
+// AnalyzeWords computes the summary of a word list: the words' effects in
+// order, everything else merged.
 func AnalyzeWords(ws []*syntax.Word) Deps {
 	var d Deps
 	for _, w := range ws {
-		d.Merge(AnalyzeWord(w))
+		if w != nil {
+			analyzeParts(w.Parts, false, &d)
+		}
 	}
-	d.normalize()
+	slices.Sort(d.Vars)
+	d.Vars = slices.Compact(d.Vars)
 	return d
 }
 
@@ -86,8 +99,7 @@ func analyzeParts(parts []syntax.WordPart, quoted bool, d *Deps) {
 		case *syntax.Lit:
 			if !quoted {
 				if i == 0 && len(p.Value) > 0 && p.Value[0] == '~' {
-					d.HasTilde = true
-					d.Vars = append(d.Vars, "HOME")
+					d.Vars = append(d.Vars, "HOME") // tilde expansion
 				}
 				if hasGlobMeta(p.Value) {
 					d.HasGlob = true
@@ -99,14 +111,20 @@ func analyzeParts(parts []syntax.WordPart, quoted bool, d *Deps) {
 			analyzeParts(p.Parts, true, d)
 		case *syntax.ParamExp:
 			d.Vars = append(d.Vars, p.Name)
+			guarded := p.Op == syntax.ParamDefault || p.Op == syntax.ParamAssign ||
+				p.Op == syntax.ParamError || p.Op == syntax.ParamAlt
+			d.Effects = append(d.Effects, VarEffect{Kind: EffectRead, Name: p.Name, Pos: p.Pos(),
+				Plain: p.Op == syntax.ParamPlain, Guarded: guarded})
+			if p.Word != nil {
+				analyzeParts(p.Word.Parts, quoted, d)
+			}
 			switch p.Op {
 			case syntax.ParamAssign:
 				d.SideEffects = true
+				d.Effects = append(d.Effects, VarEffect{Kind: EffectAssign, Name: p.Name, Pos: p.Pos()})
 			case syntax.ParamError:
 				d.SideEffects = true // can abort the shell
-			}
-			if p.Word != nil {
-				analyzeParts(p.Word.Parts, quoted, d)
+				d.Effects = append(d.Effects, VarEffect{Kind: EffectAbort, Name: p.Name, Pos: p.Pos()})
 			}
 			if !quoted {
 				// Unquoted expansion results are field-split and globbed.
@@ -116,6 +134,7 @@ func analyzeParts(parts []syntax.WordPart, quoted bool, d *Deps) {
 		case *syntax.CmdSubst:
 			d.HasCmdSubst = true
 			d.SideEffects = true
+			d.Effects = append(d.Effects, VarEffect{Kind: EffectSubst, Pos: p.Pos(), Body: p.Stmts})
 			// Variables read inside the substitution body still count.
 			syntax.Walk(&syntax.Script{Stmts: p.Stmts}, func(n syntax.Node) bool {
 				if pe, ok := n.(*syntax.ParamExp); ok {
@@ -124,22 +143,26 @@ func analyzeParts(parts []syntax.WordPart, quoted bool, d *Deps) {
 				return true
 			})
 		case *syntax.ArithExp:
-			d.HasArith = true
 			// Command substitution hiding inside the arithmetic text runs
 			// commands when the expression is pre-expanded.
 			if strings.Contains(p.Expr, "$(") || strings.ContainsRune(p.Expr, '`') {
 				d.HasCmdSubst = true
 			}
-			// Text the arithmetic parser cannot read — at all, or until
-			// ${...} and $(...) have been expanded — may assign anything.
 			a, err := CompileArithExpr(p.Expr)
 			if err != nil {
-				d.SideEffects = true
+				d.SideEffects, d.Opaque = true, true
 				continue
 			}
-			reads, assigns := a.Names()
-			d.Vars = append(append(d.Vars, reads...), assigns...)
-			if len(assigns) > 0 {
+			for _, name := range a.reads {
+				spliced := slices.Contains(a.spliced, name)
+				d.Vars = append(d.Vars, name)
+				d.Effects = append(d.Effects, VarEffect{Kind: EffectRead, Name: name, Pos: p.Pos(),
+					Guarded: true, Spliced: spliced})
+				d.SideEffects = d.SideEffects || spliced
+			}
+			for _, name := range a.assigns {
+				d.Vars = append(d.Vars, name)
+				d.Effects = append(d.Effects, VarEffect{Kind: EffectAssign, Name: name, Pos: p.Pos()})
 				d.SideEffects = true
 			}
 		}

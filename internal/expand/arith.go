@@ -97,6 +97,9 @@ type arithFn func(*arithEnv) (int64, error)
 type ArithExpr struct {
 	fn             arithFn
 	reads, assigns []string
+	// spliced are the reads written $NAME: by the time the expression is
+	// compiled for evaluation, expansion has pasted the value in as text.
+	spliced []string
 }
 
 // Eval runs the expression. Variables resolve through lookup (nil, unset
@@ -158,13 +161,13 @@ func compileArith(src string) (*ArithExpr, error) {
 	if c.skip(); c.pos != len(c.src) {
 		return nil, fmt.Errorf("arithmetic: unexpected %q", c.src[c.pos:])
 	}
-	return &ArithExpr{fn: fn, reads: c.reads, assigns: c.assigns}, nil
+	return &ArithExpr{fn: fn, reads: c.reads, assigns: c.assigns, spliced: c.spliced}, nil
 }
 
 type arithCompiler struct {
-	src            string
-	pos            int
-	reads, assigns []string
+	src                     string
+	pos                     int
+	reads, assigns, spliced []string
 }
 
 func addName(names []string, name string) []string {
@@ -408,5 +411,8 @@ func (c *arithCompiler) primary() (arithFn, error) {
 		return nil, fmt.Errorf("arithmetic: unexpected character %q", string(ch))
 	}
 	c.reads = addName(c.reads, name)
+	if ch == '$' {
+		c.spliced = addName(c.spliced, name)
+	}
 	return func(e *arithEnv) (int64, error) { return e.varValue(name), nil }, nil
 }

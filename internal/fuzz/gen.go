@@ -100,7 +100,14 @@ func Generate(cfg Config) Program {
 		stmts = append(stmts, g.stmt(0)...)
 	}
 	sc := &syntax.Script{Stmts: stmts}
-	return Program{Seed: cfg.Seed, Script: sc, Source: syntax.Print(sc), Fixture: g.fx}
+	src := syntax.Print(sc)
+	// The program is the parse of its own text — the tree every oracle
+	// runs, here-document bodies lexed into words and all. (The round-trip
+	// test holds that the text parses.)
+	if parsed, err := syntax.Parse(src); err == nil {
+		sc = parsed
+	}
+	return Program{Seed: cfg.Seed, Script: sc, Source: src, Fixture: g.fx}
 }
 
 // gen is the generator state for one program.
@@ -117,6 +124,7 @@ type gen struct {
 	nVar     int
 	nFunc    int
 	nOut     int
+	nLine    int
 }
 
 // fixture seeds the input files the program's commands read. Contents are
@@ -150,6 +158,8 @@ func (g *gen) fixture() {
 	g.files = append(g.files, "/data/nums.txt")
 	g.fx["/data/empty.txt"] = ""
 	g.files = append(g.files, "/data/empty.txt")
+	// What hiddenFlowLine's `read v </data/ptr.txt` leaves in v (not in g.files).
+	g.fx["/data/ptr.txt"] = hiddenReadTarget + "\n"
 }
 
 // pick returns an index into weights, chosen with the given relative odds.
@@ -512,9 +522,12 @@ func (g *gen) heredocCmd() *syntax.SimpleCommand {
 		}
 	}
 	c := argv("cat")
+	delim := lit("EOF")
+	if quoted {
+		delim = word(&syntax.SglQuoted{Value: "EOF"}) // the parser reads Quoted off the delimiter
+	}
 	c.Redirections = append(c.Redirections, &syntax.Redirect{
-		N: -1, Op: syntax.RedirHeredoc, Target: lit("EOF"),
-		Heredoc: b.String(), Quoted: quoted,
+		N: -1, Op: syntax.RedirHeredoc, Target: delim, Heredoc: b.String(),
 	})
 	return c
 }
@@ -577,6 +590,9 @@ func (g *gen) stmt(depth int) []*syntax.Stmt {
 		1,                        // 12 trap
 		1,                        // 13 background
 		boolW(g.cfg.Mutating, 2), // 14 file operand behind a variable
+		// 15 several statements on one line; 16 one such line where value
+		// flow runs through a hidden assignment.
+		boolW(depth == 0, 3), boolW(depth == 0 && g.cfg.Mutating, 3),
 	)
 	switch choice {
 	case 0:
@@ -610,9 +626,93 @@ func (g *gen) stmt(depth int) []*syntax.Stmt {
 		st := stmtOfPipe(g.pipelineCmd(depth))
 		st.Background = true
 		return []*syntax.Stmt{st}
-	default:
+	case 14:
 		return []*syntax.Stmt{g.fileVarStmt()}
+	case 15:
+		var line []*syntax.Stmt
+		for n := 3 + g.rng.Intn(4); len(line) < n; {
+			line = append(line, g.stmt(1)...)
+		}
+		return g.oneLine(line)
+	default:
+		return g.hiddenFlowLine()
 	}
+}
+
+// oneLine marks top-level statements as starting on one source line:
+// syntax.Print joins them with `;`, and the list planner takes the line as
+// one unit, control flow and all.
+func (g *gen) oneLine(stmts []*syntax.Stmt) []*syntax.Stmt {
+	g.nLine++
+	for _, st := range stmts {
+		st.Position.Line = g.nLine
+	}
+	return stmts
+}
+
+const hiddenReadTarget = "/tmp/hidden.txt"
+
+// hiddenFlowLine emits one line on which a path-valued variable is
+// re-assigned where no assignment statement shows it — by eval, by unset
+// and ${v=w}, by arithmetic, by read — under control flow, in a function
+// with a compound body or in a here-document body, and then names the file
+// one statement uses while the next touches the file it now names. The two
+// commute only if the variable still held the old path, so a list planner
+// whose value flow misses the assignment races them. (Written as text: the
+// shapes are fixed, only the names vary.)
+func (g *gen) hiddenFlowLine() []*syntax.Stmt {
+	v, target, n := g.newVar(), g.outPath(), 1+g.rng.Intn(9)
+	var hidden, doc string // the assignment; its spelling inside a here-document
+	switch g.rng.Intn(4) {
+	case 0:
+		hidden = fmt.Sprintf("eval '%s=%s'", v, target)
+	case 1:
+		hidden, doc = fmt.Sprintf("unset %s; : ${%[1]s=%s}", v, target), fmt.Sprintf("unset %s; : <<E", v)
+	case 2:
+		target = fmt.Sprintf("/%d", n)
+		hidden, doc = fmt.Sprintf(": $((%s = %d))", v, n), ": <<E"
+	default:
+		target = hiddenReadTarget
+		hidden = fmt.Sprintf("read %s </data/ptr.txt", v)
+	}
+	body, wrap := "", g.rng.Intn(7)
+	if doc != "" && wrap != 6 && g.rng.Intn(3) == 0 { // (6 puts the assignment on another line)
+		// `: <<E` expands the body and reads none of it.
+		body = hidden[strings.LastIndex(hidden, ": ")+2:] + "\nE\n"
+		hidden = doc
+	}
+	decl := ""
+	switch wrap {
+	case 1:
+		hidden = "if true; then " + hidden + "; fi"
+	case 2:
+		hidden = fmt.Sprintf("for %s in 1; do %s; done", g.newVar(), hidden)
+	case 3:
+		hidden = fmt.Sprintf("%s=; while test -z \"$%[1]s\"; do %[1]s=1; %s; done", g.newVar(), hidden)
+	case 4:
+		hidden = "case x in x) " + hidden + " ;; esac"
+	case 5:
+		hidden = "true && { " + hidden + "; }"
+	case 6:
+		g.nFunc++
+		decl = fmt.Sprintf("f%d() { if true; then %s; fi; }\n", g.nFunc, hidden)
+		hidden = fmt.Sprintf("f%d", g.nFunc)
+	}
+	// One statement goes through the variable, its neighbour names the
+	// file outright: as an operand read against a write, or as a redirect
+	// target written against a read.
+	use := fmt.Sprintf("cat $%s; echo %s >%s", v, g.literal(), target)
+	if g.rng.Intn(2) == 0 {
+		use = fmt.Sprintf("echo %s >$%s; cat %s", g.literal(), v, target)
+	}
+	sc, err := syntax.Parse(fmt.Sprintf("%s%s=%s; %s; %s\n%s", decl, v, g.file(), hidden, use, body))
+	if err != nil {
+		panic(err) // a template above is malformed
+	}
+	if decl != "" {
+		return append(g.oneLine(sc.Stmts[:1]), g.oneLine(sc.Stmts[1:])...)
+	}
+	return g.oneLine(sc.Stmts)
 }
 
 // fileVarStmt emits the list where value flow decides the order: a

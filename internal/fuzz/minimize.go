@@ -37,7 +37,7 @@ func Minimize(p Program, keep func(Program) bool, maxTrials int) Program {
 		}
 		src := syntax.Print(cand)
 		re, err := syntax.Parse(src)
-		if err != nil {
+		if err != nil || src == cur.Source { // (a cut in a here-document's parsed body prints the same)
 			return false
 		}
 		trials++

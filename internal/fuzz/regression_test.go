@@ -25,6 +25,15 @@ import (
 //	         around "f reads /data/a.txt" while f read ./7, the file
 //	         the next statement rewrites (written by hand from the
 //	         analysis; the generator could not spell it then).
+//	eval     under `if` (or a loop, &&, a case arm, a function with a
+//	         compound body) re-assigned a redirect target and value flow
+//	         kept the old path: `>$v` raced the statement reading the
+//	         file v now named (found by reading Env.JoinWith; the
+//	         generator's one-line production spells it now).
+//	set -e   and set -u taking effect on a region's own line: the
+//	         statements after the one that ends the shell had already
+//	         run in their workers, and their files stayed (seeds 901 and
+//	         2701 once printed as one line; fs divergence).
 func TestRegressionMinimizedReproducers(t *testing.T) {
 	fixture := Generate(DefaultConfig(1)).Fixture
 	cases := []struct {
@@ -37,6 +46,9 @@ func TestRegressionMinimizedReproducers(t *testing.T) {
 		{"set-u-exit-in-unrolled-for", "set -u\nfor v1 in A-Z; do v2=\"$v2.0\"; echo; done\ntee /tmp/out1.txt\n"},
 		{"arith-assign-rebinds-file-operand", "f() { p=/data/a.txt; : $((p=7)); cat $p >/tmp/o; }\necho old >/7\nf; echo new >7\n"},
 		{"set-u-exit-in-brace-group", "set -u\n{ v1=\"$v1.42\"; v2=shell; }\ncat <<EOF\nline 0 has $v1\nEOF\n"},
+		{"eval-in-if-rebinds-redirect-target", "v=/data/empty.txt; if true; then eval 'v=/tmp/out5.txt'; fi; sort /data/a.txt >$v; cat /tmp/out5.txt\n"},
+		{"set-e-on-the-region-line", "set -e; false; echo a >/tmp/o1; echo b >/tmp/o2; echo c >/tmp/o3\n"},
+		{"set-u-on-the-line-before", "set -u\nv1=\"$v1.pipe\"; echo hi >>/tmp/out1.txt; echo a >/tmp/o2; echo b >/tmp/o3\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

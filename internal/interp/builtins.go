@@ -98,26 +98,23 @@ func builtinExport(in *Interp, args []string) int {
 		}
 		return 0
 	}
-	for _, a := range args[1:] {
-		name, value, hasValue := strings.Cut(a, "=")
-		v := in.Vars[name]
-		if hasValue {
-			v.Value = value
-		}
-		v.Exported = true
-		in.Vars[name] = v
-	}
-	return 0
+	return declare(in, args, func(v *Variable) { v.Exported = true })
 }
 
 func builtinReadonly(in *Interp, args []string) int {
+	return declare(in, args, func(v *Variable) { v.ReadOnly = true })
+}
+
+// declare is export and readonly: each NAME[=value] operand is assigned, if
+// it brings a value (a readonly NAME ends the shell), and flagged.
+func declare(in *Interp, args []string, flag func(*Variable)) int {
 	for _, a := range args[1:] {
 		name, value, hasValue := strings.Cut(a, "=")
-		v := in.Vars[name]
 		if hasValue {
-			v.Value = value
+			in.mustAssign(name, value)
 		}
-		v.ReadOnly = true
+		v := in.Vars[name]
+		flag(&v)
 		in.Vars[name] = v
 	}
 	return 0
@@ -404,7 +401,7 @@ func builtinLocal(in *Interp, args []string) int {
 		}
 		switch {
 		case hasValue:
-			in.Setenv(name, value)
+			in.mustAssign(name, value)
 		case frame != nil:
 			// Inside a function `local x` declares a fresh empty local,
 			// regardless of any outer value.

@@ -76,16 +76,18 @@ func (in *Interp) compiledCommand(cmd syntax.Command) compiled {
 }
 
 func compileStmt(st *syntax.Stmt) compiled {
-	run := compileAndOr(st.AndOr)
 	if !st.Background {
-		return run
+		return compileAndOr(st.AndOr)
 	}
-	// Background statements run to completion (the interpreter is
-	// deterministic) but their status does not become $?.
+	// A background list runs to completion first (the interpreter is
+	// deterministic), but in a subshell: $?, variables, cd and exit stay there.
+	job := []*syntax.Stmt{{AndOr: st.AndOr, Position: st.Position}}
 	return func(in *Interp) {
-		saved := in.Status
-		run(in)
-		in.Status = saved
+		sub := in.subshell()
+		if _, err := sub.RunStmts(job); err != nil {
+			panic(fatalError{err})
+		}
+		sub.RunExitTrap()
 	}
 }
 
@@ -743,6 +745,7 @@ func compileSimple(c *syntax.SimpleCommand) compiled {
 				} else {
 					savedVars[a.name] = nil
 				}
+				in.mustAssign(a.name, val) // a readonly target ends the shell
 				in.Vars[a.name] = Variable{Value: val, Exported: true}
 			}
 		}

@@ -165,6 +165,11 @@ func TestCompiledDifferentialExpansionEdges(t *testing.T) {
 		{"readonly r=1; echo $((0 && (r=2))) ${r:=3}", "0 1\n", 0},
 		{"readonly r=1; for r in a b; do echo $r; done; echo unreached", "", 1},
 		{"readonly r=1; echo x | read r || echo refused; echo $r", "refused\n1\n", 0},
+		// ... and in the temporary environment, export, readonly and local.
+		{"readonly r=1; r=2 true; echo unreached", "", 1},
+		{"readonly r=1; export r=3; echo unreached", "", 1},
+		{"readonly r=1; readonly r=5; echo unreached", "", 1},
+		{"f() { local r=4; echo in; }; readonly r=1; f; echo unreached", "", 1},
 		// Tilde.
 		{"HOME=/home/u; echo ~", "/home/u\n", 0},
 		{"HOME=/home/u; echo ~/sub", "/home/u/sub\n", 0},
@@ -215,6 +220,19 @@ func TestCompiledDifferentialOptionsAndTraps(t *testing.T) {
 
 func TestCompiledDifferentialSubshells(t *testing.T) {
 	scripts := []diffCase{
+		// A background list is a subshell that has finished by the next
+		// statement: what it assigns, its cd and its exit stay inside it.
+		{`echo $((x=5)) & wait; echo "x=$x"`, "5\nx=\n", 0},
+		{`x=1 & echo "[$x]"`, "[]\n", 0},
+		{"mkdir /t; cd /t & pwd", "/\n", 0},
+		{"exit 3 & echo alive $?", "alive 0\n", 0},
+		{"false & echo $?; true && false & echo $?", "0\n0\n", 0},
+		// Runaway recursion is a script error at a fixed depth, counted
+		// through the subshells of $( ) and pipelines too.
+		{"f() { eval f; }; f; echo unreached", "", 2},
+		{"f() { echo $(f); }; f >/dev/null; echo after", "after\n", 0},
+		{"f() { if [ $1 -gt 0 ]; then f $(($1-1)); else echo bottom; fi; }; f 900", "bottom\n", 0},
+		{"trap 'echo parent' EXIT; { trap 'echo child' EXIT; echo job; } & echo next", "job\nchild\nnext\nparent\n", 0},
 		{"X=outer; (X=inner; echo $X); echo $X", "inner\nouter\n", 0},
 		{"(cd /tmp 2>/dev/null; pwd); pwd", "/\n/\n", 0},
 		{"echo $(echo nested $(echo deep))", "nested deep\n", 0},
@@ -476,6 +494,15 @@ func TestControlFlowAgreesWithDash(t *testing.T) {
 		"readonly r=1; echo $((0 && (r=2))) ${r:=3}",
 		"readonly r=1; for r in a b; do echo $r; done; echo unreached",
 		"readonly r=1; echo x | read r || echo refused; echo $r",
+		"readonly r=1; r=2 true; echo unreached",
+		"readonly r=1; export r=3; echo unreached",
+		"readonly r=1; readonly r=5; echo unreached",
+		"f() { local r=4; echo in; }; readonly r=1; f; echo unreached",
+		// (`cd /t & pwd` needs a directory both sides have: see
+		// TestCompiledDifferentialSubshells.)
+		`echo $((x=5)) & wait; echo "x=$x"`,
+		`x=1 & echo "[$x]"`,
+		"exit 3 & echo alive $?",
 		"set -e; false; echo unreached",
 		"set -e; false || echo guarded; echo after",
 		"set -e; if false; then echo t; fi; echo survived",

@@ -133,6 +133,8 @@ type Interp struct {
 	early expand.Expander
 
 	loopDepth int
+	// callDepth counts the function calls in progress, parent shells' too.
+	callDepth int
 
 	// getopts state that POSIX hides from scripts: optInd mirrors the
 	// last OPTIND this shell wrote (an external change resets the scan)
@@ -349,7 +351,7 @@ func (in *Interp) subshell() *Interp {
 		// The cache pointer is copied as-is: it is always non-nil by the
 		// time a clone is made (stmt() forces it), and lazy creation here
 		// would race among pipeline-stage goroutines.
-		NoCompile: in.NoCompile, cache: in.cache,
+		NoCompile: in.NoCompile, cache: in.cache, callDepth: in.callDepth,
 	}
 }
 
@@ -525,6 +527,10 @@ func (in *Interp) runSubshell(c *syntax.Subshell) {
 
 const maxLoopIterations = 10_000_000 // guard against runaway scripts in tests
 
+// maxCallDepth bounds function nesting: runaway recursion must end as a
+// script error, not as the Go runtime's fatal stack overflow.
+const maxCallDepth = 1000
+
 // loopBodyFn runs one loop iteration, translating break/continue signals.
 // It returns true when the loop should stop.
 func (in *Interp) loopBodyFn(run func()) (stop bool) {
@@ -620,10 +626,15 @@ func (in *Interp) coreutilsContext() *coreutils.Context {
 }
 
 func (in *Interp) callFunction(body syntax.Command, fields []string) {
+	if in.callDepth >= maxCallDepth {
+		in.fatalf("%s: function nesting deeper than %d", fields[0], maxCallDepth)
+	}
+	in.callDepth++
 	savedParams := in.Params
 	in.Params = fields[1:]
 	in.localFrames = append(in.localFrames, map[string]*Variable{})
 	defer func() {
+		in.callDepth--
 		// Unwind the function's local frame: restore shadowed bindings,
 		// remove variables that were unset before the call.
 		frame := in.localFrames[len(in.localFrames)-1]
@@ -725,15 +736,11 @@ func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
 			closers = append(closers, w)
 			setWriter(fd, w)
 		case syntax.RedirHeredoc, syntax.RedirHeredocDash:
-			body := r.Heredoc
-			if !r.Quoted {
-				expanded, err := in.expandHeredoc(body)
-				if err != nil {
-					in.expandFail(err)
-					cleanup()
-					return nil, false
-				}
-				body = expanded
+			body, err := x.ExpandString(r.Body)
+			if err != nil {
+				in.expandFail(err)
+				cleanup()
+				return nil, false
 			}
 			in.Stdin = strings.NewReader(body)
 		case syntax.RedirDupOut:
@@ -794,32 +801,6 @@ func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
 		}
 	}
 	return cleanup, true
-}
-
-// expandHeredoc expands $var, ${...}, $(...) and $((...)) inside an
-// unquoted here-document body.
-func (in *Interp) expandHeredoc(body string) (string, error) {
-	// Parse the body as the inside of a double-quoted string by wrapping:
-	// escape existing double quotes and backslashes not already escapes.
-	var quoted strings.Builder
-	for i := 0; i < len(body); i++ {
-		c := body[i]
-		if c == '"' {
-			quoted.WriteString("\\\"")
-			continue
-		}
-		quoted.WriteByte(c)
-	}
-	src := "echo \"" + quoted.String() + "\""
-	script, err := syntax.Parse(src)
-	if err != nil {
-		return body, nil // fall back to the raw body on parse trouble
-	}
-	sc := script.Stmts[0].AndOr.First.Cmds[0].(*syntax.SimpleCommand)
-	if len(sc.Args) < 2 {
-		return "", nil
-	}
-	return in.expander().ExpandString(sc.Args[1])
 }
 
 // lookPath resolves a possibly-relative path against the working dir.

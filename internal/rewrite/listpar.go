@@ -111,10 +111,10 @@ func ParallelizeList(stmts []*syntax.Stmt, opts ListOptions) (*ListPlan, ListDec
 	if opts.FuncBody != nil {
 		funcs = analysis.NewFuncSummarizer(opts.Lib, opts.FuncBody)
 	}
-	// funcsDirty: once a statement may alter the function table (a
-	// FuncDecl anywhere in its subtree, or eval/./source), the plan-time
-	// table is stale for everything after it — later calls summarize as
-	// unknown commands, which conservatively pins them.
+	// funcsDirty: once a statement may alter the function table, the
+	// plan-time table is stale for everything after it — later calls
+	// summarize as unknown commands, which conservatively pins them, and
+	// nothing is known about the values they leave behind.
 	funcsDirty := false
 	sums := make([]*analysis.StmtSummary, len(stmts))
 	for i, st := range stmts {
@@ -140,18 +140,12 @@ func ParallelizeList(stmts []*syntax.Stmt, opts ListOptions) (*ListPlan, ListDec
 				}
 			}
 		}
-		if mutatesFuncTable(st, opts.FuncBody) {
-			funcsDirty = true
-		}
-		// Thread the abstract state: bind this statement's syntactic
-		// assignments, then widen any extra defs the summary found
-		// (function-call side effects) that the syntax does not show.
-		syntactic := analysis.AssignedNames(st)
-		analysis.ApplyStmt(env, st)
-		for n := range sums[i].Defs {
-			if !syntactic[n] {
-				env.Bind(n, analysis.Top())
-			}
+		funcsDirty = funcsDirty || mutatesFuncTable(st, opts.FuncBody)
+		// Thread the abstract state — for a pinned statement too: what it
+		// (and the functions it calls) may assign is ⊤ for its successors.
+		analysis.ApplyStmt(env, st, opts.FuncBody)
+		if funcsDirty {
+			env.WidenAll()
 		}
 	}
 	plan, dec := buildListPlan(stmts, sums, opts)
@@ -182,25 +176,16 @@ func ParallelizeList(stmts []*syntax.Stmt, opts ListOptions) (*ListPlan, ListDec
 // mutatesFuncTable reports whether executing the statement may change
 // the function table out from under the plan: a FuncDecl anywhere in its
 // subtree (unless it re-declares the exact body the plan-time table
-// already maps to that name — the whole-script planning case), or a call
-// to eval/./source, which can declare functions dynamically.
+// already maps to that name — the whole-script planning case), or anything
+// analysis.AssignedBy cannot bound, which is how eval and its kind, that
+// can declare functions dynamically, report themselves.
 func mutatesFuncTable(st *syntax.Stmt, funcBody func(string) syntax.Command) bool {
-	found := false
+	_, found := analysis.AssignedBy(st, funcBody)
 	syntax.Walk(st, func(n syntax.Node) bool {
-		switch c := n.(type) {
-		case *syntax.FuncDecl:
-			if funcBody == nil || funcBody(c.Name) != c.Body {
-				found = true
-				return false
-			}
-		case *syntax.SimpleCommand:
-			switch c.Name() {
-			case "eval", ".", "source":
-				found = true
-				return false
-			}
+		if c, ok := n.(*syntax.FuncDecl); ok && (funcBody == nil || funcBody(c.Name) != c.Body) {
+			found = true
 		}
-		return true
+		return !found
 	})
 	return found
 }
@@ -333,11 +318,6 @@ func sortedVarNames(m map[string]bool) []string {
 	for n := range m {
 		names = append(names, n)
 	}
-	// Deterministic blocker ordering keeps -stats output stable.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	sort.Strings(names) // deterministic blocker order keeps -stats output stable
 	return names
 }

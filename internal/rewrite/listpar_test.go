@@ -141,13 +141,12 @@ func TestParallelizeListCdBlockedOnly(t *testing.T) {
 
 func TestUnrollForDisjointFiles(t *testing.T) {
 	stmts := parseStmts(t, "for f in /a /b /c; do grep x $f >$f.out; done")
-	fc := stmts[0].AndOr.First.Cmds[0].(*syntax.ForClause)
-	un, last, ok := UnrollFor(fc)
+	un, name, last, ok := UnrollFor(stmts[0], nil)
 	if !ok {
 		t.Fatal("static literal loop refused")
 	}
-	if last != "/c" {
-		t.Fatalf("last item %q, want /c", last)
+	if name != "f" || last != "/c" {
+		t.Fatalf("variable %q, last item %q, want f and /c", name, last)
 	}
 	if len(un) != 3 {
 		t.Fatalf("unrolled to %d statements, want 3", len(un))
@@ -172,11 +171,10 @@ func TestUnrollForRefusals(t *testing.T) {
 	}
 	for _, src := range cases {
 		stmts := parseStmts(t, src)
-		fc, ok := stmts[0].AndOr.First.Cmds[0].(*syntax.ForClause)
-		if !ok {
+		if _, ok := stmts[0].AndOr.First.Cmds[0].(*syntax.ForClause); !ok {
 			t.Fatalf("%q did not parse to a for clause", src)
 		}
-		if _, _, ok := UnrollFor(fc); ok {
+		if _, _, _, ok := UnrollFor(stmts[0], nil); ok {
 			t.Errorf("%q unexpectedly unrolled", src)
 		}
 	}

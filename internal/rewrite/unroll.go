@@ -3,6 +3,7 @@ package rewrite
 import (
 	"strings"
 
+	"jash/internal/analysis"
 	"jash/internal/expand"
 	"jash/internal/syntax"
 )
@@ -11,45 +12,48 @@ import (
 // literal word list into the body repeated once per item with $x replaced
 // by the item — the form the list parallelizer can then prove
 // non-interfering per iteration (disjoint literal file sets, the classic
-// per-file loop). It returns the unrolled statements, the loop variable's
-// final value (POSIX keeps the last item in scope after the loop; the
-// caller restores it), and whether the unroll is sound. Refusal is free:
-// the loop just runs through the interpreter as before.
+// per-file loop). Given a statement that is exactly such a loop, it returns
+// the unrolled statements, the loop variable and its final value (POSIX
+// keeps the last item in scope after the loop; the caller restores it),
+// and whether the unroll is sound. Refusal is free: the loop just runs
+// through the interpreter as before.
 //
 // Soundness demands the substitution be total and exact, so the unroll
 // refuses when the body could observe or redefine the variable any way a
 // literal paste cannot reproduce: non-plain expansions (${x%.txt}),
-// arithmetic references, command substitutions, unquoted here-documents
-// naming the variable, assignments to it, state-mutating builtins, or
-// item values subject to field splitting or globbing.
-func UnrollFor(fc *syntax.ForClause) (stmts []*syntax.Stmt, last string, ok bool) {
+// arithmetic references, command substitutions, here-documents naming the
+// variable, anything that may assign it (analysis.AssignedBy, which follows
+// calls through funcBody), a called function that reads it, or item values
+// subject to field splitting or globbing.
+func UnrollFor(st *syntax.Stmt, funcBody func(string) syntax.Command) (stmts []*syntax.Stmt, name, last string, ok bool) {
+	fc, _ := soleCommand(st).(*syntax.ForClause)
 	if fc == nil || !fc.InPresent || len(fc.Words) == 0 || len(fc.Redirections) > 0 {
-		return nil, "", false
+		return nil, "", "", false
 	}
 	items := make([]string, 0, len(fc.Words))
 	for _, w := range fc.Words {
 		if !w.IsStatic() {
-			return nil, "", false
+			return nil, "", "", false
 		}
 		v := w.StaticValue()
 		if !safeSubstValue(v) {
-			return nil, "", false
+			return nil, "", "", false
 		}
 		items = append(items, v)
 	}
-	if !substitutable(fc.Body, fc.Name) {
-		return nil, "", false
+	if !substitutable(fc.Body, fc.Name, funcBody) {
+		return nil, "", "", false
 	}
 	for _, item := range items {
 		for _, st := range fc.Body {
 			cl, cok := cloneStmtSubst(st, fc.Name, item)
 			if !cok {
-				return nil, "", false
+				return nil, "", "", false
 			}
 			stmts = append(stmts, cl)
 		}
 	}
-	return stmts, items[len(items)-1], true
+	return stmts, fc.Name, items[len(items)-1], true
 }
 
 // FlattenBrace unwraps a statement that is exactly `{ body; }` — no
@@ -57,18 +61,23 @@ func UnrollFor(fc *syntax.ForClause) (stmts []*syntax.Stmt, last string, ok bool
 // body statements, the "&&-free compound body" case the list planner can
 // then partition. Returns nil, false when the statement is anything else.
 func FlattenBrace(st *syntax.Stmt) ([]*syntax.Stmt, bool) {
-	if st == nil || st.Background || st.AndOr == nil || len(st.AndOr.Rest) > 0 {
-		return nil, false
-	}
-	pl := st.AndOr.First
-	if pl == nil || pl.Negated || len(pl.Cmds) != 1 {
-		return nil, false
-	}
-	bg, ok := pl.Cmds[0].(*syntax.BraceGroup)
+	bg, ok := soleCommand(st).(*syntax.BraceGroup)
 	if !ok || len(bg.Redirections) > 0 {
 		return nil, false
 	}
 	return bg.Body, true
+}
+
+// soleCommand unwraps a statement that is exactly one command — no
+// negation, continuation, or background marker — and is nil otherwise.
+func soleCommand(st *syntax.Stmt) syntax.Command {
+	if st == nil || st.Background || st.AndOr == nil || len(st.AndOr.Rest) > 0 {
+		return nil
+	}
+	if pl := st.AndOr.First; pl != nil && !pl.Negated && len(pl.Cmds) == 1 {
+		return pl.Cmds[0]
+	}
+	return nil
 }
 
 // safeSubstValue reports whether a literal can be pasted where an unquoted
@@ -77,65 +86,44 @@ func safeSubstValue(v string) bool {
 	return v != "" && !strings.ContainsAny(v, " \t\n*?[]{}$`\\'\"~#")
 }
 
-// unrollHostileBuiltins can rebind or re-scope variables (or evaluate
-// dynamic code) in ways a static paste of the loop variable cannot
-// reproduce; their presence anywhere in the body refuses the unroll.
-var unrollHostileBuiltins = map[string]bool{
-	"eval": true, "read": true, "getopts": true, "set": true, "unset": true,
-	"local": true, "export": true, "readonly": true, "shift": true,
-	".": true, "source": true,
-}
-
-// substitutable checks every reference to name in the body is a plain
-// expansion a literal can replace.
-func substitutable(body []*syntax.Stmt, name string) bool {
-	ok := true
-	for _, st := range body {
-		syntax.Walk(st, func(n syntax.Node) bool {
+// substitutable checks that nothing in the body may assign name and that
+// every reference to it is one a literal can replace: a plain expansion
+// written in the body itself, outside here-documents (whose printed text is
+// not rewritten) — a function the body calls sees the variable, not the
+// paste, so it may not mention it at all.
+func substitutable(body []*syntax.Stmt, name string, funcBody func(string) syntax.Command) bool {
+	called := map[string]bool{}
+	var ok func(node syntax.Node, pasted bool) bool
+	ok = func(node syntax.Node, pasted bool) bool {
+		fine := true
+		syntax.Walk(node, func(n syntax.Node) bool {
 			switch x := n.(type) {
-			case *syntax.ParamExp:
-				if x.Name == name && x.Op != syntax.ParamPlain {
-					ok = false
-				}
-			case *syntax.ArithExp:
-				// Arithmetic names the variable bare; text that is not an
-				// expression until expanded may name anything.
-				a, err := expand.CompileArithExpr(x.Expr)
-				if err != nil {
-					ok = false
-					break
-				}
-				reads, assigns := a.Names()
-				for _, ids := range [][]string{reads, assigns} {
-					for _, id := range ids {
-						if id == name {
-							ok = false
-						}
+			case *syntax.Redirect:
+				fine = fine && (x.Body == nil || ok(x.Body, false))
+			case *syntax.Word:
+				for _, e := range expand.AnalyzeWord(x).Effects {
+					if e.Kind == expand.EffectSubst || e.Name == name && !(pasted && e.Plain) {
+						fine = false
 					}
 				}
-			case *syntax.CmdSubst:
-				ok = false
-			case *syntax.Assign:
-				if x.Name == name {
-					ok = false
-				}
+				return false
 			case *syntax.SimpleCommand:
-				if unrollHostileBuiltins[x.Name()] {
-					ok = false
+				// (A command word that is not static already failed AssignedBy.)
+				if funcBody == nil || len(x.Args) == 0 || called[x.Args[0].StaticValue()] {
+					break
 				}
-			case *syntax.ForClause:
-				if x.Name == name {
-					ok = false
-				}
-			case *syntax.Redirect:
-				if (x.Op == syntax.RedirHeredoc || x.Op == syntax.RedirHeredocDash) && !x.Quoted &&
-					strings.Contains(x.Heredoc, "$") {
-					ok = false
+				callee := x.Args[0].StaticValue()
+				called[callee] = true
+				if fb := funcBody(callee); fb != nil {
+					fine = fine && ok(fb, false)
 				}
 			}
-			return ok
+			return fine
 		})
-		if !ok {
+		return fine
+	}
+	for _, st := range body {
+		if names, any := analysis.AssignedBy(st, funcBody); any || names[name] || !ok(st, true) {
 			return false
 		}
 	}
@@ -206,7 +194,7 @@ func cloneSimpleSubst(sc *syntax.SimpleCommand, name, value string) (*syntax.Sim
 		out.Args = append(out.Args, nw)
 	}
 	for _, r := range sc.Redirections {
-		nr := &syntax.Redirect{N: r.N, Op: r.Op, Heredoc: r.Heredoc, Quoted: r.Quoted, Position: r.Position}
+		nr := &syntax.Redirect{N: r.N, Op: r.Op, Heredoc: r.Heredoc, Body: r.Body, Quoted: r.Quoted, Position: r.Position}
 		if r.Target != nil {
 			w, ok := cloneWordSubst(r.Target, name, value)
 			if !ok {

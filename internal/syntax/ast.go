@@ -154,13 +154,16 @@ func (op RedirOp) String() string { return redirOpStrings[op] }
 
 // Redirect is one redirection. N is the explicit file descriptor, or -1 when
 // none was given (defaulting to 0 for input ops and 1 for output ops).
-// For here-documents, Target holds the delimiter word and Heredoc the body;
-// Quoted reports whether the delimiter was quoted (suppressing expansion).
+// For here-documents, Target holds the delimiter word, Heredoc the body as
+// written (what the printer emits) and Body the same text as the word the
+// shell expands: parsed under double-quote rules with `"` literal, or — when
+// the delimiter was quoted, which Quoted reports — one single-quoted part.
 type Redirect struct {
 	N        int
 	Op       RedirOp
 	Target   *Word
 	Heredoc  string
+	Body     *Word
 	Quoted   bool
 	Position Pos
 }

@@ -61,7 +61,7 @@ func (p *parser) readWord() *Word {
 			litPos = p.here()
 		case '"':
 			flushLit()
-			w.Parts = append(w.Parts, p.readDblQuoted())
+			w.Parts = append(w.Parts, p.readDblQuoted(false))
 			litPos = p.here()
 		case '$':
 			part := p.readDollar(false)
@@ -91,10 +91,15 @@ func (p *parser) readWord() *Word {
 	return w
 }
 
-// readDblQuoted reads a "..." string starting at the opening quote.
-func (p *parser) readDblQuoted() *DblQuoted {
+// readDblQuoted reads a "..." string starting at the opening quote, or —
+// heredoc — the whole of p.src as an unquoted here-document body: the same
+// rules, except that the text runs to its end and `"` is an ordinary
+// character (so `\"` keeps its backslash).
+func (p *parser) readDblQuoted(heredoc bool) *DblQuoted {
 	pos := p.here()
-	p.advance() // consume "
+	if !heredoc {
+		p.advance() // consume "
+	}
 	dq := &DblQuoted{Position: pos}
 	var lit strings.Builder
 	litPos := p.here()
@@ -106,32 +111,34 @@ func (p *parser) readDblQuoted() *DblQuoted {
 	}
 	for {
 		if p.pos >= len(p.src) {
+			if heredoc {
+				flushLit()
+				return dq
+			}
 			p.errf(pos, "unterminated double-quoted string")
 		}
 		c := p.peekByte()
-		switch c {
-		case '"':
+		switch {
+		case c == '"' && !heredoc:
 			p.advance()
 			flushLit()
 			return dq
-		case '\\':
+		case c == '\\' && p.pos+1 < len(p.src):
 			p.advance()
-			if p.pos >= len(p.src) {
-				p.errf(pos, "unterminated double-quoted string")
-			}
 			esc := p.advance()
-			switch esc {
-			case '$', '`', '"', '\\':
-				// Escape survives for the expansion layer to interpret.
-				lit.WriteByte('\\')
-				lit.WriteByte(esc)
-			case '\n':
+			switch {
+			case esc == '\n':
 				// line continuation
+			case esc == '"' && heredoc:
+				// The expansion layer unescapes \" too; here the backslash
+				// is text.
+				lit.WriteString(`\\"`)
 			default:
+				// The escape survives for the expansion layer to interpret.
 				lit.WriteByte('\\')
 				lit.WriteByte(esc)
 			}
-		case '$':
+		case c == '$':
 			part := p.readDollar(true)
 			if part == nil {
 				p.advance()
@@ -143,7 +150,7 @@ func (p *parser) readDblQuoted() *DblQuoted {
 				dq.Parts = append(dq.Parts, part)
 				litPos = p.here()
 			}
-		case '`':
+		case c == '`':
 			flushLit()
 			dq.Parts = append(dq.Parts, p.readBackquote())
 			litPos = p.here()
@@ -428,7 +435,7 @@ func (p *parser) readBracedWord(open Pos) *Word {
 			litPos = p.here()
 		case '"':
 			flushLit()
-			w.Parts = append(w.Parts, p.readDblQuoted())
+			w.Parts = append(w.Parts, p.readDblQuoted(false))
 			litPos = p.here()
 		case '$':
 			part := p.readDollar(false)

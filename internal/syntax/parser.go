@@ -102,6 +102,9 @@ type parser struct {
 	pos  int
 	line int
 	col  int
+	// base is src's offset in the text positions are reported against: a
+	// here-document body is lexed by a parser of its own.
+	base int
 
 	tok    token
 	tokPos Pos // position where the current token started
@@ -133,7 +136,7 @@ func (p *parser) errf(pos Pos, format string, args ...any) {
 	panic(parseBail{&ParseError{Position: pos, Msg: fmt.Sprintf(format, args...)}})
 }
 
-func (p *parser) here() Pos { return Pos{Offset: p.pos, Line: p.line, Col: p.col} }
+func (p *parser) here() Pos { return Pos{Offset: p.base + p.pos, Line: p.line, Col: p.col} }
 
 func (p *parser) peekByte() byte {
 	if p.pos >= len(p.src) {
@@ -663,6 +666,7 @@ func heredocDelimText(w *Word) string {
 func (p *parser) gatherHeredocs() {
 	for _, r := range p.pendingHeredocs {
 		delim := heredocDelimText(r.Target)
+		start := p.here()
 		var body strings.Builder
 		for {
 			if p.pos >= len(p.src) {
@@ -690,6 +694,13 @@ func (p *parser) gatherHeredocs() {
 			body.WriteByte('\n')
 		}
 		r.Heredoc = body.String()
+		if r.Quoted {
+			r.Body = &Word{Parts: []WordPart{&SglQuoted{Value: r.Heredoc, Position: start}}, Position: start}
+			continue
+		}
+		// (<<- strips tabs, so offsets inside such a body run a little early.)
+		sub := &parser{src: r.Heredoc, line: start.Line, col: 1, base: start.Offset}
+		r.Body = &Word{Parts: []WordPart{sub.readDblQuoted(true)}, Position: start}
 	}
 	p.pendingHeredocs = nil
 }

@@ -7,28 +7,29 @@ import (
 // Print renders a script back to shell source. The output is canonical
 // (single spaces, `;` separators inside compounds, heredocs re-emitted) and
 // is guaranteed to re-parse to an equivalent AST; see the round-trip tests.
+// Top-level statements that start on one source line print as one line, as
+// PrintStmts prints them — a line is the unit the JIT plans.
 func Print(s *Script) string {
 	var pr printer
-	for i, st := range s.Stmts {
+	for i, j := 0, 0; i < len(s.Stmts); i = j {
+		line := s.Stmts[i].Position.Line
+		for j = i + 1; line != 0 && j < len(s.Stmts) && s.Stmts[j].Position.Line == line; j++ {
+		}
 		if i > 0 {
 			pr.b.WriteByte('\n')
 		}
-		pr.stmt(st)
+		pr.stmtsInline(s.Stmts[i:j])
 		pr.flushHeredocs()
 	}
 	pr.b.WriteByte('\n')
 	return pr.b.String()
 }
 
-// PrintStmts renders a statement list (one JIT "command") on one line.
+// PrintStmts renders a statement list (one JIT "command") on one line,
+// here-document bodies after it.
 func PrintStmts(stmts []*Stmt) string {
 	var pr printer
-	for i, st := range stmts {
-		if i > 0 {
-			pr.b.WriteByte(' ')
-		}
-		pr.stmt(st)
-	}
+	pr.stmtsInline(stmts)
 	out := pr.b.String()
 	if len(pr.heredocs) > 0 {
 		pr.b.Reset()

@@ -39,6 +39,9 @@ func Walk(node Node, f func(Node) bool) {
 		if x.Target != nil {
 			Walk(x.Target, f)
 		}
+		if x.Body != nil {
+			Walk(x.Body, f)
+		}
 	case *Subshell:
 		walkStmts(x.Body, f)
 		walkRedirs(x.Redirections, f)
