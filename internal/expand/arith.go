@@ -8,8 +8,9 @@ import (
 	"sync"
 )
 
-// Arithmetic expansion. compileArith is the only reader of $((...)) text
-// in the module: it parses the POSIX grammar once into a closure tree
+// Arithmetic expansion. compileArith is the only reader of the arithmetic
+// grammar in the module (the syntax parser only lifts the expansions out of
+// $((...)) text, once): it parses an expression once into a closure tree
 // (an ArithExpr), which the expander and the interpreter's word plans
 // evaluate and whose Names the analyses read. The grammar is dash's:
 //

@@ -30,6 +30,9 @@ func (e *ExpandError) Error() string { return e.Msg }
 // Expander carries the shell state one expansion needs. Zero-value fields
 // degrade gracefully: nil FS disables globbing, nil CmdSubst makes command
 // substitution an error (the JIT uses this to refuse unsafe expansions).
+// An Expander may be reused — its owner refreshes the exported fields
+// between expansions — but not copied once used, and not shared by two
+// expansions running at once.
 type Expander struct {
 	// Lookup resolves a variable; ok=false means unset.
 	Lookup func(name string) (value string, ok bool)
@@ -56,6 +59,15 @@ type Expander struct {
 	// ExpandError (ModePanic faults are contained at this boundary), so
 	// chaos soaks exercise the expansion error paths without crashing.
 	Faults *faultinject.Set
+
+	// frags is the scratch every expansion appends its fragments to, used
+	// as a stack: a nested expansion (the operand of ${x#pat} or ${x=w},
+	// the parts of a $((...))) appends after its caller's fragments and
+	// truncates back to them when done.
+	frags []frag
+	// arith is what arithmetic evaluates against; its lookup is built on
+	// first use.
+	arith arithEnv
 }
 
 // ifs returns the active field separator set.
@@ -83,14 +95,21 @@ type frag struct {
 	fieldBreak bool
 }
 
+// truncate pops the scratch back to mark, dropping the popped fragments'
+// strings.
+func (x *Expander) truncate(mark int) {
+	clear(x.frags[mark:])
+	x.frags = x.frags[:mark]
+}
+
 // ExpandWord expands a word to fields, applying all expansion stages.
 func (x *Expander) ExpandWord(w *syntax.Word) ([]string, error) {
-	frags, err := x.expandParts(w.Parts, false)
-	if err != nil {
+	mark := len(x.frags)
+	defer x.truncate(mark)
+	if err := x.appendParts(w.Parts, false); err != nil {
 		return nil, err
 	}
-	frags = x.tilde(frags, w)
-	fields := x.split(frags)
+	fields := x.split(x.tilde(x.frags[mark:], w))
 	return x.glob(fields), nil
 }
 
@@ -114,11 +133,20 @@ func (x *Expander) ExpandString(w *syntax.Word) (string, error) {
 	if w == nil {
 		return "", nil
 	}
-	frags, err := x.expandParts(w.Parts, false)
-	if err != nil {
+	mark := len(x.frags)
+	defer x.truncate(mark)
+	if err := x.appendParts(w.Parts, false); err != nil {
 		return "", err
 	}
-	frags = x.tilde(frags, w)
+	return joinFrags(x.tilde(x.frags[mark:], w)), nil
+}
+
+// joinFrags concatenates fragments into one string: quote removal, and a
+// space for each field break.
+func joinFrags(frags []frag) string {
+	if len(frags) == 1 && !frags[0].fieldBreak {
+		return unescapeUnquoted(frags[0])
+	}
 	var b strings.Builder
 	for _, f := range frags {
 		if f.fieldBreak {
@@ -127,7 +155,7 @@ func (x *Expander) ExpandString(w *syntax.Word) (string, error) {
 		}
 		b.WriteString(unescapeUnquoted(f))
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // ExpandPattern expands a word into a matching pattern: quoted characters
@@ -137,12 +165,13 @@ func (x *Expander) ExpandPattern(w *syntax.Word) (string, error) {
 	if w == nil {
 		return "", nil
 	}
-	frags, err := x.expandParts(w.Parts, false)
-	if err != nil {
+	mark := len(x.frags)
+	defer x.truncate(mark)
+	if err := x.appendParts(w.Parts, false); err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	for _, f := range frags {
+	for _, f := range x.frags[mark:] {
 		if f.fieldBreak {
 			b.WriteByte(' ')
 			continue
@@ -201,13 +230,12 @@ func escapeMeta(s string) string {
 	return b.String()
 }
 
-// expandParts turns word parts into fragments. inDquote marks that the
+// appendParts expands word parts onto the scratch. inDquote marks that the
 // parts appear within double quotes.
-func (x *Expander) expandParts(parts []syntax.WordPart, inDquote bool) ([]frag, error) {
+func (x *Expander) appendParts(parts []syntax.WordPart, inDquote bool) error {
 	if err := x.Faults.CheckContained("expand:parts", faultinject.OpRead); err != nil {
-		return nil, &ExpandError{Msg: "expansion fault: " + err.Error()}
+		return &ExpandError{Msg: "expansion fault: " + err.Error()}
 	}
-	var frags []frag
 	for _, part := range parts {
 		switch p := part.(type) {
 		case *syntax.Lit:
@@ -217,52 +245,43 @@ func (x *Expander) expandParts(parts []syntax.WordPart, inDquote bool) ([]frag, 
 				// parser kept them verbatim for us to resolve here.
 				v = unescapeDquote(v)
 			}
-			frags = append(frags, frag{s: v, quoted: inDquote})
+			x.frags = append(x.frags, frag{s: v, quoted: inDquote})
 		case *syntax.SglQuoted:
-			frags = append(frags, frag{s: p.Value, quoted: true})
+			x.frags = append(x.frags, frag{s: p.Value, quoted: true})
 		case *syntax.DblQuoted:
-			inner, err := x.expandParts(p.Parts, true)
-			if err != nil {
-				return nil, err
+			mark := len(x.frags)
+			if err := x.appendParts(p.Parts, true); err != nil {
+				return err
 			}
-			if len(inner) == 0 {
-				// "" or a quoted expansion of nothing-but-$@: $@ already
-				// signalled by producing no fragments; plain "" must
-				// produce an empty field.
-				if onlyAt(p.Parts) {
-					continue
-				}
-				frags = append(frags, frag{s: "", quoted: true})
-				continue
+			// "" must produce an empty field; a quoted expansion of
+			// nothing-but-$@ signals "no field" by producing no fragments.
+			if len(x.frags) == mark && !onlyAt(p.Parts) {
+				x.frags = append(x.frags, frag{s: "", quoted: true})
 			}
-			frags = append(frags, inner...)
 		case *syntax.ParamExp:
-			pf, err := x.expandParam(p, inDquote)
-			if err != nil {
-				return nil, err
+			if err := x.appendParam(p, inDquote); err != nil {
+				return err
 			}
-			frags = append(frags, pf...)
 		case *syntax.CmdSubst:
 			if x.CmdSubst == nil {
-				return nil, &ExpandError{Msg: "command substitution not permitted in this context"}
+				return &ExpandError{Msg: "command substitution not permitted in this context"}
 			}
 			out, err := x.CmdSubst(p.Stmts)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out = strings.TrimRight(out, "\n")
-			frags = append(frags, frag{s: out, quoted: inDquote, fieldBreak: false})
+			x.frags = append(x.frags, frag{s: strings.TrimRight(out, "\n"), quoted: inDquote})
 		case *syntax.ArithExp:
-			v, err := x.evalArithText(p.Expr)
+			v, err := x.evalArith(p)
 			if err != nil {
-				return nil, &ExpandError{Msg: err.Error(), Fatal: true}
+				return &ExpandError{Msg: err.Error(), Fatal: true}
 			}
-			frags = append(frags, frag{s: strconv.FormatInt(v, 10), quoted: inDquote})
+			x.frags = append(x.frags, frag{s: strconv.FormatInt(v, 10), quoted: inDquote})
 		default:
-			return nil, fmt.Errorf("unknown word part %T", part)
+			return fmt.Errorf("unknown word part %T", part)
 		}
 	}
-	return frags, nil
+	return nil
 }
 
 // onlyAt reports whether the quoted parts consist solely of $@/$* params.
@@ -276,18 +295,20 @@ func onlyAt(parts []syntax.WordPart) bool {
 	return len(parts) > 0
 }
 
-// evalArithText evaluates arithmetic text. POSIX expands parameters,
-// command substitutions, and quotes in the expression *before* the
-// arithmetic grammar sees it, so `$(( ${N:-3} + 1 ))` works; we reuse the
-// word machinery by re-parsing the text as a double-quoted string. Bare
-// names (N + 1) survive that pass and resolve via the lookup below.
-func (x *Expander) evalArithText(expr string) (int64, error) {
-	if strings.ContainsAny(expr, "$`") {
-		expanded, err := x.expandArithParams(expr)
-		if err != nil {
+// evalArith evaluates a $((...)). POSIX expands parameters and command
+// substitutions in the expression *before* the arithmetic grammar sees it,
+// so `$(( ${N:-3} + 1 ))` works: the parser left those expansions in
+// p.Parts, and the text they produce is what compiles. Bare names (N + 1)
+// resolve as the expression runs.
+func (x *Expander) evalArith(p *syntax.ArithExp) (int64, error) {
+	expr := p.Expr
+	if p.Parts != nil {
+		mark := len(x.frags)
+		if err := x.appendParts(p.Parts, true); err != nil {
 			return 0, err
 		}
-		expr = expanded
+		expr = joinFrags(x.frags[mark:])
+		x.truncate(mark)
 	}
 	// The text is compiled once and cached: loop counters re-evaluate the
 	// same expression millions of times.
@@ -295,36 +316,14 @@ func (x *Expander) evalArithText(expr string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	lookup := func(name string) string {
-		v, _ := x.paramValue(name)
-		return v
-	}
-	return a.Eval(lookup, x.Set)
-}
-
-// expandArithParams runs the $-expansions inside an arithmetic expression
-// by parsing it as the body of a double-quoted word.
-func (x *Expander) expandArithParams(expr string) (string, error) {
-	var quoted strings.Builder
-	for i := 0; i < len(expr); i++ {
-		switch expr[i] {
-		case '"':
-			quoted.WriteString("\\\"")
-		case '\\':
-			quoted.WriteString("\\\\")
-		default:
-			quoted.WriteByte(expr[i])
+	if x.arith.lookup == nil {
+		x.arith.lookup = func(name string) string {
+			v, _ := x.paramValue(name)
+			return v
 		}
 	}
-	script, err := syntax.Parse("x \"" + quoted.String() + "\"")
-	if err != nil {
-		return "", fmt.Errorf("arithmetic: %v", err)
-	}
-	sc, ok := script.Stmts[0].AndOr.First.Cmds[0].(*syntax.SimpleCommand)
-	if !ok || len(sc.Args) < 2 {
-		return "", nil
-	}
-	return x.ExpandString(sc.Args[1])
+	x.arith.assign = x.Set
+	return a.fn(&x.arith)
 }
 
 // paramValue resolves any parameter (variable, positional, or special).
@@ -363,11 +362,11 @@ func (x *Expander) paramValue(name string) (string, bool) {
 	return x.getvar(name)
 }
 
-// expandParam expands one ${...} or $x occurrence to fragments.
-func (x *Expander) expandParam(pe *syntax.ParamExp, inDquote bool) ([]frag, error) {
+// appendParam expands one ${...} or $x occurrence onto the scratch.
+func (x *Expander) appendParam(pe *syntax.ParamExp, inDquote bool) error {
 	// $@ / $* first: they produce multiple fragments.
 	if pe.Name == "@" || pe.Name == "*" {
-		return x.expandAt(pe, inDquote)
+		return x.appendAt(pe, inDquote)
 	}
 	val, set := x.paramValue(pe.Name)
 	null := val == ""
@@ -375,10 +374,10 @@ func (x *Expander) expandParam(pe *syntax.ParamExp, inDquote bool) ([]frag, erro
 	switch pe.Op {
 	case syntax.ParamPlain:
 		if !set && x.NoUnset {
-			return nil, &ExpandError{Msg: pe.Name + ": parameter not set", Fatal: true}
+			return &ExpandError{Msg: pe.Name + ": parameter not set", Fatal: true}
 		}
 	case syntax.ParamLength:
-		return []frag{{s: strconv.Itoa(len(val)), quoted: inDquote}}, nil
+		val = strconv.Itoa(len(val))
 	case syntax.ParamDefault:
 		if !set || (pe.Colon && null) {
 			useWord = true
@@ -387,13 +386,13 @@ func (x *Expander) expandParam(pe *syntax.ParamExp, inDquote bool) ([]frag, erro
 		if !set || (pe.Colon && null) {
 			w, err := x.ExpandString(pe.Word)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if x.Set == nil {
-				return nil, &ExpandError{Msg: "cannot assign " + pe.Name + " in this context"}
+				return &ExpandError{Msg: "cannot assign " + pe.Name + " in this context"}
 			}
 			if err := x.Set(pe.Name, w); err != nil {
-				return nil, &ExpandError{Msg: err.Error(), Fatal: true}
+				return &ExpandError{Msg: err.Error(), Fatal: true}
 			}
 			val = w
 		}
@@ -401,34 +400,34 @@ func (x *Expander) expandParam(pe *syntax.ParamExp, inDquote bool) ([]frag, erro
 		if !set || (pe.Colon && null) {
 			msg, err := x.ExpandString(pe.Word)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if msg == "" {
 				msg = "parameter not set"
 			}
-			return nil, &ExpandError{Msg: pe.Name + ": " + msg, Fatal: true}
+			return &ExpandError{Msg: pe.Name + ": " + msg, Fatal: true}
 		}
 	case syntax.ParamAlt:
-		if set && (!pe.Colon || !null) {
-			useWord = true
-		} else {
-			return nil, nil
+		if !set || (pe.Colon && null) {
+			return nil
 		}
+		useWord = true
 	case syntax.ParamTrimSuffix, syntax.ParamTrimSuffixLong,
 		syntax.ParamTrimPrefix, syntax.ParamTrimPrefixLong:
 		pat, err := x.ExpandPattern(pe.Word)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		val = trim(val, pat, pe.Op)
 	}
 	if useWord {
 		if pe.Word == nil {
-			return nil, nil
+			return nil
 		}
-		return x.expandParts(pe.Word.Parts, inDquote)
+		return x.appendParts(pe.Word.Parts, inDquote)
 	}
-	return []frag{{s: val, quoted: inDquote}}, nil
+	x.frags = append(x.frags, frag{s: val, quoted: inDquote})
+	return nil
 }
 
 func trim(val, pat string, op syntax.ParamOp) string {
@@ -453,30 +452,27 @@ func trim(val, pat string, op syntax.ParamOp) string {
 	return val
 }
 
-// expandAt handles $@ and $* in both quoted and unquoted positions.
-func (x *Expander) expandAt(pe *syntax.ParamExp, inDquote bool) ([]frag, error) {
+// appendAt handles $@ and $* in both quoted and unquoted positions.
+func (x *Expander) appendAt(pe *syntax.ParamExp, inDquote bool) error {
 	params := x.Params
 	set := len(params) > 0
-	null := !set
 	// Apply the subset of operators that make sense for $@.
 	switch pe.Op {
 	case syntax.ParamDefault:
-		if !set || (pe.Colon && null) {
+		if !set {
 			if pe.Word == nil {
-				return nil, nil
+				return nil
 			}
-			return x.expandParts(pe.Word.Parts, inDquote)
+			return x.appendParts(pe.Word.Parts, inDquote)
 		}
 	case syntax.ParamAlt:
-		if set {
-			if pe.Word == nil {
-				return nil, nil
-			}
-			return x.expandParts(pe.Word.Parts, inDquote)
+		if !set || pe.Word == nil {
+			return nil
 		}
-		return nil, nil
+		return x.appendParts(pe.Word.Parts, inDquote)
 	case syntax.ParamLength:
-		return []frag{{s: strconv.Itoa(len(params)), quoted: inDquote}}, nil
+		x.frags = append(x.frags, frag{s: strconv.Itoa(len(params)), quoted: inDquote})
+		return nil
 	}
 	if inDquote && pe.Name == "*" {
 		sep := " "
@@ -485,16 +481,16 @@ func (x *Expander) expandAt(pe *syntax.ParamExp, inDquote bool) ([]frag, error) 
 		} else if len(ifs) > 0 {
 			sep = ifs[:1]
 		}
-		return []frag{{s: strings.Join(params, sep), quoted: true}}, nil
+		x.frags = append(x.frags, frag{s: strings.Join(params, sep), quoted: true})
+		return nil
 	}
-	var frags []frag
 	for i, p := range params {
 		if i > 0 {
-			frags = append(frags, frag{fieldBreak: true})
+			x.frags = append(x.frags, frag{fieldBreak: true})
 		}
-		frags = append(frags, frag{s: p, quoted: inDquote})
+		x.frags = append(x.frags, frag{s: p, quoted: inDquote})
 	}
-	return frags, nil
+	return nil
 }
 
 // tilde applies tilde expansion to the leading fragment when the original

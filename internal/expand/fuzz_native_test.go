@@ -41,6 +41,8 @@ func FuzzExpand(f *testing.F) {
 		"echo /a*.txt /d?r $y",
 		"echo ${empty:+alt} ${unset=assigned} $@ $* $? $$ $0 $1",
 		"echo $(cmd) `cmd` $((x + 1)) ${x/bad", "echo ${", "echo $((",
+		"echo $(( ${x:-1} + 1 ))", "echo $(( $(echo 2) ))", "echo $(( `echo 3` ))",
+		`echo $(( "$x" ))`, "echo $(( ${ ))",
 	} {
 		f.Add(seed)
 	}

@@ -243,8 +243,17 @@ func (g *gen) wordFor(depth int) *syntax.Word {
 		}
 		return lit(g.literal())
 	default:
-		return word(&syntax.ArithExp{Expr: g.arithExpr()})
+		return word(arith(g.arithExpr()))
 	}
+}
+
+// arith is the node the parser builds for $((expr)).
+func arith(expr string) *syntax.ArithExp {
+	a, err := syntax.NewArithExp(expr)
+	if err != nil {
+		panic(err) // the generator writes only expressions that parse
+	}
+	return a
 }
 
 // paramOpWord exercises the ${x...} operator sublanguage.
@@ -730,7 +739,7 @@ func (g *gen) fileVarStmt() *syntax.Stmt {
 	write.Redirections = []*syntax.Redirect{{N: -1, Op: syntax.RedirOut, Target: lit(fmt.Sprintf("/%d", n))}}
 	return stmtOf(&syntax.BraceGroup{Body: []*syntax.Stmt{
 		stmtOf(&syntax.SimpleCommand{Assigns: []*syntax.Assign{{Name: name, Value: lit(g.file())}}}),
-		stmtOf(simple(lit(":"), word(&syntax.ArithExp{Expr: rebind}))),
+		stmtOf(simple(lit(":"), word(arith(rebind)))),
 		stmtOf(simple(lit("cat"), word(&syntax.ParamExp{Name: name}))),
 		stmtOf(write),
 	}})
@@ -750,7 +759,7 @@ func (g *gen) assignStmt(depth int) *syntax.Stmt {
 	case 0:
 		val = lit(g.literal())
 	case 1:
-		val = word(&syntax.ArithExp{Expr: g.arithExpr()})
+		val = word(arith(g.arithExpr()))
 	case 2:
 		if depth < g.cfg.MaxDepth {
 			val = word(&syntax.CmdSubst{Stmts: []*syntax.Stmt{stmtOf(g.sourceCmd(depth + 1))}})
@@ -818,7 +827,7 @@ func (g *gen) whileStmts(depth int) []*syntax.Stmt {
 		lit("-lt"), lit(fmt.Sprintf("%d", limit))))
 	body := g.stmtList(depth+1, 1)
 	body = append(body, stmtOf(&syntax.SimpleCommand{Assigns: []*syntax.Assign{
-		{Name: name, Value: word(&syntax.ArithExp{Expr: name + " + 1"})},
+		{Name: name, Value: word(arith(name + " + 1"))},
 	}}))
 	until := g.rng.Intn(6) == 0
 	wc := &syntax.WhileClause{Cond: []*syntax.Stmt{cond}, Body: body}

@@ -384,8 +384,11 @@ func builtinExec(in *Interp, args []string) int {
 // plain assignment.
 func builtinLocal(in *Interp, args []string) int {
 	var frame map[string]*Variable
-	if len(in.localFrames) > 0 {
-		frame = in.localFrames[len(in.localFrames)-1]
+	if top := len(in.localFrames) - 1; top >= 0 {
+		if in.localFrames[top] == nil {
+			in.localFrames[top] = map[string]*Variable{}
+		}
+		frame = in.localFrames[top]
 	}
 	for _, a := range args[1:] {
 		name, value, hasValue := strings.Cut(a, "=")

@@ -323,13 +323,15 @@ func compileCase(c *syntax.CaseClause) compiled {
 	}
 	word := c.Word
 	return func(in *Interp) {
+		// The arm runs with the $? from before the case, as in dash: a
+		// command substitution in the word or a pattern does not change it.
+		status := in.Status
 		x := in.expander()
 		w, err := x.ExpandString(word)
 		if err != nil {
 			in.expandFail(err)
 			return
 		}
-		in.Status = 0
 		for _, a := range arms {
 			for _, patWord := range a.patterns {
 				pat, err := x.ExpandPattern(patWord)
@@ -338,11 +340,13 @@ func compileCase(c *syntax.CaseClause) compiled {
 					return
 				}
 				if pattern.Match(pat, w) {
+					in.Status = status
 					a.body(in)
 					return
 				}
 			}
 		}
+		in.Status = 0
 	}
 }
 
@@ -411,9 +415,9 @@ func compileWord(w *syntax.Word) wordPlan {
 				return wordPlan{kind: planVar, varName: p.Name, w: w}
 			}
 		case *syntax.ArithExp:
-			// Texts with $ or ` need parameter pre-expansion each time; one
-			// that does not compile reports its error from the expander.
-			if a, err := expand.CompileArithExpr(p.Expr); err == nil && !strings.ContainsAny(p.Expr, "$`") {
+			// Texts with parts need them expanded each time; one that does
+			// not compile reports its error from the expander.
+			if a, err := expand.CompileArithExpr(p.Expr); err == nil && p.Parts == nil {
 				return wordPlan{kind: planArith, arith: a, w: w}
 			}
 		}
@@ -607,7 +611,7 @@ func compileStringWord(w *syntax.Word) stringPlan {
 				return stringPlan{kind: planVar, varName: p.Name, w: w}
 			}
 		case *syntax.ArithExp:
-			if a, err := expand.CompileArithExpr(p.Expr); err == nil && !strings.ContainsAny(p.Expr, "$`") {
+			if a, err := expand.CompileArithExpr(p.Expr); err == nil && p.Parts == nil {
 				return stringPlan{kind: planArith, arith: a, w: w}
 			}
 		}

@@ -112,6 +112,12 @@ func TestCompiledDifferentialControlFlow(t *testing.T) {
 		{"case hello in h*) echo starts-h;; *) echo other;; esac", "starts-h\n", 0},
 		{"case zebra in h*) echo starts-h;; *) echo other;; esac", "other\n", 0},
 		{"x=abc; case $x in a?c) echo matched;; esac", "matched\n", 0},
+		// The arm sees the $? from before the case (dash's reading where
+		// bash lets the word's substitution set it); no match sets 0.
+		{"false; case x in x) echo $? ;; esac", "1\n", 0},
+		{`false; case $(exit 3) in "") echo $? ;; esac`, "1\n", 0},
+		{"false; case x in y) ;; esac; echo $?", "0\n", 0},
+		{"false; case x in x) ;; esac; echo $?", "0\n", 0},
 		{"f() { echo in-f $1; return 4; }; f arg; echo $?", "in-f arg\n4\n", 0},
 		{"f() { for x in 1 2 3; do echo $x; done; }; f; f", "1\n2\n3\n1\n2\n3\n", 0},
 		{"g() { return 1; }; g || echo failed", "failed\n", 0},
@@ -239,6 +245,14 @@ func TestCompiledDifferentialSubshells(t *testing.T) {
 		{"X=$(echo from-subst); echo $X", "from-subst\n", 0},
 		{"(exit 9); echo $?", "9\n", 0},
 		{"out=$(i=0; while [ $i -lt 3 ]; do echo $i; i=$((i+1)); done); echo \"$out\"", "0\n1\n2\n", 0},
+		// return inside a subshell ends the subshell, never the function
+		// around it: ( ), &, $( ) and a pipeline stage.
+		{`f() { (return 3); echo "after-sub $?"; true & wait; echo end; }; f; echo "status $?"`, "after-sub 3\nend\nstatus 0\n", 0},
+		{`g() { return 4; }; f() { ( g; echo "in-sub $?"; return 5 ); echo "after $?"; }; f`, "in-sub 4\nafter 5\n", 0},
+		{`f() { { return 8; } & wait; echo "bg $?"; }; f; echo "st $?"`, "bg 0\nst 0\n", 0},
+		{`f() { echo $(return 6; echo no) "cs $?"; }; f; echo "st $?"`, "cs 0\nst 0\n", 0},
+		{`f() { true | return 7; echo "pipe $?"; }; f; echo "st $?"`, "pipe 7\nst 0\n", 0},
+		{"(return 3); echo top $?", "top 3\n", 0},
 	}
 	for _, c := range scripts {
 		assertAgree(t, c, nil)
@@ -427,6 +441,44 @@ func TestNoCompileUsesNoPrecomputedResult(t *testing.T) {
 	}
 }
 
+// TestPerCommandFloorAllocates pins what the commands of a tight loop cost
+// the allocator once they are compiled and the arithmetic cache is warm:
+// the interpreter's one expander is refreshed, not rebuilt; an assignment
+// with no redirections builds no cleanup; and a $((...)) whose text has
+// expansions is never parsed again — the bound for those rows is what
+// evaluating and formatting the number costs.
+func TestPerCommandFloorAllocates(t *testing.T) {
+	for _, noCompile := range []bool{false, true} {
+		in := New(vfs.New())
+		in.NoCompile = noCompile
+		in.Setenv("x", "/a/b")
+		in.Setenv("kind", "static")
+		in.expander()
+		if n := testing.AllocsPerRun(100, func() { in.expander() }); n != 0 {
+			t.Errorf("NoCompile=%v: expander() allocates %v times", noCompile, n)
+		}
+		for _, c := range []struct {
+			src   string
+			bound float64
+		}{
+			{"i=5", 0},
+			{"t=$x", 0},
+			{`t="$x"`, 0},
+			{"i=$((i + 1))", 1},
+			{"total=$((total + ${#kind}))", 2},
+		} {
+			script, err := syntax.Parse(c.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn := in.compiledStmt(script.Stmts[0])
+			if n := testing.AllocsPerRun(100, func() { fn(in) }); n > c.bound {
+				t.Errorf("NoCompile=%v: %q allocates %v times, want at most %v", noCompile, c.src, n, c.bound)
+			}
+		}
+	}
+}
+
 // dashDeviations lists the scripts of TestControlFlowAgreesWithDash on
 // which jash and dash are known to differ, each with the reason; a script
 // not listed here must match dash exactly.
@@ -472,6 +524,10 @@ func TestControlFlowAgreesWithDash(t *testing.T) {
 		"case zebra in h*) echo starts-h;; *) echo other;; esac",
 		"x=abc; case $x in a?c) echo matched;; esac",
 		"case x in y) echo y;; esac; echo $?",
+		"false; case x in x) echo $? ;; esac",
+		`false; case $(exit 3) in "") echo $? ;; esac`,
+		"false; case x in y) ;; esac; echo $?",
+		"false; case x in x) ;; esac; echo $?",
 		"f() { echo in-f $1; return 4; }; f arg; echo $?",
 		"f() { for x in 1 2 3; do echo $x; done; }; f; f",
 		"g() { return 1; }; g || echo failed",
@@ -503,6 +559,12 @@ func TestControlFlowAgreesWithDash(t *testing.T) {
 		`echo $((x=5)) & wait; echo "x=$x"`,
 		`x=1 & echo "[$x]"`,
 		"exit 3 & echo alive $?",
+		`f() { (return 3); echo "after-sub $?"; true & wait; echo end; }; f; echo "status $?"`,
+		`g() { return 4; }; f() { ( g; echo "in-sub $?"; return 5 ); echo "after $?"; }; f`,
+		`f() { { return 8; } & wait; echo "bg $?"; }; f; echo "st $?"`,
+		`f() { echo $(return 6; echo no) "cs $?"; }; f; echo "st $?"`,
+		`f() { true | return 7; echo "pipe $?"; }; f; echo "st $?"`,
+		"(return 3); echo top $?",
 		"set -e; false; echo unreached",
 		"set -e; false || echo guarded; echo after",
 		"set -e; if false; then echo t; fi; echo survived",

@@ -128,8 +128,12 @@ type Interp struct {
 	cuEnviron func() []string
 	arLookup  func(string) string
 	arAssign  func(string, string) error
-	// early is EarlyExpander's storage: planning asks for one per offered
-	// pipeline and is done with it before the next.
+	// x is the interpreter's one expander and cu its one utility context,
+	// both refreshed in place by expander() and coreutilsContext(); early is
+	// EarlyExpander's, which planning uses for one offered pipeline and is
+	// done with before the next. Clones get their own.
+	x     expand.Expander
+	cu    coreutils.Context
 	early expand.Expander
 
 	loopDepth int
@@ -204,24 +208,38 @@ func (in *Interp) RunScript(src string) (int, error) {
 func (in *Interp) RunStmts(stmts []*syntax.Stmt) (status int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			switch sig := r.(type) {
-			case exitSignal:
-				status = sig.status
-				in.Status = sig.status
-				in.Exited = true
-			case fatalError:
-				status = 2
-				in.Status = 2
-				err = sig.err
-			default:
+			ended, fatal := in.ended(r)
+			if !ended {
 				panic(r)
 			}
+			status, err = in.Status, fatal
 		}
 	}()
 	for _, st := range stmts {
 		in.stmt(st)
 	}
 	return in.Status, nil
+}
+
+// ended is the one rule for a shell body that stops early — the whole
+// script, or a subshell clone's (`( )`, `&`, `$( )`, a pipeline stage): it
+// reports whether r, a recovered panic, ends that body. exit, and a return
+// no function caught, end it with their status; a fatal error ends it with
+// status 2 and is handed back. Anything else is not ours to stop.
+func (in *Interp) ended(r any) (ended bool, fatal error) {
+	switch sig := r.(type) {
+	case exitSignal:
+		in.Status = sig.status
+	case returnSignal:
+		in.Status = sig.status
+	case fatalError:
+		in.Status = 2
+		return true, sig.err
+	default:
+		return false, nil
+	}
+	in.Exited = true
+	return true, nil
 }
 
 // Getenv looks up a variable's value (exported or not — the hermetic
@@ -267,11 +285,23 @@ func (in *Interp) Environ() []string {
 	return out
 }
 
-// expander builds an expand.Expander over the current state. The callback
-// closures are cached on the interpreter; the struct itself is fresh per
-// call so captured scalars ($?, positional parameters) keep the same
-// snapshot semantics as before.
+// expander returns the interpreter's one expander, refreshed from the
+// current state. Each call is a snapshot point: $?, the positional
+// parameters, the directory and the options are read here and hold for
+// every expansion made through the returned pointer, so a simple command
+// that asks once sees one $? across all its words, as POSIX requires, even
+// when one of them runs a command substitution.
+//
+// Reusing one expander is safe because nothing inside an expansion
+// re-enters the same Interp: CmdSubst runs its body on a subshell clone,
+// which has an expander of its own, and Set only assigns.
 func (in *Interp) expander() *expand.Expander {
+	in.refresh(&in.x)
+	return &in.x
+}
+
+// refresh points x at the interpreter's current state.
+func (in *Interp) refresh(x *expand.Expander) {
 	if in.xLookup == nil {
 		in.xLookup = func(name string) (string, bool) {
 			v, ok := in.Vars[name]
@@ -280,20 +310,10 @@ func (in *Interp) expander() *expand.Expander {
 		in.xSet = in.assign
 		in.xCmdSubst = in.cmdSubst
 	}
-	return &expand.Expander{
-		Lookup:   in.xLookup,
-		Set:      in.xSet,
-		Params:   in.Params,
-		Name0:    in.Name0,
-		Status:   in.Status,
-		PID:      in.PID,
-		FS:       in.FS,
-		Dir:      in.Dir,
-		NoGlob:   in.NoGlob,
-		NoUnset:  in.NoUnset,
-		CmdSubst: in.xCmdSubst,
-		Faults:   in.Faults,
-	}
+	x.Lookup, x.Set, x.CmdSubst = in.xLookup, in.xSet, in.xCmdSubst
+	x.Params, x.Name0, x.Status, x.PID = in.Params, in.Name0, in.Status, in.PID
+	x.FS, x.Dir, x.NoGlob, x.NoUnset = in.FS, in.Dir, in.NoGlob, in.NoUnset
+	x.Faults = in.Faults
 }
 
 // EarlyExpander is the expander planning uses to expand a statement's words
@@ -301,7 +321,7 @@ func (in *Interp) expander() *expand.Expander {
 // same $?, same positional parameters — that can neither assign a variable
 // nor run a command substitution. It is valid until the next call.
 func (in *Interp) EarlyExpander() *expand.Expander {
-	in.early = *in.expander()
+	in.refresh(&in.early)
 	in.early.Set, in.early.CmdSubst = nil, nil
 	return &in.early
 }
@@ -477,12 +497,7 @@ func (in *Interp) runPipeStages(stages []func(*Interp)) {
 			}
 			defer func() {
 				if r := recover(); r != nil {
-					switch sig := r.(type) {
-					case exitSignal:
-						sub.Status = sig.status
-					case fatalError:
-						sub.Status = 2
-					default:
+					if ended, _ := sub.ended(r); !ended {
 						crashOnce.Do(func() { crash = r })
 					}
 				}
@@ -606,14 +621,16 @@ func (in *Interp) dispatchFault(name string) bool {
 	return true
 }
 
-// coreutilsContext builds the invocation context handed to a registry
-// utility, reflecting the interpreter's current streams and directory.
+// coreutilsContext returns the invocation context handed to a registry
+// utility, refreshed from the interpreter's current streams and directory.
+// One context serves every call: a utility returns before the next command
+// runs and cannot call back into the shell.
 func (in *Interp) coreutilsContext() *coreutils.Context {
 	if in.cuGetenv == nil {
 		in.cuGetenv = in.Getenv
 		in.cuEnviron = in.Environ
 	}
-	return &coreutils.Context{
+	in.cu = coreutils.Context{
 		FS:      in.FS,
 		Dir:     in.Dir,
 		Stdin:   in.Stdin,
@@ -623,6 +640,7 @@ func (in *Interp) coreutilsContext() *coreutils.Context {
 		Environ: in.cuEnviron,
 		Ctx:     in.Ctx,
 	}
+	return &in.cu
 }
 
 func (in *Interp) callFunction(body syntax.Command, fields []string) {
@@ -632,7 +650,8 @@ func (in *Interp) callFunction(body syntax.Command, fields []string) {
 	in.callDepth++
 	savedParams := in.Params
 	in.Params = fields[1:]
-	in.localFrames = append(in.localFrames, map[string]*Variable{})
+	// The frame's map is made by the first `local` of the call.
+	in.localFrames = append(in.localFrames, nil)
 	defer func() {
 		in.callDepth--
 		// Unwind the function's local frame: restore shadowed bindings,
@@ -660,10 +679,6 @@ func (in *Interp) callFunction(body syntax.Command, fields []string) {
 
 // withRedirs applies redirections around f, restoring streams afterwards.
 func (in *Interp) withRedirs(redirs []*syntax.Redirect, f func()) {
-	if len(redirs) == 0 {
-		f()
-		return
-	}
 	cleanup, ok := in.applyRedirs(redirs)
 	if !ok {
 		in.Status = 1
@@ -673,9 +688,15 @@ func (in *Interp) withRedirs(redirs []*syntax.Redirect, f func()) {
 	f()
 }
 
+// noCleanup is what applyRedirs returns for an empty redirection list.
+var noCleanup = func() {}
+
 // applyRedirs mutates the interpreter's streams per the redirections and
 // returns a cleanup function restoring them (and flushing outputs).
 func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
+	if len(redirs) == 0 {
+		return noCleanup, true
+	}
 	savedIn, savedOut, savedErr := in.Stdin, in.Stdout, in.Stderr
 	var closers []io.Closer
 	cleanup := func() {

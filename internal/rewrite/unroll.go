@@ -252,7 +252,18 @@ func clonePartSubst(p syntax.WordPart, name, value string) (syntax.WordPart, boo
 		}
 		return out, true
 	case *syntax.ArithExp:
-		return &syntax.ArithExp{Expr: x.Expr, Position: x.Position}, true
+		// Shared, not copied: its text is what runs, so parts that expand
+		// name would need that text rewritten too.
+		reads := false
+		syntax.Walk(x, func(n syntax.Node) bool {
+			pe, ok := n.(*syntax.ParamExp)
+			reads = reads || ok && pe.Name == name
+			return !reads
+		})
+		if reads {
+			return nil, false
+		}
+		return x, true
 	}
 	// Command substitutions were refused by substitutable; anything else
 	// is a part this cloner does not understand.

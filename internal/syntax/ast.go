@@ -423,10 +423,15 @@ type CmdSubst struct {
 func (p *CmdSubst) Pos() Pos      { return p.Position }
 func (p *CmdSubst) wordPartNode() {}
 
-// ArithExp is `$((expr))`. The expression text is kept verbatim; package
-// expand parses and evaluates the POSIX arithmetic grammar.
+// ArithExp is `$((expr))`. Expr is the text as written: what the printer
+// emits and what package expand compiles under the POSIX arithmetic
+// grammar. When the text contains `$` or a backquote, Parts is that text
+// parsed once, here, under double-quote rules with `"` and `\` literal;
+// expansion runs them and compiles the text they produce. Build one with
+// NewArithExp, so no node whose Expr holds `$` lacks its Parts.
 type ArithExp struct {
 	Expr     string
+	Parts    []WordPart
 	Position Pos
 }
 

@@ -22,6 +22,8 @@ func FuzzParse(f *testing.F) {
 		"! a && b || c; (d; e) | { g; }",
 		"echo ${#x} ${y##*/} 'q' \"d $z\"",
 		"\x00\xff${", "$(($((", "<<'", "a\\",
+		"echo $(( ${x:-1} + 1 ))", "echo $(( $(echo 2) ))", "echo $(( `echo 3` ))",
+		`echo $(( "$x" ))`, "echo $(( ${ ))",
 	} {
 		f.Add(seed)
 	}

@@ -61,7 +61,7 @@ func (p *parser) readWord() *Word {
 			litPos = p.here()
 		case '"':
 			flushLit()
-			w.Parts = append(w.Parts, p.readDblQuoted(false))
+			w.Parts = append(w.Parts, p.readDblQuoted(dqString))
 			litPos = p.here()
 		case '$':
 			part := p.readDollar(false)
@@ -91,13 +91,23 @@ func (p *parser) readWord() *Word {
 	return w
 }
 
-// readDblQuoted reads a "..." string starting at the opening quote, or —
-// heredoc — the whole of p.src as an unquoted here-document body: the same
-// rules, except that the text runs to its end and `"` is an ordinary
-// character (so `\"` keeps its backslash).
-func (p *parser) readDblQuoted(heredoc bool) *DblQuoted {
+// dqMode is what readDblQuoted reads: a "..." string, or the whole of p.src
+// under the same rules — an unquoted here-document body, where `"` is an
+// ordinary character (so `\"` keeps its backslash), or the text of $((...)),
+// where `\` is one too.
+type dqMode uint8
+
+const (
+	dqString dqMode = iota
+	dqHeredoc
+	dqArith
+)
+
+// readDblQuoted reads double-quoted parts in the given mode, starting at the
+// opening quote of a dqString.
+func (p *parser) readDblQuoted(mode dqMode) *DblQuoted {
 	pos := p.here()
-	if !heredoc {
+	if mode == dqString {
 		p.advance() // consume "
 	}
 	dq := &DblQuoted{Position: pos}
@@ -111,7 +121,7 @@ func (p *parser) readDblQuoted(heredoc bool) *DblQuoted {
 	}
 	for {
 		if p.pos >= len(p.src) {
-			if heredoc {
+			if mode != dqString {
 				flushLit()
 				return dq
 			}
@@ -119,17 +129,22 @@ func (p *parser) readDblQuoted(heredoc bool) *DblQuoted {
 		}
 		c := p.peekByte()
 		switch {
-		case c == '"' && !heredoc:
+		case c == '"' && mode == dqString:
 			p.advance()
 			flushLit()
 			return dq
+		case c == '\\' && mode == dqArith:
+			p.advance()
+			// Escaped for the expansion layer, which resolves it to one
+			// backslash of text.
+			lit.WriteString(`\\`)
 		case c == '\\' && p.pos+1 < len(p.src):
 			p.advance()
 			esc := p.advance()
 			switch {
 			case esc == '\n':
 				// line continuation
-			case esc == '"' && heredoc:
+			case esc == '"' && mode == dqHeredoc:
 				// The expansion layer unescapes \" too; here the backslash
 				// is text.
 				lit.WriteString(`\\"`)
@@ -209,7 +224,7 @@ func (p *parser) readArith(pos Pos) WordPart {
 	p.advance() // (
 	p.advance() // (
 	depth := 0
-	start := p.pos
+	start, startPos := p.pos, p.here()
 	for {
 		if p.pos >= len(p.src) {
 			p.errf(pos, "unterminated arithmetic expansion")
@@ -220,10 +235,11 @@ func (p *parser) readArith(pos Pos) WordPart {
 		} else if c == ')' {
 			if depth == 0 {
 				if p.byteAt(1) == ')' {
-					expr := p.src[start:p.pos]
+					a := arithExp(p.src[start:p.pos], startPos)
+					a.Position = pos
 					p.advance()
 					p.advance()
-					return &ArithExp{Expr: expr, Position: pos}
+					return a
 				}
 				p.errf(pos, "expected '))' to close arithmetic expansion")
 			}
@@ -231,6 +247,24 @@ func (p *parser) readArith(pos Pos) WordPart {
 		}
 		p.advance()
 	}
+}
+
+// arithExp builds the node for the text of a $((...)) whose first byte is at
+// start, parsing the text once when it has expansions to run.
+func arithExp(expr string, start Pos) *ArithExp {
+	a := &ArithExp{Expr: expr}
+	if strings.ContainsAny(expr, "$`") {
+		sub := &parser{src: expr, line: start.Line, col: start.Col, base: start.Offset}
+		a.Parts = sub.readDblQuoted(dqArith).Parts
+	}
+	return a
+}
+
+// NewArithExp returns the node the parser builds for `$((expr))`, or the
+// syntax error it reports: how code outside the parser makes one.
+func NewArithExp(expr string) (a *ArithExp, err error) {
+	err = newParser("").catch(func() { a = arithExp(expr, Pos{Line: 1, Col: 1}) })
+	return a, err
 }
 
 // readCmdSubst reads $( stmts ) with the cursor on '$', parsing the body
@@ -435,7 +469,7 @@ func (p *parser) readBracedWord(open Pos) *Word {
 			litPos = p.here()
 		case '"':
 			flushLit()
-			w.Parts = append(w.Parts, p.readDblQuoted(false))
+			w.Parts = append(w.Parts, p.readDblQuoted(dqString))
 			litPos = p.here()
 		case '$':
 			part := p.readDollar(false)

@@ -700,7 +700,7 @@ func (p *parser) gatherHeredocs() {
 		}
 		// (<<- strips tabs, so offsets inside such a body run a little early.)
 		sub := &parser{src: r.Heredoc, line: start.Line, col: 1, base: start.Offset}
-		r.Body = &Word{Parts: []WordPart{sub.readDblQuoted(true)}, Position: start}
+		r.Body = &Word{Parts: []WordPart{sub.readDblQuoted(dqHeredoc)}, Position: start}
 	}
 	p.pendingHeredocs = nil
 }

@@ -1,6 +1,7 @@
 package syntax
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -301,8 +302,52 @@ func TestParseArith(t *testing.T) {
 	if !ok {
 		t.Fatalf("part = %T", sc.Args[1].Parts[0])
 	}
-	if ae.Expr != "1 + 2*3" {
+	if ae.Expr != "1 + 2*3" || ae.Parts != nil {
+		t.Errorf("expr = %q, parts %v", ae.Expr, ae.Parts)
+	}
+}
+
+// TestParseArithParts: text with expansions is parsed once, by the parser,
+// under double-quote rules with `"` and `\` as text (a backslash is kept
+// escaped, as in any double-quoted literal); Walk visits the parts; a
+// malformed expansion is a syntax error of the script.
+func TestParseArithParts(t *testing.T) {
+	s := mustParse(t, `echo $(( ${x:-1} + "a\b" * $(c) ))`)
+	ae := firstSimple(t, s).Args[1].Parts[0].(*ArithExp)
+	if ae.Expr != ` ${x:-1} + "a\b" * $(c) ` {
 		t.Errorf("expr = %q", ae.Expr)
+	}
+	var kinds []string
+	for _, p := range ae.Parts {
+		switch q := p.(type) {
+		case *Lit:
+			kinds = append(kinds, "lit:"+q.Value)
+		case *ParamExp:
+			kinds = append(kinds, "param:"+q.Name)
+		case *CmdSubst:
+			kinds = append(kinds, "subst")
+		}
+	}
+	if got, want := strings.Join(kinds, "|"), `lit: |param:x|lit: + "a\\b" * |subst|lit: `; got != want {
+		t.Errorf("parts %s, want %s", got, want)
+	}
+	sawSubst := false
+	Walk(s, func(n Node) bool {
+		_, ok := n.(*CmdSubst)
+		sawSubst = sawSubst || ok
+		return true
+	})
+	if !sawSubst {
+		t.Error("Walk does not reach the substitution inside $(( ))")
+	}
+	if _, err := Parse("echo a; echo $(( ${ ))"); err == nil {
+		t.Error("a malformed expansion inside $(( )) parses")
+	}
+	built, err := NewArithExp(" ${x:-1} + \"a\\b\" * $(c) ")
+	normalize(ae)
+	normalize(built)
+	if err != nil || !reflect.DeepEqual(built, &ArithExp{Expr: ae.Expr, Parts: ae.Parts}) {
+		t.Errorf("NewArithExp = %#v, %v; want the parser's node", built, err)
 	}
 }
 

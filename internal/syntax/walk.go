@@ -90,7 +90,11 @@ func Walk(node Node, f func(Node) bool) {
 		}
 	case *CmdSubst:
 		walkStmts(x.Stmts, f)
-	case *Lit, *SglQuoted, *ArithExp:
+	case *ArithExp:
+		for _, part := range x.Parts {
+			Walk(part, f)
+		}
+	case *Lit, *SglQuoted:
 		// leaves
 	}
 }
