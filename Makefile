@@ -21,10 +21,13 @@ vet:
 # breaker ledger, and tracer. All of them must stay race-clean. The model
 # property test and the list planner's own tests ride along: the first
 # drives interpreter clones (every `&` is one), the second plans the regions
-# those clones run.
+# those clones run. List-region workers plan pipelines concurrently over
+# graphs that carry their own adjacency index, so the graph package and the
+# pipeline planner's tests run under the race detector too.
 race:
-	$(GO) test -race ./internal/pipe/... ./internal/exec/... ./internal/interp/... ./internal/core/... ./internal/trace/...
-	$(GO) test -race -run 'OverApproximates|ListParallel|ParallelizeList|AssignedBy' ./internal/analysis/... ./internal/rewrite/... ./internal/fuzz/...
+	$(GO) test -race ./internal/pipe/... ./internal/exec/... ./internal/interp/... ./internal/core/... ./internal/trace/... ./internal/dfg/...
+	$(GO) test -race -run 'OverApproximates|ListParallel|ParallelizeList|AssignedBy|FuncTable' ./internal/analysis/... ./internal/rewrite/... ./internal/fuzz/...
+	$(GO) test -race -run 'Plan|Parallelize|Graph' ./internal/rewrite/...
 
 # The fault suite: injected failures, panics, stalls, and cancellations
 # at every plan position must tear down cleanly, heal via supervised

@@ -191,12 +191,47 @@ func TestAssignedBy(t *testing.T) {
 		{": $(($n + 1))", "", true},
 		{": $((${n}))", "", true},
 		{"set -- a b; shift; cd /; trap : EXIT", "OLDPWD PWD", false},
+		{"unset -f F G; unset -v -f H; unset -f -v V", "V", false},
+		{"unset $opt x", "x", true},
 	}
 	for _, c := range cases {
 		names, any := AssignedBy(mustParseScript(t, c.src+"\n"), body)
 		if got := strings.Join(sortedNames(names), " "); got != c.names || any != c.any {
 			t.Errorf("%q: assigns %q any=%v, want %q any=%v", c.src, got, any, c.names, c.any)
 		}
+	}
+}
+
+// TestFuncTableChangedBy: declarations, unset -f (directly, through a
+// call, or behind an option word only run time knows) and eval change the
+// function table; unset of a variable and a re-declaration of the body the
+// table already holds do not.
+func TestFuncTableChangedBy(t *testing.T) {
+	decls := mustParseScript(t, "k() { :; }\ndrop() { unset -f k; }\n")
+	funcs := map[string]syntax.Command{}
+	for _, st := range decls.Stmts {
+		fd := st.AndOr.First.Cmds[0].(*syntax.FuncDecl)
+		funcs[fd.Name] = fd.Body
+	}
+	body := func(name string) syntax.Command { return funcs[name] }
+	for _, c := range []struct {
+		src  string
+		want bool
+	}{
+		{"echo hi; unset x; unset -v k", false},
+		{"unset -f k", true},
+		{"unset -v -f k", true},
+		{"unset $opt k", true},
+		{"drop", true},
+		{"if c; then n() { :; }; fi", true},
+		{"eval \"$s\"", true},
+	} {
+		if got := FuncTableChangedBy(mustParseScript(t, c.src+"\n"), body); got != c.want {
+			t.Errorf("%q: FuncTableChangedBy = %v, want %v", c.src, got, c.want)
+		}
+	}
+	if FuncTableChangedBy(decls, body) {
+		t.Errorf("re-declaring the table's own bodies changes nothing")
 	}
 }
 

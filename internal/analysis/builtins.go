@@ -45,6 +45,9 @@ type builtinRow struct {
 	runs     bool // runs commands the analyses cannot see: ⊤ on the filesystem
 	stdin    bool // consumes the shell's standard input
 	external bool // modelled for scripts of other shells; not in the interpreter's registry
+	// funcFlag: under a leading -f the operands name functions, not
+	// variables, and the builtin removes them from the function table.
+	funcFlag bool
 }
 
 // builtinTable has one row per interpreter builtin (core's
@@ -70,7 +73,8 @@ var builtinTable = map[string]builtinRow{
 	"eval":     {blocker: "evaluates dynamic code", anything: true, runs: true},
 	".":        {blocker: "sources a script", anything: true, runs: true, external: true},
 	"source":   {blocker: "sources a script", anything: true, runs: true, external: true},
-	"unset":    {blocker: "unsets variables by name", names: everyOperand, unsets: true},
+	"unset": {blocker: "unsets variables or functions by name", names: everyOperand, unsets: true,
+		funcFlag: true},
 	"read": {blocker: "reads shared stdin into variables", inCall: true,
 		names: everyOperand, fallback: "REPLY", def: DefRead, stdin: true},
 	"export": {blocker: "mutates the environment", inCall: true,
@@ -132,6 +136,9 @@ type operand struct {
 // static, so the command may name any.
 func (r builtinRow) operands(sc *syntax.SimpleCommand) (ops []operand, exact bool) {
 	args := sc.Args[1:]
+	if f, known := r.functionOperands(sc); f && known {
+		return nil, true
+	}
 	switch r.names {
 	case noNames:
 		return nil, true
@@ -160,6 +167,28 @@ func (r builtinRow) operands(sc *syntax.SimpleCommand) (ops []operand, exact boo
 		ops = []operand{{name: r.fallback, word: sc.Args[0]}}
 	}
 	return ops, exact
+}
+
+// functionOperands reports whether the command's operands name functions:
+// the row has funcFlag and the last of its leading -f/-v options is -f
+// (`unset -f f`). known=false means an option word is not static, so it
+// may be -f.
+func (r builtinRow) functionOperands(sc *syntax.SimpleCommand) (f, known bool) {
+	if !r.funcFlag {
+		return false, true
+	}
+	for _, w := range sc.Args[1:] {
+		text, static := staticText(w)
+		switch {
+		case !static:
+			return false, false
+		case text == "-f" || text == "-v":
+			f = text == "-f"
+		default:
+			return f, true
+		}
+	}
+	return f, true
 }
 
 // opaque reports whether expanding a word with these effects may assign
@@ -193,38 +222,78 @@ func isIntLiteral(v AbsVal) bool {
 // function table) changed. Subshell-scoped parts count too: over-approximate.
 func AssignedBy(node syntax.Node, funcBody func(string) syntax.Command) (names map[string]bool, any bool) {
 	names = map[string]bool{}
+	walkCalls(node, funcBody, func(n syntax.Node) bool {
+		switch x := n.(type) {
+		case *syntax.Assign:
+			names[x.Name] = true
+		case *syntax.ForClause:
+			names[x.Name] = true
+		case *syntax.Word:
+			d := expand.AnalyzeWord(x)
+			for _, e := range d.Effects {
+				if e.Kind == expand.EffectAssign {
+					names[e.Name] = true
+				}
+			}
+			any = any || opaque(d, nil)
+			return false // nested words are in d; substitutions run in subshells
+		case *syntax.SimpleCommand:
+			if len(x.Args) == 0 {
+				break
+			}
+			row, _, _ := builtinOf(x)
+			ops, exact := row.operands(x)
+			for _, op := range ops {
+				names[op.name] = true
+			}
+			for _, n := range row.implicit {
+				names[n] = true
+			}
+			any = any || !exact || row.anything
+		}
+		return true
+	})
+	return names, any
+}
+
+// FuncTableChangedBy reports whether executing node may change the
+// function table, following calls as AssignedBy does: a function
+// declaration (except one that re-declares the very body funcBody already
+// maps the name to — a whole-script table), `unset -f`, or anything
+// AssignedBy cannot bound, which is how eval and its kind, that can declare
+// functions at run time, report themselves.
+func FuncTableChangedBy(node syntax.Node, funcBody func(string) syntax.Command) bool {
+	_, changed := AssignedBy(node, funcBody)
+	walkCalls(node, funcBody, func(n syntax.Node) bool {
+		switch x := n.(type) {
+		case *syntax.FuncDecl:
+			// Declaring runs nothing of the body: a call reaches it.
+			changed = changed || funcBody == nil || funcBody(x.Name) != x.Body
+			return false
+		case *syntax.SimpleCommand:
+			if len(x.Args) > 0 {
+				row, _, _ := builtinOf(x)
+				f, known := row.functionOperands(x)
+				changed = changed || f || !known
+			}
+		}
+		return !changed
+	})
+	return changed
+}
+
+// walkCalls is syntax.Walk over node and, once each, the bodies funcBody
+// (nil: none) gives the functions node calls, transitively.
+func walkCalls(node syntax.Node, funcBody func(string) syntax.Command, visit func(syntax.Node) bool) {
 	called := map[string]bool{}
 	var walk func(syntax.Node)
 	walk = func(node syntax.Node) {
 		syntax.Walk(node, func(n syntax.Node) bool {
-			switch x := n.(type) {
-			case *syntax.Assign:
-				names[x.Name] = true
-			case *syntax.ForClause:
-				names[x.Name] = true
-			case *syntax.Word:
-				d := expand.AnalyzeWord(x)
-				for _, e := range d.Effects {
-					if e.Kind == expand.EffectAssign {
-						names[e.Name] = true
-					}
-				}
-				any = any || opaque(d, nil)
-				return false // nested words are in d; substitutions run in subshells
-			case *syntax.SimpleCommand:
-				if len(x.Args) == 0 {
-					break
-				}
-				row, name, builtin := builtinOf(x)
-				ops, exact := row.operands(x)
-				for _, op := range ops {
-					names[op.name] = true
-				}
-				for _, n := range row.implicit {
-					names[n] = true
-				}
-				any = any || !exact || row.anything
-				if !builtin && funcBody != nil && !called[name] {
+			if !visit(n) {
+				return false
+			}
+			if sc, ok := n.(*syntax.SimpleCommand); ok && len(sc.Args) > 0 && funcBody != nil {
+				if _, name, builtin := builtinOf(sc); !builtin && !called[name] {
 					if body := funcBody(name); body != nil {
 						called[name] = true
 						walk(body)
@@ -235,5 +304,4 @@ func AssignedBy(node syntax.Node, funcBody func(string) syntax.Command) (names m
 		})
 	}
 	walk(node)
-	return names, any
 }

@@ -168,9 +168,20 @@ func (s *Summary) Normalize(dir string) *Summary {
 	ns.Concretized = s.Concretized
 	ns.Witnesses = append([]string(nil), s.Witnesses...)
 	for p, op := range s.Paths {
-		ns.Paths[NormalizePath(dir, p)] = op
+		ns.Paths[NormalizePath(dir, p)] |= op
 	}
 	return ns
+}
+
+// normalizeInPlace is Normalize for a summary its caller owns: a path that
+// is already absolute and clean costs nothing.
+func (s *Summary) normalizeInPlace(dir string) {
+	for p, op := range s.Paths {
+		if np := NormalizePath(dir, p); np != p {
+			delete(s.Paths, p)
+			s.Paths[np] |= op
+		}
+	}
 }
 
 // NormalizePath resolves p against dir (when relative) and cleans it.
@@ -404,6 +415,18 @@ func pureCommand(name string) bool {
 // concrete, so the only ⊤ sources are unknown commands and xargs-style
 // escape hatches.
 func SummarizeArgv(lib *spec.Library, args []string) *Summary {
+	return summarizeArgv(lib, args, nil)
+}
+
+// SummarizeResolved is SummarizeArgv of e.Args for a caller that already
+// holds e = lib.Resolve(e.Args) — a dataflow node's Spec — so the argv is
+// not scanned a second time.
+func SummarizeResolved(lib *spec.Library, e *spec.Effective) *Summary {
+	return summarizeArgv(lib, e.Args, e)
+}
+
+// summarizeArgv is SummarizeArgv; e, when not nil, is lib.Resolve(args).
+func summarizeArgv(lib *spec.Library, args []string, e *spec.Effective) *Summary {
 	s := NewSummary()
 	if len(args) == 0 {
 		return s
@@ -414,7 +437,9 @@ func SummarizeArgv(lib *spec.Library, args []string) *Summary {
 		return s
 	}
 	if cs, ok := lib.Lookup(name); ok {
-		e := lib.Resolve(args)
+		if e == nil {
+			e = lib.Resolve(args)
+		}
 		if name == "sort" {
 			if out, ok := e.Parsed.Value('o'); ok {
 				s.Touch(out, OpWrite|OpCreate)
@@ -432,7 +457,9 @@ func SummarizeArgv(lib *spec.Library, args []string) *Summary {
 		}
 		s.WritesStdout = true
 		// Side-effectful specs without a mutator entry (unknown shape):
-		// assume ⊤ writes unless the spec marks it a pure generator.
+		// assume ⊤ writes unless the spec marks it a pure generator. The
+		// library's class, not the invocation's: a refinement that demotes
+		// one use of a command does not make it write.
 		if cs.Class == spec.SideEffectful && !cs.Generator && name != "tee" {
 			s.Unknown |= OpWrite | OpCreate | OpRemove
 		}

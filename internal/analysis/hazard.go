@@ -113,22 +113,22 @@ func GraphHazards(g *dfg.Graph, lib *spec.Library, dir string) []Hazard {
 		label string
 	}
 	var parties []party
-	ids := make([]int, 0, len(g.Nodes))
-	for id := range g.Nodes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for id := 1; id <= g.MaxID(); id++ {
 		n := g.Nodes[id]
-		s := NewSummary()
+		if n == nil {
+			continue
+		}
+		var s *Summary
 		switch n.Kind {
 		case dfg.KindSource:
+			s = NewSummary()
 			if n.Path == "" {
 				s.ReadsStdin = true
 			} else {
 				s.Touch(n.Path, OpRead)
 			}
 		case dfg.KindSink:
+			s = NewSummary()
 			if n.Path == "" {
 				s.WritesStdout = true
 			} else {
@@ -138,11 +138,12 @@ func GraphHazards(g *dfg.Graph, lib *spec.Library, dir string) []Hazard {
 			// The translator stripped input operands into Source nodes;
 			// what remains in argv is flags and non-file operands — but
 			// write-side flags (sort -o) and mutator semantics survive in
-			// the argv, and the original operand reads live in the Spec.
+			// the argv, and the original operand reads live in the Spec,
+			// which is the stage already resolved against lib.
 			if n.Spec != nil {
-				s.Union(SummarizeArgv(lib, n.Spec.Args))
-			} else if len(n.Argv) > 0 {
-				s.Union(SummarizeArgv(lib, n.Argv))
+				s = SummarizeResolved(lib, n.Spec)
+			} else {
+				s = SummarizeArgv(lib, n.Argv)
 			}
 			// Stream plumbing is the graph's own: drop terminal markers so
 			// stdin/stdout don't look shared between command nodes.
@@ -157,7 +158,8 @@ func GraphHazards(g *dfg.Graph, lib *spec.Library, dir string) []Hazard {
 		if len(s.Paths) == 0 && s.Unknown == 0 {
 			continue
 		}
-		parties = append(parties, party{s.Normalize(dir), n.Label()})
+		s.normalizeInPlace(dir)
+		parties = append(parties, party{s, n.Label()})
 	}
 	var hs []Hazard
 	for i := 0; i < len(parties); i++ {

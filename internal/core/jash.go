@@ -505,10 +505,8 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 		// Baseline still charges modelled time for eligible pipelines so
 		// the harness can compare systems on equal footing.
 		if graph, facts, text, ok := s.analyze(in, st, false); ok {
-			seq := graph.Clone()
-			rewrite.RemoveUselessCat(seq)
 			s.mu.Lock()
-			est, err := cost.EstimateGraph(seq, facts, s.Profile, false)
+			est, err := cost.EstimateGraph(rewrite.Sequential(graph), facts, s.Profile, false)
 			s.mu.Unlock()
 			if err == nil {
 				s.settle(nil, Decision{Pipeline: text, Strategy: "interpret",

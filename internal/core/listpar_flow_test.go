@@ -196,6 +196,38 @@ func TestListRegionSeesHiddenAssignments(t *testing.T) {
 	}
 }
 
+// TestListRegionSeesUnsetFunction: `unset -f` changes the function table,
+// so a later `cp` on the same line runs the cp utility, not the function
+// the plan-time table still holds. A planner that summarises the call from
+// the dropped body (`:`, no effects) proves it independent of `wc -l
+// /b.txt` and runs the two concurrently. And `unset -f x` leaves the
+// variable x alone, as in dash: value flow that believes x was unset
+// resolves `$x` to nothing.
+func TestListRegionSeesUnsetFunction(t *testing.T) {
+	mkfs := func() *vfs.FS {
+		fs := vfs.New()
+		fs.WriteFile("/big", []byte(strings.Repeat("some line of words\n", 4000)))
+		fs.WriteFile("/b.txt", []byte("old\n"))
+		return fs
+	}
+	cases := []struct{ name, script, want string }{
+		{"call-after-unset-f", "cp() { :; }\nunset -f cp; cp /big /b.txt; wc -l /b.txt >/o1\ncat /o1\n", "4000 /b.txt\n"},
+		{"unset-f-keeps-variable", "x=/b.txt; x() { :; }\nunset -f x; sort /big | sort | tail -n 3 >$x; wc -l /b.txt >/o1\ncat /o1\n", "3 /b.txt\n"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			threeModes(t, mkfs, tc.script, func(name string, sh *Shell, _ *vfs.FS, st int, out, errs string) {
+				if st != 0 || out != tc.want {
+					t.Errorf("%s: status %d stdout %q stderr %q, want 0 %q", name, st, out, errs, tc.want)
+				}
+				if d, ok := findDecision(sh, "parallel-list"); ok {
+					t.Errorf("%s: the list ran as a parallel region: %+v", name, d)
+				}
+			})
+		})
+	}
+}
+
 // TestListRegionMergesHereDocumentAssignment: an unquoted here-document
 // body is a word like any other, so the ${f=…} in it is a definition the
 // region merges back (the text scan this replaces recorded only a use, and

@@ -215,46 +215,40 @@ func EstimateGraph(g *dfg.Graph, in Inputs, prof *Profile, ephemeral bool) (Esti
 	if err != nil {
 		return Estimate{}, err
 	}
-	// 1. Propagate data volumes along edges.
-	edgeVol := map[*dfg.Edge]float64{}
-	nodeIn := map[int]float64{}
+	// 1. Propagate data volumes along edges. Every edge a node feeds
+	// carries its out volume: a split's is one lane's share.
+	type flow struct {
+		in, out float64
+		phase   int
+	}
+	nodes := make([]flow, g.MaxID()+1)
 	for _, n := range order {
-		var input float64
+		f := &nodes[n.ID]
 		for _, e := range g.In(n.ID) {
-			input += edgeVol[e]
+			f.in += nodes[e.From].out
 		}
-		nodeIn[n.ID] = input
-		outs := g.Out(n.ID)
-		var output float64
 		switch n.Kind {
 		case dfg.KindSource:
-			output = float64(in.size(n.Path))
+			f.out = float64(in.size(n.Path))
 		case dfg.KindCommand:
 			ratio := 1.0
 			if n.Spec != nil {
 				ratio = n.Spec.OutputRatio
 			}
-			output = input * ratio
+			f.out = f.in * ratio
 		case dfg.KindSplit:
 			// Consecutive chunks: each lane gets an equal share.
-			for _, e := range outs {
-				edgeVol[e] = input / float64(len(outs))
-			}
-			continue
+			f.out = f.in / float64(len(g.Out(n.ID)))
 		case dfg.KindMerge, dfg.KindSink:
-			output = input
-		}
-		for _, e := range outs {
-			edgeVol[e] = output
+			f.out = f.in
 		}
 	}
 	// 2. Assign phases: buffered edges are phase boundaries.
-	phase := map[int]int{}
 	maxPhase := 0
 	for _, n := range order {
 		p := 0
 		for _, e := range g.In(n.ID) {
-			ep := phase[e.From]
+			ep := nodes[e.From].phase
 			if e.Buffered {
 				ep++
 			}
@@ -262,55 +256,66 @@ func EstimateGraph(g *dfg.Graph, in Inputs, prof *Profile, ephemeral bool) (Esti
 				p = ep
 			}
 		}
-		phase[n.ID] = p
+		nodes[n.ID].phase = p
 		if p > maxPhase {
 			maxPhase = p
 		}
 	}
-	// 3. Evaluate each phase.
-	devs := prof.Devices
-	if ephemeral {
-		devs = prof.Clone().Devices
-	}
+	// 3. Evaluate each phase. A what-if estimate settles credits on copies
+	// of the devices it touches, made on first touch.
+	var copies []namedState
 	deviceOf := func(name string) *storage.State {
-		if d, ok := devs[name]; ok {
+		if _, ok := prof.Devices[name]; !ok {
+			name = "default"
+		}
+		d, ok := prof.Devices[name]
+		if !ok {
+			return storage.NewState(storage.Unlimited())
+		}
+		if !ephemeral {
 			return d
 		}
-		if d, ok := devs["default"]; ok {
-			return d
+		for _, c := range copies {
+			if c.name == name {
+				return c.state
+			}
 		}
-		return storage.NewState(storage.Unlimited())
+		copies = append(copies, namedState{name, d.Clone()})
+		return copies[len(copies)-1].state
 	}
 	est := Estimate{}
+	var traffic []deviceIO // the phase's traffic per device, in first-touch order
 	for p := 0; p <= maxPhase; p++ {
 		var cpuWork float64 // core-seconds
 		var stageBound float64
 		var phaseBytes float64
-		devBytes := map[string]float64{} // device -> bytes moved
-		devStreams := map[string]int{}   // device -> concurrent streams
+		traffic = traffic[:0]
 		addIO := func(dev string, bytes float64) {
 			if bytes <= 0 {
 				return
 			}
-			devBytes[dev] += bytes
-			devStreams[dev]++
+			for i := range traffic {
+				if traffic[i].dev == dev {
+					traffic[i].bytes += bytes
+					traffic[i].streams++
+					return
+				}
+			}
+			traffic = append(traffic, deviceIO{dev, bytes, 1})
 		}
 		for _, n := range order {
-			if phase[n.ID] != p {
+			f := &nodes[n.ID]
+			if f.phase != p {
 				continue
 			}
 			switch n.Kind {
 			case dfg.KindSource:
-				out := g.Out(n.ID)
-				var vol float64
-				for _, e := range out {
-					vol += edgeVol[e]
-				}
+				vol := f.out * float64(len(g.Out(n.ID)))
 				addIO(in.device(n.Path), vol)
 				phaseBytes += vol
 			case dfg.KindSink:
 				if n.Path != "" {
-					addIO(in.device(n.Path), nodeIn[n.ID])
+					addIO(in.device(n.Path), f.in)
 				}
 			case dfg.KindCommand, dfg.KindMerge:
 				factor := 2.0 // merge default: comparable to a cheap filter
@@ -320,7 +325,7 @@ func EstimateGraph(g *dfg.Graph, in Inputs, prof *Profile, ephemeral bool) (Esti
 				if n.Kind == dfg.KindMerge && n.Agg == spec.AggConcat {
 					factor = 0.5 // concatenation is nearly free
 				}
-				t := nodeIn[n.ID] * factor / prof.BaseRate
+				t := f.in * factor / prof.BaseRate
 				cpuWork += t
 				if t > stageBound {
 					stageBound = t
@@ -329,23 +334,23 @@ func EstimateGraph(g *dfg.Graph, in Inputs, prof *Profile, ephemeral bool) (Esti
 			// Buffered edges: producer writes now, consumer reads next phase.
 			for _, e := range g.Out(n.ID) {
 				if e.Buffered {
-					addIO(prof.BufferDevice, edgeVol[e])
+					addIO(prof.BufferDevice, f.out)
 				}
 			}
 			for _, e := range g.In(n.ID) {
 				if e.Buffered {
-					addIO(prof.BufferDevice, edgeVol[e])
+					addIO(prof.BufferDevice, nodes[e.From].out)
 				}
 			}
 		}
 		cpuBound := cpuWork / float64(prof.Cores)
 		ioBound := 0.0
 		ioDev := ""
-		for dev, bytes := range devBytes {
-			t := deviceOf(dev).MinTime(bytes, devStreams[dev])
+		for _, d := range traffic {
+			t := deviceOf(d.dev).MinTime(d.bytes, d.streams)
 			if t > ioBound {
 				ioBound = t
-				ioDev = dev
+				ioDev = d.dev
 			}
 		}
 		ph := PhaseEstimate{
@@ -365,13 +370,26 @@ func EstimateGraph(g *dfg.Graph, in Inputs, prof *Profile, ephemeral bool) (Esti
 			ph.Bottleneck = "io:" + ioDev
 		}
 		// Settle credits for the phase's actual duration.
-		for dev, bytes := range devBytes {
-			deviceOf(dev).Settle(bytes, devStreams[dev], ph.Seconds)
+		for _, d := range traffic {
+			deviceOf(d.dev).Settle(d.bytes, d.streams, ph.Seconds)
 		}
 		est.Phases = append(est.Phases, ph)
 		est.Seconds += ph.Seconds
 	}
 	return est, nil
+}
+
+// deviceIO is one device's traffic within a phase.
+type deviceIO struct {
+	dev     string
+	bytes   float64
+	streams int
+}
+
+// namedState is a what-if copy of a profile's device.
+type namedState struct {
+	name  string
+	state *storage.State
 }
 
 // Explain renders a human-readable estimate breakdown table.

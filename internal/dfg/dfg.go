@@ -9,15 +9,16 @@ package dfg
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"jash/internal/spec"
 )
 
 // NodeKind classifies graph nodes.
-type NodeKind int
+type NodeKind uint8
 
 const (
 	// KindCommand is a shell command with a resolved specification.
@@ -37,7 +38,7 @@ var kindNames = [...]string{"command", "source", "sink", "split", "merge"}
 func (k NodeKind) String() string { return kindNames[k] }
 
 // SplitDist selects a splitter's distribution discipline.
-type SplitDist int
+type SplitDist uint8
 
 const (
 	// DistConsecutive hands each lane one consecutive line-aligned run
@@ -55,10 +56,22 @@ var distNames = [...]string{"consecutive", "round-robin"}
 
 func (d SplitDist) String() string { return distNames[d] }
 
-// Node is one dataflow vertex.
+// Node is one dataflow vertex. (The small fields sit together so that a
+// node, which the JIT builds for every stage it is offered, stays in the
+// 128-byte size class.)
 type Node struct {
 	ID   int
 	Kind NodeKind
+	// Dist is the splitter's distribution discipline (KindSplit), chosen
+	// by the rewriter from the matching merge's aggregator.
+	Dist SplitDist
+	// Append marks sinks opened in append mode (>>).
+	Append bool
+	// nIn splits edges, the node's part of the graph's adjacency index:
+	// edges[:nIn] enter it in ToPort order, edges[nIn:] leave it in FromPort
+	// order, ties in Graph.Edges order.
+	nIn   int32
+	edges []*Edge
 	// Argv is the command vector (KindCommand) or the merge command
 	// (KindMerge with AggMergeSort: e.g. ["sort", "-m"]).
 	Argv []string
@@ -66,15 +79,10 @@ type Node struct {
 	Spec *spec.Effective
 	// Path names the file for sources and sinks ("" = stdin/stdout).
 	Path string
-	// Append marks sinks opened in append mode (>>).
-	Append bool
 	// Agg is the merge discipline (KindMerge).
 	Agg spec.AggKind
 	// Width is the fan-out (KindSplit) or fan-in (KindMerge).
 	Width int
-	// Dist is the splitter's distribution discipline (KindSplit), chosen
-	// by the rewriter from the matching merge's aggregator.
-	Dist SplitDist
 	// StreamPorts marks which input ports of a multi-input command the
 	// executor may consume incrementally (true = streamed on stdin,
 	// false = a genuinely blocking side input, materialized before
@@ -119,6 +127,10 @@ type Edge struct {
 }
 
 // Graph is a dataflow graph. Construct with New and the Add* methods.
+//
+// The graph keeps an adjacency index on its nodes (Node.edges): AddNode,
+// ConnectPort, RemoveNode and Clone maintain it, so In, Out, TopoSort and
+// Validate allocate nothing per query.
 type Graph struct {
 	Nodes  map[int]*Node
 	Edges  []*Edge
@@ -134,9 +146,14 @@ func New() *Graph {
 func (g *Graph) AddNode(n *Node) *Node {
 	g.nextID++
 	n.ID = g.nextID
+	n.edges, n.nIn = nil, 0
 	g.Nodes[n.ID] = n
 	return n
 }
+
+// MaxID is the largest node ID the graph has assigned: a slice of MaxID()+1
+// entries can be indexed by any node's ID.
+func (g *Graph) MaxID() int { return g.nextID }
 
 // Connect adds an edge from one node to another on port 0.
 func (g *Graph) Connect(from, to *Node) *Edge {
@@ -147,54 +164,110 @@ func (g *Graph) Connect(from, to *Node) *Edge {
 func (g *Graph) ConnectPort(from, to *Node, fromPort, toPort int) *Edge {
 	e := &Edge{From: from.ID, To: to.ID, FromPort: fromPort, ToPort: toPort}
 	g.Edges = append(g.Edges, e)
+	from.insert(e, false)
+	to.insert(e, true)
 	return e
+}
+
+// insert indexes e on n as an entering or a leaving edge, after every
+// indexed edge on that side whose port is not larger.
+func (n *Node) insert(e *Edge, entering bool) {
+	lo, hi, port := int(n.nIn), len(n.edges), e.FromPort
+	if entering {
+		lo, hi, port = 0, int(n.nIn), e.ToPort
+		n.nIn++
+	}
+	i := hi
+	for i > lo && portOf(n.edges[i-1], entering) > port {
+		i--
+	}
+	n.edges = slices.Insert(n.edges, i, e)
+}
+
+func portOf(e *Edge, entering bool) int {
+	if entering {
+		return e.ToPort
+	}
+	return e.FromPort
+}
+
+// unindex drops e from n's index, into a new array: a slice In or Out
+// handed out earlier keeps what it saw.
+func (n *Node) unindex(e *Edge, entering bool) {
+	lo, hi := int(n.nIn), len(n.edges)
+	if entering {
+		lo, hi = 0, int(n.nIn)
+	}
+	kept := make([]*Edge, 0, len(n.edges))
+	for i, x := range n.edges {
+		if x == e && i >= lo && i < hi {
+			if entering {
+				n.nIn--
+			}
+			continue
+		}
+		kept = append(kept, x)
+	}
+	n.edges = kept
 }
 
 // RemoveNode deletes a node and its edges.
 func (g *Graph) RemoveNode(id int) {
+	n := g.Nodes[id]
+	if n == nil {
+		return
+	}
 	delete(g.Nodes, id)
+	for _, e := range n.in() {
+		if from := g.Nodes[e.From]; from != nil {
+			from.unindex(e, false)
+		}
+	}
+	for _, e := range n.out() {
+		if to := g.Nodes[e.To]; to != nil {
+			to.unindex(e, true)
+		}
+	}
+	n.edges, n.nIn = nil, 0
 	kept := g.Edges[:0]
 	for _, e := range g.Edges {
 		if e.From != id && e.To != id {
 			kept = append(kept, e)
 		}
 	}
+	clear(g.Edges[len(kept):])
 	g.Edges = kept
 }
 
-// In returns the edges entering a node, sorted by ToPort.
+func (n *Node) in() []*Edge  { return n.edges[:n.nIn:n.nIn] }
+func (n *Node) out() []*Edge { return n.edges[n.nIn:len(n.edges):len(n.edges)] }
+
+// In returns the edges entering a node, sorted by ToPort. The slice is the
+// graph's own: read it, do not modify it.
 func (g *Graph) In(id int) []*Edge {
-	var in []*Edge
-	for _, e := range g.Edges {
-		if e.To == id {
-			in = append(in, e)
-		}
+	if n := g.Nodes[id]; n != nil {
+		return n.in()
 	}
-	sort.Slice(in, func(i, j int) bool { return in[i].ToPort < in[j].ToPort })
-	return in
+	return nil
 }
 
-// Out returns the edges leaving a node, sorted by FromPort.
+// Out returns the edges leaving a node, sorted by FromPort. The slice is
+// the graph's own: read it, do not modify it.
 func (g *Graph) Out(id int) []*Edge {
-	var out []*Edge
-	for _, e := range g.Edges {
-		if e.From == id {
-			out = append(out, e)
-		}
+	if n := g.Nodes[id]; n != nil {
+		return n.out()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FromPort < out[j].FromPort })
-	return out
+	return nil
 }
 
 // Sources returns all source nodes, sorted by ID.
 func (g *Graph) Sources() []*Node {
 	var out []*Node
-	for _, n := range g.Nodes {
-		if n.Kind == KindSource {
+	for id := 1; id <= g.nextID; id++ {
+		if n := g.Nodes[id]; n != nil && n.Kind == KindSource {
 			out = append(out, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -208,45 +281,42 @@ func (g *Graph) Sink() *Node {
 	return nil
 }
 
-// TopoSort returns the nodes in a topological order; it fails on cycles
-// (which would indicate a translation bug).
+// TopoSort returns the nodes in a topological order — Kahn's, taking ready
+// nodes lowest ID first — and fails on cycles (which would indicate a
+// translation bug).
 func (g *Graph) TopoSort() ([]*Node, error) {
-	indeg := map[int]int{}
-	for id := range g.Nodes {
-		indeg[id] = 0
+	order, ok := g.kahn(make([]*Node, 0, len(g.Nodes)), make([]int, g.nextID+1))
+	if !ok {
+		return nil, errCycle
 	}
+	return order, nil
+}
+
+var errCycle = errors.New("dfg: graph has a cycle")
+
+// kahn appends the nodes to order in TopoSort's order and reports whether
+// it reached them all. indeg is zeroed scratch of at least MaxID()+1 entries.
+func (g *Graph) kahn(order []*Node, indeg []int) ([]*Node, bool) {
 	for _, e := range g.Edges {
 		indeg[e.To]++
 	}
-	var queue []int
-	for id, d := range indeg {
-		if d == 0 {
-			queue = append(queue, id)
+	// order doubles as the queue: order[head:] is ready and not yet visited.
+	for id := 1; id <= g.nextID; id++ {
+		if n := g.Nodes[id]; n != nil && indeg[id] == 0 {
+			order = append(order, n)
 		}
 	}
-	sort.Ints(queue)
-	var order []*Node
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, g.Nodes[id])
-		var next []int
-		for _, e := range g.Edges {
-			if e.From != id {
-				continue
-			}
+	for head := 0; head < len(order); head++ {
+		ready := len(order)
+		for _, e := range order[head].out() {
 			indeg[e.To]--
 			if indeg[e.To] == 0 {
-				next = append(next, e.To)
+				order = append(order, g.Nodes[e.To])
 			}
 		}
-		sort.Ints(next)
-		queue = append(queue, next...)
+		slices.SortFunc(order[ready:], func(a, b *Node) int { return a.ID - b.ID })
 	}
-	if len(order) != len(g.Nodes) {
-		return nil, fmt.Errorf("dfg: graph has a cycle")
-	}
-	return order, nil
+	return order, len(order) == len(g.Nodes)
 }
 
 // Validate checks structural invariants: exactly one sink, every
@@ -295,8 +365,16 @@ func (g *Graph) Validate() error {
 	if sinks != 1 {
 		return fmt.Errorf("dfg: graph has %d sinks, want 1", sinks)
 	}
-	if _, err := g.TopoSort(); err != nil {
-		return err
+	// The acyclicity check runs on stack scratch for the graphs the JIT
+	// plans every command, so a valid graph costs no allocation.
+	var orderBuf [32]*Node
+	var indegBuf [32]int
+	indeg := indegBuf[:]
+	if g.nextID >= len(indeg) {
+		indeg = make([]int, g.nextID+1)
+	}
+	if _, ok := g.kahn(orderBuf[:0], indeg); !ok {
+		return errCycle
 	}
 	return nil
 }

@@ -698,7 +698,15 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 						if env.Faults != nil {
 							src = &faultReader{r: src, sup: sup, set: env.Faults, label: label}
 						}
-						io.Copy(outWriters[0], &countingReader{src, &ctr.in})
+						// A failed read is the source's fault; a failed write
+						// is a consumer that stopped reading (head, grep -q),
+						// which is how a stream may end.
+						rd := &readErrReader{r: src}
+						io.Copy(outWriters[0], &countingReader{rd, &ctr.in})
+						if rd.err != nil {
+							sup.noteFault(rd.err)
+							return 1
+						}
 						return 0
 					case dfg.KindSink:
 						var dst io.Writer = env.Stdout

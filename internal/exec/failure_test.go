@@ -2,6 +2,8 @@ package exec
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -156,5 +158,50 @@ func TestEmptyInputAllWidths(t *testing.T) {
 		if got != want {
 			t.Errorf("width %d: %q vs %q", w, got, want)
 		}
+	}
+}
+
+// midStreamErrReader hands out its data and then fails, as a disk or a
+// network read does partway through a file.
+type midStreamErrReader struct{ data []byte }
+
+var errMidStream = errors.New("read error mid-file")
+
+func (r *midStreamErrReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, errMidStream
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestSourceReadErrorFailsThePlan: a source whose reader fails partway
+// through must fail the plan with that error — never exit 0 with the short
+// output the reads before it produced. A consumer that stops reading early
+// is the other way a source's copy ends, and that stays a success.
+func TestSourceReadErrorFailsThePlan(t *testing.T) {
+	g := pipelineGraph(t, dfg.Binding{}, []string{"wc", "-l"})
+	var out bytes.Buffer
+	for _, stdin := range []io.Reader{
+		&midStreamErrReader{data: []byte("a\nb\n")},
+		// A reader with its own copy loop (WriteTo) fails the same way.
+		io.MultiReader(strings.NewReader("a\nb\n"), &midStreamErrReader{}),
+	} {
+		out.Reset()
+		st, err := Run(g, &Env{FS: vfs.New(), Dir: "/", Stdin: stdin,
+			Stdout: &out, Stderr: &bytes.Buffer{}, Retries: 2})
+		if !errors.Is(err, errMidStream) || st == 0 {
+			t.Errorf("%T: status %d err %v stdout %q: want a non-zero status and the read error", stdin, st, err, out.String())
+		}
+	}
+
+	g = pipelineGraph(t, dfg.Binding{}, []string{"head", "-n", "1"})
+	out.Reset()
+	st, err := Run(g, &Env{FS: vfs.New(), Dir: "/",
+		Stdin:  bytes.NewReader(workload.Words(1, 1<<20)),
+		Stdout: &out, Stderr: &bytes.Buffer{}})
+	if st != 0 || err != nil || strings.Count(out.String(), "\n") != 1 {
+		t.Errorf("early-closing consumer: status %d err %v stdout %q", st, err, out.String())
 	}
 }

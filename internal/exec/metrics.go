@@ -126,6 +126,54 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// readErrReader keeps the first error other than io.EOF that its reader
+// returns from reading, telling it apart from an error in writing what was
+// read: a source must fail on the first and end quietly on the second.
+type readErrReader struct {
+	r   io.Reader
+	err error
+}
+
+func (r *readErrReader) Read(p []byte) (int, error) {
+	n, err := r.r.Read(p)
+	r.note(err)
+	return n, err
+}
+
+// WriteTo keeps the wrapped reader's own copy loop (an in-memory file hands
+// the pipe its bytes in one write); an error that did not come from w came
+// from reading.
+func (r *readErrReader) WriteTo(w io.Writer) (int64, error) {
+	wt, ok := r.r.(io.WriterTo)
+	if !ok {
+		return io.Copy(w, onlyReader{r})
+	}
+	fw := &failWriter{w: w}
+	n, err := wt.WriteTo(fw)
+	if !fw.failed {
+		r.note(err)
+	}
+	return n, err
+}
+
+func (r *readErrReader) note(err error) {
+	if err != nil && err != io.EOF && r.err == nil {
+		r.err = err
+	}
+}
+
+// failWriter records whether a write failed or came up short.
+type failWriter struct {
+	w      io.Writer
+	failed bool
+}
+
+func (f *failWriter) Write(p []byte) (int, error) {
+	n, err := f.w.Write(p)
+	f.failed = f.failed || err != nil || n < len(p)
+	return n, err
+}
+
 // onlyReader hides any WriteTo on the wrapped reader so delegation chains
 // cannot ping-pong between WriteTo and ReadFrom.
 type onlyReader struct{ r io.Reader }

@@ -120,9 +120,16 @@ func declare(in *Interp, args []string, flag func(*Variable)) int {
 	return 0
 }
 
+// builtinUnset removes variables, or with -f functions, as dash does: a
+// name is never both.
 func builtinUnset(in *Interp, args []string) int {
-	for _, a := range args[1:] {
-		if a == "-f" || a == "-v" {
+	names, funcs := args[1:], false
+	for ; len(names) > 0 && (names[0] == "-f" || names[0] == "-v"); names = names[1:] {
+		funcs = names[0] == "-f"
+	}
+	for _, a := range names {
+		if funcs {
+			delete(in.Funcs, a)
 			continue
 		}
 		if v, ok := in.Vars[a]; ok && v.ReadOnly {
@@ -130,7 +137,6 @@ func builtinUnset(in *Interp, args []string) int {
 			return 1
 		}
 		delete(in.Vars, a)
-		delete(in.Funcs, a)
 	}
 	return 0
 }

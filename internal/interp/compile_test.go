@@ -253,6 +253,13 @@ func TestCompiledDifferentialSubshells(t *testing.T) {
 		{`f() { echo $(return 6; echo no) "cs $?"; }; f; echo "st $?"`, "cs 0\nst 0\n", 0},
 		{`f() { true | return 7; echo "pipe $?"; }; f; echo "st $?"`, "pipe 7\nst 0\n", 0},
 		{"(return 3); echo top $?", "top 3\n", 0},
+		// return in a trap action ends the action; the status the shell
+		// leaves with is the one it had before the trap.
+		{`trap 'echo t; return 3; echo no' EXIT; echo hi`, "hi\nt\n", 0},
+		{`trap 'return 3' EXIT; false`, "", 1},
+		{`trap 'echo t; return 3' EXIT; echo hi; exit 5`, "hi\nt\n", 5},
+		{`f() { trap 'echo t; return 3; echo no' EXIT; exit 5; }; f; echo after $?`, "t\n", 5},
+		{`f() { trap 'echo t; return 3' EXIT; }; f; echo after $?`, "after 0\nt\n", 0},
 	}
 	for _, c := range scripts {
 		assertAgree(t, c, nil)
@@ -341,6 +348,13 @@ func TestNoCompileStillBypassesWhatChangesAtRunTime(t *testing.T) {
 		// has already dispatched once.
 		{"for i in 1 2; do basename /x/y; basename() { echo shadow $1; }; done", "y\nshadow /x/y\n", 0},
 		{"for i in 1 2; do echo $i; echo() { :; }; done", "1\n", 0},
+		// ... and unset -f uncovers it again; unset without -f is the
+		// variable's, never the function's.
+		{"basename() { echo shadow $1; }; for i in 1 2; do basename /x/y; unset -f basename; done", "shadow /x/y\ny\n", 0},
+		{"f() { echo hi; }; unset -f f; f; echo $?", "127\n", 0},
+		{`x=1; x() { :; }; unset -f x; echo "[$x]"; x; echo $?`, "[1]\n127\n", 0},
+		{`f() { echo hi; }; f=3; unset f; f; echo "[$f]"`, "hi\n[]\n", 0},
+		{"f() { echo hi; }; unset -v f; f", "hi\n", 0},
 		// set -u turned on between two runs of the same bare-$name words,
 		// in argument and in assignment position.
 		{"f() { echo got:$v; }; v=1; f; unset v; f; set -u; f; echo unreached", "got:1\ngot:\n", 1},
@@ -565,6 +579,15 @@ func TestControlFlowAgreesWithDash(t *testing.T) {
 		`f() { echo $(return 6; echo no) "cs $?"; }; f; echo "st $?"`,
 		`f() { true | return 7; echo "pipe $?"; }; f; echo "st $?"`,
 		"(return 3); echo top $?",
+		`trap 'echo t; return 3; echo no' EXIT; echo hi`,
+		`trap 'return 3' EXIT; false`,
+		`trap 'echo t; return 3' EXIT; echo hi; exit 5`,
+		`f() { trap 'echo t; return 3; echo no' EXIT; exit 5; }; f; echo after $?`,
+		`f() { trap 'echo t; return 3' EXIT; }; f; echo after $?`,
+		"f() { echo hi; }; unset -f f; f; echo $?",
+		`x=1; x() { :; }; unset -f x; echo "[$x]"; x; echo $?`,
+		`f() { echo hi; }; f=3; unset f; f; echo "[$f]"`,
+		"f() { echo hi; }; unset -v f; f",
 		"set -e; false; echo unreached",
 		"set -e; false || echo guarded; echo after",
 		"set -e; if false; then echo t; fi; echo survived",

@@ -393,7 +393,10 @@ func (in *Interp) RunPendingTraps(conds ...string) {
 	}
 }
 
-// runTrap consumes and runs one trap condition's action.
+// runTrap consumes and runs one trap condition's action. exit in the
+// action sets the status the shell leaves with; a return ends the action
+// and nothing else — the status stays what it was before the trap, as in
+// dash — whether or not a function was running when the trap fired.
 func (in *Interp) runTrap(cond string) {
 	cmd, ok := in.Traps[cond]
 	if !ok || strings.TrimSpace(cmd) == "" {
@@ -408,6 +411,7 @@ func (in *Interp) runTrap(cond string) {
 				switch sig := r.(type) {
 				case exitSignal:
 					saved = sig.status
+				case returnSignal:
 				case fatalError:
 					fmt.Fprintf(in.Stderr, "trap: %v\n", sig.err)
 				default:

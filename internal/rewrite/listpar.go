@@ -140,7 +140,7 @@ func ParallelizeList(stmts []*syntax.Stmt, opts ListOptions) (*ListPlan, ListDec
 				}
 			}
 		}
-		funcsDirty = funcsDirty || mutatesFuncTable(st, opts.FuncBody)
+		funcsDirty = funcsDirty || analysis.FuncTableChangedBy(st, opts.FuncBody)
 		// Thread the abstract state — for a pinned statement too: what it
 		// (and the functions it calls) may assign is ⊤ for its successors.
 		analysis.ApplyStmt(env, st, opts.FuncBody)
@@ -171,23 +171,6 @@ func ParallelizeList(stmts []*syntax.Stmt, opts ListOptions) (*ListPlan, ListDec
 		}
 	}
 	return plan, dec
-}
-
-// mutatesFuncTable reports whether executing the statement may change
-// the function table out from under the plan: a FuncDecl anywhere in its
-// subtree (unless it re-declares the exact body the plan-time table
-// already maps to that name — the whole-script planning case), or anything
-// analysis.AssignedBy cannot bound, which is how eval and its kind, that
-// can declare functions dynamically, report themselves.
-func mutatesFuncTable(st *syntax.Stmt, funcBody func(string) syntax.Command) bool {
-	_, found := analysis.AssignedBy(st, funcBody)
-	syntax.Walk(st, func(n syntax.Node) bool {
-		if c, ok := n.(*syntax.FuncDecl); ok && (funcBody == nil || funcBody(c.Name) != c.Body) {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // buildListPlan does the greedy maximal-run grouping over precomputed

@@ -32,16 +32,7 @@ type Options struct {
 func RemoveUselessCat(g *dfg.Graph) int {
 	removed := 0
 	for {
-		var target *dfg.Node
-		for _, n := range g.Nodes {
-			if n.Kind != dfg.KindCommand || len(n.Argv) != 1 || n.Argv[0] != "cat" {
-				continue
-			}
-			if len(g.In(n.ID)) == 1 && len(g.Out(n.ID)) == 1 {
-				target = n
-				break
-			}
-		}
+		target := uselessCat(g)
 		if target == nil {
 			return removed
 		}
@@ -55,6 +46,31 @@ func RemoveUselessCat(g *dfg.Graph) int {
 		e.Buffered = buffered
 		removed++
 	}
+}
+
+// uselessCat returns a node RemoveUselessCat would elide, or nil.
+func uselessCat(g *dfg.Graph) *dfg.Node {
+	for _, n := range g.Nodes {
+		if n.Kind != dfg.KindCommand || len(n.Argv) != 1 || n.Argv[0] != "cat" {
+			continue
+		}
+		if len(g.In(n.ID)) == 1 && len(g.Out(n.ID)) == 1 {
+			return n
+		}
+	}
+	return nil
+}
+
+// Sequential returns the graph a sequential plan runs: g without its
+// useless cats. That is g itself when it has none, and a copy otherwise, so
+// g is never mutated.
+func Sequential(g *dfg.Graph) *dfg.Graph {
+	if uselessCat(g) == nil {
+		return g
+	}
+	seq := g.Clone()
+	RemoveUselessCat(seq)
+	return seq
 }
 
 // segment is the parallelizable run found on a graph's spine.
@@ -241,13 +257,30 @@ const (
 // JashPlan is the resource-aware JIT plan: estimate the sequential graph
 // and streaming-parallel candidates at widths 2, 4, ..., cores on the
 // live profile (including current burst-credit state), and adopt the
-// cheapest plan only if it beats sequential by noRegressionDelta.
+// cheapest plan only if it beats sequential by noRegressionDelta and by
+// minGainSeconds.
+//
+// It bounds before it searches: no estimate is negative, so no candidate
+// can gain minGainSeconds over a sequential estimate smaller than that, and
+// such a graph — almost every pipeline a script offers — is kept sequential
+// without building one. The decision is the one the search would reach.
 func JashPlan(g *dfg.Graph, in cost.Inputs, prof *cost.Profile) (*dfg.Graph, Decision, error) {
-	seqGraph := g.Clone()
-	RemoveUselessCat(seqGraph)
+	seqGraph := Sequential(g)
 	seqEst, err := cost.EstimateGraph(seqGraph, in, prof, true)
 	if err != nil {
 		return nil, Decision{}, err
+	}
+	dec := Decision{
+		Strategy:           "jash-jit",
+		Width:              1,
+		Estimate:           seqEst,
+		SequentialEstimate: seqEst,
+	}
+	if seqEst.Seconds < minGainSeconds {
+		dec.Reason = fmt.Sprintf(
+			"keep sequential: sequential estimate %.3fs is below the %.2fs minimum gain",
+			seqEst.Seconds, minGainSeconds)
+		return seqGraph, dec, nil
 	}
 	best := seqGraph
 	bestEst := seqEst
@@ -265,21 +298,14 @@ func JashPlan(g *dfg.Graph, in cost.Inputs, prof *cost.Profile) (*dfg.Graph, Dec
 			best, bestEst, bestWidth = cand, est, width
 		}
 	}
-	dec := Decision{
-		Strategy:           "jash-jit",
-		Width:              bestWidth,
-		Estimate:           bestEst,
-		SequentialEstimate: seqEst,
-	}
 	if bestWidth == 1 || bestEst.Seconds > (1-noRegressionDelta)*seqEst.Seconds ||
 		seqEst.Seconds-bestEst.Seconds < minGainSeconds {
-		dec.Width = 1
-		dec.Estimate = seqEst
 		dec.Reason = fmt.Sprintf(
 			"keep sequential: best parallel estimate %.2fs does not beat sequential %.2fs by %d%%",
 			bestEst.Seconds, seqEst.Seconds, int(noRegressionDelta*100))
 		return seqGraph, dec, nil
 	}
+	dec.Width, dec.Estimate = bestWidth, bestEst
 	dec.Reason = fmt.Sprintf("parallelize ×%d: estimated %.2fs vs sequential %.2fs",
 		bestWidth, bestEst.Seconds, seqEst.Seconds)
 	return best, dec, nil
