@@ -1,8 +1,7 @@
 GO ?= go
 
 .PHONY: all build test vet race fault lint verify bench \
-	analysis-report analysis-check trace-demo fuzz fuzz-smoke fuzz-native \
-	dash-check clean
+	trace-demo fuzz fuzz-smoke fuzz-native dash-check clean
 
 all: verify
 
@@ -95,23 +94,6 @@ dash-check:
 # verify is the tier-1 gate: everything a change must pass before merge.
 verify: vet build test race fault lint dash-check
 
-# analysis-report measures effect-system precision over the example
-# scripts: how many command summaries fall to ⊤ syntactically and how
-# many the value-flow layer concretizes. Regenerates ANALYSIS_current.json
-# (the CI artifact); commit it as ANALYSIS_baseline.json after precision
-# work.
-analysis-report:
-	$(GO) run ./cmd/jashreport -json ANALYSIS_current.json \
-		-min-concretized 30 examples/*/script.sh
-
-# analysis-check is the CI precision gate: fail if the ⊤-summary rate
-# over the examples regressed against the committed baseline, or if the
-# value-flow layer concretizes less than 30% of previously-⊤ summaries.
-analysis-check:
-	$(GO) run ./cmd/jashreport -json ANALYSIS_current.json \
-		-min-concretized 30 -baseline ANALYSIS_baseline.json \
-		examples/*/script.sh
-
 # bench prints the paper's experiment tables (modelled time). Measured
 # performance is `go run ./bench` (see BENCHMARK.json and bench/README.md).
 bench:
@@ -121,8 +103,8 @@ bench:
 # scripts run under the JIT with -trace (a single optimized pipeline,
 # and the value-flow-parallelized command list), each JSONL stream is
 # gated through jashtrace -check, the reportgen span tree with its
-# critical path is rendered to text, and one Chrome trace_event export
-# is produced for Perfetto. Artifacts land in trace-demo/ (CI uploads
+# critical path is rendered to text, and jashtrace -chrome converts the
+# quickstart trace for Perfetto. Artifacts land in trace-demo/ (CI uploads
 # the directory).
 trace-demo:
 	mkdir -p trace-demo
@@ -134,13 +116,12 @@ trace-demo:
 		-words /logs/web2.log=200000 \
 		-trace trace-demo/reportgen.jsonl \
 		examples/reportgen/script.sh >/dev/null
-	$(GO) run ./cmd/jash -words /data/words.txt=2000000 \
-		-trace trace-demo/quickstart.chrome.json -trace-format chrome \
-		examples/quickstart/script.sh >/dev/null
 	$(GO) run ./cmd/jashtrace -check trace-demo/quickstart.jsonl
 	$(GO) run ./cmd/jashtrace -check trace-demo/reportgen.jsonl
 	$(GO) run ./cmd/jashtrace -metrics trace-demo/reportgen.jsonl \
 		>trace-demo/reportgen.txt
+	$(GO) run ./cmd/jashtrace -chrome trace-demo/quickstart.chrome.json \
+		trace-demo/quickstart.jsonl
 
 clean:
 	$(GO) clean ./...

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"jash/internal/trace"
 )
 
 var binDir string
@@ -72,18 +74,32 @@ func TestJashExitStatusPropagates(t *testing.T) {
 	}
 }
 
-func TestJashWordsAndStats(t *testing.T) {
-	out, errs, code := runBin(t, "jash", "",
-		"-words", "/d=200000", "-stats", "-profile", "ioopt",
-		"-c", "cat /d | tr A-Z a-z | sort | head -n1 >/dev/null")
+// traceRun runs jash with -trace into a fresh file and returns the file and
+// jashtrace's default render of it.
+func traceRun(t *testing.T, args ...string) (string, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	out, errs, code := runBin(t, "jash", "", append([]string{"-trace", path}, args...)...)
+	if code != 0 || out != "" {
+		t.Fatalf("jash: code=%d stdout=%q stderr=%q", code, out, errs)
+	}
+	rendered, errs, code := runBin(t, "jashtrace", "", path)
 	if code != 0 {
-		t.Fatalf("code=%d errs=%q", code, errs)
+		t.Fatalf("jashtrace: code=%d stderr=%q", code, errs)
 	}
-	if out != "" {
-		t.Errorf("stdout=%q", out)
-	}
-	if !strings.Contains(errs, "optimized") {
-		t.Errorf("stats missing: %q", errs)
+	return path, rendered
+}
+
+// TestJashWordsAndStats: the trace of a compiled run says what the session
+// totals said — how many pipelines were optimized, with what strategy,
+// width, estimate and reason, and the session's modelled time.
+func TestJashWordsAndStats(t *testing.T) {
+	_, out := traceRun(t, "-words", "/d=200000", "-profile", "ioopt",
+		"-c", "cat /d | tr A-Z a-z | sort | head -n1 >/dev/null")
+	for _, want := range []string{"plans_optimized          1", "-df reason=", "est_seconds=", "width=", "modelled_us"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("trace missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -120,19 +136,17 @@ func TestJashHostStdin(t *testing.T) {
 	}
 }
 
-// TestJashStatsPerNode: -stats must report the executor's measured
-// per-node counters for a parallelized pipeline, next to the model's
-// prediction.
+// TestJashStatsPerNode: the trace must carry the executor's measured
+// per-node counters for a parallelized pipeline — bytes in and out, peak
+// buffered bytes, wall time as the span's duration — next to the model's
+// prediction, and the plan's bytes moved and largest buffer.
 func TestJashStatsPerNode(t *testing.T) {
-	_, errs, code := runBin(t, "jash", "",
-		"-words", "/d=4000000", "-stats", "-profile", "ioopt",
+	_, out := traceRun(t, "-words", "/d=4000000", "-profile", "ioopt",
 		"-c", "cat /d | tr A-Z a-z | sort >/dev/null")
-	if code != 0 {
-		t.Fatalf("code=%d errs=%q", code, errs)
-	}
-	for _, want := range []string{"peak-buf=", "split", "merge", "measured:", "bytes moved"} {
-		if !strings.Contains(errs, want) {
-			t.Errorf("-stats missing %q:\n%s", want, errs)
+	for _, want := range []string{"outcome=parallel-df", "est_seconds=", "node:split", "node:merge",
+		"bytes_in=", "bytes_out=", "peak_buffered_bytes=", "bytes_moved="} {
+		if !strings.Contains(out, want) {
+			t.Errorf("trace missing %q:\n%s", want, out)
 		}
 	}
 }
@@ -289,17 +303,21 @@ func TestJashexplainHazardPreflight(t *testing.T) {
 	if !strings.Contains(out, "hazard preflight: clean") {
 		t.Errorf("clean verdict missing:\n%s", out)
 	}
+	// What the region former refuses ahead of time, it refuses with its
+	// own reason.
+	out, _, _ = runBin(t, "jashexplain", "", "cat $F | sort")
+	if !strings.Contains(out, "hazard preflight: not decided ahead of time — pipeline is not a dataflow region: a word depends on shell state") {
+		t.Errorf("refusal reason missing:\n%s", out)
+	}
 }
 
 func TestJashStatsHazardReject(t *testing.T) {
-	_, errs, code := runBin(t, "jash", "",
-		"-words", "/d/f=100000", "-stats",
+	_, out := traceRun(t, "-words", "/d/f=100000",
 		"-c", "grep -c a /d/f | sort -rn >>/d/f")
-	if code != 0 {
-		t.Fatalf("code=%d errs=%q", code, errs)
-	}
-	if !strings.Contains(errs, "hazard-reject") {
-		t.Errorf("-stats missing hazard-reject:\n%s", errs)
+	for _, want := range []string{"outcome=hazard-reject reason=read-after-write on /d/f", "hazard_rejects           1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("trace missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -325,6 +343,77 @@ func TestJashtraceCheckGatesOnDrift(t *testing.T) {
 	_, errs, code := runBin(t, "jashtrace", drifted, "-check")
 	if code != 1 || !strings.Contains(errs, "hazard_rejects=2, the spans say 1") {
 		t.Errorf("drifted trace: code=%d errs=%q, want exit 1 naming hazard_rejects", code, errs)
+	}
+}
+
+// TestJashtraceCheckRejectsOrphans: a span whose parent is not in the trace
+// (the parent leaked: it never ended, so it was never written) fails
+// -check, naming the missing parent.
+func TestJashtraceCheckRejectsOrphans(t *testing.T) {
+	path, _ := traceRun(t, "-c", "echo hi >/o")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan := `{"type":"span","id":9999,"parent":9998,"name":"plan","start_us":1,"dur_us":1}` + "\n"
+	_, errs, code := runBin(t, "jashtrace", orphan+string(data), "-check")
+	if code != 1 || !strings.Contains(errs, "span 9999 (plan) names parent 9998, which is not in the trace") {
+		t.Errorf("orphaned span: code=%d errs=%q, want exit 1 naming parent 9998", code, errs)
+	}
+}
+
+// TestJashtraceChrome: -chrome converts a run's trace to a Chrome
+// trace_event document — one complete (X) event per span, an instant (i)
+// event per span event, a counter (C) event per registry counter.
+func TestJashtraceChrome(t *testing.T) {
+	path, _ := traceRun(t, "-words", "/big=80000",
+		"-c", "cat /big | tr A-Z a-z | sort >/o; grep -c a /big | sort -rn >>/big")
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	run, err := trace.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "t.chrome.json")
+	if _, errs, code := runBin(t, "jashtrace", "", "-chrome", out, path); code != 0 {
+		t.Fatalf("jashtrace -chrome: code=%d errs=%q", code, errs)
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name  string `json:"name"`
+			Phase string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("not JSON: %v", err)
+	}
+	got := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		got[ev.Phase]++
+	}
+	want := map[string]int{"X": len(run.Spans)}
+	for _, s := range run.Spans {
+		want["i"] += len(s.Events)
+	}
+	for _, m := range run.Metrics {
+		if m.Metric == "counter" {
+			want["C"]++
+		}
+	}
+	if want["i"] == 0 || want["C"] == 0 {
+		t.Fatalf("the run recorded no span events or no counters: %v", want)
+	}
+	for ph, n := range want {
+		if got[ph] != n {
+			t.Errorf("%q events = %d, want %d", ph, got[ph], n)
+		}
 	}
 }
 

@@ -3,20 +3,19 @@
 // filesystem; host files can be imported with -import, and synthetic
 // corpora generated with -words. The -mode flag switches between plain
 // interpretation (bash), the ahead-of-time PaSh strategy, and the full
-// Jash JIT; -log-decisions logs every optimization decision to stderr,
-// and -trace FILE records the full structured telemetry of the run — a
-// span tree from parse to sink plus the session's metrics — as JSON
-// lines (render with jashtrace) or, with -trace-format chrome, as a
-// Chrome trace_event file loadable in Perfetto.
+// Jash JIT. -trace FILE is the run's record: a span tree per command, from
+// parse to sink, carrying every JIT decision (strategy, width, estimate,
+// reason, value-flow witnesses) and each plan node's measured bytes,
+// buffering and wall time, plus the session's metrics, as JSON lines.
+// jashtrace renders, checks and converts it.
 //
 // Usage:
 //
 //	jash [-mode bash|pash|jash] [-profile laptop|standard|ioopt]
 //	     [-import host.txt=/vfs/path]... [-words /vfs/path=SIZE]
 //	     [-retries N] [-stall-timeout D] [-timeout D]
-//	     [-no-list-parallel] [-log-decisions] [-trace FILE]
-//	     [-trace-format jsonl|chrome] [-stats] [-stats-format text|json]
-//	     (-c 'script' | script.sh)
+//	     [-no-list-parallel] [-incremental] [-trace FILE]
+//	     (-i | -c 'script' | script.sh)
 package main
 
 import (
@@ -28,7 +27,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"jash/internal/core"
 	"jash/internal/cost"
@@ -52,11 +50,7 @@ func run() int {
 		mode        = flag.String("mode", "jash", "optimization mode: bash, pash, or jash")
 		profile     = flag.String("profile", "laptop", "resource profile: laptop, standard (gp2), or ioopt (gp3)")
 		command     = flag.String("c", "", "run this script text instead of a file")
-		logDec      = flag.Bool("log-decisions", false, "log JIT decisions to stderr")
-		traceOut    = flag.String("trace", "", "write a structured trace (span tree + metrics) to this file")
-		traceFormat = flag.String("trace-format", "jsonl", "trace encoding: jsonl (for jashtrace) or chrome (for Perfetto)")
-		stats       = flag.Bool("stats", false, "print session statistics on exit")
-		statsFormat = flag.String("stats-format", "text", "statistics encoding: text or json")
+		traceOut    = flag.String("trace", "", "write the run's trace (span tree + metrics, JSON lines for jashtrace) to this file")
 		increm      = flag.Bool("incremental", false, "memoize dataflow regions across re-runs")
 		timeout     = flag.Duration("timeout", 0, "bound the session; expiry tears running plans down and exits 124")
 		retries     = flag.Int("retries", 0, "per-node retry budget for effect-idempotent plan nodes")
@@ -126,42 +120,23 @@ func run() int {
 		return 2
 	}
 
-	if *statsFormat != "text" && *statsFormat != "json" {
-		fmt.Fprintf(os.Stderr, "jash: unknown stats format %q (want text or json)\n", *statsFormat)
-		return 2
-	}
 	var tr *trace.Tracer
-	var traceFile *os.File
 	if *traceOut != "" {
-		var format trace.Format
-		switch *traceFormat {
-		case "jsonl":
-			format = trace.FormatJSONL
-		case "chrome":
-			format = trace.FormatChrome
-		default:
-			fmt.Fprintf(os.Stderr, "jash: unknown trace format %q (want jsonl or chrome)\n", *traceFormat)
-			return 2
-		}
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jash: %v\n", err)
 			return 2
 		}
-		traceFile = f
-		tr = trace.New(trace.Options{Writer: f, Format: format})
+		tr = trace.New(trace.Options{Writer: f})
+		defer func() {
+			if err := tr.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "jash: trace: %v\n", err)
+			}
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "jash: trace: %v\n", err)
+			}
+		}()
 	}
-	defer func() {
-		if tr == nil {
-			return
-		}
-		if err := tr.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "jash: trace: %v\n", err)
-		}
-		if err := traceFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "jash: trace: %v\n", err)
-		}
-	}()
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -170,30 +145,29 @@ func run() int {
 		defer cancel()
 	}
 
-	if *interactive {
-		sh := core.New(fs, prof, m)
-		sh.Interp.Stdin = strings.NewReader("")
-		sh.Interp.Stdout = os.Stdout
-		sh.Interp.Stderr = os.Stderr
-		sh.Ctx = ctx
-		sh.Retries = *retries
-		sh.StallTimeout = *stall
-		sh.NoListParallel = *noListPar
-		if *logDec {
-			sh.Trace = os.Stderr
-		}
-		if tr != nil {
-			sh.EnableTracing(tr)
-		}
-		if *increm {
-			sh.EnableIncremental()
-		}
-		return repl(sh)
+	sh := core.New(fs, prof, m)
+	// Host stdin feeds the script's commands (`printf 'b\na\n' | jash -c
+	// 'sort'` must sort those lines), except when stdin supplies the script
+	// text itself: interactive lines, or a script piped in.
+	sh.Interp.Stdin = os.Stdin
+	sh.Interp.Stdout = os.Stdout
+	sh.Interp.Stderr = os.Stderr
+	sh.Ctx = ctx
+	sh.Retries = *retries
+	sh.StallTimeout = *stall
+	sh.NoListParallel = *noListPar
+	if tr != nil {
+		sh.EnableTracing(tr)
+	}
+	if *increm {
+		sh.EnableIncremental()
 	}
 
 	var src string
-	hostStdin := true
 	switch {
+	case *interactive:
+		sh.Interp.Stdin = strings.NewReader("")
+		return repl(sh)
 	case *command != "":
 		src = *command
 	case flag.NArg() >= 1:
@@ -210,95 +184,13 @@ func run() int {
 			return 2
 		}
 		src = string(data)
-		// The script itself arrived on stdin, so there is nothing left for
-		// the script's commands to read.
-		hostStdin = false
-	}
-
-	sh := core.New(fs, prof, m)
-	// Host stdin feeds the script's commands (`printf 'b\na\n' | jash -c
-	// 'sort'` must sort those lines), except when stdin already supplied
-	// the script text.
-	if hostStdin {
-		sh.Interp.Stdin = os.Stdin
-	} else {
 		sh.Interp.Stdin = strings.NewReader("")
-	}
-	sh.Interp.Stdout = os.Stdout
-	sh.Interp.Stderr = os.Stderr
-	sh.Ctx = ctx
-	sh.Retries = *retries
-	sh.StallTimeout = *stall
-	sh.NoListParallel = *noListPar
-	if *logDec {
-		sh.Trace = os.Stderr
-	}
-	if tr != nil {
-		sh.EnableTracing(tr)
-	}
-	if *increm {
-		sh.EnableIncremental()
 	}
 	status, err := sh.Run(src)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jash: %v\n", err)
 		if status == 0 {
 			status = 2
-		}
-	}
-	if *stats && *statsFormat == "json" {
-		if err := sh.WriteStatsJSON(os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "jash: stats: %v\n", err)
-		}
-	} else if *stats {
-		fmt.Fprintf(os.Stderr, "jash: %d pipeline(s) optimized, %d interpreted, %.3fs modelled time\n",
-			sh.Stats.Optimized, sh.Stats.Interpreted, sh.Stats.VirtualSeconds)
-		if sh.Stats.HazardRejects > 0 {
-			fmt.Fprintf(os.Stderr, "jash: %d pipeline(s) hazard-rejected (file conflicts between concurrent stages)\n",
-				sh.Stats.HazardRejects)
-		}
-		if sh.Stats.Fallbacks > 0 {
-			fmt.Fprintf(os.Stderr, "jash: %d plan(s) fell back to the interpreter (journaled past any committed output)\n",
-				sh.Stats.Fallbacks)
-		}
-		if sh.Stats.Retries > 0 {
-			fmt.Fprintf(os.Stderr, "jash: %d supervised node retry(ies) healed in place\n",
-				sh.Stats.Retries)
-		}
-		if sh.Stats.Quarantined > 0 {
-			fmt.Fprintf(os.Stderr, "jash: %d execution(s) quarantined by the circuit breaker (interpreted)\n",
-				sh.Stats.Quarantined)
-		}
-		if sh.Stats.ListParallel > 0 {
-			fmt.Fprintf(os.Stderr, "jash: %d statement(s) ran in concurrent list regions (outputs replayed in program order)\n",
-				sh.Stats.ListParallel)
-		}
-		if sh.Stats.Concretized > 0 {
-			fmt.Fprintf(os.Stderr, "jash: %d dynamic word(s) concretized by value-flow analysis (⊤ effects avoided)\n",
-				sh.Stats.Concretized)
-		}
-		for _, d := range sh.Stats.Decisions {
-			fmt.Fprintf(os.Stderr, "  %-40s %-13s width=%d est=%.3fs\n",
-				d.Pipeline, d.Strategy, d.Width, d.EstimatedSeconds)
-			for _, w := range d.Witnesses {
-				fmt.Fprintf(os.Stderr, "    value flow: %s\n", w)
-			}
-			// Measured per-node counters from the executor, next to the
-			// model's prediction above.
-			var moved, maxPeak int64
-			for _, nm := range d.Nodes {
-				fmt.Fprintf(os.Stderr, "    [%2d] %-30s in=%-10d out=%-10d peak-buf=%-8d wall=%v\n",
-					nm.ID, nm.Label, nm.BytesIn, nm.BytesOut, nm.PeakBufferedBytes,
-					nm.Wall.Round(time.Microsecond))
-				moved += nm.BytesOut
-				if nm.PeakBufferedBytes > maxPeak {
-					maxPeak = nm.PeakBufferedBytes
-				}
-			}
-			if len(d.Nodes) > 0 {
-				fmt.Fprintf(os.Stderr, "    measured: %d bytes moved, max peak buffered %d\n",
-					moved, maxPeak)
-			}
 		}
 	}
 	return status

@@ -6,7 +6,10 @@
 // the value: whatever may assign x — an expansion (`${x=w}`, `$((x=1))`,
 // a `$n` pasted into arithmetic), a builtin's operand, eval, a function the
 // script declares and the statement calls, under any control flow — makes
-// it ⊤ (one model decides: expand.AnalyzeWord, analysis.AssignedBy).
+// it ⊤ (one model decides: expand.AnalyzeWord, analysis.AssignedBy). The
+// hazard preflight is the shell's own, run ahead of time: the region former
+// (dfg.FromStmt) and analysis.GraphHazards. It needs no run; what a run
+// decided is in its trace (jashtrace).
 //
 // Usage:
 //
@@ -22,6 +25,7 @@ import (
 
 	"jash/internal/analysis"
 	"jash/internal/cost"
+	"jash/internal/dfg"
 	"jash/internal/expand"
 	"jash/internal/rewrite"
 	"jash/internal/spec"
@@ -67,8 +71,7 @@ func run() int {
 	})
 	funcBody := func(name string) syntax.Command { return funcs[name] }
 	for _, st := range script.Stmts {
-		var stageSums []*analysis.Summary
-		var stageLabels []string
+		simple := 0
 		for _, cmd := range st.AndOr.First.Cmds {
 			sc, ok := cmd.(*syntax.SimpleCommand)
 			if !ok {
@@ -76,9 +79,8 @@ func run() int {
 					syntax.PrintCommand(cmd))
 				continue
 			}
+			simple++
 			sum := analysis.SummarizeCommandEnv(sc, lib, env)
-			stageSums = append(stageSums, sum)
-			stageLabels = append(stageLabels, sc.Name())
 			static := true
 			for _, w := range sc.Args {
 				static = static && w.IsStatic()
@@ -136,33 +138,39 @@ func run() int {
 				fmt.Println("  supervision: stateful or destructive writes — never retried; a failure fails the plan")
 			}
 		}
-		// Hazard preflight: pipeline stages run concurrently, so effect
-		// conflicts between them make the region uncompilable (and racy
-		// even interpreted, for truncating redirections).
-		if len(stageSums) >= 2 {
-			if hz := analysis.PipelineHazards(stageSums, stageLabels); len(hz) > 0 {
-				fmt.Println("hazard preflight: REJECT — the JIT will not compile this pipeline:")
-				for _, h := range hz {
-					fmt.Printf("  %s\n", h)
-				}
-			} else {
-				fmt.Println("hazard preflight: clean — stages touch no conflicting files")
+		// Hazard preflight, decided as the shell decides it: the region
+		// former builds the statement's dataflow graph, every node of which
+		// runs concurrently, and GraphHazards refuses a graph whose nodes
+		// conflict on a file. Ahead of time there is no shell state, so a
+		// word that needs it is refused with the former's reason; the JIT
+		// decides such a statement once the word is expanded.
+		if g, err := dfg.FromStmt(st, lib, nil, true); err != nil {
+			if simple >= 2 {
+				fmt.Printf("hazard preflight: not decided ahead of time — %v\n", err)
 			}
+		} else if hz := analysis.GraphHazards(g, lib, "/"); len(hz) > 0 {
+			fmt.Println("hazard preflight: REJECT — the JIT will not compile this pipeline:")
+			for _, h := range hz {
+				fmt.Printf("  %s\n", h)
+			}
+		} else {
+			fmt.Println("hazard preflight: clean — its dataflow nodes touch no conflicting files")
 		}
-		if len(stageSums) >= 1 {
+		if simple >= 1 {
 			fmt.Printf("self-healing: a failed plan falls back to the interpreter, journaled past any\n")
 			fmt.Printf("  committed output; a region failing %d times is quarantined (interpreted) with\n",
 				cost.BreakerThreshold)
-			fmt.Printf("  a half-open probe after %v — see `jash -stats`\n", cost.BreakerDecay)
+			fmt.Printf("  a half-open probe after %v — see `jash -trace`\n", cost.BreakerDecay)
 		}
 		analysis.ApplyStmt(env, st, funcBody)
 	}
 	// List-level verdict: across statements, can whole commands leave
-	// program order? Mirrors the shell's own planner (core.runStmtsTop),
-	// including function summaries for functions the script declares.
+	// program order? The shell's own planner (core.runStmtsTop), with the
+	// cores of the profile jash plans with by default, including function
+	// summaries for functions the script declares.
 	if len(script.Stmts) >= 2 {
 		_, dec := rewrite.ParallelizeList(script.Stmts, rewrite.ListOptions{
-			Lib: lib, Dir: "/", Cores: cost.StandardEC2().Cores,
+			Lib: lib, Dir: "/", Cores: cost.Laptop().Cores,
 			IsFunc:   func(name string) bool { _, ok := funcs[name]; return ok },
 			FuncBody: funcBody,
 		})

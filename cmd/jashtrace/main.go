@@ -1,14 +1,18 @@
-// Command jashtrace renders a Jash structured trace (`jash -trace
-// out.jsonl`) for humans: the span tree of every top-level command with
-// durations, attributes, and events; the critical path through each
-// tree; and the session's metrics registry. With -check it only parses
-// and validates the file, and recounts the registry's outcome counters
-// from the spans — the CI gate that keeps the trace format honest and the
-// two views of a run from drifting apart.
+// Command jashtrace is the one reader of a Jash run's record (`jash -trace
+// out.jsonl`). It renders the span tree of every top-level command with
+// durations, attributes, and events — each JIT decision's outcome, width,
+// estimate and reason, value-flow witnesses, each plan node's bytes,
+// buffering and wall time — the critical path through each tree, and the
+// session's metrics registry. With -check it only parses and validates the
+// file: every span's parent must be in it, and the registry's outcome
+// counters must equal a recount from the spans — the CI gate that keeps the
+// trace format honest and the two views of a run from drifting apart. With
+// -chrome OUT it converts the trace to a Chrome trace_event file for
+// Perfetto.
 //
 // Usage:
 //
-//	jashtrace [-check] [-metrics] [-events] trace.jsonl
+//	jashtrace [-check] [-metrics] [-events] [-chrome OUT] trace.jsonl
 //	jashtrace < trace.jsonl
 package main
 
@@ -32,6 +36,7 @@ func run() int {
 		check      = flag.Bool("check", false, "parse and validate only; print a summary line (CI gate)")
 		metricOnly = flag.Bool("metrics", false, "print only the metrics registry")
 		events     = flag.Bool("events", true, "show span events inline")
+		chrome     = flag.String("chrome", "", "write the trace as a Chrome trace_event file (for Perfetto) to this path")
 	)
 	flag.Parse()
 
@@ -50,27 +55,37 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "jashtrace: %v\n", err)
 		return 1
 	}
+	if *chrome != "" {
+		f, err := os.Create(*chrome)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "jashtrace: %v\n", err)
+			return 2
+		}
+		err = data.WriteChrome(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "jashtrace: %v\n", err)
+			return 1
+		}
+		return 0
+	}
 	if *check {
+		if bad := data.Check(); len(bad) > 0 {
+			for _, msg := range bad {
+				fmt.Fprintf(os.Stderr, "jashtrace: %s\n", msg)
+			}
+			return 1
+		}
 		roots := 0
-		byID := spanIndex(data.Spans)
 		for _, s := range data.Spans {
-			if _, ok := byID[s.Parent]; !ok || s.Parent == 0 {
+			if s.Parent == 0 {
 				roots++
 			}
 		}
 		fmt.Printf("ok: %d span(s), %d root(s), %d metric(s)\n",
 			len(data.Spans), roots, len(data.Metrics))
-		if len(data.Spans) == 0 {
-			fmt.Fprintln(os.Stderr, "jashtrace: trace contains no spans")
-			return 1
-		}
-		drift := crossCheck(data)
-		for _, msg := range drift {
-			fmt.Fprintf(os.Stderr, "jashtrace: %s\n", msg)
-		}
-		if len(drift) > 0 {
-			return 1
-		}
 		return 0
 	}
 	if !*metricOnly {
@@ -80,66 +95,23 @@ func run() int {
 	return 0
 }
 
-// crossCheck recounts from the spans what the registry counted as the
-// session ran. Both are written from the same records (core's settled
-// decisions, the executor's node metrics), so a difference is drift.
-func crossCheck(d *trace.Data) []string {
-	want := map[string]float64{}
-	for _, s := range d.Spans {
-		switch outcome, _ := s.Attrs["outcome"].(string); {
-		case strings.HasPrefix(s.Name, "node:"):
-			want[trace.MetricNodesTotal]++
-		case s.Name != "pipeline":
-		case strings.HasSuffix(outcome, "-df"), outcome == "fallback-interpret", outcome == "cancelled":
-			want[trace.MetricPlansOptimized]++
-		case outcome == "hazard-reject":
-			want[trace.MetricHazardRejects]++
-		case outcome == "quarantine":
-			want[trace.MetricQuarantined]++
-		}
-		for _, ev := range s.Events {
-			if ev.Name == "fallback" {
-				want[trace.MetricFallbacks]++
-			}
-		}
-	}
-	got := map[string]float64{}
-	for _, m := range d.Metrics {
-		got[m.Name] = m.Value
-	}
-	var drift []string
-	for _, name := range []string{trace.MetricPlansOptimized, trace.MetricFallbacks,
-		trace.MetricHazardRejects, trace.MetricQuarantined, trace.MetricNodesTotal} {
-		if got[name] != want[name] {
-			drift = append(drift, fmt.Sprintf("registry says %s=%.0f, the spans say %.0f", name, got[name], want[name]))
-		}
-	}
-	return drift
-}
-
-func spanIndex(spans []trace.SpanRecord) map[uint64]trace.SpanRecord {
-	byID := make(map[uint64]trace.SpanRecord, len(spans))
-	for _, s := range spans {
-		byID[s.ID] = s
-	}
-	return byID
-}
-
 // renderTrees prints every root span's subtree in start order, followed
 // by the tree's critical path — the chain of spans whose durations bound
-// the root's wall time.
+// the root's wall time. A span whose parent is missing (which -check
+// rejects) is still rendered, as a root.
 func renderTrees(w io.Writer, spans []trace.SpanRecord, events bool) {
-	byID := spanIndex(spans)
+	ids := make(map[uint64]bool, len(spans))
+	for _, s := range spans {
+		ids[s.ID] = true
+	}
 	children := map[uint64][]trace.SpanRecord{}
 	var roots []trace.SpanRecord
 	for _, s := range spans {
-		if s.Parent != 0 {
-			if _, ok := byID[s.Parent]; ok {
-				children[s.Parent] = append(children[s.Parent], s)
-				continue
-			}
+		if ids[s.Parent] {
+			children[s.Parent] = append(children[s.Parent], s)
+		} else {
+			roots = append(roots, s)
 		}
-		roots = append(roots, s)
 	}
 	order := func(ss []trace.SpanRecord) {
 		sort.Slice(ss, func(i, j int) bool {
@@ -156,11 +128,7 @@ func renderTrees(w io.Writer, spans []trace.SpanRecord, events bool) {
 	var print func(s trace.SpanRecord, depth int)
 	print = func(s trace.SpanRecord, depth int) {
 		indent := strings.Repeat("  ", depth)
-		mark := ""
-		if s.Unfinished {
-			mark = " [unfinished]"
-		}
-		fmt.Fprintf(w, "%s%s  %s%s%s\n", indent, s.Name, fmtDur(s.DurUS), fmtAttrs(s.Attrs), mark)
+		fmt.Fprintf(w, "%s%s  %s%s\n", indent, s.Name, fmtDur(s.DurUS), fmtAttrs(s.Attrs))
 		if events {
 			for _, ev := range s.Events {
 				fmt.Fprintf(w, "%s  • %s @+%s%s\n", indent, ev.Name,

@@ -20,7 +20,6 @@ func main() {
 	sh := jash.NewShell(fs, jash.IOOptProfile(), jash.ModeJash)
 	sh.Interp.Stdout = os.Stdout
 	sh.Interp.Stderr = os.Stderr
-	sh.Trace = os.Stderr // log each JIT decision
 
 	script := `
 echo "== ten most frequent words =="
@@ -33,7 +32,9 @@ cat /data/words.txt | tr A-Z a-z | tr -cs A-Za-z '\n' | sort | uniq -c | sort -r
 	fmt.Printf("\nexit status: %d\n", status)
 	fmt.Printf("pipelines optimized: %d, interpreted: %d\n",
 		sh.Stats.Optimized, sh.Stats.Interpreted)
+	// Each JIT decision: what ran, how wide, what the model predicted, why.
 	for _, d := range sh.Stats.Decisions {
-		fmt.Printf("  %-70.70s -> %s (width %d)\n", d.Pipeline, d.Strategy, d.Width)
+		fmt.Printf("  %-70.70s -> %s (width %d, est %.3fs): %s\n",
+			d.Pipeline, d.Strategy, d.Width, d.EstimatedSeconds, d.Reason)
 	}
 }

@@ -80,8 +80,16 @@ func exampleVerdict(t *testing.T, src string) string {
 			sums = append(sums, s)
 			parts = append(parts, fmt.Sprintf("%s{%s}", sc.Name(), s))
 		}
+		// Pipeline stages run concurrently: any two that conflict on a
+		// file reject the pipeline.
+		var hz []Hazard
+		for i := range sums {
+			for j := i + 1; j < len(sums); j++ {
+				hz = append(hz, Conflicts(sums[i], sums[j], fmt.Sprintf("stage %d", i+1), fmt.Sprintf("stage %d", j+1))...)
+			}
+		}
 		verdict := "clean"
-		if hz := PipelineHazards(sums, nil); len(hz) > 0 {
+		if len(hz) > 0 {
 			verdict = "REJECT: " + hz[0].String()
 		}
 		return strings.Join(parts, " | ") + " => " + verdict

@@ -84,23 +84,6 @@ func Conflicts(a, b *Summary, aLabel, bLabel string) []Hazard {
 	return hs
 }
 
-// PipelineHazards checks the stages of a pipeline — which execute
-// concurrently — for filesystem conflicts. Summaries must share a
-// working directory (call Normalize first when in doubt).
-func PipelineHazards(stages []*Summary, labels []string) []Hazard {
-	var hs []Hazard
-	for i := 0; i < len(stages); i++ {
-		for j := i + 1; j < len(stages); j++ {
-			li, lj := fmt.Sprintf("stage %d", i+1), fmt.Sprintf("stage %d", j+1)
-			if labels != nil {
-				li, lj = labels[i], labels[j]
-			}
-			hs = append(hs, Conflicts(stages[i], stages[j], li, lj)...)
-		}
-	}
-	return hs
-}
-
 // GraphHazards is the JIT preflight: it summarizes every node of a
 // translated dataflow graph (sources read their path, sinks write
 // theirs, commands per their resolved spec) and reports conflicts

@@ -148,7 +148,7 @@ func TestFallbackAppendSinkPanic(t *testing.T) {
 }
 
 // TestFallbackRecordsDecision: the rewritten decision must say what
-// happened so -stats and -trace tell the truth.
+// happened so Stats and -trace tell the truth.
 func TestFallbackRecordsDecision(t *testing.T) {
 	fs := vfs.New()
 	wordsFile(fs, "/big", 500)

@@ -67,10 +67,10 @@ func (m Mode) String() string { return modeNames[m] }
 
 // Decision is the record of one interposition: what the JIT saw, chose
 // and measured for one pipeline or one statement list. Shell.settle is its
-// only writer; Stats, the -log-decisions line, the span attributes, the
-// registry counters and the JSON stats are each a function of it.
+// only writer; Stats, the span attributes and the registry counters are
+// each a function of it.
 type Decision struct {
-	Pipeline string `json:"pipeline"` // the pipeline as the user wrote it (unparsed)
+	Pipeline string // the pipeline as the user wrote it (unparsed)
 	// Strategy names the outcome: "interpret" (bash mode, which only
 	// charges modelled time, or the planner declined), "hazard-reject",
 	// "quarantine", "sequential-df" / "parallel-df" (ran on the dataflow
@@ -79,33 +79,32 @@ type Decision struct {
 	// tore the plan down), and for statement lists "sequential-list" /
 	// "parallel-list". An offer the eligibility analysis declines is the
 	// zero Decision: counted as interpreted, never listed.
-	Strategy string `json:"strategy"`
-	Width    int    `json:"width,omitempty"`
-	Reason   string `json:"reason,omitempty"`
+	Strategy string
+	Width    int
+	Reason   string
 	// EstimatedSeconds is the cost model's prediction for the chosen
 	// plan; SequentialSeconds for the unoptimized graph. Zero when the
 	// pipeline was interpreted without estimation.
-	EstimatedSeconds  float64       `json:"estimated_seconds,omitempty"`
-	SequentialSeconds float64       `json:"sequential_seconds,omitempty"`
-	PlanningWall      time.Duration `json:"-"` // real time spent deciding (JIT overhead)
-	InputBytes        int64         `json:"input_bytes,omitempty"`
+	EstimatedSeconds  float64
+	SequentialSeconds float64
+	PlanningWall      time.Duration // real time spent deciding (JIT overhead)
+	InputBytes        int64
 	// Nodes holds the executor's measured per-node counters for the run
-	// (bytes moved, peak buffered bytes, wall time) — the ground truth
-	// `jash -stats` shows next to the model's predictions. Empty when the
-	// pipeline was interpreted rather than executed as dataflow.
-	Nodes []exec.NodeMetrics `json:"nodes,omitempty"`
+	// (bytes moved, peak buffered bytes, wall time) — the ground truth the
+	// trace's node spans show next to the model's predictions. Empty when
+	// the pipeline was interpreted rather than executed as dataflow.
+	Nodes []exec.NodeMetrics
 	// Witnesses lists the value-flow concretizations that helped admit
 	// this decision, one `$f ⇒ /tmp/a.txt` line per dynamic word the
-	// abstract interpreter proved — shown by jashexplain.
-	Witnesses []string `json:"witnesses,omitempty"`
+	// abstract interpreter proved — the trace's witness_list.
+	Witnesses []string
 
 	// Facts the views need that have no column of their own.
-	statements  int    // parallel-list: statements placed in concurrent regions
-	concretized int    // ⊤ words resolved (a list deduplicates Witnesses, so ≥ their count)
-	failures    int    // quarantine: the region's failure count
-	sinkBytes   int64  // line-aligned bytes the plan committed to its sink
-	breakerOpen bool   // fallback-interpret: this failure opened the breaker
-	incremental string // the incremental cache's verdict, when one is attached
+	statements  int   // parallel-list: statements placed in concurrent regions
+	concretized int   // ⊤ words resolved (a list deduplicates Witnesses, so ≥ their count)
+	failures    int   // quarantine: the region's failure count
+	sinkBytes   int64 // line-aligned bytes the plan committed to its sink
+	breakerOpen bool  // fallback-interpret: this failure opened the breaker
 }
 
 // tallies is the one strategy→counter table: what a record of each
@@ -122,24 +121,15 @@ var tallies = map[string]Stats{
 	"cancelled":          {Optimized: 1},
 }
 
-// logLine is the -log-decisions view of the record.
-func (d *Decision) logLine() string {
-	line := fmt.Sprintf("%s -> %s width=%d est=%.3fs (%s)",
-		d.Pipeline, d.Strategy, d.Width, d.EstimatedSeconds, d.Reason)
-	if d.incremental != "" {
-		line += " incremental cache: " + d.incremental
-	}
-	return line
-}
-
 // annotatePlan stamps the planner's verdict on the plan span and ends it.
+// Its reason stays the planner's even when the settled record's becomes a
+// fallback's.
 func (d *Decision) annotatePlan(psp *trace.Span) {
 	if d.Strategy == "interpret" {
 		psp.SetStr("verdict", "declined").SetStr("reason", d.Reason)
 	} else {
 		psp.SetStr("verdict", "compiled").SetStr("strategy", d.Strategy)
-		psp.SetInt("width", int64(d.Width)).SetStr("reason", d.Reason)
-		psp.SetFloat("est_seconds", d.EstimatedSeconds)
+		psp.SetStr("reason", d.Reason)
 		psp.SetFloat("seq_seconds", d.SequentialSeconds)
 		psp.SetInt("input_bytes", d.InputBytes)
 		psp.SetInt("witnesses", int64(len(d.Witnesses)))
@@ -150,13 +140,20 @@ func (d *Decision) annotatePlan(psp *trace.Span) {
 	psp.End()
 }
 
-// annotate is the span view of a settled record: the pipeline span's
-// outcome and the events of the self-healing machinery.
+// annotate is the span view of a settled record: the outcome, reason,
+// width and estimate on the span the record belongs to, and the events of
+// the self-healing machinery.
 func (d *Decision) annotate(sp *trace.Span) {
 	if sp == nil {
 		return
 	}
-	sp.SetStr("outcome", d.Strategy)
+	sp.SetStr("outcome", d.Strategy).SetStr("reason", d.Reason)
+	if d.Width > 0 {
+		sp.SetInt("width", int64(d.Width))
+	}
+	if d.EstimatedSeconds > 0 {
+		sp.SetFloat("est_seconds", d.EstimatedSeconds)
+	}
 	switch d.Strategy {
 	case "quarantine":
 		sp.EventInt("quarantine", "failures", int64(d.failures))
@@ -178,39 +175,39 @@ func (d *Decision) annotate(sp *trace.Span) {
 type Stats struct {
 	// VirtualSeconds is the cost model's predicted wall time for the
 	// session's dataflow work — the number the Figure 1 harness reports.
-	VirtualSeconds float64 `json:"virtual_seconds"`
-	Optimized      int     `json:"optimized"`
-	Interpreted    int     `json:"interpreted"`
+	VirtualSeconds float64
+	Optimized      int
+	Interpreted    int
 	// Fallbacks counts optimized plans that failed and were transparently
 	// re-run through the interpreter — the paper's no-regression rule
 	// extended to faults. A plan that died before its first output byte
 	// re-runs from pristine state; one that died mid-stream re-runs
 	// against the sink's line-aligned journal, skipping the committed
 	// prefix.
-	Fallbacks int `json:"fallbacks,omitempty"`
+	Fallbacks int
 	// HazardRejects counts pipelines the static preflight refused to
 	// compile: their nodes would race on a file if run concurrently
 	// (write-write or read-after-write), so they interpret instead.
-	HazardRejects int `json:"hazard_rejects,omitempty"`
+	HazardRejects int
 	// Retries totals the executor's supervised node re-runs across the
 	// session's optimized executions.
-	Retries int `json:"retries,omitempty"`
+	Retries int
 	// Quarantined counts executions the JIT circuit breaker refused to
 	// compile: the region failed BreakerThreshold times, so it runs
 	// interpreted until a half-open probe re-admits it after BreakerDecay.
-	Quarantined int `json:"quarantined,omitempty"`
+	Quarantined int
 	// ListParallel counts statements executed inside concurrent list
 	// regions: runs of a `cmd1; cmd2; ...` list (or an unrolled static for
 	// loop) proven pairwise non-interfering and run on worker clones, with
 	// outputs replayed in program order.
-	ListParallel int `json:"list_parallel,omitempty"`
+	ListParallel int
 	// Concretized counts dynamic words — $f operands, variable redirect
 	// targets — the abstract interpreter resolved to concrete values
 	// while admitting an optimization: each one is a ⊤ effect the
 	// purely-syntactic analysis would have charged.
-	Concretized int `json:"concretized,omitempty"`
+	Concretized int
 	// Decisions lists every settled record, in the order they settled.
-	Decisions []Decision `json:"decisions"`
+	Decisions []Decision
 }
 
 // counters pairs each session total with the registry counter of the same
@@ -248,6 +245,7 @@ func (st *Stats) add(d *Decision, reg *trace.Registry) bool {
 	reg.Counter(trace.MetricPlansTotal).Add(int64(inc.Optimized + inc.Interpreted))
 	reg.Counter(trace.MetricBytesMoved).Add(moved)
 	reg.Counter(trace.MetricSinkBytes).Add(d.sinkBytes)
+	reg.Counter(trace.MetricModelledUS).Add(int64(d.EstimatedSeconds * 1e6))
 	if d.PlanningWall > 0 {
 		// Dispatch latency: interposition start to plan hand-off.
 		reg.Histogram(trace.MetricDispatchLatency).Observe(d.PlanningWall)
@@ -264,16 +262,14 @@ type Shell struct {
 	Lib     *spec.Library
 	Profile *cost.Profile
 	Mode    Mode
-	// Trace, when non-nil, receives one line per settled decision.
-	Trace io.Writer
 	// Tracer, when non-nil, records structured telemetry for the session
 	// (internal/trace): a span tree per top-level command — parse, then
 	// per pipeline the expansion, analysis preflight (hazard verdicts),
 	// JIT decision, and per-node execution — plus fallback, breaker, and
 	// list-parallel events, and a registry of counters and latency
-	// histograms that settle bumps together with Stats. Attach with
-	// EnableTracing so the interpreter side is wired too. A nil Tracer
-	// costs nothing.
+	// histograms that settle bumps together with Stats. It is the session's
+	// only record outside Stats. Attach with EnableTracing so the
+	// interpreter side is wired too. A nil Tracer costs nothing.
 	Tracer *trace.Tracer
 	// Incremental, when non-nil, routes stdout-bound dataflow regions
 	// through the memoizing runner (§4's incremental computation built on
@@ -477,21 +473,17 @@ func (s *Shell) runDeadlineTraps() {
 
 // settle publishes one interposition's record, complete: nothing is
 // amended afterwards. It is the only code in this package that adds to
-// Stats, prints the -log-decisions line, sets a span's outcome or bumps a
-// registry counter, and it computes each of those views from d alone. sp is
-// the span the outcome belongs on (nil when untraced and for list
-// decisions). A declined offer — almost every offer of a script — costs a
-// counter, no span and no allocation.
+// Stats, sets a span's outcome or bumps a registry counter, and it computes
+// each of those views from d alone. sp is the span the outcome belongs on
+// (nil when untraced and for a list kept in program order). A declined
+// offer — almost every offer of a script — costs a counter, no span and no
+// allocation.
 func (s *Shell) settle(sp *trace.Span, d Decision) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.Stats.add(&d, s.Tracer.Metrics()) {
-		return
+	if s.Stats.add(&d, s.Tracer.Metrics()) {
+		d.annotate(sp)
 	}
-	if s.Trace != nil {
-		fmt.Fprintf(s.Trace, "jash[%s]: %s\n", s.Mode, d.logLine())
-	}
-	d.annotate(sp)
 }
 
 // observe is the interposition hook: the interpreter offers every
@@ -509,9 +501,12 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 			est, err := cost.EstimateGraph(rewrite.Sequential(graph), facts, s.Profile, false)
 			s.mu.Unlock()
 			if err == nil {
-				s.settle(nil, Decision{Pipeline: text, Strategy: "interpret",
+				root := s.Tracer.Start(s.cmdSpan, "pipeline")
+				root.SetStr("text", text)
+				s.settle(root, Decision{Pipeline: text, Strategy: "interpret",
 					Reason: "bash mode", EstimatedSeconds: est.Seconds,
 					SequentialSeconds: est.Seconds, InputBytes: totalInput(graph, facts)})
+				root.End()
 			}
 		}
 		return 0, false
@@ -598,7 +593,7 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	// Value-flow witnesses: which dynamic words this pipeline needed the
 	// runtime state to resolve. Each is a ⊤ the static analysis would
 	// have charged — the precision the JIT (and now the abstract
-	// interpreter) buys, surfaced via Stats.Concretized and jashexplain.
+	// interpreter) buys, surfaced via Stats.Concretized and the trace.
 	d.Witnesses = concretizeWitnesses(in, st.AndOr.First)
 	d.concretized = len(d.Witnesses)
 	d.annotatePlan(psp)
@@ -631,7 +626,6 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 		var kind string
 		status, kind, runErr = s.Incremental.RunContext(ctx, chosen, env)
 		if runErr == nil {
-			d.incremental = kind
 			esp.SetStr("incremental", kind)
 		}
 	} else {
@@ -641,6 +635,7 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	esp.SetInt("status", int64(status))
 	esp.SetInt("sink_bytes", metrics.SinkBytes)
 	esp.SetInt("bytes_moved", metrics.TotalBytesMoved())
+	esp.SetInt("peak_buffered_bytes", metrics.MaxPeakBuffered())
 	esp.SetInt("retries", int64(metrics.Retries))
 	if runErr != nil {
 		esp.SetStr("error", runErr.Error())

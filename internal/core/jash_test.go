@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jash/internal/cost"
+	"jash/internal/trace"
 	"jash/internal/vfs"
 )
 
@@ -293,15 +294,27 @@ func TestBurstCreditsPersistAcrossPipelines(t *testing.T) {
 	}
 }
 
+// TestTraceOutput: a compiled pipeline leaves a pipeline span carrying the
+// record's text, outcome, width, estimate and reason.
 func TestTraceOutput(t *testing.T) {
 	fs := vfs.New()
 	fs.WriteFile("/f", []byte("b\na\n"))
 	s, _, _ := newShell(fs, cost.IOOptEC2(), ModeJash)
-	var trace bytes.Buffer
-	s.Trace = &trace
+	var buf bytes.Buffer
+	s.EnableTracing(trace.New(trace.Options{Writer: &buf}))
 	s.Run("cat /f | sort\n")
-	if !strings.Contains(trace.String(), "jash[jash]:") {
-		t.Errorf("trace=%q", trace.String())
+	d := readTrace(t, s, &buf)
+	sp, ok := findSpan(d, "pipeline")
+	if !ok {
+		t.Fatalf("no pipeline span in %+v", d.Spans)
+	}
+	last, _ := s.LastDecision()
+	if sp.Attrs["text"] != "cat /f | sort" || sp.Attrs["outcome"] != last.Strategy ||
+		sp.Attrs["width"] != float64(last.Width) || sp.Attrs["reason"] != last.Reason {
+		t.Errorf("pipeline span attrs = %v, want the record %+v", sp.Attrs, last)
+	}
+	if _, ok := sp.Attrs["est_seconds"].(float64); !ok {
+		t.Errorf("pipeline span has no est_seconds: %v", sp.Attrs)
 	}
 }
 

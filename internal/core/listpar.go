@@ -65,21 +65,24 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 		FuncBody:   funcBody,
 	})
 	annotateList(lsp, dec)
-	// The list's record settles when the list has run: a region that
-	// aborts says so in it. Refusals are recorded too, for jashexplain and
-	// -stats; the list then runs exactly as before.
+	// The list's record settles when the list has run, on the region's
+	// span: a region that aborts says so in it. Refusals are recorded too,
+	// in Stats and on the list-plan span; the list then runs exactly as
+	// before.
 	d := Decision{Pipeline: listLabel(cand), Strategy: "sequential-list",
 		Reason: dec.Reason, Witnesses: dec.Witnesses}
-	defer func() { s.settle(nil, d) }()
 	if !dec.Parallel {
+		defer s.settle(nil, d)
 		return in.RunStmts(stmts)
 	}
 	d.Strategy, d.Width = "parallel-list", dec.Width
 	d.statements, d.concretized = dec.Statements, dec.Concretized
 	rsp := s.cmdSpan.Child("list-region")
-	rsp.SetInt("width", int64(dec.Width))
 	rsp.SetInt("statements", int64(dec.Statements))
-	defer rsp.End()
+	defer func() {
+		s.settle(rsp, d)
+		rsp.End()
+	}()
 	status, err := 0, error(nil)
 	for _, g := range plan.Groups {
 		if g.Parallel && orderVisible(in) {
@@ -136,6 +139,9 @@ func annotateList(lsp *trace.Span, dec rewrite.ListDecision) {
 	})
 	lsp.SetBool("parallel", dec.Parallel)
 	lsp.SetStr("reason", dec.Reason)
+	if len(dec.Witnesses) > 0 {
+		lsp.SetStr("witness_list", strings.Join(dec.Witnesses, "; "))
+	}
 	lsp.End()
 }
 
@@ -231,7 +237,7 @@ func interpEnv(in *interp.Interp) *analysis.Env {
 // concretizeWitnesses reports, for each dynamic word in the pipeline
 // (arguments and redirect targets), the concrete expansion the abstract
 // environment proves from the live interpreter state — the witness lines
-// jashexplain shows next to a compiled decision.
+// the plan span carries next to a compiled decision.
 func concretizeWitnesses(in *interp.Interp, pl *syntax.Pipeline) []string {
 	var env *analysis.Env
 	var wits []string

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -202,9 +203,11 @@ func TestTraceBreakerTrip(t *testing.T) {
 }
 
 // TestTraceWellFormedUnderFaults sweeps injected failures across plan
-// positions; whatever the recovery path, the trace stream must stay
-// parseable and every span must close (no unfinished spans leak into the
-// flight snapshot after Run returns).
+// positions; whatever the recovery path, the trace stream read back must
+// pass jashtrace's -check: every span's parent is in it (a leaked,
+// never-ended span is missing, and its children are orphans) and the
+// registry agrees with a recount from the spans (a leaked node:* or
+// pipeline span is a recount short).
 func TestTraceWellFormedUnderFaults(t *testing.T) {
 	rules := []faultinject.Rule{
 		{Node: "src:", Op: faultinject.OpRead, Nth: 1},
@@ -217,14 +220,8 @@ func TestTraceWellFormedUnderFaults(t *testing.T) {
 		if _, err := s.Run(fig1Script); err != nil {
 			t.Fatalf("rule %d: %v", i, err)
 		}
-		for _, sp := range s.Tracer.FlightSnapshot() {
-			if sp.Unfinished {
-				t.Errorf("rule %d: span %q leaked unfinished", i, sp.Name)
-			}
-		}
-		d := readTrace(t, s, buf)
-		if len(d.Spans) == 0 {
-			t.Errorf("rule %d: empty trace", i)
+		for _, msg := range readTrace(t, s, buf).Check() {
+			t.Errorf("rule %d: %s", i, msg)
 		}
 	}
 }
@@ -232,9 +229,9 @@ func TestTraceWellFormedUnderFaults(t *testing.T) {
 // TestTraceListParallelRace is the -race regression for telemetry under
 // concurrency: statements of a parallel list region run on interpreter
 // clones that share the Shell (and its tracer), while a reader goroutine
-// concurrently dumps flight snapshots — the cross-goroutine paths the
-// race audit covers (span events under the tracer lock, Stats under the
-// session lock, atomic metric instruments).
+// concurrently reads the registry — the cross-goroutine paths the race
+// audit covers (span events under the tracer lock, Stats under the session
+// lock, atomic metric instruments).
 func TestTraceListParallelRace(t *testing.T) {
 	fs := vfs.New()
 	for i := 0; i < 4; i++ {
@@ -249,9 +246,11 @@ func TestTraceListParallelRace(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		reg := s.Tracer.Metrics()
 		for i := 0; i < 50; i++ {
-			s.Tracer.WriteFlight(io.Discard)
-			s.Tracer.Metrics().Counter("race_probe").Add(1)
+			reg.Counter(trace.MetricPlansOptimized).Load()
+			reg.Histogram(trace.MetricNodeWall).Quantile(0.5)
+			reg.Counter("race_probe").Add(1)
 		}
 	}()
 	for i := 0; i < 10; i++ {
@@ -309,7 +308,7 @@ func TestEveryOutcomeTellsOneStory(t *testing.T) {
 		want              Stats
 	}{
 		{name: "bash-mode charge", bash: true, script: fig1Script,
-			strategy: "interpret", want: Stats{Interpreted: 1}},
+			strategy: "interpret", outcome: "interpret", want: Stats{Interpreted: 1}},
 		{name: "ineligible", script: "echo hi\n",
 			want: Stats{Interpreted: 1}},
 		{name: "hazard-reject", fs: hazardFS, script: hazardScript,
@@ -426,6 +425,12 @@ func TestEveryOutcomeTellsOneStory(t *testing.T) {
 			}
 			if v := metricValue(d, trace.MetricConcretized); v != float64(got.Concretized) {
 				t.Errorf("registry concretized_words = %v, Stats says %d", v, got.Concretized)
+			}
+			if v := metricValue(d, trace.MetricModelledUS); math.Abs(v-got.VirtualSeconds*1e6) > float64(len(got.Decisions)) {
+				t.Errorf("registry modelled_us = %v, Stats says %gs", v, got.VirtualSeconds)
+			}
+			for _, msg := range d.Check() {
+				t.Error(msg)
 			}
 		})
 	}

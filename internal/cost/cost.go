@@ -33,7 +33,7 @@ import (
 // Executor buffering constants. The cost model and the real executor
 // (package exec) must agree on these: the model's I/O predictions assume
 // bounded per-edge buffering, and the executor enforces it. Keeping the
-// constants here (the lower layer both import) is what lets `jash -stats`
+// constants here (the lower layer both import) is what lets the trace
 // put measured data movement next to predicted data movement.
 const (
 	// PipeBufferBytes is the capacity of one bounded pipe — a dataflow
@@ -50,7 +50,7 @@ const (
 )
 
 // Self-healing executor knobs. The supervisor (package exec) and the JIT
-// circuit breaker (package core) share this block so `jash -stats` can
+// circuit breaker (package core) share this block so the trace can
 // explain retry and quarantine behaviour in the model's own terms.
 const (
 	// RetryBackoffBase is the first retry's backoff; each further attempt

@@ -2,7 +2,7 @@ package cost
 
 // Command-list region sizing. The list parallelizer (rewrite.ParallelizeList)
 // and the shell's region runner (package core) share these knobs so the
-// `jash -stats` explanation of a region decision matches what actually ran.
+// trace's account of a region decision matches what actually ran.
 const (
 	// MinListStatements is the smallest run of provably independent
 	// statements worth running concurrently: a "region" of one statement

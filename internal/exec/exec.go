@@ -13,7 +13,7 @@
 // inputs (comm's dictionary, join's second file), which are streamed to
 // temporary VFS files. Per-node runtime counters — bytes in/out, peak
 // buffered bytes, wall time — are reported through Env.Metrics so
-// `jash -stats` and the benchmark harness can put measured data movement
+// the trace and the benchmark harness can put measured data movement
 // next to the cost model's predictions.
 package exec
 

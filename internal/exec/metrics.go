@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"encoding/json"
 	"io"
 	"sync/atomic"
 	"time"
@@ -11,49 +10,37 @@ import (
 )
 
 // NodeMetrics are the measured runtime counters of one graph node: the
-// ground truth `jash -stats` and the benchmark harness put next to the
-// cost model's predictions.
+// ground truth the trace's node spans and the benchmark harness put next
+// to the cost model's predictions.
 type NodeMetrics struct {
-	ID    int    `json:"id"`
-	Kind  string `json:"kind,omitempty"`
-	Label string `json:"label"`
+	ID    int
+	Kind  string
+	Label string
 	// BytesIn / BytesOut count the bytes the node consumed from its
 	// input edges and produced onto its output edges (for sinks, the
 	// bytes written to the final destination).
-	BytesIn  int64 `json:"bytes_in"`
-	BytesOut int64 `json:"bytes_out"`
+	BytesIn  int64
+	BytesOut int64
 	// PeakBufferedBytes is the high-water mark of bytes resident in the
 	// node's outgoing bounded pipes — bounded by width × the pipe
 	// capacity regardless of input size.
-	PeakBufferedBytes int64 `json:"peak_buffered_bytes"`
+	PeakBufferedBytes int64
 	// Wall is the node goroutine's lifetime (overlapped across nodes, so
 	// the per-node walls do not sum to the run's wall time).
-	Wall time.Duration `json:"-"`
+	Wall time.Duration
 	// Retries counts the node's supervised re-runs: failed attempts that
 	// the effect gate deemed safe to repeat.
-	Retries int `json:"retries,omitempty"`
+	Retries int
 	// BlockedRead / BlockedWrite are the cumulative durations the node's
 	// pipe operations spent parked — reads waiting for upstream data,
 	// writes waiting on downstream backpressure. Measured only when the
 	// run is traced (Env.Span non-nil); zero otherwise.
-	BlockedRead  time.Duration `json:"-"`
-	BlockedWrite time.Duration `json:"-"`
+	BlockedRead  time.Duration
+	BlockedWrite time.Duration
 }
 
-// MarshalJSON is how `jash -stats-format json` lists a node: the tags
-// above, plus the durations in microseconds.
-func (nm NodeMetrics) MarshalJSON() ([]byte, error) {
-	type tagged NodeMetrics // the tags without this method
-	return json.Marshal(struct {
-		tagged
-		WallUS         int64 `json:"wall_us"`
-		BlockedReadUS  int64 `json:"blocked_read_us,omitempty"`
-		BlockedWriteUS int64 `json:"blocked_write_us,omitempty"`
-	}{tagged(nm), nm.Wall.Microseconds(), nm.BlockedRead.Microseconds(), nm.BlockedWrite.Microseconds()})
-}
-
-// annotate copies the metrics onto the node's span and closes it, so a
-// trace and `jash -stats` cannot disagree about a node. A nil span (an
+// annotate copies the metrics onto the node's span and closes it, so the
+// trace and RunMetrics cannot disagree about a node. A nil span (an
 // untraced run) accepts every call.
 func (nm *NodeMetrics) annotate(ns *trace.Span) {
 	ns.SetStr("kind", nm.Kind)

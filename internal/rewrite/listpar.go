@@ -44,8 +44,8 @@ func (p *ListPlan) ParallelStatements() int {
 	return n
 }
 
-// ListDecision records what the list planner chose and why, for -stats and
-// jashexplain.
+// ListDecision records what the list planner chose and why, for the trace
+// and jashexplain.
 type ListDecision struct {
 	// Parallel reports whether any concurrent region was formed.
 	Parallel bool
@@ -301,6 +301,6 @@ func sortedVarNames(m map[string]bool) []string {
 	for n := range m {
 		names = append(names, n)
 	}
-	sort.Strings(names) // deterministic blocker order keeps -stats output stable
+	sort.Strings(names) // deterministic blocker order keeps the trace stable
 	return names
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // SpanRecord is the exported form of one span — what the JSONL stream
-// carries, the flight recorder stores, and cmd/jashtrace reads back.
+// carries and cmd/jashtrace reads back.
 type SpanRecord struct {
 	Type    string         `json:"type"`
 	ID      uint64         `json:"id"`
@@ -19,9 +19,6 @@ type SpanRecord struct {
 	DurUS   int64          `json:"dur_us"`
 	Attrs   map[string]any `json:"attrs,omitempty"`
 	Events  []EventRecord  `json:"events,omitempty"`
-	// Unfinished marks a span captured by a flight dump before it ended
-	// (a crash or stall snapshot); DurUS then measures up to the dump.
-	Unfinished bool `json:"unfinished,omitempty"`
 }
 
 // EventRecord is one point-in-time event within a span.
@@ -131,14 +128,65 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// writeChrome renders spans as Chrome trace_event "complete" events
-// (ph "X") plus instant events for span events, grouped so every span
-// tree shares the tid of its root span — Perfetto then lays each plan
-// out on its own track. Metrics ride along as counter events on tid 0.
-func writeChrome(w io.Writer, spans []SpanRecord, metrics []MetricRecord) error {
+// Check validates a parsed trace: it has spans, every span's parent is in
+// it (a span is written when it ends, so a missing parent is one that was
+// leaked, never ended), and the registry's outcome counters equal a
+// recount from the spans. Both are written from the same records (core's
+// settled decisions, the executor's node metrics), so a difference is
+// drift. It returns one message per failure.
+func (d *Data) Check() []string {
+	if len(d.Spans) == 0 {
+		return []string{"trace contains no spans"}
+	}
+	var bad []string
+	ids := make(map[uint64]bool, len(d.Spans))
+	for _, s := range d.Spans {
+		ids[s.ID] = true
+	}
+	want := map[string]float64{}
+	for _, s := range d.Spans {
+		if s.Parent != 0 && !ids[s.Parent] {
+			bad = append(bad, fmt.Sprintf("span %d (%s) names parent %d, which is not in the trace", s.ID, s.Name, s.Parent))
+		}
+		switch outcome, _ := s.Attrs["outcome"].(string); {
+		case strings.HasPrefix(s.Name, "node:"):
+			want[MetricNodesTotal]++
+		case s.Name != "pipeline":
+		case strings.HasSuffix(outcome, "-df"), outcome == "fallback-interpret", outcome == "cancelled":
+			want[MetricPlansOptimized]++
+		case outcome == "hazard-reject":
+			want[MetricHazardRejects]++
+		case outcome == "quarantine":
+			want[MetricQuarantined]++
+		}
+		for _, ev := range s.Events {
+			if ev.Name == "fallback" {
+				want[MetricFallbacks]++
+			}
+		}
+	}
+	got := map[string]float64{}
+	for _, m := range d.Metrics {
+		got[m.Name] = m.Value
+	}
+	for _, name := range []string{MetricPlansOptimized, MetricFallbacks,
+		MetricHazardRejects, MetricQuarantined, MetricNodesTotal} {
+		if got[name] != want[name] {
+			bad = append(bad, fmt.Sprintf("registry says %s=%.0f, the spans say %.0f", name, got[name], want[name]))
+		}
+	}
+	return bad
+}
+
+// WriteChrome converts the trace to a Chrome trace_event document: one
+// "complete" event (ph "X") per span plus an instant event per span event,
+// grouped so every span tree shares the tid of its root span — Perfetto
+// then lays each plan out on its own track. Counters ride along as counter
+// events on tid 0.
+func (d *Data) WriteChrome(w io.Writer) error {
 	// Resolve each span to its root for track assignment.
-	parent := make(map[uint64]uint64, len(spans))
-	for _, s := range spans {
+	parent := make(map[uint64]uint64, len(d.Spans))
+	for _, s := range d.Spans {
 		parent[s.ID] = s.Parent
 	}
 	rootOf := func(id uint64) uint64 {
@@ -151,8 +199,8 @@ func writeChrome(w io.Writer, spans []SpanRecord, metrics []MetricRecord) error 
 		}
 		return id
 	}
-	events := make([]chromeEvent, 0, len(spans))
-	for _, s := range spans {
+	events := make([]chromeEvent, 0, len(d.Spans))
+	for _, s := range d.Spans {
 		tid := rootOf(s.ID)
 		dur := s.DurUS
 		if dur <= 0 {
@@ -175,7 +223,7 @@ func writeChrome(w io.Writer, spans []SpanRecord, metrics []MetricRecord) error 
 			lastTS = e.TS
 		}
 	}
-	for _, m := range metrics {
+	for _, m := range d.Metrics {
 		if m.Metric == "histogram" {
 			continue // histograms export via JSONL; Chrome counters are scalars
 		}

@@ -218,6 +218,7 @@ const (
 	MetricNodesTotal      = "nodes_total"
 	MetricBytesMoved      = "bytes_moved"
 	MetricSinkBytes       = "sink_bytes"
+	MetricModelledUS      = "modelled_us"
 	MetricDispatchLatency = "dispatch_latency_us"
 	MetricNodeWall        = "node_wall_us"
 )

@@ -18,13 +18,11 @@
 //     zero allocations — the hot paths of the interpreter and executor
 //     call straight through unconditional nil-safe methods rather than
 //     branching at every call site.
-//  2. The last N spans are always inspectable. Finished spans land in a
-//     bounded ring-buffer flight recorder, and live (unfinished) spans
-//     are tracked too, so a crash, stall, or quarantine can dump the
-//     trace of the plans that led up to it.
-//  3. Exports are standard. The JSON-lines format round-trips through
-//     this package's reader (cmd/jashtrace), and the Chrome trace_event
-//     export loads directly in Perfetto / chrome://tracing.
+//  2. One artifact. A run's record is one JSON-lines stream: each span is
+//     written as it ends, the registry's metrics at Close. This package's
+//     reader (Read) parses it back, and everything that renders a run —
+//     cmd/jashtrace's span tree, its -check gate, its Chrome trace_event
+//     conversion for Perfetto — reads that stream, never the live tracer.
 package trace
 
 import (
@@ -34,75 +32,36 @@ import (
 	"time"
 )
 
-// Format selects the export encoding for a Tracer's writer.
-type Format int
-
-const (
-	// FormatJSONL streams one JSON object per line: span records as they
-	// finish, metric records at Close. cmd/jashtrace reads this format.
-	FormatJSONL Format = iota
-	// FormatChrome buffers the whole trace and writes a Chrome
-	// trace_event JSON object at Close, loadable in Perfetto.
-	FormatChrome
-)
-
-// DefaultFlightSpans is the flight recorder's default ring capacity.
-const DefaultFlightSpans = 4096
-
 // Options configure a Tracer.
 type Options struct {
-	// Writer, when non-nil, receives the exported trace (span records as
-	// they end for JSONL; everything at Close for Chrome). A nil Writer
-	// keeps the trace in the flight recorder only.
+	// Writer, when non-nil, receives the JSON-lines trace: span records as
+	// they end, metric records at Close. A nil Writer keeps only the
+	// metrics registry.
 	Writer io.Writer
-	// Format selects the export encoding (default FormatJSONL).
-	Format Format
-	// FlightSpans bounds the flight recorder ring (default
-	// DefaultFlightSpans).
-	FlightSpans int
 	// Clock overrides the time source (tests).
 	Clock func() time.Time
 }
 
-// Tracer owns one session's trace: span identity, the flight recorder,
-// the metrics registry, and the exporter. A nil *Tracer is the disabled
-// tracer — every method is safe and free to call on it.
+// Tracer owns one session's trace: span identity, the metrics registry,
+// and the JSON-lines writer. A nil *Tracer is the disabled tracer — every
+// method is safe and free to call on it.
 type Tracer struct {
 	mu     sync.Mutex
 	nextID atomic.Uint64
 	clock  func() time.Time
-	rec    *recorder
 	reg    *Registry
 	w      io.Writer
-	format Format
-	// live tracks started-but-unfinished spans so a crash dump can show
-	// what was in flight.
-	live map[uint64]*Span
-	// chrome buffers span records for the Chrome export (written whole at
-	// Close, since the format is one JSON object).
-	chrome []SpanRecord
 	// werr remembers the first export error; Close returns it.
 	werr error
 }
 
 // New creates an enabled tracer.
 func New(opts Options) *Tracer {
-	cap := opts.FlightSpans
-	if cap <= 0 {
-		cap = DefaultFlightSpans
-	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Tracer{
-		clock:  clock,
-		rec:    newRecorder(cap),
-		reg:    NewRegistry(),
-		w:      opts.Writer,
-		format: opts.Format,
-		live:   map[uint64]*Span{},
-	}
+	return &Tracer{clock: clock, reg: NewRegistry(), w: opts.Writer}
 }
 
 // Enabled reports whether the tracer records anything.
@@ -140,19 +99,15 @@ func (t *Tracer) StartAt(parent *Span, name string, at time.Time) *Span {
 	if parent != nil {
 		s.parent = parent.id
 	}
-	t.mu.Lock()
-	t.live[s.id] = s
-	t.mu.Unlock()
 	return s
 }
 
 // Span is one timed operation. Attribute setters and events take the
 // tracer lock, so they are safe from any goroutine — a watchdog can
 // stamp a stall event on a run span while its nodes are still
-// finishing, and a flight snapshot can capture a live span while its
-// owner is annotating it. Attribute ordering across goroutines is the
-// caller's concern; by convention each span has one logical owner and
-// concurrent workers get child spans. A nil *Span accepts every call.
+// finishing. Attribute ordering across goroutines is the caller's
+// concern; by convention each span has one logical owner and concurrent
+// workers get child spans. A nil *Span accepts every call.
 type Span struct {
 	tr     *Tracer
 	id     uint64
@@ -283,8 +238,7 @@ func (s *Span) event(name string, attrs map[string]any) {
 	s.tr.mu.Unlock()
 }
 
-// End finishes the span: it leaves the live set, enters the flight
-// recorder, and (for JSONL exports) is written out immediately. End is
+// End finishes the span and writes its record out at once. End is
 // idempotent; a second End is ignored.
 func (s *Span) End() {
 	if s == nil {
@@ -298,32 +252,24 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	delete(t.live, s.id)
-	rec := s.record(end, false)
-	t.rec.add(rec)
-	switch {
-	case t.w == nil:
-	case t.format == FormatChrome:
-		t.chrome = append(t.chrome, rec)
-	default:
-		if err := writeJSONLine(t.w, rec); err != nil && t.werr == nil {
-			t.werr = err
-		}
+	if t.w == nil {
+		return
+	}
+	if err := writeJSONLine(t.w, s.record(end)); err != nil && t.werr == nil {
+		t.werr = err
 	}
 }
 
-// record snapshots the span as an export record. Caller must ensure the
-// span is quiescent (ended, or the tracer lock held for a flight dump).
-func (s *Span) record(end time.Time, unfinished bool) SpanRecord {
+// record snapshots the ended span as an export record.
+func (s *Span) record(end time.Time) SpanRecord {
 	rec := SpanRecord{
-		Type:       "span",
-		ID:         s.id,
-		Parent:     s.parent,
-		Name:       s.name,
-		StartUS:    s.start.UnixMicro(),
-		DurUS:      end.Sub(s.start).Microseconds(),
-		Events:     s.events,
-		Unfinished: unfinished,
+		Type:    "span",
+		ID:      s.id,
+		Parent:  s.parent,
+		Name:    s.name,
+		StartUS: s.start.UnixMicro(),
+		DurUS:   end.Sub(s.start).Microseconds(),
+		Events:  s.events,
 	}
 	if len(s.attrs) > 0 {
 		rec.Attrs = make(map[string]any, len(s.attrs))
@@ -334,46 +280,8 @@ func (s *Span) record(end time.Time, unfinished bool) SpanRecord {
 	return rec
 }
 
-// FlightSnapshot returns the flight recorder's contents — the last N
-// finished spans in completion order, followed by every live span
-// (marked unfinished, timed up to now). It is safe to call at any time,
-// including from a crash handler.
-func (t *Tracer) FlightSnapshot() []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	now := t.clock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := t.rec.snapshot()
-	for _, s := range t.live {
-		out = append(out, s.record(now, true))
-	}
-	return out
-}
-
-// WriteFlight dumps the flight snapshot plus the metrics registry as
-// JSON lines — the crash/postmortem export.
-func (t *Tracer) WriteFlight(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	for _, rec := range t.FlightSnapshot() {
-		if err := writeJSONLine(w, rec); err != nil {
-			return err
-		}
-	}
-	for _, m := range t.reg.snapshot() {
-		if err := writeJSONLine(w, m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close flushes the export: Chrome traces are written whole, JSONL
-// traces get their metric records appended. The tracer remains usable
-// for flight snapshots afterwards. Returns the first export error.
+// Close appends the registry's metric records to the stream and returns
+// the first export error.
 func (t *Tracer) Close() error {
 	if t == nil {
 		return nil
@@ -383,18 +291,10 @@ func (t *Tracer) Close() error {
 	if t.w == nil {
 		return nil
 	}
-	var err error
-	if t.format == FormatChrome {
-		err = writeChrome(t.w, t.chrome, t.reg.snapshot())
-	} else {
-		for _, m := range t.reg.snapshot() {
-			if werr := writeJSONLine(t.w, m); werr != nil && err == nil {
-				err = werr
-			}
+	for _, m := range t.reg.snapshot() {
+		if err := writeJSONLine(t.w, m); err != nil && t.werr == nil {
+			t.werr = err
 		}
 	}
-	if t.werr != nil {
-		return t.werr
-	}
-	return err
+	return t.werr
 }

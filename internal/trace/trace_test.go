@@ -96,42 +96,42 @@ func TestSpanTreeExportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderBoundsAndLiveSpans(t *testing.T) {
-	tr := New(Options{FlightSpans: 4, Clock: stepClock()})
-	for i := 0; i < 10; i++ {
-		tr.Start(nil, "old").End()
-	}
-	live := tr.Start(nil, "in-flight")
-	snap := tr.FlightSnapshot()
-	if len(snap) != 5 { // 4 finished (ring cap) + 1 live
-		t.Fatalf("snapshot = %d records, want 5", len(snap))
-	}
-	last := snap[len(snap)-1]
-	if last.Name != "in-flight" || !last.Unfinished {
-		t.Fatalf("live span not captured: %+v", last)
-	}
-	for _, rec := range snap[:4] {
-		if rec.Unfinished {
-			t.Fatalf("finished span marked unfinished: %+v", rec)
-		}
-	}
-	live.End()
-	var buf bytes.Buffer
-	if err := tr.WriteFlight(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(strings.NewReader(buf.String())); err != nil {
-		t.Fatalf("flight dump unparseable: %v", err)
-	}
-}
-
 func TestDoubleEndIsIdempotent(t *testing.T) {
-	tr := New(Options{Clock: stepClock()})
+	var buf bytes.Buffer
+	tr := New(Options{Writer: &buf, Clock: stepClock()})
 	sp := tr.Start(nil, "x")
 	sp.End()
 	sp.End()
-	if n := len(tr.FlightSnapshot()); n != 1 {
+	d, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(d.Spans); n != 1 {
 		t.Fatalf("double End recorded %d spans", n)
+	}
+}
+
+// TestCheckNamesTheMissingParent: a span whose parent never ended (so was
+// never written) fails Check, and the message names that parent.
+func TestCheckNamesTheMissingParent(t *testing.T) {
+	var buf bytes.Buffer
+	tr := New(Options{Writer: &buf, Clock: stepClock()})
+	leaked := tr.Start(nil, "pipeline")
+	leaked.Child("plan").End()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Read(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := d.Check()
+	if len(bad) != 1 || !strings.Contains(bad[0], "parent 1,") {
+		t.Fatalf("Check = %q, want one failure naming parent 1", bad)
+	}
+	leaked.End()
+	if d, _ = Read(strings.NewReader(buf.String())); len(d.Check()) != 0 {
+		t.Fatalf("ending the parent still fails Check: %q", d.Check())
 	}
 }
 
@@ -158,7 +158,7 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestChromeExportShape(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(Options{Writer: &buf, Format: FormatChrome, Clock: stepClock()})
+	tr := New(Options{Writer: &buf, Clock: stepClock()})
 	root := tr.Start(nil, "pipeline")
 	child := root.Child("execute")
 	child.Event("fallback")
@@ -166,6 +166,14 @@ func TestChromeExportShape(t *testing.T) {
 	root.End()
 	tr.Metrics().Counter(MetricFallbacks).Add(1)
 	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := d.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
