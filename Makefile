@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race fault lint verify bench \
+.PHONY: all build test vet race fault lint verify \
 	trace-demo fuzz fuzz-smoke fuzz-native dash-check clean
 
 all: verify
@@ -37,8 +37,8 @@ race:
 # tests (Region) so a rule cannot change without them.
 fault: fuzz-smoke
 	$(GO) test -race -count=2 \
-		-run 'Fault|Panic|Cancel|Timeout|Fallback|Hangup|FailingLane|Chaos|Retry|Stall|Journal|Quarantine|Trap|Degrad|Trace|Argv|EarlyExpansion|Region' \
-		./internal/exec/... ./internal/core/... ./internal/cluster/... ./internal/dfg/...
+		-run 'Fault|Panic|Cancel|Timeout|Fallback|Hangup|FailingLane|Chaos|Retry|Stall|Journal|Quarantine|Trap|Trace|Argv|EarlyExpansion|Region' \
+		./internal/exec/... ./internal/core/... ./internal/dfg/...
 
 # fuzz-smoke is the deterministic differential gate (~30s): a fixed seed
 # window through all five engines plus a seeded chaos sweep over both
@@ -93,11 +93,6 @@ dash-check:
 
 # verify is the tier-1 gate: everything a change must pass before merge.
 verify: vet build test race fault lint dash-check
-
-# bench prints the paper's experiment tables (modelled time). Measured
-# performance is `go run ./bench` (see BENCHMARK.json and bench/README.md).
-bench:
-	$(GO) run ./cmd/jashbench all
 
 # trace-demo exercises the observability stack end to end: two example
 # scripts run under the JIT with -trace (a single optimized pipeline,

@@ -1,11 +1,8 @@
-// Benchmarks regenerating the paper's evaluation. Each figure/table in
-// DESIGN.md's experiment index has a Benchmark* here that drives the same
-// harness functions as `jashbench`; b.ReportMetric attaches the modelled
-// seconds (the figure's y-axis) to the benchmark output, while the Go
-// benchmark time measures the real cost of running the experiment.
-//
-// Component micro-benchmarks (parser, expander, executor, coreutils)
-// follow, sized so `go test -bench=. -benchmem` completes in minutes.
+// Component micro-benchmarks (parser, interpreter, executor, cost model,
+// planner, coreutils, linter), sized so `go test -bench=. -benchmem`
+// completes in minutes. The paper's figures are not here: they are the
+// tests of internal/paperfig, and measured end-to-end performance is
+// `go run ./bench`.
 package jash
 
 import (
@@ -14,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"jash/internal/bench"
 	"jash/internal/core"
 	"jash/internal/cost"
 	"jash/internal/dfg"
@@ -24,69 +20,6 @@ import (
 	"jash/internal/vfs"
 	"jash/internal/workload"
 )
-
-// reportRows runs one experiment per benchmark iteration and publishes
-// each row's primary metric.
-func reportRows(b *testing.B, run func() ([]bench.Row, error)) {
-	b.Helper()
-	var rows []bench.Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = run()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		name := strings.NewReplacer(" ", "_", "(", "", ")", "").Replace(r.Config + "/" + r.System)
-		b.ReportMetric(r.Seconds, name+"_s")
-	}
-}
-
-// BenchmarkFig1 regenerates Figure 1: bash vs PaSh vs Jash on the
-// Standard (gp2) and IO-opt (gp3) volumes, word-sorting at 3 GB model
-// scale with 1 MiB execution validation.
-func BenchmarkFig1(b *testing.B) {
-	reportRows(b, func() ([]bench.Row, error) { return bench.Fig1(1 << 20) })
-}
-
-// BenchmarkTemperature regenerates the §2.1 comparison.
-func BenchmarkTemperature(b *testing.B) {
-	reportRows(b, func() ([]bench.Row, error) { return bench.Temperature(50_000) })
-}
-
-// BenchmarkSpell regenerates the §3.2 spell-script experiment.
-func BenchmarkSpell(b *testing.B) {
-	reportRows(b, func() ([]bench.Row, error) { return bench.Spell(1 << 20) })
-}
-
-// BenchmarkNoRegression regenerates the no-regression sweep.
-func BenchmarkNoRegression(b *testing.B) {
-	reportRows(b, bench.NoRegression)
-}
-
-// BenchmarkScalingWidth regenerates the parallelism-width sweep.
-func BenchmarkScalingWidth(b *testing.B) {
-	reportRows(b, bench.ScalingWidth)
-}
-
-// BenchmarkIncremental regenerates the incremental-computation experiment.
-func BenchmarkIncremental(b *testing.B) {
-	reportRows(b, func() ([]bench.Row, error) { return bench.Incremental(1 << 20) })
-}
-
-// BenchmarkDistribution regenerates the distribution experiment.
-func BenchmarkDistribution(b *testing.B) {
-	reportRows(b, func() ([]bench.Row, error) { return bench.Distribution(1 << 20) })
-}
-
-// BenchmarkJITOverhead regenerates the per-command planning-latency
-// experiment.
-func BenchmarkJITOverhead(b *testing.B) {
-	reportRows(b, func() ([]bench.Row, error) { return bench.JITOverhead(50) })
-}
-
-// --- component micro-benchmarks ---
 
 var benchScript = `DICT=/usr/dict
 FILES="/doc1 /doc2"

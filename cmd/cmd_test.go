@@ -22,7 +22,7 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	binDir = dir
-	for _, name := range []string{"jash", "jashc", "jashlint", "jashexplain", "jashinfer", "jashbench", "jashtrace"} {
+	for _, name := range []string{"jash", "jashc", "jashlint", "jashexplain", "jashtrace"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./"+name)
 		cmd.Dir = mustSelfDir()
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -417,31 +417,51 @@ func TestJashtraceChrome(t *testing.T) {
 	}
 }
 
-func TestJashinfer(t *testing.T) {
-	out, _, code := runBin(t, "jashinfer", "", "sort", "-rn")
-	if code != 0 {
-		t.Fatalf("code=%d", code)
-	}
-	if !strings.Contains(out, "class=parallelizable") || !strings.Contains(out, "AGREES") {
-		t.Errorf("infer out=%q", out)
-	}
-}
-
-func TestJashbenchFig1(t *testing.T) {
-	out, errs, code := runBin(t, "jashbench", "", "fig1")
+// TestJashexplainTutorInfers: for a utility the shell implements, the
+// tutor learns the class by behavioural testing, shows the evidence, and
+// says whether the hand-written spec agrees.
+func TestJashexplainTutorInfers(t *testing.T) {
+	out, errs, code := runBin(t, "jashexplain", "", "-tutor", "sort", "-rn")
 	if code != 0 {
 		t.Fatalf("code=%d errs=%q", code, errs)
 	}
-	for _, want := range []string{"Standard (gp2)", "IO-opt (gp3)", "bash", "pash", "jash"} {
+	for _, want := range []string{"inferred by behavioural testing (sort -rn)",
+		"class=parallelizable aggregator=merge-sort", "merge-sortable: f(A++B) == merge(f(A), f(B)): HOLDS",
+		"AGREES with the hand-written spec"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("fig1 table missing %q:\n%s", want, out)
+			t.Errorf("tutor missing %q:\n%s", want, out)
 		}
 	}
 }
 
-func TestJashbenchUnknown(t *testing.T) {
-	_, errs, code := runBin(t, "jashbench", "", "nonsense")
-	if code != 2 || !strings.Contains(errs, "unknown experiment") {
-		t.Errorf("code=%d errs=%q", code, errs)
+// TestJashexplainTutorCaveatsWithoutSpec: a command with no specification
+// still gets its caveats; rm's inference refuses (rm fails on every
+// corpus) instead of reporting a class.
+func TestJashexplainTutorCaveatsWithoutSpec(t *testing.T) {
+	out, _, code := runBin(t, "jashexplain", "", "-tutor", "rm")
+	if code != 1 {
+		t.Errorf("code=%d, want 1 (no specification on file)", code)
+	}
+	for _, want := range []string{"no specification on file", "rm: missing operand", "JSH201"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("tutor rm missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "class=") {
+		t.Errorf("tutor rm inferred a class for a command that always fails:\n%s", out)
+	}
+	for cmd, code := range map[string]string{"read": "JSH206", "cd": "JSH207"} {
+		if out, _, _ := runBin(t, "jashexplain", "", "-tutor", cmd); !strings.Contains(out, code) {
+			t.Errorf("tutor %s missing %s:\n%s", cmd, code, out)
+		}
+	}
+}
+
+// TestJashWordsWriteErrorFails: a -words destination the VFS cannot create
+// is a usage error, not a silently empty filesystem.
+func TestJashWordsWriteErrorFails(t *testing.T) {
+	out, errs, code := runBin(t, "jash", "", "-words", "/=10", "-c", "ls /")
+	if code != 2 || out != "" || !strings.Contains(errs, "jash: ") {
+		t.Errorf("-words /=10: code=%d stdout=%q stderr=%q, want exit 2 with a diagnostic", code, out, errs)
 	}
 }

@@ -14,7 +14,7 @@
 //	jash [-mode bash|pash|jash] [-profile laptop|standard|ioopt]
 //	     [-import host.txt=/vfs/path]... [-words /vfs/path=SIZE]
 //	     [-retries N] [-stall-timeout D] [-timeout D]
-//	     [-no-list-parallel] [-incremental] [-trace FILE]
+//	     [-no-list-parallel] [-trace FILE]
 //	     (-i | -c 'script' | script.sh)
 package main
 
@@ -51,7 +51,6 @@ func run() int {
 		profile     = flag.String("profile", "laptop", "resource profile: laptop, standard (gp2), or ioopt (gp3)")
 		command     = flag.String("c", "", "run this script text instead of a file")
 		traceOut    = flag.String("trace", "", "write the run's trace (span tree + metrics, JSON lines for jashtrace) to this file")
-		increm      = flag.Bool("incremental", false, "memoize dataflow regions across re-runs")
 		timeout     = flag.Duration("timeout", 0, "bound the session; expiry tears running plans down and exits 124")
 		retries     = flag.Int("retries", 0, "per-node retry budget for effect-idempotent plan nodes")
 		stall       = flag.Duration("stall-timeout", 0, "abort optimized plans making no progress for this long")
@@ -92,7 +91,10 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "jash: bad -words size %q\n", size)
 			return 2
 		}
-		fs.WriteFile(dest, workload.Words(1, n))
+		if err := fs.WriteFile(dest, workload.Words(1, n)); err != nil {
+			fmt.Fprintf(os.Stderr, "jash: %v\n", err)
+			return 2
+		}
 	}
 
 	var prof *cost.Profile
@@ -158,9 +160,6 @@ func run() int {
 	sh.NoListParallel = *noListPar
 	if tr != nil {
 		sh.EnableTracing(tr)
-	}
-	if *increm {
-		sh.EnableIncremental()
 	}
 
 	var src string

@@ -14,7 +14,7 @@
 // Usage:
 //
 //	jashexplain 'cat access.log | grep -v 200 | sort | uniq -c'
-//	jashexplain -tutor sort        # interactive-style command tutor
+//	jashexplain -tutor sort -rn    # command tutor: spec, inferred class, caveats
 package main
 
 import (
@@ -24,9 +24,11 @@ import (
 	"strings"
 
 	"jash/internal/analysis"
+	"jash/internal/coreutils"
 	"jash/internal/cost"
 	"jash/internal/dfg"
 	"jash/internal/expand"
+	"jash/internal/infer"
 	"jash/internal/rewrite"
 	"jash/internal/spec"
 	"jash/internal/syntax"
@@ -38,15 +40,15 @@ func main() {
 
 func run() int {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: jashexplain ['pipeline...' | -tutor COMMAND]")
+		fmt.Fprintln(os.Stderr, "usage: jashexplain ['pipeline...' | -tutor COMMAND [ARGS...]]")
 		return 2
 	}
 	if os.Args[1] == "-tutor" {
 		if len(os.Args) < 3 {
-			fmt.Fprintln(os.Stderr, "usage: jashexplain -tutor COMMAND")
+			fmt.Fprintln(os.Stderr, "usage: jashexplain -tutor COMMAND [ARGS...]")
 			return 2
 		}
-		return tutor(os.Args[2])
+		return tutor(os.Args[2:])
 	}
 	src := strings.Join(os.Args[1:], " ")
 	script, err := syntax.Parse(src)
@@ -195,45 +197,67 @@ func run() int {
 // library — the §4 proposal of using spec libraries as a database for a
 // shell tutor. It combines the spec's summary, flags, dataflow class,
 // parallelization story, and the linter analyses that guard the command.
-func tutor(name string) int {
+// For a utility the shell implements it also learns the class by
+// behavioural testing (package infer) and says whether the spec agrees.
+func tutor(argv []string) int {
+	name := argv[0]
 	lib := spec.Builtin()
-	s, ok := lib.Lookup(name)
-	if !ok {
+	s, hasSpec := lib.Lookup(name)
+	status := 0
+	if hasSpec {
+		fmt.Printf("%s (spec v%s)\n", name, s.Version)
+		fmt.Printf("  %s\n\n", s.Summary)
+		if len(s.FlagDocs) > 0 {
+			fmt.Println("flags the specification documents:")
+			flags := make([]string, 0, len(s.FlagDocs))
+			for f := range s.FlagDocs {
+				flags = append(flags, f)
+			}
+			sort.Strings(flags)
+			for _, f := range flags {
+				fmt.Printf("  %-4s %s\n", f, s.FlagDocs[f])
+			}
+			fmt.Println()
+		}
+		fmt.Printf("dataflow class: %s\n", s.Class)
+		switch s.Class {
+		case spec.Stateless:
+			fmt.Println("  Each input line is processed independently and order is preserved.")
+			fmt.Println("  Jash can split its input into parallel lanes and simply concatenate")
+			fmt.Println("  the partial outputs.")
+		case spec.Parallelizable:
+			fmt.Printf("  A pure function of its whole input with a known aggregator (%s),\n", s.Agg)
+			fmt.Println("  so Jash can run it on chunks and recombine the partial results.")
+		case spec.Blocking:
+			fmt.Println("  It needs its entire input (or global positions within it), so it runs")
+			fmt.Println("  as a sequential stage; upstream stateless stages can still parallelize.")
+		case spec.SideEffectful:
+			fmt.Println("  It mutates state, so the optimizer leaves any pipeline containing it")
+			fmt.Println("  entirely to the interpreter.")
+		}
+	} else {
 		fmt.Printf("%s: no specification on file.\n", name)
 		fmt.Println("An optimizer must treat it as side-effectful and never touch pipelines")
-		fmt.Println("containing it (the paper's B1). You can learn a specification for it")
-		fmt.Printf("by behavioural testing:  jashinfer %s [args...]\n", name)
-		return 1
+		fmt.Println("containing it (the paper's B1).")
+		status = 1
 	}
-	fmt.Printf("%s (spec v%s)\n", name, s.Version)
-	fmt.Printf("  %s\n\n", s.Summary)
-	if len(s.FlagDocs) > 0 {
-		fmt.Println("flags the specification documents:")
-		flags := make([]string, 0, len(s.FlagDocs))
-		for f := range s.FlagDocs {
-			flags = append(flags, f)
+	if _, ok := coreutils.Lookup(name); ok {
+		fmt.Printf("\ninferred by behavioural testing (%s):\n", strings.Join(argv, " "))
+		if res, err := infer.Infer(argv); err != nil {
+			fmt.Printf("  no class: %v\n", err)
+		} else {
+			fmt.Printf("  class=%s aggregator=%s\n", res.Class, res.Agg)
+			for _, e := range res.Evidence {
+				fmt.Printf("  %s\n", e)
+			}
+			if hasSpec {
+				verdict := "AGREES"
+				if eff := lib.Resolve(argv); eff.Class != res.Class {
+					verdict = "DISAGREES"
+				}
+				fmt.Printf("  %s with the hand-written spec\n", verdict)
+			}
 		}
-		sort.Strings(flags)
-		for _, f := range flags {
-			fmt.Printf("  %-4s %s\n", f, s.FlagDocs[f])
-		}
-		fmt.Println()
-	}
-	fmt.Printf("dataflow class: %s\n", s.Class)
-	switch s.Class {
-	case spec.Stateless:
-		fmt.Println("  Each input line is processed independently and order is preserved.")
-		fmt.Println("  Jash can split its input into parallel lanes and simply concatenate")
-		fmt.Println("  the partial outputs; it also qualifies for suffix-incremental re-runs.")
-	case spec.Parallelizable:
-		fmt.Printf("  A pure function of its whole input with a known aggregator (%s),\n", s.Agg)
-		fmt.Println("  so Jash can run it on chunks and recombine the partial results.")
-	case spec.Blocking:
-		fmt.Println("  It needs its entire input (or global positions within it), so it runs")
-		fmt.Println("  as a sequential stage; upstream stateless stages can still parallelize.")
-	case spec.SideEffectful:
-		fmt.Println("  It mutates state, so the optimizer leaves any pipeline containing it")
-		fmt.Println("  entirely to the interpreter.")
 	}
 	// Per-command caveats, mirroring the linter's analyses.
 	caveats := map[string][]string{
@@ -250,5 +274,5 @@ func tutor(name string) int {
 			fmt.Printf("  - %s\n", n)
 		}
 	}
-	return 0
+	return status
 }

@@ -25,9 +25,7 @@ import (
 	"jash/internal/cost"
 	"jash/internal/dfg"
 	"jash/internal/exec"
-	"jash/internal/exec/faultinject"
 	"jash/internal/spec"
-	"jash/internal/trace"
 	"jash/internal/vfs"
 )
 
@@ -58,14 +56,6 @@ type Cluster struct {
 	Coordinator string
 	Net         Link
 	Lib         *spec.Library
-	// WorkerFaults, when non-nil, injects failures into the worker-side
-	// placement runs only (tests of graceful degradation); the
-	// coordinator's retries and merges run clean.
-	WorkerFaults *faultinject.Set
-	// Tracer, when non-nil, records a span per distributed run: stage
-	// placement per worker node (with degrade events), the coordinator
-	// merge, and the movement/compute totals as attributes.
-	Tracer *trace.Tracer
 }
 
 // New builds a cluster with n worker nodes ("node1".."nodeN") plus a
@@ -119,19 +109,11 @@ type Report struct {
 	TotalSecs   float64
 	// PerNode lists each worker's locally processed bytes.
 	PerNode map[string]int64
-	// DegradedStages counts worker placement stages that failed and were
-	// retried on the coordinator over the raw inputs — the job degrading
-	// toward RunCentral one stage at a time instead of failing outright.
-	DegradedStages int
 }
 
 func (r Report) String() string {
-	s := fmt.Sprintf("%s: %.2fs total (%.2fs compute, %.2fs network), %d bytes moved",
+	return fmt.Sprintf("%s: %.2fs total (%.2fs compute, %.2fs network), %d bytes moved",
 		r.Strategy, r.TotalSecs, r.ComputeSecs, r.NetworkSecs, r.BytesMoved)
-	if r.DegradedStages > 0 {
-		s += fmt.Sprintf(", %d stage(s) degraded to coordinator", r.DegradedStages)
-	}
-	return s
 }
 
 // RunCentral ships all raw inputs to the coordinator and runs the whole
@@ -139,15 +121,6 @@ func (r Report) String() string {
 func (c *Cluster) RunCentral(job Job) (Report, error) {
 	coord := c.Nodes[c.Coordinator]
 	rep := Report{Strategy: "central", PerNode: map[string]int64{}}
-	sp := c.Tracer.Start(nil, "cluster:central")
-	sp.SetInt("inputs", int64(len(job.Inputs)))
-	sp.SetInt("stages", int64(len(job.Stages)))
-	defer func() {
-		sp.SetInt("bytes_moved", rep.BytesMoved)
-		sp.SetFloat("network_secs", rep.NetworkSecs)
-		sp.SetFloat("compute_secs", rep.ComputeSecs)
-		sp.End()
-	}()
 	var paths []string
 	var maxTransfer float64
 	perSource := map[string]int64{}
@@ -183,13 +156,7 @@ func (c *Cluster) RunCentral(job Job) (Report, error) {
 		return rep, err
 	}
 	var out bytes.Buffer
-	esp := sp.Child("execute")
-	env := c.execEnv(coord, &out)
-	env.Span = esp
-	_, err = exec.Run(g, env)
-	esp.End()
-	if err != nil {
-		sp.SetStr("error", err.Error())
+	if _, err := exec.Run(g, c.execEnv(coord, &out)); err != nil {
 		return rep, err
 	}
 	est, err := cost.EstimateGraph(g, c.inputsFor(coord), coord.Profile, true)
@@ -254,21 +221,14 @@ func (c *Cluster) RunPlacement(job Job) (Report, error) {
 		central.Strategy = "placement(degenerate)"
 		return central, err
 	}
-	sp := c.Tracer.Start(nil, "cluster:placement")
-	sp.SetInt("prefix_stages", int64(len(prefix)))
-	sp.SetInt("suffix_stages", int64(len(suffix)))
-	defer func() {
-		sp.SetInt("bytes_moved", rep.BytesMoved)
-		sp.SetInt("degraded_stages", int64(rep.DegradedStages))
-		sp.SetFloat("network_secs", rep.NetworkSecs)
-		sp.SetFloat("compute_secs", rep.ComputeSecs)
-		sp.End()
-	}()
 	coord := c.Nodes[c.Coordinator]
 	// Group inputs by node, preserving job order within each node.
 	byNode := map[string][]string{}
 	var nodeOrder []string
 	for _, in := range job.Inputs {
+		if _, ok := c.Nodes[in.Node]; !ok {
+			return rep, fmt.Errorf("cluster: unknown node %q", in.Node)
+		}
 		if _, seen := byNode[in.Node]; !seen {
 			nodeOrder = append(nodeOrder, in.Node)
 		}
@@ -286,52 +246,21 @@ func (c *Cluster) RunPlacement(job Job) (Report, error) {
 			return rep, err
 		}
 		var partial bytes.Buffer
-		nsp := sp.Child("place:" + nodeName)
-		env := c.execEnv(node, &partial)
-		env.Faults = c.WorkerFaults
-		env.Span = nsp
-		var nodeCompute float64
-		if _, err := exec.Run(g, env); err != nil {
-			// Graceful degradation: a worker stage that fails retries on
-			// the coordinator over the raw inputs — the job degrades
-			// toward RunCentral one stage at a time instead of dying.
-			nsp.EventStr("degrade", "cause", err.Error())
-			moved, secs, derr := c.degradePrefix(nodeName, byNode[nodeName], prefix, &partial)
-			if derr != nil {
-				nsp.SetStr("error", derr.Error())
-				nsp.End()
-				return rep, fmt.Errorf("cluster: %s failed and coordinator retry failed: %w", nodeName, derr)
-			}
-			rep.DegradedStages++
-			rep.BytesMoved += moved
-			if t := c.Net.TransferTime(moved); t > maxTransfer {
-				maxTransfer = t
-			}
-			nodeCompute = secs
-			nsp.SetBool("degraded", true)
-			nsp.SetInt("raw_bytes_shipped", moved)
-		} else {
-			est, err := cost.EstimateGraph(g, c.inputsFor(node), node.Profile, true)
-			if err != nil {
-				nsp.End()
-				return rep, err
-			}
-			nodeCompute = est.Seconds
-			var localBytes int64
-			for _, p := range byNode[nodeName] {
-				if fi, err := node.FS.Stat(p); err == nil {
-					localBytes += fi.Size
-				}
-			}
-			rep.PerNode[nodeName] = localBytes
-			nsp.SetInt("local_bytes", localBytes)
+		if _, err := exec.Run(g, c.execEnv(node, &partial)); err != nil {
+			return rep, fmt.Errorf("cluster: %s: %w", nodeName, err)
 		}
-		nsp.SetFloat("compute_secs", nodeCompute)
-		nsp.SetInt("partial_bytes", int64(partial.Len()))
-		nsp.End()
-		if nodeCompute > maxNodeCompute {
-			maxNodeCompute = nodeCompute
+		est, err := cost.EstimateGraph(g, c.inputsFor(node), node.Profile, true)
+		if err != nil {
+			return rep, err
 		}
+		maxNodeCompute = max(maxNodeCompute, est.Seconds)
+		var localBytes int64
+		for _, p := range byNode[nodeName] {
+			if fi, err := node.FS.Stat(p); err == nil {
+				localBytes += fi.Size
+			}
+		}
+		rep.PerNode[nodeName] = localBytes
 		// Ship the partial to the coordinator.
 		dest := fmt.Sprintf("/partial/%s.out", nodeName)
 		if err := coord.FS.WriteFile(dest, partial.Bytes()); err != nil {
@@ -353,15 +282,7 @@ func (c *Cluster) RunPlacement(job Job) (Report, error) {
 		return rep, err
 	}
 	var out bytes.Buffer
-	msp := sp.Child("merge")
-	msp.SetInt("partials", int64(len(partialPaths)))
-	msp.SetStr("agg", fmt.Sprint(agg))
-	env := c.execEnv(coord, &out)
-	env.Span = msp
-	_, err = exec.Run(g, env)
-	msp.End()
-	if err != nil {
-		sp.SetStr("error", err.Error())
+	if _, err := exec.Run(g, c.execEnv(coord, &out)); err != nil {
 		return rep, err
 	}
 	est, err := cost.EstimateGraph(g, c.inputsFor(coord), coord.Profile, true)
@@ -372,49 +293,6 @@ func (c *Cluster) RunPlacement(job Job) (Report, error) {
 	rep.ComputeSecs = maxNodeCompute + est.Seconds
 	rep.TotalSecs = maxNodeCompute + rep.NetworkSecs + est.Seconds
 	return rep, nil
-}
-
-// degradePrefix re-runs a failed worker's prefix stage on the
-// coordinator: the node's raw inputs are shipped over (charged to the
-// network like RunCentral would), the same prefix pipeline runs on the
-// coordinator's profile, and the partial lands in out exactly as the
-// worker's would have. The retry runs clean — WorkerFaults models worker
-// failures, not coordinator ones.
-func (c *Cluster) degradePrefix(nodeName string, paths []string, prefix [][]string, out *bytes.Buffer) (int64, float64, error) {
-	node := c.Nodes[nodeName]
-	coord := c.Nodes[c.Coordinator]
-	var moved int64
-	local := make([]string, len(paths))
-	for i, p := range paths {
-		data, err := node.FS.ReadFile(p)
-		if err != nil {
-			return 0, 0, err
-		}
-		lp := fmt.Sprintf("/degraded/%s/%d%s", nodeName, i, p)
-		if err := coord.FS.WriteFile(lp, data); err != nil {
-			return 0, 0, err
-		}
-		local[i] = lp
-		if nodeName != c.Coordinator {
-			moved += int64(len(data))
-		}
-	}
-	argvs := append([][]string{append([]string{"cat"}, local...)}, prefix...)
-	g, err := dfg.FromPipeline(argvs, c.Lib, dfg.Binding{})
-	if err != nil {
-		return 0, 0, err
-	}
-	// The failed worker run may have emitted partial output before dying;
-	// the retry replaces it wholesale.
-	out.Reset()
-	if _, err := exec.Run(g, c.execEnv(coord, out)); err != nil {
-		return 0, 0, err
-	}
-	est, err := cost.EstimateGraph(g, c.inputsFor(coord), coord.Profile, true)
-	if err != nil {
-		return 0, 0, err
-	}
-	return moved, est.Seconds, nil
 }
 
 // mergeGraph builds: partial sources -> merge(agg) -> suffix stages -> sink.

@@ -39,7 +39,6 @@ import (
 	"jash/internal/dfg"
 	"jash/internal/exec"
 	"jash/internal/exec/faultinject"
-	"jash/internal/incr"
 	"jash/internal/interp"
 	"jash/internal/rewrite"
 	"jash/internal/spec"
@@ -71,14 +70,14 @@ func (m Mode) String() string { return modeNames[m] }
 // each a function of it.
 type Decision struct {
 	Pipeline string // the pipeline as the user wrote it (unparsed)
-	// Strategy names the outcome: "interpret" (bash mode, which only
-	// charges modelled time, or the planner declined), "hazard-reject",
-	// "quarantine", "sequential-df" / "parallel-df" (ran on the dataflow
-	// executor at width 1 / Width), "fallback-interpret" (the plan failed
-	// and re-ran via the interpreter), "cancelled" (the session's context
-	// tore the plan down), and for statement lists "sequential-list" /
-	// "parallel-list". An offer the eligibility analysis declines is the
-	// zero Decision: counted as interpreted, never listed.
+	// Strategy names the outcome: "interpret" (the planner declined),
+	// "hazard-reject", "quarantine", "sequential-df" / "parallel-df" (ran
+	// on the dataflow executor at width 1 / Width), "fallback-interpret"
+	// (the plan failed and re-ran via the interpreter), "cancelled" (the
+	// session's context tore the plan down), and for statement lists
+	// "sequential-list" / "parallel-list". An offer the eligibility
+	// analysis declines is the zero Decision: counted as interpreted, never
+	// listed.
 	Strategy string
 	Width    int
 	Reason   string
@@ -174,7 +173,8 @@ func (d *Decision) annotate(sp *trace.Span) {
 // Stats accumulates a session's decisions and modelled execution time.
 type Stats struct {
 	// VirtualSeconds is the cost model's predicted wall time for the
-	// session's dataflow work — the number the Figure 1 harness reports.
+	// session's compiled dataflow work (zero in bash mode, which compiles
+	// nothing).
 	VirtualSeconds float64
 	Optimized      int
 	Interpreted    int
@@ -271,11 +271,6 @@ type Shell struct {
 	// only record outside Stats. Attach with EnableTracing so the
 	// interpreter side is wired too. A nil Tracer costs nothing.
 	Tracer *trace.Tracer
-	// Incremental, when non-nil, routes stdout-bound dataflow regions
-	// through the memoizing runner (§4's incremental computation built on
-	// the JIT's up-to-date knowledge of input state). Enable with
-	// EnableIncremental.
-	Incremental *incr.Runner
 	// Ctx, when non-nil, bounds every optimized execution: cancellation or
 	// deadline expiry tears running plans down and makes the session exit
 	// with status 124 (the timeout(1) convention). External cancellation
@@ -364,12 +359,6 @@ func (s *Shell) breakerSuccess(region string) {
 	delete(s.breakers, region)
 }
 
-// EnableIncremental attaches a fresh incremental cache to the session.
-func (s *Shell) EnableIncremental() *incr.Runner {
-	s.Incremental = incr.NewRunner()
-	return s.Incremental
-}
-
 // EnableTracing attaches a tracer to the session and its interpreter, so
 // both JIT-executed and interpreted pipelines record spans.
 func (s *Shell) EnableTracing(tr *trace.Tracer) {
@@ -378,7 +367,8 @@ func (s *Shell) EnableTracing(tr *trace.Tracer) {
 }
 
 // New creates a shell over the filesystem with the given resource profile
-// and mode. Standard streams default to discard; set them on Interp.
+// and mode. Standard streams default to discard; set them on Interp. Bash
+// mode is the plain interpreter: nothing is offered to the JIT.
 func New(fs *vfs.FS, profile *cost.Profile, mode Mode) *Shell {
 	s := &Shell{
 		FS:      fs,
@@ -387,7 +377,9 @@ func New(fs *vfs.FS, profile *cost.Profile, mode Mode) *Shell {
 		Profile: profile,
 		Mode:    mode,
 	}
-	s.Interp.Observer = s.observe
+	if mode != ModeBash {
+		s.Interp.Observer = s.observe
+	}
 	return s
 }
 
@@ -493,24 +485,6 @@ func (s *Shell) settle(sp *trace.Span, d Decision) {
 // preflight, plan, run — that fills in one Decision; wherever it returns,
 // that record is settled once.
 func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
-	if s.Mode == ModeBash {
-		// Baseline still charges modelled time for eligible pipelines so
-		// the harness can compare systems on equal footing.
-		if graph, facts, text, ok := s.analyze(in, st, false); ok {
-			s.mu.Lock()
-			est, err := cost.EstimateGraph(rewrite.Sequential(graph), facts, s.Profile, false)
-			s.mu.Unlock()
-			if err == nil {
-				root := s.Tracer.Start(s.cmdSpan, "pipeline")
-				root.SetStr("text", text)
-				s.settle(root, Decision{Pipeline: text, Strategy: "interpret",
-					Reason: "bash mode", EstimatedSeconds: est.Seconds,
-					SequentialSeconds: est.Seconds, InputBytes: totalInput(graph, facts)})
-				root.End()
-			}
-		}
-		return 0, false
-	}
 	// PaSh is ahead-of-time: it sees the script text, not the shell state,
 	// so any word that needs expansion hides the dataflow from it (§3.2:
 	// "neither PaSh nor POSH optimize this script"). Jash expands first.
@@ -597,8 +571,7 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	d.Witnesses = concretizeWitnesses(in, st.AndOr.First)
 	d.concretized = len(d.Witnesses)
 	d.annotatePlan(psp)
-	// Execute the plan for real over the VFS, through the incremental
-	// cache when one is attached.
+	// Execute the plan for real over the VFS.
 	esp := root.Child("execute")
 	esp.SetStr("strategy", d.Strategy)
 	metrics := &exec.RunMetrics{}
@@ -620,17 +593,7 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var status int
-	var runErr error
-	if s.Incremental != nil {
-		var kind string
-		status, kind, runErr = s.Incremental.RunContext(ctx, chosen, env)
-		if runErr == nil {
-			esp.SetStr("incremental", kind)
-		}
-	} else {
-		status, runErr = exec.RunContext(ctx, chosen, env)
-	}
+	status, runErr := exec.RunContext(ctx, chosen, env)
 	d.Nodes, d.sinkBytes = metrics.Nodes, metrics.SinkBytes
 	esp.SetInt("status", int64(status))
 	esp.SetInt("sink_bytes", metrics.SinkBytes)

@@ -24,13 +24,12 @@ import (
 //
 // The gates mirror the paper's sound-by-construction posture: anything the
 // effect system cannot prove stays in program order. A whole unit also
-// stays sequential in incremental mode (the memoizer keys on sequential
-// replay) and when the interpreter state makes reordering visible at all
-// (orderVisible) — which a statement of the unit itself can bring about, so
-// that gate is asked again before every concurrent group.
+// stays sequential when the interpreter state makes reordering visible at
+// all (orderVisible) — which a statement of the unit itself can bring
+// about, so that gate is asked again before every concurrent group.
 func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 	in := s.Interp
-	if s.Mode != ModeJash || s.NoListParallel || s.Incremental != nil || orderVisible(in) {
+	if s.Mode != ModeJash || s.NoListParallel || orderVisible(in) {
 		return in.RunStmts(stmts)
 	}
 	// A single compound statement may still hide a list the planner can

@@ -21,11 +21,9 @@ package incr
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-
 	"sync"
 
 	"jash/internal/dfg"
@@ -114,21 +112,13 @@ func statelessOnly(g *dfg.Graph) bool {
 // Run executes the graph with caching. The graph's sink must be stdout
 // (Path == "") — file sinks would need output invalidation tracking —
 // otherwise it executes uncached. The returned kind is "hit",
-// "incremental", or "miss".
+// "incremental", or "miss". A failed execution writes none of its
+// captured output to env.Stdout.
 func (r *Runner) Run(g *dfg.Graph, env *exec.Env) (status int, kind string, err error) {
-	return r.RunContext(context.Background(), g, env)
-}
-
-// RunContext is Run under a cancellation context, threaded through to the
-// underlying executor. A failed execution never writes captured output to
-// env.Stdout, and resets Metrics.SinkBytes to the bytes that actually
-// reached the caller (zero), so a fault-tolerant caller can always fall
-// back to re-running the region another way.
-func (r *Runner) RunContext(ctx context.Context, g *dfg.Graph, env *exec.Env) (status int, kind string, err error) {
 	sink := g.Sink()
 	if sink == nil || sink.Path != "" {
 		r.Stats.Misses++
-		st, err := exec.RunContext(ctx, g, env)
+		st, err := exec.Run(g, env)
 		return st, "miss", err
 	}
 	// Gather current input contents.
@@ -137,13 +127,13 @@ func (r *Runner) RunContext(ctx context.Context, g *dfg.Graph, env *exec.Env) (s
 		if src.Path == "" {
 			// Unknown stdin volume: not cacheable.
 			r.Stats.Misses++
-			st, err := exec.RunContext(ctx, g, env)
+			st, err := exec.Run(g, env)
 			return st, "miss", err
 		}
 		data, rerr := env.FS.ReadFile(src.Path)
 		if rerr != nil {
 			r.Stats.Misses++
-			st, err := exec.RunContext(ctx, g, env)
+			st, err := exec.Run(g, env)
 			return st, "miss", err
 		}
 		inputs[src.Path] = data
@@ -164,7 +154,7 @@ func (r *Runner) RunContext(ctx context.Context, g *dfg.Graph, env *exec.Env) (s
 		}
 		if ent.stateless {
 			if grown, suffixes := onlyAppends(ent, inputs); grown {
-				return r.runSuffix(ctx, g, env, ent, inputs, suffixes)
+				return r.runSuffix(g, env, ent, inputs, suffixes)
 			}
 		}
 	}
@@ -172,13 +162,8 @@ func (r *Runner) RunContext(ctx context.Context, g *dfg.Graph, env *exec.Env) (s
 	var buf bytes.Buffer
 	subEnv := *env
 	subEnv.Stdout = &buf
-	st, runErr := exec.RunContext(ctx, g, &subEnv)
+	st, runErr := exec.Run(g, &subEnv)
 	if runErr != nil {
-		// The captured output is discarded, so nothing reached the
-		// caller's stdout: report zero sink bytes for the fallback rule.
-		if env.Metrics != nil {
-			env.Metrics.SinkBytes = 0
-		}
 		r.Stats.Misses++
 		return st, "miss", runErr
 	}
@@ -247,7 +232,7 @@ func onlyAppends(ent *entry, inputs map[string][]byte) (bool, map[string][]byte)
 
 // runSuffix executes the region over only the appended input suffixes and
 // appends the result to the cached output.
-func (r *Runner) runSuffix(ctx context.Context, g *dfg.Graph, env *exec.Env, ent *entry, inputs, suffixes map[string][]byte) (int, string, error) {
+func (r *Runner) runSuffix(g *dfg.Graph, env *exec.Env, ent *entry, inputs, suffixes map[string][]byte) (int, string, error) {
 	// Build a shadow graph whose sources read the suffixes from temp files.
 	ng := g.Clone()
 	var temps []string
@@ -258,7 +243,7 @@ func (r *Runner) runSuffix(ctx context.Context, g *dfg.Graph, env *exec.Env, ent
 		tmp := fmt.Sprintf("/.jash-tmp/incr-%s", digest([]byte(n.Path))[:16])
 		if err := env.FS.WriteFile(tmp, suffixes[n.Path]); err != nil {
 			r.Stats.Misses++
-			st, e := exec.RunContext(ctx, g, env)
+			st, e := exec.Run(g, env)
 			return st, "miss", e
 		}
 		temps = append(temps, tmp)
@@ -272,10 +257,10 @@ func (r *Runner) runSuffix(ctx context.Context, g *dfg.Graph, env *exec.Env, ent
 	var buf bytes.Buffer
 	subEnv := *env
 	subEnv.Stdout = &buf
-	st, err := exec.RunContext(ctx, ng, &subEnv)
+	st, err := exec.Run(ng, &subEnv)
 	if err != nil {
 		r.Stats.Misses++
-		st2, e := exec.RunContext(ctx, g, env)
+		st2, e := exec.Run(g, env)
 		return st2, "miss", e
 	}
 	var saved int64

@@ -15,8 +15,8 @@ package infer
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -37,46 +37,44 @@ type Result struct {
 	Deterministic bool
 }
 
-// Options tunes the inference procedure.
-type Options struct {
-	// Trials is the number of corpus/split combinations per law.
-	Trials int
-	// Seed drives corpus generation.
-	Seed uint64
-	// CorpusBytes sizes each generated corpus.
-	CorpusBytes int
-}
-
-// DefaultOptions returns the standard testing budget.
-func DefaultOptions() Options {
-	return Options{Trials: 6, Seed: 1, CorpusBytes: 4000}
-}
+// The testing budget, the same for every command: corpus/split
+// combinations per law, the seed that drives corpus generation, and the
+// size of each generated corpus.
+const (
+	trials      = 6
+	seed        = 1
+	corpusBytes = 4000
+)
 
 // Infer classifies the command `argv` by behavioural testing. The command
 // must be resolvable in the coreutils registry (the paper's vision covers
-// arbitrary binaries; our hermetic registry plays that role).
-func Infer(argv []string, opts Options) (Result, error) {
+// arbitrary binaries; our hermetic registry plays that role), and must
+// succeed on at least one corpus: a command that fails everywhere produces
+// no output, so every law would hold of it vacuously.
+func Infer(argv []string) (Result, error) {
 	res := Result{Argv: argv, Class: spec.Blocking, Agg: spec.AggNone}
 	if _, ok := coreutils.Lookup(argv[0]); !ok {
 		return res, fmt.Errorf("infer: command %q not available", argv[0])
 	}
-	if opts.Trials <= 0 {
-		opts = DefaultOptions()
+	corpora := makeCorpora()
+	runs := make([]run, len(corpora))
+	succeeded := false
+	for i, c := range corpora {
+		runs[i] = runOnce(argv, c)
+		succeeded = succeeded || runs[i].status == 0
 	}
-	corpora := makeCorpora(opts)
+	if !succeeded {
+		msg := fmt.Sprintf("infer: %q exits %d on every corpus", strings.Join(argv, " "), runs[0].status)
+		if runs[0].stderr != "" {
+			msg += ": " + runs[0].stderr
+		}
+		return res, errors.New(msg)
+	}
 
 	// Determinism.
 	res.Deterministic = true
-	for _, c := range corpora {
-		o1, _, err := runOnce(argv, c)
-		if err != nil {
-			return res, err
-		}
-		o2, _, err := runOnce(argv, c)
-		if err != nil {
-			return res, err
-		}
-		if !bytes.Equal(o1, o2) {
+	for i, c := range corpora {
+		if !bytes.Equal(runs[i].out, runOnce(argv, c).out) {
 			res.Deterministic = false
 			break
 		}
@@ -88,15 +86,8 @@ func Infer(argv []string, opts Options) (Result, error) {
 
 	// Side effects: did any run create or modify files?
 	dirty := false
-	for _, c := range corpora {
-		_, mutated, err := runOnce(argv, c)
-		if err != nil {
-			return res, err
-		}
-		if mutated {
-			dirty = true
-			break
-		}
+	for _, r := range runs {
+		dirty = dirty || r.mutated
 	}
 	res.Evidence = append(res.Evidence, law("pure (no filesystem writes)", !dirty))
 	if dirty {
@@ -104,56 +95,29 @@ func Infer(argv []string, opts Options) (Result, error) {
 		return res, nil
 	}
 
-	// Stateless law.
-	stateless := true
-	for _, c := range corpora {
-		ok, err := checkStateless(argv, c, opts)
-		if err != nil {
-			return res, err
+	holds := func(check func([]string, []byte) bool) bool {
+		for _, c := range corpora {
+			if !check(argv, c) {
+				return false
+			}
 		}
-		if !ok {
-			stateless = false
-			break
-		}
+		return true
 	}
+	stateless := holds(checkStateless)
 	res.Evidence = append(res.Evidence, law("stateless: f(A++B) == f(A)++f(B)", stateless))
 	if stateless {
 		res.Class = spec.Stateless
 		res.Agg = spec.AggConcat
 		return res, nil
 	}
-
-	// Merge-sort law.
-	mergeable := true
-	for _, c := range corpora {
-		ok, err := checkMergeSortable(argv, c, opts)
-		if err != nil {
-			return res, err
-		}
-		if !ok {
-			mergeable = false
-			break
-		}
-	}
+	mergeable := holds(checkMergeSortable)
 	res.Evidence = append(res.Evidence, law("merge-sortable: f(A++B) == merge(f(A), f(B))", mergeable))
 	if mergeable {
 		res.Class = spec.Parallelizable
 		res.Agg = spec.AggMergeSort
 		return res, nil
 	}
-
-	// Sum law.
-	summable := true
-	for _, c := range corpora {
-		ok, err := checkSummable(argv, c)
-		if err != nil {
-			return res, err
-		}
-		if !ok {
-			summable = false
-			break
-		}
-	}
+	summable := holds(checkSummable)
 	res.Evidence = append(res.Evidence, law("summable: f(A++B) == f(A)+f(B)", summable))
 	if summable {
 		res.Class = spec.Parallelizable
@@ -173,15 +137,15 @@ func law(name string, held bool) string {
 
 // makeCorpora builds diverse line corpora: prose, numbers, duplicates,
 // empty lines, and a tiny one.
-func makeCorpora(opts Options) [][]byte {
-	prose := workload.Words(opts.Seed, opts.CorpusBytes)
-	rng := workload.NewRNG(opts.Seed + 99)
+func makeCorpora() [][]byte {
+	prose := workload.Words(seed, corpusBytes)
+	rng := workload.NewRNG(seed + 99)
 	var nums strings.Builder
-	for i := 0; i < opts.CorpusBytes/8; i++ {
+	for i := 0; i < corpusBytes/8; i++ {
 		fmt.Fprintf(&nums, "%d\n", rng.Intn(500))
 	}
 	var dups strings.Builder
-	for i := 0; i < opts.CorpusBytes/12; i++ {
+	for i := 0; i < corpusBytes/12; i++ {
 		fmt.Fprintf(&dups, "dup%d\n", rng.Intn(7))
 	}
 	withEmpty := []byte("alpha\n\nbeta\n\n\ngamma\n")
@@ -189,34 +153,41 @@ func makeCorpora(opts Options) [][]byte {
 	return [][]byte{prose, []byte(nums.String()), []byte(dups.String()), withEmpty, tiny}
 }
 
-// runOnce executes argv on the input and reports output and whether the
-// filesystem changed.
-func runOnce(argv []string, input []byte) ([]byte, bool, error) {
+// run is one execution of the command: its output, its exit status, the
+// first line of its stderr, and whether it changed the filesystem.
+type run struct {
+	out     []byte
+	status  int
+	stderr  string
+	mutated bool
+}
+
+// runOnce executes argv on the input over a fresh filesystem.
+func runOnce(argv []string, input []byte) run {
 	fs := vfs.New()
 	fs.WriteFile("/canary", []byte("canary"))
 	before := fs.TotalBytes()
 	fn, _ := coreutils.Lookup(argv[0])
-	var out bytes.Buffer
+	var out, errb bytes.Buffer
 	ctx := &coreutils.Context{
 		FS:     fs,
 		Dir:    "/",
 		Stdin:  bytes.NewReader(input),
 		Stdout: &out,
-		Stderr: &bytes.Buffer{},
+		Stderr: &errb,
 		Getenv: func(string) string { return "" },
 	}
-	fn(ctx, argv)
-	mutated := fs.TotalBytes() != before
-	if !mutated {
-		if data, err := fs.ReadFile("/canary"); err != nil || string(data) != "canary" {
-			mutated = true
-		}
+	r := run{status: fn(ctx, argv), out: out.Bytes()}
+	r.stderr, _, _ = strings.Cut(errb.String(), "\n")
+	r.mutated = fs.TotalBytes() != before
+	if data, err := fs.ReadFile("/canary"); err != nil || string(data) != "canary" {
+		r.mutated = true
 	}
-	return out.Bytes(), mutated, nil
+	return r
 }
 
 // splitPoints picks line-aligned split offsets for the law tests.
-func splitPoints(input []byte, trials int, seed uint64) []int {
+func splitPoints(input []byte, n int, seed uint64) []int {
 	var lineStarts []int
 	for i, b := range input {
 		if b == '\n' && i+1 < len(input) {
@@ -228,114 +199,69 @@ func splitPoints(input []byte, trials int, seed uint64) []int {
 	}
 	rng := workload.NewRNG(seed)
 	var points []int
-	for i := 0; i < trials; i++ {
+	for i := 0; i < n; i++ {
 		points = append(points, lineStarts[rng.Intn(len(lineStarts))])
 	}
 	return points
 }
 
-func checkStateless(argv []string, input []byte, opts Options) (bool, error) {
-	whole, _, err := runOnce(argv, input)
-	if err != nil {
-		return false, err
-	}
-	for _, p := range splitPoints(input, opts.Trials, opts.Seed+7) {
-		a, _, err := runOnce(argv, input[:p])
-		if err != nil {
-			return false, err
-		}
-		b, _, err := runOnce(argv, input[p:])
-		if err != nil {
-			return false, err
-		}
-		if !bytes.Equal(whole, append(append([]byte(nil), a...), b...)) {
-			return false, nil
+// concat is a ++ b in a fresh slice.
+func concat(a, b []byte) []byte { return append(append([]byte(nil), a...), b...) }
+
+func checkStateless(argv []string, input []byte) bool {
+	whole := runOnce(argv, input).out
+	for _, p := range splitPoints(input, trials, seed+7) {
+		a, b := runOnce(argv, input[:p]).out, runOnce(argv, input[p:]).out
+		if !bytes.Equal(whole, concat(a, b)) {
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
-// mergeLines merges two sorted outputs with the plain string order. This
-// checks the default sort order; flag-specific orders (sort -rn) are
-// validated by re-running the command itself as the merger.
-func checkMergeSortable(argv []string, input []byte, opts Options) (bool, error) {
-	whole, _, err := runOnce(argv, input)
-	if err != nil {
-		return false, err
-	}
-	for _, p := range splitPoints(input, opts.Trials, opts.Seed+13) {
-		a, _, err := runOnce(argv, input[:p])
-		if err != nil {
-			return false, err
-		}
-		b, _, err := runOnce(argv, input[p:])
-		if err != nil {
-			return false, err
-		}
-		// Merge by re-running the command over the concatenated partials:
-		// for a true sorter, f(f(A) ++ f(B)) == f(A ++ B) and is a cheap
-		// stand-in for `f -m`.
-		merged, _, err := runOnce(argv, append(append([]byte(nil), a...), b...))
-		if err != nil {
-			return false, err
-		}
-		if !bytes.Equal(whole, merged) {
-			return false, nil
+// checkMergeSortable merges by re-running the command over the
+// concatenated partials: for a true sorter, f(f(A) ++ f(B)) == f(A ++ B),
+// a cheap stand-in for `f -m` that honours flag-specific orders (sort -rn).
+func checkMergeSortable(argv []string, input []byte) bool {
+	whole := runOnce(argv, input).out
+	for _, p := range splitPoints(input, trials, seed+13) {
+		a, b := runOnce(argv, input[:p]).out, runOnce(argv, input[p:]).out
+		if !bytes.Equal(whole, runOnce(argv, concat(a, b)).out) {
+			return false
 		}
 		// A sorter is permutation-invariant: swapping the chunks must not
 		// change the result. This separates sort from head/tail/uniq,
 		// which also survive the reapply-as-combiner test.
-		swapped, _, err := runOnce(argv, append(append([]byte(nil), input[p:]...), input[:p]...))
-		if err != nil {
-			return false, err
-		}
-		if !bytes.Equal(whole, swapped) {
-			return false, nil
+		if !bytes.Equal(whole, runOnce(argv, concat(input[p:], input[:p])).out) {
+			return false
 		}
 		// And the output really is totally ordered under f's criterion:
 		// f(f(X)) == f(X).
-		again, _, err := runOnce(argv, whole)
-		if err != nil {
-			return false, err
-		}
-		if !bytes.Equal(again, whole) {
-			return false, nil
+		if !bytes.Equal(runOnce(argv, whole).out, whole) {
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
-func checkSummable(argv []string, input []byte) (bool, error) {
-	whole, _, err := runOnce(argv, input)
-	if err != nil {
-		return false, err
-	}
-	wholeVec, ok := numericVector(whole)
+func checkSummable(argv []string, input []byte) bool {
+	wholeVec, ok := numericVector(runOnce(argv, input).out)
 	if !ok {
-		return false, nil
+		return false
 	}
-	points := splitPoints(input, 3, 101)
-	for _, p := range points {
-		a, _, err := runOnce(argv, input[:p])
-		if err != nil {
-			return false, err
-		}
-		b, _, err := runOnce(argv, input[p:])
-		if err != nil {
-			return false, err
-		}
-		av, ok1 := numericVector(a)
-		bv, ok2 := numericVector(b)
+	for _, p := range splitPoints(input, 3, 101) {
+		av, ok1 := numericVector(runOnce(argv, input[:p]).out)
+		bv, ok2 := numericVector(runOnce(argv, input[p:]).out)
 		if !ok1 || !ok2 || len(av) != len(bv) || len(av) != len(wholeVec) {
-			return false, nil
+			return false
 		}
 		for i := range wholeVec {
 			if av[i]+bv[i] != wholeVec[i] {
-				return false, nil
+				return false
 			}
 		}
 	}
-	return true, nil
+	return true
 }
 
 func numericVector(out []byte) ([]int64, bool) {
@@ -355,30 +281,22 @@ func numericVector(out []byte) ([]int64, bool) {
 }
 
 // Agreement compares inferred classes against a specification library,
-// returning per-command verdicts and the agreement ratio — the ex-infer
-// experiment's metric.
-func Agreement(lib *spec.Library, cases [][]string, opts Options) (map[string]bool, float64, error) {
+// returning per-command verdicts and the agreement ratio — the infer
+// experiment's metric. Only the exact class matches: stateless-vs-
+// parallelizable confusion either way is a disagreement.
+func Agreement(lib *spec.Library, cases [][]string) (map[string]bool, float64, error) {
 	verdicts := map[string]bool{}
 	agree := 0
 	for _, argv := range cases {
-		want := lib.Resolve(argv)
-		got, err := Infer(argv, opts)
+		got, err := Infer(argv)
 		if err != nil {
 			return nil, 0, err
 		}
-		key := strings.Join(argv, " ")
-		ok := got.Class == want.Class
-		// Stateless-vs-parallelizable confusion both ways still counts as
-		// disagreement; only the exact class matches.
-		verdicts[key] = ok
+		ok := got.Class == lib.Resolve(argv).Class
+		verdicts[strings.Join(argv, " ")] = ok
 		if ok {
 			agree++
 		}
 	}
-	keys := make([]string, 0, len(verdicts))
-	for k := range verdicts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	return verdicts, float64(agree) / float64(len(cases)), nil
 }

@@ -9,7 +9,7 @@ import (
 
 func inferClass(t *testing.T, argv ...string) Result {
 	t.Helper()
-	res, err := Infer(argv, DefaultOptions())
+	res, err := Infer(argv)
 	if err != nil {
 		t.Fatalf("Infer(%v): %v", argv, err)
 	}
@@ -99,8 +99,27 @@ func TestInferNondeterministic(t *testing.T) {
 }
 
 func TestInferUnknownCommand(t *testing.T) {
-	if _, err := Infer([]string{"no-such-utility"}, DefaultOptions()); err == nil {
+	if _, err := Infer([]string{"no-such-utility"}); err == nil {
 		t.Error("unknown command should error")
+	}
+}
+
+// TestInferRefusesACommandThatNeverSucceeds: a command that exits non-zero
+// on every corpus prints nothing, so every law would hold of it vacuously
+// (rm and false used to infer as stateless, rm as "pure"). Inference
+// refuses instead, naming the status and the first line of stderr.
+func TestInferRefusesACommandThatNeverSucceeds(t *testing.T) {
+	for _, tc := range []struct {
+		argv []string
+		want string
+	}{
+		{[]string{"rm"}, `infer: "rm" exits 2 on every corpus: rm: missing operand`},
+		{[]string{"false"}, `infer: "false" exits 1 on every corpus`},
+	} {
+		res, err := Infer(tc.argv)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Infer(%v) = class %v, err %v; want the refusal %q", tc.argv, res.Class, err, tc.want)
+		}
 	}
 }
 
@@ -137,7 +156,7 @@ func TestAgreementWithBuiltinSpecs(t *testing.T) {
 		{"unexpand"},
 		{"fold", "-w", "10"},
 	}
-	verdicts, ratio, err := Agreement(lib, cases, DefaultOptions())
+	verdicts, ratio, err := Agreement(lib, cases)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
-// Package bench is the experiment harness: every table and figure the
-// paper reports (and every quantitative claim its prose makes) has a
-// function here that regenerates it, returning printable rows. The
-// jashbench command and the repository's benchmarks are thin wrappers
-// around these functions, so `go test -bench` and `jashbench <exp>` agree
-// by construction.
-package bench
+// Package paperfig regenerates the paper's figures: every table the paper
+// reports (and every quantitative claim its prose makes) has a function
+// here that returns it as printable rows. The package's tests are the only
+// runner: each asserts its figure's shape and logs its table, so
+// `go test -v ./internal/paperfig` prints every table EXPERIMENTS.md cites.
+// The shell knows nothing of these experiments; they call it. Measured
+// performance is `go run ./bench`.
+package paperfig
 
 import (
 	"bytes"
@@ -186,7 +187,9 @@ func Temperature(records int) ([]Row, error) {
 // Spell reproduces §3.2's motivating example: the spell script's inputs
 // hide behind $FILES and $DICT, so an AOT system cannot even see the
 // dataflow; the JIT expands first and optimizes. Rows report whether each
-// system optimized, plus the modelled time at the given scale.
+// system optimized, plus the modelled time at the given scale. Bash mode
+// is plain interpretation and models nothing, so its row is the sequential
+// estimate of the graph Jash compiled, as Fig1's bash row is.
 func Spell(docBytes int) ([]Row, error) {
 	script := `DICT=/usr/share/dict
 FILES="/docs/a.txt /docs/b.txt"
@@ -212,6 +215,9 @@ cat $FILES | tr A-Z a-z | tr -cs A-Za-z '\n' | sort -u | comm -13 $DICT -
 		case sh.Stats.Optimized > 0:
 			d, _ := sh.LastDecision()
 			note = fmt.Sprintf("JIT expanded and compiled: %s width=%d", d.Strategy, d.Width)
+			rows[0].Seconds = d.SequentialSeconds // bash ran first
+		case mode == core.ModeBash:
+			note = "interpreted (seconds: sequential estimate of the graph jash compiled)"
 		case mode == core.ModePaSh:
 			note = "cannot optimize: $FILES/$DICT are not static (the paper's claim)"
 		}
@@ -432,34 +438,6 @@ func Distribution(docBytes int) ([]Row, error) {
 	}, nil
 }
 
-// JITOverhead measures the real per-command planning cost of the JIT
-// (§3.3's "high-performance libdash-JIT interactions"): scripts of n
-// pipelines are run and the mean planning wall time per command reported.
-func JITOverhead(commands int) ([]Row, error) {
-	fs := vfs.New()
-	fs.WriteFile("/data", workload.Words(2, 1<<16))
-	var script strings.Builder
-	for i := 0; i < commands; i++ {
-		fmt.Fprintf(&script, "cat /data | tr A-Z a-z | sort >/out%d\n", i)
-	}
-	sh := core.New(fs, cost.IOOptEC2(), core.ModeJash)
-	start := time.Now()
-	if st, err := sh.Run(script.String()); err != nil || st != 0 {
-		return nil, fmt.Errorf("jitoverhead: status %d err %v", st, err)
-	}
-	total := time.Since(start)
-	var planning time.Duration
-	for _, d := range sh.Stats.Decisions {
-		planning += d.PlanningWall
-	}
-	perCmd := planning.Seconds() / float64(len(sh.Stats.Decisions))
-	cfg := fmt.Sprintf("%d pipelines", commands)
-	return []Row{
-		{"jitoverhead", cfg, "planning", perCmd, "mean seconds per command (parse+analyze+plan)"},
-		{"jitoverhead", cfg, "end-to-end", total.Seconds(), "wall time incl. execution"},
-	}, nil
-}
-
 // Lint runs the linter over a corpus of buggy scripts and reports
 // per-analysis detection counts.
 func Lint() ([]Row, error) {
@@ -508,7 +486,7 @@ func InferAgreement() ([]Row, error) {
 		{"sed", "s/x/y/"}, {"awk", "{print $1}"}, {"rev"}, {"tac"},
 		{"expand"}, {"fold", "-w", "10"},
 	}
-	verdicts, ratio, err := infer.Agreement(lib, cases, infer.DefaultOptions())
+	verdicts, ratio, err := infer.Agreement(lib, cases)
 	if err != nil {
 		return nil, err
 	}
@@ -575,37 +553,6 @@ func DataMovement(inputBytes int) ([]Row, error) {
 			fmt.Sprintf("measured %d bytes moved, max peak buffered %d (cap %d/edge)",
 				metrics.TotalBytesMoved(), metrics.MaxPeakBuffered(), cost.PipeBufferBytes)},
 	}, nil
-}
-
-// All runs every experiment at validation scale, concatenating the rows.
-func All() ([]Row, error) {
-	var rows []Row
-	type exp struct {
-		name string
-		run  func() ([]Row, error)
-	}
-	exps := []exp{
-		{"fig1", func() ([]Row, error) { return Fig1(1 << 20) }},
-		{"temperature", func() ([]Row, error) { return Temperature(20000) }},
-		{"spell", func() ([]Row, error) { return Spell(1 << 20) }},
-		{"noregression", NoRegression},
-		{"scaling", ScalingWidth},
-		{"incremental", func() ([]Row, error) { return Incremental(1 << 20) }},
-		{"distribution", func() ([]Row, error) { return Distribution(1 << 20) }},
-		{"jitoverhead", func() ([]Row, error) { return JITOverhead(50) }},
-		{"datamovement", func() ([]Row, error) { return DataMovement(1 << 20) }},
-		{"lint", Lint},
-		{"infer", InferAgreement},
-		{"ablation", Ablation},
-	}
-	for _, e := range exps {
-		r, err := e.run()
-		if err != nil {
-			return rows, fmt.Errorf("%s: %w", e.name, err)
-		}
-		rows = append(rows, r...)
-	}
-	return rows, nil
 }
 
 // Ablation isolates Jash's two design ingredients (DESIGN.md §4): the

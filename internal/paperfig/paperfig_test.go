@@ -1,9 +1,21 @@
-package bench
+package paperfig
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"jash/internal/cost"
 )
+
+// logTable prints an experiment's rows to the test log, so that
+// `go test -v ./internal/paperfig` regenerates every table.
+func logTable(t *testing.T, rows []Row) {
+	t.Helper()
+	var b strings.Builder
+	Print(&b, rows)
+	t.Log("\n" + b.String())
+}
 
 // rowsBy returns rows matching a config substring and system.
 func rowsBy(rows []Row, config, system string) []Row {
@@ -26,10 +38,11 @@ func one(t *testing.T, rows []Row, config, system string) Row {
 }
 
 func TestFig1ShapeMatchesPaper(t *testing.T) {
-	rows, err := Fig1(1 << 19)
+	rows, err := Fig1(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
+	logTable(t, rows)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
 	}
@@ -56,10 +69,11 @@ func TestFig1ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestTemperatureAgreesWithOracle(t *testing.T) {
-	rows, err := Temperature(5000)
+	rows, err := Temperature(50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	logTable(t, rows)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -73,10 +87,11 @@ func TestTemperatureAgreesWithOracle(t *testing.T) {
 }
 
 func TestSpellOnlyJITOptimizes(t *testing.T) {
-	rows, err := Spell(1 << 18)
+	rows, err := Spell(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
+	logTable(t, rows)
 	var bashRow, jashRow Row
 	for _, r := range rows {
 		switch r.System {
@@ -89,13 +104,19 @@ func TestSpellOnlyJITOptimizes(t *testing.T) {
 	if !strings.Contains(jashRow.Note, "JIT expanded") {
 		t.Errorf("jash note = %q", jashRow.Note)
 	}
-	if strings.Contains(bashRow.Note, "JIT") {
+	if strings.Contains(bashRow.Note, "JIT") || !strings.Contains(bashRow.Note, "sequential estimate") {
 		t.Errorf("bash note = %q", bashRow.Note)
+	}
+	// The same graph, unparallelized: never faster than the plan Jash chose.
+	if bashRow.Seconds <= 0 || bashRow.Seconds < jashRow.Seconds {
+		t.Errorf("bash %.4fs vs jash %.4fs: want a positive sequential estimate ≥ jash's", bashRow.Seconds, jashRow.Seconds)
 	}
 }
 
 func TestNoRegressionHolds(t *testing.T) {
-	if _, err := NoRegression(); err != nil {
+	rows, err := NoRegression()
+	logTable(t, rows)
+	if err != nil {
 		t.Fatal(err)
 	}
 }
@@ -105,6 +126,7 @@ func TestScalingWidthFindsPerDeviceOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	logTable(t, rows)
 	var gp2Best, gp3Best string
 	for _, r := range rows {
 		if r.System != "optimum" {
@@ -129,6 +151,7 @@ func TestIncrementalSpeedups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	logTable(t, rows)
 	var cold, warm, appendRun float64
 	for _, r := range rows {
 		switch r.System {
@@ -153,6 +176,7 @@ func TestDistributionPlacementWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	logTable(t, rows)
 	var central, placement Row
 	for _, r := range rows {
 		if r.System == "central" {
@@ -166,14 +190,25 @@ func TestDistributionPlacementWins(t *testing.T) {
 	}
 }
 
-func TestJITOverheadSmall(t *testing.T) {
-	rows, err := JITOverhead(20)
+// TestDataMovementBoundedBuffering: the executor really moves the bytes,
+// and no node ever holds more than its lanes' pipes can: peak buffered
+// stays within width × the per-edge pipe capacity.
+func TestDataMovementBoundedBuffering(t *testing.T) {
+	rows, err := DataMovement(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := rows[0].Seconds
-	if per <= 0 || per > 0.05 {
-		t.Errorf("per-command planning = %.6fs, want (0, 50ms]", per)
+	logTable(t, rows)
+	var moved, peak, capacity int64
+	ex := one(t, rows, "width=4", "executor")
+	if _, err := fmt.Sscanf(ex.Note, "measured %d bytes moved, max peak buffered %d (cap %d/edge)", &moved, &peak, &capacity); err != nil {
+		t.Fatalf("executor note %q: %v", ex.Note, err)
+	}
+	if moved <= 0 {
+		t.Errorf("bytes moved = %d, want > 0", moved)
+	}
+	if bound := int64(4 * cost.PipeBufferBytes); peak > bound {
+		t.Errorf("peak buffered %d exceeds width × pipe capacity %d", peak, bound)
 	}
 }
 
@@ -182,6 +217,7 @@ func TestLintCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	logTable(t, rows)
 	if rows[0].Seconds < 9 {
 		t.Errorf("total findings = %.0f, want >= 9 (one per buggy script)", rows[0].Seconds)
 	}
@@ -192,6 +228,7 @@ func TestInferAgreementHigh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	logTable(t, rows)
 	if rows[0].Seconds < 0.9 {
 		t.Errorf("agreement = %.2f: %s", rows[0].Seconds, rows[0].Note)
 	}
@@ -211,6 +248,7 @@ func TestAblationOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	logTable(t, rows)
 	secs := map[string]float64{}
 	for _, r := range rows {
 		secs[r.System] = r.Seconds

@@ -26,6 +26,7 @@
 //	jash/internal/cluster  distributed placement-aware execution
 //	jash/internal/lint     ShellCheck-style analyses
 //	jash/internal/infer    black-box spec inference
+//	jash/internal/paperfig the paper's figures; `go test -v` prints them
 package jash
 
 import (
@@ -89,9 +90,7 @@ func Lint(src string) []lint.Finding { return lint.New().LintSource(src) }
 type Finding = lint.Finding
 
 // InferSpec classifies a command's parallelizability by black-box testing.
-func InferSpec(argv []string) (infer.Result, error) {
-	return infer.Infer(argv, infer.DefaultOptions())
-}
+func InferSpec(argv []string) (infer.Result, error) { return infer.Infer(argv) }
 
 // Specs returns the builtin PaSh-style command specification library.
 func Specs() *spec.Library { return spec.Builtin() }
