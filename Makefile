@@ -29,15 +29,15 @@ race:
 	$(GO) test -race -run 'Plan|Parallelize|Graph' ./internal/rewrite/...
 
 # The fault suite: injected failures, panics, stalls, and cancellations
-# at every plan position must tear down cleanly, heal via supervised
-# retries where safe, and fall back byte-identically; the seeded chaos
+# at every plan position must tear the plan down cleanly (no node is ever
+# re-run in place) and fall back byte-identically; the seeded chaos
 # sweep runs the whole self-healing stack differentially. The Argv and
 # EarlyExpansion three-mode differentials ride along so the parallel lanes
 # they force run under the race detector, and the region former's own
 # tests (Region) so a rule cannot change without them.
 fault: fuzz-smoke
 	$(GO) test -race -count=2 \
-		-run 'Fault|Panic|Cancel|Timeout|Fallback|Hangup|FailingLane|Chaos|Retry|Stall|Journal|Quarantine|Trap|Trace|Argv|EarlyExpansion|Region' \
+		-run 'Fault|Panic|Cancel|Timeout|Fallback|Hangup|FailingLane|Chaos|Stall|Journal|Quarantine|Trap|Trace|Argv|EarlyExpansion|Region' \
 		./internal/exec/... ./internal/core/... ./internal/dfg/...
 
 # fuzz-smoke is the deterministic differential gate (~30s): a fixed seed

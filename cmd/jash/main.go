@@ -13,7 +13,7 @@
 //
 //	jash [-mode bash|pash|jash] [-profile laptop|standard|ioopt]
 //	     [-import host.txt=/vfs/path]... [-words /vfs/path=SIZE]
-//	     [-retries N] [-stall-timeout D] [-timeout D]
+//	     [-stall-timeout D] [-timeout D]
 //	     [-no-list-parallel] [-trace FILE]
 //	     (-i | -c 'script' | script.sh)
 package main
@@ -52,7 +52,6 @@ func run() int {
 		command     = flag.String("c", "", "run this script text instead of a file")
 		traceOut    = flag.String("trace", "", "write the run's trace (span tree + metrics, JSON lines for jashtrace) to this file")
 		timeout     = flag.Duration("timeout", 0, "bound the session; expiry tears running plans down and exits 124")
-		retries     = flag.Int("retries", 0, "per-node retry budget for effect-idempotent plan nodes")
 		stall       = flag.Duration("stall-timeout", 0, "abort optimized plans making no progress for this long")
 		noListPar   = flag.Bool("no-list-parallel", false, "disable command-list parallelism; run every statement list in program order")
 		interactive = flag.Bool("i", false, "interactive: read commands line by line with a prompt")
@@ -155,7 +154,6 @@ func run() int {
 	sh.Interp.Stdout = os.Stdout
 	sh.Interp.Stderr = os.Stderr
 	sh.Ctx = ctx
-	sh.Retries = *retries
 	sh.StallTimeout = *stall
 	sh.NoListParallel = *noListPar
 	if tr != nil {

@@ -132,13 +132,6 @@ func run() int {
 			for _, wit := range sum.Witnesses {
 				fmt.Printf("  value flow: %s\n", wit)
 			}
-			// Supervision consequence: the executor's effect-gated retry
-			// re-runs only nodes whose writes provably converge on re-run.
-			if argvSum := analysis.SummarizeArgv(lib, fields); argvSum.RetryIdempotent() {
-				fmt.Println("  supervision: retry-idempotent — a failed node may retry in place (-retries)")
-			} else {
-				fmt.Println("  supervision: stateful or destructive writes — never retried; a failure fails the plan")
-			}
 		}
 		// Hazard preflight, decided as the shell decides it: the region
 		// former builds the statement's dataflow graph, every node of which

@@ -42,12 +42,6 @@ const (
 	OpCreate
 	// OpRemove may delete the file.
 	OpRemove
-	// OpStateful marks a mutation whose outcome depends on the file's
-	// prior state (append, ln without -f, dd seek=, mkdir without -p,
-	// relative truncate). Re-running such a command after a partial
-	// failure is not guaranteed to converge, so the self-healing
-	// executor's retry gate refuses it. Always paired with a write op.
-	OpStateful
 )
 
 // Writes reports whether the op set mutates the filesystem.
@@ -72,9 +66,6 @@ func (o Op) String() string {
 	}
 	if o&OpRemove != 0 {
 		parts = append(parts, "remove")
-	}
-	if o&OpStateful != 0 {
-		parts = append(parts, "stateful")
 	}
 	return strings.Join(parts, "+")
 }
@@ -125,23 +116,6 @@ func (s *Summary) Union(o *Summary) {
 	s.WritesStdout = s.WritesStdout || o.WritesStdout
 	s.Concretized += o.Concretized
 	s.Witnesses = append(s.Witnesses, o.Witnesses...)
-}
-
-// RetryIdempotent reports whether re-running the command after a partial
-// failure converges to the same state a clean run would have produced.
-// Truncate-style writes and creates qualify (the retry simply rewrites);
-// removals, ⊤ writes, and stateful mutations (appends, seek-writes,
-// exists-checks) do not.
-func (s *Summary) RetryIdempotent() bool {
-	if s.Unknown.Writes() || s.Unknown&OpStateful != 0 {
-		return false
-	}
-	for _, op := range s.Paths {
-		if op&(OpRemove|OpStateful) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // RelativePaths returns the cwd-dependent paths in the summary matching
@@ -243,25 +217,12 @@ func (s *Summary) String() string {
 // conservative ⊤ read+write.
 var mutators = map[string]func(s *Summary, cl *spec.Parsed){
 	"tee": func(s *Summary, cl *spec.Parsed) {
-		op := OpWrite | OpCreate
-		if cl.Has('a') {
-			// Appending depends on the file's prior contents.
-			op |= OpStateful
-		}
 		s.ReadsStdin, s.WritesStdout = true, true
-		touchAll(s, cl.Operands, op)
+		touchAll(s, cl.Operands, OpWrite|OpCreate)
 	},
 	"rm":    func(s *Summary, cl *spec.Parsed) { touchAll(s, cl.Operands, OpRemove) },
 	"rmdir": func(s *Summary, cl *spec.Parsed) { touchAll(s, cl.Operands, OpRemove) },
-	"mkdir": func(s *Summary, cl *spec.Parsed) {
-		op := OpCreate
-		if !cl.Has('p') {
-			// Without -p the command fails when the directory already
-			// exists, so a retry after partial success does not converge.
-			op |= OpStateful
-		}
-		touchAll(s, cl.Operands, op)
-	},
+	"mkdir": func(s *Summary, cl *spec.Parsed) { touchAll(s, cl.Operands, OpCreate) },
 	"touch": func(s *Summary, cl *spec.Parsed) { touchAll(s, cl.Operands, OpCreate|OpWrite) },
 	"mv": func(s *Summary, cl *spec.Parsed) {
 		touchSourcesAndTarget(s, cl.Operands, OpRead|OpRemove, OpWrite|OpCreate)
@@ -275,11 +236,8 @@ var mutators = map[string]func(s *Summary, cl *spec.Parsed){
 	"ln": func(s *Summary, cl *spec.Parsed) {
 		op := OpCreate
 		if cl.Has('f') {
+			// -f replaces an existing target.
 			op |= OpWrite
-		} else {
-			// Without -f, ln fails when the target exists: a retry after
-			// a partially-successful run does not converge.
-			op |= OpStateful
 		}
 		var src Op
 		if !cl.Has('s') {
@@ -290,14 +248,6 @@ var mutators = map[string]func(s *Summary, cl *spec.Parsed){
 	},
 	"dd": func(s *Summary, cl *spec.Parsed) {
 		wrote := false
-		op := OpWrite | OpCreate
-		for _, a := range cl.Operands {
-			if strings.HasPrefix(a, "seek=") || strings.HasPrefix(a, "oflag=append") ||
-				a == "conv=notrunc" {
-				// Writing at an offset or appending preserves prior bytes.
-				op |= OpStateful
-			}
-		}
 		for _, a := range cl.Operands {
 			switch {
 			case strings.HasPrefix(a, "if="):
@@ -306,7 +256,7 @@ var mutators = map[string]func(s *Summary, cl *spec.Parsed){
 				}
 			case strings.HasPrefix(a, "of="):
 				if f := a[len("of="):]; f != "" {
-					s.Touch(f, op)
+					s.Touch(f, OpWrite|OpCreate)
 					wrote = true
 				}
 			}
@@ -322,11 +272,6 @@ var mutators = map[string]func(s *Summary, cl *spec.Parsed){
 		op := OpWrite
 		if !cl.Has('c') {
 			op |= OpCreate
-		}
-		if sz, _ := cl.Value('s'); sz != "" && strings.ContainsAny(sz[:1], "+-%<>/") {
-			// Relative sizes (-s +1K, -s -512, -s %4) depend on the
-			// file's current length.
-			op |= OpStateful
 		}
 		touchAll(s, cl.Operands, op)
 	},
@@ -607,16 +552,12 @@ func Witness(w *syntax.Word, vals []string) string {
 // Static targets contribute concrete paths; dynamic targets are resolved
 // through the abstract environment when possible (redirect targets do
 // not field-split or glob, so a constant abstract value is exact), and
-// fall to ⊤ otherwise. Appends carry OpStateful: their outcome depends
-// on the file's prior contents.
+// fall to ⊤ otherwise.
 func foldRedirs(s *Summary, redirs []*syntax.Redirect, env *Env) {
 	for _, r := range redirs {
 		op := redirOp(r.Op)
 		if op == 0 {
 			continue
-		}
-		if r.Op == syntax.RedirAppend {
-			op |= OpStateful
 		}
 		if r.Target != nil && r.Target.IsStatic() && !hasUnquotedGlob(r.Target) {
 			s.Touch(r.Target.StaticValue(), op)

@@ -19,8 +19,8 @@ func TestLnEffects(t *testing.T) {
 	if s.Paths["/src"]&OpRead == 0 {
 		t.Errorf("hard link source not read: %v", s.Paths)
 	}
-	if s.Paths["/link"]&(OpCreate|OpStateful) != OpCreate|OpStateful {
-		t.Errorf("ln without -f must be stateful create: %v", s.Paths)
+	if s.Paths["/link"] != OpCreate {
+		t.Errorf("ln without -f must create the link and nothing else: %v", s.Paths)
 	}
 	if s.Unknown != 0 {
 		t.Errorf("ln fell to ⊤: %v", s.Unknown)
@@ -30,10 +30,10 @@ func TestLnEffects(t *testing.T) {
 	if op, ok := s.Paths["/src"]; ok && op&OpRead != 0 {
 		t.Errorf("symlink source read: %v", s.Paths)
 	}
-	// -f: replaces an existing target, so a retry converges.
+	// -f: replaces an existing target.
 	s = opsOf(t, "ln", "-f", "/src", "/link")
-	if s.Paths["/link"]&OpStateful != 0 {
-		t.Errorf("ln -f should not be stateful: %v", s.Paths)
+	if s.Paths["/link"] != OpCreate|OpWrite {
+		t.Errorf("ln -f must create or overwrite the link: %v", s.Paths)
 	}
 }
 
@@ -50,14 +50,6 @@ func TestDdEffects(t *testing.T) {
 	}
 	if s.Unknown != 0 {
 		t.Errorf("dd fell to ⊤: %v", s.Unknown)
-	}
-	// seek= preserves prior bytes: stateful.
-	s = opsOf(t, "dd", "if=/in", "of=/out", "seek=1")
-	if s.Paths["/out"]&OpStateful == 0 {
-		t.Errorf("dd seek= should be stateful: %v", s.Paths)
-	}
-	if opsOf(t, "dd", "if=/in", "of=/out", "conv=notrunc").Paths["/out"]&OpStateful == 0 {
-		t.Errorf("dd conv=notrunc should be stateful")
 	}
 	// Without of=/if= the streams take over.
 	s = opsOf(t, "dd", "if=/in")
@@ -77,10 +69,6 @@ func TestTruncateEffects(t *testing.T) {
 	}
 	if s.Unknown != 0 {
 		t.Errorf("truncate fell to ⊤: %v", s.Unknown)
-	}
-	// Relative size depends on the current length.
-	if opsOf(t, "truncate", "-s", "+512", "/f").Paths["/f"]&OpStateful == 0 {
-		t.Errorf("truncate -s +N should be stateful")
 	}
 	// -c: never creates.
 	if opsOf(t, "truncate", "-c", "-s", "0", "/f").Paths["/f"]&OpCreate != 0 {
@@ -116,56 +104,6 @@ func TestSplitEffects(t *testing.T) {
 	}
 	if !opsOf(t, "split").ReadsStdin {
 		t.Errorf("split with no operand reads stdin")
-	}
-}
-
-func TestTeeAppendStateful(t *testing.T) {
-	if opsOf(t, "tee", "/f").Paths["/f"]&OpStateful != 0 {
-		t.Errorf("plain tee should not be stateful")
-	}
-	if opsOf(t, "tee", "-a", "/f").Paths["/f"]&OpStateful == 0 {
-		t.Errorf("tee -a should be stateful")
-	}
-}
-
-func TestMkdirStateful(t *testing.T) {
-	if opsOf(t, "mkdir", "/d").Paths["/d"]&OpStateful == 0 {
-		t.Errorf("mkdir without -p should be stateful (fails on existing)")
-	}
-	if opsOf(t, "mkdir", "-p", "/d").Paths["/d"]&OpStateful != 0 {
-		t.Errorf("mkdir -p should not be stateful")
-	}
-}
-
-// --- RetryIdempotent: the static half of the executor's retry gate ---
-
-func TestRetryIdempotent(t *testing.T) {
-	cases := []struct {
-		argv []string
-		want bool
-	}{
-		{[]string{"grep", "-c", "x", "/in"}, true},
-		{[]string{"sort", "/in", "-o", "/out"}, true}, // full rewrite converges
-		{[]string{"tee", "/f"}, true},
-		{[]string{"tee", "-a", "/f"}, false},  // append depends on prior state
-		{[]string{"mkdir", "/d"}, false},      // fails when it half-succeeded
-		{[]string{"mkdir", "-p", "/d"}, true}, // -p converges
-		{[]string{"rm", "/f"}, false},         // second attempt fails: gone
-		{[]string{"mv", "/a", "/b"}, false},   // source removed on success
-		{[]string{"ln", "/s", "/l"}, false},
-		{[]string{"ln", "-f", "/s", "/l"}, true},
-		{[]string{"dd", "if=/a", "of=/b"}, true},
-		{[]string{"dd", "if=/a", "of=/b", "seek=1"}, false},
-		{[]string{"truncate", "-s", "0", "/f"}, true},
-		{[]string{"truncate", "-s", "+1", "/f"}, false},
-		{[]string{"split", "/in"}, false},   // ⊤ writes
-		{[]string{"frobnicate", "/f"}, false}, // unknown command: ⊤
-	}
-	lib := spec.Builtin()
-	for _, c := range cases {
-		if got := SummarizeArgv(lib, c.argv).RetryIdempotent(); got != c.want {
-			t.Errorf("RetryIdempotent(%v) = %v, want %v", c.argv, got, c.want)
-		}
 	}
 }
 

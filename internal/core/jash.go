@@ -189,9 +189,6 @@ type Stats struct {
 	// compile: their nodes would race on a file if run concurrently
 	// (write-write or read-after-write), so they interpret instead.
 	HazardRejects int
-	// Retries totals the executor's supervised node re-runs across the
-	// session's optimized executions.
-	Retries int
 	// Quarantined counts executions the JIT circuit breaker refused to
 	// compile: the region failed BreakerThreshold times, so it runs
 	// interpreted until a half-open probe re-admits it after BreakerDecay.
@@ -212,11 +209,11 @@ type Stats struct {
 
 // counters pairs each session total with the registry counter of the same
 // quantity; add moves both by the same amount.
-func (st *Stats) counters() ([8]*int, [8]string) {
-	return [8]*int{&st.Optimized, &st.Interpreted, &st.Fallbacks, &st.HazardRejects,
-			&st.Retries, &st.Quarantined, &st.ListParallel, &st.Concretized},
-		[8]string{trace.MetricPlansOptimized, trace.MetricPlansInterp, trace.MetricFallbacks, trace.MetricHazardRejects,
-			trace.MetricRetries, trace.MetricQuarantined, trace.MetricListParallel, trace.MetricConcretized}
+func (st *Stats) counters() ([7]*int, [7]string) {
+	return [7]*int{&st.Optimized, &st.Interpreted, &st.Fallbacks, &st.HazardRejects,
+			&st.Quarantined, &st.ListParallel, &st.Concretized},
+		[7]string{trace.MetricPlansOptimized, trace.MetricPlansInterp, trace.MetricFallbacks, trace.MetricHazardRejects,
+			trace.MetricQuarantined, trace.MetricListParallel, trace.MetricConcretized}
 }
 
 // add is the counters' view of a settled record: it goes to the session
@@ -227,7 +224,6 @@ func (st *Stats) add(d *Decision, reg *trace.Registry) bool {
 	inc.ListParallel, inc.Concretized = d.statements, d.concretized
 	var moved int64
 	for _, n := range d.Nodes {
-		inc.Retries += n.Retries
 		moved += n.BytesOut
 	}
 	totals, names := st.counters()
@@ -279,10 +275,6 @@ type Shell struct {
 	// Faults, when non-nil, is forwarded to the executor's fault-injection
 	// harness (tests only).
 	Faults *faultinject.Set
-	// Retries is the executor's per-node retry budget for
-	// effect-idempotent nodes (`jash -retries`). Zero keeps the executor
-	// fail-fast.
-	Retries int
 	// StallTimeout arms the executor's stall watchdog
 	// (`jash -stall-timeout`); zero disables it.
 	StallTimeout time.Duration
@@ -584,8 +576,6 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 		Getenv:       in.Getenv,
 		Metrics:      metrics,
 		Faults:       s.Faults,
-		Lib:          s.Lib,
-		Retries:      s.Retries,
 		StallTimeout: s.StallTimeout,
 		Span:         esp,
 	}
@@ -599,7 +589,6 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	esp.SetInt("sink_bytes", metrics.SinkBytes)
 	esp.SetInt("bytes_moved", metrics.TotalBytesMoved())
 	esp.SetInt("peak_buffered_bytes", metrics.MaxPeakBuffered())
-	esp.SetInt("retries", int64(metrics.Retries))
 	if runErr != nil {
 		esp.SetStr("error", runErr.Error())
 	}

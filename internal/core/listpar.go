@@ -156,8 +156,8 @@ type listWorker struct {
 // runParallelGroup executes a proven-non-interfering run of statements
 // concurrently and replays their observable effects in program order.
 // Each statement runs on its own interpreter clone (the observer stays
-// attached, so inner pipelines still JIT, retry, and journal-fallback
-// exactly as they would sequentially) with its stdout and stderr
+// attached, so inner pipelines still JIT and journal-fallback exactly
+// as they would sequentially) with its stdout and stderr
 // journaled to per-statement buffers. When every worker has finished, the
 // buffers are flushed to the session streams in program order, the
 // disjoint variable definitions are merged back, and $? becomes the last

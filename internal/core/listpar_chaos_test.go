@@ -29,7 +29,7 @@ const chaosListScript = "grep -c Apple /small0; cat /big | tr A-Z a-z; grep -c b
 // TestListRegionFaultStatement2JournaledReplay injects a mid-stream write
 // fault into statement 2 of a parallelized list — after its pipeline has
 // already committed hundreds of KiB into the per-statement journal
-// buffer. The worker's self-healing executor must recover in place (the
+// buffer. The worker's journaled fallback must recover it (the
 // interpreter re-runs the region, skipping the committed line-aligned
 // prefix), and the region replay must then deliver stdout, stderr, and
 // status byte-identical to an unfaulted sequential run.

@@ -107,38 +107,6 @@ func TestTraceJournaledFallback(t *testing.T) {
 	}
 }
 
-// TestTraceRetryEvent: a healed supervised retry must leave a retry event
-// on the node's span and count in the retries metric.
-func TestTraceRetryEvent(t *testing.T) {
-	s, _, buf := tracedShell(t, 2000)
-	s.Retries = 1
-	// Nth 1: the fault strikes before the node consumed any input, the
-	// only position the effect gate deems safe to replay.
-	s.Faults = faultinject.NewSet(faultinject.Rule{
-		Node: "tr", Op: faultinject.OpRead, Nth: 1,
-	})
-	if _, err := s.Run(fig1Script); err != nil {
-		t.Fatal(err)
-	}
-	if s.Faults.Fired() == 0 {
-		t.Skip("fault did not fire (plan shape changed)")
-	}
-	if s.Stats.Retries == 0 {
-		t.Fatalf("retry did not heal (fallbacks=%d)", s.Stats.Fallbacks)
-	}
-	d := readTrace(t, s, buf)
-	ev, ok := findEvent(d, "retry")
-	if !ok {
-		t.Fatal("no retry event in trace")
-	}
-	if ev.Attrs["cause"] == nil {
-		t.Error("retry event lost its cause")
-	}
-	if v := metricValue(d, trace.MetricRetries); v < 1 {
-		t.Errorf("retries metric = %v, want >= 1", v)
-	}
-}
-
 // TestTraceCancelOutcome: external cancellation striking mid-plan must
 // mark the pipeline span cancelled, never fallback. A stalled fault
 // parks the plan until the session deadline tears it down.
@@ -420,9 +388,6 @@ func TestEveryOutcomeTellsOneStory(t *testing.T) {
 				if v := metricValue(d, c.metric); v != float64(c.got) {
 					t.Errorf("registry %s = %v, Stats says %d", c.metric, v, c.got)
 				}
-			}
-			if v := metricValue(d, trace.MetricRetries); v != float64(got.Retries) {
-				t.Errorf("registry retries = %v, Stats says %d", v, got.Retries)
 			}
 			if v := metricValue(d, trace.MetricConcretized); v != float64(got.Concretized) {
 				t.Errorf("registry concretized_words = %v, Stats says %d", v, got.Concretized)

@@ -49,16 +49,10 @@ const (
 	SplitLaneFallbackBytes = 1 << 20
 )
 
-// Self-healing executor knobs. The supervisor (package exec) and the JIT
+// Self-healing knobs. The stall watchdog (package exec) and the JIT
 // circuit breaker (package core) share this block so the trace can
-// explain retry and quarantine behaviour in the model's own terms.
+// explain stall and quarantine behaviour in the model's own terms.
 const (
-	// RetryBackoffBase is the first retry's backoff; each further attempt
-	// doubles it (with jitter) up to RetryBackoffMax. The cap is kept well
-	// under any plausible -stall-timeout so a backing-off node is never
-	// mistaken for a stalled one.
-	RetryBackoffBase = 1 * time.Millisecond
-	RetryBackoffMax  = 20 * time.Millisecond
 	// StallPollDivisor sets how often the watchdog samples progress
 	// counters: stall-timeout / divisor per sample, so a stall is detected
 	// within (1 + 1/divisor) × the configured timeout.

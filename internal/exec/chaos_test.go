@@ -16,11 +16,10 @@ import (
 	"jash/internal/workload"
 )
 
-// runSupervised is runWithFaults plus the self-healing knobs: a spec
-// library (so commands can be proven effect-idempotent), a retry budget,
-// and a stall watchdog. The 30s guard catches supervision deadlocks.
+// runSupervised is runWithFaults plus the stall watchdog. The 30s guard
+// catches teardown deadlocks.
 func runSupervised(t *testing.T, g *dfg.Graph, fs *vfs.FS, set *faultinject.Set,
-	retries int, stall time.Duration) (string, int, error, *RunMetrics) {
+	stall time.Duration) (string, int, error, *RunMetrics) {
 	t.Helper()
 	metrics := &RunMetrics{}
 	var out, errs bytes.Buffer
@@ -33,7 +32,7 @@ func runSupervised(t *testing.T, g *dfg.Graph, fs *vfs.FS, set *faultinject.Set,
 		st, err := Run(g, &Env{
 			FS: fs, Dir: "/", Stdin: strings.NewReader(""),
 			Stdout: &out, Stderr: &errs, Metrics: metrics, Faults: set,
-			Lib: lib, Retries: retries, StallTimeout: stall,
+			StallTimeout: stall,
 		})
 		done <- result{st, err}
 	}()
@@ -43,14 +42,15 @@ func runSupervised(t *testing.T, g *dfg.Graph, fs *vfs.FS, set *faultinject.Set,
 	case <-time.After(30 * time.Second):
 		buf := make([]byte, 1<<20)
 		n := runtime.Stack(buf, true)
-		t.Fatalf("plan deadlocked under supervision\n%s", buf[:n])
+		t.Fatalf("plan deadlocked under injected fault\n%s", buf[:n])
 		return "", 0, nil, nil
 	}
 }
 
 // TestChaosDifferential is the acceptance sweep: seeded random fault
 // injection (errors, panics, stalls) over the fig1 plan at widths 1 and
-// 4. Every run must either succeed with output byte-identical to the
+// 4. A fault that fired always fails the plan — nothing is retried in
+// place. Every run must either succeed with output byte-identical to the
 // fault-free reference, or fail having committed exactly a line-aligned
 // prefix of it (the journal invariant) — and never leak a goroutine.
 func TestChaosDifferential(t *testing.T) {
@@ -76,14 +76,20 @@ func TestChaosDifferential(t *testing.T) {
 					}
 					before := runtime.NumGoroutine()
 					set := faultinject.NewChaos(cfg)
-					out, st, err, m := runSupervised(t, g, fs, set, 2, 400*time.Millisecond)
+					out, st, err, m := runSupervised(t, g, fs, set, 400*time.Millisecond)
 					checkNoLeaks(t, before)
 					if err == nil {
+						if set.Fired() > 0 {
+							t.Fatalf("%d faults fired but the plan succeeded", set.Fired())
+						}
 						if st != 0 || out != want {
-							t.Fatalf("healed run diverged: st=%d len(out)=%d len(want)=%d",
+							t.Fatalf("fault-free run diverged: st=%d len(out)=%d len(want)=%d",
 								st, len(out), len(want))
 						}
 						return
+					}
+					if st == 0 {
+						t.Fatalf("failed plan reported status 0: %v", err)
 					}
 					// Failed run: the journal guarantees the committed
 					// output is a line-aligned prefix of the reference.
@@ -102,112 +108,6 @@ func TestChaosDifferential(t *testing.T) {
 	}
 }
 
-// TestRetryHealsFirstRead arms a one-shot read fault on tr's first read;
-// with a retry budget the supervisor must re-run the node in place and
-// the plan must finish byte-identical, counting the retry.
-func TestRetryHealsFirstRead(t *testing.T) {
-	refG, refFS := fig1Graph(t)
-	want, _ := runGraph(t, refG, refFS, "")
-
-	g, fs := fig1Graph(t)
-	set := faultinject.NewSet(faultinject.Rule{Node: "tr", Op: faultinject.OpRead, Nth: 1})
-	before := runtime.NumGoroutine()
-	out, st, err, m := runSupervised(t, g, fs, set, 1, 0)
-	checkNoLeaks(t, before)
-	if err != nil || st != 0 {
-		t.Fatalf("retry did not heal: st=%d err=%v", st, err)
-	}
-	if out != want {
-		t.Fatalf("healed output diverged: %d vs %d bytes", len(out), len(want))
-	}
-	if m.Retries < 1 {
-		t.Fatalf("Retries=%d, want >=1", m.Retries)
-	}
-	if set.Fired() != 1 {
-		t.Fatalf("Fired=%d, want 1", set.Fired())
-	}
-}
-
-// TestRetryHealsPanic does the same for a panicking node: the per-attempt
-// recover must contain the panic and the retry must heal it.
-func TestRetryHealsPanic(t *testing.T) {
-	refG, refFS := fig1Graph(t)
-	want, _ := runGraph(t, refG, refFS, "")
-
-	g, fs := fig1Graph(t)
-	set := faultinject.NewSet(faultinject.Rule{
-		Node: "sort", Op: faultinject.OpRead, Nth: 1, Mode: faultinject.ModePanic,
-	})
-	before := runtime.NumGoroutine()
-	out, st, err, m := runSupervised(t, g, fs, set, 1, 0)
-	checkNoLeaks(t, before)
-	if err != nil || st != 0 || out != want {
-		t.Fatalf("panic retry did not heal: st=%d err=%v identical=%v", st, err, out == want)
-	}
-	if m.Retries < 1 {
-		t.Fatalf("Retries=%d, want >=1", m.Retries)
-	}
-}
-
-// TestRetryHealsSourceReopen: a source with a Path re-opens its file on
-// retry, so a fault on its first read (before any bytes left the node)
-// heals in place. A later fault would find bytes already downstream and
-// be refused — replaying them would duplicate output.
-func TestRetryHealsSourceReopen(t *testing.T) {
-	refG, refFS := fig1Graph(t)
-	want, _ := runGraph(t, refG, refFS, "")
-
-	g, fs := fig1Graph(t)
-	set := faultinject.NewSet(faultinject.Rule{Node: "src:", Op: faultinject.OpRead, Nth: 1})
-	before := runtime.NumGoroutine()
-	out, st, err, m := runSupervised(t, g, fs, set, 1, 0)
-	checkNoLeaks(t, before)
-	if err != nil || st != 0 || out != want {
-		t.Fatalf("source retry did not heal: st=%d err=%v identical=%v", st, err, out == want)
-	}
-	if m.Retries < 1 {
-		t.Fatalf("Retries=%d, want >=1", m.Retries)
-	}
-}
-
-// TestRetryRefusedAfterConsumedInput: a command node that already pulled
-// bytes from its one-shot input pipe cannot be replayed; the supervisor
-// must refuse the retry and fail the plan rather than corrupt the stream.
-func TestRetryRefusedAfterConsumedInput(t *testing.T) {
-	g, fs := fig1Graph(t)
-	set := faultinject.NewSet(faultinject.Rule{Node: "tr", Op: faultinject.OpRead, Nth: 5})
-	before := runtime.NumGoroutine()
-	_, _, err, m := runSupervised(t, g, fs, set, 3, 0)
-	checkNoLeaks(t, before)
-	if err == nil {
-		t.Fatal("plan succeeded; want refusal to replay consumed input")
-	}
-	if m.Retries != 0 {
-		t.Fatalf("Retries=%d, want 0 (node had consumed input)", m.Retries)
-	}
-}
-
-// TestRetryRequiresEffectProof: without a spec library the supervisor
-// cannot prove a command free of write effects, so no retry is attempted
-// even with budget to spare.
-func TestRetryRequiresEffectProof(t *testing.T) {
-	g, fs := fig1Graph(t)
-	set := faultinject.NewSet(faultinject.Rule{Node: "tr", Op: faultinject.OpRead, Nth: 1})
-	metrics := &RunMetrics{}
-	var out bytes.Buffer
-	_, err := Run(g, &Env{
-		FS: fs, Dir: "/", Stdin: strings.NewReader(""),
-		Stdout: &out, Stderr: &out, Metrics: metrics, Faults: set,
-		Lib: nil, Retries: 3,
-	})
-	if err == nil {
-		t.Fatal("plan succeeded; want failure (no effect proof, no retry)")
-	}
-	if metrics.Retries != 0 {
-		t.Fatalf("Retries=%d, want 0 without a spec library", metrics.Retries)
-	}
-}
-
 // TestStallWatchdog arms a stall (an operation that hangs forever) and
 // checks the watchdog tears the plan down with ErrStalled instead of
 // hanging the shell.
@@ -218,7 +118,7 @@ func TestStallWatchdog(t *testing.T) {
 	})
 	before := runtime.NumGoroutine()
 	start := time.Now()
-	_, _, err, _ := runSupervised(t, g, fs, set, 0, 200*time.Millisecond)
+	_, _, err, _ := runSupervised(t, g, fs, set, 200*time.Millisecond)
 	checkNoLeaks(t, before)
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err=%v, want ErrStalled", err)
@@ -234,7 +134,7 @@ func TestStallWatchdogQuietOnHealthyPlan(t *testing.T) {
 	refG, refFS := fig1Graph(t)
 	want, _ := runGraph(t, refG, refFS, "")
 	g, fs := fig1Graph(t)
-	out, st, err, _ := runSupervised(t, g, fs, nil, 0, 5*time.Second)
+	out, st, err, _ := runSupervised(t, g, fs, nil, 5*time.Second)
 	if err != nil || st != 0 || out != want {
 		t.Fatalf("healthy plan disturbed: st=%d err=%v identical=%v", st, err, out == want)
 	}
@@ -265,7 +165,7 @@ func TestJournalLineAlignedCommit(t *testing.T) {
 
 	g, fs := mk()
 	set := faultinject.NewSet(faultinject.Rule{Node: "tr", Op: faultinject.OpWrite, Nth: 8})
-	_, _, runErr, m := runSupervised(t, g, fs, set, 0, 0)
+	_, _, runErr, m := runSupervised(t, g, fs, set, 0)
 	if runErr == nil {
 		t.Fatal("plan succeeded; want mid-stream failure")
 	}

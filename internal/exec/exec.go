@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,7 +32,6 @@ import (
 
 	"runtime/pprof"
 
-	"jash/internal/analysis"
 	"jash/internal/coreutils"
 	"jash/internal/cost"
 	"jash/internal/dfg"
@@ -60,24 +58,22 @@ type Env struct {
 	// into node operations (see internal/exec/faultinject). Tests only;
 	// production runs leave it nil.
 	Faults *faultinject.Set
-	// Lib, when non-nil, lets the per-node supervisor consult effect
-	// summaries (internal/analysis): only command nodes proven free of
-	// write/create/remove effects are eligible for retry.
+	// Lib is ignored: no node is ever re-run, so the executor consults no
+	// effect summary.
+	//
+	// Deprecated: kept only because bench/layers.go sets it; it goes with
+	// ROADMAP.md's "The `[benchmark]` PR this round owes".
 	Lib *spec.Library
-	// Retries is the per-node retry budget. When positive, a failed
-	// attempt of an effect-idempotent node with replayable inputs is
-	// re-run (with jittered backoff) instead of failing the plan.
-	Retries int
 	// StallTimeout, when positive, arms the stall watchdog: a plan whose
 	// progress counters stop advancing for this long is aborted,
 	// converting hangs into ordinary recoverable plan errors.
 	StallTimeout time.Duration
 	// Span, when non-nil, is the parent trace span for the run: every
 	// node goroutine opens a child span under it carrying its byte
-	// counters, peak buffering, blocked time, and retries; retries and
-	// stalls additionally land as point events. A nil Span (the default)
-	// disables all tracing work — including pipe blocked-time clocks and
-	// pprof labels — at zero cost.
+	// counters, peak buffering and blocked time; stalls additionally land
+	// as point events. A nil Span (the default) disables all tracing work
+	// — including pipe blocked-time clocks and pprof labels — at zero
+	// cost.
 	Span *trace.Span
 
 	// tmpDir is the per-run scratch directory, set by Run.
@@ -86,11 +82,10 @@ type Env struct {
 	// plan is torn down, with the first error as its cause. Coreutils
 	// contexts carry it to stop compute loops that outlive their pipes.
 	ctx context.Context
-	// abort tears the plan down with the given cause, set by Run (the
-	// node's supervisor interposes on it per attempt). Node helpers use it
-	// for failures that must cancel the whole run (a side input that
-	// cannot be materialized), as opposed to ordinary non-zero statuses,
-	// which never abort.
+	// abort tears the plan down with the given cause, set by Run. Node
+	// helpers use it for failures that must cancel the whole run (a side
+	// input that cannot be materialized), as opposed to ordinary non-zero
+	// statuses, which never abort.
 	abort context.CancelCauseFunc
 	// laneStrict marks a command running inside a split lane. Lane
 	// utilities must abort the plan on a line-length violation: the lane's
@@ -161,19 +156,18 @@ func (gw *gatedWriter) Write(p []byte) (int, error) {
 }
 
 // faultReader interposes the fault-injection harness on a node's reads;
-// an injected error is reported to the node's supervisor, which either
-// schedules a retry or aborts the plan (panics unwind to the node's
-// containment handler instead).
+// an injected error tears the plan down at once (panics unwind to the
+// node's containment handler instead).
 type faultReader struct {
 	r     io.Reader
-	sup   *nodeSup
+	rs    *runState
 	set   *faultinject.Set
 	label string
 }
 
 func (f *faultReader) Read(p []byte) (int, error) {
-	if err := f.sup.rs.checkFault(f.set, f.label, faultinject.OpRead); err != nil {
-		f.sup.noteFault(err)
+	if err := f.rs.checkFault(f.set, f.label, faultinject.OpRead); err != nil {
+		f.rs.abort(err)
 		return 0, err
 	}
 	return f.r.Read(p)
@@ -182,14 +176,14 @@ func (f *faultReader) Read(p []byte) (int, error) {
 // faultWriter is faultReader's write-side twin.
 type faultWriter struct {
 	w     io.Writer
-	sup   *nodeSup
+	rs    *runState
 	set   *faultinject.Set
 	label string
 }
 
 func (f *faultWriter) Write(p []byte) (int, error) {
-	if err := f.sup.rs.checkFault(f.set, f.label, faultinject.OpWrite); err != nil {
-		f.sup.noteFault(err)
+	if err := f.rs.checkFault(f.set, f.label, faultinject.OpWrite); err != nil {
+		f.rs.abort(err)
 		return 0, err
 	}
 	return f.w.Write(p)
@@ -197,187 +191,23 @@ func (f *faultWriter) Write(p []byte) (int, error) {
 
 // ErrStalled is the failure the stall watchdog delivers when a plan's
 // progress counters stop advancing for Env.StallTimeout: a hang becomes
-// an ordinary plan error the caller can recover from (fall back, retry
-// the region interpreted) instead of a wedged shell.
+// an ordinary plan error the caller can recover from (fall back to the
+// interpreter) instead of a wedged shell.
 var ErrStalled = errors.New("plan stalled")
 
-// nodeSup supervises one node's execution: it collects the attempt's
-// first fault (injected error, open failure, side-input failure, panic)
-// and decides between re-running the node and failing the plan. The
-// retry gate is deliberately conservative — all four must hold:
-//
-//   - the node is effect-idempotent: sources with a file path (replayable
-//     by re-opening), splits and merges (pure stream shufflers), and
-//     command nodes whose effect summary (internal/analysis) proves
-//     RetryIdempotent — every write is a truncate-style rewrite of a
-//     known path, never a removal, append, or other stateful mutation,
-//     so a re-run converges to the clean-run state; sinks own the output
-//     journal and are never re-run;
-//   - no output byte escaped downstream (ctr.out == 0), so a re-run
-//     cannot duplicate data;
-//   - its inputs are replayable: a file source re-opens per attempt,
-//     every other kind must not have consumed any input (ctr.in == 0) —
-//     the bounded pipes are single-shot streams;
-//   - budget remains and the plan is still alive.
-//
-// When the gate fails the supervisor aborts the plan at the moment the
-// fault is recorded (noteFault), preserving the fail-fast teardown
-// behaviour of a zero-retry run exactly.
+// nodeSup is everything the run learns about one node. Every node runs
+// once: its first fault (injected error, open failure, side-input
+// failure, panic) tears the whole plan down, and recovery is the
+// caller's journaled fallback.
 type nodeSup struct {
-	rs  *runState
 	ctr nodeCounters
-	// m is the node's record: its identity from the start, a completed
-	// re-run counted as it happens, the measurements filled in once when
-	// the node's goroutine finishes (RunContext's measure).
-	m        NodeMetrics
-	replayIn bool // file source: inputs replay by re-opening
-	eligible bool // static effect/structure gate
-	budget   int  // attempts remaining beyond the first
-
-	mu       sync.Mutex
-	fault    error
-	panicked bool
-
+	// m is the node's record: its identity from the start, the
+	// measurements filled in once when the node's goroutine finishes
+	// (RunContext's measure).
+	m NodeMetrics
 	// status is the node's exit status, written by its goroutine and read
 	// once the run's WaitGroup has settled.
 	status int
-
-	// span is the node's trace span (nil when untraced); retry decisions
-	// are stamped on it as events.
-	span *trace.Span
-}
-
-// retryEligible is the static half of the retry gate (see nodeSup).
-func retryEligible(n *dfg.Node, lib *spec.Library) bool {
-	switch n.Kind {
-	case dfg.KindSource:
-		return n.Path != "" // live stdin does not replay
-	case dfg.KindSplit, dfg.KindMerge:
-		return true
-	case dfg.KindCommand:
-		return lib != nil && analysis.SummarizeArgv(lib, n.Argv).RetryIdempotent()
-	}
-	return false
-}
-
-// noteFault records the attempt's first fault and, when the retry gate
-// already fails, aborts the plan immediately — collateral damage control
-// (gated stderr, broken pipes) must not wait for the node to unwind.
-func (sup *nodeSup) noteFault(err error) {
-	if err == nil {
-		return
-	}
-	sup.mu.Lock()
-	if sup.fault == nil {
-		sup.fault = err
-	}
-	first := sup.fault
-	sup.mu.Unlock()
-	if !sup.canRetryNow() {
-		sup.rs.abort(first)
-	}
-}
-
-// canRetryNow is the dynamic half of the retry gate, evaluated when a
-// fault is recorded and again after the attempt unwinds (a node may
-// still move bytes between its fault and its return).
-func (sup *nodeSup) canRetryNow() bool {
-	if !sup.eligible || sup.budget <= 0 || sup.rs.isAborted() {
-		return false
-	}
-	if sup.ctr.out.Load() > 0 {
-		return false
-	}
-	if !sup.replayIn && sup.ctr.in.Load() > 0 {
-		return false
-	}
-	return true
-}
-
-// runAttempt executes one attempt with per-attempt panic containment: a
-// crash is recorded as the attempt's fault so an idempotent node gets to
-// retry past an injected panic, and only a non-retryable one fails the
-// plan (the shell must survive a crashing utility either way).
-func (sup *nodeSup) runAttempt(fn func() int) (st int) {
-	defer func() {
-		if r := recover(); r != nil {
-			err := fmt.Errorf("node %d (%s): panic: %v", sup.m.ID, sup.m.Label, r)
-			sup.mu.Lock()
-			sup.panicked = true
-			if sup.fault == nil {
-				sup.fault = err
-			}
-			first := sup.fault
-			sup.mu.Unlock()
-			if !sup.canRetryNow() {
-				sup.rs.abort(first)
-			}
-			st = 2
-		}
-	}()
-	return fn()
-}
-
-// backoff sleeps the jittered exponential delay before a retry, bailing
-// out early if the plan is torn down meanwhile. The cap is far below any
-// sane stall timeout so backoff never trips the watchdog.
-func (sup *nodeSup) backoff(attempt int) bool {
-	d := cost.RetryBackoffBase << attempt
-	if d <= 0 || d > cost.RetryBackoffMax {
-		d = cost.RetryBackoffMax
-	}
-	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-sup.rs.ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// supervise drives the attempt loop. Each attempt runs against a private
-// stderr buffer so a healed attempt's diagnostics never reach the
-// session — only the attempt that stands (success, or the final failure)
-// speaks, and final failures speak through the run error.
-func (sup *nodeSup) supervise(env *Env, body func(*Env) int) {
-	for attempt := 0; ; attempt++ {
-		sup.mu.Lock()
-		sup.fault, sup.panicked = nil, false
-		sup.mu.Unlock()
-		attemptEnv := *env
-		var errBuf bytes.Buffer
-		attemptEnv.Stderr = &errBuf
-		attemptEnv.abort = sup.noteFault
-		st := sup.runAttempt(func() int { return body(&attemptEnv) })
-		sup.mu.Lock()
-		fault, panicked := sup.fault, sup.panicked
-		sup.mu.Unlock()
-		if fault == nil {
-			if errBuf.Len() > 0 && env.Stderr != nil {
-				env.Stderr.Write(errBuf.Bytes())
-			}
-			sup.status = st
-			return
-		}
-		if sup.canRetryNow() {
-			sup.budget--
-			sup.m.Retries++
-			sup.span.EventStr("retry", "cause", fault.Error())
-			if sup.backoff(attempt) {
-				continue
-			}
-		}
-		sup.rs.abort(fault)
-		if panicked {
-			st = 2
-		} else if st == 0 {
-			st = 1
-		}
-		sup.status = st
-		return
-	}
 }
 
 // journalTailMax bounds the withheld partial line; output with no
@@ -447,9 +277,8 @@ func Run(g *dfg.Graph, env *Env) (int, error) {
 //     unblocks promptly and no goroutine leaks;
 //   - a panic in any node goroutine is contained and converted into a
 //     node error (the shell must survive a crashing utility);
-//   - with Env.Retries > 0, a failed node that the effect gate proves
-//     idempotent (see nodeSup) is re-run with jittered backoff before
-//     the plan is declared dead;
+//   - every node runs once: nothing is retried in place, and a torn-down
+//     plan never reports status 0;
 //   - with Env.StallTimeout > 0, a watchdog aborts the plan when its
 //     progress counters stop advancing, turning hangs into recoverable
 //     errors (ErrStalled);
@@ -521,17 +350,11 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 	stop := context.AfterFunc(ctx, func() { rs.abort(context.Cause(ctx)) })
 	defer stop()
 	// One struct per node holds everything the run learns about it — byte
-	// counters, supervision state, exit status — so the watchdog, the
-	// metrics and the pipeline status all read the same place.
+	// counters, measurements, exit status — so the watchdog, the metrics
+	// and the pipeline status all read the same place.
 	sups := make(map[int]*nodeSup, len(order))
 	for _, n := range order {
-		sups[n.ID] = &nodeSup{
-			rs:       rs,
-			m:        NodeMetrics{ID: n.ID, Kind: n.Kind.String(), Label: n.Label()},
-			replayIn: n.Kind == dfg.KindSource && n.Path != "",
-			eligible: env.Retries > 0 && retryEligible(n, env.Lib),
-			budget:   env.Retries,
-		}
+		sups[n.ID] = &nodeSup{m: NodeMetrics{ID: n.ID, Kind: n.Kind.String(), Label: n.Label()}}
 	}
 	// Stall watchdog: progress is the sum of every node's byte counters;
 	// if it freezes for StallTimeout the plan is aborted. The map is
@@ -617,35 +440,20 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 			sup := sups[n.ID]
 			ctr := &sup.ctr
 			label := sup.m.Label
-			// Per-node trace span: opened before the attempt loop so retry
-			// events land inside it, closed after supervision with the
-			// node's metrics attached. sup.span is written before any
-			// other goroutine can observe the sup (the fault paths run on
-			// this goroutine).
+			// Per-node trace span, closed with the node's metrics attached.
 			ns := env.Span.Child("node:" + label)
-			sup.span = ns
 			defer func() {
 				measure(sup, time.Since(start))
 				sup.m.annotate(ns)
 			}()
 			runNode := func() {
-				// Last-resort panic containment for the supervision
-				// machinery itself; attempt bodies are contained
-				// per-attempt by the supervisor so retryable nodes survive
-				// injected panics.
-				defer func() {
-					if r := recover(); r != nil {
-						sup.status = 2
-						rs.abort(fmt.Errorf("node %d (%s): panic: %v", n.ID, label, r))
-					}
-				}()
 				ins := g.In(n.ID)
 				outs := g.Out(n.ID)
 				inReaders := make([]io.Reader, len(ins))
 				for i, e := range ins {
 					var r io.Reader = pipes[e].r
 					if env.Faults != nil {
-						r = &faultReader{r: r, sup: sup, set: env.Faults, label: label}
+						r = &faultReader{r: r, rs: rs, set: env.Faults, label: label}
 					}
 					inReaders[i] = &countingReader{r, &ctr.in}
 				}
@@ -653,7 +461,7 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 				for i, e := range outs {
 					var w io.Writer = pipes[e].w
 					if env.Faults != nil {
-						w = &faultWriter{w: w, sup: sup, set: env.Faults, label: label}
+						w = &faultWriter{w: w, rs: rs, set: env.Faults, label: label}
 					}
 					outWriters[i] = &countingWriter{w, &ctr.out}
 				}
@@ -669,10 +477,22 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 				}
 				defer closeOuts()
 				defer closeIns()
-				// The attempt body: pipes and counters persist across attempts
-				// (the retry gate guarantees nothing was consumed or emitted),
-				// while per-attempt state — the source's file handle, the
-				// stderr buffer in env — is rebuilt each time.
+				// Panic containment: the shell must survive a crashing
+				// utility. Deferred after the closes so it runs before them —
+				// the abort breaks every pipe first, and no consumer sees a
+				// clean EOF from a node that crashed.
+				defer func() {
+					if r := recover(); r != nil {
+						sup.status = 2
+						rs.abort(fmt.Errorf("node %d (%s): panic: %v", n.ID, label, r))
+					}
+				}()
+				// The node's diagnostics are held until it ends and released
+				// through the teardown gate: a torn-down plan says nothing, so
+				// the fallback's own diagnostics are not doubled.
+				var errBuf bytes.Buffer
+				nodeEnv := *env
+				nodeEnv.Stderr = &errBuf
 				body := func(env *Env) int {
 					switch n.Kind {
 					case dfg.KindSource:
@@ -684,19 +504,19 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 							}
 						} else {
 							if err := rs.checkFault(env.Faults, label, faultinject.OpOpen); err != nil {
-								sup.noteFault(err)
+								rs.abort(err)
 								return 1
 							}
 							rc, err := env.FS.Open(lookup(env.Dir, n.Path))
 							if err != nil {
-								sup.noteFault(err)
+								rs.abort(err)
 								return 1
 							}
 							defer rc.Close()
 							src = rc
 						}
 						if env.Faults != nil {
-							src = &faultReader{r: src, sup: sup, set: env.Faults, label: label}
+							src = &faultReader{r: src, rs: rs, set: env.Faults, label: label}
 						}
 						// A failed read is the source's fault; a failed write
 						// is a consumer that stopped reading (head, grep -q),
@@ -704,7 +524,7 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 						rd := &readErrReader{r: src}
 						io.Copy(outWriters[0], &countingReader{rd, &ctr.in})
 						if rd.err != nil {
-							sup.noteFault(rd.err)
+							rs.abort(rd.err)
 							return 1
 						}
 						return 0
@@ -716,12 +536,12 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 						var fileOut io.WriteCloser
 						if n.Path != "" {
 							if err := rs.checkFault(env.Faults, label, faultinject.OpOpen); err != nil {
-								sup.noteFault(err)
+								rs.abort(err)
 								return 1
 							}
 							w, err := openSink(env, n)
 							if err != nil {
-								sup.noteFault(err)
+								rs.abort(err)
 								return 1
 							}
 							fileOut = w
@@ -736,7 +556,7 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 							// panics the copy mid-stream — panic containment
 							// lives above this frame, and a plain Close after
 							// the copy would be skipped on unwind, stranding
-							// the journal. When the attempt fails before the
+							// the journal. When the sink fails before the
 							// first committed byte, leave the destination
 							// untouched (a vfs fileWriter commits only on
 							// Close), so a fallback re-run starts from
@@ -752,7 +572,7 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 							}()
 						}
 						if env.Faults != nil {
-							dst = &faultWriter{w: dst, sup: sup, set: env.Faults, label: label}
+							dst = &faultWriter{w: dst, rs: rs, set: env.Faults, label: label}
 						}
 						// Journal the committed output at line granularity: the
 						// counter below the journal records the line-aligned
@@ -784,7 +604,10 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 					}
 					return 0
 				}
-				sup.supervise(env, body)
+				sup.status = body(&nodeEnv)
+				if errBuf.Len() > 0 && env.Stderr != nil {
+					env.Stderr.Write(errBuf.Bytes())
+				}
 			}
 			if ns != nil {
 				// Traced runs label the node's goroutine for CPU profiles,
@@ -800,7 +623,6 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 	if metrics != nil {
 		for _, n := range order {
 			metrics.Nodes = append(metrics.Nodes, sups[n.ID].m)
-			metrics.Retries += sups[n.ID].m.Retries
 		}
 		if sink != nil {
 			metrics.SinkBytes = sups[sink.ID].ctr.out.Load()
@@ -819,8 +641,8 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 			return 0
 		}
 		seen[id] = true
-		// Relay nodes (merge, split) run as supervised nodes too
-		// and record their own — vacuously zero — status; the lanes they
+		// Relay nodes (merge, split) run as nodes too and record
+		// their own — vacuously zero — status; the lanes they
 		// recombine carry the real one, so resolve through them first.
 		// Lane statuses combine by the sequential command's semantics: a
 		// status ≥2 is a hard error any sequential run would have hit, so
@@ -855,7 +677,12 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 			final = effectiveStatus(in[0].From, map[int]bool{})
 		}
 	}
-	return final, rs.err()
+	// A torn-down plan never reports success, whichever node faulted.
+	err = rs.err()
+	if err != nil && final == 0 {
+		final = 1
+	}
+	return final, err
 }
 
 // openSink opens a file sink's destination per its append mode.

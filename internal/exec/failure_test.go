@@ -190,7 +190,7 @@ func TestSourceReadErrorFailsThePlan(t *testing.T) {
 	} {
 		out.Reset()
 		st, err := Run(g, &Env{FS: vfs.New(), Dir: "/", Stdin: stdin,
-			Stdout: &out, Stderr: &bytes.Buffer{}, Retries: 2})
+			Stdout: &out, Stderr: &bytes.Buffer{}})
 		if !errors.Is(err, errMidStream) || st == 0 {
 			t.Errorf("%T: status %d err %v stdout %q: want a non-zero status and the read error", stdin, st, err, out.String())
 		}

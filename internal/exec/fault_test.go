@@ -85,7 +85,10 @@ func runWithFaults(t *testing.T, g *dfg.Graph, fs *vfs.FS, set *faultinject.Set)
 // mid-stream read error, mid-stream write error, node panic} × {sequential,
 // width-4 parallel} fig1 plans: every combination must return an error,
 // leave the sink byte-free (the fault fires before any output — sort emits
-// nothing until EOF), and leak no goroutines.
+// nothing until EOF), and leak no goroutines. The panic-after-output rows
+// pin the single-attempt contract: a node that crashes once bytes have
+// left it (a tr with consumers downstream, a source mid-copy) fails the
+// plan; it is never re-run on the same input.
 func TestFaultMatrix(t *testing.T) {
 	faults := []struct {
 		name string
@@ -95,6 +98,8 @@ func TestFaultMatrix(t *testing.T) {
 		{"mid-read", faultinject.Rule{Node: "tr", Op: faultinject.OpRead, Nth: 2}},
 		{"mid-write", faultinject.Rule{Node: "tr", Op: faultinject.OpWrite, Nth: 2}},
 		{"panic", faultinject.Rule{Node: "sort", Op: faultinject.OpRead, Nth: 1, Mode: faultinject.ModePanic}},
+		{"panic-mid-read", faultinject.Rule{Node: "tr", Op: faultinject.OpRead, Nth: 2, Mode: faultinject.ModePanic}},
+		{"panic-source", faultinject.Rule{Node: "src:", Op: faultinject.OpRead, Nth: 2, Mode: faultinject.ModePanic}},
 	}
 	widths := []int{1, 4}
 	for _, f := range faults {
@@ -117,7 +122,7 @@ func TestFaultMatrix(t *testing.T) {
 				if set.Fired() == 0 {
 					t.Fatal("fault rule never fired")
 				}
-				if f.name == "panic" && !strings.Contains(err.Error(), "panic") {
+				if f.rule.Mode == faultinject.ModePanic && !strings.Contains(err.Error(), "panic") {
 					t.Errorf("panic not reported as such: %v", err)
 				}
 				if out != "" || metrics.SinkBytes != 0 {

@@ -28,9 +28,6 @@ type NodeMetrics struct {
 	// Wall is the node goroutine's lifetime (overlapped across nodes, so
 	// the per-node walls do not sum to the run's wall time).
 	Wall time.Duration
-	// Retries counts the node's supervised re-runs: failed attempts that
-	// the effect gate deemed safe to repeat.
-	Retries int
 	// BlockedRead / BlockedWrite are the cumulative durations the node's
 	// pipe operations spent parked — reads waiting for upstream data,
 	// writes waiting on downstream backpressure. Measured only when the
@@ -48,7 +45,6 @@ func (nm *NodeMetrics) annotate(ns *trace.Span) {
 	ns.SetInt("bytes_in", nm.BytesIn)
 	ns.SetInt("bytes_out", nm.BytesOut)
 	ns.SetInt("peak_buffered_bytes", nm.PeakBufferedBytes)
-	ns.SetInt("retries", int64(nm.Retries))
 	ns.SetInt("blocked_read_us", nm.BlockedRead.Microseconds())
 	ns.SetInt("blocked_write_us", nm.BlockedWrite.Microseconds())
 	reg := ns.Tracer().Metrics()
@@ -71,7 +67,10 @@ type RunMetrics struct {
 	// journal-aware fallback exactly how many bytes to skip when
 	// replaying the region another way.
 	SinkBytes int64
-	// Retries totals the supervised node re-runs across the plan.
+	// Retries is always 0: no node is ever re-run.
+	//
+	// Deprecated: kept only because bench/layers.go reads it; it goes with
+	// ROADMAP.md's "The `[benchmark]` PR this round owes".
 	Retries int
 }
 
@@ -172,6 +171,11 @@ func (o onlyReader) Read(p []byte) (int, error) { return o.r.Read(p) }
 // counting peer on the destination side is unwrapped first so that a
 // pipe-to-pipe edge still resolves to wholesale chunk handoff even with
 // both metric wrappers in between.
+//
+// On the delegated paths the bytes are counted when the copy returns, not
+// as they move: while the copy runs, bytes may already sit downstream with
+// both counters still at zero. No code may read these counters mid-copy to
+// decide whether bytes escaped a node.
 func (c *countingReader) WriteTo(w io.Writer) (int64, error) {
 	dst := w
 	var dstCtr *atomic.Int64

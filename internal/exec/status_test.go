@@ -37,7 +37,7 @@ func TestFailingParallelStageStatus(t *testing.T) {
 	lib := spec.Builtin()
 	g := laneGraph([]string{"grep"}, 3, lib)
 	var out, errb bytes.Buffer
-	st, err := Run(g, &Env{FS: fs, Stdout: &out, Stderr: &errb, Lib: lib})
+	st, err := Run(g, &Env{FS: fs, Stdout: &out, Stderr: &errb})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -66,7 +66,7 @@ func TestSoftLaneStatusCombines(t *testing.T) {
 			fs.WriteFile("/in.txt", []byte(tc.input))
 			g := laneGraph([]string{"grep", "-e", "needle"}, 3, lib)
 			var out, errb bytes.Buffer
-			st, err := Run(g, &Env{FS: fs, Stdout: &out, Stderr: &errb, Lib: lib})
+			st, err := Run(g, &Env{FS: fs, Stdout: &out, Stderr: &errb})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

@@ -187,9 +187,9 @@ func TestNodeSpansCarryTheNodeMetrics(t *testing.T) {
 		want := map[string]any{
 			"kind": nm.Kind, "node_id": float64(nm.ID),
 			"bytes_in": float64(nm.BytesIn), "bytes_out": float64(nm.BytesOut),
-			"peak_buffered_bytes": float64(nm.PeakBufferedBytes), "retries": float64(nm.Retries),
-			"blocked_read_us":  float64(nm.BlockedRead.Microseconds()),
-			"blocked_write_us": float64(nm.BlockedWrite.Microseconds()),
+			"peak_buffered_bytes": float64(nm.PeakBufferedBytes),
+			"blocked_read_us":     float64(nm.BlockedRead.Microseconds()),
+			"blocked_write_us":    float64(nm.BlockedWrite.Microseconds()),
 		}
 		if sp.Name != "node:"+nm.Label || fmt.Sprint(sp.Attrs) != fmt.Sprint(want) {
 			t.Errorf("node %d (%s): span %q says %v, metrics say %v", nm.ID, nm.Label, sp.Name, sp.Attrs, want)

@@ -18,17 +18,17 @@ type ChaosOpts struct {
 	// 0.02 / 0.005 / 0.005).
 	PFail, PPanic, PStall float64
 	// Oracle is the engine under chaos (default "listpar" — the widest
-	// surface: JIT plans, list parallelism, self-healing executor).
+	// surface: JIT plans, list parallelism, journaled fallback).
 	Oracle string
 	// Layer selects where faults are armed. "exec" (default) injects at
-	// plan nodes, where the self-healing executor owes byte-identical
-	// recovery or a clean failure. "interp" injects at command dispatch,
+	// plan nodes, where a failed plan's journaled fallback owes
+	// byte-identical recovery or a clean failure. "interp" injects at command dispatch,
 	// redirection opens, and expansion — those faults surface as ordinary
 	// command failures a script may legitimately absorb (`||`, `if`), so
 	// only the crash invariants (no panic, hang, or leak) apply. "both"
 	// arms the two together, likewise crash-only.
 	Layer string
-	// Timeout bounds each run (default 10s: stalls must heal within it).
+	// Timeout bounds each run (default 10s: stalls must end within it).
 	Timeout time.Duration
 }
 
@@ -54,12 +54,12 @@ func (c ChaosOpts) withDefaults() ChaosOpts {
 //   - the chaotic run must never panic, hang past the watchdog, or leak
 //     goroutines, no matter what was injected;
 //   - it must either recover to the clean run's exact bytes (stdout,
-//     status, final filesystem) — the self-healing executor's journaled
-//     replay contract — or fail cleanly, surfacing a non-zero status or
-//     an error.
+//     status, final filesystem) — the journaled fallback's replay
+//     contract — or fail cleanly, surfacing a non-zero status or an
+//     error.
 //
 // Stderr is exempt from the byte-identity clause: recovery is allowed to
-// narrate (retry diagnostics), silently diverging output is not.
+// narrate (fallback diagnostics), silently diverging output is not.
 func ChaosEpisode(p Program, copts ChaosOpts) *Episode {
 	copts = copts.withDefaults()
 	base := RunOpts{Timeout: copts.Timeout, Oracles: []string{copts.Oracle}}
@@ -67,7 +67,6 @@ func ChaosEpisode(p Program, copts ChaosOpts) *Episode {
 	clean := RunOracle(copts.Oracle, p, base)
 
 	chaotic := base
-	chaotic.Retries = 3
 	chaotic.StallTimeout = 250 * time.Millisecond
 	if copts.Layer == "exec" || copts.Layer == "both" {
 		chaotic.ExecFaults = func() *faultinject.Set {
@@ -80,8 +79,8 @@ func ChaosEpisode(p Program, copts ChaosOpts) *Episode {
 	if copts.Layer == "interp" || copts.Layer == "both" {
 		// The interpreter boundary gets an offset seed so the two
 		// injectors draw independent streams. No stalls here: the
-		// interpreter runs commands inline and has no stall-healing
-		// supervisor, so an injected stall would only test the watchdog.
+		// interpreter runs commands inline and has no stall watchdog of
+		// its own, so an injected stall would only test the run timeout.
 		chaotic.InterpFaults = func() *faultinject.Set {
 			return faultinject.NewChaos(faultinject.ChaosConfig{
 				Seed: copts.Seed + 1, PFail: copts.PFail,

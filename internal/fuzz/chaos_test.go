@@ -60,11 +60,28 @@ func TestChaosStallReleaseScopedToRun(t *testing.T) {
 // counter, skipped that many bytes of replayed output. One loop
 // iteration's `>>` append vanished while the run reported status 0. The
 // sink now commits its line-aligned prefix from a defer, so the counted
-// offset and the file agree even when the attempt dies by panic.
+// offset and the file agree even when the sink dies by panic.
 func TestChaosSinkCommitSurvivesPanic(t *testing.T) {
 	p := Generate(DefaultConfig(7130))
 	ep := ChaosEpisode(p, ChaosOpts{Seed: 7130, Layer: "exec"})
 	for _, d := range ep.Divergences {
 		t.Errorf("seed 7130 layer exec: %s (%s)", d.Detail, d.Sig)
+	}
+}
+
+// Seeds 560 and 130 under exec-layer chaos, found by a 2,000-seed soak:
+// with an in-place retry budget armed, a source panicked after its first
+// write. Its zero-copy copy (countingReader.WriteTo) counts bytes only
+// when the copy returns, so the retry gate read "no byte escaped" while a
+// block was already downstream; the source re-ran from the top and `cat`
+// printed those lines twice, with status 0. Nothing retries in place now:
+// a fault tears the plan down and the journaled fallback re-runs it.
+func TestChaosRetryNeverDuplicatesOutput(t *testing.T) {
+	for _, seed := range []uint64{560, 130} {
+		p := Generate(DefaultConfig(seed))
+		ep := ChaosEpisode(p, ChaosOpts{Seed: int64(seed), Layer: "exec"})
+		for _, d := range ep.Divergences {
+			t.Errorf("seed %d layer exec: %s (%s)", seed, d.Detail, d.Sig)
+		}
 	}
 }

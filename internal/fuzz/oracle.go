@@ -70,9 +70,8 @@ type RunOpts struct {
 	// InterpFaults, when non-nil, returns a fresh fault set per oracle
 	// run, armed at the interpreter/expansion layers (Interp.Faults).
 	InterpFaults func() *faultinject.Set
-	// Retries and StallTimeout configure the self-healing executor for
-	// optimized oracles (chaos soaks arm both so injected stalls heal).
-	Retries      int
+	// StallTimeout arms the executor's stall watchdog for optimized
+	// oracles (chaos soaks arm it so injected stalls end in a fallback).
 	StallTimeout time.Duration
 	// Extra registers additional oracles by name. An Extra oracle listed
 	// in Oracles runs under the same sandbox, watchdog, and leak sentinel
@@ -172,7 +171,6 @@ func runShell(name, src string, fs *vfs.FS, ctx context.Context,
 		s.NoListParallel = name == "jit"
 		s.Interp.Stdout, s.Interp.Stderr = stdout, stderr
 		s.Ctx = ctx
-		s.Retries = opts.Retries
 		s.StallTimeout = opts.StallTimeout
 		if opts.ExecFaults != nil {
 			s.Faults = opts.ExecFaults()

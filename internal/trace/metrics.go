@@ -211,7 +211,6 @@ const (
 	MetricPlansInterp     = "plans_interpreted"
 	MetricHazardRejects   = "hazard_rejects"
 	MetricFallbacks       = "fallbacks"
-	MetricRetries         = "retries"
 	MetricQuarantined     = "quarantined"
 	MetricListParallel    = "list_parallel_stmts"
 	MetricConcretized     = "concretized_words"

@@ -1,7 +1,7 @@
 // Package trace is Jash's structured tracing and metrics spine: every
 // run of the shell can produce a span tree — parse → expand → analysis
 // preflight → JIT decision → per-node execution — plus point events for
-// the runtime's self-healing machinery (retries, fallbacks, circuit
+// the runtime's self-healing machinery (stalls, fallbacks, circuit
 // breaker trips, list-parallel regions) and a registry of counters
 // and latency histograms.
 //

@@ -31,7 +31,7 @@ func TestDisabledTracerIsFreeAndAllocFree(t *testing.T) {
 		ch.SetInt("bytes", 9)
 		ch.End()
 		sp.End()
-		tr.Metrics().Counter(MetricRetries).Add(1)
+		tr.Metrics().Counter(MetricFallbacks).Add(1)
 		tr.Metrics().Histogram(MetricNodeWall).Observe(time.Millisecond)
 		_ = sp.ID()
 		_ = sp.Tracer()
