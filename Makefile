@@ -22,9 +22,11 @@ vet:
 # drives interpreter clones (every `&` is one), the second plans the regions
 # those clones run. List-region workers plan pipelines concurrently over
 # graphs that carry their own adjacency index, so the graph package and the
-# pipeline planner's tests run under the race detector too.
+# pipeline planner's tests run under the race detector too. Every file
+# reader shares the VFS's blocks with later writers, so the VFS runs there
+# as well.
 race:
-	$(GO) test -race ./internal/pipe/... ./internal/exec/... ./internal/interp/... ./internal/core/... ./internal/trace/... ./internal/dfg/...
+	$(GO) test -race ./internal/pipe/... ./internal/vfs/... ./internal/exec/... ./internal/interp/... ./internal/core/... ./internal/trace/... ./internal/dfg/...
 	$(GO) test -race -run 'OverApproximates|ListParallel|ParallelizeList|AssignedBy|FuncTable' ./internal/analysis/... ./internal/rewrite/... ./internal/fuzz/...
 	$(GO) test -race -run 'Plan|Parallelize|Graph' ./internal/rewrite/...
 

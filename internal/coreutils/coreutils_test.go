@@ -2,9 +2,12 @@ package coreutils
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"jash/internal/vfs"
 )
@@ -559,6 +562,77 @@ func TestMkdirRmCpMv(t *testing.T) {
 	}
 	if _, _, st := run(t, fs, "", "rm", "-f", "/gone"); st != 0 {
 		t.Error("rm -f missing should succeed")
+	}
+}
+
+func TestMvIntoItself(t *testing.T) {
+	fs := newFS(t, map[string]string{"/d/f": "x\n"})
+	_, errs, st := run(t, fs, "", "mv", "/d", "/d/sub")
+	if want := "mv: cannot move '/d' to a subdirectory of itself, '/d/sub'\n"; st != 1 || errs != want {
+		t.Errorf("mv /d /d/sub: errs=%q st=%d, want %q and 1", errs, st, want)
+	}
+	// Into an existing directory the target is DIR/base, as GNU names it.
+	_, errs, st = run(t, fs, "", "mv", "/d", "/d")
+	if want := "mv: cannot move '/d' to a subdirectory of itself, '/d/d'\n"; st != 1 || errs != want {
+		t.Errorf("mv /d /d: errs=%q st=%d, want %q and 1", errs, st, want)
+	}
+	if data, err := fs.ReadFile("/d/f"); err != nil || string(data) != "x\n" {
+		t.Errorf("/d/f after refused mv: %q, %v", data, err)
+	}
+}
+
+// An input that fails mid-read leaves an existing -o target as it was.
+func TestSortOutputUntouchedOnReadError(t *testing.T) {
+	fs := newFS(t, map[string]string{"/in": "b\na\n", "/out": "keep\n"})
+	var out, errb bytes.Buffer
+	c := &Context{
+		FS:     fs,
+		Dir:    "/",
+		Stdin:  iotest.ErrReader(errors.New("device gone")),
+		Stdout: &out,
+		Stderr: &errb,
+	}
+	for _, argv := range [][]string{
+		{"sort", "-o", "/out", "/in", "-"},
+		{"sort", "-m", "-o", "/out", "/in", "-"},
+	} {
+		st := sortCmd(c, argv)
+		if data, _ := fs.ReadFile("/out"); st != 2 || string(data) != "keep\n" {
+			t.Errorf("%v: st=%d file=%q errs=%q, want 2 and the old file", argv, st, data, errb.String())
+		}
+	}
+}
+
+func TestTouchCopiesNothing(t *testing.T) {
+	fs := newFS(t, map[string]string{"/small": "s\n"})
+	big := bytes.Repeat([]byte("0123456789abcde\n"), 1<<16) // 1 MiB
+	fs.WriteFile("/big", big)
+	before, _ := fs.Stat("/big")
+	if _, errs, st := run(t, fs, "", "touch", "/big", "/new"); st != 0 {
+		t.Fatalf("touch: st=%d errs=%q", st, errs)
+	}
+	after, _ := fs.Stat("/big")
+	if data, _ := fs.ReadFile("/big"); !bytes.Equal(data, big) || after.ModSeq <= before.ModSeq {
+		t.Errorf("touch changed the contents or kept ModSeq %d -> %d", before.ModSeq, after.ModSeq)
+	}
+	if data, err := fs.ReadFile("/new"); err != nil || len(data) != 0 {
+		t.Errorf("touch /new: %q, %v", data, err)
+	}
+	touch := func(p string) func() {
+		return func() { run(t, fs, "", "touch", p) }
+	}
+	small, large := testing.AllocsPerRun(20, touch("/small")), testing.AllocsPerRun(20, touch("/big"))
+	if large > small {
+		t.Errorf("touch allocs grow with the file: %v for 2 bytes, %v for 1 MiB", small, large)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < 20; i++ {
+		touch("/big")()
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / 20; per > 64<<10 {
+		t.Errorf("touching a 1 MiB file allocates %d bytes", per)
 	}
 }
 

@@ -645,13 +645,18 @@ func sortCmd(c *Context, args []string) int {
 		}
 		return 0
 	}
-	// -o FILE may name one of the inputs (sort -o f f), so the result is
-	// held back and FILE is created only once every input has been read.
+	// -o FILE may name one of the inputs (sort -o f f): the inputs are
+	// open snapshots already, and a VFS writer changes FILE only when it
+	// is closed, which happens only once the sort has succeeded.
 	out := c.Stdout
 	outFile, toFile := cl.Value('o')
-	var held bytes.Buffer
+	var fileOut io.WriteCloser
 	if toFile {
-		out = &held
+		w, e := c.FS.Create(c.Lookup(outFile))
+		if e != nil {
+			return c.Errorf(2, "sort: %s: %v", outFile, e)
+		}
+		fileOut, out = w, w
 	}
 	lw := newLineWriter(out)
 	defer lw.Release()
@@ -681,15 +686,8 @@ func sortCmd(c *Context, args []string) int {
 		}
 	}
 	lw.Flush()
-	if toFile {
-		w, e := c.FS.Create(c.Lookup(outFile))
-		if e == nil {
-			_, e = w.Write(held.Bytes())
-			if ce := w.Close(); e == nil {
-				e = ce
-			}
-		}
-		if e != nil {
+	if fileOut != nil {
+		if e := fileOut.Close(); e != nil {
 			return c.Errorf(2, "sort: %s: %v", outFile, e)
 		}
 	}

@@ -1,6 +1,7 @@
 package coreutils
 
 import (
+	"errors"
 	"fmt"
 	"path"
 	"sort"
@@ -190,18 +191,24 @@ func mvCmd(c *Context, args []string) int {
 	}
 	status := 0
 	for _, src := range srcs {
-		target := dst
+		target, shown := dst, cl.Operands[len(cl.Operands)-1]
 		if dstIsDir {
 			target = path.Join(dst, path.Base(src))
+			shown = path.Join(shown, path.Base(src))
 		}
-		if e := c.FS.Rename(c.Lookup(src), target); e != nil {
+		e := c.FS.Rename(c.Lookup(src), target)
+		switch {
+		case errors.Is(e, vfs.ErrInvalid):
+			status = c.Errorf(1, "mv: cannot move '%s' to a subdirectory of itself, '%s'", src, shown)
+		case e != nil:
 			status = c.Errorf(1, "mv: %v", e)
 		}
 	}
 	return status
 }
 
-// touchCmd creates empty files or bumps their modification stamp.
+// touchCmd creates empty files or bumps their modification stamp. An
+// empty append does both and copies nothing.
 func touchCmd(c *Context, args []string) int {
 	cl, err := spec.Parse(args)
 	if err != nil {
@@ -209,18 +216,7 @@ func touchCmd(c *Context, args []string) int {
 	}
 	status := 0
 	for _, op := range cl.Operands {
-		p := c.Lookup(op)
-		if c.FS.Exists(p) {
-			data, e := c.FS.ReadFile(p)
-			if e == nil {
-				e = c.FS.WriteFile(p, data) // rewrite to bump ModSeq
-			}
-			if e != nil {
-				status = c.Errorf(1, "touch: %v", e)
-			}
-			continue
-		}
-		if e := c.FS.WriteFile(p, nil); e != nil {
+		if e := c.FS.AppendFile(c.Lookup(op), nil); e != nil {
 			status = c.Errorf(1, "touch: %v", e)
 		}
 	}

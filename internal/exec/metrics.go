@@ -127,8 +127,8 @@ func (r *readErrReader) Read(p []byte) (int, error) {
 }
 
 // WriteTo keeps the wrapped reader's own copy loop (an in-memory file hands
-// the pipe its bytes in one write); an error that did not come from w came
-// from reading.
+// the pipe its bytes one block per write); an error that did not come from
+// w came from reading.
 func (r *readErrReader) WriteTo(w io.Writer) (int64, error) {
 	wt, ok := r.r.(io.WriterTo)
 	if !ok {

@@ -8,6 +8,7 @@ import (
 
 	"jash/internal/cost"
 	"jash/internal/dfg"
+	"jash/internal/pipe"
 	"jash/internal/rewrite"
 	"jash/internal/trace"
 	"jash/internal/vfs"
@@ -254,4 +255,46 @@ func TestSplitDisciplines(t *testing.T) {
 		}
 	}
 	_ = m
+}
+
+// TestPoolScribbleLeavesFilesIntact: the blocks a plan's pipes recycle
+// are never a file's. After `cat f | tr a-z A-Z >g`, scribbling over
+// recycled pool blocks must leave both files byte-identical.
+func TestPoolScribbleLeavesFilesIntact(t *testing.T) {
+	fs := vfs.New()
+	fs.WriteFile("/f", workload.Words(17, 5*pipe.BlockSize+123))
+	g := pipelineGraph(t, dfg.Binding{StdoutFile: "/g"},
+		[]string{"cat", "/f"},
+		[]string{"tr", "a-z", "A-Z"},
+	)
+	par, err := rewrite.Parallelize(g, rewrite.Options{Width: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range []*dfg.Graph{g, par} {
+		if _, st := runGraph(t, plan, fs, ""); st != 0 {
+			t.Fatalf("status %d", st)
+		}
+		f, _ := fs.ReadFile("/f")
+		out, _ := fs.ReadFile("/g")
+		if !bytes.Equal(out, bytes.ToUpper(f)) {
+			t.Fatal("plan output differs from the reference")
+		}
+		blocks := make([][]byte, 64)
+		for i := range blocks {
+			blocks[i] = pipe.GetBlock()[:pipe.BlockSize]
+			for j := range blocks[i] {
+				blocks[i][j] = 0xFF
+			}
+		}
+		for _, b := range blocks {
+			pipe.PutBlock(b)
+		}
+		if f2, _ := fs.ReadFile("/f"); !bytes.Equal(f2, f) {
+			t.Error("/f changed when pool blocks were scribbled on")
+		}
+		if out2, _ := fs.ReadFile("/g"); !bytes.Equal(out2, out) {
+			t.Error("/g changed when pool blocks were scribbled on")
+		}
+	}
 }

@@ -6,7 +6,6 @@
 package vfs
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +15,7 @@ import (
 	"sync"
 
 	"jash/internal/pattern"
+	"jash/internal/pipe"
 )
 
 // Common error values, mirroring the os package shapes scripts expect.
@@ -25,6 +25,7 @@ var (
 	ErrIsDir    = errors.New("is a directory")
 	ErrNotDir   = errors.New("not a directory")
 	ErrNotEmpty = errors.New("directory not empty")
+	ErrInvalid  = errors.New("invalid argument")
 )
 
 // PathError decorates an error with the operation and path, like os.PathError.
@@ -62,13 +63,66 @@ type mount struct {
 	device string
 }
 
+// node is a file or directory. A file's contents are a list of blocks of
+// at most pipe.BlockSize bytes. The bytes a published list covers are
+// never written again, so a reader shares the list instead of copying it
+// (see snapshot); a write builds a new list or extends the last block past
+// every byte already published (see appendBlocks). Two files never share
+// a block, since an append to either would fill the same spare capacity.
 type node struct {
 	name     string
 	isDir    bool
-	data     []byte
+	blocks   [][]byte
+	size     int64
 	children map[string]*node
 	mode     uint32
 	modSeq   int64
+}
+
+// snapshot returns the file's current contents without copying a byte:
+// the blocks before the last, whose slice headers are never written
+// again, and a clipped copy of the last block's header, which an append
+// may extend in place. Caller holds the lock.
+func (n *node) snapshot() (head [][]byte, tail []byte) {
+	k := len(n.blocks)
+	if k == 0 {
+		return nil, nil
+	}
+	last := n.blocks[k-1]
+	return n.blocks[: k-1 : k-1], last[:len(last):len(last)]
+}
+
+// appendBlocks copies p onto the end of bs under the one growth rule of
+// every write: the last block fills up to its capacity; a last block
+// smaller than pipe.BlockSize grows by doubling up to pipe.BlockSize;
+// after that a new pipe.BlockSize block starts. The first block of a list
+// is sized to fit p, so a small file costs its own size. Growing a block
+// copies it into a new array and filling one writes only past its length,
+// so the bytes any snapshot covers stay as they were.
+func appendBlocks(bs [][]byte, p []byte) [][]byte {
+	for len(p) > 0 {
+		if k := len(bs); k > 0 {
+			last := bs[k-1]
+			if room := cap(last) - len(last); room > 0 {
+				room = min(room, len(p))
+				bs[k-1] = append(last, p[:room]...)
+				p = p[room:]
+				continue
+			}
+			if cap(last) < pipe.BlockSize {
+				grown := make([]byte, len(last), min(max(2*cap(last), len(last)+len(p)), pipe.BlockSize))
+				copy(grown, last)
+				bs[k-1] = grown
+				continue
+			}
+		}
+		size := pipe.BlockSize
+		if len(bs) == 0 {
+			size = min(len(p), pipe.BlockSize)
+		}
+		bs = append(bs, make([]byte, 0, size))
+	}
+	return bs
 }
 
 // New returns an empty filesystem containing only the root directory,
@@ -198,7 +252,7 @@ func (fs *FS) Stat(p string) (FileInfo, error) {
 	}
 	return FileInfo{
 		Name:   path.Base(clean(p)),
-		Size:   int64(len(n.data)),
+		Size:   n.size,
 		IsDir:  n.isDir,
 		Mode:   n.mode,
 		ModSeq: n.modSeq,
@@ -212,53 +266,16 @@ func (fs *FS) Exists(p string) bool {
 	return err == nil
 }
 
-// ReadFile returns a copy of the file's contents.
-func (fs *FS) ReadFile(p string) ([]byte, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	n, err := fs.lookup(p)
-	if err != nil {
-		return nil, &PathError{"open", p, err}
-	}
-	if n.isDir {
-		return nil, &PathError{"read", p, ErrIsDir}
-	}
-	out := make([]byte, len(n.data))
-	copy(out, n.data)
-	return out, nil
-}
-
-// Open returns a reader over a snapshot of the file's contents.
-func (fs *FS) Open(p string) (io.ReadCloser, error) {
-	data, err := fs.ReadFile(p)
-	if err != nil {
-		return nil, err
-	}
-	return io.NopCloser(bytes.NewReader(data)), nil
-}
-
-// WriteFile creates or truncates the file with the given contents,
-// creating parent directories as needed.
-func (fs *FS) WriteFile(p string, data []byte) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.writeLocked(p, data, false)
-}
-
-// AppendFile appends to the file, creating it if needed.
-func (fs *FS) AppendFile(p string, data []byte) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.writeLocked(p, data, true)
-}
-
-func (fs *FS) writeLocked(p string, data []byte, appendTo bool) error {
+// fileLocked returns the file node at p for writing, creating it and any
+// missing parent directories, and stamps it with the next ModSeq. Caller
+// holds the write lock.
+func (fs *FS) fileLocked(p string) (*node, error) {
 	if err := fs.mkdirAllLocked(path.Dir(clean(p))); err != nil {
-		return err
+		return nil, err
 	}
 	parent, name, err := fs.lookupParent(p)
 	if err != nil {
-		return &PathError{"create", p, err}
+		return nil, &PathError{"create", p, err}
 	}
 	fs.seq++
 	n, ok := parent.children[name]
@@ -268,19 +285,130 @@ func (fs *FS) writeLocked(p string, data []byte, appendTo bool) error {
 		parent.children[name] = n
 	}
 	if n.isDir {
-		return &PathError{"write", p, ErrIsDir}
-	}
-	if appendTo {
-		n.data = append(n.data, data...)
-	} else {
-		n.data = append([]byte(nil), data...)
+		return nil, &PathError{"write", p, ErrIsDir}
 	}
 	n.modSeq = fs.seq
+	return n, nil
+}
+
+// ReadFile returns a flat copy of the file's contents, for callers that
+// want one slice (tests, cp, small files); streams use Open.
+func (fs *FS) ReadFile(p string) ([]byte, error) {
+	r, err := fs.open(p)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, r.size)
+	for r.next() {
+		out = append(out, r.cur...)
+	}
+	return out, nil
+}
+
+// Open returns a reader over a snapshot of the file's contents. It copies
+// nothing: the reader shares the file's blocks, and a later write to the
+// file leaves what the reader sees unchanged.
+func (fs *FS) Open(p string) (io.ReadCloser, error) {
+	return fs.open(p)
+}
+
+func (fs *FS) open(p string) (*fileReader, error) {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	n, err := fs.lookup(p)
+	if err != nil {
+		return nil, &PathError{"open", p, err}
+	}
+	if n.isDir {
+		return nil, &PathError{"read", p, ErrIsDir}
+	}
+	head, tail := n.snapshot()
+	return &fileReader{head: head, tail: tail, size: n.size}, nil
+}
+
+// fileReader reads one snapshot of a file, block by block.
+type fileReader struct {
+	head [][]byte // blocks not yet started, before the last
+	tail []byte   // the last block, until it is started
+	cur  []byte   // unread rest of the current block
+	size int64
+}
+
+// next makes the following block current; false at the end of the file.
+func (r *fileReader) next() bool {
+	switch {
+	case len(r.head) > 0:
+		r.cur, r.head = r.head[0], r.head[1:]
+	case r.tail != nil:
+		r.cur, r.tail = r.tail, nil
+	default:
+		return false
+	}
+	return true
+}
+
+func (r *fileReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) && (len(r.cur) > 0 || r.next()) {
+		k := copy(p[n:], r.cur)
+		r.cur = r.cur[k:]
+		n += k
+	}
+	if n == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// WriteTo hands w the file one block per Write, with no copy of its own.
+func (r *fileReader) WriteTo(w io.Writer) (int64, error) {
+	var total int64
+	for len(r.cur) > 0 || r.next() {
+		k, err := w.Write(r.cur)
+		r.cur = r.cur[k:]
+		total += int64(k)
+		if err == nil && len(r.cur) > 0 {
+			err = io.ErrShortWrite
+		}
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
+// Close is a no-op: a snapshot holds no lock, only blocks the GC frees.
+func (r *fileReader) Close() error { return nil }
+
+// WriteFile creates or truncates the file with a copy of data, creating
+// parent directories as needed.
+func (fs *FS) WriteFile(p string, data []byte) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n, err := fs.fileLocked(p)
+	if err != nil {
+		return err
+	}
+	n.blocks, n.size = appendBlocks(nil, data), int64(len(data))
+	return nil
+}
+
+// AppendFile appends a copy of data to the file, creating it if needed.
+// With no data it only advances the file's ModSeq.
+func (fs *FS) AppendFile(p string, data []byte) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n, err := fs.fileLocked(p)
+	if err != nil {
+		return err
+	}
+	n.blocks, n.size = appendBlocks(n.blocks, data), n.size+int64(len(data))
 	return nil
 }
 
 // Create returns a writer whose contents replace the file when Close is
-// called. Writes are buffered in memory.
+// called: until then the file is untouched, so a writer that is never
+// closed leaves no trace.
 func (fs *FS) Create(p string) (io.WriteCloser, error) {
 	return &fileWriter{fs: fs, path: p}, nil
 }
@@ -291,10 +419,14 @@ func (fs *FS) Append(p string) (io.WriteCloser, error) {
 	return &fileWriter{fs: fs, path: p, appendTo: true}, nil
 }
 
+// fileWriter collects a file's new contents in blocks of its own. Write
+// copies p (a pipe recycles its chunk as soon as Write returns); Close
+// swaps the blocks in, or in append mode copies them onto the file's.
 type fileWriter struct {
 	fs       *FS
 	path     string
-	buf      bytes.Buffer
+	blocks   [][]byte
+	size     int64
 	appendTo bool
 	closed   bool
 }
@@ -303,7 +435,9 @@ func (w *fileWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, errors.New("write on closed file")
 	}
-	return w.buf.Write(p)
+	w.blocks = appendBlocks(w.blocks, p)
+	w.size += int64(len(p))
+	return len(p), nil
 }
 
 func (w *fileWriter) Close() error {
@@ -311,10 +445,23 @@ func (w *fileWriter) Close() error {
 		return nil
 	}
 	w.closed = true
-	if w.appendTo {
-		return w.fs.AppendFile(w.path, w.buf.Bytes())
+	blocks := w.blocks
+	w.blocks = nil
+	w.fs.mu.Lock()
+	defer w.fs.mu.Unlock()
+	n, err := w.fs.fileLocked(w.path)
+	if err != nil {
+		return err
 	}
-	return w.fs.WriteFile(w.path, w.buf.Bytes())
+	if !w.appendTo {
+		n.blocks, n.size = blocks, w.size
+		return nil
+	}
+	for _, b := range blocks {
+		n.blocks = appendBlocks(n.blocks, b)
+	}
+	n.size += w.size
+	return nil
 }
 
 // Mkdir creates a single directory.
@@ -406,6 +553,10 @@ func (fs *FS) Rename(oldp, newp string) error {
 	if err != nil {
 		return &PathError{"rename", newp, err}
 	}
+	if strings.HasPrefix(clean(newp), clean(oldp)+"/") {
+		// Linking a directory under itself would cut it off from the root.
+		return &PathError{"rename", newp, ErrInvalid}
+	}
 	delete(op.children, oname)
 	n.name = nname
 	fs.seq++
@@ -430,7 +581,7 @@ func (fs *FS) ReadDir(p string) ([]FileInfo, error) {
 	for _, c := range n.children {
 		infos = append(infos, FileInfo{
 			Name:   c.name,
-			Size:   int64(len(c.data)),
+			Size:   c.size,
 			IsDir:  c.isDir,
 			Mode:   c.mode,
 			ModSeq: c.modSeq,
@@ -525,7 +676,7 @@ func (fs *FS) TotalBytes() int64 {
 	var total int64
 	var walk func(n *node)
 	walk = func(n *node) {
-		total += int64(len(n.data))
+		total += n.size
 		for _, c := range n.children {
 			walk(c)
 		}
@@ -552,7 +703,7 @@ func (fs *FS) String() string {
 				fmt.Fprintf(&b, "%s%s/\n", prefix, name)
 				walk(c, prefix+name+"/")
 			} else {
-				fmt.Fprintf(&b, "%s%s (%d bytes)\n", prefix, name, len(c.data))
+				fmt.Fprintf(&b, "%s%s (%d bytes)\n", prefix, name, c.size)
 			}
 		}
 	}

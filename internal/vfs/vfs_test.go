@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"jash/internal/pipe"
 )
 
 func TestWriteReadFile(t *testing.T) {
@@ -241,4 +243,196 @@ func TestQuickWriteRead(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+func TestRenameIntoItself(t *testing.T) {
+	fs := New()
+	fs.WriteFile("/d/f", []byte("x"))
+	for _, dst := range []string{"/d/sub", "/d/d", "/d/./sub/"} {
+		err := fs.Rename("/d", dst)
+		if !errors.Is(err, ErrInvalid) {
+			t.Errorf("Rename(/d, %s) err = %v, want ErrInvalid", dst, err)
+		}
+	}
+	if data, err := fs.ReadFile("/d/f"); err != nil || string(data) != "x" {
+		t.Errorf("/d/f after refused renames: %q, %v", data, err)
+	}
+	// A sibling whose name extends the source's is not inside it.
+	if err := fs.Rename("/d", "/dd"); err != nil {
+		t.Errorf("Rename(/d, /dd) = %v", err)
+	}
+}
+
+func readAll(t *testing.T, r io.Reader) string {
+	t.Helper()
+	data, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// A reader sees the file as it was at Open, whatever is written after.
+func TestOpenIsASnapshot(t *testing.T) {
+	big := strings.Repeat("0123456789abcde\n", 3*pipe.BlockSize/16+5)
+	writes := map[string]func(fs *FS){
+		"Create+Close": func(fs *FS) {
+			w, _ := fs.Create("/f")
+			io.WriteString(w, "new")
+			w.Close()
+		},
+		"WriteFile":  func(fs *FS) { fs.WriteFile("/f", []byte("new")) },
+		"AppendFile": func(fs *FS) { fs.AppendFile("/f", []byte("more")) },
+		"Append+Close": func(fs *FS) {
+			w, _ := fs.Append("/f")
+			io.WriteString(w, strings.Repeat("m", pipe.BlockSize))
+			w.Close()
+		},
+	}
+	for name, write := range writes {
+		for _, old := range []string{"", "small\n", big} {
+			fs := New()
+			fs.WriteFile("/f", []byte(old))
+			r, err := fs.Open("/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			write(fs)
+			if got := readAll(t, r); got != old {
+				t.Errorf("%s over %d bytes: reader saw %d bytes, want the old contents", name, len(old), len(got))
+			}
+		}
+	}
+}
+
+// Write copies p: a pipe recycles its chunk as soon as Write returns.
+func TestWriteKeepsNothingOfP(t *testing.T) {
+	for _, mode := range []string{"create", "append"} {
+		fs := New()
+		fs.WriteFile("/f", []byte("head\n"))
+		var w io.WriteCloser
+		if mode == "create" {
+			w, _ = fs.Create("/f")
+		} else {
+			w, _ = fs.Append("/f")
+		}
+		p := make([]byte, 0, pipe.BlockSize)
+		var want []byte
+		if mode == "append" {
+			want = []byte("head\n")
+		}
+		for i := 0; i < 5; i++ {
+			p = append(p[:0], strings.Repeat(string(rune('a'+i)), 3000+i*20000)...)
+			w.Write(p)
+			want = append(want, p...)
+			for j := range p {
+				p[j] = 0xFF
+			}
+		}
+		w.Close()
+		got, _ := fs.ReadFile("/f")
+		if string(got) != string(want) {
+			t.Errorf("%s: the file changed with the caller's buffer", mode)
+		}
+	}
+}
+
+// Repeated small appends grow the last block instead of adding blocks.
+func TestSmallAppendsStayFewBlocks(t *testing.T) {
+	fs := New()
+	line := []byte("one short line of text\n")
+	for i := 0; i < 10000; i++ {
+		if i%2 == 0 {
+			fs.AppendFile("/log", line)
+		} else {
+			w, _ := fs.Append("/log")
+			w.Write(line)
+			w.Close()
+		}
+	}
+	fs.mu.RLock()
+	n, _ := fs.lookup("/log")
+	blocks, size := len(n.blocks), n.size
+	fs.mu.RUnlock()
+	if size != int64(10000*len(line)) {
+		t.Fatalf("size = %d", size)
+	}
+	if limit := int(size/pipe.BlockSize) + 1; blocks > limit {
+		t.Errorf("%d blocks for %d bytes, want at most %d", blocks, size, limit)
+	}
+}
+
+// Reading a file through Open costs a constant number of allocations,
+// however large the file.
+func TestOpenCopyAllocsConstant(t *testing.T) {
+	fs := New()
+	fs.WriteFile("/small", []byte("x\n"))
+	fs.WriteFile("/big", make([]byte, 32<<20))
+	allocs := func(p string) float64 {
+		return testing.AllocsPerRun(5, func() {
+			r, err := fs.Open(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, r)
+			r.Close()
+		})
+	}
+	small, big := allocs("/small"), allocs("/big")
+	if big != small || big > 2 {
+		t.Errorf("Open+io.Copy allocs: %v for 2 bytes, %v for 32 MiB", small, big)
+	}
+}
+
+// Readers run against writers, appenders and renames; run with -race.
+func TestSnapshotHammer(t *testing.T) {
+	fs := New()
+	chunk := []byte(strings.Repeat("x", 1000) + "\n")
+	fs.WriteFile("/f", chunk)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, p := range []string{"/f", "/g"} {
+					r, err := fs.Open(p)
+					if err != nil {
+						continue
+					}
+					data, _ := io.ReadAll(r)
+					if len(data)%len(chunk) != 0 || strings.Trim(string(data), "x\n") != "" {
+						t.Errorf("torn read of %s: %d bytes", p, len(data))
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		switch i % 4 {
+		case 0:
+			fs.AppendFile("/f", chunk)
+		case 1:
+			w, _ := fs.Append("/f")
+			for j := 0; j < 70; j++ {
+				w.Write(chunk)
+			}
+			w.Close()
+		case 2:
+			fs.Rename("/f", "/g")
+			fs.Rename("/g", "/f")
+		case 3:
+			if i%40 == 3 {
+				fs.WriteFile("/f", chunk)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
