@@ -14,10 +14,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The pipe is the edge both the executor and the interpreter run their
-# stages on; those two are the concurrency-heavy packages, and core's
-# list regions run interpreter clones that share the session's Stats,
-# breaker ledger, and tracer. All of them must stay race-clean. The model
+# The executor's node runner runs every pipeline, a plan's and an
+# interpreted one's, over the one pipe; those packages are the
+# concurrency-heavy ones, and core's list regions run interpreter clones
+# that share the session's state under one lock. All of them must stay
+# race-clean. The model
 # property test and the list planner's own tests ride along: the first
 # drives interpreter clones (every `&` is one), the second plans the regions
 # those clones run. List-region workers plan pipelines concurrently over
@@ -33,14 +34,16 @@ race:
 # The fault suite: injected failures, panics, stalls, and cancellations
 # at every plan position must tear the plan down cleanly (no node is ever
 # re-run in place) and fall back byte-identically; the seeded chaos
-# sweep runs the whole self-healing stack differentially. The Argv and
+# sweep runs the whole self-healing stack differentially. An interpreted
+# pipeline ends on the same runner, so the interpreter's teardown, panic
+# and early-exit rows (Pipeline) run here too. The Argv and
 # EarlyExpansion three-mode differentials ride along so the parallel lanes
 # they force run under the race detector, and the region former's own
 # tests (Region) so a rule cannot change without them.
 fault: fuzz-smoke
 	$(GO) test -race -count=2 \
-		-run 'Fault|Panic|Cancel|Timeout|Fallback|Hangup|FailingLane|Chaos|Stall|Journal|Quarantine|Trap|Trace|Argv|EarlyExpansion|Region' \
-		./internal/exec/... ./internal/core/... ./internal/dfg/...
+		-run 'Fault|Panic|Cancel|Timeout|Fallback|Hangup|FailingLane|Chaos|Stall|Journal|Quarantine|Trap|Trace|Argv|EarlyExpansion|Region|Pipeline' \
+		./internal/exec/... ./internal/interp/... ./internal/core/... ./internal/dfg/...
 
 # fuzz-smoke is the deterministic differential gate (~30s): a fixed seed
 # window through all five engines plus a seeded chaos sweep over both

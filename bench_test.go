@@ -8,6 +8,7 @@ package jash
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"jash/internal/cost"
 	"jash/internal/dfg"
 	"jash/internal/exec"
+	"jash/internal/interp"
 	"jash/internal/rewrite"
 	"jash/internal/syntax"
 	"jash/internal/vfs"
@@ -52,26 +54,72 @@ func BenchmarkParsePrintRoundTrip(b *testing.B) {
 }
 
 // BenchmarkInterpPipeline measures interpreting a 4-stage pipeline over
-// 256 KiB through the evaluator and hermetic coreutils.
+// 256 KiB through the evaluator and hermetic coreutils, and, over a
+// two-line file, what running a 5-stage pipeline costs on its own: the
+// subshells, the node runner and its pipes.
 func BenchmarkInterpPipeline(b *testing.B) {
-	data := workload.Words(1, 256<<10)
-	fs := vfs.New()
-	fs.WriteFile("/w", data)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sh := core.New(fs, cost.Laptop(), core.ModeBash)
-		sh.Interp.Stdout = &bytes.Buffer{}
-		if st, err := sh.Run("cat /w | tr A-Z a-z | sort | uniq -c >/dev/null\n"); err != nil || st != 0 {
-			b.Fatalf("st=%d err=%v", st, err)
+	b.Run("words=256KiB", func(b *testing.B) {
+		data := workload.Words(1, 256<<10)
+		fs := vfs.New()
+		fs.WriteFile("/w", data)
+		b.SetBytes(int64(len(data)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sh := core.New(fs, cost.Laptop(), core.ModeBash)
+			sh.Interp.Stdout = &bytes.Buffer{}
+			if st, err := sh.Run("cat /w | tr A-Z a-z | sort | uniq -c >/dev/null\n"); err != nil || st != 0 {
+				b.Fatalf("st=%d err=%v", st, err)
+			}
 		}
-	}
+	})
+	b.Run("tiny", func(b *testing.B) {
+		fs := vfs.New()
+		fs.WriteFile("/f", []byte("one\ntwo\n"))
+		script, err := syntax.Parse("cat /f | cat | cat | cat | cat\n")
+		if err != nil {
+			b.Fatal(err)
+		}
+		in := interp.New(fs)
+		var out bytes.Buffer
+		in.Stdout = &out
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out.Reset()
+			if st, err := in.RunStmts(script.Stmts); err != nil || st != 0 || out.Len() != 8 {
+				b.Fatalf("st=%d err=%v out=%q", st, err, out.String())
+			}
+		}
+	})
 }
 
 // BenchmarkExecSequentialVsParallel compares the dataflow executor's real
 // wall time for the fig1 plan at widths 1..8 on 1 MiB (in-process lanes
-// parallelize across real cores).
+// parallelize across real cores), and measures the fixed cost of a
+// width-1 plan over a two-line file.
 func BenchmarkExecSequentialVsParallel(b *testing.B) {
+	b.Run("tiny/width=1", func(b *testing.B) {
+		fs := vfs.New()
+		fs.WriteFile("/f", []byte("one\ntwo\n"))
+		g, err := dfg.FromPipeline([][]string{{"cat"}, {"cat"}, {"cat"}, {"cat"}, {"cat"}},
+			Specs(), dfg.Binding{StdinFile: "/f"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var out bytes.Buffer
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out.Reset()
+			st, err := exec.Run(g, &exec.Env{
+				FS: fs, Dir: "/", Stdin: strings.NewReader(""),
+				Stdout: &out, Stderr: io.Discard,
+			})
+			if err != nil || st != 0 || out.Len() != 8 {
+				b.Fatalf("st=%d err=%v out=%q", st, err, out.String())
+			}
+		}
+	})
 	data := workload.Words(1, 1<<20)
 	fs := vfs.New()
 	fs.WriteFile("/w", data)

@@ -346,6 +346,29 @@ func TestJashtraceCheckGatesOnDrift(t *testing.T) {
 	}
 }
 
+// TestJashtraceCheckAcceptsInterpretedPipelines: a pipeline the JIT
+// declines runs on the executor under its command's span, one node span per
+// stage, so its trace has no second kind of root and passes -check.
+func TestJashtraceCheckAcceptsInterpretedPipelines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	out, errs, code := runBin(t, "jash", "", "-trace", path, "-c", "seq 3 | while read x; do echo $x; done")
+	if code != 0 || out != "1\n2\n3\n" {
+		t.Fatalf("jash: code=%d stdout=%q stderr=%q", code, out, errs)
+	}
+	if out, errs, code := runBin(t, "jashtrace", "", "-check", path); code != 0 {
+		t.Fatalf("jashtrace -check: code=%d %s%s", code, out, errs)
+	}
+	rendered, errs, code := runBin(t, "jashtrace", "", path)
+	if code != 0 {
+		t.Fatalf("jashtrace: code=%d stderr=%q", code, errs)
+	}
+	for _, want := range []string{"interpret:pipeline", "node:seq 3"} {
+		if !strings.Contains(rendered, want) {
+			t.Errorf("trace missing %q:\n%s", want, rendered)
+		}
+	}
+}
+
 // TestJashtraceCheckRejectsOrphans: a span whose parent is not in the trace
 // (the parent leaked: it never ended, so it was never written) fails
 // -check, naming the missing parent.

@@ -264,8 +264,8 @@ type Shell struct {
 	// JIT decision, and per-node execution — plus fallback, breaker, and
 	// list-parallel events, and a registry of counters and latency
 	// histograms that settle bumps together with Stats. It is the session's
-	// only record outside Stats. Attach with EnableTracing so the
-	// interpreter side is wired too. A nil Tracer costs nothing.
+	// only record outside Stats. Interpreted pipelines hang from the same
+	// command spans, with a node span per stage. A nil Tracer costs nothing.
 	Tracer *trace.Tracer
 	// Ctx, when non-nil, bounds every optimized execution: cancellation or
 	// deadline expiry tears running plans down and makes the session exit
@@ -288,11 +288,6 @@ type Shell struct {
 	breakers map[string]*breakerState
 	// now is the breaker's clock; tests override it to step time.
 	now func() time.Time
-	// cmdSpan is the span of the top-level command currently running, the
-	// parent of every pipeline span it triggers. Written only by Run's
-	// goroutine between commands; list-region workers read it after the
-	// write, so no lock is needed.
-	cmdSpan *trace.Span
 
 	// mu serializes the session state the observer mutates — Stats, the
 	// breaker ledger, the profile's burst-credit balance, and the trace
@@ -351,12 +346,11 @@ func (s *Shell) breakerSuccess(region string) {
 	delete(s.breakers, region)
 }
 
-// EnableTracing attaches a tracer to the session and its interpreter, so
-// both JIT-executed and interpreted pipelines record spans.
-func (s *Shell) EnableTracing(tr *trace.Tracer) {
-	s.Tracer = tr
-	s.Interp.Tracer = tr
-}
+// EnableTracing attaches a tracer to the session. Each top-level command
+// gets a `command` span, which Run hands the interpreter as Interp.Tracer:
+// every pipeline the command runs, JIT-executed or interpreted, hangs from
+// it.
+func (s *Shell) EnableTracing(tr *trace.Tracer) { s.Tracer = tr }
 
 // New creates a shell over the filesystem with the given resource profile
 // and mode. Standard streams default to discard; set them on Interp. Bash
@@ -415,9 +409,12 @@ func (s *Shell) Run(src string) (int, error) {
 		if csp != nil {
 			csp.SetStr("text", syntax.PrintStmts(stmts))
 		}
-		s.cmdSpan = csp
+		// The command's span is the parent of every span it triggers. Run's
+		// goroutine writes it between commands; list-region workers copy it
+		// with the interpreter after the write, so no lock is needed.
+		s.Interp.Tracer = csp
 		status, err = s.runStmtsTop(stmts)
-		s.cmdSpan = nil
+		s.Interp.Tracer = nil
 		csp.SetInt("status", int64(status))
 		csp.End()
 		if err != nil {
@@ -435,8 +432,14 @@ func (s *Shell) Run(src string) (int, error) {
 		}
 	}
 	// The EXIT trap fires when the session ends (builtinExit already
-	// consumed it if the script exited explicitly).
+	// consumed it if the script exited explicitly), traced as one more
+	// command.
+	if _, ok := s.Interp.Traps["EXIT"]; ok {
+		s.Interp.Tracer = s.Tracer.Start(nil, "command").SetStr("text", "trap EXIT")
+	}
 	s.Interp.RunExitTrap()
+	s.Interp.Tracer.End()
+	s.Interp.Tracer = nil
 	if !s.Interp.Exited {
 		status = s.Interp.Status
 	}
@@ -488,7 +491,7 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	}
 	// Only a region analyze accepts gets a span, backdated to the offer so
 	// the expand child still covers the analysis.
-	root := s.Tracer.StartAt(s.cmdSpan, "pipeline", start)
+	root := s.Tracer.StartAt(in.Tracer, "pipeline", start)
 	root.SetStr("text", text)
 	s.Tracer.StartAt(root, "expand", start).End()
 	d := Decision{Pipeline: text}

@@ -50,7 +50,7 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 	if len(cand) < 2 {
 		return in.RunStmts(stmts)
 	}
-	lsp := s.cmdSpan.Child("list-plan")
+	lsp := in.Tracer.Child("list-plan")
 	plan, dec := rewrite.ParallelizeList(cand, rewrite.ListOptions{
 		Lib:   s.Lib,
 		Dir:   in.Dir,
@@ -76,7 +76,7 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 	}
 	d.Strategy, d.Width = "parallel-list", dec.Width
 	d.statements, d.concretized = dec.Statements, dec.Concretized
-	rsp := s.cmdSpan.Child("list-region")
+	rsp := in.Tracer.Child("list-region")
 	rsp.SetInt("statements", int64(dec.Statements))
 	defer func() {
 		s.settle(rsp, d)

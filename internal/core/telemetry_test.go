@@ -298,9 +298,11 @@ func TestEveryOutcomeTellsOneStory(t *testing.T) {
 			// cycle makes the estimator return an error), so this row hands
 			// settle the record observe would.
 			arm: func(t *testing.T, s *Shell) {
-				root := s.Tracer.Start(nil, "pipeline")
+				cmd := s.Tracer.Start(nil, "command")
+				root := cmd.Child("pipeline")
 				s.settle(root, Decision{Pipeline: "x | y", Strategy: "interpret", Reason: "graph has a cycle"})
 				root.End()
+				cmd.End()
 			},
 			strategy: "interpret", outcome: "interpret", want: Stats{Interpreted: 1}},
 		{name: "executed sequential", lines: 50, script: fig1Script,

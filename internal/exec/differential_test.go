@@ -1,19 +1,24 @@
-package exec
+package exec_test
 
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
 	"jash/internal/dfg"
+	"jash/internal/exec"
 	"jash/internal/interp"
 	"jash/internal/rewrite"
 	"jash/internal/spec"
 	"jash/internal/vfs"
 	"jash/internal/workload"
 )
+
+// The differential tests drive the interpreter, whose pipelines run on this
+// package, so they live in a package of their own.
+
+var lib = spec.Builtin()
 
 // diffStage pairs an argv with its shell-script rendering.
 type diffStage struct {
@@ -88,7 +93,7 @@ func TestDifferentialRandomPipelines(t *testing.T) {
 			t.Fatalf("trial %d: translate %q: %v", trial, script, err)
 		}
 		var seqOut bytes.Buffer
-		if _, err := Run(g, &Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
+		if _, err := exec.Run(g, &exec.Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
 			Stdout: &seqOut, Stderr: &bytes.Buffer{}}); err != nil {
 			t.Fatalf("trial %d: exec %q: %v", trial, script, err)
 		}
@@ -105,7 +110,7 @@ func TestDifferentialRandomPipelines(t *testing.T) {
 				continue // no splittable segment: fine
 			}
 			var parOut bytes.Buffer
-			if _, err := Run(par, &Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
+			if _, err := exec.Run(par, &exec.Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
 				Stdout: &parOut, Stderr: &bytes.Buffer{}}); err != nil {
 				t.Fatalf("trial %d width %d: exec: %v", trial, width, err)
 			}
@@ -167,7 +172,7 @@ func TestDifferentialLargeInputs(t *testing.T) {
 			t.Fatalf("translate %q: %v", tc.script, err)
 		}
 		var seqOut bytes.Buffer
-		if _, err := Run(g, &Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
+		if _, err := exec.Run(g, &exec.Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
 			Stdout: &seqOut, Stderr: &bytes.Buffer{}}); err != nil {
 			t.Fatalf("exec %q: %v", tc.script, err)
 		}
@@ -181,7 +186,7 @@ func TestDifferentialLargeInputs(t *testing.T) {
 				continue
 			}
 			var parOut bytes.Buffer
-			if _, err := Run(par, &Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
+			if _, err := exec.Run(par, &exec.Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
 				Stdout: &parOut, Stderr: &bytes.Buffer{}}); err != nil {
 				t.Fatalf("%q width %d: %v", tc.script, width, err)
 			}
@@ -227,7 +232,7 @@ func TestDifferentialSeededVariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			var execOut bytes.Buffer
-			if _, err := Run(g, &Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
+			if _, err := exec.Run(g, &exec.Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
 				Stdout: &execOut, Stderr: &bytes.Buffer{}}); err != nil {
 				t.Fatal(err)
 			}
@@ -245,55 +250,6 @@ func genNumeric() string {
 		fmt.Fprintf(&b, "%d %d\n", rng.Intn(100), rng.Intn(1000))
 	}
 	return b.String()
-}
-
-// TestAggSumMixedColumns pins the strict sum-merge contract: lanes that
-// emit anything non-numeric abort the plan before a single sink byte
-// escapes (so the caller falls back to the interpreter and the two paths
-// agree by construction), while all-numeric lanes still sum per column.
-func TestAggSumMixedColumns(t *testing.T) {
-	sum := func(ins []io.Reader) (string, int, error) {
-		var out bytes.Buffer
-		var aborted error
-		env := &Env{abort: func(err error) {
-			if aborted == nil {
-				aborted = err
-			}
-		}}
-		st := runMerge(&dfg.Node{Kind: dfg.KindMerge, Agg: spec.AggSum}, ins, &out, env)
-		return out.String(), st, aborted
-	}
-
-	// All-numeric lanes: columns sum across lanes.
-	got, st, aborted := sum([]io.Reader{
-		strings.NewReader("1 10\n2 20\n"),
-		strings.NewReader("3 30\n"),
-	})
-	if st != 0 || aborted != nil || got != "6 60\n" {
-		t.Fatalf("numeric lanes: out=%q st=%d abort=%v", got, st, aborted)
-	}
-
-	// A garbage field anywhere aborts the plan with zero output.
-	for _, lanes := range [][]string{
-		{"1 2\n", "3 x\n"},
-		{"12.5\n"},         // floats are not the integer rows wc-style lanes emit
-		{"5\n", "total\n"}, // a stray wc "total" row must not be dropped silently
-	} {
-		ins := make([]io.Reader, len(lanes))
-		for i, l := range lanes {
-			ins[i] = strings.NewReader(l)
-		}
-		got, st, aborted := sum(ins)
-		if st == 0 {
-			t.Fatalf("lanes %q: want non-zero status, got output %q", lanes, got)
-		}
-		if aborted == nil {
-			t.Fatalf("lanes %q: plan must abort so the interpreter fallback runs", lanes)
-		}
-		if got != "" {
-			t.Fatalf("lanes %q: %q escaped an aborted merge", lanes, got)
-		}
-	}
 }
 
 // TestDifferentialMaxLineBoundary holds the interpreter and the dataflow
@@ -336,7 +292,7 @@ func TestDifferentialMaxLineBoundary(t *testing.T) {
 			t.Fatalf("%s: translate: %v", tc.name, gerr)
 		}
 		var seqOut, seqErr bytes.Buffer
-		seqSt, rerr := Run(g, &Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
+		seqSt, rerr := exec.Run(g, &exec.Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
 			Stdout: &seqOut, Stderr: &seqErr})
 		if rerr != nil {
 			t.Fatalf("%s: exec: %v", tc.name, rerr)
@@ -373,7 +329,7 @@ func TestDifferentialMaxLineBoundary(t *testing.T) {
 		par, perr := rewrite.Parallelize(g, rewrite.Options{Width: 2})
 		if perr == nil {
 			var parOut bytes.Buffer
-			parSt, rerr := Run(par, &Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
+			parSt, rerr := exec.Run(par, &exec.Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
 				Stdout: &parOut, Stderr: &bytes.Buffer{}})
 			if rerr == nil {
 				if parOut.String() != seqOut.String() {

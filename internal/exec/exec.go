@@ -1,8 +1,12 @@
-// Package exec runs dataflow graphs for real: every node becomes a
-// goroutine, every edge a bounded in-memory pipe, and command nodes
-// dispatch to the hermetic coreutils. It is the execution backend the Jash
-// JIT hands optimized plans to, and the oracle the tests use to check that
-// rewritten graphs are output-equivalent to the original pipelines.
+// Package exec runs every pipeline of the shell: every node becomes a
+// goroutine, every edge a bounded in-memory pipe, and one node runner
+// (runState) wires, contains and tears down both kinds of run. A dataflow
+// graph (RunContext) is what the Jash JIT hands optimized plans to, and the
+// oracle the tests use to check that rewritten graphs are
+// output-equivalent to the original pipelines; its command nodes dispatch
+// to the hermetic coreutils. A linear chain of interpreter closures
+// (RunStages) is every `|` the JIT did not take. PaSh's runtime
+// primitives — split, merge, the sink's journal — appear only in plans.
 //
 // The executor is a streaming dataflow machine: split nodes chunk their
 // input incrementally at line boundaries and forward data as it arrives,
@@ -42,7 +46,8 @@ import (
 	"jash/internal/vfs"
 )
 
-// Env is the execution environment for one graph run.
+// Env is the execution environment for one run: all of it for a graph, its
+// streams and Span for a chain of interpreted stages.
 type Env struct {
 	FS     *vfs.FS
 	Dir    string
@@ -103,31 +108,141 @@ var tmpSeq atomic.Int64
 // no goroutine outlives the teardown.
 var errPlanTornDown = errors.New("plan torn down")
 
-// runState is the per-run teardown machinery: one context whose cause is
-// the first node error (or the caller's cancel or deadline, which ctx
-// inherits), and the pipes to break when it ends, so blocked nodes unwind
-// promptly instead of deadlocking against goroutines that will never
-// drain them.
+// runState is one run of the node runner, a plan's or an interpreted
+// pipeline's: one context whose cause is the first node error (or the
+// caller's cancel or deadline, which it inherits), the bounded pipe of
+// every edge (r[i] and w[i] are edge i's ends), broken when that context
+// ends so no blocked node waits on one that will never drain it, and the
+// nodes' goroutines. A nil span leaves the run untraced.
 type runState struct {
 	ctx    context.Context
 	cancel context.CancelCauseFunc
-	pipes  []*pipe.Reader
+	r      []*pipe.Reader
+	w      []*pipe.Writer
+	span   *trace.Span
+	stop   func() bool
+	wg     sync.WaitGroup
 }
 
-// abort tears the plan down with err as the cause; the first cause wins.
+// startRun wires a run of the given number of edges under ctx; end
+// releases it once every node has finished.
+func startRun(ctx context.Context, edges int, span *trace.Span) *runState {
+	rs := &runState{r: make([]*pipe.Reader, edges), w: make([]*pipe.Writer, edges), span: span}
+	rs.ctx, rs.cancel = context.WithCancelCause(ctx)
+	for i := range rs.r {
+		rs.r[i], rs.w[i] = pipe.New(cost.PipeBufferBytes)
+		// Traced runs clock every pipe's blocked time.
+		if span != nil {
+			rs.r[i].EnableTiming()
+		}
+	}
+	// The caller's cancel or deadline ends rs.ctx by inheritance; what is
+	// left is breaking the pipes, handed the cause because this callback
+	// can run before the cancellation has reached rs.ctx.
+	rs.stop = context.AfterFunc(ctx, func() { rs.abort(context.Cause(ctx)) })
+	return rs
+}
+
+func (rs *runState) end() {
+	rs.stop()
+	rs.cancel(nil)
+}
+
+// abort tears the run down with err as the cause; the first cause wins.
 // The pipes are broken before abort returns, so a node that aborts and
 // then closes its outputs cannot hand its consumers a clean EOF.
 func (rs *runState) abort(err error) {
 	rs.cancel(err)
-	for _, p := range rs.pipes {
+	for _, p := range rs.r {
 		p.Break(errPlanTornDown)
 	}
 }
 
 func (rs *runState) isAborted() bool { return rs.ctx.Err() != nil }
 
-// err is the run's error: the cause of the teardown, nil if none happened.
-func (rs *runState) err() error { return context.Cause(rs.ctx) }
+// result is the run's status and error, the cause of its teardown if one
+// happened: a torn-down run never reports success, whichever node faulted.
+func (rs *runState) result(status int) (int, error) {
+	err := context.Cause(rs.ctx)
+	if err != nil && status == 0 {
+		status = 1
+	}
+	return status, err
+}
+
+// NodePanic is the cause a run is torn down with when one of its nodes
+// panics. Value is what the node panicked with, so that the caller of an
+// interpreted pipeline can raise it again.
+type NodePanic struct {
+	ID    int
+	Label string
+	Value any
+}
+
+func (p *NodePanic) Error() string {
+	return fmt.Sprintf("node %d (%s): panic: %v", p.ID, p.Label, p.Value)
+}
+
+// node is everything a run learns about one of its nodes, so the
+// watchdog, the metrics and the status all read the same place: its
+// counters, its record (identity from the start, measurements once its
+// goroutine finishes), and its exit status, read once the run's WaitGroup
+// has settled. in and out index the edges it reads and writes, in port
+// order. Every node runs once: its first fault tears the whole run down,
+// and recovery is the caller's.
+type node struct {
+	ctr     nodeCounters
+	m       NodeMetrics
+	status  int
+	in, out []int
+}
+
+// goNode runs body as node nd on a goroutine of its own. It is the one
+// place a node of either kind ends: a panic is contained and tears the run
+// down before the node closes its pipe ends, so no consumer sees a clean
+// EOF from a node that crashed; then its inputs hang up, its outputs
+// close, and its record is completed — the one place its bytes, peak
+// buffering, blocked time and wall are read; its span and Env.Metrics are
+// both copies of it. Under a span the node is labelled for CPU profiles,
+// so a pprof flamegraph attributes samples per node.
+func (rs *runState) goNode(nd *node, body func() int) {
+	rs.wg.Add(1)
+	go func() {
+		defer rs.wg.Done()
+		start := time.Now()
+		var ns *trace.Span
+		if rs.span != nil {
+			ns = rs.span.Child("node:" + nd.m.Label)
+		}
+		defer func() {
+			nm := &nd.m
+			nm.BytesIn, nm.BytesOut, nm.Wall = nd.ctr.in.Load(), nd.ctr.out.Load(), time.Since(start)
+			for _, i := range nd.in {
+				rs.r[i].Close()
+				r, _ := rs.r[i].BlockedTimes()
+				nm.BlockedRead += r
+			}
+			for _, i := range nd.out {
+				rs.w[i].Close()
+				_, w := rs.r[i].BlockedTimes()
+				nm.PeakBufferedBytes += int64(rs.r[i].PeakBuffered())
+				nm.BlockedWrite += w
+			}
+			nm.annotate(ns)
+		}()
+		defer func() {
+			if r := recover(); r != nil {
+				nd.status = 2
+				rs.abort(&NodePanic{ID: nd.m.ID, Label: nd.m.Label, Value: r})
+			}
+		}()
+		if ns == nil {
+			nd.status = body()
+			return
+		}
+		pprof.Do(rs.ctx, pprof.Labels("jash_node", nd.m.Label), func(context.Context) { nd.status = body() })
+	}()
+}
 
 // checkFault consults the fault-injection harness (a nil set injects
 // nothing). Stalled operations block until the plan tears down, so an
@@ -194,21 +309,6 @@ func (f *faultWriter) Write(p []byte) (int, error) {
 // an ordinary plan error the caller can recover from (fall back to the
 // interpreter) instead of a wedged shell.
 var ErrStalled = errors.New("plan stalled")
-
-// nodeSup is everything the run learns about one node. Every node runs
-// once: its first fault (injected error, open failure, side-input
-// failure, panic) tears the whole plan down, and recovery is the
-// caller's journaled fallback.
-type nodeSup struct {
-	ctr nodeCounters
-	// m is the node's record: its identity from the start, the
-	// measurements filled in once when the node's goroutine finishes
-	// (RunContext's measure).
-	m NodeMetrics
-	// status is the node's exit status, written by its goroutine and read
-	// once the run's WaitGroup has settled.
-	status int
-}
 
 // journalTailMax bounds the withheld partial line; output with no
 // newlines at all degrades to unaligned journaling rather than growing
@@ -291,16 +391,16 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 	if err := g.Validate(); err != nil {
 		return 2, err
 	}
+	order, err := g.TopoSort()
+	if err != nil {
+		return 2, err
+	}
+	// Edge i of the run is g.Edges[i].
+	rs := startRun(ctx, len(g.Edges), env.Span)
+	defer rs.end()
 	runEnv := *env
 	metrics := env.Metrics
 	runEnv.tmpDir = fmt.Sprintf("/.jash-tmp/run-%d", tmpSeq.Add(1))
-	// One context carries the teardown: a node failure cancels it with
-	// its error as the cause, and the caller's cancel or deadline reaches
-	// it by inheritance (the cause is then the caller's, ctx.Err() unless
-	// the caller set one).
-	rs := &runState{}
-	rs.ctx, rs.cancel = context.WithCancelCause(ctx)
-	defer rs.cancel(nil)
 	runEnv.ctx = rs.ctx
 	runEnv.abort = rs.abort
 	if env.Faults != nil {
@@ -325,46 +425,34 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 		env.FS.RemoveAll(env.tmpDir)
 		env.FS.Remove("/.jash-tmp") // succeeds once the last run cleans up
 	}()
-	order, err := g.TopoSort()
-	if err != nil {
-		return 2, err
+	// One record per node, indexed by node ID; its in and out index
+	// g.Edges, every one of which it reads or writes exactly once.
+	edgeIdx := make(map[*dfg.Edge]int, len(g.Edges))
+	for i, e := range g.Edges {
+		edgeIdx[e] = i
 	}
-	// Build one bounded pipe per edge and register it for teardown.
-	type pipeEnds struct {
-		r *pipe.Reader
-		w *pipe.Writer
-	}
-	pipes := map[*dfg.Edge]*pipeEnds{}
-	for _, e := range g.Edges {
-		r, w := pipe.New(cost.PipeBufferBytes)
-		pipes[e] = &pipeEnds{r, w}
-		rs.pipes = append(rs.pipes, r)
-		// Traced runs clock every pipe's blocked time.
-		if env.Span != nil {
-			r.EnableTiming()
+	ends := make([]int, 0, 2*len(g.Edges))
+	index := func(es []*dfg.Edge) []int {
+		start := len(ends)
+		for _, e := range es {
+			ends = append(ends, edgeIdx[e])
 		}
+		return ends[start:len(ends):len(ends)]
 	}
-	// The caller's cancel or deadline ends rs.ctx by inheritance; what is
-	// left is breaking the pipes. (abort is handed the cause because this
-	// callback can run before the cancellation has reached rs.ctx.)
-	stop := context.AfterFunc(ctx, func() { rs.abort(context.Cause(ctx)) })
-	defer stop()
-	// One struct per node holds everything the run learns about it — byte
-	// counters, measurements, exit status — so the watchdog, the metrics
-	// and the pipeline status all read the same place.
-	sups := make(map[int]*nodeSup, len(order))
+	nodes := make([]node, g.MaxID()+1)
 	for _, n := range order {
-		sups[n.ID] = &nodeSup{m: NodeMetrics{ID: n.ID, Kind: n.Kind.String(), Label: n.Label()}}
+		nd := &nodes[n.ID]
+		nd.m = NodeMetrics{ID: n.ID, Kind: n.Kind.String(), Label: n.Label()}
+		nd.in, nd.out = index(g.In(n.ID)), index(g.Out(n.ID))
 	}
 	// Stall watchdog: progress is the sum of every node's byte counters;
-	// if it freezes for StallTimeout the plan is aborted. The map is
-	// read-only by now and the counters are atomics, so the watchdog
-	// samples lock-free.
+	// if it freezes for StallTimeout the plan is aborted. The counters are
+	// atomics, so the watchdog samples lock-free.
 	if env.StallTimeout > 0 {
 		progress := func() int64 {
 			var total int64
-			for _, sup := range sups {
-				total += sup.ctr.in.Load() + sup.ctr.out.Load()
+			for i := range nodes {
+				total += nodes[i].ctr.in.Load() + nodes[i].ctr.out.Load()
 			}
 			return total
 		}
@@ -392,240 +480,30 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 			}
 		}()
 	}
-	// measure completes a node's record when its goroutine finishes: the
-	// one place its bytes, peak buffering, blocked time and wall are read.
-	// The node's span attributes and Env.Metrics are both copies of it.
-	measure := func(sup *nodeSup, wall time.Duration) {
-		nm := &sup.m
-		nm.BytesIn, nm.BytesOut, nm.Wall = sup.ctr.in.Load(), sup.ctr.out.Load(), wall
-		for _, e := range g.Out(nm.ID) {
-			p := pipes[e].r
-			nm.PeakBufferedBytes += int64(p.PeakBuffered())
-			_, w := p.BlockedTimes()
-			nm.BlockedWrite += w
-		}
-		for _, e := range g.In(nm.ID) {
-			r, _ := pipes[e].r.BlockedTimes()
-			nm.BlockedRead += r
-		}
-	}
-	// laneNodes marks every node downstream of a split: commands there run
-	// lane-strict (see Env.laneStrict) so a line-limit violation tears the
-	// plan down instead of vanishing with the lane's discarded status.
-	laneNodes := map[int]bool{}
-	{
-		queue := []int{}
-		for _, n := range order {
-			if n.Kind == dfg.KindSplit {
-				queue = append(queue, n.ID)
-			}
-		}
-		for len(queue) > 0 {
-			id := queue[0]
-			queue = queue[1:]
-			for _, e := range g.Out(id) {
-				if !laneNodes[e.To] {
-					laneNodes[e.To] = true
-					queue = append(queue, e.To)
-				}
-			}
-		}
-	}
-	var wg sync.WaitGroup
+	// lane marks every node downstream of a split (order is topological, so
+	// one pass reaches them all): commands there run lane-strict (see
+	// Env.laneStrict) so a line-limit violation tears the plan down instead
+	// of vanishing with the lane's discarded status.
+	lane := make([]bool, len(nodes))
 	for _, n := range order {
-		wg.Add(1)
-		go func(n *dfg.Node) {
-			defer wg.Done()
-			start := time.Now()
-			sup := sups[n.ID]
-			ctr := &sup.ctr
-			label := sup.m.Label
-			// Per-node trace span, closed with the node's metrics attached.
-			ns := env.Span.Child("node:" + label)
-			defer func() {
-				measure(sup, time.Since(start))
-				sup.m.annotate(ns)
-			}()
-			runNode := func() {
-				ins := g.In(n.ID)
-				outs := g.Out(n.ID)
-				inReaders := make([]io.Reader, len(ins))
-				for i, e := range ins {
-					var r io.Reader = pipes[e].r
-					if env.Faults != nil {
-						r = &faultReader{r: r, rs: rs, set: env.Faults, label: label}
-					}
-					inReaders[i] = &countingReader{r, &ctr.in}
-				}
-				outWriters := make([]io.Writer, len(outs))
-				for i, e := range outs {
-					var w io.Writer = pipes[e].w
-					if env.Faults != nil {
-						w = &faultWriter{w: w, rs: rs, set: env.Faults, label: label}
-					}
-					outWriters[i] = &countingWriter{w, &ctr.out}
-				}
-				closeOuts := func() {
-					for _, e := range outs {
-						pipes[e].w.Close()
-					}
-				}
-				closeIns := func() {
-					for _, e := range ins {
-						pipes[e].r.Close()
-					}
-				}
-				defer closeOuts()
-				defer closeIns()
-				// Panic containment: the shell must survive a crashing
-				// utility. Deferred after the closes so it runs before them —
-				// the abort breaks every pipe first, and no consumer sees a
-				// clean EOF from a node that crashed.
-				defer func() {
-					if r := recover(); r != nil {
-						sup.status = 2
-						rs.abort(fmt.Errorf("node %d (%s): panic: %v", n.ID, label, r))
-					}
-				}()
-				// The node's diagnostics are held until it ends and released
-				// through the teardown gate: a torn-down plan says nothing, so
-				// the fallback's own diagnostics are not doubled.
-				var errBuf bytes.Buffer
-				nodeEnv := *env
-				nodeEnv.Stderr = &errBuf
-				body := func(env *Env) int {
-					switch n.Kind {
-					case dfg.KindSource:
-						var src io.Reader
-						if n.Path == "" {
-							src = env.Stdin
-							if src == nil {
-								src = strings.NewReader("")
-							}
-						} else {
-							if err := rs.checkFault(env.Faults, label, faultinject.OpOpen); err != nil {
-								rs.abort(err)
-								return 1
-							}
-							rc, err := env.FS.Open(lookup(env.Dir, n.Path))
-							if err != nil {
-								rs.abort(err)
-								return 1
-							}
-							defer rc.Close()
-							src = rc
-						}
-						if env.Faults != nil {
-							src = &faultReader{r: src, rs: rs, set: env.Faults, label: label}
-						}
-						// A failed read is the source's fault; a failed write
-						// is a consumer that stopped reading (head, grep -q),
-						// which is how a stream may end.
-						rd := &readErrReader{r: src}
-						io.Copy(outWriters[0], &countingReader{rd, &ctr.in})
-						if rd.err != nil {
-							rs.abort(rd.err)
-							return 1
-						}
-						return 0
-					case dfg.KindSink:
-						var dst io.Writer = env.Stdout
-						if dst == nil {
-							dst = io.Discard
-						}
-						var fileOut io.WriteCloser
-						if n.Path != "" {
-							if err := rs.checkFault(env.Faults, label, faultinject.OpOpen); err != nil {
-								rs.abort(err)
-								return 1
-							}
-							w, err := openSink(env, n)
-							if err != nil {
-								rs.abort(err)
-								return 1
-							}
-							fileOut = w
-							dst = w
-						}
-						var cerr error
-						copied := false
-						if fileOut != nil {
-							// Commit in a defer: the journaled fallback replays
-							// against the counted offset, so every counted byte
-							// must be durably in the file even when a fault
-							// panics the copy mid-stream — panic containment
-							// lives above this frame, and a plain Close after
-							// the copy would be skipped on unwind, stranding
-							// the journal. When the sink fails before the
-							// first committed byte, leave the destination
-							// untouched (a vfs fileWriter commits only on
-							// Close), so a fallback re-run starts from
-							// pristine state.
-							defer func() {
-								failed := !copied || cerr != nil
-								if failed && ctr.out.Load() == 0 {
-									return
-								}
-								// Commit — on failure, exactly the journaled
-								// line-aligned prefix, which SinkBytes reports.
-								fileOut.Close()
-							}()
-						}
-						if env.Faults != nil {
-							dst = &faultWriter{w: dst, rs: rs, set: env.Faults, label: label}
-						}
-						// Journal the committed output at line granularity: the
-						// counter below the journal records the line-aligned
-						// offset a mid-stream fallback replays against.
-						jw := &journalWriter{w: &countingWriter{dst, &ctr.out}}
-						_, cerr = io.Copy(jw, inReaders[0])
-						if cerr == nil {
-							cerr = jw.flush()
-						}
-						copied = true
-						return 0
-					case dfg.KindSplit:
-						closers := make([]func(), len(outs))
-						for i, e := range outs {
-							w := pipes[e].w
-							closers[i] = func() { w.Close() }
-						}
-						return runSplit(n, inReaders[0], outWriters, closers, splitLaneTarget(g, n, env))
-					case dfg.KindMerge:
-						return runMerge(n, inReaders, outWriters[0], env)
-					case dfg.KindCommand:
-						cmdEnv := env
-						if laneNodes[n.ID] {
-							le := *env
-							le.laneStrict = true
-							cmdEnv = &le
-						}
-						return runCommand(n, inReaders, outWriters[0], cmdEnv)
-					}
-					return 0
-				}
-				sup.status = body(&nodeEnv)
-				if errBuf.Len() > 0 && env.Stderr != nil {
-					env.Stderr.Write(errBuf.Bytes())
-				}
+		if n.Kind == dfg.KindSplit || lane[n.ID] {
+			for _, e := range g.Out(n.ID) {
+				lane[e.To] = true
 			}
-			if ns != nil {
-				// Traced runs label the node's goroutine for CPU profiles,
-				// so a pprof flamegraph attributes samples per plan node.
-				pprof.Do(ctx, pprof.Labels("jash_node", label), func(context.Context) { runNode() })
-			} else {
-				runNode()
-			}
-		}(n)
+		}
 	}
-	wg.Wait()
+	for _, n := range order {
+		nd := &nodes[n.ID]
+		rs.goNode(nd, func() int { return rs.planNode(g, n, nd, env, lane[n.ID]) })
+	}
+	rs.wg.Wait()
 	sink := g.Sink()
 	if metrics != nil {
 		for _, n := range order {
-			metrics.Nodes = append(metrics.Nodes, sups[n.ID].m)
+			metrics.Nodes = append(metrics.Nodes, nodes[n.ID].m)
 		}
 		if sink != nil {
-			metrics.SinkBytes = sups[sink.ID].ctr.out.Load()
+			metrics.SinkBytes = nodes[sink.ID].ctr.out.Load()
 		}
 	}
 	// Pipeline status: the node feeding the sink. A parallelized final
@@ -668,7 +546,7 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 				return 0
 			}
 		}
-		return sups[id].status
+		return nodes[id].status
 	}
 	final := 0
 	if sink != nil {
@@ -677,12 +555,197 @@ func RunContext(ctx context.Context, g *dfg.Graph, env *Env) (int, error) {
 			final = effectiveStatus(in[0].From, map[int]bool{})
 		}
 	}
-	// A torn-down plan never reports success, whichever node faulted.
-	err = rs.err()
-	if err != nil && final == 0 {
-		final = 1
+	return rs.result(final)
+}
+
+// planNode is the body of one node of a plan. Its edges carry the byte
+// counters the watchdog, the sink's journal and the metrics read, behind
+// the fault-injection wrappers when chaos is armed. Its diagnostics are
+// held until it ends and released through the teardown gate: a torn-down
+// plan says nothing, so the fallback's own diagnostics are not doubled.
+func (rs *runState) planNode(g *dfg.Graph, n *dfg.Node, nd *node, env *Env, lane bool) int {
+	label, ctr := nd.m.Label, &nd.ctr
+	ins := make([]io.Reader, len(nd.in))
+	for i, e := range nd.in {
+		var r io.Reader = rs.r[e]
+		if env.Faults != nil {
+			r = &faultReader{r: r, rs: rs, set: env.Faults, label: label}
+		}
+		ins[i] = &countingReader{r, &ctr.in}
 	}
-	return final, err
+	outs := make([]io.Writer, len(nd.out))
+	for i, e := range nd.out {
+		var w io.Writer = rs.w[e]
+		if env.Faults != nil {
+			w = &faultWriter{w: w, rs: rs, set: env.Faults, label: label}
+		}
+		outs[i] = &countingWriter{w, &ctr.out}
+	}
+	var errBuf bytes.Buffer
+	nodeEnv := *env
+	nodeEnv.Stderr = &errBuf
+	nodeEnv.laneStrict = lane
+	status := rs.runKind(g, n, nd, &nodeEnv, ins, outs)
+	if errBuf.Len() > 0 && env.Stderr != nil {
+		env.Stderr.Write(errBuf.Bytes())
+	}
+	return status
+}
+
+// runKind does a plan node's work, by its kind, over its wrapped edges.
+func (rs *runState) runKind(g *dfg.Graph, n *dfg.Node, nd *node, env *Env, inReaders []io.Reader, outWriters []io.Writer) int {
+	label, ctr := nd.m.Label, &nd.ctr
+	switch n.Kind {
+	case dfg.KindSource:
+		var src io.Reader
+		if n.Path == "" {
+			src = env.Stdin
+			if src == nil {
+				src = strings.NewReader("")
+			}
+		} else {
+			if err := rs.checkFault(env.Faults, label, faultinject.OpOpen); err != nil {
+				rs.abort(err)
+				return 1
+			}
+			rc, err := env.FS.Open(lookup(env.Dir, n.Path))
+			if err != nil {
+				rs.abort(err)
+				return 1
+			}
+			defer rc.Close()
+			src = rc
+		}
+		if env.Faults != nil {
+			src = &faultReader{r: src, rs: rs, set: env.Faults, label: label}
+		}
+		// A failed read is the source's fault; a failed write
+		// is a consumer that stopped reading (head, grep -q),
+		// which is how a stream may end.
+		rd := &readErrReader{r: src}
+		io.Copy(outWriters[0], &countingReader{rd, &ctr.in})
+		if rd.err != nil {
+			rs.abort(rd.err)
+			return 1
+		}
+		return 0
+	case dfg.KindSink:
+		var dst io.Writer = env.Stdout
+		if dst == nil {
+			dst = io.Discard
+		}
+		var fileOut io.WriteCloser
+		if n.Path != "" {
+			if err := rs.checkFault(env.Faults, label, faultinject.OpOpen); err != nil {
+				rs.abort(err)
+				return 1
+			}
+			w, err := openSink(env, n)
+			if err != nil {
+				rs.abort(err)
+				return 1
+			}
+			fileOut = w
+			dst = w
+		}
+		var cerr error
+		copied := false
+		if fileOut != nil {
+			// Commit in a defer: the journaled fallback replays
+			// against the counted offset, so every counted byte
+			// must be durably in the file even when a fault
+			// panics the copy mid-stream — panic containment
+			// lives above this frame, and a plain Close after
+			// the copy would be skipped on unwind, stranding
+			// the journal. When the sink fails before the
+			// first committed byte, leave the destination
+			// untouched (a vfs fileWriter commits only on
+			// Close), so a fallback re-run starts from
+			// pristine state.
+			defer func() {
+				failed := !copied || cerr != nil
+				if failed && ctr.out.Load() == 0 {
+					return
+				}
+				// Commit — on failure, exactly the journaled
+				// line-aligned prefix, which SinkBytes reports.
+				fileOut.Close()
+			}()
+		}
+		if env.Faults != nil {
+			dst = &faultWriter{w: dst, rs: rs, set: env.Faults, label: label}
+		}
+		// Journal the committed output at line granularity: the
+		// counter below the journal records the line-aligned
+		// offset a mid-stream fallback replays against.
+		jw := &journalWriter{w: &countingWriter{dst, &ctr.out}}
+		_, cerr = io.Copy(jw, inReaders[0])
+		if cerr == nil {
+			cerr = jw.flush()
+		}
+		copied = true
+		return 0
+	case dfg.KindSplit:
+		closers := make([]func(), len(nd.out))
+		for i, e := range nd.out {
+			w := rs.w[e]
+			closers[i] = func() { w.Close() }
+		}
+		return runSplit(n, inReaders[0], outWriters, closers, splitLaneTarget(g, n, env))
+	case dfg.KindMerge:
+		return runMerge(n, inReaders, outWriters[0], env)
+	case dfg.KindCommand:
+		return runCommand(n, inReaders, outWriters[0], env)
+	}
+	return 0
+}
+
+// Stage is one stage of an interpreted pipeline: Run reads stdin, writes
+// stdout and stderr, and returns the stage's exit status. Label names the
+// stage's node span.
+type Stage struct {
+	Label string
+	Run   func(stdin io.Reader, stdout, stderr io.Writer) int
+}
+
+// RunStages runs an interpreted pipeline on the node runner as a linear
+// chain: the first stage reads env.Stdin, the last writes env.Stdout, all
+// write env.Stderr as they go (one lock serializes the two), and the
+// status is the last stage's. A stage is not effect-proven, so its node
+// gets none of a plan's scaffolding — no fault injection, journal, held
+// stderr, watchdog or temporary directory, and byte counters only under
+// env.Span — but it ends as a plan's node does: when ctx ends or a stage
+// panics, every edge breaks before any closes, and the error is ctx's
+// cause or a *NodePanic.
+func RunStages(ctx context.Context, stages []Stage, env *Env) (int, error) {
+	n := len(stages)
+	rs := startRun(ctx, n-1, env.Span)
+	defer rs.end()
+	var mu sync.Mutex
+	stdout := &pipe.LockedWriter{Mu: &mu, W: env.Stdout}
+	stderr := &pipe.LockedWriter{Mu: &mu, W: env.Stderr}
+	nodes := make([]node, n)
+	// edges[i] is i: a stage's in and out are one-edge windows on it.
+	edges := make([]int, n)
+	for i, st := range stages {
+		edges[i] = i
+		nd := &nodes[i]
+		nd.m = NodeMetrics{ID: i + 1, Kind: "stage", Label: st.Label}
+		var in io.Reader = env.Stdin
+		var out io.Writer = stdout
+		if i > 0 {
+			nd.in, in = edges[i-1:i], rs.r[i-1]
+		}
+		if i < n-1 {
+			nd.out, out = edges[i:i+1], rs.w[i]
+		}
+		if rs.span != nil {
+			in, out = &countingReader{in, &nd.ctr.in}, &countingWriter{out, &nd.ctr.out}
+		}
+		rs.goNode(nd, func() int { return st.Run(in, out, stderr) })
+	}
+	rs.wg.Wait()
+	return rs.result(nodes[n-1].status)
 }
 
 // openSink opens a file sink's destination per its append mode.
@@ -855,37 +918,6 @@ func runSplit(n *dfg.Node, in io.Reader, outs []io.Writer, closeLane []func(), l
 	}
 }
 
-// splitLines divides data into n consecutive chunks on line boundaries,
-// sized as evenly as the lines allow. It is the reference specification of
-// the consecutive chunking the streaming splitter performs incrementally,
-// kept for the property tests.
-func splitLines(data []byte, n int) [][]byte {
-	chunks := make([][]byte, n)
-	if len(data) == 0 {
-		return chunks
-	}
-	target := (len(data) + n - 1) / n
-	start := 0
-	for i := 0; i < n-1; i++ {
-		end := start + target
-		if end >= len(data) {
-			end = len(data)
-		} else {
-			// Extend to the next newline so no line is torn.
-			nl := bytes.IndexByte(data[end:], '\n')
-			if nl < 0 {
-				end = len(data)
-			} else {
-				end += nl + 1
-			}
-		}
-		chunks[i] = data[start:end]
-		start = end
-	}
-	chunks[n-1] = data[start:]
-	return chunks
-}
-
 // runMerge recombines lane outputs per the aggregation discipline, pulling
 // from the lane streams incrementally — lane outputs are never
 // materialized.
@@ -900,16 +932,7 @@ func runMerge(n *dfg.Node, ins []io.Reader, out io.Writer, env *Env) int {
 		return 0
 	case spec.AggMergeSort:
 		// Order-aware k-way merge (sort -m) directly over the lane streams.
-		ctx := &coreutils.Context{
-			FS:     env.FS,
-			Dir:    env.Dir,
-			Stdin:  strings.NewReader(""),
-			Stdout: out,
-			Stderr: errWriter(env),
-			Getenv: env.Getenv,
-			Ctx:    env.ctx,
-		}
-		return coreutils.MergeSortedStreams(ctx, n.Argv, ins)
+		return coreutils.MergeSortedStreams(utilContext(env, strings.NewReader(""), out), n.Argv, ins)
 	case spec.AggSum:
 		return sumStreams(ins, out, env)
 	}
@@ -1018,19 +1041,17 @@ func dispatch(argv []string, stdin io.Reader, out io.Writer, env *Env) int {
 		fmt.Fprintf(errWriter(env), "jash-exec: %s: command not found\n", argv[0])
 		return 127
 	}
-	ctx := &coreutils.Context{
-		FS:     env.FS,
-		Dir:    env.Dir,
-		Stdin:  stdin,
-		Stdout: out,
-		Stderr: errWriter(env),
-		Getenv: env.Getenv,
-		Ctx:    env.ctx,
-	}
+	ctx := utilContext(env, stdin, out)
 	if env.laneStrict {
 		ctx.Abort = env.abort
 	}
 	return fn(ctx, argv)
+}
+
+// utilContext is the invocation context a plan node hands a utility.
+func utilContext(env *Env, stdin io.Reader, out io.Writer) *coreutils.Context {
+	return &coreutils.Context{FS: env.FS, Dir: env.Dir, Stdin: stdin, Stdout: out,
+		Stderr: errWriter(env), Getenv: env.Getenv, Ctx: env.ctx}
 }
 
 func errWriter(env *Env) io.Writer {

@@ -259,3 +259,33 @@ func TestRunMissingSourceFile(t *testing.T) {
 		t.Error("missing source should surface an error")
 	}
 }
+
+// splitLines divides data into n consecutive chunks on line boundaries,
+// sized as evenly as the lines allow. It is the reference specification of
+// the consecutive chunking the streaming splitter performs incrementally.
+func splitLines(data []byte, n int) [][]byte {
+	chunks := make([][]byte, n)
+	if len(data) == 0 {
+		return chunks
+	}
+	target := (len(data) + n - 1) / n
+	start := 0
+	for i := 0; i < n-1; i++ {
+		end := start + target
+		if end >= len(data) {
+			end = len(data)
+		} else {
+			// Extend to the next newline so no line is torn.
+			nl := bytes.IndexByte(data[end:], '\n')
+			if nl < 0 {
+				end = len(data)
+			} else {
+				end += nl + 1
+			}
+		}
+		chunks[i] = data[start:end]
+		start = end
+	}
+	chunks[n-1] = data[start:]
+	return chunks
+}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -74,5 +75,54 @@ func TestSoftLaneStatusCombines(t *testing.T) {
 				t.Fatalf("status %d, want %d", st, tc.want)
 			}
 		})
+	}
+}
+
+// TestAggSumMixedColumns pins the strict sum-merge contract: lanes that
+// emit anything non-numeric abort the plan before a single sink byte
+// escapes (so the caller falls back to the interpreter and the two paths
+// agree by construction), while all-numeric lanes still sum per column.
+func TestAggSumMixedColumns(t *testing.T) {
+	sum := func(ins []io.Reader) (string, int, error) {
+		var out bytes.Buffer
+		var aborted error
+		env := &Env{abort: func(err error) {
+			if aborted == nil {
+				aborted = err
+			}
+		}}
+		st := runMerge(&dfg.Node{Kind: dfg.KindMerge, Agg: spec.AggSum}, ins, &out, env)
+		return out.String(), st, aborted
+	}
+
+	// All-numeric lanes: columns sum across lanes.
+	got, st, aborted := sum([]io.Reader{
+		strings.NewReader("1 10\n2 20\n"),
+		strings.NewReader("3 30\n"),
+	})
+	if st != 0 || aborted != nil || got != "6 60\n" {
+		t.Fatalf("numeric lanes: out=%q st=%d abort=%v", got, st, aborted)
+	}
+
+	// A garbage field anywhere aborts the plan with zero output.
+	for _, lanes := range [][]string{
+		{"1 2\n", "3 x\n"},
+		{"12.5\n"},         // floats are not the integer rows wc-style lanes emit
+		{"5\n", "total\n"}, // a stray wc "total" row must not be dropped silently
+	} {
+		ins := make([]io.Reader, len(lanes))
+		for i, l := range lanes {
+			ins[i] = strings.NewReader(l)
+		}
+		got, st, aborted := sum(ins)
+		if st == 0 {
+			t.Fatalf("lanes %q: want non-zero status, got output %q", lanes, got)
+		}
+		if aborted == nil {
+			t.Fatalf("lanes %q: plan must abort so the interpreter fallback runs", lanes)
+		}
+		if got != "" {
+			t.Fatalf("lanes %q: %q escaped an aborted merge", lanes, got)
+		}
 	}
 }

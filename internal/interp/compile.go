@@ -127,11 +127,11 @@ func compilePipeline(pl *syntax.Pipeline, guarded bool) compiled {
 	canOffer := !pl.Negated && len(pl.Cmds) >= 1
 	offer := &syntax.Stmt{AndOr: &syntax.AndOr{First: pl}, Position: pl.Position}
 	var single compiled
-	var stages []func(*Interp)
+	var stages []compiled
 	if len(pl.Cmds) == 1 {
 		single = compileCommand(pl.Cmds[0])
 	} else {
-		stages = make([]func(*Interp), len(pl.Cmds))
+		stages = make([]compiled, len(pl.Cmds))
 		for i, cmd := range pl.Cmds {
 			stages[i] = compileCommand(cmd)
 		}
@@ -147,7 +147,7 @@ func compilePipeline(pl *syntax.Pipeline, guarded bool) compiled {
 		if single != nil {
 			single(in)
 		} else {
-			in.runPipeStages(stages)
+			in.runPipeline(pl.Cmds, stages)
 		}
 		if negated {
 			if in.Status == 0 {

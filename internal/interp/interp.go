@@ -14,12 +14,11 @@ import (
 	"io"
 	"path"
 	"strings"
-	"sync"
 
 	"jash/internal/coreutils"
+	"jash/internal/exec"
 	"jash/internal/exec/faultinject"
 	"jash/internal/expand"
-	"jash/internal/pipe"
 	"jash/internal/syntax"
 	"jash/internal/trace"
 	"jash/internal/vfs"
@@ -81,8 +80,9 @@ type Interp struct {
 
 	// Ctx, when non-nil, asks long-running commands to stop once it is
 	// done: it is handed to every coreutils invocation (their compute
-	// loops poll it) and breaks the pipes of interpreted pipelines, so an
-	// external deadline bounds interpreted pipelines too, not just
+	// loops poll it) and is the context every multi-stage pipeline runs
+	// under on the executor, which breaks all the pipeline's edges when it
+	// ends. An external deadline so bounds interpreted pipelines as it does
 	// optimized plans.
 	Ctx context.Context
 
@@ -105,11 +105,15 @@ type Interp struct {
 	// interp.compile_speedup divides by.
 	NoCompile bool
 
-	// Tracer, when non-nil, records spans for interpreted multi-stage
-	// pipelines (the work the JIT declined). Simple commands are left
-	// untraced deliberately: a per-builtin span would fire once per loop
-	// iteration and swamp both the trace and the tracing budget.
-	Tracer *trace.Tracer
+	// Tracer, when non-nil, is the span pipelines hang from: an interpreted
+	// multi-stage pipeline (the work the JIT declined) opens an
+	// interpret:pipeline child with one node:* span per stage, and the
+	// pipelines inside its stages hang from that child. Package core sets it
+	// to the span of the top-level command running, where the JIT's own
+	// pipeline spans hang too. Simple commands are left untraced
+	// deliberately: a per-builtin span would fire once per loop iteration
+	// and swamp both the trace and the tracing budget.
+	Tracer *trace.Span
 
 	// cache memoizes compiled program fragments per AST node; subshell
 	// clones share it (AST nodes are immutable, and the map is
@@ -446,84 +450,50 @@ func (in *Interp) maybeErrExit(guarded bool) {
 	}
 }
 
-// runPipeStages wires the stages with bounded pipes — the same edge the
-// dataflow executor runs on — and runs each stage in a subshell goroutine.
-// The pipeline's status is the last stage's status. Stage goroutines share
-// the pipeline's stderr (and the last stage its stdout), so both go
-// through one lock.
-func (in *Interp) runPipeStages(stages []func(*Interp)) {
-	n := len(stages)
-	sp := in.Tracer.Start(nil, "interpret:pipeline")
-	sp.SetInt("stages", int64(n))
-	defer func() {
-		sp.SetInt("status", int64(in.Status))
-		sp.End()
-	}()
-	var outMu sync.Mutex
-	sharedErr := &pipe.LockedWriter{Mu: &outMu, W: in.Stderr}
-	sharedOut := &pipe.LockedWriter{Mu: &outMu, W: in.Stdout}
-	// Edge i carries stage i's stdout to stage i+1's stdin.
-	readers := make([]*pipe.Reader, n-1)
-	writers := make([]*pipe.Writer, n-1)
-	for i := range readers {
-		readers[i], writers[i] = pipe.New(pipe.BlockSize)
-	}
-	if in.Ctx != nil {
-		// A session torn down mid-pipeline breaks every edge, so a stage
-		// parked on a pipe stops as promptly as a polling compute loop.
-		stop := context.AfterFunc(in.Ctx, func() {
-			for _, r := range readers {
-				r.Break(context.Cause(in.Ctx))
-			}
-		})
-		defer stop()
-	}
-	var wg sync.WaitGroup
-	var lastStatus int
-	// A stage that panics with anything but a control-flow signal must not
-	// take the process down from its own goroutine, where no caller's
-	// recover can see it: the first such value is re-raised below.
-	var crashOnce sync.Once
-	var crash any
+// runPipeline runs a pipeline of two or more stages on the executor's node
+// runner, as a chain of nodes each running its stage's compiled closure on
+// a subshell clone. The status is the last stage's. A stage that panics
+// with anything but a control-flow signal tears the pipeline down, and the
+// value is raised again here, once every stage has ended.
+func (in *Interp) runPipeline(cmds []syntax.Command, stages []compiled) {
+	sp := in.Tracer.Child("interpret:pipeline")
+	sp.SetInt("stages", int64(len(stages)))
+	nodes := make([]exec.Stage, len(stages))
 	for i, stage := range stages {
-		wg.Add(1)
-		go func(i int, stage func(*Interp)) {
-			defer wg.Done()
+		if sp != nil {
+			nodes[i].Label = syntax.PrintCommand(cmds[i])
+		}
+		nodes[i].Run = func(stdin io.Reader, stdout, stderr io.Writer) (status int) {
 			sub := in.subshell()
-			sub.Stderr = sharedErr
-			if i > 0 {
-				sub.Stdin = readers[i-1]
-			}
-			if i < n-1 {
-				sub.Stdout = writers[i]
-			} else {
-				sub.Stdout = sharedOut
-			}
+			sub.Stdin, sub.Stdout, sub.Stderr, sub.Tracer = stdin, stdout, stderr, sp
+			// exit, a return no function caught and a fatal error end the
+			// stage alone, with their status.
 			defer func() {
 				if r := recover(); r != nil {
 					if ended, _ := sub.ended(r); !ended {
-						crashOnce.Do(func() { crash = r })
+						panic(r)
 					}
 				}
-				if i < n-1 {
-					writers[i].Close()
-				}
-				if i > 0 {
-					// Signal upstream we are done reading.
-					readers[i-1].Close()
-				}
-				if i == n-1 {
-					lastStatus = sub.Status
-				}
+				status = sub.Status
 			}()
 			stage(sub)
-		}(i, stage)
+			return
+		}
 	}
-	wg.Wait()
-	if crash != nil {
-		panic(crash)
+	ctx := in.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	in.Status = lastStatus
+	status, err := exec.RunStages(ctx, nodes, &exec.Env{Stdin: in.Stdin, Stdout: in.Stdout, Stderr: in.Stderr, Span: sp})
+	sp.SetInt("status", int64(status))
+	sp.End()
+	if err != nil {
+		var crash *exec.NodePanic
+		if errors.As(err, &crash) {
+			panic(crash.Value)
+		}
+	}
+	in.Status = status
 }
 
 // runSubshell runs a ( ... ) command on a clone of the interpreter: state

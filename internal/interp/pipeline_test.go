@@ -2,9 +2,11 @@ package interp
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -100,6 +102,63 @@ func TestPipelineStagePanicReachesTheCaller(t *testing.T) {
 		noStageOutlives(t, before)
 	})
 }
+
+// A stage that panics tears the pipeline down before it closes its pipe
+// ends, so the stage below it reads a broken pipe, never a clean end of
+// input: wc prints no count for the one line it was handed, and the value
+// reaches the caller once every stage has ended.
+func TestPipelineStagePanicIsNotTheEndOfTheStream(t *testing.T) {
+	builtins["testpanic"] = func(*Interp, []string) int { panic("stage blew up") }
+	defer delete(builtins, "testpanic")
+	underBothEvaluators(t, func(t *testing.T, in *Interp, out *bytes.Buffer) {
+		before := runtime.NumGoroutine()
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			in.RunScript("seq 1 1000 | { read x; echo $x; testpanic; } | wc -l")
+		}()
+		if got != "stage blew up" {
+			t.Fatalf("recovered %v, want the stage's panic value", got)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("stdout %q: the stage after the crash took it for the end of its input", out.String())
+		}
+		noStageOutlives(t, before)
+	})
+}
+
+// A stage's diagnostics stream as they are written, not when the stage
+// ends: the stage waits until its own message has reached stderr.
+func TestPipelineStageStderrStreams(t *testing.T) {
+	var arrived chan struct{}
+	builtins["testwait"] = func(in *Interp, _ []string) int {
+		fmt.Fprintln(in.Stderr, "early")
+		select {
+		case <-arrived:
+			return 0
+		case <-time.After(5 * time.Second):
+			return 1
+		}
+	}
+	defer delete(builtins, "testwait")
+	underBothEvaluators(t, func(t *testing.T, in *Interp, out *bytes.Buffer) {
+		arrived = make(chan struct{})
+		var once sync.Once
+		in.Stderr = writerFunc(func(p []byte) (int, error) {
+			if strings.Contains(string(p), "early") {
+				once.Do(func() { close(arrived) })
+			}
+			return len(p), nil
+		})
+		if st, err := in.RunScript("testwait | cat"); st != 0 || err != nil {
+			t.Fatalf("status %d, err %v: the stage's stderr was held until it ended", st, err)
+		}
+	})
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // Interp-layer chaos arms a command by name, so a statically named command —
 // which the compiled engine resolves ahead of dispatch — must pass the same

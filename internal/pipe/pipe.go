@@ -1,11 +1,11 @@
 // Package pipe is the one stream substrate of the shell: the bounded,
-// backpressured, breakable byte pipe that is every edge of an optimized
-// dataflow plan (package exec) and every `|` of an interpreted pipeline
-// (package interp), together with the pool of 64 KiB blocks those pipes,
-// the executor's split lanes and the coreutils line buffers all draw
-// from. It is a leaf: it imports nothing from this module, so the cost
-// model, the utilities, the interpreter and the executor can all share
-// its one block size.
+// backpressured, breakable byte pipe, together with the pool of 64 KiB
+// blocks those pipes, the executor's split lanes and the coreutils line
+// buffers all draw from. Package exec is the only builder of pipes: its
+// node runner wires one per edge of an optimized dataflow plan and one
+// per `|` of an interpreted pipeline. It is a leaf: it imports nothing
+// from this module, so the cost model, the utilities, the interpreter and
+// the executor can all share its one block size.
 package pipe
 
 import (
@@ -70,7 +70,7 @@ type OwnedWriter interface {
 }
 
 // pipe is a fixed-capacity, backpressured byte pipe: the edge primitive
-// of both the streaming executor and the interpreter. Unlike io.Pipe it
+// of the streaming executor, whichever pipeline it runs. Unlike io.Pipe it
 // buffers up to its capacity in bytes, so producer and consumer overlap
 // without either side being able to accumulate unbounded data — a writer
 // that outruns its reader blocks once the pipe is full. It tracks the
@@ -329,13 +329,10 @@ func (src *pipe) handoffTo(dst *pipe) (int64, error) {
 	}
 }
 
-func (p *pipe) closeWrite(err error) {
-	if err == nil {
-		err = io.EOF
-	}
+func (p *pipe) closeWrite() {
 	p.mu.Lock()
 	if p.werr == nil {
-		p.werr = err
+		p.werr = io.EOF
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -479,7 +476,6 @@ func (w *Writer) ReadFrom(r io.Reader) (int64, error) {
 }
 
 // Close marks the stream complete; the reader sees EOF after draining.
-func (w *Writer) Close() error { w.p.closeWrite(nil); return nil }
-
-// CloseWithError marks the stream failed with err.
-func (w *Writer) CloseWithError(err error) error { w.p.closeWrite(err); return nil }
+// Close always means the writer finished: the only way an edge ends
+// abnormally is Reader.Break.
+func (w *Writer) Close() error { w.p.closeWrite(); return nil }

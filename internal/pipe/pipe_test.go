@@ -125,17 +125,6 @@ func TestEOFArrivesAfterTheDrain(t *testing.T) {
 	}
 }
 
-func TestCloseWithErrorReachesTheReaderAfterTheDrain(t *testing.T) {
-	r, w := New(BlockSize)
-	boom := errors.New("boom")
-	w.Write([]byte("ok"))
-	w.CloseWithError(boom)
-	got, err := io.ReadAll(r)
-	if string(got) != "ok" || err != boom {
-		t.Fatalf("ReadAll = %q, %v; want the buffered bytes then the writer's error", got, err)
-	}
-}
-
 func TestReaderCloseFailsABlockedWriter(t *testing.T) {
 	const capacity = 1024
 	r, w := New(capacity)

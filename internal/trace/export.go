@@ -128,12 +128,13 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// Check validates a parsed trace: it has spans, every span's parent is in
-// it (a span is written when it ends, so a missing parent is one that was
-// leaked, never ended), and the registry's outcome counters equal a
-// recount from the spans. Both are written from the same records (core's
-// settled decisions, the executor's node metrics), so a difference is
-// drift. It returns one message per failure.
+// Check validates a parsed trace: it has spans, every root is a `command`
+// span (whatever else a run records hangs from the command that ran it),
+// every span's parent is in it (a span is written when it ends, so a
+// missing parent is one that was leaked, never ended), and the registry's
+// outcome counters equal a recount from the spans. Both are written from
+// the same records (core's settled decisions, the executor's node metrics),
+// so a difference is drift. It returns one message per failure.
 func (d *Data) Check() []string {
 	if len(d.Spans) == 0 {
 		return []string{"trace contains no spans"}
@@ -145,6 +146,9 @@ func (d *Data) Check() []string {
 	}
 	want := map[string]float64{}
 	for _, s := range d.Spans {
+		if s.Parent == 0 && s.Name != "command" {
+			bad = append(bad, fmt.Sprintf("span %d (%s) is a root, and only a command span may be", s.ID, s.Name))
+		}
 		if s.Parent != 0 && !ids[s.Parent] {
 			bad = append(bad, fmt.Sprintf("span %d (%s) names parent %d, which is not in the trace", s.ID, s.Name, s.Parent))
 		}

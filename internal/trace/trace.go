@@ -64,9 +64,6 @@ func New(opts Options) *Tracer {
 	return &Tracer{clock: clock, reg: NewRegistry(), w: opts.Writer}
 }
 
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Metrics returns the tracer's registry (nil when disabled; the
 // Registry's own methods are nil-safe too, so chained calls stay free).
 func (t *Tracer) Metrics() *Registry {
@@ -140,14 +137,6 @@ func (a Attr) value() any {
 	}
 }
 
-// ID returns the span's identity (0 when nil/disabled).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // Tracer returns the owning tracer (nil when the span is nil).
 func (s *Span) Tracer() *Tracer {
 	if s == nil {
@@ -195,11 +184,6 @@ func (s *Span) SetBool(key string, val bool) *Span {
 		return s.SetStr(key, "true")
 	}
 	return s.SetStr(key, "false")
-}
-
-// Event records a point-in-time event on the span.
-func (s *Span) Event(name string) {
-	s.event(name, nil)
 }
 
 // EventStr records an event with one string attribute.

@@ -19,13 +19,9 @@ func stepClock() func() time.Time {
 
 func TestDisabledTracerIsFreeAndAllocFree(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	allocs := testing.AllocsPerRun(200, func() {
 		sp := tr.Start(nil, "plan")
 		sp.SetStr("k", "v").SetInt("n", 1).SetFloat("f", 2.5).SetBool("b", true)
-		sp.Event("ev")
 		sp.EventInt("ev2", "n", 3)
 		ch := sp.Child("child")
 		ch.SetInt("bytes", 9)
@@ -33,7 +29,6 @@ func TestDisabledTracerIsFreeAndAllocFree(t *testing.T) {
 		sp.End()
 		tr.Metrics().Counter(MetricFallbacks).Add(1)
 		tr.Metrics().Histogram(MetricNodeWall).Observe(time.Millisecond)
-		_ = sp.ID()
 		_ = sp.Tracer()
 	})
 	if allocs != 0 {
@@ -116,7 +111,7 @@ func TestDoubleEndIsIdempotent(t *testing.T) {
 func TestCheckNamesTheMissingParent(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(Options{Writer: &buf, Clock: stepClock()})
-	leaked := tr.Start(nil, "pipeline")
+	leaked := tr.Start(nil, "command")
 	leaked.Child("plan").End()
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -132,6 +127,25 @@ func TestCheckNamesTheMissingParent(t *testing.T) {
 	leaked.End()
 	if d, _ = Read(strings.NewReader(buf.String())); len(d.Check()) != 0 {
 		t.Fatalf("ending the parent still fails Check: %q", d.Check())
+	}
+}
+
+// TestCheckRejectsARootThatIsNotACommand: everything a run records hangs
+// from the command that ran it, so a second kind of root (an interpreted
+// pipeline's span, say) fails Check; the same span under a command passes.
+func TestCheckRejectsARootThatIsNotACommand(t *testing.T) {
+	const root = `{"type":"span","id":1,"name":"interpret:pipeline","start_us":1,"dur_us":1}` + "\n"
+	d, err := Read(strings.NewReader(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := d.Check(); len(bad) != 1 || !strings.Contains(bad[0], "span 1 (interpret:pipeline) is a root") {
+		t.Fatalf("Check = %q, want one failure naming the root", bad)
+	}
+	const nested = `{"type":"span","id":1,"parent":2,"name":"interpret:pipeline","start_us":1,"dur_us":1}` + "\n" +
+		`{"type":"span","id":2,"name":"command","start_us":1,"dur_us":2}` + "\n"
+	if d, _ = Read(strings.NewReader(nested)); len(d.Check()) != 0 {
+		t.Fatalf("the span under a command still fails Check: %q", d.Check())
 	}
 }
 
@@ -161,7 +175,7 @@ func TestChromeExportShape(t *testing.T) {
 	tr := New(Options{Writer: &buf, Clock: stepClock()})
 	root := tr.Start(nil, "pipeline")
 	child := root.Child("execute")
-	child.Event("fallback")
+	child.EventStr("fallback", "kind", "pristine")
 	child.End()
 	root.End()
 	tr.Metrics().Counter(MetricFallbacks).Add(1)
