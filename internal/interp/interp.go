@@ -191,19 +191,17 @@ func (continueSignal) Error() string { return "continue" }
 func (f fatalError) Error() string   { return f.err.Error() }
 
 // RunScript parses and runs a whole script, returning its exit status.
-// The EXIT trap, if installed, runs when the script finishes (RunExitTrap
-// already ran it if the script called exit).
+// The EXIT trap, if installed, runs when the script finishes, however it
+// finishes (RunExitTrap already ran it if the script called exit).
 func (in *Interp) RunScript(src string) (int, error) {
 	script, err := syntax.Parse(src)
 	if err != nil {
 		return 2, err
 	}
 	status, err := in.RunStmts(script.Stmts)
-	if err == nil {
-		in.RunExitTrap()
-		if !in.Exited {
-			status = in.Status
-		}
+	in.RunExitTrap()
+	if !in.Exited {
+		status = in.Status
 	}
 	return status, err
 }

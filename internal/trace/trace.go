@@ -1,9 +1,9 @@
-// Package trace is Jash's structured tracing and metrics spine: every
-// run of the shell can produce a span tree — parse → expand → analysis
-// preflight → JIT decision → per-node execution — plus point events for
-// the runtime's self-healing machinery (stalls, fallbacks, circuit
-// breaker trips, list-parallel regions) and a registry of counters
-// and latency histograms.
+// Package trace is Jash's structured tracing spine: every run of the
+// shell can produce a span tree — parse → expand → analysis preflight →
+// JIT decision → per-node execution — plus point events for the
+// runtime's self-healing machinery (stalls, fallbacks, circuit breaker
+// trips, list-parallel regions). The spans are the whole record: a
+// count or a latency of the run is read off them, not kept beside them.
 //
 // The paper's thesis is that the shell should stop being a black box:
 // Smoosh made shell *semantics* observable step by step, and a JIT
@@ -19,7 +19,7 @@
 //     call straight through unconditional nil-safe methods rather than
 //     branching at every call site.
 //  2. One artifact. A run's record is one JSON-lines stream: each span is
-//     written as it ends, the registry's metrics at Close. This package's
+//     written as it ends. This package's
 //     reader (Read) parses it back, and everything that renders a run —
 //     cmd/jashtrace's span tree, its -check gate, its Chrome trace_event
 //     conversion for Perfetto — reads that stream, never the live tracer.
@@ -34,22 +34,20 @@ import (
 
 // Options configure a Tracer.
 type Options struct {
-	// Writer, when non-nil, receives the JSON-lines trace: span records as
-	// they end, metric records at Close. A nil Writer keeps only the
-	// metrics registry.
+	// Writer, when non-nil, receives the JSON-lines trace: one span record
+	// as each span ends. A nil Writer records nothing.
 	Writer io.Writer
 	// Clock overrides the time source (tests).
 	Clock func() time.Time
 }
 
-// Tracer owns one session's trace: span identity, the metrics registry,
-// and the JSON-lines writer. A nil *Tracer is the disabled tracer — every
+// Tracer owns one session's trace: span identity and the JSON-lines
+// writer. A nil *Tracer is the disabled tracer — every
 // method is safe and free to call on it.
 type Tracer struct {
 	mu     sync.Mutex
 	nextID atomic.Uint64
 	clock  func() time.Time
-	reg    *Registry
 	w      io.Writer
 	// werr remembers the first export error; Close returns it.
 	werr error
@@ -61,16 +59,7 @@ func New(opts Options) *Tracer {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Tracer{clock: clock, reg: NewRegistry(), w: opts.Writer}
-}
-
-// Metrics returns the tracer's registry (nil when disabled; the
-// Registry's own methods are nil-safe too, so chained calls stay free).
-func (t *Tracer) Metrics() *Registry {
-	if t == nil {
-		return nil
-	}
-	return t.reg
+	return &Tracer{clock: clock, w: opts.Writer}
 }
 
 // Start begins a span under parent (nil parent = root span).
@@ -135,14 +124,6 @@ func (a Attr) value() any {
 	default:
 		return a.Str
 	}
-}
-
-// Tracer returns the owning tracer (nil when the span is nil).
-func (s *Span) Tracer() *Tracer {
-	if s == nil {
-		return nil
-	}
-	return s.tr
 }
 
 // Child starts a sub-span. Safe to call from any goroutine.
@@ -264,21 +245,13 @@ func (s *Span) record(end time.Time) SpanRecord {
 	return rec
 }
 
-// Close appends the registry's metric records to the stream and returns
-// the first export error.
+// Close returns the first export error. Every span was written as it
+// ended, so there is nothing left to flush.
 func (t *Tracer) Close() error {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.w == nil {
-		return nil
-	}
-	for _, m := range t.reg.snapshot() {
-		if err := writeJSONLine(t.w, m); err != nil && t.werr == nil {
-			t.werr = err
-		}
-	}
 	return t.werr
 }
