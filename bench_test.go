@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -190,19 +191,45 @@ func BenchmarkJashPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreutilsSort measures the in-process sort on 1 MiB.
+// BenchmarkCoreutilsSort measures the in-process sort on 1 MiB of words:
+// whole lines, a numeric second-field key, -u, `sort -m` over four sorted
+// lanes, and wordfreq's tail `sort | uniq -c`.
 func BenchmarkCoreutilsSort(b *testing.B) {
 	data := workload.Words(1, 1<<20)
 	fs := vfs.New()
 	fs.WriteFile("/w", data)
+	lines := strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
+	var numbered strings.Builder
+	for i, l := range lines {
+		fmt.Fprintf(&numbered, "%d %d %s", i, i*7919%100003, l)
+	}
+	fs.WriteFile("/n", []byte(numbered.String()))
+	var lanes []string
+	for i := 0; i < 4; i++ {
+		lane := slices.Clone(lines[i*len(lines)/4 : (i+1)*len(lines)/4])
+		slices.Sort(lane)
+		name := fmt.Sprintf("/l%d", i)
+		fs.WriteFile(name, []byte(strings.Join(lane, "")))
+		lanes = append(lanes, name)
+	}
 	sh := core.New(fs, cost.Laptop(), core.ModeBash)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sh.Interp.Stdout = &bytes.Buffer{}
-		if st, _ := sh.Run("sort /w >/dev/null\n"); st != 0 {
-			b.Fatal("sort failed")
-		}
+	for _, bc := range []struct{ name, script string }{
+		{"whole-line", "sort /w >/dev/null\n"},
+		{"n-k2", "sort -n -k2 /n >/dev/null\n"},
+		{"u", "sort -u /w >/dev/null\n"},
+		{"m-4lanes", "sort -m " + strings.Join(lanes, " ") + " >/dev/null\n"},
+		{"uniq-c", "sort /w | uniq -c >/dev/null\n"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sh.Interp.Stdout = &bytes.Buffer{}
+				if st, _ := sh.Run(bc.script); st != 0 {
+					b.Fatal("sort failed")
+				}
+			}
+		})
 	}
 }
 

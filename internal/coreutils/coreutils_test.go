@@ -2,6 +2,7 @@ package coreutils
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -394,6 +395,48 @@ func TestSort(t *testing.T) {
 	if st != 2 || errs == "" {
 		t.Errorf("-o unwritable: errs=%q st=%d", errs, st)
 	}
+	_, _, st = run(t, vfs.New(), "a\na\n", "sort", "-cu")
+	if st != 1 {
+		t.Errorf("-cu with a repeated key st=%d, want 1", st)
+	}
+	// POSIX's key rules, each row as GNU sort 9.1 prints it under
+	// LC_ALL=C: a key is a byte range of the line, the whole line bytewise
+	// is the last resort, and -u keeps one line per key.
+	for _, tc := range []struct {
+		in   string
+		argv []string
+		want string
+	}{
+		{"b 1\na 1\n", []string{"-k2"}, "a 1\nb 1\n"},                         // last resort: the whole line
+		{"b 1\na 1\n", []string{"-r", "-k2"}, "b 1\na 1\n"},                   // -r reverses the last resort too
+		{"1\n01\n", []string{"-nu"}, "1\n"},                                   // -u: one line per key
+		{"01\n1\n", []string{"-n"}, "01\n1\n"},                                // equal numbers: last resort
+		{"a 2 x\nb 1 y\nc 1 a\n", []string{"-k2,2"}, "b 1 y\nc 1 a\na 2 x\n"}, // the key ends at field 2
+		{"a b\na  b\n", []string{"-k2"}, "a  b\na b\n"},                       // a field keeps its leading blanks
+		{"a:b:c\na:b d\n", []string{"-t:", "-k2"}, "a:b d\na:b:c\n"},          // the line's bytes, not rejoined fields
+		{"x ab2\ny ab1\n", []string{"-k2.3"}, "y ab1\nx ab2\n"},               // a character offset into the field
+		{"a:x9\nb:y1\n", []string{"-t:", "-k2.2,2.2"}, "b:y1\na:x9\n"},        // .C at the end
+		{"b a\na a\nc\n", []string{"-u", "-k2"}, "c\nb a\n"},                  // missing field: empty key; first of a key kept
+		{"+1\n-1\n0\n", []string{"-n"}, "-1\n+1\n0\n"},                        // '+' is not a sign
+		{"bb 1\naa 2\n", []string{"-k2.9223372036854775807"}, "aa 2\nbb 1\n"}, // a position past any line
+		{"b\na\n", []string{"-k1,99999999999999999999.5"}, "a\nb\n"},
+	} {
+		out, errs, st := run(t, vfs.New(), tc.in, append([]string{"sort"}, tc.argv...)...)
+		if st != 0 || out != tc.want {
+			t.Errorf("sort %v <<< %q = %q (st=%d errs=%q), want %q", tc.argv, tc.in, out, st, errs, tc.want)
+		}
+	}
+	for _, k := range []string{"2n", "1b", "0", "1.0", "1,0", "1,2x", "x", "1.", "-1"} {
+		_, errs, st := run(t, vfs.New(), "a\n", "sort", "-k"+k)
+		if st != 2 || !strings.Contains(errs, "invalid key") {
+			t.Errorf("sort -k%s: st=%d errs=%q, want 2 and invalid key", k, st, errs)
+		}
+	}
+	for _, argv := range [][]string{{"sort", "-t", "ab"}, {"sort", "-t", ""}, {"sort", "-k1", "-k2"}} {
+		if _, errs, st := run(t, vfs.New(), "a\n", argv...); st != 2 || errs == "" {
+			t.Errorf("%v: st=%d errs=%q, want a loud 2", argv, st, errs)
+		}
+	}
 }
 
 func TestSortMerge(t *testing.T) {
@@ -592,13 +635,29 @@ func TestSortOutputUntouchedOnReadError(t *testing.T) {
 		Stdout: &out,
 		Stderr: &errb,
 	}
-	for _, argv := range [][]string{
-		{"sort", "-o", "/out", "/in", "-"},
-		{"sort", "-m", "-o", "/out", "/in", "-"},
+	for _, tc := range []struct {
+		argv       []string
+		file, want string
+	}{
+		{[]string{"sort", "-o", "/out", "/in", "-"}, "/out", "keep\n"},
+		{[]string{"sort", "-m", "-o", "/out", "/in", "-"}, "/out", "keep\n"},
+		{[]string{"sort", "-o", "/in", "/in", "-"}, "/in", "b\na\n"},
 	} {
-		st := sortCmd(c, argv)
-		if data, _ := fs.ReadFile("/out"); st != 2 || string(data) != "keep\n" {
-			t.Errorf("%v: st=%d file=%q errs=%q, want 2 and the old file", argv, st, data, errb.String())
+		st := sortCmd(c, tc.argv)
+		if data, _ := fs.ReadFile(tc.file); st != 2 || string(data) != tc.want {
+			t.Errorf("%v: st=%d file=%q errs=%q, want 2 and the old file", tc.argv, st, data, errb.String())
+		}
+	}
+	// A torn-down run commits nothing either.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c.Ctx = ctx
+	for _, argv := range [][]string{{"sort", "-o", "/in", "/in"}, {"sort", "-m", "-o", "/in", "/in"}} {
+		if st := sortCmd(c, argv); st != 1 {
+			t.Errorf("%v cancelled: st=%d, want 1", argv, st)
+		}
+		if data, _ := fs.ReadFile("/in"); string(data) != "b\na\n" {
+			t.Errorf("%v cancelled: /in=%q, want it untouched", argv, data)
 		}
 	}
 }

@@ -1,13 +1,11 @@
 package coreutils
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -511,281 +509,8 @@ func cutCmd(c *Context, args []string) int {
 	return 0
 }
 
-// sortKey extracts the comparison key per the flags: whole line, or field
-// -k N (1-based, to end of line per POSIX default).
-type sortConfig struct {
-	numeric bool
-	reverse bool
-	unique  bool
-	field   int    // 0 = whole line
-	sep     string // field separator for -t
-}
-
-func (cfg sortConfig) key(line string) string {
-	if cfg.field <= 0 {
-		return line
-	}
-	var fields []string
-	if cfg.sep != "" {
-		fields = strings.Split(line, cfg.sep)
-	} else {
-		fields = splitFields(line)
-	}
-	if cfg.field-1 < len(fields) {
-		return strings.Join(fields[cfg.field-1:], " ")
-	}
-	return ""
-}
-
-func (cfg sortConfig) less(a, b string) bool {
-	ka, kb := cfg.key(a), cfg.key(b)
-	var r bool
-	if cfg.numeric {
-		na := leadingNumber(ka)
-		nb := leadingNumber(kb)
-		if na != nb {
-			r = na < nb
-		} else {
-			r = ka < kb
-		}
-	} else {
-		r = ka < kb
-	}
-	if cfg.reverse {
-		return !r && ka != kb
-	}
-	return r
-}
-
-// leadingNumber parses the numeric prefix of a string as sort -n does:
-// optional blanks, optional sign, digits, optional fraction.
-func leadingNumber(s string) float64 {
-	s = strings.TrimLeft(s, " \t")
-	end := 0
-	if end < len(s) && (s[end] == '-' || s[end] == '+') {
-		end++
-	}
-	for end < len(s) && s[end] >= '0' && s[end] <= '9' {
-		end++
-	}
-	if end < len(s) && s[end] == '.' {
-		end++
-		for end < len(s) && s[end] >= '0' && s[end] <= '9' {
-			end++
-		}
-	}
-	f, err := strconv.ParseFloat(strings.TrimSpace(s[:end]), 64)
-	if err != nil {
-		return 0
-	}
-	return f
-}
-
-// parseSortArgs parses sort's argv into the comparison config, shared by
-// sortCmd and the executor's streaming merge entry point.
-func parseSortArgs(argv []string) (spec.Parsed, sortConfig, error) {
-	cl, err := spec.Parse(argv)
-	if err != nil {
-		return cl, sortConfig{}, err
-	}
-	cfg := sortConfig{
-		numeric: cl.Has('n'),
-		reverse: cl.Has('r'),
-		unique:  cl.Has('u'),
-	}
-	cfg.sep, _ = cl.Value('t')
-	if v, ok := cl.Value('k'); ok {
-		// Accept "N" and "N,M"; we honour the start field.
-		numPart := v
-		if comma := strings.IndexByte(v, ','); comma >= 0 {
-			numPart = v[:comma]
-		}
-		if dot := strings.IndexByte(numPart, '.'); dot >= 0 {
-			numPart = numPart[:dot]
-		}
-		cfg.field, err = strconv.Atoi(numPart)
-		if err != nil || cfg.field < 1 {
-			return cl, sortConfig{}, errLine("invalid key " + v)
-		}
-	}
-	return cl, cfg, nil
-}
-
-// sortCmd sorts lines. Flags: -n numeric, -r reverse, -u unique, -m merge
-// already-sorted inputs (the aggregator PaSh relies on), -k FIELD,
-// -t SEP, -c check (exit 1 if unsorted), -o FILE write the result to FILE
-// instead of standard output.
-func sortCmd(c *Context, args []string) int {
-	cl, cfg, err := parseSortArgs(args)
-	if err != nil {
-		return c.Errorf(2, "sort: %v", err)
-	}
-	rs, st := openInputs(c, cl.Operands)
-	if rs == nil {
-		return st
-	}
-	if cl.Has('c') {
-		var prev string
-		first := true
-		bad := false
-		e := c.forEachLine(concatReaders(rs), func(line []byte) error {
-			s := string(line)
-			if !first && cfg.less(s, prev) {
-				bad = true
-				return io.EOF
-			}
-			prev, first = s, false
-			return nil
-		})
-		if e != nil {
-			return c.Errorf(2, "sort: %v", e)
-		}
-		if bad {
-			return 1
-		}
-		return 0
-	}
-	// -o FILE may name one of the inputs (sort -o f f): the inputs are
-	// open snapshots already, and a VFS writer changes FILE only when it
-	// is closed, which happens only once the sort has succeeded.
-	out := c.Stdout
-	outFile, toFile := cl.Value('o')
-	var fileOut io.WriteCloser
-	if toFile {
-		w, e := c.FS.Create(c.Lookup(outFile))
-		if e != nil {
-			return c.Errorf(2, "sort: %s: %v", outFile, e)
-		}
-		fileOut, out = w, w
-	}
-	lw := newLineWriter(out)
-	defer lw.Release()
-	if cl.Has('m') {
-		// k-way merge of pre-sorted inputs.
-		if st := mergeSorted(c, rs, cfg, lw); st != 0 {
-			return st
-		}
-	} else {
-		var lines []string
-		for _, r := range rs {
-			ls, e := c.readLines(r)
-			if e != nil {
-				return c.Errorf(2, "sort: %v", e)
-			}
-			lines = append(lines, ls...)
-		}
-		sort.SliceStable(lines, func(i, j int) bool { return cfg.less(lines[i], lines[j]) })
-		var prev string
-		first := true
-		for _, line := range lines {
-			if cfg.unique && !first && line == prev {
-				continue
-			}
-			lw.WriteLine([]byte(line))
-			prev, first = line, false
-		}
-	}
-	lw.Flush()
-	if fileOut != nil {
-		if e := fileOut.Close(); e != nil {
-			return c.Errorf(2, "sort: %s: %v", outFile, e)
-		}
-	}
-	return 0
-}
-
-// lineCursor pulls one line at a time from a stream, for the k-way merge.
-// Holding a single line per input is what keeps `sort -m` memory bounded
-// by the number of inputs, not their size.
-type lineCursor struct {
-	s    *bufio.Scanner
-	line string
-	done bool
-	err  error
-}
-
-func newLineCursor(r io.Reader) *lineCursor {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, pipe.BlockSize), maxLine)
-	cu := &lineCursor{s: s}
-	cu.advance()
-	return cu
-}
-
-func (cu *lineCursor) advance() {
-	if cu.s.Scan() {
-		cu.line = cu.s.Text()
-		return
-	}
-	cu.done = true
-	cu.err = cu.s.Err()
-}
-
-// mergeSorted merges pre-sorted line streams incrementally, honouring -u.
-// Ties go to the lowest-index input, which over consecutive chunks of a
-// stable-sorted whole reproduces that whole exactly — the property the
-// executor's order-aware merge relies on for byte-identical parallel runs.
-func mergeSorted(c *Context, rs []io.Reader, cfg sortConfig, lw *lineWriter) int {
-	cursors := make([]*lineCursor, 0, len(rs))
-	for _, r := range rs {
-		cursors = append(cursors, newLineCursor(r))
-	}
-	var prev string
-	first := true
-	polled := 0
-	for {
-		// The k-way merge pulls one line per iteration and can run far
-		// from any pipe operation on buffered lanes; poll periodically.
-		polled++
-		if polled%cancelPollLines == 0 && c.Cancelled() {
-			return 0
-		}
-		best := -1
-		for i, cu := range cursors {
-			if cu.done {
-				if cu.err != nil {
-					return c.Errorf(2, "sort: %v", cu.err)
-				}
-				continue
-			}
-			if best < 0 || cfg.less(cu.line, cursors[best].line) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return 0
-		}
-		line := cursors[best].line
-		cursors[best].advance()
-		if cfg.unique && !first && line == prev {
-			continue
-		}
-		lw.WriteLine([]byte(line))
-		prev, first = line, false
-	}
-}
-
-// MergeSortedStreams is the executor's entry point for the order-aware
-// merge: it runs `sort -m` semantics directly over open streams, so
-// parallel lane outputs merge without materializing to files. argv is the
-// merge command vector (e.g. ["sort", "-m", "-n"]); any file operands in
-// it are ignored in favour of ins.
-func MergeSortedStreams(c *Context, argv []string, ins []io.Reader) int {
-	cl, cfg, err := parseSortArgs(argv)
-	if err != nil {
-		return c.Errorf(2, "sort: %v", err)
-	}
-	if !cl.Has('m') {
-		return c.Errorf(2, "sort: MergeSortedStreams requires -m")
-	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
-	if st := mergeSorted(c, ins, cfg, lw); st != 0 {
-		return st
-	}
-	lw.Flush()
-	return 0
-}
+// countPad pads uniq -c's count to seven columns.
+const countPad = "       "
 
 // uniqCmd filters adjacent duplicate lines: -c prefixes counts, -d prints
 // only duplicated lines, -u prints only unique lines.
@@ -800,7 +525,7 @@ func uniqCmd(c *Context, args []string) int {
 	}
 	lw := newLineWriter(c.Stdout)
 	defer lw.Release()
-	var cur []byte
+	var cur, num []byte // one reused buffer each: no per-line copy
 	count := 0
 	flush := func() {
 		if count == 0 {
@@ -808,7 +533,10 @@ func uniqCmd(c *Context, args []string) int {
 		}
 		switch {
 		case cl.Has('c'):
-			lw.WriteString(fmt.Sprintf("%7d ", count))
+			// "%7d ": the count right-aligned in seven columns, a blank.
+			num = append(strconv.AppendInt(num[:0], int64(count), 10), ' ')
+			lw.WriteString(countPad[min(len(num)-1, len(countPad)):])
+			lw.Write(num)
 			lw.WriteLine(cur)
 		case cl.Has('d'):
 			if count > 1 {
@@ -828,7 +556,7 @@ func uniqCmd(c *Context, args []string) int {
 			return nil
 		}
 		flush()
-		cur = bytesClone(line)
+		cur = append(cur[:0], line...)
 		count = 1
 		return nil
 	})

@@ -188,8 +188,7 @@ func (lw *lineWriter) Flush() bool {
 	return true
 }
 
-// splitFields splits on runs of blanks, like awk's default and `sort`'s
-// field logic.
+// splitFields splits on runs of white space, like awk's default.
 func splitFields(line string) []string {
 	return strings.Fields(line)
 }
@@ -221,6 +220,3 @@ func writeAll(w io.Writer, r io.Reader) error {
 	_, err := io.Copy(w, r)
 	return err
 }
-
-// bytesClone copies a byte slice, used where lines outlive their buffer.
-func bytesClone(b []byte) []byte { return append([]byte(nil), b...) }

@@ -1,7 +1,9 @@
 package spec
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -204,4 +206,74 @@ words:
 func Parse(argv []string) (Parsed, error) {
 	g := grammars[argv[0]]
 	return g.Scan(argv)
+}
+
+// SortKey is a `sort -k POS1[,POS2]` in the zero-based form POSIX's rules
+// are easiest to state in: the key starts SChar bytes into field SWord
+// and ends EChar bytes into field EWord, or at the end of field EWord
+// when EChar is 0, or at the end of the line when EWord is -1.
+type SortKey struct{ SWord, SChar, EWord, EChar int }
+
+// SortFields reads sort's field options from its scanned argv: the -t
+// separator byte (-1 without -t) and the -k key (nil without -k). A -t
+// that is not one byte, a second -k, and a type letter attached to a key
+// position (-k2n, -k1b) are errors.
+func SortFields(p *Parsed) (tab int, key *SortKey, err error) {
+	tab = -1
+	if t, ok := p.Value('t'); ok {
+		if len(t) != 1 {
+			return 0, nil, fmt.Errorf("-t needs a single-byte separator, not %q", t)
+		}
+		tab = int(t[0])
+	}
+	switch ks := p.Values('k'); len(ks) {
+	case 0:
+		return tab, nil, nil
+	case 1:
+		key, err = parseSortKey(ks[0])
+		return tab, key, err
+	}
+	return 0, nil, errors.New("only one -k key is supported")
+}
+
+// maxSortKeyPos bounds a key's field and character numbers: any larger
+// one reaches past the longest line sort accepts, and adding two of them
+// to an offset cannot overflow.
+const maxSortKeyPos = 1 << 30
+
+// parseSortKey parses -k N[.C][,M[.C]].
+func parseSortKey(v string) (*SortKey, error) {
+	num := func(s string) int { // -1 unless s is a decimal number
+		if s == "" || s[0] < '0' || s[0] > '9' {
+			return -1
+		}
+		n, err := strconv.Atoi(s)
+		if errors.Is(err, strconv.ErrRange) || n > maxSortKeyPos {
+			return maxSortKeyPos // past the end of any line
+		}
+		if err != nil {
+			return -1
+		}
+		return n
+	}
+	pos := func(s string, defChar int) (field, char int) {
+		f, c, dot := strings.Cut(s, ".")
+		if !dot {
+			return num(f), defChar
+		}
+		return num(f), num(c)
+	}
+	pos1, pos2, hasEnd := strings.Cut(v, ",")
+	f, ch := pos(pos1, 1)
+	ok := f >= 1 && ch >= 1
+	k := &SortKey{SWord: f - 1, SChar: ch - 1, EWord: -1}
+	if hasEnd {
+		f, ch = pos(pos2, 0)
+		ok = ok && f >= 1 && ch >= 0
+		k.EWord, k.EChar = f-1, ch
+	}
+	if !ok {
+		return nil, fmt.Errorf("invalid key %s", v)
+	}
+	return k, nil
 }

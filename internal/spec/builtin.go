@@ -59,8 +59,9 @@ func builtinSpecs() []*Spec {
 			CPUFactor: 12, OutputRatio: 1,
 			Summary: "sort lines of text",
 			FlagDocs: map[string]string{
-				"-n": "numeric comparison", "-r": "reverse", "-u": "unique output",
-				"-m": "merge already-sorted inputs", "-k": "sort key field", "-t": "field separator",
+				"-n": "numeric comparison", "-r": "reverse", "-u": "one line per key",
+				"-m": "merge already-sorted inputs", "-t": "one-byte field separator",
+				"-k": "key POS1[,POS2], each FIELD[.CHAR]; one key, no type letters",
 				"-c": "check sortedness", "-o": "write the result to a file",
 			},
 			refine: refineSort,
@@ -255,7 +256,8 @@ func refineWc(e *Effective) {
 }
 
 // refineSort: -m is already a merge (stateless pass, cheap); -c checks;
-// -o writes a named file, which nothing may replicate or reorder.
+// -o writes a named file, which nothing may replicate or reorder; field
+// options sort rejects fail once, interpreted, not once per lane.
 func refineSort(e *Effective) {
 	for _, f := range e.Parsed.Flags {
 		switch f.Letter {
@@ -266,7 +268,7 @@ func refineSort(e *Effective) {
 			demote(e)
 		}
 	}
-	if e.Parsed.Has('o') {
+	if _, _, err := SortFields(&e.Parsed); err != nil || e.Parsed.Has('o') {
 		exclude(e)
 	}
 }

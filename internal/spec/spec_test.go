@@ -25,6 +25,11 @@ func TestResolveClasses(t *testing.T) {
 		{[]string{"sort", "-rn"}, Parallelizable},
 		{[]string{"sort", "-m", "a", "b"}, Blocking},
 		{[]string{"sort", "-c"}, Blocking},
+		{[]string{"sort", "-t:", "-k2,2"}, Parallelizable},
+		// Field options sort rejects fail once, interpreted, not per lane.
+		{[]string{"sort", "-k2n"}, SideEffectful},
+		{[]string{"sort", "-k1", "-k2"}, SideEffectful},
+		{[]string{"sort", "-t", "ab"}, SideEffectful},
 		{[]string{"uniq", "-c"}, Blocking},
 		{[]string{"wc", "-l"}, Parallelizable},
 		// With file operands wc prints per-file rows with names, which the
