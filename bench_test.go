@@ -233,6 +233,54 @@ func BenchmarkCoreutilsSort(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreutilsSed measures the streaming sed on 8 MiB of words: a
+// literal substitution (list_write's), a group reference under g, a $
+// address that holds every line until the next read, and y.
+func BenchmarkCoreutilsSed(b *testing.B) {
+	data := workload.Words(1, 8<<20)
+	fs := vfs.New()
+	fs.WriteFile("/w", data)
+	sh := core.New(fs, cost.Laptop(), core.ModeBash)
+	for _, bc := range []struct{ name, script string }{
+		{"s", "sed s/the/THE/ /w >/dev/null\n"},
+		{"s-group-g", "sed 's/\\(t\\)he/\\1HE/g' /w >/dev/null\n"},
+		{"n-last-p", "sed -n '$p' /w >/dev/null\n"},
+		{"y", "sed y/abc/xyz/ /w >/dev/null\n"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if st, _ := sh.Run(bc.script); st != 0 {
+					b.Fatal("sed failed")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCoreutilsComm measures comm over two sorted 4 MiB inputs, one
+// line of each held at a time.
+func BenchmarkCoreutilsComm(b *testing.B) {
+	fs := vfs.New()
+	var size int64
+	for i, name := range []string{"/a", "/b"} {
+		lines := strings.SplitAfter(strings.TrimSuffix(string(workload.Words(uint64(i+1), 4<<20)), "\n"), "\n")
+		slices.Sort(lines)
+		data := strings.Join(lines, "")
+		size += int64(len(data))
+		fs.WriteFile(name, []byte(data))
+	}
+	sh := core.New(fs, cost.Laptop(), core.ModeBash)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if st, _ := sh.Run("comm /a /b >/dev/null\n"); st != 0 {
+			b.Fatal("comm failed")
+		}
+	}
+}
+
 // BenchmarkLint measures linting throughput.
 func BenchmarkLint(b *testing.B) {
 	src := strings.Repeat(benchScript, 10)

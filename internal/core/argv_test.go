@@ -40,6 +40,10 @@ func TestArgvGrammarModesAgree(t *testing.T) {
 		{name: "tail -c", src: "tail -c 3 /file\necho $?\n"},
 		{name: "grep -ie source", src: "grep -ie LINE /big | wc -l\n", lanes: true},
 		{name: "sed source", src: "sed s/line/LINE/ /big | sort -u\n", lanes: true},
+		// sed splits its script on newlines as well as on semicolons; so
+		// must the spec that decides whether a lane may run it.
+		{name: "sed newline script, last line", src: "sed 's/a/b/\n$d' /big | wc -l\n"},
+		{name: "sed newline script, q", src: "sed 's/a/b/\n3q' /big\n"},
 	}
 	for _, sc := range scripts {
 		t.Run(sc.name, func(t *testing.T) { modesAgree(t, sc.src, sc.lanes) })

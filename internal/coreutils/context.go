@@ -67,40 +67,10 @@ func (c *Context) Cancelled() bool {
 	}
 }
 
-// cancelPollLines is how many lines a streaming loop processes between
-// Ctx polls: frequent enough that a torn-down plan stops a
+// cancelPollLines is how many lines a line cursor reads between Ctx
+// polls: frequent enough that a torn-down plan stops a
 // compute-heavy filter promptly, rare enough to stay off the hot path.
 const cancelPollLines = 1024
-
-// forEachLine is the cancel-aware line iterator every streaming utility
-// loop uses: it behaves like the package-level forEachLine but polls
-// Ctx periodically, stopping early (silently, like a consumer hangup)
-// when the surrounding plan has been torn down.
-func (c *Context) forEachLine(r io.Reader, fn func(line []byte) error) error {
-	var err error
-	if c.Ctx == nil {
-		err = forEachLine(r, fn)
-	} else {
-		n := 0
-		err = forEachLine(r, func(line []byte) error {
-			n++
-			if n%cancelPollLines == 0 && c.Cancelled() {
-				return io.EOF
-			}
-			return fn(line)
-		})
-	}
-	c.escalate(err)
-	return err
-}
-
-// readLines is the Context-aware slurp: like the package-level readLines
-// but escalating a line-limit violation to the plan-abort hook.
-func (c *Context) readLines(r io.Reader) ([]string, error) {
-	lines, err := readLines(r)
-	c.escalate(err)
-	return lines, err
-}
 
 // Lookup resolves a possibly-relative path against the working directory.
 func (c *Context) Lookup(p string) string {

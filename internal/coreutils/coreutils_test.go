@@ -5,11 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
 
+	"jash/internal/pipe"
 	"jash/internal/vfs"
 )
 
@@ -202,6 +205,11 @@ func TestPaste(t *testing.T) {
 	out, _, _ = run(t, fs, "", "paste", "-d", ",", "/a", "/b")
 	if out != "1,x\n2,y\n,z\n" {
 		t.Errorf("paste -d=%q", out)
+	}
+	// Operands naming standard input share it: each - takes the next line.
+	out, _, _ = run(t, fs, "1\n2\n3\n4\n5\n", "paste", "-", "-")
+	if out != "1\t2\n3\t4\n5\t\n" {
+		t.Errorf("paste - -=%q", out)
 	}
 }
 
@@ -792,6 +800,16 @@ func TestSed(t *testing.T) {
 		{"s/\\(x\\)\\(y\\)/\\2\\1/", "xy\n", "yx\n"},
 		{"s/o/0/g;s/e/3/g", "hello web\n", "h3ll0 w3b\n"},
 		{"s/.*/[&]/", "core\n", "[core]\n"},
+		// Groups come from the match on the line, not from re-matching
+		// the match text on its own (where \B no longer holds).
+		{"s/\\B\\(o\\)/[\\1]/", "foo\n", "f[o]o\n"},
+		// q ends the script for its line.
+		{"q;s/a/b/", "a\nb\n", "a\n"},
+		// Ng is the Nth match and every later one.
+		{"s/a/b/2g", "aaaa\n", "abbb\n"},
+		{"s/a/b/12", "aaaaaaaaaaaaa\n", "aaaaaaaaaaaba\n"},
+		{"s/a/b/;$d", "x\na\ny\n", "x\nb\n"},
+		{"s/a/b/\n$d", "x\na\ny\n", "x\nb\n"},
 	}
 	for _, c := range cases[:3] {
 		out, _, st := run(t, vfs.New(), c.in, "sed", c.script)
@@ -818,6 +836,71 @@ func TestSed(t *testing.T) {
 	_, errs, st := run(t, vfs.New(), "a\nb\n", "sed", "99999999999999999999d")
 	if st == 0 || !strings.Contains(errs, "invalid line address") {
 		t.Errorf("sed overflow address: st=%d errs=%q, want failure", st, errs)
+	}
+	// A reference to a group the pattern lacks is an error, as in GNU sed.
+	_, errs, st = run(t, vfs.New(), "ab\n", "sed", "s/\\(a\\)b/\\2/")
+	if st != 2 || !strings.Contains(errs, "invalid reference") {
+		t.Errorf("sed missing group: st=%d errs=%q, want status 2", st, errs)
+	}
+}
+
+// endless is an unbounded input, `yes` without a pipe, that counts the
+// bytes read from it.
+type endless struct{ read int }
+
+var yLines = strings.Repeat("y\n", pipe.BlockSize/2)
+
+func (e *endless) Read(p []byte) (int, error) {
+	n := copy(p, yLines)
+	e.read += n
+	return n, nil
+}
+
+// hangupWriter records what it accepts. Once hangUp is set, it accepts
+// only its first write and fails every one after it, as a pipe does once
+// `head -n1` has read its line and gone.
+type hangupWriter struct {
+	hangUp bool
+	writes int
+	got    []byte
+}
+
+func (h *hangupWriter) Write(p []byte) (int, error) {
+	if h.writes++; h.hangUp && h.writes > 1 {
+		return 0, errors.New("broken pipe")
+	}
+	h.got = append(h.got, p...)
+	return len(p), nil
+}
+
+// TestSedStreams: sed holds one line of lookahead, so on an unbounded
+// input it ends once q runs or its reader has gone, having read only a
+// bounded prefix of the input: what ends `yes | sed s/y/n/ | head -n1`
+// and `seq 1 30000000 | sed 1q` in milliseconds.
+func TestSedStreams(t *testing.T) {
+	for _, tc := range []struct {
+		script, want string
+		hangUp       bool
+	}{
+		{"s/y/n/", "n\n", true}, // yes | sed s/y/n/ | head -n1
+		{"1q", "y\n", false},    // seq 1 30000000 | sed 1q
+	} {
+		in, out := &endless{}, &hangupWriter{hangUp: tc.hangUp}
+		done := make(chan int, 1)
+		go func() {
+			done <- sedCmd(&Context{FS: vfs.New(), Dir: "/", Stdin: in, Stdout: out, Stderr: io.Discard}, []string{"sed", tc.script})
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second): // a hang guard: it takes ~20 ms
+			t.Fatalf("sed %s over an endless input did not end", tc.script)
+		}
+		if got := string(out.got); !strings.HasPrefix(got, tc.want) || !tc.hangUp && got != tc.want {
+			t.Errorf("sed %s: wrote %.20q…, want %q first", tc.script, got, tc.want)
+		}
+		if in.read > 4*pipe.BlockSize {
+			t.Errorf("sed %s read %d bytes after it was done", tc.script, in.read)
+		}
 	}
 }
 
@@ -1270,10 +1353,9 @@ func TestUniqCountsAcrossBoundary(t *testing.T) {
 	}
 }
 
-// TestForEachLineMaxLineBoundary pins the 16 MiB line limit in both
-// branches of forEachLine: a newline-terminated over-long line (the
-// continuation joins inside the newline branch) and an unterminated one
-// (checked in the no-newline branch) must both error, while a line of
+// TestForEachLineMaxLineBoundary pins the 16 MiB line limit of the line
+// cursor for both ends of a line: a newline-terminated over-long line
+// and an unterminated one must both error, while a line of
 // exactly maxLine bytes passes intact either way.
 func TestForEachLineMaxLineBoundary(t *testing.T) {
 	atLimit := strings.Repeat("a", maxLine)
@@ -1291,7 +1373,7 @@ func TestForEachLineMaxLineBoundary(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var got int
-			err := forEachLine(strings.NewReader(tc.input), func(line []byte) error {
+			err := (&Context{}).forEachLine(strings.NewReader(tc.input), func(line []byte) error {
 				got = len(line)
 				return nil
 			})

@@ -584,14 +584,6 @@ func commCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	a, e1 := c.readLines(rs[0])
-	if e1 != nil {
-		return c.Errorf(1, "comm: %v", e1)
-	}
-	b, e2 := c.readLines(rs[1])
-	if e2 != nil {
-		return c.Errorf(1, "comm: %v", e2)
-	}
 	show1, show2, show3 := !cl.Has('1'), !cl.Has('2'), !cl.Has('3')
 	// Column indentation depends on which earlier columns are shown.
 	indent2 := ""
@@ -602,27 +594,42 @@ func commCmd(c *Context, args []string) int {
 	if show2 {
 		indent3 += "\t"
 	}
+	a, b := c.cursor(rs[0]), c.cursor(rs[1])
+	defer a.close()
+	defer b.close()
 	lw := newLineWriter(c.Stdout)
 	defer lw.Release()
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
+	haveA, haveB := a.next(), b.next()
+	for (haveA || haveB) && lw.ok {
+		d := -1 // an input at its end sorts after every line
+		if !haveA {
+			d = 1
+		} else if haveB {
+			d = bytes.Compare(a.line, b.line)
+		}
 		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
+		case d < 0:
 			if show1 {
-				lw.WriteLine([]byte(a[i]))
+				lw.WriteLine(a.line)
 			}
-			i++
-		case i >= len(a) || b[j] < a[i]:
+			haveA = a.next()
+		case d > 0:
 			if show2 {
-				lw.WriteLine([]byte(indent2 + b[j]))
+				lw.WriteString(indent2)
+				lw.WriteLine(b.line)
 			}
-			j++
+			haveB = b.next()
 		default:
 			if show3 {
-				lw.WriteLine([]byte(indent3 + a[i]))
+				lw.WriteString(indent3)
+				lw.WriteLine(a.line)
 			}
-			i++
-			j++
+			haveA, haveB = a.next(), b.next()
+		}
+	}
+	for _, cu := range []*lineCursor{a, b} {
+		if cu.err != nil {
+			return c.Errorf(1, "comm: %v", cu.err)
 		}
 	}
 	lw.Flush()
@@ -640,10 +647,15 @@ func shufCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	lines, e := c.readLines(concatReaders(rs))
+	arenas, n, e := readArenas(c, rs)
 	if e != nil {
 		return c.Errorf(1, "shuf: %v", e)
 	}
+	if c.Cancelled() {
+		return 1
+	}
+	lines := make([][]byte, 0, n)
+	eachArenaLine(arenas, func(line []byte) { lines = append(lines, line) })
 	seed := uint64(1)
 	if s := c.Env("JASH_SEED"); s != "" {
 		if v, err := strconv.ParseUint(s, 10, 64); err == nil {
@@ -675,7 +687,7 @@ func shufCmd(c *Context, args []string) int {
 	lw := newLineWriter(c.Stdout)
 	defer lw.Release()
 	for _, line := range lines[:limit] {
-		lw.WriteLine([]byte(line))
+		lw.WriteLine(line)
 	}
 	lw.Flush()
 	return 0
@@ -849,7 +861,10 @@ func odCmd(c *Context, args []string) int {
 	return 0
 }
 
-// joinCmd joins two sorted files on their first fields (the POSIX default).
+// joinCmd joins two sorted files on their first fields (the POSIX
+// default: fields are separated by blanks, and output fields by a space).
+// It holds one line of the first file and the current equal-key run of
+// the second, for the cross product.
 func joinCmd(c *Context, args []string) int {
 	cl, err := spec.Parse(args)
 	if err != nil {
@@ -862,56 +877,79 @@ func joinCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	a, e1 := c.readLines(rs[0])
-	if e1 != nil {
-		return c.Errorf(1, "join: %v", e1)
-	}
-	b, e2 := c.readLines(rs[1])
-	if e2 != nil {
-		return c.Errorf(1, "join: %v", e2)
-	}
-	key := func(line string) string {
-		f := splitFields(line)
-		if len(f) == 0 {
-			return ""
-		}
-		return f[0]
-	}
-	rest := func(line string) string {
-		f := splitFields(line)
-		if len(f) <= 1 {
-			return ""
-		}
-		return " " + strings.Join(f[1:], " ")
-	}
+	a, b := c.cursor(rs[0]), c.cursor(rs[1])
+	defer a.close()
+	defer b.close()
 	lw := newLineWriter(c.Stdout)
 	defer lw.Release()
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		ka, kb := key(a[i]), key(b[j])
-		switch {
-		case ka < kb:
-			i++
-		case kb < ka:
-			j++
+	var key, run, restA []byte // run: the second file's run, each line's other fields
+	var ends []int             // where each line of run ends
+	haveA, haveB := a.next(), b.next()
+	for haveA && haveB && lw.ok {
+		switch d := bytes.Compare(joinField(a.line), joinField(b.line)); {
+		case d < 0:
+			haveA = a.next()
+		case d > 0:
+			haveB = b.next()
 		default:
-			// Emit the cross product of equal-key runs.
-			iEnd := i
-			for iEnd < len(a) && key(a[iEnd]) == ka {
-				iEnd++
+			key = append(key[:0], joinField(b.line)...)
+			run, ends = run[:0], ends[:0]
+			for haveB && bytes.Equal(joinField(b.line), key) {
+				run = appendJoinRest(run, b.line)
+				ends = append(ends, len(run))
+				haveB = b.next()
 			}
-			jEnd := j
-			for jEnd < len(b) && key(b[jEnd]) == ka {
-				jEnd++
-			}
-			for x := i; x < iEnd; x++ {
-				for y := j; y < jEnd; y++ {
-					lw.WriteLine([]byte(ka + rest(a[x]) + rest(b[y])))
+			for haveA && bytes.Equal(joinField(a.line), key) {
+				restA = appendJoinRest(restA[:0], a.line)
+				start := 0
+				for _, end := range ends {
+					lw.Write(key)
+					lw.Write(restA)
+					lw.WriteLine(run[start:end])
+					start = end
 				}
+				haveA = a.next()
 			}
-			i, j = iEnd, jEnd
+		}
+	}
+	for _, cu := range []*lineCursor{a, b} {
+		if cu.err != nil {
+			return c.Errorf(1, "join: %v", cu.err)
 		}
 	}
 	lw.Flush()
 	return 0
+}
+
+// cutField splits off line's first blank-separated field, returning it
+// and what follows it.
+func cutField(line []byte) (field, rest []byte) {
+	p := 0
+	for p < len(line) && isBlank(line[p]) {
+		p++
+	}
+	end := p
+	for end < len(line) && !isBlank(line[end]) {
+		end++
+	}
+	return line[p:end], line[end:]
+}
+
+// joinField returns line's first field, join's key.
+func joinField(line []byte) []byte {
+	f, _ := cutField(line)
+	return f
+}
+
+// appendJoinRest appends line's fields after the first to dst, each after
+// one space.
+func appendJoinRest(dst, line []byte) []byte {
+	_, rest := cutField(line)
+	for {
+		f, r := cutField(rest)
+		if len(f) == 0 {
+			return dst
+		}
+		dst, rest = append(append(dst, ' '), f...), r
+	}
 }

@@ -13,84 +13,114 @@ import (
 // POSIX LINE_MAX minimum.
 const maxLine = 16 << 20
 
-// readerPool recycles the one-block bufio.Reader each line-oriented
-// utility needs, so a pipeline of N filters does not allocate N fresh
-// buffers per run. Scratch and pending-line buffers come from the shared
-// block pool in package pipe.
-var readerPool = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(nil, pipe.BlockSize) },
+// lineCursor is the package's one line reader: it pulls one line at a
+// time from a stream, so a filter holds one line per input, not the
+// input. A line that fits the one-block bufio.Reader is a view of its
+// buffer; a longer one is assembled in pending, up to maxLine. Either is
+// valid until the next call to next. Every maxLine violation escalates to
+// the plan-abort hook, and a torn-down plan ends the stream silently,
+// like a consumer hangup.
+type lineCursor struct {
+	c       *Context
+	br      *bufio.Reader
+	pending []byte
+	line    []byte // the current line, without its newline
+	n       int    // lines read, for cancel polling
+	err     error  // the read error that ended the stream, if any
+	done    bool
 }
 
-func getReader(r io.Reader) *bufio.Reader {
-	br := readerPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	return br
+// cursorPool recycles cursors with their one-block readers, so a pipeline
+// of N filters does not allocate N fresh buffers per run. Pending-line
+// buffers come from the shared block pool in package pipe.
+var cursorPool = sync.Pool{
+	New: func() any { return &lineCursor{br: bufio.NewReaderSize(nil, pipe.BlockSize)} },
 }
 
-func putReader(br *bufio.Reader) {
-	br.Reset(nil) // drop the underlying reader reference
-	readerPool.Put(br)
+// cursor opens a line cursor over r. Call close when done with it.
+func (c *Context) cursor(r io.Reader) *lineCursor {
+	cu := cursorPool.Get().(*lineCursor)
+	cu.c, cu.n, cu.err, cu.done, cu.line = c, 0, nil, false, nil
+	cu.br.Reset(r)
+	cu.pending = pipe.GetBlock()
+	return cu
 }
 
-// writerPool does the same for output buffers.
-var writerPool = sync.Pool{
-	New: func() any { return bufio.NewWriterSize(io.Discard, pipe.BlockSize) },
+// close returns the cursor and its buffers to their pools.
+func (cu *lineCursor) close() {
+	cu.br.Reset(nil) // drop the underlying reader reference
+	pipe.PutBlock(cu.pending)
+	cu.c, cu.pending, cu.line = nil, nil, nil
+	cursorPool.Put(cu)
 }
 
-// forEachLine calls fn for every line of r, without the trailing newline.
-// A final line with no newline is still delivered. fn returning io.EOF
-// stops iteration early without error (used by head). Lines are only
-// valid for the duration of the callback: the backing buffers return to
-// the shared pool when iteration finishes.
-func forEachLine(r io.Reader, fn func(line []byte) error) error {
-	br := getReader(r)
-	pending := pipe.GetBlock()
-	defer func() {
-		putReader(br)
-		pipe.PutBlock(pending)
-	}()
+// next advances to the next line and reports whether there is one. A
+// final line with no newline is still delivered. At the end of the
+// stream, on a read error (then in err) or once the plan is torn down,
+// it returns false, and keeps returning false.
+func (cu *lineCursor) next() bool {
+	if cu.done {
+		return false
+	}
+	cu.n++
+	if cu.n%cancelPollLines == 0 && cu.c.Cancelled() {
+		cu.done = true
+		return false
+	}
+	cu.pending = cu.pending[:0]
 	for {
-		chunk, err := br.ReadSlice('\n')
-		if len(chunk) > 0 {
-			if chunk[len(chunk)-1] == '\n' {
-				line := chunk[:len(chunk)-1]
-				if len(pending) > 0 {
-					// A newline-terminated continuation is subject to the
-					// same limit as an unterminated one.
-					if len(pending)+len(line) > maxLine {
-						return errLineTooLong
-					}
-					pending = append(pending, line...)
-					line = pending
-				}
-				if e := fn(line); e != nil {
-					if e == io.EOF {
-						return nil
-					}
-					return e
-				}
-				pending = pending[:0]
-			} else {
-				if len(pending)+len(chunk) > maxLine {
-					return errLineTooLong
-				}
-				pending = append(pending, chunk...)
-			}
+		chunk, err := cu.br.ReadSlice('\n')
+		n := len(cu.pending) + len(chunk)
+		if err == nil {
+			n-- // the newline is not part of the line
+		}
+		if n > maxLine {
+			return cu.fail(errLineTooLong)
 		}
 		switch err {
 		case nil:
-		case bufio.ErrBufferFull:
-		case io.EOF:
-			if len(pending) > 0 {
-				if e := fn(pending); e != nil && e != io.EOF {
-					return e
-				}
+			cu.line = chunk[:len(chunk)-1]
+			if len(cu.pending) > 0 {
+				cu.pending = append(cu.pending, cu.line...)
+				cu.line = cu.pending
 			}
-			return nil
+			return true
+		case bufio.ErrBufferFull:
+			cu.pending = append(cu.pending, chunk...)
+		case io.EOF:
+			cu.pending = append(cu.pending, chunk...)
+			cu.done = true
+			cu.line = cu.pending
+			return len(cu.line) > 0
 		default:
-			return err
+			return cu.fail(err)
 		}
 	}
+}
+
+// fail ends the stream with err, escalating a line-limit violation.
+func (cu *lineCursor) fail(err error) bool {
+	cu.err, cu.done = err, true
+	cu.c.escalate(err)
+	return false
+}
+
+// forEachLine calls fn for every line of r, without the trailing newline,
+// through one cursor. fn returning io.EOF stops iteration early without
+// error (used by head and sed's q). Lines are only valid for the duration
+// of the callback.
+func (c *Context) forEachLine(r io.Reader, fn func(line []byte) error) error {
+	cu := c.cursor(r)
+	defer cu.close()
+	for cu.next() {
+		if e := fn(cu.line); e != nil {
+			if e == io.EOF {
+				return nil
+			}
+			return e
+		}
+	}
+	return cu.err
 }
 
 var errLineTooLong = errLine("line too long")
@@ -99,14 +129,9 @@ type errLine string
 
 func (e errLine) Error() string { return string(e) }
 
-// readLines slurps all lines of r.
-func readLines(r io.Reader) ([]string, error) {
-	var lines []string
-	err := forEachLine(r, func(line []byte) error {
-		lines = append(lines, string(line))
-		return nil
-	})
-	return lines, err
+// writerPool recycles the one-block bufio.Writer each lineWriter needs.
+var writerPool = sync.Pool{
+	New: func() any { return bufio.NewWriterSize(io.Discard, pipe.BlockSize) },
 }
 
 // lineWriter buffers writes of whole lines for throughput. The bufio

@@ -2,6 +2,7 @@ package coreutils
 
 import (
 	"fmt"
+	"io"
 	"regexp"
 	"strconv"
 	"strings"
@@ -15,20 +16,24 @@ func init() {
 }
 
 // sedCmd implements the core of sed(1): the s/// substitution (with g, p,
-// and number flags), d (delete), p (print), and q (quit) commands, with
-// optional line-number or /regex/ addresses, and the -n (no auto-print)
-// and -e (add script) options. This subset covers the overwhelming
-// majority of sed usage in shell pipelines; the full POSIX command set
-// (hold space, branching) is out of scope and documented in DESIGN.md.
+// and number flags), y (transliterate), d (delete), p (print), and q
+// (quit) commands, with optional line-number, $ or /regex/ addresses, and
+// the -n (no auto-print) and -e (add script) options. This subset covers
+// the overwhelming majority of sed usage in shell pipelines; the full
+// POSIX command set (hold space, branching) is out of scope and
+// documented in DESIGN.md.
+//
+// sed streams: it holds one line of lookahead, so a line runs through the
+// script once the next read has found another line or hit EOF, which is
+// what $ means. It stops reading at q, or once its reader is gone.
 func sedCmd(c *Context, args []string) int {
 	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "sed: %v", err)
 	}
-	autoPrint := !cl.Has('n')
 	var cmds []sedCommand
 	for _, script := range cl.Scripts() {
-		for _, part := range splitSedScript(script) {
+		for _, part := range spec.SplitSedScript(script) {
 			cmd, err := parseSedCommand(part)
 			if err != nil {
 				return c.Errorf(2, "sed: %v", err)
@@ -40,59 +45,74 @@ func sedCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	// $-addresses need to know the last line, so hold one line of delay.
-	lines, rerr := c.readLines(concatReaders(rs))
-	if rerr != nil {
-		return c.Errorf(2, "sed: %v", rerr)
-	}
 	lw := newLineWriter(c.Stdout)
 	defer lw.Release()
-	quit := false
-	for lineNo, text := range lines {
-		isLast := lineNo == len(lines)-1
-		deleted := false
-		for _, cmd := range cmds {
-			if !cmd.addrMatch(lineNo+1, text, isLast) {
-				continue
-			}
-			switch cmd.kind {
-			case 's':
-				text = cmd.substitute(text, lw)
-			case 'y':
-				text = cmd.transliterate(text)
-			case 'd':
-				deleted = true
-			case 'p':
-				lw.WriteLine([]byte(text))
-			case 'q':
-				quit = true
-			}
-			if deleted {
-				break
-			}
+	s := sedState{cmds: cmds, autoPrint: !cl.Has('n'), lw: lw}
+	held, stopped := false, false
+	err = c.forEachLine(concatReaders(rs), func(line []byte) error {
+		if held && s.cycle(false) {
+			stopped = true
+			return io.EOF
 		}
-		if !deleted && autoPrint {
-			lw.WriteLine([]byte(text))
-		}
-		if quit {
-			break
-		}
+		s.ps = append(s.ps[:0], line...)
+		held = true
+		return nil
+	})
+	if err != nil {
+		return c.Errorf(2, "sed: %v", err)
+	}
+	if held && !stopped && !c.Cancelled() {
+		s.cycle(true)
 	}
 	lw.Flush()
 	return 0
 }
 
-// splitSedScript splits a script on semicolons and newlines, respecting
-// nothing fancier (bracket groups are unsupported in this subset).
-func splitSedScript(script string) []string {
-	var parts []string
-	for _, chunk := range strings.FieldsFunc(script, func(r rune) bool { return r == ';' || r == '\n' }) {
-		chunk = strings.TrimSpace(chunk)
-		if chunk != "" {
-			parts = append(parts, chunk)
+// sedState is one run of a script: the pattern space, and the buffer the
+// next s or y writes into; the two swap, so a run reuses both.
+type sedState struct {
+	cmds      []sedCommand
+	autoPrint bool
+	lw        *lineWriter
+	lineNo    int
+	ps, out   []byte
+}
+
+// cycle runs the script over the pattern space, which holds the next
+// input line; last says no line follows it. It reports whether sed should
+// stop reading: at q, or once a write has failed.
+func (s *sedState) cycle(last bool) bool {
+	s.lineNo++
+	for i := range s.cmds {
+		cmd := &s.cmds[i]
+		if !cmd.addrMatch(s.lineNo, s.ps, last) {
+			continue
+		}
+		switch cmd.kind {
+		case 's':
+			if out, ok := cmd.substitute(s.out[:0], s.ps); ok {
+				s.ps, s.out = out, s.ps
+				if cmd.printSub {
+					s.lw.WriteLine(s.ps)
+				}
+			}
+		case 'y':
+			s.ps, s.out = cmd.transliterate(s.out[:0], s.ps), s.ps
+		case 'd':
+			return !s.lw.ok
+		case 'p':
+			s.lw.WriteLine(s.ps)
+		case 'q':
+			if s.autoPrint {
+				s.lw.WriteLine(s.ps)
+			}
+			return true
 		}
 	}
-	return parts
+	if s.autoPrint {
+		s.lw.WriteLine(s.ps)
+	}
+	return !s.lw.ok
 }
 
 type sedCommand struct {
@@ -105,15 +125,16 @@ type sedCommand struct {
 	global   bool
 	printSub bool
 	nth      int
-	yMap     map[rune]rune
+	yASCII   [utf8.RuneSelf]rune // y's image of each ASCII character
+	yMap     map[rune]rune       // y's mapping of the other characters
 }
 
-func (sc *sedCommand) addrMatch(lineNo int, text string, isLast bool) bool {
+func (sc *sedCommand) addrMatch(lineNo int, text []byte, isLast bool) bool {
 	if sc.addrLine > 0 {
 		return lineNo == sc.addrLine
 	}
 	if sc.addrRe != nil {
-		return sc.addrRe.MatchString(text)
+		return sc.addrRe.Match(text)
 	}
 	if sc.addrLast {
 		return isLast
@@ -121,29 +142,27 @@ func (sc *sedCommand) addrMatch(lineNo int, text string, isLast bool) bool {
 	return true
 }
 
-// transliterate applies a y/from/to/ mapping per character, not per byte:
-// POSIX defines the sets in characters, so multibyte UTF-8 text maps
-// whole runes (y/ä/ö/ must not splice the bytes of ä). Bytes that are
-// not valid UTF-8 pass through unchanged rather than being rewritten as
-// replacement characters.
-func (sc *sedCommand) transliterate(text string) string {
-	var b strings.Builder
-	b.Grow(len(text))
+// transliterate appends text with a y/from/to/ mapping applied to dst, per
+// character, not per byte: POSIX defines the sets in characters, so
+// multibyte UTF-8 text maps whole runes (y/ä/ö/ must not splice the bytes
+// of ä). Bytes that are not valid UTF-8 pass through unchanged rather than
+// being rewritten as replacement characters.
+func (sc *sedCommand) transliterate(dst, text []byte) []byte {
 	for i := 0; i < len(text); {
-		r, size := utf8.DecodeRuneInString(text[i:])
-		if r == utf8.RuneError && size == 1 {
-			b.WriteByte(text[i])
+		if b := text[i]; b < utf8.RuneSelf {
+			dst = utf8.AppendRune(dst, sc.yASCII[b])
 			i++
 			continue
 		}
-		if to, ok := sc.yMap[r]; ok {
-			b.WriteRune(to)
+		r, size := utf8.DecodeRune(text[i:])
+		if to, ok := sc.yMap[r]; ok && (r != utf8.RuneError || size > 1) {
+			dst = utf8.AppendRune(dst, to)
 		} else {
-			b.WriteString(text[i : i+size])
+			dst = append(dst, text[i:i+size]...)
 		}
 		i += size
 	}
-	return b.String()
+	return dst
 }
 
 // unescapeSed removes backslash escapes in y-command sets.
@@ -166,57 +185,54 @@ func unescapeSed(s string) string {
 	return b.String()
 }
 
-// substitute applies s///; lw is used for the p flag.
-func (sc *sedCommand) substitute(text string, lw *lineWriter) string {
-	count := 0
-	changed := false
-	out := sc.re.ReplaceAllStringFunc(text, func(m string) string {
-		count++
-		if !sc.global && sc.nth == 0 && count > 1 {
-			return m
-		}
-		if sc.nth > 0 && count != sc.nth {
-			return m
-		}
-		changed = true
-		return expandSedRepl(sc.re, sc.repl, m)
-	})
-	if changed && sc.printSub {
-		lw.WriteLine([]byte(out))
+// substitute appends text with s/// applied to dst, and reports whether it
+// replaced anything. The matches come from one pass over the line: the
+// first, the nth, or with g every one from the nth (default first) on.
+// & and \N expand from each match's own indices on the line.
+func (sc *sedCommand) substitute(dst, text []byte) ([]byte, bool) {
+	skip, n := max(sc.nth, 1)-1, max(sc.nth, 1)
+	if sc.global {
+		n = -1
 	}
-	return out
+	ms := sc.re.FindAllSubmatchIndex(text, n)
+	if len(ms) <= skip {
+		return dst, false
+	}
+	last := 0
+	for _, m := range ms[skip:] {
+		dst = append(dst, text[last:m[0]]...)
+		dst = sc.expand(dst, text, m)
+		last = m[1]
+	}
+	return append(dst, text[last:]...), true
 }
 
-// expandSedRepl rewrites & and \N references in the replacement.
-func expandSedRepl(re *regexp.Regexp, repl, match string) string {
-	groups := re.FindStringSubmatch(match)
-	var b strings.Builder
+// expand appends the replacement for match m of text to dst: & is the
+// match, \N its Nth group (empty when the group took no part), \n a
+// newline, and any other escaped character itself.
+func (sc *sedCommand) expand(dst, text []byte, m []int) []byte {
+	repl := sc.repl
 	for i := 0; i < len(repl); i++ {
-		switch repl[i] {
-		case '&':
-			b.WriteString(match)
-		case '\\':
-			if i+1 < len(repl) {
-				i++
-				ch := repl[i]
-				if ch >= '1' && ch <= '9' {
-					idx := int(ch - '0')
-					if idx < len(groups) {
-						b.WriteString(groups[idx])
-					}
-				} else if ch == '&' || ch == '\\' {
-					b.WriteByte(ch)
-				} else if ch == 'n' {
-					b.WriteByte('\n')
-				} else {
-					b.WriteByte(ch)
+		switch ch := repl[i]; {
+		case ch == '&':
+			dst = append(dst, text[m[0]:m[1]]...)
+		case ch == '\\' && i+1 < len(repl):
+			i++
+			switch ch = repl[i]; {
+			case ch >= '1' && ch <= '9':
+				if g := 2 * int(ch-'0'); m[g] >= 0 {
+					dst = append(dst, text[m[g]:m[g+1]]...)
 				}
+			case ch == 'n':
+				dst = append(dst, '\n')
+			default:
+				dst = append(dst, ch)
 			}
 		default:
-			b.WriteByte(repl[i])
+			dst = append(dst, ch)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 func parseSedCommand(src string) (sedCommand, error) {
@@ -282,9 +298,14 @@ func parseSedCommand(src string) (sedCommand, error) {
 		if len(fromRunes) != len(toRunes) {
 			return cmd, fmt.Errorf("y: transliteration sets differ in length")
 		}
-		cmd.yMap = make(map[rune]rune, len(fromRunes))
-		for i, r := range fromRunes {
-			if _, dup := cmd.yMap[r]; !dup {
+		for r := range cmd.yASCII {
+			cmd.yASCII[r] = rune(r)
+		}
+		cmd.yMap = make(map[rune]rune)
+		for i, r := range fromRunes { // as in GNU sed, a repeated character's last mapping wins
+			if r < utf8.RuneSelf {
+				cmd.yASCII[r] = toRunes[i]
+			} else {
 				cmd.yMap[r] = toRunes[i]
 			}
 		}
@@ -316,14 +337,23 @@ func parseSedCommand(src string) (sedCommand, error) {
 			return cmd, fmt.Errorf("unterminated replacement in %q", src)
 		}
 		cmd.repl = rest[:end2]
-		for _, f := range rest[end2+1:] {
-			switch {
+		flags := rest[end2+1:]
+		for i := 0; i < len(flags); i++ {
+			switch f := flags[i]; {
 			case f == 'g':
 				cmd.global = true
 			case f == 'p':
 				cmd.printSub = true
-			case f >= '1' && f <= '9':
-				cmd.nth = int(f - '0')
+			case f >= '1' && f <= '9' && cmd.nth == 0:
+				j := i + 1
+				for j < len(flags) && flags[j] >= '0' && flags[j] <= '9' {
+					j++
+				}
+				n, err := strconv.Atoi(flags[i:j])
+				if err != nil {
+					return cmd, fmt.Errorf("invalid s flag %q in %q", flags[i:j], src)
+				}
+				cmd.nth, i = n, j-1
 			default:
 				return cmd, fmt.Errorf("unknown s flag %q", string(f))
 			}
@@ -331,6 +361,16 @@ func parseSedCommand(src string) (sedCommand, error) {
 		re, err := regexp.Compile(translateBRE(pat))
 		if err != nil {
 			return cmd, fmt.Errorf("bad pattern %q: %v", pat, err)
+		}
+		// A reference to a group the pattern lacks is an error, as in GNU
+		// sed, not an empty expansion.
+		for i := 0; i+1 < len(cmd.repl); i++ {
+			if cmd.repl[i] != '\\' {
+				continue
+			}
+			if i++; cmd.repl[i] >= '1' && cmd.repl[i] <= '9' && int(cmd.repl[i]-'0') > re.NumSubexp() {
+				return cmd, fmt.Errorf("invalid reference \\%c on s command's RHS in %q", cmd.repl[i], src)
+			}
 		}
 		cmd.re = re
 		return cmd, nil

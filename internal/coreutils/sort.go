@@ -1,7 +1,6 @@
 package coreutils
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"io"
@@ -330,76 +329,64 @@ func checkSorted(c *Context, r io.Reader, cfg *sortConfig) int {
 	return 0
 }
 
-// lineCursor pulls one decorated line at a time from a stream, for the
-// k-way merge. Holding a single line per input is what keeps `sort -m`
-// memory bounded by the number of inputs, not their size. cur points
-// into the scanner's buffer and is valid until the next advance.
-type lineCursor struct {
-	s    *bufio.Scanner
-	cur  sortLine
-	done bool
-	err  error
-}
-
-func (cu *lineCursor) advance(cfg *sortConfig) {
-	if cu.s.Scan() {
-		cu.cur = cfg.decorate(cu.s.Bytes(), 0)
-		return
-	}
-	cu.done = true
-	cu.err = cu.s.Err()
-}
-
-// mergeSorted merges pre-sorted line streams incrementally, honouring -u.
-// Ties go to the lowest-index input: under the last resort tied lines are
+// mergeSorted merges pre-sorted line streams incrementally, honouring -u,
+// holding one decorated line per input: what keeps `sort -m` memory
+// bounded by the number of inputs, not their size. Ties go to the
+// lowest-index input: under the last resort tied lines are
 // byte-identical, and under -u the lowest input holds the earliest line
 // of the key, so over consecutive chunks of the input the merge of their
 // sorts reproduces the whole sort exactly — the property the executor's
-// order-aware merge relies on for byte-identical parallel runs.
+// order-aware merge relies on for byte-identical parallel runs. Each
+// cursor polls for a torn-down plan; runSort then commits nothing.
 func mergeSorted(c *Context, rs []io.Reader, cfg *sortConfig, lw *lineWriter) int {
-	cursors := make([]lineCursor, len(rs))
+	cursors := make([]*lineCursor, len(rs))
+	heads := make([]sortLine, len(rs))
+	live := make([]int, len(rs)) // inputs with a current line, in input order
 	for i, r := range rs {
-		cu := &cursors[i]
-		cu.s = bufio.NewScanner(r)
-		cu.s.Buffer(make([]byte, pipe.BlockSize), maxLine)
-		cu.advance(cfg)
+		cursors[i] = c.cursor(r)
+		defer cursors[i].close()
+		live[i] = i
+	}
+	var readErr error
+	// advance moves live[k] to its next line, or drops it at its end.
+	advance := func(k int) {
+		cu := cursors[live[k]]
+		if cu.next() {
+			heads[live[k]] = cfg.decorate(cu.line, 0)
+			return
+		}
+		if readErr == nil {
+			readErr = cu.err
+		}
+		live = slices.Delete(live, k, k+1)
+	}
+	for k := len(live) - 1; k >= 0; k-- {
+		advance(k)
 	}
 	var prevBuf []byte
 	var prev sortLine
 	first := true
-	polled := 0
-	for {
-		// The k-way merge pulls one line per iteration and can run far
-		// from any pipe operation on buffered lanes; poll periodically.
-		polled++
-		if polled%cancelPollLines == 0 && c.Cancelled() {
-			return 0
-		}
-		var best *lineCursor
-		for i := range cursors {
-			cu := &cursors[i]
-			if cu.done {
-				if cu.err != nil {
-					return c.Errorf(2, "sort: %v", cu.err)
-				}
-				continue
-			}
-			if best == nil || cfg.compare(&cu.cur, &best.cur) < 0 {
-				best = cu
+	for len(live) > 0 && readErr == nil {
+		best := 0
+		for k := 1; k < len(live); k++ {
+			if cfg.compare(&heads[live[k]], &heads[live[best]]) < 0 {
+				best = k
 			}
 		}
-		if best == nil {
-			return 0
-		}
+		h := &heads[live[best]]
 		if !cfg.unique {
-			lw.WriteLine(best.cur.line)
-		} else if first || cfg.compare(&prev, &best.cur) != 0 {
-			lw.WriteLine(best.cur.line)
-			prevBuf = append(prevBuf[:0], best.cur.line...)
+			lw.WriteLine(h.line)
+		} else if first || cfg.compare(&prev, h) != 0 {
+			lw.WriteLine(h.line)
+			prevBuf = append(prevBuf[:0], h.line...)
 			prev, first = cfg.decorate(prevBuf, 0), false
 		}
-		best.advance(cfg)
+		advance(best)
 	}
+	if readErr != nil {
+		return c.Errorf(2, "sort: %v", readErr)
+	}
+	return 0
 }
 
 // MergeSortedStreams is the executor's entry point for the order-aware

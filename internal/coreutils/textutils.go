@@ -466,30 +466,46 @@ func pasteCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	var columns [][]string
-	for _, r := range rs {
-		lines, e := c.readLines(r)
-		if e != nil {
-			return c.Errorf(1, "paste: %v", e)
+	// Operands that name standard input share one cursor, so that each -
+	// takes the next line of it.
+	cursors := make([]*lineCursor, len(rs))
+	var stdin *lineCursor
+	for i, r := range rs {
+		if len(cl.Operands) == 0 || cl.Operands[i] == "-" {
+			if stdin == nil {
+				stdin = c.cursor(r)
+				defer stdin.close()
+			}
+			cursors[i] = stdin
+			continue
 		}
-		columns = append(columns, lines)
-	}
-	maxLen := 0
-	for _, col := range columns {
-		if len(col) > maxLen {
-			maxLen = len(col)
-		}
+		cursors[i] = c.cursor(r)
+		defer cursors[i].close()
 	}
 	lw := newLineWriter(c.Stdout)
 	defer lw.Release()
-	for i := 0; i < maxLen; i++ {
-		parts := make([]string, len(columns))
-		for j, col := range columns {
-			if i < len(col) {
-				parts[j] = col[i]
+	var row []byte
+	for lw.ok {
+		row = row[:0]
+		more := false
+		for i, cu := range cursors {
+			if i > 0 {
+				row = append(row, delim...)
+			}
+			if cu.next() {
+				row = append(row, cu.line...)
+				more = true
 			}
 		}
-		lw.WriteLine([]byte(strings.Join(parts, delim)))
+		if !more {
+			break
+		}
+		lw.WriteLine(row)
+	}
+	for _, cu := range cursors {
+		if cu.err != nil {
+			return c.Errorf(1, "paste: %v", cu.err)
+		}
 	}
 	lw.Flush()
 	return 0

@@ -1,6 +1,7 @@
 package coreutils
 
 import (
+	"bytes"
 	"strings"
 
 	"jash/internal/spec"
@@ -23,14 +24,25 @@ func tacCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	lines, e := c.readLines(concatReaders(rs))
+	arenas, _, e := readArenas(c, rs)
 	if e != nil {
 		return c.Errorf(1, "tac: %v", e)
 	}
+	if c.Cancelled() {
+		return 1
+	}
 	lw := newLineWriter(c.Stdout)
 	defer lw.Release()
-	for i := len(lines) - 1; i >= 0; i-- {
-		lw.WriteLine([]byte(lines[i]))
+	for i := len(arenas) - 1; i >= 0; i-- {
+		a := arenas[i][:len(arenas[i])-1] // every arena line ends in a newline
+		for {
+			j := bytes.LastIndexByte(a, '\n')
+			lw.WriteLine(a[j+1:])
+			if j < 0 {
+				break
+			}
+			a = a[:j]
+		}
 	}
 	lw.Flush()
 	return 0

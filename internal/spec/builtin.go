@@ -274,14 +274,11 @@ func refineSort(e *Effective) {
 }
 
 // refineSed demotes scripts with line-number or last-line addresses (2d,
-// $p) and q: those depend on global positions.
+// $p) and q: those depend on global positions. It reads the commands the
+// utility runs, split by the utility's own SplitSedScript.
 func refineSed(e *Effective) {
 	for _, script := range e.Parsed.Scripts() {
-		for _, cmd := range strings.Split(script, ";") {
-			cmd = strings.TrimSpace(cmd)
-			if cmd == "" {
-				continue
-			}
+		for _, cmd := range SplitSedScript(script) {
 			if cmd[0] >= '0' && cmd[0] <= '9' || cmd[0] == '$' ||
 				strings.Contains(cmd, "q") && !strings.HasPrefix(cmd, "s") {
 				demote(e)
@@ -289,6 +286,20 @@ func refineSed(e *Effective) {
 			}
 		}
 	}
+}
+
+// SplitSedScript splits a sed script into its commands, on semicolons and
+// newlines, respecting nothing fancier (bracket groups are unsupported in
+// the subset). It is the one split: sed runs the commands it returns, and
+// refineSed classifies them.
+func SplitSedScript(script string) []string {
+	var parts []string
+	for _, chunk := range strings.FieldsFunc(script, func(r rune) bool { return r == ';' || r == '\n' }) {
+		if chunk = strings.TrimSpace(chunk); chunk != "" {
+			parts = append(parts, chunk)
+		}
+	}
+	return parts
 }
 
 // refineAwk demotes programs that use cross-line state: NR, BEGIN/END
