@@ -289,3 +289,60 @@ func BenchmarkLint(b *testing.B) {
 		Lint(src)
 	}
 }
+
+// offerLoop runs 200 iterations of statements the JIT declines by shape:
+// an arithmetic assignment, a test, a function call and an echo of its
+// result. Bash mode makes no offer; jash mode offers each once.
+const offerLoop = `classify() {
+	case "$1" in
+	*0) k=tens ;;
+	*) k=other ;;
+	esac
+}
+i=0
+while [ "$i" -lt 200 ]; do
+	i=$((i+1))
+	classify "$i"
+	echo "$k"
+done >/dev/null
+`
+
+// BenchmarkJITOffer measures what the JIT costs over the plain
+// interpreter, per run of a script including its parse: a loop of offers
+// it declines, and each of the three pipelines of the benchmark's
+// script_mix workload that it accepts, over one 200-line access log. The
+// bash/jash pair of each is the JIT's floor for that statement.
+func BenchmarkJITOffer(b *testing.B) {
+	fs := vfs.New()
+	fs.WriteFile("/log", workload.AccessLog(11, 200))
+	fs.MkdirAll("/out")
+	for _, c := range []struct {
+		name, src string
+		optimized int
+	}{
+		{"declined-loop", offerLoop, 0},
+		{"clients", "grep ' 200 ' /log | cut -d ' ' -f 1 | sort -u | wc -l >/out/clients\n", 1},
+		{"status", "cut -d ' ' -f 8 /log | sort | uniq -c >/out/status\n", 1},
+		{"count404", "n=$(grep -c ' 404 ' /log)\n", 1},
+	} {
+		for _, mode := range []core.Mode{core.ModeBash, core.ModeJash} {
+			b.Run(c.name+"/"+mode.String(), func(b *testing.B) {
+				sh := core.New(fs, cost.Laptop(), mode)
+				want := 0
+				if mode == core.ModeJash {
+					want = c.optimized
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sh.Stats = core.Stats{}
+					if st, err := sh.Exec(c.src); err != nil || st != 0 {
+						b.Fatalf("st=%d err=%v", st, err)
+					}
+					if sh.Stats.Optimized != want {
+						b.Fatalf("optimized %d pipelines, want %d", sh.Stats.Optimized, want)
+					}
+				}
+			})
+		}
+	}
+}

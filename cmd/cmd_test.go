@@ -352,6 +352,21 @@ func TestJashexplainHazardPreflight(t *testing.T) {
 	}
 }
 
+// TestJashexplainAgreesWithTheJIT: what the shell never compiles, explain
+// does not call clean. A first stage without < whose command takes no file
+// operands reads the terminal, and the region former refuses it by shape.
+func TestJashexplainAgreesWithTheJIT(t *testing.T) {
+	for _, src := range []string{"tr a-z A-Z", "seq 1 100 | sort -n"} {
+		out, _, code := runBin(t, "jashexplain", "", src)
+		if code != 0 {
+			t.Fatalf("%s: code=%d", src, code)
+		}
+		if want := "hazard preflight: not a region, the JIT interprets it — pipeline is not a dataflow region: the first stage has no < and its command takes no file operands, so it reads the terminal"; !strings.Contains(out, want) || strings.Contains(out, "clean") {
+			t.Errorf("%s: want the refusal, not a clean verdict:\n%s", src, out)
+		}
+	}
+}
+
 func TestJashStatsHazardReject(t *testing.T) {
 	_, out := traceRun(t, "-words", "/d/f=100000",
 		"-c", "grep -c a /d/f | sort -rn >>/d/f")

@@ -138,20 +138,27 @@ func run() int {
 		// runs concurrently, and GraphHazards refuses a graph whose nodes
 		// conflict on a file. Ahead of time there is no shell state, so a
 		// word that needs it is refused with the former's reason; the JIT
-		// decides such a statement once the word is expanded.
-		if g, err := dfg.FromStmt(st, lib, nil, true); err != nil {
-			if simple >= 2 {
-				fmt.Printf("hazard preflight: not decided ahead of time — %v\n", err)
+		// decides such a statement once the word is expanded. Any other
+		// refusal is the JIT's too.
+		g, err := dfg.FromStmt(st, lib, nil, true)
+		switch {
+		case err != nil && dfg.NeedsShellState(err):
+			fmt.Printf("hazard preflight: not decided ahead of time — %v\n", err)
+		case err != nil:
+			if simple >= 1 {
+				fmt.Printf("hazard preflight: not a region, the JIT interprets it — %v\n", err)
 			}
-		} else if hz := analysis.GraphHazards(g, lib, "/"); len(hz) > 0 {
-			fmt.Println("hazard preflight: REJECT — the JIT will not compile this pipeline:")
-			for _, h := range hz {
-				fmt.Printf("  %s\n", h)
+		default:
+			if hz := analysis.GraphHazards(g, lib, "/"); len(hz) > 0 {
+				fmt.Println("hazard preflight: REJECT — the JIT will not compile this pipeline:")
+				for _, h := range hz {
+					fmt.Printf("  %s\n", h)
+				}
+			} else {
+				fmt.Println("hazard preflight: clean — its dataflow nodes touch no conflicting files")
 			}
-		} else {
-			fmt.Println("hazard preflight: clean — its dataflow nodes touch no conflicting files")
 		}
-		if simple >= 1 {
+		if simple >= 1 && (err == nil || dfg.NeedsShellState(err)) {
 			fmt.Printf("self-healing: a failed plan falls back to the interpreter, journaled past any\n")
 			fmt.Printf("  committed output; a region failing %d times is quarantined (interpreted) with\n",
 				cost.BreakerThreshold)

@@ -174,7 +174,11 @@ type Stats struct {
 	// nothing).
 	VirtualSeconds float64
 	Optimized      int
-	Interpreted    int
+	// Interpreted counts the offers the JIT declined or ran interpreted
+	// (hazard-reject, quarantine), not the pipelines the interpreter ran:
+	// a pipeline declined by shape (dfg.ErrShape) is offered once and then
+	// never again, however often it runs.
+	Interpreted int
 	// Fallbacks counts optimized plans that failed and were transparently
 	// re-run through the interpreter — the paper's no-regression rule
 	// extended to faults. A plan that died before its first output byte
@@ -484,15 +488,26 @@ func (s *Shell) settle(sp *trace.Span, d Decision) {
 // possibly a subshell or command-substitution clone — whose state and
 // streams this decision must use. It is a straight line — region,
 // preflight, plan, run — that fills in one Decision; wherever it returns,
-// that record is settled once.
+// that record is settled once. A shape refusal (dfg.ErrShape) depends on
+// nothing but the statement, s.Lib and s.Mode, none of which a session
+// changes, so it is declined for good (interp.Refused) and the statement
+// is never offered again.
 func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
+	// The clock is read for the trace's sake only: an untraced offer costs
+	// the region question and nothing else.
+	var start time.Time
+	if s.Tracer != nil {
+		start = time.Now()
+	}
 	// PaSh is ahead-of-time: it sees the script text, not the shell state,
 	// so any word that needs expansion hides the dataflow from it (§3.2:
 	// "neither PaSh nor POSH optimize this script"). Jash expands first.
-	start := time.Now()
-	graph, facts, text, ok := s.analyze(in, st, s.Mode == ModePaSh)
-	if !ok {
+	graph, facts, text, err := s.analyze(in, st, s.Mode == ModePaSh)
+	if err != nil {
 		s.settle(nil, Decision{})
+		if errors.Is(err, dfg.ErrShape) {
+			return interp.Refused, false
+		}
 		return 0, false
 	}
 	// Only a region analyze accepts gets a span, backdated to the offer so
@@ -538,7 +553,6 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	psp := root.Child("plan")
 	var chosen *dfg.Graph
 	var dec rewrite.Decision
-	var err error
 	switch s.Mode {
 	case ModePaSh:
 		chosen, dec, err = rewrite.PaShPlan(graph, profile.Cores)
@@ -624,9 +638,9 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 	if d.sinkBytes == 0 {
 		// Fallback-before-first-byte: if the failed plan emitted nothing,
 		// the interpreter can re-run the pipeline from pristine state —
-		// the paper's no-regression rule extended to faults. Analyze
-		// already guaranteed every source is a regular file (never live
-		// stdin), so the re-run reads the same inputs.
+		// the paper's no-regression rule extended to faults. The region
+		// former already guaranteed every source is a file that exists
+		// (never live stdin), so the re-run reads the same inputs.
 		d.Reason = fmt.Sprintf("plan failed before first output byte (%v); re-run via interpreter", runErr)
 		return 0, false
 	}
@@ -735,23 +749,17 @@ func stripStdoutRedir(st *syntax.Stmt) *syntax.Stmt {
 }
 
 // analyze asks the region former (dfg.FromStmt, expanding through the
-// invoking interpreter's EarlyExpander) whether the statement is a dataflow
-// region, then adds what only the running shell knows: every source is a
-// file that exists, and how big it is and where it lives. aheadOfTime models
-// an AOT optimizer, which has no shell state to expand with. The text is
-// printed only for a region it accepts.
-func (s *Shell) analyze(in *interp.Interp, st *syntax.Stmt, aheadOfTime bool) (*dfg.Graph, cost.Inputs, string, bool) {
+// invoking interpreter's EarlyExpander, which also checks that every source
+// is a file that exists) whether the statement is a dataflow region, then
+// adds what only the running shell knows: how big each source is and where
+// it lives. aheadOfTime models an AOT optimizer, which has no shell state
+// to expand with. The text is printed only for a region it accepts.
+func (s *Shell) analyze(in *interp.Interp, st *syntax.Stmt, aheadOfTime bool) (*dfg.Graph, cost.Inputs, string, error) {
 	graph, err := dfg.FromStmt(st, s.Lib, in.EarlyExpander(), aheadOfTime)
 	if err != nil {
-		return nil, cost.Inputs{}, "", false
+		return nil, cost.Inputs{}, "", err
 	}
-	// A terminal-stdin source has unknown volume, so fall back.
 	dir := in.Dir
-	for _, src := range graph.Sources() {
-		if src.Path == "" || !s.FS.Exists(analysis.NormalizePath(dir, src.Path)) {
-			return nil, cost.Inputs{}, "", false
-		}
-	}
 	facts := cost.Inputs{
 		Size: func(p string) int64 {
 			fi, err := s.FS.Stat(analysis.NormalizePath(dir, p))
@@ -764,7 +772,7 @@ func (s *Shell) analyze(in *interp.Interp, st *syntax.Stmt, aheadOfTime bool) (*
 			return s.FS.DeviceFor(analysis.NormalizePath(dir, p))
 		},
 	}
-	return graph, facts, syntax.PrintStmts([]*syntax.Stmt{st}), true
+	return graph, facts, syntax.PrintStmts([]*syntax.Stmt{st}), nil
 }
 
 func totalInput(g *dfg.Graph, in cost.Inputs) int64 {

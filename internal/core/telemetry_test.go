@@ -421,8 +421,8 @@ func TestSettlingADeclinedOfferAllocatesNothing(t *testing.T) {
 		t.Fatalf("settling a declined offer allocates: %v allocs/op", n)
 	}
 	// Nor may the offer itself, when the region former rules it out by
-	// shape: no printed statement, no expander.
-	for _, src := range []string{"i=$((i+1))", `[ "$i" -lt 100 ]`, `report "$f" $n`} {
+	// shape: no printed statement, no expander, no graph.
+	for _, src := range []string{"i=$((i+1))", `[ "$i" -lt 100 ]`, `report "$f" $n`, `echo "$kind"`} {
 		script, err := syntax.Parse(src)
 		if err != nil {
 			t.Fatal(err)

@@ -405,11 +405,16 @@ func parseCutList(spec, what string) ([]cutRange, error) {
 }
 
 // cutCmd selects character positions (-c LIST) or fields (-f LIST with -d
-// delimiter, default tab) from each line.
+// delimiter, default tab) from each line; -s drops the lines that have no
+// delimiter, which -f otherwise passes through whole.
 func cutCmd(c *Context, args []string) int {
 	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "cut: %v", err)
+	}
+	onlyDelimited := cl.Has('s')
+	if _, byField := cl.Value('f'); onlyDelimited && !byField {
+		return c.Errorf(1, "cut: suppressing non-delimited lines makes sense only when operating on fields")
 	}
 	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
@@ -463,7 +468,9 @@ func cutCmd(c *Context, args []string) int {
 		e := c.forEachLine(concatReaders(rs), func(line []byte) error {
 			if bytes.IndexByte(line, delim) < 0 {
 				// Lines without the delimiter pass through unchanged.
-				lw.WriteLine(line)
+				if !onlyDelimited {
+					lw.WriteLine(line)
+				}
 				return nil
 			}
 			bounds = bounds[:0]

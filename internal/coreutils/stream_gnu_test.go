@@ -251,3 +251,31 @@ func TestMergeUtilsMatchGNU(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagsMatchGNU holds the rows that let a grammar list a letter its
+// utility treats as a no-op (cat -u; grep -E, whose RE2 syntax is the
+// default), and cut -s: each agrees with the host's GNU tool, on stdin and
+// on a file operand.
+func TestFlagsMatchGNU(t *testing.T) {
+	const in = "a,b\nplain\nab+ ab\n\nx,y,z\naab\n"
+	for _, args := range [][]string{
+		{"cat", "-u"}, {"cat", "-un"},
+		{"grep", "-E", "a|z"}, {"grep", "-E", "ab+"}, {"grep", "-Ec", "a(,|b)"}, {"grep", "-vE", "^(a|x)"},
+		{"cut", "-s", "-d", ",", "-f", "2"}, {"cut", "-sd,", "-f1"}, {"cut", "-d", ",", "-f", "1,3"},
+	} {
+		tool := "/usr/bin/" + args[0]
+		needsTool(t, tool)
+		want := gnuOutput(t, tool, in, false, args[1:]...)
+		fs := newFS(t, map[string]string{"/in": in})
+		for _, argv := range [][]string{args, append(slices.Clone(args), "/in")} {
+			got, errs, st := run(t, fs, in, argv...)
+			if st != 0 && !(args[0] == "grep" && st == 1) || got != want {
+				t.Errorf("%q: got %q (st=%d errs=%q), GNU %q", argv, got, st, errs, want)
+			}
+		}
+	}
+	// -s without -f is GNU's usage error too.
+	if _, _, st := run(t, newFS(t, nil), in, "cut", "-s", "-c", "1"); st != 1 {
+		t.Errorf("cut -s -c 1: status %d, want GNU's 1", st)
+	}
+}

@@ -2,6 +2,7 @@ package dfg
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,11 +21,12 @@ func parseStmt(t *testing.T, src string) *syntax.Stmt {
 }
 
 // liveExpander is the state a running shell would hand over: variables,
-// positional parameters, a filesystem.
+// positional parameters, a filesystem holding the files they name.
 func liveExpander() *expand.Expander {
 	fs := vfs.New()
-	fs.WriteFile("/logs/a.log", []byte("a\n"))
-	fs.WriteFile("/logs/b.log", []byte("b\n"))
+	for _, p := range []string{"/logs/a.log", "/logs/b.log", "/in", "/p1"} {
+		fs.WriteFile(p, []byte("a\n"))
+	}
 	vars := map[string]string{"f": "/in", "out": "res", "empty": ""}
 	return &expand.Expander{
 		Lookup: func(name string) (string, bool) { v, ok := vars[name]; return v, ok },
@@ -44,7 +46,18 @@ func wantRefusal(t *testing.T, src string, x *expand.Expander, aot bool, reason 
 	if !strings.Contains(err.Error(), reason) {
 		t.Errorf("%q: refused with %q, want the reason to contain %q", src, err, reason)
 	}
+	// The syntax alone decides a shape refusal; every other one read the
+	// shell's state, so it must not be remembered.
+	if shape := strings.Contains(reason, "safe to expand") || strings.Contains(reason, "shell state") ||
+		slices.Contains(shapeReasons, reason); errors.Is(err, ErrShape) != shape {
+		t.Errorf("%q: refused with %q: errors.Is(err, ErrShape) = %v, want %v", src, err, !shape, shape)
+	}
 }
+
+// shapeReasons are the reasons of TestRegionShapeRules' rows.
+var shapeReasons = []string{"background job", "negated pipeline", "and-or list", "compound command",
+	"assignment prefix", "no command word", "a redirection other than", "not in the specification library",
+	"reads the terminal"}
 
 // TestRegionShapeRules: one row per phase-1 rule, each refused with its own
 // reason although every word in it would expand.
@@ -69,6 +82,9 @@ func TestRegionShapeRules(t *testing.T) {
 		{"frobnicate /in | sort", "not in the specification library"},
 		{"cat /in | myfunc", "not in the specification library"},
 		{"[ -f /in ]", "not in the specification library"},
+		{"tr a-z A-Z", "reads the terminal"},
+		{`echo "$kind"`, "reads the terminal"},
+		{"seq 1 100 | sort -n", "reads the terminal"},
 	} {
 		wantRefusal(t, c.src, liveExpander(), false, c.reason)
 	}
@@ -97,6 +113,13 @@ func TestRegionWordAndCommandRefusals(t *testing.T) {
 		{"$empty | sort", liveExpander(), "expands to no fields"},
 		{"\"$f\" | sort", liveExpander(), `unknown command "/in"`},
 		{"cat /in | tee /x", liveExpander(), `side-effectful stage "tee"`},
+		{"tee /x </in", liveExpander(), `side-effectful stage "tee"`},
+		{"sort", liveExpander(), "a source is the terminal"},
+		{"cat - /in | sort", liveExpander(), "a source is the terminal"},
+		{"sort -u $empty", liveExpander(), "a source is the terminal"},
+		{"cat /missing | sort", liveExpander(), "source /missing does not exist"},
+		{"sort <nope", liveExpander(), "source /work/nope does not exist"},
+		{"cat /in | comm - nope", liveExpander(), "source nope does not exist"},
 	} {
 		wantRefusal(t, c.src, c.x, false, c.reason)
 	}
@@ -164,6 +187,8 @@ var shapeOnly = []string{
 	"grep -q $x /in && echo $y",
 	"! grep -q $x /in",
 	"cat $f | sort 2>$err",
+	`echo "$kind"`,
+	`printf '%s\n' "$x" | sort`,
 }
 
 // TestRegionShapeComesFirst: a statement the shape rules out is refused

@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"jash/internal/coreutils"
 	"jash/internal/expand"
@@ -119,13 +120,20 @@ func compileAndOr(ao *syntax.AndOr) compiled {
 	}
 }
 
+// Refused is the status an Observer declines a pipeline with to say the
+// refusal is final: that pipeline is never offered to it again.
+const Refused = -1
+
 // compilePipeline lowers a pipeline: the observer-offer statement is built
 // once, stages compile once, and the set -e guard is a precomputed constant.
+// An offer the observer refuses for good is not made again; the flag is
+// atomic because pipeline-stage clones run the same closure concurrently.
 func compilePipeline(pl *syntax.Pipeline, guarded bool) compiled {
 	errGuard := guarded || pl.Negated
 	negated := pl.Negated
 	canOffer := !pl.Negated && len(pl.Cmds) >= 1
 	offer := &syntax.Stmt{AndOr: &syntax.AndOr{First: pl}, Position: pl.Position}
+	var refused atomic.Bool
 	var single compiled
 	var stages []compiled
 	if len(pl.Cmds) == 1 {
@@ -137,11 +145,15 @@ func compilePipeline(pl *syntax.Pipeline, guarded bool) compiled {
 		}
 	}
 	return func(in *Interp) {
-		if in.Observer != nil && canOffer {
-			if status, handled := in.Observer(in, offer); handled {
+		if in.Observer != nil && canOffer && !refused.Load() {
+			status, handled := in.Observer(in, offer)
+			if handled {
 				in.Status = status
 				in.maybeErrExit(errGuard)
 				return
+			}
+			if status == Refused {
+				refused.Store(true)
 			}
 		}
 		if single != nil {

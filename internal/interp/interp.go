@@ -55,12 +55,18 @@ type Interp struct {
 	NoUnset bool
 	XTrace  bool
 
-	// Observer, when non-nil, sees every pipeline about to run and may
-	// handle it (returning handled=true and a status). The Jash JIT
-	// installs itself here for pipeline interposition. The invoking
-	// interpreter is passed explicitly: subshells, command substitutions,
-	// and pipeline stages run on clones whose streams, parameters, and
-	// working directory the observer must use.
+	// Observer, when non-nil, sees every pipeline about to run and answers
+	// one of three ways: it handles it (handled=true and the status), it
+	// declines (handled=false), or it declines for good (handled=false and
+	// status Refused). A pipeline declined for good is never offered
+	// again: the mark lives with the compiled pipeline, so loop iterations,
+	// later calls of a function and the clones sharing the compilation all
+	// skip the offer. An observer may decline for good only what it would
+	// decline on every run of that pipeline node. The Jash JIT installs
+	// itself here for pipeline interposition. The invoking interpreter is
+	// passed explicitly: subshells, command substitutions, and pipeline
+	// stages run on clones whose streams, parameters, and working directory
+	// the observer must use.
 	Observer func(in *Interp, st *syntax.Stmt) (status int, handled bool)
 
 	// Exited reports that the script called exit (or tripped set -e):

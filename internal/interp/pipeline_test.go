@@ -12,6 +12,7 @@ import (
 
 	"jash/internal/exec/faultinject"
 	"jash/internal/pipe"
+	"jash/internal/syntax"
 	"jash/internal/vfs"
 )
 
@@ -183,4 +184,39 @@ func TestDispatchFaultReachesEveryNamedCommand(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestRefusedOfferIsNotRepeated: a pipeline the observer declines for good
+// is not offered again, by the interpreter that compiled it or by the
+// pipeline-stage clones that run the same closure at once; one it merely
+// declines is offered on every run.
+func TestRefusedOfferIsNotRepeated(t *testing.T) {
+	underBothEvaluators(t, func(t *testing.T, in *Interp, out *bytes.Buffer) {
+		var mu sync.Mutex
+		offers := map[string]int{}
+		in.Observer = func(_ *Interp, st *syntax.Stmt) (int, bool) {
+			text := syntax.PrintStmts([]*syntax.Stmt{st})
+			mu.Lock()
+			offers[text]++
+			mu.Unlock()
+			if text == "x=1" {
+				return Refused, false
+			}
+			return 0, false
+		}
+		script := "f() { x=1; echo y; }\nf | f | f | f >/dev/null\nfor i in 1 2 3 4 5; do f; done\n"
+		if st, err := in.RunScript(script); st != 0 || err != nil {
+			t.Fatalf("status %d, err %v", st, err)
+		}
+		// The four stages may each offer before any has seen the refusal.
+		if n := offers["x=1"]; n < 1 || n > 4 {
+			t.Errorf("x=1 offered %d times, want once per stage that raced to it at most", n)
+		}
+		if n := offers["echo y"]; n != 9 {
+			t.Errorf("echo y offered %d times, want on each of its 9 runs", n)
+		}
+		if out.String() != strings.Repeat("y\n", 5) {
+			t.Errorf("stdout %q", out.String())
+		}
+	})
 }

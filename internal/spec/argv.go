@@ -16,10 +16,12 @@ type Grammar struct {
 	// ValueFlags lists the single-letter options that take a value: the
 	// rest of their cluster, or else the next word.
 	ValueFlags string `json:"value_flags,omitempty"`
-	// OnlyFlags, when non-empty, is every option letter the command
-	// accepts; any other letter is an error rather than an ignored
-	// boolean.
+	// OnlyFlags is every option letter the command accepts, value flags
+	// included; any other letter is an error, so a utility never runs
+	// with an option it would ignore. AnyFlags lifts the rule: every
+	// letter outside ValueFlags is then a boolean option.
 	OnlyFlags string `json:"only_flags,omitempty"`
+	AnyFlags  bool   `json:"any_flags,omitempty"`
 	// ScriptOperand names ("pattern", "script", "program") what the first
 	// operand is when it is code rather than a file: grep, sed, awk.
 	ScriptOperand string `json:"script_operand,omitempty"`
@@ -31,13 +33,17 @@ type Grammar struct {
 	OperandsAreInputs bool `json:"operands_are_inputs,omitempty"`
 }
 
-// grammars is the one declaration of each utility's argv grammar; a
-// utility absent from it takes only boolean options. Library commands get
-// their Spec.Grammar from here (Builtin), and the coreutils parse their
-// own argv with the same entry (Parse), so the letters are written once.
-// Entries for names outside the Library (split, truncate, install) do not
-// make them dataflow commands; truncate and install exist only for the
-// effect analysis.
+// grammars is the one declaration of each utility's argv grammar. Library
+// commands get their Spec.Grammar from here (Builtin), and the coreutils
+// parse their own argv with the same entry (Parse), so the letters are
+// written once. An entry's OnlyFlags are the letters its implementation
+// reads, plus a letter it accepts as a no-op only where the host's tool
+// agrees (cat -u, grep -E); head and tail take no -N, which POSIX does not
+// specify. A utility absent from the table takes any letter as a boolean
+// option (AnyFlags). Entries for names outside the Library (split,
+// truncate, install) do not make them dataflow commands; truncate and
+// install exist only for the effect analysis, and having no implementation
+// to read letters, take any.
 //
 // Not getopt-shaped, and so parsed by their own code rather than by Scan:
 // test/[ (an expression), find (primaries), printf and echo (every word is
@@ -49,31 +55,39 @@ type Grammar struct {
 // dynamic commands) are approximations of this grammar, not copies of it:
 // they cannot call Scan because the words have no values yet.
 var grammars = map[string]Grammar{
-	"cat":      {OperandsAreInputs: true},
-	"grep":     {ValueFlags: "e", ScriptOperand: "pattern", ScriptFlags: "e", OperandsAreInputs: true},
-	"cut":      {ValueFlags: "cfd", OperandsAreInputs: true},
-	"sort":     {ValueFlags: "kto", OperandsAreInputs: true},
-	"uniq":     {OperandsAreInputs: true},
-	"wc":       {OperandsAreInputs: true},
-	"head":     {ValueFlags: "nc", OperandsAreInputs: true},
-	"tail":     {ValueFlags: "nc", OperandsAreInputs: true},
+	"cat":      {OnlyFlags: "nu", OperandsAreInputs: true},
+	"grep":     {ValueFlags: "e", OnlyFlags: "EFcinqve", ScriptOperand: "pattern", ScriptFlags: "e", OperandsAreInputs: true},
+	"cut":      {ValueFlags: "cfd", OnlyFlags: "cdfs", OperandsAreInputs: true},
+	"sort":     {ValueFlags: "kto", OnlyFlags: "cmnrukto", OperandsAreInputs: true},
+	"uniq":     {OnlyFlags: "cdu", OperandsAreInputs: true},
+	"wc":       {OnlyFlags: "clw", OperandsAreInputs: true},
+	"head":     {ValueFlags: "nc", OnlyFlags: "nc", OperandsAreInputs: true},
+	"tail":     {ValueFlags: "nc", OnlyFlags: "nc", OperandsAreInputs: true},
 	"sed":      {ValueFlags: "e", OnlyFlags: "ne", ScriptOperand: "script", ScriptFlags: "e", OperandsAreInputs: true},
 	"awk":      {ValueFlags: "Fv", OnlyFlags: "Fv", ScriptOperand: "program", OperandsAreInputs: true},
-	"comm":     {OperandsAreInputs: true},
+	"comm":     {OnlyFlags: "123", OperandsAreInputs: true},
 	"join":     {OperandsAreInputs: true},
-	"shuf":     {ValueFlags: "n", OperandsAreInputs: true},
-	"paste":    {ValueFlags: "d", OperandsAreInputs: true},
+	"shuf":     {ValueFlags: "n", OnlyFlags: "n", OperandsAreInputs: true},
+	"paste":    {ValueFlags: "d", OnlyFlags: "d", OperandsAreInputs: true},
 	"rev":      {OperandsAreInputs: true},
-	"fold":     {ValueFlags: "w", OperandsAreInputs: true},
+	"fold":     {ValueFlags: "w", OnlyFlags: "w", OperandsAreInputs: true},
 	"nl":       {OperandsAreInputs: true},
 	"tac":      {OperandsAreInputs: true},
-	"expand":   {ValueFlags: "t", OperandsAreInputs: true},
-	"unexpand": {ValueFlags: "t", OperandsAreInputs: true},
+	"expand":   {ValueFlags: "t", OnlyFlags: "t", OperandsAreInputs: true},
+	"unexpand": {ValueFlags: "t", OnlyFlags: "t", OperandsAreInputs: true},
 	"tsort":    {OperandsAreInputs: true},
-	"xargs":    {ValueFlags: "n"},
-	"split":    {ValueFlags: "bl"},
-	"truncate": {ValueFlags: "s"},
-	"install":  {ValueFlags: "mog"},
+	"xargs":    {ValueFlags: "n", OnlyFlags: "n"},
+	"split":    {ValueFlags: "bl", OnlyFlags: "bl"},
+	"truncate": {ValueFlags: "s", AnyFlags: true},
+	"install":  {ValueFlags: "mog", AnyFlags: true},
+}
+
+// grammarOf is the grammar of the utility called name.
+func grammarOf(name string) Grammar {
+	if g, ok := grammars[name]; ok {
+		return g
+	}
+	return Grammar{AnyFlags: true}
 }
 
 // Flag is one option occurrence on a command line.
@@ -151,8 +165,8 @@ func (p *Parsed) Scripts() []string {
 // first word that is not an option; a lone "-" is an operand; a value flag
 // takes the rest of its cluster or, if that is empty, the next word.
 // Nothing permutes: a word that looks like an option after the first
-// operand is an operand. A missing value, a letter outside OnlyFlags and a
-// missing script operand are errors.
+// operand is an operand. A missing value, a letter outside OnlyFlags (unless
+// AnyFlags) and a missing script operand are errors.
 func (g *Grammar) Scan(argv []string) (Parsed, error) {
 	p := Parsed{scriptFlags: g.ScriptFlags}
 	scripted := false
@@ -169,7 +183,7 @@ words:
 		}
 		for j := 1; j < len(a); j++ {
 			f := a[j]
-			if g.OnlyFlags != "" && strings.IndexByte(g.OnlyFlags, f) < 0 {
+			if !g.AnyFlags && strings.IndexByte(g.OnlyFlags, f) < 0 {
 				return Parsed{}, fmt.Errorf("unknown option -%c", f)
 			}
 			if strings.IndexByte(g.ValueFlags, f) < 0 {
@@ -204,7 +218,7 @@ words:
 // argv[0]. It is how the coreutils (and the effect analysis, for commands
 // outside the Library) read a command line.
 func Parse(argv []string) (Parsed, error) {
-	g := grammars[argv[0]]
+	g := grammarOf(argv[0])
 	return g.Scan(argv)
 }
 

@@ -9,7 +9,7 @@ import "strings"
 func Builtin() *Library {
 	l := NewLibrary()
 	for _, s := range builtinSpecs() {
-		s.Grammar = grammars[s.Name]
+		s.Grammar = grammarOf(s.Name)
 		l.Add(s)
 	}
 	return l
@@ -216,11 +216,11 @@ func refineCat(e *Effective) {
 }
 
 // refineCut: an invocation with neither -c nor -f is invalid (cut needs a
-// selection mode); like an argv the scanner rejects it must stay
-// sequential so the diagnostic appears once and the failure is not masked
-// by the merge.
+// selection mode), and so is -s without -f; like an argv the scanner
+// rejects it must stay sequential so the diagnostic appears once and the
+// failure is not masked by the merge.
 func refineCut(e *Effective) {
-	if !e.Parsed.Has('c') && !e.Parsed.Has('f') {
+	if !e.Parsed.Has('f') && (e.Parsed.Has('s') || !e.Parsed.Has('c')) {
 		exclude(e)
 	}
 }
