@@ -84,6 +84,9 @@ lint:
 # with an implementation this tree did not write, but only where /bin/sh is
 # dash — elsewhere they skip and prove nothing. Where it is dash
 # (ubuntu-latest), a skip fails the build; elsewhere say so in one line.
+# The host-reference diffs ride along (sort, sed, comm/join/paste and the
+# flag rows against GNU; awk against the host's awk): each skips when its
+# tool is missing, and a skip whose tool is on PATH fails the build.
 dash-check:
 	@if [ "$$(basename "$$(readlink /bin/sh)")" != dash ]; then \
 		echo "dash-check: /bin/sh is not dash; the dash-agreement tests skip on this host"; \
@@ -95,6 +98,14 @@ dash-check:
 			echo "dash-check: /bin/sh is dash, yet a dash-agreement test skipped"; exit 1; \
 		fi; \
 	fi
+	@out=$$($(GO) test -count=1 -run 'Match(es)?(GNU|Host)' -v ./internal/coreutils/); st=$$?; \
+	echo "$$out"; \
+	if [ $$st -ne 0 ]; then exit $$st; fi; \
+	for tool in $$(echo "$$out" | sed -n 's/.*: \(.*\) not installed$$/\1/p'); do \
+		if command -v "$$(basename "$$tool")" >/dev/null; then \
+			echo "dash-check: $$(basename "$$tool") is on PATH, yet its host-reference diff skipped"; exit 1; \
+		fi; \
+	done
 
 # verify is the tier-1 gate: everything a change must pass before merge.
 verify: vet build test race fault lint dash-check

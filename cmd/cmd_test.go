@@ -352,6 +352,40 @@ func TestJashexplainHazardPreflight(t *testing.T) {
 	}
 }
 
+// TestJashexplainSaysWhyNotPlanned: an invocation the planner keeps out
+// of dataflow is explained by its cause, the scanner's or the script
+// parser's error, not as a command that mutates state.
+func TestJashexplainSaysWhyNotPlanned(t *testing.T) {
+	for _, c := range []struct{ src, why string }{
+		{"sed -i s/a/b/ f", "not planned: unknown option -i"},
+		{"sort -k 0 f", "not planned: invalid key 0"},
+		{"awk '{n++}'", "not planned: ++ and -- are not supported"},
+	} {
+		out, _, code := runBin(t, "jashexplain", "", c.src)
+		if code != 0 || !strings.Contains(out, "dataflow class: side-effectful — "+c.why) || strings.Contains(out, "mutates state") {
+			t.Errorf("%s: code=%d, want %q:\n%s", c.src, code, c.why, out)
+		}
+	}
+}
+
+// TestRejectedScriptDiagnosedOnce: a sed or awk program the utility
+// rejects is never split into lanes, so its one diagnostic prints once in
+// every mode, over an input on which a stateless stage runs four lanes.
+func TestRejectedScriptDiagnosedOnce(t *testing.T) {
+	const awk, sed = `cat /in | awk "{n++; print n}" | wc -l`, `cat /in | sed "/a/,/b/p" | wc -l`
+	for _, c := range []struct{ mode, src, diag string }{
+		{"bash", awk, "awk: ++ and -- are not supported\n"},
+		{"jash", awk, "awk: ++ and -- are not supported\n"},
+		{"pash", awk, "awk: ++ and -- are not supported\n"},
+		{"pash", sed, "sed: address ranges are not supported\n"},
+	} {
+		out, errs, code := runBin(t, "jash", "", "-mode", c.mode, "-words", "/in=40000000", "-c", c.src)
+		if code != 0 || out != "0\n" || errs != c.diag {
+			t.Errorf("-mode %s %s: code=%d out=%q errs=%q, want the diagnostic once", c.mode, c.src, code, out, errs)
+		}
+	}
+}
+
 // TestJashexplainAgreesWithTheJIT: what the shell never compiles, explain
 // does not call clean. A first stage without < whose command takes no file
 // operands reads the terminal, and the region former refuses it by shape.

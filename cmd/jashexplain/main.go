@@ -124,7 +124,11 @@ func run() int {
 			case spec.Blocking:
 				fmt.Printf(" — needs its whole input; runs as a sequential stage\n")
 			case spec.SideEffectful:
-				fmt.Printf(" — mutates state; the optimizer will not touch this pipeline\n")
+				if e.Excluded != nil {
+					fmt.Printf(" — not planned: %v\n", e.Excluded)
+				} else {
+					fmt.Printf(" — mutates state; the optimizer will not touch this pipeline\n")
+				}
 			}
 			if s := sum.String(); s != "pure" {
 				fmt.Printf("  effects: %s\n", s)

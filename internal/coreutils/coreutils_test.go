@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"jash/internal/pipe"
+	"jash/internal/spec"
 	"jash/internal/vfs"
 )
 
@@ -794,7 +795,6 @@ func TestSed(t *testing.T) {
 		{"s/a/X/", "banana\n", "bXnana\n"},
 		{"s/a/X/g", "banana\n", "bXnXnX\n"},
 		{"s/a/X/2", "banana\n", "banXna\n"},
-		{"/keep/!d; s/keep/kept/", "", ""}, // unsupported negation falls through below
 		{"2d", "a\nb\nc\n", "a\nc\n"},
 		{"/b/d", "a\nb\nc\n", "a\nc\n"},
 		{"s/\\(x\\)\\(y\\)/\\2\\1/", "xy\n", "yx\n"},
@@ -810,14 +810,13 @@ func TestSed(t *testing.T) {
 		{"s/a/b/12", "aaaaaaaaaaaaa\n", "aaaaaaaaaaaba\n"},
 		{"s/a/b/;$d", "x\na\ny\n", "x\nb\n"},
 		{"s/a/b/\n$d", "x\na\ny\n", "x\nb\n"},
+		// A ; inside s or y is text; the command list splits by grammar.
+		{"s/a;b/X/", "a;b\n", "X\n"},
+		{"y/;/:/", "a;b\n", "a:b\n"},
+		{"s/a/b/;s/b/;/", "a\n", ";\n"},
+		{"  p ;; p\n", "a\n", "a\na\na\n"},
 	}
-	for _, c := range cases[:3] {
-		out, _, st := run(t, vfs.New(), c.in, "sed", c.script)
-		if st != 0 || out != c.want {
-			t.Errorf("sed %q: out=%q st=%d, want %q", c.script, out, st, c.want)
-		}
-	}
-	for _, c := range cases[4:] {
+	for _, c := range cases {
 		out, _, st := run(t, vfs.New(), c.in, "sed", c.script)
 		if st != 0 || out != c.want {
 			t.Errorf("sed %q: out=%q st=%d, want %q", c.script, out, st, c.want)
@@ -841,6 +840,38 @@ func TestSed(t *testing.T) {
 	_, errs, st = run(t, vfs.New(), "ab\n", "sed", "s/\\(a\\)b/\\2/")
 	if st != 2 || !strings.Contains(errs, "invalid reference") {
 		t.Errorf("sed missing group: st=%d errs=%q, want status 2", st, errs)
+	}
+	// Where the subset stops, sed fails closed, naming what it refused.
+	for _, c := range []struct{ script, diag string }{
+		{"h", "the hold space (h H g G x) is not supported"},
+		{"1!G;h;$!d", "address negation (!) is not supported"},
+		{"$!x", "address negation (!) is not supported"},
+		{"G", "the hold space (h H g G x) is not supported"},
+		{":a;s/x//;ta", "branching (b t :) is not supported"},
+		{"/a/b", "branching (b t :) is not supported"},
+		{"/a/{p}", "command groups ({}) are not supported"},
+		{"p}", "command groups ({}) are not supported"},
+		{"/a/,/b/p", "address ranges are not supported"},
+		{"1,3d", "address ranges are not supported"},
+		{"/keep/!d", "address negation (!) is not supported"},
+		{"s/a/b", "unterminated s command"},
+		{"s/a/b/w /out", "unknown s flag \"w\""},
+	} {
+		refusedOnce(t, []string{"sed", c.script}, c.diag)
+	}
+}
+
+// refusedOnce requires that argv fails with status 2 and the one
+// diagnostic line diag, and that the planner never splits it into lanes,
+// which would print that line once per lane.
+func refusedOnce(t *testing.T, argv []string, diag string) {
+	t.Helper()
+	out, errs, st := run(t, vfs.New(), "a b\nc d\n", argv...)
+	if st != 2 || out != "" || errs != argv[0]+": "+diag+"\n" {
+		t.Errorf("%q: out=%q errs=%q st=%d, want status 2 and %q", argv, out, errs, st, diag)
+	}
+	if c := spec.Builtin().Resolve(argv).Class; c != spec.SideEffectful {
+		t.Errorf("%q resolves %v, want side-effectful: never planned", argv, c)
 	}
 }
 
@@ -929,6 +960,10 @@ func TestAwk(t *testing.T) {
 		{"$1 ~ /^a/ {print $1}", "", "apple\nbanana\navocado\n", "apple\navocado\n"},
 		{"{x = $1 \"!\"; print x}", "", "hey\n", "hey!\n"},
 		{"NR == 2 {print}", "", "a\nb\nc\n", "b\n"},
+		{`{print "END"}`, "", "a\n", "END\n"},
+		{"/a/{next} {print}", "", "a\nb\n", "b\n"},
+		{"/a/ && !/b/; {print $1}", "", "ab\nac\n", "ab\nac\nac\n"},
+		{"{print ($1 > 1) \" \" (2 > 1)}", "", "0\n5\n", "0 1\n1 1\n"},
 	}
 	for _, c := range cases {
 		args := []string{"awk"}
@@ -939,6 +974,46 @@ func TestAwk(t *testing.T) {
 		out, errs, st := run(t, vfs.New(), c.in, args...)
 		if st != 0 || out != c.want {
 			t.Errorf("awk %q: out=%q st=%d errs=%q, want %q", c.prog, out, st, errs, c.want)
+		}
+	}
+}
+
+// TestAwkRefusals: where the subset stops, awk fails closed, naming what
+// it refused.
+func TestAwkRefusals(t *testing.T) {
+	for _, c := range []struct{ prog, diag string }{
+		{"{a[$1] = 1}", "arrays are not supported"},
+		{"{if ($1 in seen) print}", "arrays are not supported"},
+		{"{delete a}", "arrays are not supported"},
+		{"function f(x) {return x} {print f($1)}", "user functions are not supported"},
+		{"{print f($1)}", "user functions are not supported (f)"},
+		{"{getline; print}", "getline is not supported"},
+		{"{n++; print n}", "++ and -- are not supported"},
+		{"{print --n}", "++ and -- are not supported"},
+		{"{print $1++}", "++ and -- are not supported"},
+		{"{for (i = 1; i <= NF; i++) print $i}", "loops are not supported"},
+		{"{while (1) print}", "loops are not supported"},
+		{"NR > 1 {exit}", "exit is not supported"},
+		{`{print $1 > "/out"}`, "output redirection is not supported"},
+		{`{print | "sort"}`, "output redirection is not supported"},
+		{"/a/,/b/", "range patterns are not supported"},
+		{"{print substr($1)}", "substr takes 2 to 3 arguments, not 1"},
+		{"{print $1", "unterminated block"},
+	} {
+		refusedOnce(t, []string{"awk", c.prog}, c.diag)
+	}
+	refusedOnce(t, []string{"awk", "-v", "x", "{print x}"}, "-v needs name=value")
+	// A run-time error ends the run where it happens, in BEGIN as on a
+	// record, after the output before it.
+	for _, c := range []struct{ prog, out string }{
+		{"BEGIN {print 1 % 0}", ""},
+		{`{print $1; print 1 % $2, "no"}`, "a\n"},
+		{`$1 % 0 {print} {print "no"}`, ""},
+		{`END {printf "%z"}`, ""},
+	} {
+		out, errs, st := run(t, vfs.New(), "a b\nc d\n", "awk", c.prog)
+		if st != 2 || out != c.out || strings.Count(errs, "\n") != 1 {
+			t.Errorf("awk %q: out=%q errs=%q st=%d, want %q and one diagnostic", c.prog, out, errs, st, c.out)
 		}
 	}
 }

@@ -117,11 +117,13 @@ func sedInputs() []string {
 		"a " + strings.Repeat("the ", pipe.BlockSize/4+25) + "end\nshort the\n",
 		"äöü grüße the\n日本語 the\ncafé\n",
 		strings.Repeat(text, 40),
+		"a;b c;d\nx;y a;b\n;\n",
 	}
 }
 
 // sedScripts cover line, $ and /re/ addresses; s with g, p, N and Ng; &
-// and \N; y, d, p, q and -n; and ;- and newline-separated scripts.
+// and \N; y, d, p, q and -n; ;- and newline-separated scripts; and a ; inside
+// an s or y command, which is text, not a separator.
 func sedScripts() [][]string {
 	return [][]string{
 		{"p"},
@@ -157,6 +159,11 @@ func sedScripts() [][]string {
 		{"s/a/b/\n$d"},
 		{"s/a/b/\n3q"},
 		{"-e", "s/the/X/", "-e", "/foo/d"},
+		{"/q/d"},
+		{"s/a;b/X/"},
+		{"y/;/:/"},
+		{"s/a/b/;s/b/;/"},
+		{"s/a/b/ ; p"},
 	}
 }
 
@@ -179,20 +186,92 @@ func TestSedMatchesGNU(t *testing.T) {
 				t.Errorf("%s: got %q (st=%d errs=%q), GNU sed %q", name, got, st, errs, want)
 				continue
 			}
-			if lib.Resolve(argv).Class != spec.Stateless {
+			if lib.Resolve(argv).Class == spec.Stateless {
+				checkLanes(t, name, in, argv, got)
+			}
+		}
+	}
+}
+
+// checkLanes requires that the outputs of 2–4 line-aligned lanes of in,
+// concatenated, equal whole, the run over all of in: what a parallel plan
+// of a stateless command relies on.
+func checkLanes(t *testing.T, name, in string, argv []string, whole string) {
+	t.Helper()
+	lines := strings.SplitAfter(in, "\n")
+	for lanes := 2; lanes <= 4; lanes++ {
+		var cat strings.Builder
+		for l := 0; l < lanes; l++ {
+			lane := strings.Join(lines[l*len(lines)/lanes:(l+1)*len(lines)/lanes], "")
+			out, _, _ := run(t, vfs.New(), lane, argv...)
+			cat.WriteString(out)
+		}
+		if cat.String() != whole {
+			t.Errorf("%s: %d lanes concatenated %q, whole run %q", name, lanes, cat.String(), whole)
+		}
+	}
+}
+
+// awkInputs are whitespace- and colon-separated records, with numeric
+// fields, an empty line and a missing final newline.
+func awkInputs() []string {
+	return []string{
+		"",
+		"alpha 5 x\nbeta 15 y\n\ngamma 20 z\na b c d\n",
+		"root:x:0:0\nuser:x:1000:1000\nnobody:x:65534:65534\n",
+		"first 1\nlast 30",
+		"007 1.50 x\n-3 +4 1e2\n",
+		strings.Repeat("the cat 12\nsat on 7 mat\nalpha a:b\n", 30),
+	}
+}
+
+// awkPrograms use only what POSIX fixes the output of (%d and %s
+// conversions, no regex extensions), so each row holds for mawk and gawk.
+func awkPrograms() [][]string {
+	return [][]string{
+		{"{print $1}"},
+		{"{print $2, $1}"},
+		{"{print $2 + 0, $1 $2, $1 * 1}"},
+		{"-v", "n=05", "{print n, n + 1}"},
+		{"{print NF}"},
+		{"{print}"},
+		{`{print "END"}`},
+		{"/a/{next} {print}"},
+		{"$2 > 10 {print $1}"},
+		{"!/a/"},
+		{`$1 ~ /^a/ && NF > 2 {print $3 "-" $1}`},
+		{`{if ($2 > 10) print "big"; else print "small"}`},
+		{`{printf "%s=%d\n", $1, $2 * 2}`},
+		{"{print length($1), toupper(substr($1, 1, 2))}"},
+		{"-F:", "-v", "x=1", "{print $1 x}"},
+		{"-F:", "{print $3 + $4}"},
+		{"{print NR, $1}"},
+		{"NR == 2"},
+		{"{s += $2} END {print s + 0}"},
+		{"BEGIN {print \"head\"} {print $1}"},
+		{"{x = $1; print x}"},
+	}
+}
+
+// TestAwkMatchesHost runs every program over every input through this awk
+// and the host's awk and requires the same bytes. For every program spec
+// resolves stateless, it also requires the lane law of checkLanes.
+func TestAwkMatchesHost(t *testing.T) {
+	const hostAwk = "/usr/bin/awk"
+	needsTool(t, hostAwk)
+	lib := spec.Builtin()
+	for i, in := range awkInputs() {
+		for _, args := range awkPrograms() {
+			name := fmt.Sprintf("input%d awk %q", i, args)
+			want := gnuOutput(t, hostAwk, in, false, args...)
+			argv := append([]string{"awk"}, args...)
+			got, errs, st := run(t, vfs.New(), in, argv...)
+			if st != 0 || got != want {
+				t.Errorf("%s: got %q (st=%d errs=%q), host awk %q", name, got, st, errs, want)
 				continue
 			}
-			lines := strings.SplitAfter(in, "\n")
-			for lanes := 2; lanes <= 4; lanes++ {
-				var cat strings.Builder
-				for l := 0; l < lanes; l++ {
-					lane := strings.Join(lines[l*len(lines)/lanes:(l+1)*len(lines)/lanes], "")
-					out, _, _ := run(t, vfs.New(), lane, argv...)
-					cat.WriteString(out)
-				}
-				if cat.String() != got {
-					t.Errorf("%s: %d lanes concatenated %q, whole run %q", name, lanes, cat.String(), got)
-				}
+			if lib.Resolve(argv).Class == spec.Stateless {
+				checkLanes(t, name, in, argv, got)
 			}
 		}
 	}

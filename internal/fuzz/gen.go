@@ -415,6 +415,29 @@ func (g *gen) cutCmd() *syntax.SimpleCommand {
 	return argv("cut", "-c", "1-3")
 }
 
+// scriptCmds are the sed and awk programs a stage draws, program last:
+// what the subset runs (addresses, y, d, p, q and -n; patterns, printf,
+// if, next, NR, END, -F and -v), then programs just outside it or that a
+// splitter blind to s's delimiters misreads. Every engine must run the
+// first alike and refuse the rest alike, with one diagnostic.
+var scriptCmds = [][]string{
+	{"sed", "s/the/THE/g"}, {"sed", "-n", "/e/p"}, {"sed", "2d"}, {"sed", "$d"},
+	{"sed", "3q"}, {"sed", "y/abc/xyz/"}, {"sed", "/q/d;s/a/&&/2"},
+	{"awk", "{print $1}"}, {"awk", "-F", "e", "{print $2}"}, {"awk", "$1 > 100 {print $2}"},
+	{"awk", "/a/{next} {print}"}, {"awk", `{printf "%s|%d\n", $1, $1 * 2}`},
+	{"awk", `{if (length($1) > 3) print $1; else print "short"}`},
+	{"awk", "{print NR, $0}"}, {"awk", `{print "END"}`},
+	{"awk", "-v", "k=2", "$1 > k {print} END {print NR}"},
+	{"awk", "{n++; print n}"}, {"sed", "/a/,/b/p"}, {"sed", "s/a;b/X/"},
+}
+
+func (g *gen) scriptCmd() *syntax.SimpleCommand {
+	s := scriptCmds[g.rng.Intn(len(scriptCmds))]
+	c := argv(s[:len(s)-1]...)
+	c.Args = append(c.Args, word(&syntax.SglQuoted{Value: s[len(s)-1]}))
+	return c
+}
+
 // withFile appends a fixture file operand to a filter, which then reads
 // the file and not its stdin.
 func (g *gen) withFile(c *syntax.SimpleCommand) *syntax.SimpleCommand {
@@ -451,7 +474,7 @@ func (g *gen) stageCmd() *syntax.SimpleCommand {
 	case 8:
 		return argv("cat", "-n")
 	case 9:
-		return argv("sed", fmt.Sprintf("s/%s/%s/", g.literal(), g.literal()))
+		return g.scriptCmd()
 	case 10:
 		return argv("fold", "-w", "8")
 	default:
@@ -460,10 +483,8 @@ func (g *gen) stageCmd() *syntax.SimpleCommand {
 		switch g.rng.Intn(4) {
 		case 0:
 			return g.withFile(g.grepCmd())
-		case 1:
-			return g.withFile(argv("sed", fmt.Sprintf("s/%s/%s/", g.literal(), g.literal())))
-		case 2:
-			return g.withFile(simple(lit("awk"), word(&syntax.SglQuoted{Value: "{print $1}"})))
+		case 1, 2:
+			return g.withFile(g.scriptCmd())
 		}
 		return g.withFile(g.sortCmd())
 	}

@@ -34,6 +34,10 @@ import (
 //	         statements after the one that ends the shell had already
 //	         run in their workers, and their files stayed (seeds 901 and
 //	         2701 once printed as one line; fs divergence).
+//	awk/sed  programs their utility rejects were classed stateless by a
+//	         substring guess and split into lanes, each lane printing
+//	         the diagnostic; s/a;b/X/ was cut at its ; (stderr:plain↔aot,
+//	         found once the generator drew programs from a table).
 func TestRegressionMinimizedReproducers(t *testing.T) {
 	fixture := Generate(DefaultConfig(1)).Fixture
 	cases := []struct {
@@ -49,6 +53,8 @@ func TestRegressionMinimizedReproducers(t *testing.T) {
 		{"eval-in-if-rebinds-redirect-target", "v=/data/empty.txt; if true; then eval 'v=/tmp/out5.txt'; fi; sort /data/a.txt >$v; cat /tmp/out5.txt\n"},
 		{"set-e-on-the-region-line", "set -e; false; echo a >/tmp/o1; echo b >/tmp/o2; echo c >/tmp/o3\n"},
 		{"set-u-on-the-line-before", "set -u\nv1=\"$v1.pipe\"; echo hi >>/tmp/out1.txt; echo a >/tmp/o2; echo b >/tmp/o3\n"},
+		{"awk-rejected-program-split-into-lanes", "cat /data/a.txt | awk '{n++; print n}' | wc -l\n"},
+		{"sed-semicolon-inside-s", "cat /data/a.txt | sed 's/a;b/X/'\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

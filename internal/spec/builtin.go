@@ -1,6 +1,6 @@
 package spec
 
-import "strings"
+import "errors"
 
 // Builtin returns the ground-truth specification library for the hermetic
 // coreutils, the equivalent of PaSh's shipped annotation files. CPU
@@ -99,7 +99,7 @@ func builtinSpecs() []*Spec {
 		{
 			Name: "sed", Version: "1.0", Class: Stateless, Agg: AggConcat,
 			CPUFactor: 4, OutputRatio: 1,
-			Summary: "stream editor (s///, d, p, q subset)",
+			Summary: "stream editor (s, y, d, p, q subset)",
 			refine:  refineSed,
 		},
 		{
@@ -200,10 +200,12 @@ func demote(e *Effective) {
 	e.Agg = AggNone
 }
 
-// exclude keeps an invocation out of dataflow translation altogether.
-func exclude(e *Effective) {
+// exclude keeps an invocation out of dataflow translation altogether,
+// for the reason why.
+func exclude(e *Effective, why error) {
 	e.Class = SideEffectful
 	e.Agg = AggNone
+	e.Excluded = why
 }
 
 // refineCat: -n numbers lines with a single counter across the whole
@@ -221,7 +223,7 @@ func refineCat(e *Effective) {
 // failure is not masked by the merge.
 func refineCut(e *Effective) {
 	if !e.Parsed.Has('f') && (e.Parsed.Has('s') || !e.Parsed.Has('c')) {
-		exclude(e)
+		exclude(e, errors.New("cut needs -c or -f, and -s needs -f"))
 	}
 }
 
@@ -251,7 +253,7 @@ func refineGrep(e *Effective) {
 // stays a parallel sum.
 func refineWc(e *Effective) {
 	if len(e.InputFiles) > 0 {
-		exclude(e)
+		exclude(e, errors.New("wc names each file operand in its output, which lanes cannot sum"))
 	}
 }
 
@@ -268,72 +270,40 @@ func refineSort(e *Effective) {
 			demote(e)
 		}
 	}
-	if _, _, err := SortFields(&e.Parsed); err != nil || e.Parsed.Has('o') {
-		exclude(e)
+	if _, _, err := SortFields(&e.Parsed); err != nil {
+		exclude(e, err)
+	} else if e.Parsed.Has('o') {
+		exclude(e, errors.New("sort -o writes a named file"))
 	}
 }
 
-// refineSed demotes scripts with line-number or last-line addresses (2d,
-// $p) and q: those depend on global positions. It reads the commands the
-// utility runs, split by the utility's own SplitSedScript.
+// refineSed demotes scripts with a line-number or $ address (2d, $p) or
+// a q: those depend on global positions. It reads the commands sed runs,
+// and a script sed rejects is never planned.
 func refineSed(e *Effective) {
-	for _, script := range e.Parsed.Scripts() {
-		for _, cmd := range SplitSedScript(script) {
-			if cmd[0] >= '0' && cmd[0] <= '9' || cmd[0] == '$' ||
-				strings.Contains(cmd, "q") && !strings.HasPrefix(cmd, "s") {
-				demote(e)
-				return
-			}
-		}
+	cmds, err := ParseSed(&e.Parsed)
+	if err != nil {
+		exclude(e, err)
+		return
 	}
-}
-
-// SplitSedScript splits a sed script into its commands, on semicolons and
-// newlines, respecting nothing fancier (bracket groups are unsupported in
-// the subset). It is the one split: sed runs the commands it returns, and
-// refineSed classifies them.
-func SplitSedScript(script string) []string {
-	var parts []string
-	for _, chunk := range strings.FieldsFunc(script, func(r rune) bool { return r == ';' || r == '\n' }) {
-		if chunk = strings.TrimSpace(chunk); chunk != "" {
-			parts = append(parts, chunk)
-		}
-	}
-	return parts
-}
-
-// refineAwk demotes programs that use cross-line state: NR, BEGIN/END
-// accumulation, variable assignment (x = ...), or next.
-func refineAwk(e *Effective) {
-	prog := e.Parsed.Scripts()[0]
-	for _, marker := range []string{"NR", "BEGIN", "END", "next", "+=", "-=", "*=", "/="} {
-		if strings.Contains(prog, marker) {
+	for _, c := range cmds {
+		if c.Line > 0 || c.Last || c.Kind == 'q' {
 			demote(e)
 			return
 		}
 	}
-	if containsAssignment(prog) {
-		demote(e)
-	}
 }
 
-// containsAssignment detects `ident =` not part of == / != / <= / >=.
-func containsAssignment(prog string) bool {
-	for i := 0; i < len(prog); i++ {
-		if prog[i] != '=' {
-			continue
-		}
-		if i+1 < len(prog) && prog[i+1] == '=' {
-			i++
-			continue
-		}
-		if i > 0 {
-			switch prog[i-1] {
-			case '=', '!', '<', '>', '~':
-				continue
-			}
-		}
-		return true
+// refineAwk demotes programs whose output for one record may depend on
+// another (AwkProgram.crossRecord). It reads the program awk runs, and a
+// program awk rejects is never planned.
+func refineAwk(e *Effective) {
+	prog, err := ParseAwk(&e.Parsed)
+	if err != nil {
+		exclude(e, err)
+		return
 	}
-	return false
+	if prog.crossRecord() {
+		demote(e)
+	}
 }

@@ -148,6 +148,10 @@ type Effective struct {
 	InputFiles []string
 	// ReadsStdin reports whether the invocation reads standard input.
 	ReadsStdin bool
+	// Excluded is why the invocation is kept out of dataflow translation
+	// (the scanner's or the script parser's error, or a fixed policy),
+	// nil unless it is.
+	Excluded error
 }
 
 // ArgvWithoutInputs returns a copy of Args with the input-file operands
@@ -228,7 +232,7 @@ func (l *Library) Resolve(args []string) *Effective {
 	if err != nil {
 		// What the planner cannot read it may not parallelize: the
 		// sequential path prints the utility's one diagnostic.
-		exclude(e)
+		exclude(e, err)
 		e.ReadsStdin = true
 		return e
 	}

@@ -53,6 +53,23 @@ func TestResolveClasses(t *testing.T) {
 		{[]string{"awk", "{s += $1} END {print s}"}, Blocking},
 		{[]string{"awk", "-F", ":", "{print $2}"}, Stateless},
 		{[]string{"awk", "$2 > 10 {print $1}"}, Stateless},
+		// The class comes from the parse the utility runs: a q inside an
+		// address, END inside a string and next read no other record.
+		{[]string{"sed", "/q/d"}, Stateless},
+		{[]string{"sed", "s/a;b/X/"}, Stateless},
+		{[]string{"sed", "y/;/:/;s/a/b/"}, Stateless},
+		{[]string{"sed", "s/a/b/;3q"}, Blocking},
+		{[]string{"awk", `{print "END"}`}, Stateless},
+		{[]string{"awk", "/a/{next} {print}"}, Stateless},
+		{[]string{"awk", "BEGIN {print 1} {print}"}, Blocking},
+		{[]string{"awk", "{x = $1; print x}"}, Blocking},
+		{[]string{"awk", "{if ($1 > 1) print NR}"}, Blocking},
+		// A script the utility rejects is never planned.
+		{[]string{"awk", "{n++; print n}"}, SideEffectful},
+		{[]string{"awk", "{a[$1] = 1}"}, SideEffectful},
+		{[]string{"awk", "-v", "x", "{print x}"}, SideEffectful},
+		{[]string{"sed", "/a/,/b/p"}, SideEffectful},
+		{[]string{"sed", "s/a/b"}, SideEffectful},
 	}
 	for _, c := range cases {
 		e := resolve(t, c.args...)
