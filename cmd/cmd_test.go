@@ -378,6 +378,7 @@ func TestRejectedScriptDiagnosedOnce(t *testing.T) {
 		{"jash", awk, "awk: ++ and -- are not supported\n"},
 		{"pash", awk, "awk: ++ and -- are not supported\n"},
 		{"pash", sed, "sed: address ranges are not supported\n"},
+		{"jash", `cat /in | awk '{printf "%z"}' | wc -l`, "awk: printf: unsupported conversion %z\n"},
 	} {
 		out, errs, code := runBin(t, "jash", "", "-mode", c.mode, "-words", "/in=40000000", "-c", c.src)
 		if code != 0 || out != "0\n" || errs != c.diag {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"jash/internal/cost"
 	"jash/internal/trace"
@@ -31,29 +30,6 @@ func wordsFile(fs *vfs.FS, path string, lines int) string {
 	}
 	fs.WriteFile(path, []byte(b.String()))
 	return b.String()
-}
-
-// TestSedStopsWhenItsReaderGoes: `yes | sed s/y/n/ | head -n1` prints n
-// and ends in every mode (in ~40 ms; under the race detector in under a
-// second, hence the generous deadline). sed streams with one line of
-// lookahead and stops reading once a write fails, so it stops `yes` too.
-func TestSedStopsWhenItsReaderGoes(t *testing.T) {
-	for _, mode := range []Mode{ModeBash, ModeJash} {
-		sh, out, _ := newShell(vfs.New(), cost.Laptop(), mode)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			sh.Run("yes | sed s/y/n/ | head -n1\n")
-		}()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%v: yes | sed s/y/n/ | head -n1 did not end", mode)
-		}
-		if out.String() != "n\n" {
-			t.Errorf("%v: printed %q, want \"n\\n\"", mode, out.String())
-		}
-	}
 }
 
 func TestRunPlainCommands(t *testing.T) {

@@ -35,9 +35,8 @@ func awkCmd(c *Context, args []string) int {
 	}
 	env := &awkEnv{
 		vars: map[string]awkValue{"OFS": awkStr(" "), "FS": awkStr(" ")},
-		out:  newLineWriter(c.Stdout),
+		out:  &c.out,
 	}
-	defer env.out.Release()
 	if prog.FS != "" {
 		env.vars["FS"] = awkStr(prog.FS)
 	}
@@ -71,7 +70,6 @@ func awkCmd(c *Context, args []string) int {
 			return c.Errorf(2, "awk: %v", env.err)
 		}
 	}
-	env.out.Flush()
 	return 0
 }
 
@@ -146,7 +144,7 @@ type awkEnv struct {
 	vars   map[string]awkValue
 	record string
 	fields []string
-	out    *lineWriter
+	out    *stdout
 	err    error // the first run-time error; it ends the run
 }
 
@@ -221,7 +219,7 @@ func (env *awkEnv) print(s *spec.AwkPrint) {
 		line = strings.Join(parts, env.vars["OFS"].str())
 	}
 	if env.err == nil {
-		env.out.WriteLine([]byte(line))
+		env.out.writeLine([]byte(line))
 	}
 }
 
@@ -370,8 +368,12 @@ func (env *awkEnv) call(name string, vals []awkValue) awkValue {
 }
 
 // awkFormat renders an awk printf format: %s %d %i %f %e %g %x %o %c %%
-// with flags/width/precision passed through to fmt.
+// with flags/width/precision passed through to fmt. spec.CheckAwkFormat
+// decides which conversions exist.
 func awkFormat(format string, vals []awkValue) (string, error) {
+	if err := spec.CheckAwkFormat(format); err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	vi := 0
 	next := func() awkValue {
@@ -435,8 +437,6 @@ func awkFormat(format string, vals []awkValue) (string, error) {
 			fmt.Fprintf(&b, spec+string(verb), int64(next().num()))
 		case 'f', 'e', 'g':
 			fmt.Fprintf(&b, spec+string(verb), next().num())
-		default:
-			return "", fmt.Errorf("printf: unsupported conversion %%%c", verb)
 		}
 	}
 	return b.String(), nil

@@ -32,8 +32,9 @@ type Context struct {
 	// Environ lists NAME=VALUE pairs for `env`; nil means none.
 	Environ func() []string
 	// Ctx, when non-nil, is done once the surrounding plan or session is
-	// torn down. Compute-heavy loops (yes, seq) poll it so they stop even
-	// when they are between pipe operations; nil means never cancelled.
+	// torn down. The line cursor polls it, and a write fails once it is
+	// done, so a utility stops even between pipe operations; nil means
+	// never cancelled.
 	Ctx context.Context
 	// Abort, when non-nil, cancels the surrounding plan's context with
 	// the given cause: it reports a defect that invalidates the whole
@@ -43,13 +44,10 @@ type Context struct {
 	// path) instead of failing quietly while sibling lanes keep producing
 	// output the sequential run would never emit.
 	Abort context.CancelCauseFunc
-}
 
-// escalate routes a line-limit violation to the plan-abort hook, if any.
-func (c *Context) escalate(err error) {
-	if err == errLineTooLong && c.Abort != nil {
-		c.Abort(err)
-	}
+	// out is the utility's buffered stdout while it runs; Stdout points
+	// at it then (see run).
+	out stdout
 }
 
 // Cancelled reports whether the surrounding plan has been torn down.
@@ -102,16 +100,40 @@ func (c *Context) Errorf(status int, format string, args ...any) int {
 // Func is the implementation of one utility. args[0] is the command name.
 type Func func(c *Context, args []string) int
 
+// StatusBrokenPipe is the status of a utility whose stdout reader has
+// gone: 128 + SIGPIPE, what dash's wait reports for a writer the signal
+// ended.
+const StatusBrokenPipe = 128 + 13
+
 // registry maps command names to implementations.
 var registry = map[string]Func{}
 
-// Register installs a utility under the given name. It panics on duplicate
-// registration, which would indicate a programming error at init time.
+// Register installs a utility under the given name, behind run. It panics
+// on duplicate registration, which would indicate a programming error at
+// init time.
 func Register(name string, fn Func) {
 	if _, dup := registry[name]; dup {
 		panic("coreutils: duplicate registration of " + name)
 	}
-	registry[name] = fn
+	registry[name] = func(c *Context, args []string) int { return c.run(fn, args) }
+}
+
+// run is the one place a utility's stdout is decided. fn writes through
+// c.out, which buffers in front of c.Stdout and keeps its first error;
+// once a write has failed — the reader is gone — nothing more is written
+// or read, and the utility ends with StatusBrokenPipe and no diagnostic,
+// whatever fn returns, as SIGPIPE would have ended it.
+func (c *Context) run(fn Func, args []string) int {
+	w := c.Stdout
+	c.out = newStdout(c, w)
+	c.Stdout = &c.out
+	status := fn(c, args)
+	err := c.out.close()
+	c.Stdout = w
+	if err != nil {
+		return StatusBrokenPipe
+	}
+	return status
 }
 
 // Lookup returns the implementation of a utility, if known.

@@ -652,7 +652,7 @@ func TestSortOutputUntouchedOnReadError(t *testing.T) {
 		{[]string{"sort", "-m", "-o", "/out", "/in", "-"}, "/out", "keep\n"},
 		{[]string{"sort", "-o", "/in", "/in", "-"}, "/in", "b\na\n"},
 	} {
-		st := sortCmd(c, tc.argv)
+		st := registry["sort"](c, tc.argv)
 		if data, _ := fs.ReadFile(tc.file); st != 2 || string(data) != tc.want {
 			t.Errorf("%v: st=%d file=%q errs=%q, want 2 and the old file", tc.argv, st, data, errb.String())
 		}
@@ -662,7 +662,7 @@ func TestSortOutputUntouchedOnReadError(t *testing.T) {
 	cancel()
 	c.Ctx = ctx
 	for _, argv := range [][]string{{"sort", "-o", "/in", "/in"}, {"sort", "-m", "-o", "/in", "/in"}} {
-		if st := sortCmd(c, argv); st != 1 {
+		if st := registry["sort"](c, argv); st != 1 {
 			t.Errorf("%v cancelled: st=%d, want 1", argv, st)
 		}
 		if data, _ := fs.ReadFile("/in"); string(data) != "b\na\n" {
@@ -919,7 +919,7 @@ func TestSedStreams(t *testing.T) {
 		in, out := &endless{}, &hangupWriter{hangUp: tc.hangUp}
 		done := make(chan int, 1)
 		go func() {
-			done <- sedCmd(&Context{FS: vfs.New(), Dir: "/", Stdin: in, Stdout: out, Stderr: io.Discard}, []string{"sed", tc.script})
+			done <- registry["sed"](&Context{FS: vfs.New(), Dir: "/", Stdin: in, Stdout: out, Stderr: io.Discard}, []string{"sed", tc.script})
 		}()
 		select {
 		case <-done:
@@ -999,6 +999,7 @@ func TestAwkRefusals(t *testing.T) {
 		{"/a/,/b/", "range patterns are not supported"},
 		{"{print substr($1)}", "substr takes 2 to 3 arguments, not 1"},
 		{"{print $1", "unterminated block"},
+		{`{printf "%s %z\n", $1}`, "printf: unsupported conversion %z"},
 	} {
 		refusedOnce(t, []string{"awk", c.prog}, c.diag)
 	}
@@ -1009,7 +1010,7 @@ func TestAwkRefusals(t *testing.T) {
 		{"BEGIN {print 1 % 0}", ""},
 		{`{print $1; print 1 % $2, "no"}`, "a\n"},
 		{`$1 % 0 {print} {print "no"}`, ""},
-		{`END {printf "%z"}`, ""},
+		{`END {f = "%z"; printf f}`, ""},
 	} {
 		out, errs, st := run(t, vfs.New(), "a b\nc d\n", "awk", c.prog)
 		if st != 2 || out != c.out || strings.Count(errs, "\n") != 1 {

@@ -66,8 +66,6 @@ func grepCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	quiet := cl.Has('q')
 	countOnly := cl.Has('c')
 	number := cl.Has('n')
@@ -91,9 +89,9 @@ func grepCmd(c *Context, args []string) int {
 		if number {
 			scratch = strconv.AppendInt(scratch[:0], lineNo, 10)
 			scratch = append(scratch, ':')
-			lw.Write(scratch)
+			c.out.Write(scratch)
 		}
-		lw.WriteLine(line)
+		c.out.writeLine(line)
 		return nil
 	})
 	if e != nil {
@@ -101,9 +99,8 @@ func grepCmd(c *Context, args []string) int {
 	}
 	if countOnly {
 		scratch = strconv.AppendInt(scratch[:0], count, 10)
-		lw.WriteLine(scratch)
+		c.out.writeLine(scratch)
 	}
-	lw.Flush()
 	if matched {
 		return 0
 	}
@@ -237,10 +234,9 @@ func trCmd(c *Context, args []string) int {
 			inSet1[i] = !inSet1[i]
 		}
 	}
-	// Translation table.
-	var xlate [256]byte
-	for i := range xlate {
-		xlate[i] = byte(i)
+	t := &trReader{r: c.Stdin, oneToOne: !del && !squeeze, lastOut: -1}
+	for i := range t.xlate {
+		t.xlate[i] = byte(i)
 	}
 	if len(set2) > 0 && !del {
 		if complement {
@@ -248,94 +244,70 @@ func trCmd(c *Context, args []string) int {
 			last := set2[len(set2)-1]
 			for i := 0; i < 256; i++ {
 				if inSet1[i] {
-					xlate[i] = last
+					t.xlate[i] = last
 				}
 			}
 		} else {
 			for i, b := range set1 {
-				if i < len(set2) {
-					xlate[b] = set2[i]
-				} else {
-					xlate[b] = set2[len(set2)-1]
-				}
+				t.xlate[b] = set2[min(i, len(set2)-1)]
 			}
 		}
 	}
+	if del {
+		t.drop = inSet1
+	}
 	// Squeeze set: set2 when translating, set1 when only squeezing.
-	var inSqueeze [256]bool
 	if squeeze {
 		sq := set2
 		if len(sq) == 0 {
 			sq = set1
 			if complement {
-				for i := 0; i < 256; i++ {
-					inSqueeze[i] = inSet1[i]
-				}
+				t.squeeze = inSet1
 			}
 		}
 		for _, b := range sq {
-			inSqueeze[b] = true
+			t.squeeze[b] = true
 		}
 	}
-	// A pure 1:1 translation (no delete, no squeeze) can rewrite the chunk
-	// in place and skip the output-accumulation pass entirely.
-	passthrough := !del && !squeeze
-	out := newLineWriter(c.Stdout)
-	defer out.Release()
-	var lastOut int = -1
-	buf := pipe.GetBlock()[:pipe.BlockSize]
-	outBuf := pipe.GetBlock()
-	defer func() {
-		pipe.PutBlock(buf)
-		pipe.PutBlock(outBuf)
-	}()
-	for {
-		// tr streams chunks, not lines, so it polls cancellation per chunk.
-		if c.Cancelled() {
-			break
-		}
-		n, e := c.Stdin.Read(buf)
-		chunk := buf[:n]
-		if passthrough {
-			for i, b := range chunk {
-				chunk[i] = xlate[b]
-			}
-			if len(chunk) > 0 {
-				if _, werr := out.Write(chunk); werr != nil {
-					break
-				}
-			}
-		} else {
-			outBuf = outBuf[:0]
-			for _, b := range chunk {
-				if del && inSet1[b] {
-					continue
-				}
-				ob := b
-				if !del {
-					ob = xlate[b]
-				}
-				if squeeze && inSqueeze[ob] && int(ob) == lastOut {
-					continue
-				}
-				lastOut = int(ob)
-				outBuf = append(outBuf, ob)
-			}
-			if len(outBuf) > 0 {
-				if _, werr := out.Write(outBuf); werr != nil {
-					break
-				}
-			}
-		}
-		if e == io.EOF {
-			break
-		}
-		if e != nil {
-			return c.Errorf(1, "tr: %v", e)
-		}
+	if err := c.out.copy(t); err != nil {
+		return c.Errorf(1, "tr: %v", err)
 	}
-	out.Flush()
 	return 0
+}
+
+// trReader is tr's input with tr's mapping applied, in place, chunk by
+// chunk: deleting and squeezing only shorten a chunk.
+type trReader struct {
+	r             io.Reader
+	xlate         [256]byte
+	oneToOne      bool      // no byte is deleted or squeezed
+	drop, squeeze [256]bool // the deleted and the squeezed sets
+	lastOut       int       // the last byte kept, or -1
+}
+
+func (t *trReader) Read(p []byte) (int, error) {
+	for {
+		n, err := t.r.Read(p)
+		if t.oneToOne {
+			for i, b := range p[:n] {
+				p[i] = t.xlate[b]
+			}
+			return n, err
+		}
+		k := 0
+		for _, b := range p[:n] {
+			ob := t.xlate[b]
+			if t.drop[b] || t.squeeze[ob] && int(ob) == t.lastOut {
+				continue
+			}
+			t.lastOut = int(ob)
+			p[k] = ob
+			k++
+		}
+		if k > 0 || n == 0 || err != nil {
+			return k, err
+		}
+	}
 }
 
 // cutRange is a half-open [lo, hi] 1-based inclusive range.
@@ -420,8 +392,6 @@ func cutCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	scratch := pipe.GetBlock()
 	defer func() { pipe.PutBlock(scratch) }()
 	cList, byChar := cl.Value('c')
@@ -446,7 +416,7 @@ func cutCmd(c *Context, args []string) int {
 				}
 				scratch = append(scratch, line[lo:hi]...)
 			}
-			lw.WriteLine(scratch)
+			c.out.writeLine(scratch)
 			return nil
 		})
 		if e != nil {
@@ -469,7 +439,7 @@ func cutCmd(c *Context, args []string) int {
 			if bytes.IndexByte(line, delim) < 0 {
 				// Lines without the delimiter pass through unchanged.
 				if !onlyDelimited {
-					lw.WriteLine(line)
+					c.out.writeLine(line)
 				}
 				return nil
 			}
@@ -503,7 +473,7 @@ func cutCmd(c *Context, args []string) int {
 					scratch = append(scratch, line[bounds[2*f]:bounds[2*f+1]]...)
 				}
 			}
-			lw.WriteLine(scratch)
+			c.out.writeLine(scratch)
 			return nil
 		})
 		if e != nil {
@@ -512,7 +482,6 @@ func cutCmd(c *Context, args []string) int {
 	default:
 		return c.Errorf(2, "cut: need -c or -f")
 	}
-	lw.Flush()
 	return 0
 }
 
@@ -530,8 +499,6 @@ func uniqCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	var cur, num []byte // one reused buffer each: no per-line copy
 	count := 0
 	flush := func() {
@@ -542,19 +509,19 @@ func uniqCmd(c *Context, args []string) int {
 		case cl.Has('c'):
 			// "%7d ": the count right-aligned in seven columns, a blank.
 			num = append(strconv.AppendInt(num[:0], int64(count), 10), ' ')
-			lw.WriteString(countPad[min(len(num)-1, len(countPad)):])
-			lw.Write(num)
-			lw.WriteLine(cur)
+			c.out.WriteString(countPad[min(len(num)-1, len(countPad)):])
+			c.out.Write(num)
+			c.out.writeLine(cur)
 		case cl.Has('d'):
 			if count > 1 {
-				lw.WriteLine(cur)
+				c.out.writeLine(cur)
 			}
 		case cl.Has('u'):
 			if count == 1 {
-				lw.WriteLine(cur)
+				c.out.writeLine(cur)
 			}
 		default:
-			lw.WriteLine(cur)
+			c.out.writeLine(cur)
 		}
 	}
 	e := c.forEachLine(concatReaders(rs), func(line []byte) error {
@@ -571,7 +538,6 @@ func uniqCmd(c *Context, args []string) int {
 		return c.Errorf(1, "uniq: %v", e)
 	}
 	flush()
-	lw.Flush()
 	return 0
 }
 
@@ -604,10 +570,8 @@ func commCmd(c *Context, args []string) int {
 	a, b := c.cursor(rs[0]), c.cursor(rs[1])
 	defer a.close()
 	defer b.close()
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	haveA, haveB := a.next(), b.next()
-	for (haveA || haveB) && lw.ok {
+	for haveA || haveB {
 		d := -1 // an input at its end sorts after every line
 		if !haveA {
 			d = 1
@@ -617,19 +581,19 @@ func commCmd(c *Context, args []string) int {
 		switch {
 		case d < 0:
 			if show1 {
-				lw.WriteLine(a.line)
+				c.out.writeLine(a.line)
 			}
 			haveA = a.next()
 		case d > 0:
 			if show2 {
-				lw.WriteString(indent2)
-				lw.WriteLine(b.line)
+				c.out.WriteString(indent2)
+				c.out.writeLine(b.line)
 			}
 			haveB = b.next()
 		default:
 			if show3 {
-				lw.WriteString(indent3)
-				lw.WriteLine(a.line)
+				c.out.WriteString(indent3)
+				c.out.writeLine(a.line)
 			}
 			haveA, haveB = a.next(), b.next()
 		}
@@ -639,7 +603,6 @@ func commCmd(c *Context, args []string) int {
 			return c.Errorf(1, "comm: %v", cu.err)
 		}
 	}
-	lw.Flush()
 	return 0
 }
 
@@ -657,9 +620,6 @@ func shufCmd(c *Context, args []string) int {
 	arenas, n, e := readArenas(c, rs)
 	if e != nil {
 		return c.Errorf(1, "shuf: %v", e)
-	}
-	if c.Cancelled() {
-		return 1
 	}
 	lines := make([][]byte, 0, n)
 	eachArenaLine(arenas, func(line []byte) { lines = append(lines, line) })
@@ -691,12 +651,9 @@ func shufCmd(c *Context, args []string) int {
 			limit = len(lines)
 		}
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	for _, line := range lines[:limit] {
-		lw.WriteLine(line)
+		c.out.writeLine(line)
 	}
-	lw.Flush()
 	return 0
 }
 
@@ -788,36 +745,24 @@ func xargsCmd(c *Context, args []string) int {
 	}
 	var items []string
 	e := c.forEachLine(c.Stdin, func(line []byte) error {
-		items = append(items, splitFields(string(line))...)
+		items = append(items, strings.Fields(string(line))...)
 		return nil
 	})
 	if e != nil {
 		return c.Errorf(1, "xargs: %v", e)
 	}
 	if perCall == 0 {
-		perCall = len(items)
-		if perCall == 0 {
-			perCall = 1
-		}
+		perCall = max(len(items), 1)
 	}
 	status := 0
-	for start := 0; start < len(items); start += perCall {
-		end := start + perCall
-		if end > len(items) {
-			end = len(items)
-		}
-		callArgs := append(append([]string{}, cmdv...), items[start:end]...)
+	// With no items the command still runs once.
+	for start := 0; start < len(items) || start == 0; start += perCall {
 		sub := *c
 		sub.Stdin = strings.NewReader("")
-		if st := fn(&sub, callArgs); st != 0 {
+		argv := append(append([]string{}, cmdv...), items[start:min(start+perCall, len(items))]...)
+		if st := fn(&sub, argv); st != 0 {
 			status = st
 		}
-	}
-	if len(items) == 0 {
-		callArgs := append([]string{}, cmdv...)
-		sub := *c
-		sub.Stdin = strings.NewReader("")
-		return fn(&sub, callArgs)
 	}
 	return status
 }
@@ -836,8 +781,6 @@ func odCmd(c *Context, args []string) int {
 	if e != nil {
 		return c.Errorf(1, "od: %v", e)
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	for off := 0; off < len(data); off += 16 {
 		end := off + 16
 		if end > len(data) {
@@ -861,10 +804,9 @@ func odCmd(c *Context, args []string) int {
 				}
 			}
 		}
-		lw.WriteLine([]byte(b.String()))
+		c.out.writeLine([]byte(b.String()))
 	}
-	lw.WriteLine([]byte(fmt.Sprintf("%07o", len(data))))
-	lw.Flush()
+	c.out.writeLine([]byte(fmt.Sprintf("%07o", len(data))))
 	return 0
 }
 
@@ -887,12 +829,10 @@ func joinCmd(c *Context, args []string) int {
 	a, b := c.cursor(rs[0]), c.cursor(rs[1])
 	defer a.close()
 	defer b.close()
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	var key, run, restA []byte // run: the second file's run, each line's other fields
 	var ends []int             // where each line of run ends
 	haveA, haveB := a.next(), b.next()
-	for haveA && haveB && lw.ok {
+	for haveA && haveB {
 		switch d := bytes.Compare(joinField(a.line), joinField(b.line)); {
 		case d < 0:
 			haveA = a.next()
@@ -910,9 +850,9 @@ func joinCmd(c *Context, args []string) int {
 				restA = appendJoinRest(restA[:0], a.line)
 				start := 0
 				for _, end := range ends {
-					lw.Write(key)
-					lw.Write(restA)
-					lw.WriteLine(run[start:end])
+					c.out.Write(key)
+					c.out.Write(restA)
+					c.out.writeLine(run[start:end])
 					start = end
 				}
 				haveA = a.next()
@@ -924,7 +864,6 @@ func joinCmd(c *Context, args []string) int {
 			return c.Errorf(1, "join: %v", cu.err)
 		}
 	}
-	lw.Flush()
 	return 0
 }
 

@@ -41,8 +41,6 @@ func lsCmd(c *Context, args []string) int {
 	if len(cl.Operands) == 0 {
 		cl.Operands = []string{"."}
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	status := 0
 	for _, op := range cl.Operands {
 		p := c.Lookup(op)
@@ -57,9 +55,9 @@ func lsCmd(c *Context, args []string) int {
 				if fi.IsDir {
 					kind = "d"
 				}
-				lw.WriteLine([]byte(fmt.Sprintf("%s %10d %s", kind, fi.Size, fi.Name)))
+				c.out.writeLine([]byte(fmt.Sprintf("%s %10d %s", kind, fi.Size, fi.Name)))
 			} else {
-				lw.WriteLine([]byte(fi.Name))
+				c.out.writeLine([]byte(fi.Name))
 			}
 		}
 		if !info.IsDir || cl.Has('d') {
@@ -78,7 +76,6 @@ func lsCmd(c *Context, args []string) int {
 			emit(e)
 		}
 	}
-	lw.Flush()
 	return status
 }
 
@@ -297,8 +294,6 @@ func findCmd(c *Context, args []string) int {
 		}
 		i++
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	status := 0
 	match := func(p string, fi vfs.FileInfo) bool {
 		if namePat != "" && !matchName(namePat, fi.Name) {
@@ -334,7 +329,7 @@ func findCmd(c *Context, args []string) int {
 			return
 		}
 		if match(display, fi) {
-			lw.WriteLine([]byte(display))
+			c.out.writeLine([]byte(display))
 		}
 		if !fi.IsDir {
 			return
@@ -351,7 +346,6 @@ func findCmd(c *Context, args []string) int {
 	for _, root := range roots {
 		walk(strings.TrimSuffix(root, "/"), c.Lookup(root))
 	}
-	lw.Flush()
 	return status
 }
 
@@ -581,12 +575,9 @@ func envCmd(c *Context, args []string) int {
 			lines = append(lines, k+"="+v)
 		}
 		sort.Strings(lines)
-		lw := newLineWriter(c.Stdout)
-		defer lw.Release()
 		for _, l := range lines {
-			lw.WriteLine([]byte(l))
+			c.out.writeLine([]byte(l))
 		}
-		lw.Flush()
 		return 0
 	}
 	fn, ok := Lookup(rest[i])
@@ -616,8 +607,6 @@ func duCmd(c *Context, args []string) int {
 	if len(cl.Operands) == 0 {
 		cl.Operands = []string{"."}
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	status := 0
 	for _, op := range cl.Operands {
 		var total int64
@@ -637,9 +626,8 @@ func duCmd(c *Context, args []string) int {
 			}
 		}
 		walk(c.Lookup(op))
-		lw.WriteLine([]byte(fmt.Sprintf("%d\t%s", total, op)))
+		c.out.writeLine([]byte(fmt.Sprintf("%d\t%s", total, op)))
 	}
-	lw.Flush()
 	return status
 }
 

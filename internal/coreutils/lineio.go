@@ -3,8 +3,8 @@ package coreutils
 import (
 	"bufio"
 	"io"
-	"strings"
 	"sync"
+	"unsafe"
 
 	"jash/internal/pipe"
 )
@@ -18,8 +18,9 @@ const maxLine = 16 << 20
 // input. A line that fits the one-block bufio.Reader is a view of its
 // buffer; a longer one is assembled in pending, up to maxLine. Either is
 // valid until the next call to next. Every maxLine violation escalates to
-// the plan-abort hook, and a torn-down plan ends the stream silently,
-// like a consumer hangup.
+// the plan-abort hook. A torn-down plan, or a failed write to the stage's
+// stdout, ends the stream silently: nothing read after it could be
+// written.
 type lineCursor struct {
 	c       *Context
 	br      *bufio.Reader
@@ -56,14 +57,14 @@ func (cu *lineCursor) close() {
 
 // next advances to the next line and reports whether there is one. A
 // final line with no newline is still delivered. At the end of the
-// stream, on a read error (then in err) or once the plan is torn down,
-// it returns false, and keeps returning false.
+// stream, on a read error (then in err), once the plan is torn down or
+// once stdout has failed, it returns false, and keeps returning false.
 func (cu *lineCursor) next() bool {
 	if cu.done {
 		return false
 	}
 	cu.n++
-	if cu.n%cancelPollLines == 0 && cu.c.Cancelled() {
+	if cu.c.out.err != nil || cu.n%cancelPollLines == 0 && cu.c.Cancelled() {
 		cu.done = true
 		return false
 	}
@@ -101,7 +102,9 @@ func (cu *lineCursor) next() bool {
 // fail ends the stream with err, escalating a line-limit violation.
 func (cu *lineCursor) fail(err error) bool {
 	cu.err, cu.done = err, true
-	cu.c.escalate(err)
+	if err == errLineTooLong && cu.c.Abort != nil {
+		cu.c.Abort(err)
+	}
 	return false
 }
 
@@ -129,93 +132,150 @@ type errLine string
 
 func (e errLine) Error() string { return string(e) }
 
-// writerPool recycles the one-block bufio.Writer each lineWriter needs.
-var writerPool = sync.Pool{
-	New: func() any { return bufio.NewWriterSize(io.Discard, pipe.BlockSize) },
+// stdout is a utility's standard output: one pooled block of buffering
+// in front of the stage's writer, and the first error that writer
+// returned. The error is sticky: every later write returns it and writes
+// nothing, the line cursor stops reading, and run ends the stage with
+// StatusBrokenPipe. Only a pipe's writer fails, once its reader has gone
+// or its run was torn down; a write made once Ctx is done fails too, so a
+// producer whose writer never fails (yes >f) stops at its next block.
+//
+// The first flush comes at 4 KiB, as a stdio buffer's on a pipe, and each
+// doubles the next up to a block: the first lines reach a reader that may
+// want no more (head -n1) after a slow producer has made 4 KiB, not 64.
+type stdout struct {
+	w   io.Writer
+	c   *Context
+	buf []byte // a pooled block
+	lim int    // flush before the buffer holds more
+	err error
 }
 
-// lineWriter buffers writes of whole lines for throughput. The bufio
-// buffer comes from writerPool; call Release (after the final Flush) to
-// recycle it.
-type lineWriter struct {
-	w  *bufio.Writer
-	ok bool // false after a write error (downstream closed)
+// newStdout buffers in front of w.
+func newStdout(c *Context, w io.Writer) stdout {
+	return stdout{w: w, c: c, buf: pipe.GetBlock(), lim: pipe.BlockSize / 16}
 }
 
-func newLineWriter(w io.Writer) *lineWriter {
-	bw := writerPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	return &lineWriter{w: bw, ok: true}
+func (o *stdout) Write(p []byte) (int, error) {
+	if len(p) >= pipe.BlockSize {
+		o.flush()
+		return o.put(p) // a whole block goes through uncopied
+	}
+	if len(o.buf)+len(p) > o.lim {
+		o.flush()
+	}
+	if o.err != nil {
+		return 0, o.err
+	}
+	o.buf = append(o.buf, p...)
+	return len(p), nil
 }
 
-// Release flushes and returns the buffer to the pool. The lineWriter must
-// not be used afterwards. Returns false if the flush failed.
-func (lw *lineWriter) Release() bool {
-	ok := lw.Flush()
-	lw.w.Reset(io.Discard) // drop the downstream writer reference
-	writerPool.Put(lw.w)
-	lw.w = nil
-	lw.ok = false
-	return ok
+// WriteString is Write over s's bytes, which Write only reads.
+func (o *stdout) WriteString(s string) (int, error) {
+	return o.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
 }
 
-// Write writes raw bytes (no newline added), satisfying io.Writer so
-// filters can emit transformed chunks without a string conversion.
-func (lw *lineWriter) Write(p []byte) (int, error) {
-	if !lw.ok {
-		return 0, io.ErrClosedPipe
+// writeLine writes line and a newline.
+func (o *stdout) writeLine(line []byte) {
+	if len(o.buf)+len(line) < o.lim {
+		o.buf = append(append(o.buf, line...), '\n')
+		return
 	}
-	n, err := lw.w.Write(p)
-	if err != nil {
-		lw.ok = false
-	}
-	return n, err
+	o.Write(line)
+	o.WriteString("\n")
 }
 
-// WriteLine writes line + "\n". After the first error it becomes a no-op
-// returning false, so producers can stop early when downstream hung up.
-func (lw *lineWriter) WriteLine(line []byte) bool {
-	if !lw.ok {
-		return false
+// WriteOwned hands b, a pooled block, to the stage's writer after what is
+// buffered, uncopied when that writer takes ownership (a pipe does).
+func (o *stdout) WriteOwned(b []byte) (int, error) {
+	ow, owned := o.w.(pipe.OwnedWriter)
+	if o.flush() != nil || !owned || o.c.Cancelled() {
+		defer pipe.PutBlock(b)
+		return o.put(b)
 	}
-	if _, err := lw.w.Write(line); err != nil {
-		lw.ok = false
-		return false
-	}
-	if err := lw.w.WriteByte('\n'); err != nil {
-		lw.ok = false
-		return false
-	}
-	return true
+	n, err := ow.WriteOwned(b)
+	return n, o.fail(err)
 }
 
-// WriteString writes raw text (no newline added).
-func (lw *lineWriter) WriteString(s string) bool {
-	if !lw.ok {
-		return false
+// copy copies r to stdout: through r's own copy loop when it has one (a
+// pipe hands over its blocks, a file its blocks), else a pooled block at
+// a time, each handed over whole. It is how cat, tr, head -c, yes and seq
+// stream, and it returns r's error only: a failed write is stdout's own,
+// which run reports.
+func (o *stdout) copy(r io.Reader) error {
+	var err error
+	if wt, ok := r.(io.WriterTo); ok {
+		_, err = wt.WriteTo(o)
+	} else {
+		var blk []byte
+		for err == nil && o.err == nil {
+			if blk == nil {
+				blk = pipe.GetBlock()[:pipe.BlockSize]
+			}
+			var n int
+			n, err = r.Read(blk)
+			if n < pipe.BlockSize/8 {
+				// A short read would pin a whole block downstream: buffer
+				// it, and read into the block again.
+				o.Write(blk[:n])
+			} else {
+				o.WriteOwned(blk[:n])
+				blk = nil
+			}
+		}
+		pipe.PutBlock(blk)
 	}
-	if _, err := lw.w.WriteString(s); err != nil {
-		lw.ok = false
-		return false
+	if err == io.EOF || o.err != nil {
+		return nil
 	}
-	return true
+	return err
 }
 
-// Flush flushes buffered output; returns false on error.
-func (lw *lineWriter) Flush() bool {
-	if !lw.ok {
-		return false
+// put writes p through to the stage's writer.
+func (o *stdout) put(p []byte) (int, error) {
+	if o.err == nil && o.c.Cancelled() {
+		o.fail(o.c.Ctx.Err())
 	}
-	if err := lw.w.Flush(); err != nil {
-		lw.ok = false
-		return false
+	if o.err != nil {
+		return 0, o.err
 	}
-	return true
+	n, err := o.w.Write(p)
+	return n, o.fail(err)
 }
 
-// splitFields splits on runs of white space, like awk's default.
-func splitFields(line string) []string {
-	return strings.Fields(line)
+// fail keeps the first write error; the block goes back to the pool then,
+// since nothing is written after it.
+func (o *stdout) fail(err error) error {
+	if o.err == nil && err != nil {
+		o.err = err
+		o.release()
+	}
+	return o.err
+}
+
+// flush writes out what is buffered and reports the sticky error.
+func (o *stdout) flush() error {
+	if len(o.buf) > 0 {
+		o.put(o.buf)
+		o.buf = o.buf[:0]
+		o.lim = min(2*o.lim, pipe.BlockSize)
+	}
+	return o.err
+}
+
+// close flushes, returns the block to the pool and reports the sticky
+// error.
+func (o *stdout) close() error {
+	err := o.flush()
+	o.release()
+	return err
+}
+
+// release returns the block to the pool.
+func (o *stdout) release() {
+	pipe.PutBlock(o.buf)
+	o.buf, o.lim = nil, 0
 }
 
 // countTrailingContext is a tiny helper for tail: keep the last n lines.
@@ -238,10 +298,4 @@ func concatReaders(rs []io.Reader) io.Reader {
 		return rs[0]
 	}
 	return io.MultiReader(rs...)
-}
-
-// writeAll copies r to w, reporting success.
-func writeAll(w io.Writer, r io.Reader) error {
-	_, err := io.Copy(w, r)
-	return err
 }

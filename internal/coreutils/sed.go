@@ -21,7 +21,7 @@ func init() {
 //
 // sed streams: it holds one line of lookahead, so a line runs through the
 // script once the next read has found another line or hit EOF, which is
-// what $ means. It stops reading at q, or once its reader is gone.
+// what $ means. It stops reading at q.
 func sedCmd(c *Context, args []string) int {
 	cl, err := spec.Parse(args)
 	if err != nil {
@@ -35,9 +35,7 @@ func sedCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
-	s := sedState{cmds: cmds, autoPrint: !cl.Has('n'), lw: lw}
+	s := sedState{cmds: cmds, autoPrint: !cl.Has('n'), w: &c.out}
 	held, stopped := false, false
 	err = c.forEachLine(concatReaders(rs), func(line []byte) error {
 		if held && s.cycle(false) {
@@ -51,10 +49,9 @@ func sedCmd(c *Context, args []string) int {
 	if err != nil {
 		return c.Errorf(2, "sed: %v", err)
 	}
-	if held && !stopped && !c.Cancelled() {
+	if held && !stopped {
 		s.cycle(true)
 	}
-	lw.Flush()
 	return 0
 }
 
@@ -63,14 +60,14 @@ func sedCmd(c *Context, args []string) int {
 type sedState struct {
 	cmds      []spec.SedCommand
 	autoPrint bool
-	lw        *lineWriter
+	w         *stdout
 	lineNo    int
 	ps, out   []byte
 }
 
 // cycle runs the script over the pattern space, which holds the next
 // input line; last says no line follows it. It reports whether sed should
-// stop reading: at q, or once a write has failed.
+// stop reading: at q.
 func (s *sedState) cycle(last bool) bool {
 	s.lineNo++
 	for i := range s.cmds {
@@ -83,26 +80,26 @@ func (s *sedState) cycle(last bool) bool {
 			if out, ok := substitute(cmd, s.out[:0], s.ps); ok {
 				s.ps, s.out = out, s.ps
 				if cmd.PrintSub {
-					s.lw.WriteLine(s.ps)
+					s.w.writeLine(s.ps)
 				}
 			}
 		case 'y':
 			s.ps, s.out = transliterate(cmd, s.out[:0], s.ps), s.ps
 		case 'd':
-			return !s.lw.ok
+			return false
 		case 'p':
-			s.lw.WriteLine(s.ps)
+			s.w.writeLine(s.ps)
 		case 'q':
 			if s.autoPrint {
-				s.lw.WriteLine(s.ps)
+				s.w.writeLine(s.ps)
 			}
 			return true
 		}
 	}
 	if s.autoPrint {
-		s.lw.WriteLine(s.ps)
+		s.w.writeLine(s.ps)
 	}
-	return !s.lw.ok
+	return false
 }
 
 // sedAddressed reports whether sc's address selects the pattern space

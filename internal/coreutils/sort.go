@@ -154,8 +154,8 @@ const minArena = 512
 
 // readArenas copies every line of rs, newline-terminated, into byte
 // arenas, and counts the lines. A line longer than the next arena gets an
-// arena of its own. A torn-down plan stops the read early; the caller
-// must then check Cancelled before using the lines.
+// arena of its own. A torn-down plan stops the read early; nothing is
+// written after that (see stdout).
 func readArenas(c *Context, rs []io.Reader) (arenas [][]byte, n int, err error) {
 	size := minArena
 	var cur []byte
@@ -223,7 +223,7 @@ func runSort(c *Context, cl spec.Parsed, cfg *sortConfig, rs []io.Reader) int {
 	// -o FILE may name one of the inputs (sort -o f f): the inputs are
 	// open snapshots already, and a VFS writer changes FILE only when it
 	// is closed, which happens only once the sort has succeeded.
-	out := c.Stdout
+	out := &c.out
 	outFile, toFile := cl.Value('o')
 	var fileOut io.WriteCloser
 	if toFile {
@@ -231,12 +231,11 @@ func runSort(c *Context, cl spec.Parsed, cfg *sortConfig, rs []io.Reader) int {
 		if e != nil {
 			return c.Errorf(2, "sort: %s: %v", outFile, e)
 		}
-		fileOut, out = w, w
+		o := newStdout(c, w)
+		fileOut, out = w, &o
 	}
-	lw := newLineWriter(out)
-	defer lw.Release()
 	if cl.Has('m') {
-		if st := mergeSorted(c, rs, cfg, lw); st != 0 {
+		if st := mergeSorted(c, rs, cfg, out); st != 0 {
 			return st
 		}
 	} else {
@@ -245,14 +244,13 @@ func runSort(c *Context, cl spec.Parsed, cfg *sortConfig, rs []io.Reader) int {
 			return c.Errorf(2, "sort: %v", err)
 		}
 		if !c.Cancelled() { // a partial input is not sorted
-			sortArenas(arenas, n, cfg, lw)
+			sortArenas(arenas, n, cfg, out)
 		}
 	}
-	if c.Cancelled() {
-		return 1 // a torn-down run commits nothing, -o's file least of all
-	}
-	lw.Flush()
 	if fileOut != nil {
+		if out.close() != nil || c.Cancelled() {
+			return 1 // a torn-down run commits nothing, -o's file least of all
+		}
 		if e := fileOut.Close(); e != nil {
 			return c.Errorf(2, "sort: %s: %v", outFile, e)
 		}
@@ -260,11 +258,11 @@ func runSort(c *Context, cl spec.Parsed, cfg *sortConfig, rs []io.Reader) int {
 	return 0
 }
 
-// sortArenas sorts the n lines held in arenas and writes them to lw. Each
+// sortArenas sorts the n lines held in arenas and writes them to out. Each
 // index entry points into an arena, so no line is copied again. Ties are
 // byte-identical lines or, under -u, broken by input position, so the
 // unstable pdqsort produces exactly what a stable sort would.
-func sortArenas(arenas [][]byte, n int, cfg *sortConfig, lw *lineWriter) {
+func sortArenas(arenas [][]byte, n int, cfg *sortConfig, out *stdout) {
 	if cfg.key == nil && !cfg.numeric {
 		// A whole-line key is its own last resort: compare reduces to
 		// comparing lines, and equal lines are interchangeable, so -r is
@@ -280,8 +278,8 @@ func sortArenas(arenas [][]byte, n int, cfg *sortConfig, lw *lineWriter) {
 			if cfg.unique && i > 0 && line == lines[i-1] {
 				continue
 			}
-			lw.WriteString(line)
-			lw.WriteString("\n")
+			out.WriteString(line)
+			out.WriteString("\n")
 		}
 		return
 	}
@@ -297,7 +295,7 @@ func sortArenas(arenas [][]byte, n int, cfg *sortConfig, lw *lineWriter) {
 		if cfg.unique && i > 0 && cfg.compare(&idx[i-1], &idx[i]) == 0 {
 			continue
 		}
-		lw.WriteLine(idx[i].line)
+		out.writeLine(idx[i].line)
 	}
 }
 
@@ -338,7 +336,7 @@ func checkSorted(c *Context, r io.Reader, cfg *sortConfig) int {
 // sorts reproduces the whole sort exactly — the property the executor's
 // order-aware merge relies on for byte-identical parallel runs. Each
 // cursor polls for a torn-down plan; runSort then commits nothing.
-func mergeSorted(c *Context, rs []io.Reader, cfg *sortConfig, lw *lineWriter) int {
+func mergeSorted(c *Context, rs []io.Reader, cfg *sortConfig, out *stdout) int {
 	cursors := make([]*lineCursor, len(rs))
 	heads := make([]sortLine, len(rs))
 	live := make([]int, len(rs)) // inputs with a current line, in input order
@@ -375,9 +373,9 @@ func mergeSorted(c *Context, rs []io.Reader, cfg *sortConfig, lw *lineWriter) in
 		}
 		h := &heads[live[best]]
 		if !cfg.unique {
-			lw.WriteLine(h.line)
+			out.writeLine(h.line)
 		} else if first || cfg.compare(&prev, h) != 0 {
-			lw.WriteLine(h.line)
+			out.writeLine(h.line)
 			prevBuf = append(prevBuf[:0], h.line...)
 			prev, first = cfg.decorate(prevBuf, 0), false
 		}
@@ -395,12 +393,14 @@ func mergeSorted(c *Context, rs []io.Reader, cfg *sortConfig, lw *lineWriter) in
 // merge command vector (e.g. ["sort", "-m", "-n"]); any file operands in
 // it are ignored in favour of ins.
 func MergeSortedStreams(c *Context, argv []string, ins []io.Reader) int {
-	cl, cfg, err := parseSortArgs(argv)
-	if err != nil {
-		return c.Errorf(2, "sort: %v", err)
-	}
-	if !cl.Has('m') {
-		return c.Errorf(2, "sort: MergeSortedStreams requires -m")
-	}
-	return runSort(c, cl, &cfg, ins)
+	return c.run(func(c *Context, argv []string) int {
+		cl, cfg, err := parseSortArgs(argv)
+		if err != nil {
+			return c.Errorf(2, "sort: %v", err)
+		}
+		if !cl.Has('m') {
+			return c.Errorf(2, "sort: MergeSortedStreams requires -m")
+		}
+		return runSort(c, cl, &cfg, ins)
+	}, argv)
 }

@@ -41,29 +41,38 @@ func catCmd(c *Context, args []string) int {
 		return st
 	}
 	if cl.Has('n') {
-		lw := newLineWriter(c.Stdout)
-		defer lw.Release()
 		n := 0
 		for _, r := range rs {
 			e := c.forEachLine(r, func(line []byte) error {
 				n++
-				lw.WriteString(fmt.Sprintf("%6d\t", n))
-				lw.WriteLine(line)
+				c.out.WriteString(fmt.Sprintf("%6d\t", n))
+				c.out.writeLine(line)
 				return nil
 			})
 			if e != nil {
 				return c.Errorf(1, "cat: %v", e)
 			}
 		}
-		lw.Flush()
 		return 0
 	}
 	for _, r := range rs {
-		if err := writeAll(c.Stdout, r); err != nil {
-			return 1 // downstream closed; not a diagnostic-worthy failure
+		if err := c.out.copy(r); err != nil {
+			return c.Errorf(1, "cat: %v", err)
 		}
 	}
 	return 0
+}
+
+// Cat copies r to w as cat does, under run's rule: it returns r's error,
+// and StatusBrokenPipe once a write has failed. The executor's sources
+// stream through it.
+func Cat(w io.Writer, r io.Reader) (int, error) {
+	var err error
+	status := (&Context{Stdout: w}).run(func(c *Context, _ []string) int {
+		err = c.out.copy(r)
+		return 0
+	}, nil)
+	return status, err
 }
 
 // headCmd prints the first N lines (-n N, default 10) or bytes (-c N).
@@ -81,7 +90,9 @@ func headCmd(c *Context, args []string) int {
 		if err != nil || n < 0 {
 			return c.Errorf(2, "head: invalid byte count %q", v)
 		}
-		_, _ = io.CopyN(c.Stdout, concatReaders(rs), n)
+		if err := c.out.copy(io.LimitReader(concatReaders(rs), n)); err != nil {
+			return c.Errorf(1, "head: %v", err)
+		}
 		return 0
 	}
 	n := int64(10)
@@ -91,21 +102,18 @@ func headCmd(c *Context, args []string) int {
 			return c.Errorf(2, "head: invalid line count %q", v)
 		}
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	var seen int64
 	e := c.forEachLine(concatReaders(rs), func(line []byte) error {
 		if seen >= n {
 			return io.EOF
 		}
 		seen++
-		lw.WriteLine(line)
+		c.out.writeLine(line)
 		return nil
 	})
 	if e != nil {
 		return c.Errorf(1, "head: %v", e)
 	}
-	lw.Flush()
 	return 0
 }
 
@@ -138,12 +146,9 @@ func tailCmd(c *Context, args []string) int {
 	}); e != nil {
 		return c.Errorf(1, "tail: %v", e)
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	for _, line := range keep.lines {
-		lw.WriteLine(line)
+		c.out.writeLine(line)
 	}
-	lw.Flush()
 	return 0
 }
 
@@ -341,23 +346,27 @@ func seqCmd(c *Context, args []string) int {
 	if incr == 0 {
 		return c.Errorf(2, "seq: increment must not be zero")
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
-	if incr > 0 {
-		for n := first; n <= last; n += incr {
-			if !lw.WriteLine([]byte(strconv.FormatInt(n, 10))) || c.Cancelled() {
-				break
-			}
-		}
-	} else {
-		for n := first; n >= last; n += incr {
-			if !lw.WriteLine([]byte(strconv.FormatInt(n, 10))) || c.Cancelled() {
-				break
-			}
-		}
-	}
-	lw.Flush()
+	_ = c.out.copy(&counter{next: first, incr: incr, last: last}) // a counter never fails to read
 	return 0
+}
+
+// counter reads as seq's output: its numbers, one per line, into blocks
+// (copy's), which hold many.
+type counter struct{ next, incr, last int64 }
+
+func (n *counter) Read(p []byte) (int, error) {
+	k := 0
+	// 21 bytes hold any int64 and its newline.
+	for len(p)-k >= 21 && (n.incr > 0 && n.next <= n.last || n.incr < 0 && n.next >= n.last) {
+		k = len(strconv.AppendInt(p[:k], n.next, 10))
+		p[k] = '\n'
+		k++
+		n.next += n.incr
+	}
+	if k == 0 {
+		return 0, io.EOF
+	}
+	return k, nil
 }
 
 // revCmd reverses the bytes of each line.
@@ -370,20 +379,17 @@ func revCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	e := c.forEachLine(concatReaders(rs), func(line []byte) error {
 		rev := make([]byte, len(line))
 		for i, b := range line {
 			rev[len(line)-1-i] = b
 		}
-		lw.WriteLine(rev)
+		c.out.writeLine(rev)
 		return nil
 	})
 	if e != nil {
 		return c.Errorf(1, "rev: %v", e)
 	}
-	lw.Flush()
 	return 0
 }
 
@@ -404,20 +410,17 @@ func foldCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	e := c.forEachLine(concatReaders(rs), func(line []byte) error {
 		for len(line) > width {
-			lw.WriteLine(line[:width])
+			c.out.writeLine(line[:width])
 			line = line[width:]
 		}
-		lw.WriteLine(line)
+		c.out.writeLine(line)
 		return nil
 	})
 	if e != nil {
 		return c.Errorf(1, "fold: %v", e)
 	}
-	lw.Flush()
 	return 0
 }
 
@@ -431,23 +434,20 @@ func nlCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	n := 0
 	e := c.forEachLine(concatReaders(rs), func(line []byte) error {
 		if len(line) == 0 {
-			lw.WriteLine([]byte("      \t"))
+			c.out.writeLine([]byte("      \t"))
 			return nil
 		}
 		n++
-		lw.WriteString(fmt.Sprintf("%6d\t", n))
-		lw.WriteLine(line)
+		c.out.WriteString(fmt.Sprintf("%6d\t", n))
+		c.out.writeLine(line)
 		return nil
 	})
 	if e != nil {
 		return c.Errorf(1, "nl: %v", e)
 	}
-	lw.Flush()
 	return 0
 }
 
@@ -482,10 +482,8 @@ func pasteCmd(c *Context, args []string) int {
 		cursors[i] = c.cursor(r)
 		defer cursors[i].close()
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	var row []byte
-	for lw.ok {
+	for {
 		row = row[:0]
 		more := false
 		for i, cu := range cursors {
@@ -500,31 +498,39 @@ func pasteCmd(c *Context, args []string) int {
 		if !more {
 			break
 		}
-		lw.WriteLine(row)
+		c.out.writeLine(row)
 	}
 	for _, cu := range cursors {
 		if cu.err != nil {
 			return c.Errorf(1, "paste: %v", cu.err)
 		}
 	}
-	lw.Flush()
 	return 0
 }
 
 // yesCmd repeats its argument (default "y") until the consumer hangs up.
 func yesCmd(c *Context, args []string) int {
-	word := "y"
+	line := "y\n"
 	if len(args) > 1 {
-		word = strings.Join(args[1:], " ")
+		line = strings.Join(args[1:], " ") + "\n"
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
-	for lw.WriteLine([]byte(word)) {
-		if !lw.Flush() || c.Cancelled() {
-			break
-		}
-	}
+	_ = c.out.copy(&repeater{line: line}) // a repeater never fails to read
 	return 0
+}
+
+// repeater reads as its line over and over, without end.
+type repeater struct {
+	line string
+	off  int // where in line the next read starts
+}
+
+func (r *repeater) Read(p []byte) (int, error) {
+	for k := 0; k < len(p); {
+		n := copy(p[k:], r.line[r.off:])
+		k += n
+		r.off = (r.off + n) % len(r.line)
+	}
+	return len(p), nil
 }
 
 // wcCounts is one operand's tallies.

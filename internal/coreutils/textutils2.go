@@ -28,23 +28,17 @@ func tacCmd(c *Context, args []string) int {
 	if e != nil {
 		return c.Errorf(1, "tac: %v", e)
 	}
-	if c.Cancelled() {
-		return 1
-	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	for i := len(arenas) - 1; i >= 0; i-- {
 		a := arenas[i][:len(arenas[i])-1] // every arena line ends in a newline
 		for {
 			j := bytes.LastIndexByte(a, '\n')
-			lw.WriteLine(a[j+1:])
+			c.out.writeLine(a[j+1:])
 			if j < 0 {
 				break
 			}
 			a = a[:j]
 		}
 	}
-	lw.Flush()
 	return 0
 }
 
@@ -65,8 +59,6 @@ func expandCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	e := c.forEachLine(concatReaders(rs), func(line []byte) error {
 		var b strings.Builder
 		col := 0
@@ -80,13 +72,12 @@ func expandCmd(c *Context, args []string) int {
 			b.WriteByte(ch)
 			col++
 		}
-		lw.WriteLine([]byte(b.String()))
+		c.out.writeLine([]byte(b.String()))
 		return nil
 	})
 	if e != nil {
 		return c.Errorf(1, "expand: %v", e)
 	}
-	lw.Flush()
 	return 0
 }
 
@@ -107,8 +98,6 @@ func unexpandCmd(c *Context, args []string) int {
 	if rs == nil {
 		return st
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	e := c.forEachLine(concatReaders(rs), func(line []byte) error {
 		spaces := 0
 		for spaces < len(line) && line[spaces] == ' ' {
@@ -120,13 +109,12 @@ func unexpandCmd(c *Context, args []string) int {
 		}
 		b.WriteString(strings.Repeat(" ", spaces%stop))
 		b.Write(line[spaces:])
-		lw.WriteLine([]byte(b.String()))
+		c.out.writeLine([]byte(b.String()))
 		return nil
 	})
 	if e != nil {
 		return c.Errorf(1, "unexpand: %v", e)
 	}
-	lw.Flush()
 	return 0
 }
 
@@ -142,7 +130,7 @@ func tsortCmd(c *Context, args []string) int {
 	}
 	var tokens []string
 	e := c.forEachLine(concatReaders(rs), func(line []byte) error {
-		tokens = append(tokens, splitFields(string(line))...)
+		tokens = append(tokens, strings.Fields(string(line))...)
 		return nil
 	})
 	if e != nil {
@@ -172,8 +160,6 @@ func tsortCmd(c *Context, args []string) int {
 			indeg[b]++
 		}
 	}
-	lw := newLineWriter(c.Stdout)
-	defer lw.Release()
 	emitted := 0
 	for emitted < len(order) {
 		progressed := false
@@ -184,17 +170,15 @@ func tsortCmd(c *Context, args []string) int {
 			indeg[n] = -1 // emitted
 			emitted++
 			progressed = true
-			lw.WriteLine([]byte(n))
+			c.out.writeLine([]byte(n))
 			for _, m := range succ[n] {
 				indeg[m]--
 			}
 		}
 		if !progressed {
-			lw.Flush()
 			return c.Errorf(1, "tsort: input contains a cycle")
 		}
 	}
-	lw.Flush()
 	return 0
 }
 

@@ -622,13 +622,12 @@ func (rs *runState) runKind(g *dfg.Graph, n *dfg.Node, nd *node, env *Env, inRea
 		// A failed read is the source's fault; a failed write
 		// is a consumer that stopped reading (head, grep -q),
 		// which is how a stream may end.
-		rd := &readErrReader{r: src}
-		io.Copy(outWriters[0], &countingReader{rd, &ctr.in})
-		if rd.err != nil {
-			rs.abort(rd.err)
+		status, err := coreutils.Cat(outWriters[0], &countingReader{src, &ctr.in})
+		if err != nil {
+			rs.abort(err)
 			return 1
 		}
-		return 0
+		return status
 	case dfg.KindSink:
 		var dst io.Writer = env.Stdout
 		if dst == nil {
@@ -793,21 +792,12 @@ func splitLaneTarget(g *dfg.Graph, n *dfg.Node, env *Env) int64 {
 
 // splitLane tracks one output lane of a streaming split. Lines accumulate
 // into a pooled block that is handed to the lane's pipe wholesale
-// (ownership transfer, no copy) when the writer supports it.
+// (ownership transfer, no copy: a plan edge's counting writer takes
+// blocks, and copies them itself when what it wraps does not).
 type splitLane struct {
-	w     io.Writer
-	ow    pipe.OwnedWriter // non-nil when w accepts block ownership
-	blk   []byte           // pooled accumulation block
+	w     pipe.OwnedWriter
+	blk   []byte // pooled accumulation block
 	close func()
-	dead  bool
-}
-
-func newSplitLane(w io.Writer, closeLane func()) *splitLane {
-	l := &splitLane{w: w, blk: pipe.GetBlock(), close: closeLane}
-	if ow, ok := w.(pipe.OwnedWriter); ok {
-		l.ow = ow
-	}
-	return l
 }
 
 // write batches p into the lane's block, flushing full blocks downstream.
@@ -827,20 +817,15 @@ func (l *splitLane) write(p []byte) error {
 	return nil
 }
 
-// flush pushes the accumulated block downstream. On the ownership path
-// the block is handed off and replaced with a fresh pooled one.
+// flush hands the accumulated block downstream and takes a fresh pooled
+// one.
 func (l *splitLane) flush() error {
 	if len(l.blk) == 0 {
 		return nil
 	}
-	if l.ow != nil {
-		blk := l.blk
-		l.blk = pipe.GetBlock()
-		_, err := l.ow.WriteOwned(blk)
-		return err
-	}
-	_, err := l.w.Write(l.blk)
-	l.blk = l.blk[:0]
+	blk := l.blk
+	l.blk = pipe.GetBlock()
+	_, err := l.w.WriteOwned(blk)
 	return err
 }
 
@@ -857,13 +842,17 @@ func (l *splitLane) release() {
 // the merge) while later lanes are still filling; that hand-off keeps
 // split + order-aware merge live under bounded buffering. The round-robin
 // discipline rotates lanes per line and closes nothing early, which only
-// order-insensitive (sum) merges may consume. Lanes whose consumer hung up
-// are skipped rather than aborting the whole split.
+// order-insensitive (sum) merges may consume. Every lane writer takes
+// block ownership (pipe.OwnedWriter). A lane whose reader has gone
+// ends the split, as a failed write ends any stage: a lane's command never
+// stops reading early by design (spec demotes the ones that do), so it
+// stopped because it failed, where the sequential command would have
+// stopped too, or because the merge's own reader has gone.
 func runSplit(n *dfg.Node, in io.Reader, outs []io.Writer, closeLane []func(), laneTarget int64) int {
 	br := bufio.NewReaderSize(in, cost.SplitChunkBytes)
 	lanes := make([]*splitLane, len(outs))
 	for i := range outs {
-		lanes[i] = newSplitLane(outs[i], closeLane[i])
+		lanes[i] = &splitLane{w: outs[i].(pipe.OwnedWriter), blk: pipe.GetBlock(), close: closeLane[i]}
 	}
 	defer func() {
 		for _, l := range lanes {
@@ -871,20 +860,13 @@ func runSplit(n *dfg.Node, in io.Reader, outs []io.Writer, closeLane []func(), l
 		}
 	}()
 	lane, last := 0, len(outs)-1
-	deadCount := 0
 	var laneBytes int64
 	for {
 		chunk, err := br.ReadSlice('\n')
 		if len(chunk) > 0 {
 			l := lanes[lane]
-			if !l.dead {
-				if werr := l.write(chunk); werr != nil {
-					l.dead = true
-					deadCount++
-					if deadCount == len(outs) {
-						return 0 // every consumer hung up
-					}
-				}
+			if l.write(chunk) != nil {
+				return coreutils.StatusBrokenPipe
 			}
 			laneBytes += int64(len(chunk))
 			// Lane switches happen only at line boundaries: a fragment cut
@@ -894,8 +876,8 @@ func runSplit(n *dfg.Node, in io.Reader, outs []io.Writer, closeLane []func(), l
 					lane = (lane + 1) % len(outs)
 					laneBytes = 0
 				} else if lane < last && laneBytes >= laneTarget {
-					if !l.dead {
-						l.flush()
+					if l.flush() != nil {
+						return coreutils.StatusBrokenPipe
 					}
 					l.close()
 					lane++
@@ -907,8 +889,8 @@ func runSplit(n *dfg.Node, in io.Reader, outs []io.Writer, closeLane []func(), l
 		case nil, bufio.ErrBufferFull:
 		case io.EOF:
 			for _, l := range lanes {
-				if !l.dead {
-					l.flush()
+				if l.flush() != nil {
+					return coreutils.StatusBrokenPipe
 				}
 			}
 			return 0
@@ -924,9 +906,11 @@ func runSplit(n *dfg.Node, in io.Reader, outs []io.Writer, closeLane []func(), l
 func runMerge(n *dfg.Node, ins []io.Reader, out io.Writer, env *Env) int {
 	switch n.Agg {
 	case spec.AggConcat:
+		// A lane's read fails only once the run is torn down, when no
+		// status is read; a failed write is the merge's reader gone.
 		for _, r := range ins {
 			if _, err := io.Copy(out, r); err != nil {
-				return 1
+				return coreutils.StatusBrokenPipe
 			}
 		}
 		return 0
@@ -974,7 +958,9 @@ func sumStreams(ins []io.Reader, out io.Writer, env *Env) int {
 	for i, s := range sums {
 		parts[i] = strconv.FormatInt(s, 10)
 	}
-	fmt.Fprintln(out, strings.Join(parts, " "))
+	if _, err := fmt.Fprintln(out, strings.Join(parts, " ")); err != nil {
+		return coreutils.StatusBrokenPipe
+	}
 	return 0
 }
 

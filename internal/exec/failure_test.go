@@ -15,55 +15,95 @@ import (
 )
 
 // TestEarlyConsumerHangup: head closes its input early; upstream stages
-// must terminate instead of blocking on a full pipe forever.
+// must end instead of blocking on a full pipe or reading on, sequential
+// or split into lanes. A lane whose reader has gone ends the split, and
+// the split's end ends the source: it reads a bounded prefix of /big, not
+// the whole file.
 func TestEarlyConsumerHangup(t *testing.T) {
-	fs := vfs.New()
-	fs.WriteFile("/big", workload.Words(1, 1<<20))
-	g := pipelineGraph(t, dfg.Binding{StdinFile: "/big"},
-		[]string{"tr", "A-Z", "a-z"},
-		[]string{"head", "-n", "3"},
-	)
-	done := make(chan struct{})
-	var out bytes.Buffer
-	go func() {
-		defer close(done)
-		Run(g, &Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
-			Stdout: &out, Stderr: &bytes.Buffer{}})
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("pipeline with early-exiting head deadlocked")
-	}
-	if n := strings.Count(out.String(), "\n"); n != 3 {
-		t.Errorf("head emitted %d lines", n)
+	big := workload.Words(1, 8<<20)
+	for _, tc := range []struct {
+		name  string
+		argvs [][]string
+		width int
+		want  string
+	}{
+		{"sequential", [][]string{{"tr", "A-Z", "a-z"}, {"head", "-n", "3"}}, 1,
+			strings.ToLower(strings.Join(strings.SplitAfter(string(big), "\n")[:3], ""))},
+		{"width 4", [][]string{{"tr", "a-z", "A-Z"}, {"grep", "E"}, {"head", "-n1"}}, 4, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := vfs.New()
+			fs.WriteFile("/big", big)
+			g := pipelineGraph(t, dfg.Binding{StdinFile: "/big"}, tc.argvs...)
+			if tc.width > 1 {
+				var err error
+				if g, err = rewrite.Parallelize(g, rewrite.Options{Width: tc.width}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			done := make(chan struct{})
+			var out bytes.Buffer
+			var m RunMetrics
+			go func() {
+				defer close(done)
+				Run(g, &Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
+					Stdout: &out, Stderr: &bytes.Buffer{}, Metrics: &m})
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("pipeline with early-exiting head deadlocked")
+			}
+			if tc.want != "" && out.String() != tc.want {
+				t.Errorf("head emitted %q, want %q", out.String(), tc.want)
+			}
+			if n := strings.Count(out.String(), "\n"); tc.want == "" && n != 1 {
+				t.Errorf("head emitted %d lines", n)
+			}
+			for _, nm := range m.Nodes {
+				if nm.Kind == "source" && nm.BytesIn > int64(len(big))/8 {
+					t.Errorf("the source read %d of /big's %d bytes after head had gone", nm.BytesIn, len(big))
+				}
+			}
+		})
 	}
 }
 
-// TestYesHeadTerminates: the classic infinite producer test.
+// TestYesHeadTerminates: the classic infinite producer, and filters
+// between it and head, which must stop reading once head has gone.
 func TestYesHeadTerminates(t *testing.T) {
-	g := dfg.New()
-	src := g.AddNode(&dfg.Node{Kind: dfg.KindSource})
-	yes := g.AddNode(&dfg.Node{Kind: dfg.KindCommand, Argv: []string{"yes", "spam"}})
-	head := g.AddNode(&dfg.Node{Kind: dfg.KindCommand, Argv: []string{"head", "-n", "5"}})
-	sink := g.AddNode(&dfg.Node{Kind: dfg.KindSink})
-	g.Connect(src, yes)
-	g.Connect(yes, head)
-	g.Connect(head, sink)
-	done := make(chan string, 1)
-	go func() {
-		var out bytes.Buffer
-		Run(g, &Env{FS: vfs.New(), Dir: "/", Stdin: strings.NewReader(""),
-			Stdout: &out, Stderr: &bytes.Buffer{}})
-		done <- out.String()
-	}()
-	select {
-	case out := <-done:
-		if out != strings.Repeat("spam\n", 5) {
-			t.Errorf("out=%q", out)
+	for _, tc := range []struct {
+		argvs [][]string
+		want  string
+	}{
+		{[][]string{{"yes", "spam"}, {"head", "-n", "5"}}, strings.Repeat("spam\n", 5)},
+		{[][]string{{"yes"}, {"grep", "y"}, {"head", "-n1"}}, "y\n"},
+		{[][]string{{"yes"}, {"cut", "-c1"}, {"head", "-n1"}}, "y\n"},
+		{[][]string{{"yes"}, {"awk", "{print}"}, {"head", "-n1"}}, "y\n"},
+	} {
+		g := dfg.New()
+		prev := g.AddNode(&dfg.Node{Kind: dfg.KindSource})
+		for _, argv := range tc.argvs {
+			n := g.AddNode(&dfg.Node{Kind: dfg.KindCommand, Argv: argv})
+			g.Connect(prev, n)
+			prev = n
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("yes | head never terminated")
+		g.Connect(prev, g.AddNode(&dfg.Node{Kind: dfg.KindSink}))
+		done := make(chan string, 1)
+		go func() {
+			var out bytes.Buffer
+			Run(g, &Env{FS: vfs.New(), Dir: "/", Stdin: strings.NewReader(""),
+				Stdout: &out, Stderr: &bytes.Buffer{}})
+			done <- out.String()
+		}()
+		select {
+		case out := <-done:
+			if out != tc.want {
+				t.Errorf("%v: out=%q, want %q", tc.argvs, out, tc.want)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%v never terminated", tc.argvs)
+		}
 	}
 }
 

@@ -109,54 +109,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readErrReader keeps the first error other than io.EOF that its reader
-// returns from reading, telling it apart from an error in writing what was
-// read: a source must fail on the first and end quietly on the second.
-type readErrReader struct {
-	r   io.Reader
-	err error
-}
-
-func (r *readErrReader) Read(p []byte) (int, error) {
-	n, err := r.r.Read(p)
-	r.note(err)
-	return n, err
-}
-
-// WriteTo keeps the wrapped reader's own copy loop (an in-memory file hands
-// the pipe its bytes one block per write); an error that did not come from
-// w came from reading.
-func (r *readErrReader) WriteTo(w io.Writer) (int64, error) {
-	wt, ok := r.r.(io.WriterTo)
-	if !ok {
-		return io.Copy(w, onlyReader{r})
-	}
-	fw := &failWriter{w: w}
-	n, err := wt.WriteTo(fw)
-	if !fw.failed {
-		r.note(err)
-	}
-	return n, err
-}
-
-func (r *readErrReader) note(err error) {
-	if err != nil && err != io.EOF && r.err == nil {
-		r.err = err
-	}
-}
-
-// failWriter records whether a write failed or came up short.
-type failWriter struct {
-	w      io.Writer
-	failed bool
-}
-
-func (f *failWriter) Write(p []byte) (int, error) {
-	n, err := f.w.Write(p)
-	f.failed = f.failed || err != nil || n < len(p)
-	return n, err
-}
-
 // onlyReader hides any WriteTo on the wrapped reader so delegation chains
 // cannot ping-pong between WriteTo and ReadFrom.
 type onlyReader struct{ r io.Reader }
@@ -164,59 +116,21 @@ type onlyReader struct{ r io.Reader }
 func (o onlyReader) Read(p []byte) (int, error) { return o.r.Read(p) }
 
 // WriteTo delegates to the wrapped reader's zero-copy path (bounded-pipe
-// chunk handoff) when it has one, counting the bytes exactly once. A
-// counting peer on the destination side is unwrapped first so that a
-// pipe-to-pipe edge still resolves to wholesale chunk handoff even with
-// both metric wrappers in between.
+// chunk handoff, which a counting peer on the destination side takes part
+// in as an owned writer) when it has one; only an injected fault's reader
+// has none.
 //
-// On the delegated paths the bytes are counted when the copy returns, not
+// On the delegated path the bytes are counted when the copy returns, not
 // as they move: while the copy runs, bytes may already sit downstream with
-// both counters still at zero. No code may read these counters mid-copy to
+// this counter still at zero. No code may read these counters mid-copy to
 // decide whether bytes escaped a node.
 func (c *countingReader) WriteTo(w io.Writer) (int64, error) {
-	dst := w
-	var dstCtr *atomic.Int64
-	if cw, ok := w.(*countingWriter); ok {
-		dst = cw.w
-		dstCtr = cw.n
-	}
-	count := func(n int64) {
-		c.n.Add(n)
-		if dstCtr != nil {
-			dstCtr.Add(n)
-		}
-	}
 	if wt, ok := c.r.(io.WriterTo); ok {
-		n, err := wt.WriteTo(dst)
-		count(n)
+		n, err := wt.WriteTo(w)
+		c.n.Add(n)
 		return n, err
 	}
-	if rf, ok := dst.(io.ReaderFrom); ok {
-		n, err := rf.ReadFrom(onlyReader{c.r})
-		count(n)
-		return n, err
-	}
-	// Fall back to a pooled-block copy loop; io.Copy would allocate.
-	blk := pipe.GetBlock()[:pipe.BlockSize]
-	defer pipe.PutBlock(blk)
-	var total int64
-	for {
-		n, err := c.r.Read(blk)
-		count(int64(n))
-		if n > 0 {
-			k, werr := dst.Write(blk[:n])
-			total += int64(k)
-			if werr != nil {
-				return total, werr
-			}
-		}
-		if err == io.EOF {
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-	}
+	return io.Copy(w, onlyReader{c})
 }
 
 // countingWriter counts bytes a node produced.
@@ -247,31 +161,13 @@ func (c *countingWriter) WriteOwned(p []byte) (int, error) {
 }
 
 // ReadFrom delegates to the wrapped writer's zero-copy intake (pooled
-// blocks straight into a bounded pipe) when it has one.
+// blocks straight into a bounded pipe) when it has one; only an injected
+// fault's writer has none.
 func (c *countingWriter) ReadFrom(r io.Reader) (int64, error) {
 	if rf, ok := c.w.(io.ReaderFrom); ok {
 		n, err := rf.ReadFrom(r)
 		c.n.Add(n)
 		return n, err
 	}
-	blk := pipe.GetBlock()[:pipe.BlockSize]
-	defer pipe.PutBlock(blk)
-	var total int64
-	for {
-		n, err := r.Read(blk)
-		if n > 0 {
-			k, werr := c.w.Write(blk[:n])
-			c.n.Add(int64(k))
-			total += int64(k)
-			if werr != nil {
-				return total, werr
-			}
-		}
-		if err == io.EOF {
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-	}
+	return io.Copy(struct{ io.Writer }{c}, r)
 }

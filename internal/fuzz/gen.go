@@ -506,8 +506,12 @@ func (g *gen) mutatorCmd() *syntax.SimpleCommand {
 	}
 }
 
-// pipelineCmd builds a 1–4 stage pipeline with optional redirections.
+// pipelineCmd builds a 1–4 stage pipeline with optional redirections, or
+// now and then an endless one.
 func (g *gen) pipelineCmd(depth int) *syntax.Pipeline {
+	if g.rng.Intn(12) == 0 {
+		return g.endlessPipeline()
+	}
 	stages := 1 + g.pick(4, 3, 2, 1)
 	cmds := make([]syntax.Command, 0, stages)
 	first := g.sourceCmd(depth)
@@ -538,6 +542,37 @@ func (g *gen) pipelineCmd(depth int) *syntax.Pipeline {
 		}
 	}
 	return &syntax.Pipeline{Cmds: cmds, Negated: g.rng.Intn(12) == 0}
+}
+
+// endlessPipeline puts an unbounded producer (yes, seq 1 N with N ≥ 10⁶,
+// `while :; do echo …; done`) in front of 0–2 filters that pass each line
+// on and an early-closing consumer (head -nK, sed Kq): under POSIX it ends
+// only because the consumer's exit ends every writer upstream of it.
+func (g *gen) endlessPipeline() *syntax.Pipeline {
+	w := []string{"y", "unix", "stream", "42"}[g.rng.Intn(4)]
+	cmds := []syntax.Command{argv("yes", w)}
+	switch g.rng.Intn(3) {
+	case 1:
+		cmds[0] = argv("seq", "1", fmt.Sprint(1_000_000*(1+g.rng.Intn(30))))
+	case 2:
+		cmds[0] = &syntax.WhileClause{Cond: []*syntax.Stmt{stmtOf(argv(":"))},
+			Body: []*syntax.Stmt{stmtOf(argv("echo", w))}}
+	}
+	for i := g.rng.Intn(3); i > 0; i-- {
+		switch g.rng.Intn(6) {
+		case 0:
+			cmds = append(cmds, simple(lit("awk"), word(&syntax.SglQuoted{Value: "{print $1}"})))
+		default:
+			cmds = append(cmds, argv([][]string{{"tr", "a-z", "A-Z"}, {"rev"}, {"cut", "-c", "1-3"},
+				{"grep", "-v", "z"}, {"sed", "s/e/E/"}}[g.rng.Intn(5)]...))
+		}
+	}
+	k := 1 + g.rng.Intn(5)
+	consumer := argv("head", "-n", fmt.Sprint(k))
+	if g.rng.Intn(2) == 0 {
+		consumer = argv("sed", fmt.Sprintf("%dq", k))
+	}
+	return &syntax.Pipeline{Cmds: append(cmds, consumer)}
 }
 
 // heredocCmd builds `cat <<EOF ... EOF` with an optionally quoted delimiter.

@@ -38,6 +38,11 @@ import (
 //	         substring guess and split into lanes, each lane printing
 //	         the diagnostic; s/a;b/X/ was cut at its ; (stderr:plain↔aot,
 //	         found once the generator drew programs from a table).
+//	yes      in front of a line filter and head never ended: the filter
+//	         kept reading after head had gone, its writes silently
+//	         dropped, so yes never met a closed pipe (hang in every
+//	         oracle, seeds 2–25 once the generator drew endless
+//	         producers).
 func TestRegressionMinimizedReproducers(t *testing.T) {
 	fixture := Generate(DefaultConfig(1)).Fixture
 	cases := []struct {
@@ -55,6 +60,7 @@ func TestRegressionMinimizedReproducers(t *testing.T) {
 		{"set-u-on-the-line-before", "set -u\nv1=\"$v1.pipe\"; echo hi >>/tmp/out1.txt; echo a >/tmp/o2; echo b >/tmp/o3\n"},
 		{"awk-rejected-program-split-into-lanes", "cat /data/a.txt | awk '{n++; print n}' | wc -l\n"},
 		{"sed-semicolon-inside-s", "cat /data/a.txt | sed 's/a;b/X/'\n"},
+		{"filter-outlives-closed-reader", "yes unix | rev | head -n 1\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -55,6 +55,17 @@ func BuiltinNames() []string {
 
 func builtinColon(*Interp, []string) int { return 0 }
 
+// printf writes a builtin's output. dash runs its builtins in the shell's
+// own process, so SIGPIPE ends the whole stage when one writes into a pipe
+// whose reader has gone; a failed write here ends the stage the same way,
+// with coreutils.StatusBrokenPipe and no diagnostic (runUtility does it
+// for echo and printf).
+func (in *Interp) printf(format string, args ...any) {
+	if _, err := fmt.Fprintf(in.Stdout, format, args...); err != nil {
+		panic(exitSignal{coreutils.StatusBrokenPipe})
+	}
+}
+
 func builtinCd(in *Interp, args []string) int {
 	target := in.Getenv("HOME")
 	if len(args) > 1 {
@@ -70,7 +81,7 @@ func builtinCd(in *Interp, args []string) int {
 			fmt.Fprintln(in.Stderr, "cd: OLDPWD not set")
 			return 1
 		}
-		fmt.Fprintln(in.Stdout, target)
+		in.printf("%s\n", target)
 	}
 	dest := in.lookPath(target)
 	fi, err := in.FS.Stat(dest)
@@ -85,7 +96,7 @@ func builtinCd(in *Interp, args []string) int {
 }
 
 func builtinPwd(in *Interp, args []string) int {
-	fmt.Fprintln(in.Stdout, in.Dir)
+	in.printf("%s\n", in.Dir)
 	return 0
 }
 
@@ -94,7 +105,7 @@ func builtinExport(in *Interp, args []string) int {
 		env := in.Environ()
 		sort.Strings(env)
 		for _, e := range env {
-			fmt.Fprintf(in.Stdout, "export %s\n", e)
+			in.printf("export %s\n", e)
 		}
 		return 0
 	}
@@ -149,7 +160,7 @@ func builtinSet(in *Interp, args []string) int {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Fprintf(in.Stdout, "%s=%s\n", name, in.Vars[name].Value)
+			in.printf("%s=%s\n", name, in.Vars[name].Value)
 		}
 		return 0
 	}
@@ -359,12 +370,12 @@ func builtinType(in *Interp, args []string) int {
 	for _, name := range args[1:] {
 		switch {
 		case builtins[name] != nil:
-			fmt.Fprintf(in.Stdout, "%s is a shell builtin\n", name)
+			in.printf("%s is a shell builtin\n", name)
 		case in.Funcs[name] != nil:
-			fmt.Fprintf(in.Stdout, "%s is a function\n", name)
+			in.printf("%s is a function\n", name)
 		default:
 			if _, ok := coreutils.Lookup(name); ok {
-				fmt.Fprintf(in.Stdout, "%s is %s\n", name, path.Join("/bin", name))
+				in.printf("%s is %s\n", name, path.Join("/bin", name))
 			} else {
 				fmt.Fprintf(in.Stderr, "type: %s: not found\n", name)
 				status = 1

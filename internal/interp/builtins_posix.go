@@ -29,7 +29,7 @@ func builtinTrap(in *Interp, args []string) int {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Fprintf(in.Stdout, "trap -- '%s' %s\n", in.Traps[name], name)
+			in.printf("trap -- '%s' %s\n", in.Traps[name], name)
 		}
 		return 0
 	}
@@ -191,7 +191,7 @@ func builtinGetopts(in *Interp, args []string) int {
 // Symbolic modes are not supported.
 func builtinUmask(in *Interp, args []string) int {
 	if len(args) == 1 || (len(args) == 2 && args[1] == "-S") {
-		fmt.Fprintf(in.Stdout, "%04o\n", in.Umask)
+		in.printf("%04o\n", in.Umask)
 		return 0
 	}
 	n, err := strconv.ParseUint(args[1], 8, 32)

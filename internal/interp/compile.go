@@ -812,7 +812,7 @@ func compileDispatch(c *syntax.SimpleCommand) func(*Interp, []string) {
 				return
 			}
 			if haveUtil {
-				in.Status = util(in.coreutilsContext(), fields)
+				in.runUtility(name, util, fields)
 				return
 			}
 			fmt.Fprintf(in.Stderr, "jash: %s: command not found\n", name)

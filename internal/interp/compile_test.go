@@ -6,6 +6,7 @@ import (
 	"os"
 	osexec "os/exec"
 	"path"
+	"slices"
 	"strings"
 	"testing"
 
@@ -596,13 +597,23 @@ func TestControlFlowAgreesWithDash(t *testing.T) {
 		"set -e; f() { false; echo in-f; }; f; echo unreached",
 		"set -e; (false; echo in-sub); echo unreached",
 	}
-	for _, src := range scripts {
-		cOut, _, cStatus, _, _, _ := runBoth(t, src, nil)
+	// A closed pipe stops its writer: dash's stage dies at the first write
+	// after its reader has gone (SIGPIPE), so its loop never reaches the
+	// "ended" line. Both shells must stop there and say nothing.
+	closedReader := []string{
+		`{ i=0; while [ $i -lt 300000 ]; do echo x || break; i=$((i+1)); done; echo "ended i=$i" >&2; } | { read l; echo "got $l"; }`,
+		`{ i=0; while [ $i -lt 300000 ]; do printf 'x\n' || break; i=$((i+1)); done; echo "ended i=$i" >&2; } | { read l; echo "got $l"; }`,
+	}
+	for _, src := range append(scripts, closedReader...) {
+		cOut, cErr, cStatus, _, pErr, _ := runBoth(t, src, nil)
 		cmd := osexec.Command("/bin/sh", "-c", src)
 		cmd.Env = []string{"LC_ALL=C", "PATH=/nonexistent"}
-		var out bytes.Buffer
-		cmd.Stdout = &out
+		var out, errs bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &errs
 		err := cmd.Run()
+		if slices.Contains(closedReader, src) && (cErr != "" || pErr != "" || errs.Len() > 0) {
+			t.Errorf("%q: stderr jash %q (plain %q), dash %q; want nothing", src, cErr, pErr, errs.String())
+		}
 		var exit *osexec.ExitError
 		if err != nil && !errors.As(err, &exit) {
 			t.Fatalf("%q: dash did not run: %v", src, err)

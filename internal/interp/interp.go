@@ -574,11 +574,23 @@ func (in *Interp) dispatch(fields []string) {
 		return
 	}
 	if fn, ok := coreutils.Lookup(name); ok {
-		in.Status = fn(in.coreutilsContext(), fields)
+		in.runUtility(name, fn, fields)
 		return
 	}
 	fmt.Fprintf(in.Stderr, "jash: %s: command not found\n", name)
 	in.Status = 127
+}
+
+// runUtility runs a registry utility. echo and printf are dash builtins:
+// a write of theirs whose reader has gone ends the stage, as a builtin's
+// does (Interp.printf). Any other utility only returns
+// coreutils.StatusBrokenPipe, and its stage goes on, as a dash subshell
+// outlives the external command SIGPIPE ended.
+func (in *Interp) runUtility(name string, fn coreutils.Func, fields []string) {
+	in.Status = fn(in.coreutilsContext(), fields)
+	if in.Status == coreutils.StatusBrokenPipe && (name == "echo" || name == "printf") {
+		panic(exitSignal{in.Status})
+	}
 }
 
 // dispatchFault is where chaos reaches the interpreter, with the fast paths

@@ -34,9 +34,17 @@ var blockPool = sync.Pool{
 	},
 }
 
+// headers recycles the *[]byte a block travels through blockPool in, so
+// that PutBlock does not allocate one.
+var headers = sync.Pool{New: func() any { return new([]byte) }}
+
 // GetBlock takes an empty pooled block of capacity BlockSize.
 func GetBlock() []byte {
-	return (*blockPool.Get().(*[]byte))[:0]
+	h := blockPool.Get().(*[]byte)
+	b := (*h)[:0]
+	*h = nil
+	headers.Put(h)
+	return b
 }
 
 // PutBlock returns a block to the pool. Safe to call with a grown or
@@ -45,8 +53,9 @@ func PutBlock(b []byte) {
 	if cap(b) != BlockSize {
 		return
 	}
-	b = b[:0]
-	blockPool.Put(&b)
+	h := headers.Get().(*[]byte)
+	*h = b[:0]
+	blockPool.Put(h)
 }
 
 // LockedWriter serializes writes from concurrent stage or node goroutines
@@ -304,8 +313,9 @@ func (p *pipe) takeChunk() (data, base []byte, err error) {
 
 // handoffTo moves chunks from src to dst with no byte copying: the
 // zero-copy fast path for pipe-to-pipe edges (io.Copy between two
-// bounded-pipe ends resolves here via WriteTo/ReadFrom).
-func (src *pipe) handoffTo(dst *pipe) (int64, error) {
+// bounded-pipe ends resolves here via WriteTo/ReadFrom) and for any
+// writer that takes ownership of a block.
+func (src *pipe) handoffTo(dst OwnedWriter) (int64, error) {
 	var total int64
 	for {
 		data, base, err := src.takeChunk()
@@ -321,7 +331,7 @@ func (src *pipe) handoffTo(dst *pipe) (int64, error) {
 		} else {
 			owned = data // partially-read block: dst drops it to the GC
 		}
-		n, werr := dst.writeOwned(owned)
+		n, werr := dst.WriteOwned(owned)
 		total += int64(n)
 		if werr != nil {
 			return total, werr
@@ -401,11 +411,11 @@ func (r *Reader) BlockedTimes() (rd, wr time.Duration) {
 func (r *Reader) Read(b []byte) (int, error) { return r.p.read(b) }
 
 // WriteTo drains the pipe into w chunk-by-chunk without an intermediate
-// copy buffer. When w is the write end of another bounded pipe the
-// chunks hand off wholesale (zero copies).
+// copy buffer. When w takes ownership of blocks (the write end of another
+// bounded pipe does) the chunks hand off wholesale (zero copies).
 func (r *Reader) WriteTo(w io.Writer) (int64, error) {
-	if bw, ok := w.(*Writer); ok {
-		return r.p.handoffTo(bw.p)
+	if ow, ok := w.(OwnedWriter); ok {
+		return r.p.handoffTo(ow)
 	}
 	var total int64
 	for {
@@ -444,7 +454,7 @@ func (w *Writer) WriteOwned(b []byte) (int, error) { return w.p.writeOwned(b) }
 // bounded-pipe source short-circuits to wholesale chunk handoff.
 func (w *Writer) ReadFrom(r io.Reader) (int64, error) {
 	if br, ok := r.(*Reader); ok {
-		return br.p.handoffTo(w.p)
+		return br.p.handoffTo(w)
 	}
 	var total int64
 	for {

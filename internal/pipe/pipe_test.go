@@ -360,6 +360,10 @@ func TestBlockPoolRecyclesOnlyStandardBlocks(t *testing.T) {
 			t.Fatalf("the pool handed out a block of capacity %d", cap(b))
 		}
 	}
+	// A block's trip through the pool allocates nothing once it is warm.
+	if n := testing.AllocsPerRun(100, func() { PutBlock(GetBlock()) }); n != 0 {
+		t.Errorf("GetBlock+PutBlock allocate %v times", n)
+	}
 }
 
 func TestBlockedTimesOnlyWhenEnabled(t *testing.T) {

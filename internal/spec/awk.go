@@ -288,6 +288,11 @@ func (p *awkParser) stmt() (AwkStmt, error) {
 		if len(args) == 0 {
 			return nil, fmt.Errorf("printf needs a format")
 		}
+		if f, ok := args[0].(*AwkString); ok {
+			if err := CheckAwkFormat(f.Value); err != nil {
+				return nil, err
+			}
+		}
 		return &AwkPrintf{Format: args[0], Args: args[1:]}, nil
 	case hasKeyword(rest, "print"):
 		p.pos += 5
@@ -704,4 +709,21 @@ func (p *awkParser) call(name string) (AwkExpr, error) {
 		return nil, fmt.Errorf("%s takes %d to %d arguments, not %d", name, arity[0], arity[1], n)
 	}
 	return call, nil
+}
+
+// CheckAwkFormat refuses a printf format with a conversion awk does not
+// implement: a constant format is refused at parse time, a computed one
+// when it runs.
+func CheckAwkFormat(format string) error {
+	for i := 0; i < len(format); i++ {
+		if format[i] != '%' {
+			continue
+		}
+		for i++; i < len(format) && strings.IndexByte("-+ 0123456789.*", format[i]) >= 0; i++ {
+		}
+		if i < len(format) && strings.IndexByte("%scdioxfeg", format[i]) < 0 {
+			return fmt.Errorf("printf: unsupported conversion %%%c", format[i])
+		}
+	}
+	return nil
 }
