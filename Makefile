@@ -19,8 +19,8 @@ vet:
 # concurrency-heavy ones, and core's list regions run interpreter clones
 # that share the session's state under one lock. All of them must stay
 # race-clean. The model
-# property test and the list planner's own tests ride along: the first
-# drives interpreter clones (every `&` is one), the second plans the regions
+# property tests and the list planner's own tests ride along: the first
+# drive interpreter clones (every `&` is one), the second plan the regions
 # those clones run. List-region workers plan pipelines concurrently over
 # graphs that carry their own adjacency index, so the graph package and the
 # pipeline planner's tests run under the race detector too. Every file
@@ -28,7 +28,7 @@ vet:
 # as well.
 race:
 	$(GO) test -race ./internal/pipe/... ./internal/vfs/... ./internal/exec/... ./internal/interp/... ./internal/core/... ./internal/trace/... ./internal/dfg/...
-	$(GO) test -race -run 'OverApproximates|ListParallel|ParallelizeList|AssignedBy|FuncTable' ./internal/analysis/... ./internal/rewrite/... ./internal/fuzz/...
+	$(GO) test -race -run 'OverApproximates|DeadStore|ListParallel|ParallelizeList|AssignedBy|FuncTable' ./internal/analysis/... ./internal/rewrite/... ./internal/fuzz/...
 	$(GO) test -race -run 'Plan|Parallelize|Graph' ./internal/rewrite/...
 
 # The fault suite: injected failures, panics, stalls, and cancellations
@@ -59,10 +59,12 @@ fuzz-smoke:
 # a 2-core host): the list-region exit bug sat at seeds 13232 and 18264,
 # past fuzz-smoke's 500 and the 2,000 this target used to sweep. The same
 # 20,000 programs then check the variable-effect model against the
-# interpreter, statement by statement (10 s; tier-1 runs the first 2,000).
+# interpreter, statement by statement, and every store the def-use chains
+# call dead against a run with that store's value replaced (10 s + 4 s;
+# tier-1 runs the first 2,000).
 fuzz:
 	$(GO) run ./cmd/jashfuzz -n 20000 -chaos 500 -q -out artifacts/fuzz
-	$(GO) test ./internal/fuzz/ -run OverApproximates -fuzz.model=20000
+	$(GO) test ./internal/fuzz/ -run 'OverApproximates|DeadStoreIsDead' -fuzz.model=20000
 	$(GO) test -timeout 30m ./internal/fuzz/ -run TestChaosInvariants -fuzz.chaos=3334
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime 5m -run '^$$' ./internal/syntax/
 	$(GO) test -fuzz='^FuzzParseCommand$$' -fuzztime 2m -run '^$$' ./internal/syntax/

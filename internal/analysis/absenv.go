@@ -37,6 +37,8 @@ type Env struct {
 	// summaries bind these); paramsKnown=false leaves positionals ⊤.
 	params      []AbsVal
 	paramsKnown bool
+	// flow is the def-use state at this point, when the walk collects it.
+	flow *flow
 }
 
 // NewEnv returns an empty environment. lookup, when non-nil, resolves
@@ -126,14 +128,18 @@ func (e *Env) Clone() *Env {
 	for k, v := range e.vals {
 		nv[k] = v
 	}
-	return &Env{vals: nv, lookup: e.lookup, ifsDefault: e.ifsDefault,
+	c := &Env{vals: nv, lookup: e.lookup, ifsDefault: e.ifsDefault,
 		params: append([]AbsVal(nil), e.params...), paramsKnown: e.paramsKnown}
+	if e.flow != nil {
+		c.flow = e.flow.clone()
+	}
+	return c
 }
 
 // JoinWith folds a branch environment back into this one, since the branch
 // may or may not have executed: every name either side binds joins the two
 // sides' values, and a side that forgot everything (WidenAll) leaves the
-// names neither binds ⊤ as well.
+// names neither binds ⊤ as well. The branch's definitions become visible.
 func (e *Env) JoinWith(o *Env) {
 	if o == nil {
 		return
@@ -153,6 +159,7 @@ func (e *Env) JoinWith(o *Env) {
 	if e.paramsKnown != o.paramsKnown {
 		e.ClearParams()
 	}
+	e.flow.merge(o.flow)
 }
 
 // Dump renders the abstract bindings deterministically for golden tests:

@@ -1,9 +1,9 @@
 // The abstract interpreter: a flow-sensitive walk of a script that
-// propagates AbsVals along the same scope structure the def-use analysis
-// models — sequential composition threads one Env, subshells and pipeline
-// stages walk clones that are then discarded, branches walk clones that
-// join back, and loops widen every loop-carried name to ⊤ before entering
-// the body. ApplyStmt is the single-statement transfer function the list
+// propagates AbsVals along its scope structure — sequential composition
+// threads one Env, subshells and pipeline stages walk clones that are then
+// discarded, branches walk clones that join back, and loops widen every
+// loop-carried name to ⊤ before entering the body. The same walk collects
+// the def-use chains (defuse.go), carried by the Env at each point. ApplyStmt is the single-statement transfer function the list
 // parallelizer threads through its planning loop; WalkValues drives the
 // lint rules, the precision report, and the golden env-dump tests.
 package analysis
@@ -29,15 +29,20 @@ type ValueVisitor struct {
 
 // WalkValues runs the abstract interpreter over a whole script, invoking
 // the visitor's hooks, and returns the final environment (the abstract
-// state after the last top-level statement). A nil env starts from the
-// all-⊤ static environment; a nil visitor just computes the final state.
-func WalkValues(script *syntax.Script, env *Env, vis *ValueVisitor) *Env {
+// state after the last top-level statement) and the def-use chains the
+// walk collected. A nil env starts from the all-⊤ static environment; a
+// nil visitor just computes the final state.
+func WalkValues(script *syntax.Script, env *Env, vis *ValueVisitor) (*Env, *DefUse) {
 	if env == nil {
 		env = NewEnv(nil)
 	}
+	du := &DefUse{}
+	env.flow = newFlow(du)
 	w := &vwalker{vis: vis}
 	w.stmts(env, script.Stmts)
-	return env
+	env.flow.finish()
+	env.flow = nil
+	return env, du
 }
 
 // ApplyStmt is the transfer function for one statement: it updates env
@@ -78,6 +83,26 @@ func (w *vwalker) widen(env *Env, node syntax.Node) (names map[string]bool, any 
 	return names, any
 }
 
+// branch clones env for code that may not run: its definitions are
+// conditional.
+func branch(env *Env) *Env {
+	c := env.Clone()
+	if c.flow != nil {
+		c.flow.conditional = true
+	}
+	return c
+}
+
+// subshell clones env for code that runs in a copy of the shell: what it
+// assigns is discarded, and what it defines overwrites no parent definition.
+func subshell(env *Env) *Env {
+	c := env.Clone()
+	if c.flow != nil {
+		c.flow.enterSubshell()
+	}
+	return c
+}
+
 func (w *vwalker) stmts(env *Env, stmts []*syntax.Stmt) {
 	for _, st := range stmts {
 		w.stmt(env, st)
@@ -90,8 +115,7 @@ func (w *vwalker) stmt(env *Env, st *syntax.Stmt) {
 	}
 	if st.Background {
 		// Background jobs assign in a subshell copy: walk and discard.
-		bg := env.Clone()
-		w.andor(bg, st.AndOr)
+		w.andor(subshell(env), st.AndOr)
 		return
 	}
 	w.andor(env, st.AndOr)
@@ -101,7 +125,7 @@ func (w *vwalker) andor(env *Env, ao *syntax.AndOr) {
 	w.pipeline(env, ao.First)
 	for _, part := range ao.Rest {
 		// && / || continuations run conditionally: join their effects.
-		br := env.Clone()
+		br := branch(env)
 		w.pipeline(br, part.Pipe)
 		env.JoinWith(br)
 	}
@@ -117,8 +141,13 @@ func (w *vwalker) pipeline(env *Env, pl *syntax.Pipeline) {
 	}
 	// Multi-stage pipelines run every stage in a subshell copy.
 	for _, cmd := range pl.Cmds {
-		stage := env.Clone()
+		stage := subshell(env)
 		w.command(stage, cmd)
+		// JSH302 owns while-loops as pipeline tails; everything else
+		// feeds the lost-assignment tracker.
+		if _, isWhile := cmd.(*syntax.WhileClause); !isWhile {
+			env.flow.recordLost(stage.flow)
+		}
 	}
 }
 
@@ -127,8 +156,9 @@ func (w *vwalker) command(env *Env, cmd syntax.Command) {
 	case *syntax.SimpleCommand:
 		w.simple(env, c)
 	case *syntax.Subshell:
-		sub := env.Clone()
+		sub := subshell(env)
 		w.stmts(sub, c.Body)
+		env.flow.recordLost(sub.flow)
 		w.widenRedirs(env, c.Redirections)
 	case *syntax.BraceGroup:
 		w.stmts(env, c.Body)
@@ -138,9 +168,9 @@ func (w *vwalker) command(env *Env, cmd syntax.Command) {
 			w.vis.If(c, env)
 		}
 		w.stmts(env, c.Cond)
-		then := env.Clone()
+		then := branch(env)
 		w.stmts(then, c.Then)
-		els := env.Clone()
+		els := branch(env)
 		w.stmts(els, c.Else)
 		env.JoinWith(then)
 		env.JoinWith(els)
@@ -151,15 +181,20 @@ func (w *vwalker) command(env *Env, cmd syntax.Command) {
 		}
 		// Loop-carried values: widen every name the condition or body can
 		// assign to ⊤ before walking, so iteration N's bindings never leak
-		// a previous iteration's constant.
+		// a previous iteration's constant. The body's definitions stay
+		// visible after it.
 		w.widen(env, c)
-		body := env.Clone()
+		body := branch(env)
 		w.stmts(body, c.Cond)
 		w.stmts(body, c.Body)
+		env.flow.merge(body.flow)
 		w.widenRedirs(env, c.Redirections)
 	case *syntax.ForClause:
 		// Items expand once, in the pre-loop environment.
 		items, itemsExact := w.forItems(env, c)
+		if env.flow != nil {
+			env.flow.define(c.Name, c.Pos(), DefFor, true)
+		}
 		names, any := w.widen(env, &syntax.BraceGroup{Body: c.Body})
 		// item is what the variable holds when an iteration starts.
 		item := Top()
@@ -169,9 +204,10 @@ func (w *vwalker) command(env *Env, cmd syntax.Command) {
 				item = Join(item, it)
 			}
 		}
-		body := env.Clone()
+		body := branch(env)
 		body.Bind(c.Name, item)
 		w.stmts(body, c.Body)
+		env.flow.merge(body.flow)
 		// POSIX leaves the variable bound to the last item (or any item,
 		// at a break); joining all items covers every exit point. A body
 		// that assigns the variable leaves what it assigned, and an empty
@@ -184,17 +220,17 @@ func (w *vwalker) command(env *Env, cmd syntax.Command) {
 		}
 		w.widenRedirs(env, c.Redirections)
 	case *syntax.CaseClause:
-		w.word(env, c.Word)
+		w.word(env, c.Word, "")
 		// Patterns expand until one matches; a word's effects only widen,
 		// which covers the ones that never were.
 		for _, item := range c.Items {
 			for _, pat := range item.Patterns {
-				w.word(env, pat)
+				w.word(env, pat, "")
 			}
 		}
 		var branches []*Env
 		for _, item := range c.Items {
-			br := env.Clone()
+			br := branch(env)
 			w.stmts(br, item.Body)
 			branches = append(branches, br)
 		}
@@ -207,8 +243,13 @@ func (w *vwalker) command(env *Env, cmd syntax.Command) {
 			w.funcs = map[string]syntax.Command{}
 		}
 		w.funcs[c.Name] = c.Body
-		// The body runs later, with unknown globals and positionals.
+		// The body runs later, with unknown globals and positionals, in a
+		// frame of its own that sees the definitions made so far.
 		fe := NewEnv(nil)
+		if env.flow != nil {
+			fe.flow = env.flow.clone()
+			fe.flow.enterFunc()
+		}
 		w.command(fe, c.Body)
 	}
 }
@@ -219,18 +260,21 @@ func (w *vwalker) forItems(env *Env, c *syntax.ForClause) ([]AbsVal, bool) {
 		return nil, false // `for x` iterates "$@"
 	}
 	var items []AbsVal
+	exact := true
 	for _, word := range c.Words {
-		w.word(env, word)
-		fs, exact := FieldsOf(word, env)
+		w.word(env, word, "")
 		if !exact {
-			return nil, false
+			continue
 		}
+		fs, ok := FieldsOf(word, env)
+		exact = ok
 		for _, f := range fs {
-			if f.Globbable {
-				return nil, false
-			}
+			exact = exact && !f.Globbable
 			items = append(items, f.Val)
 		}
+	}
+	if !exact {
+		return nil, false
 	}
 	return items, true
 }
@@ -239,13 +283,23 @@ func (w *vwalker) simple(env *Env, sc *syntax.SimpleCommand) {
 	if w.vis != nil && w.vis.Simple != nil {
 		w.vis.Simple(sc, env)
 	}
+	f := env.flow
 	// Assigning expansions anywhere in the command assign; command
-	// substitution bodies run on environment copies.
+	// substitution bodies run on environment copies. `FOO=1 cmd` scopes
+	// the assignment to cmd: no persistent binding.
+	tempEnv := len(sc.Args) > 0
 	for _, a := range sc.Assigns {
-		w.word(env, a.Value)
+		runs := w.word(env, a.Value, a.Name)
+		switch {
+		case f == nil:
+		case tempEnv:
+			f.define(a.Name, a.Pos(), DefTempEnv, true).Uses = 1 // feeds cmd's environment
+		default:
+			f.define(a.Name, a.Pos(), DefAssign, f.conditional).HasCmdSubst = runs
+		}
 	}
 	for _, arg := range sc.Args {
-		w.word(env, arg)
+		w.word(env, arg, "")
 	}
 	w.widenRedirs(env, sc.Redirections)
 	if len(sc.Args) == 0 {
@@ -260,7 +314,6 @@ func (w *vwalker) simple(env *Env, sc *syntax.SimpleCommand) {
 		}
 		return
 	}
-	// `FOO=1 cmd` scopes the assignment to cmd: no persistent binding.
 	row, name, builtin := builtinOf(sc)
 	ops, exact := row.operands(sc)
 	switch {
@@ -274,6 +327,9 @@ func (w *vwalker) simple(env *Env, sc *syntax.SimpleCommand) {
 	case !exact:
 		env.WidenAll() // a dynamic name: it could be any variable
 	}
+	if row.anything || !exact {
+		f.useAll()
+	}
 	for _, op := range ops {
 		switch {
 		case row.unsets:
@@ -282,15 +338,53 @@ func (w *vwalker) simple(env *Env, sc *syntax.SimpleCommand) {
 			// (A bare `local x` is empty in a function, unchanged outside.)
 			env.Bind(op.name, Top())
 		}
+		switch {
+		case f == nil:
+		case row.unsets:
+			delete(f.defs, op.name)
+		case row.def == DefExport && !op.hasValue:
+			f.use(op.name, op.word.Pos(), true)
+		default:
+			// Bare `local x` declares without a meaningful value; the
+			// conditional flag keeps it out of dead-store reports.
+			f.define(op.name, op.word.Pos(), row.def,
+				f.conditional || row.def == DefGetopts || row.def == DefLocal && !op.hasValue)
+		}
+		if f != nil && name == "export" {
+			f.st.exported[op.name] = true
+		}
+	}
+	if f != nil && name == "set" && setsAllExport(sc.Args[1:]) {
+		f.st.allExport = true
 	}
 	for _, n := range row.implicit {
 		env.Bind(n, Top())
+		if f != nil {
+			f.define(n, sc.Pos(), row.def, true)
+		}
 	}
 	if row.params {
 		env.ClearParams()
 	}
-	if body := w.funcBody(name); !builtin && body != nil {
-		w.widen(env, body)
+	if builtin {
+		if row.runs {
+			f.useExported() // exec runs a utility
+		}
+		return
+	}
+	body := w.funcBody(name)
+	if body == nil {
+		f.useExported() // a utility reads the exported names
+		return
+	}
+	// A call runs the body, which may read any visible binding and
+	// assigns what AssignedBy says.
+	names, _ := w.widen(env, body)
+	if f != nil {
+		f.useAll()
+		for _, n := range sortedNames(names) {
+			f.define(n, sc.Pos(), DefAssign, true)
+		}
 	}
 }
 
@@ -320,28 +414,41 @@ func (w *vwalker) declOperand(env *Env, arg *syntax.Word) {
 // word applies what expanding one word does to the environment: assigning
 // expansions widen their target to ⊤, arithmetic that may assign anything
 // widens everything, and command-substitution bodies walk on discarded
-// copies.
-func (w *vwalker) word(env *Env, word *syntax.Word) {
+// copies. It records the word's reads, and reports whether it runs
+// commands. assignTo names the variable the word is being assigned to, if
+// any: in `PATH=$PATH:/x` the read of PATH never reports use-before-assign
+// (appending to a possibly-ambient value is idiomatic). Arithmetic reads
+// arrive guarded: unset variables evaluate as 0 inside $((...)), so
+// counters initialized implicitly (`n=$((n+1))`) are idiomatic too.
+func (w *vwalker) word(env *Env, word *syntax.Word, assignTo string) (runs bool) {
 	if word == nil {
-		return
+		return false
 	}
 	d := expand.AnalyzeWord(word)
+	f := env.flow
 	if opaque(d, env) {
 		env.WidenAll()
+		f.useAll()
 	}
 	for _, e := range d.Effects {
 		switch e.Kind {
+		case expand.EffectRead:
+			f.use(e.Name, e.Pos, e.Guarded || e.Name == assignTo)
 		case expand.EffectAssign:
 			env.Bind(e.Name, Top())
+			if f != nil && isVarName(e.Name) && f.defs[e.Name] == nil {
+				f.define(e.Name, e.Pos, DefParam, true)
+			}
 		case expand.EffectSubst:
-			w.stmts(env.Clone(), e.Body)
+			w.stmts(subshell(env), e.Body)
 		}
 	}
+	return d.HasCmdSubst
 }
 
 func (w *vwalker) widenRedirs(env *Env, rs []*syntax.Redirect) {
 	for _, r := range rs {
-		w.word(env, r.Target)
-		w.word(env, r.Body)
+		w.word(env, r.Target, "")
+		w.word(env, r.Body, "")
 	}
 }

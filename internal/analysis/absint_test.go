@@ -64,7 +64,8 @@ func finalEnv(t *testing.T, src string) *Env {
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	return WalkValues(script, nil, nil)
+	env, _ := WalkValues(script, nil, nil)
+	return env
 }
 
 func TestWalkValuesStates(t *testing.T) {
@@ -305,7 +306,8 @@ func TestExampleEnvDumpsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dump := WalkValues(script, nil, nil).Dump()
+			env, _ := WalkValues(script, nil, nil)
+			dump := env.Dump()
 			golden := filepath.Join("testdata", "envdump", dir+".golden")
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {

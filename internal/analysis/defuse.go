@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"jash/internal/expand"
+	"strings"
+
 	"jash/internal/syntax"
 )
 
@@ -39,9 +40,6 @@ type Def struct {
 	// Conditional marks defs inside branch or loop bodies — they may
 	// never execute, so they suppress rather than trigger diagnostics.
 	Conditional bool
-	// Subshell marks defs made in a subshell copy of the environment:
-	// invisible to the parent shell after the subshell exits.
-	Subshell bool
 	// HasCmdSubst marks values that run commands; overwriting them is
 	// not a dead store of work.
 	HasCmdSubst bool
@@ -95,51 +93,73 @@ func (du *DefUse) DeadDefs() []*Def {
 	return out
 }
 
+// AnalyzeDefUse computes def-use chains with scope tracking for a parsed
+// script: the facts the value walk collects.
+func AnalyzeDefUse(script *syntax.Script) *DefUse {
+	_, du := WalkValues(script, nil, nil)
+	return du
+}
+
 // ambientVars are conventional environment variables a script may read
-// without assigning first even when it also assigns them later; they
-// never produce use-before-assign findings.
+// without assigning first even when it also assigns them later, and that
+// the shell or the utilities read without a $ (so are likely inherited
+// exported): they never produce use-before-assign findings, and a store to
+// one is never dead. Every LC_* locale name counts too (ambient).
 var ambientVars = map[string]bool{
 	"HOME": true, "PATH": true, "PWD": true, "OLDPWD": true, "IFS": true,
 	"PS1": true, "PS2": true, "PS4": true, "TERM": true, "USER": true,
 	"LOGNAME": true, "SHELL": true, "HOSTNAME": true, "LANG": true,
 	"TMPDIR": true, "EDITOR": true, "PAGER": true, "MAIL": true,
 	"OPTIND": true, "OPTARG": true, "REPLY": true, "LINENO": true,
-	"SECONDS": true, "RANDOM": true,
+	"SECONDS": true, "RANDOM": true, "CDPATH": true, "ENV": true,
+	"TZ": true, "LANGUAGE": true, "NLSPATH": true, "COLUMNS": true,
+	"LINES": true, "POSIXLY_CORRECT": true,
 }
 
-// duCtx is the walker's flow state. Sequential statements share one ctx;
-// subshells get a cloned bindings map; branch and loop bodies set the
-// conditional flag.
-type duCtx struct {
-	bindings    map[string]*Def
-	conditional bool
-	subshell    bool
+// ambient reports whether name is an ambientVars name or a locale name.
+func ambient(name string) bool {
+	return ambientVars[name] || strings.HasPrefix(name, "LC_")
+}
+
+// setsAllExport reports whether a `set` command's operands may turn on
+// allexport: -a alone or among other letters, `-o allexport`, or an
+// option word not known until run time.
+func setsAllExport(args []*syntax.Word) bool {
+	for i := 0; i < len(args); i++ {
+		text, static := staticText(args[i])
+		switch {
+		case !static:
+			return true
+		case text == "--" || !strings.HasPrefix(text, "-"):
+			return false
+		case text == "-o" && i+1 < len(args):
+			i++
+			if opt, static := staticText(args[i]); !static || opt == "allexport" {
+				return true
+			}
+		case text != "-o" && strings.ContainsRune(text[1:], 'a'):
+			return true
+		}
+	}
+	return false
+}
+
+// flow is the def-use state at one program point of the value walk. The
+// Env that carries it clones it where the walk clones the Env (subshells,
+// pipeline stages, branches, loop bodies, function bodies) and merges it
+// back where branches join.
+type flow struct {
+	st *duState
+	// defs is the visible definition of each name.
+	defs        map[string]*Def
+	conditional bool // the point may not run: branch and loop bodies
+	subshell    bool // the point runs in a copy of the shell
 	inFunc      bool
 	frame       int
-	// loopNames holds the variables assigned anywhere in the enclosing
-	// loop bodies (loopAny: possibly all of them): a textual use-before-def
-	// inside the loop may be fed by a previous iteration, so it is
-	// suppressed.
-	loopNames map[string]bool
-	loopAny   bool
 }
 
-func (c *duCtx) clone() *duCtx {
-	nb := make(map[string]*Def, len(c.bindings))
-	for k, v := range c.bindings {
-		nb[k] = v
-	}
-	nc := *c
-	nc.bindings = nb
-	return &nc
-}
-
-type lostEntry struct {
-	def       *Def
-	parentDef *Def // the binding visible to the parent when the subshell ran
-}
-
-type duWalker struct {
+// duState is what every program point of one walk shares.
+type duState struct {
 	res *DefUse
 	// pending maps names to root-scope uses seen before any definition.
 	pending map[string][]syntax.Pos
@@ -147,378 +167,180 @@ type duWalker struct {
 	rootDefs map[string]*Def
 	// lost tracks subshell assignments awaiting a parent use.
 	lost map[string]*lostEntry
-	// funcs are the functions declared so far.
-	funcs     map[string]syntax.Command
+	// exported are the names an `export` marked so far: every utility the
+	// script runs afterwards reads them from its environment. allExport:
+	// a `set -a` may have run, so every name may be exported.
+	exported  map[string]bool
+	allExport bool
 	nextFrame int
 }
 
-// AnalyzeDefUse computes def-use chains with scope tracking for a parsed
-// script.
-func AnalyzeDefUse(script *syntax.Script) *DefUse {
-	w := &duWalker{
-		res:      &DefUse{},
-		pending:  map[string][]syntax.Pos{},
-		rootDefs: map[string]*Def{},
-		lost:     map[string]*lostEntry{},
-		funcs:    map[string]syntax.Command{},
+type lostEntry struct {
+	def       *Def
+	parentDef *Def // the binding visible to the parent when the subshell ran
+}
+
+func newFlow(res *DefUse) *flow {
+	st := &duState{res: res, pending: map[string][]syntax.Pos{}, rootDefs: map[string]*Def{},
+		lost: map[string]*lostEntry{}, exported: map[string]bool{}}
+	return &flow{st: st, defs: map[string]*Def{}}
+}
+
+func (f *flow) clone() *flow {
+	nf := *f
+	nf.defs = make(map[string]*Def, len(f.defs))
+	for k, v := range f.defs {
+		nf.defs[k] = v
 	}
-	ctx := &duCtx{bindings: map[string]*Def{}}
-	w.stmts(ctx, script.Stmts)
-	// Resolve pending uses: a root-scope def later in the program turns
-	// each into a use-before-assign witness.
-	for name, uses := range w.pending {
-		d, ok := w.rootDefs[name]
+	return &nf
+}
+
+// enterSubshell marks a clone as a copy of the shell with a frame of its
+// own: nothing it defines overwrites a parent definition.
+func (f *flow) enterSubshell() {
+	f.subshell = true
+	f.frame = f.st.newFrame()
+}
+
+// enterFunc marks a clone as a function body, walked where it is declared
+// but run at each call, in a frame of its own.
+func (f *flow) enterFunc() {
+	f.inFunc, f.conditional = true, false
+	f.frame = f.st.newFrame()
+}
+
+func (st *duState) newFrame() int {
+	st.nextFrame++
+	return st.nextFrame
+}
+
+// merge folds a branch's definitions back: a name defined in any branch is
+// (conditionally) visible afterwards, so later reads resolve and later
+// overwrites report no dead store.
+func (f *flow) merge(o *flow) {
+	if f == nil || o == nil {
+		return
+	}
+	for k, v := range o.defs {
+		f.defs[k] = v
+	}
+}
+
+// root reports whether the point runs in the script's own shell, outside
+// any function body.
+func (f *flow) root() bool { return !f.subshell && !f.inFunc }
+
+// finish resolves the pending uses: a root-scope def later in the program
+// turns each into a use-before-assign witness.
+func (f *flow) finish() {
+	st := f.st
+	for name, uses := range st.pending {
+		d, ok := st.rootDefs[name]
 		if !ok {
 			continue
 		}
 		for _, up := range uses {
 			if up.Offset < d.Pos.Offset {
-				w.res.UseBeforeDefs = append(w.res.UseBeforeDefs, UseBeforeDef{
+				st.res.UseBeforeDefs = append(st.res.UseBeforeDefs, UseBeforeDef{
 					Name: name, UsePos: up, DefPos: d.Pos,
 				})
 			}
 		}
 	}
-	return w.res
 }
 
-func (w *duWalker) stmts(ctx *duCtx, stmts []*syntax.Stmt) {
-	for _, st := range stmts {
-		w.stmt(ctx, st)
-	}
-}
-
-func (w *duWalker) stmt(ctx *duCtx, st *syntax.Stmt) {
-	if st == nil || st.AndOr == nil {
-		return
-	}
-	bg := ctx
-	if st.Background {
-		// `cmd &` runs in a subshell: its assignments are lost.
-		bg = ctx.clone()
-		bg.subshell = true
-	}
-	w.pipeline(bg, st.AndOr.First, false)
-	for _, part := range st.AndOr.Rest {
-		// The right side of && / || runs conditionally.
-		cc := bg.clone()
-		cc.conditional = true
-		w.pipeline(cc, part.Pipe, false)
-		// Conditional defs still suppress later diagnostics: merge them
-		// back as the visible (conditional) bindings.
-		for k, v := range cc.bindings {
-			if bg.bindings[k] != v {
-				bg.bindings[k] = v
-			}
-		}
-	}
-}
-
-// pipeline walks one pipeline. Multi-stage pipelines run each stage in a
-// subshell; assignments there are lost to the parent.
-func (w *duWalker) pipeline(ctx *duCtx, pl *syntax.Pipeline, _ bool) {
-	if pl == nil {
-		return
-	}
-	if len(pl.Cmds) == 1 {
-		w.command(ctx, pl.Cmds[0])
-		return
-	}
-	for _, cmd := range pl.Cmds {
-		sc := ctx.clone()
-		sc.subshell = true
-		sc.frame = w.newFrame()
-		w.command(sc, cmd)
-		// JSH302 owns while-loops as pipeline tails; everything else
-		// feeds the lost-assignment tracker.
-		if _, isWhile := cmd.(*syntax.WhileClause); !isWhile {
-			w.recordLost(ctx, sc)
-		}
-	}
-}
-
-func (w *duWalker) newFrame() int {
-	w.nextFrame++
-	return w.nextFrame
-}
-
-// recordLost diffs a subshell context against its parent and remembers
+// recordLost diffs a subshell's state against its parent's and remembers
 // fresh inner defs: a later parent use with no intervening parent def
 // makes them LostAssigns.
-func (w *duWalker) recordLost(parent, child *duCtx) {
-	for name, d := range child.bindings {
-		if parent.bindings[name] == d {
-			continue // unchanged: def predates the subshell
+func (f *flow) recordLost(child *flow) {
+	if f == nil {
+		return
+	}
+	for name, d := range child.defs {
+		if f.defs[name] == d || d.Kind == DefTempEnv {
+			continue // unchanged (the def predates the subshell), or scoped to one command
 		}
-		if d.Kind == DefTempEnv {
-			continue
-		}
-		w.lost[name] = &lostEntry{def: d, parentDef: parent.bindings[name]}
+		f.st.lost[name] = &lostEntry{def: d, parentDef: f.defs[name]}
 	}
 }
-
-func (w *duWalker) command(ctx *duCtx, cmd syntax.Command) {
-	switch c := cmd.(type) {
-	case *syntax.SimpleCommand:
-		w.simple(ctx, c)
-	case *syntax.Subshell:
-		sub := ctx.clone()
-		sub.subshell = true
-		sub.frame = w.newFrame()
-		w.stmts(sub, c.Body)
-		w.recordLost(ctx, sub)
-		w.redirs(ctx, c.Redirections)
-	case *syntax.BraceGroup:
-		w.stmts(ctx, c.Body)
-		w.redirs(ctx, c.Redirections)
-	case *syntax.IfClause:
-		w.stmts(ctx, c.Cond)
-		then := ctx.clone()
-		then.conditional = true
-		w.stmts(then, c.Then)
-		els := ctx.clone()
-		els.conditional = true
-		w.stmts(els, c.Else)
-		w.mergeConditional(ctx, then, els)
-		w.redirs(ctx, c.Redirections)
-	case *syntax.WhileClause:
-		w.loop(ctx, c, c.Cond, c.Body)
-		w.redirs(ctx, c.Redirections)
-	case *syntax.ForClause:
-		for _, word := range c.Words {
-			w.wordUses(ctx, word, "")
-		}
-		w.define(ctx, &Def{Name: c.Name, Pos: c.Pos(), Kind: DefFor, Conditional: true})
-		w.loop(ctx, c, nil, c.Body)
-		w.redirs(ctx, c.Redirections)
-	case *syntax.CaseClause:
-		w.wordUses(ctx, c.Word, "")
-		var branches []*duCtx
-		for _, item := range c.Items {
-			for _, pat := range item.Patterns {
-				w.wordUses(ctx, pat, "")
-			}
-			b := ctx.clone()
-			b.conditional = true
-			w.stmts(b, item.Body)
-			branches = append(branches, b)
-		}
-		w.mergeConditional(ctx, branches...)
-		w.redirs(ctx, c.Redirections)
-	case *syntax.FuncDecl:
-		w.funcs[c.Name] = c.Body
-		fn := ctx.clone()
-		fn.inFunc = true
-		fn.frame = w.newFrame()
-		fn.conditional = false
-		w.command(fn, c.Body)
-	}
-}
-
-// loop analyzes a while/until/for body: defs are conditional (zero
-// iterations possible) and textual use-before-def inside the body is
-// suppressed for names the body itself assigns (the value may flow from
-// a previous iteration).
-func (w *duWalker) loop(ctx *duCtx, clause syntax.Command, cond, body []*syntax.Stmt) {
-	assigned, any := AssignedBy(clause, w.funcBody)
-	lc := ctx.clone()
-	lc.conditional = true
-	lc.loopNames, lc.loopAny = assigned, any || ctx.loopAny
-	for k := range ctx.loopNames {
-		lc.loopNames[k] = true
-	}
-	w.stmts(lc, cond)
-	w.stmts(lc, body)
-	w.mergeConditional(ctx, lc)
-}
-
-func (w *duWalker) funcBody(name string) syntax.Command { return w.funcs[name] }
 
 // useAll counts every visible binding as used: something ran that may read
 // (or overwrite) any of them, so none is provably a dead store.
-func (w *duWalker) useAll(ctx *duCtx) {
-	for _, d := range ctx.bindings {
+func (f *flow) useAll() {
+	if f == nil {
+		return
+	}
+	for _, d := range f.defs {
 		d.Uses++
 	}
 }
 
-// mergeConditional folds branch bindings back into the parent: a name
-// defined in any branch becomes (conditionally) visible afterwards, so
-// later reads resolve and later overwrites don't report dead stores.
-func (w *duWalker) mergeConditional(ctx *duCtx, branches ...*duCtx) {
-	for _, b := range branches {
-		if b == nil {
-			continue
-		}
-		for k, v := range b.bindings {
-			if ctx.bindings[k] != v {
-				ctx.bindings[k] = v
-			}
-		}
-	}
-}
-
-func (w *duWalker) simple(ctx *duCtx, sc *syntax.SimpleCommand) {
-	// Assignment values expand before the variables bind.
-	for _, a := range sc.Assigns {
-		w.wordUses(ctx, a.Value, a.Name)
-	}
-	// `x=1 cmd` binds only for cmd's environment.
-	tempEnv := len(sc.Args) > 0
-	for _, a := range sc.Assigns {
-		d := &Def{
-			Name: a.Name, Pos: a.Pos(), Kind: DefAssign,
-			Conditional: ctx.conditional, Subshell: ctx.subshell,
-			HasCmdSubst: a.Value != nil && expand.AnalyzeWord(a.Value).HasCmdSubst,
-		}
-		if tempEnv {
-			d.Kind = DefTempEnv
-			d.Conditional = true
-			d.Uses = 1 // feeds the command's environment
-		}
-		w.define(ctx, d)
-	}
-	// Argument and redirection-target uses.
-	for _, arg := range sc.Args {
-		w.wordUses(ctx, arg, "")
-	}
-	w.redirs(ctx, sc.Redirections)
-	if len(sc.Args) == 0 {
+// useExported counts the visible bindings of the exported names as used:
+// a utility reads them from its environment.
+func (f *flow) useExported() {
+	if f == nil {
 		return
 	}
-	// Builtins that define or consume variables by name.
-	row, name, builtin := builtinOf(sc)
-	ops, exact := row.operands(sc)
-	if !exact || row.anything {
-		w.useAll(ctx)
+	if f.st.allExport {
+		f.useAll()
+		return
 	}
-	for _, op := range ops {
-		switch {
-		case row.unsets:
-			delete(ctx.bindings, op.name)
-		case row.def == DefExport && !op.hasValue:
-			w.useName(ctx, op.name, op.word.Pos(), true)
-		default:
-			// Bare `local x` declares without a meaningful value; the
-			// conditional flag keeps it out of dead-store reports.
-			w.define(ctx, &Def{Name: op.name, Pos: op.word.Pos(), Kind: row.def, Subshell: ctx.subshell,
-				Conditional: ctx.conditional || row.def == DefGetopts || row.def == DefLocal && !op.hasValue})
-		}
-	}
-	for _, n := range row.implicit {
-		w.define(ctx, &Def{Name: n, Pos: sc.Pos(), Kind: row.def,
-			Conditional: true, Subshell: ctx.subshell})
-	}
-	// Calling a user-defined function may assign what its body assigns.
-	if body := w.funcs[name]; !builtin && body != nil {
-		names, any := AssignedBy(body, w.funcBody)
-		if any {
-			w.useAll(ctx)
-		}
-		for _, n := range sortedNames(names) {
-			w.define(ctx, &Def{Name: n, Pos: sc.Pos(), Kind: DefAssign,
-				Conditional: true, Subshell: ctx.subshell})
+	for n := range f.st.exported {
+		if d := f.defs[n]; d != nil {
+			d.Uses++
 		}
 	}
 }
 
-func (w *duWalker) redirs(ctx *duCtx, rs []*syntax.Redirect) {
-	for _, r := range rs {
-		w.wordUses(ctx, r.Target, "")
-		w.wordUses(ctx, r.Body, "")
-	}
-}
-
-// define installs a def, detecting dead stores: the previous binding
-// dies unread if both defs are unconditional, same-frame, and the old
-// one is a plain assignment whose value ran no commands.
-func (w *duWalker) define(ctx *duCtx, d *Def) {
-	d.frame = ctx.frame
-	old := ctx.bindings[d.Name]
+// define installs a def, detecting dead stores: the previous binding dies
+// unread if both defs are unconditional, same-frame, and the old one is a
+// plain assignment whose value ran no commands, to a variable the shell
+// and the utilities never read implicitly.
+func (f *flow) define(name string, pos syntax.Pos, kind DefKind, conditional bool) *Def {
+	d := &Def{Name: name, Pos: pos, Kind: kind, Conditional: conditional, frame: f.frame}
+	old := f.defs[name]
 	if old != nil && old.Uses == 0 && old.KilledBy == nil &&
-		!old.Conditional && !d.Conditional &&
-		old.frame == d.frame && !old.HasCmdSubst &&
+		!old.Conditional && !conditional &&
+		old.frame == d.frame && !old.HasCmdSubst && !ambient(name) &&
 		(old.Kind == DefAssign || old.Kind == DefLocal) &&
-		(d.Kind == DefAssign || d.Kind == DefLocal || d.Kind == DefRead || d.Kind == DefExport) {
+		(kind == DefAssign || kind == DefLocal || kind == DefRead || kind == DefExport) {
 		old.KilledBy = d
 	}
-	ctx.bindings[d.Name] = d
-	w.res.Defs = append(w.res.Defs, d)
-	if !ctx.subshell && !ctx.inFunc {
-		if _, ok := w.rootDefs[d.Name]; !ok {
-			w.rootDefs[d.Name] = d
+	f.defs[name] = d
+	f.st.res.Defs = append(f.st.res.Defs, d)
+	if f.root() {
+		if _, ok := f.st.rootDefs[name]; !ok {
+			f.st.rootDefs[name] = d
 		}
 		// A parent definition supersedes any pending lost-subshell entry.
-		delete(w.lost, d.Name)
+		delete(f.st.lost, name)
 	}
+	return d
 }
 
-// useName records a read of a variable. guarded uses (${x:-d} etc.)
-// resolve bindings but never witness use-before-assign.
-func (w *duWalker) useName(ctx *duCtx, name string, pos syntax.Pos, guarded bool) {
-	if !isVarName(name) {
+// use records a read of a variable. guarded uses (${x:-d} etc.) resolve
+// bindings but never witness use-before-assign.
+func (f *flow) use(name string, pos syntax.Pos, guarded bool) {
+	if f == nil || !isVarName(name) {
 		return
 	}
-	if d := ctx.bindings[name]; d != nil {
+	st := f.st
+	d := f.defs[name]
+	// A use in the script's own shell that sees the binding a subshell
+	// shadowed can never see the subshell's value.
+	le, lost := st.lost[name]
+	if lost = lost && f.root() && le.parentDef == d; lost {
+		st.res.Lost = append(st.res.Lost, LostAssign{Def: le.def, UsePos: pos})
+		delete(st.lost, name)
+	}
+	// A conditional point covers loop bodies too, where a previous
+	// iteration may have defined the name.
+	switch {
+	case d != nil:
 		d.Uses++
-		if !ctx.subshell && !ctx.inFunc {
-			// The visible binding predates any recorded subshell loss only
-			// if it IS the shadowed one; then the subshell value is what
-			// this use can never see.
-			if le, ok := w.lost[name]; ok && le.parentDef == d {
-				w.res.Lost = append(w.res.Lost, LostAssign{Def: le.def, UsePos: pos})
-				delete(w.lost, name)
-			}
-		}
-		return
-	}
-	if le, ok := w.lost[name]; ok && !ctx.subshell && !ctx.inFunc && le.parentDef == nil {
-		w.res.Lost = append(w.res.Lost, LostAssign{Def: le.def, UsePos: pos})
-		delete(w.lost, name)
-		return
-	}
-	if guarded || ctx.subshell || ctx.inFunc || ctx.conditional {
-		return
-	}
-	if ctx.loopAny || ctx.loopNames[name] {
-		return // previous iteration may have defined it
-	}
-	if ambientVars[name] {
-		return
-	}
-	w.pending[name] = append(w.pending[name], pos)
-}
-
-// wordUses records what expanding a word reads and defines. assignTo names
-// the variable the word is being assigned to, if any: in `PATH=$PATH:/x` the
-// use of PATH on the right never reports use-before-assign (appending to a
-// possibly-ambient value is idiomatic). Arithmetic reads arrive guarded —
-// unset variables evaluate as 0 inside $((...)), so counters initialized
-// implicitly (`n=$((n+1))`) are idiomatic too.
-func (w *duWalker) wordUses(ctx *duCtx, word *syntax.Word, assignTo string) {
-	if word == nil {
-		return
-	}
-	d := expand.AnalyzeWord(word)
-	if opaque(d, nil) {
-		w.useAll(ctx)
-	}
-	for _, e := range d.Effects {
-		switch e.Kind {
-		case expand.EffectRead:
-			w.useName(ctx, e.Name, e.Pos, e.Guarded || e.Name == assignTo)
-		case expand.EffectAssign:
-			if isVarName(e.Name) && ctx.bindings[e.Name] == nil {
-				w.define(ctx, &Def{Name: e.Name, Pos: e.Pos, Kind: DefParam,
-					Conditional: true, Subshell: ctx.subshell})
-			}
-		case expand.EffectSubst:
-			// Substitution bodies run in a subshell copy.
-			sub := ctx.clone()
-			sub.subshell = true
-			sub.frame = w.newFrame()
-			w.stmts(sub, e.Body)
-		}
+	case lost, guarded, !f.root(), f.conditional, ambient(name):
+	default:
+		st.pending[name] = append(st.pending[name], pos)
 	}
 }
 

@@ -49,7 +49,7 @@ func TestAbstractEnvOverApproximatesTheInterpreter(t *testing.T) {
 				break
 			}
 			after := values(in)
-			env := analysis.WalkValues(&syntax.Script{Stmts: p.Script.Stmts[:k+1]}, analysis.NewEnv(lookup), nil)
+			env, _ := analysis.WalkValues(&syntax.Script{Stmts: p.Script.Stmts[:k+1]}, analysis.NewEnv(lookup), nil)
 			names := map[string]bool{}
 			for n := range before {
 				names[n] = true
@@ -78,6 +78,58 @@ func TestAbstractEnvOverApproximatesTheInterpreter(t *testing.T) {
 			pre = env
 		}
 	}
+}
+
+// TestDeadStoreIsDead checks JSH402's model against the evaluator: a store
+// DeadDefs calls dead is never read, so giving every one of them a sentinel
+// value instead must leave the program's stdout, stderr, exit status and
+// filesystem exactly as they were.
+func TestDeadStoreIsDead(t *testing.T) {
+	const sentinel = "jash_dead_store"
+	checked := 0
+	for seed := uint64(1); seed <= uint64(*modelN); seed++ {
+		p := Generate(DefaultConfig(seed))
+		dead := map[syntax.Pos]string{}
+		for _, d := range analysis.AnalyzeDefUse(p.Script).DeadDefs() {
+			dead[d.Pos] = d.Name
+		}
+		n := len(dead)
+		if n == 0 {
+			continue
+		}
+		p.Source = syntax.Print(p.Script)
+		want := RunOracle("plain", p, RunOpts{})
+		syntax.Walk(p.Script, func(n syntax.Node) bool {
+			switch x := n.(type) {
+			case *syntax.Assign: // x=value
+				if name, ok := dead[x.Pos()]; ok && name == x.Name {
+					x.Value = lit(sentinel)
+					delete(dead, x.Pos())
+				}
+			case *syntax.SimpleCommand: // local x=value
+				for i, w := range x.Args {
+					if name, ok := dead[w.Pos()]; ok && strings.HasPrefix(w.StaticValue(), name+"=") {
+						x.Args[i] = lit(name + "=" + sentinel)
+						delete(dead, w.Pos())
+					}
+				}
+			}
+			return true
+		})
+		if len(dead) != 0 {
+			t.Errorf("seed %d: dead stores %v name no assignment", seed, dead)
+			continue
+		}
+		checked += n
+		mutant := syntax.Print(p.Script)
+		p.Source = mutant
+		got := RunOracle("plain", p, RunOpts{})
+		if got.Status != want.Status || got.Stdout != want.Stdout || got.Stderr != want.Stderr || got.FSDump != want.FSDump {
+			t.Errorf("seed %d: a dead store was read\n--- mutant:\n%s\n--- status %d/%d stdout %q/%q stderr %q/%q",
+				seed, mutant, want.Status, got.Status, want.Stdout, got.Stdout, want.Stderr, got.Stderr)
+		}
+	}
+	t.Logf("%d dead stores checked", checked)
 }
 
 func values(in *interp.Interp) map[string]string {

@@ -1,6 +1,7 @@
 // Flow-sensitive rules (the JSH4xx family): unlike the syntax-local
-// checks in lint.go, these consume package analysis's def-use chains and
-// effect summaries, giving the linter whole-script dataflow facts.
+// checks in lint.go, these consume package analysis's value walk (its
+// abstract values and def-use chains) and effect summaries, giving the
+// linter whole-script dataflow facts.
 
 package lint
 
@@ -15,9 +16,12 @@ import (
 	"jash/internal/syntax"
 )
 
-// checkFlow runs the def-use driven rules over the whole script.
+// checkFlow runs the flow rules over the whole script. One value walk
+// serves them all: its def-use chains feed JSH401–403, its abstract values
+// JSH406/407.
 func (l *Linter) checkFlow(script *syntax.Script, add func(Finding)) {
-	du := analysis.AnalyzeDefUse(script)
+	var valueFs []Finding
+	du := l.walkValues(script, func(f Finding) { valueFs = append(valueFs, f) })
 	// JSH401: a variable is read before any assignment, and an assignment
 	// appears later in the same scope — almost always a misordering.
 	for _, u := range du.UseBeforeDefs {
@@ -50,16 +54,18 @@ func (l *Linter) checkFlow(script *syntax.Script, add func(Finding)) {
 	}
 	l.checkCdInvalidation(script, add)
 	l.checkCdBlockedParallelism(script, add)
-	l.checkValueFlow(script, add)
+	for _, f := range valueFs {
+		add(f)
+	}
 }
 
-// checkValueFlow runs the abstract-interpretation rules: it walks the
-// script with the value-flow analysis threading constant knowledge
-// through assignments, and fires where a proven value makes a latent
-// hazard definite — JSH406 (an unquoted expansion that provably
-// word-splits here) and JSH407 (a condition that is provably constant,
-// making a branch or loop body unreachable).
-func (l *Linter) checkValueFlow(script *syntax.Script, add func(Finding)) {
+// walkValues walks the script with the value-flow analysis threading
+// constant knowledge through assignments, and fires where a proven value
+// makes a latent hazard definite — JSH406 (an unquoted expansion that
+// provably word-splits here) and JSH407 (a condition that is provably
+// constant, making a branch or loop body unreachable). It returns the
+// def-use chains the walk collected.
+func (l *Linter) walkValues(script *syntax.Script, add func(Finding)) *analysis.DefUse {
 	vis := &analysis.ValueVisitor{
 		Simple: func(sc *syntax.SimpleCommand, env *analysis.Env) {
 			l.checkProvenSplit(sc, env, add)
@@ -102,7 +108,8 @@ func (l *Linter) checkValueFlow(script *syntax.Script, add func(Finding)) {
 			}
 		},
 	}
-	analysis.WalkValues(script, nil, vis)
+	_, du := analysis.WalkValues(script, nil, vis)
+	return du
 }
 
 // checkProvenSplit flags JSH406: an unquoted expansion argument whose

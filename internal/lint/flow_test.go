@@ -18,12 +18,12 @@ func TestUseBeforeAssignFlagged(t *testing.T) {
 
 func TestUseBeforeAssignQuietCases(t *testing.T) {
 	for _, src := range []string{
-		"X=1\necho $X\n",                  // correct order
-		"echo $NEVER_ASSIGNED\n",          // environment variable
-		"echo ${X:-fallback}\nX=1\n",      // guarded use
-		"PATH=$PATH:/opt/bin\n",           // self-reference
-		"echo $HOME\nHOME=/tmp\n",         // ambient allowlist
-		"n=$((n+1))\necho $n\n",           // arithmetic counter
+		"X=1\necho $X\n",                         // correct order
+		"echo $NEVER_ASSIGNED\n",                 // environment variable
+		"echo ${X:-fallback}\nX=1\n",             // guarded use
+		"PATH=$PATH:/opt/bin\n",                  // self-reference
+		"echo $HOME\nHOME=/tmp\n",                // ambient allowlist
+		"n=$((n+1))\necho $n\n",                  // arithmetic counter
 		"while read l; do\n  t=\"$t$l\"\ndone\n", // loop-carried
 	} {
 		if fs := findings(t, src); hasCode(fs, "JSH401") {
@@ -35,18 +35,32 @@ func TestUseBeforeAssignQuietCases(t *testing.T) {
 // --- JSH402: dead assignment ---
 
 func TestDeadAssignmentFlagged(t *testing.T) {
-	fs := findings(t, "X=1\nX=2\necho $X\n")
-	if !hasCode(fs, "JSH402") {
-		t.Errorf("dead assignment not flagged: %s", codesOf(fs))
+	for _, src := range []string{
+		"X=1\nX=2\necho $X\n",
+		"X=1\nsh -c 'echo $X'\nX=2\necho $X\n", // X is not exported: sh cannot see it
+		"set -e\nX=1\nenv\nX=2\necho $X\n",     // -e exports nothing
+	} {
+		if fs := findings(t, src); !hasCode(fs, "JSH402") {
+			t.Errorf("dead assignment not flagged on %q: %s", src, codesOf(fs))
+		}
 	}
 }
 
 func TestDeadAssignmentQuietCases(t *testing.T) {
 	for _, src := range []string{
-		"X=1\necho $X\nX=2\necho $X\n",            // both used
-		"X=1\nif true; then\n  X=2\nfi\necho $X\n", // conditional overwrite
-		"X=$(date)\nX=2\necho $X\n",                // value ran a command
-		"f() {\n  local x\n  x=1\n  echo $x\n}\nf\n", // local-then-assign idiom
+		"X=1\necho $X\nX=2\necho $X\n",                             // both used
+		"X=1\nif true; then\n  X=2\nfi\necho $X\n",                 // conditional overwrite
+		"X=$(date)\nX=2\necho $X\n",                                // value ran a command
+		"f() {\n  local x\n  x=1\n  echo $x\n}\nf\n",               // local-then-assign idiom
+		"f() { echo \"$X\"; }\nX=1\nf\nX=2\nf\n",                   // a call reads it
+		"f() { g; }\ng() { echo \"$X\"; }\nX=1\nf\nX=2\nf\n",       // through a second function
+		"IFS=:\nread a b <<EOF\nx:y\nEOF\nIFS=\" \"\necho $a $b\n", // read splits on IFS
+		"PATH=/opt/bin\nmytool\nPATH=/usr/bin\n",                   // the command search reads PATH
+		"HOME=/a\ncd\nHOME=/b\n",                                   // cd reads HOME
+		"export X=0\nX=1\nenv\nX=2\n",                              // env reads the exported X
+		"export X=0\nX=1\nexec env\nX=2\n",                         // so does a utility exec runs
+		"set -a\nX=1\nenv\nX=2\n",                                  // set -a exports every name
+		"LC_ALL=C\nsort f\nLC_ALL=en_US.UTF-8\n",                   // sort reads the inherited LC_ALL
 	} {
 		if fs := findings(t, src); hasCode(fs, "JSH402") {
 			t.Errorf("JSH402 false positive on %q: %s", src, codesOf(fs))
@@ -233,10 +247,10 @@ func TestProvenSplitFiresWhereJSH202IsExempt(t *testing.T) {
 
 func TestProvenSplitQuietCases(t *testing.T) {
 	for _, src := range []string{
-		"F=\"a b\"\ncat \"$F\"\n",        // quoted: no split
-		"F=single\ncat $F\n",             // proven single word
-		"cat $UNKNOWN\n",                 // ⊤ value: JSH202's territory
-		"IFS=:\nF=\"a b\"\ncat $F\n",     // non-default IFS: model off
+		"F=\"a b\"\ncat \"$F\"\n",            // quoted: no split
+		"F=single\ncat $F\n",                 // proven single word
+		"cat $UNKNOWN\n",                     // ⊤ value: JSH202's territory
+		"IFS=:\nF=\"a b\"\ncat $F\n",         // non-default IFS: model off
 		"for f in $FILES; do cat $f; done\n", // for-words split by design
 	} {
 		if fs := findings(t, src); hasCode(fs, "JSH406") {
@@ -249,14 +263,14 @@ func TestProvenSplitQuietCases(t *testing.T) {
 
 func TestConstantConditionFlagged(t *testing.T) {
 	for _, src := range []string{
-		"x=no\nif [ \"$x\" = yes ]; then echo hi; fi\n",   // false equality
-		"if false; then echo hi; fi\n",                    // literal false
-		"n=3\nif [ $n -lt 2 ]; then echo hi; fi\n",        // numeric false
+		"x=no\nif [ \"$x\" = yes ]; then echo hi; fi\n",          // false equality
+		"if false; then echo hi; fi\n",                           // literal false
+		"n=3\nif [ $n -lt 2 ]; then echo hi; fi\n",               // numeric false
 		"x=a\nif [ \"$x\" = a ]; then echo t; else echo f; fi\n", // true, dead else
-		"while false; do echo hi; done\n",                 // dead while body
-		"until true; do echo hi; done\n",                  // dead until body
-		"if ! [ -z \"\" ]; then echo t; fi\n",             // negated
-		"if test yes != yes; then echo t; fi\n",           // test spelling
+		"while false; do echo hi; done\n",                        // dead while body
+		"until true; do echo hi; done\n",                         // dead until body
+		"if ! [ -z \"\" ]; then echo t; fi\n",                    // negated
+		"if test yes != yes; then echo t; fi\n",                  // test spelling
 	} {
 		if fs := findings(t, src); !hasCode(fs, "JSH407") {
 			t.Errorf("JSH407 missing on %q: %s", src, codesOf(fs))
