@@ -217,6 +217,44 @@ func TestJashc(t *testing.T) {
 	if !strings.Contains(out, `"nodes"`) {
 		t.Errorf("json output: %q", out)
 	}
+	// Every splittable run is fanned out, not only the first: the
+	// word-frequency pipeline has three, each ending in its own merge.
+	out, errs, code = runBin(t, "jashc", "", "-plan", "pash", "-format", "json", "-c",
+		"cat /w | tr A-Z a-z | sort | uniq -c | sort -rn | tr a-z A-Z | grep -v zz")
+	var plan struct {
+		Nodes []struct {
+			ID   int      `json:"id"`
+			Kind string   `json:"kind"`
+			Argv []string `json:"argv"`
+		} `json:"nodes"`
+		Edges []struct{ From, To, ToPort int } `json:"edges"`
+	}
+	if err := json.Unmarshal([]byte(out), &plan); code != 0 || err != nil {
+		t.Fatalf("code=%d errs=%q: %v", code, errs, err)
+	}
+	kind, argv, from := map[int]string{}, map[int]string{}, map[int]int{}
+	for _, n := range plan.Nodes {
+		kind[n.ID], argv[n.ID] = n.Kind, strings.Join(n.Argv, " ")
+	}
+	for _, e := range plan.Edges {
+		if e.ToPort == 0 {
+			from[e.To] = e.From
+		}
+	}
+	var lanes []string // each merge's lane 0, in plan order
+	for _, n := range plan.Nodes {
+		if n.Kind != "merge" {
+			continue
+		}
+		var lane []string
+		for id := from[n.ID]; kind[id] == "command"; id = from[id] {
+			lane = append([]string{argv[id]}, lane...)
+		}
+		lanes = append(lanes, strings.Join(lane, " | "))
+	}
+	if got, want := strings.Join(lanes, "; "), "tr A-Z a-z | sort; sort -rn; tr a-z A-Z | grep -v zz"; got != want {
+		t.Errorf("merged runs %q, want %q", got, want)
+	}
 	// Ahead of time there is no shell state, no filesystem and no shell to
 	// hand the rest of a statement to: what is not wholly a static dataflow
 	// region is refused with the region former's reason, never compiled as

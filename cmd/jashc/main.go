@@ -77,8 +77,7 @@ func run() int {
 	var note string
 	switch *plan {
 	case "seq":
-		chosen = g.Clone()
-		rewrite.RemoveUselessCat(chosen)
+		chosen = rewrite.Sequential(g)
 		note = "sequential"
 	case "pash":
 		var dec rewrite.Decision

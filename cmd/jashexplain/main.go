@@ -234,7 +234,7 @@ func tutor(argv []string) int {
 			fmt.Println("  so Jash can run it on chunks and recombine the partial results.")
 		case spec.Blocking:
 			fmt.Println("  It needs its entire input (or global positions within it), so it runs")
-			fmt.Println("  as a sequential stage; upstream stateless stages can still parallelize.")
+			fmt.Println("  as a sequential stage; the stages before and after it can still parallelize.")
 		case spec.SideEffectful:
 			fmt.Println("  It mutates state, so the optimizer leaves any pipeline containing it")
 			fmt.Println("  entirely to the interpreter.")

@@ -25,6 +25,7 @@ import (
 	"jash/internal/cost"
 	"jash/internal/dfg"
 	"jash/internal/exec"
+	"jash/internal/rewrite"
 	"jash/internal/spec"
 	"jash/internal/vfs"
 )
@@ -169,53 +170,20 @@ func (c *Cluster) RunCentral(job Job) (Report, error) {
 	return rep, nil
 }
 
-// splitJob partitions the stages into the distributable prefix (stateless
-// stages plus at most one trailing Parallelizable stage, none naming a
-// file of its own) and the suffix that must run centrally, with the
-// aggregation discipline between them.
-func (c *Cluster) splitJob(stages [][]string) (prefix, suffix [][]string, agg spec.AggKind, mergeArgv []string) {
-	agg = spec.AggConcat
-	i := 0
-	for ; i < len(stages); i++ {
-		e := c.Lib.Resolve(stages[i])
-		if readsNamedFile(e) {
-			break // every node would read the file again: run it once, centrally
-		}
-		if e.Class == spec.Stateless {
-			prefix = append(prefix, stages[i])
-			continue
-		}
-		if e.Class == spec.Parallelizable {
-			prefix = append(prefix, stages[i])
-			agg = e.Agg
-			if agg == spec.AggMergeSort {
-				mergeArgv = append([]string{stages[i][0], "-m"}, stages[i][1:]...)
-			}
-			i++
-		}
-		break
-	}
-	suffix = stages[i:]
-	return prefix, suffix, agg, mergeArgv
-}
-
-// readsNamedFile reports whether a stage has a file operand of its own
-// besides the stream ("-").
-func readsNamedFile(e *spec.Effective) bool {
-	for _, f := range e.InputFiles {
-		if f != "-" {
-			return true
-		}
-	}
-	return false
-}
-
 // RunPlacement runs the splittable prefix on the data's home nodes and
 // ships only partial results.
 func (c *Cluster) RunPlacement(job Job) (Report, error) {
 	rep := Report{Strategy: "placement", PerNode: map[string]int64{}}
-	prefix, suffix, agg, mergeArgv := c.splitJob(job.Stages)
-	if len(prefix) == 0 {
+	// The prefix is the splittable run the stages begin with: a stage with
+	// a file of its own (comm's dictionary) reads more than one stream, so
+	// it ends the run and reads that file once, on the coordinator.
+	stages := make([]*spec.Effective, len(job.Stages))
+	for i, argv := range job.Stages {
+		stages[i] = c.Lib.Resolve(argv)
+	}
+	n, agg, mergeArgv := rewrite.Splittable(stages)
+	prefix, suffix := job.Stages[:n], job.Stages[n:]
+	if n == 0 {
 		// Nothing distributable: same as central.
 		central, err := c.RunCentral(job)
 		central.Strategy = "placement(degenerate)"
@@ -296,45 +264,22 @@ func (c *Cluster) RunPlacement(job Job) (Report, error) {
 }
 
 // mergeGraph builds: partial sources -> merge(agg) -> suffix stages -> sink.
+// The merge takes the place of the suffix's stdin; dfg.FromPipeline wires
+// its side inputs.
 func (c *Cluster) mergeGraph(partials []string, agg spec.AggKind, mergeArgv []string, suffix [][]string) (*dfg.Graph, error) {
-	g := dfg.New()
-	merge := g.AddNode(&dfg.Node{Kind: dfg.KindMerge, Agg: agg, Argv: mergeArgv, Width: len(partials)})
-	for i, p := range partials {
-		src := g.AddNode(&dfg.Node{Kind: dfg.KindSource, Path: p})
-		g.ConnectPort(src, merge, 0, i)
-	}
-	prev := merge
-	for _, argv := range suffix {
-		e := c.Lib.Resolve(argv)
-		node := g.AddNode(&dfg.Node{Kind: dfg.KindCommand, Argv: e.ArgvWithoutInputs(), Spec: e})
-		// Side inputs (e.g. comm's dictionary) become extra sources.
-		port := 0
-		usedUpstream := false
-		for _, f := range e.InputFiles {
-			if f == "-" {
-				g.ConnectPort(prev, node, 0, port)
-				usedUpstream = true
-			} else {
-				src := g.AddNode(&dfg.Node{Kind: dfg.KindSource, Path: f})
-				g.ConnectPort(src, node, 0, port)
-			}
-			port++
-		}
-		if len(e.InputFiles) == 0 {
-			g.ConnectPort(prev, node, 0, 0)
-			usedUpstream = true
-		}
-		if !usedUpstream {
-			return nil, fmt.Errorf("cluster: suffix stage %v ignores the merged stream", argv)
-		}
-		prev = node
-	}
-	sink := g.AddNode(&dfg.Node{Kind: dfg.KindSink})
-	g.Connect(prev, sink)
-	if err := g.Validate(); err != nil {
+	g, err := dfg.FromPipeline(append([][]string{{"cat"}}, suffix...), c.Lib, dfg.Binding{})
+	if err != nil {
 		return nil, err
 	}
-	return g, nil
+	stdin := g.Sources()[0]
+	cat := g.Nodes[g.Out(stdin.ID)[0].To]
+	g.RemoveNode(stdin.ID)
+	merge := g.AddNode(&dfg.Node{Kind: dfg.KindMerge, Agg: agg, Argv: mergeArgv, Width: len(partials)})
+	g.Connect(merge, cat)
+	for i, p := range partials {
+		g.ConnectPort(g.AddNode(&dfg.Node{Kind: dfg.KindSource, Path: p}), merge, 0, i)
+	}
+	return rewrite.Sequential(g), nil
 }
 
 func (c *Cluster) execEnv(n *Node, out io.Writer) *exec.Env {

@@ -9,8 +9,10 @@ import (
 	"jash/internal/dfg"
 	"jash/internal/exec"
 	"jash/internal/interp"
+	"jash/internal/pipe"
 	"jash/internal/rewrite"
 	"jash/internal/spec"
+	"jash/internal/syntax"
 	"jash/internal/vfs"
 	"jash/internal/workload"
 )
@@ -193,6 +195,68 @@ func TestDifferentialLargeInputs(t *testing.T) {
 			if parOut.String() != seqOut.String() {
 				t.Fatalf("%q: width-%d plan diverges (%d vs %d bytes)",
 					tc.script, width, seqOut.Len(), parOut.Len())
+			}
+		}
+	}
+}
+
+// TestDifferentialMultiRegion: a pipeline with several splittable runs, or
+// with a blocking, side-input or writing stage between them, is fanned out
+// run by run. Every plan, at every width from 2 to 8, buffered and
+// streaming, must print the sequential graph's bytes and exit with its
+// status, on inputs at the edges of line splitting.
+func TestDifferentialMultiRegion(t *testing.T) {
+	shapes := []string{
+		"cat /in | tr A-Z a-z | sort | uniq -c | sort -rn | tr a-z A-Z | grep -v zz",
+		"cat /in | head -n 100000 | tr a-z A-Z | grep -v zz | wc -l",
+		"cat /in | tr A-Z a-z | grep shell - /x | wc -l",
+		"cat /in | sort | tac | sort -r | cut -c 1-3",
+		"cat /in | sort | tr a-z A-Z | grep -v zz | wc -l",
+	}
+	inputs := map[string][]byte{
+		"empty":        nil,
+		"unterminated": []byte("Alpha shell\nbeta zz\ngamma Shell"),
+		"single-line":  []byte("one Shell line\n"),
+		"long-line":    []byte("first\n" + strings.Repeat("ab shell zz ", pipe.BlockSize/8) + "\nlast shell\n"),
+		"words":        workload.Words(5, 200<<10),
+	}
+	for _, src := range shapes {
+		script, err := syntax.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := dfg.FromStmt(script.Stmts[0], lib, nil, true)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		for name, input := range inputs {
+			fs := vfs.New()
+			fs.WriteFile("/in", input)
+			fs.WriteFile("/x", []byte("shell side\nno\n"))
+			run := func(p *dfg.Graph) (string, int) {
+				var out bytes.Buffer
+				st, err := exec.Run(p, &exec.Env{FS: fs, Dir: "/", Stdin: strings.NewReader(""),
+					Stdout: &out, Stderr: &bytes.Buffer{}})
+				if err != nil {
+					t.Fatalf("%q on %s: %v", src, name, err)
+				}
+				return out.String(), st
+			}
+			want, wantSt := run(rewrite.Sequential(g))
+			if name == "words" && len(want) < 3 {
+				t.Fatalf("%q prints %q on words: too little to tell plans apart", src, want)
+			}
+			for width := 2; width <= 8; width++ {
+				for _, buffered := range []bool{false, true} {
+					plan, err := rewrite.Parallelize(g, rewrite.Options{Width: width, Buffered: buffered})
+					if err != nil {
+						t.Fatalf("%q width %d: %v", src, width, err)
+					}
+					if got, st := run(plan); got != want || st != wantSt {
+						t.Fatalf("%q on %s, width %d buffered %v: status %d, %.200q; sequential status %d, %.200q",
+							src, name, width, buffered, st, got, wantSt, want)
+					}
+				}
 			}
 		}
 	}

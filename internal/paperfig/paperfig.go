@@ -93,9 +93,7 @@ func Fig1(validateBytes int) ([]Row, error) {
 	}
 	for _, p := range profiles {
 		// bash: sequential interpretation.
-		seq := g.Clone()
-		rewrite.RemoveUselessCat(seq)
-		bashEst, err := cost.EstimateGraph(seq, in, p.mk(), true)
+		bashEst, err := cost.EstimateGraph(rewrite.Sequential(g), in, p.mk(), true)
 		if err != nil {
 			return nil, err
 		}
@@ -258,9 +256,7 @@ func NoRegression() ([]Row, error) {
 	for _, p := range profiles {
 		for _, size := range sizes {
 			in := cost.Inputs{Size: func(string) int64 { return size }}
-			seq := g.Clone()
-			rewrite.RemoveUselessCat(seq)
-			bashEst, err := cost.EstimateGraph(seq, in, p.mk(), true)
+			bashEst, err := cost.EstimateGraph(rewrite.Sequential(g), in, p.mk(), true)
 			if err != nil {
 				return nil, err
 			}
@@ -328,9 +324,7 @@ func ScalingWidth() ([]Row, error) {
 		for _, width := range []int{1, 2, 4, 8, 16} {
 			var est cost.Estimate
 			if width == 1 {
-				seq := g.Clone()
-				rewrite.RemoveUselessCat(seq)
-				est, err = cost.EstimateGraph(seq, in, p.mk(), true)
+				est, err = cost.EstimateGraph(rewrite.Sequential(g), in, p.mk(), true)
 			} else {
 				var ng *dfg.Graph
 				ng, err = rewrite.Parallelize(g, rewrite.Options{Width: width})

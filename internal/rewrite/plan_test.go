@@ -15,8 +15,7 @@ import (
 // every width, then applies the adoption rule. It is the reference the
 // bound must agree with.
 func exhaustivePlan(g *dfg.Graph, in cost.Inputs, prof *cost.Profile) (*dfg.Graph, Decision, error) {
-	seqGraph := g.Clone()
-	RemoveUselessCat(seqGraph)
+	seqGraph := Sequential(g)
 	seqEst, err := cost.EstimateGraph(seqGraph, in, prof, true)
 	if err != nil {
 		return nil, Decision{}, err
@@ -269,7 +268,7 @@ func TestGraphIndexMatchesEdges(t *testing.T) {
 				}
 			}
 		}
-		if RemoveUselessCat(cp) > 0 {
+		if removeUselessCat(cp) > 0 {
 			checkIndex(t, src+" (cats removed)", cp)
 			checkIndex(t, src+" (original after its clone changed)", g)
 		}

@@ -9,6 +9,7 @@ package rewrite
 
 import (
 	"fmt"
+	"strings"
 
 	"jash/internal/analysis"
 	"jash/internal/cost"
@@ -26,10 +27,10 @@ type Options struct {
 	Buffered bool
 }
 
-// RemoveUselessCat elides pass-through `cat` nodes (single input, single
+// removeUselessCat elides pass-through `cat` nodes (single input, single
 // output, no flags), the classic cat-split fusion enabling transformation.
 // It returns the number of nodes removed.
-func RemoveUselessCat(g *dfg.Graph) int {
+func removeUselessCat(g *dfg.Graph) int {
 	removed := 0
 	for {
 		target := uselessCat(g)
@@ -48,7 +49,7 @@ func RemoveUselessCat(g *dfg.Graph) int {
 	}
 }
 
-// uselessCat returns a node RemoveUselessCat would elide, or nil.
+// uselessCat returns a node removeUselessCat would elide, or nil.
 func uselessCat(g *dfg.Graph) *dfg.Node {
 	for _, n := range g.Nodes {
 		if n.Kind != dfg.KindCommand || len(n.Argv) != 1 || n.Argv[0] != "cat" {
@@ -69,147 +70,118 @@ func Sequential(g *dfg.Graph) *dfg.Graph {
 		return g
 	}
 	seq := g.Clone()
-	RemoveUselessCat(seq)
+	removeUselessCat(seq)
 	return seq
 }
 
-// segment is the parallelizable run found on a graph's spine.
-type segment struct {
-	pre      *dfg.Node   // node feeding the segment (source or command)
-	stages   []*dfg.Node // consecutive stateless stages
-	tail     *dfg.Node   // optional trailing Parallelizable stage
-	next     *dfg.Node   // node consuming the segment's output
-	nextPort int
-}
-
-// findSegment locates the maximal splittable run: it walks the spine from
-// each source (side inputs like comm's dictionary have spines that yield
-// no segment) and returns the first viable one.
-func findSegment(g *dfg.Graph) (*segment, error) {
-	srcs := g.Sources()
-	if len(srcs) == 0 {
-		return nil, fmt.Errorf("rewrite: graph has no source")
-	}
-	var firstErr error
-	for _, src := range srcs {
-		seg, err := segmentFrom(g, src)
-		if err == nil {
-			return seg, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return nil, firstErr
-}
-
-func segmentFrom(g *dfg.Graph, src *dfg.Node) (*segment, error) {
-	chain := g.Chain(src)
-	seg := &segment{pre: src}
-	i := 1
-	for ; i < len(chain); i++ {
-		n := chain[i]
-		if n.Kind != dfg.KindCommand || n.Spec == nil {
+// Splittable is the one rule for which pipeline stages may be split into
+// lanes; the graph rewrite and the cluster's placement both ask it. The run
+// it finds begins at stages[0]: consecutive Stateless stages and at most
+// one trailing Parallelizable stage, each reading a single stream and safe
+// to replicate — a lane copy of a node that writes a named path (sort -o,
+// tee) would race with its siblings on that path. It returns the run's
+// length, 0 when stages[0] begins none, and how the lanes recombine: the
+// aggregator, and for a merge sort the command that merges.
+func Splittable(stages []*spec.Effective) (n int, agg spec.AggKind, mergeArgv []string) {
+	agg = spec.AggConcat
+	for _, e := range stages {
+		if e == nil || !e.Parallelizable() || len(e.InputFiles) > 1 || analysis.ReplicationHazard(e) != nil {
 			break
 		}
-		if n.Spec.Class == spec.Stateless {
-			seg.stages = append(seg.stages, n)
-			continue
+		n++
+		if e.Class == spec.Parallelizable {
+			agg = e.Agg
+			if agg == spec.AggMergeSort {
+				argv := e.ArgvWithoutInputs()
+				mergeArgv = append([]string{argv[0], "-m"}, argv[1:]...)
+			}
+			break
 		}
-		if n.Spec.Class == spec.Parallelizable {
-			seg.tail = n
-			i++
-		}
-		break
 	}
-	if len(seg.stages) == 0 && seg.tail == nil {
-		return nil, fmt.Errorf("rewrite: no parallelizable segment")
-	}
-	if i >= len(chain) {
-		return nil, fmt.Errorf("rewrite: segment has no consumer")
-	}
-	seg.next = chain[i]
-	last := seg.tail
-	if last == nil {
-		last = seg.stages[len(seg.stages)-1]
-	}
-	out := g.Out(last.ID)
-	if len(out) != 1 {
-		return nil, fmt.Errorf("rewrite: segment tail has %d outputs", len(out))
-	}
-	seg.nextPort = out[0].ToPort
-	return seg, nil
+	return n, agg, mergeArgv
 }
 
-// Parallelize returns a copy of the graph with its splittable segment
-// fanned out across opts.Width lanes, or an error when the graph has no
-// such segment. The original graph is never mutated.
+// Parallelize returns a copy of the graph with every splittable run on its
+// spine fanned out across opts.Width lanes, or an error when it has none.
+// A stage outside every run (blocking, side-input, writing) runs once, and
+// a merge feeds the next run's split directly. The original graph is never
+// mutated.
 func Parallelize(g *dfg.Graph, opts Options) (*dfg.Graph, error) {
 	if opts.Width < 2 {
 		return nil, fmt.Errorf("rewrite: width %d cannot parallelize", opts.Width)
 	}
 	ng := g.Clone()
-	RemoveUselessCat(ng)
-	seg, err := findSegment(ng)
-	if err != nil {
-		return nil, err
+	removeUselessCat(ng)
+	srcs := ng.Sources()
+	if len(srcs) == 0 {
+		return nil, fmt.Errorf("rewrite: graph has no source")
 	}
-	// Determine the merge discipline, and from it the split discipline:
-	// order-aware merges (concat, sort -m) need consecutive chunks to
-	// keep output byte-identical with the sequential run; only the
-	// commutative sum aggregator tolerates round-robin distribution.
-	agg := spec.AggConcat
-	dist := dfg.DistConsecutive
-	var mergeArgv []string
-	if seg.tail != nil {
-		agg = seg.tail.Spec.Agg
-		if agg == spec.AggMergeSort {
-			mergeArgv = append([]string{seg.tail.Argv[0], "-m"}, seg.tail.Argv[1:]...)
+	// The first source feeds the first stage, so its chain is the spine.
+	spine := ng.Chain(srcs[0])
+	stages := make([]*spec.Effective, len(spine))
+	for i, n := range spine {
+		stages[i] = n.Spec
+	}
+	runs := 0
+	for i := 0; i < len(spine); {
+		n, agg, mergeArgv := Splittable(stages[i:])
+		if n == 0 {
+			i++
+			continue
 		}
-		if agg == spec.AggSum {
-			dist = dfg.DistRoundRobin
+		fanOut(ng, spine[i:i+n], agg, mergeArgv, opts)
+		i += n
+		runs++
+	}
+	if runs == 0 {
+		var labels []string
+		for _, n := range spine {
+			if n.Kind == dfg.KindCommand {
+				labels = append(labels, n.Label())
+			}
 		}
+		return nil, fmt.Errorf("rewrite: no stage of %q can be split", strings.Join(labels, " | "))
 	}
-	// Disconnect the segment from the graph.
-	segmentNodes := append([]*dfg.Node(nil), seg.stages...)
-	if seg.tail != nil {
-		segmentNodes = append(segmentNodes, seg.tail)
-	}
-	// Replication guard: a lane copy of a node that writes a named path
-	// (sort -o, tee) races with its siblings on that path. The effect
-	// summary must prove each replicated node write-free.
-	for _, n := range segmentNodes {
-		if err := analysis.ReplicationHazard(n.Spec); err != nil {
-			return nil, fmt.Errorf("rewrite: refusing replication: %w", err)
-		}
-	}
-	for _, n := range segmentNodes {
-		ng.RemoveNode(n.ID)
-	}
-	// Build split -> lanes -> merge.
-	split := ng.AddNode(&dfg.Node{Kind: dfg.KindSplit, Width: opts.Width, Dist: dist})
-	ng.Connect(ng.Nodes[seg.pre.ID], split)
-	merge := ng.AddNode(&dfg.Node{Kind: dfg.KindMerge, Agg: agg, Argv: mergeArgv, Width: opts.Width})
-	for lane := 0; lane < opts.Width; lane++ {
-		prev := split
-		prevPort := lane
-		for _, orig := range segmentNodes {
-			n := ng.AddNode(&dfg.Node{
-				Kind: dfg.KindCommand,
-				Argv: append([]string(nil), orig.Argv...),
-				Spec: orig.Spec,
-			})
-			ng.ConnectPort(prev, n, prevPort, 0)
-			prev, prevPort = n, 0
-		}
-		e := ng.ConnectPort(prev, merge, prevPort, lane)
-		e.Buffered = opts.Buffered
-	}
-	ng.ConnectPort(merge, ng.Nodes[seg.next.ID], 0, seg.nextPort)
 	if err := ng.Validate(); err != nil {
 		return nil, fmt.Errorf("rewrite: produced invalid graph: %w", err)
 	}
 	return ng, nil
+}
+
+// fanOut replaces run, a chain of nodes with one input and one output, by
+// split -> width lane copies of run -> merge.
+func fanOut(g *dfg.Graph, run []*dfg.Node, agg spec.AggKind, mergeArgv []string, opts Options) {
+	in, out := g.In(run[0].ID)[0], g.Out(run[len(run)-1].ID)[0]
+	pre, next, nextPort := g.Nodes[in.From], g.Nodes[out.To], out.ToPort
+	for _, n := range run {
+		g.RemoveNode(n.ID)
+	}
+	// Order-aware merges (concat, sort -m) need consecutive chunks to keep
+	// the output byte-identical with the sequential run; only the
+	// commutative sum tolerates round-robin distribution.
+	dist := dfg.DistConsecutive
+	if agg == spec.AggSum {
+		dist = dfg.DistRoundRobin
+	}
+	split := g.AddNode(&dfg.Node{Kind: dfg.KindSplit, Width: opts.Width, Dist: dist})
+	g.Connect(pre, split)
+	merge := g.AddNode(&dfg.Node{Kind: dfg.KindMerge, Agg: agg, Argv: mergeArgv, Width: opts.Width})
+	for lane := 0; lane < opts.Width; lane++ {
+		prev := split
+		prevPort := lane
+		for _, orig := range run {
+			n := g.AddNode(&dfg.Node{
+				Kind: dfg.KindCommand,
+				Argv: append([]string(nil), orig.Argv...),
+				Spec: orig.Spec,
+			})
+			g.ConnectPort(prev, n, prevPort, 0)
+			prev, prevPort = n, 0
+		}
+		e := g.ConnectPort(prev, merge, prevPort, lane)
+		e.Buffered = opts.Buffered
+	}
+	g.ConnectPort(merge, next, 0, nextPort)
 }
 
 // Decision records what a planner chose and why, for telemetry and the
@@ -233,7 +205,7 @@ func PaShPlan(g *dfg.Graph, cores int) (*dfg.Graph, Decision, error) {
 	ng, err := Parallelize(g, Options{Width: cores, Buffered: true})
 	if err != nil {
 		// Nothing to parallelize: PaSh runs the script unchanged.
-		return g, Decision{Strategy: "pash-aot", Width: 1, Reason: "no dataflow segment"}, nil
+		return g, Decision{Strategy: "pash-aot", Width: 1, Reason: err.Error()}, nil
 	}
 	return ng, Decision{
 		Strategy: "pash-aot",

@@ -43,7 +43,7 @@ func countKind(g *dfg.Graph, k dfg.NodeKind) int {
 
 func TestRemoveUselessCat(t *testing.T) {
 	g := fig1Graph(t)
-	removed := RemoveUselessCat(g)
+	removed := removeUselessCat(g)
 	if removed != 1 {
 		t.Errorf("removed %d cats, want 1", removed)
 	}
@@ -59,7 +59,7 @@ func TestRemoveUselessCat(t *testing.T) {
 
 func TestRemoveUselessCatKeepsFlaggedCat(t *testing.T) {
 	g := graphOf(t, []string{"cat", "-n"}, []string{"sort"})
-	if RemoveUselessCat(g) != 0 {
+	if removeUselessCat(g) != 0 {
 		t.Error("cat -n is not useless")
 	}
 }
@@ -156,41 +156,75 @@ func TestParallelizeRejectsBlockingOnly(t *testing.T) {
 	}
 }
 
-// writingSegmentGraph is fig1 with a segment stage whose effect summary
-// writes a concrete path (a tee-shaped spec): replicating it across
-// lanes would race on that path.
+// writingSegmentGraph is fig1 with its middle stage given an effect
+// summary that writes a concrete path (a tee-shaped spec): replicating it
+// across lanes would race on that path.
 func writingSegmentGraph(t *testing.T) *dfg.Graph {
 	t.Helper()
 	g := fig1Graph(t)
 	for _, n := range g.Nodes {
-		if n.Kind == dfg.KindCommand && len(n.Argv) > 0 && n.Argv[0] == "tr" {
+		if n.Kind == dfg.KindCommand && strings.Join(n.Argv, " ") == `tr -cs A-Za-z \n` {
 			ne := *n.Spec
 			ne.Name = "tee"
 			ne.Args = []string{"tee", "/copy"}
 			n.Spec = &ne
-			break
 		}
 	}
 	return g
 }
 
+// checkWritingNodeRunsOnce fails unless the plan has the writing node
+// exactly once, outside every lane: walking back from it reaches a source
+// or a merge before any split.
+func checkWritingNodeRunsOnce(t *testing.T, plan *dfg.Graph) {
+	t.Helper()
+	var writers []*dfg.Node
+	for _, n := range plan.Nodes {
+		if n.Kind == dfg.KindCommand && n.Spec.Name == "tee" {
+			writers = append(writers, n)
+		}
+	}
+	if len(writers) != 1 {
+		t.Fatalf("the writing node appears %d times in\n%s", len(writers), plan.Script())
+	}
+	for n := writers[0]; n.Kind == dfg.KindCommand; {
+		if n = plan.Nodes[plan.In(n.ID)[0].From]; n.Kind == dfg.KindSplit {
+			t.Fatalf("the writing node runs inside a lane of\n%s", plan.Script())
+		}
+	}
+}
+
+// TestParallelizeRefusesWritingNode: a writing node ends a run and runs
+// once, outside every lane, at every width; the runs before and after it
+// still split.
 func TestParallelizeRefusesWritingNode(t *testing.T) {
 	g := writingSegmentGraph(t)
-	if _, err := Parallelize(g, Options{Width: 4}); err == nil ||
-		!strings.Contains(err.Error(), "replica") {
-		t.Fatalf("err = %v, want replication refusal", err)
+	for width := 2; width <= 8; width++ {
+		for _, buffered := range []bool{false, true} {
+			ng, err := Parallelize(g, Options{Width: width, Buffered: buffered})
+			if err != nil {
+				t.Fatalf("width %d: %v", width, err)
+			}
+			checkWritingNodeRunsOnce(t, ng)
+			if countKind(ng, dfg.KindSplit) != 2 {
+				t.Errorf("width %d: the runs around the writing node did not both split:\n%s", width, ng.Script())
+			}
+		}
 	}
+	pash, _, err := PaShPlan(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWritingNodeRunsOnce(t, pash)
 }
 
 func TestJashPlanKeepsSequentialOnWritingNode(t *testing.T) {
 	g := writingSegmentGraph(t)
-	_, dec, err := JashPlan(g, inputsOf(3<<30), cost.IOOptEC2())
+	plan, _, err := JashPlan(g, inputsOf(3<<30), cost.IOOptEC2())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Width != 1 {
-		t.Errorf("decision = %+v, want sequential", dec)
-	}
+	checkWritingNodeRunsOnce(t, plan)
 }
 
 func TestParallelizeWidthOne(t *testing.T) {
@@ -222,6 +256,13 @@ func TestPaShPlanFallsBackGracefully(t *testing.T) {
 	}
 	if dec.Width != 1 || ng != g {
 		t.Errorf("expected unchanged graph, decision %+v", dec)
+	}
+	// The reason is the rewrite's own: it names what could not be split.
+	if want := `rewrite: no stage of "uniq" can be split`; dec.Reason != want {
+		t.Errorf("reason %q, want %q", dec.Reason, want)
+	}
+	if _, dec, _ := PaShPlan(fig1Graph(t), 1); !strings.Contains(dec.Reason, "width 1") {
+		t.Errorf("reason %q does not name the width", dec.Reason)
 	}
 }
 
@@ -287,9 +328,7 @@ func TestFigure1Shape(t *testing.T) {
 	in := inputsOf(size)
 
 	shape := func(prof func() *cost.Profile) (bash, pash, jash float64) {
-		seq := g.Clone()
-		RemoveUselessCat(seq)
-		bashEst, err := cost.EstimateGraph(seq, in, prof(), true)
+		bashEst, err := cost.EstimateGraph(Sequential(g), in, prof(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
