@@ -25,11 +25,14 @@ vet:
 # graphs that carry their own adjacency index, so the graph package and the
 # pipeline planner's tests run under the race detector too. Every file
 # reader shares the VFS's blocks with later writers, so the VFS runs there
-# as well.
+# as well. The utilities' lanes share the line cursor pool and the block
+# pool, so their host diffs (with the lane law), cursor and allocation
+# tests run there too.
 race:
 	$(GO) test -race ./internal/pipe/... ./internal/vfs/... ./internal/exec/... ./internal/interp/... ./internal/core/... ./internal/trace/... ./internal/dfg/...
 	$(GO) test -race -run 'OverApproximates|DeadStore|ListParallel|ParallelizeList|AssignedBy|FuncTable' ./internal/analysis/... ./internal/rewrite/... ./internal/fuzz/...
 	$(GO) test -race -run 'Plan|Parallelize|Graph' ./internal/rewrite/...
+	$(GO) test -race -run 'MatchesGNU|Lanes|Cursor|Allocates' ./internal/coreutils/...
 
 # The fault suite: injected failures, panics, stalls, and cancellations
 # at every plan position must tear the plan down cleanly (no node is ever

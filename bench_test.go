@@ -259,6 +259,32 @@ func BenchmarkCoreutilsSed(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreutilsGrep measures grep on 8 MiB of words: fixed strings
+// that select every line (filter_chain's -v), a few lines, or only count
+// them, and a regexp for the line-at-a-time path.
+func BenchmarkCoreutilsGrep(b *testing.B) {
+	data := workload.Words(1, 8<<20)
+	fs := vfs.New()
+	fs.WriteFile("/w", data)
+	sh := core.New(fs, cost.Laptop(), core.ModeBash)
+	for _, bc := range []struct{ name, script string }{
+		{"v", "grep -v zzz /w >/dev/null\n"},
+		{"n", "grep -n the /w >/dev/null\n"},
+		{"c", "grep -c the /w >/dev/null\n"},
+		{"regexp", "grep 'th.e' /w >/dev/null\n"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if st, _ := sh.Run(bc.script); st != 0 {
+					b.Fatal("grep failed")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCoreutilsComm measures comm over two sorted 4 MiB inputs, one
 // line of each held at a time.
 func BenchmarkCoreutilsComm(b *testing.B) {

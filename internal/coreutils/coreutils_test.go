@@ -8,6 +8,7 @@ import (
 	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"jash/internal/pipe"
 	"jash/internal/spec"
 	"jash/internal/vfs"
+	"jash/internal/workload"
 )
 
 // run executes a registered utility against the given stdin and fs,
@@ -1271,6 +1273,9 @@ func TestScriptOperandSplit(t *testing.T) {
 	}{
 		{[]string{"grep", "-ie", "alpha", "/f"}, "alpha\nAlpha\n", 0},
 		{[]string{"grep", "foo", "/foo"}, "foo\n", 0},
+		{[]string{"grep", "-e", "alpha", "-e", "beta", "/f"}, "alpha\nbeta\n", 0}, // every -e counts
+		{[]string{"grep", "alpha\nbeta", "/f"}, "alpha\nbeta\n", 0},               // as does every line of one
+		{[]string{"grep", "-F", "-e", "a.", "-e", "ta", "/f"}, "beta\n", 0},
 		{[]string{"sed", "-ne", "/a$/p", "/f"}, "alpha\nbeta\nAlpha\n", 0},
 		{[]string{"sed", "-e", "s/a/A/", "-e", "s/b/B/", "/f"}, "Alpha\nBetA\nAlphA\n", 0},
 		{[]string{"sed", "s/a/A/", "/f"}, "Alpha\nbetA\nAlphA\n", 0},
@@ -1286,6 +1291,131 @@ func TestScriptOperandSplit(t *testing.T) {
 			t.Errorf("%q: out=%q errs=%q st=%d, want out=%q st=%d", c.argv, out, errs, st, c.want, c.st)
 		}
 	}
+}
+
+// allocsOf is the allocations of one run of argv over in, with its
+// output discarded.
+func allocsOf(argv []string, in []byte) float64 {
+	fn, _ := Lookup(argv[0])
+	return testing.AllocsPerRun(10, func() {
+		fn(&Context{Dir: "/", Stdin: bytes.NewReader(in), Stdout: io.Discard, Stderr: io.Discard}, argv)
+	})
+}
+
+// TestGrepFixedStringAllocates pins the fixed-string path: -v, -c and -n
+// make no more allocations over 8 MiB than over 64 KiB, and fewer than the
+// same search as a regexp, which compiles before it reads a line.
+func TestGrepFixedStringAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	small := workload.Words(1, 64<<10)
+	large := bytes.Repeat(small, 128) // 8 MiB of the same lines
+	for _, flag := range []string{"-v", "-c", "-n"} {
+		s, l := allocsOf([]string{"grep", flag, "the"}, small), allocsOf([]string{"grep", flag, "the"}, large)
+		re := allocsOf([]string{"grep", flag, "th[e]"}, large)
+		if l > s || l >= re {
+			t.Errorf("grep %s the: %v allocs over 64 KiB, %v over 8 MiB; the regexp th[e] %v", flag, s, l, re)
+		}
+	}
+}
+
+// TestSedFixedStringAllocates pins sed's fixed strings: an s command, with
+// & and Ng, and an address allocate no more per line over 8 MiB than over
+// 64 KiB. The slack is the two line buffers an s command swaps, which may
+// each grow once more to the longest line.
+func TestSedFixedStringAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	small := workload.Words(1, 64<<10)
+	large := bytes.Repeat(small, 128) // 8 MiB of the same lines
+	for _, script := range []string{"s/the/THE/", "s/the/<&>/2g", "/the/d"} {
+		if s, l := allocsOf([]string{"sed", script}, small), allocsOf([]string{"sed", script}, large); l > s+4 {
+			t.Errorf("sed %s: %v allocs over 64 KiB, %v over 8 MiB", script, s, l)
+		}
+	}
+}
+
+// TestGrepFixedStringLineTooLong: grep's run loop keeps the line limit,
+// and its escalation to the plan-abort hook, for a line longer than
+// maxLine with or without its newline; a line of exactly maxLine passes.
+func TestGrepFixedStringLineTooLong(t *testing.T) {
+	fn, _ := Lookup("grep")
+	at := strings.Repeat("a", maxLine)
+	for _, tc := range []struct {
+		in   string
+		want int
+	}{{at + "b\n", 2}, {at + "b", 2}, {at + "\nzzz\n", 0}, {at, 0}} {
+		var aborted error
+		var out, errb bytes.Buffer
+		c := &Context{Stdin: strings.NewReader(tc.in), Stdout: &out, Stderr: &errb, Abort: func(err error) { aborted = err }}
+		st := fn(c, []string{"grep", "-v", "zzz"})
+		if tc.want == 2 && (st != 2 || aborted != errLineTooLong || !strings.Contains(errb.String(), "line too long")) {
+			t.Errorf("%d-byte line: st=%d errs=%q abort=%v, want 2 and errLineTooLong", len(tc.in), st, errb.String(), aborted)
+		}
+		if tc.want == 0 && (st != 0 || aborted != nil || out.String() != at+"\n") {
+			t.Errorf("maxLine line: st=%d abort=%v, %d bytes out", st, aborted, out.Len())
+		}
+	}
+}
+
+// TestCursorLinesAreTheInput: the runs lines returns, concatenated, are
+// the input, each ending in a newline but the stream's last, whatever the
+// reader's read sizes and however long the lines.
+func TestCursorLinesAreTheInput(t *testing.T) {
+	long := strings.Repeat("y", 3*pipe.BlockSize/2)
+	for _, in := range []string{
+		"", "\n", "a", "a\nb", "a\nb\n", long, long + "\n" + long, "x\n" + long + "\nz\n",
+		string(workload.Words(2, 300<<10)),
+	} {
+		for _, r := range []func(io.Reader) io.Reader{
+			func(r io.Reader) io.Reader { return r }, iotest.OneByteReader, iotest.HalfReader,
+		} {
+			cu := (&Context{}).cursor(r(strings.NewReader(in)))
+			var got strings.Builder
+			for run := cu.lines(); len(run) > 0; run = cu.lines() {
+				if got.WriteString(string(run)); run[len(run)-1] != '\n' && got.Len() != len(in) {
+					t.Errorf("%d-byte input: a run ends without its newline at %d", len(in), got.Len())
+				}
+			}
+			if cu.err != nil || got.String() != in {
+				t.Errorf("%d-byte input: runs are %d bytes (err %v), not the input", len(in), got.Len(), cu.err)
+			}
+			cu.close()
+		}
+	}
+}
+
+// TestCursorLanesShareThePools runs grep and sed lanes at once, as a plan
+// does: each takes its cursor and blocks from the shared pools, and each
+// lane's output is its sequential run's.
+func TestCursorLanesShareThePools(t *testing.T) {
+	argvs := [][]string{{"grep", "-v", "the"}, {"grep", "-n", "t.e"}, {"sed", "s/the/<&>/g"}, {"grep", "-c", "a"}}
+	var ins, wants []string
+	for i, argv := range argvs {
+		in := string(workload.Words(uint64(i+1), 200<<10))
+		want, _, _ := run(t, vfs.New(), in, argv...)
+		ins, wants = append(ins, in), append(wants, want)
+	}
+	var wg sync.WaitGroup
+	for lane := 0; lane < 8; lane++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, argv := range argvs {
+				i = (i + lane) % len(argvs)
+				argv = argvs[i]
+				fn, _ := Lookup(argv[0])
+				var out bytes.Buffer
+				fn(&Context{Stdin: strings.NewReader(ins[i]), Stdout: &out, Stderr: io.Discard}, argv)
+				if out.String() != wants[i] {
+					t.Errorf("lane %d %q: %d bytes, sequential run %d", lane, argv, out.Len(), len(wants[i]))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSortFieldSeparator(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -29,82 +28,137 @@ func init() {
 
 // grepCmd searches lines for a pattern. Supported flags: -v (invert),
 // -i (ignore case), -c (count), -q (quiet), -n (line numbers), -F (fixed
-// string), -E (extended regexp; the default pattern syntax is also RE2,
-// which covers POSIX BREs used in practice). Exit status 0 if any line
-// matched, 1 if none, 2 on error.
+// strings), -e (a pattern; repeatable), -E (extended regexp; the default
+// pattern syntax is also RE2, which covers POSIX BREs used in practice).
+// Exit status 0 if any line matched, 1 if none, 2 on error.
+//
+// grep reads whole runs of lines (lineCursor.lines) and finds the first
+// matching line of a run: with bytes.Index when spec.ParseGrep made the
+// pattern a fixed string, else line by line with the regexp. The lines
+// before it are a block that does not match, written or counted whole.
 func grepCmd(c *Context, args []string) int {
 	cl, err := spec.Parse(args)
 	if err != nil {
 		return c.Errorf(2, "grep: %v", err)
 	}
-	pats := cl.Scripts()
-	pat := pats[len(pats)-1]
-	var matchLine func([]byte) bool
-	if cl.Has('F') {
-		needle := pat
-		if cl.Has('i') {
-			needle = strings.ToLower(needle)
-			matchLine = func(line []byte) bool {
-				return strings.Contains(strings.ToLower(string(line)), needle)
-			}
-		} else {
-			matchLine = func(line []byte) bool { return bytes.Contains(line, []byte(needle)) }
-		}
-	} else {
-		expr := pat
-		if cl.Has('i') {
-			expr = "(?i)" + expr
-		}
-		re, rerr := regexp.Compile(expr)
-		if rerr != nil {
-			return c.Errorf(2, "grep: bad pattern %q: %v", pat, rerr)
-		}
-		matchLine = re.Match
+	pat, err := spec.ParseGrep(&cl)
+	if err != nil {
+		return c.Errorf(2, "grep: %v", err)
 	}
-	invert := cl.Has('v')
 	rs, st := openInputs(c, cl.Operands)
 	if rs == nil {
 		return st
 	}
-	quiet := cl.Has('q')
-	countOnly := cl.Has('c')
-	number := cl.Has('n')
-	var count, lineNo int64
-	var scratch []byte // reused number prefix for -n
-	matched := false
-	e := c.forEachLine(concatReaders(rs), func(line []byte) error {
-		lineNo++
-		m := matchLine(line)
-		if m == invert {
-			return nil
+	g := grepper{out: &c.out, invert: cl.Has('v'), quiet: cl.Has('q'), countOnly: cl.Has('c'), number: cl.Has('n')}
+	cu := c.cursor(concatReaders(rs))
+	defer cu.close()
+	for run := cu.lines(); len(run) > 0 && !g.stop; run = cu.lines() {
+		for len(run) > 0 && !g.stop {
+			start, end := firstMatch(&pat, run)
+			g.emit(run[:start], g.invert)
+			g.emit(run[start:end], !g.invert)
+			run = run[end:]
 		}
-		matched = true
-		if quiet {
-			return io.EOF
-		}
-		count++
-		if countOnly {
-			return nil
-		}
-		if number {
-			scratch = strconv.AppendInt(scratch[:0], lineNo, 10)
-			scratch = append(scratch, ':')
-			c.out.Write(scratch)
-		}
-		c.out.writeLine(line)
-		return nil
-	})
-	if e != nil {
-		return c.Errorf(2, "grep: %v", e)
 	}
-	if countOnly {
-		scratch = strconv.AppendInt(scratch[:0], count, 10)
-		c.out.writeLine(scratch)
+	if cu.err != nil {
+		return c.Errorf(2, "grep: %v", cu.err)
 	}
-	if matched {
+	if g.countOnly && !g.quiet {
+		c.out.writeLine(strconv.AppendInt(nil, g.count, 10))
+	}
+	if g.matched {
 		return 0
 	}
 	return 1
+}
+
+// grepper is one run of grep over its input: what to do with the lines it
+// selects, and what it has seen.
+type grepper struct {
+	out                              *stdout
+	invert, quiet, countOnly, number bool
+	matched, stop                    bool
+	count, lineNo                    int64
+	prefix                           []byte // the -n prefix, reused
+}
+
+// emit takes block, whole lines of which the last may lack its newline,
+// all selected or all not.
+func (g *grepper) emit(block []byte, selected bool) {
+	if len(block) == 0 {
+		return
+	}
+	if !selected {
+		if g.number {
+			g.lineNo += countLines(block)
+		}
+		return
+	}
+	g.matched = true
+	switch {
+	case g.quiet:
+		g.stop = true
+	case g.countOnly:
+		g.count += countLines(block)
+	case g.number:
+		for len(block) > 0 {
+			end := lineEnd(block, 0)
+			g.lineNo++
+			g.prefix = append(strconv.AppendInt(g.prefix[:0], g.lineNo, 10), ':')
+			g.out.Write(g.prefix)
+			g.out.writeLine(chomp(block[:end]))
+			block = block[end:]
+		}
+	default:
+		g.out.Write(block)
+		if block[len(block)-1] != '\n' {
+			g.out.WriteString("\n")
+		}
+	}
+}
+
+// firstMatch returns the bounds of the first line of run that pat
+// matches, newline included, or len(run) twice if none does.
+func firstMatch(pat *spec.Pattern, run []byte) (start, end int) {
+	if pat.Re == nil {
+		i := bytes.Index(run, pat.Lit)
+		if i < 0 {
+			return len(run), len(run)
+		}
+		return bytes.LastIndexByte(run[:i], '\n') + 1, lineEnd(run, i)
+	}
+	for ; start < len(run); start = end {
+		if end = lineEnd(run, start); pat.Re.Match(chomp(run[start:end])) {
+			return start, end
+		}
+	}
+	return start, start
+}
+
+// lineEnd returns the end of the line of b that holds offset i: just past
+// its newline, or the end of b.
+func lineEnd(b []byte, i int) int {
+	if j := bytes.IndexByte(b[i:], '\n'); j >= 0 {
+		return i + j + 1
+	}
+	return len(b)
+}
+
+// chomp drops line's newline, if it has one.
+func chomp(line []byte) []byte {
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		return line[:n-1]
+	}
+	return line
+}
+
+// countLines counts block's lines, the last of which may lack its newline.
+func countLines(block []byte) int64 {
+	n := int64(bytes.Count(block, []byte{'\n'}))
+	if block[len(block)-1] != '\n' {
+		n++
+	}
+	return n
 }
 
 // trSet expands a tr set specification: character ranges (a-z), octal and

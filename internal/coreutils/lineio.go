@@ -2,6 +2,7 @@ package coreutils
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"sync"
 	"unsafe"
@@ -14,10 +15,11 @@ import (
 const maxLine = 16 << 20
 
 // lineCursor is the package's one line reader: it pulls one line at a
-// time from a stream, so a filter holds one line per input, not the
-// input. A line that fits the one-block bufio.Reader is a view of its
-// buffer; a longer one is assembled in pending, up to maxLine. Either is
-// valid until the next call to next. Every maxLine violation escalates to
+// time from a stream (next), or every whole line it has buffered (lines),
+// so a filter holds at most a block per input, not the input. A line
+// that fits the one-block bufio.Reader is a view of its buffer; a longer
+// one is assembled in pending, up to maxLine. Either is valid until the
+// next call to next or lines. Every maxLine violation escalates to
 // the plan-abort hook. A torn-down plan, or a failed write to the stage's
 // stdout, ends the stream silently: nothing read after it could be
 // written.
@@ -64,11 +66,65 @@ func (cu *lineCursor) next() bool {
 		return false
 	}
 	cu.n++
-	if cu.c.out.err != nil || cu.n%cancelPollLines == 0 && cu.c.Cancelled() {
-		cu.done = true
+	if cu.stopped(cu.n%cancelPollLines == 0) {
 		return false
 	}
 	cu.pending = cu.pending[:0]
+	return cu.read()
+}
+
+// lines returns the next run of whole lines, each with its newline: every
+// line the reader has buffered, as one view of its buffer, valid until
+// the next call to lines or next. The stream's final line may lack its
+// newline. A line longer than the block is a run of its own, assembled
+// by next's path with its maxLine check. The stdout and cancel checks run
+// once per run. At the end of the stream, on a read error (then in err),
+// once the plan is torn down or once stdout has failed, it returns nil.
+func (cu *lineCursor) lines() []byte {
+	if cu.done || cu.stopped(true) {
+		return nil
+	}
+	chunk, err := cu.br.ReadSlice('\n')
+	switch err {
+	case nil:
+		// The lines after the first are already buffered, right behind it.
+		rest, _ := cu.br.Peek(cu.br.Buffered())
+		if k := bytes.LastIndexByte(rest, '\n'); k >= 0 {
+			cu.br.Discard(k + 1)
+			chunk = chunk[:len(chunk)+k+1]
+		}
+		return chunk
+	case bufio.ErrBufferFull:
+		cu.pending = append(cu.pending[:0], chunk...)
+		if !cu.read() {
+			return nil
+		}
+		if !cu.done {
+			cu.pending = append(cu.line, '\n')
+			cu.line = cu.pending
+		}
+		return cu.line
+	case io.EOF:
+		cu.done = true
+		return chunk
+	default:
+		cu.fail(err)
+		return nil
+	}
+}
+
+// stopped ends the stream once stdout has failed or, if poll is set, once
+// the plan is torn down: nothing read after either could be written.
+func (cu *lineCursor) stopped(poll bool) bool {
+	if cu.c.out.err != nil || poll && cu.c.Cancelled() {
+		cu.done = true
+	}
+	return cu.done
+}
+
+// read reads the rest of a line whose first len(pending) bytes are in
+// pending, and reports whether there is one.
+func (cu *lineCursor) read() bool {
 	for {
 		chunk, err := cu.br.ReadSlice('\n')
 		n := len(cu.pending) + len(chunk)

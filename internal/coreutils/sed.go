@@ -1,6 +1,7 @@
 package coreutils
 
 import (
+	"bytes"
 	"io"
 	"unicode/utf8"
 
@@ -142,21 +143,42 @@ func transliterate(sc *spec.SedCommand, dst, text []byte) []byte {
 // substitute appends text with s/// applied to dst, and reports whether it
 // replaced anything. The matches come from one pass over the line: the
 // first, the nth, or with g every one from the nth (default first) on.
-// & and \N expand from each match's own indices on the line.
+// & and \N expand from each match's own indices on the line. A fixed
+// string is found with bytes.Index, and allocates nothing.
 func substitute(sc *spec.SedCommand, dst, text []byte) ([]byte, bool) {
 	skip, n := max(sc.Nth, 1)-1, max(sc.Nth, 1)
 	if sc.Global {
 		n = -1
 	}
-	ms := sc.Re.FindAllSubmatchIndex(text, n)
-	if len(ms) <= skip {
-		return dst, false
+	if sc.Pat.Re != nil {
+		ms := sc.Pat.Re.FindAllSubmatchIndex(text, n)
+		if len(ms) <= skip {
+			return dst, false
+		}
+		last := 0
+		for _, m := range ms[skip:] {
+			dst = append(dst, text[last:m[0]]...)
+			dst = expandRepl(sc.Repl, dst, text, m)
+			last = m[1]
+		}
+		return append(dst, text[last:]...), true
 	}
-	last := 0
-	for _, m := range ms[skip:] {
-		dst = append(dst, text[last:m[0]]...)
-		dst = expandRepl(sc.Repl, dst, text, m)
-		last = m[1]
+	lit := sc.Pat.Lit
+	last, seen := 0, 0
+	for at := 0; n < 0 || seen < n; seen++ {
+		i := bytes.Index(text[at:], lit)
+		if i < 0 {
+			break
+		}
+		m := [2]int{at + i, at + i + len(lit)}
+		if at = m[1]; seen >= skip {
+			dst = append(dst, text[last:m[0]]...)
+			dst = expandRepl(sc.Repl, dst, text, m[:])
+			last = m[1]
+		}
+	}
+	if seen <= skip {
+		return dst, false
 	}
 	return append(dst, text[last:]...), true
 }

@@ -1,6 +1,7 @@
 package coreutils
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"jash/internal/pipe"
 	"jash/internal/spec"
@@ -164,6 +166,11 @@ func sedScripts() [][]string {
 		{"y/;/:/"},
 		{"s/a/b/;s/b/;/"},
 		{"s/a/b/ ; p"},
+		{"s/the/THE/3"},
+		{"s/the/<&>/2g"},
+		{"/cat/d"},
+		{"s/./X/"},
+		{"s/a+b/X/g"},
 	}
 }
 
@@ -208,6 +215,92 @@ func checkLanes(t *testing.T, name, in string, argv []string, whole string) {
 		}
 		if cat.String() != whole {
 			t.Errorf("%s: %d lanes concatenated %q, whole run %q", name, lanes, cat.String(), whole)
+		}
+	}
+}
+
+// grepInputs reach the edges of grep's run loop: empty input, a missing
+// final newline, a line longer than the reader's block, a match that
+// straddles the block boundary, matches on the first and the last byte,
+// multibyte text and bytes that are not UTF-8.
+func grepInputs() []string {
+	text := "the cat sat on the mat\nfoo\n\nThe end\na.b [x] (y)+ the\naxb\nzzz the the\nlast line\n"
+	filler := strings.Repeat(strings.Repeat("x", 99)+"\n", pipe.BlockSize/100)
+	straddle := filler + strings.Repeat("y", pipe.BlockSize-len(filler)-1) + "the cat\n" + text
+	return []string{
+		"",
+		"\n",
+		text,
+		"first cat\nno trailing newline the",
+		"the first byte\nmid\nand the last byte is the",
+		"a " + strings.Repeat("the ", pipe.BlockSize/4+25) + "end\nshort cat\nx\n",
+		straddle,
+		"äöü grüße the\n日本語 THE\ncafé a.b\nÄÖÜ\n",
+		"ab\xffcd the\n\xfe\xff\nplain cat\n\xc3the\n",
+		strings.Repeat(text, 40),
+	}
+}
+
+// grepArgs run a fixed string and a regexp each with -v, -c, -q and -n,
+// -F with metacharacters, -i, several patterns (-e, or a newline inside
+// one) and the empty pattern.
+func grepArgs() [][]string {
+	var args [][]string
+	for _, pat := range []string{"the", "t.e"} {
+		args = append(args, []string{pat}, []string{"-v", pat}, []string{"-c", pat},
+			[]string{"-q", pat}, []string{"-n", pat}, []string{"-vn", pat}, []string{"-vc", pat})
+	}
+	return append(args,
+		[]string{"-F", "a.b"}, []string{"-F", "[x] (y)+"}, []string{"-vF", "t.e"},
+		[]string{"-i", "the"}, []string{"-iF", "ThE"}, []string{"-i", "äÖ"},
+		[]string{"-e", "cat", "-e", "mat"}, []string{"-e", "the", "-e", "zzz"},
+		[]string{"-v", "-e", "cat", "-e", "x"}, []string{"-F", "-e", "a.b", "-e", "ä"},
+		[]string{"cat\nfoo"}, []string{"-c", "-e", "cat", "-e", "the"},
+		[]string{""}, []string{"-v", ""}, []string{"-c", ""}, []string{"-n", ""},
+		[]string{"zzzz"}, []string{"-c", "^$"}, []string{"e$"}, []string{"-cq", "the"}, []string{"-cq", "zzzz"},
+	)
+}
+
+// gnuGrep runs the host's grep over stdin in the C locale, or in its
+// UTF-8 variant when the row holds multibyte text that is valid UTF-8 (GNU
+// grep calls text with encoding errors binary there), and returns its
+// stdout and status.
+func gnuGrep(t *testing.T, stdin string, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command("/usr/bin/grep", args...)
+	cmd.Env = []string{"LC_ALL=C"}
+	if row := stdin + strings.Join(args, ""); isMultibyte(row) && utf8.ValidString(row) {
+		cmd.Env = []string{"LC_ALL=C.UTF-8"}
+	}
+	cmd.Stdin = strings.NewReader(stdin)
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("grep %q: %v", args, err)
+	}
+	return string(out), cmd.ProcessState.ExitCode()
+}
+
+// TestGrepMatchesGNU runs every argument list over every input through
+// this grep and the host's GNU grep and requires the same bytes and the
+// same status. For every argument list spec resolves stateless, it also
+// requires the lane law of checkLanes.
+func TestGrepMatchesGNU(t *testing.T) {
+	needsTool(t, "/usr/bin/grep")
+	lib := spec.Builtin()
+	for i, in := range grepInputs() {
+		for _, args := range grepArgs() {
+			name := fmt.Sprintf("input%d grep %q", i, args)
+			want, wantSt := gnuGrep(t, in, args...)
+			argv := append([]string{"grep"}, args...)
+			got, errs, st := run(t, vfs.New(), in, argv...)
+			if st != wantSt || got != want {
+				t.Errorf("%s: got %q (st=%d errs=%q), GNU grep %q (st=%d)", name, got, st, errs, want, wantSt)
+				continue
+			}
+			if lib.Resolve(argv).Class == spec.Stateless {
+				checkLanes(t, name, in, argv, got)
+			}
 		}
 	}
 }

@@ -932,9 +932,11 @@ func runMerge(n *dfg.Node, ins []io.Reader, out io.Writer, env *Env) int {
 // paths agree by construction.
 func sumStreams(ins []io.Reader, out io.Writer, env *Env) int {
 	var sums []int64
+	buf := pipe.GetBlock() // one block for every lane's scanner in turn
+	defer pipe.PutBlock(buf)
 	for _, r := range ins {
 		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, pipe.BlockSize), 16<<20)
+		sc.Buffer(buf, 16<<20)
 		for sc.Scan() {
 			for i, f := range strings.Fields(sc.Text()) {
 				v, err := strconv.ParseInt(f, 10, 64)

@@ -121,8 +121,8 @@ func (r *Runner) Run(g *dfg.Graph, env *exec.Env) (status int, kind string, err 
 		st, err := exec.Run(g, env)
 		return st, "miss", err
 	}
-	// Gather current input contents.
-	inputs := map[string][]byte{}
+	// Gather current input contents, and hash each once.
+	inputs, sums := map[string][]byte{}, map[string]string{}
 	for _, src := range g.Sources() {
 		if src.Path == "" {
 			// Unknown stdin volume: not cacheable.
@@ -136,7 +136,7 @@ func (r *Runner) Run(g *dfg.Graph, env *exec.Env) (status int, kind string, err 
 			st, err := exec.Run(g, env)
 			return st, "miss", err
 		}
-		inputs[src.Path] = data
+		inputs[src.Path], sums[src.Path] = data, digest(data)
 	}
 	key := regionKey(g)
 	r.Cache.mu.Lock()
@@ -144,7 +144,7 @@ func (r *Runner) Run(g *dfg.Graph, env *exec.Env) (status int, kind string, err 
 	r.Cache.mu.Unlock()
 
 	if ent != nil {
-		if match, total := sameDigests(ent, inputs); match {
+		if match, total := sameDigests(ent, inputs, sums); match {
 			r.Stats.Hits++
 			r.Stats.BytesSaved += total
 			if env.Stdout != nil {
@@ -154,7 +154,7 @@ func (r *Runner) Run(g *dfg.Graph, env *exec.Env) (status int, kind string, err 
 		}
 		if ent.stateless {
 			if grown, suffixes := onlyAppends(ent, inputs); grown {
-				return r.runSuffix(g, env, ent, inputs, suffixes)
+				return r.runSuffix(g, env, ent, inputs, sums, suffixes)
 			}
 		}
 	}
@@ -171,20 +171,19 @@ func (r *Runner) Run(g *dfg.Graph, env *exec.Env) (status int, kind string, err 
 		env.Stdout.Write(buf.Bytes())
 	}
 	r.Stats.Misses++
-	r.store(key, g, inputs, buf.Bytes(), st)
+	r.store(key, g, inputs, sums, buf.Bytes(), st)
 	return st, "miss", nil
 }
 
-func (r *Runner) store(key string, g *dfg.Graph, inputs map[string][]byte, output []byte, status int) {
+func (r *Runner) store(key string, g *dfg.Graph, inputs map[string][]byte, sums map[string]string, output []byte, status int) {
 	ent := &entry{
-		digests:   map[string]string{},
+		digests:   sums,
 		contents:  map[string][]byte{},
 		output:    append([]byte(nil), output...),
 		status:    status,
 		stateless: statelessOnly(g),
 	}
 	for p, data := range inputs {
-		ent.digests[p] = digest(data)
 		ent.contents[p] = append([]byte(nil), data...)
 	}
 	r.Cache.mu.Lock()
@@ -192,15 +191,15 @@ func (r *Runner) store(key string, g *dfg.Graph, inputs map[string][]byte, outpu
 	r.Cache.mu.Unlock()
 }
 
-// sameDigests reports whether every input matches the cached digest, and
-// the total input volume (for the bytes-saved accounting).
-func sameDigests(ent *entry, inputs map[string][]byte) (bool, int64) {
+// sameDigests reports whether every input's digest in sums matches the
+// cached one, and the total input volume (for the bytes-saved accounting).
+func sameDigests(ent *entry, inputs map[string][]byte, sums map[string]string) (bool, int64) {
 	if len(ent.digests) != len(inputs) {
 		return false, 0
 	}
 	var total int64
 	for p, data := range inputs {
-		if ent.digests[p] != digest(data) {
+		if ent.digests[p] != sums[p] {
 			return false, 0
 		}
 		total += int64(len(data))
@@ -232,7 +231,7 @@ func onlyAppends(ent *entry, inputs map[string][]byte) (bool, map[string][]byte)
 
 // runSuffix executes the region over only the appended input suffixes and
 // appends the result to the cached output.
-func (r *Runner) runSuffix(g *dfg.Graph, env *exec.Env, ent *entry, inputs, suffixes map[string][]byte) (int, string, error) {
+func (r *Runner) runSuffix(g *dfg.Graph, env *exec.Env, ent *entry, inputs map[string][]byte, sums map[string]string, suffixes map[string][]byte) (int, string, error) {
 	// Build a shadow graph whose sources read the suffixes from temp files.
 	ng := g.Clone()
 	var temps []string
@@ -276,14 +275,13 @@ func (r *Runner) runSuffix(g *dfg.Graph, env *exec.Env, ent *entry, inputs, suff
 	// Update the cache in place.
 	key := regionKey(g)
 	nent := &entry{
-		digests:   map[string]string{},
+		digests:   sums,
 		contents:  map[string][]byte{},
 		output:    newOut,
 		status:    st,
 		stateless: true,
 	}
 	for p, data := range inputs {
-		nent.digests[p] = digest(data)
 		nent.contents[p] = append([]byte(nil), data...)
 	}
 	r.Cache.mu.Lock()

@@ -228,8 +228,14 @@ func refineCut(e *Effective) {
 }
 
 // refineGrep adjusts grep's classification for flags: -c becomes
-// Parallelizable with a sum aggregator; -q/-n need global context.
+// Parallelizable with a sum aggregator; -q/-n need global context. It
+// reads the pattern grep matches, and a pattern grep rejects is never
+// planned.
 func refineGrep(e *Effective) {
+	if _, err := ParseGrep(&e.Parsed); err != nil {
+		exclude(e, err)
+		return
+	}
 	for _, f := range e.Parsed.Flags {
 		switch f.Letter {
 		case 'c':

@@ -3,7 +3,6 @@ package spec
 import (
 	"errors"
 	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -15,11 +14,12 @@ import (
 type SedCommand struct {
 	Kind byte // 's', 'y', 'd', 'p' or 'q'
 	// The address: a line number (0 = none), $ (Last), or /re/ (Match).
+	// Match and Pat are fixed strings where compileBRE finds them so.
 	Line  int
 	Last  bool
-	Match *regexp.Regexp
+	Match *Pattern
 	// s: the pattern, the replacement, and the g, p and N flags.
-	Re       *regexp.Regexp
+	Pat      Pattern
 	Repl     string
 	Global   bool
 	PrintSub bool
@@ -92,9 +92,11 @@ func parseSedCommand(s string) (cmd SedCommand, rest string, err error) {
 		if end < 0 {
 			return cmd, "", fmt.Errorf("unterminated address in %q", src)
 		}
-		if cmd.Match, err = regexp.Compile(translateBRE(s[1 : 1+end])); err != nil {
+		var m Pattern
+		if m, err = compileBRE(s[1 : 1+end]); err != nil {
 			return cmd, "", fmt.Errorf("bad address regexp: %v", err)
 		}
+		cmd.Match = &m
 		s = s[2+end:]
 	}
 	if s = strings.TrimLeft(s, " \t"); s == "" || s[0] == '\n' || s[0] == ';' {
@@ -195,21 +197,24 @@ func (cmd *SedCommand) setS(pat, repl, s string) (string, error) {
 			return "", fmt.Errorf("unknown s flag %q", string(f))
 		}
 	}
-	re, err := regexp.Compile(translateBRE(pat))
-	if err != nil {
+	var err error
+	if cmd.Pat, err = compileBRE(pat); err != nil {
 		return "", fmt.Errorf("bad pattern %q: %v", pat, err)
 	}
 	// A reference to a group the pattern lacks is an error, as in GNU sed,
-	// not an empty expansion.
+	// not an empty expansion; a fixed string has no group.
+	groups := 0
+	if cmd.Pat.Re != nil {
+		groups = cmd.Pat.Re.NumSubexp()
+	}
 	for j := 0; j+1 < len(repl); j++ {
 		if repl[j] != '\\' {
 			continue
 		}
-		if j++; repl[j] >= '1' && repl[j] <= '9' && int(repl[j]-'0') > re.NumSubexp() {
+		if j++; repl[j] >= '1' && repl[j] <= '9' && int(repl[j]-'0') > groups {
 			return "", fmt.Errorf("invalid reference \\%c on s command's RHS", repl[j])
 		}
 	}
-	cmd.Re = re
 	return s[i:], nil
 }
 

@@ -70,11 +70,67 @@ func TestResolveClasses(t *testing.T) {
 		{[]string{"awk", "-v", "x", "{print x}"}, SideEffectful},
 		{[]string{"sed", "/a/,/b/p"}, SideEffectful},
 		{[]string{"sed", "s/a/b"}, SideEffectful},
+		{[]string{"grep", "[bad"}, SideEffectful},
+		{[]string{"grep", "-c", "-e", "ok", "-e", "(bad"}, SideEffectful},
 	}
 	for _, c := range cases {
 		e := resolve(t, c.args...)
 		if e.Class != c.want {
 			t.Errorf("%v -> %v, want %v", c.args, e.Class, c.want)
+		}
+	}
+}
+
+// TestFixedStrings pins which patterns grep and sed find with bytes.Index
+// rather than match with a regexp: one pattern, without -i, that is -F's
+// or valid UTF-8 without a metacharacter (RE2's for grep, a BRE's for sed).
+func TestFixedStrings(t *testing.T) {
+	for _, c := range []struct {
+		argv []string
+		lit  string // "-" when the pattern is a regexp, "!" when it is refused
+	}{
+		{[]string{"grep", "the"}, "the"},
+		{[]string{"grep", "-v", " 200 "}, " 200 "},
+		{[]string{"grep", ""}, ""},
+		{[]string{"grep", "-F", "a.b[c]"}, "a.b[c]"},
+		{[]string{"grep", "-F", "\xff"}, "\xff"},
+		{[]string{"grep", "-e", "grüße"}, "grüße"},
+		{[]string{"grep", "a+b"}, "-"}, // RE2, not a BRE
+		{[]string{"grep", "t.e"}, "-"},
+		{[]string{"grep", "\xff"}, "!"}, // not a fixed string, and RE2 refuses it
+		{[]string{"grep", "-i", "the"}, "-"},
+		{[]string{"grep", "-iF", "the"}, "-"},
+		{[]string{"grep", "-e", "a", "-e", "b"}, "-"},
+		{[]string{"grep", "a\nb"}, "-"},
+		{[]string{"sed", "s/the/THE/"}, "the"},
+		{[]string{"sed", "s/a+b/x/g"}, "a+b"}, // a BRE's + is itself
+		{[]string{"sed", "s/t.e/x/"}, "-"},
+		{[]string{"sed", "s/^a/x/"}, "-"},
+		{[]string{"sed", "s/\\(a\\)/x/"}, "-"},
+		{[]string{"sed", "s//x/"}, "-"},
+	} {
+		p, err := Parse(c.argv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pat Pattern
+		if c.argv[0] == "grep" {
+			pat, err = ParseGrep(&p)
+		} else {
+			var cmds []SedCommand
+			if cmds, err = ParseSed(&p); err == nil {
+				pat = cmds[0].Pat
+			}
+		}
+		got := string(pat.Lit)
+		switch {
+		case err != nil:
+			got = "!"
+		case pat.Re != nil:
+			got = "-"
+		}
+		if got != c.lit {
+			t.Errorf("%q: fixed string %q (err %v), want %q", c.argv, got, err, c.lit)
 		}
 	}
 }
