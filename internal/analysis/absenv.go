@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"jash/internal/expand"
 	"jash/internal/syntax"
 )
 
@@ -435,35 +436,34 @@ func absParam(pe *syntax.ParamExp, inDquote bool, env *Env) ([]absFrag, bool) {
 		return []absFrag{{val: Top(), quoted: inDquote}}, false
 	case syntax.ParamTrimSuffix, syntax.ParamTrimSuffixLong,
 		syntax.ParamTrimPrefix, syntax.ParamTrimPrefixLong:
-		if pat, ok := staticLiteralPattern(pe.Word); ok && val.Kind == AbsConst {
-			out := val.Str
-			switch pe.Op {
-			case syntax.ParamTrimSuffix, syntax.ParamTrimSuffixLong:
-				out = strings.TrimSuffix(out, pat)
-			default:
-				out = strings.TrimPrefix(out, pat)
-			}
-			return one(Const(out))
+		if pat, ok := staticPattern(pe.Word); ok && val.Kind == AbsConst {
+			return one(Const(expand.Trim(val.Str, pat, pe.Op)))
 		}
 		return one(Top())
 	}
 	return one(Top())
 }
 
-// staticLiteralPattern extracts a trim pattern that matches purely
-// literally: a static word with no glob metacharacters or backslashes.
-func staticLiteralPattern(w *syntax.Word) (string, bool) {
+// staticPattern is the pattern a trim word expands to when that is its
+// text alone: static text with no metacharacter or backslash, quoted or
+// not, or unquoted literal parts, whose metacharacters and backslashes
+// stay live, as expand.ExpandPattern leaves them.
+func staticPattern(w *syntax.Word) (string, bool) {
 	if w == nil {
 		return "", true
 	}
-	if !w.IsStatic() {
-		return "", false
+	if v := w.StaticValue(); w.IsStatic() && !strings.ContainsAny(v, `*?[\`) {
+		return v, true
 	}
-	v := w.StaticValue()
-	if strings.ContainsAny(v, `*?[\`) {
-		return "", false
+	var b strings.Builder
+	for _, p := range w.Parts {
+		lit, ok := p.(*syntax.Lit)
+		if !ok {
+			return "", false
+		}
+		b.WriteString(lit.Value)
 	}
-	return v, true
+	return b.String(), true
 }
 
 // onlyAtParams reports whether quoted parts consist solely of $@/$*.

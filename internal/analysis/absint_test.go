@@ -328,3 +328,33 @@ func TestExampleEnvDumpsGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestTrimByPatternIsExact: a trim whose pattern is static text is
+// evaluated as the expander evaluates it, glob characters included; one
+// whose pattern needs expanding stays ⊤.
+func TestTrimByPatternIsExact(t *testing.T) {
+	env := NewEnv(nil)
+	env.Bind("f", Const("/d/a.b.txt"))
+	for _, c := range []struct {
+		src  string
+		want AbsVal
+	}{
+		{"${f##*/}", Const("a.b.txt")},
+		{"${f#*/}", Const("d/a.b.txt")},
+		{"${f%.*}", Const("/d/a.b")},
+		{"${f%%.*}", Const("/d/a")},
+		{"${f%[.]txt}", Const("/d/a.b")},
+		{`${f%".txt"}`, Const("/d/a.b")},
+		{`${f%"*"}`, Top()}, // a quoted metacharacter is not modelled
+		{"${f#$g}", Top()},
+	} {
+		s, err := syntax.Parse("echo " + c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := s.Stmts[0].AndOr.First.Cmds[0].(*syntax.SimpleCommand).Args[1]
+		if got := EvalWordAbs(w, env); got != c.want {
+			t.Errorf("%s = %v, want %v", c.src, got, c.want)
+		}
+	}
+}

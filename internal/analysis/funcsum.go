@@ -55,10 +55,31 @@ func (f *FuncSummarizer) Known(name string) bool {
 // Call returns the effect summary of invoking the named function with
 // the given abstract positional arguments ($1..$n). argsKnown=false
 // means even the argument count is unknown, so every positional is ⊤.
-// Results are cached per (name, abstract-args) pair and shared: callers
-// must not mutate the returned summary.
-func (f *FuncSummarizer) Call(name string, args []AbsVal, argsKnown bool) *StmtSummary {
-	key := callKey(name, args, argsKnown)
+// The global variables the body uses start at their values in caller, the
+// environment at the call site (nil: ⊤), as dynamic scoping has it.
+// Results are cached per (name, abstract args, those values) and shared:
+// callers must not mutate the returned summary.
+func (f *FuncSummarizer) Call(name string, args []AbsVal, argsKnown bool, caller *Env) *StmtSummary {
+	ss := f.call(name, args, argsKnown, nil, nil)
+	if caller == nil || len(ss.Blockers) > 0 {
+		return ss
+	}
+	globals := sortedNames(ss.Uses)
+	vals := make([]AbsVal, len(globals))
+	known := false
+	for i, g := range globals {
+		vals[i] = caller.Resolve(g)
+		known = known || vals[i].Kind != AbsTop
+	}
+	if !known {
+		return ss
+	}
+	return f.call(name, args, argsKnown, globals, vals)
+}
+
+// call summarizes one call with the globals bound to vals.
+func (f *FuncSummarizer) call(name string, args []AbsVal, argsKnown bool, globals []string, vals []AbsVal) *StmtSummary {
+	key := callKey(name, args, argsKnown) + "\x00" + callKey(strings.Join(globals, "\x00"), vals, true)
 	if s, ok := f.cache[key]; ok {
 		return s
 	}
@@ -91,6 +112,9 @@ func (f *FuncSummarizer) Call(name string, args []AbsVal, argsKnown bool) *StmtS
 	env := NewEnv(nil)
 	if argsKnown {
 		env.SetParams(args)
+	}
+	for i, g := range globals {
+		env.Bind(g, vals[i])
 	}
 	w := &fnWalker{
 		f:      f,
@@ -252,7 +276,7 @@ func (w *fnWalker) simple(sc *syntax.SimpleCommand, ci int, multi bool) {
 		// Nested call: summarize the callee under this site's abstract
 		// arguments and fold its summary in.
 		args, known := AbsCallArgs(sc, w.env)
-		sub := w.f.Call(name, args, known)
+		sub := w.f.Call(name, args, known, callerEnv(sc, w.env))
 		for _, b := range sub.Blockers {
 			w.block("%s: %s", name, b)
 		}

@@ -47,7 +47,7 @@ func TestCallConcreteArgs(t *testing.T) {
 	if !fs.Known("count") || fs.Known("absent") {
 		t.Fatal("Known() disagrees with the function table")
 	}
-	ss := fs.Call("count", []AbsVal{Const("/w0")}, true)
+	ss := fs.Call("count", []AbsVal{Const("/w0")}, true, nil)
 	if len(ss.Blockers) != 0 {
 		t.Fatalf("unexpected blockers: %v", ss.Blockers)
 	}
@@ -61,7 +61,7 @@ func TestCallConcreteArgs(t *testing.T) {
 		t.Errorf("summary fell to ⊤ despite concrete args: %v", ss.FS.Unknown)
 	}
 	// Two calls with distinct constants must summarize independently.
-	other := fs.Call("count", []AbsVal{Const("/w1")}, true)
+	other := fs.Call("count", []AbsVal{Const("/w1")}, true, nil)
 	if other.FS.Paths["/w1"]&OpRead == 0 || other.FS.Paths["/w0"] != 0 {
 		t.Errorf("second arg vector reused the first summary: %v", other.FS.Paths)
 	}
@@ -69,7 +69,7 @@ func TestCallConcreteArgs(t *testing.T) {
 
 func TestCallUnknownArgsFallToTop(t *testing.T) {
 	fs := summarizer(t, "count() { grep -c alpha \"$1\"; }\n")
-	ss := fs.Call("count", nil, false)
+	ss := fs.Call("count", nil, false, nil)
 	if ss.FS.Unknown&OpRead == 0 {
 		t.Errorf("⊤ positional should produce a ⊤ read: %v / %v", ss.FS.Paths, ss.FS.Unknown)
 	}
@@ -77,39 +77,39 @@ func TestCallUnknownArgsFallToTop(t *testing.T) {
 
 func TestCallCaching(t *testing.T) {
 	fs := summarizer(t, "f() { grep -c x \"$1\"; }\n")
-	a := fs.Call("f", []AbsVal{Const("/a")}, true)
-	if fs.Call("f", []AbsVal{Const("/a")}, true) != a {
+	a := fs.Call("f", []AbsVal{Const("/a")}, true, nil)
+	if fs.Call("f", []AbsVal{Const("/a")}, true, nil) != a {
 		t.Error("same (name, args) must return the cached pointer")
 	}
-	if fs.Call("f", []AbsVal{Const("/b")}, true) == a {
+	if fs.Call("f", []AbsVal{Const("/b")}, true, nil) == a {
 		t.Error("different args must not share a cache entry")
 	}
-	if fs.Call("f", nil, false) == a {
+	if fs.Call("f", nil, false, nil) == a {
 		t.Error("argsKnown=false must key separately from concrete args")
 	}
 }
 
 func TestRecursionBlocked(t *testing.T) {
 	fs := summarizer(t, "f() { f; }\n")
-	if !hasBlocker(fs.Call("f", nil, true), "recursive call") {
+	if !hasBlocker(fs.Call("f", nil, true, nil), "recursive call") {
 		t.Error("direct recursion must block")
 	}
 	fs = summarizer(t, "a() { b; }\nb() { a; }\n")
-	if !hasBlocker(fs.Call("a", nil, true), "recursive call") {
+	if !hasBlocker(fs.Call("a", nil, true, nil), "recursive call") {
 		t.Error("mutual recursion must block")
 	}
 }
 
 func TestUnknownFunctionBlocked(t *testing.T) {
 	fs := summarizer(t, "f() { :; }\n")
-	if !hasBlocker(fs.Call("nope", nil, true), "unknown function") {
+	if !hasBlocker(fs.Call("nope", nil, true, nil), "unknown function") {
 		t.Error("missing function must block")
 	}
 }
 
 func TestLocalsFilteredFromSummary(t *testing.T) {
 	fs := summarizer(t, "f() { local t\nt=/scratch\ncp \"$t\" /out\ng=1\n}\n")
-	ss := fs.Call("f", nil, true)
+	ss := fs.Call("f", nil, true, nil)
 	if len(ss.Blockers) != 0 {
 		t.Fatalf("unexpected blockers: %v", ss.Blockers)
 	}
@@ -136,7 +136,7 @@ func TestStatefulBuiltinsBlock(t *testing.T) {
 	}
 	for _, c := range cases {
 		fs := summarizer(t, c.src)
-		if ss := fs.Call("f", nil, true); !hasBlocker(ss, c.why) {
+		if ss := fs.Call("f", nil, true, nil); !hasBlocker(ss, c.why) {
 			t.Errorf("%q: want blocker containing %q, got %v", c.src, c.why, ss.Blockers)
 		}
 	}
@@ -144,7 +144,7 @@ func TestStatefulBuiltinsBlock(t *testing.T) {
 
 func TestBodyRedirectSuppressesStdin(t *testing.T) {
 	fs := summarizer(t, "f() { sort; } < /in\n")
-	ss := fs.Call("f", nil, true)
+	ss := fs.Call("f", nil, true, nil)
 	if ss.FS.ReadsStdin {
 		t.Error("body-group stdin redirect must clear ReadsStdin")
 	}
@@ -152,14 +152,14 @@ func TestBodyRedirectSuppressesStdin(t *testing.T) {
 		t.Errorf("redirect source not read: %v", ss.FS.Paths)
 	}
 	fs = summarizer(t, "f() { sort; }\n")
-	if !fs.Call("f", nil, true).FS.ReadsStdin {
+	if !fs.Call("f", nil, true, nil).FS.ReadsStdin {
 		t.Error("unredirected sort must keep ReadsStdin")
 	}
 }
 
 func TestNestedCallFoldsCalleeEffects(t *testing.T) {
 	fs := summarizer(t, "inner() { grep -c x \"$1\" > \"$1.n\"; }\nouter() { inner /w7; }\n")
-	ss := fs.Call("outer", nil, true)
+	ss := fs.Call("outer", nil, true, nil)
 	if len(ss.Blockers) != 0 {
 		t.Fatalf("unexpected blockers: %v", ss.Blockers)
 	}
@@ -204,7 +204,7 @@ func TestAbsCallArgs(t *testing.T) {
 // that follows reads a path the summary cannot name — not /data/a.txt.
 func TestCallSeesArithmeticAssignment(t *testing.T) {
 	fs := summarizer(t, "f() { p=/data/a.txt; : $((p=7)); cat $p > /o; }\n")
-	ss := fs.Call("f", nil, true)
+	ss := fs.Call("f", nil, true, nil)
 	if ss.FS.Unknown&OpRead == 0 || ss.FS.Paths["/data/a.txt"] != 0 {
 		t.Errorf("summary = %v, want a ⊤ read and no /data/a.txt", ss.FS)
 	}

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"jash/internal/expand"
 	"jash/internal/spec"
@@ -110,7 +111,7 @@ func SummarizeStmtOpts(st *syntax.Stmt, opts StmtOptions) *StmtSummary {
 			// functions shadow coreutils — same order as the interpreter's
 			// dispatch): fold in the callee's parameterized summary.
 			args, known := AbsCallArgs(sc, opts.Env)
-			fsum := opts.Funcs.Call(name, args, known)
+			fsum := opts.Funcs.Call(name, args, known, callerEnv(sc, opts.Env))
 			for _, b := range fsum.Blockers {
 				block("function %s: %s", name, b)
 			}
@@ -142,6 +143,16 @@ func SummarizeStmtOpts(st *syntax.Stmt, opts StmtOptions) *StmtSummary {
 		block("reads shared stdin")
 	}
 	return ss
+}
+
+// callerEnv is the environment a call's body starts from: the caller's,
+// except that `x=v f` runs f with x bound to v, which env does not show, so
+// such a call starts from nothing known.
+func callerEnv(sc *syntax.SimpleCommand, env *Env) *Env {
+	if len(sc.Assigns) > 0 {
+		return nil
+	}
+	return env
 }
 
 // summarizeStmtVars folds one simple command's variable defs and uses
@@ -176,6 +187,8 @@ func stmtWordUses(ss *StmtSummary, w *syntax.Word, env *Env, block func(string, 
 	d := expand.AnalyzeWord(w)
 	if opaque(d, env) {
 		block("$((...)) in %s is not an expression until it is expanded", syntax.PrintWord(w))
+	} else if divides(w) {
+		block("$((...)) in %s may divide by zero, which ends the shell", syntax.PrintWord(w))
 	}
 	for _, e := range d.Effects {
 		switch e.Kind {
@@ -203,6 +216,19 @@ func stmtWordUses(ss *StmtSummary, w *syntax.Word, env *Env, block func(string, 
 			block("command substitution runs arbitrary commands")
 		}
 	}
+}
+
+// divides reports an arithmetic expansion in w that divides: a division
+// by zero ends the shell, which a statement run out of program order
+// cannot do before the statements after it have run.
+func divides(w *syntax.Word) bool {
+	found := false
+	syntax.Walk(w, func(n syntax.Node) bool {
+		a, ok := n.(*syntax.ArithExp)
+		found = found || ok && strings.ContainsAny(a.Expr, "/%")
+		return !found
+	})
+	return found
 }
 
 // redirectsFD reports whether any redirection covers the descriptor.

@@ -195,8 +195,8 @@ type Stats struct {
 	// interpreted until a half-open probe re-admits it after BreakerDecay.
 	Quarantined int
 	// ListParallel counts statements executed inside concurrent list
-	// regions: runs of a `cmd1; cmd2; ...` list (or an unrolled static for
-	// loop) proven pairwise non-interfering and run on worker clones, with
+	// regions: runs of a `cmd1; cmd2; ...` list (or of a for loop's
+	// iterations) proven pairwise non-interfering and run on worker clones, with
 	// outputs replayed in program order.
 	ListParallel int
 	// Concretized counts dynamic words — $f operands, variable redirect

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"jash/internal/analysis"
 	"jash/internal/interp"
@@ -32,26 +33,8 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 	if s.Mode != ModeJash || s.NoListParallel || orderVisible(in) {
 		return in.RunStmts(stmts)
 	}
-	// A single compound statement may still hide a list the planner can
-	// partition: `{ a; b; c; }` flattens, and a static `for` loop over
-	// literal words unrolls into one statement per item (the classic
-	// per-file loop, §3.2's "most common parallelization opportunity").
 	funcBody := func(name string) syntax.Command { return in.Funcs[name] }
-	cand := stmts
-	loopVar, loopLast := "", ""
-	if len(stmts) == 1 {
-		if body, ok := rewrite.FlattenBrace(stmts[0]); ok {
-			cand = body
-		} else if un, name, last, ok := rewrite.UnrollFor(stmts[0], funcBody); ok {
-			cand = un
-			loopVar, loopLast = name, last
-		}
-	}
-	if len(cand) < 2 {
-		return in.RunStmts(stmts)
-	}
-	lsp := in.Tracer.Child("list-plan")
-	plan, dec := rewrite.ParallelizeList(cand, rewrite.ListOptions{
+	opts := rewrite.ListOptions{
 		Lib:   s.Lib,
 		Dir:   in.Dir,
 		Cores: s.Profile.Cores,
@@ -62,7 +45,36 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 		IsReadonly: func(name string) bool { return in.Vars[name].ReadOnly },
 		Lookup:     lookupVar(in),
 		FuncBody:   funcBody,
-	})
+	}
+	// A single compound statement may still hide a list the planner can
+	// partition: `{ a; b; c; }` flattens, and a `for` loop is the list of
+	// its iterations, each statement bound to its item (the classic
+	// per-file loop, §3.2's "most common parallelization opportunity").
+	cand := stmts
+	var fc *syntax.ForClause
+	if len(stmts) == 1 {
+		if body, ok := rewrite.FlattenBrace(stmts[0]); ok {
+			cand = body
+		} else {
+			fc = rewrite.ForLoop(stmts[0])
+		}
+	}
+	if fc == nil && len(cand) < 2 {
+		return in.RunStmts(stmts)
+	}
+	lsp := in.Tracer.Child("list-plan")
+	var plan *rewrite.ListPlan
+	var dec rewrite.ListDecision
+	if fc == nil {
+		plan, dec = rewrite.ParallelizeList(cand, opts)
+	} else {
+		plan, dec = rewrite.ParallelizeLoop(fc, func() ([]string, error) {
+			if !fc.InPresent {
+				return append([]string(nil), in.Params...), nil
+			}
+			return in.EarlyExpander().ExpandWords(fc.Words)
+		}, opts)
+	}
 	annotateList(lsp, dec)
 	// The list's record settles when the list has run, on the region's
 	// span: a region that aborts says so in it. Refusals are recorded too,
@@ -89,7 +101,7 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 			d.Reason += " (a group kept program order: set -e, set -u or a trap took effect mid-list)"
 		}
 		if !g.Parallel {
-			status, err = in.RunStmts(g.Stmts)
+			status, err = runSequentialGroup(in, g)
 		} else {
 			gsp := rsp.Child("parallel-group")
 			gsp.SetInt("stmts", int64(len(g.Stmts)))
@@ -106,9 +118,21 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 			break
 		}
 	}
-	if err == nil && loopVar != "" && !in.Exited {
-		// POSIX leaves the loop variable bound to the last item.
-		in.Setenv(loopVar, loopLast)
+	return status, err
+}
+
+// runSequentialGroup runs a group in program order on the shell itself. A
+// loop iteration's statement first binds the loop variable, as the loop
+// would before the iteration.
+func runSequentialGroup(in *interp.Interp, g rewrite.ListGroup) (int, error) {
+	status, err := 0, error(nil)
+	for i := range g.Stmts {
+		if g.Binds != nil {
+			in.Setenv(g.Binds[i].Name, g.Binds[i].Value)
+		}
+		if status, err = in.RunStmts(g.Stmts[i : i+1]); err != nil || in.Exited {
+			break
+		}
 	}
 	return status, err
 }
@@ -144,11 +168,13 @@ func annotateList(lsp *trace.Span, dec rewrite.ListDecision) {
 	lsp.End()
 }
 
-// listWorker is one statement's execution state inside a parallel group.
+// listWorker is one statement's execution state inside a parallel group:
+// what replay needs of it once its interpreter clone is gone.
 type listWorker struct {
 	stdout bytes.Buffer
 	stderr bytes.Buffer
-	clone  *interp.Interp
+	defs   map[string]interp.Variable
+	exited bool
 	status int
 	err    error
 }
@@ -162,28 +188,39 @@ type listWorker struct {
 // buffers are flushed to the session streams in program order, the
 // disjoint variable definitions are merged back, and $? becomes the last
 // statement's status — byte-for-byte and status-for-status what the
-// sequential run produces.
+// sequential run produces. A loop iteration's statement runs with its
+// binding on its clone, and the shell takes the binding as the statement
+// replays. A loop can make a group of thousands of statements, so
+// g.Width goroutines take them in turn, each cloning the shell when it
+// starts a statement and keeping only what replay needs.
 func (s *Shell) runParallelGroup(in *interp.Interp, g rewrite.ListGroup) (int, error) {
-	workers := make([]*listWorker, len(g.Stmts))
-	for i := range workers {
-		w := &listWorker{clone: in.Subshell()}
-		// The summaries proved no statement reads shared stdin; an empty
-		// reader makes any escape deterministic instead of a stream race.
-		w.clone.Stdin = strings.NewReader("")
-		w.clone.Stdout = &w.stdout
-		w.clone.Stderr = &w.stderr
-		workers[i] = w
-	}
-	sem := make(chan struct{}, g.Width)
+	workers := make([]listWorker, len(g.Stmts))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, st := range g.Stmts {
+	for range g.Width {
 		wg.Add(1)
-		go func(w *listWorker, st *syntax.Stmt) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			w.status, w.err = w.clone.RunStmts([]*syntax.Stmt{st})
-		}(workers[i], st)
+			for i := int(next.Add(1) - 1); i < len(workers); i = int(next.Add(1) - 1) {
+				w, clone := &workers[i], in.Subshell()
+				if g.Binds != nil {
+					clone.Setenv(g.Binds[i].Name, g.Binds[i].Value)
+				}
+				// The summaries proved no statement reads shared stdin; an
+				// empty reader makes any escape deterministic instead of a
+				// stream race.
+				clone.Stdin = strings.NewReader("")
+				clone.Stdout, clone.Stderr = &w.stdout, &w.stderr
+				w.status, w.err = clone.RunStmts(g.Stmts[i : i+1])
+				w.exited = clone.Exited
+				w.defs = make(map[string]interp.Variable, len(g.Defs[i]))
+				for _, name := range g.Defs[i] {
+					if v, ok := clone.Vars[name]; ok {
+						w.defs[name] = v
+					}
+				}
+			}
+		}()
 	}
 	wg.Wait()
 	// Replay in program order. A fatal error or a shell exit (explicit, or
@@ -193,17 +230,19 @@ func (s *Shell) runParallelGroup(in *interp.Interp, g rewrite.ListGroup) (int, e
 	// suppressed (their side effects were proven disjoint, so dropping the
 	// bytes is the closest match to "never ran").
 	status := 0
-	for i, w := range workers {
+	for i := range workers {
+		w := &workers[i]
+		if g.Binds != nil {
+			in.Setenv(g.Binds[i].Name, g.Binds[i].Value)
+		}
 		in.Stdout.Write(w.stdout.Bytes())
 		in.Stderr.Write(w.stderr.Bytes())
 		status = w.status
-		for _, name := range g.Defs[i] {
-			if v, ok := w.clone.Vars[name]; ok {
-				in.Vars[name] = v
-			}
+		for name, v := range w.defs {
+			in.Vars[name] = v
 		}
-		if w.err != nil || w.clone.Exited {
-			in.Status, in.Exited = w.status, w.clone.Exited
+		if w.err != nil || w.exited {
+			in.Status, in.Exited = w.status, w.exited
 			return w.status, w.err
 		}
 	}

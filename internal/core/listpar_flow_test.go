@@ -250,14 +250,17 @@ func TestListRegionMergesHereDocumentAssignment(t *testing.T) {
 	})
 }
 
-// TestUnrolledLoopKeepsItsVariableForCallees: unrolling pastes the item
-// where the body says $x and leaves x itself unbound, so a loop whose body
-// calls a function that reads x must not unroll.
+// TestUnrolledLoopKeepsItsVariableForCallees: each iteration runs with the
+// loop variable bound, so a function the body calls sees the item, and the
+// iterations still form a region.
 func TestUnrolledLoopKeepsItsVariableForCallees(t *testing.T) {
 	const script = "g() { echo $x; }\nx=q\nfor x in a b c; do g; done\n"
 	threeModes(t, vfs.New, script, func(name string, sh *Shell, _ *vfs.FS, st int, out, errs string) {
 		if st != 0 || out != "a\nb\nc\n" {
 			t.Errorf("%s: status %d stdout %q stderr %q", name, st, out, errs)
+		}
+		if name == "jash" && sh.Stats.ListParallel != 3 {
+			t.Errorf("jash: %d statements in list regions, want 3: %+v", sh.Stats.ListParallel, sh.Stats.Decisions)
 		}
 	})
 }

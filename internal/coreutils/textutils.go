@@ -202,9 +202,10 @@ func echoCmd(c *Context, args []string) int {
 	return 0
 }
 
-// printfCmd implements the POSIX printf utility for the common conversions
-// %s %d %i %c %x %o %% and escapes \n \t \\ \0NNN. The format is reused
-// until all arguments are consumed, per POSIX.
+// printfCmd implements the POSIX printf utility for the conversions
+// %s %b %c %d %i %o %u %x %X %e %E %f %g %G %% and the escapes of
+// printfEscape. The format is reused until all arguments are consumed, per
+// POSIX; an unknown directive ends it with dash's diagnostic and status.
 func printfCmd(c *Context, args []string) int {
 	if len(args) < 2 {
 		return c.Errorf(2, "printf: missing format")
@@ -221,41 +222,17 @@ func printfCmd(c *Context, args []string) int {
 		return ""
 	}
 	var b strings.Builder
-	emit := func() {
+	// emit runs the format once. It returns the directive it does not
+	// know, and whether a \c in a %b operand ended all output.
+	emit := func() (invalid string, stop bool) {
 		j := 0
 		for j < len(format) {
 			ch := format[j]
 			switch ch {
 			case '\\':
-				j++
-				if j >= len(format) {
-					b.WriteByte('\\')
-					break
-				}
-				switch format[j] {
-				case 'n':
-					b.WriteByte('\n')
-				case 't':
-					b.WriteByte('\t')
-				case 'r':
-					b.WriteByte('\r')
-				case '\\':
-					b.WriteByte('\\')
-				case '0':
-					// \0NNN octal
-					val := 0
-					k := j + 1
-					for k < len(format) && k <= j+3 && format[k] >= '0' && format[k] <= '7' {
-						val = val*8 + int(format[k]-'0')
-						k++
-					}
-					b.WriteByte(byte(val))
-					j = k - 1
-				default:
-					b.WriteByte('\\')
-					b.WriteByte(format[j])
-				}
-				j++
+				text, n, _ := printfEscape(format[j:], false)
+				b.WriteString(text)
+				j += n
 			case '%':
 				j++
 				if j >= len(format) {
@@ -281,6 +258,12 @@ func printfCmd(c *Context, args []string) int {
 					b.WriteByte('%')
 				case 's':
 					fmt.Fprintf(&b, spec+"s", nextArg())
+				case 'b':
+					text, stop := printfOperand(nextArg())
+					fmt.Fprintf(&b, spec+"s", text)
+					if stop {
+						return "", true
+					}
 				case 'c':
 					s := nextArg()
 					if s != "" {
@@ -289,32 +272,94 @@ func printfCmd(c *Context, args []string) int {
 				case 'd', 'i':
 					n, _ := strconv.ParseInt(strings.TrimSpace(nextArg()), 0, 64)
 					fmt.Fprintf(&b, spec+"d", n)
-				case 'x', 'o', 'u':
+				case 'x', 'X', 'o', 'u':
 					n, _ := strconv.ParseInt(strings.TrimSpace(nextArg()), 0, 64)
 					v := verb
 					if v == 'u' {
 						v = 'd'
 					}
 					fmt.Fprintf(&b, spec+string(v), n)
-				case 'f', 'e', 'g':
+				case 'f', 'e', 'E', 'g', 'G':
 					f, _ := strconv.ParseFloat(strings.TrimSpace(nextArg()), 64)
 					fmt.Fprintf(&b, spec+string(verb), f)
 				default:
-					b.WriteString(spec)
-					b.WriteByte(verb)
+					return spec + string(verb), false
 				}
 			default:
 				b.WriteByte(ch)
 				j++
 			}
 		}
+		return "", false
 	}
-	emit()
-	for i < len(operands) {
-		emit()
+	// The format is reused while operands remain, as long as a pass
+	// consumes one: a format with no conversion prints once.
+	for {
+		start := i
+		invalid, stop := emit()
+		if invalid != "" {
+			io.WriteString(c.Stdout, b.String())
+			return c.Errorf(2, "printf: %s: invalid directive", invalid)
+		}
+		if stop || i >= len(operands) || i == start {
+			break
+		}
 	}
 	io.WriteString(c.Stdout, b.String())
 	return 0
+}
+
+// printfEscape decodes the backslash escape s starts with and returns the
+// text it stands for and its length. An octal escape is one to three
+// digits in a format; in a %b operand it is \0 and up to three digits, or
+// one to three digits starting 1–7. \c, in an operand, ends all output:
+// stop reports it. An escape printf does not know stands for itself.
+func printfEscape(s string, operand bool) (text string, n int, stop bool) {
+	if len(s) < 2 {
+		return s, len(s), false
+	}
+	j := 1
+	if operand && s[1] == '0' {
+		j = 2
+	}
+	k, val := j, 0
+	for k < len(s) && k < j+3 && s[k] >= '0' && s[k] <= '7' {
+		val = val*8 + int(s[k]-'0')
+		k++
+	}
+	if k > 1 {
+		return string([]byte{byte(val)}), k, false
+	}
+	if named := strings.IndexByte("\\abefnrtv", s[1]); named >= 0 {
+		return "\\\a\b\x1b\f\n\r\t\v"[named : named+1], 2, false
+	}
+	if operand && s[1] == 'c' {
+		return "", 2, true
+	}
+	return s[:2], 2, false
+}
+
+// printfOperand is a %b operand with its escapes decoded; stop reports a
+// \c, which ends it and all further output.
+func printfOperand(s string) (string, bool) {
+	if !strings.Contains(s, "\\") {
+		return s, false
+	}
+	var b strings.Builder
+	for j := 0; j < len(s); {
+		if s[j] != '\\' {
+			b.WriteByte(s[j])
+			j++
+			continue
+		}
+		text, n, stop := printfEscape(s[j:], true)
+		if stop {
+			return b.String(), true
+		}
+		b.WriteString(text)
+		j += n
+	}
+	return b.String(), false
 }
 
 // seqCmd prints a numeric sequence: seq LAST, seq FIRST LAST, or

@@ -54,9 +54,6 @@ type VarEffect struct {
 	Kind EffectKind
 	Name string
 	Pos  syntax.Pos
-	// Plain, on a read, says it is a $x or ${x} outside arithmetic: the
-	// reference a literal value could stand in for.
-	Plain bool
 	// Guarded, on a read, says an unset variable is provided for: the
 	// ${x-w} ${x=w} ${x+w} ${x?w} forms and arithmetic operands, which
 	// read unset as 0.
@@ -113,8 +110,7 @@ func analyzeParts(parts []syntax.WordPart, quoted bool, d *Deps) {
 			d.Vars = append(d.Vars, p.Name)
 			guarded := p.Op == syntax.ParamDefault || p.Op == syntax.ParamAssign ||
 				p.Op == syntax.ParamError || p.Op == syntax.ParamAlt
-			d.Effects = append(d.Effects, VarEffect{Kind: EffectRead, Name: p.Name, Pos: p.Pos(),
-				Plain: p.Op == syntax.ParamPlain, Guarded: guarded})
+			d.Effects = append(d.Effects, VarEffect{Kind: EffectRead, Name: p.Name, Pos: p.Pos(), Guarded: guarded})
 			if p.Word != nil {
 				analyzeParts(p.Word.Parts, quoted, d)
 			}

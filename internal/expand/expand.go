@@ -418,7 +418,7 @@ func (x *Expander) appendParam(pe *syntax.ParamExp, inDquote bool) error {
 		if err != nil {
 			return err
 		}
-		val = trim(val, pat, pe.Op)
+		val = Trim(val, pat, pe.Op)
 	}
 	if useWord {
 		if pe.Word == nil {
@@ -430,7 +430,9 @@ func (x *Expander) appendParam(pe *syntax.ParamExp, inDquote bool) error {
 	return nil
 }
 
-func trim(val, pat string, op syntax.ParamOp) string {
+// Trim applies a ${x#pat}-style trim operator to val; pat is a pattern as
+// ExpandPattern returns it.
+func Trim(val, pat string, op syntax.ParamOp) string {
 	switch op {
 	case syntax.ParamTrimSuffix:
 		if short, _, ok := pattern.MatchSuffix(pat, val); ok {

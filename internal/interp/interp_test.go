@@ -564,9 +564,13 @@ func TestCmdNameFromVariable(t *testing.T) {
 }
 
 func TestDevNullConvention(t *testing.T) {
-	// /dev/null is just a VFS file here; output lands there harmlessly.
+	// /dev/null is the null device: what is written there is dropped, and
+	// a read of it is at end of file.
 	fs := vfs.New()
-	wantOutFS(t, fs, "echo discarded >/dev/null; echo visible", "visible\n")
+	wantOutFS(t, fs, "echo discarded >/dev/null; echo more >>/dev/null; cat /dev/null; echo visible", "visible\n")
+	if fi, err := fs.Stat("/dev/null"); err != nil || fi.Size != 0 {
+		t.Errorf("/dev/null after writes: %+v %v", fi, err)
+	}
 }
 
 func TestLocalBuiltin(t *testing.T) {

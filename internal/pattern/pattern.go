@@ -48,13 +48,19 @@ func MatchSuffix(pat, name string) (shortest, longest int, ok bool) {
 
 // HasMeta reports whether the pattern contains any unescaped matching
 // metacharacters; a pattern without them only matches itself literally.
+// A '[' that opens no bracket expression (no closing ']') is literal, so
+// the `[` command word globs nothing.
 func HasMeta(pat string) bool {
 	for i := 0; i < len(pat); i++ {
 		switch pat[i] {
 		case '\\':
 			i++
-		case '*', '?', '[':
+		case '*', '?':
 			return true
+		case '[':
+			if n, _ := matchBracket(pat[i:], 0); n > 1 {
+				return true
+			}
 		}
 	}
 	return false

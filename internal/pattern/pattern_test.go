@@ -93,6 +93,12 @@ func TestHasMeta(t *testing.T) {
 		{`escaped\*`, false},
 		{`escaped\[`, false},
 		{`mixed\**`, true},
+		// A '[' that opens no bracket expression matches itself.
+		{"[", false},
+		{"a[b", false},
+		{"[]", false},
+		{"[]]", true},
+		{"[!a]", true},
 	}
 	for _, c := range cases {
 		if got := HasMeta(c.pat); got != c.want {

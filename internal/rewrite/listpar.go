@@ -15,7 +15,10 @@ import (
 // sequential remainder (executed in program order by the interpreter) or a
 // concurrent region of pairwise non-interfering statements.
 type ListGroup struct {
-	Stmts    []*syntax.Stmt
+	Stmts []*syntax.Stmt
+	// Binds holds, per statement, the loop variable a loop iteration's
+	// statement runs with (ParallelizeLoop); nil for a plain list.
+	Binds    []Binding
 	Parallel bool
 	// Width is the worker count for a parallel group (≤ len(Stmts)).
 	Width int
@@ -106,6 +109,14 @@ type ListOptions struct {
 // description: the region runner in package core owns execution, output
 // ordering, and fallback.
 func ParallelizeList(stmts []*syntax.Stmt, opts ListOptions) (*ListPlan, ListDecision) {
+	return planStmts(stmts, nil, opts)
+}
+
+// planStmts is ParallelizeList over statements that may each carry a loop
+// binding (binds is nil or one entry per statement): the binding is applied
+// to the abstract environment before its statement is summarized, as the
+// loop assigns the variable before the iteration runs.
+func planStmts(stmts []*syntax.Stmt, binds []Binding, opts ListOptions) (*ListPlan, ListDecision) {
 	env := analysis.NewEnv(opts.Lookup)
 	var funcs *analysis.FuncSummarizer
 	if opts.FuncBody != nil {
@@ -118,6 +129,9 @@ func ParallelizeList(stmts []*syntax.Stmt, opts ListOptions) (*ListPlan, ListDec
 	funcsDirty := false
 	sums := make([]*analysis.StmtSummary, len(stmts))
 	for i, st := range stmts {
+		if binds != nil {
+			env.Bind(binds[i].Name, analysis.Const(binds[i].Value))
+		}
 		so := analysis.StmtOptions{Lib: opts.Lib, Env: env}
 		if !funcsDirty {
 			so.Funcs = funcs
@@ -148,7 +162,7 @@ func ParallelizeList(stmts []*syntax.Stmt, opts ListOptions) (*ListPlan, ListDec
 			env.WidenAll()
 		}
 	}
-	plan, dec := buildListPlan(stmts, sums, opts)
+	plan, dec := buildListPlan(stmts, binds, sums, opts)
 	seen := map[string]bool{}
 	dec.Pinned = make([]string, len(sums))
 	for i, ss := range sums {
@@ -174,25 +188,35 @@ func ParallelizeList(stmts []*syntax.Stmt, opts ListOptions) (*ListPlan, ListDec
 }
 
 // buildListPlan does the greedy maximal-run grouping over precomputed
-// summaries.
-func buildListPlan(stmts []*syntax.Stmt, sums []*analysis.StmtSummary, opts ListOptions) (*ListPlan, ListDecision) {
+// summaries. Each statement is checked against one index of the current
+// run (runIndex), not against every member, so planning stays linear in
+// the number of statements.
+func buildListPlan(stmts []*syntax.Stmt, binds []Binding, sums []*analysis.StmtSummary, opts ListOptions) (*ListPlan, ListDecision) {
 	plan := &ListPlan{}
 	dec := ListDecision{}
 	var run []int // indices of the current commuting candidate run
 	var seq []int // indices of the pending sequential remainder
+	idx := runIndex{readers: map[string]int{}, writers: map[string]int{}}
 	label := func(i int) string { return fmt.Sprintf("statement %d", i+1) }
+	group := func(members []int, g ListGroup) ListGroup {
+		for _, i := range members {
+			g.Stmts = append(g.Stmts, stmts[i])
+			if binds != nil {
+				g.Binds = append(g.Binds, binds[i])
+			}
+		}
+		return g
+	}
 	flushSeq := func() {
 		if len(seq) == 0 {
 			return
 		}
-		g := ListGroup{}
-		for _, i := range seq {
-			g.Stmts = append(g.Stmts, stmts[i])
-		}
-		plan.Groups = append(plan.Groups, g)
+		plan.Groups = append(plan.Groups, group(seq, ListGroup{}))
 		seq = nil
 	}
 	flushRun := func() {
+		defer clear(idx.readers)
+		defer clear(idx.writers)
 		if len(run) == 0 {
 			return
 		}
@@ -202,9 +226,8 @@ func buildListPlan(stmts []*syntax.Stmt, sums []*analysis.StmtSummary, opts List
 			return
 		}
 		flushSeq()
-		g := ListGroup{Parallel: true, Width: cost.ListRegionWidth(len(run), opts.Cores)}
+		g := group(run, ListGroup{Parallel: true, Width: cost.ListRegionWidth(len(run), opts.Cores)})
 		for _, i := range run {
-			g.Stmts = append(g.Stmts, stmts[i])
 			g.Defs = append(g.Defs, sortedVarNames(sums[i].Defs))
 		}
 		plan.Groups = append(plan.Groups, g)
@@ -224,20 +247,16 @@ func buildListPlan(stmts []*syntax.Stmt, sums []*analysis.StmtSummary, opts List
 			}
 			continue
 		}
-		commutes := true
-		for _, j := range run {
-			if hz := analysis.Interferes(sums[j], sums[i], label(j), label(i), opts.Dir); len(hz) > 0 {
-				commutes = false
-				if dec.Reason == "" {
-					dec.Reason = hz[0].String()
-				}
-				break
+		fs := sums[i].FS.Normalize(opts.Dir)
+		if j := idx.firstConflict(fs, sums[i]); j >= 0 {
+			if dec.Reason == "" {
+				hz := analysis.Interferes(sums[j], sums[i], label(j), label(i), opts.Dir)
+				dec.Reason = hz[0].String()
 			}
-		}
-		if !commutes {
 			flushRun()
 		}
 		run = append(run, i)
+		idx.add(i, fs, sums[i])
 	}
 	flushRun()
 	flushSeq()
@@ -248,6 +267,63 @@ func buildListPlan(stmts []*syntax.Stmt, sums []*analysis.StmtSummary, opts List
 		dec.Reason = fmt.Sprintf("list of %d statement(s) too small to parallelize", len(stmts))
 	}
 	return plan, dec
+}
+
+// runIndex maps everything the members of a run touch — each normalized
+// path, and each variable as "$name", which a use reads and a definition
+// writes — to the first member that read it and the first that wrote it.
+// Eligible statements have no ⊤ effect, so a statement interferes with a
+// member exactly when analysis.Interferes reports a hazard between them:
+// when one writes what the other reads or writes.
+type runIndex struct{ readers, writers map[string]int }
+
+// accesses calls visit on everything a statement with normalized summary
+// fs touches, once as a write if it writes it.
+func accesses(fs *analysis.Summary, ss *analysis.StmtSummary, visit func(key string, write bool)) {
+	for p, op := range fs.Paths {
+		if op.Reads() || op.Writes() {
+			visit(p, op.Writes())
+		}
+	}
+	for v := range ss.Uses {
+		visit("$"+v, ss.Defs[v])
+	}
+	for v := range ss.Defs {
+		if !ss.Uses[v] {
+			visit("$"+v, true)
+		}
+	}
+}
+
+// firstConflict returns the earliest member the statement interferes
+// with, or -1.
+func (x runIndex) firstConflict(fs *analysis.Summary, ss *analysis.StmtSummary) int {
+	j := -1
+	meet := func(m map[string]int, key string) {
+		if at, ok := m[key]; ok && (j < 0 || at < j) {
+			j = at
+		}
+	}
+	accesses(fs, ss, func(key string, write bool) {
+		if write {
+			meet(x.readers, key)
+		}
+		meet(x.writers, key)
+	})
+	return j
+}
+
+// add records member i.
+func (x runIndex) add(i int, fs *analysis.Summary, ss *analysis.StmtSummary) {
+	accesses(fs, ss, func(key string, write bool) {
+		m := x.readers
+		if write {
+			m = x.writers
+		}
+		if _, ok := m[key]; !ok {
+			m[key] = i
+		}
+	})
 }
 
 // cdBlockedOnly detects the JSH405 condition: no region formed, every
@@ -277,7 +353,7 @@ func cdBlockedOnly(stmts []*syntax.Stmt, sums []*analysis.StmtSummary, opts List
 	if !sawCd {
 		return false
 	}
-	_, dec := buildListPlan(restStmts, restSums, opts)
+	_, dec := buildListPlan(restStmts, nil, restSums, opts)
 	return dec.Parallel
 }
 

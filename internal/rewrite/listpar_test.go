@@ -1,6 +1,9 @@
 package rewrite
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -139,44 +142,133 @@ func TestParallelizeListCdBlockedOnly(t *testing.T) {
 	}
 }
 
-func TestUnrollForDisjointFiles(t *testing.T) {
-	stmts := parseStmts(t, "for f in /a /b /c; do grep x $f >$f.out; done")
-	un, name, last, ok := UnrollFor(stmts[0], nil)
-	if !ok {
-		t.Fatal("static literal loop refused")
+// planLoop plans the loop src is, over the items its words expand to.
+func planLoop(t *testing.T, src string, opts ListOptions, items ...string) (*ListPlan, ListDecision) {
+	t.Helper()
+	fc := ForLoop(parseStmts(t, src)[0])
+	if fc == nil {
+		t.Fatalf("%q is not a lone for loop", src)
 	}
-	if name != "f" || last != "/c" {
-		t.Fatalf("variable %q, last item %q, want f and /c", name, last)
+	if opts.Lib == nil {
+		opts.Lib, opts.Dir, opts.Cores = lib, "/", 8
 	}
-	if len(un) != 3 {
-		t.Fatalf("unrolled to %d statements, want 3", len(un))
-	}
-	// The unrolled statements must now be provably independent.
-	_, dec := ParallelizeList(un, ListOptions{Lib: lib, Dir: "/", Cores: 8})
+	return ParallelizeLoop(fc, func() ([]string, error) { return items, nil }, opts)
+}
+
+func TestParallelizeLoopDisjointFiles(t *testing.T) {
+	plan, dec := planLoop(t, "for f in /a /b /c; do grep x $f >$f.out; done", ListOptions{}, "/a", "/b", "/c")
 	if !dec.Parallel || dec.Statements != 3 {
-		t.Fatalf("unrolled loop not parallelized: %s", dec.Reason)
+		t.Fatalf("per-file loop not parallelized: %s", dec.Reason)
+	}
+	g := plan.Groups[0]
+	if len(g.Binds) != 3 || g.Binds[0] != (Binding{"f", "/a"}) || g.Binds[2] != (Binding{"f", "/c"}) {
+		t.Fatalf("iterations carry bindings %+v", g.Binds)
+	}
+	if g.Stmts[0] != g.Stmts[2] {
+		t.Fatal("an iteration's statement is a copy, not the body's own")
 	}
 }
 
-func TestUnrollForRefusals(t *testing.T) {
-	cases := []string{
-		"for f in $files; do grep x $f; done",          // dynamic list
-		"for f in /a /b; do echo ${f%.txt}; done",      // non-plain expansion
-		"for f in /a /b; do f=/other; grep x $f; done", // rebinds the variable
-		"for f in /a /b; do echo $(cat $f); done",      // command substitution
-		"for f in /a /b; do read f </x; done",          // hostile builtin
-		"for f in 'a b' /c; do grep x $f; done",        // splittable item
-		"for f in /a /*; do grep x $f; done",           // glob item
-		"for f in /a /b; do echo $((f+1)); done",       // arithmetic reference
+// TestParallelizeLoopRefusals: each loop keeps program order, and the
+// decision names why.
+func TestParallelizeLoopRefusals(t *testing.T) {
+	readonly := ListOptions{IsReadonly: func(name string) bool { return name == "f" }}
+	for _, c := range []struct {
+		src, reason string
+		opts        ListOptions
+	}{
+		{"for f in /a /b; do f=/other; grep x $f; done", "may assign $f", ListOptions{}},
+		{"for f in /a /b; do read f </x; done", "may assign $f", ListOptions{}},
+		{"for f in /a /b; do eval \"$x\"; grep x $f; done", "may assign any variable", ListOptions{}},
+		{"for f in /a /b; do grep x $f >$f.n; done", "readonly", readonly},
+		{"for f in /a ${g=/b}; do grep x $f >$f.n; done", "not safe to expand early", ListOptions{}},
+		{"for f in /a /b; do echo $(cat $f); done", "command substitution", ListOptions{}},
+		{"for f in /a /b; do grep x $f >$f.n; break; done", "break", ListOptions{}},
+		{"for f in /a /b; do grep x $f >$f.n; continue; done", "continue", ListOptions{}},
+		// Iteration-local assignment is out of reach: b is written by
+		// every iteration and read by the next statement.
+		{"for f in /d/a /d/b; do b=${f##*/}; tr a-z A-Z <$f >/d/$b.up; done", "$b", ListOptions{}},
+		// A loop-carried variable, and an iteration reading what an
+		// earlier one wrote.
+		{"for f in /a /b; do n=\"$n $f\"; done", "$n", ListOptions{}},
+		{"for f in /d/a /d/b; do tr a-z A-Z <$f >/d/b; done", "/d/b", ListOptions{}},
+	} {
+		_, dec := planLoop(t, c.src, c.opts, "/a", "/b")
+		if strings.HasPrefix(c.src, "for f in /d/") {
+			_, dec = planLoop(t, c.src, c.opts, "/d/a", "/d/b")
+		}
+		if dec.Parallel || !strings.Contains(dec.Reason, c.reason) {
+			t.Errorf("%q: parallel=%v reason %q, want a refusal naming %q", c.src, dec.Parallel, dec.Reason, c.reason)
+		}
 	}
-	for _, src := range cases {
-		stmts := parseStmts(t, src)
-		if _, ok := stmts[0].AndOr.First.Cmds[0].(*syntax.ForClause); !ok {
-			t.Fatalf("%q did not parse to a for clause", src)
+	fc := ForLoop(parseStmts(t, "for f in $((1/0)); do grep x $f >$f.n; done")[0])
+	_, dec := ParallelizeLoop(fc, func() ([]string, error) { return nil, errors.New("division by zero") },
+		ListOptions{Lib: lib, Dir: "/", Cores: 8})
+	if dec.Parallel || !strings.Contains(dec.Reason, "division by zero") {
+		t.Errorf("failed expansion: parallel=%v reason %q", dec.Parallel, dec.Reason)
+	}
+}
+
+// TestParallelizeLoopBindsWhatPasteRefused: the shapes a literal paste of
+// the item could not reproduce plan once each iteration is a binding.
+func TestParallelizeLoopBindsWhatPasteRefused(t *testing.T) {
+	for _, c := range []struct {
+		src   string
+		items []string
+	}{
+		{"for f in $files; do grep x $f >$f.n; done", []string{"/a", "/b"}},                       // dynamic list
+		{"for f in /a /*; do grep x $f >$f.n; done", []string{"/a", "/b", "/c"}},                  // glob item
+		{"for f in /d/a /d/b; do tr a-z A-Z <$f >/d/${f##*/}.up; done", []string{"/d/a", "/d/b"}}, // non-plain expansion
+		{"for f in 'a b' /c; do grep x $f; done", []string{"a b", "/c"}},                          // splittable item
+		{"for f in /a /b; do grep x \"$f\" >\"$f.n\"; done", []string{"/a b", "/c"}},              // item with a space, quoted
+		{"for f in /a /b; do echo ${f%.txt}; done", []string{"/a.txt", "/b.txt"}},                 // trim
+	} {
+		_, dec := planLoop(t, c.src, ListOptions{}, c.items...)
+		if !dec.Parallel || dec.Statements != len(c.items) {
+			t.Errorf("%q: parallel=%v statements %d reason %q", c.src, dec.Parallel, dec.Statements, dec.Reason)
 		}
-		if _, _, _, ok := UnrollFor(stmts[0], nil); ok {
-			t.Errorf("%q unexpectedly unrolled", src)
+	}
+}
+
+// TestParallelizeLoopRefusesCheaply: a statement the first iteration pins
+// refuses the loop before the other iterations are planned.
+func TestParallelizeLoopRefusesCheaply(t *testing.T) {
+	items := make([]string, 64)
+	for i := range items {
+		items[i] = fmt.Sprintf("/f%02d", i)
+	}
+	_, dec := planLoop(t, "for f in /f*; do grep x $f >$f.n; echo $(wc -l <$f); done", ListOptions{}, items...)
+	if dec.Parallel || len(dec.Pinned) != 2 || dec.Pinned[1] == "" ||
+		!strings.Contains(dec.Reason, "statement 2 of the first iteration") {
+		t.Fatalf("parallel=%v pinned %q reason %q", dec.Parallel, dec.Pinned, dec.Reason)
+	}
+}
+
+// TestListPlanningIsLinear: each statement is checked against one index of
+// its run, not against every earlier member, so planning N independent
+// statements allocates in proportion to N (checking every pair made 1,024
+// statements allocate 248 times what 64 do).
+func TestListPlanningIsLinear(t *testing.T) {
+	alloc := func(n int) uint64 {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "tr a-z A-Z </d/f%d >/d/f%d.up\n", i, i)
 		}
+		stmts := parseStmts(t, b.String())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, dec := ParallelizeList(stmts, ListOptions{Lib: lib, Dir: "/", Cores: 8})
+		runtime.ReadMemStats(&after)
+		if !dec.Parallel || dec.Statements != n {
+			t.Fatalf("%d statements: %s", n, dec.Reason)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := alloc(64), alloc(1024)
+	t.Logf("64 statements: %d bytes; 1024: %d bytes (%.1fx)", small, large, float64(large)/float64(small))
+	if large > 24*small {
+		t.Errorf("planning 1024 statements allocates %d bytes, %.0fx the %d of 64; want at most 24x",
+			large, float64(large)/float64(small), small)
 	}
 }
 

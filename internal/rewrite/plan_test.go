@@ -147,11 +147,12 @@ func TestJashPlanBoundReason(t *testing.T) {
 func TestWidthOnePlanAllocates(t *testing.T) {
 	g := shapeGraph(t, "grep ' 200 ' /in | cut -d ' ' -f 1 | sort -u | wc -l >/o")
 	in, prof := inputsOf(20<<10), cost.Laptop()
+	// The graph-query and Validate pins below hold under -race too.
 	if n := testing.AllocsPerRun(50, func() {
 		if _, dec, err := JashPlan(g, in, prof); err != nil || dec.Width != 1 {
 			t.Fatalf("width %d err %v", dec.Width, err)
 		}
-	}); n > 9 {
+	}); n > 9 && !raceEnabled {
 		t.Errorf("JashPlan on a small 4-stage graph allocates %v times, want at most 9 (the search without the bound made 837)", n)
 	}
 	for _, n := range g.Nodes {

@@ -77,6 +77,9 @@ type node struct {
 	children map[string]*node
 	mode     uint32
 	modSeq   int64
+	// discard marks the null device: writes to it are dropped, so it
+	// stays empty and a read of it is at end of file.
+	discard bool
 }
 
 // snapshot returns the file's current contents without copying a byte:
@@ -125,11 +128,14 @@ func appendBlocks(bs [][]byte, p []byte) [][]byte {
 	return bs
 }
 
-// New returns an empty filesystem containing only the root directory,
-// bound to device "default", with the conventional 022 creation mask.
+// New returns a filesystem holding only the root directory and the null
+// device /dev/null, bound to device "default", with the conventional 022
+// creation mask.
 func New() *FS {
+	null := &node{name: "null", mode: 0o666, discard: true}
+	dev := &node{name: "dev", isDir: true, children: map[string]*node{"null": null}, mode: 0o755}
 	return &FS{
-		root:   &node{name: "/", isDir: true, children: map[string]*node{}, mode: 0o755},
+		root:   &node{name: "/", isDir: true, children: map[string]*node{"dev": dev}, mode: 0o755},
 		umask:  0o022,
 		mounts: []mount{{prefix: "/", device: "default"}},
 	}
@@ -386,7 +392,7 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	n, err := fs.fileLocked(p)
-	if err != nil {
+	if err != nil || n.discard {
 		return err
 	}
 	n.blocks, n.size = appendBlocks(nil, data), int64(len(data))
@@ -399,7 +405,7 @@ func (fs *FS) AppendFile(p string, data []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	n, err := fs.fileLocked(p)
-	if err != nil {
+	if err != nil || n.discard {
 		return err
 	}
 	n.blocks, n.size = appendBlocks(n.blocks, data), n.size+int64(len(data))
@@ -410,30 +416,43 @@ func (fs *FS) AppendFile(p string, data []byte) error {
 // called: until then the file is untouched, so a writer that is never
 // closed leaves no trace.
 func (fs *FS) Create(p string) (io.WriteCloser, error) {
-	return &fileWriter{fs: fs, path: p}, nil
+	return &fileWriter{fs: fs, path: p, discard: fs.isDiscard(p)}, nil
 }
 
 // Append returns a writer whose contents are appended to the file when
 // Close is called.
 func (fs *FS) Append(p string) (io.WriteCloser, error) {
-	return &fileWriter{fs: fs, path: p, appendTo: true}, nil
+	return &fileWriter{fs: fs, path: p, appendTo: true, discard: fs.isDiscard(p)}, nil
+}
+
+// isDiscard reports whether p names the null device.
+func (fs *FS) isDiscard(p string) bool {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	n, err := fs.lookup(p)
+	return err == nil && n.discard
 }
 
 // fileWriter collects a file's new contents in blocks of its own. Write
 // copies p (a pipe recycles its chunk as soon as Write returns); Close
-// swaps the blocks in, or in append mode copies them onto the file's.
+// swaps the blocks in, or in append mode copies them onto the file's. A
+// writer opened on the null device keeps nothing.
 type fileWriter struct {
 	fs       *FS
 	path     string
 	blocks   [][]byte
 	size     int64
 	appendTo bool
+	discard  bool
 	closed   bool
 }
 
 func (w *fileWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, errors.New("write on closed file")
+	}
+	if w.discard {
+		return len(p), nil
 	}
 	w.blocks = appendBlocks(w.blocks, p)
 	w.size += int64(len(p))
@@ -450,7 +469,7 @@ func (w *fileWriter) Close() error {
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
 	n, err := w.fs.fileLocked(w.path)
-	if err != nil {
+	if err != nil || n.discard {
 		return err
 	}
 	if !w.appendTo {

@@ -33,6 +33,32 @@ func TestWriteReadFile(t *testing.T) {
 	}
 }
 
+func TestDevNullDiscards(t *testing.T) {
+	fs := New()
+	if err := fs.WriteFile("/dev/null", []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.AppendFile("/dev/null", []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	for _, open := range []func(string) (io.WriteCloser, error){fs.Create, fs.Append} {
+		w, _ := open("/dev/null")
+		if n, err := w.Write([]byte("cd")); n != 2 || err != nil {
+			t.Fatalf("write: %d %v", n, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := fs.ReadFile("/dev/null")
+	if fi, _ := fs.Stat("/dev/null"); err != nil || len(data) != 0 || fi.Size != 0 || fi.IsDir {
+		t.Fatalf("/dev/null holds %q (stat %+v, err %v)", data, fi, err)
+	}
+	if fs.TotalBytes() != 0 {
+		t.Fatalf("a new filesystem holds %d bytes", fs.TotalBytes())
+	}
+}
+
 func TestReadMissing(t *testing.T) {
 	fs := New()
 	_, err := fs.ReadFile("/nope")
