@@ -57,7 +57,8 @@ fuzz-smoke:
 
 # fuzz is the long differential + chaos soak for nightly runs: a wide
 # seed sweep, the 10k-episode chaos invariant check, and the native
-# coverage-guided parser/expander fuzzers, each under a wall budget.
+# coverage-guided parser/expander fuzzers (FuzzSplit checks the one-pass
+# field splitter against the old splitter), each under a wall budget.
 # The sweep covers seeds 1-20,000 through all five oracles (1 m 46 s on
 # a 2-core host): the list-region exit bug sat at seeds 13232 and 18264,
 # past fuzz-smoke's 500 and the 2,000 this target used to sweep. The same
@@ -73,11 +74,13 @@ fuzz:
 	$(GO) test -fuzz='^FuzzParseCommand$$' -fuzztime 2m -run '^$$' ./internal/syntax/
 	$(GO) test -fuzz='^FuzzExpand$$' -fuzztime 5m -run '^$$' ./internal/expand/
 	$(GO) test -fuzz='^FuzzExpandPattern$$' -fuzztime 2m -run '^$$' ./internal/expand/
+	$(GO) test -fuzz='^FuzzSplit$$' -fuzztime 2m -run '^$$' ./internal/expand/
 
 # fuzz-native runs just the coverage-guided targets briefly (local use).
 fuzz-native:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime 30s -run '^$$' ./internal/syntax/
 	$(GO) test -fuzz='^FuzzExpand$$' -fuzztime 30s -run '^$$' ./internal/expand/
+	$(GO) test -fuzz='^FuzzSplit$$' -fuzztime 30s -run '^$$' ./internal/expand/
 
 # lint runs jashlint over the example scripts (warnings and errors fail
 # the build; suppressions are honored) plus go vet.

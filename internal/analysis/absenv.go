@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"jash/internal/expand"
+	"jash/internal/pattern"
 	"jash/internal/syntax"
 )
 
@@ -286,7 +287,7 @@ func EvalWordAbs(w *syntax.Word, env *Env) AbsVal {
 	for _, f := range frags {
 		v := f.val
 		if !f.quoted && v.Kind == AbsConst {
-			v = Const(unescapeUnquoted(v.Str))
+			v = Const(pattern.Unescape(v.Str))
 		}
 		out = Concat(out, v)
 	}
@@ -304,7 +305,7 @@ func absFrags(parts []syntax.WordPart, inDquote bool, env *Env) ([]absFrag, bool
 		case *syntax.Lit:
 			v := p.Value
 			if inDquote {
-				v = unescapeDquote(v)
+				v = expand.UnescapeDquote(v)
 			}
 			frags = append(frags, absFrag{val: Const(v), quoted: inDquote})
 		case *syntax.SglQuoted:
@@ -436,34 +437,12 @@ func absParam(pe *syntax.ParamExp, inDquote bool, env *Env) ([]absFrag, bool) {
 		return []absFrag{{val: Top(), quoted: inDquote}}, false
 	case syntax.ParamTrimSuffix, syntax.ParamTrimSuffixLong,
 		syntax.ParamTrimPrefix, syntax.ParamTrimPrefixLong:
-		if pat, ok := staticPattern(pe.Word); ok && val.Kind == AbsConst {
+		if pat, ok := expand.StaticPattern(pe.Word); ok && val.Kind == AbsConst {
 			return one(Const(expand.Trim(val.Str, pat, pe.Op)))
 		}
 		return one(Top())
 	}
 	return one(Top())
-}
-
-// staticPattern is the pattern a trim word expands to when that is its
-// text alone: static text with no metacharacter or backslash, quoted or
-// not, or unquoted literal parts, whose metacharacters and backslashes
-// stay live, as expand.ExpandPattern leaves them.
-func staticPattern(w *syntax.Word) (string, bool) {
-	if w == nil {
-		return "", true
-	}
-	if v := w.StaticValue(); w.IsStatic() && !strings.ContainsAny(v, `*?[\`) {
-		return v, true
-	}
-	var b strings.Builder
-	for _, p := range w.Parts {
-		lit, ok := p.(*syntax.Lit)
-		if !ok {
-			return "", false
-		}
-		b.WriteString(lit.Value)
-	}
-	return b.String(), true
 }
 
 // onlyAtParams reports whether quoted parts consist solely of $@/$*.
@@ -485,38 +464,4 @@ func startsWithTilde(w *syntax.Word) bool {
 	}
 	l, ok := w.Parts[0].(*syntax.Lit)
 	return ok && strings.HasPrefix(l.Value, "~")
-}
-
-// unescapeUnquoted removes backslash quoting, as expand does for
-// unquoted fragments during quote removal.
-func unescapeUnquoted(s string) string {
-	if !strings.ContainsRune(s, '\\') {
-		return s
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' && i+1 < len(s) {
-			i++
-		}
-		b.WriteByte(s[i])
-	}
-	return b.String()
-}
-
-// unescapeDquote resolves the four escapes double quotes honour.
-func unescapeDquote(s string) string {
-	if !strings.ContainsRune(s, '\\') {
-		return s
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' && i+1 < len(s) {
-			switch s[i+1] {
-			case '$', '`', '"', '\\':
-				i++
-			}
-		}
-		b.WriteByte(s[i])
-	}
-	return b.String()
 }

@@ -345,7 +345,9 @@ func TestTrimByPatternIsExact(t *testing.T) {
 		{"${f%%.*}", Const("/d/a")},
 		{"${f%[.]txt}", Const("/d/a.b")},
 		{`${f%".txt"}`, Const("/d/a.b")},
-		{`${f%"*"}`, Top()}, // a quoted metacharacter is not modelled
+		{`${f%"*"}`, Const("/d/a.b.txt")}, // a quoted metacharacter matches itself
+		{`${f%'.'txt}`, Const("/d/a.b")},
+		{`${f%\.*}`, Const("/d/a.b")},
 		{"${f#$g}", Top()},
 	} {
 		s, err := syntax.Parse("echo " + c.src)

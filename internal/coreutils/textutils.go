@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -222,6 +223,7 @@ func printfCmd(c *Context, args []string) int {
 		return ""
 	}
 	var b strings.Builder
+	status := 0
 	// emit runs the format once. It returns the directive it does not
 	// know, and whether a \c in a %b operand ended all output.
 	emit := func() (invalid string, stop bool) {
@@ -265,20 +267,22 @@ func printfCmd(c *Context, args []string) int {
 						return "", true
 					}
 				case 'c':
-					s := nextArg()
-					if s != "" {
-						b.WriteByte(s[0])
+					// An empty operand's first character is its NUL.
+					b.WriteByte((nextArg() + "\x00")[0])
+				case 'd', 'i', 'x', 'X', 'o', 'u':
+					arg := nextArg()
+					n, diag := printfInt(arg, verb != 'd' && verb != 'i')
+					if diag != "" {
+						status = c.Errorf(1, "printf: %s: %s", arg, diag)
 					}
-				case 'd', 'i':
-					n, _ := strconv.ParseInt(strings.TrimSpace(nextArg()), 0, 64)
-					fmt.Fprintf(&b, spec+"d", n)
-				case 'x', 'X', 'o', 'u':
-					n, _ := strconv.ParseInt(strings.TrimSpace(nextArg()), 0, 64)
-					v := verb
-					if v == 'u' {
-						v = 'd'
+					switch verb {
+					case 'd', 'i':
+						fmt.Fprintf(&b, spec+"d", int64(n))
+					case 'u':
+						fmt.Fprintf(&b, spec+"d", n)
+					default:
+						fmt.Fprintf(&b, spec+string(verb), n)
 					}
-					fmt.Fprintf(&b, spec+string(v), n)
 				case 'f', 'e', 'E', 'g', 'G':
 					f, _ := strconv.ParseFloat(strings.TrimSpace(nextArg()), 64)
 					fmt.Fprintf(&b, spec+string(verb), f)
@@ -306,7 +310,55 @@ func printfCmd(c *Context, args []string) int {
 		}
 	}
 	io.WriteString(c.Stdout, b.String())
-	return 0
+	return status
+}
+
+// printfInt converts the operand of a numeric conversion as dash does:
+// blanks, a sign, then a decimal, octal (leading 0) or hexadecimal (0x)
+// integer; or a quote, which makes the next character's code the value.
+// The value is 64 bits, wrapped for a negative operand of an unsigned
+// conversion and clamped when out of range; diag is the diagnostic owed
+// for an operand that is not wholly a number.
+func printfInt(s string, unsigned bool) (n uint64, diag string) {
+	switch {
+	case s == "":
+		return 0, ""
+	case s[0] == '\'' || s[0] == '"':
+		return uint64((s + "\x00")[1]), ""
+	}
+	t := strings.TrimLeft(s, " \t\n\v\f\r")
+	neg := strings.HasPrefix(t, "-")
+	if neg || strings.HasPrefix(t, "+") {
+		t = t[1:]
+	}
+	base, digits := 10, "0123456789"
+	if len(t) > 2 && t[0] == '0' && (t[1] == 'x' || t[1] == 'X') && strings.IndexByte("0123456789abcdefABCDEF", t[2]) >= 0 {
+		base, digits, t = 16, "0123456789abcdefABCDEF", t[2:]
+	} else if strings.HasPrefix(t, "0") {
+		base, digits = 8, "01234567"
+	}
+	end := 0
+	for end < len(t) && strings.IndexByte(digits, t[end]) >= 0 {
+		end++
+	}
+	if end == 0 {
+		return 0, "expected numeric value"
+	}
+	n, err := strconv.ParseUint(t[:end], base, 64)
+	switch {
+	case unsigned && err != nil:
+		n, diag = math.MaxUint64, "Numerical result out of range"
+	case !unsigned && neg && (err != nil || n > 1<<63):
+		n, diag = 1<<63, "Numerical result out of range"
+	case !unsigned && !neg && (err != nil || n > math.MaxInt64):
+		n, diag = math.MaxInt64, "Numerical result out of range"
+	case neg:
+		n = -n
+	}
+	if diag == "" && end < len(t) {
+		diag = "not completely converted"
+	}
+	return n, diag
 }
 
 // printfEscape decodes the backslash escape s starts with and returns the

@@ -108,9 +108,7 @@ func analyzeParts(parts []syntax.WordPart, quoted bool, d *Deps) {
 			analyzeParts(p.Parts, true, d)
 		case *syntax.ParamExp:
 			d.Vars = append(d.Vars, p.Name)
-			guarded := p.Op == syntax.ParamDefault || p.Op == syntax.ParamAssign ||
-				p.Op == syntax.ParamError || p.Op == syntax.ParamAlt
-			d.Effects = append(d.Effects, VarEffect{Kind: EffectRead, Name: p.Name, Pos: p.Pos(), Guarded: guarded})
+			d.Effects = append(d.Effects, VarEffect{Kind: EffectRead, Name: p.Name, Pos: p.Pos(), Guarded: providesForUnset(p.Op)})
 			if p.Word != nil {
 				analyzeParts(p.Word.Parts, quoted, d)
 			}
@@ -163,6 +161,14 @@ func analyzeParts(parts []syntax.WordPart, quoted bool, d *Deps) {
 			}
 		}
 	}
+}
+
+// providesForUnset reports whether a ${x...} form provides for an unset
+// x: the default, assign, error and alternative forms. Every other form
+// reads x as $x does, and is fatal under set -u when x is unset.
+func providesForUnset(op syntax.ParamOp) bool {
+	return op == syntax.ParamDefault || op == syntax.ParamAssign ||
+		op == syntax.ParamError || op == syntax.ParamAlt
 }
 
 func hasGlobMeta(s string) bool {

@@ -71,19 +71,22 @@ func boolToInt(b bool) int64 {
 	return 0
 }
 
-// arithEnv carries the variable bindings one evaluation runs against.
-type arithEnv struct {
-	lookup func(string) string
-	assign func(string, string) error
+// ArithEnv carries the variable bindings an evaluation runs against:
+// variables resolve through Lookup (nil, unset or non-numeric reads as 0);
+// assignments call Assign (nil discards them), whose error — a readonly
+// target — aborts the evaluation.
+type ArithEnv struct {
+	Lookup func(string) string
+	Assign func(string, string) error
 }
 
 // varValue reads a variable as an integer; unset and non-numeric values
 // read as 0.
-func (e *arithEnv) varValue(name string) int64 {
-	if e.lookup == nil {
+func (e *ArithEnv) varValue(name string) int64 {
+	if e.Lookup == nil {
 		return 0
 	}
-	v, err := strconv.ParseInt(strings.TrimSpace(e.lookup(name)), 0, 64)
+	v, err := strconv.ParseInt(strings.TrimSpace(e.Lookup(name)), 0, 64)
 	if err != nil {
 		return 0
 	}
@@ -91,7 +94,7 @@ func (e *arithEnv) varValue(name string) int64 {
 }
 
 // arithFn is one compiled (sub)expression.
-type arithFn func(*arithEnv) (int64, error)
+type arithFn func(*ArithEnv) (int64, error)
 
 // ArithExpr is a compiled arithmetic expression, safe for repeated and
 // concurrent evaluation against different variable bindings.
@@ -103,12 +106,9 @@ type ArithExpr struct {
 	spliced []string
 }
 
-// Eval runs the expression. Variables resolve through lookup (nil, unset
-// or non-numeric reads as 0); assignments call assign (nil discards them),
-// whose error — a readonly target — aborts the evaluation.
-func (a *ArithExpr) Eval(lookup func(string) string, assign func(string, string) error) (int64, error) {
-	return a.fn(&arithEnv{lookup: lookup, assign: assign})
-}
+// Eval runs the expression against env, which a caller that evaluates
+// often keeps: it is not allocated per evaluation.
+func (a *ArithExpr) Eval(env *ArithEnv) (int64, error) { return a.fn(env) }
 
 // Names lists the variables the expression can read and the ones it can
 // assign, each once, in order of appearance — whether or not a given
@@ -255,7 +255,7 @@ func (c *arithCompiler) assignment() (arithFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(e *arithEnv) (int64, error) {
+	return func(e *ArithEnv) (int64, error) {
 		// The right-hand side runs before the current value is read.
 		v, err := rhs(e)
 		if err != nil {
@@ -266,8 +266,8 @@ func (c *arithCompiler) assignment() (arithFn, error) {
 				return 0, err
 			}
 		}
-		if e.assign != nil {
-			err = e.assign(name, strconv.FormatInt(v, 10))
+		if e.Assign != nil {
+			err = e.Assign(name, strconv.FormatInt(v, 10))
 		}
 		return v, err
 	}, nil
@@ -289,7 +289,7 @@ func (c *arithCompiler) cond() (arithFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(e *arithEnv) (int64, error) {
+	return func(e *ArithEnv) (int64, error) {
 		v, err := test(e)
 		if err != nil {
 			return 0, err
@@ -319,7 +319,7 @@ func (c *arithCompiler) binary(minPrec int) (arithFn, error) {
 		}
 		lf := l
 		if op.fn != nil {
-			l = func(e *arithEnv) (int64, error) {
+			l = func(e *ArithEnv) (int64, error) {
 				lv, err := lf(e)
 				if err != nil {
 					return 0, err
@@ -333,7 +333,7 @@ func (c *arithCompiler) binary(minPrec int) (arithFn, error) {
 			continue
 		}
 		isOr := op.sym == "||"
-		l = func(e *arithEnv) (int64, error) {
+		l = func(e *ArithEnv) (int64, error) {
 			lv, err := lf(e)
 			if err != nil {
 				return 0, err
@@ -367,7 +367,7 @@ func (c *arithCompiler) unary() (arithFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(e *arithEnv) (int64, error) {
+	return func(e *ArithEnv) (int64, error) {
 		v, err := operand(e)
 		return fn(v), err
 	}, nil
@@ -402,7 +402,7 @@ func (c *arithCompiler) primary() (arithFn, error) {
 		if err != nil && !errors.Is(err, strconv.ErrRange) {
 			return nil, fmt.Errorf("arithmetic: bad number %q", c.src[start:c.pos])
 		}
-		return func(*arithEnv) (int64, error) { return int64(v), nil }, nil
+		return func(*ArithEnv) (int64, error) { return int64(v), nil }, nil
 	}
 	if ch == '$' {
 		c.pos++ // $name: expansion splices the value in; it is a read
@@ -415,5 +415,5 @@ func (c *arithCompiler) primary() (arithFn, error) {
 	if ch == '$' {
 		c.spliced = addName(c.spliced, name)
 	}
-	return func(e *arithEnv) (int64, error) { return e.varValue(name), nil }, nil
+	return func(e *ArithEnv) (int64, error) { return e.varValue(name), nil }, nil
 }

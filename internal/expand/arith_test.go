@@ -145,7 +145,7 @@ func TestArithTable(t *testing.T) {
 		var got int64
 		a, err := CompileArithExpr(c.expr)
 		if err == nil {
-			got, err = a.Eval(lookup, assign)
+			got, err = a.Eval(&ArithEnv{Lookup: lookup, Assign: assign})
 		}
 		if c.err {
 			if err == nil {
@@ -204,7 +204,7 @@ func TestCompileArithReuse(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		iv := strconv.Itoa(i)
-		got, err := a.Eval(func(string) string { return iv }, nil)
+		got, err := a.Eval(&ArithEnv{Lookup: func(string) string { return iv }})
 		if err != nil || got != int64(i+1) {
 			t.Fatalf("i=%d: got %d err %v", i, got, err)
 		}
@@ -220,7 +220,7 @@ func TestArithCacheEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := a.Eval(nil, nil)
+		got, err := a.Eval(&ArithEnv{})
 		if err != nil || got != int64(i+1) {
 			t.Fatalf("%s: got %d err %v", expr, got, err)
 		}

@@ -67,7 +67,10 @@ type Expander struct {
 	frags []frag
 	// arith is what arithmetic evaluates against; its lookup is built on
 	// first use.
-	arith arithEnv
+	arith ArithEnv
+	// pieces is the splitter's reused list of the pieces of the field
+	// being built.
+	pieces []piece
 }
 
 // ifs returns the active field separator set.
@@ -109,8 +112,7 @@ func (x *Expander) ExpandWord(w *syntax.Word) ([]string, error) {
 	if err := x.appendParts(w.Parts, false); err != nil {
 		return nil, err
 	}
-	fields := x.split(x.tilde(x.frags[mark:], w))
-	return x.glob(fields), nil
+	return x.fields(x.tilde(x.frags[mark:], w)), nil
 }
 
 // ExpandWords expands a word list, concatenating the resulting fields.
@@ -185,23 +187,51 @@ func (x *Expander) ExpandPattern(w *syntax.Word) (string, error) {
 	return b.String(), nil
 }
 
-// unescapeUnquoted removes backslash-quoting from an unquoted fragment.
-func unescapeUnquoted(f frag) string {
-	if f.quoted || !strings.ContainsRune(f.s, '\\') {
-		return f.s
+// StaticPattern is the pattern ExpandPattern makes of w when w holds no
+// expansion, and false when it does: unquoted literal text stays live as
+// written, quoted text is escaped so it matches only itself.
+func StaticPattern(w *syntax.Word) (string, bool) {
+	if w == nil {
+		return "", true
 	}
 	var b strings.Builder
-	for i := 0; i < len(f.s); i++ {
-		if f.s[i] == '\\' && i+1 < len(f.s) {
-			i++
+	for _, part := range w.Parts {
+		var s string
+		switch p := part.(type) {
+		case *syntax.Lit:
+			s = p.Value
+		case *syntax.SglQuoted:
+			s = escapeMeta(p.Value)
+		case *syntax.DblQuoted:
+			for _, ip := range p.Parts {
+				lit, ok := ip.(*syntax.Lit)
+				if !ok {
+					return "", false
+				}
+				s += escapeMeta(UnescapeDquote(lit.Value))
+			}
+		default:
+			return "", false
 		}
-		b.WriteByte(f.s[i])
+		if len(w.Parts) == 1 {
+			return s, true
+		}
+		b.WriteString(s)
 	}
-	return b.String()
+	return b.String(), true
 }
 
-// unescapeDquote resolves the four escapes double quotes honour.
-func unescapeDquote(s string) string {
+// unescapeUnquoted removes backslash-quoting from an unquoted fragment.
+func unescapeUnquoted(f frag) string {
+	if f.quoted {
+		return f.s
+	}
+	return pattern.Unescape(f.s)
+}
+
+// UnescapeDquote resolves the four escapes double quotes honour in a
+// literal.
+func UnescapeDquote(s string) string {
 	if !strings.ContainsRune(s, '\\') {
 		return s
 	}
@@ -218,7 +248,12 @@ func unescapeDquote(s string) string {
 	return b.String()
 }
 
+// escapeMeta backslash-escapes the pattern characters of s, so that it
+// matches only itself.
 func escapeMeta(s string) string {
+	if !strings.ContainsAny(s, `*?[]\`) {
+		return s
+	}
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
@@ -243,7 +278,7 @@ func (x *Expander) appendParts(parts []syntax.WordPart, inDquote bool) error {
 			if inDquote {
 				// Inside double quotes only \$ \` \" \\ are escapes; the
 				// parser kept them verbatim for us to resolve here.
-				v = unescapeDquote(v)
+				v = UnescapeDquote(v)
 			}
 			x.frags = append(x.frags, frag{s: v, quoted: inDquote})
 		case *syntax.SglQuoted:
@@ -316,34 +351,24 @@ func (x *Expander) evalArith(p *syntax.ArithExp) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if x.arith.lookup == nil {
-		x.arith.lookup = func(name string) string {
+	if x.arith.Lookup == nil {
+		x.arith.Lookup = func(name string) string {
 			v, _ := x.paramValue(name)
 			return v
 		}
 	}
-	x.arith.assign = x.Set
+	x.arith.Assign = x.Set
 	return a.fn(&x.arith)
 }
 
 // paramValue resolves any parameter (variable, positional, or special).
 // ok=false means unset.
 func (x *Expander) paramValue(name string) (string, bool) {
-	if name == "" {
+	switch {
+	case name == "":
 		return "", false
-	}
-	if name[0] >= '0' && name[0] <= '9' {
-		n, err := strconv.Atoi(name)
-		if err != nil {
-			return "", false
-		}
-		if n == 0 {
-			return x.Name0, true
-		}
-		if n <= len(x.Params) {
-			return x.Params[n-1], true
-		}
-		return "", false
+	case name[0] == '0' && strings.Trim(name, "0") == "":
+		return x.Name0, true
 	}
 	switch name {
 	case "#":
@@ -359,7 +384,21 @@ func (x *Expander) paramValue(name string) (string, bool) {
 	case "@", "*":
 		return strings.Join(x.Params, " "), true
 	}
-	return x.getvar(name)
+	return Param(name, x.Params, x.getvar)
+}
+
+// Param resolves a variable, through lookup, or a positional parameter
+// ($1, ${10}, …), from params; set=false means unset. $0 and the special
+// parameters are the expander's alone.
+func Param(name string, params []string, lookup func(string) (string, bool)) (string, bool) {
+	if c := name[0]; c < '0' || c > '9' {
+		return lookup(name)
+	}
+	n, err := strconv.Atoi(name)
+	if err != nil || n < 1 || n > len(params) {
+		return "", false
+	}
+	return params[n-1], true
 }
 
 // appendParam expands one ${...} or $x occurrence onto the scratch.
@@ -371,11 +410,10 @@ func (x *Expander) appendParam(pe *syntax.ParamExp, inDquote bool) error {
 	val, set := x.paramValue(pe.Name)
 	null := val == ""
 	useWord := false
+	if !set && x.NoUnset && !providesForUnset(pe.Op) {
+		return &ExpandError{Msg: pe.Name + ": parameter not set", Fatal: true}
+	}
 	switch pe.Op {
-	case syntax.ParamPlain:
-		if !set && x.NoUnset {
-			return &ExpandError{Msg: pe.Name + ": parameter not set", Fatal: true}
-		}
 	case syntax.ParamLength:
 		val = strconv.Itoa(len(val))
 	case syntax.ParamDefault:
@@ -520,30 +558,43 @@ func (x *Expander) tilde(frags []frag, w *syntax.Word) []frag {
 	return append(out, frags[1:]...)
 }
 
-// field2 accumulates both the literal text and the glob pattern (where
-// quoted characters are escaped) of one field.
-type field2 struct {
-	text string
-	pat  string
+// piece is one run of a field's text: its bytes, the text it adds to the
+// field's glob pattern, and the length of the fragment it is cut from. A
+// quoted piece's pattern is its text with the metacharacters escaped, made
+// only when the field is globbed.
+type piece struct {
+	text, pat string
+	quoted    bool
+	of        int
 }
 
-// split performs IFS field splitting over the fragments.
-func (x *Expander) split(frags []frag) []field2 {
+// shareMax is the largest fragment a field may keep a substring of
+// whatever its share of it: past it, a field holding less than half of
+// its fragment is a copy, so that keeping the field (x=$1 after
+// set -- $(cat big)) does not keep the whole expansion alive.
+const shareMax = 1024
+
+// fields performs IFS field splitting over the fragments and pathname
+// expansion on each field, in one pass. A field that is one piece of one
+// fragment is that substring (a copy when it is a small part of a large
+// fragment: shareMax); a longer one is one allocation of its size.
+// The glob pattern is built only for a field whose unquoted text holds a
+// metacharacter (or a lone trailing backslash, which escapes the next
+// piece's first pattern byte).
+func (x *Expander) fields(frags []frag) []string {
 	ifs := x.ifs()
-	isWS := func(c byte) bool {
-		return strings.IndexByte(ifs, c) >= 0 && (c == ' ' || c == '\t' || c == '\n')
-	}
-	isDelim := func(c byte) bool {
-		return strings.IndexByte(ifs, c) >= 0
-	}
-	var fields []field2
-	var cur field2
-	started := false
-	prevNonWS := true // leading non-ws delimiter produces an empty field
+	var out []string
+	ps := x.pieces[:0]
+	started, meta := false, false
+	prevNonWS := true // a leading non-whitespace delimiter makes an empty field
 	emit := func() {
-		fields = append(fields, cur)
-		cur = field2{}
-		started = false
+		out = x.appendField(out, ps, meta)
+		clear(ps)
+		ps, started, meta = ps[:0], false, false
+	}
+	add := func(p piece) {
+		ps = append(ps, p)
+		started, prevNonWS = true, false
 	}
 	for _, f := range frags {
 		switch {
@@ -551,68 +602,84 @@ func (x *Expander) split(frags []frag) []field2 {
 			emit()
 			started = true // "$@" fields exist even when empty
 		case f.quoted:
-			cur.text += f.s
-			cur.pat += escapeMeta(f.s)
-			started = true
-			prevNonWS = false
+			add(piece{text: f.s, quoted: true, of: len(f.s)})
 		default:
-			i := 0
-			for i < len(f.s) {
-				c := f.s[i]
-				if c == '\\' && i+1 < len(f.s) {
-					// Backslash-quoted character: literal, never a delimiter.
-					cur.text += f.s[i+1 : i+2]
-					cur.pat += "\\" + f.s[i+1:i+2]
-					started = true
-					prevNonWS = false
-					i += 2
-					continue
+			s, run := f.s, 0
+			flush := func(end int) {
+				if end > run {
+					add(piece{text: s[run:end], pat: s[run:end], of: len(s)})
+					meta = meta || strings.ContainsAny(s[run:end], `*?[\`)
 				}
+			}
+			for i := 0; i < len(s); i++ {
+				c := s[i]
 				switch {
-				case ifs != "" && isWS(c):
-					if started {
-						emit()
+				case c == '\\' && i+1 < len(s):
+					// Backslash-quoted character: literal, never a delimiter.
+					flush(i)
+					add(piece{text: s[i+1 : i+2], pat: s[i : i+2], of: len(s)})
+					i++
+					run = i + 1
+				case strings.IndexByte(ifs, c) >= 0:
+					flush(i)
+					run = i + 1
+					if c == ' ' || c == '\t' || c == '\n' {
+						if started {
+							emit()
+						}
+						prevNonWS = false
+						continue
 					}
-					prevNonWS = false
-				case ifs != "" && isDelim(c):
-					if started {
-						emit()
-					} else if prevNonWS {
-						emit() // adjacent non-ws delimiters make empty fields
+					if started || prevNonWS {
+						emit() // adjacent non-whitespace delimiters make empty fields
 					}
 					prevNonWS = true
-				default:
-					// Append the raw byte (string(c) would re-encode it as
-					// a rune and corrupt multi-byte UTF-8 sequences).
-					cur.text += f.s[i : i+1]
-					cur.pat += f.s[i : i+1]
-					started = true
-					prevNonWS = false
 				}
-				i++
 			}
+			flush(len(s))
 		}
 	}
 	if started {
 		emit()
 	}
-	return fields
+	x.pieces = ps
+	return out
 }
 
-// glob applies pathname expansion to each field's pattern.
-func (x *Expander) glob(fields []field2) []string {
-	out := make([]string, 0, len(fields))
-	for _, f := range fields {
-		if x.NoGlob || x.FS == nil || !pattern.HasMeta(f.pat) {
-			out = append(out, f.text)
-			continue
+// appendField appends one field's text, or the pathnames its pattern
+// matches, to out.
+func (x *Expander) appendField(out []string, ps []piece, meta bool) []string {
+	text := ""
+	if len(ps) == 1 {
+		if text = ps[0].text; ps[0].of > shareMax && 2*len(text) < ps[0].of {
+			text = strings.Clone(text)
 		}
-		matches := x.FS.Glob(x.Dir, f.pat)
-		if len(matches) == 0 {
-			out = append(out, f.text)
-			continue
+	} else if len(ps) > 1 {
+		n := 0
+		for _, p := range ps {
+			n += len(p.text)
 		}
-		out = append(out, matches...)
+		var b strings.Builder
+		b.Grow(n)
+		for _, p := range ps {
+			b.WriteString(p.text)
+		}
+		text = b.String()
 	}
-	return out
+	if meta && !x.NoGlob && x.FS != nil {
+		var b strings.Builder
+		for _, p := range ps {
+			if p.quoted {
+				b.WriteString(escapeMeta(p.text))
+			} else {
+				b.WriteString(p.pat)
+			}
+		}
+		if pat := b.String(); pattern.HasMeta(pat) {
+			if matches := x.FS.Glob(x.Dir, pat); len(matches) > 0 {
+				return append(out, matches...)
+			}
+		}
+	}
+	return append(out, text)
 }

@@ -497,6 +497,16 @@ func TestNoUnsetExpander(t *testing.T) {
 	if got, err := x.ExpandString(wordOf2(`${NOPE:-fallback}`)); err != nil || got != "fallback" {
 		t.Errorf("default under -u: %q, %v", got, err)
 	}
+	// Every form is fatal on an unset name exactly when the variable-effect
+	// model calls its read unguarded, as it calls $x's.
+	for _, src := range []string{`$NOPE`, `${#NOPE}`, `${NOPE#a}`, `${NOPE##a}`, `${NOPE%a}`, `${NOPE%%a}`,
+		`${NOPE-d}`, `${NOPE:-d}`, `${NOPE+a}`, `${NOPE:+a}`} {
+		w := wordOf2(src)
+		_, err := x.ExpandString(w)
+		if guarded := AnalyzeWord(w).Effects[0].Guarded; (err != nil) == guarded {
+			t.Errorf("set -u: %s fails %v, but the model's read is guarded=%v", src, err, guarded)
+		}
+	}
 }
 
 func TestArithParameterPreExpansion(t *testing.T) {

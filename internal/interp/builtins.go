@@ -164,11 +164,11 @@ func builtinSet(in *Interp, args []string) int {
 		}
 		return 0
 	}
-	i := 1
+	i, params := 1, false
 	for ; i < len(args); i++ {
 		a := args[i]
 		if a == "--" {
-			i++
+			i, params = i+1, true // `set --` alone empties the list
 			break
 		}
 		if len(a) >= 2 && (a[0] == '-' || a[0] == '+') {
@@ -192,7 +192,7 @@ func builtinSet(in *Interp, args []string) int {
 		}
 		break
 	}
-	if i < len(args) {
+	if i < len(args) || params {
 		in.Params = append([]string(nil), args[i:]...)
 	}
 	return 0

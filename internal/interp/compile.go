@@ -10,12 +10,24 @@
 // This is the only evaluator: control flow, set -e, traps, redirections and
 // the break/continue/exit/return signals have one implementation. What is
 // faster than re-deriving everything per run is confined to two places —
-// the word plans (planStatic/planVar/planArith and the precomputed field
-// list) and compileDispatch's pre-resolved builtin/utility pointers — and
-// Interp.NoCompile turns exactly those off: every word goes through the
-// full expand.Expander and every command through in.dispatch. That run is
-// the reference the differential tests, the fuzzer's `plain` oracle and the
-// benchmark's interp.walk_script_ms compare the optimised run against.
+// the word plans and compileDispatch's pre-resolved builtin/utility
+// pointers — and Interp.NoCompile turns exactly those off: every word goes
+// through the full expand.Expander and every command through in.dispatch.
+// That run is the reference the differential tests, the fuzzer's `plain`
+// oracle and the benchmark's interp.walk_script_ms compare the optimised
+// run against. The word plans are:
+//
+//   - planStatic: literal text, one precomputed field (a whole static
+//     argument list is one precomputed slice);
+//   - planVar: a lone parameter read — $name, "$name" or a static-pattern
+//     trim of either — resolved without the expander;
+//   - planArith: a lone $((expr)), compiled once;
+//   - planJoin: a string-position word (an assignment value, the case
+//     word) concatenated from static text, $name, "$name" and
+//     ${name#pat}-style trims with a static pattern;
+//   - patternPlan: a static case pattern, computed once.
+//
+// Each hands its word back to the expander wherever the two could differ.
 package interp
 
 import (
@@ -326,27 +338,30 @@ func compileFor(c *syntax.ForClause) compiled {
 
 func compileCase(c *syntax.CaseClause) compiled {
 	type arm struct {
-		patterns []*syntax.Word
+		patterns []patternPlan
 		body     compiled
 	}
 	arms := make([]arm, len(c.Items))
 	for i, item := range c.Items {
-		arms[i] = arm{item.Patterns, compileList(item.Body)}
+		arms[i].body = compileList(item.Body)
+		for _, w := range item.Patterns {
+			arms[i].patterns = append(arms[i].patterns, compilePattern(w))
+		}
 	}
-	word := c.Word
+	word := compileStringWord(c.Word)
 	return func(in *Interp) {
 		// The arm runs with the $? from before the case, as in dash: a
 		// command substitution in the word or a pattern does not change it.
 		status := in.Status
-		x := in.expander()
-		w, err := x.ExpandString(word)
+		var x *expand.Expander
+		w, err := word.expand(in, &x)
 		if err != nil {
 			in.expandFail(err)
 			return
 		}
 		for _, a := range arms {
-			for _, patWord := range a.patterns {
-				pat, err := x.ExpandPattern(patWord)
+			for i := range a.patterns {
+				pat, err := a.patterns[i].expand(in, &x)
 				if err != nil {
 					in.expandFail(err)
 					return
@@ -376,117 +391,83 @@ const (
 	// such plans only take the fast path while IFS holds its default
 	// value.
 	planStatic
-	// planVar words are a bare unquoted $name; they resolve straight from
-	// the variable table when the runtime value is free of characters the
-	// splitter, globber, or escape pass would act on.
+	// planVar words are one planJoin part: $name, "$name" or a trim of
+	// either. Quoted, the value is the one field; unquoted, it is the
+	// field when it is free of characters the splitter, globber, or
+	// escape pass would act on, and no field when empty.
 	planVar
 	// planArith words are a bare unquoted $((expr)) whose text needs no
 	// parameter pre-expansion; the expression is compiled once and its
 	// numeric result needs no further expansion under default IFS.
 	planArith
+	// planJoin words, in string position only, concatenate static text,
+	// $name, "$name" and ${name#pat}-style trims with a static pattern.
+	planJoin
 )
 
-// varFastUnsafe are the value characters that force a planVar word back
-// through the expander: backslash (the splitter treats it as an escape),
-// glob metacharacters, and default-IFS whitespace.
+// varFastUnsafe are the value characters that force an unquoted planVar
+// word back through the expander: backslash (the splitter treats it as an
+// escape), glob metacharacters, and default-IFS whitespace.
 const varFastUnsafe = "\\*?[ \t\n"
 
 // wordPlan is one argument word's lowering.
 type wordPlan struct {
 	kind    planKind
-	ifsSafe bool   // static field valid only under default IFS
-	field   string // planStatic: the single precomputed field
-	zero    bool   // planStatic with no resulting fields (empty unquoted word)
-	varName string // planVar
+	ifsSafe bool      // static field valid only under default IFS
+	field   string    // planStatic: the single precomputed field
+	zero    bool      // planStatic with no resulting fields (empty unquoted word)
+	part    *joinPart // planVar
 	arith   *expand.ArithExpr
 	w       *syntax.Word
 }
 
-// litNeedsExpander reports whether an unquoted literal requires the full
-// expansion pipeline: backslash escapes, glob metacharacters, tilde, or
-// characters the default-IFS splitter acts on.
-func litNeedsExpander(s string) bool {
-	return strings.ContainsAny(s, "\\*?[~ \t\n")
-}
-
-// ordinaryVarName reports whether name is a plain shell variable (not a
-// positional or special parameter), so a map lookup fully resolves it.
-func ordinaryVarName(name string) bool {
+// planName reports whether a plan resolves $name itself (by expand.Param):
+// a shell variable, or a positional parameter other than $0.
+func planName(name string) bool {
 	if name == "" {
 		return false
 	}
 	c := name[0]
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '1' && c <= '9')
 }
 
+// lookup reads a variable's value; ok=false means unset.
+func (in *Interp) lookup(name string) (string, bool) {
+	v, ok := in.Vars[name]
+	return v.Value, ok
+}
+
+// compileWord lowers an argument word through its string-position plan:
+// arithmetic stays arithmetic, a word that is one parameter read resolves
+// without the expander, and static text is one precomputed field unless the
+// splitter could act on it (IFS whitespace) or the globber could (a
+// pattern.HasMeta pattern: a `[` that opens no bracket expression is text).
 func compileWord(w *syntax.Word) wordPlan {
-	if len(w.Parts) == 1 {
-		switch p := w.Parts[0].(type) {
-		case *syntax.ParamExp:
-			if p.Op == syntax.ParamPlain && ordinaryVarName(p.Name) {
-				return wordPlan{kind: planVar, varName: p.Name, w: w}
-			}
-		case *syntax.ArithExp:
-			// Texts with parts need them expanded each time; one that does
-			// not compile reports its error from the expander.
-			if a, err := expand.CompileArithExpr(p.Expr); err == nil && p.Parts == nil {
-				return wordPlan{kind: planArith, arith: a, w: w}
-			}
-		}
+	sp := compileStringWord(w)
+	switch {
+	case sp.kind == planArith:
+		return wordPlan{kind: planArith, arith: sp.arith, w: w}
+	case sp.kind == planJoin && len(sp.parts) == 1:
+		return wordPlan{kind: planVar, part: &sp.parts[0], w: w}
+	case sp.kind != planStatic:
+		return wordPlan{w: w}
 	}
-	var b strings.Builder
-	anyQuoted := false
-	ifsSafe := false
+	if pat, _ := expand.StaticPattern(w); pattern.HasMeta(pat) {
+		return wordPlan{w: w}
+	}
+	ifsSafe, anyQuoted := false, false
 	for _, part := range w.Parts {
-		switch p := part.(type) {
-		case *syntax.Lit:
-			if litNeedsExpander(p.Value) {
-				return wordPlan{w: w}
-			}
-			if p.Value != "" {
-				// Unquoted text: the splitter scans it, so guard on IFS.
-				ifsSafe = true
-			}
-			b.WriteString(p.Value)
-		case *syntax.SglQuoted:
+		lit, ok := part.(*syntax.Lit)
+		if !ok {
 			anyQuoted = true
-			b.WriteString(p.Value)
-		case *syntax.DblQuoted:
-			for _, ip := range p.Parts {
-				if _, ok := ip.(*syntax.Lit); !ok {
-					return wordPlan{w: w}
-				}
-			}
-			anyQuoted = true
-			b.WriteString(unquoteDblLits(p))
-		default:
+		} else if strings.ContainsAny(lit.Value, " \t\n") {
 			return wordPlan{w: w}
+		} else if lit.Value != "" {
+			// Unquoted text: the splitter scans it, so guard on IFS.
+			ifsSafe = true
 		}
 	}
-	field := b.String()
-	if field == "" && !anyQuoted {
-		return wordPlan{kind: planStatic, zero: true, w: w}
-	}
-	return wordPlan{kind: planStatic, ifsSafe: ifsSafe, field: field, w: w}
-}
-
-// unquoteDblLits resolves the four escapes double quotes honour across a
-// literal-only double-quoted part, matching the expander's unescapeDquote.
-func unquoteDblLits(p *syntax.DblQuoted) string {
-	var b strings.Builder
-	for _, ip := range p.Parts {
-		s := ip.(*syntax.Lit).Value
-		for i := 0; i < len(s); i++ {
-			if s[i] == '\\' && i+1 < len(s) {
-				switch s[i+1] {
-				case '$', '`', '"', '\\':
-					i++
-				}
-			}
-			b.WriteByte(s[i])
-		}
-	}
-	return b.String()
+	return wordPlan{kind: planStatic, ifsSafe: ifsSafe, field: sp.value, zero: sp.value == "" && !anyQuoted, w: w}
 }
 
 // defaultIFS reports whether IFS holds its default value — the condition
@@ -494,6 +475,15 @@ func unquoteDblLits(p *syntax.DblQuoted) string {
 func (in *Interp) defaultIFS() bool {
 	v, ok := in.Vars["IFS"]
 	return !ok || v.Value == " \t\n"
+}
+
+// lazyExpander is the one expander a command's dynamic words share, built
+// on first need.
+func (in *Interp) lazyExpander(xp **expand.Expander) *expand.Expander {
+	if *xp == nil {
+		*xp = in.expander()
+	}
+	return *xp
 }
 
 // wordListPlan lowers a word list; fully static lists expand to a
@@ -551,17 +541,18 @@ func (p *wordListPlan) expand(in *Interp, xp **expand.Expander) ([]string, error
 				continue
 			}
 		case planVar:
-			if defIFS {
-				v, ok := in.Vars[wp.varName]
-				if ok || !in.NoUnset {
-					if v.Value == "" {
-						continue // empty unquoted expansion: no fields
-					}
-					if !strings.ContainsAny(v.Value, varFastUnsafe) {
-						out = append(out, v.Value)
-						continue
-					}
-				}
+			v, ok := in.joinPart(wp.part)
+			switch {
+			case !ok: // the expander reports it, or removes the backslash
+			case wp.part.quoted:
+				out = append(out, v)
+				continue
+			case !defIFS:
+			case v == "":
+				continue // empty unquoted expansion: no fields
+			case !strings.ContainsAny(v, varFastUnsafe):
+				out = append(out, v)
+				continue
 			}
 		case planArith:
 			if defIFS {
@@ -573,10 +564,7 @@ func (p *wordListPlan) expand(in *Interp, xp **expand.Expander) ([]string, error
 				continue
 			}
 		}
-		if *xp == nil {
-			*xp = in.expander()
-		}
-		fields, err := (*xp).ExpandWord(wp.w)
+		fields, err := in.lazyExpander(xp).ExpandWord(wp.w)
 		if err != nil {
 			return nil, err
 		}
@@ -589,11 +577,11 @@ func (p *wordListPlan) expand(in *Interp, xp **expand.Expander) ([]string, error
 // table; errors carry the same fatal ExpandError wrapping the expander
 // applies.
 func (in *Interp) evalArith(a *expand.ArithExpr) (int64, error) {
-	if in.arLookup == nil {
-		in.arLookup = func(name string) string { return in.Vars[name].Value }
-		in.arAssign = in.assign
+	if in.ar.Lookup == nil {
+		in.ar.Lookup = func(name string) string { return in.Vars[name].Value }
+		in.ar.Assign = in.assign
 	}
-	v, err := a.Eval(in.arLookup, in.arAssign)
+	v, err := a.Eval(&in.ar)
 	if err != nil {
 		return 0, &expand.ExpandError{Msg: err.Error(), Fatal: true}
 	}
@@ -601,15 +589,38 @@ func (in *Interp) evalArith(a *expand.ArithExpr) (int64, error) {
 }
 
 // stringPlan lowers a word used in ExpandString position (assignment
-// values): no field splitting or globbing applies, so static text is valid
-// regardless of IFS, bare variables need only an escape check, and
-// arithmetic results are always literal digits.
+// values, the case word): no field splitting or globbing applies, so
+// static text is valid regardless of IFS, parameters need only an escape
+// check, and arithmetic results are always literal digits.
 type stringPlan struct {
-	kind    planKind
-	value   string // planStatic
-	varName string // planVar
-	arith   *expand.ArithExpr
-	w       *syntax.Word
+	kind  planKind
+	value string     // planStatic
+	parts []joinPart // planJoin
+	arith *expand.ArithExpr
+	w     *syntax.Word
+}
+
+// joinPart is one piece of a planJoin word: literal text (name == ""), or
+// the value of $name, "$name" or ${name#pat}-style trim of it.
+type joinPart struct {
+	lit    string
+	name   string
+	op     syntax.ParamOp // ParamPlain, or a trim
+	pat    string         // the trim's static pattern
+	quoted bool
+}
+
+// paramPart lowers $name, or a trim of it whose pattern is static.
+func paramPart(p *syntax.ParamExp, quoted bool) (joinPart, bool) {
+	if !planName(p.Name) {
+		return joinPart{}, false
+	}
+	switch p.Op {
+	case syntax.ParamTrimSuffix, syntax.ParamTrimSuffixLong, syntax.ParamTrimPrefix, syntax.ParamTrimPrefixLong:
+		pat, ok := expand.StaticPattern(p.Word)
+		return joinPart{name: p.Name, op: p.Op, pat: pat, quoted: quoted}, ok
+	}
+	return joinPart{name: p.Name, quoted: quoted}, p.Op == syntax.ParamPlain
 }
 
 func compileStringWord(w *syntax.Word) stringPlan {
@@ -617,18 +628,28 @@ func compileStringWord(w *syntax.Word) stringPlan {
 		return stringPlan{kind: planStatic}
 	}
 	if len(w.Parts) == 1 {
+		// The common one-part words build no part list.
 		switch p := w.Parts[0].(type) {
-		case *syntax.ParamExp:
-			if p.Op == syntax.ParamPlain && ordinaryVarName(p.Name) {
-				return stringPlan{kind: planVar, varName: p.Name, w: w}
-			}
 		case *syntax.ArithExp:
 			if a, err := expand.CompileArithExpr(p.Expr); err == nil && p.Parts == nil {
 				return stringPlan{kind: planArith, arith: a, w: w}
 			}
+		case *syntax.Lit:
+			if !strings.ContainsAny(p.Value, "\\~") {
+				return stringPlan{kind: planStatic, value: p.Value, w: w}
+			}
+		case *syntax.SglQuoted:
+			return stringPlan{kind: planStatic, value: p.Value, w: w}
 		}
 	}
-	var b strings.Builder
+	var parts []joinPart
+	lit := func(s string) {
+		if n := len(parts); n > 0 && parts[n-1].name == "" {
+			parts[n-1].lit += s
+		} else {
+			parts = append(parts, joinPart{lit: s})
+		}
+	}
 	for _, part := range w.Parts {
 		switch p := part.(type) {
 		case *syntax.Lit:
@@ -637,21 +658,44 @@ func compileStringWord(w *syntax.Word) stringPlan {
 			if strings.ContainsAny(p.Value, "\\~") {
 				return stringPlan{w: w}
 			}
-			b.WriteString(p.Value)
+			lit(p.Value)
 		case *syntax.SglQuoted:
-			b.WriteString(p.Value)
+			lit(p.Value)
+		case *syntax.ParamExp:
+			jp, ok := paramPart(p, false)
+			if !ok {
+				return stringPlan{w: w}
+			}
+			parts = append(parts, jp)
 		case *syntax.DblQuoted:
+			if len(p.Parts) == 0 {
+				lit("") // "" is text: $x"" is two parts, and one field
+			}
 			for _, ip := range p.Parts {
-				if _, ok := ip.(*syntax.Lit); !ok {
+				switch q := ip.(type) {
+				case *syntax.Lit:
+					lit(expand.UnescapeDquote(q.Value))
+				case *syntax.ParamExp:
+					jp, ok := paramPart(q, true)
+					if !ok {
+						return stringPlan{w: w}
+					}
+					parts = append(parts, jp)
+				default:
 					return stringPlan{w: w}
 				}
 			}
-			b.WriteString(unquoteDblLits(p))
 		default:
 			return stringPlan{w: w}
 		}
 	}
-	return stringPlan{kind: planStatic, value: b.String(), w: w}
+	switch {
+	case len(parts) == 0:
+		return stringPlan{kind: planStatic, w: w}
+	case len(parts) == 1 && parts[0].name == "":
+		return stringPlan{kind: planStatic, value: parts[0].lit, w: w}
+	}
+	return stringPlan{kind: planJoin, parts: parts, w: w}
 }
 
 // expand produces the word's string; under NoCompile every word is
@@ -664,14 +708,9 @@ func (sp *stringPlan) expand(in *Interp, xp **expand.Expander) (string, error) {
 	switch kind {
 	case planStatic:
 		return sp.value, nil
-	case planVar:
-		v, ok := in.Vars[sp.varName]
-		if ok || !in.NoUnset {
-			// ExpandString unescapes backslashes in unquoted fragments;
-			// values containing them take the slow path.
-			if !strings.ContainsRune(v.Value, '\\') {
-				return v.Value, nil
-			}
+	case planJoin:
+		if v, ok := in.join(sp.parts); ok {
+			return v, nil
 		}
 	case planArith:
 		v, err := in.evalArith(sp.arith)
@@ -680,10 +719,65 @@ func (sp *stringPlan) expand(in *Interp, xp **expand.Expander) (string, error) {
 		}
 		return strconv.FormatInt(v, 10), nil
 	}
-	if *xp == nil {
-		*xp = in.expander()
+	return in.lazyExpander(xp).ExpandString(sp.w)
+}
+
+// join concatenates a planJoin word's parts in one allocation; one part is
+// its value, with no copy. ok=false hands the word to the expander where
+// it could differ: an unset name under set -u (an error), or a backslash
+// in an unquoted value (which it removes).
+func (in *Interp) join(parts []joinPart) (string, bool) {
+	if len(parts) == 1 {
+		return in.joinPart(&parts[0])
 	}
-	return (*xp).ExpandString(sp.w)
+	var buf [8]string
+	vals, n := buf[:0], 0
+	for i := range parts {
+		v, ok := in.joinPart(&parts[i])
+		if !ok {
+			return "", false
+		}
+		vals, n = append(vals, v), n+len(v)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, v := range vals {
+		b.WriteString(v)
+	}
+	return b.String(), true
+}
+
+func (in *Interp) joinPart(p *joinPart) (string, bool) {
+	if p.name == "" {
+		return p.lit, true
+	}
+	v, ok := expand.Param(p.name, in.Params, in.lookup)
+	if !ok && in.NoUnset {
+		return "", false
+	}
+	if p.op != syntax.ParamPlain {
+		v = expand.Trim(v, p.pat, p.op)
+	}
+	return v, p.quoted || !strings.ContainsRune(v, '\\')
+}
+
+// patternPlan lowers a case arm's pattern: a static one is computed once.
+type patternPlan struct {
+	pat    string
+	static bool
+	w      *syntax.Word
+}
+
+func compilePattern(w *syntax.Word) patternPlan {
+	pat, ok := expand.StaticPattern(w)
+	return patternPlan{pat, ok, w}
+}
+
+func (pp *patternPlan) expand(in *Interp, xp **expand.Expander) (string, error) {
+	if pp.static && !in.NoCompile {
+		return pp.pat, nil
+	}
+	return in.lazyExpander(xp).ExpandPattern(pp.w)
 }
 
 // --- simple commands ---

@@ -310,6 +310,40 @@ while getopts b: o; do echo "o=$o arg=$OPTARG"; done; echo "st=$?"`, "o=? arg=\n
 	}
 }
 
+// TestCompiledDifferentialPlanFallbacks has one row for each place a word
+// plan hands the word back to the expander, or must not: an unset name
+// under set -u (in every plan kind, trims and lengths included), a changed
+// IFS, a backslash in an unquoted value (which this expander removes, where
+// dash keeps it), glob characters in a literal, quoted and escaped case
+// patterns, and trims whose pattern is partly quoted.
+func TestCompiledDifferentialPlanFallbacks(t *testing.T) {
+	seed := func(fs *vfs.FS) {
+		for _, f := range []string{"/a1", "/b2", "/c3"} {
+			fs.WriteFile(f, nil)
+		}
+	}
+	scripts := []diffCase{
+		{`set -u; f() { echo "$u"; }; f; echo unreached`, "", 1},
+		{`set -- a; set -u; echo "$1"; echo "$2"; echo unreached`, "a\n", 1},
+		{`set -u; t=${u##*/}; echo unreached`, "", 1},
+		{`set -u; q=/api/$u; echo unreached`, "", 1},
+		{`set -u; case "$u" in *) echo unreached ;; esac`, "", 1},
+		{`set -u; echo ${#u}; echo unreached`, "", 1},
+		{`set -u; u=; t=${u%x}; echo "[$t]" ${#u}`, "[] 0\n", 0},
+		{`x=a:b; IFS=:; echo "$x" $x; y=/p/$x; echo "$y"; set -- "a b:c"; echo "$1" $1`, "a:b a b\n/p/a:b\na b:c a b c\n", 0},
+		{`x='a\b'; y=$x; z="$x"; w=/p/$x; t=${x#a}; printf '%s|' "$y" "$z" "$w" "$t" $x; echo`, "ab|a\\b|/p/ab|b|ab|\n", 0},
+		{`echo [ab]* [ "[" '[ab]*'; x='[ab]*'; echo "$x" $x`, "a1 b2 [ [ [ab]*\n[ab]* a1 b2\n", 0},
+		{`for w in x '*'; do case $w in "*") echo dq;; esac; case $w in '*') echo sq;; esac; case $w in \*) echo bs;; esac; case $w in *) echo any;; esac; done`, "any\ndq\nsq\nbs\nany\n", 0},
+		{`x=; set -- $x"" ""$x; echo $#; set -- $x; echo $#; [ $1"" = "" ] && echo empty`, "2\n0\nempty\n", 0},
+		{`set -u; echo ${u%x}; echo unreached`, "", 1},
+		{`f=/d/a.b; IFS=.; echo ${f##*/} "${f##*/}"; IFS=' '; x='a\b c'; echo ${x%c} "${x%c}"`, "a b a.b\nab a\\b \n", 0},
+		{`f=/d/a.b.txt; a=${f%".txt"}; b=${f%'.'*}; c="${f##*"/"}"; d=${f%%"*"}; e=${f%\*}; g=${f#*[/]}; echo $a $b $c $d $e $g`, "/d/a.b /d/a.b a.b.txt /d/a.b.txt /d/a.b.txt d/a.b.txt\n", 0},
+	}
+	for _, c := range scripts {
+		assertAgree(t, c, seed)
+	}
+}
+
 // TestCompiledCacheSharedAcrossClones runs a function in a pipeline twice
 // to exercise cached closures on subshell clones (races here would be
 // caught by -race).
@@ -368,10 +402,12 @@ func TestNoCompileStillBypassesWhatChangesAtRunTime(t *testing.T) {
 }
 
 // TestNoCompileUsesNoPrecomputedResult poisons everything a plan
-// precomputes — static fields, the variable a bare $name resolves, the
-// compiled arithmetic, the resolved builtin — and checks the poison shows
-// with the fast paths on (so it sits where they read) and never under
-// NoCompile, which must derive every result from the words themselves.
+// precomputes — static fields (a lone `[` among them), the variable a
+// $name or "$name" resolves, the compiled arithmetic, a joined word's
+// parts and trim pattern, a static case pattern, the resolved builtin —
+// and checks the poison shows with the fast paths on (so it sits where
+// they read) and never under NoCompile, which must derive every result
+// from the words themselves.
 func TestNoCompileUsesNoPrecomputedResult(t *testing.T) {
 	simple := func(src string) *syntax.SimpleCommand {
 		t.Helper()
@@ -386,6 +422,7 @@ func TestNoCompileUsesNoPrecomputedResult(t *testing.T) {
 		in.NoCompile = noCompile
 		in.Setenv("v", "real")
 		in.Setenv("other", "POISON")
+		in.Params = []string{"p1"}
 		return in
 	}
 	pick := func(noCompile bool, fast, plain string) string {
@@ -401,16 +438,19 @@ func TestNoCompileUsesNoPrecomputedResult(t *testing.T) {
 
 	static := compileWordList(simple("echo a 'b c'").Args)
 	static.fields = []string{"POISON"}
-	mixed := compileWordList(simple("echo lit $v $((1+2))").Args)
+	mixed := compileWordList(simple(`echo lit $v $((1+2)) "$v" "$1" [`).Args)
 	mixed.plans[1].field = "POISON"
-	mixed.plans[2].varName = "other"
+	mixed.plans[2].part.name = "other"
 	mixed.plans[3].arith = poisonArith
+	mixed.plans[4].part.name = "other"
+	mixed.plans[5].part.name = "other"
+	mixed.plans[6].field = "POISON"
 	for _, tc := range []struct {
 		plan        *wordListPlan
 		fast, plain string
 	}{
 		{static, "POISON", "echo|a|b c"},
-		{mixed, "echo|POISON|POISON|666", "echo|lit|real|3"},
+		{mixed, "echo|POISON|POISON|666|POISON|POISON|POISON", "echo|lit|real|3|real|p1|["},
 	} {
 		for _, noCompile := range []bool{false, true} {
 			var x *expand.Expander
@@ -424,12 +464,20 @@ func TestNoCompileUsesNoPrecomputedResult(t *testing.T) {
 		}
 	}
 
-	assigns := simple("a=lit b=$v c=$((1+2))").Assigns
-	plans := []stringPlan{compileStringWord(assigns[0].Value), compileStringWord(assigns[1].Value), compileStringWord(assigns[2].Value)}
+	assigns := simple(`a=lit b=$v c=$((1+2)) d=/api/$v e=${v##r} f="$1"`).Assigns
+	var plans []stringPlan
+	for _, a := range assigns {
+		plans = append(plans, compileStringWord(a.Value))
+	}
 	plans[0].value = "POISON"
-	plans[1].varName = "other"
+	plans[1].parts[0].name = "other"
 	plans[2].arith = poisonArith
-	for i, want := range []struct{ fast, plain string }{{"POISON", "lit"}, {"POISON", "real"}, {"666", "3"}} {
+	plans[3].parts[1].name = "other"
+	plans[4].parts[0].pat = "re"
+	plans[5].parts[0].name = "other"
+	for i, want := range []struct{ fast, plain string }{
+		{"POISON", "lit"}, {"POISON", "real"}, {"666", "3"}, {"/api/POISON", "/api/real"}, {"al", "eal"}, {"POISON", "p1"},
+	} {
 		for _, noCompile := range []bool{false, true} {
 			var x *expand.Expander
 			got, err := plans[i].expand(newInterp(noCompile), &x)
@@ -461,34 +509,52 @@ func TestNoCompileUsesNoPrecomputedResult(t *testing.T) {
 // the interpreter's one expander is refreshed, not rebuilt; an assignment
 // with no redirections builds no cleanup; and a $((...)) whose text has
 // expansions is never parsed again — the bound for those rows is what
-// evaluating and formatting the number costs.
+// evaluating and formatting the number costs. The script_mix loop's own
+// commands follow, with the fast paths on (fast) and off (plain): a
+// command's field list is the one allocation a compiled `[` or function
+// call makes, a joined word's string the one a compiled `q=/api/$t` makes.
 func TestPerCommandFloorAllocates(t *testing.T) {
 	for _, noCompile := range []bool{false, true} {
 		in := New(vfs.New())
 		in.NoCompile = noCompile
 		in.Setenv("x", "/a/b")
 		in.Setenv("kind", "static")
+		in.Setenv("f", "/logs/f01")
 		in.expander()
 		if n := testing.AllocsPerRun(100, func() { in.expander() }); n != 0 {
 			t.Errorf("NoCompile=%v: expander() allocates %v times", noCompile, n)
 		}
+		classify, err := syntax.Parse(`classify() { case "$1" in /api/*) kind=api ;; /static/*) kind=static ;; *) kind=page ;; esac; }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.compiledStmt(classify.Stmts[0])(in)
 		for _, c := range []struct {
-			src   string
-			bound float64
+			src         string
+			fast, plain float64
 		}{
-			{"i=5", 0},
-			{"t=$x", 0},
-			{`t="$x"`, 0},
-			{"i=$((i + 1))", 1},
-			{"total=$((total + ${#kind}))", 2},
+			{"i=5", 0, 0},
+			{"t=$x", 0, 0},
+			{`t="$x"`, 0, 0},
+			{"i=$((i + 1))", 1, 1},
+			{"total=$((total + ${#kind}))", 2, 2},
+			{`[ "$i" -lt 100 ]`, 1, 7},
+			{`t=${f##*/}`, 0, 1},
+			{`q=/api/$t`, 1, 1},
+			{"case $((i % 3)) in 0) q=/api/$t ;; 1) q=/static/$t ;; *) q=/$t ;; esac", 1, 4},
+			{`classify "$q"`, 1, 6},
 		} {
 			script, err := syntax.Parse(c.src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fn := in.compiledStmt(script.Stmts[0])
-			if n := testing.AllocsPerRun(100, func() { fn(in) }); n > c.bound {
-				t.Errorf("NoCompile=%v: %q allocates %v times, want at most %v", noCompile, c.src, n, c.bound)
+			bound := c.fast
+			if noCompile {
+				bound = c.plain
+			}
+			if n := testing.AllocsPerRun(100, func() { fn(in) }); n > bound {
+				t.Errorf("NoCompile=%v: %q allocates %v times, want at most %v", noCompile, c.src, n, bound)
 			}
 		}
 	}
@@ -596,6 +662,16 @@ func TestControlFlowAgreesWithDash(t *testing.T) {
 		"set -e; ! false; echo survived",
 		"set -e; f() { false; echo in-f; }; f; echo unreached",
 		"set -e; (false; echo in-sub); echo unreached",
+		// set -u covers every form that does not provide for unset.
+		"set -u; echo ${x#a}; echo unreached",
+		"set -u; t=${x##*/}; echo unreached",
+		"set -u; echo ${x%b}${x%%b}; echo unreached",
+		"set -u; echo ${#x}; echo unreached",
+		"set -u; case ${x%%a} in *) echo unreached ;; esac",
+		`set -u; x=; echo "[${x%a}]" ${#x} ${y-d} ${y+a}`,
+		// "" is a field of its own next to an empty expansion.
+		`x=; set -- $x"" ""$x "$x"; echo $#; [ $1"" = "" ] && echo empty`,
+		`set -- a b; set --; echo $# "[$1]"; set -- a; set -e --; echo $#`,
 	}
 	// A closed pipe stops its writer: dash's stage dies at the first write
 	// after its reader has gone (SIGPIPE), so its loop never reaches the

@@ -136,8 +136,7 @@ type Interp struct {
 	xCmdSubst func([]*syntax.Stmt) (string, error)
 	cuGetenv  func(string) string
 	cuEnviron func() []string
-	arLookup  func(string) string
-	arAssign  func(string, string) error
+	ar        expand.ArithEnv
 	// x is the interpreter's one expander and cu its one utility context,
 	// both refreshed in place by expander() and coreutilsContext(); early is
 	// EarlyExpander's, which planning uses for one offered pipeline and is

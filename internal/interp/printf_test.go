@@ -35,6 +35,16 @@ var printfTable = []struct {
 	{`printf "%X %E\n" 255 1.5`, "FF 1.500000E+00\n", "", 0},
 	{`printf "a%zb\n" x; echo " st=$?"`, "a st=2\n", "printf: %z: invalid directive\n", 0},
 	{`printf "%-5.2q\n"`, "", "printf: %-5.2q: invalid directive\n", 2},
+	// Numeric operands: a quoted character is its code, a partial number
+	// prints its prefix, a non-number 0, each with status 1; unsigned
+	// conversions of a negative value wrap to 64 bits.
+	{`printf "%d %i %x\n" "'A" '"B' "'"`, "65 66 0\n", "", 0},
+	{`printf "%d|%5i|\n" 12abc 3`, "12|    3|\n", "printf: 12abc: not completely converted\n", 1},
+	{`printf "%d %o\n" x 08`, "0 0\n", "printf: x: expected numeric value\nprintf: 08: not completely converted\n", 1},
+	{`printf "%x %X %o %u\n" -1 -1 -1 -1`, "ffffffffffffffff FFFFFFFFFFFFFFFF 1777777777777777777777 18446744073709551615\n", "", 0},
+	{`printf "%d %d %x\n" " 12" 0x1f 010`, "12 31 8\n", "", 0},
+	{`printf "%d\n" 99999999999999999999`, "9223372036854775807\n", "printf: 99999999999999999999: Numerical result out of range\n", 1},
+	{`printf "%c|%c|\n" "" abc`, "\x00|a|\n", "", 0},
 }
 
 // TestPrintf runs each row under a deadline: a printf that repeats its
