@@ -101,7 +101,7 @@ func run() int {
 				continue
 			}
 			e := lib.Resolve(fields)
-			fmt.Printf("%s\n", strings.Join(fields, " "))
+			fmt.Printf("%s\n", syntax.QuoteWords(fields))
 			if e.Summary != "" {
 				fmt.Printf("  %s\n", e.Summary)
 			} else {

@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"jash/internal/expand"
-	"jash/internal/pattern"
 	"jash/internal/syntax"
 )
 
@@ -199,11 +198,24 @@ type AbsField struct {
 type absFrag struct {
 	val    AbsVal
 	quoted bool
+	// lit marks a word's literal text, which is never split.
+	lit bool
 	// noSplit marks an unquoted fragment that provably contains no IFS
-	// whitespace, no backslashes, and no glob metacharacters — arithmetic
-	// results and ${#x} lengths, which are always plain digit strings.
+	// whitespace and no glob metacharacters — arithmetic results and ${#x}
+	// lengths, which are always plain digit strings.
 	noSplit bool
 }
+
+// fragContext is where absFrags models parts, as expand's context is: a
+// word's own text, the inside of double quotes, or the unquoted operand of
+// ${x op word}, whose literal text is part of the expansion's result.
+type fragContext uint8
+
+const (
+	fragWord fragContext = iota
+	fragDquote
+	fragOperand
+)
 
 // FieldsOf computes the fields a word expands to. exact=true guarantees
 // the returned list has precisely the runtime field structure; Const
@@ -216,10 +228,10 @@ func FieldsOf(w *syntax.Word, env *Env) ([]AbsField, bool) {
 	if env == nil {
 		env = NewEnv(nil)
 	}
-	if !env.ifsDefault || startsWithTilde(w) {
+	if startsWithTilde(w) {
 		return nil, false
 	}
-	frags, exact := absFrags(w.Parts, false, env)
+	frags, exact := absFrags(w.Parts, fragWord, env)
 	if !exact {
 		return nil, false
 	}
@@ -230,26 +242,22 @@ func FieldsOf(w *syntax.Word, env *Env) ([]AbsField, bool) {
 		cur, curGlob, started = Const(""), false, false
 	}
 	for _, f := range frags {
-		if f.quoted || f.noSplit {
+		if f.quoted || f.lit || f.noSplit && env.ifsDefault {
+			if f.lit && strings.ContainsAny(f.val.Str, "*?[") {
+				curGlob = true
+			}
 			cur = Concat(cur, f.val)
 			started = true
 			continue
 		}
-		if f.val.Kind != AbsConst {
-			// Unquoted expansion of an unknown value: splitting unknown.
+		if f.val.Kind != AbsConst || !env.ifsDefault {
+			// Unquoted expansion of an unknown value, or split by an
+			// unknown IFS: splitting unknown.
 			return nil, false
 		}
 		s := f.val.Str
 		for i := 0; i < len(s); i++ {
 			c := s[i]
-			if c == '\\' && i+1 < len(s) {
-				// Backslash-quoted character: literal, never a delimiter
-				// and never a live glob metacharacter.
-				cur = Concat(cur, Const(s[i+1:i+2]))
-				started = true
-				i++
-				continue
-			}
 			if c == ' ' || c == '\t' || c == '\n' {
 				if started {
 					emit()
@@ -282,36 +290,28 @@ func EvalWordAbs(w *syntax.Word, env *Env) AbsVal {
 	if startsWithTilde(w) {
 		return Top()
 	}
-	frags, _ := absFrags(w.Parts, false, env)
+	frags, _ := absFrags(w.Parts, fragWord, env)
 	out := Const("")
 	for _, f := range frags {
-		v := f.val
-		if !f.quoted && v.Kind == AbsConst {
-			v = Const(pattern.Unescape(v.Str))
-		}
-		out = Concat(out, v)
+		out = Concat(out, f.val)
 	}
 	return out
 }
 
-// absFrags turns word parts into abstract fragments. The boolean result
-// is false when the fragment list does not faithfully model the runtime
-// fragment structure ($@/$*, unknown part kinds).
-func absFrags(parts []syntax.WordPart, inDquote bool, env *Env) ([]absFrag, bool) {
+// absFrags turns word parts, in context c, into abstract fragments. The
+// boolean result is false when the fragment list does not faithfully model
+// the runtime fragment structure ($@/$*, unknown part kinds).
+func absFrags(parts []syntax.WordPart, c fragContext, env *Env) ([]absFrag, bool) {
 	var frags []absFrag
-	exact := true
+	exact, inDquote := true, c == fragDquote
 	for _, part := range parts {
 		switch p := part.(type) {
 		case *syntax.Lit:
-			v := p.Value
-			if inDquote {
-				v = expand.UnescapeDquote(v)
-			}
-			frags = append(frags, absFrag{val: Const(v), quoted: inDquote})
+			frags = append(frags, absFrag{val: Const(p.Value), quoted: inDquote, lit: c == fragWord})
 		case *syntax.SglQuoted:
 			frags = append(frags, absFrag{val: Const(p.Value), quoted: true})
 		case *syntax.DblQuoted:
-			inner, ok := absFrags(p.Parts, true, env)
+			inner, ok := absFrags(p.Parts, fragDquote, env)
 			if !ok {
 				exact = false
 			}
@@ -389,7 +389,10 @@ func absParam(pe *syntax.ParamExp, inDquote bool, env *Env) ([]absFrag, bool) {
 		if pe.Word == nil {
 			return nil, true
 		}
-		return absFrags(pe.Word.Parts, inDquote, env)
+		if inDquote {
+			return absFrags(pe.Word.Parts, fragDquote, env)
+		}
+		return absFrags(pe.Word.Parts, fragOperand, env)
 	}
 	switch pe.Op {
 	case syntax.ParamPlain:

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"jash/internal/cost"
+	"jash/internal/rewrite"
+	"jash/internal/spec"
+	"jash/internal/syntax"
 	"jash/internal/vfs"
 )
 
@@ -260,6 +264,75 @@ func TestListParallelImplicitExitStopsTheShell(t *testing.T) {
 					t.Errorf("list regions entered = %d, want one: %v: %+v",
 						sh.Stats.ListParallel, tc.region, sh.Stats.Decisions)
 				}
+			}
+		})
+	}
+}
+
+// TestListSplitReadsIFS: an unquoted expansion's result is split by IFS,
+// so a statement that assigns IFS and one that splits a value interfere.
+func TestListSplitReadsIFS(t *testing.T) {
+	for _, script := range []string{
+		"x=a1b\nIFS=1; printf '%s|' $x\n",
+		"IFS=1; printf '%s|' $((10+1)) a$((10+1))b\n",
+	} {
+		var outs [2]string
+		for i, mode := range []Mode{ModeBash, ModeJash} {
+			sh, out, errb := newShell(vfs.New(), cost.StandardEC2(), mode)
+			st, err := sh.Run(script)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs[i] = fmt.Sprintf("status %d stdout %q stderr %q", st, out.String(), errb.String())
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("%q: bash mode %s, jash mode %s", script, outs[0], outs[1])
+		}
+	}
+}
+
+// TestListQuotedPathsNameOneFile: a path written with a backslash escape
+// and the same path written in quotes name one file, so a write and a
+// read of it interfere and form no region; each run matches bash mode
+// byte for byte, files included, and the list planner names the hazard on
+// the path in the statements after any assignment (f bound as it binds).
+func TestListQuotedPathsNameOneFile(t *testing.T) {
+	big := strings.Repeat("abcdefghijklmnopqrstuvwxyz ", 4000000/27)
+	for _, tc := range []struct {
+		script, path string
+		after        int // statements before the ones planned
+	}{
+		{"tr a-z A-Z </big >/a\\ b; wc -c \"/a b\"\n", "/a b", 0},
+		{"f=/a\\ b; echo hi >\"$f\"; cat /a\\ b\n", "/a b", 1},
+		{"tr a-z A-Z </big >\"/a\\$b\"; wc -c '/a$b'\n", "/a$b", 0},
+	} {
+		t.Run(tc.script, func(t *testing.T) {
+			var snaps, outs [2]string
+			for i, mode := range []Mode{ModeBash, ModeJash} {
+				fs := vfs.New()
+				fs.WriteFile("/big", []byte(big))
+				sh, out, errb := newShell(fs, cost.StandardEC2(), mode)
+				st, err := sh.Run(tc.script)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snaps[i] = snapshotFS(t, fs, "/")
+				outs[i] = fmt.Sprintf("status %d\nstdout %q\nstderr %q", st, out.String(), errb.String())
+				if mode == ModeJash && sh.Stats.ListParallel > 0 {
+					t.Errorf("a list region was formed: %+v", sh.Stats.Decisions)
+				}
+			}
+			if outs[0] != outs[1] || snaps[0] != snaps[1] {
+				t.Errorf("jash mode differs from bash mode:\n%s\n%s\nfiles:\n%s\n%s", outs[0], outs[1], snaps[0], snaps[1])
+			}
+			stmts, err := syntax.Parse(tc.script)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lookup := func(name string) (string, bool) { return "/a b", name == "f" }
+			_, dec := rewrite.ParallelizeList(stmts.Stmts[tc.after:], rewrite.ListOptions{Lib: spec.Builtin(), Dir: "/", Cores: 8, Lookup: lookup})
+			if want := "read-after-write on " + tc.path; dec.Parallel || !strings.Contains(dec.Reason, want) {
+				t.Errorf("the planner does not name the hazard on %q: %+v", tc.path, dec)
 			}
 		})
 	}

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"jash/internal/spec"
+	"jash/internal/syntax"
 )
 
 // NodeKind classifies graph nodes.
@@ -449,8 +450,9 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 }
 
 // Script prints the graph back as a shell command when it is a linear
-// pipeline, and a descriptive multi-line form otherwise. This is the
-// "unparse" direction libdash provides.
+// pipeline, each word quoted as syntax.Quote quotes it, and a descriptive
+// multi-line form otherwise. This is the "unparse" direction libdash
+// provides.
 func (g *Graph) Script() string {
 	if s, ok := g.linearScript(); ok {
 		return s
@@ -475,7 +477,7 @@ func (g *Graph) linearScript() (string, bool) {
 	var parts []string
 	cur := srcs[0]
 	if cur.Path != "" {
-		parts = append(parts, "cat "+cur.Path)
+		parts = append(parts, "cat "+syntax.Quote(cur.Path))
 	}
 	for {
 		out := g.Out(cur.ID)
@@ -485,7 +487,7 @@ func (g *Graph) linearScript() (string, bool) {
 		next := g.Nodes[out[0].To]
 		switch next.Kind {
 		case KindCommand:
-			parts = append(parts, strings.Join(next.Argv, " "))
+			parts = append(parts, syntax.QuoteWords(next.Argv))
 		case KindSink:
 			s := strings.Join(parts, " | ")
 			if next.Path != "" {
@@ -493,7 +495,7 @@ func (g *Graph) linearScript() (string, bool) {
 				if next.Append {
 					op = " >>"
 				}
-				s += op + next.Path
+				s += op + syntax.Quote(next.Path)
 			}
 			return s, true
 		default:

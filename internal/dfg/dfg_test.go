@@ -206,14 +206,19 @@ func TestJSONExport(t *testing.T) {
 }
 
 func TestScriptUnparse(t *testing.T) {
-	g := mustGraph(t, Binding{StdinFile: "/in", StdoutFile: "/out"},
-		[]string{"tr", "A-Z", "a-z"},
-		[]string{"sort", "-u"},
-	)
-	s := g.Script()
-	want := "cat /in | tr A-Z a-z | sort -u >/out"
-	if s != want {
-		t.Errorf("Script() = %q, want %q", s, want)
+	for _, c := range []struct {
+		g    *Graph
+		want string
+	}{
+		{mustGraph(t, Binding{StdinFile: "/in", StdoutFile: "/out"}, []string{"tr", "A-Z", "a-z"}, []string{"sort", "-u"}),
+			"cat /in | tr A-Z a-z | sort -u >/out"},
+		// Each word is quoted: a field with a space is one word again.
+		{mustGraph(t, Binding{StdinFile: "/w", StdoutFile: "/a b"}, []string{"grep", "a b"}, []string{"wc", "-l"}),
+			"cat /w | grep 'a b' | wc -l >'/a b'"},
+	} {
+		if s := c.g.Script(); s != c.want {
+			t.Errorf("Script() = %q, want %q", s, c.want)
+		}
 	}
 }
 

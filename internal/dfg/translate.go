@@ -3,7 +3,6 @@ package dfg
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"jash/internal/expand"
 	"jash/internal/spec"
@@ -119,9 +118,8 @@ func FromStmt(st *syntax.Stmt, lib *spec.Library, x *expand.Expander, aheadOfTim
 			// has one edge per end.
 			return nil, errRedirection
 		}
-		// A backslash quotes as "…" does; a quoted name is judged once it
-		// has been expanded.
-		if name := sc.Name(); name != "" && !strings.Contains(name, `\`) {
+		// A quoted name is judged once it has been expanded.
+		if name := sc.Name(); name != "" {
 			s, known := lib.Lookup(name)
 			if !known {
 				return nil, errNotInLib

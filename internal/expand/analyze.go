@@ -98,7 +98,7 @@ func analyzeParts(parts []syntax.WordPart, quoted bool, d *Deps) {
 				if i == 0 && len(p.Value) > 0 && p.Value[0] == '~' {
 					d.Vars = append(d.Vars, "HOME") // tilde expansion
 				}
-				if hasGlobMeta(p.Value) {
+				if strings.ContainsAny(p.Value, "*?[") {
 					d.HasGlob = true
 				}
 			}
@@ -121,14 +121,16 @@ func analyzeParts(parts []syntax.WordPart, quoted bool, d *Deps) {
 				d.Effects = append(d.Effects, VarEffect{Kind: EffectAbort, Name: p.Name, Pos: p.Pos()})
 			}
 			if !quoted {
-				// Unquoted expansion results are field-split and globbed.
-				d.Vars = append(d.Vars, "IFS")
+				splitRead(p.Pos(), d)
 				d.HasGlob = true
 			}
 		case *syntax.CmdSubst:
 			d.HasCmdSubst = true
 			d.SideEffects = true
 			d.Effects = append(d.Effects, VarEffect{Kind: EffectSubst, Pos: p.Pos(), Body: p.Stmts})
+			if !quoted {
+				splitRead(p.Pos(), d)
+			}
 			// Variables read inside the substitution body still count.
 			syntax.Walk(&syntax.Script{Stmts: p.Stmts}, func(n syntax.Node) bool {
 				if pe, ok := n.(*syntax.ParamExp); ok {
@@ -137,6 +139,9 @@ func analyzeParts(parts []syntax.WordPart, quoted bool, d *Deps) {
 				return true
 			})
 		case *syntax.ArithExp:
+			if !quoted {
+				splitRead(p.Pos(), d)
+			}
 			// Command substitution hiding inside the arithmetic text runs
 			// commands when the expression is pre-expanded.
 			if strings.Contains(p.Expr, "$(") || strings.ContainsRune(p.Expr, '`') {
@@ -171,14 +176,9 @@ func providesForUnset(op syntax.ParamOp) bool {
 		op == syntax.ParamError || op == syntax.ParamAlt
 }
 
-func hasGlobMeta(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++
-		case '*', '?', '[':
-			return true
-		}
-	}
-	return false
+// splitRead records that an unquoted expansion's result is field-split:
+// a read of IFS (an unset IFS splits as the default does).
+func splitRead(pos syntax.Pos, d *Deps) {
+	d.Vars = append(d.Vars, "IFS")
+	d.Effects = append(d.Effects, VarEffect{Kind: EffectRead, Name: "IFS", Pos: pos, Guarded: true})
 }

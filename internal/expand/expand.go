@@ -90,13 +90,27 @@ func (x *Expander) getvar(name string) (string, bool) {
 	return x.Lookup(name)
 }
 
-// frag is one expansion fragment: a run of characters that are all quoted
-// or all unquoted, or a hard field break (from "$@").
+// frag is one expansion fragment: a run of characters that are all quoted,
+// all unquoted literal text (lit), or all the unquoted result of an
+// expansion, or a hard field break (from "$@"). Only an expansion's
+// unquoted result is field-split; unquoted text of either kind is globbed.
 type frag struct {
 	s          string
 	quoted     bool
+	lit        bool
 	fieldBreak bool
 }
+
+// context is where appendParts expands parts: in a word's own text, inside
+// double quotes, or in the unquoted operand of ${x op word}, whose literal
+// text is part of the expansion's result.
+type context uint8
+
+const (
+	wordText context = iota
+	dquoted
+	operand
+)
 
 // truncate pops the scratch back to mark, dropping the popped fragments'
 // strings.
@@ -109,7 +123,7 @@ func (x *Expander) truncate(mark int) {
 func (x *Expander) ExpandWord(w *syntax.Word) ([]string, error) {
 	mark := len(x.frags)
 	defer x.truncate(mark)
-	if err := x.appendParts(w.Parts, false); err != nil {
+	if err := x.appendParts(w.Parts, wordText); err != nil {
 		return nil, err
 	}
 	return x.fields(x.tilde(x.frags[mark:], w)), nil
@@ -137,17 +151,17 @@ func (x *Expander) ExpandString(w *syntax.Word) (string, error) {
 	}
 	mark := len(x.frags)
 	defer x.truncate(mark)
-	if err := x.appendParts(w.Parts, false); err != nil {
+	if err := x.appendParts(w.Parts, wordText); err != nil {
 		return "", err
 	}
 	return joinFrags(x.tilde(x.frags[mark:], w)), nil
 }
 
-// joinFrags concatenates fragments into one string: quote removal, and a
-// space for each field break.
+// joinFrags concatenates fragments into one string, with a space for each
+// field break.
 func joinFrags(frags []frag) string {
 	if len(frags) == 1 && !frags[0].fieldBreak {
-		return unescapeUnquoted(frags[0])
+		return frags[0].s
 	}
 	var b strings.Builder
 	for _, f := range frags {
@@ -155,7 +169,7 @@ func joinFrags(frags []frag) string {
 			b.WriteByte(' ')
 			continue
 		}
-		b.WriteString(unescapeUnquoted(f))
+		b.WriteString(f.s)
 	}
 	return b.String()
 }
@@ -169,7 +183,7 @@ func (x *Expander) ExpandPattern(w *syntax.Word) (string, error) {
 	}
 	mark := len(x.frags)
 	defer x.truncate(mark)
-	if err := x.appendParts(w.Parts, false); err != nil {
+	if err := x.appendParts(w.Parts, wordText); err != nil {
 		return "", err
 	}
 	var b strings.Builder
@@ -208,7 +222,7 @@ func StaticPattern(w *syntax.Word) (string, bool) {
 				if !ok {
 					return "", false
 				}
-				s += escapeMeta(UnescapeDquote(lit.Value))
+				s += escapeMeta(lit.Value)
 			}
 		default:
 			return "", false
@@ -219,33 +233,6 @@ func StaticPattern(w *syntax.Word) (string, bool) {
 		b.WriteString(s)
 	}
 	return b.String(), true
-}
-
-// unescapeUnquoted removes backslash-quoting from an unquoted fragment.
-func unescapeUnquoted(f frag) string {
-	if f.quoted {
-		return f.s
-	}
-	return pattern.Unescape(f.s)
-}
-
-// UnescapeDquote resolves the four escapes double quotes honour in a
-// literal.
-func UnescapeDquote(s string) string {
-	if !strings.ContainsRune(s, '\\') {
-		return s
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' && i+1 < len(s) {
-			switch s[i+1] {
-			case '$', '`', '"', '\\':
-				i++
-			}
-		}
-		b.WriteByte(s[i])
-	}
-	return b.String()
 }
 
 // escapeMeta backslash-escapes the pattern characters of s, so that it
@@ -265,27 +252,20 @@ func escapeMeta(s string) string {
 	return b.String()
 }
 
-// appendParts expands word parts onto the scratch. inDquote marks that the
-// parts appear within double quotes.
-func (x *Expander) appendParts(parts []syntax.WordPart, inDquote bool) error {
+// appendParts expands word parts, in context c, onto the scratch.
+func (x *Expander) appendParts(parts []syntax.WordPart, c context) error {
 	if err := x.Faults.CheckContained("expand:parts", faultinject.OpRead); err != nil {
 		return &ExpandError{Msg: "expansion fault: " + err.Error()}
 	}
 	for _, part := range parts {
 		switch p := part.(type) {
 		case *syntax.Lit:
-			v := p.Value
-			if inDquote {
-				// Inside double quotes only \$ \` \" \\ are escapes; the
-				// parser kept them verbatim for us to resolve here.
-				v = UnescapeDquote(v)
-			}
-			x.frags = append(x.frags, frag{s: v, quoted: inDquote})
+			x.frags = append(x.frags, frag{s: p.Value, quoted: c == dquoted, lit: c == wordText})
 		case *syntax.SglQuoted:
 			x.frags = append(x.frags, frag{s: p.Value, quoted: true})
 		case *syntax.DblQuoted:
 			mark := len(x.frags)
-			if err := x.appendParts(p.Parts, true); err != nil {
+			if err := x.appendParts(p.Parts, dquoted); err != nil {
 				return err
 			}
 			// "" must produce an empty field; a quoted expansion of
@@ -294,7 +274,7 @@ func (x *Expander) appendParts(parts []syntax.WordPart, inDquote bool) error {
 				x.frags = append(x.frags, frag{s: "", quoted: true})
 			}
 		case *syntax.ParamExp:
-			if err := x.appendParam(p, inDquote); err != nil {
+			if err := x.appendParam(p, c); err != nil {
 				return err
 			}
 		case *syntax.CmdSubst:
@@ -305,13 +285,13 @@ func (x *Expander) appendParts(parts []syntax.WordPart, inDquote bool) error {
 			if err != nil {
 				return err
 			}
-			x.frags = append(x.frags, frag{s: strings.TrimRight(out, "\n"), quoted: inDquote})
+			x.frags = append(x.frags, frag{s: strings.TrimRight(out, "\n"), quoted: c == dquoted})
 		case *syntax.ArithExp:
 			v, err := x.evalArith(p)
 			if err != nil {
 				return &ExpandError{Msg: err.Error(), Fatal: true}
 			}
-			x.frags = append(x.frags, frag{s: strconv.FormatInt(v, 10), quoted: inDquote})
+			x.frags = append(x.frags, frag{s: strconv.FormatInt(v, 10), quoted: c == dquoted})
 		default:
 			return fmt.Errorf("unknown word part %T", part)
 		}
@@ -339,7 +319,7 @@ func (x *Expander) evalArith(p *syntax.ArithExp) (int64, error) {
 	expr := p.Expr
 	if p.Parts != nil {
 		mark := len(x.frags)
-		if err := x.appendParts(p.Parts, true); err != nil {
+		if err := x.appendParts(p.Parts, dquoted); err != nil {
 			return 0, err
 		}
 		expr = joinFrags(x.frags[mark:])
@@ -401,8 +381,10 @@ func Param(name string, params []string, lookup func(string) (string, bool)) (st
 	return params[n-1], true
 }
 
-// appendParam expands one ${...} or $x occurrence onto the scratch.
-func (x *Expander) appendParam(pe *syntax.ParamExp, inDquote bool) error {
+// appendParam expands one ${...} or $x occurrence, in context c, onto the
+// scratch.
+func (x *Expander) appendParam(pe *syntax.ParamExp, c context) error {
+	inDquote := c == dquoted
 	// $@ / $* first: they produce multiple fragments.
 	if pe.Name == "@" || pe.Name == "*" {
 		return x.appendAt(pe, inDquote)
@@ -462,7 +444,7 @@ func (x *Expander) appendParam(pe *syntax.ParamExp, inDquote bool) error {
 		if pe.Word == nil {
 			return nil
 		}
-		return x.appendParts(pe.Word.Parts, inDquote)
+		return x.appendParts(pe.Word.Parts, operandOf(inDquote))
 	}
 	x.frags = append(x.frags, frag{s: val, quoted: inDquote})
 	return nil
@@ -492,6 +474,14 @@ func Trim(val, pat string, op syntax.ParamOp) string {
 	return val
 }
 
+// operandOf is the context of a ${x op word} operand.
+func operandOf(inDquote bool) context {
+	if inDquote {
+		return dquoted
+	}
+	return operand
+}
+
 // appendAt handles $@ and $* in both quoted and unquoted positions.
 func (x *Expander) appendAt(pe *syntax.ParamExp, inDquote bool) error {
 	params := x.Params
@@ -503,13 +493,13 @@ func (x *Expander) appendAt(pe *syntax.ParamExp, inDquote bool) error {
 			if pe.Word == nil {
 				return nil
 			}
-			return x.appendParts(pe.Word.Parts, inDquote)
+			return x.appendParts(pe.Word.Parts, operandOf(inDquote))
 		}
 	case syntax.ParamAlt:
 		if !set || pe.Word == nil {
 			return nil
 		}
-		return x.appendParts(pe.Word.Parts, inDquote)
+		return x.appendParts(pe.Word.Parts, operandOf(inDquote))
 	case syntax.ParamLength:
 		x.frags = append(x.frags, frag{s: strconv.Itoa(len(params)), quoted: inDquote})
 		return nil
@@ -554,18 +544,18 @@ func (x *Expander) tilde(frags []frag, w *syntax.Word) []frag {
 		return frags
 	}
 	out := make([]frag, 0, len(frags)+1)
-	out = append(out, frag{s: home, quoted: true}, frag{s: rest, quoted: false})
+	out = append(out, frag{s: home, quoted: true}, frag{s: rest, lit: true})
 	return append(out, frags[1:]...)
 }
 
-// piece is one run of a field's text: its bytes, the text it adds to the
-// field's glob pattern, and the length of the fragment it is cut from. A
-// quoted piece's pattern is its text with the metacharacters escaped, made
-// only when the field is globbed.
+// piece is one run of a field's text: its bytes, whether they are quoted,
+// and the length of the fragment it is cut from. An unquoted piece is
+// pattern text as it stands; a quoted one adds its text with the
+// metacharacters escaped, made only when the field is globbed.
 type piece struct {
-	text, pat string
-	quoted    bool
-	of        int
+	text   string
+	quoted bool
+	of     int
 }
 
 // shareMax is the largest fragment a field may keep a substring of
@@ -578,9 +568,10 @@ const shareMax = 1024
 // expansion on each field, in one pass. A field that is one piece of one
 // fragment is that substring (a copy when it is a small part of a large
 // fragment: shareMax); a longer one is one allocation of its size.
-// The glob pattern is built only for a field whose unquoted text holds a
-// metacharacter (or a lone trailing backslash, which escapes the next
-// piece's first pattern byte).
+// Literal text is never split, and a backslash in an expansion's result is
+// data: it stays in the field, and escapes only in the glob pattern, which
+// is built only for a field whose unquoted text holds a metacharacter or a
+// backslash (a trailing one escapes the next piece's first pattern byte).
 func (x *Expander) fields(frags []frag) []string {
 	ifs := x.ifs()
 	var out []string
@@ -604,37 +595,34 @@ func (x *Expander) fields(frags []frag) []string {
 		case f.quoted:
 			add(piece{text: f.s, quoted: true, of: len(f.s)})
 		default:
-			s, run := f.s, 0
+			s, run, sep := f.s, 0, ifs
+			if f.lit {
+				sep = "" // literal text is never split
+			}
 			flush := func(end int) {
 				if end > run {
-					add(piece{text: s[run:end], pat: s[run:end], of: len(s)})
+					add(piece{text: s[run:end], of: len(s)})
 					meta = meta || strings.ContainsAny(s[run:end], `*?[\`)
 				}
 			}
-			for i := 0; i < len(s); i++ {
+			for i := 0; sep != "" && i < len(s); i++ {
 				c := s[i]
-				switch {
-				case c == '\\' && i+1 < len(s):
-					// Backslash-quoted character: literal, never a delimiter.
-					flush(i)
-					add(piece{text: s[i+1 : i+2], pat: s[i : i+2], of: len(s)})
-					i++
-					run = i + 1
-				case strings.IndexByte(ifs, c) >= 0:
-					flush(i)
-					run = i + 1
-					if c == ' ' || c == '\t' || c == '\n' {
-						if started {
-							emit()
-						}
-						prevNonWS = false
-						continue
-					}
-					if started || prevNonWS {
-						emit() // adjacent non-whitespace delimiters make empty fields
-					}
-					prevNonWS = true
+				if strings.IndexByte(sep, c) < 0 {
+					continue
 				}
+				flush(i)
+				run = i + 1
+				if c == ' ' || c == '\t' || c == '\n' {
+					if started {
+						emit()
+					}
+					prevNonWS = false
+					continue
+				}
+				if started || prevNonWS {
+					emit() // adjacent non-whitespace delimiters make empty fields
+				}
+				prevNonWS = true
 			}
 			flush(len(s))
 		}
@@ -672,7 +660,7 @@ func (x *Expander) appendField(out []string, ps []piece, meta bool) []string {
 			if p.quoted {
 				b.WriteString(escapeMeta(p.text))
 			} else {
-				b.WriteString(p.pat)
+				b.WriteString(p.text)
 			}
 		}
 		if pat := b.String(); pattern.HasMeta(pat) {

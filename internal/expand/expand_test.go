@@ -405,11 +405,11 @@ func TestAnalyzeWord(t *testing.T) {
 		{"`ls`", nil, false},
 		{`${X=1}`, []string{"IFS", "X"}, false},
 		{`${X?die}`, []string{"IFS", "X"}, false},
-		{`$((a + b))`, []string{"a", "b"}, true},
-		{`$((a = 1))`, []string{"a"}, false},
+		{`$((a + b))`, []string{"IFS", "a", "b"}, true},
+		{`$((a = 1))`, []string{"IFS", "a"}, false},
 		{`*.txt`, nil, true},
 		{`~/x`, []string{"HOME"}, true},
-		{`$(echo $INNER)`, []string{"INNER"}, false},
+		{`$(echo $INNER)`, []string{"IFS", "INNER"}, false},
 	}
 	for _, c := range cases {
 		d := AnalyzeWord(wordOf(t, c.src))

@@ -1,9 +1,11 @@
 package expand
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"jash/internal/pattern"
 	"jash/internal/syntax"
 	"jash/internal/vfs"
 )
@@ -33,7 +35,10 @@ func fuzzExpander() *Expander {
 
 // FuzzExpand is the native fuzz target for the expansion layer: any word
 // the parser accepts must expand without panicking — errors must surface
-// as ordinary error values. Run with `go test -fuzz=FuzzExpand ./internal/expand/`.
+// as ordinary error values — and a static word must expand to its
+// StaticValue: as a string, and as exactly that one field when it has
+// parts and no glob metacharacter. Run with
+// `go test -fuzz=FuzzExpand ./internal/expand/`.
 func FuzzExpand(f *testing.F) {
 	for _, seed := range []string{
 		"echo $x ${y:-d} ${#x} $((1 + 2))",
@@ -43,6 +48,7 @@ func FuzzExpand(f *testing.F) {
 		"echo $(cmd) `cmd` $((x + 1)) ${x/bad", "echo ${", "echo $((",
 		"echo $(( ${x:-1} + 1 ))", "echo $(( $(echo 2) ))", "echo $(( `echo 3` ))",
 		`echo $(( "$x" ))`, "echo $(( ${ ))",
+		`echo a\ b "a\$b" 'c\d' \\ "\\" "\q" ${x-\a} "${x-\a}" \*`,
 	} {
 		f.Add(seed)
 	}
@@ -52,6 +58,22 @@ func FuzzExpand(f *testing.F) {
 			return // parser fuzzing owns unparseable input
 		}
 		x := fuzzExpander()
+		syntax.Walk(sc, func(n syntax.Node) bool {
+			w, ok := n.(*syntax.Word)
+			if !ok || !w.IsStatic() {
+				return true
+			}
+			v := w.StaticValue()
+			if got, err := x.ExpandString(w); err != nil || got != v {
+				t.Fatalf("ExpandString(%s) = %q, %v; StaticValue %q", syntax.PrintWord(w), got, err, v)
+			}
+			if pat, _ := StaticPattern(w); !pattern.HasMeta(pat) && len(w.Parts) > 0 {
+				if fields, err := x.ExpandWord(w); err != nil || !slices.Equal(fields, []string{v}) {
+					t.Fatalf("ExpandWord(%s) = %q, %v; StaticValue %q", syntax.PrintWord(w), fields, err, v)
+				}
+			}
+			return true
+		})
 		for _, st := range sc.Stmts {
 			cmd, ok := st.AndOr.First.Cmds[0].(*syntax.SimpleCommand)
 			if !ok {

@@ -18,7 +18,9 @@ type refField struct {
 }
 
 // refSplit is the splitter fields replaced, kept as its oracle: it builds
-// each field a byte at a time, with its glob pattern alongside.
+// each field a byte at a time, with its glob pattern alongside. Literal
+// text is never split; a backslash anywhere unquoted is a byte of the
+// field and of the pattern.
 func refSplit(ifs string, frags []frag) []refField {
 	isWS := func(c byte) bool {
 		return strings.IndexByte(ifs, c) >= 0 && (c == ' ' || c == '\t' || c == '\n')
@@ -46,25 +48,16 @@ func refSplit(ifs string, frags []frag) []refField {
 			started = true
 			prevNonWS = false
 		default:
-			i := 0
-			for i < len(f.s) {
+			splits := ifs != "" && !f.lit
+			for i := 0; i < len(f.s); i++ {
 				c := f.s[i]
-				if c == '\\' && i+1 < len(f.s) {
-					// Backslash-quoted character: literal, never a delimiter.
-					cur.text += f.s[i+1 : i+2]
-					cur.pat += "\\" + f.s[i+1:i+2]
-					started = true
-					prevNonWS = false
-					i += 2
-					continue
-				}
 				switch {
-				case ifs != "" && isWS(c):
+				case splits && isWS(c):
 					if started {
 						emit()
 					}
 					prevNonWS = false
-				case ifs != "" && isDelim(c):
+				case splits && isDelim(c):
 					if started {
 						emit()
 					} else if prevNonWS {
@@ -77,7 +70,6 @@ func refSplit(ifs string, frags []frag) []refField {
 					started = true
 					prevNonWS = false
 				}
-				i++
 			}
 		}
 	}
@@ -137,6 +129,7 @@ var splitIFS = []string{"", " \t\n", ":", " :"}
 func TestFieldsMatchReference(t *testing.T) {
 	u := func(s string) frag { return frag{s: s} }
 	q := func(s string) frag { return frag{s: s, quoted: true} }
+	l := func(s string) frag { return frag{s: s, lit: true} }
 	brk := frag{fieldBreak: true}
 	for _, frags := range [][]frag{
 		{u("a b")},
@@ -161,6 +154,11 @@ func TestFieldsMatchReference(t *testing.T) {
 		{u("x\\:y"), u("\\")},
 		{u("a\tb\nc")},
 		{u("é:è é")},
+		{l("a b:c"), u(" d:e")},
+		{l(""), u(" "), l("")},
+		{u(":"), l("a*"), q(":")},
+		{u(`a\`), l("*")},
+		{l("[ab]"), u(`\`)},
 	} {
 		for _, ifs := range splitIFS {
 			checkSplit(t, ifs, frags)
@@ -170,11 +168,13 @@ func TestFieldsMatchReference(t *testing.T) {
 
 // FuzzSplit checks fields against the reference on arbitrary fragment
 // lists: each byte of the input is text, except 0x01 (which toggles
-// quoting for the next fragment), 0x02 (a new fragment) and 0x03 (a "$@"
-// field break). Run with `go test -fuzz=FuzzSplit ./internal/expand/`.
+// quoting for the next fragment), 0x04 (which toggles literal text for
+// it), 0x02 (a new fragment) and 0x03 (a "$@" field break). Run with
+// `go test -fuzz=FuzzSplit ./internal/expand/`.
 func FuzzSplit(f *testing.F) {
 	for _, seed := range []string{
 		"a b", "\x01 a \x02b*", "x:y::z\x03\x01", `a\ b\`, "[a\x02\x01]\x02b]", " : a\x03\x03",
+		"\x04a b\x02 :\x04c*", "a\\\x02\x04*",
 	} {
 		f.Add(seed, uint8(0))
 	}
@@ -185,9 +185,11 @@ func FuzzSplit(f *testing.F) {
 			switch src[i] {
 			case 0x01:
 				cur.quoted = !cur.quoted
+			case 0x04:
+				cur.lit = !cur.lit
 			case 0x02:
 				frags = append(frags, cur)
-				cur = frag{quoted: cur.quoted}
+				cur = frag{quoted: cur.quoted, lit: cur.lit}
 			case 0x03:
 				frags = append(frags, cur, frag{fieldBreak: true})
 				cur = frag{}

@@ -46,14 +46,19 @@ type Cache struct {
 }
 
 type entry struct {
-	// digests maps each input path to the content digest it had.
-	digests map[string]string
-	// contents keeps raw inputs for stateless suffix detection.
-	contents map[string][]byte
-	output   []byte
-	status   int
+	// inputs maps each input path to what its content was.
+	inputs map[string]input
+	output []byte
+	status int
 	// stateless marks entries eligible for suffix incrementality.
 	stateless bool
+}
+
+// input is what an entry keeps of one input's content: its length and
+// digest, never a copy of its bytes.
+type input struct {
+	size int
+	sum  string
 }
 
 // NewCache returns an empty cache.
@@ -83,6 +88,19 @@ func NewRunner() *Runner {
 func digest(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
+}
+
+// digests hashes data in one pass: its digest, and, when 0 <= at <=
+// len(data), the digest of data[:at] ("" otherwise).
+func digests(data []byte, at int) (sum, prefix string) {
+	h := sha256.New()
+	if at >= 0 && at <= len(data) {
+		h.Write(data[:at])
+		prefix = hex.EncodeToString(h.Sum(nil))
+		data = data[at:]
+	}
+	h.Write(data)
+	return hex.EncodeToString(h.Sum(nil)), prefix
 }
 
 // regionKey identifies a graph by its canonical unparse (stable across
@@ -121,8 +139,13 @@ func (r *Runner) Run(g *dfg.Graph, env *exec.Env) (status int, kind string, err 
 		st, err := exec.Run(g, env)
 		return st, "miss", err
 	}
-	// Gather current input contents, and hash each once.
-	inputs, sums := map[string][]byte{}, map[string]string{}
+	key := regionKey(g)
+	r.Cache.mu.Lock()
+	ent := r.Cache.entries[key]
+	r.Cache.mu.Unlock()
+	// Gather current input contents, and hash each once: the whole, and
+	// on the way the length the cached entry saw.
+	inputs, sums, prefixes := map[string][]byte{}, map[string]input{}, map[string]string{}
 	for _, src := range g.Sources() {
 		if src.Path == "" {
 			// Unknown stdin volume: not cacheable.
@@ -136,15 +159,18 @@ func (r *Runner) Run(g *dfg.Graph, env *exec.Env) (status int, kind string, err 
 			st, err := exec.Run(g, env)
 			return st, "miss", err
 		}
-		inputs[src.Path], sums[src.Path] = data, digest(data)
+		at := -1
+		if ent != nil {
+			if old, ok := ent.inputs[src.Path]; ok {
+				at = old.size
+			}
+		}
+		sum, prefix := digests(data, at)
+		inputs[src.Path], sums[src.Path], prefixes[src.Path] = data, input{len(data), sum}, prefix
 	}
-	key := regionKey(g)
-	r.Cache.mu.Lock()
-	ent := r.Cache.entries[key]
-	r.Cache.mu.Unlock()
 
 	if ent != nil {
-		if match, total := sameDigests(ent, inputs, sums); match {
+		if match, total := sameDigests(ent, sums); match {
 			r.Stats.Hits++
 			r.Stats.BytesSaved += total
 			if env.Stdout != nil {
@@ -153,7 +179,7 @@ func (r *Runner) Run(g *dfg.Graph, env *exec.Env) (status int, kind string, err 
 			return ent.status, "hit", nil
 		}
 		if ent.stateless {
-			if grown, suffixes := onlyAppends(ent, inputs); grown {
+			if grown, suffixes := onlyAppends(ent, inputs, prefixes); grown {
 				return r.runSuffix(g, env, ent, inputs, sums, suffixes)
 			}
 		}
@@ -171,67 +197,60 @@ func (r *Runner) Run(g *dfg.Graph, env *exec.Env) (status int, kind string, err 
 		env.Stdout.Write(buf.Bytes())
 	}
 	r.Stats.Misses++
-	r.store(key, g, inputs, sums, buf.Bytes(), st)
+	r.store(key, g, sums, buf.Bytes(), st)
 	return st, "miss", nil
 }
 
-func (r *Runner) store(key string, g *dfg.Graph, inputs map[string][]byte, sums map[string]string, output []byte, status int) {
-	ent := &entry{
-		digests:   sums,
-		contents:  map[string][]byte{},
-		output:    append([]byte(nil), output...),
-		status:    status,
-		stateless: statelessOnly(g),
-	}
-	for p, data := range inputs {
-		ent.contents[p] = append([]byte(nil), data...)
-	}
+// store caches a region's output for its inputs, as sums describes them.
+func (r *Runner) store(key string, g *dfg.Graph, sums map[string]input, output []byte, status int) {
+	ent := &entry{inputs: sums, output: output, status: status, stateless: statelessOnly(g)}
 	r.Cache.mu.Lock()
 	r.Cache.entries[key] = ent
 	r.Cache.mu.Unlock()
 }
 
-// sameDigests reports whether every input's digest in sums matches the
-// cached one, and the total input volume (for the bytes-saved accounting).
-func sameDigests(ent *entry, inputs map[string][]byte, sums map[string]string) (bool, int64) {
-	if len(ent.digests) != len(inputs) {
+// sameDigests reports whether every input in sums is the cached one, and
+// the total input volume (for the bytes-saved accounting).
+func sameDigests(ent *entry, sums map[string]input) (bool, int64) {
+	if len(ent.inputs) != len(sums) {
 		return false, 0
 	}
 	var total int64
-	for p, data := range inputs {
-		if ent.digests[p] != sums[p] {
+	for p, in := range sums {
+		if ent.inputs[p] != in {
 			return false, 0
 		}
-		total += int64(len(data))
+		total += int64(in.size)
 	}
 	return true, total
 }
 
-// onlyAppends reports whether every changed input merely grew, returning
+// onlyAppends reports whether every changed input merely grew — the digest
+// of its first size bytes, in prefixes, is still the cached one — returning
 // the appended suffixes.
-func onlyAppends(ent *entry, inputs map[string][]byte) (bool, map[string][]byte) {
-	if len(ent.contents) != len(inputs) {
+func onlyAppends(ent *entry, inputs map[string][]byte, prefixes map[string]string) (bool, map[string][]byte) {
+	if len(ent.inputs) != len(inputs) {
 		return false, nil
 	}
 	suffixes := map[string][]byte{}
 	for p, data := range inputs {
-		old, ok := ent.contents[p]
-		if !ok || len(data) < len(old) || !bytes.HasPrefix(data, old) {
+		old, ok := ent.inputs[p]
+		if !ok || len(data) < old.size || prefixes[p] != old.sum {
 			return false, nil
 		}
 		// Suffix must start at a line boundary (old content ended in \n,
 		// or nothing was appended).
-		if len(old) > 0 && old[len(old)-1] != '\n' && len(data) > len(old) {
+		if old.size > 0 && data[old.size-1] != '\n' && len(data) > old.size {
 			return false, nil
 		}
-		suffixes[p] = data[len(old):]
+		suffixes[p] = data[old.size:]
 	}
 	return true, suffixes
 }
 
 // runSuffix executes the region over only the appended input suffixes and
 // appends the result to the cached output.
-func (r *Runner) runSuffix(g *dfg.Graph, env *exec.Env, ent *entry, inputs map[string][]byte, sums map[string]string, suffixes map[string][]byte) (int, string, error) {
+func (r *Runner) runSuffix(g *dfg.Graph, env *exec.Env, ent *entry, inputs map[string][]byte, sums map[string]input, suffixes map[string][]byte) (int, string, error) {
 	// Build a shadow graph whose sources read the suffixes from temp files.
 	ng := g.Clone()
 	var temps []string
@@ -272,20 +291,6 @@ func (r *Runner) runSuffix(g *dfg.Graph, env *exec.Env, ent *entry, inputs map[s
 	if env.Stdout != nil {
 		env.Stdout.Write(newOut)
 	}
-	// Update the cache in place.
-	key := regionKey(g)
-	nent := &entry{
-		digests:   sums,
-		contents:  map[string][]byte{},
-		output:    newOut,
-		status:    st,
-		stateless: true,
-	}
-	for p, data := range inputs {
-		nent.contents[p] = append([]byte(nil), data...)
-	}
-	r.Cache.mu.Lock()
-	r.Cache.entries[key] = nent
-	r.Cache.mu.Unlock()
+	r.store(regionKey(g), g, sums, newOut, st)
 	return st, "incremental", nil
 }

@@ -385,16 +385,13 @@ const (
 	// planDynamic words go through the full expander every time.
 	planDynamic planKind = iota
 	// planStatic words — literals and quoted literals free of expansions,
-	// globs, escapes, and tilde — expand to a precomputed field without
-	// touching the expander. Unquoted literal text is IFS-sensitive in
-	// this implementation (the splitter scans literal fragments too), so
-	// such plans only take the fast path while IFS holds its default
-	// value.
+	// globs and tilde — expand to a precomputed field without touching
+	// the expander: literal text is never split, so whatever IFS holds.
 	planStatic
 	// planVar words are one planJoin part: $name, "$name" or a trim of
 	// either. Quoted, the value is the one field; unquoted, it is the
-	// field when it is free of characters the splitter, globber, or
-	// escape pass would act on, and no field when empty.
+	// field when it is free of characters the splitter or globber would
+	// act on, and no field when empty.
 	planVar
 	// planArith words are a bare unquoted $((expr)) whose text needs no
 	// parameter pre-expansion; the expression is compiled once and its
@@ -406,19 +403,18 @@ const (
 )
 
 // varFastUnsafe are the value characters that force an unquoted planVar
-// word back through the expander: backslash (the splitter treats it as an
-// escape), glob metacharacters, and default-IFS whitespace.
-const varFastUnsafe = "\\*?[ \t\n"
+// word back through the expander: glob metacharacters and default-IFS
+// whitespace.
+const varFastUnsafe = "*?[ \t\n"
 
 // wordPlan is one argument word's lowering.
 type wordPlan struct {
-	kind    planKind
-	ifsSafe bool      // static field valid only under default IFS
-	field   string    // planStatic: the single precomputed field
-	zero    bool      // planStatic with no resulting fields (empty unquoted word)
-	part    *joinPart // planVar
-	arith   *expand.ArithExpr
-	w       *syntax.Word
+	kind  planKind
+	field string    // planStatic: the single precomputed field
+	zero  bool      // planStatic with no resulting fields (a word of no parts)
+	part  *joinPart // planVar
+	arith *expand.ArithExpr
+	w     *syntax.Word
 }
 
 // planName reports whether a plan resolves $name itself (by expand.Param):
@@ -440,8 +436,8 @@ func (in *Interp) lookup(name string) (string, bool) {
 // compileWord lowers an argument word through its string-position plan:
 // arithmetic stays arithmetic, a word that is one parameter read resolves
 // without the expander, and static text is one precomputed field unless the
-// splitter could act on it (IFS whitespace) or the globber could (a
-// pattern.HasMeta pattern: a `[` that opens no bracket expression is text).
+// globber could act on it (a pattern.HasMeta pattern: a `[` that opens no
+// bracket expression is text).
 func compileWord(w *syntax.Word) wordPlan {
 	sp := compileStringWord(w)
 	switch {
@@ -455,23 +451,12 @@ func compileWord(w *syntax.Word) wordPlan {
 	if pat, _ := expand.StaticPattern(w); pattern.HasMeta(pat) {
 		return wordPlan{w: w}
 	}
-	ifsSafe, anyQuoted := false, false
-	for _, part := range w.Parts {
-		lit, ok := part.(*syntax.Lit)
-		if !ok {
-			anyQuoted = true
-		} else if strings.ContainsAny(lit.Value, " \t\n") {
-			return wordPlan{w: w}
-		} else if lit.Value != "" {
-			// Unquoted text: the splitter scans it, so guard on IFS.
-			ifsSafe = true
-		}
-	}
-	return wordPlan{kind: planStatic, ifsSafe: ifsSafe, field: sp.value, zero: sp.value == "" && !anyQuoted, w: w}
+	return wordPlan{kind: planStatic, field: sp.value, zero: len(w.Parts) == 0, w: w}
 }
 
 // defaultIFS reports whether IFS holds its default value — the condition
-// under which precomputed unquoted fields are valid.
+// under which an unquoted value free of varFastUnsafe, or an arithmetic
+// result, is one field as it stands.
 func (in *Interp) defaultIFS() bool {
 	v, ok := in.Vars["IFS"]
 	return !ok || v.Value == " \t\n"
@@ -486,12 +471,11 @@ func (in *Interp) lazyExpander(xp **expand.Expander) *expand.Expander {
 	return *xp
 }
 
-// wordListPlan lowers a word list; fully static lists expand to a
-// precomputed slice while IFS is default.
+// wordListPlan lowers a word list; a fully static list expands to a
+// precomputed slice.
 type wordListPlan struct {
 	plans     []wordPlan
 	allStatic bool
-	needIFS   bool
 	fields    []string // precomputed expansion when allStatic
 }
 
@@ -501,9 +485,6 @@ func compileWordList(ws []*syntax.Word) *wordListPlan {
 		p.plans[i] = compileWord(w)
 		if p.plans[i].kind != planStatic {
 			p.allStatic = false
-		}
-		if p.plans[i].ifsSafe {
-			p.needIFS = true
 		}
 	}
 	if p.allStatic {
@@ -521,10 +502,10 @@ func compileWordList(ws []*syntax.Word) *wordListPlan {
 // command sees one snapshot of $? however many of its words need the
 // expander. Under NoCompile every word is planDynamic.
 func (p *wordListPlan) expand(in *Interp, xp **expand.Expander) ([]string, error) {
-	defIFS := in.defaultIFS()
-	if p.allStatic && !in.NoCompile && (!p.needIFS || defIFS) {
+	if p.allStatic && !in.NoCompile {
 		return p.fields, nil
 	}
+	defIFS := in.defaultIFS()
 	out := make([]string, 0, len(p.plans))
 	for i := range p.plans {
 		wp := &p.plans[i]
@@ -534,16 +515,14 @@ func (p *wordListPlan) expand(in *Interp, xp **expand.Expander) ([]string, error
 		}
 		switch kind {
 		case planStatic:
-			if !wp.ifsSafe || defIFS {
-				if !wp.zero {
-					out = append(out, wp.field)
-				}
-				continue
+			if !wp.zero {
+				out = append(out, wp.field)
 			}
+			continue
 		case planVar:
 			v, ok := in.joinPart(wp.part)
 			switch {
-			case !ok: // the expander reports it, or removes the backslash
+			case !ok: // the expander reports it
 			case wp.part.quoted:
 				out = append(out, v)
 				continue
@@ -590,8 +569,8 @@ func (in *Interp) evalArith(a *expand.ArithExpr) (int64, error) {
 
 // stringPlan lowers a word used in ExpandString position (assignment
 // values, the case word): no field splitting or globbing applies, so
-// static text is valid regardless of IFS, parameters need only an escape
-// check, and arithmetic results are always literal digits.
+// static text is valid regardless of IFS, parameters are their values,
+// and arithmetic results are always literal digits.
 type stringPlan struct {
 	kind  planKind
 	value string     // planStatic
@@ -635,7 +614,7 @@ func compileStringWord(w *syntax.Word) stringPlan {
 				return stringPlan{kind: planArith, arith: a, w: w}
 			}
 		case *syntax.Lit:
-			if !strings.ContainsAny(p.Value, "\\~") {
+			if !strings.ContainsRune(p.Value, '~') {
 				return stringPlan{kind: planStatic, value: p.Value, w: w}
 			}
 		case *syntax.SglQuoted:
@@ -653,9 +632,9 @@ func compileStringWord(w *syntax.Word) stringPlan {
 	for _, part := range w.Parts {
 		switch p := part.(type) {
 		case *syntax.Lit:
-			// Escapes and tilde still matter for ExpandString; IFS and glob
+			// Tilde still matters for ExpandString; IFS and glob
 			// metacharacters do not.
-			if strings.ContainsAny(p.Value, "\\~") {
+			if strings.ContainsRune(p.Value, '~') {
 				return stringPlan{w: w}
 			}
 			lit(p.Value)
@@ -674,7 +653,7 @@ func compileStringWord(w *syntax.Word) stringPlan {
 			for _, ip := range p.Parts {
 				switch q := ip.(type) {
 				case *syntax.Lit:
-					lit(expand.UnescapeDquote(q.Value))
+					lit(q.Value)
 				case *syntax.ParamExp:
 					jp, ok := paramPart(q, true)
 					if !ok {
@@ -723,9 +702,8 @@ func (sp *stringPlan) expand(in *Interp, xp **expand.Expander) (string, error) {
 }
 
 // join concatenates a planJoin word's parts in one allocation; one part is
-// its value, with no copy. ok=false hands the word to the expander where
-// it could differ: an unset name under set -u (an error), or a backslash
-// in an unquoted value (which it removes).
+// its value, with no copy. ok=false hands the word to the expander, which
+// reports an unset name under set -u.
 func (in *Interp) join(parts []joinPart) (string, bool) {
 	if len(parts) == 1 {
 		return in.joinPart(&parts[0])
@@ -758,7 +736,7 @@ func (in *Interp) joinPart(p *joinPart) (string, bool) {
 	if p.op != syntax.ParamPlain {
 		v = expand.Trim(v, p.pat, p.op)
 	}
-	return v, p.quoted || !strings.ContainsRune(v, '\\')
+	return v, true
 }
 
 // patternPlan lowers a case arm's pattern: a static one is computed once.

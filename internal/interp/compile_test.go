@@ -131,9 +131,9 @@ func TestCompiledDifferentialControlFlow(t *testing.T) {
 
 func TestCompiledDifferentialExpansionEdges(t *testing.T) {
 	scripts := []diffCase{
-		// IFS manipulation invalidates the static-word fast path.
-		{`IFS=c; echo echoed`, "", 127},
-		{`IFS=c; X=abcd; echo $X`, "", 127},
+		// IFS splits expansions, never literal text (as dash).
+		{`IFS=c; echo echoed`, "echoed\n", 0},
+		{`IFS=c; X=abcd; echo $X`, "ab d\n", 0},
 		{`IFS=" 	"; echo a b`, "a b\n", 0},
 		{`IFS=; X="a b"; echo $X`, "a b\n", 0},
 		// Glob metacharacters in literal words.
@@ -313,9 +313,9 @@ while getopts b: o; do echo "o=$o arg=$OPTARG"; done; echo "st=$?"`, "o=? arg=\n
 // TestCompiledDifferentialPlanFallbacks has one row for each place a word
 // plan hands the word back to the expander, or must not: an unset name
 // under set -u (in every plan kind, trims and lengths included), a changed
-// IFS, a backslash in an unquoted value (which this expander removes, where
-// dash keeps it), glob characters in a literal, quoted and escaped case
-// patterns, and trims whose pattern is partly quoted.
+// IFS, a backslash in an unquoted value (data, as in dash), glob
+// characters in a literal, quoted and escaped case patterns, and trims
+// whose pattern is partly quoted.
 func TestCompiledDifferentialPlanFallbacks(t *testing.T) {
 	seed := func(fs *vfs.FS) {
 		for _, f := range []string{"/a1", "/b2", "/c3"} {
@@ -331,12 +331,12 @@ func TestCompiledDifferentialPlanFallbacks(t *testing.T) {
 		{`set -u; echo ${#u}; echo unreached`, "", 1},
 		{`set -u; u=; t=${u%x}; echo "[$t]" ${#u}`, "[] 0\n", 0},
 		{`x=a:b; IFS=:; echo "$x" $x; y=/p/$x; echo "$y"; set -- "a b:c"; echo "$1" $1`, "a:b a b\n/p/a:b\na b:c a b c\n", 0},
-		{`x='a\b'; y=$x; z="$x"; w=/p/$x; t=${x#a}; printf '%s|' "$y" "$z" "$w" "$t" $x; echo`, "ab|a\\b|/p/ab|b|ab|\n", 0},
+		{`x='a\b'; y=$x; z="$x"; w=/p/$x; t=${x#a}; printf '%s|' "$y" "$z" "$w" "$t" $x; echo`, "a\\b|a\\b|/p/a\\b|\\b|a\\b|\n", 0},
 		{`echo [ab]* [ "[" '[ab]*'; x='[ab]*'; echo "$x" $x`, "a1 b2 [ [ [ab]*\n[ab]* a1 b2\n", 0},
 		{`for w in x '*'; do case $w in "*") echo dq;; esac; case $w in '*') echo sq;; esac; case $w in \*) echo bs;; esac; case $w in *) echo any;; esac; done`, "any\ndq\nsq\nbs\nany\n", 0},
 		{`x=; set -- $x"" ""$x; echo $#; set -- $x; echo $#; [ $1"" = "" ] && echo empty`, "2\n0\nempty\n", 0},
 		{`set -u; echo ${u%x}; echo unreached`, "", 1},
-		{`f=/d/a.b; IFS=.; echo ${f##*/} "${f##*/}"; IFS=' '; x='a\b c'; echo ${x%c} "${x%c}"`, "a b a.b\nab a\\b \n", 0},
+		{`f=/d/a.b; IFS=.; echo ${f##*/} "${f##*/}"; IFS=' '; x='a\b c'; echo ${x%c} "${x%c}"`, "a b a.b\na\\b a\\b \n", 0},
 		{`f=/d/a.b.txt; a=${f%".txt"}; b=${f%'.'*}; c="${f##*"/"}"; d=${f%%"*"}; e=${f%\*}; g=${f#*[/]}; echo $a $b $c $d $e $g`, "/d/a.b /d/a.b a.b.txt /d/a.b.txt /d/a.b.txt d/a.b.txt\n", 0},
 	}
 	for _, c := range scripts {
@@ -374,10 +374,10 @@ func TestCompiledLoopReusesClosures(t *testing.T) {
 // off: IFS, the function table, and set -u.
 func TestNoCompileStillBypassesWhatChangesAtRunTime(t *testing.T) {
 	scripts := []diffCase{
-		// IFS changes after the statement's first execution: the precomputed
-		// field list and the bare-$name shortcut are valid only under the
-		// default IFS (this expander splits unquoted literal text too).
-		{"x=1:2; f() { echo a:b $x; }; f; IFS=:; f", "a:b 1:2\na b 1 2\n", 0},
+		// IFS changes after the statement's first execution: the bare-$name
+		// shortcut is valid only under the default IFS (literal text is
+		// never split).
+		{"x=1:2; f() { echo a:b $x; }; f; IFS=:; f", "a:b 1:2\na:b 1 2\n", 0},
 		{"f() { y=$((6*7)); echo $((6*7)) \"$y\"; }; f; IFS=4; f", "42 42\n 2 42\n", 0},
 		// A function defined later shadows a utility name this statement
 		// has already dispatched once.
@@ -672,6 +672,16 @@ func TestControlFlowAgreesWithDash(t *testing.T) {
 		// "" is a field of its own next to an empty expansion.
 		`x=; set -- $x"" ""$x "$x"; echo $#; [ $1"" = "" ] && echo empty`,
 		`set -- a b; set --; echo $# "[$1]"; set -- a; set -e --; echo $#`,
+		// Quoting is resolved by the parser: only an expansion's unquoted
+		// result is split, and a backslash in it is data, an escape only
+		// in a pattern.
+		`x='a\b'; y=$x; printf '%s|' "$y" $x`,
+		`x='a\ b'; printf '%s|' $x`,
+		`IFS=:; x=1; printf '%s|' a:b$x`,
+		`x='a\b'; case $x in 'a\b') echo match;; *) echo nomatch;; esac`,
+		`printf '%s|' a\ b "a\$b" 'c\d' \\ "\\" "\q"`,
+		`x='a\\b'; case 'a\b' in $x) echo match;; *) echo nomatch;; esac`,
+		`x='a\'; printf '%s|' $x`,
 	}
 	// A closed pipe stops its writer: dash's stage dies at the first write
 	// after its reader has gone (SIGPIPE), so its loop never reaches the

@@ -11,7 +11,10 @@
 // forms), and arithmetic expansion.
 package syntax
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Pos is a byte offset plus human-friendly line/column, all 1-based for
 // line and column and 0-based for the offset.
@@ -303,8 +306,14 @@ func (w *Word) Lit() string {
 }
 
 // IsStatic reports whether the word expands to the same single field
-// regardless of shell state: only literals and quoted literals.
+// regardless of shell state: only literals and quoted literals, and no
+// leading `~` (tilde expansion reads HOME).
 func (w *Word) IsStatic() bool {
+	if len(w.Parts) > 0 {
+		if l, ok := w.Parts[0].(*Lit); ok && strings.HasPrefix(l.Value, "~") {
+			return false
+		}
+	}
 	for _, p := range w.Parts {
 		switch q := p.(type) {
 		case *Lit, *SglQuoted:
@@ -348,8 +357,11 @@ type WordPart interface {
 	wordPartNode()
 }
 
-// Lit is unquoted literal text (backslash escapes already resolved into the
-// text are kept as written; see Escaped runes handling in the lexer).
+// Lit is literal text: unquoted, or inside double quotes, a here-document
+// or a ${x op word} operand. Value is the text's value, every backslash
+// resolved by the parser: an unquoted `\c` is an escaped SglQuoted, so an
+// unquoted Lit holds no quoted character, and `"\$"` holds `$` while
+// `"\q"` holds `\q`. The printer writes the escapes back.
 type Lit struct {
 	Value    string
 	Position Pos
@@ -358,9 +370,11 @@ type Lit struct {
 func (p *Lit) Pos() Pos      { return p.Position }
 func (p *Lit) wordPartNode() {}
 
-// SglQuoted is 'text'.
+// SglQuoted is 'text', or, when Escaped, the one character c of an
+// unquoted `\c` (a dollar that starts no expansion is kept as `\$`).
 type SglQuoted struct {
 	Value    string
+	Escaped  bool
 	Position Pos
 }
 

@@ -5,26 +5,30 @@ import (
 	"testing"
 )
 
+// parseSeeds are FuzzParse's seed corpus.
+var parseSeeds = []string{
+	"echo hello | tr a-z A-Z",
+	"if test -f x; then echo y; fi",
+	"for v in a b; do cat f & echo $v; done",
+	"case $x in a|b) one ;; *) two ;; esac",
+	"f() { echo ${1:-d}; }; f",
+	"cat <<EOF\nbody $v\nEOF",
+	"while read l; do echo $((n + 1)); done <in",
+	"a=1 b=$(c d) e ${f%g} >>out 2>&1",
+	"! a && b || c; (d; e) | { g; }",
+	"echo ${#x} ${y##*/} 'q' \"d $z\"",
+	"\x00\xff${", "$(($((", "<<'", "a\\",
+	"echo $(( ${x:-1} + 1 ))", "echo $(( $(echo 2) ))", "echo $(( `echo 3` ))",
+	`echo $(( "$x" ))`, "echo $(( ${ ))",
+	`echo a\ b "a\$b" 'c\d' \\ "\\" "\q" ${x-\a} "${x-\a}" "${x#\a}"`,
+}
+
 // FuzzParse is the native fuzz target for the parser: arbitrary bytes
 // must never panic, errors must be *ParseError, and any accepted input
 // must survive a print→parse round trip to a structurally identical AST.
 // Run with `go test -fuzz=FuzzParse ./internal/syntax/`.
 func FuzzParse(f *testing.F) {
-	for _, seed := range []string{
-		"echo hello | tr a-z A-Z",
-		"if test -f x; then echo y; fi",
-		"for v in a b; do cat f & echo $v; done",
-		"case $x in a|b) one ;; *) two ;; esac",
-		"f() { echo ${1:-d}; }; f",
-		"cat <<EOF\nbody $v\nEOF",
-		"while read l; do echo $((n + 1)); done <in",
-		"a=1 b=$(c d) e ${f%g} >>out 2>&1",
-		"! a && b || c; (d; e) | { g; }",
-		"echo ${#x} ${y##*/} 'q' \"d $z\"",
-		"\x00\xff${", "$(($((", "<<'", "a\\",
-		"echo $(( ${x:-1} + 1 ))", "echo $(( $(echo 2) ))", "echo $(( `echo 3` ))",
-		`echo $(( "$x" ))`, "echo $(( ${ ))",
-	} {
+	for _, seed := range parseSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

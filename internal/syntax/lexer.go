@@ -11,41 +11,108 @@ func isWordEnd(c byte) bool {
 	return false
 }
 
+// quoting is the text readParts reads: an unquoted word; the operand of
+// ${x op word}, read as a word is, or under double-quote rules when the
+// expansion is itself double-quoted and op is not a trim; or text under
+// double-quote rules — a "..." string, an unquoted here-document body,
+// where `"` is an ordinary character, or the text of $((...)), where `\`
+// is one too.
+type quoting uint8
+
+const (
+	qWord quoting = iota
+	qOperand
+	qDquoteOperand
+	qDquote
+	qHeredoc
+	qArith
+)
+
+// dquoted reports whether q reads under double-quote rules: `'` is text,
+// and `\` quotes only the characters special reports.
+func (q quoting) dquoted() bool { return q >= qDquoteOperand }
+
+// special reports whether c, under double-quote rules, needs a backslash
+// to be text: a `\c` of any other c is those two characters.
+func (q quoting) special(c byte) bool {
+	switch c {
+	case '$', '`', '\\':
+		return q != qArith
+	case '"':
+		return q == qDquote || q == qDquoteOperand
+	case '}':
+		return q == qDquoteOperand
+	}
+	return false
+}
+
 // readWord reads one word token: a maximal sequence of literal characters,
 // quoted strings, and expansions.
 func (p *parser) readWord() *Word {
 	w := &Word{Position: p.here()}
+	w.Parts = p.readParts(qWord, w.Position)
+	if len(w.Parts) == 0 {
+		p.errf(w.Position, "empty word")
+	}
+	return w
+}
+
+// readParts reads word parts under q, resolving each backslash where it
+// reads it: an unquoted `\c` is the escaped SglQuoted c, and a Lit holds
+// its value (`"\$"` is `$`), so no later layer takes a backslash for
+// quoting. open is where an unterminated string or operand began; a
+// "..." string or an operand consumes its closing `"` or `}`.
+func (p *parser) readParts(q quoting, open Pos) []WordPart {
+	var parts []WordPart
 	var lit strings.Builder
 	litPos := p.here()
-	flushLit := func() {
+	flush := func() {
 		if lit.Len() > 0 {
-			w.Parts = append(w.Parts, &Lit{Value: lit.String(), Position: litPos})
+			parts = append(parts, &Lit{Value: lit.String(), Position: litPos})
 			lit.Reset()
 		}
 	}
+	add := func(part WordPart) {
+		flush()
+		parts = append(parts, part)
+		litPos = p.here()
+	}
+	operand := q == qOperand || q == qDquoteOperand
+	depth := 0
 	for p.pos < len(p.src) {
 		c := p.peekByte()
-		if isWordEnd(c) {
-			break
-		}
-		switch c {
-		case '\\':
+		switch {
+		case q == qWord && isWordEnd(c):
+			flush()
+			return parts
+		case q == qDquote && c == '"', operand && c == '}' && depth == 0:
 			p.advance()
-			if p.pos >= len(p.src) {
-				// A backslash at EOF quotes itself, so the word holds a
-				// literal backslash and printing round-trips.
-				lit.WriteString(`\\`)
-				break
+			flush()
+			return parts
+		case c == '\\' && q != qArith:
+			pos := p.here()
+			p.advance()
+			switch {
+			case p.pos >= len(p.src):
+				// A backslash at the end of the text quotes nothing: it
+				// is text, and prints back as `\\`.
+				if q.dquoted() {
+					lit.WriteByte('\\')
+				} else {
+					add(&SglQuoted{Value: `\`, Escaped: true, Position: pos})
+				}
+			case p.peekByte() == '\n':
+				p.advance() // line continuation disappears
+			case !q.dquoted():
+				p.advance()
+				add(&SglQuoted{Value: p.src[p.pos-1 : p.pos], Escaped: true, Position: pos})
+			case q.special(p.peekByte()):
+				lit.WriteByte(p.advance())
+			default:
+				lit.WriteByte('\\')
+				lit.WriteByte(p.advance())
 			}
-			esc := p.advance()
-			if esc == '\n' {
-				continue // line continuation disappears
-			}
-			// Keep the backslash so expansion/pattern layers see quoting.
-			lit.WriteByte('\\')
-			lit.WriteByte(esc)
-		case '\'':
-			flushLit()
+		case c == '\'' && !q.dquoted():
 			pos := p.here()
 			p.advance()
 			start := p.pos
@@ -57,123 +124,46 @@ func (p *parser) readWord() *Word {
 			}
 			val := p.src[start:p.pos]
 			p.advance()
-			w.Parts = append(w.Parts, &SglQuoted{Value: val, Position: pos})
-			litPos = p.here()
-		case '"':
-			flushLit()
-			w.Parts = append(w.Parts, p.readDblQuoted(dqString))
-			litPos = p.here()
-		case '$':
-			part := p.readDollar(false)
-			if part == nil {
-				p.advance()
-				// Store the non-expansion dollar escaped so printing cannot
-				// fuse it with a following part into `$$` or `$(`.
-				lit.WriteString(`\$`)
-			} else {
-				flushLit()
-				w.Parts = append(w.Parts, part)
-				litPos = p.here()
-			}
-		case '`':
-			flushLit()
-			w.Parts = append(w.Parts, p.readBackquote())
-			litPos = p.here()
-		default:
+			add(&SglQuoted{Value: val, Position: pos})
+		case c == '"' && q != qHeredoc && q != qArith:
+			pos := p.here()
 			p.advance()
-			lit.WriteByte(c)
-		}
-	}
-	flushLit()
-	if len(w.Parts) == 0 {
-		p.errf(w.Position, "empty word")
-	}
-	return w
-}
-
-// dqMode is what readDblQuoted reads: a "..." string, or the whole of p.src
-// under the same rules — an unquoted here-document body, where `"` is an
-// ordinary character (so `\"` keeps its backslash), or the text of $((...)),
-// where `\` is one too.
-type dqMode uint8
-
-const (
-	dqString dqMode = iota
-	dqHeredoc
-	dqArith
-)
-
-// readDblQuoted reads double-quoted parts in the given mode, starting at the
-// opening quote of a dqString.
-func (p *parser) readDblQuoted(mode dqMode) *DblQuoted {
-	pos := p.here()
-	if mode == dqString {
-		p.advance() // consume "
-	}
-	dq := &DblQuoted{Position: pos}
-	var lit strings.Builder
-	litPos := p.here()
-	flushLit := func() {
-		if lit.Len() > 0 {
-			dq.Parts = append(dq.Parts, &Lit{Value: lit.String(), Position: litPos})
-			lit.Reset()
-		}
-	}
-	for {
-		if p.pos >= len(p.src) {
-			if mode != dqString {
-				flushLit()
-				return dq
-			}
-			p.errf(pos, "unterminated double-quoted string")
-		}
-		c := p.peekByte()
-		switch {
-		case c == '"' && mode == dqString:
-			p.advance()
-			flushLit()
-			return dq
-		case c == '\\' && mode == dqArith:
-			p.advance()
-			// Escaped for the expansion layer, which resolves it to one
-			// backslash of text.
-			lit.WriteString(`\\`)
-		case c == '\\' && p.pos+1 < len(p.src):
-			p.advance()
-			esc := p.advance()
-			switch {
-			case esc == '\n':
-				// line continuation
-			case esc == '"' && mode == dqHeredoc:
-				// The expansion layer unescapes \" too; here the backslash
-				// is text.
-				lit.WriteString(`\\"`)
-			default:
-				// The escape survives for the expansion layer to interpret.
-				lit.WriteByte('\\')
-				lit.WriteByte(esc)
-			}
+			add(&DblQuoted{Parts: p.readParts(qDquote, pos), Position: pos})
 		case c == '$':
-			part := p.readDollar(true)
-			if part == nil {
-				p.advance()
-				// Store the non-expansion dollar escaped so printing cannot
-				// fuse it with a following part into `$$` or `$(`.
-				lit.WriteString(`\$`)
+			pos := p.here()
+			if part := p.readDollar(q.dquoted()); part != nil {
+				add(part)
+				continue
+			}
+			p.advance()
+			if q.dquoted() {
+				lit.WriteByte('$')
 			} else {
-				flushLit()
-				dq.Parts = append(dq.Parts, part)
-				litPos = p.here()
+				// Unquoted, a dollar that starts no expansion is kept
+				// escaped, so printing cannot fuse it with a following
+				// part into `$$` or `$(`.
+				add(&SglQuoted{Value: "$", Escaped: true, Position: pos})
 			}
 		case c == '`':
-			flushLit()
-			dq.Parts = append(dq.Parts, p.readBackquote())
-			litPos = p.here()
+			add(p.readBackquote())
 		default:
+			if operand && c == '{' {
+				depth++
+			} else if operand && c == '}' {
+				depth--
+			}
 			p.advance()
 			lit.WriteByte(c)
 		}
 	}
+	switch q {
+	case qDquote:
+		p.errf(open, "unterminated double-quoted string")
+	case qOperand, qDquoteOperand:
+		p.errf(open, "unterminated ${...} expansion")
+	}
+	flush()
+	return parts
 }
 
 // isSpecialParam reports single-character special parameters.
@@ -197,7 +187,7 @@ func (p *parser) readDollar(inDquote bool) WordPart {
 		}
 		return p.readCmdSubst(pos)
 	case next == '{':
-		return p.readBracedParam(pos)
+		return p.readBracedParam(pos, inDquote)
 	case next == '_' || (next >= 'a' && next <= 'z') || (next >= 'A' && next <= 'Z'):
 		p.advance() // $
 		start := p.pos
@@ -255,7 +245,7 @@ func arithExp(expr string, start Pos) *ArithExp {
 	a := &ArithExp{Expr: expr}
 	if strings.ContainsAny(expr, "$`") {
 		sub := &parser{src: expr, line: start.Line, col: start.Col, base: start.Offset}
-		a.Parts = sub.readDblQuoted(dqArith).Parts
+		a.Parts = sub.readParts(qArith, start)
 	}
 	return a
 }
@@ -322,8 +312,10 @@ func (p *parser) readBackquote() WordPart {
 	return &CmdSubst{Stmts: sub.Stmts, Backquote: true, Position: pos}
 }
 
-// readBracedParam reads ${...} with the cursor on '$'.
-func (p *parser) readBracedParam(pos Pos) WordPart {
+// readBracedParam reads ${...} with the cursor on '$'. In a double-quoted
+// ${x-w}, ${x=w}, ${x?w} or ${x+w}, the operand w is read under
+// double-quote rules; a trim's pattern is read as a word is.
+func (p *parser) readBracedParam(pos Pos, inDquote bool) WordPart {
 	p.advance() // $
 	p.advance() // {
 	pe := &ParamExp{Brace: true, Position: pos}
@@ -400,8 +392,17 @@ func (p *parser) readBracedParam(pos Pos) WordPart {
 		p.errf(pos, "bad substitution operator in ${%s...}", pe.Name)
 	}
 	p.advance()
-	pe.Word = p.readBracedWord(pos)
+	pe.Word = &Word{Position: p.here()}
+	pe.Word.Parts = p.readParts(operandQuoting(pe.Op, inDquote), pos)
 	return pe
+}
+
+// operandQuoting is how the operand of op is read.
+func operandQuoting(op ParamOp, inDquote bool) quoting {
+	if inDquote && op < ParamTrimSuffix {
+		return qDquoteOperand
+	}
+	return qOperand
 }
 
 func isParamOpStart(c byte) bool {
@@ -410,86 +411,4 @@ func isParamOpStart(c byte) bool {
 		return true
 	}
 	return false
-}
-
-// readBracedWord reads the operand word of a ${name op word} expansion up to
-// the closing '}'. The operand may itself contain quotes and expansions.
-func (p *parser) readBracedWord(open Pos) *Word {
-	w := &Word{Position: p.here()}
-	var lit strings.Builder
-	litPos := p.here()
-	flushLit := func() {
-		if lit.Len() > 0 {
-			w.Parts = append(w.Parts, &Lit{Value: lit.String(), Position: litPos})
-			lit.Reset()
-		}
-	}
-	depth := 0
-	for {
-		if p.pos >= len(p.src) {
-			p.errf(open, "unterminated ${...} expansion")
-		}
-		c := p.peekByte()
-		switch c {
-		case '}':
-			if depth == 0 {
-				p.advance()
-				flushLit()
-				return w
-			}
-			depth--
-			p.advance()
-			lit.WriteByte(c)
-		case '{':
-			depth++
-			p.advance()
-			lit.WriteByte(c)
-		case '\\':
-			p.advance()
-			if p.pos < len(p.src) {
-				esc := p.advance()
-				if esc != '\n' {
-					lit.WriteByte('\\')
-					lit.WriteByte(esc)
-				}
-			}
-		case '\'':
-			flushLit()
-			pos := p.here()
-			p.advance()
-			start := p.pos
-			for p.pos < len(p.src) && p.peekByte() != '\'' {
-				p.advance()
-			}
-			if p.pos >= len(p.src) {
-				p.errf(pos, "unterminated single-quoted string")
-			}
-			w.Parts = append(w.Parts, &SglQuoted{Value: p.src[start:p.pos], Position: pos})
-			p.advance()
-			litPos = p.here()
-		case '"':
-			flushLit()
-			w.Parts = append(w.Parts, p.readDblQuoted(dqString))
-			litPos = p.here()
-		case '$':
-			part := p.readDollar(false)
-			if part == nil {
-				p.advance()
-				// Store the non-expansion dollar escaped so printing cannot
-				// fuse it with a following part into `$$` or `$(`.
-				lit.WriteString(`\$`)
-			} else {
-				flushLit()
-				w.Parts = append(w.Parts, part)
-				litPos = p.here()
-			}
-		case '`':
-			flushLit()
-			w.Parts = append(w.Parts, p.readBackquote())
-			litPos = p.here()
-		default:
-			p.advance()
-			lit.WriteByte(c)
-		}
-	}
 }

@@ -191,7 +191,7 @@ func (p *parser) next() {
 	if p.pos >= len(p.src) {
 		if len(p.pendingHeredocs) > 0 {
 			r := p.pendingHeredocs[0]
-			p.errf(r.Position, "unterminated here-document %q", heredocDelimText(r.Target))
+			p.errf(r.Position, "unterminated here-document %q", r.Target.StaticValue())
 		}
 		p.tok = token{kind: tEOF, io: -1, pos: p.tokPos}
 		return
@@ -316,31 +316,9 @@ func (p *parser) expect(k tokKind) {
 
 func (p *parser) describeTok() string {
 	if p.tok.kind == tWord {
-		return fmt.Sprintf("%q", wordText(p.tok.word))
+		return fmt.Sprintf("%q", PrintWord(p.tok.word))
 	}
 	return tokNames[p.tok.kind]
-}
-
-// wordText approximates the source text of a word for error messages.
-func wordText(w *Word) string {
-	var b strings.Builder
-	for _, part := range w.Parts {
-		switch q := part.(type) {
-		case *Lit:
-			b.WriteString(q.Value)
-		case *SglQuoted:
-			b.WriteString("'" + q.Value + "'")
-		case *DblQuoted:
-			b.WriteString(`"..."`)
-		case *ParamExp:
-			b.WriteString("$" + q.Name)
-		case *CmdSubst:
-			b.WriteString("$(...)")
-		case *ArithExp:
-			b.WriteString("$((...))")
-		}
-	}
-	return b.String()
 }
 
 // litTok returns the reserved-word text of the current token if it is a
@@ -353,7 +331,7 @@ func (p *parser) litTok() string {
 		return ""
 	}
 	l, ok := p.tok.word.Parts[0].(*Lit)
-	if !ok || strings.ContainsAny(l.Value, "\\") {
+	if !ok {
 		return ""
 	}
 	return l.Value
@@ -619,53 +597,23 @@ func (p *parser) redirect() *Redirect {
 	return r
 }
 
+// heredocDelimQuoted reports whether any part of the delimiter is quoted,
+// which makes the body text rather than a word to expand.
 func heredocDelimQuoted(w *Word) bool {
 	for _, part := range w.Parts {
 		switch part.(type) {
 		case *SglQuoted, *DblQuoted:
 			return true
-		case *Lit:
-			if strings.Contains(part.(*Lit).Value, "\\") {
-				return true
-			}
 		}
 	}
 	return false
-}
-
-// heredocDelimText returns the delimiter with quoting removed.
-func heredocDelimText(w *Word) string {
-	var b strings.Builder
-	for _, part := range w.Parts {
-		switch q := part.(type) {
-		case *Lit:
-			v := q.Value
-			for i := 0; i < len(v); i++ {
-				if v[i] == '\\' && i+1 < len(v) {
-					i++
-				}
-				if i < len(v) {
-					b.WriteByte(v[i])
-				}
-			}
-		case *SglQuoted:
-			b.WriteString(q.Value)
-		case *DblQuoted:
-			for _, ip := range q.Parts {
-				if l, ok := ip.(*Lit); ok {
-					b.WriteString(l.Value)
-				}
-			}
-		}
-	}
-	return b.String()
 }
 
 // gatherHeredocs reads pending here-document bodies, called right after a
 // newline has been consumed.
 func (p *parser) gatherHeredocs() {
 	for _, r := range p.pendingHeredocs {
-		delim := heredocDelimText(r.Target)
+		delim := r.Target.StaticValue()
 		start := p.here()
 		var body strings.Builder
 		for {
@@ -700,7 +648,7 @@ func (p *parser) gatherHeredocs() {
 		}
 		// (<<- strips tabs, so offsets inside such a body run a little early.)
 		sub := &parser{src: r.Heredoc, line: start.Line, col: 1, base: start.Offset}
-		r.Body = &Word{Parts: []WordPart{sub.readDblQuoted(dqHeredoc)}, Position: start}
+		r.Body = &Word{Parts: []WordPart{&DblQuoted{Parts: sub.readParts(qHeredoc, start), Position: start}}, Position: start}
 	}
 	p.pendingHeredocs = nil
 }

@@ -215,8 +215,12 @@ func TestParseQuoting(t *testing.T) {
 	if _, ok := dq.Parts[1].(*ParamExp); !ok {
 		t.Errorf("second dq part = %T, want *ParamExp", dq.Parts[1])
 	}
-	if sc.Args[3].Parts[0].(*Lit).Value != `mi\ xed` {
-		t.Errorf("escaped literal = %q", sc.Args[3].Parts[0].(*Lit).Value)
+	// An unquoted `\c` is its own part, c quoted: the word's text is
+	// values, with no backslash left for a later layer to interpret.
+	want := []WordPart{&Lit{Value: "mi"}, &SglQuoted{Value: " ", Escaped: true}, &Lit{Value: "xed"}}
+	normalize(sc.Args[3])
+	if !reflect.DeepEqual(sc.Args[3].Parts, want) {
+		t.Errorf("escaped word = %s", PrintWord(sc.Args[3]))
 	}
 }
 
@@ -308,8 +312,8 @@ func TestParseArith(t *testing.T) {
 }
 
 // TestParseArithParts: text with expansions is parsed once, by the parser,
-// under double-quote rules with `"` and `\` as text (a backslash is kept
-// escaped, as in any double-quoted literal); Walk visits the parts; a
+// under double-quote rules with `"` and `\` as text (a Lit holds its
+// value, as any double-quoted literal does); Walk visits the parts; a
 // malformed expansion is a syntax error of the script.
 func TestParseArithParts(t *testing.T) {
 	s := mustParse(t, `echo $(( ${x:-1} + "a\b" * $(c) ))`)
@@ -328,7 +332,7 @@ func TestParseArithParts(t *testing.T) {
 			kinds = append(kinds, "subst")
 		}
 	}
-	if got, want := strings.Join(kinds, "|"), `lit: |param:x|lit: + "a\\b" * |subst|lit: `; got != want {
+	if got, want := strings.Join(kinds, "|"), `lit: |param:x|lit: + "a\b" * |subst|lit: `; got != want {
 		t.Errorf("parts %s, want %s", got, want)
 	}
 	sawSubst := false

@@ -77,7 +77,7 @@ func (pr *printer) flushHeredocs() {
 	for _, r := range hds {
 		pr.b.WriteByte('\n')
 		pr.b.WriteString(r.Heredoc)
-		pr.b.WriteString(heredocDelimText(r.Target))
+		pr.b.WriteString(r.Target.StaticValue())
 	}
 }
 
@@ -349,44 +349,74 @@ func reservedLeadWord(w *Word) bool {
 	return false
 }
 
-func (pr *printer) word(w *Word) {
-	for _, part := range w.Parts {
-		pr.wordPart(part)
+func (pr *printer) word(w *Word) { pr.parts(w.Parts, qWord) }
+
+// parts writes word parts as q reads them back.
+func (pr *printer) parts(parts []WordPart, q quoting) {
+	depth := 0 // an operand's unclosed braces
+	for _, part := range parts {
+		switch x := part.(type) {
+		case *Lit:
+			pr.lit(x.Value, q, &depth)
+		case *SglQuoted:
+			if x.Escaped {
+				pr.b.WriteByte('\\')
+				pr.b.WriteString(x.Value)
+				break
+			}
+			pr.b.WriteByte('\'')
+			pr.b.WriteString(x.Value)
+			pr.b.WriteByte('\'')
+		case *DblQuoted:
+			pr.b.WriteByte('"')
+			pr.parts(x.Parts, qDquote)
+			pr.b.WriteByte('"')
+		case *ParamExp:
+			pr.paramExp(x, q.dquoted())
+		case *CmdSubst:
+			pr.b.WriteString("$(")
+			if startsWithSubshell(x.Stmts) {
+				// `$((` would re-lex as arithmetic expansion.
+				pr.b.WriteByte(' ')
+			}
+			pr.stmtsInline(x.Stmts)
+			pr.b.WriteByte(')')
+		case *ArithExp:
+			pr.b.WriteString("$((")
+			pr.b.WriteString(x.Expr)
+			pr.b.WriteString("))")
+		}
 	}
 }
 
-func (pr *printer) wordPart(part WordPart) {
-	switch x := part.(type) {
-	case *Lit:
-		pr.b.WriteString(x.Value)
-	case *SglQuoted:
-		pr.b.WriteByte('\'')
-		pr.b.WriteString(x.Value)
-		pr.b.WriteByte('\'')
-	case *DblQuoted:
-		pr.b.WriteByte('"')
-		for _, ip := range x.Parts {
-			pr.wordPart(ip)
+// lit writes a Lit's value as q reads it back. Unquoted, it holds no
+// character that needs quoting; under double-quote rules, a special
+// character is escaped, and so is a backslash that would otherwise
+// escape what follows it.
+func (pr *printer) lit(s string, q quoting, depth *int) {
+	if !q.dquoted() {
+		pr.b.WriteString(s)
+		return
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c == '\\' && i+1 < len(s) && s[i+1] != '\n' && !q.special(s[i+1]):
+			pr.b.WriteByte(c) // `\c` reads back as those two characters
+			i++
+			c = s[i]
+		case q == qDquoteOperand && c == '{':
+			*depth++
+		case q == qDquoteOperand && c == '}' && *depth > 0:
+			*depth--
+		case q.special(c):
+			pr.b.WriteByte('\\')
 		}
-		pr.b.WriteByte('"')
-	case *ParamExp:
-		pr.paramExp(x)
-	case *CmdSubst:
-		pr.b.WriteString("$(")
-		if startsWithSubshell(x.Stmts) {
-			// `$((` would re-lex as arithmetic expansion.
-			pr.b.WriteByte(' ')
-		}
-		pr.stmtsInline(x.Stmts)
-		pr.b.WriteByte(')')
-	case *ArithExp:
-		pr.b.WriteString("$((")
-		pr.b.WriteString(x.Expr)
-		pr.b.WriteString("))")
+		pr.b.WriteByte(c)
 	}
 }
 
-func (pr *printer) paramExp(x *ParamExp) {
+func (pr *printer) paramExp(x *ParamExp, inDquote bool) {
 	if !x.Brace && x.Op == ParamPlain {
 		pr.b.WriteString("$" + x.Name)
 		return
@@ -405,8 +435,30 @@ func (pr *printer) paramExp(x *ParamExp) {
 		}
 		pr.b.WriteString(x.Op.String())
 		if x.Word != nil {
-			pr.word(x.Word)
+			pr.parts(x.Word.Parts, operandQuoting(x.Op, inDquote))
 		}
 	}
 	pr.b.WriteByte('}')
+}
+
+// Quote returns a word that expands to exactly s: s itself when no
+// character of it is special to the shell, else s single-quoted.
+func Quote(s string) string {
+	if s != "" && strings.Trim(s, "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-./,:+@%") == "" {
+		return s
+	}
+	return "'" + strings.ReplaceAll(s, "'", `'\''`) + "'"
+}
+
+// QuoteWords is the command line whose fields are exactly words: the Quote
+// of each, joined by spaces.
+func QuoteWords(words []string) string {
+	var b strings.Builder
+	for i, w := range words {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(Quote(w))
+	}
+	return b.String()
 }

@@ -95,6 +95,9 @@ var roundTripCases = []string{
 	"while work; do step & done",
 	"(first & second)",
 	"case $x in a) job & ;; esac",
+	// The parser resolves quoting: `/a\ b` and "/a b" are one value.
+	"tr a-z A-Z </big >/a\\ b; wc -c \"/a b\" \"/a\\$b\" \"x\\\\q\" \"\\q\"",
+	"echo ${x-\\}} \"${x-\\}}\" \"${x-\\a}\" \"${x-'a'}\" \"${x#'a'}\" ${x#\\*} \\$ \"$\"",
 }
 
 func TestPrintRoundTrip(t *testing.T) {
