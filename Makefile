@@ -27,9 +27,12 @@ vet:
 # reader shares the VFS's blocks with later writers, so the VFS runs there
 # as well. The utilities' lanes share the line cursor pool and the block
 # pool, so their host diffs (with the lane law), cursor and allocation
-# tests run there too.
+# tests run there too. The interpreter caches one expand.Plan per word and
+# its pipeline-stage clones run the same plans at once, so expand runs
+# there as well (TestPlanSharedAcrossGoroutines runs one set of plans from
+# several goroutines).
 race:
-	$(GO) test -race ./internal/pipe/... ./internal/vfs/... ./internal/exec/... ./internal/interp/... ./internal/core/... ./internal/trace/... ./internal/dfg/...
+	$(GO) test -race ./internal/pipe/... ./internal/vfs/... ./internal/exec/... ./internal/expand/... ./internal/interp/... ./internal/core/... ./internal/trace/... ./internal/dfg/...
 	$(GO) test -race -run 'OverApproximates|DeadStore|ListParallel|ParallelizeList|AssignedBy|FuncTable' ./internal/analysis/... ./internal/rewrite/... ./internal/fuzz/...
 	$(GO) test -race -run 'Plan|Parallelize|Graph' ./internal/rewrite/...
 	$(GO) test -race -run 'MatchesGNU|Lanes|Cursor|Allocates' ./internal/coreutils/...

@@ -1,16 +1,17 @@
 // Abstract environments and abstract word expansion. Env maps variable
 // names to AbsVals with an optional fallback into the interpreter's
-// concrete variable table, and FieldsOf/EvalWordAbs mirror the two entry
-// points of package expand — ExpandWord (field-split argv words) and
-// ExpandString (assignments, redirection targets) — over abstract values.
+// concrete variable table, and FieldsOf/EvalWordAbs walk a word's
+// expand.Plan — the fragments expand.Run evaluates — over abstract values,
+// in Run's Fields and String modes.
 //
 // Soundness contract: whenever FieldsOf reports exact=true, the field
 // list it returns has exactly the structure the real expander produces,
-// and every AbsConst field equals the real field byte-for-byte. Anything
-// the model cannot reproduce faithfully (non-default IFS, $@/$*, tilde,
-// unquoted expansion of a non-constant value) degrades to exact=false,
-// and the consumers fall back to the conservative ⊤ paths they used
-// before this layer existed.
+// and every AbsConst field equals the real field byte-for-byte (and an
+// AbsConst from EvalWordAbs the real string; TestAbstractExpansionIsSound
+// checks both). Anything the model cannot reproduce faithfully
+// (non-default IFS, $@/$*, tilde, unquoted expansion of a non-constant
+// value) degrades to exact=false, and the consumers fall back to the
+// conservative ⊤ paths they used before this layer existed.
 package analysis
 
 import (
@@ -193,8 +194,9 @@ type AbsField struct {
 	Globbable bool
 }
 
-// absFrag mirrors expand's frag over abstract values: a run of characters
-// that are all quoted or all unquoted.
+// absFrag is one fragment of a word's expansion over abstract values, as
+// expand.Run builds it over strings: a run of characters that are all
+// quoted or all unquoted.
 type absFrag struct {
 	val    AbsVal
 	quoted bool
@@ -205,17 +207,6 @@ type absFrag struct {
 	// lengths, which are always plain digit strings.
 	noSplit bool
 }
-
-// fragContext is where absFrags models parts, as expand's context is: a
-// word's own text, the inside of double quotes, or the unquoted operand of
-// ${x op word}, whose literal text is part of the expansion's result.
-type fragContext uint8
-
-const (
-	fragWord fragContext = iota
-	fragDquote
-	fragOperand
-)
 
 // FieldsOf computes the fields a word expands to. exact=true guarantees
 // the returned list has precisely the runtime field structure; Const
@@ -228,10 +219,9 @@ func FieldsOf(w *syntax.Word, env *Env) ([]AbsField, bool) {
 	if env == nil {
 		env = NewEnv(nil)
 	}
-	if startsWithTilde(w) {
-		return nil, false
-	}
-	frags, exact := absFrags(w.Parts, fragWord, env)
+	var frags []absFrag
+	exact := false
+	expand.Lower(w, func(fs []expand.Frag) { frags, exact = absFrags(fs, env) })
 	if !exact {
 		return nil, false
 	}
@@ -287,10 +277,8 @@ func EvalWordAbs(w *syntax.Word, env *Env) AbsVal {
 	if env == nil {
 		env = NewEnv(nil)
 	}
-	if startsWithTilde(w) {
-		return Top()
-	}
-	frags, _ := absFrags(w.Parts, fragWord, env)
+	var frags []absFrag
+	expand.Lower(w, func(fs []expand.Frag) { frags, _ = absFrags(fs, env) })
 	out := Const("")
 	for _, f := range frags {
 		out = Concat(out, f.val)
@@ -298,58 +286,52 @@ func EvalWordAbs(w *syntax.Word, env *Env) AbsVal {
 	return out
 }
 
-// absFrags turns word parts, in context c, into abstract fragments. The
-// boolean result is false when the fragment list does not faithfully model
-// the runtime fragment structure ($@/$*, unknown part kinds).
-func absFrags(parts []syntax.WordPart, c fragContext, env *Env) ([]absFrag, bool) {
+// absFrags walks a word's plan over abstract values. The boolean result is
+// false when the fragment list does not faithfully model the runtime
+// fragment structure ($@/$*, a tilde prefix).
+func absFrags(fs []expand.Frag, env *Env) ([]absFrag, bool) {
 	var frags []absFrag
-	exact, inDquote := true, c == fragDquote
-	for _, part := range parts {
-		switch p := part.(type) {
-		case *syntax.Lit:
-			frags = append(frags, absFrag{val: Const(p.Value), quoted: inDquote, lit: c == fragWord})
-		case *syntax.SglQuoted:
-			frags = append(frags, absFrag{val: Const(p.Value), quoted: true})
-		case *syntax.DblQuoted:
-			inner, ok := absFrags(p.Parts, fragDquote, env)
-			if !ok {
-				exact = false
-			}
+	exact := true
+	for i := 0; i < len(fs); i++ {
+		f := &fs[i]
+		sub := fs[i+1 : i+1+int(f.N)]
+		i += int(f.N)
+		switch f.Kind {
+		case expand.Text:
+			frags = append(frags, absFrag{val: Const(f.Text), quoted: f.Quoted, lit: f.Lit})
+		case expand.Tilde:
+			// $HOME, or the text: the value, and which of the two, unknown.
+			exact = false
+			frags = append(frags, absFrag{val: Top(), quoted: true})
+		case expand.Group:
+			inner, ok := absFrags(sub, env)
+			exact = exact && ok
 			if len(inner) == 0 {
-				if onlyAtParams(p.Parts) {
-					// "$@": one field per parameter — unknown count.
-					exact = false
-					continue
-				}
-				// "" must still produce an (empty) field.
-				frags = append(frags, absFrag{val: Const(""), quoted: true})
-				continue
+				// A double-quoted string that expands to nothing is one
+				// empty field.
+				inner = append(inner, absFrag{val: Const(""), quoted: true})
 			}
 			frags = append(frags, inner...)
-		case *syntax.ParamExp:
-			pf, ok := absParam(p, inDquote, env)
-			if !ok {
-				exact = false
-			}
+		case expand.Param:
+			pf, ok := absParam(f, sub, env)
+			exact = exact && ok
 			frags = append(frags, pf...)
-		case *syntax.CmdSubst:
+		case expand.Subst:
 			// Output unknown; as a single fragment the model stays
 			// faithful (splitting of unquoted ⊤ is rejected in FieldsOf).
-			frags = append(frags, absFrag{val: Top(), quoted: inDquote})
-		case *syntax.ArithExp:
+			frags = append(frags, absFrag{val: Top(), quoted: f.Quoted})
+		case expand.Arith:
 			// Arithmetic always yields one plain digit string.
-			frags = append(frags, absFrag{val: Top(), quoted: inDquote, noSplit: true})
-		default:
-			exact = false
-			frags = append(frags, absFrag{val: Top(), quoted: inDquote})
+			frags = append(frags, absFrag{val: Top(), quoted: f.Quoted, noSplit: true})
 		}
 	}
 	return frags, exact
 }
 
-// absParam models one parameter expansion as fragments, mirroring
-// expand.expandParam case by case.
-func absParam(pe *syntax.ParamExp, inDquote bool, env *Env) ([]absFrag, bool) {
+// absParam models one parameter expansion, whose operand is the fragments
+// opd, as fragments, mirroring expand's evaluation case by case.
+func absParam(f *expand.Frag, opd []expand.Frag, env *Env) ([]absFrag, bool) {
+	pe, inDquote := f.Param, f.Quoted
 	name := pe.Name
 	if name == "@" || name == "*" {
 		// Multiple fields / IFS-joined: structure depends on $#.
@@ -385,15 +367,6 @@ func absParam(pe *syntax.ParamExp, inDquote bool, env *Env) ([]absFrag, bool) {
 	one := func(v AbsVal) ([]absFrag, bool) {
 		return []absFrag{{val: v, quoted: inDquote}}, true
 	}
-	word := func() ([]absFrag, bool) {
-		if pe.Word == nil {
-			return nil, true
-		}
-		if inDquote {
-			return absFrags(pe.Word.Parts, fragDquote, env)
-		}
-		return absFrags(pe.Word.Parts, fragOperand, env)
-	}
 	switch pe.Op {
 	case syntax.ParamPlain:
 		return one(val)
@@ -408,7 +381,7 @@ func absParam(pe *syntax.ParamExp, inDquote bool, env *Env) ([]absFrag, bool) {
 		}
 		if pe.Colon && emptyConst {
 			// Empty and unset take the same branch under `:`.
-			return word()
+			return absFrags(opd, env)
 		}
 		// Either ⊤ set-ness, or (without the colon) Const("") ambiguous
 		// between set-empty (expands empty) and unset (expands the word):
@@ -434,37 +407,16 @@ func absParam(pe *syntax.ParamExp, inDquote bool, env *Env) ([]absFrag, bool) {
 		}
 		if definite {
 			// Set and non-null satisfies both the `:+` and `+` forms.
-			return word()
+			return absFrags(opd, env)
 		}
 		// Unknown or ambiguous set-ness: zero-or-word fragments.
 		return []absFrag{{val: Top(), quoted: inDquote}}, false
 	case syntax.ParamTrimSuffix, syntax.ParamTrimSuffixLong,
 		syntax.ParamTrimPrefix, syntax.ParamTrimPrefixLong:
-		if pat, ok := expand.StaticPattern(pe.Word); ok && val.Kind == AbsConst {
-			return one(Const(expand.Trim(val.Str, pat, pe.Op)))
+		if f.Static && val.Kind == AbsConst {
+			return one(Const(expand.Trim(val.Str, f.Text, pe.Op)))
 		}
 		return one(Top())
 	}
 	return one(Top())
-}
-
-// onlyAtParams reports whether quoted parts consist solely of $@/$*.
-func onlyAtParams(parts []syntax.WordPart) bool {
-	for _, p := range parts {
-		pe, ok := p.(*syntax.ParamExp)
-		if !ok || (pe.Name != "@" && pe.Name != "*") {
-			return false
-		}
-	}
-	return len(parts) > 0
-}
-
-// startsWithTilde reports whether tilde expansion could rewrite the
-// word's leading fragment (unquoted literal beginning with ~).
-func startsWithTilde(w *syntax.Word) bool {
-	if len(w.Parts) == 0 {
-		return false
-	}
-	l, ok := w.Parts[0].(*syntax.Lit)
-	return ok && strings.HasPrefix(l.Value, "~")
 }

@@ -120,8 +120,7 @@ func builtinOf(sc *syntax.SimpleCommand) (row builtinRow, name string, builtin b
 // staticText is the word's value when the word is that and nothing else:
 // no expansion, no glob.
 func staticText(w *syntax.Word) (string, bool) {
-	text := w.StaticValue()
-	return text, w.IsStatic() && !strings.ContainsAny(text, "*?[")
+	return w.StaticValue(), w.IsStatic() && !expand.MayGlob(w)
 }
 
 // operand is one variable a builtin's operand names.

@@ -477,7 +477,7 @@ func SummarizeCommandEnv(sc *syntax.SimpleCommand, lib *spec.Library, env *Env) 
 		// Unquoted globs in static operands resolve at runtime: the
 		// concrete path recorded above may be a pattern — widen reads.
 		for _, w := range sc.Args[1:] {
-			if hasUnquotedGlob(w) {
+			if expand.MayGlob(w) {
 				s.Unknown |= OpRead
 			}
 		}
@@ -502,7 +502,7 @@ func SummarizeCommandEnv(sc *syntax.SimpleCommand, lib *spec.Library, env *Env) 
 		if cs, ok := lib.Lookup(name); ok && cs.OperandsAreInputs {
 			for _, w := range sc.Args[1:] {
 				if w.IsStatic() {
-					if v := w.StaticValue(); v != "" && v != "-" && !strings.HasPrefix(v, "-") && !hasUnquotedGlob(w) {
+					if v := w.StaticValue(); v != "" && v != "-" && !strings.HasPrefix(v, "-") && !expand.MayGlob(w) {
 						s.Touch(v, OpRead)
 					}
 				}
@@ -559,7 +559,7 @@ func foldRedirs(s *Summary, redirs []*syntax.Redirect, env *Env) {
 		if op == 0 {
 			continue
 		}
-		if r.Target != nil && r.Target.IsStatic() && !hasUnquotedGlob(r.Target) {
+		if r.Target != nil && r.Target.IsStatic() && !expand.MayGlob(r.Target) {
 			s.Touch(r.Target.StaticValue(), op)
 			continue
 		}
@@ -608,15 +608,4 @@ func redirOp(op syntax.RedirOp) Op {
 		return OpRead | OpWrite | OpCreate
 	}
 	return 0 // heredocs and fd-dups touch no named file
-}
-
-// hasUnquotedGlob reports whether the word contains glob metacharacters
-// outside quotes.
-func hasUnquotedGlob(w *syntax.Word) bool {
-	for _, part := range w.Parts {
-		if l, ok := part.(*syntax.Lit); ok && strings.ContainsAny(l.Value, "*?[") {
-			return true
-		}
-	}
-	return false
 }

@@ -272,10 +272,26 @@ func TestListParallelImplicitExitStopsTheShell(t *testing.T) {
 // TestListSplitReadsIFS: an unquoted expansion's result is split by IFS,
 // so a statement that assigns IFS and one that splits a value interfere.
 func TestListSplitReadsIFS(t *testing.T) {
-	for _, script := range []string{
+	agreeWithBashMode(t,
 		"x=a1b\nIFS=1; printf '%s|' $x\n",
 		"IFS=1; printf '%s|' $((10+1)) a$((10+1))b\n",
-	} {
+	)
+}
+
+// TestListTildeReadsHOME: a tilde prefix reads HOME, so a statement that
+// assigns HOME and one that expands `~` interfere.
+func TestListTildeReadsHOME(t *testing.T) {
+	agreeWithBashMode(t,
+		"HOME=/h; echo ~ ~/a\n",
+		"HOME=/h\nx=~/b; echo \"$x\" ${u=~}\n",
+	)
+}
+
+// agreeWithBashMode runs each script in bash mode and in jash mode and
+// wants the same status, stdout and stderr.
+func agreeWithBashMode(t *testing.T, scripts ...string) {
+	t.Helper()
+	for _, script := range scripts {
 		var outs [2]string
 		for i, mode := range []Mode{ModeBash, ModeJash} {
 			sh, out, errb := newShell(vfs.New(), cost.StandardEC2(), mode)

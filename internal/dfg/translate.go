@@ -3,6 +3,7 @@ package dfg
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"jash/internal/expand"
 	"jash/internal/spec"
@@ -159,7 +160,7 @@ func FromStmt(st *syntax.Stmt, lib *spec.Library, x *expand.Expander, aheadOfTim
 		if err := expandsEarly(aheadOfTime, sc.Args...); err != nil {
 			return nil, err
 		}
-		if x.FS == nil && !x.NoGlob && expand.AnalyzeWords(sc.Args).HasGlob {
+		if x.FS == nil && !x.NoGlob && slices.ContainsFunc(sc.Args, expand.MayGlob) {
 			return nil, errGlobNoFS
 		}
 		fields, err := x.ExpandWords(sc.Args)

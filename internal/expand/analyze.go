@@ -11,16 +11,15 @@ import (
 // performing it early could change observable shell state. It answers the
 // paper's B2 question — "what dynamic components does this word read?" —
 // so the JIT can expand words ahead of execution only when doing so is
-// provably side-effect free. AnalyzeWord, which computes it, is the one
-// reader of word parts that asks about variables: every analysis of what a
-// word may read or assign loops over Effects.
+// provably side-effect free. AnalyzeWord, which computes it from the
+// word's plan, is the one reader that asks about variables: every
+// analysis of what a word may read or assign loops over Effects.
 type Deps struct {
 	// Vars are the variable names read (positional and special parameters
 	// appear by their spelling: "1", "@", "?", ...).
 	Vars []string
 	// Reads of dynamic state beyond plain variables.
 	HasCmdSubst bool // $(...) or `...`: runs arbitrary commands
-	HasGlob     bool // unquoted metacharacters: reads the filesystem
 	// SideEffects is true when expanding the word can mutate state:
 	// ${x=w} assigns, ${x?w} can abort, $((x=1)) assigns, $(($x)) evaluates
 	// whatever text x holds, and any command substitution may do anything.
@@ -77,12 +76,13 @@ func (d Deps) SafeToExpandEarly() bool { return !d.SideEffects }
 func AnalyzeWord(w *syntax.Word) Deps { return AnalyzeWords([]*syntax.Word{w}) }
 
 // AnalyzeWords computes the summary of a word list: the words' effects in
-// order, everything else merged.
+// order, everything else merged. It reads each word's plan, so that it
+// and Run agree on which fragments are expansions and which are split.
 func AnalyzeWords(ws []*syntax.Word) Deps {
 	var d Deps
 	for _, w := range ws {
 		if w != nil {
-			analyzeParts(w.Parts, false, &d)
+			Lower(w, func(fs []Frag) { analyzeFrags(fs, true, w.Pos(), &d) })
 		}
 	}
 	slices.Sort(d.Vars)
@@ -90,28 +90,26 @@ func AnalyzeWords(ws []*syntax.Word) Deps {
 	return d
 }
 
-func analyzeParts(parts []syntax.WordPart, quoted bool, d *Deps) {
-	for i, part := range parts {
-		switch p := part.(type) {
-		case *syntax.Lit:
-			if !quoted {
-				if i == 0 && len(p.Value) > 0 && p.Value[0] == '~' {
-					d.Vars = append(d.Vars, "HOME") // tilde expansion
-				}
-				if strings.ContainsAny(p.Value, "*?[") {
-					d.HasGlob = true
-				}
-			}
-		case *syntax.SglQuoted:
-			// inert
-		case *syntax.DblQuoted:
-			analyzeParts(p.Parts, true, d)
-		case *syntax.ParamExp:
+// analyzeFrags adds to d what expanding fragments reads and does; split
+// says their unquoted results are field-split (a string or pattern
+// operand's are not), and pos is where the word they lower starts.
+func analyzeFrags(fs []Frag, split bool, pos syntax.Pos, d *Deps) {
+	for i := 0; i < len(fs); i++ {
+		f := &fs[i]
+		sub := fs[i+1 : i+1+int(f.N)]
+		i += int(f.N)
+		splits := split && !f.Quoted
+		switch f.Kind {
+		case Tilde:
+			d.Vars = append(d.Vars, "HOME")
+			d.Effects = append(d.Effects, VarEffect{Kind: EffectRead, Name: "HOME", Pos: pos, Guarded: true})
+		case Group:
+			analyzeFrags(sub, split, pos, d)
+		case Param:
+			p := f.Param
 			d.Vars = append(d.Vars, p.Name)
 			d.Effects = append(d.Effects, VarEffect{Kind: EffectRead, Name: p.Name, Pos: p.Pos(), Guarded: providesForUnset(p.Op)})
-			if p.Word != nil {
-				analyzeParts(p.Word.Parts, quoted, d)
-			}
+			analyzeFrags(sub, split && inPlace(p.Op), p.Pos(), d)
 			switch p.Op {
 			case syntax.ParamAssign:
 				d.SideEffects = true
@@ -120,15 +118,15 @@ func analyzeParts(parts []syntax.WordPart, quoted bool, d *Deps) {
 				d.SideEffects = true // can abort the shell
 				d.Effects = append(d.Effects, VarEffect{Kind: EffectAbort, Name: p.Name, Pos: p.Pos()})
 			}
-			if !quoted {
+			if splits {
 				splitRead(p.Pos(), d)
-				d.HasGlob = true
 			}
-		case *syntax.CmdSubst:
+		case Subst:
+			p := f.Subst
 			d.HasCmdSubst = true
 			d.SideEffects = true
 			d.Effects = append(d.Effects, VarEffect{Kind: EffectSubst, Pos: p.Pos(), Body: p.Stmts})
-			if !quoted {
+			if splits {
 				splitRead(p.Pos(), d)
 			}
 			// Variables read inside the substitution body still count.
@@ -138,8 +136,9 @@ func analyzeParts(parts []syntax.WordPart, quoted bool, d *Deps) {
 				}
 				return true
 			})
-		case *syntax.ArithExp:
-			if !quoted {
+		case Arith:
+			p := f.Arith
+			if splits {
 				splitRead(p.Pos(), d)
 			}
 			// Command substitution hiding inside the arithmetic text runs

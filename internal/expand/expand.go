@@ -8,7 +8,6 @@
 package expand
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -71,6 +70,8 @@ type Expander struct {
 	// pieces is the splitter's reused list of the pieces of the field
 	// being built.
 	pieces []piece
+	// plan is the plan ExpandWords and its siblings compile into.
+	plan *Plan
 }
 
 // ifs returns the active field separator set.
@@ -101,17 +102,6 @@ type frag struct {
 	fieldBreak bool
 }
 
-// context is where appendParts expands parts: in a word's own text, inside
-// double quotes, or in the unquoted operand of ${x op word}, whose literal
-// text is part of the expansion's result.
-type context uint8
-
-const (
-	wordText context = iota
-	dquoted
-	operand
-)
-
 // truncate pops the scratch back to mark, dropping the popped fragments'
 // strings.
 func (x *Expander) truncate(mark int) {
@@ -119,25 +109,20 @@ func (x *Expander) truncate(mark int) {
 	x.frags = x.frags[:mark]
 }
 
-// ExpandWord expands a word to fields, applying all expansion stages.
+// ExpandWord expands a word to fields: Compile and Run (into the
+// expander's own plan, so the compile-and-run entry points allocate none).
 func (x *Expander) ExpandWord(w *syntax.Word) ([]string, error) {
-	mark := len(x.frags)
-	defer x.truncate(mark)
-	if err := x.appendParts(w.Parts, wordText); err != nil {
-		return nil, err
-	}
-	return x.fields(x.tilde(x.frags[mark:], w)), nil
+	return x.ExpandWords([]*syntax.Word{w})
 }
 
 // ExpandWords expands a word list, concatenating the resulting fields.
 func (x *Expander) ExpandWords(ws []*syntax.Word) ([]string, error) {
 	var out []string
 	for _, w := range ws {
-		fields, err := x.ExpandWord(w)
-		if err != nil {
+		var err error
+		if out, err = x.Run(x.compile(w), Fields, out); err != nil {
 			return nil, err
 		}
-		out = append(out, fields...)
 	}
 	return out, nil
 }
@@ -146,93 +131,135 @@ func (x *Expander) ExpandWords(ws []*syntax.Word) ([]string, error) {
 // or pathname expansion — the rule for assignments, redirection targets
 // in scripts, and case words.
 func (x *Expander) ExpandString(w *syntax.Word) (string, error) {
-	if w == nil {
-		return "", nil
-	}
-	mark := len(x.frags)
-	defer x.truncate(mark)
-	if err := x.appendParts(w.Parts, wordText); err != nil {
-		return "", err
-	}
-	return joinFrags(x.tilde(x.frags[mark:], w)), nil
-}
-
-// joinFrags concatenates fragments into one string, with a space for each
-// field break.
-func joinFrags(frags []frag) string {
-	if len(frags) == 1 && !frags[0].fieldBreak {
-		return frags[0].s
-	}
-	var b strings.Builder
-	for _, f := range frags {
-		if f.fieldBreak {
-			b.WriteByte(' ')
-			continue
-		}
-		b.WriteString(f.s)
-	}
-	return b.String()
+	return x.expandString(w, String)
 }
 
 // ExpandPattern expands a word into a matching pattern: quoted characters
 // are escaped so they match literally, unquoted metacharacters stay live.
 // Used for case patterns and ${x#pat}-style trims.
 func (x *Expander) ExpandPattern(w *syntax.Word) (string, error) {
-	if w == nil {
-		return "", nil
+	return x.expandString(w, Pattern)
+}
+
+func (x *Expander) expandString(w *syntax.Word, m Mode) (string, error) {
+	return x.RunString(x.compile(w), m)
+}
+
+// compile lowers w into the expander's plan, which holds until the next
+// call.
+func (x *Expander) compile(w *syntax.Word) *Plan {
+	if x.plan == nil {
+		x.plan = new(Plan)
+	}
+	x.plan.lower(w)
+	return x.plan
+}
+
+// Run evaluates a plan in mode m and appends the result to out: the
+// word's fields in Fields mode, its one string in String and Pattern mode.
+// It is the one evaluator of a word. A static plan's result is read off
+// the plan (its field is still globbed when its pattern has a live
+// metacharacter).
+func (x *Expander) Run(p *Plan, m Mode, out []string) ([]string, error) {
+	if m != Fields {
+		s, err := x.RunString(p, m)
+		if err != nil {
+			return out, err
+		}
+		return append(out, s), nil
+	}
+	if err := x.fault(); err != nil {
+		return out, err
+	}
+	if fixed, ok := p.Fixed(out); ok {
+		return fixed, nil
+	}
+	switch {
+	case p.static && (x.NoGlob || x.FS == nil):
+		return append(out, p.value), nil
+	case p.static:
+		return x.glob(out, p.value, p.pattern()), nil
+	case p.lone:
+		f := &p.frags[0]
+		v, err := x.value(f, nil)
+		switch {
+		case err != nil:
+			return out, err
+		case f.Quoted:
+			return append(out, v), nil
+		case v == "":
+			return out, nil
+		case !strings.ContainsAny(v, x.ifs()) && !strings.ContainsAny(v, "*?["):
+			return append(out, v), nil // one field: nothing splits or globs it
+		}
 	}
 	mark := len(x.frags)
 	defer x.truncate(mark)
-	if err := x.appendParts(w.Parts, wordText); err != nil {
+	if err := x.eval(p.frags, m); err != nil {
+		return out, err
+	}
+	return x.fields(x.frags[mark:], out), nil
+}
+
+// RunString is Run in String or Pattern mode, returning the one string.
+func (x *Expander) RunString(p *Plan, m Mode) (string, error) {
+	if err := x.fault(); err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	for _, f := range x.frags[mark:] {
+	switch {
+	case p.static && (m == String || p.frags == nil):
+		return p.value, nil
+	case p.static:
+		return p.pattern(), nil
+	case p.lone:
+		return x.value(&p.frags[0], nil)
+	}
+	return x.str(p.frags, m)
+}
+
+// fault trips the expansion layer's injected fault, if one is armed.
+func (x *Expander) fault() error {
+	if x.Faults == nil {
+		return nil
+	}
+	if err := x.Faults.CheckContained("expand:parts", faultinject.OpRead); err != nil {
+		return &ExpandError{Msg: "expansion fault: " + err.Error()}
+	}
+	return nil
+}
+
+// str expands fragments to one string: joined, or, in Pattern mode, with
+// quoted characters escaped.
+func (x *Expander) str(fs []Frag, m Mode) (string, error) {
+	mark := len(x.frags)
+	defer x.truncate(mark)
+	if err := x.eval(fs, m); err != nil {
+		return "", err
+	}
+	frags := x.frags[mark:]
+	if len(frags) == 1 && !frags[0].fieldBreak && (m != Pattern || !frags[0].quoted) {
+		return frags[0].s, nil
+	}
+	n := 0
+	for _, f := range frags {
+		n += len(f.s)
 		if f.fieldBreak {
-			b.WriteByte(' ')
-			continue
+			n++
 		}
-		if f.quoted {
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, f := range frags {
+		switch {
+		case f.fieldBreak:
+			b.WriteByte(' ')
+		case f.quoted && m == Pattern:
 			b.WriteString(escapeMeta(f.s))
-		} else {
+		default:
 			b.WriteString(f.s)
 		}
 	}
 	return b.String(), nil
-}
-
-// StaticPattern is the pattern ExpandPattern makes of w when w holds no
-// expansion, and false when it does: unquoted literal text stays live as
-// written, quoted text is escaped so it matches only itself.
-func StaticPattern(w *syntax.Word) (string, bool) {
-	if w == nil {
-		return "", true
-	}
-	var b strings.Builder
-	for _, part := range w.Parts {
-		var s string
-		switch p := part.(type) {
-		case *syntax.Lit:
-			s = p.Value
-		case *syntax.SglQuoted:
-			s = escapeMeta(p.Value)
-		case *syntax.DblQuoted:
-			for _, ip := range p.Parts {
-				lit, ok := ip.(*syntax.Lit)
-				if !ok {
-					return "", false
-				}
-				s += escapeMeta(lit.Value)
-			}
-		default:
-			return "", false
-		}
-		if len(w.Parts) == 1 {
-			return s, true
-		}
-		b.WriteString(s)
-	}
-	return b.String(), true
 }
 
 // escapeMeta backslash-escapes the pattern characters of s, so that it
@@ -252,84 +279,72 @@ func escapeMeta(s string) string {
 	return b.String()
 }
 
-// appendParts expands word parts, in context c, onto the scratch.
-func (x *Expander) appendParts(parts []syntax.WordPart, c context) error {
-	if err := x.Faults.CheckContained("expand:parts", faultinject.OpRead); err != nil {
-		return &ExpandError{Msg: "expansion fault: " + err.Error()}
-	}
-	for _, part := range parts {
-		switch p := part.(type) {
-		case *syntax.Lit:
-			x.frags = append(x.frags, frag{s: p.Value, quoted: c == dquoted, lit: c == wordText})
-		case *syntax.SglQuoted:
-			x.frags = append(x.frags, frag{s: p.Value, quoted: true})
-		case *syntax.DblQuoted:
+// eval expands fragments onto the scratch in mode m (which matters only to
+// a tilde prefix: a pattern takes it as text).
+func (x *Expander) eval(fs []Frag, m Mode) error {
+	for i := 0; i < len(fs); i++ {
+		f := &fs[i]
+		sub := fs[i+1 : i+1+int(f.N)]
+		i += int(f.N)
+		switch f.Kind {
+		case Text:
+			x.frags = append(x.frags, frag{s: f.Text, quoted: f.Quoted, lit: f.Lit})
+		case Tilde:
+			if home, ok := x.getvar("HOME"); ok && m != Pattern {
+				x.frags = append(x.frags, frag{s: home, quoted: true}, frag{s: f.Text[1:], lit: f.Lit})
+			} else {
+				x.frags = append(x.frags, frag{s: f.Text, lit: f.Lit})
+			}
+		case Group:
 			mark := len(x.frags)
-			if err := x.appendParts(p.Parts, dquoted); err != nil {
+			if err := x.eval(sub, m); err != nil {
 				return err
 			}
-			// "" must produce an empty field; a quoted expansion of
-			// nothing-but-$@ signals "no field" by producing no fragments.
-			if len(x.frags) == mark && !onlyAt(p.Parts) {
-				x.frags = append(x.frags, frag{s: "", quoted: true})
+			if len(x.frags) == mark {
+				x.frags = append(x.frags, frag{quoted: true})
 			}
-		case *syntax.ParamExp:
-			if err := x.appendParam(p, c); err != nil {
+		case Param:
+			if err := x.param(f, sub, m); err != nil {
 				return err
 			}
-		case *syntax.CmdSubst:
+		case Subst:
 			if x.CmdSubst == nil {
 				return &ExpandError{Msg: "command substitution not permitted in this context"}
 			}
-			out, err := x.CmdSubst(p.Stmts)
+			out, err := x.CmdSubst(f.Subst.Stmts)
 			if err != nil {
 				return err
 			}
-			x.frags = append(x.frags, frag{s: strings.TrimRight(out, "\n"), quoted: c == dquoted})
-		case *syntax.ArithExp:
-			v, err := x.evalArith(p)
+			x.frags = append(x.frags, frag{s: strings.TrimRight(out, "\n"), quoted: f.Quoted})
+		case Arith:
+			v, err := x.evalArith(f, sub)
 			if err != nil {
 				return &ExpandError{Msg: err.Error(), Fatal: true}
 			}
-			x.frags = append(x.frags, frag{s: strconv.FormatInt(v, 10), quoted: c == dquoted})
-		default:
-			return fmt.Errorf("unknown word part %T", part)
+			x.frags = append(x.frags, frag{s: strconv.FormatInt(v, 10), quoted: f.Quoted})
 		}
 	}
 	return nil
 }
 
-// onlyAt reports whether the quoted parts consist solely of $@/$* params.
-func onlyAt(parts []syntax.WordPart) bool {
-	for _, p := range parts {
-		pe, ok := p.(*syntax.ParamExp)
-		if !ok || (pe.Name != "@" && pe.Name != "*") {
-			return false
+// evalArith evaluates a $((...)): its compiled expression, or the text its
+// fragments expand to, compiled (and cached: loop counters re-evaluate the
+// same text millions of times). Bare names (N + 1) resolve as the
+// expression runs.
+func (x *Expander) evalArith(f *Frag, text []Frag) (int64, error) {
+	a, src := f.Expr, f.Arith.Expr
+	if a == nil {
+		if f.N > 0 {
+			s, err := x.str(text, String)
+			if err != nil {
+				return 0, err
+			}
+			src = s
 		}
-	}
-	return len(parts) > 0
-}
-
-// evalArith evaluates a $((...)). POSIX expands parameters and command
-// substitutions in the expression *before* the arithmetic grammar sees it,
-// so `$(( ${N:-3} + 1 ))` works: the parser left those expansions in
-// p.Parts, and the text they produce is what compiles. Bare names (N + 1)
-// resolve as the expression runs.
-func (x *Expander) evalArith(p *syntax.ArithExp) (int64, error) {
-	expr := p.Expr
-	if p.Parts != nil {
-		mark := len(x.frags)
-		if err := x.appendParts(p.Parts, dquoted); err != nil {
+		var err error
+		if a, err = CompileArithExpr(src); err != nil {
 			return 0, err
 		}
-		expr = joinFrags(x.frags[mark:])
-		x.truncate(mark)
-	}
-	// The text is compiled once and cached: loop counters re-evaluate the
-	// same expression millions of times.
-	a, err := CompileArithExpr(expr)
-	if err != nil {
-		return 0, err
 	}
 	if x.arith.Lookup == nil {
 		x.arith.Lookup = func(name string) string {
@@ -347,6 +362,8 @@ func (x *Expander) paramValue(name string) (string, bool) {
 	switch {
 	case name == "":
 		return "", false
+	case name[0] >= 'A': // a variable (letters and _ sort above digits and specials)
+		return x.getvar(name)
 	case name[0] == '0' && strings.Trim(name, "0") == "":
 		return x.Name0, true
 	}
@@ -364,147 +381,133 @@ func (x *Expander) paramValue(name string) (string, bool) {
 	case "@", "*":
 		return strings.Join(x.Params, " "), true
 	}
-	return Param(name, x.Params, x.getvar)
-}
-
-// Param resolves a variable, through lookup, or a positional parameter
-// ($1, ${10}, …), from params; set=false means unset. $0 and the special
-// parameters are the expander's alone.
-func Param(name string, params []string, lookup func(string) (string, bool)) (string, bool) {
 	if c := name[0]; c < '0' || c > '9' {
-		return lookup(name)
+		return x.getvar(name)
 	}
 	n, err := strconv.Atoi(name)
-	if err != nil || n < 1 || n > len(params) {
+	if err != nil || n < 1 || n > len(x.Params) {
 		return "", false
 	}
-	return params[n-1], true
+	return x.Params[n-1], true
 }
 
-// appendParam expands one ${...} or $x occurrence, in context c, onto the
-// scratch.
-func (x *Expander) appendParam(pe *syntax.ParamExp, c context) error {
-	inDquote := c == dquoted
-	// $@ / $* first: they produce multiple fragments.
+// param expands one ${...} or $x, whose operand is the fragments opd,
+// onto the scratch.
+func (x *Expander) param(f *Frag, opd []Frag, m Mode) error {
+	pe := f.Param
 	if pe.Name == "@" || pe.Name == "*" {
-		return x.appendAt(pe, inDquote)
+		return x.at(f, opd, m)
 	}
-	val, set := x.paramValue(pe.Name)
-	null := val == ""
-	useWord := false
-	if !set && x.NoUnset && !providesForUnset(pe.Op) {
-		return &ExpandError{Msg: pe.Name + ": parameter not set", Fatal: true}
+	if inPlace(pe.Op) {
+		val, set := x.paramValue(pe.Name)
+		null := !set || pe.Colon && val == ""
+		switch {
+		case null == (pe.Op == syntax.ParamDefault):
+			return x.eval(opd, m)
+		case null:
+			return nil // ${x+w} of an unset x
+		}
+		x.frags = append(x.frags, frag{s: val, quoted: f.Quoted})
+		return nil
 	}
-	switch pe.Op {
-	case syntax.ParamLength:
-		val = strconv.Itoa(len(val))
-	case syntax.ParamDefault:
-		if !set || (pe.Colon && null) {
-			useWord = true
-		}
-	case syntax.ParamAssign:
-		if !set || (pe.Colon && null) {
-			w, err := x.ExpandString(pe.Word)
-			if err != nil {
-				return err
-			}
-			if x.Set == nil {
-				return &ExpandError{Msg: "cannot assign " + pe.Name + " in this context"}
-			}
-			if err := x.Set(pe.Name, w); err != nil {
-				return &ExpandError{Msg: err.Error(), Fatal: true}
-			}
-			val = w
-		}
-	case syntax.ParamError:
-		if !set || (pe.Colon && null) {
-			msg, err := x.ExpandString(pe.Word)
-			if err != nil {
-				return err
-			}
-			if msg == "" {
-				msg = "parameter not set"
-			}
-			return &ExpandError{Msg: pe.Name + ": " + msg, Fatal: true}
-		}
-	case syntax.ParamAlt:
-		if !set || (pe.Colon && null) {
-			return nil
-		}
-		useWord = true
-	case syntax.ParamTrimSuffix, syntax.ParamTrimSuffixLong,
-		syntax.ParamTrimPrefix, syntax.ParamTrimPrefixLong:
-		pat, err := x.ExpandPattern(pe.Word)
-		if err != nil {
-			return err
-		}
-		val = Trim(val, pat, pe.Op)
+	val, err := x.value(f, opd)
+	if err != nil {
+		return err
 	}
-	if useWord {
-		if pe.Word == nil {
-			return nil
-		}
-		return x.appendParts(pe.Word.Parts, operandOf(inDquote))
-	}
-	x.frags = append(x.frags, frag{s: val, quoted: inDquote})
+	x.frags = append(x.frags, frag{s: val, quoted: f.Quoted})
 	return nil
 }
 
+// value is the one string a parameter read other than ${x-w} and ${x+w}
+// makes, whose operand is the fragments opd: $x, ${#x}, an assignment or
+// an abort when x is unset (or null, with the colon), or a trim.
+func (x *Expander) value(f *Frag, opd []Frag) (string, error) {
+	pe := f.Param
+	val, set := x.paramValue(pe.Name)
+	if !set && x.NoUnset && !providesForUnset(pe.Op) {
+		return "", &ExpandError{Msg: pe.Name + ": parameter not set", Fatal: true}
+	}
+	null := !set || pe.Colon && val == ""
+	switch pe.Op {
+	case syntax.ParamPlain:
+		return val, nil
+	case syntax.ParamLength:
+		return strconv.Itoa(len(val)), nil
+	case syntax.ParamAssign:
+		if !null {
+			return val, nil
+		}
+		w, err := x.str(opd, String)
+		if err != nil {
+			return "", err
+		}
+		if x.Set == nil {
+			return "", &ExpandError{Msg: "cannot assign " + pe.Name + " in this context"}
+		}
+		if err := x.Set(pe.Name, w); err != nil {
+			return "", &ExpandError{Msg: err.Error(), Fatal: true}
+		}
+		return w, nil
+	case syntax.ParamError:
+		if !null {
+			return val, nil
+		}
+		msg, err := x.str(opd, String)
+		if err != nil {
+			return "", err
+		}
+		if msg == "" {
+			msg = "parameter not set"
+		}
+		return "", &ExpandError{Msg: pe.Name + ": " + msg, Fatal: true}
+	}
+	pat := f.Text
+	if !f.Static {
+		var err error
+		if pat, err = x.str(opd, Pattern); err != nil {
+			return "", err
+		}
+	}
+	return Trim(val, pat, pe.Op), nil
+}
+
 // Trim applies a ${x#pat}-style trim operator to val; pat is a pattern as
-// ExpandPattern returns it.
+// ExpandPattern returns it. Each operator searches in its own direction for
+// the one match it uses.
 func Trim(val, pat string, op syntax.ParamOp) string {
 	switch op {
-	case syntax.ParamTrimSuffix:
-		if short, _, ok := pattern.MatchSuffix(pat, val); ok {
-			return val[:len(val)-short]
+	case syntax.ParamTrimSuffix, syntax.ParamTrimSuffixLong:
+		if n, ok := pattern.Suffix(pat, val, op == syntax.ParamTrimSuffixLong); ok {
+			return val[:len(val)-n]
 		}
-	case syntax.ParamTrimSuffixLong:
-		if _, long, ok := pattern.MatchSuffix(pat, val); ok {
-			return val[:len(val)-long]
-		}
-	case syntax.ParamTrimPrefix:
-		if short, _, ok := pattern.MatchPrefix(pat, val); ok {
-			return val[short:]
-		}
-	case syntax.ParamTrimPrefixLong:
-		if _, long, ok := pattern.MatchPrefix(pat, val); ok {
-			return val[long:]
+	case syntax.ParamTrimPrefix, syntax.ParamTrimPrefixLong:
+		if n, ok := pattern.Prefix(pat, val, op == syntax.ParamTrimPrefixLong); ok {
+			return val[n:]
 		}
 	}
 	return val
 }
 
-// operandOf is the context of a ${x op word} operand.
-func operandOf(inDquote bool) context {
-	if inDquote {
-		return dquoted
-	}
-	return operand
-}
-
-// appendAt handles $@ and $* in both quoted and unquoted positions.
-func (x *Expander) appendAt(pe *syntax.ParamExp, inDquote bool) error {
+// at expands $@ and $*, whose operand is the fragments opd, in both quoted
+// and unquoted positions.
+func (x *Expander) at(f *Frag, opd []Frag, m Mode) error {
 	params := x.Params
-	set := len(params) > 0
 	// Apply the subset of operators that make sense for $@.
-	switch pe.Op {
+	switch f.Param.Op {
 	case syntax.ParamDefault:
-		if !set {
-			if pe.Word == nil {
-				return nil
-			}
-			return x.appendParts(pe.Word.Parts, operandOf(inDquote))
+		if len(params) == 0 {
+			return x.eval(opd, m)
 		}
 	case syntax.ParamAlt:
-		if !set || pe.Word == nil {
+		if len(params) == 0 {
 			return nil
 		}
-		return x.appendParts(pe.Word.Parts, operandOf(inDquote))
+		return x.eval(opd, m)
 	case syntax.ParamLength:
-		x.frags = append(x.frags, frag{s: strconv.Itoa(len(params)), quoted: inDquote})
+		x.frags = append(x.frags, frag{s: strconv.Itoa(len(params)), quoted: f.Quoted})
 		return nil
 	}
-	if inDquote && pe.Name == "*" {
+	if f.Quoted && f.Param.Name == "*" {
 		sep := " "
 		if ifs := x.ifs(); ifs == "" {
 			sep = ""
@@ -518,34 +521,9 @@ func (x *Expander) appendAt(pe *syntax.ParamExp, inDquote bool) error {
 		if i > 0 {
 			x.frags = append(x.frags, frag{fieldBreak: true})
 		}
-		x.frags = append(x.frags, frag{s: p, quoted: inDquote})
+		x.frags = append(x.frags, frag{s: p, quoted: f.Quoted})
 	}
 	return nil
-}
-
-// tilde applies tilde expansion to the leading fragment when the original
-// word begins with an unquoted literal '~'.
-func (x *Expander) tilde(frags []frag, w *syntax.Word) []frag {
-	if len(frags) == 0 || frags[0].quoted || !strings.HasPrefix(frags[0].s, "~") {
-		return frags
-	}
-	if len(w.Parts) == 0 {
-		return frags
-	}
-	if _, ok := w.Parts[0].(*syntax.Lit); !ok {
-		return frags
-	}
-	rest := frags[0].s[1:]
-	if rest != "" && !strings.HasPrefix(rest, "/") {
-		return frags // ~user form: no user database, keep literal
-	}
-	home, ok := x.getvar("HOME")
-	if !ok || home == "" {
-		return frags
-	}
-	out := make([]frag, 0, len(frags)+1)
-	out = append(out, frag{s: home, quoted: true}, frag{s: rest, lit: true})
-	return append(out, frags[1:]...)
 }
 
 // piece is one run of a field's text: its bytes, whether they are quoted,
@@ -572,9 +550,8 @@ const shareMax = 1024
 // data: it stays in the field, and escapes only in the glob pattern, which
 // is built only for a field whose unquoted text holds a metacharacter or a
 // backslash (a trailing one escapes the next piece's first pattern byte).
-func (x *Expander) fields(frags []frag) []string {
+func (x *Expander) fields(frags []frag, out []string) []string {
 	ifs := x.ifs()
-	var out []string
 	ps := x.pieces[:0]
 	started, meta := false, false
 	prevNonWS := true // a leading non-whitespace delimiter makes an empty field
@@ -654,19 +631,26 @@ func (x *Expander) appendField(out []string, ps []piece, meta bool) []string {
 		}
 		text = b.String()
 	}
-	if meta && !x.NoGlob && x.FS != nil {
-		var b strings.Builder
-		for _, p := range ps {
-			if p.quoted {
-				b.WriteString(escapeMeta(p.text))
-			} else {
-				b.WriteString(p.text)
-			}
+	if !meta || x.NoGlob || x.FS == nil {
+		return append(out, text)
+	}
+	var b strings.Builder
+	for _, p := range ps {
+		if p.quoted {
+			b.WriteString(escapeMeta(p.text))
+		} else {
+			b.WriteString(p.text)
 		}
-		if pat := b.String(); pattern.HasMeta(pat) {
-			if matches := x.FS.Glob(x.Dir, pat); len(matches) > 0 {
-				return append(out, matches...)
-			}
+	}
+	return x.glob(out, text, b.String())
+}
+
+// glob appends the pathnames pat matches to out, or text when pat has no
+// live metacharacter or matches nothing.
+func (x *Expander) glob(out []string, text, pat string) []string {
+	if pattern.HasMeta(pat) {
+		if matches := x.FS.Glob(x.Dir, pat); len(matches) > 0 {
+			return append(out, matches...)
 		}
 	}
 	return append(out, text)

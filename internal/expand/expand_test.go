@@ -3,6 +3,7 @@ package expand
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -422,12 +423,18 @@ func TestAnalyzeWord(t *testing.T) {
 	}
 }
 
+// TestAnalyzeGlobDetection: whether a word may glob is a property of its
+// plan, exact for a static word (a `[` that opens no bracket is text) and
+// conservative for a dynamic one.
 func TestAnalyzeGlobDetection(t *testing.T) {
-	if d := AnalyzeWord(wordOf(t, `*.go`)); !d.HasGlob {
-		t.Error("*.go should report HasGlob")
-	}
-	if d := AnalyzeWord(wordOf(t, `'*.go'`)); d.HasGlob {
-		t.Error("quoted pattern should not report HasGlob")
+	for src, want := range map[string]bool{
+		`*.go`: true, `'*.go'`: false, `[`: false, `a[b`: false, `[ab]`: true, `\*`: false,
+		`$x`: true, `"$x"`: false, `"$x"*`: true, `"$x"[`: true, `${x-*}`: true, `"${x#*}"`: false,
+		`$((1))`: false, `~/*`: true, `~`: false,
+	} {
+		if got := MayGlob(wordOf(t, src)); got != want {
+			t.Errorf("%s: MayGlob = %v, want %v", src, got, want)
+		}
 	}
 	if d := AnalyzeWord(wordOf(t, `$(x)`)); !d.HasCmdSubst {
 		t.Error("$(x) should report HasCmdSubst")
@@ -539,5 +546,47 @@ func TestArithCmdSubst(t *testing.T) {
 	d := AnalyzeWord(wordOf2(`$(( $(cmd) + 1 ))`))
 	if !d.HasCmdSubst || d.SafeToExpandEarly() {
 		t.Errorf("arith cmd-subst analysis: %+v", d)
+	}
+}
+
+// TestPlanSharedAcrossGoroutines runs one set of compiled plans from
+// several goroutines at once, each with its own expander, as the
+// interpreter's pipeline-stage clones run the plans their cache shares: a
+// plan is read, never written, after Compile (make race runs this under
+// the race detector).
+func TestPlanSharedAcrossGoroutines(t *testing.T) {
+	var plans []Plan
+	for _, src := range []string{`lit`, `/a*`, `$x`, `"$x"`, `${x##*o}`, `${x#$y}`, `a"${u+$x}"b`,
+		`${u:-a b}`, `$((1 + 2))`, `$(( ${#x} * 2 ))`, `~/d`, `"$@"`, `${u=set}`} {
+		plans = append(plans, Compile(wordOf(t, src)))
+	}
+	expandAll := func(x *Expander) string {
+		var out []string
+		for i := range plans {
+			out, _ = x.Run(&plans[i], Fields, out)
+			s, _ := x.RunString(&plans[i], Pattern)
+			out = append(out, s)
+		}
+		return strings.Join(out, "|")
+	}
+	want := expandAll(fuzzExpander())
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				if got := expandAll(fuzzExpander()); got != want {
+					errs <- got
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for got := range errs {
+		t.Errorf("concurrent run = %q, want %q", got, want)
 	}
 }

@@ -116,7 +116,7 @@ func checkSplit(t *testing.T, ifs string, frags []frag) {
 	t.Helper()
 	x := splitExpander(ifs)
 	want := refGlob(x, refSplit(ifs, frags))
-	got := x.fields(frags)
+	got := x.fields(frags, nil)
 	if !slices.Equal(got, want) || len(got) != len(want) {
 		t.Errorf("IFS %q, %+v: fields %q, reference %q", ifs, frags, got, want)
 	}

@@ -1,38 +1,24 @@
 // Closure compilation of the evaluator: statements, words, and command
 // dispatch are lowered into closures the first time a node is executed and
-// cached, so loop and function bodies pay dispatch, word-structure
-// analysis, and redirect-plan construction once instead of on every
-// iteration (the jq-paper "compile, don't tree-walk" discipline). The
-// closures take the *Interp as a parameter rather than capturing state, so
-// one compiled program serves every subshell and pipeline-stage clone
-// sharing the cache.
+// cached, so loop and function bodies pay dispatch, word lowering, and
+// redirect-plan construction once instead of on every iteration (the
+// jq-paper "compile, don't tree-walk" discipline). The closures take the
+// *Interp as a parameter rather than capturing state, so one compiled
+// program serves every subshell and pipeline-stage clone sharing the cache.
 //
 // This is the only evaluator: control flow, set -e, traps, redirections and
-// the break/continue/exit/return signals have one implementation. What is
-// faster than re-deriving everything per run is confined to two places —
-// the word plans and compileDispatch's pre-resolved builtin/utility
-// pointers — and Interp.NoCompile turns exactly those off: every word goes
-// through the full expand.Expander and every command through in.dispatch.
-// That run is the reference the differential tests, the fuzzer's `plain`
-// oracle and the benchmark's interp.walk_script_ms compare the optimised
-// run against. The word plans are:
-//
-//   - planStatic: literal text, one precomputed field (a whole static
-//     argument list is one precomputed slice);
-//   - planVar: a lone parameter read — $name, "$name" or a static-pattern
-//     trim of either — resolved without the expander;
-//   - planArith: a lone $((expr)), compiled once;
-//   - planJoin: a string-position word (an assignment value, the case
-//     word) concatenated from static text, $name, "$name" and
-//     ${name#pat}-style trims with a static pattern;
-//   - patternPlan: a static case pattern, computed once.
-//
-// Each hands its word back to the expander wherever the two could differ.
+// the break/continue/exit/return signals have one implementation, and a
+// word has one, expand.Run. What compiling saves is confined to two places
+// — each word's expand.Plan, lowered once and cached with its statement,
+// and compileDispatch's pre-resolved builtin/utility pointers — and
+// Interp.NoCompile turns exactly those off: every word is compiled afresh
+// and every command goes through in.dispatch. That run is the reference
+// the differential tests, the fuzzer's `plain` oracle and the benchmark's
+// interp.walk_script_ms compare the optimised run against.
 package interp
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -305,15 +291,11 @@ func compileWhile(c *syntax.WhileClause) compiled {
 func compileFor(c *syntax.ForClause) compiled {
 	body := compileList(c.Body)
 	name := c.Name
-	var words *wordListPlan
-	if c.InPresent {
-		words = compileWordList(c.Words)
-	}
+	words, inPresent := compileWordList(c.Words), c.InPresent
 	return func(in *Interp) {
 		var items []string
-		if words != nil {
-			var x *expand.Expander
-			fields, err := words.expand(in, &x)
+		if inPresent {
+			fields, err := words.expand(in, in.expander())
 			if err != nil {
 				in.expandFail(err)
 				return
@@ -338,30 +320,31 @@ func compileFor(c *syntax.ForClause) compiled {
 
 func compileCase(c *syntax.CaseClause) compiled {
 	type arm struct {
-		patterns []patternPlan
+		words    []*syntax.Word
+		patterns []expand.Plan
 		body     compiled
 	}
 	arms := make([]arm, len(c.Items))
 	for i, item := range c.Items {
-		arms[i].body = compileList(item.Body)
-		for _, w := range item.Patterns {
-			arms[i].patterns = append(arms[i].patterns, compilePattern(w))
+		arms[i] = arm{item.Patterns, make([]expand.Plan, len(item.Patterns)), compileList(item.Body)}
+		for j, w := range item.Patterns {
+			arms[i].patterns[j] = expand.Compile(w)
 		}
 	}
-	word := compileStringWord(c.Word)
+	subject := expand.Compile(c.Word)
 	return func(in *Interp) {
 		// The arm runs with the $? from before the case, as in dash: a
 		// command substitution in the word or a pattern does not change it.
 		status := in.Status
-		var x *expand.Expander
-		w, err := word.expand(in, &x)
+		x := in.expander()
+		w, err := in.str(x, &subject, c.Word, expand.String)
 		if err != nil {
 			in.expandFail(err)
 			return
 		}
 		for _, a := range arms {
 			for i := range a.patterns {
-				pat, err := a.patterns[i].expand(in, &x)
+				pat, err := in.str(x, &a.patterns[i], a.words[i], expand.Pattern)
 				if err != nil {
 					in.expandFail(err)
 					return
@@ -377,412 +360,90 @@ func compileCase(c *syntax.CaseClause) compiled {
 	}
 }
 
-// --- word compilation ---
+// --- words ---
 
-type planKind uint8
-
-const (
-	// planDynamic words go through the full expander every time.
-	planDynamic planKind = iota
-	// planStatic words — literals and quoted literals free of expansions,
-	// globs and tilde — expand to a precomputed field without touching
-	// the expander: literal text is never split, so whatever IFS holds.
-	planStatic
-	// planVar words are one planJoin part: $name, "$name" or a trim of
-	// either. Quoted, the value is the one field; unquoted, it is the
-	// field when it is free of characters the splitter or globber would
-	// act on, and no field when empty.
-	planVar
-	// planArith words are a bare unquoted $((expr)) whose text needs no
-	// parameter pre-expansion; the expression is compiled once and its
-	// numeric result needs no further expansion under default IFS.
-	planArith
-	// planJoin words, in string position only, concatenate static text,
-	// $name, "$name" and ${name#pat}-style trims with a static pattern.
-	planJoin
-)
-
-// varFastUnsafe are the value characters that force an unquoted planVar
-// word back through the expander: glob metacharacters and default-IFS
-// whitespace.
-const varFastUnsafe = "*?[ \t\n"
-
-// wordPlan is one argument word's lowering.
-type wordPlan struct {
-	kind  planKind
-	field string    // planStatic: the single precomputed field
-	zero  bool      // planStatic with no resulting fields (a word of no parts)
-	part  *joinPart // planVar
-	arith *expand.ArithExpr
-	w     *syntax.Word
-}
-
-// planName reports whether a plan resolves $name itself (by expand.Param):
-// a shell variable, or a positional parameter other than $0.
-func planName(name string) bool {
-	if name == "" {
-		return false
-	}
-	c := name[0]
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '1' && c <= '9')
-}
-
-// lookup reads a variable's value; ok=false means unset.
-func (in *Interp) lookup(name string) (string, bool) {
-	v, ok := in.Vars[name]
-	return v.Value, ok
-}
-
-// compileWord lowers an argument word through its string-position plan:
-// arithmetic stays arithmetic, a word that is one parameter read resolves
-// without the expander, and static text is one precomputed field unless the
-// globber could act on it (a pattern.HasMeta pattern: a `[` that opens no
-// bracket expression is text).
-func compileWord(w *syntax.Word) wordPlan {
-	sp := compileStringWord(w)
+// str expands w, whose plan is p, to one string in String or Pattern mode:
+// through the plan, or compiled afresh under NoCompile.
+func (in *Interp) str(x *expand.Expander, p *expand.Plan, w *syntax.Word, m expand.Mode) (string, error) {
 	switch {
-	case sp.kind == planArith:
-		return wordPlan{kind: planArith, arith: sp.arith, w: w}
-	case sp.kind == planJoin && len(sp.parts) == 1:
-		return wordPlan{kind: planVar, part: &sp.parts[0], w: w}
-	case sp.kind != planStatic:
-		return wordPlan{w: w}
+	case !in.NoCompile:
+		return x.RunString(p, m)
+	case m == expand.Pattern:
+		return x.ExpandPattern(w)
 	}
-	if pat, _ := expand.StaticPattern(w); pattern.HasMeta(pat) {
-		return wordPlan{w: w}
-	}
-	return wordPlan{kind: planStatic, field: sp.value, zero: len(w.Parts) == 0, w: w}
+	return x.ExpandString(w)
 }
 
-// defaultIFS reports whether IFS holds its default value — the condition
-// under which an unquoted value free of varFastUnsafe, or an arithmetic
-// result, is one field as it stands.
-func (in *Interp) defaultIFS() bool {
-	v, ok := in.Vars["IFS"]
-	return !ok || v.Value == " \t\n"
+// wordList is a word list with the plan of each word; fixed, when not
+// nil, is its fields, every word being expand.Plan.Fixed.
+type wordList struct {
+	ws    []*syntax.Word
+	plans []expand.Plan
+	fixed []string
 }
 
-// lazyExpander is the one expander a command's dynamic words share, built
-// on first need.
-func (in *Interp) lazyExpander(xp **expand.Expander) *expand.Expander {
-	if *xp == nil {
-		*xp = in.expander()
-	}
-	return *xp
-}
-
-// wordListPlan lowers a word list; a fully static list expands to a
-// precomputed slice.
-type wordListPlan struct {
-	plans     []wordPlan
-	allStatic bool
-	fields    []string // precomputed expansion when allStatic
-}
-
-func compileWordList(ws []*syntax.Word) *wordListPlan {
-	p := &wordListPlan{plans: make([]wordPlan, len(ws)), allStatic: true}
+func compileWordList(ws []*syntax.Word) wordList {
+	l := wordList{ws: ws, plans: make([]expand.Plan, len(ws))}
+	var buf [8]string
+	fixed, ok := buf[:0], true
 	for i, w := range ws {
-		p.plans[i] = compileWord(w)
-		if p.plans[i].kind != planStatic {
-			p.allStatic = false
+		l.plans[i] = expand.Compile(w)
+		if ok {
+			fixed, ok = l.plans[i].Fixed(fixed)
 		}
 	}
-	if p.allStatic {
-		for _, wp := range p.plans {
-			if !wp.zero {
-				p.fields = append(p.fields, wp.field)
-			}
-		}
+	if ok {
+		l.fixed = make([]string, len(fixed))
+		copy(l.fixed, fixed)
 	}
-	return p
+	return l
 }
 
-// expand produces the list's fields. The caller threads one lazily built
-// expander through every dynamic expansion in a simple command, so the
-// command sees one snapshot of $? however many of its words need the
-// expander. Under NoCompile every word is planDynamic.
-func (p *wordListPlan) expand(in *Interp, xp **expand.Expander) ([]string, error) {
-	if p.allStatic && !in.NoCompile {
-		return p.fields, nil
+// expand produces the list's fields through x, the command's one expander,
+// so that the command sees one snapshot of $? however many of its words
+// read it. Under NoCompile every word is compiled afresh.
+func (l wordList) expand(in *Interp, x *expand.Expander) ([]string, error) {
+	switch {
+	case in.NoCompile:
+		return x.ExpandWords(l.ws)
+	case l.fixed != nil:
+		return l.fixed, nil
 	}
-	defIFS := in.defaultIFS()
-	out := make([]string, 0, len(p.plans))
-	for i := range p.plans {
-		wp := &p.plans[i]
-		kind := wp.kind
-		if in.NoCompile {
-			kind = planDynamic
-		}
-		switch kind {
-		case planStatic:
-			if !wp.zero {
-				out = append(out, wp.field)
-			}
-			continue
-		case planVar:
-			v, ok := in.joinPart(wp.part)
-			switch {
-			case !ok: // the expander reports it
-			case wp.part.quoted:
-				out = append(out, v)
-				continue
-			case !defIFS:
-			case v == "":
-				continue // empty unquoted expansion: no fields
-			case !strings.ContainsAny(v, varFastUnsafe):
-				out = append(out, v)
-				continue
-			}
-		case planArith:
-			if defIFS {
-				v, err := in.evalArith(wp.arith)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, strconv.FormatInt(v, 10))
-				continue
-			}
-		}
-		fields, err := in.lazyExpander(xp).ExpandWord(wp.w)
-		if err != nil {
+	out := make([]string, 0, len(l.plans))
+	for i := range l.plans {
+		var err error
+		if out, err = x.Run(&l.plans[i], expand.Fields, out); err != nil {
 			return nil, err
 		}
-		out = append(out, fields...)
 	}
 	return out, nil
-}
-
-// evalArith runs a word plan's pre-compiled $((...)) against the variable
-// table; errors carry the same fatal ExpandError wrapping the expander
-// applies.
-func (in *Interp) evalArith(a *expand.ArithExpr) (int64, error) {
-	if in.ar.Lookup == nil {
-		in.ar.Lookup = func(name string) string { return in.Vars[name].Value }
-		in.ar.Assign = in.assign
-	}
-	v, err := a.Eval(&in.ar)
-	if err != nil {
-		return 0, &expand.ExpandError{Msg: err.Error(), Fatal: true}
-	}
-	return v, nil
-}
-
-// stringPlan lowers a word used in ExpandString position (assignment
-// values, the case word): no field splitting or globbing applies, so
-// static text is valid regardless of IFS, parameters are their values,
-// and arithmetic results are always literal digits.
-type stringPlan struct {
-	kind  planKind
-	value string     // planStatic
-	parts []joinPart // planJoin
-	arith *expand.ArithExpr
-	w     *syntax.Word
-}
-
-// joinPart is one piece of a planJoin word: literal text (name == ""), or
-// the value of $name, "$name" or ${name#pat}-style trim of it.
-type joinPart struct {
-	lit    string
-	name   string
-	op     syntax.ParamOp // ParamPlain, or a trim
-	pat    string         // the trim's static pattern
-	quoted bool
-}
-
-// paramPart lowers $name, or a trim of it whose pattern is static.
-func paramPart(p *syntax.ParamExp, quoted bool) (joinPart, bool) {
-	if !planName(p.Name) {
-		return joinPart{}, false
-	}
-	switch p.Op {
-	case syntax.ParamTrimSuffix, syntax.ParamTrimSuffixLong, syntax.ParamTrimPrefix, syntax.ParamTrimPrefixLong:
-		pat, ok := expand.StaticPattern(p.Word)
-		return joinPart{name: p.Name, op: p.Op, pat: pat, quoted: quoted}, ok
-	}
-	return joinPart{name: p.Name, quoted: quoted}, p.Op == syntax.ParamPlain
-}
-
-func compileStringWord(w *syntax.Word) stringPlan {
-	if w == nil {
-		return stringPlan{kind: planStatic}
-	}
-	if len(w.Parts) == 1 {
-		// The common one-part words build no part list.
-		switch p := w.Parts[0].(type) {
-		case *syntax.ArithExp:
-			if a, err := expand.CompileArithExpr(p.Expr); err == nil && p.Parts == nil {
-				return stringPlan{kind: planArith, arith: a, w: w}
-			}
-		case *syntax.Lit:
-			if !strings.ContainsRune(p.Value, '~') {
-				return stringPlan{kind: planStatic, value: p.Value, w: w}
-			}
-		case *syntax.SglQuoted:
-			return stringPlan{kind: planStatic, value: p.Value, w: w}
-		}
-	}
-	var parts []joinPart
-	lit := func(s string) {
-		if n := len(parts); n > 0 && parts[n-1].name == "" {
-			parts[n-1].lit += s
-		} else {
-			parts = append(parts, joinPart{lit: s})
-		}
-	}
-	for _, part := range w.Parts {
-		switch p := part.(type) {
-		case *syntax.Lit:
-			// Tilde still matters for ExpandString; IFS and glob
-			// metacharacters do not.
-			if strings.ContainsRune(p.Value, '~') {
-				return stringPlan{w: w}
-			}
-			lit(p.Value)
-		case *syntax.SglQuoted:
-			lit(p.Value)
-		case *syntax.ParamExp:
-			jp, ok := paramPart(p, false)
-			if !ok {
-				return stringPlan{w: w}
-			}
-			parts = append(parts, jp)
-		case *syntax.DblQuoted:
-			if len(p.Parts) == 0 {
-				lit("") // "" is text: $x"" is two parts, and one field
-			}
-			for _, ip := range p.Parts {
-				switch q := ip.(type) {
-				case *syntax.Lit:
-					lit(q.Value)
-				case *syntax.ParamExp:
-					jp, ok := paramPart(q, true)
-					if !ok {
-						return stringPlan{w: w}
-					}
-					parts = append(parts, jp)
-				default:
-					return stringPlan{w: w}
-				}
-			}
-		default:
-			return stringPlan{w: w}
-		}
-	}
-	switch {
-	case len(parts) == 0:
-		return stringPlan{kind: planStatic, w: w}
-	case len(parts) == 1 && parts[0].name == "":
-		return stringPlan{kind: planStatic, value: parts[0].lit, w: w}
-	}
-	return stringPlan{kind: planJoin, parts: parts, w: w}
-}
-
-// expand produces the word's string; under NoCompile every word is
-// planDynamic.
-func (sp *stringPlan) expand(in *Interp, xp **expand.Expander) (string, error) {
-	kind := sp.kind
-	if in.NoCompile {
-		kind = planDynamic
-	}
-	switch kind {
-	case planStatic:
-		return sp.value, nil
-	case planJoin:
-		if v, ok := in.join(sp.parts); ok {
-			return v, nil
-		}
-	case planArith:
-		v, err := in.evalArith(sp.arith)
-		if err != nil {
-			return "", err
-		}
-		return strconv.FormatInt(v, 10), nil
-	}
-	return in.lazyExpander(xp).ExpandString(sp.w)
-}
-
-// join concatenates a planJoin word's parts in one allocation; one part is
-// its value, with no copy. ok=false hands the word to the expander, which
-// reports an unset name under set -u.
-func (in *Interp) join(parts []joinPart) (string, bool) {
-	if len(parts) == 1 {
-		return in.joinPart(&parts[0])
-	}
-	var buf [8]string
-	vals, n := buf[:0], 0
-	for i := range parts {
-		v, ok := in.joinPart(&parts[i])
-		if !ok {
-			return "", false
-		}
-		vals, n = append(vals, v), n+len(v)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, v := range vals {
-		b.WriteString(v)
-	}
-	return b.String(), true
-}
-
-func (in *Interp) joinPart(p *joinPart) (string, bool) {
-	if p.name == "" {
-		return p.lit, true
-	}
-	v, ok := expand.Param(p.name, in.Params, in.lookup)
-	if !ok && in.NoUnset {
-		return "", false
-	}
-	if p.op != syntax.ParamPlain {
-		v = expand.Trim(v, p.pat, p.op)
-	}
-	return v, true
-}
-
-// patternPlan lowers a case arm's pattern: a static one is computed once.
-type patternPlan struct {
-	pat    string
-	static bool
-	w      *syntax.Word
-}
-
-func compilePattern(w *syntax.Word) patternPlan {
-	pat, ok := expand.StaticPattern(w)
-	return patternPlan{pat, ok, w}
-}
-
-func (pp *patternPlan) expand(in *Interp, xp **expand.Expander) (string, error) {
-	if pp.static && !in.NoCompile {
-		return pp.pat, nil
-	}
-	return in.lazyExpander(xp).ExpandPattern(pp.w)
 }
 
 // --- simple commands ---
 
 type assignPlan struct {
 	name  string
-	value stringPlan
+	value *syntax.Word
+	plan  expand.Plan
 }
 
 // compileSimple lowers a simple command: word plans, assignment plans, and
 // — when the command name is a plain literal — the dispatch decision are
-// computed once. The expander is only constructed when some word or
-// assignment actually needs it.
+// computed once.
 func compileSimple(c *syntax.SimpleCommand) compiled {
 	assigns := make([]assignPlan, len(c.Assigns))
 	for i, a := range c.Assigns {
-		assigns[i] = assignPlan{a.Name, compileStringWord(a.Value)}
+		assigns[i] = assignPlan{a.Name, a.Value, expand.Compile(a.Value)}
 	}
 	redirs := c.Redirections
 
 	// Assignment-only command: assignments persist.
 	if len(c.Args) == 0 {
 		return func(in *Interp) {
-			var x *expand.Expander
+			x := in.expander()
 			for i := range assigns {
 				a := &assigns[i]
-				val, err := a.value.expand(in, &x)
+				val, err := in.str(x, &a.plan, a.value, expand.String)
 				if err != nil {
 					in.expandFail(err)
 					return
@@ -804,8 +465,8 @@ func compileSimple(c *syntax.SimpleCommand) compiled {
 	hasAssigns := len(assigns) > 0
 	hasRedirs := len(redirs) > 0
 	return func(in *Interp) {
-		var x *expand.Expander
-		fields, err := words.expand(in, &x)
+		x := in.expander()
+		fields, err := words.expand(in, x)
 		if err != nil {
 			in.expandFail(err)
 			return
@@ -822,7 +483,7 @@ func compileSimple(c *syntax.SimpleCommand) compiled {
 			savedVars = map[string]*Variable{}
 			for i := range assigns {
 				a := &assigns[i]
-				val, err := a.value.expand(in, &x)
+				val, err := in.str(x, &a.plan, a.value, expand.String)
 				if err != nil {
 					in.expandFail(err)
 					return

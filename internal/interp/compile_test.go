@@ -310,36 +310,39 @@ while getopts b: o; do echo "o=$o arg=$OPTARG"; done; echo "st=$?"`, "o=? arg=\n
 	}
 }
 
-// TestCompiledDifferentialPlanFallbacks has one row for each place a word
-// plan hands the word back to the expander, or must not: an unset name
-// under set -u (in every plan kind, trims and lengths included), a changed
-// IFS, a backslash in an unquoted value (data, as in dash), glob
-// characters in a literal, quoted and escaped case patterns, and trims
-// whose pattern is partly quoted.
+// planFallbackCases has one row for each place a word plan once handed
+// the word back to the expander, or must not: an unset name under set -u
+// (in every plan kind, trims and lengths included), a changed IFS, a
+// backslash in an unquoted value (data, as in dash), glob characters in a
+// literal, quoted and escaped case patterns, and trims whose pattern is
+// partly quoted.
+var planFallbackCases = []diffCase{
+	{`set -u; f() { echo "$u"; }; f; echo unreached`, "", 1},
+	{`set -- a; set -u; echo "$1"; echo "$2"; echo unreached`, "a\n", 1},
+	{`set -u; t=${u##*/}; echo unreached`, "", 1},
+	{`set -u; q=/api/$u; echo unreached`, "", 1},
+	{`set -u; case "$u" in *) echo unreached ;; esac`, "", 1},
+	{`set -u; echo ${#u}; echo unreached`, "", 1},
+	{`set -u; u=; t=${u%x}; echo "[$t]" ${#u}`, "[] 0\n", 0},
+	{`x=a:b; IFS=:; echo "$x" $x; y=/p/$x; echo "$y"; set -- "a b:c"; echo "$1" $1`, "a:b a b\n/p/a:b\na b:c a b c\n", 0},
+	{`x='a\b'; y=$x; z="$x"; w=/p/$x; t=${x#a}; printf '%s|' "$y" "$z" "$w" "$t" $x; echo`, "a\\b|a\\b|/p/a\\b|\\b|a\\b|\n", 0},
+	{`echo [ab]* [ "[" '[ab]*'; x='[ab]*'; echo "$x" $x`, "a1 b2 [ [ [ab]*\n[ab]* a1 b2\n", 0},
+	{`for w in x '*'; do case $w in "*") echo dq;; esac; case $w in '*') echo sq;; esac; case $w in \*) echo bs;; esac; case $w in *) echo any;; esac; done`, "any\ndq\nsq\nbs\nany\n", 0},
+	{`x=; set -- $x"" ""$x; echo $#; set -- $x; echo $#; [ $1"" = "" ] && echo empty`, "2\n0\nempty\n", 0},
+	{`set -u; echo ${u%x}; echo unreached`, "", 1},
+	{`f=/d/a.b; IFS=.; echo ${f##*/} "${f##*/}"; IFS=' '; x='a\b c'; echo ${x%c} "${x%c}"`, "a b a.b\na\\b a\\b \n", 0},
+	{`f=/d/a.b.txt; a=${f%".txt"}; b=${f%'.'*}; c="${f##*"/"}"; d=${f%%"*"}; e=${f%\*}; g=${f#*[/]}; echo $a $b $c $d $e $g`, "/d/a.b /d/a.b a.b.txt /d/a.b.txt /d/a.b.txt d/a.b.txt\n", 0},
+}
+
+// TestCompiledDifferentialPlanFallbacks runs planFallbackCases with plans
+// cached and compiled afresh.
 func TestCompiledDifferentialPlanFallbacks(t *testing.T) {
 	seed := func(fs *vfs.FS) {
 		for _, f := range []string{"/a1", "/b2", "/c3"} {
 			fs.WriteFile(f, nil)
 		}
 	}
-	scripts := []diffCase{
-		{`set -u; f() { echo "$u"; }; f; echo unreached`, "", 1},
-		{`set -- a; set -u; echo "$1"; echo "$2"; echo unreached`, "a\n", 1},
-		{`set -u; t=${u##*/}; echo unreached`, "", 1},
-		{`set -u; q=/api/$u; echo unreached`, "", 1},
-		{`set -u; case "$u" in *) echo unreached ;; esac`, "", 1},
-		{`set -u; echo ${#u}; echo unreached`, "", 1},
-		{`set -u; u=; t=${u%x}; echo "[$t]" ${#u}`, "[] 0\n", 0},
-		{`x=a:b; IFS=:; echo "$x" $x; y=/p/$x; echo "$y"; set -- "a b:c"; echo "$1" $1`, "a:b a b\n/p/a:b\na b:c a b c\n", 0},
-		{`x='a\b'; y=$x; z="$x"; w=/p/$x; t=${x#a}; printf '%s|' "$y" "$z" "$w" "$t" $x; echo`, "a\\b|a\\b|/p/a\\b|\\b|a\\b|\n", 0},
-		{`echo [ab]* [ "[" '[ab]*'; x='[ab]*'; echo "$x" $x`, "a1 b2 [ [ [ab]*\n[ab]* a1 b2\n", 0},
-		{`for w in x '*'; do case $w in "*") echo dq;; esac; case $w in '*') echo sq;; esac; case $w in \*) echo bs;; esac; case $w in *) echo any;; esac; done`, "any\ndq\nsq\nbs\nany\n", 0},
-		{`x=; set -- $x"" ""$x; echo $#; set -- $x; echo $#; [ $1"" = "" ] && echo empty`, "2\n0\nempty\n", 0},
-		{`set -u; echo ${u%x}; echo unreached`, "", 1},
-		{`f=/d/a.b; IFS=.; echo ${f##*/} "${f##*/}"; IFS=' '; x='a\b c'; echo ${x%c} "${x%c}"`, "a b a.b\na\\b a\\b \n", 0},
-		{`f=/d/a.b.txt; a=${f%".txt"}; b=${f%'.'*}; c="${f##*"/"}"; d=${f%%"*"}; e=${f%\*}; g=${f#*[/]}; echo $a $b $c $d $e $g`, "/d/a.b /d/a.b a.b.txt /d/a.b.txt /d/a.b.txt d/a.b.txt\n", 0},
-	}
-	for _, c := range scripts {
+	for _, c := range planFallbackCases {
 		assertAgree(t, c, seed)
 	}
 }
@@ -401,13 +404,13 @@ func TestNoCompileStillBypassesWhatChangesAtRunTime(t *testing.T) {
 	}
 }
 
-// TestNoCompileUsesNoPrecomputedResult poisons everything a plan
-// precomputes — static fields (a lone `[` among them), the variable a
-// $name or "$name" resolves, the compiled arithmetic, a joined word's
-// parts and trim pattern, a static case pattern, the resolved builtin —
-// and checks the poison shows with the fast paths on (so it sits where
-// they read) and never under NoCompile, which must derive every result
-// from the words themselves.
+// TestNoCompileUsesNoPrecomputedResult poisons everything compiling
+// precomputes — a static list's fields, each word's cached *expand.Plan
+// (replaced by the plan of another word: static text, a lone `[`, $name,
+// "$name", $1, arithmetic, a joined word, a trim, a case pattern), the
+// resolved builtin — and checks the poison shows with caching on (so it
+// sits where the run reads) and never under NoCompile, which must derive
+// every result from the words themselves.
 func TestNoCompileUsesNoPrecomputedResult(t *testing.T) {
 	simple := func(src string) *syntax.SimpleCommand {
 		t.Helper()
@@ -431,30 +434,30 @@ func TestNoCompileUsesNoPrecomputedResult(t *testing.T) {
 		}
 		return fast
 	}
-	poisonArith, err := expand.CompileArithExpr("666")
-	if err != nil {
-		t.Fatal(err)
+	// poison caches, in place of each word's plan, the plan of the word
+	// of the same index in src.
+	poison := func(plans []expand.Plan, src string) {
+		for i, w := range simple(src).Args {
+			if i > 0 {
+				plans[i] = expand.Compile(w)
+			}
+		}
 	}
 
 	static := compileWordList(simple("echo a 'b c'").Args)
-	static.fields = []string{"POISON"}
+	static.fixed = []string{"POISON"}
 	mixed := compileWordList(simple(`echo lit $v $((1+2)) "$v" "$1" [`).Args)
-	mixed.plans[1].field = "POISON"
-	mixed.plans[2].part.name = "other"
-	mixed.plans[3].arith = poisonArith
-	mixed.plans[4].part.name = "other"
-	mixed.plans[5].part.name = "other"
-	mixed.plans[6].field = "POISON"
+	poison(mixed.plans, `echo POISON $other 666 "$other" "$other" POISON`)
 	for _, tc := range []struct {
-		plan        *wordListPlan
+		list        wordList
 		fast, plain string
 	}{
 		{static, "POISON", "echo|a|b c"},
 		{mixed, "echo|POISON|POISON|666|POISON|POISON|POISON", "echo|lit|real|3|real|p1|["},
 	} {
 		for _, noCompile := range []bool{false, true} {
-			var x *expand.Expander
-			fields, err := tc.plan.expand(newInterp(noCompile), &x)
+			in := newInterp(noCompile)
+			fields, err := tc.list.expand(in, in.expander())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -464,28 +467,26 @@ func TestNoCompileUsesNoPrecomputedResult(t *testing.T) {
 		}
 	}
 
+	// Each assignment value's plan is the plan of the poisoned word of the
+	// same index, and the case pattern a*'s that of P*.
 	assigns := simple(`a=lit b=$v c=$((1+2)) d=/api/$v e=${v##r} f="$1"`).Assigns
-	var plans []stringPlan
-	for _, a := range assigns {
-		plans = append(plans, compileStringWord(a.Value))
-	}
-	plans[0].value = "POISON"
-	plans[1].parts[0].name = "other"
-	plans[2].arith = poisonArith
-	plans[3].parts[1].name = "other"
-	plans[4].parts[0].pat = "re"
-	plans[5].parts[0].name = "other"
+	poisoned := simple(`: POISON $other 666 /api/$other ${v##re} "$other"`).Args
+	pattern := simple(": a* P*").Args
 	for i, want := range []struct{ fast, plain string }{
-		{"POISON", "lit"}, {"POISON", "real"}, {"666", "3"}, {"/api/POISON", "/api/real"}, {"al", "eal"}, {"POISON", "p1"},
+		{"POISON", "lit"}, {"POISON", "real"}, {"666", "3"}, {"/api/POISON", "/api/real"}, {"al", "eal"}, {"POISON", "p1"}, {"P*", "a*"},
 	} {
+		w, plan, mode := pattern[1], expand.Compile(pattern[2]), expand.Pattern
+		if i < len(assigns) {
+			w, plan, mode = assigns[i].Value, expand.Compile(poisoned[i+1]), expand.String
+		}
 		for _, noCompile := range []bool{false, true} {
-			var x *expand.Expander
-			got, err := plans[i].expand(newInterp(noCompile), &x)
+			in := newInterp(noCompile)
+			got, err := in.str(in.expander(), &plan, w, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w := pick(noCompile, want.fast, want.plain); got != w {
-				t.Errorf("NoCompile=%v: %s=%q, want %q", noCompile, assigns[i].Name, got, w)
+			if want := pick(noCompile, want.fast, want.plain); got != want {
+				t.Errorf("NoCompile=%v: %s expands to %q, want %q", noCompile, syntax.PrintWord(w), got, want)
 			}
 		}
 	}
@@ -581,6 +582,7 @@ func TestControlFlowAgreesWithDash(t *testing.T) {
 		"X=a Y=b; echo $X$Y",
 		`X="two words"; echo "$X"`,
 		"echo ${UNSET:-default}",
+		`HOME=/h; unset u; echo ~ ~/a ~x "~" ${u-~} ${u:-~/x} "${u-~}" ${u=~/b} $u; HOME=; echo ~`,
 		"true && echo yes || echo no",
 		"false && echo yes || echo no",
 		"! true; echo $?",

@@ -100,11 +100,11 @@ type Interp struct {
 	// a diagnostic on stderr and a non-zero status, never a crash.
 	Faults *faultinject.Set
 
-	// NoCompile turns the evaluator's fast paths off: the same cached
-	// closures run, but every word goes through the full expander (no
-	// precomputed fields, no bare-$name or $((expr)) shortcut) and every
-	// simple command through dispatch's run-time lookup chain (no
-	// pre-resolved builtin or utility). It is the reference run of the
+	// NoCompile turns the evaluator's caching off: the same cached
+	// closures run, but every word is compiled afresh (no cached
+	// expand.Plan, no precomputed field list) and every simple command
+	// goes through dispatch's run-time lookup chain (no pre-resolved
+	// builtin or utility). It is the reference run of the
 	// differential tests and the fuzzer's `plain` oracle — optimisation off
 	// against optimisation on is the only place two runs of the one
 	// evaluator can differ — and the baseline the benchmark's
@@ -136,7 +136,6 @@ type Interp struct {
 	xCmdSubst func([]*syntax.Stmt) (string, error)
 	cuGetenv  func(string) string
 	cuEnviron func() []string
-	ar        expand.ArithEnv
 	// x is the interpreter's one expander and cu its one utility context,
 	// both refreshed in place by expander() and coreutilsContext(); early is
 	// EarlyExpander's, which planning uses for one offered pipeline and is
@@ -704,14 +703,18 @@ func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
 	}
 	for _, r := range redirs {
 		fd := r.DefaultFD()
+		src := r.Target // the target, or a here-document's body
+		if r.Op == syntax.RedirHeredoc || r.Op == syntax.RedirHeredocDash {
+			src = r.Body
+		}
+		target, err := x.ExpandString(src)
+		if err != nil {
+			in.expandFail(err)
+			cleanup()
+			return nil, false
+		}
 		switch r.Op {
 		case syntax.RedirIn:
-			target, err := x.ExpandString(r.Target)
-			if err != nil {
-				in.expandFail(err)
-				cleanup()
-				return nil, false
-			}
 			var rc io.ReadCloser
 			if err = in.Faults.CheckContained("interp:redir:"+target, faultinject.OpOpen); err == nil {
 				rc, err = in.FS.Open(in.lookPath(target))
@@ -724,12 +727,6 @@ func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
 			closers = append(closers, rc)
 			in.Stdin = rc
 		case syntax.RedirOut, syntax.RedirClobber, syntax.RedirAppend:
-			target, err := x.ExpandString(r.Target)
-			if err != nil {
-				in.expandFail(err)
-				cleanup()
-				return nil, false
-			}
 			var w io.WriteCloser
 			if err = in.Faults.CheckContained("interp:redir:"+target, faultinject.OpOpen); err == nil {
 				if r.Op == syntax.RedirAppend {
@@ -746,20 +743,8 @@ func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
 			closers = append(closers, w)
 			setWriter(fd, w)
 		case syntax.RedirHeredoc, syntax.RedirHeredocDash:
-			body, err := x.ExpandString(r.Body)
-			if err != nil {
-				in.expandFail(err)
-				cleanup()
-				return nil, false
-			}
-			in.Stdin = strings.NewReader(body)
+			in.Stdin = strings.NewReader(target)
 		case syntax.RedirDupOut:
-			target, err := x.ExpandString(r.Target)
-			if err != nil {
-				in.expandFail(err)
-				cleanup()
-				return nil, false
-			}
 			switch target {
 			case "1":
 				setWriter(fd, in.Stdout)
@@ -773,22 +758,10 @@ func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
 				return nil, false
 			}
 		case syntax.RedirDupIn:
-			target, err := x.ExpandString(r.Target)
-			if err != nil {
-				in.expandFail(err)
-				cleanup()
-				return nil, false
-			}
 			if target == "-" {
 				in.Stdin = strings.NewReader("")
 			}
 		case syntax.RedirInOut:
-			target, err := x.ExpandString(r.Target)
-			if err != nil {
-				in.expandFail(err)
-				cleanup()
-				return nil, false
-			}
 			p := in.lookPath(target)
 			if !in.FS.Exists(p) {
 				in.FS.WriteFile(p, nil)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"jash/internal/cost"
+	"jash/internal/incr"
 )
 
 // logTable prints an experiment's rows to the test log, so that
@@ -146,28 +147,28 @@ func TestScalingWidthFindsPerDeviceOptimum(t *testing.T) {
 	}
 }
 
+// TestIncrementalSpeedups checks what the incremental runner claims, by
+// its own counts rather than by two wall-clock readings: the warm run is
+// one memo hit that reprocesses none of the log, and the append run one
+// suffix run that reprocesses only the appended bytes, with the output a
+// cold run over the grown log makes. The timed rows are logged.
 func TestIncrementalSpeedups(t *testing.T) {
-	rows, err := Incremental(1 << 20)
+	e, err := runIncremental(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	logTable(t, rows)
-	var cold, warm, appendRun float64
-	for _, r := range rows {
-		switch r.System {
-		case "cold":
-			cold = r.Seconds
-		case "warm":
-			warm = r.Seconds
-		case "append+1%":
-			appendRun = r.Seconds
-		}
+	logTable(t, e.rows())
+	if want := (incr.Stats{Hits: 1, BytesSaved: int64(e.logLen)}); e.warm.stats != want {
+		t.Errorf("warm run counted %+v, want %+v", e.warm.stats, want)
 	}
-	if !(warm < cold) {
-		t.Errorf("warm %.4fs should beat cold %.4fs", warm, cold)
+	if want := (incr.Stats{Incremental: 1, BytesSaved: int64(e.logLen)}); e.appended.stats != want {
+		t.Errorf("append run counted %+v, want %+v", e.appended.stats, want)
 	}
-	if !(appendRun < cold) {
-		t.Errorf("append %.4fs should beat cold %.4fs", appendRun, cold)
+	if e.warm.out != e.cold.out {
+		t.Error("the warm run's output is not the cold run's")
+	}
+	if e.appended.out != e.grown.out || e.appended.out == e.cold.out {
+		t.Errorf("the append run's output (%d bytes) is not a cold run's over the grown log (%d bytes)", len(e.appended.out), len(e.grown.out))
 	}
 }
 

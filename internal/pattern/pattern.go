@@ -14,36 +14,126 @@ func Match(pat, name string) bool {
 	return match(pat, name)
 }
 
-// MatchPrefix returns the length in bytes of the shortest and longest
-// prefixes of name matching the pattern, and whether any prefix matched
-// (the empty prefix counts when the pattern can match "").
-func MatchPrefix(pat, name string) (shortest, longest int, ok bool) {
-	shortest, longest = -1, -1
-	for i := 0; i <= len(name); i++ {
-		if match(pat, name[:i]) {
-			if shortest < 0 {
-				shortest = i
+// Prefix returns the length of the shortest (or, with longest, the longest)
+// prefix of name that the pattern matches, and whether one does. It tries
+// lengths in that order and stops at the first match, and only where the
+// pattern's last atom can match the prefix's last byte: when that atom is a
+// literal byte, its occurrences are the candidates. A pattern whose first
+// atom is a literal byte name does not start with matches nothing.
+func Prefix(pat, name string, longest bool) (int, bool) {
+	first, last := endBytes(pat)
+	if first >= 0 && (name == "" || name[0] != byte(first)) {
+		return 0, false
+	}
+	if last < 0 {
+		for n := 0; n <= len(name); n++ {
+			i := n
+			if longest {
+				i = len(name) - n
 			}
-			longest = i
+			if match(pat, name[:i]) {
+				return i, true
+			}
+		}
+		return 0, false
+	}
+	c := byte(last)
+	if longest {
+		for end := len(name); ; {
+			i := strings.LastIndexByte(name[:end], c)
+			if i < 0 {
+				return 0, false
+			}
+			if match(pat, name[:i+1]) {
+				return i + 1, true
+			}
+			end = i
 		}
 	}
-	return shortest, longest, longest >= 0
+	for from := 0; ; {
+		i := strings.IndexByte(name[from:], c)
+		if i < 0 {
+			return 0, false
+		}
+		from += i + 1
+		if match(pat, name[:from]) {
+			return from, true
+		}
+	}
 }
 
-// MatchSuffix returns the length in bytes of the shortest and longest
-// suffixes of name matching the pattern, and whether any suffix matched.
-func MatchSuffix(pat, name string) (shortest, longest int, ok bool) {
-	shortest, longest = -1, -1
-	for i := len(name); i >= 0; i-- {
-		if match(pat, name[i:]) {
-			n := len(name) - i
-			if shortest < 0 {
-				shortest = n
+// Suffix is Prefix for suffixes: the candidates are where the pattern's
+// first atom can match the suffix's first byte, and a last atom that is a
+// literal byte must be name's last.
+func Suffix(pat, name string, longest bool) (int, bool) {
+	first, last := endBytes(pat)
+	if last >= 0 && (name == "" || name[len(name)-1] != byte(last)) {
+		return 0, false
+	}
+	if first < 0 {
+		for n := 0; n <= len(name); n++ {
+			k := n
+			if longest {
+				k = len(name) - n
 			}
-			longest = n
+			if match(pat, name[len(name)-k:]) {
+				return k, true
+			}
+		}
+		return 0, false
+	}
+	c := byte(first)
+	if !longest {
+		for end := len(name); ; {
+			i := strings.LastIndexByte(name[:end], c)
+			if i < 0 {
+				return 0, false
+			}
+			if match(pat, name[i:]) {
+				return len(name) - i, true
+			}
+			end = i
 		}
 	}
-	return shortest, longest, longest >= 0
+	for from := 0; ; {
+		i := strings.IndexByte(name[from:], c)
+		if i < 0 {
+			return 0, false
+		}
+		if match(pat, name[from+i:]) {
+			return len(name) - from - i, true
+		}
+		from += i + 1
+	}
+}
+
+// endBytes returns the literal byte the pattern's first and last atoms
+// match, or -1 for an atom that is not one literal byte (`*`, `?`, a
+// bracket expression, a trailing backslash) or a pattern with no atoms.
+func endBytes(pat string) (first, last int) {
+	first, last = -1, -1
+	for i := 0; i < len(pat); {
+		c, n := -1, 1
+		switch pat[i] {
+		case '*', '?':
+		case '[':
+			if n, _ = matchBracket(pat[i:], 0); n == 1 {
+				c = '['
+			}
+		case '\\':
+			if i+1 < len(pat) {
+				c, n = int(pat[i+1]), 2
+			}
+		default:
+			c = int(pat[i])
+		}
+		if i == 0 {
+			first = c
+		}
+		last = c
+		i += n
+	}
+	return first, last
 }
 
 // HasMeta reports whether the pattern contains any unescaped matching

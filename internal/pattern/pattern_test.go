@@ -165,3 +165,81 @@ func BenchmarkMatchStar(b *testing.B) {
 		Match("*c*e*a*", name)
 	}
 }
+
+// TestPrefixSuffixMatchTheOracle checks the trim search, which stops at the
+// first match and tries only the ends the pattern's end atoms allow,
+// against MatchPrefix/MatchSuffix, which try every length: every pattern of
+// up to three atoms (escapes, brackets, `?`, `*`, a malformed `[` and a
+// trailing backslash among them) against every value of up to five bytes
+// over the bytes those atoms name.
+func TestPrefixSuffixMatchTheOracle(t *testing.T) {
+	atoms := []string{"a", "b", "*", "?", `\*`, `\\`, "[ab]", "[!a]", "[", `\`}
+	pats := []string{""}
+	for n, from := 0, 0; n < 3; n++ {
+		to := len(pats)
+		for _, p := range pats[from:to] {
+			for _, a := range atoms {
+				pats = append(pats, p+a)
+			}
+		}
+		from = to
+	}
+	vals := []string{""}
+	for i := 0; i < len(vals) && len(vals[i]) < 5; i++ {
+		for _, c := range []string{"a", "b", "*", `\`, "["} {
+			vals = append(vals, vals[i]+c)
+		}
+	}
+	for _, pat := range pats {
+		for _, val := range vals {
+			short, long, ok := MatchPrefix(pat, val)
+			if n, got := Prefix(pat, val, false); got != ok || ok && n != short {
+				t.Fatalf("Prefix(%q, %q) = %d, %v; shortest %d, %v", pat, val, n, got, short, ok)
+			}
+			if n, got := Prefix(pat, val, true); got != ok || ok && n != long {
+				t.Fatalf("Prefix(%q, %q, longest) = %d, %v; longest %d, %v", pat, val, n, got, long, ok)
+			}
+			short, long, ok = MatchSuffix(pat, val)
+			if n, got := Suffix(pat, val, false); got != ok || ok && n != short {
+				t.Fatalf("Suffix(%q, %q) = %d, %v; shortest %d, %v", pat, val, n, got, short, ok)
+			}
+			if n, got := Suffix(pat, val, true); got != ok || ok && n != long {
+				t.Fatalf("Suffix(%q, %q, longest) = %d, %v; longest %d, %v", pat, val, n, got, long, ok)
+			}
+		}
+	}
+	t.Logf("%d patterns x %d values", len(pats), len(vals))
+}
+
+// MatchPrefix returns the length in bytes of the shortest and longest
+// prefixes of name matching the pattern, and whether any prefix matched
+// (the empty prefix counts when the pattern can match ""): by trying every
+// length, the oracle Prefix is checked against.
+func MatchPrefix(pat, name string) (shortest, longest int, ok bool) {
+	shortest, longest = -1, -1
+	for i := 0; i <= len(name); i++ {
+		if match(pat, name[:i]) {
+			if shortest < 0 {
+				shortest = i
+			}
+			longest = i
+		}
+	}
+	return shortest, longest, longest >= 0
+}
+
+// MatchSuffix returns the length in bytes of the shortest and longest
+// suffixes of name matching the pattern, and whether any suffix matched.
+func MatchSuffix(pat, name string) (shortest, longest int, ok bool) {
+	shortest, longest = -1, -1
+	for i := len(name); i >= 0; i-- {
+		if match(pat, name[i:]) {
+			n := len(name) - i
+			if shortest < 0 {
+				shortest = n
+			}
+			longest = n
+		}
+	}
+	return shortest, longest, longest >= 0
+}

@@ -7,7 +7,6 @@ import (
 	"jash/internal/analysis"
 	"jash/internal/expand"
 	"jash/internal/fuzz"
-	"jash/internal/pattern"
 	"jash/internal/syntax"
 )
 
@@ -35,7 +34,7 @@ func checkStatic(t *testing.T, src string) {
 		if abs := analysis.EvalWordAbs(w, nil); abs != analysis.Const(v) {
 			t.Errorf("%q: EvalWordAbs(%s) = %v; StaticValue %q", src, syntax.PrintWord(w), abs, v)
 		}
-		if pat, _ := expand.StaticPattern(w); !pattern.HasMeta(pat) && len(w.Parts) > 0 {
+		if !expand.MayGlob(w) && len(w.Parts) > 0 {
 			if fields, err := x.ExpandWord(w); err != nil || !slices.Equal(fields, []string{v}) {
 				t.Errorf("%q: ExpandWord(%s) = %q, %v; StaticValue %q", src, syntax.PrintWord(w), fields, err, v)
 			}
