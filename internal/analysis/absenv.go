@@ -329,16 +329,20 @@ func absFrags(fs []expand.Frag, env *Env) ([]absFrag, bool) {
 }
 
 // absParam models one parameter expansion, whose operand is the fragments
-// opd, as fragments, mirroring expand's evaluation case by case.
+// opd, as fragments: what expand.Choose makes of the value in every state
+// (set or not, empty or not) the abstract value allows.
 func absParam(f *expand.Frag, opd []expand.Frag, env *Env) ([]absFrag, bool) {
 	pe, inDquote := f.Param, f.Quoted
 	name := pe.Name
-	if name == "@" || name == "*" {
-		// Multiple fields / IFS-joined: structure depends on $#.
-		return []absFrag{{val: Top(), quoted: inDquote}}, false
+	one := func(v AbsVal) ([]absFrag, bool) {
+		return []absFrag{{val: v, quoted: inDquote}}, true
 	}
+	digits := []absFrag{{val: Top(), quoted: inDquote, noSplit: true}}
 	val := Top()
 	switch {
+	case name == "@" || name == "*":
+		// Multiple fields / IFS-joined: structure depends on $#.
+		return []absFrag{{val: Top(), quoted: inDquote}}, false
 	case isVarName(name):
 		val = env.Resolve(name)
 	case len(name) > 0 && name[0] >= '1' && name[0] <= '9':
@@ -349,74 +353,54 @@ func absParam(f *expand.Frag, opd []expand.Frag, env *Env) ([]absFrag, bool) {
 				val = Const("")
 			}
 		}
-	case name == "#":
-		if env.paramsKnown && pe.Op == syntax.ParamPlain {
-			return []absFrag{{val: Const(strconv.Itoa(len(env.params))), quoted: inDquote}}, true
-		}
-		return []absFrag{{val: Top(), quoted: inDquote, noSplit: true}}, true
-	case name == "?" || name == "$":
-		// Exit status and PID are digit strings: single unsplittable frag.
-		return []absFrag{{val: Top(), quoted: inDquote, noSplit: true}}, true
+	case name == "#" && env.paramsKnown && pe.Op == syntax.ParamPlain:
+		return one(Const(strconv.Itoa(len(env.params))))
+	case name == "#" || name == "?" || name == "$":
+		// The count, the exit status and the PID are set digit strings,
+		// and so is any length or trim of them.
+		return digits, true
 	case name == "!":
 		val = Const("") // no job control: always unset
 	}
-	// set&non-null is decidable for two shapes: a non-empty constant, and
-	// any known prefix (Prefix is non-empty by construction).
-	definite := (val.Kind == AbsConst && val.Str != "") || val.Kind == AbsPrefix
-	emptyConst := val.Kind == AbsConst && val.Str == ""
-	one := func(v AbsVal) ([]absFrag, bool) {
-		return []absFrag{{val: v, quoted: inDquote}}, true
+	// The states the value allows, as (set, empty): a non-empty constant
+	// or a known prefix is set and non-empty, Const("") is set and empty
+	// or unset, ⊤ any of the three.
+	states := [][2]bool{{true, false}, {true, true}, {false, true}}
+	switch {
+	case val.Kind == AbsConst && val.Str != "" || val.Kind == AbsPrefix:
+		states = states[:1]
+	case val.Kind == AbsConst:
+		states = states[1:]
 	}
-	switch pe.Op {
-	case syntax.ParamPlain:
-		return one(val)
-	case syntax.ParamLength:
+	use := expand.Choose(pe, states[0][0], states[0][1])
+	for _, st := range states[1:] {
+		if expand.Choose(pe, st[0], st[1]) != use {
+			// The reads differ from state to state: one fragment, of
+			// unknown value, unless one of them is the operand in place
+			// or nothing.
+			ok := pe.Op == syntax.ParamAssign || pe.Op == syntax.ParamError
+			return []absFrag{{val: Top(), quoted: inDquote}}, ok
+		}
+	}
+	switch use {
+	case expand.UseOperand:
+		return absFrags(opd, env)
+	case expand.UseNothing:
+		return nil, true
+	case expand.UseAssign, expand.UseAbort:
+		// The operand's string, assigned (the environment-side widening
+		// of the name is the walker's job), or an abort.
+		return one(Top())
+	case expand.UseLength:
 		if val.Kind == AbsConst {
 			return one(Const(strconv.Itoa(len(val.Str))))
 		}
-		return []absFrag{{val: Top(), quoted: inDquote, noSplit: true}}, true
-	case syntax.ParamDefault:
-		if definite {
-			return one(val)
-		}
-		if pe.Colon && emptyConst {
-			// Empty and unset take the same branch under `:`.
-			return absFrags(opd, env)
-		}
-		// Either ⊤ set-ness, or (without the colon) Const("") ambiguous
-		// between set-empty (expands empty) and unset (expands the word):
-		// the fragment structure itself is unknown.
-		return []absFrag{{val: Top(), quoted: inDquote}}, false
-	case syntax.ParamAssign:
-		if definite {
-			return one(val)
-		}
-		// Assignment may fire; the result is the word's single-string
-		// expansion — always exactly one fragment. The environment-side
-		// widening of the name is the walker's job.
-		return one(Top())
-	case syntax.ParamError:
-		if definite {
-			return one(val)
-		}
-		// May abort the shell; if it proceeds the value was set.
-		return one(Top())
-	case syntax.ParamAlt:
-		if pe.Colon && emptyConst {
-			return nil, true // not taken: expands to nothing
-		}
-		if definite {
-			// Set and non-null satisfies both the `:+` and `+` forms.
-			return absFrags(opd, env)
-		}
-		// Unknown or ambiguous set-ness: zero-or-word fragments.
-		return []absFrag{{val: Top(), quoted: inDquote}}, false
-	case syntax.ParamTrimSuffix, syntax.ParamTrimSuffixLong,
-		syntax.ParamTrimPrefix, syntax.ParamTrimPrefixLong:
+		return digits, true
+	case expand.UseTrim:
 		if f.Static && val.Kind == AbsConst {
 			return one(Const(expand.Trim(val.Str, f.Text, pe.Op)))
 		}
 		return one(Top())
 	}
-	return one(Top())
+	return one(val)
 }

@@ -108,7 +108,7 @@ func analyzeFrags(fs []Frag, split bool, pos syntax.Pos, d *Deps) {
 		case Param:
 			p := f.Param
 			d.Vars = append(d.Vars, p.Name)
-			d.Effects = append(d.Effects, VarEffect{Kind: EffectRead, Name: p.Name, Pos: p.Pos(), Guarded: providesForUnset(p.Op)})
+			d.Effects = append(d.Effects, VarEffect{Kind: EffectRead, Name: p.Name, Pos: p.Pos(), Guarded: providesForUnset(p)})
 			analyzeFrags(sub, split && inPlace(p.Op), p.Pos(), d)
 			switch p.Op {
 			case syntax.ParamAssign:
@@ -168,12 +168,10 @@ func analyzeFrags(fs []Frag, split bool, pos syntax.Pos, d *Deps) {
 }
 
 // providesForUnset reports whether a ${x...} form provides for an unset
-// x: the default, assign, error and alternative forms. Every other form
-// reads x as $x does, and is fatal under set -u when x is unset.
-func providesForUnset(op syntax.ParamOp) bool {
-	return op == syntax.ParamDefault || op == syntax.ParamAssign ||
-		op == syntax.ParamError || op == syntax.ParamAlt
-}
+// x, making something other than x's value of it: the default, assign,
+// error and alternative forms. Every other form reads x as $x does, and is
+// fatal under set -u when x is unset.
+func providesForUnset(pe *syntax.ParamExp) bool { return Choose(pe, false, true) >= UseOperand }
 
 // splitRead records that an unquoted expansion's result is field-split:
 // a read of IFS (an unset IFS splits as the default does).

@@ -131,18 +131,14 @@ func (x *Expander) ExpandWords(ws []*syntax.Word) ([]string, error) {
 // or pathname expansion — the rule for assignments, redirection targets
 // in scripts, and case words.
 func (x *Expander) ExpandString(w *syntax.Word) (string, error) {
-	return x.expandString(w, String)
+	return x.RunString(x.compile(w), String)
 }
 
 // ExpandPattern expands a word into a matching pattern: quoted characters
 // are escaped so they match literally, unquoted metacharacters stay live.
 // Used for case patterns and ${x#pat}-style trims.
 func (x *Expander) ExpandPattern(w *syntax.Word) (string, error) {
-	return x.expandString(w, Pattern)
-}
-
-func (x *Expander) expandString(w *syntax.Word, m Mode) (string, error) {
-	return x.RunString(x.compile(w), m)
+	return x.RunString(x.compile(w), Pattern)
 }
 
 // compile lowers w into the expander's plan, which holds until the next
@@ -179,19 +175,6 @@ func (x *Expander) Run(p *Plan, m Mode, out []string) ([]string, error) {
 		return append(out, p.value), nil
 	case p.static:
 		return x.glob(out, p.value, p.pattern()), nil
-	case p.lone:
-		f := &p.frags[0]
-		v, err := x.value(f, nil)
-		switch {
-		case err != nil:
-			return out, err
-		case f.Quoted:
-			return append(out, v), nil
-		case v == "":
-			return out, nil
-		case !strings.ContainsAny(v, x.ifs()) && !strings.ContainsAny(v, "*?["):
-			return append(out, v), nil // one field: nothing splits or globs it
-		}
 	}
 	mark := len(x.frags)
 	defer x.truncate(mark)
@@ -211,8 +194,6 @@ func (x *Expander) RunString(p *Plan, m Mode) (string, error) {
 		return p.value, nil
 	case p.static:
 		return p.pattern(), nil
-	case p.lone:
-		return x.value(&p.frags[0], nil)
 	}
 	return x.str(p.frags, m)
 }
@@ -398,77 +379,50 @@ func (x *Expander) param(f *Frag, opd []Frag, m Mode) error {
 	if pe.Name == "@" || pe.Name == "*" {
 		return x.at(f, opd, m)
 	}
-	if inPlace(pe.Op) {
-		val, set := x.paramValue(pe.Name)
-		null := !set || pe.Colon && val == ""
-		switch {
-		case null == (pe.Op == syntax.ParamDefault):
-			return x.eval(opd, m)
-		case null:
-			return nil // ${x+w} of an unset x
-		}
-		x.frags = append(x.frags, frag{s: val, quoted: f.Quoted})
-		return nil
-	}
-	val, err := x.value(f, opd)
-	if err != nil {
-		return err
-	}
-	x.frags = append(x.frags, frag{s: val, quoted: f.Quoted})
-	return nil
-}
-
-// value is the one string a parameter read other than ${x-w} and ${x+w}
-// makes, whose operand is the fragments opd: $x, ${#x}, an assignment or
-// an abort when x is unset (or null, with the colon), or a trim.
-func (x *Expander) value(f *Frag, opd []Frag) (string, error) {
-	pe := f.Param
 	val, set := x.paramValue(pe.Name)
-	if !set && x.NoUnset && !providesForUnset(pe.Op) {
-		return "", &ExpandError{Msg: pe.Name + ": parameter not set", Fatal: true}
+	if !set && x.NoUnset && !providesForUnset(pe) {
+		return &ExpandError{Msg: pe.Name + ": parameter not set", Fatal: true}
 	}
-	null := !set || pe.Colon && val == ""
-	switch pe.Op {
-	case syntax.ParamPlain:
-		return val, nil
-	case syntax.ParamLength:
-		return strconv.Itoa(len(val)), nil
-	case syntax.ParamAssign:
-		if !null {
-			return val, nil
-		}
+	switch Choose(pe, set, val == "") {
+	case UseOperand:
+		return x.eval(opd, m)
+	case UseNothing:
+		return nil
+	case UseAssign:
 		w, err := x.str(opd, String)
 		if err != nil {
-			return "", err
+			return err
 		}
 		if x.Set == nil {
-			return "", &ExpandError{Msg: "cannot assign " + pe.Name + " in this context"}
+			return &ExpandError{Msg: "cannot assign " + pe.Name + " in this context"}
 		}
 		if err := x.Set(pe.Name, w); err != nil {
-			return "", &ExpandError{Msg: err.Error(), Fatal: true}
+			return &ExpandError{Msg: err.Error(), Fatal: true}
 		}
-		return w, nil
-	case syntax.ParamError:
-		if !null {
-			return val, nil
-		}
+		val = w
+	case UseAbort:
 		msg, err := x.str(opd, String)
 		if err != nil {
-			return "", err
+			return err
 		}
 		if msg == "" {
 			msg = "parameter not set"
 		}
-		return "", &ExpandError{Msg: pe.Name + ": " + msg, Fatal: true}
-	}
-	pat := f.Text
-	if !f.Static {
-		var err error
-		if pat, err = x.str(opd, Pattern); err != nil {
-			return "", err
+		return &ExpandError{Msg: pe.Name + ": " + msg, Fatal: true}
+	case UseLength:
+		val = strconv.Itoa(len(val))
+	case UseTrim:
+		pat := f.Text
+		if !f.Static {
+			var err error
+			if pat, err = x.str(opd, Pattern); err != nil {
+				return err
+			}
 		}
+		val = Trim(val, pat, pe.Op)
 	}
-	return Trim(val, pat, pe.Op), nil
+	x.frags = append(x.frags, frag{s: val, quoted: f.Quoted})
+	return nil
 }
 
 // Trim applies a ${x#pat}-style trim operator to val; pat is a pattern as

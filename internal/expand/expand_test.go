@@ -392,6 +392,21 @@ func TestExpandString(t *testing.T) {
 	}
 }
 
+// TestExpandPattern: a quoted expansion's value matches only itself (its
+// metacharacters escaped), an unquoted one's stay live, whether the word is
+// that one read alone or one read among other fragments.
+func TestExpandPattern(t *testing.T) {
+	x := testExpander(map[string]string{"x": "*", "y": `a?\.c`})
+	for src, want := range map[string]string{
+		`"$x"`: `\*`, `$x`: `*`, `"${x}"`: `\*`, `"${y%.c}"`: `a\?\\`, `${y%.c}`: `a?\`,
+		`"${#y}"`: `5`, `"$x"$x`: `\**`, `'*'"$x"`: `\*\*`, `"${u-$x}"`: `\*`, `${u-"$x"}`: `\*`,
+	} {
+		if got, err := x.ExpandPattern(wordOf(t, src)); err != nil || got != want {
+			t.Errorf("ExpandPattern(%s) = %q, %v; want %q", src, got, err, want)
+		}
+	}
+}
+
 func TestAnalyzeWord(t *testing.T) {
 	cases := []struct {
 		src  string

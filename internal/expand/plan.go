@@ -25,10 +25,6 @@ type Plan struct {
 	// its pattern is not its value (a quoted metacharacter).
 	value               string
 	static, glob, empty bool
-	// lone marks a word that is one parameter read with no operand to
-	// expand ($x, "$x", ${#x}, a trim by a static pattern): its value is
-	// its string, and its one field unless splitting or globbing acts on it.
-	lone bool
 }
 
 // FragKind classifies a Frag.
@@ -162,12 +158,6 @@ func (p *Plan) lower(w *syntax.Word) {
 	p.value, p.static = staticText(fs)
 	p.glob = p.static && pattern.HasMeta(p.pattern())
 	p.empty = len(fs) == 0
-	p.lone = false
-	if len(fs) == 1 && fs[0].Kind == Param {
-		pe := fs[0].Param
-		p.lone = pe.Name != "@" && pe.Name != "*" &&
-			(pe.Op == syntax.ParamPlain || pe.Op == syntax.ParamLength || fs[0].Static)
-	}
 }
 
 // Fixed appends to out the fields of a word that expands alike in every
@@ -204,6 +194,64 @@ func (p *Plan) mayGlob() bool {
 		}
 	}
 	return false
+}
+
+// Use is what a parameter read (other than of $@ and $*) makes: Choose
+// decides it, for Run and for the analyses' abstract walk alike. The uses
+// from UseOperand on make something other than the parameter's value.
+type Use uint8
+
+const (
+	// UseValue: the value ($x, and ${x-w}, ${x=w}, ${x?w} of a set x).
+	UseValue Use = iota
+	// UseLength: the value's length (${#x}).
+	UseLength
+	// UseTrim: the value trimmed by the operand's pattern (${x#w} and the
+	// like).
+	UseTrim
+	// UseOperand: the operand, expanded in place of the read (${x-w} of a
+	// null x, ${x+w} of a set one).
+	UseOperand
+	// UseNothing: no fragment (${x+w} of a null x).
+	UseNothing
+	// UseAssign: the operand as a string, assigned to x (${x=w} of a null
+	// x).
+	UseAssign
+	// UseAbort: the operand as the message of a fatal error (${x?w} of a
+	// null x).
+	UseAbort
+)
+
+// Choose decides what the read pe makes of a parameter that is set or not
+// and whose value is empty or not. The parameter is null when it is unset,
+// or, with the colon (${x:-w}), empty.
+func Choose(pe *syntax.ParamExp, set, empty bool) Use {
+	null := !set || pe.Colon && empty
+	switch pe.Op {
+	case syntax.ParamLength:
+		return UseLength
+	case syntax.ParamDefault:
+		if null {
+			return UseOperand
+		}
+	case syntax.ParamAlt:
+		if null {
+			return UseNothing
+		}
+		return UseOperand
+	case syntax.ParamAssign:
+		if null {
+			return UseAssign
+		}
+	case syntax.ParamError:
+		if null {
+			return UseAbort
+		}
+	case syntax.ParamTrimPrefix, syntax.ParamTrimPrefixLong,
+		syntax.ParamTrimSuffix, syntax.ParamTrimSuffixLong:
+		return UseTrim
+	}
+	return UseValue
 }
 
 // inPlace reports whether a ${x op word} operand is expanded in place of

@@ -328,6 +328,7 @@ var planFallbackCases = []diffCase{
 	{`x='a\b'; y=$x; z="$x"; w=/p/$x; t=${x#a}; printf '%s|' "$y" "$z" "$w" "$t" $x; echo`, "a\\b|a\\b|/p/a\\b|\\b|a\\b|\n", 0},
 	{`echo [ab]* [ "[" '[ab]*'; x='[ab]*'; echo "$x" $x`, "a1 b2 [ [ [ab]*\n[ab]* a1 b2\n", 0},
 	{`for w in x '*'; do case $w in "*") echo dq;; esac; case $w in '*') echo sq;; esac; case $w in \*) echo bs;; esac; case $w in *) echo any;; esac; done`, "any\ndq\nsq\nbs\nany\n", 0},
+	{`x='*'; y='a*.c'; for w in abc '*' a.c 'a*'; do case $w in "$x") echo "$w:q";; "${y%.c}") echo "$w:t";; $x) echo "$w:u";; esac; done`, "abc:u\n*:q\na.c:u\na*:t\n", 0},
 	{`x=; set -- $x"" ""$x; echo $#; set -- $x; echo $#; [ $1"" = "" ] && echo empty`, "2\n0\nempty\n", 0},
 	{`set -u; echo ${u%x}; echo unreached`, "", 1},
 	{`f=/d/a.b; IFS=.; echo ${f##*/} "${f##*/}"; IFS=' '; x='a\b c'; echo ${x%c} "${x%c}"`, "a b a.b\na\\b a\\b \n", 0},
@@ -582,6 +583,7 @@ func TestControlFlowAgreesWithDash(t *testing.T) {
 		"X=a Y=b; echo $X$Y",
 		`X="two words"; echo "$X"`,
 		"echo ${UNSET:-default}",
+		`x='*'; y=a.c; case abc in "$x") echo m;; *) echo n;; esac; case a in "${y%.c}") echo t;; esac`,
 		`HOME=/h; unset u; echo ~ ~/a ~x "~" ${u-~} ${u:-~/x} "${u-~}" ${u=~/b} $u; HOME=; echo ~`,
 		"true && echo yes || echo no",
 		"false && echo yes || echo no",

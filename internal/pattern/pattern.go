@@ -25,41 +25,7 @@ func Prefix(pat, name string, longest bool) (int, bool) {
 	if first >= 0 && (name == "" || name[0] != byte(first)) {
 		return 0, false
 	}
-	if last < 0 {
-		for n := 0; n <= len(name); n++ {
-			i := n
-			if longest {
-				i = len(name) - n
-			}
-			if match(pat, name[:i]) {
-				return i, true
-			}
-		}
-		return 0, false
-	}
-	c := byte(last)
-	if longest {
-		for end := len(name); ; {
-			i := strings.LastIndexByte(name[:end], c)
-			if i < 0 {
-				return 0, false
-			}
-			if match(pat, name[:i+1]) {
-				return i + 1, true
-			}
-			end = i
-		}
-	}
-	for from := 0; ; {
-		i := strings.IndexByte(name[from:], c)
-		if i < 0 {
-			return 0, false
-		}
-		from += i + 1
-		if match(pat, name[:from]) {
-			return from, true
-		}
-	}
+	return cut(pat, name, last, !longest, false)
 }
 
 // Suffix is Prefix for suffixes: the candidates are where the pattern's
@@ -70,41 +36,35 @@ func Suffix(pat, name string, longest bool) (int, bool) {
 	if last >= 0 && (name == "" || name[len(name)-1] != byte(last)) {
 		return 0, false
 	}
-	if first < 0 {
-		for n := 0; n <= len(name); n++ {
-			k := n
-			if longest {
-				k = len(name) - n
-			}
-			if match(pat, name[len(name)-k:]) {
-				return k, true
-			}
-		}
-		return 0, false
+	if j, ok := cut(pat, name, first, longest, true); ok {
+		return len(name) - j, true
 	}
-	c := byte(first)
-	if !longest {
-		for end := len(name); ; {
-			i := strings.LastIndexByte(name[:end], c)
-			if i < 0 {
-				return 0, false
-			}
-			if match(pat, name[i:]) {
-				return len(name) - i, true
-			}
-			end = i
+	return 0, false
+}
+
+// cut returns the first cut j of name, tried from 0 up to len(name) (or
+// down), at which the pattern matches name[:j] (or, for a suffix, name[j:]).
+// When c, the byte the pattern's moving end matches, is not -1, a cut is
+// tried only where the piece's byte at that end is c: name[j-1] for a
+// prefix, name[j] for a suffix.
+func cut(pat, name string, c int, up, suffix bool) (int, bool) {
+	at := -1 // the moving end's byte is name[j+at]
+	if suffix {
+		at = 0
+	}
+	for n := 0; n <= len(name); n++ {
+		j := n
+		if !up {
+			j = len(name) - n
+		}
+		if c >= 0 && (j+at < 0 || j+at >= len(name) || name[j+at] != byte(c)) {
+			continue
+		}
+		if suffix && match(pat, name[j:]) || !suffix && match(pat, name[:j]) {
+			return j, true
 		}
 	}
-	for from := 0; ; {
-		i := strings.IndexByte(name[from:], c)
-		if i < 0 {
-			return 0, false
-		}
-		if match(pat, name[from+i:]) {
-			return len(name) - from - i, true
-		}
-		from += i + 1
-	}
+	return 0, false
 }
 
 // endBytes returns the literal byte the pattern's first and last atoms
