@@ -239,7 +239,7 @@ func (s *Shell) runParallelGroup(in *interp.Interp, g rewrite.ListGroup) (int, e
 		in.Stderr.Write(w.stderr.Bytes())
 		status = w.status
 		for name, v := range w.defs {
-			in.Vars[name] = v
+			in.SetVar(name, v)
 		}
 		if w.err != nil || w.exited {
 			in.Status, in.Exited = w.status, w.exited

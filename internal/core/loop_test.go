@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -116,6 +117,39 @@ func TestLoopOverManyFiles(t *testing.T) {
 		}
 		if name == "jash" && sh.Stats.ListParallel != 600 {
 			t.Errorf("jash: %d statements in list regions, want 600", sh.Stats.ListParallel)
+		}
+	})
+}
+
+// TestLoopRegionClonesShareTables: a list region's workers bind the loop
+// variable on clones that share the shell's variable and function tables,
+// so each binding copies its worker's table first: under -race, no worker
+// writes the table the others are reading, and the shell's tables after
+// the two loops and the last line (a region of two statements, one of
+// them a call) are exactly bash mode's.
+func TestLoopRegionClonesShareTables(t *testing.T) {
+	const script = "x=keep; g() { :; }\n" +
+		"for f in /d/a /d/b /d/c /d/e; do tr a-z A-Z <$f >$f.up; done\n" +
+		"for f in /d/a /d/b /d/c /d/e; do wc -l <$f >$f.n; done\n" +
+		"echo \"$f $x\"; g\n"
+	var base string
+	threeModes(t, loopFS, script, func(name string, sh *Shell, fs *vfs.FS, st int, out, errs string) {
+		funcs := make([]string, 0, len(sh.Interp.Funcs))
+		for f := range sh.Interp.Funcs {
+			funcs = append(funcs, f)
+		}
+		sort.Strings(funcs)
+		got := fmt.Sprintf("status %d\nstdout %q\nstderr %q\nvars %v\nfuncs %v\n%s",
+			st, out, errs, sh.Interp.Vars, funcs, snapshotFS(t, fs, "/"))
+		if name == "bash" {
+			base = got
+			return
+		}
+		if got != base {
+			t.Errorf("%s diverges from bash:\n%s\nbash:\n%s", name, got, base)
+		}
+		if name == "jash" && sh.Stats.ListParallel != 10 {
+			t.Errorf("%d statements ran in list regions, want 10", sh.Stats.ListParallel)
 		}
 	})
 }

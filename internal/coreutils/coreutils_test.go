@@ -691,8 +691,11 @@ func TestTouchCopiesNothing(t *testing.T) {
 	touch := func(p string) func() {
 		return func() { run(t, fs, "", "touch", p) }
 	}
+	// The allocation count is compared only without the race detector,
+	// whose own allocations vary from run to run; the byte bound below,
+	// the claim that nothing is copied, holds in every build.
 	small, large := testing.AllocsPerRun(20, touch("/small")), testing.AllocsPerRun(20, touch("/big"))
-	if large > small {
+	if large > small && !raceEnabled {
 		t.Errorf("touch allocs grow with the file: %v for 2 bytes, %v for 1 MiB", small, large)
 	}
 	var m0, m1 runtime.MemStats

@@ -155,7 +155,8 @@ func (x *Expander) compile(w *syntax.Word) *Plan {
 // word's fields in Fields mode, its one string in String and Pattern mode.
 // It is the one evaluator of a word. A static plan's result is read off
 // the plan (its field is still globbed when its pattern has a live
-// metacharacter).
+// metacharacter), and so is a lone quoted read's ("$x" is the value of x,
+// after the set -u check).
 func (x *Expander) Run(p *Plan, m Mode, out []string) ([]string, error) {
 	if m != Fields {
 		s, err := x.RunString(p, m)
@@ -171,6 +172,12 @@ func (x *Expander) Run(p *Plan, m Mode, out []string) ([]string, error) {
 		return fixed, nil
 	}
 	switch {
+	case p.read != "":
+		val, set := x.paramValue(p.read)
+		if !set && x.NoUnset {
+			return out, unsetError(p.read)
+		}
+		return append(out, val), nil
 	case p.static && (x.NoGlob || x.FS == nil):
 		return append(out, p.value), nil
 	case p.static:
@@ -381,7 +388,7 @@ func (x *Expander) param(f *Frag, opd []Frag, m Mode) error {
 	}
 	val, set := x.paramValue(pe.Name)
 	if !set && x.NoUnset && !providesForUnset(pe) {
-		return &ExpandError{Msg: pe.Name + ": parameter not set", Fatal: true}
+		return unsetError(pe.Name)
 	}
 	switch Choose(pe, set, val == "") {
 	case UseOperand:
@@ -423,6 +430,11 @@ func (x *Expander) param(f *Frag, opd []Frag, m Mode) error {
 	}
 	x.frags = append(x.frags, frag{s: val, quoted: f.Quoted})
 	return nil
+}
+
+// unsetError is set -u's error for a read of the unset parameter name.
+func unsetError(name string) error {
+	return &ExpandError{Msg: name + ": parameter not set", Fatal: true}
 }
 
 // Trim applies a ${x#pat}-style trim operator to val; pat is a pattern as
@@ -505,7 +517,7 @@ const shareMax = 1024
 // is built only for a field whose unquoted text holds a metacharacter or a
 // backslash (a trailing one escapes the next piece's first pattern byte).
 func (x *Expander) fields(frags []frag, out []string) []string {
-	ifs := x.ifs()
+	ifs, ifsRead := "", false // IFS is looked up for the first fragment split
 	ps := x.pieces[:0]
 	started, meta := false, false
 	prevNonWS := true // a leading non-whitespace delimiter makes an empty field
@@ -526,9 +538,12 @@ func (x *Expander) fields(frags []frag, out []string) []string {
 		case f.quoted:
 			add(piece{text: f.s, quoted: true, of: len(f.s)})
 		default:
-			s, run, sep := f.s, 0, ifs
-			if f.lit {
-				sep = "" // literal text is never split
+			s, run, sep := f.s, 0, ""
+			if !f.lit { // literal text is never split
+				if !ifsRead {
+					ifs, ifsRead = x.ifs(), true
+				}
+				sep = ifs
 			}
 			flush := func(end int) {
 				if end > run {

@@ -1,6 +1,7 @@
 package expand
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -403,6 +404,40 @@ func TestExpandPattern(t *testing.T) {
 	} {
 		if got, err := x.ExpandPattern(wordOf(t, src)); err != nil || got != want {
 			t.Errorf("ExpandPattern(%s) = %q, %v; want %q", src, got, err, want)
+		}
+	}
+}
+
+// TestLoneQuotedRead: a word that is one double-quoted plain read of a
+// parameter other than $@ and $* is read off its plan in Fields mode: one
+// field, the value as it stands; an unset one under set -u is fatal. Any
+// other word takes the general path.
+func TestLoneQuotedRead(t *testing.T) {
+	for src, read := range map[string]string{
+		`"$x"`: "x", `"${x}"`: "x", `"$1"`: "1", `"$#"`: "#", `"$?"`: "?",
+		`"$@"`: "", `"$*"`: "", `$x`: "", `"${x-d}"`: "", `"${#x}"`: "", `"$x"y`: "", `"$x$y"`: "", `"a$x"`: "",
+	} {
+		if p := Compile(wordOf(t, src)); p.read != read {
+			t.Errorf("Compile(%s).read = %q, want %q", src, p.read, read)
+		}
+	}
+	x := testExpander(map[string]string{"x": "a b*  c\\d", "e": ""}, "p q")
+	x.FS = vfs.New()
+	for src, want := range map[string][]string{
+		`"$x"`: {"a b*  c\\d"}, `"${e}"`: {""}, `"$u"`: {""}, `"$1"`: {"p q"}, `"$2"`: {""}, `"$#"`: {"1"},
+	} {
+		p := Compile(wordOf(t, src))
+		got, err := x.Run(&p, Fields, nil)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("Run(%s) = %q, %v; want %q", src, got, err, want)
+		}
+	}
+	x.NoUnset = true
+	for _, src := range []string{`"$u"`, `"${u}"`, `"$2"`} {
+		p := Compile(wordOf(t, src))
+		var ee *ExpandError
+		if _, err := x.Run(&p, Fields, nil); !errors.As(err, &ee) || !ee.Fatal {
+			t.Errorf("Run(%s) under set -u = %v, want a fatal error", src, err)
 		}
 	}
 }

@@ -25,6 +25,10 @@ type Plan struct {
 	// its pattern is not its value (a quoted metacharacter).
 	value               string
 	static, glob, empty bool
+	// read names the parameter of a word that is one double-quoted plain
+	// read of it ("$x", "${x}", "$1"; not "$@" or "$*"): in Fields mode
+	// its value is the word's one field.
+	read string
 }
 
 // FragKind classifies a Frag.
@@ -158,6 +162,11 @@ func (p *Plan) lower(w *syntax.Word) {
 	p.value, p.static = staticText(fs)
 	p.glob = p.static && pattern.HasMeta(p.pattern())
 	p.empty = len(fs) == 0
+	p.read = ""
+	if len(fs) == 1 && fs[0].Kind == Param && fs[0].Quoted && fs[0].Param.Op == syntax.ParamPlain &&
+		fs[0].Param.Name != "@" && fs[0].Param.Name != "*" {
+		p.read = fs[0].Param.Name
+	}
 }
 
 // Fixed appends to out the fields of a word that expands alike in every

@@ -126,7 +126,7 @@ func declare(in *Interp, args []string, flag func(*Variable)) int {
 		}
 		v := in.Vars[name]
 		flag(&v)
-		in.Vars[name] = v
+		in.SetVar(name, v)
 	}
 	return 0
 }
@@ -140,14 +140,14 @@ func builtinUnset(in *Interp, args []string) int {
 	}
 	for _, a := range names {
 		if funcs {
-			delete(in.Funcs, a)
+			in.unsetFunc(a)
 			continue
 		}
 		if v, ok := in.Vars[a]; ok && v.ReadOnly {
 			fmt.Fprintf(in.Stderr, "unset: %s: readonly\n", a)
 			return 1
 		}
-		delete(in.Vars, a)
+		in.unsetVar(a)
 	}
 	return 0
 }

@@ -119,7 +119,7 @@ func builtinGetopts(in *Interp, args []string) int {
 	}
 	endScan := func() int {
 		in.Setenv(name, "?")
-		delete(in.Vars, "OPTARG")
+		in.unsetVar("OPTARG")
 		return finish(ind, 0, 1)
 	}
 	if ind-1 >= len(params) {
@@ -129,7 +129,7 @@ func builtinGetopts(in *Interp, args []string) int {
 	if pos == 0 {
 		if arg == "--" {
 			in.Setenv(name, "?")
-			delete(in.Vars, "OPTARG")
+			in.unsetVar("OPTARG")
 			return finish(ind+1, 0, 1)
 		}
 		if len(arg) < 2 || arg[0] != '-' {
@@ -152,14 +152,14 @@ func builtinGetopts(in *Interp, args []string) int {
 		if silent {
 			in.Setenv("OPTARG", string(c))
 		} else {
-			delete(in.Vars, "OPTARG")
+			in.unsetVar("OPTARG")
 			fmt.Fprintf(in.Stderr, "%s: illegal option -- %c\n", in.Name0, c)
 		}
 		return advance(0)
 	}
 	if idx+1 >= len(optstring) || optstring[idx+1] != ':' {
 		in.Setenv(name, string(c))
-		delete(in.Vars, "OPTARG")
+		in.unsetVar("OPTARG")
 		return advance(0)
 	}
 	// The option takes an argument: the rest of this word, or the next
@@ -179,7 +179,7 @@ func builtinGetopts(in *Interp, args []string) int {
 		in.Setenv("OPTARG", string(c))
 	} else {
 		in.Setenv(name, "?")
-		delete(in.Vars, "OPTARG")
+		in.unsetVar("OPTARG")
 		fmt.Fprintf(in.Stderr, "%s: option requires an argument -- %c\n", in.Name0, c)
 	}
 	return finish(ind+1, 0, 0)

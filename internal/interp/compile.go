@@ -8,13 +8,17 @@
 //
 // This is the only evaluator: control flow, set -e, traps, redirections and
 // the break/continue/exit/return signals have one implementation, and a
-// word has one, expand.Run. What compiling saves is confined to two places
-// — each word's expand.Plan, lowered once and cached with its statement,
-// and compileDispatch's pre-resolved builtin/utility pointers — and
+// word has one, expand.Run. What compiling saves is confined to three
+// places — each word's expand.Plan, lowered once and cached with its
+// statement, the argv stack a word list's fields are pushed on, and
+// compileDispatch's pre-resolved builtin/utility pointers — and
 // Interp.NoCompile turns exactly those off: every word is compiled afresh
-// and every command goes through in.dispatch. That run is the reference
-// the differential tests, the fuzzer's `plain` oracle and the benchmark's
-// interp.walk_script_ms compare the optimised run against.
+// into a field list of its own, and every command goes through
+// in.dispatch. That run is the reference the differential tests and the
+// fuzzer's `plain` oracle compare the optimised run against. The benchmark
+// times it as interp.walk_script_ms (and interp.compile_speedup divides by
+// it), a name kept from when a separate tree-walking evaluator was the
+// reference; none remains.
 package interp
 
 import (
@@ -188,7 +192,7 @@ func compileCommand(cmd syntax.Command) compiled {
 		return withCompiledRedirs(c.Redirections, compileCase(c))
 	case *syntax.FuncDecl:
 		return func(in *Interp) {
-			in.Funcs[c.Name] = c.Body
+			in.defineFunc(c.Name, c.Body)
 			in.Status = 0
 		}
 	default:
@@ -233,8 +237,8 @@ func compileCond(stmts []*syntax.Stmt) compiled {
 	return func(in *Interp) {
 		saved := in.ErrExit
 		in.ErrExit = false
+		defer func() { in.ErrExit = saved }() // break and continue unwind it
 		body(in)
-		in.ErrExit = saved
 	}
 }
 
@@ -268,17 +272,21 @@ func compileWhile(c *syntax.WhileClause) compiled {
 		defer func() { in.loopDepth-- }()
 		iterations := 0
 		for {
-			cond(in)
-			ok := in.Status == 0
-			if until {
-				ok = !ok
-			}
-			if !ok {
+			// break and continue in the condition act on this loop, as
+			// in the body: a continue there skips the body.
+			stop, cut := in.loopBodyFn(func() { cond(in) })
+			switch {
+			case stop:
 				in.Status = 0
 				return
-			}
-			if stop := in.loopBodyFn(func() { body(in) }); stop {
+			case cut:
+			case (in.Status == 0) == until:
+				in.Status = 0
 				return
+			default:
+				if stop, _ := in.loopBodyFn(func() { body(in) }); stop {
+					return
+				}
 			}
 			iterations++
 			if iterations > maxLoopIterations {
@@ -293,6 +301,9 @@ func compileFor(c *syntax.ForClause) compiled {
 	name := c.Name
 	words, inPresent := compileWordList(c.Words), c.InPresent
 	return func(in *Interp) {
+		// The items live on the argv stack, below the body's commands,
+		// until the loop ends.
+		defer in.popArgv(len(in.argv))
 		var items []string
 		if inPresent {
 			fields, err := words.expand(in, in.expander())
@@ -302,13 +313,13 @@ func compileFor(c *syntax.ForClause) compiled {
 			}
 			items = fields
 		} else {
-			items = append([]string(nil), in.Params...)
+			items = in.Params // set -- in the body makes a new list
 		}
 		in.loopDepth++
 		defer func() { in.loopDepth-- }()
 		for _, item := range items {
 			in.mustAssign(name, item)
-			if stop := in.loopBodyFn(func() { body(in) }); stop {
+			if stop, _ := in.loopBodyFn(func() { body(in) }); stop {
 				return
 			}
 		}
@@ -401,7 +412,10 @@ func compileWordList(ws []*syntax.Word) wordList {
 
 // expand produces the list's fields through x, the command's one expander,
 // so that the command sees one snapshot of $? however many of its words
-// read it. Under NoCompile every word is compiled afresh.
+// read it. The fields of a dynamic list are pushed on in.argv: the caller
+// pops them (popArgv) back to the length it saw before the call, when it
+// is done with them. Under NoCompile every word is compiled afresh, into
+// a list of its own.
 func (l wordList) expand(in *Interp, x *expand.Expander) ([]string, error) {
 	switch {
 	case in.NoCompile:
@@ -409,14 +423,15 @@ func (l wordList) expand(in *Interp, x *expand.Expander) ([]string, error) {
 	case l.fixed != nil:
 		return l.fixed, nil
 	}
-	out := make([]string, 0, len(l.plans))
+	mark := len(in.argv)
 	for i := range l.plans {
 		var err error
-		if out, err = x.Run(&l.plans[i], expand.Fields, out); err != nil {
+		if in.argv, err = x.Run(&l.plans[i], expand.Fields, in.argv); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	n := len(in.argv)
+	return in.argv[mark:n:n], nil
 }
 
 // --- simple commands ---
@@ -465,6 +480,9 @@ func compileSimple(c *syntax.SimpleCommand) compiled {
 	hasAssigns := len(assigns) > 0
 	hasRedirs := len(redirs) > 0
 	return func(in *Interp) {
+		// The fields live on the argv stack until the command returns or
+		// a signal unwinds it.
+		defer in.popArgv(len(in.argv))
 		x := in.expander()
 		fields, err := words.expand(in, x)
 		if err != nil {
@@ -495,7 +513,7 @@ func compileSimple(c *syntax.SimpleCommand) compiled {
 					savedVars[a.name] = nil
 				}
 				in.mustAssign(a.name, val) // a readonly target ends the shell
-				in.Vars[a.name] = Variable{Value: val, Exported: true}
+				in.SetVar(a.name, Variable{Value: val, Exported: true})
 			}
 		}
 		if hasRedirs {
@@ -503,14 +521,8 @@ func compileSimple(c *syntax.SimpleCommand) compiled {
 		} else {
 			dispatch(in, fields)
 		}
-		if hasAssigns {
-			for name, old := range savedVars {
-				if old == nil {
-					delete(in.Vars, name)
-				} else {
-					in.Vars[name] = *old
-				}
-			}
+		for name, old := range savedVars {
+			in.restoreVar(name, old)
 		}
 	}
 }

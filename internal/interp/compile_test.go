@@ -3,9 +3,11 @@ package interp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	osexec "os/exec"
 	"path"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -333,6 +335,18 @@ var planFallbackCases = []diffCase{
 	{`set -u; echo ${u%x}; echo unreached`, "", 1},
 	{`f=/d/a.b; IFS=.; echo ${f##*/} "${f##*/}"; IFS=' '; x='a\b c'; echo ${x%c} "${x%c}"`, "a b a.b\na\\b a\\b \n", 0},
 	{`f=/d/a.b.txt; a=${f%".txt"}; b=${f%'.'*}; c="${f##*"/"}"; d=${f%%"*"}; e=${f%\*}; g=${f#*[/]}; echo $a $b $c $d $e $g`, "/d/a.b /d/a.b a.b.txt /d/a.b.txt /d/a.b.txt d/a.b.txt\n", 0},
+	// A lone quoted read ("$x", "${x}", "$1") is its value, one field,
+	// read off the plan: unset, unset under set -u, empty, holding IFS
+	// characters, `*` and `\`; "$@" is not one, and as a case pattern
+	// "$x" still matches only itself.
+	{`unset x; set -- "$x" "${x}"; echo $# "[$1]"`, "2 []\n", 0},
+	{`set -u; unset x; echo "$x"; echo unreached`, "", 1},
+	{`set -u; set -- a; echo "${1}"; echo "${2}"; echo unreached`, "a\n", 1},
+	{`x=; set -- "$x" "${x}" "$x"; echo $# "[$1$2$3]"`, "3 []\n", 0},
+	{`x='a b*  c\d'; IFS=' *'; printf '[%s]' "$x" "${x}"; set -- "$x"; echo $#`, "[a b*  c\\d][a b*  c\\d]1\n", 0},
+	{`set -- 'p q' '*'; x='[ab]*'; printf '[%s]' "$1" "${2}" "$x" "${x}"; echo`, "[p q][*][[ab]*][[ab]*]\n", 0},
+	{`set -- 'a b' '' c; printf '[%s]' "$@"; echo; set --; printf '[%s]' "$@" "$*"; echo`, "[a b][][c]\n[]\n", 0},
+	{`x='*'; case '*' in "$x") echo lit;; esac; case abc in "$x") echo m;; "${x}") echo m;; *) echo n;; esac`, "lit\nn\n", 0},
 }
 
 // TestCompiledDifferentialPlanFallbacks runs planFallbackCases with plans
@@ -515,6 +529,10 @@ func TestNoCompileUsesNoPrecomputedResult(t *testing.T) {
 // commands follow, with the fast paths on (fast) and off (plain): a
 // command's field list is the one allocation a compiled `[` or function
 // call makes, a joined word's string the one a compiled `q=/api/$t` makes.
+// cloneSink keeps the clones TestPerCommandFloorAllocates makes, so that
+// they are allocated as the interpreter allocates them.
+var cloneSink *Interp
+
 func TestPerCommandFloorAllocates(t *testing.T) {
 	for _, noCompile := range []bool{false, true} {
 		in := New(vfs.New())
@@ -540,11 +558,11 @@ func TestPerCommandFloorAllocates(t *testing.T) {
 			{`t="$x"`, 0, 0},
 			{"i=$((i + 1))", 1, 1},
 			{"total=$((total + ${#kind}))", 2, 2},
-			{`[ "$i" -lt 100 ]`, 1, 7},
+			{`[ "$i" -lt 100 ]`, 0, 7},
 			{`t=${f##*/}`, 0, 1},
 			{`q=/api/$t`, 1, 1},
 			{"case $((i % 3)) in 0) q=/api/$t ;; 1) q=/static/$t ;; *) q=/$t ;; esac", 1, 4},
-			{`classify "$q"`, 1, 6},
+			{`classify "$q"`, 0, 6},
 		} {
 			script, err := syntax.Parse(c.src)
 			if err != nil {
@@ -559,6 +577,64 @@ func TestPerCommandFloorAllocates(t *testing.T) {
 				t.Errorf("NoCompile=%v: %q allocates %v times, want at most %v", noCompile, c.src, n, bound)
 			}
 		}
+	}
+
+	// A clone shares the tables it does not write: it costs the same with
+	// 10 variables and functions as with 1,000.
+	cloneCost := func(n int) (allocs float64, bytes uint64) {
+		in := New(vfs.New())
+		for i := 0; i < n; i++ {
+			in.Setenv(fmt.Sprintf("v%d", i), "value")
+			in.defineFunc(fmt.Sprintf("f%d", i), &syntax.BraceGroup{})
+		}
+		allocs = testing.AllocsPerRun(100, func() { cloneSink = in.subshell() })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			cloneSink = in.subshell()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 100
+	}
+	smallAllocs, smallBytes := cloneCost(10)
+	bigAllocs, bigBytes := cloneCost(1000)
+	if bigAllocs > smallAllocs || bigBytes > smallBytes+64 {
+		t.Errorf("subshell() costs %v allocations, %d bytes with 1,000 variables and functions; %v, %d with 10",
+			bigAllocs, bigBytes, smallAllocs, smallBytes)
+	}
+
+	// Every command pops its fields off the argv stack, however it ends:
+	// 10,000 breaks, continues, returns and exits leave it empty.
+	for _, src := range []string{
+		`i=0; while [ "$i" -lt 10000 ]; do i=$((i + 1)); while :; do break $one; done; done`,
+		`i=0; while [ "$i" -lt 10000 ]; do i=$((i + 1)); for w in a "$i"; do break $one; done; done`,
+		`i=0; while [ "$i" -lt 10000 ]; do i=$((i + 1)); continue $one; done`,
+		`f() { return "$zero"; }; i=0; while [ "$i" -lt 10000 ]; do i=$((i + 1)); f "$i"; done`,
+		`f() { for w in a "$1"; do return $zero; done; }; i=0; while [ "$i" -lt 10000 ]; do i=$((i + 1)); f "$i"; done`,
+	} {
+		in := New(vfs.New())
+		in.Setenv("one", "1")
+		in.Setenv("zero", "0")
+		if _, err := in.RunScript(src); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if len(in.argv) != 0 || cap(in.argv) > 16 {
+			t.Errorf("%q leaves the argv stack at %d fields (capacity %d), want 0", src, len(in.argv), cap(in.argv))
+		}
+	}
+	in := New(vfs.New())
+	in.Setenv("s", "3")
+	exit, err := syntax.Parse(`echo $s; exit $s`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10000; i++ {
+		if status, err := in.RunStmts(exit.Stmts); status != 3 || err != nil {
+			t.Fatalf("exit: status %d, %v", status, err)
+		}
+	}
+	if len(in.argv) != 0 || cap(in.argv) > 16 {
+		t.Errorf("10,000 exits leave the argv stack at %d fields (capacity %d), want 0", len(in.argv), cap(in.argv))
 	}
 }
 
@@ -686,6 +762,21 @@ func TestControlFlowAgreesWithDash(t *testing.T) {
 		`printf '%s|' a\ b "a\$b" 'c\d' \\ "\\" "\q"`,
 		`x='a\\b'; case 'a\b' in $x) echo match;; *) echo nomatch;; esac`,
 		`x='a\'; printf '%s|' $x`,
+		// A lone quoted read is its value, one field.
+		`unset x; set -- "$x" "${x}"; echo $# "[$1]"`,
+		`set -u; unset x; echo "$x"; echo unreached`,
+		`set -u; set -- a; echo "${1}"; echo "${2}"; echo unreached`,
+		`x=; set -- "$x" "${x}" "$x"; echo $# "[$1$2$3]"`,
+		`x='a b*  c\d'; IFS=' *'; printf '[%s]' "$x" "${x}"; set -- "$x"; echo $#`,
+		`set -- 'p q' '*'; x='[ab]*'; printf '[%s]' "$1" "${2}" "$x" "${x}"; echo`,
+		`set -- 'a b' '' c; printf '[%s]' "$@"; echo; set --; printf '[%s]' "$@" "$*"; echo`,
+		`x='*'; case '*' in "$x") echo lit;; esac; case abc in "$x") echo m;; "${x}") echo m;; *) echo n;; esac`,
+		// break and continue in a loop's condition act on that loop.
+		"while break; do :; done; echo after $?",
+		"false; until break; do :; done; echo $?",
+		"for i in 1 2; do while echo c$i; break 2; do :; done; done; echo $?",
+		"i=0; while i=$((i+1)); [ $i = 2 ] && continue; [ $i -lt 4 ]; do echo b$i; done; echo end $i",
+		"set -e; for i in 1 2; do while break; do :; done; done; false; echo unreached",
 	}
 	// A closed pipe stops its writer: dash's stage dies at the first write
 	// after its reader has gone (SIGPIPE), so its loop never reaches the

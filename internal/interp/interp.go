@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"path"
 	"strings"
 
@@ -32,11 +33,16 @@ type Variable struct {
 }
 
 // Interp is a shell execution state. Create with New; copies made by
-// subshell() share the FS but nothing else.
+// subshell() share the FS and the positional parameters, and the variable
+// and function tables until they first write one.
 type Interp struct {
 	FS  *vfs.FS
 	Dir string
 
+	// Vars and Funcs are the variable and function tables. Read them
+	// freely; write them only through SetVar, unsetVar, defineFunc and
+	// unsetFunc, which copy a table the interpreter shares with the one it
+	// was cloned from before the first write.
 	Vars   map[string]Variable
 	Funcs  map[string]syntax.Command
 	Params []string
@@ -73,10 +79,10 @@ type Interp struct {
 	// line-oriented drivers must stop feeding further commands.
 	Exited bool
 
-	// Traps maps condition names to trap actions. Only EXIT fires today
-	// (the hermetic shell receives no signals); other conditions are
-	// stored and printable but inert. Subshells start with no traps, per
-	// POSIX.
+	// Traps maps condition names to trap actions; it is nil until a trap
+	// is set. Only EXIT fires today (the hermetic shell receives no
+	// signals); other conditions are stored and printable but inert.
+	// Subshells start with no traps, per POSIX.
 	Traps map[string]string
 
 	// Umask is the file-mode creation mask (umask builtin). It shadows
@@ -138,11 +144,12 @@ type Interp struct {
 	cuEnviron func() []string
 	// x is the interpreter's one expander and cu its one utility context,
 	// both refreshed in place by expander() and coreutilsContext(); early is
-	// EarlyExpander's, which planning uses for one offered pipeline and is
-	// done with before the next. Clones get their own.
+	// EarlyExpander's, made on its first call, which planning uses for one
+	// offered pipeline and is done with before the next. Clones get their
+	// own.
 	x     expand.Expander
 	cu    coreutils.Context
-	early expand.Expander
+	early *expand.Expander
 
 	loopDepth int
 	// callDepth counts the function calls in progress, parent shells' too.
@@ -158,6 +165,20 @@ type Interp struct {
 	// builtinLocal records each shadowed (or previously unset) variable in
 	// the innermost frame, and callFunction restores them on return.
 	localFrames []map[string]*Variable
+
+	// varsShared and funcsShared say that Vars and Funcs are the tables of
+	// the interpreter this one was cloned from: the first write copies
+	// them. Sharing is sound because a parent never writes while a clone
+	// lives (a pipeline, $(...) and & wait for their clones, and a list
+	// region's workers end before their definitions are merged).
+	varsShared, funcsShared bool
+
+	// argv is the stack the fields of the running simple commands and
+	// for loops live on: each pushes its fields and pops them, in a
+	// deferred call, when it returns or a signal (break, continue,
+	// return, exit, a fatal error) unwinds it. A field list is valid while
+	// its command runs: whatever keeps one longer (set --) copies it.
+	argv []string
 }
 
 // New returns an interpreter over the given filesystem with standard
@@ -170,7 +191,6 @@ func New(fs *vfs.FS) *Interp {
 		// startup, not only after the first cd.
 		Vars:   map[string]Variable{"PWD": {Value: "/", Exported: true}},
 		Funcs:  map[string]syntax.Command{},
-		Traps:  map[string]string{},
 		Umask:  fs.Umask(),
 		Name0:  "jash",
 		Stdin:  strings.NewReader(""),
@@ -254,20 +274,83 @@ func (in *Interp) Getenv(name string) string {
 	return in.Vars[name].Value
 }
 
-// Setenv sets a variable.
+// Setenv sets a variable's value, keeping its flags.
 func (in *Interp) Setenv(name, value string) {
 	v := in.Vars[name]
 	v.Value = value
+	in.SetVar(name, v)
+}
+
+// SetVar binds a variable, value and flags: with unsetVar, the one writer
+// of the variable table.
+func (in *Interp) SetVar(name string, v Variable) {
+	in.ownVars()
 	in.Vars[name] = v
+}
+
+// unsetVar removes a variable.
+func (in *Interp) unsetVar(name string) {
+	if _, ok := in.Vars[name]; ok {
+		in.ownVars()
+		delete(in.Vars, name)
+	}
+}
+
+// defineFunc binds a function: with unsetFunc, the one writer of the
+// function table.
+func (in *Interp) defineFunc(name string, body syntax.Command) {
+	in.ownFuncs()
+	in.Funcs[name] = body
+}
+
+// unsetFunc removes a function.
+func (in *Interp) unsetFunc(name string) {
+	if _, ok := in.Funcs[name]; ok {
+		in.ownFuncs()
+		delete(in.Funcs, name)
+	}
+}
+
+// ownVars and ownFuncs copy a table shared with the interpreter this one
+// was cloned from, before its first write.
+func (in *Interp) ownVars() {
+	if in.varsShared {
+		in.Vars, in.varsShared = maps.Clone(in.Vars), false
+	}
+}
+
+func (in *Interp) ownFuncs() {
+	if in.funcsShared {
+		in.Funcs, in.funcsShared = maps.Clone(in.Funcs), false
+	}
+}
+
+// restoreVar puts back a binding saved before a prefix assignment or a
+// local declaration: old, or no variable when old is nil.
+func (in *Interp) restoreVar(name string, old *Variable) {
+	if old == nil {
+		in.unsetVar(name)
+	} else {
+		in.SetVar(name, *old)
+	}
+}
+
+// popArgv truncates the argv stack back to mark, dropping the popped
+// fields' strings.
+func (in *Interp) popArgv(mark int) {
+	clear(in.argv[mark:])
+	in.argv = in.argv[:mark]
 }
 
 // assign is Setenv behind the readonly check: the setter the expansions
 // that assign (${x=w}, $((x=1))) and the read builtin go through.
 func (in *Interp) assign(name, value string) error {
-	if in.Vars[name].ReadOnly {
+	v := in.Vars[name]
+	if v.ReadOnly {
 		return fmt.Errorf("%s: readonly variable", name)
 	}
-	in.Setenv(name, value)
+	v.Value = value
+	in.SetVar(name, v)
 	return nil
 }
 
@@ -327,9 +410,12 @@ func (in *Interp) refresh(x *expand.Expander) {
 // same $?, same positional parameters — that can neither assign a variable
 // nor run a command substitution. It is valid until the next call.
 func (in *Interp) EarlyExpander() *expand.Expander {
-	in.refresh(&in.early)
+	if in.early == nil {
+		in.early = new(expand.Expander)
+	}
+	in.refresh(in.early)
 	in.early.Set, in.early.CmdSubst = nil, nil
-	return &in.early
+	return in.early
 }
 
 // cmdSubst runs a command substitution body in a subshell, capturing its
@@ -349,29 +435,26 @@ func (in *Interp) cmdSubst(stmts []*syntax.Stmt) (string, error) {
 // Subshell clones the interpreter state for an isolated execution whose
 // mutations do not escape; package core's list-region runner executes each
 // statement of a proven-non-interfering region on its own clone and merges
-// the declared definitions back afterwards.
+// the declared definitions back afterwards (SetVar). The parent must not
+// write its tables until the clone is done with them.
 func (in *Interp) Subshell() *Interp { return in.subshell() }
 
-// subshell clones the interpreter state; mutations do not escape.
+// subshell clones the interpreter state; mutations do not escape. The
+// clone shares the variable and function tables and copies one when it
+// first writes it; the parent writes neither while the clone lives. It
+// shares the positional parameters too: no one writes a parameter list in
+// place (set -- makes a new one, shift reslices it).
 func (in *Interp) subshell() *Interp {
-	vars := make(map[string]Variable, len(in.Vars))
-	for k, v := range in.Vars {
-		vars[k] = v
-	}
-	funcs := make(map[string]syntax.Command, len(in.Funcs))
-	for k, v := range in.Funcs {
-		funcs[k] = v
-	}
-	params := append([]string(nil), in.Params...)
 	return &Interp{
 		FS: in.FS, Dir: in.Dir,
-		Vars: vars, Funcs: funcs, Params: params, Name0: in.Name0,
+		Vars: in.Vars, Funcs: in.Funcs, varsShared: true, funcsShared: true,
+		Params: in.Params, Name0: in.Name0,
 		Stdin: in.Stdin, Stdout: in.Stdout, Stderr: in.Stderr,
 		Status: in.Status, PID: in.PID + 1,
 		ErrExit: in.ErrExit, NoGlob: in.NoGlob, NoUnset: in.NoUnset,
-		// POSIX resets subshell traps to their defaults; the umask carries
-		// over.
-		Traps: map[string]string{}, Umask: in.Umask,
+		// POSIX resets subshell traps to their defaults (none: Traps is
+		// nil); the umask carries over.
+		Umask:    in.Umask,
 		Observer: in.Observer, Ctx: in.Ctx, Tracer: in.Tracer,
 		Faults: in.Faults,
 		// The cache pointer is copied as-is: it is always non-nil by the
@@ -522,9 +605,10 @@ const maxLoopIterations = 10_000_000 // guard against runaway scripts in tests
 // script error, not as the Go runtime's fatal stack overflow.
 const maxCallDepth = 1000
 
-// loopBodyFn runs one loop iteration, translating break/continue signals.
-// It returns true when the loop should stop.
-func (in *Interp) loopBodyFn(run func()) (stop bool) {
+// loopBodyFn runs one loop iteration, or a loop's condition, translating
+// break/continue signals: stop says the loop ends, cut that a continue
+// ended the run.
+func (in *Interp) loopBodyFn(run func()) (stop, cut bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			switch sig := r.(type) {
@@ -534,6 +618,7 @@ func (in *Interp) loopBodyFn(run func()) (stop bool) {
 					panic(breakSignal{sig.levels - 1})
 				}
 			case continueSignal:
+				cut = true
 				if sig.levels > 1 {
 					panic(continueSignal{sig.levels - 1})
 				}
@@ -543,7 +628,7 @@ func (in *Interp) loopBodyFn(run func()) (stop bool) {
 		}
 	}()
 	run()
-	return false
+	return false, false
 }
 
 // expandFail reports an expansion error; fatal ones abort the script.
@@ -636,6 +721,8 @@ func (in *Interp) callFunction(body syntax.Command, fields []string) {
 		in.fatalf("%s: function nesting deeper than %d", fields[0], maxCallDepth)
 	}
 	in.callDepth++
+	// The parameters are the caller's fields, which the argv stack holds
+	// while the call runs.
 	savedParams := in.Params
 	in.Params = fields[1:]
 	// The frame's map is made by the first `local` of the call.
@@ -647,11 +734,7 @@ func (in *Interp) callFunction(body syntax.Command, fields []string) {
 		frame := in.localFrames[len(in.localFrames)-1]
 		in.localFrames = in.localFrames[:len(in.localFrames)-1]
 		for name, old := range frame {
-			if old == nil {
-				delete(in.Vars, name)
-			} else {
-				in.Vars[name] = *old
-			}
+			in.restoreVar(name, old)
 		}
 		in.Params = savedParams
 		if r := recover(); r != nil {

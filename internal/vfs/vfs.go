@@ -626,12 +626,7 @@ func (fs *FS) deviceForLocked(p string) string {
 // matches returns an empty slice, per pathname expansion rules.
 func (fs *FS) Glob(dir, pat string) []string {
 	absolute := strings.HasPrefix(pat, "/")
-	var segs []string
-	if absolute {
-		segs = splitPath(pat)
-	} else {
-		segs = strings.Split(pat, "/")
-	}
+	segs := strings.Split(pat, "/") // as written: a/.. is not cleaned away
 	base := dir
 	if absolute {
 		base = "/"
@@ -644,6 +639,14 @@ func (fs *FS) Glob(dir, pat string) []string {
 		var next []string
 		for _, m := range matches {
 			if !pattern.HasMeta(seg) {
+				// Only a directory has names under it: f/.. names
+				// nothing when f is a file, though path.Join would
+				// clean it to f's directory (and */.. repeated would
+				// then grow the list by the number of files at every
+				// step).
+				if fi, err := fs.Stat(m); err != nil || !fi.IsDir {
+					continue
+				}
 				cand := path.Join(m, pattern.Unescape(seg))
 				if fs.Exists(cand) {
 					next = append(next, cand)

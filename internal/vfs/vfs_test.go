@@ -229,6 +229,17 @@ func TestGlob(t *testing.T) {
 	if got := fs.Glob("/w", "*.pdf"); len(got) != 0 {
 		t.Errorf("Glob(*.pdf) = %v", got)
 	}
+	// A name under a file names nothing: only sub leads back through ..,
+	// and the list grows with the directories, not the files.
+	if got := fs.Glob("/w", "*/../*.log"); strings.Join(got, ",") != "c.log" {
+		t.Errorf("Glob(*/../*.log) = %v", got)
+	}
+	if got := fs.Glob("/", "/w/a.txt/../*.log"); len(got) != 0 {
+		t.Errorf("Glob(/w/a.txt/../*.log) = %v", got)
+	}
+	if got := fs.Glob("/w", strings.Repeat("*/../", 12)+"*.log"); strings.Join(got, ",") != "c.log" {
+		t.Errorf("Glob((*/../)^12 *.log) = %v", got)
+	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
