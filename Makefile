@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test vet race fault lint verify \
-	trace-demo fuzz fuzz-smoke fuzz-native dash-check clean
+	trace-demo fuzz fuzz-smoke fuzz-native dash-check loc clean
 
 all: verify
 
@@ -144,6 +144,14 @@ trace-demo:
 		>trace-demo/reportgen.txt
 	$(GO) run ./cmd/jashtrace -chrome trace-demo/quickstart.chrome.json \
 		trace-demo/quickstart.jsonl
+
+# loc prints the non-test Go lines outside bench/ (wc -l), per package
+# directory and in total: the size ROADMAP's subtraction items track.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; all += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+		printf "%7d total\n", all }'
 
 clean:
 	$(GO) clean ./...

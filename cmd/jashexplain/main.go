@@ -168,7 +168,8 @@ func run() int {
 				cost.BreakerThreshold)
 			fmt.Printf("  a half-open probe after %v — see `jash -trace`\n", cost.BreakerDecay)
 		}
-		analysis.ApplyStmt(env, st, funcBody)
+		// Summarizing the statement walks it, which advances env past it.
+		analysis.SummarizeStmtOpts(st, analysis.StmtOptions{Lib: lib, Env: env, FuncBody: funcBody})
 	}
 	// List-level verdict: across statements, can whole commands leave
 	// program order? The shell's own planner (core.runStmtsTop), with the

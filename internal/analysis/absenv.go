@@ -121,9 +121,6 @@ func (e *Env) ClearParams() {
 	e.paramsKnown = false
 }
 
-// IFSIsDefault reports whether field splitting provably uses " \t\n".
-func (e *Env) IFSIsDefault() bool { return e.ifsDefault }
-
 // Clone copies the environment for a branch or subshell walk.
 func (e *Env) Clone() *Env {
 	nv := make(map[string]AbsVal, len(e.vals))

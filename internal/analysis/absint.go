@@ -3,9 +3,13 @@
 // threads one Env, subshells and pipeline stages walk clones that are then
 // discarded, branches walk clones that join back, and loops widen every
 // loop-carried name to ⊤ before entering the body. The same walk collects
-// the def-use chains (defuse.go), carried by the Env at each point. ApplyStmt is the single-statement transfer function the list
-// parallelizer threads through its planning loop; WalkValues drives the
-// lint rules, the precision report, and the golden env-dump tests.
+// the def-use chains (defuse.go), carried by the Env at each point, and the
+// effect summaries (stmt.go), carried by its sink.
+//
+// WalkValues drives the lint rules, the precision report, and the golden
+// env-dump tests. SummarizeStmtOpts walks one statement with a sink — the
+// transfer function the list parallelizer threads through its planning
+// loop — and FuncSummarizer walks a function body with one.
 package analysis
 
 import (
@@ -45,22 +49,24 @@ func WalkValues(script *syntax.Script, env *Env, vis *ValueVisitor) (*Env, *DefU
 	return env, du
 }
 
-// ApplyStmt is the transfer function for one statement: it updates env
-// with the statement's variable effects, binding bare assignments
-// precisely and widening everything else it may assign — in its own words
-// and builtins, and in the bodies of the functions it calls, which funcBody
-// resolves (nil: no function is known) — to ⊤.
-func ApplyStmt(env *Env, st *syntax.Stmt, funcBody func(string) syntax.Command) {
-	w := &vwalker{outer: funcBody}
-	w.stmt(env, st)
-}
-
 type vwalker struct {
 	vis *ValueVisitor
 	// funcs are the functions declared so far in this walk; outer resolves
 	// the ones declared before it began.
 	funcs map[string]syntax.Command
 	outer func(string) syntax.Command
+	// sum, when set, folds each simple command's effects into a summary
+	// before the command's transfer. The walk mutes it (sets it nil) in
+	// whatever the sink's policy does not admit, so nothing nested there
+	// is collected; the transfer goes on.
+	sum *sink
+}
+
+// mute stops the sink until the returned function restores it.
+func (w *vwalker) mute() (restore func()) {
+	s := w.sum
+	w.sum = nil
+	return func() { w.sum = s }
 }
 
 // funcBody resolves a function name as of the walk's current point.
@@ -115,6 +121,9 @@ func (w *vwalker) stmt(env *Env, st *syntax.Stmt) {
 	}
 	if st.Background {
 		// Background jobs assign in a subshell copy: walk and discard.
+		if w.sum != nil && !w.sum.background() {
+			defer w.mute()()
+		}
 		w.andor(subshell(env), st.AndOr)
 		return
 	}
@@ -122,7 +131,16 @@ func (w *vwalker) stmt(env *Env, st *syntax.Stmt) {
 }
 
 func (w *vwalker) andor(env *Env, ao *syntax.AndOr) {
+	s := w.sum
+	admitted := s == nil || len(ao.Rest) == 0 || s.admitAndOr()
 	w.pipeline(env, ao.First)
+	switch {
+	case !admitted:
+		defer w.mute()()
+	case s != nil && len(ao.Rest) > 0:
+		s.conditional = true
+		defer func() { s.conditional = false }()
+	}
 	for _, part := range ao.Rest {
 		// && / || continuations run conditionally: join their effects.
 		br := branch(env)
@@ -135,12 +153,15 @@ func (w *vwalker) pipeline(env *Env, pl *syntax.Pipeline) {
 	if pl == nil {
 		return
 	}
-	if len(pl.Cmds) == 1 {
-		w.command(env, pl.Cmds[0])
-		return
-	}
-	// Multi-stage pipelines run every stage in a subshell copy.
-	for _, cmd := range pl.Cmds {
+	for i, cmd := range pl.Cmds {
+		if w.sum != nil {
+			w.sum.stage, w.sum.multi = i, len(pl.Cmds) > 1
+		}
+		if len(pl.Cmds) == 1 {
+			w.command(env, cmd)
+			return
+		}
+		// Multi-stage pipelines run every stage in a subshell copy.
 		stage := subshell(env)
 		w.command(stage, cmd)
 		// JSH302 owns while-loops as pipeline tails; everything else
@@ -152,9 +173,15 @@ func (w *vwalker) pipeline(env *Env, pl *syntax.Pipeline) {
 }
 
 func (w *vwalker) command(env *Env, cmd syntax.Command) {
+	if sc, ok := cmd.(*syntax.SimpleCommand); ok {
+		w.simple(env, sc)
+		return
+	}
+	if w.sum != nil {
+		w.sum.compound()
+		defer w.mute()()
+	}
 	switch c := cmd.(type) {
-	case *syntax.SimpleCommand:
-		w.simple(env, c)
 	case *syntax.Subshell:
 		sub := subshell(env)
 		w.stmts(sub, c.Body)
@@ -283,12 +310,19 @@ func (w *vwalker) simple(env *Env, sc *syntax.SimpleCommand) {
 	if w.vis != nil && w.vis.Simple != nil {
 		w.vis.Simple(sc, env)
 	}
+	// The sink folds the command's filesystem effects and blockers against
+	// the state it runs in; its words' reads and assignments it takes from
+	// the walk's own word analysis below.
+	declares := w.sum != nil && w.sum.simple(env, sc)
 	f := env.flow
 	// Assigning expansions anywhere in the command assign; command
 	// substitution bodies run on environment copies. `FOO=1 cmd` scopes
 	// the assignment to cmd: no persistent binding.
 	tempEnv := len(sc.Args) > 0
 	for _, a := range sc.Assigns {
+		if !tempEnv {
+			w.sum.def(a.Name)
+		}
 		runs := w.word(env, a.Value, a.Name)
 		switch {
 		case f == nil:
@@ -302,6 +336,10 @@ func (w *vwalker) simple(env *Env, sc *syntax.SimpleCommand) {
 		w.word(env, arg, "")
 	}
 	w.widenRedirs(env, sc.Redirections)
+	if declares {
+		// After the words: `local x=$x` reads the caller's x.
+		w.sum.operands(sc)
+	}
 	if len(sc.Args) == 0 {
 		// Bare assignments bind precisely, left to right, each value
 		// evaluated in the environment the previous ones produced.
@@ -382,7 +420,7 @@ func (w *vwalker) simple(env *Env, sc *syntax.SimpleCommand) {
 	names, _ := w.widen(env, body)
 	if f != nil {
 		f.useAll()
-		for _, n := range sortedNames(names) {
+		for _, n := range SortedNames(names) {
 			f.define(n, sc.Pos(), DefAssign, true)
 		}
 	}
@@ -425,22 +463,32 @@ func (w *vwalker) word(env *Env, word *syntax.Word, assignTo string) (runs bool)
 		return false
 	}
 	d := expand.AnalyzeWord(word)
-	f := env.flow
+	f, s := env.flow, w.sum
 	if opaque(d, env) {
+		s.block("$((...)) in %s is not an expression until it is expanded", syntax.PrintWord(word))
 		env.WidenAll()
 		f.useAll()
+	} else if s != nil && divides(word) {
+		s.block("$((...)) in %s may divide by zero, which ends the shell", syntax.PrintWord(word))
 	}
 	for _, e := range d.Effects {
 		switch e.Kind {
 		case expand.EffectRead:
 			f.use(e.Name, e.Pos, e.Guarded || e.Name == assignTo)
+			s.read(e.Name)
 		case expand.EffectAssign:
 			env.Bind(e.Name, Top())
+			s.def(e.Name)
 			if f != nil && isVarName(e.Name) && f.defs[e.Name] == nil {
 				f.define(e.Name, e.Pos, DefParam, true)
 			}
+		case expand.EffectAbort:
+			s.block("${%s?...} may abort the shell", e.Name)
 		case expand.EffectSubst:
+			s.block("command substitution runs arbitrary commands")
+			restore := w.mute()
 			w.stmts(subshell(env), e.Body)
+			restore()
 		}
 	}
 	return d.HasCmdSubst

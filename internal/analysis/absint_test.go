@@ -197,7 +197,7 @@ func TestAssignedBy(t *testing.T) {
 	}
 	for _, c := range cases {
 		names, any := AssignedBy(mustParseScript(t, c.src+"\n"), body)
-		if got := strings.Join(sortedNames(names), " "); got != c.names || any != c.any {
+		if got := strings.Join(SortedNames(names), " "); got != c.names || any != c.any {
 			t.Errorf("%q: assigns %q any=%v, want %q any=%v", c.src, got, any, c.names, c.any)
 		}
 	}
@@ -247,10 +247,10 @@ func mustParseScript(t *testing.T, src string) *syntax.Script {
 
 func TestUnsetResetsIFS(t *testing.T) {
 	env := finalEnv(t, "IFS=:\nunset IFS\n")
-	if !env.IFSIsDefault() {
+	if !env.ifsDefault {
 		t.Error("unset IFS should restore default splitting")
 	}
-	if env = finalEnv(t, "IFS=:\n"); env.IFSIsDefault() {
+	if env = finalEnv(t, "IFS=:\n"); env.ifsDefault {
 		t.Error("IFS=: must disable the abstract splitter")
 	}
 }

@@ -29,7 +29,10 @@ type builtinRow struct {
 	// blocker is why a statement that runs the builtin stays in program
 	// order ("": it may leave). inCall lifts it inside a summarized
 	// function body: the effect ends with the call frame (local, return,
-	// shift) or is an ordinary definition (read, export, readonly).
+	// shift) or is an ordinary definition (read, readonly). export's does
+	// not lift: every utility started later reads the exported
+	// environment, which no summary models, so a call that exports is
+	// pinned as an export statement is.
 	blocker string
 	inCall  bool
 	// The builtin's own variable effect: which operands name variables,
@@ -77,7 +80,7 @@ var builtinTable = map[string]builtinRow{
 		funcFlag: true},
 	"read": {blocker: "reads shared stdin into variables", inCall: true,
 		names: everyOperand, fallback: "REPLY", def: DefRead, stdin: true},
-	"export": {blocker: "mutates the environment", inCall: true,
+	"export": {blocker: "mutates the environment",
 		names: declOperands, def: DefExport},
 	"readonly": {blocker: "marks variables readonly", inCall: true,
 		names: declOperands, def: DefExport},

@@ -1,22 +1,22 @@
 // Function effect summaries: the piece that retires the blanket "call to
 // a shell function blocks the statement" rule. A FuncSummarizer walks a
-// function's body once per distinct abstract argument vector and produces
+// function's body — the abstract interpreter's walk, with the sink in its
+// call policy — once per distinct abstract argument vector and produces
 // the same StmtSummary shape a plain statement gets — filesystem effects,
 // global defs/uses, blockers — with $1..$n bound to the caller's abstract
 // argument values. `count() { grep -c alpha "$1" > "$1.n"; }` called as
 // `count /w0` therefore summarizes as reads[/w0] writes[/w0.n], which is
 // enough for the list parallelizer to prove two calls independent.
 //
-// The walker is deliberately narrower than the interpreter: function
-// bodies made of sequential simple commands (plus local/return/shift and
-// &&/|| chains) summarize precisely; anything gnarlier — compound
-// commands, cd, traps, recursion, background jobs — becomes a blocker and
-// the call site stays in program order. Same posture as SummarizeStmt:
-// no regressions, only missed opportunities.
+// The call policy is deliberately narrower than the interpreter: function
+// bodies made of sequential simple commands (plus local/return/shift/
+// read/readonly and &&/|| chains) summarize precisely; anything gnarlier —
+// compound commands, cd, export, traps, recursion, background jobs —
+// becomes a blocker and the call site stays in program order. Same posture
+// as SummarizeStmt: no regressions, only missed opportunities.
 package analysis
 
 import (
-	"fmt"
 	"strings"
 
 	"jash/internal/spec"
@@ -64,7 +64,7 @@ func (f *FuncSummarizer) Call(name string, args []AbsVal, argsKnown bool, caller
 	if caller == nil || len(ss.Blockers) > 0 {
 		return ss
 	}
-	globals := sortedNames(ss.Uses)
+	globals := SortedNames(ss.Uses)
 	vals := make([]AbsVal, len(globals))
 	known := false
 	for i, g := range globals {
@@ -83,27 +83,22 @@ func (f *FuncSummarizer) call(name string, args []AbsVal, argsKnown bool, global
 	if s, ok := f.cache[key]; ok {
 		return s
 	}
-	ss := &StmtSummary{FS: NewSummary(), Defs: map[string]bool{}, Uses: map[string]bool{}}
-	block := func(format string, a ...interface{}) {
-		ss.Blockers = append(ss.Blockers, fmt.Sprintf(format, a...))
-	}
-	if f.visiting[name] {
+	ss := newStmtSummary()
+	defer func() { f.cache[key] = ss }()
+	s := &sink{ss: ss, lib: f.Lib, funcs: f, call: true, locals: map[string]bool{}}
+	body := f.Body(name)
+	bg, isGroup := body.(*syntax.BraceGroup)
+	switch {
+	case f.visiting[name]:
 		// Recursion: the summary would depend on itself; unbounded call
 		// depth also defeats the once-per-function costing. Block.
-		block("recursive call")
-		f.cache[key] = ss
+		s.block("recursive call")
 		return ss
-	}
-	body := f.Body(name)
-	if body == nil {
-		block("unknown function")
-		f.cache[key] = ss
+	case body == nil:
+		s.block("unknown function")
 		return ss
-	}
-	bg, ok := body.(*syntax.BraceGroup)
-	if !ok {
-		block("function body is not a brace group")
-		f.cache[key] = ss
+	case !isGroup:
+		s.block("function body is not a brace group")
 		return ss
 	}
 	f.visiting[name] = true
@@ -116,20 +111,15 @@ func (f *FuncSummarizer) call(name string, args []AbsVal, argsKnown bool, global
 	for i, g := range globals {
 		env.Bind(g, vals[i])
 	}
-	w := &fnWalker{
-		f:      f,
-		ss:     ss,
-		env:    env,
-		locals: map[string]bool{},
-		block:  block,
-	}
-	w.stmts(bg.Body)
-	// Redirections on the body group apply around every call.
+	// Redirections on the body group apply around every call: they are
+	// expanded, with the caller's values, before the body runs.
+	w := &vwalker{outer: f.Body, sum: s}
+	w.widenRedirs(env, bg.Redirections)
 	foldRedirs(ss.FS, bg.Redirections, env)
+	w.stmts(env, bg.Body)
 	if redirectsFD(bg.Redirections, 0) {
 		ss.FS.ReadsStdin = false
 	}
-	f.cache[key] = ss
 	return ss
 }
 
@@ -169,170 +159,4 @@ func AbsCallArgs(sc *syntax.SimpleCommand, env *Env) (args []AbsVal, ok bool) {
 		}
 	}
 	return args, true
-}
-
-// fnWalker walks one function body, unioning effects into ss and
-// threading the function-scoped abstract environment.
-type fnWalker struct {
-	f   *FuncSummarizer
-	ss  *StmtSummary
-	env *Env
-	// locals are names declared `local` so far: their defs and uses stay
-	// inside the call frame and do not appear in the summary. (Dynamic
-	// scoping means a callee's use of a caller-local also resolves
-	// locally; the filter matches that.)
-	locals map[string]bool
-	block  func(string, ...interface{})
-	// conditional is set while walking &&/|| continuations, where a
-	// `local` declaration may or may not run — too ambiguous to track.
-	conditional bool
-}
-
-func (w *fnWalker) stmts(list []*syntax.Stmt) {
-	for _, st := range list {
-		w.stmt(st)
-	}
-}
-
-func (w *fnWalker) stmt(st *syntax.Stmt) {
-	if st == nil || st.AndOr == nil || st.AndOr.First == nil {
-		return
-	}
-	if st.Background {
-		w.block("background job in body")
-		return
-	}
-	w.pipeline(st.AndOr.First)
-	for _, part := range st.AndOr.Rest {
-		// &&/|| continuations run conditionally: walk on a clone and
-		// join, like a branch.
-		saved := w.env
-		w.env = saved.Clone()
-		wasCond := w.conditional
-		w.conditional = true
-		w.pipeline(part.Pipe)
-		w.conditional = wasCond
-		br := w.env
-		w.env = saved
-		w.env.JoinWith(br)
-	}
-}
-
-func (w *fnWalker) pipeline(pl *syntax.Pipeline) {
-	if pl == nil {
-		return
-	}
-	multi := len(pl.Cmds) > 1
-	for ci, cmd := range pl.Cmds {
-		sc, ok := cmd.(*syntax.SimpleCommand)
-		if !ok {
-			w.block("compound command in body")
-			continue
-		}
-		if multi {
-			// Pipeline stages run in subshell copies: env changes and
-			// defs are discarded.
-			saved := w.env
-			w.env = saved.Clone()
-			w.simple(sc, ci, multi)
-			w.env = saved
-		} else {
-			w.simple(sc, ci, multi)
-		}
-	}
-}
-
-func (w *fnWalker) simple(sc *syntax.SimpleCommand, ci int, multi bool) {
-	// Variable uses and expansion-time defs, with the order-sensitive
-	// special parameters blocked, then filtered through the local frame.
-	tmp := &StmtSummary{FS: NewSummary(), Defs: map[string]bool{}, Uses: map[string]bool{}}
-	summarizeStmtVars(tmp, sc, w.env, w.block)
-	for n := range tmp.Uses {
-		if !w.locals[n] {
-			w.ss.Uses[n] = true
-		}
-	}
-	for n := range tmp.Defs {
-		w.def(n, multi)
-	}
-
-	// env transfer after effects, pre-state reads
-	defer (&vwalker{outer: w.f.Body}).simple(w.env, sc)
-
-	if len(sc.Args) == 0 {
-		// Bare assignment: defs recorded above; only redirections touch
-		// the filesystem.
-		foldRedirs(w.ss.FS, sc.Redirections, w.env)
-		return
-	}
-
-	row, name, builtin := builtinOf(sc)
-	if builtin {
-		w.builtin(sc, row, name, ci, multi)
-		return
-	}
-	var sum *Summary
-	if w.f.Known(name) {
-		// Nested call: summarize the callee under this site's abstract
-		// arguments and fold its summary in.
-		args, known := AbsCallArgs(sc, w.env)
-		sub := w.f.Call(name, args, known, callerEnv(sc, w.env))
-		for _, b := range sub.Blockers {
-			w.block("%s: %s", name, b)
-		}
-		sum = NewSummary()
-		sum.Union(sub.FS)
-		foldRedirs(sum, sc.Redirections, w.env)
-		for n := range sub.Defs {
-			w.def(n, multi)
-		}
-		for n := range sub.Uses {
-			if !w.locals[n] {
-				w.ss.Uses[n] = true
-			}
-		}
-	} else {
-		sum = SummarizeCommandEnv(sc, w.f.Lib, w.env)
-	}
-	if ci > 0 || redirectsFD(sc.Redirections, 0) {
-		sum.ReadsStdin = false
-	}
-	w.ss.FS.Union(sum)
-}
-
-// def records a definition that outlives the call: not a local, and not
-// made in a pipeline stage's subshell.
-func (w *fnWalker) def(name string, multi bool) {
-	if !w.locals[name] && !multi {
-		w.ss.Defs[name] = true
-	}
-}
-
-// builtin folds in a builtin the table allows inside a summarizable
-// function body; the rest block the call site.
-func (w *fnWalker) builtin(sc *syntax.SimpleCommand, row builtinRow, name string, ci int, multi bool) {
-	foldRedirs(w.ss.FS, sc.Redirections, w.env)
-	if row.blocker != "" && !row.inCall {
-		w.block("%s %s", name, row.blocker)
-		return
-	}
-	if row.stdin && ci == 0 && !redirectsFD(sc.Redirections, 0) {
-		w.ss.FS.ReadsStdin = true
-	}
-	ops, exact := row.operands(sc)
-	if !exact {
-		w.block("dynamic %s name", name)
-		return
-	}
-	if row.def == DefLocal && (w.conditional || multi) {
-		w.block("conditionally-scoped local")
-		return
-	}
-	for _, op := range ops {
-		if row.def == DefLocal {
-			w.locals[op.name] = true
-		} else {
-			w.def(op.name, multi)
-		}
-	}
 }

@@ -131,6 +131,8 @@ func TestStatefulBuiltinsBlock(t *testing.T) {
 		{"f() { trap : EXIT; }\n", "trap"},
 		{"f() { exit 1; }\n", "exit"},
 		{"f() { eval x=1; }\n", "eval"},
+		// Every utility started later reads the exported environment.
+		{"f() { export XQ=1; }\n", "export"},
 		{"f() { grep x /in & }\n", "background job"},
 		{"f() { if c; then :; fi; }\n", "compound command"},
 	}
@@ -154,6 +156,19 @@ func TestBodyRedirectSuppressesStdin(t *testing.T) {
 	fs = summarizer(t, "f() { sort; }\n")
 	if !fs.Call("f", nil, true, nil).FS.ReadsStdin {
 		t.Error("unredirected sort must keep ReadsStdin")
+	}
+}
+
+// TestBodyRedirectReadsTheCallersValue: a body group's redirection is
+// expanded before the body runs, with the caller's x, which the summary
+// must list among the variables the call reads.
+func TestBodyRedirectReadsTheCallersValue(t *testing.T) {
+	fs := summarizer(t, "f() { x=/b; sort /big; } >$x\n")
+	caller := NewEnv(nil)
+	caller.Bind("x", Const("/a"))
+	ss := fs.Call("f", nil, true, caller)
+	if !ss.Uses["x"] || ss.FS.Paths["/a"]&OpWrite == 0 || ss.FS.Paths["/b"] != 0 {
+		t.Errorf("uses %v, effects %v: want a read of x and a write of /a, not /b", ss.Uses, ss.FS)
 	}
 }
 

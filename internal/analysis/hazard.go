@@ -191,19 +191,10 @@ func ReplicationHazard(e *spec.Effective) error {
 	if s.Unknown.Writes() {
 		return fmt.Errorf("analysis: %q may write paths the analysis cannot name (⊤); replicas would race", e.Name)
 	}
-	for _, p := range sortedKeys(s.Paths) {
+	for _, p := range SortedNames(s.Paths) {
 		if s.Paths[p].Writes() {
 			return fmt.Errorf("analysis: %q writes %s; replicas would race on it", e.Name, p)
 		}
 	}
 	return nil
-}
-
-func sortedKeys(m map[string]Op) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

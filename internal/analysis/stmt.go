@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"jash/internal/expand"
 	"jash/internal/spec"
 	"jash/internal/syntax"
 )
@@ -41,17 +40,24 @@ type StmtSummary struct {
 func (ss *StmtSummary) Eligible() bool { return len(ss.Blockers) == 0 }
 
 // StmtOptions parameterizes SummarizeStmtOpts with the abstract-
-// interpretation context. The zero value (nil Env, nil Funcs) reproduces
-// the purely-syntactic PR 7 analysis.
+// interpretation context.
 type StmtOptions struct {
 	// Lib resolves command names to specs.
 	Lib *spec.Library
 	// Env is the abstract environment at this statement's program point;
-	// nil means all-⊤ (no value knowledge).
+	// nil means all-⊤ (no value knowledge). SummarizeStmtOpts advances it
+	// past the statement.
 	Env *Env
 	// Funcs, when non-nil, summarizes calls to user-defined functions
 	// instead of leaving them to the unknown-command ⊤.
 	Funcs *FuncSummarizer
+	// IsFunc reports a name that resolves to a shell function Funcs does
+	// not summarize: a call to it pins the statement.
+	IsFunc func(string) bool
+	// FuncBody resolves the functions the statement may call, for
+	// advancing Env (nil: none is known). It may be set when Funcs is not:
+	// a stale function table still says what a call may assign.
+	FuncBody func(name string) syntax.Command
 }
 
 // SummarizeStmt analyzes one top-level statement for the list
@@ -66,155 +72,217 @@ func SummarizeStmt(st *syntax.Stmt, lib *spec.Library) *StmtSummary {
 // SummarizeStmtOpts is SummarizeStmt with value flow: dynamic words
 // resolve through opts.Env, and calls to functions known to opts.Funcs
 // fold in the callee's parameterized effect summary rather than
-// blocking.
+// blocking. It is the abstract interpreter's walk of the statement with a
+// sink, so it leaves opts.Env as the statement leaves the shell.
 func SummarizeStmtOpts(st *syntax.Stmt, opts StmtOptions) *StmtSummary {
-	lib := opts.Lib
-	ss := &StmtSummary{FS: NewSummary(), Defs: map[string]bool{}, Uses: map[string]bool{}}
-	block := func(format string, args ...interface{}) {
-		ss.Blockers = append(ss.Blockers, fmt.Sprintf(format, args...))
-	}
+	ss := newStmtSummary()
+	s := &sink{ss: ss, lib: opts.Lib, funcs: opts.Funcs, isFunc: opts.IsFunc}
 	if st == nil || st.AndOr == nil || st.AndOr.First == nil {
-		block("empty statement")
+		s.block("empty statement")
 		return ss
 	}
-	if st.Background {
-		block("background job (&)")
+	env := opts.Env
+	if env == nil {
+		env = NewEnv(nil)
 	}
-	if len(st.AndOr.Rest) > 0 {
-		block("&&/|| list is control flow on exit status")
-	}
-	pl := st.AndOr.First
-	for ci, cmd := range pl.Cmds {
-		sc, ok := cmd.(*syntax.SimpleCommand)
-		if !ok {
-			block("compound command in pipeline")
-			continue
-		}
-		if len(sc.Args) == 0 {
-			// A bare assignment runs no command: only its redirections (and
-			// value-word expansions, folded below) touch the world.
-			foldRedirs(ss.FS, sc.Redirections, opts.Env)
-			summarizeStmtVars(ss, sc, opts.Env, block)
-			continue
-		}
-		row, name, builtin := builtinOf(sc)
-		if row.blocker != "" {
-			block("%s %s", name, row.blocker)
-			if name == "cd" && len(pl.Cmds) == 1 && !st.Background &&
-				len(st.AndOr.Rest) == 0 && len(sc.Redirections) == 0 && len(sc.Assigns) == 0 {
-				ss.CdOnly = true
-			}
-		}
-		var sum *Summary
-		if !builtin && opts.Funcs.Known(name) {
-			// Call to a user-defined function (builtins shadow functions,
-			// functions shadow coreutils — same order as the interpreter's
-			// dispatch): fold in the callee's parameterized summary.
-			args, known := AbsCallArgs(sc, opts.Env)
-			fsum := opts.Funcs.Call(name, args, known, callerEnv(sc, opts.Env))
-			for _, b := range fsum.Blockers {
-				block("function %s: %s", name, b)
-			}
-			sum = NewSummary() // the cached summary is shared: copy
-			sum.Union(fsum.FS)
-			foldRedirs(sum, sc.Redirections, opts.Env)
-			for n := range fsum.Defs {
-				ss.Defs[n] = true
-			}
-			for n := range fsum.Uses {
-				ss.Uses[n] = true
-			}
-		} else {
-			sum = SummarizeCommandEnv(sc, lib, opts.Env)
-		}
-		// Inner pipeline stages read the pipe, not the terminal: only the
-		// first command's stdin appetite matters, and a redirection over
-		// fd 0 satisfies it from a file instead.
-		if ci > 0 || redirectsFD(sc.Redirections, 0) {
-			sum.ReadsStdin = false
-		}
-		ss.FS.Union(sum)
-		summarizeStmtVars(ss, sc, opts.Env, block)
-	}
+	(&vwalker{outer: opts.FuncBody, sum: s}).stmt(env, st)
 	if ss.FS.Unknown != 0 {
-		block("⊤ effect: %s", ss.FS.Unknown)
+		s.block("⊤ effect: %s", ss.FS.Unknown)
 	}
 	if ss.FS.ReadsStdin {
-		block("reads shared stdin")
+		s.block("reads shared stdin")
 	}
 	return ss
 }
 
-// callerEnv is the environment a call's body starts from: the caller's,
-// except that `x=v f` runs f with x bound to v, which env does not show, so
-// such a call starts from nothing known.
-func callerEnv(sc *syntax.SimpleCommand, env *Env) *Env {
-	if len(sc.Assigns) > 0 {
-		return nil
-	}
-	return env
+func newStmtSummary() *StmtSummary {
+	return &StmtSummary{FS: NewSummary(), Defs: map[string]bool{}, Uses: map[string]bool{}}
 }
 
-// summarizeStmtVars folds one simple command's variable defs and uses
-// (assignments and every word it expands, here-document bodies included)
-// into the summary.
-func summarizeStmtVars(ss *StmtSummary, sc *syntax.SimpleCommand, env *Env, block func(string, ...interface{})) {
-	for _, a := range sc.Assigns {
-		if len(sc.Args) == 0 {
-			// A bare assignment persists in the parent shell.
-			ss.Defs[a.Name] = true
+// sink folds the effects of the simple commands a walk reaches into one
+// summary: each command's filesystem summary (SummarizeCommandEnv, or the
+// callee's for a call to a known function) and its builtin's blocker,
+// against the environment just before the command runs, and the variables
+// its words read and assign, with the blockers they raise, as the walk's
+// word analysis meets them. The walk also calls it at each point the
+// policy decides: a background job, an &&/|| list, a compound command.
+type sink struct {
+	ss     *StmtSummary
+	lib    *spec.Library
+	funcs  *FuncSummarizer // nil: a call is an unknown command
+	isFunc func(string) bool
+	// call is the policy: the walk is of a function body a call reached,
+	// not of a top-level statement. The builtin blockers the table marks
+	// inCall lift, &&/|| continuations are admitted, and what ends with
+	// the call frame — a local, a pipeline stage's assignment — stays out
+	// of the summary.
+	call   bool
+	locals map[string]bool // names declared local so far
+	// stage and multi place the command in its pipeline; conditional is
+	// set in an &&/|| continuation, which may not run.
+	stage       int
+	multi       bool
+	conditional bool
+}
+
+// block records a blocker; like def and use, it is a no-op on a nil sink.
+func (s *sink) block(format string, args ...interface{}) {
+	if s != nil {
+		s.ss.Blockers = append(s.ss.Blockers, fmt.Sprintf(format, args...))
+	}
+}
+
+// background records a background job and reports whether its commands
+// are still collected.
+func (s *sink) background() bool {
+	if s.call {
+		s.block("background job in body")
+		return false
+	}
+	s.block("background job (&)")
+	return true
+}
+
+// admitAndOr reports whether an &&/|| list's continuations are collected,
+// recording the blocker when they are not.
+func (s *sink) admitAndOr() bool {
+	if !s.call {
+		s.block("&&/|| list is control flow on exit status")
+	}
+	return s.call
+}
+
+func (s *sink) compound() {
+	if s.call {
+		s.block("compound command in body")
+	} else {
+		s.block("compound command in pipeline")
+	}
+}
+
+// simple folds one simple command's filesystem effects and blockers. It
+// reports a builtin whose blocker lifted in a call, which defines or
+// declares its operands (operands, once its words are read).
+func (s *sink) simple(env *Env, sc *syntax.SimpleCommand) (declares bool) {
+	sum, declares := s.command(env, sc)
+	// Inner pipeline stages read the pipe, not the terminal: only the
+	// first command's stdin appetite matters, and a redirection over
+	// fd 0 satisfies it from a file instead.
+	if s.stage > 0 || redirectsFD(sc.Redirections, 0) {
+		sum.ReadsStdin = false
+	}
+	s.ss.FS.Union(sum)
+	return declares
+}
+
+// command is one simple command's filesystem summary; it records the
+// command's blockers.
+func (s *sink) command(env *Env, sc *syntax.SimpleCommand) (sum *Summary, declares bool) {
+	if len(sc.Args) == 0 {
+		// A bare assignment runs no command: only its redirections (and
+		// value-word expansions) touch the world.
+		sum := NewSummary()
+		foldRedirs(sum, sc.Redirections, env)
+		return sum, false
+	}
+	row, name, builtin := builtinOf(sc)
+	switch {
+	case builtin:
+		declares = s.call && (row.blocker == "" || row.inCall)
+		if !declares && row.blocker != "" {
+			s.block("%s %s", name, row.blocker)
 		}
-		// `FOO=1 cmd` scopes FOO to cmd: only the value word's reads leak.
-		stmtWordUses(ss, a.Value, env, block)
+		// The statement is this cd and nothing else: no other blocker yet.
+		if name == "cd" && !s.call && !s.multi && len(sc.Redirections)+len(sc.Assigns) == 0 && len(s.ss.Blockers) == 1 {
+			s.ss.CdOnly = true
+		}
+	case s.funcs.Known(name):
+		// Builtins shadow functions, functions shadow utilities — the
+		// interpreter's dispatch order.
+		return s.callee(env, sc, name), false
+	case s.isFunc != nil && s.isFunc(name):
+		s.block("%s is a shell function", name)
 	}
-	for _, w := range sc.Args {
-		stmtWordUses(ss, w, env, block)
-	}
-	for _, r := range sc.Redirections {
-		stmtWordUses(ss, r.Target, env, block)
-		stmtWordUses(ss, r.Body, env, block)
-	}
+	return SummarizeCommandEnv(sc, s.lib, env), declares
 }
 
-// stmtWordUses records the variables a word's expansion reads and assigns,
-// blocking on the order-sensitive special parameters and on expansions
-// that can abort the statement from inside a worker, run commands, or
-// assign variables the summary cannot name.
-func stmtWordUses(ss *StmtSummary, w *syntax.Word, env *Env, block func(string, ...interface{})) {
-	if w == nil {
+// operands records the variables a builtin whose blocker lifted in a call
+// declares or defines.
+func (s *sink) operands(sc *syntax.SimpleCommand) {
+	row, name, _ := builtinOf(sc)
+	ops, exact := row.operands(sc)
+	if !exact {
+		s.block("dynamic %s name", name)
 		return
 	}
-	d := expand.AnalyzeWord(w)
-	if opaque(d, env) {
-		block("$((...)) in %s is not an expression until it is expanded", syntax.PrintWord(w))
-	} else if divides(w) {
-		block("$((...)) in %s may divide by zero, which ends the shell", syntax.PrintWord(w))
+	if row.def == DefLocal && (s.conditional || s.multi) {
+		s.block("conditionally-scoped local")
+		return
 	}
-	for _, e := range d.Effects {
-		switch e.Kind {
-		case expand.EffectRead:
-			switch e.Name {
-			case "?":
-				block("$? depends on the preceding statement's status")
-			case "!":
-				block("$! depends on background job order")
-			case "$":
-				block("$$ differs between worker and parent shells")
-			default:
-				// Positional and the remaining special parameters ($1, $@,
-				// $#...) are read-only here: mutating them takes set/shift,
-				// which block the mutating statement itself.
-				if isVarName(e.Name) {
-					ss.Uses[e.Name] = true
-				}
-			}
-		case expand.EffectAssign:
-			ss.Defs[e.Name] = true
-		case expand.EffectAbort:
-			block("${%s?...} may abort the shell", e.Name)
-		case expand.EffectSubst:
-			block("command substitution runs arbitrary commands")
+	for _, op := range ops {
+		if row.def == DefLocal {
+			s.locals[op.name] = true
+		} else {
+			s.def(op.name)
 		}
+	}
+}
+
+// callee folds in a call to a known function: its summary under this
+// site's abstract arguments, and the call's redirections.
+func (s *sink) callee(env *Env, sc *syntax.SimpleCommand, name string) *Summary {
+	args, known := AbsCallArgs(sc, env)
+	caller := env
+	if len(sc.Assigns) > 0 {
+		// `x=v f` runs f with x bound to v, which env does not show.
+		caller = nil
+	}
+	sub := s.funcs.Call(name, args, known, caller)
+	for _, b := range sub.Blockers {
+		s.block("function %s: %s", name, b)
+	}
+	sum := NewSummary() // the cached summary is shared: copy
+	sum.Union(sub.FS)
+	foldRedirs(sum, sc.Redirections, env)
+	for n := range sub.Defs {
+		s.def(n)
+	}
+	for n := range sub.Uses {
+		s.use(n)
+	}
+	return sum
+}
+
+// def records a definition that outlives the walk: not a local, and, in a
+// call, not made in a pipeline stage's subshell.
+func (s *sink) def(name string) {
+	if s != nil && !s.locals[name] && !(s.call && s.multi) {
+		s.ss.Defs[name] = true
+	}
+}
+
+// use records a read of a variable that is not a local.
+func (s *sink) use(name string) {
+	if s != nil && !s.locals[name] {
+		s.ss.Uses[name] = true
+	}
+}
+
+// read records a variable a word reads, blocking on the order-sensitive
+// special parameters. Positional and the remaining special parameters
+// ($1, $@, $#...) are read-only here: mutating them takes set/shift,
+// which block the mutating statement itself.
+func (s *sink) read(name string) {
+	switch {
+	case s == nil:
+	case name == "?":
+		s.block("$? depends on the preceding statement's status")
+	case name == "!":
+		s.block("$! depends on background job order")
+	case name == "$":
+		s.block("$$ differs between worker and parent shells")
+	case isVarName(name):
+		s.use(name)
 	}
 }
 
@@ -248,14 +316,14 @@ func redirectsFD(rs []*syntax.Redirect, fd int) bool {
 // means the two statements commute.
 func Interferes(a, b *StmtSummary, aLabel, bLabel, dir string) []Hazard {
 	var hs []Hazard
-	for _, v := range sortedNames(a.Defs) {
+	for _, v := range SortedNames(a.Defs) {
 		if b.Defs[v] {
 			hs = append(hs, Hazard{Kind: WriteWrite, Path: "$" + v, A: aLabel, B: bLabel})
 		} else if b.Uses[v] {
 			hs = append(hs, Hazard{Kind: ReadWrite, Path: "$" + v, A: aLabel, B: bLabel})
 		}
 	}
-	for _, v := range sortedNames(b.Defs) {
+	for _, v := range SortedNames(b.Defs) {
 		if a.Uses[v] && !a.Defs[v] {
 			hs = append(hs, Hazard{Kind: ReadWrite, Path: "$" + v, A: bLabel, B: aLabel})
 		}
@@ -264,7 +332,8 @@ func Interferes(a, b *StmtSummary, aLabel, bLabel, dir string) []Hazard {
 	return hs
 }
 
-func sortedNames(m map[string]bool) []string {
+// SortedNames lists a map's keys in order.
+func SortedNames[V any](m map[string]V) []string {
 	names := make([]string, 0, len(m))
 	for n := range m {
 		names = append(names, n)

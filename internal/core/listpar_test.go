@@ -269,6 +269,35 @@ func TestListParallelImplicitExitStopsTheShell(t *testing.T) {
 	}
 }
 
+// TestListParallelCallEffectsAgreeWithBashMode: what a call does must
+// pin it or show in its summary. A function that exports changes the
+// environment every utility started after it reads, as an export
+// statement does, so `env` must see XQ. A body group's redirection is
+// expanded with the caller's x before the body assigns it, so f writes
+// /a, which wc reads.
+func TestListParallelCallEffectsAgreeWithBashMode(t *testing.T) {
+	for _, script := range []string{
+		"f() { export XQ=1; }\nf; env >/o1; cat /o1\n",
+		"f() { x=/b; sort /big; } >$x\nx=/a\nf; wc -c /a >/o\ncat /o\n",
+	} {
+		var snaps, outs [2]string
+		for i, mode := range []Mode{ModeBash, ModeJash} {
+			fs := vfs.New()
+			fs.WriteFile("/big", []byte(strings.Repeat("some line of words\n", 40000)))
+			sh, out, errb := newShell(fs, cost.StandardEC2(), mode)
+			st, err := sh.Run(script)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps[i] = snapshotFS(t, fs, "/")
+			outs[i] = fmt.Sprintf("status %d\nstdout %q\nstderr %q", st, out.String(), errb.String())
+		}
+		if outs[0] != outs[1] || snaps[0] != snaps[1] {
+			t.Errorf("%q: jash mode differs from bash mode:\n%s\n%s\nsame files: %v", script, outs[0], outs[1], snaps[0] == snaps[1])
+		}
+	}
+}
+
 // TestListSplitReadsIFS: an unquoted expansion's result is split by IFS,
 // so a statement that assigns IFS and one that splits a value interfere.
 func TestListSplitReadsIFS(t *testing.T) {

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -23,7 +24,9 @@ var modelN = flag.Int("fuzz.model", 2000, "check the variable-effect model again
 // the interpreter actually has: a Const equals it, a Prefix prefixes it.
 // And a statement the list planner would let leave program order must name
 // every variable it changed in its Defs — those are the only ones merged
-// back from a region's worker.
+// back from a region's worker — and may not change whether a variable is
+// exported: every utility started after it reads the exported environment,
+// which no summary models.
 func TestAbstractEnvOverApproximatesTheInterpreter(t *testing.T) {
 	lib := spec.Builtin()
 	violations := map[string]bool{}
@@ -31,7 +34,7 @@ func TestAbstractEnvOverApproximatesTheInterpreter(t *testing.T) {
 		p := Generate(DefaultConfig(seed))
 		in := interp.New(p.Fixture.Build())
 		start := values(in)
-		lookup := func(name string) (string, bool) { v, ok := start[name]; return v, ok }
+		lookup := func(name string) (string, bool) { v, ok := start[name]; return v.Value, ok }
 		report := func(k int, format string, args ...any) {
 			msg := fmt.Sprintf(format, args...)
 			if !violations[msg] {
@@ -64,15 +67,18 @@ func TestAbstractEnvOverApproximatesTheInterpreter(t *testing.T) {
 			}
 			for n := range names {
 				switch v := env.Resolve(n); {
-				case v.IsConst() && v.Str != after[n]:
-					report(k, "$%s is %q, the model says %v", n, after[n], v)
-				case v.Kind == analysis.AbsPrefix && !strings.HasPrefix(after[n], v.Str):
-					report(k, "$%s is %q, the model says %v", n, after[n], v)
+				case v.IsConst() && v.Str != after[n].Value:
+					report(k, "$%s is %q, the model says %v", n, after[n].Value, v)
+				case v.Kind == analysis.AbsPrefix && !strings.HasPrefix(after[n].Value, v.Str):
+					report(k, "$%s is %q, the model says %v", n, after[n].Value, v)
 				}
-				_, was := before[n]
-				_, is := after[n]
-				if ss.Eligible() && (before[n] != after[n] || was != is) && !ss.Defs[n] {
+				b, was := before[n]
+				a, is := after[n]
+				if ss.Eligible() && (b.Value != a.Value || was != is) && !ss.Defs[n] {
 					report(k, "eligible statement changed $%s, Defs are %v", n, ss.Defs)
+				}
+				if ss.Eligible() && b.Exported != a.Exported {
+					report(k, "eligible statement changed whether $%s is exported", n)
 				}
 			}
 			pre = env
@@ -132,10 +138,6 @@ func TestDeadStoreIsDead(t *testing.T) {
 	t.Logf("%d dead stores checked", checked)
 }
 
-func values(in *interp.Interp) map[string]string {
-	m := make(map[string]string, len(in.Vars))
-	for n, v := range in.Vars {
-		m[n] = v.Value
-	}
-	return m
+func values(in *interp.Interp) map[string]interp.Variable {
+	return maps.Clone(in.Vars)
 }

@@ -206,9 +206,8 @@ func withCompiledRedirs(redirs []*syntax.Redirect, body compiled) compiled {
 	if len(redirs) == 0 {
 		return body
 	}
-	return func(in *Interp) {
-		in.withRedirs(redirs, func() { body(in) })
-	}
+	run := func(in *Interp, _ []string) { body(in) }
+	return func(in *Interp) { in.withRedirs(redirs, run, nil) }
 }
 
 // compileList lowers a statement list; an empty list resets $? to 0.
@@ -465,9 +464,9 @@ func compileSimple(c *syntax.SimpleCommand) compiled {
 				}
 				in.mustAssign(a.name, val)
 			}
-			cleanup, ok := in.applyRedirs(redirs)
+			saved, ok := in.applyRedirs(redirs)
 			if ok {
-				cleanup()
+				in.restoreRedirs(saved)
 			}
 			if len(assigns) > 0 || ok {
 				in.Status = 0
@@ -517,7 +516,7 @@ func compileSimple(c *syntax.SimpleCommand) compiled {
 			}
 		}
 		if hasRedirs {
-			in.withRedirs(redirs, func() { dispatch(in, fields) })
+			in.withRedirs(redirs, dispatch, fields)
 		} else {
 			dispatch(in, fields)
 		}

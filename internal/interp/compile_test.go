@@ -7,6 +7,7 @@ import (
 	"os"
 	osexec "os/exec"
 	"path"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -528,7 +529,8 @@ func TestNoCompileUsesNoPrecomputedResult(t *testing.T) {
 // evaluating and formatting the number costs. The script_mix loop's own
 // commands follow, with the fast paths on (fast) and off (plain): a
 // command's field list is the one allocation a compiled `[` or function
-// call makes, a joined word's string the one a compiled `q=/api/$t` makes.
+// call makes, a joined word's string the one a compiled `q=/api/$t` makes,
+// and a redirection costs the one writer it opens.
 // cloneSink keeps the clones TestPerCommandFloorAllocates makes, so that
 // they are allocated as the interpreter allocates them.
 var cloneSink *Interp
@@ -563,6 +565,10 @@ func TestPerCommandFloorAllocates(t *testing.T) {
 			{`q=/api/$t`, 1, 1},
 			{"case $((i % 3)) in 0) q=/api/$t ;; 1) q=/static/$t ;; *) q=/$t ;; esac", 1, 4},
 			{`classify "$q"`, 0, 6},
+			// A redirection costs the writer it opens, and nothing else.
+			{": >/dev/null", 1, 2},
+			{`echo $q $t "$kind"`, 2, 5},
+			{`echo $q $t "$kind" >/dev/null`, 3, 6},
 		} {
 			script, err := syntax.Parse(c.src)
 			if err != nil {
@@ -785,9 +791,34 @@ func TestControlFlowAgreesWithDash(t *testing.T) {
 		`{ i=0; while [ $i -lt 300000 ]; do echo x || break; i=$((i+1)); done; echo "ended i=$i" >&2; } | { read l; echo "got $l"; }`,
 		`{ i=0; while [ $i -lt 300000 ]; do printf 'x\n' || break; i=$((i+1)); done; echo "ended i=$i" >&2; } | { read l; echo "got $l"; }`,
 	}
-	for _, src := range append(scripts, closedReader...) {
-		cOut, cErr, cStatus, _, pErr, _ := runBoth(t, src, nil)
+	// Pathname expansion names each match as the pattern spells it. These
+	// run where d holds a file f and directories s1 and s2, on both sides.
+	globbed := []string{
+		"cd d; echo ./*",
+		"cd d; echo */..",
+		"cd d; echo s1/../f*",
+	}
+	tree := t.TempDir()
+	for _, p := range []string{"d/s1", "d/s2"} {
+		if err := os.MkdirAll(filepath.Join(tree, p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(tree, "d/f"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seedTree := func(fs *vfs.FS) {
+		fs.MkdirAll("/d/s1")
+		fs.MkdirAll("/d/s2")
+		fs.WriteFile("/d/f", nil)
+	}
+	for _, src := range slices.Concat(scripts, closedReader, globbed) {
+		var seed func(*vfs.FS)
 		cmd := osexec.Command("/bin/sh", "-c", src)
+		if slices.Contains(globbed, src) {
+			seed, cmd.Dir = seedTree, tree
+		}
+		cOut, cErr, cStatus, _, pErr, _ := runBoth(t, src, seed)
 		cmd.Env = []string{"LC_ALL=C", "PATH=/nonexistent"}
 		var out, errs bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &out, &errs

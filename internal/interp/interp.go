@@ -179,6 +179,10 @@ type Interp struct {
 	// return, exit, a fatal error) unwinds it. A field list is valid while
 	// its command runs: whatever keeps one longer (set --) copies it.
 	argv []string
+	// closers is the stack the files opened by the active redirections
+	// live on, as argv is for fields: applyRedirs pushes them and
+	// restoreRedirs closes and pops them.
+	closers []io.Closer
 }
 
 // New returns an interpreter over the given filesystem with standard
@@ -586,13 +590,13 @@ func (in *Interp) runPipeline(cmds []syntax.Command, stages []compiled) {
 // beyond the body's statements, which hit the shared cache.
 func (in *Interp) runSubshell(c *syntax.Subshell) {
 	sub := in.subshell()
-	cleanup, ok := sub.applyRedirs(c.Redirections)
+	saved, ok := sub.applyRedirs(c.Redirections)
 	if !ok {
 		in.Status = 1
 		return
 	}
 	status, err := sub.RunStmts(c.Body)
-	cleanup()
+	sub.restoreRedirs(saved)
 	if err != nil {
 		panic(fatalError{err})
 	}
@@ -748,33 +752,53 @@ func (in *Interp) callFunction(body syntax.Command, fields []string) {
 	in.compiledCommand(body)(in)
 }
 
-// withRedirs applies redirections around f, restoring streams afterwards.
-func (in *Interp) withRedirs(redirs []*syntax.Redirect, f func()) {
-	cleanup, ok := in.applyRedirs(redirs)
+// withRedirs applies redirections around run(in, fields), restoring
+// streams afterwards.
+func (in *Interp) withRedirs(redirs []*syntax.Redirect, run func(*Interp, []string), fields []string) {
+	saved, ok := in.applyRedirs(redirs)
 	if !ok {
 		in.Status = 1
 		return
 	}
-	defer cleanup()
-	f()
+	defer in.restoreRedirs(saved)
+	run(in, fields)
 }
 
-// noCleanup is what applyRedirs returns for an empty redirection list.
-var noCleanup = func() {}
+// streams is what applyRedirs saves for restoreRedirs: the streams before
+// the redirections, and the mark on the closers stack they push above.
+type streams struct {
+	stdin          io.Reader
+	stdout, stderr io.Writer
+	closers        int
+}
+
+// restoreRedirs closes the files the redirections opened, in the order
+// they were opened, and restores the streams.
+func (in *Interp) restoreRedirs(s streams) {
+	for _, cl := range in.closers[s.closers:] {
+		cl.Close()
+	}
+	clear(in.closers[s.closers:])
+	in.closers = in.closers[:s.closers]
+	in.Stdin, in.Stdout, in.Stderr = s.stdin, s.stdout, s.stderr
+}
+
+// redirFault is the injected fault, if any, on opening a redirection's
+// target.
+func (in *Interp) redirFault(target string) error {
+	if in.Faults == nil {
+		return nil
+	}
+	return in.Faults.CheckContained("interp:redir:"+target, faultinject.OpOpen)
+}
 
 // applyRedirs mutates the interpreter's streams per the redirections and
-// returns a cleanup function restoring them (and flushing outputs).
-func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
+// returns what restoreRedirs needs to restore them (and flush outputs).
+// ok=false means a redirection failed: the streams are already restored.
+func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (saved streams, ok bool) {
+	saved = streams{in.Stdin, in.Stdout, in.Stderr, len(in.closers)}
 	if len(redirs) == 0 {
-		return noCleanup, true
-	}
-	savedIn, savedOut, savedErr := in.Stdin, in.Stdout, in.Stderr
-	var closers []io.Closer
-	cleanup := func() {
-		for _, cl := range closers {
-			cl.Close()
-		}
-		in.Stdin, in.Stdout, in.Stderr = savedIn, savedOut, savedErr
+		return saved, true
 	}
 	x := in.expander()
 	setWriter := func(fd int, w io.Writer) {
@@ -784,6 +808,10 @@ func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
 			in.Stdout = w
 		}
 	}
+	fail := func() (streams, bool) {
+		in.restoreRedirs(saved)
+		return saved, false
+	}
 	for _, r := range redirs {
 		fd := r.DefaultFD()
 		src := r.Target // the target, or a here-document's body
@@ -792,26 +820,30 @@ func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
 		}
 		target, err := x.ExpandString(src)
 		if err != nil {
+			// A fatal error ends the shell with what this list opened never
+			// closed, so no outer restore may close it: it is off the stack
+			// while expandFail runs.
+			opened := in.closers[saved.closers:]
+			in.closers = in.closers[:saved.closers]
 			in.expandFail(err)
-			cleanup()
-			return nil, false
+			in.closers = append(in.closers, opened...)
+			return fail()
 		}
 		switch r.Op {
 		case syntax.RedirIn:
 			var rc io.ReadCloser
-			if err = in.Faults.CheckContained("interp:redir:"+target, faultinject.OpOpen); err == nil {
+			if err = in.redirFault(target); err == nil {
 				rc, err = in.FS.Open(in.lookPath(target))
 			}
 			if err != nil {
 				fmt.Fprintf(in.Stderr, "jash: %s: %v\n", target, err)
-				cleanup()
-				return nil, false
+				return fail()
 			}
-			closers = append(closers, rc)
+			in.closers = append(in.closers, rc)
 			in.Stdin = rc
 		case syntax.RedirOut, syntax.RedirClobber, syntax.RedirAppend:
 			var w io.WriteCloser
-			if err = in.Faults.CheckContained("interp:redir:"+target, faultinject.OpOpen); err == nil {
+			if err = in.redirFault(target); err == nil {
 				if r.Op == syntax.RedirAppend {
 					w, err = in.FS.Append(in.lookPath(target))
 				} else {
@@ -820,10 +852,9 @@ func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
 			}
 			if err != nil {
 				fmt.Fprintf(in.Stderr, "jash: %s: %v\n", target, err)
-				cleanup()
-				return nil, false
+				return fail()
 			}
-			closers = append(closers, w)
+			in.closers = append(in.closers, w)
 			setWriter(fd, w)
 		case syntax.RedirHeredoc, syntax.RedirHeredocDash:
 			in.Stdin = strings.NewReader(target)
@@ -837,8 +868,7 @@ func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
 				setWriter(fd, io.Discard)
 			default:
 				fmt.Fprintf(in.Stderr, "jash: bad fd %q\n", target)
-				cleanup()
-				return nil, false
+				return fail()
 			}
 		case syntax.RedirDupIn:
 			if target == "-" {
@@ -854,19 +884,19 @@ func (in *Interp) applyRedirs(redirs []*syntax.Redirect) (func(), bool) {
 			if fd == 0 {
 				rc, err := in.FS.Open(p)
 				if err == nil {
-					closers = append(closers, rc)
+					in.closers = append(in.closers, rc)
 					in.Stdin = rc
 				}
 			} else {
 				w, err := in.FS.Append(p)
 				if err == nil {
-					closers = append(closers, w)
+					in.closers = append(in.closers, w)
 					setWriter(fd, w)
 				}
 			}
 		}
 	}
-	return cleanup, true
+	return saved, true
 }
 
 // lookPath resolves a possibly-relative path against the working dir.

@@ -36,17 +36,6 @@ type ListPlan struct {
 	Groups []ListGroup
 }
 
-// ParallelStatements counts the statements inside parallel groups.
-func (p *ListPlan) ParallelStatements() int {
-	n := 0
-	for _, g := range p.Groups {
-		if g.Parallel {
-			n += len(g.Stmts)
-		}
-	}
-	return n
-}
-
 // ListDecision records what the list planner chose and why, for the trace
 // and jashexplain.
 type ListDecision struct {
@@ -132,22 +121,19 @@ func planStmts(stmts []*syntax.Stmt, binds []Binding, opts ListOptions) (*ListPl
 		if binds != nil {
 			env.Bind(binds[i].Name, analysis.Const(binds[i].Value))
 		}
-		so := analysis.StmtOptions{Lib: opts.Lib, Env: env}
+		// Summarizing walks the statement once and threads the abstract
+		// state — for a pinned statement too: what it (and the functions it
+		// calls) may assign is ⊤ for its successors. With a current function
+		// table the summarizer prices calls itself; without one, a call to a
+		// function pins the statement.
+		so := analysis.StmtOptions{Lib: opts.Lib, Env: env, FuncBody: opts.FuncBody, IsFunc: opts.IsFunc}
 		if !funcsDirty {
 			so.Funcs = funcs
 		}
 		sums[i] = analysis.SummarizeStmtOpts(st, so)
-		// Interpreter-state blockers the AST alone cannot see. With a
-		// function table available the summarizer prices calls itself;
-		// without one, any call to a function pins the statement.
-		for _, name := range stmtCommandNames(st) {
-			if so.Funcs == nil && opts.IsFunc != nil && opts.IsFunc(name) {
-				sums[i].Blockers = append(sums[i].Blockers,
-					fmt.Sprintf("%s is a shell function", name))
-			}
-		}
+		// Interpreter state the AST alone cannot see.
 		if opts.IsReadonly != nil {
-			for _, v := range sortedVarNames(sums[i].Defs) {
+			for _, v := range analysis.SortedNames(sums[i].Defs) {
 				if opts.IsReadonly(v) {
 					sums[i].Blockers = append(sums[i].Blockers,
 						fmt.Sprintf("assignment to readonly %s would abort", v))
@@ -155,9 +141,6 @@ func planStmts(stmts []*syntax.Stmt, binds []Binding, opts ListOptions) (*ListPl
 			}
 		}
 		funcsDirty = funcsDirty || analysis.FuncTableChangedBy(st, opts.FuncBody)
-		// Thread the abstract state — for a pinned statement too: what it
-		// (and the functions it calls) may assign is ⊤ for its successors.
-		analysis.ApplyStmt(env, st, opts.FuncBody)
 		if funcsDirty {
 			env.WidenAll()
 		}
@@ -228,7 +211,7 @@ func buildListPlan(stmts []*syntax.Stmt, binds []Binding, sums []*analysis.StmtS
 		flushSeq()
 		g := group(run, ListGroup{Parallel: true, Width: cost.ListRegionWidth(len(run), opts.Cores)})
 		for _, i := range run {
-			g.Defs = append(g.Defs, sortedVarNames(sums[i].Defs))
+			g.Defs = append(g.Defs, analysis.SortedNames(sums[i].Defs))
 		}
 		plan.Groups = append(plan.Groups, g)
 		dec.Parallel = true
@@ -355,28 +338,4 @@ func cdBlockedOnly(stmts []*syntax.Stmt, sums []*analysis.StmtSummary, opts List
 	}
 	_, dec := buildListPlan(restStmts, nil, restSums, opts)
 	return dec.Parallel
-}
-
-// stmtCommandNames collects the literal command names invoked anywhere in
-// a statement.
-func stmtCommandNames(st *syntax.Stmt) []string {
-	var names []string
-	syntax.Walk(st, func(n syntax.Node) bool {
-		if sc, ok := n.(*syntax.SimpleCommand); ok {
-			if name := sc.Name(); name != "" {
-				names = append(names, name)
-			}
-		}
-		return true
-	})
-	return names
-}
-
-func sortedVarNames(m map[string]bool) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names) // deterministic blocker order keeps the trace stable
-	return names
 }

@@ -32,10 +32,7 @@ func TestParallelizeListIndependentStatements(t *testing.T) {
 	if dec.Statements != 4 {
 		t.Fatalf("parallel statements = %d, want 4 (reason: %s)", dec.Statements, dec.Reason)
 	}
-	if got := plan.ParallelStatements(); got != 4 {
-		t.Fatalf("plan parallel statements = %d, want 4", got)
-	}
-	if len(plan.Groups) != 1 || !plan.Groups[0].Parallel {
+	if len(plan.Groups) != 1 || !plan.Groups[0].Parallel || len(plan.Groups[0].Stmts) != 4 {
 		t.Fatalf("want a single parallel group, got %+v", plan.Groups)
 	}
 	if w := plan.Groups[0].Width; w < 2 || w > 4 {

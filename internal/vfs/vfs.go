@@ -203,19 +203,13 @@ func clean(p string) string {
 	return path.Clean(p)
 }
 
-// splitPath returns the cleaned path's components, excluding the root.
-func splitPath(p string) []string {
-	p = clean(p)
-	if p == "/" {
-		return nil
-	}
-	return strings.Split(p[1:], "/")
-}
-
-// lookup walks to the node for path p. Caller holds the lock.
+// lookup walks to the node for path p, a component at a time (splitting
+// the path would allocate). Caller holds the lock.
 func (fs *FS) lookup(p string) (*node, error) {
 	cur := fs.root
-	for _, part := range splitPath(p) {
+	for rest := clean(p)[1:]; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		if !cur.isDir {
 			return nil, ErrNotDir
 		}
@@ -230,12 +224,15 @@ func (fs *FS) lookup(p string) (*node, error) {
 
 // lookupParent returns the parent directory node and the final component.
 func (fs *FS) lookupParent(p string) (*node, string, error) {
-	parts := splitPath(p)
-	if len(parts) == 0 {
+	p = clean(p)
+	if p == "/" {
 		return nil, "", ErrExist
 	}
+	i := strings.LastIndexByte(p, '/')
 	cur := fs.root
-	for _, part := range parts[:len(parts)-1] {
+	for rest := p[1 : i+1]; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		next, ok := cur.children[part]
 		if !ok {
 			return nil, "", ErrNotExist
@@ -245,7 +242,7 @@ func (fs *FS) lookupParent(p string) (*node, string, error) {
 		}
 		cur = next
 	}
-	return cur, parts[len(parts)-1], nil
+	return cur, p[i+1:], nil
 }
 
 // Stat returns metadata for the path.
@@ -508,7 +505,9 @@ func (fs *FS) MkdirAll(p string) error {
 
 func (fs *FS) mkdirAllLocked(p string) error {
 	cur := fs.root
-	for _, part := range splitPath(p) {
+	for rest := clean(p)[1:]; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		next, ok := cur.children[part]
 		if !ok {
 			fs.seq++
@@ -622,38 +621,42 @@ func (fs *FS) deviceForLocked(p string) string {
 }
 
 // Glob expands a shell pattern against the filesystem relative to dir
-// (absolute patterns ignore dir). Results are sorted. A pattern with no
-// matches returns an empty slice, per pathname expansion rules.
+// (absolute patterns ignore dir). Each match is named as the pattern
+// spells it — `./f`, `s1/..`, `s1/../f` — with its metacharacter segments
+// replaced by the names they matched. Results are sorted. A pattern with
+// no matches returns an empty slice, per pathname expansion rules.
 func (fs *FS) Glob(dir, pat string) []string {
-	absolute := strings.HasPrefix(pat, "/")
-	segs := strings.Split(pat, "/") // as written: a/.. is not cleaned away
+	// A match is the path it is looked up by and the name it is given.
+	type match struct{ path, name string }
 	base := dir
-	if absolute {
+	if strings.HasPrefix(pat, "/") {
 		base = "/"
 	}
-	matches := []string{base}
-	for _, seg := range segs {
-		if seg == "" {
-			continue
-		}
-		var next []string
+	matches := []match{{path: base}}
+	for i, seg := range strings.Split(pat, "/") {
+		var next []match
 		for _, m := range matches {
+			name := m.name
+			if i > 0 {
+				name += "/"
+			}
 			if !pattern.HasMeta(seg) {
-				// Only a directory has names under it: f/.. names
-				// nothing when f is a file, though path.Join would
-				// clean it to f's directory (and */.. repeated would
-				// then grow the list by the number of files at every
-				// step).
-				if fi, err := fs.Stat(m); err != nil || !fi.IsDir {
+				// Only a directory has names under it, "" (a slash) and
+				// f/.. included: f/.. names nothing when f is a file,
+				// though path.Join would clean it to f's directory (and
+				// */.. repeated would then grow the list by the number of
+				// files at every step).
+				lit := pattern.Unescape(seg)
+				if fi, err := fs.Stat(m.path); err != nil || !fi.IsDir {
 					continue
 				}
-				cand := path.Join(m, pattern.Unescape(seg))
-				if fs.Exists(cand) {
-					next = append(next, cand)
+				cand := path.Join(m.path, lit)
+				if seg == "" || fs.Exists(cand) {
+					next = append(next, match{cand, name + lit})
 				}
 				continue
 			}
-			entries, err := fs.ReadDir(m)
+			entries, err := fs.ReadDir(m.path)
 			if err != nil {
 				continue
 			}
@@ -663,30 +666,17 @@ func (fs *FS) Glob(dir, pat string) []string {
 					continue
 				}
 				if pattern.Match(seg, e.Name) {
-					next = append(next, path.Join(m, e.Name))
+					next = append(next, match{path.Join(m.path, e.Name), name + e.Name})
 				}
 			}
 		}
 		matches = next
 	}
-	sort.Strings(matches)
 	out := make([]string, 0, len(matches))
 	for _, m := range matches {
-		if m == base && !absolute {
-			continue
-		}
-		if !absolute {
-			// Relative patterns yield relative names, like a real shell.
-			rel := strings.TrimPrefix(m, clean(base))
-			rel = strings.TrimPrefix(rel, "/")
-			if rel == "" {
-				continue
-			}
-			out = append(out, rel)
-			continue
-		}
-		out = append(out, m)
+		out = append(out, m.name)
 	}
+	sort.Strings(out)
 	return out
 }
 

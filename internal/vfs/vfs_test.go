@@ -230,15 +230,28 @@ func TestGlob(t *testing.T) {
 		t.Errorf("Glob(*.pdf) = %v", got)
 	}
 	// A name under a file names nothing: only sub leads back through ..,
-	// and the list grows with the directories, not the files.
-	if got := fs.Glob("/w", "*/../*.log"); strings.Join(got, ",") != "c.log" {
+	// and the list grows with the directories, not the files. Each match
+	// is named as the pattern spells it, as dash names it.
+	if got := fs.Glob("/w", "*/../*.log"); strings.Join(got, ",") != "sub/../c.log" {
 		t.Errorf("Glob(*/../*.log) = %v", got)
 	}
 	if got := fs.Glob("/", "/w/a.txt/../*.log"); len(got) != 0 {
 		t.Errorf("Glob(/w/a.txt/../*.log) = %v", got)
 	}
-	if got := fs.Glob("/w", strings.Repeat("*/../", 12)+"*.log"); strings.Join(got, ",") != "c.log" {
+	if got := fs.Glob("/w", strings.Repeat("*/../", 12)+"*.log"); strings.Join(got, ",") != strings.Repeat("sub/../", 12)+"c.log" {
 		t.Errorf("Glob((*/../)^12 *.log) = %v", got)
+	}
+	for _, c := range []struct{ dir, pat, want string }{
+		{"/w", "./*.log", "./c.log"},
+		{"/w", "*/..", "sub/.."},
+		{"/w", "*/", "sub/"},
+		{"/", "/w/./*.log", "/w/./c.log"},
+		{"/", "/w//*.log", "/w//c.log"},
+		{"/", "/w/sub/../*.log", "/w/sub/../c.log"},
+	} {
+		if got := fs.Glob(c.dir, c.pat); strings.Join(got, ",") != c.want {
+			t.Errorf("Glob(%q) in %s = %v, want %s", c.pat, c.dir, got, c.want)
+		}
 	}
 }
 
