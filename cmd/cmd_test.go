@@ -127,6 +127,18 @@ func TestJashInteractive(t *testing.T) {
 	}
 }
 
+// TestJashSpecialBuiltinErrorEndsOnlyAScript: a usage error in a special
+// builtin ends a script with status 2, as in dash; under -i the line fails
+// and the repl reads the next one.
+func TestJashSpecialBuiltinErrorEndsOnlyAScript(t *testing.T) {
+	if out, _, code := runBin(t, "jash", "", "-c", "set -Z; echo after"); code != 2 || out != "" {
+		t.Errorf("script: out=%q code=%d, want nothing and 2", out, code)
+	}
+	if out, _, code := runBin(t, "jash", "set -Z\necho after\n", "-i"); code != 0 || out != "after\n" {
+		t.Errorf("repl: out=%q code=%d, want after and 0", out, code)
+	}
+}
+
 // TestJashInteractiveExitTrapEndsTheSession: a line of the repl does not
 // end the session, so the EXIT trap fires once, at the end of input, after
 // every line; and it runs under a command span, so a pipeline the JIT

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -64,16 +65,9 @@ func run() int {
 	env := analysis.NewEnv(nil)
 	// The script's own declarations are the function table, for the value
 	// flow here and for the list verdict below.
-	funcs := map[string]syntax.Command{}
-	syntax.Walk(script, func(n syntax.Node) bool {
-		if fd, ok := n.(*syntax.FuncDecl); ok {
-			funcs[fd.Name] = fd.Body
-		}
-		return true
-	})
-	funcBody := func(name string) syntax.Command { return funcs[name] }
+	funcBody := analysis.Declared(script)
 	for _, st := range script.Stmts {
-		simple := 0
+		simple, calls := 0, false
 		for _, cmd := range st.AndOr.First.Cmds {
 			sc, ok := cmd.(*syntax.SimpleCommand)
 			if !ok {
@@ -100,8 +94,13 @@ func run() int {
 				}
 				continue
 			}
-			e := lib.Resolve(fields)
 			fmt.Printf("%s\n", syntax.QuoteWords(fields))
+			if analysis.Called(fields[0], funcBody) != nil {
+				fmt.Printf("  %s is a shell function: the JIT interprets this pipeline, never compiles it\n", fields[0])
+				calls = true
+				continue
+			}
+			e := lib.Resolve(fields)
 			if e.Summary != "" {
 				fmt.Printf("  %s\n", e.Summary)
 			} else {
@@ -145,6 +144,10 @@ func run() int {
 		// decides such a statement once the word is expanded. Any other
 		// refusal is the JIT's too.
 		g, err := dfg.FromStmt(st, lib, nil, true)
+		if calls {
+			// The JIT asks what each stage's name runs before it plans.
+			err = errors.New("a stage is a shell function")
+		}
 		switch {
 		case err != nil && dfg.NeedsShellState(err):
 			fmt.Printf("hazard preflight: not decided ahead of time — %v\n", err)
@@ -178,7 +181,6 @@ func run() int {
 	if len(script.Stmts) >= 2 {
 		_, dec := rewrite.ParallelizeList(script.Stmts, rewrite.ListOptions{
 			Lib: lib, Dir: "/", Cores: cost.Laptop().Cores,
-			IsFunc:   func(name string) bool { _, ok := funcs[name]; return ok },
 			FuncBody: funcBody,
 		})
 		for _, wit := range dec.Witnesses {

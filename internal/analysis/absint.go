@@ -310,23 +310,29 @@ func (w *vwalker) simple(env *Env, sc *syntax.SimpleCommand) {
 	if w.vis != nil && w.vis.Simple != nil {
 		w.vis.Simple(sc, env)
 	}
+	c := command{persists: true}
+	if len(sc.Args) > 0 {
+		c = commandOf(sc, w.funcBody)
+	}
 	// The sink folds the command's filesystem effects and blockers against
 	// the state it runs in; its words' reads and assignments it takes from
 	// the walk's own word analysis below.
-	declares := w.sum != nil && w.sum.simple(env, sc)
+	declares := w.sum != nil && w.sum.simple(env, sc, &c)
 	f := env.flow
 	// Assigning expansions anywhere in the command assign; command
 	// substitution bodies run on environment copies. `FOO=1 cmd` scopes
-	// the assignment to cmd: no persistent binding.
-	tempEnv := len(sc.Args) > 0
+	// the assignment to cmd: no persistent binding, unless cmd is a
+	// special builtin.
 	for _, a := range sc.Assigns {
-		if !tempEnv {
+		if c.persists || c.mayPersist {
 			w.sum.def(a.Name)
 		}
 		runs := w.word(env, a.Value, a.Name)
 		switch {
 		case f == nil:
-		case tempEnv:
+		case c.mayPersist:
+			f.define(a.Name, a.Pos(), DefAssign, true).HasCmdSubst = runs
+		case !c.persists:
 			f.define(a.Name, a.Pos(), DefTempEnv, true).Uses = 1 // feeds cmd's environment
 		default:
 			f.define(a.Name, a.Pos(), DefAssign, f.conditional).HasCmdSubst = runs
@@ -338,10 +344,10 @@ func (w *vwalker) simple(env *Env, sc *syntax.SimpleCommand) {
 	w.widenRedirs(env, sc.Redirections)
 	if declares {
 		// After the words: `local x=$x` reads the caller's x.
-		w.sum.operands(sc)
+		w.sum.operands(sc, &c)
 	}
-	if len(sc.Args) == 0 {
-		// Bare assignments bind precisely, left to right, each value
+	if c.persists {
+		// Persisting assignments bind precisely, left to right, each value
 		// evaluated in the environment the previous ones produced.
 		for _, a := range sc.Assigns {
 			if a.Value == nil {
@@ -350,9 +356,17 @@ func (w *vwalker) simple(env *Env, sc *syntax.SimpleCommand) {
 			}
 			env.Bind(a.Name, EvalWordAbs(a.Value, env))
 		}
+	}
+	if len(sc.Args) == 0 {
 		return
 	}
-	row, name, builtin := builtinOf(sc)
+	// The walk's table may hold a declaration that did not run (a
+	// branch's, a subshell's): the builtin a function shadows may run
+	// instead, so its effects count too.
+	row, maybe := c.row, c.body != nil
+	if maybe {
+		row = builtinTable[c.name]
+	}
 	ops, exact := row.operands(sc)
 	switch {
 	case row.anything:
@@ -386,13 +400,13 @@ func (w *vwalker) simple(env *Env, sc *syntax.SimpleCommand) {
 			// Bare `local x` declares without a meaningful value; the
 			// conditional flag keeps it out of dead-store reports.
 			f.define(op.name, op.word.Pos(), row.def,
-				f.conditional || row.def == DefGetopts || row.def == DefLocal && !op.hasValue)
+				f.conditional || maybe || row.def == DefGetopts || row.def == DefLocal && !op.hasValue)
 		}
-		if f != nil && name == "export" {
+		if f != nil && c.name == "export" {
 			f.st.exported[op.name] = true
 		}
 	}
-	if f != nil && name == "set" && setsAllExport(sc.Args[1:]) {
+	if f != nil && c.name == "set" && setsAllExport(sc.Args[1:]) {
 		f.st.allExport = true
 	}
 	for _, n := range row.implicit {
@@ -404,24 +418,22 @@ func (w *vwalker) simple(env *Env, sc *syntax.SimpleCommand) {
 	if row.params {
 		env.ClearParams()
 	}
-	if builtin {
+	switch {
+	case c.builtin:
 		if row.runs {
 			f.useExported() // exec runs a utility
 		}
-		return
-	}
-	body := w.funcBody(name)
-	if body == nil {
+	case c.body == nil:
 		f.useExported() // a utility reads the exported names
-		return
-	}
-	// A call runs the body, which may read any visible binding and
-	// assigns what AssignedBy says.
-	names, _ := w.widen(env, body)
-	if f != nil {
-		f.useAll()
-		for _, n := range SortedNames(names) {
-			f.define(n, sc.Pos(), DefAssign, true)
+	default:
+		// A call runs the body, which may read any visible binding and
+		// assigns what AssignedBy says.
+		names, _ := w.widen(env, c.body)
+		if f != nil {
+			f.useAll()
+			for _, n := range SortedNames(names) {
+				f.define(n, sc.Pos(), DefAssign, true)
+			}
 		}
 	}
 }

@@ -56,8 +56,8 @@ type builtinRow struct {
 // builtinTable has one row per interpreter builtin (core's
 // TestAnalysisKnowsEveryInterpreterBuiltin holds InterpBuiltins equal to
 // interp's registry, which this package does not import) plus the external
-// rows. Builtins shadow functions, functions shadow utilities: a name with
-// a row here is never a function call.
+// rows. Whether a row or a function answers for a name is commandOf's
+// question.
 var builtinTable = map[string]builtinRow{
 	":":        {},
 	"pwd":      {},
@@ -108,16 +108,58 @@ func InterpBuiltins() []string {
 	return names
 }
 
-// builtinOf finds the row for the command a simple command (with at least
-// one word) runs. builtin=false means the name has no row: a function, a
-// utility, or nothing at all. name is the command word as printed.
-func builtinOf(sc *syntax.SimpleCommand) (row builtinRow, name string, builtin bool) {
+// command is what a simple command runs.
+type command struct {
+	row  builtinRow
+	name string // the command word as printed
+	// builtin: row is the builtin's, or, for a command word that is not
+	// static, the dynamic row. Otherwise body is the function's that has
+	// the name, or nil for a utility.
+	builtin bool
+	body    syntax.Command
+	// persists: the assignment prefix outlives the command, as a special
+	// builtin's does (POSIX 2.14); mayPersist: it may, the name being
+	// known only at run time.
+	persists, mayPersist bool
+}
+
+// commandOf resolves a simple command with at least one word by the
+// shell's lookup rule (syntax.ClassOf), against the functions funcBody
+// (nil: none) knows.
+func commandOf(sc *syntax.SimpleCommand, funcBody func(string) syntax.Command) command {
 	name, static := staticText(sc.Args[0])
 	if !static {
-		return dynamicCommand, syntax.PrintWord(sc.Args[0]), true
+		return command{row: dynamicCommand, name: syntax.PrintWord(sc.Args[0]), builtin: true, mayPersist: true}
 	}
-	row, builtin = builtinTable[name]
-	return row, name, builtin
+	c := command{name: name, persists: syntax.ClassOf(name) == syntax.SpecialBuiltin}
+	if c.body = Called(name, funcBody); c.body == nil {
+		c.row, c.builtin = builtinTable[name]
+	}
+	return c
+}
+
+// Called is the body of the function a command named name runs, among the
+// functions funcBody (nil: none) knows, or nil: a function has every name
+// but a special builtin's.
+func Called(name string, funcBody func(string) syntax.Command) syntax.Command {
+	if funcBody == nil || syntax.ClassOf(name) == syntax.SpecialBuiltin {
+		return nil
+	}
+	return funcBody(name)
+}
+
+// Declared is the function table of the declarations node makes, anywhere
+// in it, the last of a name winning: the table of a script run by no
+// shell.
+func Declared(node syntax.Node) func(string) syntax.Command {
+	funcs := map[string]syntax.Command{}
+	syntax.Walk(node, func(n syntax.Node) bool {
+		if fd, ok := n.(*syntax.FuncDecl); ok {
+			funcs[fd.Name] = fd.Body
+		}
+		return true
+	})
+	return func(name string) syntax.Command { return funcs[name] }
 }
 
 // staticText is the word's value when the word is that and nothing else:
@@ -243,7 +285,9 @@ func AssignedBy(node syntax.Node, funcBody func(string) syntax.Command) (names m
 			if len(x.Args) == 0 {
 				break
 			}
-			row, _, _ := builtinOf(x)
+			// A builtin's row counts even where a function may shadow it:
+			// walkCalls walks the function too.
+			row := commandOf(x, nil).row
 			ops, exact := row.operands(x)
 			for _, op := range ops {
 				names[op.name] = true
@@ -274,8 +318,7 @@ func FuncTableChangedBy(node syntax.Node, funcBody func(string) syntax.Command) 
 			return false
 		case *syntax.SimpleCommand:
 			if len(x.Args) > 0 {
-				row, _, _ := builtinOf(x)
-				f, known := row.functionOperands(x)
+				f, known := commandOf(x, nil).row.functionOperands(x)
 				changed = changed || f || !known
 			}
 		}
@@ -295,11 +338,9 @@ func walkCalls(node syntax.Node, funcBody func(string) syntax.Command, visit fun
 				return false
 			}
 			if sc, ok := n.(*syntax.SimpleCommand); ok && len(sc.Args) > 0 && funcBody != nil {
-				if _, name, builtin := builtinOf(sc); !builtin && !called[name] {
-					if body := funcBody(name); body != nil {
-						called[name] = true
-						walk(body)
-					}
+				if c := commandOf(sc, funcBody); c.body != nil && !called[c.name] {
+					called[c.name] = true
+					walk(c.body)
 				}
 			}
 			return true

@@ -47,11 +47,6 @@ func NewFuncSummarizer(lib *spec.Library, body func(name string) syntax.Command)
 	}
 }
 
-// Known reports whether name resolves to a defined function.
-func (f *FuncSummarizer) Known(name string) bool {
-	return f != nil && f.Body != nil && f.Body(name) != nil
-}
-
 // Call returns the effect summary of invoking the named function with
 // the given abstract positional arguments ($1..$n). argsKnown=false
 // means even the argument count is unknown, so every positional is ⊤.

@@ -22,7 +22,7 @@ type StmtSummary struct {
 	// Defs are variables the statement assigns in the parent shell
 	// (plain assignments and ${x=w}); Uses are variables it expands.
 	// Temp-env assignments (`FOO=1 cmd`) do not define: they scope to the
-	// one command.
+	// one command, unless it is a special builtin.
 	Defs map[string]bool
 	// Uses are the variables the statement's expansions read.
 	Uses map[string]bool
@@ -48,15 +48,12 @@ type StmtOptions struct {
 	// nil means all-⊤ (no value knowledge). SummarizeStmtOpts advances it
 	// past the statement.
 	Env *Env
-	// Funcs, when non-nil, summarizes calls to user-defined functions
-	// instead of leaving them to the unknown-command ⊤.
+	// Funcs, when non-nil, summarizes the calls to the functions FuncBody
+	// knows; when nil, such a call pins the statement.
 	Funcs *FuncSummarizer
-	// IsFunc reports a name that resolves to a shell function Funcs does
-	// not summarize: a call to it pins the statement.
-	IsFunc func(string) bool
-	// FuncBody resolves the functions the statement may call, for
-	// advancing Env (nil: none is known). It may be set when Funcs is not:
-	// a stale function table still says what a call may assign.
+	// FuncBody resolves the functions the statement may call (nil: none
+	// is known). It may be set when Funcs is not: a stale function table
+	// still says what a call may assign.
 	FuncBody func(name string) syntax.Command
 }
 
@@ -76,7 +73,7 @@ func SummarizeStmt(st *syntax.Stmt, lib *spec.Library) *StmtSummary {
 // sink, so it leaves opts.Env as the statement leaves the shell.
 func SummarizeStmtOpts(st *syntax.Stmt, opts StmtOptions) *StmtSummary {
 	ss := newStmtSummary()
-	s := &sink{ss: ss, lib: opts.Lib, funcs: opts.Funcs, isFunc: opts.IsFunc}
+	s := &sink{ss: ss, lib: opts.Lib, funcs: opts.Funcs}
 	if st == nil || st.AndOr == nil || st.AndOr.First == nil {
 		s.block("empty statement")
 		return ss
@@ -107,10 +104,9 @@ func newStmtSummary() *StmtSummary {
 // word analysis meets them. The walk also calls it at each point the
 // policy decides: a background job, an &&/|| list, a compound command.
 type sink struct {
-	ss     *StmtSummary
-	lib    *spec.Library
-	funcs  *FuncSummarizer // nil: a call is an unknown command
-	isFunc func(string) bool
+	ss    *StmtSummary
+	lib   *spec.Library
+	funcs *FuncSummarizer // nil: a call pins the statement
 	// call is the policy: the walk is of a function body a call reached,
 	// not of a top-level statement. The builtin blockers the table marks
 	// inCall lift, &&/|| continuations are admitted, and what ends with
@@ -160,11 +156,12 @@ func (s *sink) compound() {
 	}
 }
 
-// simple folds one simple command's filesystem effects and blockers. It
-// reports a builtin whose blocker lifted in a call, which defines or
-// declares its operands (operands, once its words are read).
-func (s *sink) simple(env *Env, sc *syntax.SimpleCommand) (declares bool) {
-	sum, declares := s.command(env, sc)
+// simple folds one simple command's filesystem effects and blockers; c is
+// what it runs, when it has a command word. It reports a builtin whose
+// blocker lifted in a call, which defines or declares its operands
+// (operands, once its words are read).
+func (s *sink) simple(env *Env, sc *syntax.SimpleCommand, c *command) (declares bool) {
+	sum, declares := s.command(env, sc, c)
 	// Inner pipeline stages read the pipe, not the terminal: only the
 	// first command's stdin appetite matters, and a redirection over
 	// fd 0 satisfies it from a file instead.
@@ -177,7 +174,7 @@ func (s *sink) simple(env *Env, sc *syntax.SimpleCommand) (declares bool) {
 
 // command is one simple command's filesystem summary; it records the
 // command's blockers.
-func (s *sink) command(env *Env, sc *syntax.SimpleCommand) (sum *Summary, declares bool) {
+func (s *sink) command(env *Env, sc *syntax.SimpleCommand, c *command) (sum *Summary, declares bool) {
 	if len(sc.Args) == 0 {
 		// A bare assignment runs no command: only its redirections (and
 		// value-word expansions) touch the world.
@@ -185,42 +182,38 @@ func (s *sink) command(env *Env, sc *syntax.SimpleCommand) (sum *Summary, declar
 		foldRedirs(sum, sc.Redirections, env)
 		return sum, false
 	}
-	row, name, builtin := builtinOf(sc)
 	switch {
-	case builtin:
-		declares = s.call && (row.blocker == "" || row.inCall)
-		if !declares && row.blocker != "" {
-			s.block("%s %s", name, row.blocker)
+	case c.builtin:
+		declares = s.call && (c.row.blocker == "" || c.row.inCall)
+		if !declares && c.row.blocker != "" {
+			s.block("%s %s", c.name, c.row.blocker)
 		}
 		// The statement is this cd and nothing else: no other blocker yet.
-		if name == "cd" && !s.call && !s.multi && len(sc.Redirections)+len(sc.Assigns) == 0 && len(s.ss.Blockers) == 1 {
+		if c.name == "cd" && !s.call && !s.multi && len(sc.Redirections)+len(sc.Assigns) == 0 && len(s.ss.Blockers) == 1 {
 			s.ss.CdOnly = true
 		}
-	case s.funcs.Known(name):
-		// Builtins shadow functions, functions shadow utilities — the
-		// interpreter's dispatch order.
-		return s.callee(env, sc, name), false
-	case s.isFunc != nil && s.isFunc(name):
-		s.block("%s is a shell function", name)
+	case c.body != nil && s.funcs != nil:
+		return s.callee(env, sc, c.name), false
+	case c.body != nil:
+		s.block("%s is a shell function", c.name)
 	}
 	return SummarizeCommandEnv(sc, s.lib, env), declares
 }
 
 // operands records the variables a builtin whose blocker lifted in a call
 // declares or defines.
-func (s *sink) operands(sc *syntax.SimpleCommand) {
-	row, name, _ := builtinOf(sc)
-	ops, exact := row.operands(sc)
+func (s *sink) operands(sc *syntax.SimpleCommand, c *command) {
+	ops, exact := c.row.operands(sc)
 	if !exact {
-		s.block("dynamic %s name", name)
+		s.block("dynamic %s name", c.name)
 		return
 	}
-	if row.def == DefLocal && (s.conditional || s.multi) {
+	if c.row.def == DefLocal && (s.conditional || s.multi) {
 		s.block("conditionally-scoped local")
 		return
 	}
 	for _, op := range ops {
-		if row.def == DefLocal {
+		if c.row.def == DefLocal {
 			s.locals[op.name] = true
 		} else {
 			s.def(op.name)

@@ -520,6 +520,15 @@ func (s *Shell) observe(in *interp.Interp, st *syntax.Stmt) (int, bool) {
 		s.settle(root, d)
 		root.End()
 	}()
+	// The graph runs each stage as the utility of its name, which is what
+	// the shell runs only while no function or builtin has the name. The
+	// function table changes as the script runs, so this decline is asked
+	// again at every offer.
+	if name := notUtility(in, graph); name != "" {
+		d.Strategy = "interpret"
+		d.Reason = fmt.Sprintf("the shell does not run %s as the utility: a function or builtin has the name", name)
+		return 0, false
+	}
 	// Static preflight: a dataflow plan runs every node concurrently, so
 	// any pair of nodes whose effect summaries conflict on a file would
 	// race. Such a region is never compiled — the interpreter's
@@ -773,6 +782,18 @@ func (s *Shell) analyze(in *interp.Interp, st *syntax.Stmt, aheadOfTime bool) (*
 		},
 	}
 	return graph, facts, syntax.PrintStmts([]*syntax.Stmt{st}), nil
+}
+
+// notUtility is the name of g's first command node, in node order, that
+// in does not resolve to a utility, or "".
+func notUtility(in *interp.Interp, g *dfg.Graph) string {
+	for id := 0; id < g.MaxID(); id++ {
+		n := g.Nodes[id]
+		if n != nil && n.Kind == dfg.KindCommand && in.Resolve(n.Argv[0]).Kind != interp.Utility {
+			return n.Argv[0]
+		}
+	}
+	return ""
 }
 
 func totalInput(g *dfg.Graph, in cost.Inputs) int64 {

@@ -33,18 +33,13 @@ func (s *Shell) runStmtsTop(stmts []*syntax.Stmt) (int, error) {
 	if s.Mode != ModeJash || s.NoListParallel || orderVisible(in) {
 		return in.RunStmts(stmts)
 	}
-	funcBody := func(name string) syntax.Command { return in.Funcs[name] }
 	opts := rewrite.ListOptions{
-		Lib:   s.Lib,
-		Dir:   in.Dir,
-		Cores: s.Profile.Cores,
-		IsFunc: func(name string) bool {
-			_, ok := in.Funcs[name]
-			return ok
-		},
+		Lib:        s.Lib,
+		Dir:        in.Dir,
+		Cores:      s.Profile.Cores,
 		IsReadonly: func(name string) bool { return in.Vars[name].ReadOnly },
 		Lookup:     lookupVar(in),
-		FuncBody:   funcBody,
+		FuncBody:   func(name string) syntax.Command { return in.Funcs[name] },
 	}
 	// A single compound statement may still hide a list the planner can
 	// partition: `{ a; b; c; }` flattens, and a `for` loop is the list of

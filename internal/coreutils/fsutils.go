@@ -354,11 +354,11 @@ func matchName(pat, name string) bool {
 	return patMatch(pat, name)
 }
 
-// testCmd implements test(1): file tests (-e -f -d -s), string tests
-// (-z -n, =, !=), integer comparisons (-eq -ne -lt -le -gt -ge), and the
-// connectives ! -a -o with parentheses.
+// testCmd implements test(1): file tests (-e -f -d -s -r -w -x), -t,
+// string tests (-z -n, =, !=), integer comparisons (-eq -ne -lt -le -gt
+// -ge), and the connectives ! -a -o with parentheses.
 func testCmd(c *Context, args []string) int {
-	return evalTest(c, args[1:])
+	return runTest(c, args[1:])
 }
 
 // bracketCmd is `[`, requiring a closing `]`.
@@ -367,83 +367,122 @@ func bracketCmd(c *Context, args []string) int {
 	if len(rest) == 0 || rest[len(rest)-1] != "]" {
 		return c.Errorf(2, "[: missing closing ]")
 	}
-	return evalTest(c, rest[:len(rest)-1])
+	return runTest(c, rest[:len(rest)-1])
 }
 
-func evalTest(c *Context, expr []string) int {
-	p := &testParser{c: c, toks: expr}
-	if len(expr) == 0 {
-		return 1
-	}
-	v, err := p.or()
+func runTest(c *Context, expr []string) int {
+	status, err := (&tester{c: c}).run(expr)
 	if err != nil {
 		return c.Errorf(2, "test: %v", err)
 	}
-	if p.pos != len(p.toks) {
-		return c.Errorf(2, "test: unexpected %q", p.toks[p.pos])
+	return status
+}
+
+// Test is the part of test(1) that asks neither the filesystem nor the
+// terminal: it decides expr (test's operands, or ['s without the closing
+// ]) and returns its truth and exit status, 2 for a malformed expression.
+// decided=false means expr has a primary that asks either.
+func Test(expr []string) (truth bool, status int, decided bool) {
+	t := tester{}
+	status, _ = t.run(expr)
+	return status == 0, status, !t.undecided
+}
+
+// tester evaluates one test expression. Its c is nil under Test, where a
+// primary that asks the filesystem or the terminal sets undecided.
+type tester struct {
+	c         *Context
+	undecided bool
+}
+
+// run is expr's exit status: 0 true, 1 false, 2 malformed (with the error).
+func (t *tester) run(expr []string) (int, error) {
+	v, err := t.eval(expr)
+	switch {
+	case err != nil:
+		return 2, err
+	case v:
+		return 0, nil
 	}
-	if v {
-		return 0
+	return 1, nil
+}
+
+// eval follows POSIX's table by argument count, and parses the forms the
+// table leaves open, and more than four arguments, by precedence: ! binds
+// tightest, then -a, then -o.
+func (t *tester) eval(args []string) (bool, error) {
+	switch len(args) {
+	case 0:
+		return false, nil
+	case 1:
+		return args[0] != "", nil
+	case 2:
+		switch {
+		case args[0] == "!":
+			return t.not(args[1:])
+		case isUnaryOp(args[0]):
+			return t.unary(args[0], args[1])
+		}
+	case 3:
+		switch {
+		case isBinaryOp(args[1]):
+			return t.binary(args[0], args[1], args[2])
+		case args[0] == "!":
+			return t.not(args[1:])
+		case args[0] == "(" && args[2] == ")":
+			return t.eval(args[1:2])
+		}
+	case 4:
+		switch {
+		case args[0] == "!":
+			return t.not(args[1:])
+		case args[0] == "(" && args[3] == ")":
+			return t.eval(args[1:3])
+		}
 	}
-	return 1
+	p := testParser{t: t, toks: args}
+	v, err := p.or()
+	if err == nil && p.pos != len(args) {
+		err = fmt.Errorf("unexpected %q", args[p.pos])
+	}
+	return v, err
+}
+
+func (t *tester) not(args []string) (bool, error) {
+	v, err := t.eval(args)
+	return !v, err
 }
 
 type testParser struct {
-	c    *Context
+	t    *tester
 	toks []string
 	pos  int
 }
 
-func (p *testParser) peek() (string, bool) {
-	if p.pos < len(p.toks) {
-		return p.toks[p.pos], true
-	}
-	return "", false
-}
+func (p *testParser) or() (bool, error)  { return p.chain("-o", p.and) }
+func (p *testParser) and() (bool, error) { return p.chain("-a", p.primary) }
 
-func (p *testParser) or() (bool, error) {
-	v, err := p.and()
-	if err != nil {
-		return false, err
-	}
-	for {
-		t, ok := p.peek()
-		if !ok || t != "-o" {
-			return v, nil
-		}
+// chain parses operands joined by op, each parsed by operand.
+func (p *testParser) chain(op string, operand func() (bool, error)) (bool, error) {
+	v, err := operand()
+	for err == nil && p.pos < len(p.toks) && p.toks[p.pos] == op {
 		p.pos++
-		w, err := p.and()
-		if err != nil {
-			return false, err
+		var w bool
+		w, err = operand()
+		if op == "-o" {
+			v = v || w
+		} else {
+			v = v && w
 		}
-		v = v || w
 	}
-}
-
-func (p *testParser) and() (bool, error) {
-	v, err := p.primary()
-	if err != nil {
-		return false, err
-	}
-	for {
-		t, ok := p.peek()
-		if !ok || t != "-a" {
-			return v, nil
-		}
-		p.pos++
-		w, err := p.primary()
-		if err != nil {
-			return false, err
-		}
-		v = v && w
-	}
+	return v, err
 }
 
 func (p *testParser) primary() (bool, error) {
-	t, ok := p.peek()
-	if !ok {
+	if p.pos == len(p.toks) {
 		return false, fmt.Errorf("expected expression")
 	}
+	t := p.toks[p.pos]
 	switch t {
 	case "!":
 		p.pos++
@@ -455,34 +494,30 @@ func (p *testParser) primary() (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		close, ok := p.peek()
-		if !ok || (close != ")" && close != `\)`) {
+		if p.pos == len(p.toks) || p.toks[p.pos] != ")" && p.toks[p.pos] != `\)` {
 			return false, fmt.Errorf("missing )")
 		}
 		p.pos++
 		return v, nil
 	}
-	// Unary operators.
+	// Unary operators: unary wins when followed by an operand that is not
+	// a binary operator.
 	if strings.HasPrefix(t, "-") && len(t) == 2 && p.pos+1 < len(p.toks) {
-		op := t
 		arg := p.toks[p.pos+1]
-		// Binary if the *next* token is a binary operator... unary wins
-		// when followed by exactly one operand or a connective.
 		if !isBinaryOp(arg) {
 			p.pos += 2
-			return p.unary(op, arg)
+			return p.t.unary(t, arg)
 		}
 	}
 	// Binary operator form: A op B.
-	if p.pos+2 < len(p.toks)+1 && p.pos+1 < len(p.toks) && isBinaryOp(p.toks[p.pos+1]) {
-		a := p.toks[p.pos]
+	if p.pos+1 < len(p.toks) && isBinaryOp(p.toks[p.pos+1]) {
 		op := p.toks[p.pos+1]
 		if p.pos+2 >= len(p.toks) {
 			return false, fmt.Errorf("missing operand after %q", op)
 		}
-		b := p.toks[p.pos+2]
+		a, b := p.toks[p.pos], p.toks[p.pos+2]
 		p.pos += 3
-		return p.binary(a, op, b)
+		return p.t.binary(a, op, b)
 	}
 	// Single operand: true iff non-empty.
 	p.pos++
@@ -497,41 +532,53 @@ func isBinaryOp(s string) bool {
 	return false
 }
 
-func (p *testParser) unary(op, arg string) (bool, error) {
+func isUnaryOp(s string) bool {
+	switch s {
+	case "-z", "-n", "-e", "-f", "-d", "-s", "-r", "-w", "-x", "-t":
+		return true
+	}
+	return false
+}
+
+func (t *tester) unary(op, arg string) (bool, error) {
 	switch op {
 	case "-z":
 		return arg == "", nil
 	case "-n":
 		return arg != "", nil
-	case "-e":
-		return p.c.FS.Exists(p.c.Lookup(arg)), nil
-	case "-f":
-		fi, err := p.c.FS.Stat(p.c.Lookup(arg))
-		return err == nil && !fi.IsDir, nil
-	case "-d":
-		fi, err := p.c.FS.Stat(p.c.Lookup(arg))
-		return err == nil && fi.IsDir, nil
-	case "-s":
-		fi, err := p.c.FS.Stat(p.c.Lookup(arg))
-		return err == nil && fi.Size > 0, nil
-	case "-r", "-w", "-x":
-		// The VFS has no permission bits; readable/writable iff it exists.
-		return p.c.FS.Exists(p.c.Lookup(arg)), nil
+	}
+	if !isUnaryOp(op) {
+		return false, fmt.Errorf("unknown operator %q", op)
+	}
+	if t.c == nil {
+		t.undecided = true
+		return false, nil
+	}
+	fs, name := t.c.FS, t.c.Lookup(arg)
+	switch op {
+	case "-f", "-d", "-s":
+		fi, err := fs.Stat(name)
+		return err == nil && (op == "-f" && !fi.IsDir || op == "-d" && fi.IsDir || op == "-s" && fi.Size > 0), nil
 	case "-t":
 		return false, nil // never a terminal
 	}
-	return false, fmt.Errorf("unknown operator %q", op)
+	// -e, and -r -w -x: the VFS has no permission bits, so a file that
+	// exists is readable, writable and executable.
+	return fs.Exists(name), nil
 }
 
-func (p *testParser) binary(a, op, b string) (bool, error) {
+// blanks are what an integer operand may have around it, as in dash.
+const blanks = " \t\n\v\f\r"
+
+func (t *tester) binary(a, op, b string) (bool, error) {
 	switch op {
 	case "=":
 		return a == b, nil
 	case "!=":
 		return a != b, nil
 	}
-	x, err1 := strconv.ParseInt(a, 10, 64)
-	y, err2 := strconv.ParseInt(b, 10, 64)
+	x, err1 := strconv.ParseInt(strings.Trim(a, blanks), 10, 64)
+	y, err2 := strconv.ParseInt(strings.Trim(b, blanks), 10, 64)
 	if err1 != nil || err2 != nil {
 		return false, fmt.Errorf("integer expression expected: %q %s %q", a, op, b)
 	}
@@ -546,10 +593,8 @@ func (p *testParser) binary(a, op, b string) (bool, error) {
 		return x <= y, nil
 	case "-gt":
 		return x > y, nil
-	case "-ge":
-		return x >= y, nil
 	}
-	return false, fmt.Errorf("unknown operator %q", op)
+	return x >= y, nil
 }
 
 // envCmd prints the environment, or runs a command with extra NAME=VALUE

@@ -911,6 +911,9 @@ func (g *gen) caseStmt(depth int) *syntax.Stmt {
 }
 
 func (g *gen) funcStmts(depth int) []*syntax.Stmt {
+	if g.rng.Intn(3) == 0 {
+		return g.shadowStmts()
+	}
 	g.nFunc++
 	name := fmt.Sprintf("f%d", g.nFunc)
 	g.funcs = append(g.funcs, name)
@@ -921,4 +924,22 @@ func (g *gen) funcStmts(depth int) []*syntax.Stmt {
 	decl := stmtOf(&syntax.FuncDecl{Name: name, Body: &syntax.BraceGroup{Body: body}})
 	call := stmtOf(argv(name, g.literal()))
 	return []*syntax.Stmt{decl, call}
+}
+
+// shadowNames are utilities the pipelines run and regular builtins: a
+// function of one of these names shadows it, in the shell's lookup rule.
+var shadowNames = []string{"cat", "sort", "wc", "read", "pwd"}
+
+// shadowStmts declares a function with a name of shadowNames and then runs
+// the name: a utility's as a pipeline stage, a builtin's as a command. The
+// body calls nothing it could shadow, and reads no parameter set -u could
+// refuse.
+func (g *gen) shadowStmts() []*syntax.Stmt {
+	name := shadowNames[g.rng.Intn(len(shadowNames))]
+	body := []*syntax.Stmt{stmtOf(simple(lit("echo"), lit(name+":"), word(&syntax.ParamExp{Name: "#"})))}
+	decl := stmtOf(&syntax.FuncDecl{Name: name, Body: &syntax.BraceGroup{Body: body}})
+	if name == "read" || name == "pwd" {
+		return []*syntax.Stmt{decl, stmtOf(argv(name, g.literal()))}
+	}
+	return []*syntax.Stmt{decl, stmtOfPipe(&syntax.Pipeline{Cmds: []syntax.Command{argv("cat", g.file()), argv(name)}})}
 }

@@ -120,6 +120,12 @@ func builtinReadonly(in *Interp, args []string) int {
 // it brings a value (a readonly NAME ends the shell), and flagged.
 func declare(in *Interp, args []string, flag func(*Variable)) int {
 	for _, a := range args[1:] {
+		if a == "-p" {
+			continue
+		}
+		if strings.HasPrefix(a, "-") {
+			in.fatalf("%s: illegal option %s", args[0], a)
+		}
 		name, value, hasValue := strings.Cut(a, "=")
 		if hasValue {
 			in.mustAssign(name, value)
@@ -183,9 +189,11 @@ func builtinSet(in *Interp, args []string) int {
 					in.NoUnset = on
 				case 'x':
 					in.XTrace = on
+				case 'a':
+					in.fatalf("set: -a is not implemented")
 				default:
-					fmt.Fprintf(in.Stderr, "set: unknown option -%c\n", f)
-					return 2
+					// An error in a special builtin ends the shell.
+					in.fatalf("set: illegal option -%c", f)
 				}
 			}
 			continue
@@ -204,67 +212,61 @@ func builtinShift(in *Interp, args []string) int {
 		var err error
 		n, err = strconv.Atoi(args[1])
 		if err != nil || n < 0 {
-			fmt.Fprintf(in.Stderr, "shift: bad count %q\n", args[1])
-			return 1
+			in.fatalf("shift: illegal number: %s", args[1])
 		}
 	}
 	if n > len(in.Params) {
-		fmt.Fprintln(in.Stderr, "shift: shift count out of range")
-		return 1
+		in.fatalf("shift: can't shift that many")
 	}
 	in.Params = in.Params[n:]
 	return 0
 }
 
 func builtinExit(in *Interp, args []string) int {
-	status := in.Status
-	if len(args) > 1 {
-		if n, err := strconv.Atoi(args[1]); err == nil {
-			status = n & 0xff
-		}
-	}
 	// The EXIT trap fires on explicit exit, seeing exit's status as $?;
 	// RunExitTrap consumes the action, so a driver's shutdown call later
 	// is a no-op.
-	in.Status = status
+	in.Status = operandStatus(in, args)
 	in.RunExitTrap()
 	panic(exitSignal{in.Status})
 }
 
 func builtinReturn(in *Interp, args []string) int {
-	status := in.Status
+	panic(returnSignal{operandStatus(in, args)})
+}
+
+// operandStatus is exit's and return's status: the operand's, else $?.
+func operandStatus(in *Interp, args []string) int {
 	if len(args) > 1 {
 		if n, err := strconv.Atoi(args[1]); err == nil {
-			status = n & 0xff
+			return n & 0xff
 		}
 	}
-	panic(returnSignal{status})
+	return in.Status
 }
 
 func builtinBreak(in *Interp, args []string) int {
-	if in.loopDepth == 0 {
-		return 0
+	if in.loopDepth > 0 {
+		panic(breakSignal{loopLevels(args)})
 	}
-	levels := 1
-	if len(args) > 1 {
-		if n, err := strconv.Atoi(args[1]); err == nil && n > 0 {
-			levels = n
-		}
-	}
-	panic(breakSignal{levels})
+	return 0
 }
 
 func builtinContinue(in *Interp, args []string) int {
-	if in.loopDepth == 0 {
-		return 0
+	if in.loopDepth > 0 {
+		panic(continueSignal{loopLevels(args)})
 	}
-	levels := 1
+	return 0
+}
+
+// loopLevels is break's and continue's operand: how many loops they end.
+func loopLevels(args []string) int {
 	if len(args) > 1 {
 		if n, err := strconv.Atoi(args[1]); err == nil && n > 0 {
-			levels = n
+			return n
 		}
 	}
-	panic(continueSignal{levels})
+	return 1
 }
 
 func builtinEval(in *Interp, args []string) int {
@@ -368,18 +370,18 @@ func ifsWhitespace(ifs string) string {
 func builtinType(in *Interp, args []string) int {
 	status := 0
 	for _, name := range args[1:] {
-		switch {
-		case builtins[name] != nil:
+		switch in.Resolve(name).Kind {
+		case SpecialBuiltin:
+			in.printf("%s is a special shell builtin\n", name)
+		case RegularBuiltin:
 			in.printf("%s is a shell builtin\n", name)
-		case in.Funcs[name] != nil:
-			in.printf("%s is a function\n", name)
+		case Function:
+			in.printf("%s is a shell function\n", name)
+		case Utility:
+			in.printf("%s is %s\n", name, path.Join("/bin", name))
 		default:
-			if _, ok := coreutils.Lookup(name); ok {
-				in.printf("%s is %s\n", name, path.Join("/bin", name))
-			} else {
-				fmt.Fprintf(in.Stderr, "type: %s: not found\n", name)
-				status = 1
-			}
+			fmt.Fprintf(in.Stderr, "type: %s: not found\n", name)
+			status = 1
 		}
 	}
 	return status

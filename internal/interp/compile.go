@@ -27,7 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"jash/internal/coreutils"
 	"jash/internal/expand"
 	"jash/internal/pattern"
 	"jash/internal/syntax"
@@ -497,13 +496,22 @@ func compileSimple(c *syntax.SimpleCommand) compiled {
 		}
 		var savedVars map[string]*Variable
 		if hasAssigns {
-			savedVars = map[string]*Variable{}
+			// Before a special builtin the assignments persist (POSIX
+			// 2.14); before anything else they scope to the command.
+			special := syntax.ClassOf(fields[0]) == syntax.SpecialBuiltin
+			if !special {
+				savedVars = map[string]*Variable{}
+			}
 			for i := range assigns {
 				a := &assigns[i]
 				val, err := in.str(x, &a.plan, a.value, expand.String)
 				if err != nil {
 					in.expandFail(err)
 					return
+				}
+				if special {
+					in.mustAssign(a.name, val)
+					continue
 				}
 				if old, ok := in.Vars[a.name]; ok {
 					saved := old
@@ -526,48 +534,23 @@ func compileSimple(c *syntax.SimpleCommand) compiled {
 	}
 }
 
-// compileDispatch pre-resolves command dispatch when the command name is a
-// plain literal: builtins resolve to their function pointer (the builtin
-// table is immutable and always shadows functions), and registry utilities
-// resolve to their Func with only the function-shadowing check left
-// dynamic. If the expanded name diverges from the literal (exotic IFS, a
-// glob match), or NoCompile is set, the full dispatch chain runs instead.
+// compileDispatch pre-resolves what a plain literal command name runs
+// without a function, which leaves one map lookup, the function table's,
+// to run time (none for a special builtin). If the expanded name diverges
+// from the literal (exotic IFS, a glob match), or NoCompile is set, the
+// full lookup runs instead.
 func compileDispatch(c *syntax.SimpleCommand) func(*Interp, []string) {
 	name := c.Name()
 	if name == "" {
 		return (*Interp).dispatch
 	}
-	var resolved func(*Interp, []string)
-	if fn, ok := builtins[name]; ok {
-		resolved = func(in *Interp, fields []string) {
-			if in.dispatchFault(name) {
-				return
-			}
-			in.Status = fn(in, fields)
-		}
-	} else {
-		util, haveUtil := coreutils.Lookup(name)
-		resolved = func(in *Interp, fields []string) {
-			if in.dispatchFault(name) {
-				return
-			}
-			if body, ok := in.Funcs[name]; ok {
-				in.callFunction(body, fields)
-				return
-			}
-			if haveUtil {
-				in.runUtility(name, util, fields)
-				return
-			}
-			fmt.Fprintf(in.Stderr, "jash: %s: command not found\n", name)
-			in.Status = 127
-		}
-	}
+	static := lookup(name)
 	return func(in *Interp, fields []string) {
-		if fields[0] != name || in.NoCompile {
+		switch {
+		case fields[0] != name || in.NoCompile:
 			in.dispatch(fields)
-			return
+		case !in.dispatchFault(name):
+			in.run(in.shadow(name, static), fields)
 		}
-		resolved(in, fields)
 	}
 }

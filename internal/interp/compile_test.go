@@ -507,14 +507,16 @@ func TestNoCompileUsesNoPrecomputedResult(t *testing.T) {
 		}
 	}
 
-	// A builtin present when the command compiles and gone when it runs:
-	// the resolved pointer still calls it, the run-time chain cannot.
-	builtins["zzpinned"] = func(*Interp, []string) int { return 42 }
-	dispatch := compileDispatch(simple("zzpinned"))
-	delete(builtins, "zzpinned")
-	for noCompile, want := range map[bool]int{false: 42, true: 127} {
+	// A builtin replaced when the command compiles and restored when it
+	// runs: the resolved pointer still calls the replacement, the run-time
+	// lookup cannot.
+	umask := builtins["umask"]
+	builtins["umask"] = func(*Interp, []string) int { return 42 }
+	dispatch := compileDispatch(simple("umask"))
+	builtins["umask"] = umask
+	for noCompile, want := range map[bool]int{false: 42, true: 0} {
 		in := newInterp(noCompile)
-		dispatch(in, []string{"zzpinned"})
+		dispatch(in, []string{"umask"})
 		if in.Status != want {
 			t.Errorf("NoCompile=%v: status %d, want %d", noCompile, in.Status, want)
 		}
@@ -783,6 +785,28 @@ func TestControlFlowAgreesWithDash(t *testing.T) {
 		"for i in 1 2; do while echo c$i; break 2; do :; done; done; echo $?",
 		"i=0; while i=$((i+1)); [ $i = 2 ] && continue; [ $i -lt 4 ]; do echo b$i; done; echo end $i",
 		"set -e; for i in 1 2; do while break; do :; done; done; false; echo unreached",
+		// One lookup rule: a function shadows a regular builtin and a
+		// utility, never a special builtin.
+		"cd() { echo fn; }; cd /",
+		"read() { echo fn; }; read x",
+		"wc() { echo fn; }; echo a | wc -l",
+		"type export; type cd; f() { :; }; type f",
+		"export() { :; }; echo b",
+		// An error in a special builtin ends the shell; a status the
+		// script chose does not.
+		"set -Z; echo after",
+		"shift 5; echo b",
+		"export -Q x; echo b",
+		"f() { return 2; }; f; echo st $?",
+		// Assignments before a special builtin persist.
+		`X=1 :; echo "[$X]"`,
+		`X=1 export Y=2; echo "[$X]"`,
+		`c=:; X=1 $c; echo "[$X]"; f() { :; }; Y=1 f; echo "[$Y]"`,
+		// test follows POSIX's table by argument count.
+		`[ " 1" -eq 1 ]; echo $?`,
+		`[ 1 -eq "1 " ]; echo $?`,
+		"[ ! ]; echo $?",
+		"if [ a == a ]; then echo t; else echo e; fi",
 	}
 	// A closed pipe stops its writer: dash's stage dies at the first write
 	// after its reader has gone (SIGPIPE), so its loop never reaches the

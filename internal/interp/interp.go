@@ -645,27 +645,80 @@ func (in *Interp) expandFail(err error) {
 	in.Status = 1
 }
 
-// dispatch runs an expanded command: special builtins, functions, then
-// the coreutils registry.
+// Kind is what a command name runs.
+type Kind uint8
+
+const (
+	NotFound Kind = iota
+	SpecialBuiltin
+	Function
+	RegularBuiltin
+	Utility
+)
+
+// Command is what a command name resolves to.
+type Command struct {
+	Kind    Kind
+	builtin builtin
+	body    syntax.Command
+	util    coreutils.Func
+}
+
+// Resolve is the shell's one command lookup: what name runs now, in the
+// order syntax.ClassOf's table sets. Dispatch, type and the JIT's offer
+// ask it.
+func (in *Interp) Resolve(name string) Command {
+	return in.shadow(name, lookup(name))
+}
+
+// lookup is the part of Resolve the function table has no say in: what
+// name runs when no function has it.
+func lookup(name string) Command {
+	switch syntax.ClassOf(name) {
+	case syntax.SpecialBuiltin:
+		if fn := builtins[name]; fn != nil {
+			return Command{Kind: SpecialBuiltin, builtin: fn}
+		}
+	case syntax.RegularBuiltin:
+		return Command{Kind: RegularBuiltin, builtin: builtins[name]}
+	default:
+		if fn, ok := coreutils.Lookup(name); ok {
+			return Command{Kind: Utility, util: fn}
+		}
+	}
+	return Command{}
+}
+
+// shadow is what name runs when c is what it runs without a function.
+func (in *Interp) shadow(name string, c Command) Command {
+	if c.Kind != SpecialBuiltin {
+		if body := in.Funcs[name]; body != nil {
+			return Command{Kind: Function, body: body}
+		}
+	}
+	return c
+}
+
+// dispatch runs an expanded command.
 func (in *Interp) dispatch(fields []string) {
-	name := fields[0]
-	if in.dispatchFault(name) {
-		return
+	if !in.dispatchFault(fields[0]) {
+		in.run(in.Resolve(fields[0]), fields)
 	}
-	if fn, ok := builtins[name]; ok {
-		in.Status = fn(in, fields)
-		return
+}
+
+// run runs fields as the command c their name resolved to.
+func (in *Interp) run(c Command, fields []string) {
+	switch c.Kind {
+	case SpecialBuiltin, RegularBuiltin:
+		in.Status = c.builtin(in, fields)
+	case Function:
+		in.callFunction(c.body, fields)
+	case Utility:
+		in.runUtility(fields[0], c.util, fields)
+	default:
+		fmt.Fprintf(in.Stderr, "jash: %s: command not found\n", fields[0])
+		in.Status = 127
 	}
-	if body, ok := in.Funcs[name]; ok {
-		in.callFunction(body, fields)
-		return
-	}
-	if fn, ok := coreutils.Lookup(name); ok {
-		in.runUtility(name, fn, fields)
-		return
-	}
-	fmt.Fprintf(in.Stderr, "jash: %s: command not found\n", name)
-	in.Status = 127
 }
 
 // runUtility runs a registry utility. echo and printf are dash builtins:

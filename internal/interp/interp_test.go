@@ -511,9 +511,13 @@ func TestTypeNotFound(t *testing.T) {
 }
 
 func TestShiftOutOfRange(t *testing.T) {
-	_, errs, st := runScript(t, nil, "set -- a; shift 5")
-	if st == 0 || !strings.Contains(errs, "shift") {
-		t.Errorf("st=%d errs=%q", st, errs)
+	// An error in a special builtin ends the shell, with status 2.
+	in := New(vfs.New())
+	var out bytes.Buffer
+	in.Stdout = &out
+	st, err := in.RunScript("set -- a; shift 5; echo after")
+	if st != 2 || err == nil || !strings.Contains(err.Error(), "shift") || out.Len() != 0 {
+		t.Errorf("st=%d err=%v out=%q", st, err, out.String())
 	}
 }
 

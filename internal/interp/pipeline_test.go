@@ -83,19 +83,26 @@ func TestPipelineCarriesALineLongerThanThePipe(t *testing.T) {
 	})
 }
 
+// panicking makes the builtin name panic until the returned function
+// restores it.
+func panicking(name string) (restore func()) {
+	fn := builtins[name]
+	builtins[name] = func(*Interp, []string) int { panic("stage blew up") }
+	return func() { builtins[name] = fn }
+}
+
 // A stage that panics with something other than a control-flow signal is
 // re-raised where the caller can recover it, after the stage's pipe ends
 // are closed — the infinite producer upstream of it would otherwise park
 // on a full pipe forever.
 func TestPipelineStagePanicReachesTheCaller(t *testing.T) {
-	builtins["testpanic"] = func(*Interp, []string) int { panic("stage blew up") }
-	defer delete(builtins, "testpanic")
+	defer panicking("pwd")()
 	underBothEvaluators(t, func(t *testing.T, in *Interp, out *bytes.Buffer) {
 		before := runtime.NumGoroutine()
 		var got any
 		func() {
 			defer func() { got = recover() }()
-			in.RunScript("yes | testpanic | cat")
+			in.RunScript("yes | pwd | cat")
 		}()
 		if got != "stage blew up" {
 			t.Fatalf("recovered %v, want the stage's panic value", got)
@@ -109,14 +116,13 @@ func TestPipelineStagePanicReachesTheCaller(t *testing.T) {
 // input: wc prints no count for the one line it was handed, and the value
 // reaches the caller once every stage has ended.
 func TestPipelineStagePanicIsNotTheEndOfTheStream(t *testing.T) {
-	builtins["testpanic"] = func(*Interp, []string) int { panic("stage blew up") }
-	defer delete(builtins, "testpanic")
+	defer panicking("pwd")()
 	underBothEvaluators(t, func(t *testing.T, in *Interp, out *bytes.Buffer) {
 		before := runtime.NumGoroutine()
 		var got any
 		func() {
 			defer func() { got = recover() }()
-			in.RunScript("seq 1 1000 | { read x; echo $x; testpanic; } | wc -l")
+			in.RunScript("seq 1 1000 | { read x; echo $x; pwd; } | wc -l")
 		}()
 		if got != "stage blew up" {
 			t.Fatalf("recovered %v, want the stage's panic value", got)

@@ -7,10 +7,10 @@ package lint
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"jash/internal/analysis"
+	"jash/internal/coreutils"
 	"jash/internal/cost"
 	"jash/internal/rewrite"
 	"jash/internal/syntax"
@@ -219,12 +219,12 @@ func condVerdict(cond []*syntax.Stmt, env *analysis.Env) condResult {
 	case "false":
 		truth, decided = false, true
 	case "test":
-		truth, decided = evalTest(argv[1:])
+		truth, _, decided = coreutils.Test(argv[1:])
 	case "[":
 		if argv[len(argv)-1] != "]" {
 			return condUnknown // malformed: the runtime errors, status 2
 		}
-		truth, decided = evalTest(argv[1 : len(argv)-1])
+		truth, _, decided = coreutils.Test(argv[1 : len(argv)-1])
 	}
 	if !decided {
 		return condUnknown
@@ -236,59 +236,6 @@ func condVerdict(cond []*syntax.Stmt, env *analysis.Env) condResult {
 		return condTrue
 	}
 	return condFalse
-}
-
-// evalTest decides test/[ expressions over constant operands: arity-0 and
-// arity-1 forms, -n/-z, string =/==/!=, integer comparisons, and a !
-// prefix. File tests and anything else stay undecided.
-func evalTest(ops []string) (truth, decided bool) {
-	if len(ops) > 0 && ops[0] == "!" {
-		truth, decided = evalTest(ops[1:])
-		return !truth, decided
-	}
-	switch len(ops) {
-	case 0:
-		return false, true
-	case 1:
-		return ops[0] != "", true
-	case 2:
-		switch ops[0] {
-		case "-n":
-			return ops[1] != "", true
-		case "-z":
-			return ops[1] == "", true
-		}
-		return false, false
-	case 3:
-		a, op, b := ops[0], ops[1], ops[2]
-		switch op {
-		case "=", "==":
-			return a == b, true
-		case "!=":
-			return a != b, true
-		case "-eq", "-ne", "-lt", "-le", "-gt", "-ge":
-			x, errX := strconv.Atoi(strings.TrimSpace(a))
-			y, errY := strconv.Atoi(strings.TrimSpace(b))
-			if errX != nil || errY != nil {
-				return false, false // runtime arity/parse error, not a verdict
-			}
-			switch op {
-			case "-eq":
-				return x == y, true
-			case "-ne":
-				return x != y, true
-			case "-lt":
-				return x < y, true
-			case "-le":
-				return x <= y, true
-			case "-gt":
-				return x > y, true
-			case "-ge":
-				return x >= y, true
-			}
-		}
-	}
-	return false, false
 }
 
 // condLabel renders a condition list compactly for JSH407 messages.
@@ -316,20 +263,11 @@ func condPos(cond []*syntax.Stmt, fallback syntax.Pos) syntax.Pos {
 // `;` on one line); statements on separate lines never form a list, so
 // they are never flagged.
 func (l *Linter) checkCdBlockedParallelism(script *syntax.Script, add func(Finding)) {
-	funcs := map[string]bool{}
-	for _, st := range script.Stmts {
-		syntax.Walk(st, func(n syntax.Node) bool {
-			if fd, ok := n.(*syntax.FuncDecl); ok {
-				funcs[fd.Name] = true
-			}
-			return true
-		})
-	}
 	opts := rewrite.ListOptions{
-		Lib:    l.Lib,
-		Dir:    "/",
-		Cores:  cost.StandardEC2().Cores,
-		IsFunc: func(name string) bool { return funcs[name] },
+		Lib:      l.Lib,
+		Dir:      "/",
+		Cores:    cost.StandardEC2().Cores,
+		FuncBody: analysis.Declared(script),
 	}
 	flush := func(group []*syntax.Stmt) {
 		if len(group) < 2 {

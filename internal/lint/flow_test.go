@@ -1,6 +1,9 @@
 package lint
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // --- JSH401: use before assign ---
 
@@ -190,9 +193,14 @@ func TestKnownCodesCoverEmittedCodes(t *testing.T) {
 // --- JSH405: cd-blocked parallel list ---
 
 func TestCdBlockedParallelListFlagged(t *testing.T) {
-	fs := findings(t, "grep -c a /w0 >/o0; cd /tmp; grep -c b /w1 >/o1; cd /var; wc -l </w2 >/o2\n")
-	if !hasCode(fs, "JSH405") {
-		t.Errorf("cd-blocked list not flagged: %s", codesOf(fs))
+	for _, src := range []string{
+		"grep -c a /w0 >/o0; cd /tmp; grep -c b /w1 >/o1; cd /var; wc -l </w2 >/o2\n",
+		// A call to a function is summarized, as the shell's planner does.
+		"f() { echo hi; }\nf >/o0; cd /tmp; grep -c b /w1 >/o1; cd /var; wc -l </w2 >/o2\n",
+	} {
+		if fs := findings(t, src); !hasCode(fs, "JSH405") {
+			t.Errorf("cd-blocked list %q not flagged: %s", src, codesOf(fs))
+		}
 	}
 }
 
@@ -206,8 +214,8 @@ func TestCdBlockedParallelListQuietCases(t *testing.T) {
 		"grep -c a /w0 >/o0; cd /tmp; eval x; cd /var; grep -c b /w1 >/o1\n",
 		// Statements on separate lines never form a runtime list.
 		"grep -c a /w0 >/o0\ncd /tmp\ngrep -c b /w1 >/o1\ncd /var\nwc -l </w2 >/o2\n",
-		// A statement calls a script-defined function: pinned.
-		"f() { echo hi; }\nf >/o0; cd /tmp; grep -c b /w1 >/o1; cd /var; wc -l </w2 >/o2\n",
+		// A statement calls a script-defined function that evals: pinned.
+		"f() { eval hi; }\nf >/o0; cd /tmp; grep -c b /w1 >/o1; cd /var; wc -l </w2 >/o2\n",
 	} {
 		if fs := findings(t, src); hasCode(fs, "JSH405") {
 			t.Errorf("JSH405 false positive on %q: %s", src, codesOf(fs))
@@ -275,6 +283,16 @@ func TestConstantConditionFlagged(t *testing.T) {
 		if fs := findings(t, src); !hasCode(fs, "JSH407") {
 			t.Errorf("JSH407 missing on %q: %s", src, codesOf(fs))
 		}
+	}
+}
+
+// `==` is no operator of test: the expression is malformed, its status 2,
+// and the else-branch is the one that runs, in dash as here.
+func TestConstantConditionIsTestsVerdict(t *testing.T) {
+	src := "if [ a == a ]; then echo t; else echo f; fi\n"
+	fs := findings(t, src)
+	if len(fs) != 1 || fs[0].Code != "JSH407" || !strings.Contains(fs[0].Message, "provably false") {
+		t.Errorf("%q: %v, want one JSH407 saying the condition is provably false", src, fs)
 	}
 }
 

@@ -72,8 +72,8 @@ type ListOptions struct {
 	Dir string
 	// Cores caps region width.
 	Cores int
-	// IsFunc reports whether a name resolves to a shell function: a call
-	// can mutate arbitrary interpreter state, so it pins the statement.
+	// IsFunc is not read: FuncBody says which names are functions. The
+	// benchmark's layered runner still sets it.
 	IsFunc func(string) bool
 	// IsReadonly reports whether assigning a name would be a fatal
 	// readonly violation — order-sensitive, so it pins the statement.
@@ -84,8 +84,9 @@ type ListOptions struct {
 	// inherited variable is ⊤.
 	Lookup func(string) (string, bool)
 	// FuncBody returns the named function's body at plan time, or nil.
-	// When set, calls to known functions are summarized through
-	// analysis.FuncSummarizer instead of pinning the statement.
+	// Calls to the functions it knows are summarized through
+	// analysis.FuncSummarizer until a statement may change the table;
+	// after that they pin their statements.
 	FuncBody func(string) syntax.Command
 }
 
@@ -101,6 +102,18 @@ func ParallelizeList(stmts []*syntax.Stmt, opts ListOptions) (*ListPlan, ListDec
 	return planStmts(stmts, nil, opts)
 }
 
+// staleFuncs is the function table of a list that changes table: the
+// functions the list declares over those table has.
+func staleFuncs(stmts []*syntax.Stmt, table func(string) syntax.Command) func(string) syntax.Command {
+	declared := analysis.Declared(&syntax.Script{Stmts: stmts})
+	return func(name string) syntax.Command {
+		if body := declared(name); body != nil || table == nil {
+			return body
+		}
+		return table(name)
+	}
+}
+
 // planStmts is ParallelizeList over statements that may each carry a loop
 // binding (binds is nil or one entry per statement): the binding is applied
 // to the abstract environment before its statement is summarized, as the
@@ -112,10 +125,10 @@ func planStmts(stmts []*syntax.Stmt, binds []Binding, opts ListOptions) (*ListPl
 		funcs = analysis.NewFuncSummarizer(opts.Lib, opts.FuncBody)
 	}
 	// funcsDirty: once a statement may alter the function table, the
-	// plan-time table is stale for everything after it — later calls
-	// summarize as unknown commands, which conservatively pins them, and
-	// nothing is known about the values they leave behind.
-	funcsDirty := false
+	// plan-time table is stale for everything after it — a later call to a
+	// function it has, or to one the list declares, pins its statement,
+	// and nothing is known about the values they leave behind.
+	funcsDirty, funcBody := false, opts.FuncBody
 	sums := make([]*analysis.StmtSummary, len(stmts))
 	for i, st := range stmts {
 		if binds != nil {
@@ -126,7 +139,7 @@ func planStmts(stmts []*syntax.Stmt, binds []Binding, opts ListOptions) (*ListPl
 		// calls) may assign is ⊤ for its successors. With a current function
 		// table the summarizer prices calls itself; without one, a call to a
 		// function pins the statement.
-		so := analysis.StmtOptions{Lib: opts.Lib, Env: env, FuncBody: opts.FuncBody, IsFunc: opts.IsFunc}
+		so := analysis.StmtOptions{Lib: opts.Lib, Env: env, FuncBody: funcBody}
 		if !funcsDirty {
 			so.Funcs = funcs
 		}
@@ -140,7 +153,9 @@ func planStmts(stmts []*syntax.Stmt, binds []Binding, opts ListOptions) (*ListPl
 				}
 			}
 		}
-		funcsDirty = funcsDirty || analysis.FuncTableChangedBy(st, opts.FuncBody)
+		if !funcsDirty && analysis.FuncTableChangedBy(st, opts.FuncBody) {
+			funcsDirty, funcBody = true, staleFuncs(stmts, opts.FuncBody)
+		}
 		if funcsDirty {
 			env.WidenAll()
 		}

@@ -96,9 +96,25 @@ func TestParallelizeListTopEffectBlocks(t *testing.T) {
 	}
 }
 
+// A function the list itself declares shadows the utility in the
+// statements after it: they are calls, pinned, not utilities that commute.
+func TestParallelizeListSeesItsOwnDeclarations(t *testing.T) {
+	_, dec := planList(t, `cat() { echo "$1" >>/log; }; cat /a >/o0; cat /b >/o1; cat /c >/o2`)
+	if dec.Parallel {
+		t.Fatalf("calls to a function the list declares parallelized: %s", dec.Reason)
+	}
+}
+
 func TestParallelizeListShellFunctionBlocks(t *testing.T) {
+	// A function named grep shadows the utility; its body pins the calls.
+	decl := parseStmts(t, "grep() { eval \"$@\"; }")[0].AndOr.First.Cmds[0].(*syntax.FuncDecl)
 	opts := ListOptions{Lib: lib, Dir: "/", Cores: 8,
-		IsFunc: func(name string) bool { return name == "grep" }}
+		FuncBody: func(name string) syntax.Command {
+			if name == "grep" {
+				return decl.Body
+			}
+			return nil
+		}}
 	_, dec := ParallelizeList(parseStmts(t, "grep a /w0 >/o0\ngrep b /w1 >/o1\n"), opts)
 	if dec.Parallel {
 		t.Fatal("shell-function shadowed command parallelized")

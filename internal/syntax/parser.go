@@ -483,6 +483,9 @@ func (p *parser) tryFuncDecl(name string) *FuncDecl {
 		return nil
 	}
 	pos := p.tok.pos
+	if ClassOf(name) == SpecialBuiltin {
+		p.errf(pos, "Bad function name %q", name)
+	}
 	p.next() // consume name word -> '('
 	p.expect(tLParen)
 	p.expect(tRParen)
