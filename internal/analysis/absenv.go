@@ -60,7 +60,7 @@ func NewEnv(lookup func(name string) (string, bool)) *Env {
 
 // Resolve returns the abstract value of a variable.
 func (e *Env) Resolve(name string) AbsVal {
-	if !isVarName(name) {
+	if !syntax.IsName(name) {
 		return Top()
 	}
 	if v, ok := e.vals[name]; ok {
@@ -77,7 +77,7 @@ func (e *Env) Resolve(name string) AbsVal {
 
 // Bind records an assignment.
 func (e *Env) Bind(name string, v AbsVal) {
-	if !isVarName(name) {
+	if !syntax.IsName(name) {
 		return
 	}
 	e.vals[name] = v
@@ -89,7 +89,7 @@ func (e *Env) Bind(name string, v AbsVal) {
 // UnsetVar records `unset name`: the plain expansion becomes empty, and
 // field splitting reverts to the POSIX default separators.
 func (e *Env) UnsetVar(name string) {
-	if !isVarName(name) {
+	if !syntax.IsName(name) {
 		return
 	}
 	e.vals[name] = Const("")
@@ -340,7 +340,7 @@ func absParam(f *expand.Frag, opd []expand.Frag, env *Env) ([]absFrag, bool) {
 	case name == "@" || name == "*":
 		// Multiple fields / IFS-joined: structure depends on $#.
 		return []absFrag{{val: Top(), quoted: inDquote}}, false
-	case isVarName(name):
+	case syntax.IsName(name):
 		val = env.Resolve(name)
 	case len(name) > 0 && name[0] >= '1' && name[0] <= '9':
 		if n, err := strconv.Atoi(name); err == nil && env.paramsKnown {

@@ -447,10 +447,10 @@ func (w *vwalker) declOperand(env *Env, arg *syntax.Word) {
 		v := fs[0].Val
 		n, rest, found := strings.Cut(v.Str, "=")
 		switch {
-		case found && isVarName(n) && v.IsConst():
+		case found && syntax.IsName(n) && v.IsConst():
 			env.Bind(n, Const(rest))
 			return
-		case found && isVarName(n):
+		case found && syntax.IsName(n):
 			env.Bind(n, Prefix(rest))
 			return
 		case v.IsConst():
@@ -491,7 +491,7 @@ func (w *vwalker) word(env *Env, word *syntax.Word, assignTo string) (runs bool)
 		case expand.EffectAssign:
 			env.Bind(e.Name, Top())
 			s.def(e.Name)
-			if f != nil && isVarName(e.Name) && f.defs[e.Name] == nil {
+			if f != nil && syntax.IsName(e.Name) && f.defs[e.Name] == nil {
 				f.define(e.Name, e.Pos, DefParam, true)
 			}
 		case expand.EffectAbort:

@@ -203,7 +203,7 @@ func (r builtinRow) operands(sc *syntax.SimpleCommand) (ops []operand, exact boo
 		if r.names != declOperands {
 			name, hasValue = text, false
 		}
-		if isVarName(name) { // flags (-r, -p, -f) and junk name nothing
+		if syntax.IsName(name) { // flags (-r, -p, -f) and junk name nothing
 			ops = append(ops, operand{name: name, hasValue: hasValue, word: w})
 		}
 	}

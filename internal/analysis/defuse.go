@@ -321,7 +321,7 @@ func (f *flow) define(name string, pos syntax.Pos, kind DefKind, conditional boo
 // use records a read of a variable. guarded uses (${x:-d} etc.) resolve
 // bindings but never witness use-before-assign.
 func (f *flow) use(name string, pos syntax.Pos, guarded bool) {
-	if f == nil || !isVarName(name) {
+	if f == nil || !syntax.IsName(name) {
 		return
 	}
 	st := f.st
@@ -342,24 +342,4 @@ func (f *flow) use(name string, pos syntax.Pos, guarded bool) {
 	default:
 		st.pending[name] = append(st.pending[name], pos)
 	}
-}
-
-// isVarName reports whether s is a valid shell variable name (not a
-// positional or special parameter).
-func isVarName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		switch {
-		case r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z'):
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
 }

@@ -274,7 +274,7 @@ func (s *sink) read(name string) {
 		s.block("$! depends on background job order")
 	case name == "$":
 		s.block("$$ differs between worker and parent shells")
-	case isVarName(name):
+	case syntax.IsName(name):
 		s.use(name)
 	}
 }

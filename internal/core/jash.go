@@ -789,8 +789,10 @@ func (s *Shell) analyze(in *interp.Interp, st *syntax.Stmt, aheadOfTime bool) (*
 func notUtility(in *interp.Interp, g *dfg.Graph) string {
 	for id := 0; id < g.MaxID(); id++ {
 		n := g.Nodes[id]
-		if n != nil && n.Kind == dfg.KindCommand && in.Resolve(n.Argv[0]).Kind != interp.Utility {
-			return n.Argv[0]
+		if n != nil && n.Kind == dfg.KindCommand {
+			if c, body := in.Resolve(n.Argv[0]); c != syntax.Utility || body != nil {
+				return n.Argv[0]
+			}
 		}
 	}
 	return ""

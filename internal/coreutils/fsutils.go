@@ -381,8 +381,14 @@ func runTest(c *Context, expr []string) int {
 // Test is the part of test(1) that asks neither the filesystem nor the
 // terminal: it decides expr (test's operands, or ['s without the closing
 // ]) and returns its truth and exit status, 2 for a malformed expression.
-// decided=false means expr has a primary that asks either.
+// decided=false means expr has a primary that asks either, or one that
+// test(1) does not implement here (-L, -nt, …).
 func Test(expr []string) (truth bool, status int, decided bool) {
+	for _, a := range expr {
+		if len(a) > 1 && a[0] == '-' && (a[1] < '0' || a[1] > '9') && !isUnaryOp(a) && !isBinaryOp(a) && a != "-a" && a != "-o" {
+			return false, 0, false
+		}
+	}
 	t := tester{}
 	status, _ = t.run(expr)
 	return status == 0, status, !t.undecided
@@ -411,34 +417,19 @@ func (t *tester) run(expr []string) (int, error) {
 // table leaves open, and more than four arguments, by precedence: ! binds
 // tightest, then -a, then -o.
 func (t *tester) eval(args []string) (bool, error) {
-	switch len(args) {
-	case 0:
+	switch n := len(args); {
+	case n == 0:
 		return false, nil
-	case 1:
+	case n == 1:
 		return args[0] != "", nil
-	case 2:
-		switch {
-		case args[0] == "!":
-			return t.not(args[1:])
-		case isUnaryOp(args[0]):
-			return t.unary(args[0], args[1])
-		}
-	case 3:
-		switch {
-		case isBinaryOp(args[1]):
-			return t.binary(args[0], args[1], args[2])
-		case args[0] == "!":
-			return t.not(args[1:])
-		case args[0] == "(" && args[2] == ")":
-			return t.eval(args[1:2])
-		}
-	case 4:
-		switch {
-		case args[0] == "!":
-			return t.not(args[1:])
-		case args[0] == "(" && args[3] == ")":
-			return t.eval(args[1:3])
-		}
+	case n == 2 && isUnaryOp(args[0]):
+		return t.unary(args[0], args[1])
+	case n == 3 && isBinaryOp(args[1]):
+		return t.binary(args[0], args[1], args[2])
+	case n <= 4 && args[0] == "!":
+		return t.not(args[1:])
+	case n >= 3 && n <= 4 && args[0] == "(" && args[n-1] == ")":
+		return t.eval(args[1 : n-1])
 	}
 	p := testParser{t: t, toks: args}
 	v, err := p.or()

@@ -118,14 +118,19 @@ func builtinReadonly(in *Interp, args []string) int {
 
 // declare is export and readonly: each NAME[=value] operand is assigned, if
 // it brings a value (a readonly NAME ends the shell), and flagged.
+// Its options are -p, which changes nothing here, and -- ending them.
 func declare(in *Interp, args []string, flag func(*Variable)) int {
-	for _, a := range args[1:] {
-		if a == "-p" {
-			continue
+	names := args[1:]
+	for ; len(names) > 0 && strings.HasPrefix(names[0], "-"); names = names[1:] {
+		if names[0] == "--" {
+			names = names[1:]
+			break
 		}
-		if strings.HasPrefix(a, "-") {
-			in.fatalf("%s: illegal option %s", args[0], a)
+		if names[0] != "-p" {
+			in.fatalf("%s: illegal option %s", args[0], names[0])
 		}
+	}
+	for _, a := range names {
 		name, value, hasValue := strings.Cut(a, "=")
 		if hasValue {
 			in.mustAssign(name, value)
@@ -370,14 +375,14 @@ func ifsWhitespace(ifs string) string {
 func builtinType(in *Interp, args []string) int {
 	status := 0
 	for _, name := range args[1:] {
-		switch in.Resolve(name).Kind {
-		case SpecialBuiltin:
-			in.printf("%s is a special shell builtin\n", name)
-		case RegularBuiltin:
-			in.printf("%s is a shell builtin\n", name)
-		case Function:
+		switch s := lookup(name); {
+		case in.shadow(name, s.class) != nil:
 			in.printf("%s is a shell function\n", name)
-		case Utility:
+		case s.builtin != nil && s.class == syntax.SpecialBuiltin:
+			in.printf("%s is a special shell builtin\n", name)
+		case s.builtin != nil:
+			in.printf("%s is a shell builtin\n", name)
+		case s.util != nil:
 			in.printf("%s is %s\n", name, path.Join("/bin", name))
 		default:
 			fmt.Fprintf(in.Stderr, "type: %s: not found\n", name)

@@ -544,13 +544,13 @@ func compileDispatch(c *syntax.SimpleCommand) func(*Interp, []string) {
 	if name == "" {
 		return (*Interp).dispatch
 	}
-	static := lookup(name)
+	s := lookup(name)
 	return func(in *Interp, fields []string) {
 		switch {
 		case fields[0] != name || in.NoCompile:
 			in.dispatch(fields)
 		case !in.dispatchFault(name):
-			in.run(in.shadow(name, static), fields)
+			in.run(s, fields)
 		}
 	}
 }

@@ -797,6 +797,7 @@ func TestControlFlowAgreesWithDash(t *testing.T) {
 		"set -Z; echo after",
 		"shift 5; echo b",
 		"export -Q x; echo b",
+		"export -- X=1; readonly -- Y=2; echo $X $Y",
 		"f() { return 2; }; f; echo st $?",
 		// Assignments before a special builtin persist.
 		`X=1 :; echo "[$X]"`,

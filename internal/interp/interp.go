@@ -645,76 +645,58 @@ func (in *Interp) expandFail(err error) {
 	in.Status = 1
 }
 
-// Kind is what a command name runs.
-type Kind uint8
+// Resolve is the shell's one command lookup, in the order syntax.ClassOf's
+// table sets: name's class, and the body of the function that runs for it
+// (nil: it runs as its class says). Dispatch, type and the JIT's offer ask
+// it.
+func (in *Interp) Resolve(name string) (syntax.Class, syntax.Command) {
+	c := syntax.ClassOf(name)
+	return c, in.shadow(name, c)
+}
 
-const (
-	NotFound Kind = iota
-	SpecialBuiltin
-	Function
-	RegularBuiltin
-	Utility
-)
+// shadow is the body of the function that runs for name, of class c.
+func (in *Interp) shadow(name string, c syntax.Class) syntax.Command {
+	if c == syntax.SpecialBuiltin {
+		return nil
+	}
+	return in.Funcs[name]
+}
 
-// Command is what a command name resolves to.
-type Command struct {
-	Kind    Kind
+// static is what a name runs when no function has it: its builtin or its
+// utility, or neither (not found).
+type static struct {
+	class   syntax.Class
 	builtin builtin
-	body    syntax.Command
 	util    coreutils.Func
 }
 
-// Resolve is the shell's one command lookup: what name runs now, in the
-// order syntax.ClassOf's table sets. Dispatch, type and the JIT's offer
-// ask it.
-func (in *Interp) Resolve(name string) Command {
-	return in.shadow(name, lookup(name))
-}
-
-// lookup is the part of Resolve the function table has no say in: what
-// name runs when no function has it.
-func lookup(name string) Command {
-	switch syntax.ClassOf(name) {
-	case syntax.SpecialBuiltin:
-		if fn := builtins[name]; fn != nil {
-			return Command{Kind: SpecialBuiltin, builtin: fn}
-		}
-	case syntax.RegularBuiltin:
-		return Command{Kind: RegularBuiltin, builtin: builtins[name]}
-	default:
-		if fn, ok := coreutils.Lookup(name); ok {
-			return Command{Kind: Utility, util: fn}
-		}
+// lookup is the part of Resolve the function table has no say in.
+func lookup(name string) static {
+	s := static{class: syntax.ClassOf(name)}
+	if s.class == syntax.Utility {
+		s.util, _ = coreutils.Lookup(name)
+	} else {
+		s.builtin = builtins[name]
 	}
-	return Command{}
-}
-
-// shadow is what name runs when c is what it runs without a function.
-func (in *Interp) shadow(name string, c Command) Command {
-	if c.Kind != SpecialBuiltin {
-		if body := in.Funcs[name]; body != nil {
-			return Command{Kind: Function, body: body}
-		}
-	}
-	return c
+	return s
 }
 
 // dispatch runs an expanded command.
 func (in *Interp) dispatch(fields []string) {
 	if !in.dispatchFault(fields[0]) {
-		in.run(in.Resolve(fields[0]), fields)
+		in.run(lookup(fields[0]), fields)
 	}
 }
 
-// run runs fields as the command c their name resolved to.
-func (in *Interp) run(c Command, fields []string) {
-	switch c.Kind {
-	case SpecialBuiltin, RegularBuiltin:
-		in.Status = c.builtin(in, fields)
-	case Function:
-		in.callFunction(c.body, fields)
-	case Utility:
-		in.runUtility(fields[0], c.util, fields)
+// run runs fields, whose name runs s when no function has it.
+func (in *Interp) run(s static, fields []string) {
+	switch body := in.shadow(fields[0], s.class); {
+	case body != nil:
+		in.callFunction(body, fields)
+	case s.builtin != nil:
+		in.Status = s.builtin(in, fields)
+	case s.util != nil:
+		in.runUtility(fields[0], s.util, fields)
 	default:
 		fmt.Fprintf(in.Stderr, "jash: %s: command not found\n", fields[0])
 		in.Status = 127

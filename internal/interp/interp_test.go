@@ -616,3 +616,13 @@ func TestBadFdDup(t *testing.T) {
 		t.Errorf("st=%d errs=%q", st, errs)
 	}
 }
+
+// Every builtin the interpreter registers has a class in the one table of
+// names: a name the table calls a utility never reaches the registry.
+func TestEveryBuiltinIsClassed(t *testing.T) {
+	for name := range builtins {
+		if syntax.ClassOf(name) == syntax.Utility {
+			t.Errorf("builtin %q has no class in syntax.ClassOf's table: the shell would never run it", name)
+		}
+	}
+}

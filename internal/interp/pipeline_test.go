@@ -138,7 +138,8 @@ func TestPipelineStagePanicIsNotTheEndOfTheStream(t *testing.T) {
 // ends: the stage waits until its own message has reached stderr.
 func TestPipelineStageStderrStreams(t *testing.T) {
 	var arrived chan struct{}
-	builtins["testwait"] = func(in *Interp, _ []string) int {
+	wait := builtins["wait"]
+	builtins["wait"] = func(in *Interp, _ []string) int {
 		fmt.Fprintln(in.Stderr, "early")
 		select {
 		case <-arrived:
@@ -147,7 +148,7 @@ func TestPipelineStageStderrStreams(t *testing.T) {
 			return 1
 		}
 	}
-	defer delete(builtins, "testwait")
+	defer func() { builtins["wait"] = wait }()
 	underBothEvaluators(t, func(t *testing.T, in *Interp, out *bytes.Buffer) {
 		arrived = make(chan struct{})
 		var once sync.Once
@@ -157,8 +158,13 @@ func TestPipelineStageStderrStreams(t *testing.T) {
 			}
 			return len(p), nil
 		})
-		if st, err := in.RunScript("testwait | cat"); st != 0 || err != nil {
+		if st, err := in.RunScript("wait | cat"); st != 0 || err != nil {
 			t.Fatalf("status %d, err %v: the stage's stderr was held until it ended", st, err)
+		}
+		select {
+		case <-arrived:
+		default:
+			t.Fatal("the stage's diagnostic never reached stderr")
 		}
 	})
 }

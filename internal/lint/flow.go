@@ -66,12 +66,13 @@ func (l *Linter) checkFlow(script *syntax.Script, add func(Finding)) {
 // constant, making a branch or loop body unreachable). It returns the
 // def-use chains the walk collected.
 func (l *Linter) walkValues(script *syntax.Script, add func(Finding)) *analysis.DefUse {
+	funcBody := analysis.Declared(script)
 	vis := &analysis.ValueVisitor{
 		Simple: func(sc *syntax.SimpleCommand, env *analysis.Env) {
 			l.checkProvenSplit(sc, env, add)
 		},
 		If: func(ic *syntax.IfClause, env *analysis.Env) {
-			switch condVerdict(ic.Cond, env) {
+			switch condVerdict(ic.Cond, env, funcBody) {
 			case condFalse:
 				if len(ic.Then) > 0 {
 					add(Finding{
@@ -91,7 +92,7 @@ func (l *Linter) walkValues(script *syntax.Script, add func(Finding)) *analysis.
 			}
 		},
 		While: func(wc *syntax.WhileClause, env *analysis.Env) {
-			v := condVerdict(wc.Cond, env)
+			v := condVerdict(wc.Cond, env, funcBody)
 			// `while cond` never enters the body when cond provably fails;
 			// `until cond` never enters when cond provably succeeds.
 			dead := (v == condFalse && !wc.Until) || (v == condTrue && wc.Until)
@@ -174,8 +175,9 @@ const (
 // condVerdict abstractly evaluates an if/while condition. Only the shapes
 // the domain can decide return a verdict: a single non-background simple
 // command — true/false/:/test/[ — whose argv resolves to constants under
-// the abstract environment. Everything else is condUnknown.
-func condVerdict(cond []*syntax.Stmt, env *analysis.Env) condResult {
+// the abstract environment, and that no function of the script shadows.
+// Everything else is condUnknown.
+func condVerdict(cond []*syntax.Stmt, env *analysis.Env, funcBody func(string) syntax.Command) condResult {
 	if len(cond) != 1 {
 		return condUnknown
 	}
@@ -209,7 +211,7 @@ func condVerdict(cond []*syntax.Stmt, env *analysis.Env) condResult {
 			argv = append(argv, f.Val.Str)
 		}
 	}
-	if len(argv) == 0 {
+	if len(argv) == 0 || analysis.Called(argv[0], funcBody) != nil {
 		return condUnknown
 	}
 	var truth, decided bool

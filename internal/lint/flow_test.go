@@ -298,13 +298,17 @@ func TestConstantConditionIsTestsVerdict(t *testing.T) {
 
 func TestConstantConditionQuietCases(t *testing.T) {
 	for _, src := range []string{
-		"if [ \"$1\" = yes ]; then echo hi; fi\n",       // unknown positional
-		"if [ -f /etc/passwd ]; then echo t; fi\n",      // file test: not modeled
-		"while true; do break; done\n",                  // intentional forever-loop
-		"if [ \"$x\" = yes ]; then echo hi; fi\n",       // ⊤ variable
-		"if grep -q a /f; then echo t; fi\n",            // command outcome unknown
-		"x=yes\nif [ \"$x\" = yes ]; then echo t; fi\n", // true cond, no else: nothing dead
-		"read x\nif [ \"$x\" = a ]; then echo t; fi\n",  // read makes it ⊤
+		"if [ \"$1\" = yes ]; then echo hi; fi\n",                             // unknown positional
+		"if [ -f /etc/passwd ]; then echo t; fi\n",                            // file test: not modeled
+		"while true; do break; done\n",                                        // intentional forever-loop
+		"if [ \"$x\" = yes ]; then echo hi; fi\n",                             // ⊤ variable
+		"if grep -q a /f; then echo t; fi\n",                                  // command outcome unknown
+		"x=yes\nif [ \"$x\" = yes ]; then echo t; fi\n",                       // true cond, no else: nothing dead
+		"read x\nif [ \"$x\" = a ]; then echo t; fi\n",                        // read makes it ⊤
+		"if [ -L /x ]; then echo t; fi\n",                                     // a primary test does not decide
+		"if [ a -nt b ]; then echo t; fi\n",                                   // likewise, binary
+		"test() { return 1; }\nif test a = a; then echo t; else echo f; fi\n", // a function runs
+		"true() { return 1; }\nwhile true; do echo t; done\n",                 // likewise
 	} {
 		if fs := findings(t, src); hasCode(fs, "JSH407") {
 			t.Errorf("JSH407 false positive on %q: %s", src, codesOf(fs))

@@ -248,7 +248,7 @@ func (l *Linter) checkSimple(sc *syntax.SimpleCommand, add func(Finding)) {
 		}
 	}
 	// JSH204: `x = 1` — assignment written with spaces parses as a command.
-	if len(sc.Args) >= 2 && isName(name) && sc.Args[1].Lit() == "=" {
+	if len(sc.Args) >= 2 && syntax.IsName(name) && sc.Args[1].Lit() == "=" {
 		add(Finding{
 			Code: "JSH204", Severity: Error, Pos: sc.Pos(),
 			Message:    fmt.Sprintf("this runs the command %q with argument '='; assignments take no spaces", name),
@@ -471,22 +471,4 @@ func wordDesc(w *syntax.Word) string {
 		}
 	}
 	return "expansion"
-}
-
-func isName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		switch {
-		case r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z'):
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
 }

@@ -450,7 +450,7 @@ func (p *parser) command() Command {
 			p.errf(p.tok.pos, "unexpected reserved word %q", p.litTok())
 		}
 		// Function definition? NAME ( ) compound
-		if name := p.litTok(); name != "" && isName(name) {
+		if name := p.litTok(); name != "" && IsName(name) {
 			if fd := p.tryFuncDecl(name); fd != nil {
 				return fd
 			}
@@ -494,7 +494,9 @@ func (p *parser) tryFuncDecl(name string) *FuncDecl {
 	return &FuncDecl{Name: name, Body: body, Position: pos}
 }
 
-func isName(s string) bool {
+// IsName reports whether s is a variable name: not a positional or
+// special parameter.
+func IsName(s string) bool {
 	if s == "" {
 		return false
 	}
@@ -553,7 +555,7 @@ func splitAssign(w *Word) (string, *Word, bool) {
 		return "", nil, false
 	}
 	eq := strings.IndexByte(first.Value, '=')
-	if eq <= 0 || !isName(first.Value[:eq]) {
+	if eq <= 0 || !IsName(first.Value[:eq]) {
 		return "", nil, false
 	}
 	name := first.Value[:eq]
@@ -760,7 +762,7 @@ func (p *parser) forClause() Command {
 	pos := p.tok.pos
 	p.expectWord("for")
 	name := p.litTok()
-	if name == "" || !isName(name) {
+	if name == "" || !IsName(name) {
 		p.errf(p.tok.pos, "expected variable name after 'for'")
 	}
 	p.next()
